@@ -31,6 +31,15 @@ echo "== lock witness (runtime lock-order graph stays acyclic) =="
 # static pass cannot see).
 cargo test -q -p psmpi --features lockcheck
 
+echo "== repo benchmark (benchmark/ builds and smokes against the workspace API) =="
+# benchmark/ is its own [workspace] with path deps on crates/*, so the
+# workspace stages above never compile it: an API change in psmpi or xpic
+# could break the repo benchmark (BENCHMARK.json) unnoticed. Build it as
+# the benchmark driver does, then run its tests — the --quick smoke of all
+# five workloads plus the BENCHMARK.json/metric-table consistency check.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== bench compile check =="
 cargo bench --workspace --no-run
 

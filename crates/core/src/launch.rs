@@ -249,13 +249,13 @@ mod tests {
                             assert_eq!(child.node().kind, NodeKind::Cluster);
                             let pic = child.parent().unwrap();
                             if child.rank() == 0 {
-                                child.send_inter(&pic, 0, 1, &7u32).unwrap();
+                                child.send_comm(&pic, 0, 1, &7u32).unwrap();
                             }
                         }),
                     )
                     .unwrap();
                 if rank.rank() == 0 {
-                    let (v, _) = rank.recv_inter::<u32>(&ic, Some(0), Some(1)).unwrap();
+                    let (v, _) = rank.recv_comm::<u32>(&ic, Some(0), Some(1)).unwrap();
                     assert_eq!(v, 7);
                 }
             })

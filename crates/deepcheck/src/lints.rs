@@ -431,33 +431,13 @@ fn d005_span_guard_discarded(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
 
 // ---------------------------------------------------------------- M003 --
 
-/// Every request-returning nonblocking method of `Rank` (the engine's
-/// `isend_*`/`irecv_*` surface plus the legacy typed `isend`/`irecv`
-/// family). A dropped return value from any of these is a lost request.
-const REQUEST_METHODS: &[&str] = &[
-    "isend",
-    "isend_comm",
-    "isend_inter",
-    "isend_bytes",
-    "isend_bytes_comm",
-    "isend_bytes_comm_sized",
-    "isend_bytes_inter",
-    "isend_bytes_inter_sized",
-    "isend_slice",
-    "isend_slice_comm",
-    "isend_slice_comm_sized",
-    "isend_slice_inter",
-    "isend_slice_inter_sized",
-    "irecv",
-    "irecv_comm",
-    "irecv_inter",
-    "irecv_bytes",
-    "irecv_bytes_comm",
-    "irecv_bytes_inter",
-    "irecv_into",
-    "irecv_into_comm",
-    "irecv_into_inter",
-];
+/// Every request-returning nonblocking method of `Rank`: the `isend_*` /
+/// `irecv_*` rows of the protocol tables. A dropped return value from any
+/// of these is a lost request.
+fn request_methods() -> impl Iterator<Item = &'static str> {
+    let p2p = crate::protocol::SENDS.iter().chain(crate::protocol::RECVS);
+    p2p.map(|e| e.0).filter(|m| m.starts_with('i'))
+}
 
 /// M003: a nonblocking request dropped without `wait`/`test` — an
 /// `isend_*`/`irecv_*` call whose whole statement is the call itself
@@ -469,7 +449,7 @@ const REQUEST_METHODS: &[&str] = &[
 /// inside. Binding (`let`), assigning, returning, or chaining the request
 /// onward (`.wait(…)` in the same statement) does not fire.
 fn m003_request_discarded(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    for method in REQUEST_METHODS {
+    for method in request_methods() {
         let mut from = 0;
         while let Some(i) = find_seq(toks, from, &[".", method, "("]) {
             from = i + 3;
@@ -796,9 +776,7 @@ fn m001_collective_under_rank_conditional(path: &str, toks: &[Tok], out: &mut Ve
 /// literals participate; computed tags and wildcard (`None`) receives
 /// disable the corresponding direction of the check.
 fn m001_tag_literal_mismatch(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    // (method, zero-based index of the tag argument)
-    const SENDS: &[(&str, usize)] = &[("send", 1), ("send_bytes", 1), ("send_bytes_comm", 2)];
-    const RECVS: &[(&str, usize)] = &[("recv", 1), ("recv_bytes", 1), ("recv_bytes_comm", 2)];
+    use crate::protocol::{RECVS, SENDS};
 
     let mut sent: Vec<(u64, u32)> = Vec::new();
     let mut recvd: Vec<(u64, u32)> = Vec::new();
@@ -814,8 +792,9 @@ fn m001_tag_literal_mismatch(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
         if m.kind != TokKind::Ident {
             continue;
         }
-        let send_slot = SENDS.iter().find(|(n, _)| *n == m.text).map(|&(_, s)| s);
-        let recv_slot = RECVS.iter().find(|(n, _)| *n == m.text).map(|&(_, s)| s);
+        // Zero-based index of the tag argument.
+        let send_slot = SENDS.iter().find(|e| e.0 == m.text).map(|e| e.2);
+        let recv_slot = RECVS.iter().find(|e| e.0 == m.text).map(|e| e.2);
         if send_slot.is_none() && recv_slot.is_none() {
             continue;
         }

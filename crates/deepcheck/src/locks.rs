@@ -127,26 +127,22 @@ pub struct FileInput<'a> {
     pub toks: &'a [Tok],
 }
 
-/// Blocking entry points of the psmpi receive surface. A call to any of
-/// these while a tracked guard is live is D008. `Condvar::wait` is *not*
-/// here: it releases the mutex it parks on.
+/// Blocking entry points below `Rank`'s receive surface (the mailbox and
+/// probe calls). A call to any of these, or to a blocking receive of the
+/// protocol tables, while a tracked guard is live is D008.
+/// `Condvar::wait` is *not* here: it releases the mutex it parks on.
 const BLOCKING: &[&str] = &[
     "recv_match",
     "recv_match_abortable",
     "probe_blocking",
     "probe_blocking_either",
-    "recv",
-    "recv_comm",
-    "recv_inter",
-    "recv_bytes",
-    "recv_bytes_comm",
-    "recv_bytes_inter",
-    "recv_into",
-    "recv_into_comm",
-    "recv_into_inter",
-    "recv_raw",
     "probe",
 ];
+
+fn is_blocking(method: &str) -> bool {
+    let recvs = crate::protocol::RECVS.iter().map(|e| e.0);
+    BLOCKING.contains(&method) || recvs.filter(|m| !m.starts_with('i')).any(|m| m == method)
+}
 
 /// Run the lock-discipline pass over one crate. Returns every lock name
 /// that was seen (declared, or acquired through a `lockorder.toml` name)
@@ -564,10 +560,7 @@ fn simulate(
                     continue;
                 }
                 // D008: blocking receive surface under a live guard.
-                if m.kind == TokKind::Ident
-                    && BLOCKING.contains(&m.text.as_str())
-                    && !guards.is_empty()
-                {
+                if m.kind == TokKind::Ident && is_blocking(m.text.as_str()) && !guards.is_empty() {
                     // Opening paren, possibly behind a turbofish.
                     let mut p = i + 2;
                     if toks.get(p).is_some_and(|t| t.is_punct("::")) {
@@ -855,7 +848,7 @@ fn f(s: &S) {
         let src = "\
 fn f(s: &S, r: &Rank) {
     let g = s.a.lock();
-    let x = r.recv_bytes(None, None);
+    let x = r.recv_bytes_comm(c, None, None);
 }
 ";
         let toml = "[psmpi]\na = 10\n";

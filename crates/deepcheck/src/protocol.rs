@@ -24,65 +24,41 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Wire framing family of a call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
+pub(crate) enum Kind {
     /// Datatype-framed (`send`/`recv`/`send_slice`/`recv_into` families).
     Typed,
     /// Raw-Bytes framed (`send_bytes_*`/`recv_bytes_*` families).
     Bytes,
 }
 
-/// (method, comm-arg slot, tag-arg slot, framing). `None` comm slot means
-/// the world-implicit convenience surface.
-const SENDS: &[(&str, Option<usize>, usize, Kind)] = &[
+/// (method, comm-arg slot, tag-arg slot, framing) for every point-to-point
+/// method of `psmpi::Rank` — a unit test below keeps both tables equal to
+/// the `pub fn`s of `rank.rs`. `None` comm slot means the world-implicit
+/// convenience surface; a `*_comm` method's comm argument may be an
+/// inter-communicator. The `i`-prefixed entries are the request-returning
+/// surface M003 watches, the other receives the blocking calls D008 does.
+pub(crate) const SENDS: &[(&str, Option<usize>, usize, Kind)] = &[
     ("send", None, 1, Kind::Typed),
-    ("isend", None, 1, Kind::Typed),
     ("send_comm", Some(0), 2, Kind::Typed),
-    ("send_comm_sized", Some(0), 2, Kind::Typed),
-    ("isend_comm", Some(0), 2, Kind::Typed),
-    ("send_inter", Some(0), 2, Kind::Typed),
-    ("send_inter_sized", Some(0), 2, Kind::Typed),
-    ("isend_inter", Some(0), 2, Kind::Typed),
     ("send_slice", None, 1, Kind::Typed),
     ("send_slice_comm", Some(0), 2, Kind::Typed),
-    ("send_slice_comm_sized", Some(0), 2, Kind::Typed),
-    ("send_slice_inter", Some(0), 2, Kind::Typed),
-    ("send_slice_inter_sized", Some(0), 2, Kind::Typed),
     ("isend_slice", None, 1, Kind::Typed),
-    ("isend_slice_comm", Some(0), 2, Kind::Typed),
-    ("isend_slice_comm_sized", Some(0), 2, Kind::Typed),
-    ("isend_slice_inter", Some(0), 2, Kind::Typed),
-    ("isend_slice_inter_sized", Some(0), 2, Kind::Typed),
-    ("send_bytes", None, 1, Kind::Bytes),
     ("send_bytes_comm", Some(0), 2, Kind::Bytes),
     ("send_bytes_comm_sized", Some(0), 2, Kind::Bytes),
-    ("send_bytes_inter", Some(0), 2, Kind::Bytes),
-    ("send_bytes_inter_sized", Some(0), 2, Kind::Bytes),
     ("isend_bytes", None, 1, Kind::Bytes),
     ("isend_bytes_comm", Some(0), 2, Kind::Bytes),
     ("isend_bytes_comm_sized", Some(0), 2, Kind::Bytes),
-    ("isend_bytes_inter", Some(0), 2, Kind::Bytes),
-    ("isend_bytes_inter_sized", Some(0), 2, Kind::Bytes),
 ];
 
-const RECVS: &[(&str, Option<usize>, usize, Kind)] = &[
+pub(crate) const RECVS: &[(&str, Option<usize>, usize, Kind)] = &[
     ("recv", None, 1, Kind::Typed),
-    ("irecv", None, 1, Kind::Typed),
     ("recv_comm", Some(0), 2, Kind::Typed),
-    ("irecv_comm", Some(0), 2, Kind::Typed),
-    ("recv_inter", Some(0), 2, Kind::Typed),
-    ("irecv_inter", Some(0), 2, Kind::Typed),
     ("recv_into", None, 1, Kind::Typed),
     ("recv_into_comm", Some(0), 2, Kind::Typed),
-    ("recv_into_inter", Some(0), 2, Kind::Typed),
     ("irecv_into", None, 1, Kind::Typed),
-    ("irecv_into_comm", Some(0), 2, Kind::Typed),
-    ("irecv_into_inter", Some(0), 2, Kind::Typed),
-    ("recv_bytes", None, 1, Kind::Bytes),
     ("recv_bytes_comm", Some(0), 2, Kind::Bytes),
-    ("recv_bytes_inter", Some(0), 2, Kind::Bytes),
     ("irecv_bytes", None, 1, Kind::Bytes),
     ("irecv_bytes_comm", Some(0), 2, Kind::Bytes),
-    ("irecv_bytes_inter", Some(0), 2, Kind::Bytes),
 ];
 
 /// One indexed call site.
@@ -363,6 +339,27 @@ mod tests {
     }
 
     #[test]
+    fn tables_list_exactly_the_p2p_methods_of_rank() {
+        // Table rot guard: every `pub fn (i)?(send|recv)*` of psmpi's
+        // rank.rs is in a table, and every table name is such a `pub fn`.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../psmpi/src/rank.rs");
+        let src = std::fs::read_to_string(path).expect("psmpi rank.rs is readable");
+        let is_p2p = |n: &str| {
+            let n = n.strip_prefix('i').unwrap_or(n);
+            n.starts_with("send") || n.starts_with("recv")
+        };
+        let in_rank: BTreeSet<&str> = src
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("pub fn "))
+            .map(|l| l.split(['<', '(']).next().expect("split yields a head"))
+            .filter(|n| is_p2p(n))
+            .collect();
+        let in_tables: BTreeSet<&str> = SENDS.iter().chain(RECVS).map(|e| e.0).collect();
+        assert_eq!(in_tables, in_rank);
+        assert_eq!(in_tables.len(), SENDS.len() + RECVS.len(), "duplicate row");
+    }
+
+    #[test]
     fn cross_comm_tag_mismatch_fires() {
         let src = "\
 fn f(r: &mut Rank, a: &Communicator, b: &Communicator) {
@@ -404,8 +401,8 @@ fn f(r: &mut Rank) {
     fn typed_bytes_framing_mismatch_fires() {
         let src = "\
 fn f(r: &mut Rank, ic: &Intercomm) {
-    r.send_bytes_inter(ic, 0, 9, payload).unwrap();
-    let y = r.recv_inter::<Vec<u8>>(ic, None, Some(9)).unwrap();
+    r.send_bytes_comm(ic, 0, 9, payload).unwrap();
+    let y = r.recv_comm::<Vec<u8>>(ic, None, Some(9)).unwrap();
 }
 ";
         let msgs = m002(src);

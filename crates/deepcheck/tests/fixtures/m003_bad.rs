@@ -41,3 +41,9 @@ pub fn good_returned(
 ) -> Result<psmpi::SendRequest, psmpi::MpiError> {
     return rank.isend_slice(1, 9, v);
 }
+
+/// The receiving end of the tag-9 slice sends, so M001's tag matching
+/// (which sees every p2p method) has nothing to say about this file.
+pub fn good_slice_peer(rank: &mut psmpi::Rank, out: &mut [f64]) {
+    rank.recv_into(Some(1), Some(9), out).unwrap();
+}

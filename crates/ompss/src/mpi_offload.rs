@@ -78,13 +78,13 @@ pub fn run_offloaded(
                 let parent = worker.parent().expect("offload worker has a parent");
                 loop {
                     let (task_idx, _) = worker
-                        .recv_inter::<i64>(&parent, Some(0), Some(TAG_RUN))
+                        .recv_comm::<i64>(&parent, Some(0), Some(TAG_RUN))
                         .expect("task index");
                     if task_idx < 0 {
                         break; // shutdown
                     }
                     let (blocks, _) = worker
-                        .recv_inter::<Vec<(String, Vec<f64>)>>(&parent, Some(0), Some(TAG_BLOCKS))
+                        .recv_comm::<Vec<(String, Vec<f64>)>>(&parent, Some(0), Some(TAG_BLOCKS))
                         .expect("input blocks");
                     // Materialize the inputs, run the real task action.
                     let mut local = DataStore::new();
@@ -112,7 +112,7 @@ pub fn run_offloaded(
                     worker.compute(&work);
                     let result = pack_blocks(&local, &outs);
                     worker
-                        .send_inter(&parent, 0, TAG_DONE, &result)
+                        .send_comm(&parent, 0, TAG_DONE, &result)
                         .expect("send results");
                 }
             })
@@ -142,12 +142,11 @@ pub fn run_offloaded(
                     let span = rank.obs_open(obs::Category::Offload, "offload_task");
                     let blocks = pack_blocks(&store_in.lock(), &ins);
                     let moved: u64 = blocks.iter().map(|(_, d)| d.len() as u64).sum();
-                    rank.send_inter(&ic, 0, TAG_RUN, &(i as i64))
+                    rank.send_comm(&ic, 0, TAG_RUN, &(i as i64))
                         .expect("task index");
-                    rank.send_inter(&ic, 0, TAG_BLOCKS, &blocks)
-                        .expect("inputs");
+                    rank.send_comm(&ic, 0, TAG_BLOCKS, &blocks).expect("inputs");
                     let (results, _) = rank
-                        .recv_inter::<Vec<(String, Vec<f64>)>>(&ic, Some(0), Some(TAG_DONE))
+                        .recv_comm::<Vec<(String, Vec<f64>)>>(&ic, Some(0), Some(TAG_DONE))
                         .expect("results");
                     let back: u64 = results.iter().map(|(_, d)| d.len() as u64).sum();
                     let mut st = store_in.lock();
@@ -163,8 +162,7 @@ pub fn run_offloaded(
             }
         }
         // Shut the worker down.
-        rank.send_inter(&ic, 0, TAG_RUN, &(-1i64))
-            .expect("shutdown");
+        rank.send_comm(&ic, 0, TAG_RUN, &(-1i64)).expect("shutdown");
         // Make the job's end deterministic.
         let w = rank.world();
         let _ = rank.allreduce_scalar(&w, 0.0, ReduceOp::Sum);

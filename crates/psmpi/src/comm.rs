@@ -94,6 +94,52 @@ impl Intercomm {
     pub fn disconnect(self) {}
 }
 
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Communicator {}
+    impl Sealed for super::Intercomm {}
+}
+
+/// What point-to-point needs to know of a communicator, implemented by
+/// [`Communicator`] and [`Intercomm`] alike — in MPI an inter-communicator
+/// *is* a communicator, so every `*_comm` method of [`crate::Rank`] takes
+/// either. Sealed: the matching engine relies on context ids handed out by
+/// the universe.
+pub trait Comm: sealed::Sealed {
+    /// Context id used for message matching.
+    fn context(&self) -> CommId;
+    /// The group the caller must belong to; its index there is the
+    /// `source` its peers see.
+    fn local_group(&self) -> &Group;
+    /// The group `dst`/`src` ranks index: the communicator's own group, or
+    /// an inter-communicator's remote group.
+    fn peer_group(&self) -> &Group;
+}
+
+impl Comm for Communicator {
+    fn context(&self) -> CommId {
+        self.id
+    }
+    fn local_group(&self) -> &Group {
+        &self.group
+    }
+    fn peer_group(&self) -> &Group {
+        &self.group
+    }
+}
+
+impl Comm for Intercomm {
+    fn context(&self) -> CommId {
+        self.id
+    }
+    fn local_group(&self) -> &Group {
+        &self.local
+    }
+    fn peer_group(&self) -> &Group {
+        &self.remote
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -396,7 +396,7 @@ impl MpiDatatype for () {
 /// returns the received buffer itself (a refcount bump, no copy) and its
 /// `to_bytes` clones the handle, so a `Raw` payload travels sender →
 /// router → receiver — and through collective forwarding fan-out — as one
-/// shared allocation. Use [`crate::Rank::send_bytes`]-family methods (or
+/// shared allocation. Use [`crate::Rank::send_bytes_comm`]-family methods (or
 /// `send`/`recv` with `Raw` directly) for large numeric buffers where the
 /// length-prefixed `Vec<f64>` codec would copy element by element.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

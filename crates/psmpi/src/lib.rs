@@ -12,10 +12,9 @@
 //! * every rank is a real OS thread; payloads really move (as [`bytes::Bytes`])
 //!   through a matching engine with MPI semantics (communicator + tag +
 //!   source matching, wildcards, FIFO per pair);
-//! * point-to-point ([`Rank::send`]/[`Rank::recv`] and the nonblocking
-//!   [`Rank::isend`]/[`Rank::irecv`]/[`Request::wait`]) and the usual
-//!   collectives (implemented as real binomial-tree / pairwise algorithms on
-//!   top of point-to-point, exactly like an MPI library);
+//! * point-to-point (see the table below) and the usual collectives
+//!   (implemented as real binomial-tree / pairwise algorithms on top of
+//!   point-to-point, exactly like an MPI library);
 //! * [`Rank::spawn`] — the offload call: collectively starts a child world
 //!   on a chosen set of nodes and returns an [`Intercomm`], while the
 //!   children find their parent via [`Rank::parent`];
@@ -26,6 +25,30 @@
 //!   its ranks ([`JobReport`]). This is how the reproduction predicts the
 //!   DEEP-ER prototype's performance (Figs. 3, 7, 8) while the application
 //!   code really executes.
+//!
+//! ## Point-to-point: one post/match pair
+//!
+//! Every send *posts*: it stamps and deposits the envelope and parks the
+//! sender-side charge on a [`SendRequest`]. Every receive posts its
+//! matching criteria as a [`RecvRequest`]. A blocking call is that same
+//! post completed on the spot, so `isend_*` + [`MpiRequest::wait`] and
+//! `send_*` cost exactly the same virtual time. The methods differ only in
+//! how the payload bytes are produced, and every `*_comm` method takes any
+//! [`Comm`] — a [`Communicator`], or an [`Intercomm`] whose ranks index the
+//! remote group (Listing 4's `MPI_Issend`/`MPI_Irecv` on the spawn
+//! inter-communicator):
+//!
+//! | payload | blocking, world | blocking, `comm` | request, world | request, `comm` |
+//! |---|---|---|---|---|
+//! | [`MpiDatatype`] (framed) | `send` `recv` | `send_comm` `recv_comm` | — | — |
+//! | raw [`bytes::Bytes`] (zero-copy) | — | `send_bytes_comm[_sized]` `recv_bytes_comm` | `isend_bytes` `irecv_bytes` | `isend_bytes_comm[_sized]` `irecv_bytes_comm` |
+//! | `&[T: FixedWidth]` (unframed POD, in place) | `send_slice` `recv_into` | `send_slice_comm` `recv_into_comm` | `isend_slice` `irecv_into` | — |
+//!
+//! `_sized` charges a modelled wire size instead of the payload length; it
+//! exists only on the bytes path, where xpic moves reduced-scale data at
+//! model scale. [`Rank::inam_put`]`[_sized]` posts a one-sided NAM put
+//! through the same [`SendRequest`]; [`Rank::waitall`] drains a batch in
+//! posted order.
 //!
 //! ## Quick example
 //!
@@ -61,11 +84,11 @@ pub mod router;
 pub mod spawn;
 pub mod universe;
 
-pub use comm::{CommId, Communicator, Intercomm};
+pub use comm::{Comm, CommId, Communicator, Intercomm};
 pub use datatype::{FixedWidth, MpiDatatype, Raw, ReduceOp};
 pub use envelope::{Envelope, Status, Tag, ANY_SOURCE, ANY_TAG, TAG_REVOKED};
 pub use pool::{BufferPool, PoolStats, DEFAULT_MAX_POOLED_BUFFERS};
-pub use rank::{MpiRequest, PsmpiError, Rank, RecvIntoRequest, RecvRequest, Request, SendRequest};
+pub use rank::{MpiRequest, PsmpiError, Rank, RecvIntoRequest, RecvRequest, SendRequest};
 pub use router::{RecvAbort, RetryPolicy};
 
 /// MPI-flavoured alias for [`PsmpiError`]: the typed error surface a dead

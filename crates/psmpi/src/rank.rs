@@ -1,7 +1,7 @@
 //! The per-process handle: point-to-point messaging, virtual time, compute
 //! charging. One [`Rank`] is owned by each rank thread.
 
-use crate::comm::{CommId, Communicator, Intercomm};
+use crate::comm::{Comm, CommId, Communicator, Intercomm};
 use crate::datatype::{
     pod_to_bytes_pooled, read_pod_into_exact, CodecError, FixedWidth, MpiDatatype,
 };
@@ -10,7 +10,6 @@ use crate::router::{EndpointEntry, Mailbox, RecvAbort, Router};
 use bytes::{BufMut, Bytes, BytesMut};
 use hwmodel::{CostModel, NodeId, NodeSpec, SimTime, WorkSpec};
 use std::collections::BTreeMap;
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Errors surfaced by the messaging API. `Clone` because a deferred
@@ -86,35 +85,26 @@ impl From<CodecError> for PsmpiError {
     }
 }
 
-/// How a posted send resolved. Everything here is computed at post time
-/// from the sender's virtual state — what is *deferred* is the charge:
-/// the poster's clock does not move until `wait`/`test`.
-#[derive(Debug, Clone)]
-enum SendOutcome {
-    /// The injection cleared the fault checks; NIC serialization (plus
-    /// any link-retry backoff walked through first) finishes at
-    /// `completion`.
-    Done { completion: SimTime },
-    /// A fault path fired while posting. Surfaced at wait time, with the
-    /// clock advanced to where the blocking path would have given up.
-    Failed { err: PsmpiError, at: SimTime },
+/// Which public face completes a posted operation. The engine is the same
+/// either way — a blocking call is a post completed on the spot — and only
+/// the obs labels differ: blocking calls keep the historical `Send`/"send"
+/// and `Recv`/"recv" spans, request completions show up as request-scoped
+/// `Wait` spans *instead* (not around them — a `Wait` span wrapping a
+/// `Recv` span would get zero exclusive time under the profile's
+/// innermost-cover attribution) so overlap wins are legible in the
+/// per-module profile.
+#[derive(Clone, Copy)]
+enum Face {
+    Blocking,
+    Request,
 }
 
-/// Span labels `recv_raw_as` stamps: (category, matched name, aborted
-/// name). Blocking receives keep the historical `Recv`/"recv" labels;
-/// request completions show up as request-scoped `Wait` spans so overlap
-/// wins are legible in the per-module profile.
-type RecvSpans = (obs::Category, &'static str, &'static str);
-const BLOCKING_SPANS: RecvSpans = (obs::Category::Recv, "recv", "recv-aborted");
-const WAIT_SPANS: RecvSpans = (obs::Category::Wait, "wait-recv", "wait-aborted");
-
-/// Common completion surface of the typed request handles
-/// ([`SendRequest`], [`RecvRequest`], [`RecvIntoRequest`]). `wait`
-/// completes the operation on the calling rank and advances its clock to
-/// the completion timestamp; `test` completes only if that can happen
-/// without blocking. [`Rank::waitall`] drains a homogeneous batch in
-/// posted order.
-pub trait MpiRequest {
+/// Common completion surface of the request handles ([`SendRequest`],
+/// [`RecvRequest`], [`RecvIntoRequest`]). `wait` completes the operation
+/// on the calling rank and advances its clock to the completion
+/// timestamp; `test` completes only if that can happen without blocking.
+/// [`Rank::waitall`] drains a homogeneous batch in posted order.
+pub trait MpiRequest: Sized {
     /// What completion yields: `()` for sends, payload + status for
     /// receives.
     type Output;
@@ -123,14 +113,23 @@ pub trait MpiRequest {
     /// deferred fault error ([`PsmpiError::NodeFailed`],
     /// [`PsmpiError::LinkDown`], [`PsmpiError::Timeout`]).
     fn wait(self, rank: &mut Rank) -> Result<Self::Output, PsmpiError>;
+    /// Whether [`MpiRequest::wait`] would return without blocking — with
+    /// the payload *or* with the error it is bound to surface (the awaited
+    /// sender's node is down, or its communicator was revoked). Never
+    /// moves the clock.
+    fn ready(&self, rank: &mut Rank) -> bool;
     /// Complete the operation if it is ready now, otherwise hand the
     /// request back untouched (a miss never moves the clock).
-    fn test(self, rank: &mut Rank) -> Result<Result<Self::Output, Self>, PsmpiError>
-    where
-        Self: Sized;
+    fn test(self, rank: &mut Rank) -> Result<Result<Self::Output, Self>, PsmpiError> {
+        if self.ready(rank) {
+            Ok(Ok(self.wait(rank)?))
+        } else {
+            Ok(Err(self))
+        }
+    }
 }
 
-/// A posted nonblocking send (`isend_bytes_*` / `isend_slice_*`).
+/// A posted nonblocking send (`isend_bytes*` / `isend_slice`) or NAM put.
 ///
 /// The envelope was deposited with the receiver at post time (buffered
 /// semantics: the message is matchable immediately, stamped exactly as
@@ -141,24 +140,29 @@ pub trait MpiRequest {
 /// deepcheck lint M003 flags statement-level discards.
 #[must_use = "a dropped send request never charges its NIC time (deepcheck M003)"]
 pub struct SendRequest {
-    outcome: SendOutcome,
+    /// Virtual time the sender-side work finishes at — or, with a `fault`,
+    /// gives up at. Computed at post time from the sender's virtual state;
+    /// what is deferred is the charge.
+    at: SimTime,
+    /// A fault path that fired while posting, surfaced at completion.
+    fault: Option<PsmpiError>,
 }
 
 impl MpiRequest for SendRequest {
     type Output = ();
 
     fn wait(self, rank: &mut Rank) -> Result<(), PsmpiError> {
-        rank.complete_send(self.outcome)
+        rank.complete_send(self, Face::Request)
     }
 
-    fn test(self, rank: &mut Rank) -> Result<Result<(), Self>, PsmpiError> {
-        // A buffered send is complete the moment its deferred charge is
-        // applied — test never hands the request back.
-        Ok(Ok(self.wait(rank)?))
+    /// A buffered send is complete the moment its deferred charge is
+    /// applied — `test` never hands the request back.
+    fn ready(&self, _rank: &mut Rank) -> bool {
+        true
     }
 }
 
-/// A posted nonblocking raw-payload receive (`irecv_bytes_*`).
+/// A posted nonblocking raw-payload receive (`irecv_bytes*`).
 ///
 /// Posting records the matching criteria only — in virtual time a post
 /// is free, and the payoff comes from waiting late: completion sets the
@@ -179,23 +183,24 @@ impl MpiRequest for RecvRequest {
     type Output = (Bytes, Status);
 
     fn wait(self, rank: &mut Rank) -> Result<(Bytes, Status), PsmpiError> {
-        rank.recv_raw_as(self.comm, self.src, self.tag, self.src_ep, WAIT_SPANS)
+        rank.complete_recv(self, Face::Request)
     }
 
-    fn test(self, rank: &mut Rank) -> Result<Result<(Bytes, Status), Self>, PsmpiError> {
-        if rank
-            .mailbox
-            .probe_match(self.comm, self.src, self.tag)
-            .is_some()
-        {
-            Ok(Ok(self.wait(rank)?))
-        } else {
-            Ok(Err(self))
-        }
+    /// A queued match, or either abort condition
+    /// [`Mailbox::recv_match_abortable`] gives up on. Only this rank
+    /// consumes from its mailbox and death declarations are not withdrawn
+    /// while ranks run, so a `true` here cannot turn into a blocking wait.
+    fn ready(&self, rank: &mut Rank) -> bool {
+        let queued = |src, tag| rank.mailbox.probe_match(self.comm, src, tag).is_some();
+        queued(self.src, self.tag)
+            || self.src.is_some_and(|s| queued(Some(s), Some(TAG_REVOKED)))
+            || rank
+                .awaited_node(self.src_ep)
+                .is_some_and(|n| rank.router.dead_time_of(n).is_some())
     }
 }
 
-/// A posted in-place typed receive (`irecv_into_*`): borrows the
+/// A posted in-place typed receive ([`Rank::irecv_into`]): borrows the
 /// caller's output slice for the request's lifetime and bulk-decodes
 /// straight into it at [`MpiRequest::wait`] (the message's element count
 /// must match the slice length exactly, as with
@@ -206,99 +211,51 @@ pub struct RecvIntoRequest<'a, T: FixedWidth> {
     out: &'a mut [T],
 }
 
-impl<T: FixedWidth> MpiRequest for RecvIntoRequest<'_, T> {
-    type Output = Status;
-
-    fn wait(self, rank: &mut Rank) -> Result<Status, PsmpiError> {
-        let (bytes, st) = self.inner.wait(rank)?;
+impl<T: FixedWidth> RecvIntoRequest<'_, T> {
+    fn complete(self, rank: &mut Rank, face: Face) -> Result<Status, PsmpiError> {
+        let (bytes, st) = rank.complete_recv(self.inner, face)?;
         read_pod_into_exact(&bytes, self.out)?;
         rank.router.buffer_pool().recycle(bytes);
         Ok(st)
     }
+}
 
-    fn test(self, rank: &mut Rank) -> Result<Result<Status, Self>, PsmpiError> {
-        if rank
-            .mailbox
-            .probe_match(self.inner.comm, self.inner.src, self.inner.tag)
-            .is_some()
-        {
-            Ok(Ok(self.wait(rank)?))
-        } else {
-            Ok(Err(self))
-        }
+impl<T: FixedWidth> MpiRequest for RecvIntoRequest<'_, T> {
+    type Output = Status;
+
+    fn wait(self, rank: &mut Rank) -> Result<Status, PsmpiError> {
+        self.complete(rank, Face::Request)
+    }
+
+    fn ready(&self, rank: &mut Rank) -> bool {
+        self.inner.ready(rank)
     }
 }
 
-/// A completed or in-flight nonblocking operation of the legacy typed
-/// surface (`isend`/`irecv` over [`MpiDatatype`]).
-///
-/// `isend` deposits at post time and defers its sender-side charge to
-/// the handle (same accounting as [`SendRequest`]); `irecv` records the
-/// matching criteria and performs the receive at [`Request::wait`]. The
-/// virtual-time effect is exactly MPI's: compute performed between
-/// posting and waiting overlaps the transfer, because the receive clock
-/// is `max(local clock, message arrival)`.
-pub struct Request<T: MpiDatatype = ()> {
-    kind: RequestKind,
-    _t: PhantomData<T>,
+/// Endpoint of rank `rank` in the group `comm` addresses (its own group,
+/// or an inter-communicator's remote group).
+fn peer_endpoint(comm: &impl Comm, rank: usize) -> Result<EndpointId, PsmpiError> {
+    let peers = &comm.peer_group().endpoints;
+    peers.get(rank).copied().ok_or(PsmpiError::InvalidRank {
+        rank,
+        size: peers.len(),
+    })
 }
 
-enum RequestKind {
-    Send(SendOutcome),
-    Recv {
-        comm: CommId,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        /// Awaited sender's endpoint (resolved at post time); lets the
-        /// receive abort if that endpoint's node dies.
-        src_ep: Option<EndpointId>,
-    },
-}
-
-impl<T: MpiDatatype> Request<T> {
-    /// Complete the operation on the calling rank. For sends this applies
-    /// the deferred NIC/backoff charge (and surfaces deferred faults);
-    /// for receives it blocks until the message is delivered and returns
-    /// it.
-    pub fn wait(self, rank: &mut Rank) -> Result<(Option<T>, Option<Status>), PsmpiError> {
-        match self.kind {
-            RequestKind::Send(outcome) => {
-                rank.complete_send(outcome)?;
-                Ok((None, None))
-            }
-            RequestKind::Recv {
-                comm,
-                src,
-                tag,
-                src_ep,
-            } => {
-                let (v, st) = rank.recv_raw_as(comm, src, tag, src_ep, WAIT_SPANS)?;
-                let val = T::from_bytes(v.clone())?;
-                rank.router.buffer_pool().recycle(v);
-                Ok((Some(val), Some(st)))
-            }
-        }
-    }
-
-    /// Nonblocking completion check (MPI_Test): if the operation can
-    /// complete now, complete it and return `Ok(value)`; otherwise hand the
-    /// request back for a later retry. Sends always complete.
-    #[allow(clippy::type_complexity)]
-    pub fn test(
-        self,
-        rank: &mut Rank,
-    ) -> Result<Result<(Option<T>, Option<Status>), Request<T>>, PsmpiError> {
-        match &self.kind {
-            RequestKind::Send(_) => Ok(Ok(self.wait(rank)?)),
-            RequestKind::Recv { comm, src, tag, .. } => {
-                if rank.mailbox.probe_match(*comm, *src, *tag).is_some() {
-                    Ok(Ok(self.wait(rank)?))
-                } else {
-                    Ok(Err(self))
-                }
-            }
-        }
-    }
+/// Post a receive: validate `src` against the peer group and record the
+/// matching criteria. Free in virtual time; every receive, blocking or
+/// not, starts here.
+fn post_recv(
+    comm: &impl Comm,
+    src: Option<usize>,
+    tag: Option<Tag>,
+) -> Result<RecvRequest, PsmpiError> {
+    Ok(RecvRequest {
+        comm: comm.context(),
+        src,
+        tag,
+        src_ep: src.map(|s| peer_endpoint(comm, s)).transpose()?,
+    })
 }
 
 /// Wire form of a revoke-marker payload: failed node id (u32 LE) + virtual
@@ -530,36 +487,25 @@ impl Rank {
         Ok(e)
     }
 
-    /// This rank's index within `comm`, cached per communicator context.
-    /// The world answers from `my_rank` directly; other communicators pay
-    /// [`crate::Group::rank_of`]'s linear scan exactly once.
-    pub(crate) fn comm_rank(&mut self, comm: &Communicator) -> Result<usize, PsmpiError> {
-        if comm.id == self.world.id {
+    /// This rank's index within the local group of `comm`, cached per
+    /// communicator context (an endpoint belongs to exactly one side of an
+    /// inter-comm, so the [`CommId`] keyspace shared with intra-comms is
+    /// unambiguous). The world answers from `my_rank` directly; other
+    /// communicators pay [`crate::Group::rank_of`]'s linear scan exactly
+    /// once.
+    pub(crate) fn comm_rank(&mut self, comm: &impl Comm) -> Result<usize, PsmpiError> {
+        let id = comm.context();
+        if id == self.world.id {
             return Ok(self.my_rank);
         }
-        if let Some(&r) = self.comm_ranks.get(&comm.id) {
+        if let Some(&r) = self.comm_ranks.get(&id) {
             return Ok(r);
         }
         let r = comm
-            .group
+            .local_group()
             .rank_of(self.endpoint)
             .ok_or(PsmpiError::NotInCommunicator)?;
-        self.comm_ranks.insert(comm.id, r);
-        Ok(r)
-    }
-
-    /// This rank's index within the local group of `ic`, cached by context
-    /// id (an endpoint belongs to exactly one side of an inter-comm, so the
-    /// shared [`CommId`] keyspace with intra-comms is unambiguous).
-    pub(crate) fn inter_local_rank(&mut self, ic: &Intercomm) -> Result<usize, PsmpiError> {
-        if let Some(&r) = self.comm_ranks.get(&ic.id) {
-            return Ok(r);
-        }
-        let r = ic
-            .local
-            .rank_of(self.endpoint)
-            .ok_or(PsmpiError::NotInCommunicator)?;
-        self.comm_ranks.insert(ic.id, r);
+        self.comm_ranks.insert(id, r);
         Ok(r)
     }
 
@@ -585,121 +531,41 @@ impl Rank {
         t
     }
 
-    // ---- point-to-point on an explicit communicator ----
+    // ---- point-to-point ----
+    //
+    // One engine: every send is `post_send`, every receive `post_recv`, and
+    // a blocking call is the same post completed on the spot. The public
+    // methods differ only in how the payload `Bytes` is produced; `comm`
+    // is any [`Comm`]. The crate docs tabulate the whole surface.
 
     /// Blocking standard send of `value` to `dst` in `comm` with `tag`.
     /// Buffered semantics: completes locally after injection.
     pub fn send_comm<T: MpiDatatype>(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         dst: usize,
         tag: Tag,
         value: &T,
     ) -> Result<(), PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
         let wire = value.to_wire(self.router.buffer_pool());
-        self.send_raw(comm.id, dst_ep, src_rank, tag, wire, None)
-    }
-
-    /// Like [`Rank::send_comm`] but charging `virtual_bytes` on the wire
-    /// instead of the encoded payload size (model-scale exchanges over
-    /// reduced-scale data).
-    pub fn send_comm_sized<T: MpiDatatype>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        self.send_raw(comm.id, dst_ep, src_rank, tag, wire, Some(virtual_bytes))
+        self.send_bytes_comm(comm, dst, tag, wire)
     }
 
     /// Blocking receive from `src` (or any source) with `tag` (or any tag)
     /// on `comm`.
     pub fn recv_comm<T: MpiDatatype>(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<(T, Status), PsmpiError> {
-        if let Some(s) = src {
-            if s >= comm.size() {
-                return Err(PsmpiError::InvalidRank {
-                    rank: s,
-                    size: comm.size(),
-                });
-            }
-        }
-        let src_ep = src.map(|s| comm.group.endpoints[s]);
-        let (bytes, st) = self.recv_raw(comm.id, src, tag, src_ep)?;
+        let (bytes, st) = self.recv_bytes_comm(comm, src, tag)?;
         let value = T::from_bytes(bytes.clone())?;
         // Return the payload allocation to the pool — a no-op whenever the
         // decode (e.g. `Raw`) or another rank still holds a reference.
         self.router.buffer_pool().recycle(bytes);
         Ok((value, st))
     }
-
-    /// Nonblocking send on `comm` (buffered: deposited immediately, the
-    /// sender-side charge deferred to the request).
-    pub fn isend_comm<T: MpiDatatype>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-    ) -> Result<Request, PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        let outcome = self.isend_raw(comm.id, dst_ep, src_rank, tag, wire, None);
-        Ok(Request {
-            kind: RequestKind::Send(outcome),
-            _t: PhantomData,
-        })
-    }
-
-    /// Nonblocking receive on `comm`; complete with [`Request::wait`].
-    pub fn irecv_comm<T: MpiDatatype>(
-        &mut self,
-        comm: &Communicator,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Request<T> {
-        Request {
-            kind: RequestKind::Recv {
-                comm: comm.id,
-                src,
-                tag,
-                src_ep: src.and_then(|s| comm.group.endpoints.get(s).copied()),
-            },
-            _t: PhantomData,
-        }
-    }
-
-    // ---- point-to-point on the world (convenience) ----
 
     /// [`Rank::send_comm`] on the world communicator.
     pub fn send<T: MpiDatatype>(
@@ -722,165 +588,34 @@ impl Rank {
         self.recv_comm(&w, src, tag)
     }
 
-    /// [`Rank::isend_comm`] on the world communicator.
-    pub fn isend<T: MpiDatatype>(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-    ) -> Result<Request, PsmpiError> {
-        let w = self.world.clone();
-        self.isend_comm(&w, dst, tag, value)
-    }
-
-    /// [`Rank::irecv_comm`] on the world communicator.
-    pub fn irecv<T: MpiDatatype>(&mut self, src: Option<usize>, tag: Option<Tag>) -> Request<T> {
-        let w = self.world.clone();
-        self.irecv_comm(&w, src, tag)
-    }
-
-    // ---- point-to-point on an inter-communicator ----
-
-    /// Send to rank `dst` *of the remote group* (MPI inter-communicator
-    /// addressing, used for Cluster↔Booster exchange after spawn).
-    pub fn send_inter<T: MpiDatatype>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-    ) -> Result<(), PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        self.send_raw(ic.id, dst_ep, src_rank, tag, wire, None)
-    }
-
-    /// Like [`Rank::send_inter`] but charging `virtual_bytes` on the wire.
-    pub fn send_inter_sized<T: MpiDatatype>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        self.send_raw(ic.id, dst_ep, src_rank, tag, wire, Some(virtual_bytes))
-    }
-
-    /// Receive from rank `src` of the remote group (or any).
-    pub fn recv_inter<T: MpiDatatype>(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<(T, Status), PsmpiError> {
-        let src_ep = src.and_then(|s| ic.remote.endpoints.get(s).copied());
-        let (bytes, st) = self.recv_raw(ic.id, src, tag, src_ep)?;
-        let value = T::from_bytes(bytes.clone())?;
-        self.router.buffer_pool().recycle(bytes);
-        Ok((value, st))
-    }
-
-    /// Nonblocking inter-communicator send (buffered; the `MPI_Issend` of
-    /// the paper's Listing 4 modulo synchronous-mode pedantry). The
-    /// sender-side charge is deferred to the request.
-    pub fn isend_inter<T: MpiDatatype>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-    ) -> Result<Request, PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        let outcome = self.isend_raw(ic.id, dst_ep, src_rank, tag, wire, None);
-        Ok(Request {
-            kind: RequestKind::Send(outcome),
-            _t: PhantomData,
-        })
-    }
-
-    /// Nonblocking inter-communicator receive (the `MPI_Irecv` of
-    /// Listing 4); complete with [`Request::wait`].
-    pub fn irecv_inter<T: MpiDatatype>(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Request<T> {
-        Request {
-            kind: RequestKind::Recv {
-                comm: ic.id,
-                src,
-                tag,
-                src_ep: src.and_then(|s| ic.remote.endpoints.get(s).copied()),
-            },
-            _t: PhantomData,
-        }
-    }
-
     // ---- probes ----
 
     /// Blocking probe: wait until a matching message is available and
     /// return its status without receiving it.
-    pub fn probe(&mut self, comm: &Communicator, src: Option<usize>, tag: Option<Tag>) -> Status {
-        let (src_rank, tag, bytes, stamp, src_ep) = self.mailbox.probe_blocking(comm.id, src, tag);
-        let arrival = stamp + self.probe_transfer(src_ep, bytes);
-        Status {
-            source: src_rank,
-            tag,
-            bytes,
-            arrival,
-        }
+    pub fn probe(&mut self, comm: &impl Comm, src: Option<usize>, tag: Option<Tag>) -> Status {
+        let hit = self.mailbox.probe_blocking(comm.context(), src, tag);
+        self.probe_status(hit)
     }
 
     /// Nonblocking probe.
     pub fn iprobe(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Option<Status> {
-        self.mailbox
-            .probe_match(comm.id, src, tag)
-            .map(|(src_rank, tag, bytes, stamp, src_ep)| {
-                let arrival = stamp + self.probe_transfer(src_ep, bytes);
-                Status {
-                    source: src_rank,
-                    tag,
-                    bytes,
-                    arrival,
-                }
-            })
+        let hit = self.mailbox.probe_match(comm.context(), src, tag)?;
+        Some(self.probe_status(hit))
     }
 
-    /// Transfer time a probe reports: zero for a self-send (which never
-    /// touches the fabric), the modelled fabric time otherwise.
-    fn probe_transfer(&self, src_ep: EndpointId, bytes: usize) -> SimTime {
-        if src_ep == self.endpoint {
+    /// Status a probe reports for a queued envelope. The transfer time is
+    /// zero for a self-send (which never touches the fabric), the modelled
+    /// fabric time otherwise.
+    fn probe_status(
+        &self,
+        (source, tag, bytes, stamp, src_ep): (usize, Tag, usize, SimTime, EndpointId),
+    ) -> Status {
+        let transfer = if src_ep == self.endpoint {
             SimTime::ZERO
         } else {
             // A probe of a message from a torn-down endpoint cannot time the
@@ -888,6 +623,12 @@ impl Rank {
             self.router
                 .transfer_time(src_ep, self.endpoint, bytes)
                 .unwrap_or(SimTime::ZERO)
+        };
+        Status {
+            source,
+            tag,
+            bytes,
+            arrival: stamp + transfer,
         }
     }
 
@@ -895,126 +636,47 @@ impl Rank {
     //
     // These move an already-encoded buffer without any serialization step:
     // the `Bytes` handle is refcount-cloned into the envelope, travels
-    // through the matching engine, and `recv_bytes_*` hands back the very
-    // same allocation. Combined with the self-send bypass and the
+    // through the matching engine, and `recv_bytes_comm` hands back the
+    // very same allocation. Combined with the self-send bypass and the
     // forwarding collectives this makes large exchanges single-allocation
     // end to end. Virtual-time accounting is identical to the typed API.
 
     /// Zero-copy send of `payload` to `dst` in `comm` with `tag`.
     pub fn send_bytes_comm(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         dst: usize,
         tag: Tag,
         payload: Bytes,
     ) -> Result<(), PsmpiError> {
-        self.send_bytes_comm_opt(comm, dst, tag, payload, None)
+        let req = self.post_send(comm, dst, tag, payload, None)?;
+        self.complete_send(req, Face::Blocking)
     }
 
     /// Like [`Rank::send_bytes_comm`] but charging `virtual_bytes` on the
     /// wire (model-scale exchanges over reduced-scale data).
     pub fn send_bytes_comm_sized(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         dst: usize,
         tag: Tag,
         payload: Bytes,
         virtual_bytes: usize,
     ) -> Result<(), PsmpiError> {
-        self.send_bytes_comm_opt(comm, dst, tag, payload, Some(virtual_bytes))
-    }
-
-    fn send_bytes_comm_opt(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> Result<(), PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
-        self.send_raw(comm.id, dst_ep, src_rank, tag, payload, virtual_size)
+        let req = self.post_send(comm, dst, tag, payload, Some(virtual_bytes))?;
+        self.complete_send(req, Face::Blocking)
     }
 
     /// Zero-copy receive on `comm`: the returned [`Bytes`] is the sender's
     /// buffer (shared allocation), not a copy.
     pub fn recv_bytes_comm(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<(Bytes, Status), PsmpiError> {
-        if let Some(s) = src {
-            if s >= comm.size() {
-                return Err(PsmpiError::InvalidRank {
-                    rank: s,
-                    size: comm.size(),
-                });
-            }
-        }
-        let src_ep = src.map(|s| comm.group.endpoints[s]);
-        self.recv_raw(comm.id, src, tag, src_ep)
-    }
-
-    /// Zero-copy inter-communicator send to rank `dst` of the remote group.
-    pub fn send_bytes_inter(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-    ) -> Result<(), PsmpiError> {
-        self.send_bytes_inter_opt(ic, dst, tag, payload, None)
-    }
-
-    /// Like [`Rank::send_bytes_inter`] but charging `virtual_bytes` on the
-    /// wire.
-    pub fn send_bytes_inter_sized(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        self.send_bytes_inter_opt(ic, dst, tag, payload, Some(virtual_bytes))
-    }
-
-    fn send_bytes_inter_opt(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> Result<(), PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        self.send_raw(ic.id, dst_ep, src_rank, tag, payload, virtual_size)
-    }
-
-    /// Zero-copy inter-communicator receive.
-    pub fn recv_bytes_inter(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<(Bytes, Status), PsmpiError> {
-        let src_ep = src.and_then(|s| ic.remote.endpoints.get(s).copied());
-        self.recv_raw(ic.id, src, tag, src_ep)
+        let req = post_recv(comm, src, tag)?;
+        self.complete_recv(req, Face::Blocking)
     }
 
     // ---- in-place typed point-to-point (POD slices) ----
@@ -1032,45 +694,13 @@ impl Rank {
     /// pooled buffer, no intermediate `Vec`.
     pub fn send_slice_comm<T: FixedWidth>(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         dst: usize,
         tag: Tag,
         data: &[T],
     ) -> Result<(), PsmpiError> {
-        self.send_slice_comm_opt(comm, dst, tag, data, None)
-    }
-
-    /// Like [`Rank::send_slice_comm`] but charging `virtual_bytes` on the
-    /// wire (model-scale exchanges over reduced-scale data).
-    pub fn send_slice_comm_sized<T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        self.send_slice_comm_opt(comm, dst, tag, data, Some(virtual_bytes))
-    }
-
-    fn send_slice_comm_opt<T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_size: Option<usize>,
-    ) -> Result<(), PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
         let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.send_raw(comm.id, dst_ep, src_rank, tag, wire, virtual_size)
+        self.send_bytes_comm(comm, dst, tag, wire)
     }
 
     /// [`Rank::send_slice_comm`] on the world communicator.
@@ -1084,75 +714,19 @@ impl Rank {
         self.send_slice_comm(&w, dst, tag, data)
     }
 
-    /// Typed slice send to rank `dst` of an inter-communicator's remote
-    /// group (see [`Rank::send_slice_comm`]).
-    pub fn send_slice_inter<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) -> Result<(), PsmpiError> {
-        self.send_slice_inter_opt(ic, dst, tag, data, None)
-    }
-
-    /// Like [`Rank::send_slice_inter`] but charging `virtual_bytes` on the
-    /// wire.
-    pub fn send_slice_inter_sized<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        self.send_slice_inter_opt(ic, dst, tag, data, Some(virtual_bytes))
-    }
-
-    fn send_slice_inter_opt<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_size: Option<usize>,
-    ) -> Result<(), PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.send_raw(ic.id, dst_ep, src_rank, tag, wire, virtual_size)
-    }
-
     /// Typed in-place receive on `comm`: decodes the payload directly into
     /// `out` (whose length must match the message's element count exactly)
     /// and recycles the wire buffer. No allocation on the steady-state
     /// path.
     pub fn recv_into_comm<T: FixedWidth>(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         src: Option<usize>,
         tag: Option<Tag>,
         out: &mut [T],
     ) -> Result<Status, PsmpiError> {
-        if let Some(s) = src {
-            if s >= comm.size() {
-                return Err(PsmpiError::InvalidRank {
-                    rank: s,
-                    size: comm.size(),
-                });
-            }
-        }
-        let src_ep = src.map(|s| comm.group.endpoints[s]);
-        let (bytes, st) = self.recv_raw(comm.id, src, tag, src_ep)?;
-        read_pod_into_exact(&bytes, out)?;
-        self.router.buffer_pool().recycle(bytes);
-        Ok(st)
+        let inner = post_recv(comm, src, tag)?;
+        RecvIntoRequest { inner, out }.complete(self, Face::Blocking)
     }
 
     /// [`Rank::recv_into_comm`] on the world communicator.
@@ -1166,78 +740,43 @@ impl Rank {
         self.recv_into_comm(&w, src, tag, out)
     }
 
-    /// Typed in-place receive from an inter-communicator's remote group.
-    pub fn recv_into_inter<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        out: &mut [T],
-    ) -> Result<Status, PsmpiError> {
-        let src_ep = src.and_then(|s| ic.remote.endpoints.get(s).copied());
-        let (bytes, st) = self.recv_raw(ic.id, src, tag, src_ep)?;
-        read_pod_into_exact(&bytes, out)?;
-        self.router.buffer_pool().recycle(bytes);
-        Ok(st)
-    }
-
-    // ---- nonblocking request engine ----
+    // ---- nonblocking requests ----
     //
-    // `isend_*` deposits the envelope at post time (buffered semantics:
-    // the message is matchable immediately, stamped exactly as a blocking
-    // send issued at the same clock) but charges nothing to the caller —
-    // NIC serialization and link-retry backoff accrue to the returned
-    // [`SendRequest`] and land on the clock at `wait`. `irecv_*` records
-    // matching criteria; the receive happens at `wait`, advancing the
-    // clock only to `max(clock, arrival)`. Both give MPI's overlap payoff
-    // in virtual time while keeping every timestamp a pure function of
-    // virtual state, so thread-count invariance holds; the PR-5 fault
-    // paths surface at wait time as `NodeFailed`/`LinkDown`/`Timeout`.
+    // `isend_*` is `post_send` handed back to the caller: the envelope is
+    // deposited at post time (buffered semantics: the message is matchable
+    // immediately, stamped exactly as a blocking send issued at the same
+    // clock) but nothing is charged — NIC serialization and link-retry
+    // backoff accrue to the returned [`SendRequest`] and land on the clock
+    // at `wait`. `irecv_*` is `post_recv`; the receive happens at `wait`,
+    // advancing the clock only to `max(clock, arrival)`. Both give MPI's
+    // overlap payoff in virtual time while keeping every timestamp a pure
+    // function of virtual state, so thread-count invariance holds; the
+    // fault paths surface at wait time as `NodeFailed`/`LinkDown`/`Timeout`.
 
-    /// Nonblocking zero-copy send on `comm`; complete with
-    /// [`MpiRequest::wait`].
+    /// Nonblocking zero-copy send on `comm` (the `MPI_Issend` of the
+    /// paper's Listing 4 when `comm` is the spawn inter-communicator);
+    /// complete with [`MpiRequest::wait`].
     pub fn isend_bytes_comm(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         dst: usize,
         tag: Tag,
         payload: Bytes,
     ) -> Result<SendRequest, PsmpiError> {
-        self.isend_bytes_comm_opt(comm, dst, tag, payload, None)
+        self.post_send(comm, dst, tag, payload, None)
     }
 
     /// Like [`Rank::isend_bytes_comm`] but charging `virtual_bytes` on
     /// the wire.
     pub fn isend_bytes_comm_sized(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         dst: usize,
         tag: Tag,
         payload: Bytes,
         virtual_bytes: usize,
     ) -> Result<SendRequest, PsmpiError> {
-        self.isend_bytes_comm_opt(comm, dst, tag, payload, Some(virtual_bytes))
-    }
-
-    fn isend_bytes_comm_opt(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> Result<SendRequest, PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
-        Ok(SendRequest {
-            outcome: self.isend_raw(comm.id, dst_ep, src_rank, tag, payload, virtual_size),
-        })
+        self.post_send(comm, dst, tag, payload, Some(virtual_bytes))
     }
 
     /// [`Rank::isend_bytes_comm`] on the world communicator.
@@ -1248,143 +787,32 @@ impl Rank {
         payload: Bytes,
     ) -> Result<SendRequest, PsmpiError> {
         let w = self.world.clone();
-        self.isend_bytes_comm(&w, dst, tag, payload)
+        self.post_send(&w, dst, tag, payload, None)
     }
 
-    /// Nonblocking zero-copy send to rank `dst` of an inter-communicator's
-    /// remote group.
-    pub fn isend_bytes_inter(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-    ) -> Result<SendRequest, PsmpiError> {
-        self.isend_bytes_inter_opt(ic, dst, tag, payload, None)
-    }
-
-    /// Like [`Rank::isend_bytes_inter`] but charging `virtual_bytes` on
-    /// the wire.
-    pub fn isend_bytes_inter_sized(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_bytes: usize,
-    ) -> Result<SendRequest, PsmpiError> {
-        self.isend_bytes_inter_opt(ic, dst, tag, payload, Some(virtual_bytes))
-    }
-
-    fn isend_bytes_inter_opt(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> Result<SendRequest, PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        Ok(SendRequest {
-            outcome: self.isend_raw(ic.id, dst_ep, src_rank, tag, payload, virtual_size),
-        })
-    }
-
-    /// Nonblocking typed POD-slice send on `comm` (the `isend` face of
-    /// [`Rank::send_slice_comm`]).
-    pub fn isend_slice_comm<T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) -> Result<SendRequest, PsmpiError> {
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.isend_bytes_comm_opt(comm, dst, tag, wire, None)
-    }
-
-    /// Like [`Rank::isend_slice_comm`] but charging `virtual_bytes` on
-    /// the wire.
-    pub fn isend_slice_comm_sized<T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_bytes: usize,
-    ) -> Result<SendRequest, PsmpiError> {
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.isend_bytes_comm_opt(comm, dst, tag, wire, Some(virtual_bytes))
-    }
-
-    /// [`Rank::isend_slice_comm`] on the world communicator.
+    /// Nonblocking typed POD-slice send on the world communicator (the
+    /// `isend` face of [`Rank::send_slice`]).
     pub fn isend_slice<T: FixedWidth>(
         &mut self,
         dst: usize,
         tag: Tag,
         data: &[T],
     ) -> Result<SendRequest, PsmpiError> {
-        let w = self.world.clone();
-        self.isend_slice_comm(&w, dst, tag, data)
-    }
-
-    /// Nonblocking typed POD-slice send to the remote group of an
-    /// inter-communicator.
-    pub fn isend_slice_inter<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) -> Result<SendRequest, PsmpiError> {
         let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.isend_bytes_inter_opt(ic, dst, tag, wire, None)
+        self.isend_bytes(dst, tag, wire)
     }
 
-    /// Like [`Rank::isend_slice_inter`] but charging `virtual_bytes` on
-    /// the wire.
-    pub fn isend_slice_inter_sized<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_bytes: usize,
-    ) -> Result<SendRequest, PsmpiError> {
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.isend_bytes_inter_opt(ic, dst, tag, wire, Some(virtual_bytes))
-    }
-
-    /// Post a nonblocking zero-copy receive on `comm`; complete with
-    /// [`MpiRequest::wait`]. Posting is free in virtual time — the win
-    /// comes from computing between post and wait.
+    /// Post a nonblocking zero-copy receive on `comm` (the `MPI_Irecv` of
+    /// Listing 4 when `comm` is the spawn inter-communicator); complete
+    /// with [`MpiRequest::wait`]. Posting is free in virtual time — the
+    /// win comes from computing between post and wait.
     pub fn irecv_bytes_comm(
         &mut self,
-        comm: &Communicator,
+        comm: &impl Comm,
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<RecvRequest, PsmpiError> {
-        if let Some(s) = src {
-            if s >= comm.size() {
-                return Err(PsmpiError::InvalidRank {
-                    rank: s,
-                    size: comm.size(),
-                });
-            }
-        }
-        Ok(RecvRequest {
-            comm: comm.id,
-            src,
-            tag,
-            src_ep: src.map(|s| comm.group.endpoints[s]),
-        })
+        post_recv(comm, src, tag)
     }
 
     /// [`Rank::irecv_bytes_comm`] on the world communicator.
@@ -1393,66 +821,21 @@ impl Rank {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<RecvRequest, PsmpiError> {
-        let w = self.world.clone();
-        self.irecv_bytes_comm(&w, src, tag)
+        post_recv(&self.world, src, tag)
     }
 
-    /// Post a nonblocking zero-copy receive from the remote group of an
-    /// inter-communicator.
-    pub fn irecv_bytes_inter(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<RecvRequest, PsmpiError> {
-        Ok(RecvRequest {
-            comm: ic.id,
-            src,
-            tag,
-            src_ep: src.and_then(|s| ic.remote.endpoints.get(s).copied()),
-        })
-    }
-
-    /// Post a nonblocking in-place typed receive on `comm`: `out` is
-    /// borrowed until the request is waited and filled at completion (its
-    /// length must match the message's element count exactly).
-    pub fn irecv_into_comm<'a, T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        out: &'a mut [T],
-    ) -> Result<RecvIntoRequest<'a, T>, PsmpiError> {
-        Ok(RecvIntoRequest {
-            inner: self.irecv_bytes_comm(comm, src, tag)?,
-            out,
-        })
-    }
-
-    /// [`Rank::irecv_into_comm`] on the world communicator.
+    /// Post a nonblocking in-place typed receive on the world
+    /// communicator: `out` is borrowed until the request is waited and
+    /// filled at completion (its length must match the message's element
+    /// count exactly).
     pub fn irecv_into<'a, T: FixedWidth>(
         &mut self,
         src: Option<usize>,
         tag: Option<Tag>,
         out: &'a mut [T],
     ) -> Result<RecvIntoRequest<'a, T>, PsmpiError> {
-        let w = self.world.clone();
-        self.irecv_into_comm(&w, src, tag, out)
-    }
-
-    /// Post a nonblocking in-place typed receive from the remote group of
-    /// an inter-communicator.
-    pub fn irecv_into_inter<'a, T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        out: &'a mut [T],
-    ) -> Result<RecvIntoRequest<'a, T>, PsmpiError> {
-        Ok(RecvIntoRequest {
-            inner: self.irecv_bytes_inter(ic, src, tag)?,
-            out,
-        })
+        let inner = post_recv(&self.world, src, tag)?;
+        Ok(RecvIntoRequest { inner, out })
     }
 
     /// Post a one-sided RDMA put of `data` into `region` on the fabric's
@@ -1483,6 +866,10 @@ impl Rank {
     /// [`Rank::inam_put`] with an explicit modelled wire size (the
     /// `_sized` idiom): e.g. a delta checkpoint frame serializes only
     /// the frame bytes while the region holds the reconstructed blob.
+    ///
+    /// The NAM device has no node id, so the one routing failure — this
+    /// rank's own node missing from the fabric topology — is reported as
+    /// [`PsmpiError::NoRoute`] with `src == dst ==` that node.
     pub fn inam_put_sized(
         &mut self,
         nam_index: usize,
@@ -1500,21 +887,18 @@ impl Rank {
             .clone();
         nam.put(region, offset, data).map_err(PsmpiError::Nam)?;
         let size = virtual_size.unwrap_or(data.len());
-        let completion = fabric
+        // The device index was resolved above, so the timing can only fail
+        // on the initiator's own node being absent from the topology.
+        let rdma = fabric
             .nam_rdma_time(self.node_id, nam_index, size)
-            .map(|t| post + t)
             .map_err(|_| PsmpiError::NoRoute {
                 src: self.node_id,
                 dst: self.node_id,
             })?;
-        self.bytes_sent += size as u64;
-        self.msgs_sent += 1;
-        if let Some(track) = &self.obs {
-            track.add("bytes_sent", size as u64);
-            track.add("msgs_sent", 1);
-        }
+        self.count_sent(size);
         Ok(SendRequest {
-            outcome: SendOutcome::Done { completion },
+            at: post + rdma,
+            fault: None,
         })
     }
 
@@ -1542,65 +926,74 @@ impl Rank {
         Ok(out)
     }
 
+    // ---- the post/complete engine ----
+
     /// Apply a posted send's deferred charge: advance the clock to the
     /// completion timestamp (never backwards) and surface any deferred
-    /// fault. The advance, if any, is recorded as a request-scoped `Wait`
-    /// span.
-    fn complete_send(&mut self, outcome: SendOutcome) -> Result<(), PsmpiError> {
+    /// fault. A blocking send stamps its `Send` span only when it went
+    /// out; a request completion stamps whatever advance it caused as a
+    /// request-scoped `Wait` span.
+    fn complete_send(&mut self, req: SendRequest, face: Face) -> Result<(), PsmpiError> {
         let pre = self.clock;
-        let (upto, res) = match outcome {
-            SendOutcome::Done { completion } => (completion, Ok(())),
-            SendOutcome::Failed { err, at } => (at, Err(err)),
-        };
-        self.clock = self.clock.max(upto);
+        let res = req.fault.map_or(Ok(()), Err);
+        self.clock = self.clock.max(req.at);
         self.comm_time += self.clock - pre;
         if let Some(track) = &self.obs {
-            if self.clock > pre {
-                track.span(obs::Category::Wait, "wait-send", pre, self.clock);
+            match face {
+                Face::Blocking if res.is_ok() => {
+                    track.span(obs::Category::Send, "send", pre, self.clock)
+                }
+                Face::Request if self.clock > pre => {
+                    track.span(obs::Category::Wait, "wait-send", pre, self.clock)
+                }
+                _ => {}
             }
         }
         res
     }
 
-    /// Post-time half of a nonblocking send: resolve routing, run the
-    /// fault clearance from the current clock *without* applying it,
-    /// deposit the envelope (stamped exactly as the blocking path would
-    /// stamp it), and hand back the deferred charge.
-    fn isend_raw(
+    /// Account one injected message of `size` modelled wire bytes.
+    fn count_sent(&mut self, size: usize) {
+        self.bytes_sent += size as u64;
+        self.msgs_sent += 1;
+        if let Some(track) = &self.obs {
+            track.add("bytes_sent", size as u64);
+            track.add("msgs_sent", 1);
+        }
+    }
+
+    /// Post a send — the one place a point-to-point envelope is built.
+    /// Validates `dst`, resolves routing, runs the fault clearance from
+    /// the current clock *without* applying it, deposits the envelope
+    /// stamped with the cleared time, and hands back the deferred charge.
+    /// A usage error (`InvalidRank`, `NotInCommunicator`) is returned
+    /// here; a fault is parked on the request and surfaces at completion.
+    fn post_send(
         &mut self,
-        comm: CommId,
-        dst_ep: EndpointId,
-        src_rank: usize,
+        comm: &impl Comm,
+        dst: usize,
         tag: Tag,
         payload: Bytes,
         virtual_size: Option<usize>,
-    ) -> SendOutcome {
-        let post = self.clock;
-        let dst_entry = if dst_ep == self.endpoint {
-            None
-        } else {
-            match self.entry_of(dst_ep) {
-                Ok(e) => Some(e),
-                Err(e) => {
-                    self.router.buffer_pool().recycle(payload);
-                    return SendOutcome::Failed { err: e, at: post };
-                }
-            }
-        };
-        let cleared = match &dst_entry {
-            None => post,
-            Some(entry) => {
-                let (t, err) = self.destination_clearance(entry.node(), post);
-                if let Some(err) = err {
-                    self.router.buffer_pool().recycle(payload);
-                    return SendOutcome::Failed { err, at: t };
-                }
-                t
+    ) -> Result<SendRequest, PsmpiError> {
+        let (src_rank, dst_entry, cleared) = match self.route_send(comm, dst) {
+            Ok(route) => route,
+            Err((parked_at, err)) => {
+                // The encode buffer never reached an envelope; reclaim it
+                // (a no-op if anyone else still holds a reference).
+                self.router.buffer_pool().recycle(payload);
+                return match parked_at {
+                    Some(at) => Ok(SendRequest {
+                        at,
+                        fault: Some(err),
+                    }),
+                    None => Err(err),
+                };
             }
         };
         let size = virtual_size.unwrap_or(payload.len());
         let env = Envelope {
-            comm,
+            comm: comm.context(),
             src_rank,
             tag,
             payload,
@@ -1610,109 +1003,57 @@ impl Rank {
             virtual_size,
         };
         self.seq += 1;
-        self.bytes_sent += size as u64;
-        self.msgs_sent += 1;
-        if let Some(track) = &self.obs {
-            track.add("bytes_sent", size as u64);
-            track.add("msgs_sent", 1);
-        }
+        self.count_sent(size);
         match dst_entry {
+            // Self-send: straight into our own mailbox.
             None => self.mailbox.push(env),
             Some(entry) => entry.mailbox().push(env),
         }
-        SendOutcome::Done {
-            completion: cleared + self.node.nic_send_overhead,
-        }
+        Ok(SendRequest {
+            // Sender-side CPU cost: message injection.
+            at: cleared + self.node.nic_send_overhead,
+            fault: None,
+        })
     }
 
-    // ---- raw internals ----
-
-    fn send_raw(
+    /// Everything that can reject a send before an envelope exists: this
+    /// rank's index in `comm`, the destination's routing record (from the
+    /// private cache — the only shared lookup a steady-state send makes is
+    /// the first-contact shard read; `None` for a self-send, which never
+    /// consults the router) and the virtual time at which the fabric
+    /// accepts the injection. The error side carries the time the sender
+    /// gives up at for a fault, `None` for a usage error.
+    #[allow(clippy::type_complexity)]
+    fn route_send(
         &mut self,
-        comm: CommId,
-        dst_ep: EndpointId,
-        src_rank: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> Result<(), PsmpiError> {
-        let pre = self.clock;
-        // Resolve the destination's routing record once, from this rank's
-        // private cache — the only shared lookup a steady-state send makes
-        // is the first-contact shard read.
-        let dst_entry = if dst_ep == self.endpoint {
-            None
-        } else {
-            let entry = match self.entry_of(dst_ep) {
-                Ok(e) => e,
-                Err(e) => {
-                    self.router.buffer_pool().recycle(payload);
-                    return Err(e);
-                }
-            };
-            if let Err(e) = self.check_destination(entry.node()) {
-                // The encode buffer never reached an envelope; reclaim it
-                // (a no-op if anyone else still holds a reference).
-                self.router.buffer_pool().recycle(payload);
-                self.comm_time += self.clock - pre;
-                return Err(e);
-            }
-            Some(entry)
-        };
-        let size = virtual_size.unwrap_or(payload.len());
-        let env = Envelope {
-            comm,
-            src_rank,
-            tag,
-            payload,
-            send_stamp: self.clock,
-            src_endpoint: self.endpoint,
-            seq: self.seq,
-            virtual_size,
-        };
-        self.seq += 1;
-        // Sender-side CPU cost: message injection.
-        self.clock += self.node.nic_send_overhead;
-        self.comm_time += self.clock - pre;
-        self.bytes_sent += size as u64;
-        self.msgs_sent += 1;
-        if let Some(track) = &self.obs {
-            track.span(obs::Category::Send, "send", pre, self.clock);
-            track.add("bytes_sent", size as u64);
-            track.add("msgs_sent", 1);
+        comm: &impl Comm,
+        dst: usize,
+    ) -> Result<(usize, Option<Arc<EndpointEntry>>, SimTime), (Option<SimTime>, PsmpiError)> {
+        let post = self.clock;
+        let dst_ep = peer_endpoint(comm, dst).map_err(|e| (None, e))?;
+        let src_rank = self.comm_rank(comm).map_err(|e| (None, e))?;
+        if dst_ep == self.endpoint {
+            return Ok((src_rank, None, post));
         }
-        match dst_entry {
-            // Self-send: straight into our own mailbox, no router lookup.
-            None => self.mailbox.push(env),
-            Some(entry) => entry.mailbox().push(env),
+        let entry = self.entry_of(dst_ep).map_err(|e| (Some(post), e))?;
+        match self.destination_clearance(entry.node(), post) {
+            (cleared, None) => Ok((src_rank, Some(entry), cleared)),
+            (gave_up, Some(err)) => Err((Some(gave_up), err)),
         }
-        Ok(())
     }
 
-    /// Sender-side fault checks, consulted before a remote injection.
+    /// Sender-side fault checks, consulted before a remote injection, as a
+    /// pure clock transform: starting at `start`, walk the retry/backoff
+    /// schedule against the static plan and return the virtual time at
+    /// which the fabric accepts the injection — or the error plus the time
+    /// at which the sender gives up. The result is charged to the posted
+    /// request, never applied here.
     ///
     /// Determinism: the node check reads only the *static* fault plan (plus
     /// the repairs map, quiescent while ranks run) against the sender's own
     /// virtual clock — never the dynamic dead set, whose update timing
-    /// depends on host scheduling. The link check advances the virtual
-    /// clock through the retry/backoff loop, which is equally a pure
-    /// function of the plan and the clock.
-    fn check_destination(&mut self, dst_node: NodeId) -> Result<(), PsmpiError> {
-        let (clock, err) = self.destination_clearance(dst_node, self.clock);
-        self.clock = clock;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// The fault checks as a pure clock transform: starting at `start`,
-    /// walk the retry/backoff schedule against the static plan and return
-    /// the virtual time at which the fabric accepts the injection —
-    /// or the error plus the time at which the sender gives up. Blocking
-    /// sends apply the result to the caller's clock immediately
-    /// ([`Rank::check_destination`]); posted sends charge it to the
-    /// request instead.
+    /// depends on host scheduling. The retry/backoff walk is equally a
+    /// pure function of the plan and the clock.
     fn destination_clearance(
         &self,
         dst_node: NodeId,
@@ -1760,40 +1101,34 @@ impl Rank {
         (clock, None)
     }
 
-    pub(crate) fn recv_raw(
-        &mut self,
-        comm: CommId,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        src_ep: Option<EndpointId>,
-    ) -> Result<(Bytes, Status), PsmpiError> {
-        self.recv_raw_as(comm, src, tag, src_ep, BLOCKING_SPANS)
+    /// Node of the sender a receive waits on, if it named one. An unknown
+    /// endpoint maps to "nothing to watch".
+    fn awaited_node(&mut self, src_ep: Option<EndpointId>) -> Option<NodeId> {
+        src_ep.and_then(|ep| self.entry_of(ep).ok().map(|e| e.node()))
     }
 
-    /// [`Rank::recv_raw`] with caller-chosen span labels: blocking
-    /// receives stamp `Recv`/"recv", request completions stamp
-    /// `Wait`/"wait-recv" *instead* (not around it — a `Wait` span
-    /// wrapping a `Recv` span would get zero exclusive time under the
-    /// profile's innermost-cover attribution).
-    fn recv_raw_as(
+    /// Complete a posted receive: block for the match (or the abort),
+    /// advance the clock to the arrival and stamp the span `face` names.
+    fn complete_recv(
         &mut self,
-        comm: CommId,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        src_ep: Option<EndpointId>,
-        spans: RecvSpans,
+        req: RecvRequest,
+        face: Face,
     ) -> Result<(Bytes, Status), PsmpiError> {
-        let (cat, name, abort_name) = spans;
+        let (cat, name, abort_name) = match face {
+            Face::Blocking => (obs::Category::Recv, "recv", "recv-aborted"),
+            Face::Request => (obs::Category::Wait, "wait-recv", "wait-aborted"),
+        };
         let pre = self.clock;
         // Resolve the watched sender's node up front so the abort closure
         // only consults the lock-free `any_dead` screen, never the endpoint
-        // table. An unknown endpoint maps to "nothing to watch", matching
-        // the old `dead_node_of` behaviour.
-        let src_node = src_ep.and_then(|ep| self.entry_of(ep).ok().map(|e| e.node()));
+        // table.
+        let src_node = self.awaited_node(req.src_ep);
         let router = &self.router;
-        let env = match self.mailbox.recv_match_abortable(comm, src, tag, || {
-            src_node.and_then(|n| router.dead_time_of(n).map(|at| (n, at)))
-        }) {
+        let env = match self
+            .mailbox
+            .recv_match_abortable(req.comm, req.src, req.tag, || {
+                src_node.and_then(|n| router.dead_time_of(n).map(|at| (n, at)))
+            }) {
             Ok(env) => env,
             Err(abort) => {
                 let (node, at) = match abort {
@@ -1897,44 +1232,25 @@ impl Rank {
         self.router.repair(node, at);
     }
 
-    /// Deposit a revoke marker for `(node, at)` to every other member of
-    /// `comm`: after observing a failure, an aborting rank calls this so
-    /// peers blocked on *it* (not on the victim) unblock too — the abort
-    /// chain resolves transitively. Markers ride the ordinary mailbox
-    /// channel, so each peer sees this rank's real messages before the
-    /// marker, and are peeked rather than consumed, so one marker serves
-    /// every later receive. Delivery to already-dead endpoints is a no-op.
-    pub fn revoke_comm(&mut self, comm: &Communicator, node: NodeId, at: SimTime) {
-        let Some(me) = comm.group.rank_of(self.endpoint) else {
+    /// Deposit a revoke marker for `(node, at)` to every other rank `comm`
+    /// addresses — the rest of an intra-communicator, or the remote group
+    /// of an inter-communicator (e.g. a child world notifying its parent):
+    /// after observing a failure, an aborting rank calls this so peers
+    /// blocked on *it* (not on the victim) unblock too — the abort chain
+    /// resolves transitively. Markers ride the ordinary mailbox channel,
+    /// so each peer sees this rank's real messages before the marker, and
+    /// are peeked rather than consumed, so one marker serves every later
+    /// receive. Delivery to already-dead endpoints is a no-op.
+    pub fn revoke_comm(&mut self, comm: &impl Comm, node: NodeId, at: SimTime) {
+        let Ok(me) = self.comm_rank(comm) else {
             return;
         };
-        for (r, &ep) in comm.group.endpoints.iter().enumerate() {
-            if r == me {
+        for &ep in comm.peer_group().endpoints.iter() {
+            if ep == self.endpoint {
                 continue;
             }
             let env = Envelope {
-                comm: comm.id,
-                src_rank: me,
-                tag: TAG_REVOKED,
-                payload: encode_revoke_marker(node, at),
-                send_stamp: self.clock,
-                src_endpoint: self.endpoint,
-                seq: self.seq,
-                virtual_size: None,
-            };
-            let _ = self.router.deliver(ep, env);
-        }
-    }
-
-    /// [`Rank::revoke_comm`] toward the remote group of an
-    /// inter-communicator (e.g. a child world notifying its parent).
-    pub fn revoke_inter(&mut self, ic: &Intercomm, node: NodeId, at: SimTime) {
-        let Some(me) = ic.local.rank_of(self.endpoint) else {
-            return;
-        };
-        for &ep in ic.remote.endpoints.iter() {
-            let env = Envelope {
-                comm: ic.id,
+                comm: comm.context(),
                 src_rank: me,
                 tag: TAG_REVOKED,
                 payload: encode_revoke_marker(node, at),

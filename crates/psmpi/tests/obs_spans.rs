@@ -38,16 +38,16 @@ fn spawn_teardown_under_active_spans() {
                 let cphase = child.obs_open(Category::Phase, "child-phase");
                 let parent = child.parent().unwrap();
                 child.compute(&work("child-kernel"));
-                child.send_inter(&parent, 0, 3, &41u64).unwrap();
-                let (v, _) = child.recv_inter::<u64>(&parent, Some(0), Some(4)).unwrap();
+                child.send_comm(&parent, 0, 3, &41u64).unwrap();
+                let (v, _) = child.recv_comm::<u64>(&parent, Some(0), Some(4)).unwrap();
                 assert_eq!(v, 42);
                 child.obs_close(cphase);
                 // A second span is *left open* at teardown on purpose.
                 let _leak = child.obs_open(Category::Wait, "left-open");
             })
             .unwrap();
-        let (v, _) = rank.recv_inter::<u64>(&ic, Some(0), Some(3)).unwrap();
-        rank.send_inter(&ic, 0, 4, &(v + 1)).unwrap();
+        let (v, _) = rank.recv_comm::<u64>(&ic, Some(0), Some(3)).unwrap();
+        rank.send_comm(&ic, 0, 4, &(v + 1)).unwrap();
         rank.obs_close(phase);
         ic.disconnect();
     });
@@ -117,10 +117,10 @@ fn critical_path_crosses_the_intercomm() {
             .spawn_world(&[NodeId(1)], |child: &mut Rank| {
                 let parent = child.parent().unwrap();
                 child.compute(&work("heavy"));
-                child.send_inter(&parent, 0, 9, &7u64).unwrap();
+                child.send_comm(&parent, 0, 9, &7u64).unwrap();
             })
             .unwrap();
-        let (v, _) = rank.recv_inter::<u64>(&ic, Some(0), Some(9)).unwrap();
+        let (v, _) = rank.recv_comm::<u64>(&ic, Some(0), Some(9)).unwrap();
         assert_eq!(v, 7);
     });
 

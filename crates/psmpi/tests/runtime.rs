@@ -4,7 +4,7 @@
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::{NodeId, SimTime, WorkSpec};
 use parking_lot::Mutex;
-use psmpi::{ReduceOp, UniverseBuilder, ANY_SOURCE, ANY_TAG};
+use psmpi::{MpiDatatype, MpiRequest, ReduceOp, UniverseBuilder, ANY_SOURCE, ANY_TAG};
 use std::sync::Arc;
 
 fn cluster(n: u32) -> UniverseBuilder {
@@ -132,7 +132,7 @@ fn nonblocking_overlap_hides_transfer() {
         if rank.rank() == 0 {
             rank.send(1, 0, &payload).unwrap();
         } else {
-            let req = rank.irecv::<Vec<u8>>(Some(0), Some(0));
+            let req = rank.irecv_bytes(Some(0), Some(0)).unwrap();
             let aux = WorkSpec::named("aux")
                 .flops(5e8)
                 .vector_fraction(0.5)
@@ -140,9 +140,8 @@ fn nonblocking_overlap_hides_transfer() {
                 .build();
             rank.compute(&aux);
             let compute_clock = rank.now();
-            let (v, st) = req.wait(rank).unwrap();
-            assert_eq!(v.unwrap().len(), 8 << 20);
-            let st = st.unwrap();
+            let (bytes, st) = req.wait(rank).unwrap();
+            assert_eq!(Vec::<u8>::from_bytes(bytes).unwrap().len(), 8 << 20);
             c2.lock().push((compute_clock, st.arrival, rank.now()));
         }
     });
@@ -333,11 +332,9 @@ fn spawn_creates_child_world_with_intercomm() {
                             assert_eq!(pic.remote_size(), 2);
                             // Child rank 0 sends its world size to parent rank 0.
                             if child.rank() == 0 {
-                                child
-                                    .send_inter(&pic, 0, 9, &(child.size() as u64))
-                                    .unwrap();
+                                child.send_comm(&pic, 0, 9, &(child.size() as u64)).unwrap();
                                 let (echo, _) =
-                                    child.recv_inter::<u64>(&pic, Some(0), Some(10)).unwrap();
+                                    child.recv_comm::<u64>(&pic, Some(0), Some(10)).unwrap();
                                 assert_eq!(echo, 42);
                             }
                         }),
@@ -346,10 +343,10 @@ fn spawn_creates_child_world_with_intercomm() {
                 assert_eq!(ic.remote_size(), 3);
                 assert_eq!(ic.local_size(), 2);
                 if rank.rank() == 0 {
-                    let (n, st) = rank.recv_inter::<u64>(&ic, Some(0), Some(9)).unwrap();
+                    let (n, st) = rank.recv_comm::<u64>(&ic, Some(0), Some(9)).unwrap();
                     assert_eq!(n, 3);
                     assert_eq!(st.source, 0);
-                    rank.send_inter(&ic, 0, 10, &42u64).unwrap();
+                    rank.send_comm(&ic, 0, 10, &42u64).unwrap();
                 }
             }
         });
@@ -380,7 +377,7 @@ fn request_test_polls_without_blocking() {
     cluster(2).run(|rank| {
         let w = rank.world();
         if rank.rank() == 1 {
-            let mut req = rank.irecv::<u64>(Some(0), Some(9));
+            let mut req = rank.irecv_bytes(Some(0), Some(9)).unwrap();
             // The sender is still held at the barrier, so the first poll
             // finds nothing and hands the request back.
             req = match req.test(rank).unwrap() {
@@ -391,9 +388,9 @@ fn request_test_polls_without_blocking() {
             // Poll until the (now unblocked) sender's message lands.
             loop {
                 match req.test(rank).unwrap() {
-                    Ok((v, st)) => {
-                        assert_eq!(v.unwrap(), 77);
-                        assert!(st.unwrap().bytes > 0);
+                    Ok((bytes, st)) => {
+                        assert_eq!(u64::from_bytes(bytes).unwrap(), 77);
+                        assert!(st.bytes > 0);
                         break;
                     }
                     Err(r) => {

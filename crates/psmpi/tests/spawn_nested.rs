@@ -30,15 +30,15 @@ fn grandchild_worlds_all_join() {
                     .spawn_world(&[NodeId(1), NodeId(3)], |c: &mut Rank| {
                         let p = c.parent().unwrap();
                         if c.rank() == 0 {
-                            c.send_inter(&p, 0, 1, &111u64).unwrap();
+                            c.send_comm(&p, 0, 1, &111u64).unwrap();
                         }
                     })
                     .unwrap();
-                let (v, _) = b.recv_inter::<u64>(&ic_c, Some(0), Some(1)).unwrap();
-                b.send_inter(&parent, 0, 2, &(v + 1)).unwrap();
+                let (v, _) = b.recv_comm::<u64>(&ic_c, Some(0), Some(1)).unwrap();
+                b.send_comm(&parent, 0, 2, &(v + 1)).unwrap();
             })
             .unwrap();
-        let (v, _) = rank.recv_inter::<u64>(&ic_b, Some(0), Some(2)).unwrap();
+        let (v, _) = rank.recv_comm::<u64>(&ic_b, Some(0), Some(2)).unwrap();
         *r2.lock() = v;
     });
     assert_eq!(*result.lock(), 112);
@@ -90,7 +90,7 @@ fn spawn_from_split_subcommunicator() {
                         let p = child.parent().unwrap();
                         assert_eq!(p.remote_size(), 2, "parent group is the sub-communicator");
                         if child.rank() == 0 {
-                            child.send_inter(&p, 1, 3, &5u8).unwrap();
+                            child.send_comm(&p, 1, 3, &5u8).unwrap();
                         }
                     }),
                 )
@@ -98,7 +98,7 @@ fn spawn_from_split_subcommunicator() {
             assert_eq!(ic.local_size(), 2);
             // Sub-rank 1 (world rank 2) receives.
             if rank.rank() == 2 {
-                let (v, _) = rank.recv_inter::<u8>(&ic, Some(0), Some(3)).unwrap();
+                let (v, _) = rank.recv_comm::<u8>(&ic, Some(0), Some(3)).unwrap();
                 assert_eq!(v, 5);
             }
         }

@@ -432,7 +432,7 @@ fn run_booster_side(
     // packed once into a flat f64 buffer, decoded once on the other side.
     let phase = rank.obs_open(obs::Category::Phase, "interface");
     let rhoj = wire::f64s_to_bytes_pooled(rank.buffer_pool(), &st.moments.pack_owned(&st.grid));
-    rank.send_bytes_inter_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
+    rank.send_bytes_comm_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
         .expect("initial moments");
     rank.obs_close(phase);
 
@@ -448,7 +448,7 @@ fn run_booster_side(
         let eb = match next_eb.take() {
             Some(req) => req.wait(rank).expect("receive E,B").0,
             None => {
-                rank.recv_bytes_inter(&ic, Some(me), Some(tags::EB))
+                rank.recv_bytes_comm(&ic, Some(me), Some(tags::EB))
                     .expect("receive E,B")
                     .0
             }
@@ -480,11 +480,11 @@ fn run_booster_side(
             let rhoj =
                 wire::f64s_to_bytes_pooled(rank.buffer_pool(), &st.moments.pack_owned(&st.grid));
             let rhoj_send = rank
-                .isend_bytes_inter_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
+                .isend_bytes_comm_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
                 .expect("send moments");
             if step + 1 < config.steps {
                 next_eb = Some(
-                    rank.irecv_bytes_inter(&ic, Some(me), Some(tags::EB))
+                    rank.irecv_bytes_comm(&ic, Some(me), Some(tags::EB))
                         .expect("post E,B recv"),
                 );
             }
@@ -502,7 +502,7 @@ fn run_booster_side(
             let phase = rank.obs_open(obs::Category::Phase, "interface");
             let rhoj =
                 wire::f64s_to_bytes_pooled(rank.buffer_pool(), &st.moments.pack_owned(&st.grid));
-            rank.send_bytes_inter_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
+            rank.send_bytes_comm_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
                 .expect("send moments");
             rank.obs_close(phase);
             particle_time += rank.now() - t0;
@@ -547,7 +547,7 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>)
     // Initial moments from the Booster.
     let phase = rank.obs_open(obs::Category::Phase, "interface");
     let (mj, _) = rank
-        .recv_bytes_inter(&ic, Some(me), Some(tags::RHOJ))
+        .recv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))
         .expect("initial moments");
     st.moments.unpack_owned(&st.grid, &wire::bytes_to_f64s(&mj));
     rank.obs_close(phase);
@@ -572,10 +572,10 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>)
             let eb =
                 wire::f64s_to_bytes_pooled(rank.buffer_pool(), &st.fields.pack_owned(&st.grid));
             let eb_send = rank
-                .isend_bytes_inter_sized(&ic, me, tags::EB, eb, config.wire_fields())
+                .isend_bytes_comm_sized(&ic, me, tags::EB, eb, config.wire_fields())
                 .expect("send E,B");
             let rhoj_req = rank
-                .irecv_bytes_inter(&ic, Some(me), Some(tags::RHOJ))
+                .irecv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))
                 .expect("post moments recv");
             rank.obs_close(phase);
             field_time += rank.now() - t0;
@@ -613,7 +613,7 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>)
             let phase = rank.obs_open(obs::Category::Phase, "interface");
             let eb =
                 wire::f64s_to_bytes_pooled(rank.buffer_pool(), &st.fields.pack_owned(&st.grid));
-            rank.send_bytes_inter_sized(&ic, me, tags::EB, eb, config.wire_fields())
+            rank.send_bytes_comm_sized(&ic, me, tags::EB, eb, config.wire_fields())
                 .expect("send E,B");
             rank.obs_close(phase);
             field_time += rank.now() - t0;
@@ -621,7 +621,7 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>)
             // BoosterToCluster(); BoosterWait(); — receive ρ,J.
             let phase = rank.obs_open(obs::Category::Phase, "interface");
             let (mj, _) = rank
-                .recv_bytes_inter(&ic, Some(me), Some(tags::RHOJ))
+                .recv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))
                 .expect("receive moments");
             st.moments.unpack_owned(&st.grid, &wire::bytes_to_f64s(&mj));
             rank.buffer_pool().recycle(mj);

@@ -775,7 +775,7 @@ fn supervise(
             .expect("spawn solver world");
         incarnation += 1;
 
-        match rank.recv_inter::<StatusMsg>(&ic, Some(0), Some(TAG_STATUS)) {
+        match rank.recv_comm::<StatusMsg>(&ic, Some(0), Some(TAG_STATUS)) {
             Ok((status, _)) => {
                 let mut o = out.lock();
                 o.field_energy = status.field_energy;
@@ -846,7 +846,7 @@ fn resilient_child(
         Err(err) => {
             let (node, at) = failure_identity(rank, &err);
             rank.revoke_comm(&world, node, at);
-            rank.revoke_inter(&parent, node, at);
+            rank.revoke_comm(&parent, node, at);
         }
     }
 }
@@ -963,7 +963,7 @@ fn resilient_steps(
     let sums = rank.allreduce(world, &[fe, ke], ReduceOp::Sum)?;
     if me == 0 {
         engine.finish_promote();
-        rank.send_inter(
+        rank.send_comm(
             parent,
             0,
             TAG_STATUS,

@@ -71,7 +71,7 @@ fn main() {
                         if sim_rank.rank() == 0 {
                             // Snapshot to the coordinator, which relays to
                             // the analytics world.
-                            sim_rank.send_inter(&parent, 0, 10, &total).unwrap();
+                            sim_rank.send_comm(&parent, 0, 10, &total).unwrap();
                         }
                     }
                 }))
@@ -83,7 +83,7 @@ fn main() {
                     for _ in 0..3 {
                         if an_rank.rank() == 0 {
                             let (snapshot, _) =
-                                an_rank.recv_inter::<f64>(&parent, Some(0), Some(11)).unwrap();
+                                an_rank.recv_comm::<f64>(&parent, Some(0), Some(11)).unwrap();
                             // Memory-heavy analytics — DAM hardware.
                             an_rank.compute(
                                 &WorkSpec::named("analytics")
@@ -91,7 +91,7 @@ fn main() {
                                     .parallel_fraction(0.9)
                                     .build(),
                             );
-                            an_rank.send_inter(&parent, 0, 12, &(snapshot * 2.0)).unwrap();
+                            an_rank.send_comm(&parent, 0, 12, &(snapshot * 2.0)).unwrap();
                         }
                     }
                 }))
@@ -101,9 +101,9 @@ fn main() {
             // collect derived results.
             if rank.rank() == 0 {
                 for step in 0..3u64 {
-                    let (snap, _) = rank.recv_inter::<f64>(&sim, Some(0), Some(10)).unwrap();
-                    rank.send_inter(&analytics, 0, 11, &snap).unwrap();
-                    let (derived, _) = rank.recv_inter::<f64>(&analytics, Some(0), Some(12)).unwrap();
+                    let (snap, _) = rank.recv_comm::<f64>(&sim, Some(0), Some(10)).unwrap();
+                    rank.send_comm(&analytics, 0, 11, &snap).unwrap();
+                    let (derived, _) = rank.recv_comm::<f64>(&analytics, Some(0), Some(12)).unwrap();
                     println!(
                         "step {step}: simulation total {snap:>6.1} → analytics derived {derived:>6.1}"
                     );

@@ -48,7 +48,7 @@ fn main() {
                         let parent = child.parent().expect("spawned world has a parent");
                         if child.rank() == 0 {
                             let (value, _) =
-                                child.recv_inter::<f64>(&parent, Some(0), Some(0)).unwrap();
+                                child.recv_comm::<f64>(&parent, Some(0), Some(0)).unwrap();
                             println!(
                                 "[booster rank {}/{}] received {} from the cluster side",
                                 child.rank(),
@@ -65,7 +65,7 @@ fn main() {
                     "[cluster rank 0] allreduce sum = {sum}, offloading to {} booster ranks",
                     ic.remote_size()
                 );
-                rank.send_inter(&ic, 0, 0, &sum).unwrap();
+                rank.send_comm(&ic, 0, 0, &sum).unwrap();
             }
         })
         .expect("launch quickstart job");

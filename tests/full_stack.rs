@@ -134,13 +134,13 @@ fn spawned_worlds_share_the_fabric_with_io() {
                                 .allreduce_scalar(&cw, child.rank() as f64, ReduceOp::Sum)
                                 .unwrap();
                             if child.rank() == 0 {
-                                child.send_inter(&p, 0, 5, &s).unwrap();
+                                child.send_comm(&p, 0, 5, &s).unwrap();
                             }
                         }),
                     )
                     .unwrap();
                 if rank.rank() == 0 {
-                    let (s, st) = rank.recv_inter::<f64>(&ic, Some(0), Some(5)).unwrap();
+                    let (s, st) = rank.recv_comm::<f64>(&ic, Some(0), Some(5)).unwrap();
                     assert_eq!(s, 1.0); // 0 + 1
                     stamps_in.lock().push((sent_at, st.arrival));
                 }
@@ -173,4 +173,122 @@ fn scheduler_runs_xpic_style_mix_to_completion() {
     }
     assert!(stats.makespan <= SimTime::from_secs(200.0));
     assert!(stats.cluster_utilization > 0.0);
+}
+
+#[test]
+fn blocking_p2p_equals_post_plus_wait_on_two_nodes() {
+    // Tier-1 slice of psmpi's equivalence table (psmpi/tests/requests.rs):
+    // every p2p call is one post, and a blocking call is that post
+    // completed on the spot — so a blocking send and `isend` + immediate
+    // `wait` must leave identical clocks, comm_time, counters, payload bits
+    // and error, on an intra- and an inter-communicator, clean and with
+    // the destination node dead.
+    use psmpi::datatype::{pod_to_bytes, read_pod_into_exact};
+    use psmpi::{Comm, MpiError, MpiRequest, Rank, Universe};
+    use simnet::{Fabric, FaultPlan, Topology};
+
+    fn data() -> Vec<f64> {
+        (0..64).map(|i| i as f64 * 0.25).collect()
+    }
+    /// A `_sized` bytes send, then a slice send; the name of the error
+    /// variant if either fails.
+    fn send(rank: &mut Rank, c: &impl Comm, dst: usize, post_wait: bool) -> Option<String> {
+        let both = |rank: &mut Rank| -> Result<(), MpiError> {
+            let (raw, slice) = (pod_to_bytes(&data()), data());
+            if post_wait {
+                rank.isend_bytes_comm_sized(c, dst, 3, raw, 1 << 16)?
+                    .wait(rank)?;
+                rank.isend_bytes_comm(c, dst, 4, pod_to_bytes(&slice))?
+                    .wait(rank)
+            } else {
+                rank.send_bytes_comm_sized(c, dst, 3, raw, 1 << 16)?;
+                rank.send_slice_comm(c, dst, 4, &slice)
+            }
+        };
+        let variant = |e: MpiError| format!("{e:?}").split(' ').next().unwrap().to_string();
+        both(rank).err().map(variant)
+    }
+    fn recv(rank: &mut Rank, c: &impl Comm) -> Vec<u64> {
+        let mut a = vec![0.0f64; 64];
+        let (bytes, _) = rank.recv_bytes_comm(c, Some(0), Some(3)).unwrap();
+        read_pod_into_exact(&bytes, &mut a).unwrap();
+        let mut b = vec![0.0f64; 64];
+        rank.recv_into_comm(c, Some(0), Some(4), &mut b).unwrap();
+        a.iter().chain(&b).map(|x| x.to_bits()).collect()
+    }
+
+    let run = |inter: bool, dead: bool, post_wait: bool| {
+        let mut t = Topology::new();
+        t.add_nodes(2, &hwmodel::presets::deep_er_cluster_node());
+        let fabric = Fabric::new(t);
+        if dead {
+            fabric.set_fault_plan(FaultPlan::from_node_faults([(SimTime::ZERO, NodeId(1))]));
+        }
+        let seen = Arc::new(Mutex::new((None, Vec::new())));
+        let (at_sender, at_receiver) = (seen.clone(), seen.clone());
+        let receive = move |rank: &mut Rank, c: &dyn Fn(&mut Rank) -> Vec<u64>| {
+            if !dead {
+                at_receiver.lock().1 = c(rank);
+            }
+        };
+        let u = Universe::new(fabric);
+        let report = if inter {
+            u.launch(&[NodeId(0)], move |rank| {
+                let receive = receive.clone();
+                let ic = rank
+                    .spawn_world(&[NodeId(1)], move |child: &mut Rank| {
+                        let parent = child.parent().unwrap();
+                        receive(child, &|r| recv(r, &parent));
+                    })
+                    .unwrap();
+                at_sender.lock().0 = send(rank, &ic, 0, post_wait);
+            })
+        } else {
+            u.launch(&[NodeId(0), NodeId(1)], move |rank| {
+                let w = rank.world();
+                if rank.rank() == 0 {
+                    at_sender.lock().0 = send(rank, &w, 1, post_wait);
+                } else {
+                    receive(rank, &|r| recv(r, &w));
+                }
+            })
+        };
+        let mut outcomes: Vec<_> = report
+            .outcomes()
+            .iter()
+            .map(|o| {
+                (
+                    o.world.0,
+                    o.rank,
+                    o.clock,
+                    o.comm_time,
+                    o.bytes_sent,
+                    o.msgs_sent,
+                )
+            })
+            .collect();
+        outcomes.sort_by_key(|o| (o.0, o.1));
+        let (error, bits) = seen.lock().clone();
+        (outcomes, error, bits)
+    };
+    for inter in [false, true] {
+        for dead in [false, true] {
+            let blocking = run(inter, dead, false);
+            assert_eq!(
+                blocking,
+                run(inter, dead, true),
+                "inter={inter} dead={dead}"
+            );
+            let (outcomes, error, bits) = blocking;
+            if dead {
+                assert_eq!(error.as_deref(), Some("NodeFailed"));
+                assert_eq!((outcomes[0].4, outcomes[0].5), (0, 0), "nothing went out");
+            } else {
+                assert_eq!(error, None);
+                assert_eq!((outcomes[0].4, outcomes[0].5), ((1 << 16) + 512, 2));
+                let sent: Vec<u64> = data().iter().map(|x| x.to_bits()).collect();
+                assert_eq!(bits, [sent.clone(), sent].concat());
+            }
+        }
+    }
 }
