@@ -116,6 +116,9 @@ grep -q 'resumed from step [1-9]' "$FI_TMP/f1.txt"
 grep '^FINAL' "$FI_TMP/clean.txt" > "$FI_TMP/clean.final"
 grep '^FINAL' "$FI_TMP/f1.txt" > "$FI_TMP/f1.final"
 grep '^FINAL' "$FI_TMP/f2.txt" > "$FI_TMP/f2.final"
+# ... and to the bits recorded at commit d0a74c4, before the wrap-free
+# kernels: a pin across commits, where the two below compare one build.
+cmp "$FI_TMP/clean.final" crates/bench/src/resilience_run.final
 cmp "$FI_TMP/clean.final" "$FI_TMP/f1.final"
 cmp "$FI_TMP/f1.final" "$FI_TMP/f2.final"
 rm -rf "$FI_TMP"

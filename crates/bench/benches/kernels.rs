@@ -6,9 +6,12 @@
 //!
 //! * **kernels** — serial vs. threaded Boris push and moment deposit at
 //!   the paper's Table II scale (4096 cells × 2048 particles/cell ≈ 8.4 M
-//!   particles) across thread counts 1/2/4/8. Speedups are wall-clock
+//!   particles) across thread counts 1/2/4/8, plus the CG operator
+//!   (`FieldSolver::apply`) on the same grid. Speedups are wall-clock
 //!   only; the determinism contract (`xpic::par`) keeps every result
 //!   bit-identical, which the virtual-time section below demonstrates.
+//!   `threads=1` must cost what `serial` costs, to within
+//!   [`THREADS_1_OVERHEAD`] on the fastest sample, or the run fails.
 //! * **codec** — encode/decode throughput of the bulk POD path on a 1 MiB
 //!   `Vec<f64>`, reported as MB/s in the JSON.
 //! * **router** — throughput of the typed in-place path
@@ -40,6 +43,7 @@ use criterion::{black_box, Criterion, Measurement};
 use hwmodel::presets::deep_er_cluster_node;
 use psmpi::{MpiDatatype, MpiRequest, UniverseBuilder};
 use std::fmt::Write as _;
+use xpic::fields::FieldSolver;
 use xpic::moments::{deposit, deposit_threads};
 use xpic::mover::{boris_push, boris_push_threads};
 use xpic::{run_mode, Fields, Grid, Mode, Moments, Species, XpicConfig};
@@ -50,6 +54,10 @@ const NY: usize = 64;
 const PPC: usize = 2048;
 const DT: f64 = 0.05;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// Operator applications per `kernels/field_apply` sample (one is ~µs).
+const APPLY_REPS: usize = 1000;
+/// How much slower than `serial` the `threads=1` kernels may be.
+const THREADS_1_OVERHEAD: f64 = 0.02;
 
 fn table2_setup() -> (Grid, Fields, Species, Moments) {
     let grid = Grid::slab(NX, NY, 0, 1);
@@ -90,6 +98,27 @@ fn bench_kernels(c: &mut Criterion) {
             });
         });
     }
+    g.finish();
+
+    let solver = FieldSolver::new(
+        grid,
+        &XpicConfig {
+            threads: 1,
+            ..XpicConfig::test_small()
+        },
+    );
+    let kappa = vec![0.3; grid.len()];
+    let x: Vec<f64> = (0..grid.len()).map(|k| (k as f64 * 0.37).sin()).collect();
+    let mut y = vec![0.0; grid.len()];
+    let mut g = c.benchmark_group("kernels/field_apply");
+    g.sample_size(5);
+    g.bench_function(format!("x{APPLY_REPS}"), |b| {
+        b.iter(|| {
+            for _ in 0..APPLY_REPS {
+                solver.apply(&kappa, black_box(&x), &mut y);
+            }
+        });
+    });
     g.finish();
 }
 
@@ -558,6 +587,20 @@ fn write_json(measurements: &[Measurement]) {
             let _ = writeln!(out, "    \"{t}\": {speedup:.3}{comma}");
         }
         out.push_str("  },\n");
+        // One thread runs the serial kernel (mover) or the chunk grid
+        // through one reused partial buffer (deposit): no spawn, no
+        // per-chunk allocation, so no cost of its own. Fastest samples,
+        // which a loud neighbour on the host moves least.
+        let fastest = |id: &str| {
+            let m = measurements.iter().find(|m| m.id == id);
+            m.expect("kernel row measured").min().as_secs_f64()
+        };
+        let serial = fastest(&format!("kernels/{kernel}/serial"));
+        let one = fastest(&format!("kernels/{kernel}/threads=1"));
+        assert!(
+            one <= serial * (1.0 + THREADS_1_OVERHEAD),
+            "{kernel}: threads=1 took {one:.4} s against {serial:.4} s serial"
+        );
     }
 
     // The codec fast-path win, pinned two ways: element throughput of the

@@ -14,14 +14,14 @@ use crate::particles::Species;
 pub fn field_energy(grid: &Grid, fields: &Fields) -> f64 {
     let mut e = 0.0;
     for j in 0..grid.ny_local as isize {
-        for i in 0..grid.nx as isize {
-            let k = grid.idx(i, j);
-            e += fields.ex[k] * fields.ex[k]
-                + fields.ey[k] * fields.ey[k]
-                + fields.ez[k] * fields.ez[k]
-                + fields.bx[k] * fields.bx[k]
-                + fields.by[k] * fields.by[k]
-                + fields.bz[k] * fields.bz[k];
+        let [ex, ey, ez, bx, by, bz] = fields.components().map(|c| &c[grid.row(j)]);
+        for i in 0..grid.nx {
+            e += ex[i] * ex[i]
+                + ey[i] * ey[i]
+                + ez[i] * ez[i]
+                + bx[i] * bx[i]
+                + by[i] * by[i]
+                + bz[i] * bz[i];
         }
     }
     0.5 * e

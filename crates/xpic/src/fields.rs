@@ -46,16 +46,54 @@ pub struct SerialComm;
 
 impl FieldComm for SerialComm {
     fn halo_exchange(&mut self, grid: &Grid, arr: &mut [f64]) {
-        let nx = grid.nx;
-        let last = grid.ny_local as isize - 1;
-        for i in 0..nx as isize {
-            arr[grid.idx(i, -1)] = arr[grid.idx(i, last)];
-            arr[grid.idx(i, grid.ny_local as isize)] = arr[grid.idx(i, 0)];
-        }
+        let ny = grid.ny_local as isize;
+        arr.copy_within(grid.row(ny - 1), grid.row(-1).start);
+        arr.copy_within(grid.row(0), grid.row(ny).start);
     }
 
     fn allreduce_sum(&mut self, v: f64) -> f64 {
         v
+    }
+}
+
+/// Visit the columns of one periodic row in ascending order:
+/// `f(i, west, east)` with the neighbour columns of `i`. The wrap is paid
+/// at the two edge columns only, so the interior is a plain `i − 1, i,
+/// i + 1` loop the compiler can vectorize. Which index a value is loaded
+/// from is integer arithmetic; the floating-point expression in `f` and
+/// the order it runs in are exactly those of a per-cell modulo loop.
+#[inline(always)]
+fn for_each_column(nx: usize, mut f: impl FnMut(usize, usize, usize)) {
+    if nx == 0 {
+        return;
+    }
+    f(0, nx - 1, 1 % nx);
+    for i in 1..nx - 1 {
+        f(i, i - 1, i + 1);
+    }
+    if nx > 1 {
+        f(nx - 1, nx - 2, 0);
+    }
+}
+
+/// The three work vectors of a CG solve (residual, search direction,
+/// operator image), sized for one slab and reused from solve to solve.
+#[derive(Debug, Clone)]
+pub struct CgWork {
+    r: Vec<f64>,
+    p: Vec<f64>,
+    ap: Vec<f64>,
+}
+
+impl CgWork {
+    /// Work vectors for a solver on `grid`.
+    pub fn new(grid: &Grid) -> CgWork {
+        let n = grid.len();
+        CgWork {
+            r: vec![0.0; n],
+            p: vec![0.0; n],
+            ap: vec![0.0; n],
+        }
     }
 }
 
@@ -102,29 +140,30 @@ impl FieldSolver {
         }
     }
 
-    /// Split the owned (non-ghost) region of a slab array into per-task
-    /// row-block slices, paired with their local row ranges. The row
-    /// blocks come from [`par::chunk_ranges`] over the owned rows, so the
-    /// partition is a fixed function of the grid.
-    fn owned_row_tasks<'a>(
-        &self,
-        arr: &'a mut [f64],
-        row_ranges: &[Range<usize>],
-    ) -> Vec<&'a mut [f64]> {
-        let nx = self.grid.nx;
-        let owned = &mut arr[nx..nx * (self.grid.ny_local + 1)];
-        let elem_ranges: Vec<Range<usize>> = row_ranges
+    /// Run `f(rows, block)` over the owned rows of `arr`, where `block` is
+    /// the storage of the local rows `rows`. One row block per thread, from
+    /// [`par::chunk_ranges`] over the owned rows — a fixed function of the
+    /// grid — and element-wise loops are bit-exact under any partition. On
+    /// one thread the whole owned region is one block and nothing is
+    /// allocated.
+    fn for_row_blocks(&self, arr: &mut [f64], f: impl Fn(Range<usize>, &mut [f64]) + Sync) {
+        let g = &self.grid;
+        let owned = &mut arr[g.owned_rows(0..g.ny_local)];
+        let threads = self.grid_threads();
+        if threads <= 1 {
+            f(0..g.ny_local, owned);
+            return;
+        }
+        let blocks = par::chunk_ranges(g.ny_local, threads);
+        let elem_ranges: Vec<Range<usize>> = blocks
             .iter()
-            .map(|r| r.start * nx..r.end * nx)
+            .map(|r| r.start * g.nx..r.end * g.nx)
             .collect();
-        par::split_mut(owned, &elem_ranges)
-    }
-
-    /// Row-block partition of the owned rows for this solver's thread
-    /// count (one block per thread; element-wise loops are bit-exact
-    /// under any partition).
-    fn row_blocks(&self, threads: usize) -> Vec<Range<usize>> {
-        par::chunk_ranges(self.grid.ny_local, threads)
+        let tasks: Vec<(Range<usize>, &mut [f64])> = blocks
+            .into_iter()
+            .zip(par::split_mut(owned, &elem_ranges))
+            .collect();
+        par::run_tasks(threads, tasks, |(rows, block)| f(rows, block));
     }
 
     /// κ field: (ω_p Δt θ / 2)² with ω_p² ≈ |ρ| in normalized units.
@@ -136,29 +175,20 @@ impl FieldSolver {
     /// Apply the Helmholtz operator to `x` (ghosts must be current):
     /// `y = (1+κ) x − α ∇² x` over owned cells. Each output cell is an
     /// independent write, so the row-parallel execution is bit-exact.
-    fn apply(&self, kappa: &[f64], x: &[f64], y: &mut [f64]) {
+    pub fn apply(&self, kappa: &[f64], x: &[f64], y: &mut [f64]) {
         let g = &self.grid;
         let alpha = (self.dt * self.theta).powi(2);
         let nx = g.nx;
-        let threads = self.grid_threads();
-        let blocks = self.row_blocks(threads);
-        let tasks: Vec<(Range<usize>, &mut [f64])> = blocks
-            .iter()
-            .cloned()
-            .zip(self.owned_row_tasks(y, &blocks))
-            .collect();
-        par::run_tasks(threads, tasks, |(jr, ys)| {
-            for j in jr.clone() {
+        self.for_row_blocks(y, |rows, ys| {
+            for j in rows.clone() {
                 let js = j as isize;
-                for i in 0..nx as isize {
-                    let k = g.idx(i, js);
-                    let lap = x[g.idx(i + 1, js)]
-                        + x[g.idx(i - 1, js)]
-                        + x[g.idx(i, js + 1)]
-                        + x[g.idx(i, js - 1)]
-                        - 4.0 * x[k];
-                    ys[(j - jr.start) * nx + i as usize] = (1.0 + kappa[k]) * x[k] - alpha * lap;
-                }
+                let (xc, xn, xs) = (&x[g.row(js)], &x[g.row(js + 1)], &x[g.row(js - 1)]);
+                let kap = &kappa[g.row(js)];
+                let out = &mut ys[(j - rows.start) * nx..][..nx];
+                for_each_column(nx, |i, w, e| {
+                    let lap = xc[e] + xc[w] + xn[i] + xs[i] - 4.0 * xc[i];
+                    out[i] = (1.0 + kap[i]) * xc[i] - alpha * lap;
+                });
             }
         });
     }
@@ -168,114 +198,84 @@ impl FieldSolver {
     /// grid, so the result is identical for every thread count.
     fn dot_local(&self, a: &[f64], b: &[f64]) -> f64 {
         let g = &self.grid;
-        let nx = g.nx;
-        let mut rows = vec![0.0; g.ny_local];
+        let row_dot = |j: usize| {
+            let row = g.row(j as isize);
+            let mut s = 0.0;
+            for (x, y) in a[row.clone()].iter().zip(&b[row]) {
+                s += x * y;
+            }
+            s
+        };
         let threads = self.grid_threads();
-        let blocks = self.row_blocks(threads);
+        if threads <= 1 {
+            return (0..g.ny_local).map(row_dot).sum();
+        }
+        let mut rows = vec![0.0; g.ny_local];
+        let blocks = par::chunk_ranges(g.ny_local, threads);
         let tasks: Vec<(Range<usize>, &mut [f64])> = blocks
             .iter()
             .cloned()
             .zip(par::split_mut(&mut rows, &blocks))
             .collect();
         par::run_tasks(threads, tasks, |(jr, out)| {
-            for j in jr.clone() {
-                let start = g.idx(0, j as isize);
-                let mut s = 0.0;
-                for i in 0..nx {
-                    s += a[start + i] * b[start + i];
-                }
-                out[j - jr.start] = s;
+            for (j, o) in jr.zip(out) {
+                *o = row_dot(j);
             }
         });
         rows.iter().sum()
     }
 
     /// Solve the Helmholtz system for one component, in place. Returns the
-    /// CG iterations used.
+    /// CG iterations used. `work` is scratch: its contents on entry do not
+    /// matter, and on one thread the solve allocates nothing.
     pub fn solve_component<C: FieldComm>(
         &self,
         kappa: &[f64],
         rhs: &[f64],
         x: &mut [f64],
+        work: &mut CgWork,
         comm: &mut C,
     ) -> u32 {
-        let n = self.grid.len();
-        let mut r = vec![0.0; n];
-        let mut p = vec![0.0; n];
-        let mut ap = vec![0.0; n];
-
-        comm.halo_exchange(&self.grid, x);
-        self.apply(kappa, x, &mut ap);
         let g = &self.grid;
-        for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
-                r[k] = rhs[k] - ap[k];
-                p[k] = r[k];
-            }
+        let CgWork { r, p, ap } = work;
+        comm.halo_exchange(g, x);
+        self.apply(kappa, x, ap);
+        for k in g.owned_rows(0..g.ny_local) {
+            r[k] = rhs[k] - ap[k];
+            p[k] = r[k];
         }
         let rhs_norm2 = comm.allreduce_sum(self.dot_local(rhs, rhs)).max(1e-300);
-        let mut rs = comm.allreduce_sum(self.dot_local(&r, &r));
+        let mut rs = comm.allreduce_sum(self.dot_local(r, r));
         let tol2 = self.cg_tol * self.cg_tol * rhs_norm2;
         let mut iters = 0;
         while rs > tol2 && iters < self.cg_max_iters {
-            comm.halo_exchange(&self.grid, &mut p);
-            self.apply(kappa, &p, &mut ap);
-            let p_ap = comm.allreduce_sum(self.dot_local(&p, &ap));
+            comm.halo_exchange(g, p);
+            self.apply(kappa, p, ap);
+            let p_ap = comm.allreduce_sum(self.dot_local(p, ap));
             let alpha = rs / p_ap;
-            {
-                // x += α p, r −= α A p — element-wise, so the row-parallel
-                // execution is bit-exact.
-                let threads = self.grid_threads();
-                let blocks = self.row_blocks(threads);
-                let nx = g.nx;
-                let p = &p;
-                let ap = &ap;
-                let tasks: Vec<(Range<usize>, &mut [f64], &mut [f64])> = blocks
-                    .iter()
-                    .cloned()
-                    .zip(self.owned_row_tasks(x, &blocks))
-                    .zip(self.owned_row_tasks(&mut r, &blocks))
-                    .map(|((jr, xc), rc)| (jr, xc, rc))
-                    .collect();
-                par::run_tasks(threads, tasks, |(jr, xc, rc)| {
-                    for j in jr.clone() {
-                        let start = g.idx(0, j as isize);
-                        let off = (j - jr.start) * nx;
-                        for i in 0..nx {
-                            xc[off + i] += alpha * p[start + i];
-                            rc[off + i] -= alpha * ap[start + i];
-                        }
-                    }
-                });
-            }
-            let rs_new = comm.allreduce_sum(self.dot_local(&r, &r));
+            // x += α p, r −= α A p, and below p = r + β p: element-wise, so
+            // the row-parallel execution is bit-exact.
+            self.for_row_blocks(x, |rows, xs| {
+                for (x, p) in xs.iter_mut().zip(&p[g.owned_rows(rows)]) {
+                    *x += alpha * p;
+                }
+            });
+            self.for_row_blocks(r, |rows, rs| {
+                for (r, ap) in rs.iter_mut().zip(&ap[g.owned_rows(rows)]) {
+                    *r -= alpha * ap;
+                }
+            });
+            let rs_new = comm.allreduce_sum(self.dot_local(r, r));
             let beta = rs_new / rs;
             rs = rs_new;
-            {
-                // p = r + β p — element-wise.
-                let threads = self.grid_threads();
-                let blocks = self.row_blocks(threads);
-                let nx = g.nx;
-                let r = &r;
-                let tasks: Vec<(Range<usize>, &mut [f64])> = blocks
-                    .iter()
-                    .cloned()
-                    .zip(self.owned_row_tasks(&mut p, &blocks))
-                    .collect();
-                par::run_tasks(threads, tasks, |(jr, pc)| {
-                    for j in jr.clone() {
-                        let start = g.idx(0, j as isize);
-                        let off = (j - jr.start) * nx;
-                        for i in 0..nx {
-                            pc[off + i] = r[start + i] + beta * pc[off + i];
-                        }
-                    }
-                });
-            }
+            self.for_row_blocks(p, |rows, ps| {
+                for (p, r) in ps.iter_mut().zip(&r[g.owned_rows(rows)]) {
+                    *p = r + beta * *p;
+                }
+            });
             iters += 1;
         }
-        comm.halo_exchange(&self.grid, x);
+        comm.halo_exchange(g, x);
         iters
     }
 
@@ -286,47 +286,39 @@ impl FieldSolver {
         &self,
         fields: &mut Fields,
         moments: &Moments,
+        work: &mut CgWork,
         comm: &mut C,
     ) -> u32 {
         let g = &self.grid;
         let n = g.len();
-        comm.halo_exchange(&self.grid, &mut fields.ex);
-        comm.halo_exchange(&self.grid, &mut fields.ey);
+        let nx = g.nx;
+        comm.halo_exchange(g, &mut fields.ex);
+        comm.halo_exchange(g, &mut fields.ey);
         // Residual r = ∇·E − ρ_net over owned cells.
         let mut r = vec![0.0; n];
         let mut local_sum = 0.0;
-        let mut local_cells = 0.0;
         for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
-                let div = 0.5 * (fields.ex[g.idx(i + 1, j)] - fields.ex[g.idx(i - 1, j)])
-                    + 0.5 * (fields.ey[g.idx(i, j + 1)] - fields.ey[g.idx(i, j - 1)]);
-                r[k] = div - moments.rho[k];
-                local_sum += r[k];
-                local_cells += 1.0;
-            }
+            let (ex, rho) = (&fields.ex[g.row(j)], &moments.rho[g.row(j)]);
+            let (ey_n, ey_s) = (&fields.ey[g.row(j + 1)], &fields.ey[g.row(j - 1)]);
+            let r = &mut r[g.row(j)];
+            for_each_column(nx, |i, w, e| {
+                let div = 0.5 * (ex[e] - ex[w]) + 0.5 * (ey_n[i] - ey_s[i]);
+                r[i] = div - rho[i];
+                local_sum += r[i];
+            });
         }
         // Make the RHS zero-mean (periodic Poisson compatibility: the mean
         // of ρ is neutralized by the static background).
         let total = comm.allreduce_sum(local_sum);
-        let cells = comm.allreduce_sum(local_cells);
+        let cells = comm.allreduce_sum(g.cells() as f64);
         let mean = total / cells.max(1.0);
-        for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
-                r[k] -= mean;
-            }
-        }
         // Solve −α∇²φ = −α·r via the Helmholtz machinery with κ ≡ −1
         // (kills the identity term): A(φ) = −α ∇²φ.
         let alpha = (self.dt * self.theta).powi(2);
         let kappa = vec![-1.0; n];
         let mut rhs = vec![0.0; n];
-        for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
-                rhs[k] = -alpha * r[k];
-            }
+        for k in g.owned_rows(0..g.ny_local) {
+            rhs[k] = -alpha * (r[k] - mean);
         }
         // Divergence cleaning is a corrector: production PIC codes run it
         // at a much looser tolerance than the field solve (and often only
@@ -336,17 +328,18 @@ impl FieldSolver {
             ..self.clone()
         };
         let mut phi = vec![0.0; n];
-        let iters = cleaner.solve_component(&kappa, &rhs, &mut phi, comm);
+        let iters = cleaner.solve_component(&kappa, &rhs, &mut phi, work, comm);
         // E ← E − ∇φ.
         for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
-                fields.ex[k] -= 0.5 * (phi[g.idx(i + 1, j)] - phi[g.idx(i - 1, j)]);
-                fields.ey[k] -= 0.5 * (phi[g.idx(i, j + 1)] - phi[g.idx(i, j - 1)]);
-            }
+            let (phi_c, phi_n, phi_s) = (&phi[g.row(j)], &phi[g.row(j + 1)], &phi[g.row(j - 1)]);
+            let (ex, ey) = (&mut fields.ex[g.row(j)], &mut fields.ey[g.row(j)]);
+            for_each_column(nx, |i, w, e| {
+                ex[i] -= 0.5 * (phi_c[e] - phi_c[w]);
+                ey[i] -= 0.5 * (phi_n[i] - phi_s[i]);
+            });
         }
-        comm.halo_exchange(&self.grid, &mut fields.ex);
-        comm.halo_exchange(&self.grid, &mut fields.ey);
+        comm.halo_exchange(g, &mut fields.ex);
+        comm.halo_exchange(g, &mut fields.ey);
         iters
     }
 
@@ -359,66 +352,77 @@ impl FieldSolver {
         comm: &mut C,
     ) -> u32 {
         let g = &self.grid;
+        let nx = g.nx;
         let kappa = self.kappa(moments);
         // RHS per component: E + Δtθ (∇×B − J).
-        comm.halo_exchange(&self.grid, &mut fields.bx);
-        comm.halo_exchange(&self.grid, &mut fields.by);
-        comm.halo_exchange(&self.grid, &mut fields.bz);
+        comm.halo_exchange(g, &mut fields.bx);
+        comm.halo_exchange(g, &mut fields.by);
+        comm.halo_exchange(g, &mut fields.bz);
         let c1 = self.dt * self.theta;
         let n = g.len();
         let mut rhs_x = vec![0.0; n];
         let mut rhs_y = vec![0.0; n];
         let mut rhs_z = vec![0.0; n];
         for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
+            let (c, north, south) = (g.row(j), g.row(j + 1), g.row(j - 1));
+            let (by, bz) = (&fields.by[c.clone()], &fields.bz[c.clone()]);
+            let (bx_n, bx_s) = (&fields.bx[north.clone()], &fields.bx[south.clone()]);
+            let (bz_n, bz_s) = (&fields.bz[north], &fields.bz[south]);
+            let (ex, ey, ez) = (
+                &fields.ex[c.clone()],
+                &fields.ey[c.clone()],
+                &fields.ez[c.clone()],
+            );
+            let (jx, jy, jz) = (
+                &moments.jx[c.clone()],
+                &moments.jy[c.clone()],
+                &moments.jz[c.clone()],
+            );
+            let (rx, ry, rz) = (&mut rhs_x[c.clone()], &mut rhs_y[c.clone()], &mut rhs_z[c]);
+            for_each_column(nx, |i, w, e| {
                 // 2-D curls (∂z ≡ 0), central differences, Δx = Δy = 1.
-                let curl_bx = 0.5 * (fields.bz[g.idx(i, j + 1)] - fields.bz[g.idx(i, j - 1)]);
-                let curl_by = -0.5 * (fields.bz[g.idx(i + 1, j)] - fields.bz[g.idx(i - 1, j)]);
-                let curl_bz = 0.5 * (fields.by[g.idx(i + 1, j)] - fields.by[g.idx(i - 1, j)])
-                    - 0.5 * (fields.bx[g.idx(i, j + 1)] - fields.bx[g.idx(i, j - 1)]);
-                rhs_x[k] = fields.ex[k] + c1 * (curl_bx - moments.jx[k]);
-                rhs_y[k] = fields.ey[k] + c1 * (curl_by - moments.jy[k]);
-                rhs_z[k] = fields.ez[k] + c1 * (curl_bz - moments.jz[k]);
-            }
+                let curl_bx = 0.5 * (bz_n[i] - bz_s[i]);
+                let curl_by = -0.5 * (bz[e] - bz[w]);
+                let curl_bz = 0.5 * (by[e] - by[w]) - 0.5 * (bx_n[i] - bx_s[i]);
+                rx[i] = ex[i] + c1 * (curl_bx - jx[i]);
+                ry[i] = ey[i] + c1 * (curl_by - jy[i]);
+                rz[i] = ez[i] + c1 * (curl_bz - jz[i]);
+            });
         }
+        let mut work = CgWork::new(g);
         let mut iters = 0;
-        iters += self.solve_component(&kappa, &rhs_x, &mut fields.ex, comm);
-        iters += self.solve_component(&kappa, &rhs_y, &mut fields.ey, comm);
-        iters += self.solve_component(&kappa, &rhs_z, &mut fields.ez, comm);
-        iters += self.clean_divergence(fields, moments, comm);
+        iters += self.solve_component(&kappa, &rhs_x, &mut fields.ex, &mut work, comm);
+        iters += self.solve_component(&kappa, &rhs_y, &mut fields.ey, &mut work, comm);
+        iters += self.solve_component(&kappa, &rhs_z, &mut fields.ez, &mut work, comm);
+        iters += self.clean_divergence(fields, moments, &mut work, comm);
         iters
     }
 
     /// calculateB: Faraday's law, B ← B − Δt ∇×E.
     pub fn calculate_b<C: FieldComm>(&self, fields: &mut Fields, comm: &mut C) {
         let g = &self.grid;
-        comm.halo_exchange(&self.grid, &mut fields.ex);
-        comm.halo_exchange(&self.grid, &mut fields.ey);
-        comm.halo_exchange(&self.grid, &mut fields.ez);
-        let n = g.len();
-        let mut dbx = vec![0.0; n];
-        let mut dby = vec![0.0; n];
-        let mut dbz = vec![0.0; n];
+        let dt = self.dt;
+        comm.halo_exchange(g, &mut fields.ex);
+        comm.halo_exchange(g, &mut fields.ey);
+        comm.halo_exchange(g, &mut fields.ez);
         for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
-                let curl_ex = 0.5 * (fields.ez[g.idx(i, j + 1)] - fields.ez[g.idx(i, j - 1)]);
-                let curl_ey = -0.5 * (fields.ez[g.idx(i + 1, j)] - fields.ez[g.idx(i - 1, j)]);
-                let curl_ez = 0.5 * (fields.ey[g.idx(i + 1, j)] - fields.ey[g.idx(i - 1, j)])
-                    - 0.5 * (fields.ex[g.idx(i, j + 1)] - fields.ex[g.idx(i, j - 1)]);
-                dbx[k] = curl_ex;
-                dby[k] = curl_ey;
-                dbz[k] = curl_ez;
-            }
-        }
-        for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
-                fields.bx[k] -= self.dt * dbx[k];
-                fields.by[k] -= self.dt * dby[k];
-                fields.bz[k] -= self.dt * dbz[k];
-            }
+            let (c, north, south) = (g.row(j), g.row(j + 1), g.row(j - 1));
+            let (ey, ez) = (&fields.ey[c.clone()], &fields.ez[c.clone()]);
+            let (ex_n, ex_s) = (&fields.ex[north.clone()], &fields.ex[south.clone()]);
+            let (ez_n, ez_s) = (&fields.ez[north], &fields.ez[south]);
+            let (bx, by, bz) = (
+                &mut fields.bx[c.clone()],
+                &mut fields.by[c.clone()],
+                &mut fields.bz[c],
+            );
+            for_each_column(g.nx, |i, w, e| {
+                let curl_ex = 0.5 * (ez_n[i] - ez_s[i]);
+                let curl_ey = -0.5 * (ez[e] - ez[w]);
+                let curl_ez = 0.5 * (ey[e] - ey[w]) - 0.5 * (ex_n[i] - ex_s[i]);
+                bx[i] -= dt * curl_ex;
+                by[i] -= dt * curl_ey;
+                bz[i] -= dt * curl_ez;
+            });
         }
     }
 }
@@ -450,7 +454,7 @@ mod tests {
         let mut rhs = vec![0.0; g.len()];
         s.apply(&kappa, &x_star, &mut rhs);
         let mut x = vec![0.0; g.len()];
-        let iters = s.solve_component(&kappa, &rhs, &mut x, &mut comm);
+        let iters = s.solve_component(&kappa, &rhs, &mut x, &mut CgWork::new(&g), &mut comm);
         assert!(iters > 0 && iters < s.cg_max_iters, "iters {iters}");
         for j in 0..g.ny_local as isize {
             for i in 0..g.nx as isize {
@@ -487,7 +491,7 @@ mod tests {
             }
             let mut x = vec![0.0; g.len()];
             let mut comm = SerialComm;
-            let iters = s.solve_component(&kappa, &rhs, &mut x, &mut comm);
+            let iters = s.solve_component(&kappa, &rhs, &mut x, &mut CgWork::new(&g), &mut comm);
             match &reference {
                 None => reference = Some((iters, x)),
                 Some((ri, rx)) => {

@@ -6,6 +6,7 @@
 //! stencil and deposit halos. Fields are collocated at cell centers.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Geometry of one rank's slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,13 +60,33 @@ impl Grid {
     }
 
     /// Index into a slab array for local row `j` ∈ [-1, ny_local] (−1 and
-    /// ny_local are the ghost rows) and column `i` (periodic in x).
+    /// ny_local are the ghost rows) and column `i` (periodic in x). The
+    /// general accessor for cold code and tests: it pays an integer
+    /// division per call, so the kernels use [`Grid::row`] and [`Stencil`].
     #[inline]
     pub fn idx(&self, i: isize, j: isize) -> usize {
         debug_assert!(j >= -1 && j <= self.ny_local as isize);
         let i = i.rem_euclid(self.nx as isize) as usize;
         let row = (j + 1) as usize;
         row * self.nx + i
+    }
+
+    /// Storage range of local row `j` ∈ [-1, ny_local]: the `nx` contiguous
+    /// cells `idx(0, j)..idx(0, j) + nx`. The grid loops slice whole rows
+    /// with this instead of calling [`Grid::idx`] per cell.
+    #[inline]
+    pub fn row(&self, j: isize) -> Range<usize> {
+        debug_assert!(j >= -1 && j <= self.ny_local as isize);
+        let start = (j + 1) as usize * self.nx;
+        start..start + self.nx
+    }
+
+    /// Storage range of the owned local rows `rows` ⊆ `0..ny_local`
+    /// (contiguous, ghost rows excluded).
+    #[inline]
+    pub fn owned_rows(&self, rows: Range<usize>) -> Range<usize> {
+        debug_assert!(rows.start <= rows.end && rows.end <= self.ny_local);
+        (rows.start + 1) * self.nx..(rows.end + 1) * self.nx
     }
 
     /// Whether global row `gy` (periodic) belongs to this slab.
@@ -78,6 +99,97 @@ impl Grid {
     #[inline]
     pub fn to_local_y(&self, gy: f64) -> f64 {
         gy - self.y0 as f64
+    }
+}
+
+/// Column `i` ∈ ℤ folded into `0..nx`. A particle inside the domain only
+/// ever asks for `-1..=nx` (its own column and the two neighbours), which
+/// compares resolve; anything further out takes the general modulo.
+#[inline]
+fn wrap_col(i: isize, nx: isize) -> usize {
+    let c = if (0..nx).contains(&i) {
+        i
+    } else if i == -1 {
+        nx - 1
+    } else if i == nx {
+        0
+    } else {
+        i.rem_euclid(nx)
+    };
+    c as usize
+}
+
+/// Fold coordinate `r` into the periodic interval `[0, n)`.
+///
+/// A position already inside the interval — nearly every particle, every
+/// step — comes back untouched, without the `fmod` behind
+/// `f64::rem_euclid`. Outside it the result is `r.rem_euclid(n)`, except
+/// that `rem_euclid` rounds a tiny negative `r` (`-1e-17`) up to `n`
+/// itself; that is the periodic point `0.0`, which is what is returned, so
+/// the result is always `< n`.
+#[inline]
+pub fn wrap_periodic(r: f64, n: f64) -> f64 {
+    if r >= 0.0 && r < n {
+        return r;
+    }
+    let w = r.rem_euclid(n);
+    if w == n {
+        0.0
+    } else {
+        w
+    }
+}
+
+/// The bilinear (cloud-in-cell) stencil of one particle: the storage
+/// indices of the four surrounding cell centers and their weights, in the
+/// order (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1).
+///
+/// Computed once per particle; the mover gathers all six field components
+/// through it and the deposit scatters through it, so the two use the same
+/// weights by construction (no self-force).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Stencil {
+    /// Indices into a slab array.
+    pub k: [usize; 4],
+    /// Bilinear weights (they sum to one).
+    pub w: [f64; 4],
+}
+
+impl Stencil {
+    /// The stencil at (x, y) in local cell coordinates (y relative to the
+    /// slab, may reach into the ghost rows; x periodic).
+    #[inline]
+    pub fn at(grid: &Grid, x: f64, y: f64) -> Stencil {
+        // Cell centers sit at integer+0.5; shift so floor() finds the lower
+        // left center.
+        let gx = x - 0.5;
+        let gy = y - 0.5;
+        let i0 = gx.floor() as isize;
+        let j0 = gy.floor() as isize;
+        let fx = gx - i0 as f64;
+        let fy = gy - j0 as f64;
+        let nx = grid.nx as isize;
+        let c0 = wrap_col(i0, nx);
+        let c1 = wrap_col(i0 + 1, nx);
+        // Rows j0 and j0 + 1, ghost rows included.
+        let r0 = grid.row(j0).start;
+        let r1 = grid.row(j0 + 1).start;
+        Stencil {
+            k: [r0 + c0, r0 + c1, r1 + c0, r1 + c1],
+            w: [
+                (1.0 - fx) * (1.0 - fy),
+                fx * (1.0 - fy),
+                (1.0 - fx) * fy,
+                fx * fy,
+            ],
+        }
+    }
+
+    /// Bilinear interpolation of one slab array at the stencil's point.
+    #[inline]
+    pub fn apply(&self, field: &[f64]) -> f64 {
+        let (k, w) = (&self.k, &self.w);
+        w[0] * field[k[0]] + w[1] * field[k[1]] + w[2] * field[k[2]] + w[3] * field[k[3]]
     }
 }
 
@@ -136,8 +248,7 @@ impl Fields {
         let mut out = Vec::with_capacity(6 * grid.cells());
         for comp in self.components() {
             for j in 0..grid.ny_local as isize {
-                let start = grid.idx(0, j);
-                out.extend_from_slice(&comp[start..start + grid.nx]);
+                out.extend_from_slice(&comp[grid.row(j)]);
             }
         }
         out
@@ -149,10 +260,8 @@ impl Fields {
         let mut it = data.chunks_exact(grid.cells());
         for comp in self.components_mut() {
             let chunk = it.next().expect("six components");
-            for j in 0..grid.ny_local as isize {
-                let start = grid.idx(0, j);
-                comp[start..start + grid.nx]
-                    .copy_from_slice(&chunk[j as usize * grid.nx..(j as usize + 1) * grid.nx]);
+            for j in 0..grid.ny_local {
+                comp[grid.row(j as isize)].copy_from_slice(&chunk[j * grid.nx..(j + 1) * grid.nx]);
             }
         }
     }
@@ -206,8 +315,7 @@ impl Moments {
         let mut out = Vec::with_capacity(4 * grid.cells());
         for comp in self.components() {
             for j in 0..grid.ny_local as isize {
-                let start = grid.idx(0, j);
-                out.extend_from_slice(&comp[start..start + grid.nx]);
+                out.extend_from_slice(&comp[grid.row(j)]);
             }
         }
         out
@@ -219,10 +327,8 @@ impl Moments {
         let mut it = data.chunks_exact(grid.cells());
         for comp in self.components_mut() {
             let chunk = it.next().expect("four components");
-            for j in 0..grid.ny_local as isize {
-                let start = grid.idx(0, j);
-                comp[start..start + grid.nx]
-                    .copy_from_slice(&chunk[j as usize * grid.nx..(j as usize + 1) * grid.nx]);
+            for j in 0..grid.ny_local {
+                comp[grid.row(j as isize)].copy_from_slice(&chunk[j * grid.nx..(j + 1) * grid.nx]);
             }
         }
     }
@@ -230,10 +336,7 @@ impl Moments {
     /// Total charge on the owned rows.
     pub fn total_charge(&self, grid: &Grid) -> f64 {
         (0..grid.ny_local as isize)
-            .map(|j| {
-                let start = grid.idx(0, j);
-                self.rho[start..start + grid.nx].iter().sum::<f64>()
-            })
+            .map(|j| self.rho[grid.row(j)].iter().sum::<f64>())
             .sum()
     }
 }
@@ -268,6 +371,54 @@ mod tests {
         assert_eq!(g.idx(-1, 0), 8 + 7, "x wraps");
         assert_eq!(g.idx(8, 0), 8, "x wraps forward");
         assert_eq!(g.idx(0, 8), 8 * 9, "bottom ghost row");
+    }
+
+    #[test]
+    fn rows_are_the_idx_ranges() {
+        let g = Grid::slab(8, 16, 1, 2);
+        for j in -1..=g.ny_local as isize {
+            assert_eq!(g.row(j), g.idx(0, j)..g.idx(0, j) + g.nx);
+        }
+        assert_eq!(g.owned_rows(0..g.ny_local), g.row(0).start..g.row(7).end);
+        assert_eq!(g.owned_rows(2..5), g.row(2).start..g.row(4).end);
+        assert!(g.owned_rows(3..3).is_empty());
+    }
+
+    #[test]
+    fn wrap_periodic_stays_below_the_upper_bound() {
+        let n = 128.0;
+        // rem_euclid rounds a tiny negative up to n itself — outside [0, n).
+        assert_eq!((-1e-17_f64).rem_euclid(n), n);
+        assert_eq!(wrap_periodic(-1e-17, n), 0.0);
+        assert_eq!(wrap_periodic(n, n), 0.0);
+        assert_eq!(wrap_periodic(2.0 * n + 1.0, n), 1.0);
+        assert_eq!(wrap_periodic(-0.25, n), n - 0.25);
+        // Inside the interval the value comes back bit for bit.
+        let below = f64::from_bits(n.to_bits() - 1);
+        assert_eq!(wrap_periodic(below, n).to_bits(), below.to_bits());
+        assert_eq!(wrap_periodic(-0.0, n).to_bits(), (-0.0_f64).to_bits());
+        assert_eq!(wrap_periodic(0.0, n).to_bits(), 0.0_f64.to_bits());
+        assert!(wrap_periodic(f64::NAN, n).is_nan());
+    }
+
+    #[test]
+    fn stencil_wraps_columns_and_reaches_ghost_rows() {
+        let g = Grid::slab(8, 16, 0, 2);
+        // Left of the first center: columns 7 and 0, rows ghost (−1) and 0.
+        let st = Stencil::at(&g, 0.25, 0.25);
+        assert_eq!(st.k, [g.idx(7, -1), g.idx(0, -1), g.idx(7, 0), g.idx(0, 0)]);
+        assert_eq!(st.w, [0.0625, 0.1875, 0.1875, 0.5625]);
+        // Right of the last center, x = nx included: columns 7 and 0.
+        for x in [7.75, 8.0] {
+            let st = Stencil::at(&g, x, 7.75);
+            assert_eq!(st.k, [g.idx(7, 7), g.idx(0, 7), g.idx(7, 8), g.idx(0, 8)]);
+        }
+        // Far outside in x the general modulo takes over.
+        let st = Stencil::at(&g, 8.0 * 5.0 + 3.5, 3.5);
+        assert_eq!(st.k[0], g.idx(3, 3));
+        assert_eq!(st.w, [1.0, 0.0, 0.0, 0.0]);
+        let st = Stencil::at(&g, -8.0 * 3.0 + 3.5, 3.5);
+        assert_eq!(st.k[..2], [g.idx(3, 3), g.idx(4, 3)]);
     }
 
     #[test]

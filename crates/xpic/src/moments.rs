@@ -9,7 +9,7 @@
 //! (deposit-then-migrate, so the halo-add and the particle migration are
 //! separate, overlappable steps).
 
-use crate::grid::{Grid, Moments};
+use crate::grid::{Grid, Moments, Stencil};
 use crate::par;
 use crate::particles::Species;
 use std::ops::Range;
@@ -25,27 +25,9 @@ pub fn deposit(grid: &Grid, species: &Species, moments: &mut Moments) {
 fn deposit_range(grid: &Grid, species: &Species, moments: &mut Moments, particles: Range<usize>) {
     let q = species.q_per_particle;
     for p in particles {
-        let lx = species.x[p];
-        let ly = grid.to_local_y(species.y[p]);
-        let gx = lx - 0.5;
-        let gy = ly - 0.5;
-        let i0 = gx.floor() as isize;
-        let j0 = gy.floor() as isize;
-        let fx = gx - i0 as f64;
-        let fy = gy - j0 as f64;
-        debug_assert!(
-            j0 >= -1 && j0 < grid.ny_local as isize,
-            "deposit outside slab+ghost: j0={j0}"
-        );
-        let w = [
-            ((i0, j0), (1.0 - fx) * (1.0 - fy)),
-            ((i0 + 1, j0), fx * (1.0 - fy)),
-            ((i0, j0 + 1), (1.0 - fx) * fy),
-            ((i0 + 1, j0 + 1), fx * fy),
-        ];
+        let st = Stencil::at(grid, species.x[p], grid.to_local_y(species.y[p]));
         let (vx, vy, vz) = (species.vx[p], species.vy[p], species.vz[p]);
-        for ((i, j), wt) in w {
-            let k = grid.idx(i, j);
+        for (k, wt) in st.k.into_iter().zip(st.w) {
             let qw = q * wt;
             moments.rho[k] += qw;
             moments.jx[k] += qw * vx;
@@ -60,11 +42,15 @@ fn deposit_range(grid: &Grid, species: &Species, moments: &mut Moments, particle
 /// The scatter is a reduction (many particles hit the same cell), so the
 /// particle population is cut into a **fixed chunk grid** — a function of
 /// the particle count only, never of the thread count (see [`par`]) — each
-/// chunk accumulates into its own partial [`Moments`] buffer, and the
-/// partials are merged serially in chunk order. The floating-point result
-/// is therefore bit-identical for every thread count; against the legacy
-/// single-buffer [`deposit`] it differs only in summation association
-/// (≤ 1e-12 relative, guarded by a property test).
+/// chunk accumulates from zero into a partial [`Moments`] buffer, and the
+/// partials are added to `moments` serially in chunk order. The
+/// floating-point result is therefore bit-identical for every thread
+/// count; against the legacy single-buffer [`deposit`] it differs only in
+/// summation association (≤ 1e-12 relative, guarded by a property test).
+///
+/// Only `threads` chunks are ever in flight, so only that many partial
+/// buffers exist: the chunk grid is walked in waves of `threads` chunks,
+/// and a buffer is zeroed again as it is merged, ready for the next wave.
 pub fn deposit_threads(grid: &Grid, species: &Species, moments: &mut Moments, threads: usize) {
     let n = species.len();
     let chunks = par::reduction_chunks(n);
@@ -75,18 +61,27 @@ pub fn deposit_threads(grid: &Grid, species: &Species, moments: &mut Moments, th
         return;
     }
     let ranges = par::chunk_ranges(n, chunks);
-    let mut partials: Vec<Moments> = (0..ranges.len()).map(|_| Moments::zeros(grid)).collect();
-    let threads = par::resolve_threads(threads);
-    let tasks: Vec<(Range<usize>, &mut Moments)> =
-        ranges.into_iter().zip(partials.iter_mut()).collect();
-    par::run_tasks(threads, tasks, |(r, part)| {
-        deposit_range(grid, species, part, r)
-    });
-    // Merge in chunk order — a fixed association of the sums.
-    for part in &partials {
-        for (dst, src) in moments.components_mut().into_iter().zip(part.components()) {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d += *s;
+    let threads = par::resolve_threads(threads).clamp(1, ranges.len());
+    let mut partials: Vec<Moments> = (0..threads).map(|_| Moments::zeros(grid)).collect();
+    for wave in ranges.chunks(threads) {
+        let tasks: Vec<(Range<usize>, &mut Moments)> =
+            wave.iter().cloned().zip(partials.iter_mut()).collect();
+        par::run_tasks(threads, tasks, |(r, part)| {
+            deposit_range(grid, species, part, r)
+        });
+        // Merge in chunk order — a fixed association of the sums. Every
+        // cell is added, untouched zeros included, exactly as if each
+        // chunk had its own buffer.
+        for part in &mut partials[..wave.len()] {
+            for (dst, src) in moments
+                .components_mut()
+                .into_iter()
+                .zip(part.components_mut())
+            {
+                for (d, s) in dst.iter_mut().zip(src.iter_mut()) {
+                    *d += *s;
+                    *s = 0.0;
+                }
             }
         }
     }
@@ -96,18 +91,15 @@ pub fn deposit_threads(grid: &Grid, species: &Species, moments: &mut Moments, th
 /// (single-rank periodic case: top ghost wraps to the last owned row,
 /// bottom ghost to the first).
 pub fn fold_ghosts_periodic(grid: &Grid, moments: &mut Moments) {
-    let nx = grid.nx;
-    let last = grid.ny_local as isize - 1;
+    let ny = grid.ny_local as isize;
+    let (top_ghost, bottom_ghost) = (grid.row(-1).start, grid.row(ny).start);
+    let (first_row, last_row) = (grid.row(0).start, grid.row(ny - 1).start);
     for comp in moments.components_mut() {
-        for i in 0..nx as isize {
-            let top_ghost = grid.idx(i, -1);
-            let bottom_ghost = grid.idx(i, grid.ny_local as isize);
-            let first_row = grid.idx(i, 0);
-            let last_row = grid.idx(i, last);
-            comp[last_row] += comp[top_ghost];
-            comp[first_row] += comp[bottom_ghost];
-            comp[top_ghost] = 0.0;
-            comp[bottom_ghost] = 0.0;
+        for i in 0..grid.nx {
+            comp[last_row + i] += comp[top_ghost + i];
+            comp[first_row + i] += comp[bottom_ghost + i];
+            comp[top_ghost + i] = 0.0;
+            comp[bottom_ghost + i] = 0.0;
         }
     }
 }
@@ -118,8 +110,7 @@ pub fn extract_ghost_row(grid: &Grid, moments: &Moments, top: bool) -> Vec<f64> 
     let j = if top { -1 } else { grid.ny_local as isize };
     let mut out = Vec::with_capacity(4 * grid.nx);
     for comp in moments.components() {
-        let start = grid.idx(0, j);
-        out.extend_from_slice(&comp[start..start + grid.nx]);
+        out.extend_from_slice(&comp[grid.row(j)]);
     }
     out
 }
@@ -131,9 +122,9 @@ pub fn add_into_border_row(grid: &Grid, moments: &mut Moments, data: &[f64], top
     assert_eq!(data.len(), 4 * grid.nx);
     let j = if top { 0 } else { grid.ny_local as isize - 1 };
     for (c, comp) in moments.components_mut().into_iter().enumerate() {
-        let start = grid.idx(0, j);
-        for i in 0..grid.nx {
-            comp[start + i] += data[c * grid.nx + i];
+        let add = &data[c * grid.nx..(c + 1) * grid.nx];
+        for (v, a) in comp[grid.row(j)].iter_mut().zip(add) {
+            *v += *a;
         }
     }
 }
@@ -141,12 +132,8 @@ pub fn add_into_border_row(grid: &Grid, moments: &mut Moments, data: &[f64], top
 /// Zero the ghost rows after their contents have been shipped.
 pub fn clear_ghosts(grid: &Grid, moments: &mut Moments) {
     for comp in moments.components_mut() {
-        for i in 0..grid.nx as isize {
-            let t = grid.idx(i, -1);
-            let b = grid.idx(i, grid.ny_local as isize);
-            comp[t] = 0.0;
-            comp[b] = 0.0;
-        }
+        comp[grid.row(-1)].fill(0.0);
+        comp[grid.row(grid.ny_local as isize)].fill(0.0);
     }
 }
 

@@ -8,30 +8,17 @@
 //! periodically in x; in y they may leave the slab — migration to the
 //! neighbour rank is the solver driver's job.
 
-use crate::grid::{Fields, Grid};
+use crate::grid::{wrap_periodic, Fields, Grid, Stencil};
 use crate::par;
 use crate::particles::Species;
 
 /// Bilinear interpolation of one field array at (x, y) in local cell
 /// coordinates (y relative to the slab, may reach into the ghost rows).
+/// The mover itself builds the [`Stencil`] once per particle and applies
+/// it to all six components.
 #[inline]
 pub fn gather(grid: &Grid, field: &[f64], x: f64, y: f64) -> f64 {
-    // Cell centers sit at integer+0.5; shift so floor() finds the lower
-    // left center.
-    let gx = x - 0.5;
-    let gy = y - 0.5;
-    let i0 = gx.floor() as isize;
-    let j0 = gy.floor() as isize;
-    let fx = gx - i0 as f64;
-    let fy = gy - j0 as f64;
-    let w00 = (1.0 - fx) * (1.0 - fy);
-    let w10 = fx * (1.0 - fy);
-    let w01 = (1.0 - fx) * fy;
-    let w11 = fx * fy;
-    w00 * field[grid.idx(i0, j0)]
-        + w10 * field[grid.idx(i0 + 1, j0)]
-        + w01 * field[grid.idx(i0, j0 + 1)]
-        + w11 * field[grid.idx(i0 + 1, j0 + 1)]
+    Stencil::at(grid, x, y).apply(field)
 }
 
 /// One contiguous block of a species' structure-of-arrays storage, handed
@@ -56,12 +43,13 @@ fn push_chunk(grid: &Grid, fields: &Fields, qom_half_dt: f64, dt: f64, c: PushCh
             (-1.0..=(grid.ny_local as f64 + 1.0)).contains(&ly),
             "particle outside slab+ghost region: ly={ly}"
         );
-        let ex = gather(grid, &fields.ex, lx, ly);
-        let ey = gather(grid, &fields.ey, lx, ly);
-        let ez = gather(grid, &fields.ez, lx, ly);
-        let bx = gather(grid, &fields.bx, lx, ly);
-        let by = gather(grid, &fields.by, lx, ly);
-        let bz = gather(grid, &fields.bz, lx, ly);
+        let st = Stencil::at(grid, lx, ly);
+        let ex = st.apply(&fields.ex);
+        let ey = st.apply(&fields.ey);
+        let ez = st.apply(&fields.ez);
+        let bx = st.apply(&fields.bx);
+        let by = st.apply(&fields.by);
+        let bz = st.apply(&fields.bz);
 
         // Half electric acceleration.
         let mut vx = c.vx[p] + qom_half_dt * ex;
@@ -90,7 +78,7 @@ fn push_chunk(grid: &Grid, fields: &Fields, qom_half_dt: f64, dt: f64, c: PushCh
         c.vy[p] = vy;
         c.vz[p] = vz;
         // Position update; x wraps periodically, y handled by migration.
-        c.x[p] = (c.x[p] + vx * dt).rem_euclid(nx);
+        c.x[p] = wrap_periodic(c.x[p] + vx * dt, nx);
         c.y[p] += vy * dt;
     }
 }

@@ -19,9 +19,12 @@ pub struct Species {
     pub qom: f64,
     /// Charge carried by each macro-particle.
     pub q_per_particle: f64,
-    /// Position x, in cell units, ∈ [0, nx).
+    /// Position x, in cell units, ∈ [0, nx): the mover folds it back with
+    /// [`crate::grid::wrap_periodic`], which never returns `nx` itself.
     pub x: Vec<f64>,
-    /// Position y, in cell units, ∈ [0, ny) global.
+    /// Position y, in cell units. Global and ∈ [0, ny) after each
+    /// migration (the same fold); between the push and the migration it
+    /// may sit up to one step's travel outside the owning slab.
     pub y: Vec<f64>,
     /// Velocity x.
     pub vx: Vec<f64>,

@@ -10,7 +10,7 @@
 
 use crate::config::XpicConfig;
 use crate::fields::FieldComm;
-use crate::grid::{Grid, Moments};
+use crate::grid::{wrap_periodic, Grid, Moments};
 use crate::moments::{add_into_border_row, clear_ghosts, extract_ghost_row};
 use crate::particles::Species;
 use crate::wire;
@@ -82,12 +82,10 @@ impl<'a> MpiFieldComm<'a> {
         let me = rank_in_comm(self.rank, &self.comm);
         let prev = (me + n - 1) % n;
         let next = (me + 1) % n;
-        let nx = grid.nx;
         let pool = self.rank.buffer_pool();
-        let first = wire::f64s_to_bytes_pooled(pool, &arr[grid.idx(0, 0)..grid.idx(0, 0) + nx]);
         let last_j = grid.ny_local as isize - 1;
-        let last =
-            wire::f64s_to_bytes_pooled(pool, &arr[grid.idx(0, last_j)..grid.idx(0, last_j) + nx]);
+        let first = wire::f64s_to_bytes_pooled(pool, &arr[grid.row(0)]);
+        let last = wire::f64s_to_bytes_pooled(pool, &arr[grid.row(last_j)]);
         self.rank
             .send_bytes_comm_sized(&self.comm, prev, tags::HALO_UP, first, self.wire_halo)?;
         self.rank
@@ -100,9 +98,8 @@ impl<'a> MpiFieldComm<'a> {
         let (from_prev, _) =
             self.rank
                 .recv_bytes_comm(&self.comm, Some(prev), Some(tags::HALO_DOWN))?;
-        wire::read_f64s_into(&from_prev, &mut arr[grid.idx(0, -1)..grid.idx(0, -1) + nx]);
-        let bot = grid.idx(0, grid.ny_local as isize);
-        wire::read_f64s_into(&from_next, &mut arr[bot..bot + nx]);
+        wire::read_f64s_into(&from_prev, &mut arr[grid.row(-1)]);
+        wire::read_f64s_into(&from_next, &mut arr[grid.row(grid.ny_local as isize)]);
         self.rank.obs_close(phase);
         Ok(())
     }
@@ -309,7 +306,7 @@ pub fn try_migrate_particles(
     let n = comm.size();
     if n == 1 {
         for y in species.y.iter_mut() {
-            *y = y.rem_euclid(ny);
+            *y = wrap_periodic(*y, ny);
         }
         return Ok(0);
     }
@@ -321,7 +318,7 @@ pub fn try_migrate_particles(
     let prev_grid = Grid::slab(grid.nx, grid.ny, prev, n);
     let mut i = 0;
     while i < species.len() {
-        let y = species.y[i].rem_euclid(ny);
+        let y = wrap_periodic(species.y[i], ny);
         if grid.owns_row(y.floor() as isize) {
             species.y[i] = y;
             i += 1;

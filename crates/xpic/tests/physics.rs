@@ -125,3 +125,44 @@ fn cold_plasma_oscillates_not_explodes() {
         "kinetic energy oscillates, it must not grow past its peak: {final_ke} vs {peak_ke}"
     );
 }
+
+#[test]
+fn a_hair_above_row_zero_migrates_into_the_domain() {
+    // A particle pushed to y = −1e−17 wraps to the top of the domain.
+    // `f64::rem_euclid` rounds that to y = ny exactly, which two slabs
+    // route to the owner of row 0, whose next deposit then reaches ny rows
+    // outside its slab. The wrap must land on y = 0 instead.
+    use cluster_booster::JobSpec;
+    use xpic::solver::migrate_particles;
+
+    let l = Launcher::new(
+        SystemBuilder::new("t")
+            .cluster_nodes(1)
+            .booster_nodes(2)
+            .build(),
+    );
+    let cfg = XpicConfig::test_small();
+    l.launch(&JobSpec::booster_only("wrap", 2), move |rank, _| {
+        let world = rank.world();
+        let grid = Grid::slab(cfg.nx, cfg.ny, rank.rank(), 2);
+        let mut species = Species {
+            qom: -1.0,
+            q_per_particle: -1.0,
+            ..Species::default()
+        };
+        if rank.rank() == 0 {
+            species.push_particle(3.0, -1e-17, 0.0, 0.0, 0.0);
+        }
+        let sent = migrate_particles(rank, &world, &grid, &mut species, &cfg);
+        assert_eq!(sent, 0, "y = 0 belongs to slab 0");
+        if rank.rank() == 0 {
+            assert_eq!(species.y, [0.0]);
+            let mut moments = Moments::zeros(&grid);
+            deposit(&grid, &species, &mut moments);
+            assert!((moments.rho.iter().sum::<f64>() + 1.0).abs() < 1e-12);
+        } else {
+            assert!(species.is_empty());
+        }
+    })
+    .unwrap();
+}

@@ -292,3 +292,41 @@ fn blocking_p2p_equals_post_plus_wait_on_two_nodes() {
         }
     }
 }
+
+#[test]
+fn xpic_physics_bits_are_pinned_across_commits() {
+    // Every other bit-exactness gate compares two runs of the same build
+    // (thread counts, modes, clean vs recovered), so a kernel change that
+    // reassociated a sum would pass them all. These constants were recorded
+    // at commit d0a74c4, before the xPic kernels were rewritten around
+    // `Stencil` and row slices: 16 x 16 cells x 8 particles per cell,
+    // 3 steps, seed 20180521. A change that moves them changes the
+    // physics, and with `cg_iters` every virtual time.
+    use xpic::{run_mode, Mode, XpicConfig};
+
+    // (nodes per solver, field energy, kinetic energy, CG iterations)
+    const PINS: [(usize, u64, u64, u64); 2] = [
+        (1, 0x3fe6e5eec427a8bc, 0x3fedf9a3932ffee1, 93),
+        (2, 0x3fe6e5eec427a8c3, 0x3fedf9a3932ffee0, 186),
+    ];
+    let cfg = XpicConfig {
+        steps: 3,
+        threads: 1,
+        ..XpicConfig::test_small()
+    };
+    for (nodes, field_energy, kinetic_energy, cg_iters) in PINS {
+        for mode in [Mode::ClusterOnly, Mode::BoosterOnly, Mode::ClusterBooster] {
+            let report = run_mode(&Launcher::new(deep_er_prototype()), mode, nodes, &cfg);
+            assert_eq!(
+                (
+                    report.field_energy.to_bits(),
+                    report.kinetic_energy.to_bits(),
+                    report.cg_iters
+                ),
+                (field_energy, kinetic_energy, cg_iters),
+                "{} on {nodes} node(s) per solver",
+                mode.label()
+            );
+        }
+    }
+}
