@@ -138,6 +138,13 @@ cargo run -q --release -p cb-bench --bin fig8 -- \
     --async-ckpt --mtbf 0.5 --smoke --threads 2 > "$AC_TMP/f2.txt"
 grep -q '^ASYNC_CKPT_GATE ok=1' "$AC_TMP/clean.txt"
 grep -q '^ASYNC_CKPT_GATE ok=1' "$AC_TMP/f1.txt"
+# Both reports are pure virtual-time text, so they are also pinned across
+# commits: the files below were written at commit e2a7c79, before the three
+# modes shared one stage/promote path (every other check in this stage
+# compares a build with itself). tests/full_stack.rs pins the small shape
+# to the bit, where these print nine decimals.
+cmp "$AC_TMP/clean.txt" crates/bench/src/async_ckpt_clean.report
+cmp "$AC_TMP/f1.txt" crates/bench/src/async_ckpt_mtbf.report
 # All three modes agree on the physics bits, clean and faulted alike:
 # one unique FINAL line per report, the same one in both.
 test "$(grep '^FINAL' "$AC_TMP/clean.txt" | sort -u | wc -l)" -eq 1

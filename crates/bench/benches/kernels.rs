@@ -400,9 +400,9 @@ fn overlap_block() -> String {
 /// The checkpoint-mode trade-off curve (ISSUE 10): expected overhead of
 /// sync vs async vs async+delta checkpointing across MTBFs, priced by the
 /// SCR cost model on the prototype's node specs (the same
-/// `checkpoint_cost`/`local_write_time` split the live `CkptEngine` pays)
-/// and walked through `simulate_run` / `simulate_run_async` over seeded
-/// failure traces. The delta bytes ratio comes from `scr::delta` on
+/// local-stage / full-level split the live `CkptEngine` pays) and walked
+/// through `simulate_run` over seeded failure traces — a blocking
+/// checkpoint being one that drains nothing. The delta bytes ratio comes from `scr::delta` on
 /// synthetic sparse-change data — the regime where dirty-range deltas
 /// actually compress (on fully-changing PIC state the codec falls back to
 /// keyframes, which is why `fig8 --async-ckpt` shows delta ≈ async there).
@@ -410,9 +410,7 @@ fn async_ckpt_block() -> String {
     use hwmodel::{NodeId, SimTime};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use scr::{
-        simulate_run, simulate_run_async, CheckpointLevel, FailureModel, ScrConfig, ScrManager,
-    };
+    use scr::{simulate_run, CheckpointLevel, FailureModel, ScrConfig, ScrManager};
 
     const RANKS: usize = 8;
     const BYTES_PER_RANK: u64 = 1 << 20; // 1 MiB of solver state per rank
@@ -429,7 +427,7 @@ fn async_ckpt_block() -> String {
         sionio::ParallelFs::deep_er(),
     );
     let sync_cost = scr.checkpoint_cost(CheckpointLevel::Buddy, BYTES_PER_RANK);
-    let local_cost = scr.local_write_time(BYTES_PER_RANK);
+    let local_cost = scr.checkpoint_cost(CheckpointLevel::Local, BYTES_PER_RANK);
     let drain_cost = sync_cost.saturating_sub(local_cost);
 
     // Delta compression on sparse-change data: flip ~2% of the bytes in a
@@ -451,7 +449,7 @@ fn async_ckpt_block() -> String {
     let avg_ratio = (1.0 + (KEYFRAME_EVERY as f64 - 1.0) * delta_ratio) / KEYFRAME_EVERY as f64;
     let delta_bytes = (BYTES_PER_RANK as f64 * avg_ratio) as u64;
     let delta_sync_cost = scr.checkpoint_cost(CheckpointLevel::Buddy, delta_bytes);
-    let delta_local_cost = scr.local_write_time(delta_bytes);
+    let delta_local_cost = scr.checkpoint_cost(CheckpointLevel::Local, delta_bytes);
     let delta_drain_cost = delta_sync_cost.saturating_sub(delta_local_cost);
 
     let mut out = String::from("  \"async_ckpt\": {\n");
@@ -494,16 +492,10 @@ fn async_ckpt_block() -> String {
         let trace = model.sample_trace(&mut rng, &nodes, work * 4.0);
         let restart = SimTime::from_secs(1.0);
 
-        let sync = simulate_run(work, interval, sync_cost, restart, &trace);
-        let asn = simulate_run_async(work, interval, local_cost, drain_cost, restart, &trace);
-        let delta = simulate_run_async(
-            work,
-            interval,
-            delta_local_cost,
-            delta_drain_cost,
-            restart,
-            &trace,
-        );
+        let run = |block, drain| simulate_run(work, interval, block, drain, restart, &trace);
+        let sync = run(sync_cost, SimTime::ZERO);
+        let asn = run(local_cost, drain_cost);
+        let delta = run(delta_local_cost, delta_drain_cost);
         let comma = if i + 1 < mtbfs_s.len() { "," } else { "" };
         let _ = writeln!(
             out,

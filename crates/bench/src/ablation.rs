@@ -163,7 +163,7 @@ pub fn checkpoint_sweep(node_mtbf_hours: f64, ckpt_cost_s: f64, seed: u64) -> Ve
     intervals
         .into_iter()
         .map(|(interval, is_young)| {
-            let out = simulate_run(work, interval, ckpt, restart, &trace);
+            let out = simulate_run(work, interval, ckpt, SimTime::ZERO, restart, &trace);
             CheckpointPoint {
                 interval,
                 wall: out.wall_time,

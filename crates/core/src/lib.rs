@@ -27,13 +27,11 @@
 #![forbid(unsafe_code)]
 
 pub mod launch;
-pub mod malleable;
 pub mod resources;
 pub mod scheduler;
 pub mod system;
 
 pub use launch::{JobSpec, Launcher};
-pub use malleable::{MalleableJob, MalleableScheduler, MalleableStats};
 pub use resources::{Allocation, AllocationError, ResourceManager};
 pub use scheduler::{
     fits_beside_head, shadow_start, BatchJob, BatchScheduler, Discipline, JobState, RunningView,

@@ -10,7 +10,7 @@
 //!
 //! * **size** — a malleable Booster job running on `bn` of its `bn_max`
 //!   nodes progresses at `bn / bn_max` (the equi-partition fluid model of
-//!   `core::malleable`);
+//!   DEEP's adaptive batch system, paper §II-A ref [5]);
 //! * **fabric** — combined C+B jobs contend for the shared fabric: each
 //!   gets its max-min fair bandwidth share ([`simnet::max_min_shares`]),
 //!   and a job whose communication fraction `f` is satisfied to degree
@@ -980,6 +980,34 @@ mod tests {
             .any(|e| matches!(e, EngineEvent::Shrink { id: 0, bn: 4, .. })));
         // B starts the moment it arrives — the shrink is immediate.
         assert_eq!(r.starts_of(1), vec![SimTime::from_secs(10.0)]);
+    }
+
+    #[test]
+    fn malleable_beats_rigid_on_fragmented_mix() {
+        // The adaptive-scheduling claim of §II-A (ref [5]): two jobs that
+        // can each use 6 of 8 Booster nodes. Rigid (`bn_min = bn_max`)
+        // they cannot share the module and run one after the other;
+        // malleable they run side by side at 4 + 4 and finish sooner,
+        // though each runs below its full speed.
+        let run = |bn_min: usize| {
+            let trace: Vec<TraceJob> = (0..2)
+                .map(|id| TraceJob {
+                    bn_min,
+                    ..job(id, 0, 6, 60.0, 0.0)
+                })
+                .collect();
+            Engine::new(system(1, 8), EngineConfig::default()).run(&trace, &no_faults())
+        };
+        let (rigid, malleable) = (run(6), run(1));
+        assert_eq!(rigid.makespan, SimTime::from_secs(120.0));
+        assert_eq!(rigid.expands, 0);
+        assert!(malleable.expands >= 1);
+        assert_eq!(
+            malleable.starts_of(1),
+            vec![SimTime::ZERO],
+            "both admitted at once"
+        );
+        assert_eq!(malleable.makespan, SimTime::from_secs(90.0));
     }
 
     #[test]

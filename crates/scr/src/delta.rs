@@ -145,24 +145,30 @@ pub fn decode(frame: &[u8], base: Option<&[u8]>) -> Result<Vec<u8>, DeltaError> 
                 return Err(DeltaError::Malformed);
             }
             let base_id = u64::from_le_bytes(frame[1..9].try_into().unwrap());
-            let total = u64::from_le_bytes(frame[9..17].try_into().unwrap()) as usize;
+            let total = u64::from_le_bytes(frame[9..17].try_into().unwrap());
             let nruns = u32::from_le_bytes(frame[17..21].try_into().unwrap()) as usize;
             let base = base.ok_or(DeltaError::BadBase { base: base_id })?;
-            if base.len() != total {
+            if base.len() as u64 != total {
                 return Err(DeltaError::BadBase { base: base_id });
             }
             let mut out = base.to_vec();
             let mut p = 21usize;
             for _ in 0..nruns {
-                if frame.len() < p + 16 {
+                if frame.len() - p < 16 {
                     return Err(DeltaError::Malformed);
                 }
-                let off = u64::from_le_bytes(frame[p..p + 8].try_into().unwrap()) as usize;
-                let len = u64::from_le_bytes(frame[p + 8..p + 16].try_into().unwrap()) as usize;
+                let off = u64::from_le_bytes(frame[p..p + 8].try_into().unwrap());
+                let len = u64::from_le_bytes(frame[p + 8..p + 16].try_into().unwrap());
                 p += 16;
-                if frame.len() < p + len || off + len > out.len() {
+                // `off` and `len` are whatever the frame claims: measure
+                // them against the room that is left instead of adding
+                // them up, so no sum can overflow.
+                let fits =
+                    |start: u64, room: usize| start <= room as u64 && len <= room as u64 - start;
+                if !fits(p as u64, frame.len()) || !fits(off, out.len()) {
                     return Err(DeltaError::Malformed);
                 }
+                let (off, len) = (off as usize, len as usize);
                 out[off..off + len].copy_from_slice(&frame[p..p + len]);
                 p += len;
             }
@@ -254,6 +260,58 @@ mod tests {
         assert_eq!(decode(&[], None), Err(DeltaError::Malformed));
         assert_eq!(decode(&[9, 9, 9], None), Err(DeltaError::Malformed));
         assert_eq!(frame_base(&[1, 2]), Err(DeltaError::Malformed));
+    }
+
+    /// A delta frame against a `total`-byte base with one hand-written run
+    /// header and `payload` bytes behind it.
+    fn one_run_frame(total: u64, off: u64, len: u64, payload: usize) -> Vec<u8> {
+        let mut f = vec![TAG_DELTA];
+        f.extend_from_slice(&3u64.to_le_bytes());
+        f.extend_from_slice(&total.to_le_bytes());
+        f.extend_from_slice(&1u32.to_le_bytes());
+        f.extend_from_slice(&off.to_le_bytes());
+        f.extend_from_slice(&len.to_le_bytes());
+        f.resize(f.len() + payload, 0xAB);
+        f
+    }
+
+    #[test]
+    fn hostile_run_headers_are_malformed_not_a_panic() {
+        const TOTAL: u64 = 64;
+        let base = vec![0u8; TOTAL as usize];
+        let decode = |f: &[u8]| decode(f, Some(&base));
+        // `len` past the blob, past the frame, and at the edge of u64.
+        for len in [u64::MAX, TOTAL + 1, TOTAL] {
+            let f = one_run_frame(TOTAL, 1, len, 8);
+            assert_eq!(decode(&f), Err(DeltaError::Malformed), "len {len}");
+        }
+        // `off` at and past the end of the blob, and where `off + len`
+        // wraps to a small number.
+        for off in [u64::MAX, TOTAL + 1, TOTAL] {
+            let f = one_run_frame(TOTAL, off, 8, 8);
+            assert_eq!(decode(&f), Err(DeltaError::Malformed), "off {off}");
+        }
+        let f = one_run_frame(TOTAL, u64::MAX - 3, 8, 8);
+        assert_eq!(decode(&f), Err(DeltaError::Malformed));
+        // The edges that are legal: a run filling the whole blob, and an
+        // empty run at its very end.
+        let f = one_run_frame(TOTAL, 0, TOTAL, TOTAL as usize);
+        assert_eq!(decode(&f), Ok(vec![0xAB; TOTAL as usize]));
+        assert_eq!(decode(&one_run_frame(TOTAL, TOTAL, 0, 0)), Ok(base.clone()));
+        // Truncated: inside the frame header, inside the run header, and
+        // short of the payload the run header promises.
+        let good = one_run_frame(TOTAL, 4, 8, 8);
+        assert_eq!(decode(&good).map(|b| b[4..12].to_vec()), Ok(vec![0xAB; 8]));
+        for cut in [20, 21, 30, 36, good.len() - 1] {
+            assert_eq!(
+                decode(&good[..cut]),
+                Err(DeltaError::Malformed),
+                "cut {cut}"
+            );
+        }
+        // A base of the wrong length is a base error, whatever `total` says.
+        let f = one_run_frame(u64::MAX, 0, 8, 8);
+        assert_eq!(decode(&f), Err(DeltaError::BadBase { base: 3 }));
     }
 
     #[test]

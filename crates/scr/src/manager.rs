@@ -1,5 +1,16 @@
-//! The checkpoint manager: levels, database, write/restart paths.
+//! The checkpoint manager: levels, database, and the one checkpoint path.
+//!
+//! Every checkpoint is a *stage* followed by a *promote*. The stage
+//! resolves the payloads, writes the node-local copies and the database
+//! record, and prices the checkpoint; the promote writes the buddy / NAM /
+//! SION copies and raises the record to its level. The blocking
+//! [`ScrManager::checkpoint`] promotes on the spot and costs the full
+//! level; [`ScrManager::checkpoint_async`] returns after the stage with a
+//! [`PendingDrain`], and [`ScrManager::finish_drain`] promotes once the
+//! caller has realized the drain — so a failure in between falls back to
+//! an older, fully promoted checkpoint.
 
+use crate::delta::{self, DeltaError};
 use hwmodel::{MemoryLevel, NodeId, SimTime};
 use parking_lot::Mutex;
 use simnet::nam::{NamDevice, NamError, NamRegion};
@@ -19,6 +30,59 @@ pub enum CheckpointLevel {
     /// A SION container on the global parallel file system. Survives
     /// arbitrary failures.
     Global,
+}
+
+/// How the live resilient run takes its checkpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CkptMode {
+    /// Block for the full level cost and promote on the spot.
+    #[default]
+    Sync,
+    /// Block for the local NVMe stage only; the buddy/global copy drains
+    /// through the fabric while the next steps compute.
+    Async,
+    /// [`CkptMode::Async`] with dirty-range delta frames between periodic
+    /// full keyframes, shrinking the drained bytes.
+    AsyncDelta,
+}
+
+/// One payload per rank, in one of the two forms a checkpoint arrives in.
+#[derive(Debug, Clone, Copy)]
+pub enum Payload<'a> {
+    /// The ranks' full state blobs.
+    Blobs(&'a [Vec<u8>]),
+    /// Encoded frames (see [`crate::delta`]): full keyframes, or
+    /// dirty-range deltas against a checkpoint the rank still holds
+    /// locally. The manager stores the reconstructed full blobs, so a
+    /// restart never decodes; the frame bytes are what the NVMe and the
+    /// wire are charged for.
+    Frames(&'a [Vec<u8>]),
+}
+
+/// A staged checkpoint: its local copies are written and recorded, its
+/// higher-level copies are not yet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PendingDrain {
+    /// The checkpoint id.
+    pub id: u64,
+    /// The level it is draining towards.
+    pub level: CheckpointLevel,
+    /// Blocking time of the local NVMe stage.
+    pub local_cost: SimTime,
+    /// Time of the whole checkpoint at `level`, local stage included. A
+    /// blocking caller charges this in one piece: `SimTime` is an `f64`,
+    /// so `local_cost + drain()` need not equal it to the bit.
+    pub full_cost: SimTime,
+    /// Modelled bytes per rank on the NVMe and the wire (the largest
+    /// encoded frame, or the largest blob).
+    pub wire_bytes: u64,
+}
+
+impl PendingDrain {
+    /// Drain time left once the local stage has returned.
+    pub fn drain(&self) -> SimTime {
+        self.full_cost.saturating_sub(self.local_cost)
+    }
 }
 
 /// Errors from checkpoint operations.
@@ -47,6 +111,12 @@ pub enum ScrError {
         /// The missing base checkpoint id.
         base: u64,
     },
+    /// A rank's frame is truncated, carries an unknown tag, or describes
+    /// runs outside its blob.
+    BadFrame {
+        /// The rank whose frame was rejected.
+        rank: usize,
+    },
     /// The NAM device backing the buddy level rejected an operation.
     Nam(NamError),
 }
@@ -67,6 +137,7 @@ impl std::fmt::Display for ScrError {
             ScrError::DeltaBaseMissing { base } => {
                 write!(f, "delta frame references missing base checkpoint {base}")
             }
+            ScrError::BadFrame { rank } => write!(f, "rank {rank} sent a malformed frame"),
             ScrError::Nam(e) => write!(f, "NAM buddy store: {e}"),
         }
     }
@@ -132,8 +203,9 @@ struct ScrState {
     // Ordered maps/sets throughout: drain, failure sweeps, and recovery
     // scans iterate these, and their virtual-time outcomes must not depend
     // on hash order (deepcheck D002).
-    /// Payloads of asynchronous checkpoints whose drain is in flight.
-    pending: BTreeMap<u64, Vec<Vec<u8>>>,
+    /// Ids staged and not yet promoted. The payloads themselves are the
+    /// `local` copies, which live exactly as long.
+    pending: BTreeSet<u64>,
     /// (ckpt id, rank) → blob, on the rank's own node.
     local: BTreeMap<(u64, usize), Vec<u8>>,
     /// (ckpt id, rank) → blob, on the buddy node.
@@ -142,9 +214,6 @@ struct ScrState {
     db: Vec<CheckpointRecord>,
     /// Nodes currently failed.
     dead: BTreeSet<NodeId>,
-    /// Ids whose async drain was promoted (makes `complete_drain`
-    /// idempotent); cleared when the id is checkpointed afresh.
-    drained: BTreeSet<u64>,
     /// (ckpt id, rank) → allocated NAM region, when the buddy level is
     /// NAM-backed. Allocation happens at the local stage so the live
     /// drain can RDMA-put straight into the region.
@@ -165,6 +234,25 @@ pub struct ScrManager {
     specs: Vec<Arc<hwmodel::NodeSpec>>,
     pfs: ParallelFs,
     state: Arc<Mutex<ScrState>>, // lock-order: 10
+}
+
+/// The region rank `key.1` keeps checkpoint `key.0` in, allocated on first
+/// use and re-allocated when the blob length changed.
+fn nam_region_for(
+    nam: &NamBuddy,
+    regions: &mut BTreeMap<(u64, usize), NamRegion>,
+    key: (u64, usize),
+    len: u64,
+) -> Result<NamRegion, ScrError> {
+    if let Some(held) = regions.get(&key).copied() {
+        if held.len == len {
+            return Ok(held);
+        }
+        let _ = nam.device.dealloc(held);
+    }
+    let region = nam.device.alloc(len)?;
+    regions.insert(key, region);
+    Ok(region)
 }
 
 impl ScrManager {
@@ -268,114 +356,164 @@ impl ScrManager {
         }
     }
 
-    /// Take checkpoint `id` at `level` with one blob per rank. Returns the
-    /// virtual cost.
+    /// Take checkpoint `id` at `level` with one blob per rank, blocking
+    /// until it holds at that level. Returns the virtual cost.
     pub fn checkpoint(
         &self,
         id: u64,
         level: CheckpointLevel,
         rank_data: &[Vec<u8>],
     ) -> Result<SimTime, ScrError> {
-        if rank_data.len() != self.ranks() {
+        let staged = self.checkpoint_async(id, level, Payload::Blobs(rank_data))?;
+        self.promote(id, level)?;
+        Ok(staged.full_cost)
+    }
+
+    /// Promote a staged checkpoint to its level, once its drain time has
+    /// been realized (by waiting on the transfers, or by charging
+    /// `drain()`). Promoting twice is a no-op. A drain that was aborted —
+    /// by [`ScrManager::abort_drain`], or by [`ScrManager::fail_nodes`]
+    /// losing one of the job's nodes while it was in flight — is refused
+    /// with [`ScrError::DrainAborted`] and the checkpoint stays at `Local`
+    /// level, so a restart falls back to the newest *promoted* checkpoint,
+    /// exactly as [`crate::simulate_run`] models.
+    pub fn finish_drain(&self, pending: PendingDrain) -> Result<(), ScrError> {
+        if self.state.lock().pending.contains(&pending.id) {
+            self.promote(pending.id, pending.level)
+        } else if self.level_of(pending.id) == Some(pending.level) {
+            Ok(())
+        } else {
+            Err(ScrError::DrainAborted { id: pending.id })
+        }
+    }
+
+    /// Abort an in-flight drain. Returns whether there was one (false if
+    /// already promoted or already aborted). The checkpoint keeps its
+    /// `Local` protection.
+    pub fn abort_drain(&self, pending: &PendingDrain) -> bool {
+        self.state.lock().pending.remove(&pending.id)
+    }
+
+    /// Take checkpoint `id` asynchronously — the *stage* every checkpoint
+    /// starts with: validate, resolve the payloads to full blobs, write
+    /// them as the `Local` copies with their database record, and price
+    /// the checkpoint from the bytes that hit the NVMe and the wire. The
+    /// caller blocks for `local_cost`; the data holds at `Local` level and
+    /// reaches `level` once the caller has realized the drain and calls
+    /// [`ScrManager::finish_drain`].
+    pub fn checkpoint_async(
+        &self,
+        id: u64,
+        level: CheckpointLevel,
+        payload: Payload<'_>,
+    ) -> Result<PendingDrain, ScrError> {
+        let (Payload::Blobs(sent) | Payload::Frames(sent)) = payload;
+        if sent.len() != self.ranks() {
             return Err(ScrError::WrongRankCount {
-                got: rank_data.len(),
+                got: sent.len(),
                 want: self.ranks(),
             });
         }
-        let max_bytes = rank_data.iter().map(|d| d.len() as u64).max().unwrap_or(0);
-        let cost = self.checkpoint_cost(level, max_bytes);
+        let blobs = match payload {
+            Payload::Blobs(blobs) => blobs.to_vec(),
+            Payload::Frames(frames) => frames
+                .iter()
+                .enumerate()
+                .map(|(rank, frame)| self.decode_frame(rank, frame))
+                .collect::<Result<_, _>>()?,
+        };
+        let wire_bytes = sent.iter().map(|d| d.len() as u64).max().unwrap_or(0);
         let mut st = self.state.lock();
-        // A fresh checkpoint under this id supersedes any earlier drained
-        // incarnation (ids repeat when a resumed run re-reaches a step).
-        st.drained.remove(&id);
-        match level {
-            CheckpointLevel::Local => {
-                for (r, d) in rank_data.iter().enumerate() {
-                    st.local.insert((id, r), d.clone());
-                }
+        st.db.push(CheckpointRecord {
+            id,
+            level: CheckpointLevel::Local,
+            bytes_per_rank: blobs.iter().map(|d| d.len() as u64).collect(),
+        });
+        for (r, blob) in blobs.into_iter().enumerate() {
+            st.local.insert((id, r), blob);
+        }
+        st.pending.insert(id);
+        Ok(PendingDrain {
+            id,
+            level,
+            local_cost: self.checkpoint_cost(CheckpointLevel::Local, wire_bytes),
+            full_cost: self.checkpoint_cost(level, wire_bytes),
+            wire_bytes,
+        })
+    }
+
+    /// The full blob `rank`'s frame encodes, patched onto the base
+    /// checkpoint's local copy when the frame is a delta.
+    fn decode_frame(&self, rank: usize, frame: &[u8]) -> Result<Vec<u8>, ScrError> {
+        let st = self.state.lock();
+        let base = match delta::frame_base(frame).map_err(|_| ScrError::BadFrame { rank })? {
+            Some(base) => {
+                let held = st.local.get(&(base, rank));
+                Some(held.ok_or(ScrError::DeltaBaseMissing { base })?.as_slice())
             }
+            None => None,
+        };
+        delta::decode(frame, base).map_err(|e| match e {
+            DeltaError::BadBase { base } => ScrError::DeltaBaseMissing { base },
+            DeltaError::Malformed => ScrError::BadFrame { rank },
+        })
+    }
+
+    /// Raise staged checkpoint `id` to `level`: copy each rank's local
+    /// blob to the buddy node's NVMe, the NAM device or a SION container,
+    /// and update the database record in place — the local copies are not
+    /// rewritten and the checkpoint appears once in the database.
+    fn promote(&self, id: u64, level: CheckpointLevel) -> Result<(), ScrError> {
+        let mut st = self.state.lock();
+        let ScrState {
+            pending,
+            local,
+            buddy,
+            db,
+            nam_regions,
+            nam_done,
+            ..
+        } = &mut *st;
+        pending.remove(&id);
+        let lost = || ScrError::DrainAborted { id };
+        let record = db.iter_mut().rev().find(|r| r.id == id).ok_or_else(lost)?;
+        let blob = |r: usize| local.get(&(id, r)).ok_or_else(lost);
+        match level {
+            CheckpointLevel::Local => {}
             CheckpointLevel::Buddy => {
-                for (r, d) in rank_data.iter().enumerate() {
-                    st.local.insert((id, r), d.clone());
-                    if self.config.nam.is_some() {
-                        self.nam_store_locked(&mut st, id, r, d)?;
-                    } else {
-                        st.buddy.insert((id, r), d.clone());
+                for r in 0..self.ranks() {
+                    match &self.config.nam {
+                        // The device lock nests inside the state lock (10 → 40).
+                        Some(nam) => {
+                            let data = blob(r)?;
+                            let len = data.len() as u64;
+                            let region = nam_region_for(nam, nam_regions, (id, r), len)?;
+                            nam.device.put(region, 0, data)?;
+                            nam_done.insert((id, r));
+                        }
+                        None => {
+                            buddy.insert((id, r), blob(r)?.clone());
+                        }
                     }
                 }
             }
             CheckpointLevel::Global => {
-                let chunk = rank_data
-                    .iter()
-                    .map(|d| d.len() as u64)
-                    .max()
-                    .unwrap_or(1)
-                    .max(1);
-                let (c, _) = SionContainer::create(
+                let chunk = record.bytes_per_rank.iter().copied().max().unwrap_or(1);
+                let (container, _) = SionContainer::create(
                     &self.pfs,
                     format!("/scr/ckpt-{id}.sion"),
                     self.ranks(),
-                    chunk,
+                    chunk.max(1),
                 )
                 .expect("fresh container path");
-                for (r, d) in rank_data.iter().enumerate() {
-                    c.write_task(r, d)
+                for r in 0..self.ranks() {
+                    container
+                        .write_task(r, blob(r)?)
                         .expect("chunk sized for the largest blob");
                 }
             }
         }
-        st.db.push(CheckpointRecord {
-            id,
-            level,
-            bytes_per_rank: rank_data.iter().map(|d| d.len() as u64).collect(),
-        });
-        Ok(cost)
-    }
-
-    /// [`ScrManager::checkpoint`] that also records a
-    /// [`obs::Category::Checkpoint`] span covering the virtual cost on
-    /// `track`, starting at `now` (the caller then advances its clock by
-    /// the returned cost, so the span matches the charged time exactly).
-    pub fn checkpoint_traced(
-        &self,
-        id: u64,
-        level: CheckpointLevel,
-        rank_data: &[Vec<u8>],
-        track: Option<&obs::TrackHandle>,
-        now: SimTime,
-    ) -> Result<SimTime, ScrError> {
-        let cost = self.checkpoint(id, level, rank_data)?;
-        if let Some(t) = track {
-            t.span(obs::Category::Checkpoint, "scr_checkpoint", now, now + cost);
-            t.add("ckpt_bytes", rank_data.iter().map(|d| d.len() as u64).sum());
-        }
-        Ok(cost)
-    }
-
-    /// Store `blob` as rank `rank`'s buddy-level copy of checkpoint `id`
-    /// in the NAM device, allocating (or reusing) its region. Caller holds
-    /// the state lock; the device lock nests inside it (10 → 40).
-    fn nam_store_locked(
-        &self,
-        st: &mut ScrState,
-        id: u64,
-        rank: usize,
-        blob: &[u8],
-    ) -> Result<(), ScrError> {
-        let nam = self.config.nam.as_ref().expect("caller checked backing");
-        let region = match st.nam_regions.get(&(id, rank)).copied() {
-            Some(r) if r.len == blob.len() as u64 => r,
-            stale => {
-                if let Some(r) = stale {
-                    let _ = nam.device.dealloc(r);
-                }
-                let r = nam.device.alloc(blob.len() as u64)?;
-                st.nam_regions.insert((id, rank), r);
-                r
-            }
-        };
-        nam.device.put(region, 0, blob)?;
-        st.nam_done.insert((id, rank));
+        record.level = level;
         Ok(())
     }
 
@@ -398,26 +536,15 @@ impl ScrManager {
             .nam
             .as_ref()
             .expect("nam_region requires a NAM-backed buddy level");
-        let mut st = self.state.lock();
-        match st.nam_regions.get(&(id, rank)).copied() {
-            Some(r) if r.len == len => Ok(r),
-            stale => {
-                if let Some(r) = stale {
-                    let _ = nam.device.dealloc(r);
-                }
-                let r = nam.device.alloc(len)?;
-                st.nam_regions.insert((id, rank), r);
-                Ok(r)
-            }
-        }
+        nam_region_for(nam, &mut self.state.lock().nam_regions, (id, rank), len)
     }
 
     /// Mark nodes as failed: their local checkpoint copies (and the buddy
     /// copies *stored on* them) become unavailable, and every in-flight
-    /// asynchronous drain involving this job is aborted — each rank
-    /// participates in each drain, so a lost node means the checkpoint can
-    /// no longer reach its full level ([`ScrError::DrainAborted`] from
-    /// `complete_drain`; restart falls back to the newest fully drained
+    /// asynchronous drain of this job is aborted — each rank participates
+    /// in each drain, so a lost node means the checkpoint can no longer
+    /// reach its full level ([`ScrError::DrainAborted`] from
+    /// `finish_drain`; restart falls back to the newest promoted
     /// checkpoint). NAM copies survive: the device has no host node.
     pub fn fail_nodes(&self, nodes: &[NodeId]) {
         let mut st = self.state.lock();
@@ -456,8 +583,8 @@ impl ScrManager {
     }
 
     /// Number of records in the checkpoint database (each taken
-    /// checkpoint appears exactly once; async promotion updates the
-    /// record's level in place rather than appending).
+    /// checkpoint appears exactly once; promotion updates the record's
+    /// level in place rather than appending).
     pub fn record_count(&self) -> usize {
         self.state.lock().db.len()
     }
@@ -472,179 +599,47 @@ impl ScrManager {
     /// `(id, level, per-rank blobs, virtual cost)`.
     #[allow(clippy::type_complexity)]
     pub fn restart(&self) -> Result<(u64, CheckpointLevel, Vec<Vec<u8>>, SimTime), ScrError> {
-        let candidates: Vec<(u64, CheckpointLevel, Vec<u64>)> = {
-            let st = self.state.lock();
-            st.db
-                .iter()
-                .rev()
-                .map(|r| (r.id, r.level, r.bytes_per_rank.clone()))
-                .collect()
-        };
-        for (id, level, bytes) in candidates {
-            if !self.recoverable(id) {
+        let st = self.state.lock();
+        let mut seen = BTreeSet::new();
+        for rec in st.db.iter().rev() {
+            // Ids repeat when a resumed run re-reaches a step; only the
+            // newest record of an id speaks for it.
+            if !seen.insert(rec.id) {
                 continue;
             }
-            let max_bytes = bytes.iter().copied().max().unwrap_or(0);
-            let mut blobs = Vec::with_capacity(self.ranks());
-            let st = self.state.lock();
-            let mut ok = true;
-            for r in 0..self.ranks() {
-                let blob = match level {
-                    CheckpointLevel::Global => {
-                        drop(st);
-                        let (c, _) =
-                            SionContainer::open(&self.pfs, &format!("/scr/ckpt-{id}.sion"))
-                                .expect("global checkpoint container");
-                        let mut out = Vec::with_capacity(self.ranks());
-                        for rr in 0..self.ranks() {
-                            out.push(c.read_task(rr).expect("task chunk").0);
-                        }
-                        let cost = self
-                            .pfs
-                            .transfer_time(bytes.iter().sum::<u64>())
-                            .max(self.config.nvme.write_time(max_bytes));
-                        return Ok((id, level, out, cost));
-                    }
-                    CheckpointLevel::Local | CheckpointLevel::Buddy => st
-                        .local
-                        .get(&(id, r))
-                        .or_else(|| st.buddy.get(&(id, r)))
-                        .cloned()
-                        .or_else(|| self.nam_fetch(&st, id, r)),
-                };
-                match blob {
-                    Some(b) => blobs.push(b),
-                    None => {
-                        ok = false;
-                        break;
-                    }
+            let id = rec.id;
+            let max_bytes = rec.bytes_per_rank.iter().copied().max().unwrap_or(0);
+            let read = self.config.nvme.read_time(max_bytes);
+            let (blobs, cost) = match rec.level {
+                CheckpointLevel::Global => {
+                    let (c, _) = SionContainer::open(&self.pfs, &format!("/scr/ckpt-{id}.sion"))
+                        .expect("global checkpoint container");
+                    let blobs = (0..self.ranks())
+                        .map(|r| c.read_task(r).expect("task chunk").0)
+                        .collect();
+                    let total = rec.bytes_per_rank.iter().sum::<u64>();
+                    let stage = self.config.nvme.write_time(max_bytes);
+                    (blobs, self.pfs.transfer_time(total).max(stage))
                 }
-            }
-            if ok {
-                let cost = match level {
-                    CheckpointLevel::Local => self.config.nvme.read_time(max_bytes),
-                    CheckpointLevel::Buddy => {
+                level => {
+                    let found: Option<Vec<Vec<u8>>> = (0..self.ranks())
+                        .map(|r| {
+                            let held = st.local.get(&(id, r)).or_else(|| st.buddy.get(&(id, r)));
+                            held.cloned().or_else(|| self.nam_fetch(&st, id, r))
+                        })
+                        .collect();
+                    let Some(blobs) = found else { continue };
+                    match level {
                         // Fetch back over the same slowest-pair path the
                         // copy went out on.
-                        self.config.nvme.read_time(max_bytes) + self.buddy_copy_time(max_bytes)
+                        CheckpointLevel::Buddy => (blobs, read + self.buddy_copy_time(max_bytes)),
+                        _ => (blobs, read),
                     }
-                    CheckpointLevel::Global => unreachable!("handled above"),
-                };
-                return Ok((id, level, blobs, cost));
-            }
+                }
+            };
+            return Ok((id, rec.level, blobs, cost));
         }
         Err(ScrError::NothingToRestart)
-    }
-
-    /// [`ScrManager::restart`] that also records a
-    /// [`obs::Category::Checkpoint`] span for the restore cost on `track`,
-    /// starting at `now`.
-    #[allow(clippy::type_complexity)]
-    pub fn restart_traced(
-        &self,
-        track: Option<&obs::TrackHandle>,
-        now: SimTime,
-    ) -> Result<(u64, CheckpointLevel, Vec<Vec<u8>>, SimTime), ScrError> {
-        let out = self.restart()?;
-        if let Some(t) = track {
-            t.span(obs::Category::Checkpoint, "scr_restart", now, now + out.3);
-        }
-        Ok(out)
-    }
-
-    /// Rank `rank`'s surviving local copy of checkpoint `id`, if any.
-    /// Delta frames resolve their base blobs through this.
-    pub fn local_blob(&self, id: u64, rank: usize) -> Option<Vec<u8>> {
-        self.state.lock().local.get(&(id, rank)).cloned()
-    }
-
-    /// NVMe write time of `bytes` on the configured local device (the
-    /// local stage of an encoded async checkpoint charges frame bytes).
-    pub fn local_write_time(&self, bytes: u64) -> SimTime {
-        self.config.nvme.write_time(bytes)
-    }
-
-    /// `checkpoint(id, Local, ..)` whose *charged* bytes differ from the
-    /// stored blobs: encoded frames hit the NVMe, reconstructed full
-    /// blobs are what restart reads.
-    pub(crate) fn checkpoint_charged(
-        &self,
-        id: u64,
-        rank_data: &[Vec<u8>],
-        charged_bytes: u64,
-    ) -> Result<SimTime, ScrError> {
-        self.checkpoint(id, CheckpointLevel::Local, rank_data)?;
-        Ok(self.local_write_time(charged_bytes))
-    }
-
-    /// Stash the payloads of an in-flight asynchronous checkpoint
-    /// (crate-internal; see `async_ckpt`).
-    pub(crate) fn stash_pending(&self, id: u64, rank_data: &[Vec<u8>]) {
-        self.state.lock().pending.insert(id, rank_data.to_vec());
-    }
-
-    /// Take the stashed payloads of a pending checkpoint.
-    pub(crate) fn take_pending(&self, id: u64) -> Option<Vec<Vec<u8>>> {
-        self.state.lock().pending.remove(&id)
-    }
-
-    /// Whether checkpoint `id`'s drain was already promoted.
-    pub(crate) fn is_drained(&self, id: u64) -> bool {
-        self.state.lock().drained.contains(&id)
-    }
-
-    /// Promote checkpoint `id` to `level` with *storage effects only*: the
-    /// local copies written by the async local stage stay as they are (no
-    /// re-clone, no re-paid local cost), the higher-level copies
-    /// materialize, and the existing database record's level is updated in
-    /// place — the checkpoint appears exactly once in the database.
-    pub(crate) fn promote_pending(
-        &self,
-        id: u64,
-        level: CheckpointLevel,
-        rank_data: &[Vec<u8>],
-    ) -> Result<(), ScrError> {
-        if rank_data.len() != self.ranks() {
-            return Err(ScrError::WrongRankCount {
-                got: rank_data.len(),
-                want: self.ranks(),
-            });
-        }
-        if level == CheckpointLevel::Global {
-            // PFS effects happen outside the state lock, like `checkpoint`.
-            let chunk = rank_data
-                .iter()
-                .map(|d| d.len() as u64)
-                .max()
-                .unwrap_or(1)
-                .max(1);
-            let (c, _) = SionContainer::create(
-                &self.pfs,
-                format!("/scr/ckpt-{id}.sion"),
-                self.ranks(),
-                chunk,
-            )
-            .expect("fresh container path");
-            for (r, d) in rank_data.iter().enumerate() {
-                c.write_task(r, d)
-                    .expect("chunk sized for the largest blob");
-            }
-        }
-        let mut st = self.state.lock();
-        if level == CheckpointLevel::Buddy {
-            for (r, d) in rank_data.iter().enumerate() {
-                if self.config.nam.is_some() {
-                    self.nam_store_locked(&mut st, id, r, d)?;
-                } else {
-                    st.buddy.insert((id, r), d.clone());
-                }
-            }
-        }
-        if let Some(rec) = st.db.iter_mut().rev().find(|r| r.id == id) {
-            rec.level = level;
-        }
-        st.drained.insert(id);
-        Ok(())
     }
 
     /// Drop checkpoints older than `keep_newest` restartable ones (SCR's
@@ -658,7 +653,6 @@ impl ScrManager {
         let evicted: Vec<CheckpointRecord> = st.db.drain(..cut).collect();
         for rec in &evicted {
             st.pending.remove(&rec.id);
-            st.drained.remove(&rec.id);
             for r in 0..self.nodes.len() {
                 st.local.remove(&(rec.id, r));
                 st.buddy.remove(&(rec.id, r));
@@ -931,12 +925,260 @@ mod tests {
         // Same local stage; the NAM path replaces fabric-copy + far NVMe
         // write with the overlapped RDMA stream.
         let nam_cost = m.checkpoint_cost(CheckpointLevel::Buddy, bytes);
-        let expect = m.local_write_time(bytes)
+        let expect = m.checkpoint_cost(CheckpointLevel::Local, bytes)
             + ScrConfig::default()
                 .nvme
                 .read_time(bytes)
                 .max(m.buddy_copy_time(bytes));
         assert_eq!(nam_cost, expect);
         assert!(nam_cost < plain.checkpoint_cost(CheckpointLevel::Buddy, bytes));
+    }
+
+    #[test]
+    fn async_blocks_only_for_local_stage() {
+        let m = manager(4);
+        let pending = m
+            .checkpoint_async(1, CheckpointLevel::Global, Payload::Blobs(&blobs(4, 1)))
+            .unwrap();
+        // The stage prices both ways of paying: what the blocking call
+        // charges in one piece, and the local part an async caller blocks
+        // for before the rest drains.
+        assert_eq!(
+            pending.full_cost,
+            m.checkpoint_cost(CheckpointLevel::Global, 1024)
+        );
+        assert_eq!(
+            pending.local_cost,
+            m.checkpoint_cost(CheckpointLevel::Local, 1024)
+        );
+        assert!(pending.local_cost < pending.full_cost);
+        assert_eq!(pending.drain(), pending.full_cost - pending.local_cost);
+        m.finish_drain(pending).unwrap();
+        // The checkpoint now restores at its full level.
+        m.fail_nodes(&(0..4).map(NodeId).collect::<Vec<_>>());
+        let (id, level, data, _) = m.restart().unwrap();
+        assert_eq!((id, level), (1, CheckpointLevel::Global));
+        assert_eq!(data, blobs(4, 1));
+    }
+
+    #[test]
+    fn blocking_checkpoint_is_a_stage_promoted_on_the_spot() {
+        let (sync, asn) = (manager(2), manager(2));
+        let cost = sync
+            .checkpoint(7, CheckpointLevel::Buddy, &blobs(2, 9))
+            .unwrap();
+        let pending = asn
+            .checkpoint_async(7, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 9)))
+            .unwrap();
+        // One piece, to the bit: not `local_cost + drain()`.
+        assert_eq!(cost, pending.full_cost);
+        assert_eq!(sync.level_of(7), Some(CheckpointLevel::Buddy));
+        assert_eq!(asn.level_of(7), Some(CheckpointLevel::Local));
+        // Nothing is left in flight behind the blocking call.
+        assert!(!sync.abort_drain(&pending));
+        asn.finish_drain(pending).unwrap();
+        assert_eq!(asn.level_of(7), Some(CheckpointLevel::Buddy));
+        assert_eq!(sync.restart().unwrap(), asn.restart().unwrap());
+    }
+
+    #[test]
+    fn failure_before_drain_falls_back_to_local() {
+        let m = manager(2);
+        m.checkpoint(1, CheckpointLevel::Buddy, &blobs(2, 1))
+            .unwrap();
+        let _pending = m
+            .checkpoint_async(2, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 2)))
+            .unwrap();
+        // Node fails before finish_drain: checkpoint 2 exists at Local
+        // only, so losing a node invalidates it; restart falls back to 1.
+        m.fail_nodes(&[NodeId(0)]);
+        let (id, level, _, _) = m.restart().unwrap();
+        assert_eq!(id, 1);
+        assert_eq!(level, CheckpointLevel::Buddy);
+    }
+
+    #[test]
+    fn finish_drain_is_idempotent_and_storage_only() {
+        let m = manager(3);
+        let pending = m
+            .checkpoint_async(4, CheckpointLevel::Buddy, Payload::Blobs(&blobs(3, 5)))
+            .unwrap();
+        assert_eq!(m.record_count(), 1, "local stage records once");
+        assert_eq!(m.level_of(4), Some(CheckpointLevel::Local));
+        m.finish_drain(pending).unwrap();
+        // Promotion updated the record in place: one record, Buddy level,
+        // no duplicate local clones re-inserted.
+        assert_eq!(m.record_count(), 1, "promotion must not append a record");
+        assert_eq!(m.level_of(4), Some(CheckpointLevel::Buddy));
+        // Completing again is a free no-op, not an error.
+        m.finish_drain(pending).unwrap();
+        assert_eq!(m.record_count(), 1);
+        // The promoted checkpoint protects against a node loss.
+        m.fail_nodes(&[NodeId(1)]);
+        let (id, level, data, _) = m.restart().unwrap();
+        assert_eq!((id, level), (4, CheckpointLevel::Buddy));
+        assert_eq!(data, blobs(3, 5));
+    }
+
+    #[test]
+    fn abort_drain_refuses_promotion() {
+        let m = manager(2);
+        let pending = m
+            .checkpoint_async(1, CheckpointLevel::Global, Payload::Blobs(&blobs(2, 1)))
+            .unwrap();
+        assert!(m.abort_drain(&pending), "the drain was in flight");
+        assert!(!m.abort_drain(&pending), "second abort finds nothing");
+        assert_eq!(
+            m.finish_drain(pending),
+            Err(ScrError::DrainAborted { id: 1 })
+        );
+        // The checkpoint keeps its Local protection.
+        assert_eq!(m.level_of(1), Some(CheckpointLevel::Local));
+        assert!(m.recoverable(1));
+        // Aborting a *completed* drain is also a no-op.
+        let p2 = m
+            .checkpoint_async(2, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 2)))
+            .unwrap();
+        m.finish_drain(p2).unwrap();
+        assert!(!m.abort_drain(&p2));
+        assert_eq!(m.level_of(2), Some(CheckpointLevel::Buddy));
+    }
+
+    #[test]
+    fn node_death_mid_drain_aborts_promotion() {
+        let m = manager(3);
+        m.checkpoint(1, CheckpointLevel::Buddy, &blobs(3, 1))
+            .unwrap();
+        let pending = m
+            .checkpoint_async(2, CheckpointLevel::Buddy, Payload::Blobs(&blobs(3, 2)))
+            .unwrap();
+        // A node dies while the drain is in flight: promotion must be
+        // refused — falling back to the newest fully drained checkpoint
+        // (id 1), exactly as simulate_run models.
+        m.fail_nodes(&[NodeId(0)]);
+        assert_eq!(
+            m.finish_drain(pending),
+            Err(ScrError::DrainAborted { id: 2 })
+        );
+        assert!(!m.recoverable(2), "rank 0's local copy died with its node");
+        let (id, level, data, _) = m.restart().unwrap();
+        assert_eq!((id, level), (1, CheckpointLevel::Buddy));
+        assert_eq!(data, blobs(3, 1));
+    }
+
+    #[test]
+    fn failure_of_foreign_node_leaves_drains_alone() {
+        let m = manager(2);
+        let pending = m
+            .checkpoint_async(1, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 3)))
+            .unwrap();
+        // A node outside this job dies: the drain is unaffected.
+        m.fail_nodes(&[NodeId(99)]);
+        m.finish_drain(pending).unwrap();
+        assert_eq!(m.level_of(1), Some(CheckpointLevel::Buddy));
+    }
+
+    #[test]
+    fn recheckpointed_id_supersedes_the_promoted_incarnation() {
+        let m = manager(2);
+        let p1 = m
+            .checkpoint_async(1, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 1)))
+            .unwrap();
+        m.finish_drain(p1).unwrap();
+        // A resumed run re-reaches the step and checkpoints id 1 afresh:
+        // the old promotion must not make the new drain a no-op.
+        let p1b = m
+            .checkpoint_async(1, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 9)))
+            .unwrap();
+        assert_eq!(m.level_of(1), Some(CheckpointLevel::Local));
+        m.finish_drain(p1b).unwrap();
+        assert_eq!(m.level_of(1), Some(CheckpointLevel::Buddy));
+        m.fail_nodes(&[NodeId(0)]);
+        let (_, _, data, _) = m.restart().unwrap();
+        assert_eq!(data, blobs(2, 9), "the fresh incarnation restores");
+    }
+
+    #[test]
+    fn encoded_checkpoint_drains_fewer_bytes_and_restores_bit_exact() {
+        let m = manager(2);
+        let full: Vec<Vec<u8>> = (0..2)
+            .map(|r| (0..16384u32).map(|i| ((i + r) % 251) as u8).collect())
+            .collect();
+        let keyframes: Vec<Vec<u8>> = full.iter().map(|b| delta::encode_full(b)).collect();
+        let p1 = m
+            .checkpoint_async(1, CheckpointLevel::Buddy, Payload::Frames(&keyframes))
+            .unwrap();
+        m.finish_drain(p1).unwrap();
+        // Second checkpoint: touch a handful of bytes per rank.
+        let mut next = full.clone();
+        for b in &mut next {
+            b[100] ^= 0xFF;
+            b[9000] ^= 0x0F;
+        }
+        let frames: Vec<Vec<u8>> = next
+            .iter()
+            .enumerate()
+            .map(|(r, b)| delta::encode_delta(&full[r], b, 1))
+            .collect();
+        let p2 = m
+            .checkpoint_async(2, CheckpointLevel::Buddy, Payload::Frames(&frames))
+            .unwrap();
+        assert!(
+            p2.wire_bytes < p1.wire_bytes / 10,
+            "delta shrinks the drain"
+        );
+        assert!(
+            p2.local_cost < m.checkpoint_cost(CheckpointLevel::Local, 16384),
+            "local stage writes the frame"
+        );
+        m.finish_drain(p2).unwrap();
+        // Restart returns the reconstructed full state, bit-exact.
+        m.fail_nodes(&[NodeId(0)]);
+        let (id, _, data, _) = m.restart().unwrap();
+        assert_eq!(id, 2);
+        assert_eq!(data, next);
+    }
+
+    #[test]
+    fn encoded_checkpoint_rejects_missing_base() {
+        let m = manager(1);
+        let base = vec![0u8; 1024];
+        let mut cur = base.clone();
+        cur[5] = 7;
+        // Base id 9 was never checkpointed (or was pruned).
+        let frames = vec![delta::encode_delta(&base, &cur, 9)];
+        assert_eq!(
+            m.checkpoint_async(1, CheckpointLevel::Buddy, Payload::Frames(&frames)),
+            Err(ScrError::DeltaBaseMissing { base: 9 })
+        );
+    }
+
+    #[test]
+    fn encoded_checkpoint_rejects_a_malformed_frame_by_rank() {
+        let m = manager(3);
+        m.checkpoint(0, CheckpointLevel::Local, &blobs(3, 0))
+            .unwrap();
+        let cur = blobs(3, 1);
+        // Rank 1's delta names checkpoint 0 — a legal id, held locally —
+        // but its one run claims u64::MAX bytes.
+        let mut bad = vec![1u8];
+        bad.extend_from_slice(&0u64.to_le_bytes());
+        bad.extend_from_slice(&1024u64.to_le_bytes());
+        bad.extend_from_slice(&1u32.to_le_bytes());
+        bad.extend_from_slice(&0u64.to_le_bytes());
+        bad.extend_from_slice(&u64::MAX.to_le_bytes());
+        let frames = vec![delta::encode_full(&cur[0]), bad, vec![7u8, 7, 7]];
+        assert_eq!(
+            m.checkpoint_async(1, CheckpointLevel::Buddy, Payload::Frames(&frames)),
+            Err(ScrError::BadFrame { rank: 1 })
+        );
+        // Nothing of the rejected checkpoint was staged.
+        assert_eq!(m.level_of(1), None);
+        assert_eq!(m.record_count(), 1);
+        let frames = vec![delta::encode_full(&cur[0]), frames[0].clone(), vec![]];
+        assert_eq!(
+            m.checkpoint_async(1, CheckpointLevel::Buddy, Payload::Frames(&frames)),
+            Err(ScrError::BadFrame { rank: 2 })
+        );
     }
 }

@@ -1,30 +1,41 @@
-//! Property tests for the asynchronous checkpoint path (PR 10).
+//! Property test for the one checkpoint path.
 //!
-//! (a) An async local stage whose drain fully overlapped is
-//!     indistinguishable from the sync `checkpoint` at the same id: same
-//!     protection level, same restartable state, same restore cost —
-//!     before and after a node failure.
-//! (b) `simulate_run_async` with a zero drain cost degenerates to
-//!     `simulate_run` event-for-event across seeded failure traces.
+//! A staged checkpoint whose drain was realized and promoted
+//! (`checkpoint_async` + `finish_drain`) is indistinguishable from the
+//! blocking `checkpoint` at the same id: same protection level, same
+//! restartable state, same restore cost — before and after a node failure,
+//! on homogeneous, mixed Cluster/Booster and NAM-backed managers.
 
-use hwmodel::{NodeId, SimTime};
+use hwmodel::NodeId;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use scr::{simulate_run, simulate_run_async, CheckpointLevel, FailureModel, ScrConfig, ScrManager};
+use scr::{CheckpointLevel, NamBuddy, Payload, ScrConfig, ScrManager};
 use sionio::ParallelFs;
 use std::sync::Arc;
 
-fn mixed_manager(ranks: usize) -> ScrManager {
-    // Alternate Cluster/Booster specs so the slowest-pair cost fix is in
-    // play for every property run.
+/// `backing` 0: Booster nodes only. 1: alternating Cluster/Booster specs,
+/// so the slowest-pair buddy cost is in play. 2: Booster nodes with the
+/// buddy level on a NAM device.
+fn manager(ranks: usize, backing: u8) -> ScrManager {
     let cn = Arc::new(hwmodel::presets::deep_er_cluster_node());
     let bn = Arc::new(hwmodel::presets::deep_er_booster_node());
     let specs: Vec<_> = (0..ranks)
-        .map(|r| if r % 2 == 0 { cn.clone() } else { bn.clone() })
+        .map(|r| {
+            if backing == 1 && r % 2 == 0 {
+                cn.clone()
+            } else {
+                bn.clone()
+            }
+        })
         .collect();
+    let nam = (backing == 2).then(|| NamBuddy {
+        index: 0,
+        device: simnet::nam::NamDevice::deep_er(),
+    });
     ScrManager::new(
-        ScrConfig::default(),
+        ScrConfig {
+            nam,
+            ..ScrConfig::default()
+        },
         (0..ranks as u32).map(NodeId).collect(),
         specs,
         ParallelFs::deep_er(),
@@ -42,12 +53,12 @@ fn blobs(ranks: usize, seed: u64, len: usize) -> Vec<Vec<u8>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Property (a): fully-overlapped async ≡ sync at equal id.
     #[test]
-    fn async_with_hidden_drain_equals_sync(
+    fn staged_then_promoted_equals_blocking(
         ranks in 2usize..7,
+        backing in 0u8..3,
         level_pick in 0u8..2,
         seed in 0u64..1000,
         len in 64usize..2048,
@@ -59,21 +70,22 @@ proptest! {
             CheckpointLevel::Global
         };
         let data = blobs(ranks, seed, len);
-        let sync = mixed_manager(ranks);
-        let asn = mixed_manager(ranks);
+        let sync = manager(ranks, backing);
+        let asn = manager(ranks, backing);
 
         let sync_cost = sync.checkpoint(9, level, &data).unwrap();
-        let (pending, local_cost) = asn.checkpoint_async(9, level, &data).unwrap();
-        // The local stage plus the full drain prices the sync checkpoint.
-        prop_assert!(local_cost <= sync_cost);
-        let rebuilt = (local_cost + pending.drain).as_secs();
+        let pending = asn.checkpoint_async(9, level, Payload::Blobs(&data)).unwrap();
+        // The stage prices the blocking checkpoint in one piece, and the
+        // local stage plus the drain rebuild it up to rounding.
+        prop_assert_eq!(pending.full_cost, sync_cost);
+        prop_assert!(pending.local_cost <= sync_cost);
+        let rebuilt = (pending.local_cost + pending.drain()).as_secs();
         prop_assert!(
             (rebuilt - sync_cost.as_secs()).abs() <= sync_cost.as_secs() * 1e-12,
-            "local {} + drain {} vs sync {}", local_cost, pending.drain, sync_cost
+            "local {} + drain {} vs sync {}", pending.local_cost, pending.drain(), sync_cost
         );
-        // Drain fully hidden behind overlapped compute: zero extra block.
-        let extra = asn.complete_drain(pending, pending.drain).unwrap();
-        prop_assert_eq!(extra, SimTime::ZERO);
+        prop_assert_eq!(asn.level_of(9), Some(CheckpointLevel::Local));
+        asn.finish_drain(pending).unwrap();
 
         // Same protection level and database shape.
         prop_assert_eq!(sync.level_of(9), asn.level_of(9));
@@ -91,36 +103,5 @@ proptest! {
             prop_assert_eq!(sync.recoverable(9), asn.recoverable(9));
             prop_assert_eq!(sync.restart().ok(), asn.restart().ok());
         }
-    }
-
-    /// Property (b): zero-drain async run ≡ sync run, event for event.
-    #[test]
-    fn zero_drain_async_sim_matches_sync_sim(
-        trace_seed in 0u64..500,
-        work_s in 50.0f64..2000.0,
-        interval_s in 1.0f64..100.0,
-        ckpt_s in 0.01f64..5.0,
-        restart_s in 0.1f64..10.0,
-        mtbf_s in 20.0f64..2000.0,
-        nodes in 1usize..16,
-    ) {
-        let s = SimTime::from_secs;
-        let model = FailureModel::new(s(mtbf_s));
-        let ids: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-        let mut rng = StdRng::seed_from_u64(trace_seed);
-        // Horizon well past any plausible wall time so late events also
-        // exercise the stale-event skipping on both sides.
-        let trace = model.sample_trace(&mut rng, &ids, s(work_s * 20.0 + 1e4));
-
-        let sync = simulate_run(s(work_s), s(interval_s), s(ckpt_s), s(restart_s), &trace);
-        let asn = simulate_run_async(
-            s(work_s),
-            s(interval_s),
-            s(ckpt_s),
-            SimTime::ZERO,
-            s(restart_s),
-            &trace,
-        );
-        prop_assert_eq!(sync, asn);
     }
 }

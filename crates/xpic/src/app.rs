@@ -144,25 +144,12 @@ impl SlabState {
     fn new(config: &XpicConfig, slab: usize, nslabs: usize) -> SlabState {
         let grid = Grid::slab(config.nx, config.ny, slab, nslabs);
         let solver = FieldSolver::new(grid, config);
-        let specs = config.species_specs();
-        let species = specs
-            .iter()
-            .enumerate()
-            .map(|(is, sp)| {
-                Species::maxwellian_charged(
-                    &grid,
-                    sp.ppc,
-                    sp.vth,
-                    sp.qom,
-                    sp.charge_per_cell,
-                    config.seed ^ ((is as u64 + 1) << 56),
-                )
-            })
-            .collect();
+        let species = Species::from_config(config, &grid);
         // Work charged per species is relative to the baseline electron
         // population, so adding a kinetic ion species doubles the particle
         // workload (the model scale describes one species' population).
         let base_ppc = config.sim_particles_per_cell.max(1) as f64;
+        let specs = config.species_specs();
         let ppc_share = specs.iter().map(|s| s.ppc as f64 / base_ppc).collect();
         SlabState {
             grid,

@@ -7,6 +7,7 @@
 //! global particle population — the property behind the mode-equivalence
 //! tests (Cluster-only ≡ Booster-only ≡ C+B physics).
 
+use crate::config::XpicConfig;
 use crate::grid::Grid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,6 +56,19 @@ impl Species {
     /// [`Species::maxwellian_charged`].
     pub fn maxwellian(grid: &Grid, ppc: usize, vth: f64, qom: f64, seed: u64) -> Species {
         Species::maxwellian_charged(grid, ppc, vth, qom, -1.0, seed)
+    }
+
+    /// The initial population of every species `config` lists on `grid`'s
+    /// slab, each species seeded from `config.seed` and its index — the
+    /// start state of every xPic driver.
+    pub fn from_config(config: &XpicConfig, grid: &Grid) -> Vec<Species> {
+        let specs = config.species_specs();
+        (specs.iter().zip(1u64..))
+            .map(|(s, nth)| {
+                let seed = config.seed ^ (nth << 56);
+                Species::maxwellian_charged(grid, s.ppc, s.vth, s.qom, s.charge_per_cell, seed)
+            })
+            .collect()
     }
 
     /// [`Species::maxwellian`] with an explicit total charge per cell

@@ -7,10 +7,11 @@
 //! failure restarts from the newest recoverable checkpoint and must end in
 //! exactly the state of an uninterrupted run — which the tests verify.
 //!
-//! Two drivers are provided:
+//! Two drivers are provided, and both step the same loop
+//! (`resilient_steps`):
 //!
-//! * [`run_checkpointed`] — the cooperative variant: the job aborts itself
-//!   at a chosen step and a second launch resumes from SCR;
+//! * [`run_checkpointed`] — the cooperative variant: the job stops itself
+//!   after a chosen step and a second launch resumes from SCR;
 //! * [`run_resilient`] — the full recovery loop: a supervisor rank on the
 //!   Cluster spawns the solver world onto the Booster through
 //!   `MPI_Comm_spawn`, a [`FaultPlan`] kills nodes at virtual times, the
@@ -24,12 +25,10 @@ use crate::config::XpicConfig;
 use crate::diagnostics::{field_energy, kinetic_energy};
 use crate::fields::FieldSolver;
 use crate::grid::{Fields, Grid, Moments};
-use crate::moments::{deposit, deposit_threads};
-use crate::mover::{boris_push, boris_push_threads};
+use crate::moments::deposit_threads;
+use crate::mover::boris_push_threads;
 use crate::particles::Species;
-use crate::solver::{
-    halo_add_moments, migrate_particles, try_halo_add_moments, try_migrate_particles, MpiFieldComm,
-};
+use crate::solver::{try_halo_add_moments, try_migrate_particles, MpiFieldComm};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cluster_booster::{JobSpec, Launcher, ModuleKind};
 use hwmodel::{NodeId, SimTime};
@@ -37,11 +36,11 @@ use parking_lot::Mutex;
 use psmpi::datatype::CodecError;
 use psmpi::universe::RankFn;
 use psmpi::{
-    BufferPool, Communicator, Intercomm, MpiDatatype, MpiRequest, PsmpiError, Rank, RecvRequest,
-    ReduceOp, SendRequest, Tag,
+    BufferPool, Communicator, MpiDatatype, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp,
+    SendRequest, Tag,
 };
 pub use scr::CkptMode;
-use scr::{delta, CheckpointLevel, PendingDrain, ScrManager};
+use scr::{delta, CheckpointLevel, Payload, PendingDrain, ScrError, ScrManager};
 use simnet::FaultPlan;
 use std::sync::Arc;
 
@@ -143,20 +142,21 @@ pub fn unpack_state(data: &[u8], grid: &Grid) -> (Vec<Species>, Fields) {
 
 /// Per-rank state of the checkpoint engine, one per world incarnation.
 ///
-/// [`CkptMode::Sync`] keeps the historical blocking path: gather, pay the
-/// full level cost, barrier. In the async modes the checkpoint step blocks
-/// only for the local NVMe stage ([`ScrManager::checkpoint_async`]); the
-/// buddy copy then drains through *real* fabric transfers posted with the
-/// nonblocking request engine — a peer-to-peer `isend`/`irecv` pair to the
-/// rank's buddy, or a one-sided [`Rank::inam_put_sized`] RDMA put when the
-/// manager's buddy level is NAM-backed — so the next steps' compute hides
-/// the drain in virtual time. The drain is realized at the next
-/// synchronization point (`drain_wait`), after which rank 0 promotes the
-/// checkpoint to its full level ([`ScrManager::finish_drain`]). A node
-/// death while a drain is in flight evicts the stash
-/// ([`ScrManager::fail_nodes`]), promotion is refused, and recovery falls
-/// back to the newest *fully drained* checkpoint — exactly as
-/// [`scr::simulate_run_async`] models.
+/// Every mode takes a checkpoint the same way: pack, frame, gather on rank
+/// 0, stage there ([`ScrManager::checkpoint_async`]), barrier. What differs
+/// is how rank 0 pays. In [`CkptMode::Sync`] it charges the full level cost
+/// and promotes on the spot. In the async modes it charges the local NVMe
+/// stage only; the buddy copy then drains through *real* fabric transfers
+/// posted with the nonblocking request engine — a peer-to-peer
+/// `isend`/`irecv` pair to the rank's buddy, or a one-sided
+/// [`Rank::inam_put_sized`] RDMA put when the manager's buddy level is
+/// NAM-backed — so the next steps' compute hides the drain in virtual
+/// time. The drain is realized at the next synchronization point
+/// (`drain_wait`), after which rank 0 promotes the checkpoint to its full
+/// level ([`ScrManager::finish_drain`]). A node death while a drain is in
+/// flight aborts it ([`ScrManager::fail_nodes`]), promotion is refused, and
+/// recovery falls back to the newest *promoted* checkpoint — exactly as
+/// [`scr::simulate_run`] models.
 ///
 /// [`CkptMode::AsyncDelta`] additionally encodes each checkpoint as a
 /// dirty-range delta against the previous checkpoint's blob
@@ -301,10 +301,9 @@ impl<'a> CkptEngine<'a> {
                 // completion time and charge any unhidden remainder at
                 // the next wait.
                 let wire_bytes = wire.len() as u64;
-                let drain = self
-                    .scr
-                    .checkpoint_cost(CheckpointLevel::Global, wire_bytes)
-                    .saturating_sub(self.scr.local_write_time(wire_bytes));
+                let cost = |level| self.scr.checkpoint_cost(level, wire_bytes);
+                let drain =
+                    cost(CheckpointLevel::Global).saturating_sub(cost(CheckpointLevel::Local));
                 self.due = Some(rank.now() + drain);
             }
         }
@@ -320,51 +319,53 @@ impl<'a> CkptEngine<'a> {
         species: &[Species],
         fields: &Fields,
     ) -> Result<(), PsmpiError> {
-        if self.mode == CkptMode::Sync {
-            let blob = pack_state_pooled(rank.buffer_pool(), species, fields);
-            let gathered = rank.gather(world, 0, &blob)?;
-            if let Some(blobs) = gathered {
-                let cost = self
-                    .scr
-                    .checkpoint_traced(step as u64, self.level, &blobs, rank.obs(), rank.now())
-                    .expect("checkpoint");
-                rank.advance(cost);
-                self.block += cost;
-            }
-            rank.barrier(world)?;
-            self.taken += 1;
-            return Ok(());
-        }
-
         // Realize the previous drain first: the compute since its post
-        // already hid (part of) it.
+        // already hid (part of) it. Blocking checkpoints leave none.
         self.drain_wait(rank)?;
 
         let full = pack_state_pooled(rank.buffer_pool(), species, fields);
         let id = step as u64;
         let frame = self.encode_frame(id, &full);
-        let wire: &Vec<u8> = frame.as_ref().unwrap_or(&full);
+        let wire = frame.as_ref().unwrap_or(&full);
         let gathered = rank.gather(world, 0, wire)?;
-        if let Some(frames) = gathered {
-            // Every rank's frame arrived, so every rank finished its
+        if let Some(sent) = gathered {
+            // Every rank's payload arrived, so every rank finished its
             // drain_wait: promote the previous checkpoint to its full
-            // level before the new one starts draining.
-            if let Some(p) = self.pending.take() {
-                self.scr.finish_drain(p).expect("drain promotion");
+            // level before the new one is staged.
+            self.finish_promote();
+            let payload = match frame {
+                Some(_) => Payload::Frames(&sent),
+                None => Payload::Blobs(&sent),
+            };
+            let staged = self
+                .scr
+                .checkpoint_async(id, self.level, payload)
+                .expect("checkpoint");
+            if self.mode == CkptMode::Sync {
+                // Blocking: the whole level cost in one advance (`SimTime`
+                // is an `f64`, so local + drain could land one ulp away),
+                // promoted on the spot.
+                let now = rank.now();
+                if let Some(t) = rank.obs() {
+                    let end = now + staged.full_cost;
+                    t.span(obs::Category::Checkpoint, "scr_checkpoint", now, end);
+                    t.add("ckpt_bytes", sent.iter().map(|d| d.len() as u64).sum());
+                }
+                rank.advance(staged.full_cost);
+                self.block += staged.full_cost;
+                self.scr.finish_drain(staged).expect("promotion");
+            } else {
+                let span = rank.obs_open(obs::Category::CkptLocal, "local-stage");
+                rank.advance(staged.local_cost);
+                rank.obs_close(span);
+                self.block += staged.local_cost;
+                self.pending = Some(staged);
             }
-            let span = rank.obs_open(obs::Category::CkptLocal, "local-stage");
-            let (pending, local) = match self.mode {
-                CkptMode::AsyncDelta => self.scr.checkpoint_async_encoded(id, self.level, &frames),
-                _ => self.scr.checkpoint_async(id, self.level, &frames),
-            }
-            .expect("checkpoint");
-            rank.advance(local);
-            rank.obs_close(span);
-            self.block += local;
-            self.pending = Some(pending);
         }
         rank.barrier(world)?;
-        self.post_drain(rank, world, id, frame.as_deref().unwrap_or(&full), &full)?;
+        if self.mode != CkptMode::Sync {
+            self.post_drain(rank, world, id, wire, &full)?;
+        }
         if self.mode == CkptMode::AsyncDelta {
             self.base = Some((id, full));
         }
@@ -372,17 +373,11 @@ impl<'a> CkptEngine<'a> {
         Ok(())
     }
 
-    /// End-of-run epilogue half 1 (every rank, *before* the final
-    /// collective): realize any outstanding drain.
-    fn finish_wait(&mut self, rank: &mut Rank) -> Result<(), PsmpiError> {
-        self.drain_wait(rank)
-    }
-
-    /// End-of-run epilogue half 2 (rank 0, *after* a completed collective
-    /// proved every rank drained): promote the last checkpoint.
+    /// Promote the staged checkpoint, if this rank holds one (rank 0,
+    /// once every rank is known to have realized its share of the drain).
     fn finish_promote(&mut self) {
         if let Some(p) = self.pending.take() {
-            self.scr.finish_drain(p).expect("final drain promotion");
+            self.scr.finish_drain(p).expect("drain promotion");
         }
     }
 }
@@ -407,151 +402,71 @@ pub struct ResilientOutcome {
     pub ckpts_taken: u32,
 }
 
-/// Run xPic on the Cluster with SCR checkpoints every `checkpoint_every`
-/// steps at `level`, taken in `mode` (sync, async, or async+delta — see
-/// [`CkptMode`]). If `fail_at_step` is set, the job aborts right after
-/// that step completes (before its checkpoint), simulating a crash; call
-/// again with `resume = true` to restart from SCR and finish.
-#[allow(clippy::too_many_arguments)]
+/// Run xPic on `nodes` Cluster nodes with SCR checkpoints as `recovery`
+/// describes (level, interval, mode). If `stop_after` is set, the job
+/// stops right after that step completes (before its checkpoint),
+/// simulating a crash; call again with `resume = true` to restart from SCR
+/// and finish.
 pub fn run_checkpointed(
     launcher: &Launcher,
     nodes: usize,
     config: &XpicConfig,
     scr: &ScrManager,
-    level: CheckpointLevel,
-    checkpoint_every: u32,
-    mode: CkptMode,
-    fail_at_step: Option<u32>,
+    recovery: &RecoveryConfig,
+    stop_after: Option<u32>,
     resume: bool,
 ) -> ResilientOutcome {
-    assert!(checkpoint_every >= 1);
+    assert!(recovery.checkpoint_every >= 1);
     assert_eq!(scr.ranks(), nodes, "one SCR slot per rank");
-    let config = Arc::new(config.clone());
-    let scr = scr.clone();
+    let (config_in, scr_in, recovery_in) = (config.clone(), scr.clone(), recovery.clone());
     // lock-order: 10
-    let out = Arc::new(Mutex::new(ResilientOutcome {
-        steps_done: 0,
-        interrupted: false,
-        field_energy: 0.0,
-        kinetic_energy: 0.0,
-        makespan: SimTime::ZERO,
-        ckpt_block: SimTime::ZERO,
-        ckpts_taken: 0,
-    }));
-
-    let config_in = config.clone();
+    let out = Arc::new(Mutex::new(None));
     let out_in = out.clone();
     let report = launcher
         .launch(
             &JobSpec::cluster_only("xpic-ckpt", nodes).boot_on(ModuleKind::Cluster),
             move |rank, _| {
                 let world = rank.world();
-                let n = world.size();
-                let me = rank.rank();
-                let grid = Grid::slab(config_in.nx, config_in.ny, me, n);
-                let solver = FieldSolver::new(grid, &config_in);
-
-                // Fresh start or SCR restart.
-                let (mut species, mut fields, start_step) = if resume {
-                    let (id, _level, blobs, cost) = scr
-                        .restart_traced(rank.obs(), rank.now())
-                        .expect("restartable state");
-                    rank.advance(cost);
-                    let (sp, f) = unpack_state(&blobs[me], &grid);
-                    (sp, f, id as u32)
-                } else {
-                    let specs = config_in.species_specs();
-                    let sp: Vec<Species> = specs
-                        .iter()
-                        .enumerate()
-                        .map(|(is, s)| {
-                            Species::maxwellian_charged(
-                                &grid,
-                                s.ppc,
-                                s.vth,
-                                s.qom,
-                                s.charge_per_cell,
-                                config_in.seed ^ ((is as u64 + 1) << 56),
-                            )
-                        })
-                        .collect();
-                    (sp, Fields::zeros(&grid), 0)
+                let restored = resume.then(|| restore(rank, &scr_in).expect("restartable state"));
+                let inc = Incarnation {
+                    restored: restored
+                        .as_ref()
+                        .map(|(step, blobs)| (*step, blobs.as_slice())),
+                    fresh: true,
+                    stop_after,
                 };
-
-                let mut moments = Moments::zeros(&grid);
-                for s in &species {
-                    deposit(&grid, s, &mut moments);
-                }
-                halo_add_moments(rank, &world, &grid, &mut moments, &config_in);
-
-                let mut engine = CkptEngine::new(&scr, level, mode, KEYFRAME_EVERY_DEFAULT);
-                let mut step = start_step;
-                while step < config_in.steps {
-                    {
-                        let mut fc = MpiFieldComm::new(rank, world.clone(), &config_in);
-                        solver.calculate_e(&mut fields, &moments, &mut fc);
-                    }
-                    for s in species.iter_mut() {
-                        boris_push(&grid, &fields, s, config_in.dt);
-                    }
-                    moments.clear();
-                    for s in &species {
-                        deposit(&grid, s, &mut moments);
-                    }
-                    halo_add_moments(rank, &world, &grid, &mut moments, &config_in);
-                    for s in species.iter_mut() {
-                        migrate_particles(rank, &world, &grid, s, &config_in);
-                    }
-                    {
-                        let mut fc = MpiFieldComm::new(rank, world.clone(), &config_in);
-                        solver.calculate_b(&mut fields, &mut fc);
-                    }
-                    step += 1;
-
-                    // Injected crash: abort before checkpointing this step.
-                    if fail_at_step == Some(step) {
-                        if me == 0 {
-                            let mut o = out_in.lock();
-                            o.steps_done = step;
-                            o.interrupted = true;
-                        }
-                        return;
-                    }
-
-                    // SCR checkpoint (collective; rank 0 registers).
-                    if step % checkpoint_every == 0 || step == config_in.steps {
-                        engine
-                            .checkpoint_step(rank, &world, step, &species, &fields)
-                            .expect("checkpoint step");
-                    }
-                }
-
-                // Final diagnostics; an outstanding drain is realized
-                // first, and the completed allreduce proves every rank
-                // drained before rank 0 promotes.
-                engine.finish_wait(rank).expect("final drain wait");
-                let fe = field_energy(&grid, &fields);
-                let ke: f64 = species.iter().map(kinetic_energy).sum();
-                let sums = rank
-                    .allreduce(&world, &[fe, ke], ReduceOp::Sum)
-                    .expect("final reduction");
-                if me == 0 {
-                    engine.finish_promote();
-                    let mut o = out_in.lock();
-                    o.steps_done = config_in.steps;
-                    o.interrupted = false;
-                    o.field_energy = sums[0];
-                    o.kinetic_energy = sums[1];
-                    o.ckpt_block = engine.block;
-                    o.ckpts_taken = engine.taken;
+                let status = resilient_steps(rank, &world, &config_in, &scr_in, &recovery_in, &inc)
+                    .expect("no fault plan is installed");
+                if let Some(status) = status {
+                    *out_in.lock() = Some(status);
                 }
             },
         )
         .expect("launch checkpointed run");
 
-    let mut o = out.lock().clone();
-    o.makespan = report.makespan();
-    o
+    let status: StatusMsg = out.lock().expect("rank 0 reports");
+    ResilientOutcome {
+        steps_done: status.steps_done,
+        interrupted: status.steps_done < config.steps,
+        field_energy: status.field_energy,
+        kinetic_energy: status.kinetic_energy,
+        makespan: report.makespan(),
+        ckpt_block: SimTime::from_secs(status.ckpt_block_s),
+        ckpts_taken: status.ckpts_taken,
+    }
+}
+
+/// Restore the newest recoverable checkpoint on `rank`'s clock: the
+/// restore cost is charged and shown as one `scr_restart` span. Returns
+/// the step the state belongs to and every rank's blob.
+fn restore(rank: &mut Rank, scr: &ScrManager) -> Result<(u32, Vec<Vec<u8>>), ScrError> {
+    let (id, _level, blobs, cost) = scr.restart()?;
+    let now = rank.now();
+    if let Some(track) = rank.obs() {
+        track.span(obs::Category::Checkpoint, "scr_restart", now, now + cost);
+    }
+    rank.advance(cost);
+    Ok((id as u32, blobs))
 }
 
 // ---------------------------------------------------------------------------
@@ -753,27 +668,33 @@ fn supervise(
     out: &Arc<Mutex<ResilientReport>>, // lock-order: 10
 ) {
     let world = rank.world();
-    let mut start_step = 0u32;
-    let mut restored: Option<Arc<Vec<Vec<u8>>>> = None;
+    // The restored step and its blobs; `None` starts from the seed.
+    let mut restored: Option<(u32, Arc<Vec<Vec<u8>>>)> = None;
     let mut failures: Vec<(NodeId, SimTime)> = Vec::new();
     let mut recoveries = 0u32;
     let mut resume_steps: Vec<u32> = Vec::new();
-    let mut incarnation = 0u32;
 
     loop {
-        let cfg = config.clone();
-        let scr_c = scr.clone();
-        let rec = recovery.clone();
-        let blobs = restored.clone();
-        let s0 = start_step;
-        let fresh = incarnation == 0;
+        let (cfg, scr_c, rec, restored_c) = (
+            config.clone(),
+            scr.clone(),
+            recovery.clone(),
+            restored.clone(),
+        );
+        let fresh = recoveries == 0;
         let entry: Arc<RankFn> = Arc::new(move |child: &mut Rank| {
-            resilient_child(child, &cfg, &scr_c, &rec, s0, fresh, blobs.as_deref());
+            let inc = Incarnation {
+                restored: restored_c
+                    .as_ref()
+                    .map(|(step, blobs)| (*step, blobs.as_slice())),
+                fresh,
+                stop_after: None,
+            };
+            resilient_child(child, &cfg, &scr_c, &rec, &inc);
         });
         let ic = rank
             .spawn(&world, booster, entry)
             .expect("spawn solver world");
-        incarnation += 1;
 
         match rank.recv_comm::<StatusMsg>(&ic, Some(0), Some(TAG_STATUS)) {
             Ok((status, _)) => {
@@ -797,21 +718,13 @@ fn supervise(
                 recoveries += 1;
                 let t0 = rank.now();
                 scr.fail_nodes(&[node]);
-                match scr.restart_traced(rank.obs(), rank.now()) {
-                    Ok((id, _level, blobs, cost)) => {
-                        start_step = id as u32;
-                        restored = Some(Arc::new(blobs));
-                        rank.advance(cost);
-                    }
-                    Err(_) => {
-                        // Nothing recoverable survived the death (failure
-                        // before the first checkpoint, or the level could
-                        // not tolerate it): replay from the start.
-                        start_step = 0;
-                        restored = None;
-                    }
-                }
-                resume_steps.push(start_step);
+                // Nothing recoverable may have survived the death (failure
+                // before the first checkpoint, or the level could not
+                // tolerate it): then replay from the start.
+                restored = restore(rank, scr)
+                    .ok()
+                    .map(|(step, blobs)| (step, Arc::new(blobs)));
+                resume_steps.push(restored.as_ref().map_or(0, |(step, _)| *step));
                 scr.heal();
                 rank.repair_node(node, rank.now().max(at));
                 rank.advance(recovery.recovery_latency);
@@ -824,84 +737,74 @@ fn supervise(
     }
 }
 
-/// Child-world entry: step the PIC loop; on a communication failure,
-/// revoke both communicators so every blocked peer (and the supervisor)
-/// unblocks with the victim's identity, then bail out.
-#[allow(clippy::too_many_arguments)]
+/// Child-world entry: step the PIC loop and report to the supervisor; on
+/// a communication failure, revoke both communicators so every blocked
+/// peer (and the supervisor) unblocks with the victim's identity, then
+/// bail out.
 fn resilient_child(
     rank: &mut Rank,
     config: &XpicConfig,
     scr: &ScrManager,
     recovery: &RecoveryConfig,
-    start_step: u32,
-    fresh: bool,
-    restored: Option<&Vec<Vec<u8>>>,
+    inc: &Incarnation<'_>,
 ) {
     let world = rank.world();
     let parent = rank.parent().expect("resilient child has a supervisor");
-    match resilient_steps(
-        rank, &world, &parent, config, scr, recovery, start_step, fresh, restored,
-    ) {
-        Ok(()) => {}
-        Err(err) => {
-            let (node, at) = failure_identity(rank, &err);
-            rank.revoke_comm(&world, node, at);
-            rank.revoke_comm(&parent, node, at);
+    let run = |rank: &mut Rank| -> Result<(), PsmpiError> {
+        if let Some(status) = resilient_steps(rank, &world, config, scr, recovery, inc)? {
+            rank.send_comm(&parent, 0, TAG_STATUS, &status)?;
         }
+        Ok(())
+    };
+    if let Err(err) = run(rank) {
+        let (node, at) = failure_identity(rank, &err);
+        rank.revoke_comm(&world, node, at);
+        rank.revoke_comm(&parent, node, at);
     }
 }
 
-/// The PIC stepping loop of one child incarnation.
+/// One launch of the PIC loop: the state it starts from and where it is
+/// cut short.
+struct Incarnation<'a> {
+    /// The restored step and every rank's blob of it; `None` seeds the
+    /// initial population at step 0.
+    restored: Option<(u32, &'a [Vec<u8>])>,
+    /// Whether this is the job's first world. It watches the fault plan
+    /// from t = 0; a respawned world only from its own start (the
+    /// supervisor's clock passed the death it just repaired, so spent
+    /// faults are never re-discovered).
+    fresh: bool,
+    /// Stop right after this step completes, before its checkpoint.
+    stop_after: Option<u32>,
+}
+
+/// The PIC stepping loop of one incarnation — the only one in this module.
+/// Rank 0 returns the status to report; a rank that dies to the fault plan
+/// returns nothing.
 ///
-/// The per-step order differs from [`run_checkpointed`] on purpose:
-/// moments are rebuilt at the *top* of every step, so the `(species,
+/// Moments are rebuilt at the *top* of every step, so the `(species,
 /// fields)` pair at a step boundary fully determines the forward
 /// evolution and a checkpoint taken there replays bit-identically.
-#[allow(clippy::too_many_arguments)]
 fn resilient_steps(
     rank: &mut Rank,
     world: &Communicator,
-    parent: &Intercomm,
     config: &XpicConfig,
     scr: &ScrManager,
     recovery: &RecoveryConfig,
-    start_step: u32,
-    fresh: bool,
-    restored: Option<&Vec<Vec<u8>>>,
-) -> Result<(), PsmpiError> {
-    let checkpoint_every = recovery.checkpoint_every;
-    let n = world.size();
+    inc: &Incarnation<'_>,
+) -> Result<Option<StatusMsg>, PsmpiError> {
     let me = rank.rank();
-    let grid = Grid::slab(config.nx, config.ny, me, n);
+    let grid = Grid::slab(config.nx, config.ny, me, world.size());
     let solver = FieldSolver::new(grid, config);
 
-    let (mut species, mut fields) = match restored {
-        Some(blobs) => unpack_state(&blobs[me], &grid),
-        None => {
-            let specs = config.species_specs();
-            let sp: Vec<Species> = specs
-                .iter()
-                .enumerate()
-                .map(|(is, s)| {
-                    Species::maxwellian_charged(
-                        &grid,
-                        s.ppc,
-                        s.vth,
-                        s.qom,
-                        s.charge_per_cell,
-                        config.seed ^ ((is as u64 + 1) << 56),
-                    )
-                })
-                .collect();
-            (sp, Fields::zeros(&grid))
-        }
+    let (mut step, (mut species, mut fields)) = match inc.restored {
+        Some((step, blobs)) => (step, unpack_state(&blobs[me], &grid)),
+        None => (
+            0,
+            (Species::from_config(config, &grid), Fields::zeros(&grid)),
+        ),
     };
-
-    // Fault window: a first-incarnation world watches the plan from t = 0;
-    // a respawned world only from its own start (the supervisor's clock
-    // passed the death it just repaired, so spent faults are never
-    // re-discovered).
-    let mut win_start = if fresh { SimTime::ZERO } else { rank.now() };
+    let mut win_start = if inc.fresh { SimTime::ZERO } else { rank.now() };
 
     let mut engine = CkptEngine::new(
         scr,
@@ -909,8 +812,14 @@ fn resilient_steps(
         recovery.ckpt_mode,
         recovery.keyframe_every,
     );
+    let status = |engine: &CkptEngine, steps_done, energies: [f64; 2]| StatusMsg {
+        steps_done,
+        field_energy: energies[0],
+        kinetic_energy: energies[1],
+        ckpt_block_s: engine.block.as_secs(),
+        ckpts_taken: engine.taken,
+    };
     let mut moments = Moments::zeros(&grid);
-    let mut step = start_step;
     while step < config.steps {
         moments.clear();
         for s in &species {
@@ -946,41 +855,27 @@ fn resilient_steps(
         let now = rank.now();
         if let Some(at) = rank.planned_fault_in(win_start, now) {
             rank.fail_here(at);
-            return Ok(());
+            return Ok(None);
         }
         win_start = now;
+        if inc.stop_after == Some(step) {
+            return Ok((me == 0).then(|| status(&engine, step, [0.0; 2])));
+        }
 
-        if step.is_multiple_of(checkpoint_every) && step < config.steps {
+        if step.is_multiple_of(recovery.checkpoint_every) && step < config.steps {
             engine.checkpoint_step(rank, world, step, &species, &fields)?;
         }
     }
 
     // Realize any outstanding drain, then reduce; the completed allreduce
     // proves every rank drained, so rank 0 may promote.
-    engine.finish_wait(rank)?;
+    engine.drain_wait(rank)?;
     let fe = field_energy(&grid, &fields);
     let ke: f64 = species.iter().map(kinetic_energy).sum();
     let sums = rank.allreduce(world, &[fe, ke], ReduceOp::Sum)?;
-    if me == 0 {
-        engine.finish_promote();
-        rank.send_comm(
-            parent,
-            0,
-            TAG_STATUS,
-            &StatusMsg {
-                steps_done: config.steps,
-                field_energy: sums[0],
-                kinetic_energy: sums[1],
-                ckpt_block_s: engine.block.as_secs(),
-                ckpts_taken: engine.taken,
-            },
-        )?;
+    if me != 0 {
+        return Ok(None);
     }
-    Ok(())
+    engine.finish_promote();
+    Ok(Some(status(&engine, config.steps, [sums[0], sums[1]])))
 }
-
-// `gather` needs Vec<u8>: MpiDatatype is implemented for it in psmpi.
-const _: fn() = || {
-    fn assert_dt<T: MpiDatatype>() {}
-    assert_dt::<Vec<u8>>();
-};

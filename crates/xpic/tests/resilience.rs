@@ -8,7 +8,9 @@ use scr::{CheckpointLevel, CkptMode, NamBuddy, ScrConfig, ScrManager};
 use sionio::ParallelFs;
 use xpic::grid::{Fields, Grid};
 use xpic::particles::Species;
-use xpic::resilience::{pack_state, pack_state_pooled, run_checkpointed, unpack_state};
+use xpic::resilience::{
+    pack_state, pack_state_pooled, run_checkpointed, unpack_state, RecoveryConfig,
+};
 use xpic::XpicConfig;
 
 fn launcher(n: u32) -> Launcher {
@@ -27,6 +29,15 @@ fn scr_for(launcher: &Launcher, nodes: usize) -> ScrManager {
         .map(|&n| launcher.system().fabric().node(n).unwrap().clone())
         .collect();
     ScrManager::new(ScrConfig::default(), ids, specs, ParallelFs::deep_er())
+}
+
+fn recovery(level: CheckpointLevel, ckpt_mode: CkptMode) -> RecoveryConfig {
+    RecoveryConfig {
+        level,
+        checkpoint_every: 2,
+        ckpt_mode,
+        ..RecoveryConfig::default()
+    }
 }
 
 fn config() -> XpicConfig {
@@ -118,9 +129,7 @@ fn restart_reaches_identical_final_state() {
         nodes,
         &cfg,
         &scr1,
-        CheckpointLevel::Buddy,
-        2,
-        CkptMode::Sync,
+        &recovery(CheckpointLevel::Buddy, CkptMode::Sync),
         None,
         false,
     );
@@ -135,9 +144,7 @@ fn restart_reaches_identical_final_state() {
         nodes,
         &cfg,
         &scr2,
-        CheckpointLevel::Buddy,
-        2,
-        CkptMode::Sync,
+        &recovery(CheckpointLevel::Buddy, CkptMode::Sync),
         Some(5),
         false,
     );
@@ -152,9 +159,7 @@ fn restart_reaches_identical_final_state() {
         nodes,
         &cfg,
         &scr2,
-        CheckpointLevel::Buddy,
-        2,
-        CkptMode::Sync,
+        &recovery(CheckpointLevel::Buddy, CkptMode::Sync),
         None,
         true,
     );
@@ -191,9 +196,7 @@ fn restart_skips_completed_work() {
         2,
         &cfg,
         &scr,
-        CheckpointLevel::Local,
-        2,
-        CkptMode::Sync,
+        &recovery(CheckpointLevel::Local, CkptMode::Sync),
         None,
         false,
     );
@@ -204,9 +207,7 @@ fn restart_skips_completed_work() {
         2,
         &cfg,
         &scr2,
-        CheckpointLevel::Local,
-        2,
-        CkptMode::Sync,
+        &recovery(CheckpointLevel::Local, CkptMode::Sync),
         Some(5),
         false,
     );
@@ -215,9 +216,7 @@ fn restart_skips_completed_work() {
         2,
         &cfg,
         &scr2,
-        CheckpointLevel::Local,
-        2,
-        CkptMode::Sync,
+        &recovery(CheckpointLevel::Local, CkptMode::Sync),
         None,
         true,
     );
@@ -269,9 +268,7 @@ fn clean_run(mode: CkptMode) -> xpic::resilience::ResilientOutcome {
         2,
         &config(),
         &scr,
-        CheckpointLevel::Buddy,
-        2,
-        mode,
+        &recovery(CheckpointLevel::Buddy, mode),
         None,
         false,
     )
@@ -330,9 +327,7 @@ fn async_crash_resume_reaches_identical_state() {
             2,
             &cfg,
             &scr,
-            CheckpointLevel::Buddy,
-            2,
-            mode,
+            &recovery(CheckpointLevel::Buddy, mode),
             Some(5),
             false,
         );
@@ -347,9 +342,7 @@ fn async_crash_resume_reaches_identical_state() {
             2,
             &cfg,
             &scr,
-            CheckpointLevel::Buddy,
-            2,
-            mode,
+            &recovery(CheckpointLevel::Buddy, mode),
             None,
             true,
         );
@@ -380,9 +373,7 @@ fn nam_backed_async_drain_round_trips() {
         2,
         &cfg,
         &scr,
-        CheckpointLevel::Buddy,
-        2,
-        CkptMode::Async,
+        &recovery(CheckpointLevel::Buddy, CkptMode::Async),
         None,
         false,
     );
@@ -404,9 +395,7 @@ fn nam_backed_async_drain_round_trips() {
         2,
         &cfg,
         &scr2,
-        CheckpointLevel::Buddy,
-        2,
-        CkptMode::Async,
+        &recovery(CheckpointLevel::Buddy, CkptMode::Async),
         Some(5),
         false,
     );
@@ -418,9 +407,7 @@ fn nam_backed_async_drain_round_trips() {
         2,
         &cfg,
         &scr2,
-        CheckpointLevel::Buddy,
-        2,
-        CkptMode::Async,
+        &recovery(CheckpointLevel::Buddy, CkptMode::Async),
         None,
         true,
     );

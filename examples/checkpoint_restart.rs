@@ -68,7 +68,10 @@ fn main() {
         SimTime::from_secs(1e7),
     );
     let week = SimTime::from_secs(7.0 * 24.0 * 3600.0);
-    let out = simulate_run(week, schedule.base_interval, local, buddy, &trace);
+    // Blocking local checkpoints (nothing drains behind them), restarts at
+    // the buddy level's cost.
+    let (block, drain, restart) = (local, SimTime::ZERO, buddy);
+    let out = simulate_run(week, schedule.base_interval, block, drain, restart, &trace);
     println!(
         "\nweek-long run under the failure model: wall {} ({:.3}x ideal), {} failures absorbed",
         out.wall_time,

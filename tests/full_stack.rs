@@ -8,7 +8,7 @@ use cluster_booster::{JobSpec, Launcher};
 use hwmodel::{NodeId, SimTime};
 use parking_lot::Mutex;
 use psmpi::ReduceOp;
-use scr::{CheckpointLevel, ScrConfig, ScrManager};
+use scr::{CheckpointLevel, Payload, ScrConfig, ScrManager};
 use sionio::{CacheDomain, CacheMode, ParallelFs, SionContainer};
 use std::sync::Arc;
 
@@ -327,6 +327,119 @@ fn xpic_physics_bits_are_pinned_across_commits() {
                 "{} on {nodes} node(s) per solver",
                 mode.label()
             );
+        }
+    }
+}
+
+#[test]
+fn checkpoint_virtual_times_are_pinned_across_commits() {
+    // The ci.sh async-checkpoint reports print nine decimals and compare a
+    // build with itself or with a golden file; a checkpoint cost that moved
+    // by one ulp (say, charged as local + drain instead of in one piece)
+    // would round to the same text. These are the exact bits, recorded at
+    // commit e2a7c79 — before `checkpoint`, `checkpoint_async` and the
+    // three `CkptMode`s were put on one stage/promote path: 2 Booster
+    // ranks, 16 x 16 cells x 8 particles per cell, 6 steps, a Buddy-level
+    // checkpoint every 2, clean and with the second rank's node dying at
+    // 0.053 s (after the step-4 checkpoint was staged: the blocking mode
+    // resumes from it, the async modes lost its drain and fall back to 2).
+    use simnet::FaultPlan;
+    use xpic::resilience::{run_resilient, RecoveryConfig};
+    use xpic::CkptMode::{self, Async, AsyncDelta, Sync};
+    use xpic::XpicConfig;
+
+    let cfg = XpicConfig {
+        steps: 6,
+        threads: 1,
+        ..XpicConfig::test_small()
+    };
+    let pin = |ckpt_mode: CkptMode, resumed: Option<u32>, bits: [u64; 2], ckpts_taken: u32| {
+        let launcher = Launcher::new(deep_er_prototype());
+        let nodes: Vec<NodeId> = launcher.system().booster_nodes()[..2].to_vec();
+        let specs = nodes
+            .iter()
+            .map(|&n| launcher.system().fabric().node(n).unwrap().clone())
+            .collect();
+        let scr = ScrManager::new(
+            ScrConfig::default(),
+            nodes.clone(),
+            specs,
+            ParallelFs::deep_er(),
+        );
+        let recovery = RecoveryConfig {
+            checkpoint_every: 2,
+            ckpt_mode,
+            ..RecoveryConfig::default()
+        };
+        let death = (SimTime::from_secs(0.053), nodes[1]);
+        let plan = resumed.map(|_| FaultPlan::from_node_faults([death]));
+        let report = run_resilient(&launcher, 2, &cfg, &scr, &recovery, plan);
+        assert_eq!(
+            (
+                [report.ckpt_block, report.makespan].map(|t| t.as_secs().to_bits()),
+                report.ckpts_taken,
+                report.resume_steps,
+            ),
+            (bits, ckpts_taken, Vec::from_iter(resumed)),
+            "{ckpt_mode:?}, resumed from {resumed:?}"
+        );
+    };
+    // Clean: ckpt_block bits, makespan bits, checkpoints taken.
+    for (mode, block, makespan, ckpts) in [
+        (Sync, 0x3f30e154dcb27926, 0x3fabe721a73b3106, 2),
+        (Async, 0x3f17f310d9412462, 0x3fabd15885ee6ca6, 2),
+        (AsyncDelta, 0x3f17f322eec6f056, 0x3fabd15890b9f74a, 2),
+    ] {
+        pin(mode, None, [block, makespan], ckpts);
+    }
+    // With the death: the same of the world that finished the job, and the
+    // step it resumed from.
+    for (mode, block, makespan, ckpts, resumed) in [
+        (Sync, 0x0000000000000000, 0x3fc3c440383e9d52, 0, 4),
+        (Async, 0x3f07f310d9412462, 0x3fc3f3aebcedc0da, 1, 2),
+        (AsyncDelta, 0x3f07f322eec6f056, 0x3fc3f3aebe47322f, 1, 2),
+    ] {
+        pin(mode, Some(resumed), [block, makespan], ckpts);
+    }
+}
+
+#[test]
+fn blocking_checkpoint_equals_stage_then_promote() {
+    // Tier-1 slice of scr's property test (scr/tests/async_props.rs): the
+    // blocking `checkpoint` is the async one promoted on the spot, so both
+    // leave the same database, the same restartable state and the same
+    // restore cost — before and after a node is lost.
+    let manager = || {
+        let spec = Arc::new(hwmodel::presets::deep_er_booster_node());
+        ScrManager::new(
+            ScrConfig::default(),
+            (0..3).map(NodeId).collect(),
+            vec![spec; 3],
+            ParallelFs::deep_er(),
+        )
+    };
+    let data: Vec<Vec<u8>> = (0..3u8).map(|r| vec![r + 40; 700 + r as usize]).collect();
+    for level in [CheckpointLevel::Buddy, CheckpointLevel::Global] {
+        let (sync, asn) = (manager(), manager());
+        let cost = sync.checkpoint(5, level, &data).unwrap();
+        let pending = asn
+            .checkpoint_async(5, level, Payload::Blobs(&data))
+            .unwrap();
+        assert_eq!(cost, pending.full_cost, "{level:?}");
+        assert_eq!(asn.level_of(5), Some(CheckpointLevel::Local));
+        asn.finish_drain(pending).unwrap();
+        for lost in [None, Some(NodeId(1))] {
+            if let Some(node) = lost {
+                sync.fail_nodes(&[node]);
+                asn.fail_nodes(&[node]);
+            }
+            assert_eq!(sync.level_of(5), Some(level));
+            assert_eq!(asn.level_of(5), Some(level));
+            assert_eq!(sync.record_count(), asn.record_count());
+            assert_eq!(sync.recoverable(5), asn.recoverable(5));
+            let restored = sync.restart().unwrap();
+            assert_eq!(restored, asn.restart().unwrap(), "{level:?}, lost {lost:?}");
+            assert_eq!((restored.0, &restored.2), (5, &data));
         }
     }
 }
