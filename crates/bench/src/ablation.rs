@@ -13,14 +13,14 @@
 //!   (§II-B / ref [6] extension).
 
 use cluster_booster::resources::AllocationPolicy;
-use cluster_booster::scheduler::Discipline;
-use cluster_booster::{BatchScheduler, Launcher, ResourceManager, SystemBuilder};
+use cluster_booster::{Launcher, SystemBuilder};
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::{NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sched::{Engine, EngineConfig, TraceJob};
 use scr::{simulate_run, FailureModel};
-use simnet::{Fabric, LogGpModel, NamDevice, Topology};
+use simnet::{Fabric, FaultPlan, LogGpModel, NamDevice, Topology};
 use xpic::{run_mode, Mode, XpicConfig};
 
 /// Effective CN-BN bandwidth at one size for several eager thresholds.
@@ -103,25 +103,36 @@ pub struct SchedulerStudy {
 }
 
 /// A mixed workload (Cluster-heavy, Booster-heavy, and hybrid jobs) run
-/// under both policies on a 16 CN + 16 BN machine.
+/// through the `sched` engine under both policies on a 16 CN + 16 BN
+/// machine.
 pub fn scheduler_study() -> SchedulerStudy {
-    let sys = SystemBuilder::new("study")
-        .cluster_nodes(16)
-        .booster_nodes(16)
-        .build();
+    let h = SimTime::from_secs(3600.0);
+    // A complementary mix: wide cluster jobs, wide booster jobs, and
+    // partitioned C+B jobs, all submitted at once.
+    let mix: Vec<TraceJob> = (0..4)
+        .flat_map(|i| {
+            [
+                (format!("cfd-{i}"), 12, 0, h),
+                (format!("pic-{i}"), 0, 12, h),
+                (format!("cb-{i}"), 4, 4, h * 0.5),
+            ]
+        })
+        .enumerate()
+        .map(|(id, (name, cn, bn, duration))| {
+            TraceJob::rigid(id as u64, name, cn, bn, duration, SimTime::ZERO)
+        })
+        .collect();
     let run = |policy: AllocationPolicy| {
-        let rm = ResourceManager::with_policy(&sys, policy);
-        let mut sched = BatchScheduler::with_discipline(rm, Discipline::EasyBackfill);
-        let h = SimTime::from_secs(3600.0);
-        // A complementary mix: wide cluster jobs, wide booster jobs, and
-        // partitioned C+B jobs.
-        for i in 0..4 {
-            sched.submit(format!("cfd-{i}"), 12, 0, h, SimTime::ZERO);
-            sched.submit(format!("pic-{i}"), 0, 12, h, SimTime::ZERO);
-            sched.submit(format!("cb-{i}"), 4, 4, h * 0.5, SimTime::ZERO);
-        }
-        let stats = sched.simulate();
-        (stats.makespan, stats.cluster_utilization)
+        let sys = SystemBuilder::new("study")
+            .cluster_nodes(16)
+            .booster_nodes(16)
+            .build();
+        let cfg = EngineConfig {
+            policy,
+            ..EngineConfig::default()
+        };
+        let report = Engine::new(sys, cfg).run(&mix, &FaultPlan::new());
+        (report.makespan, report.cluster_utilization)
     };
     let (ind, util_i) = run(AllocationPolicy::Independent);
     let (locked, util_l) = run(AllocationPolicy::NodeLocked { ratio: 1 });
@@ -263,6 +274,17 @@ pub fn nam_checkpoint(bytes: usize) -> NamStudy {
     }
 }
 
+/// The `ABLATION 3` block of [`render_all`].
+fn render_scheduler(sc: &SchedulerStudy) -> String {
+    format!(
+        "\nABLATION 3: scheduler policy (same job mix)\n  independent allocation : makespan {} (CN util {:.0}%)\n  node-locked (acc. cluster): makespan {} (CN util {:.0}%)\n",
+        sc.independent,
+        100.0 * sc.utilization.0,
+        sc.node_locked,
+        100.0 * sc.utilization.1
+    )
+}
+
 /// Render all ablation results as text.
 pub fn render_all(launcher: &Launcher) -> String {
     let mut out = String::new();
@@ -285,14 +307,7 @@ pub fn render_all(launcher: &Launcher) -> String {
         ov.with_overlap, ov.without_overlap, ov.speedup()
     ));
 
-    let sc = scheduler_study();
-    out.push_str(&format!(
-        "\nABLATION 3: scheduler policy (same job mix)\n  independent allocation : makespan {} (CN util {:.0}%)\n  node-locked (acc. cluster): makespan {} (CN util {:.0}%)\n",
-        sc.independent,
-        100.0 * sc.utilization.0,
-        sc.node_locked,
-        100.0 * sc.utilization.1
-    ));
+    out.push_str(&render_scheduler(&scheduler_study()));
 
     out.push_str("\nEXTENSION 1: checkpoint interval sweep (week-long job, 27 nodes)\n");
     out.push_str(&format!(
@@ -362,12 +377,17 @@ mod tests {
 
     #[test]
     fn independent_allocation_wins_throughput() {
+        // Pinned at commit 3e02c27, where a second scheduler loop in
+        // `core` produced these: the engine must reproduce them exactly.
         let s = scheduler_study();
-        assert!(
-            s.independent < s.node_locked,
-            "independent {} vs locked {}",
-            s.independent,
-            s.node_locked
+        assert_eq!(s.independent, SimTime::from_secs(14400.0));
+        assert_eq!(s.node_locked, SimTime::from_secs(28800.0));
+        assert_eq!(s.utilization, (0.875, 0.4375));
+        assert_eq!(
+            render_scheduler(&s),
+            "\nABLATION 3: scheduler policy (same job mix)\n  \
+             independent allocation : makespan 14400.000 s (CN util 88%)\n  \
+             node-locked (acc. cluster): makespan 28800.000 s (CN util 44%)\n"
         );
     }
 

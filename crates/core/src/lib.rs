@@ -13,14 +13,14 @@
 //!   key architectural property of §II-A: *Cluster and Booster resources
 //!   are reserved and allocated independently*, so any combination of CN
 //!   and BN can be given to one application;
-//! * [`scheduler`] — a batch system over the resource manager: FIFO with
-//!   backfill over heterogeneous allocation requests, modelling the
-//!   system-wide throughput argument of the paper (complementary
-//!   co-scheduling of Cluster-heavy and Booster-heavy jobs);
 //! * [`launch`] — the job launcher: allocates nodes, builds the psmpi
 //!   universe job, and implements the *offload policy* — which side boots
 //!   first and spawns the other (xPic boots on the Booster and spawns the
 //!   Cluster side, §IV-B).
+//!
+//! Scheduling *policy* (queue order, EASY backfill, malleability, fault
+//! requeues) lives in `crates/sched`, whose engine drives the resource
+//! manager; this crate holds no scheduler.
 //!
 //! The crate re-exports the pieces a typical application needs.
 
@@ -28,15 +28,10 @@
 
 pub mod launch;
 pub mod resources;
-pub mod scheduler;
 pub mod system;
 
 pub use launch::{JobSpec, Launcher};
 pub use resources::{Allocation, AllocationError, ResourceManager};
-pub use scheduler::{
-    fits_beside_head, shadow_start, BatchJob, BatchScheduler, Discipline, JobState, RunningView,
-    SchedulerStats,
-};
 pub use system::{Module, ModuleKind, System, SystemBuilder};
 
 /// Presets for the systems built in the DEEP projects.

@@ -124,7 +124,6 @@ pub struct ResourceManager {
     policy: AllocationPolicy,
     total_cluster: usize,
     total_booster: usize,
-    total_dam: usize,
 }
 
 impl ResourceManager {
@@ -141,7 +140,6 @@ impl ResourceManager {
         ResourceManager {
             total_cluster: cluster.len(),
             total_booster: booster.len(),
-            total_dam: dam.len(),
             pools: Arc::new(Mutex::new(Pools {
                 free_cluster: cluster,
                 free_booster: booster,
@@ -180,12 +178,6 @@ impl ResourceManager {
     /// Total managed nodes per module (Cluster, Booster).
     pub fn totals(&self) -> (usize, usize) {
         (self.total_cluster, self.total_booster)
-    }
-
-    /// Total managed nodes across all three compute modules
-    /// (Cluster, Booster, DAM).
-    pub fn totals_modular(&self) -> (usize, usize, usize) {
-        (self.total_cluster, self.total_booster, self.total_dam)
     }
 
     /// Whether `(cn, bn)` could be allocated right now.

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 
 pub mod data;
-pub mod dot;
 pub mod graph;
 pub mod mpi_offload;
 pub mod resilience;

@@ -1,6 +1,7 @@
-//! The long-lived scheduler service: a virtual-time event loop over the
-//! `core` batch-scheduling layer, driving a production trace of
-//! heterogeneous jobs to completion.
+//! The scheduler: one virtual-time event loop over `core`'s resource
+//! manager, driving anything from a hand-written mix of rigid jobs to a
+//! production trace of heterogeneous ones to completion. It is the only
+//! scheduler event loop in the workspace.
 //!
 //! ## Model
 //!
@@ -45,13 +46,14 @@
 //! goes through `xpic::par` with element-wise disjoint writes, so the
 //! schedule is bit-identical at any host thread count.
 
+use crate::easy::{fits_beside_head, shadow_start, RunningView};
 use crate::workload::TraceJob;
 use cluster_booster::resources::{Allocation, AllocationPolicy, ResourceManager};
-use cluster_booster::scheduler::{fits_beside_head, shadow_start, Discipline, RunningView};
 use cluster_booster::System;
 use hwmodel::{NodeId, SimTime};
 use scr::{CheckpointLevel, MultiLevelSchedule};
 use simnet::{max_min_shares, FaultPlan};
+use std::collections::BTreeMap;
 use xpic::par::{chunk_ranges, run_tasks, split_mut};
 
 /// Completion slack in work-seconds: a job is done when its remaining
@@ -92,8 +94,6 @@ impl CheckpointPolicy {
 /// the fault plan).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Queueing discipline.
-    pub discipline: Discipline,
     /// Allocation policy (the paper's independent-vs-node-locked axis).
     pub policy: AllocationPolicy,
     /// Aggregate fabric bandwidth shared by combined jobs, GB/s.
@@ -109,7 +109,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            discipline: Discipline::EasyBackfill,
             policy: AllocationPolicy::Independent,
             fabric_capacity_gbs: 32.0,
             ckpt: None,
@@ -325,43 +324,286 @@ fn recompute_speeds(running: &mut [Run], capacity_gbs: f64, ck: f64) {
     }
 }
 
-/// Allocate and start `q` now.
-#[allow(clippy::too_many_arguments)]
-fn start_job(
-    rm: &ResourceManager,
-    q: Queued,
-    backfill: bool,
+/// Everything one [`Engine::run`] mutates between events: the machine,
+/// the clock, the queue and running set, and the logs the report is
+/// built from.
+struct State<'a> {
+    cfg: &'a EngineConfig,
+    /// Checkpoint amortization factor (1 without a policy).
+    ck: f64,
+    rm: ResourceManager,
     now: SimTime,
-    running: &mut Vec<Run>,
-    ev: &mut Vec<EngineEvent>,
-    waits: &mut Vec<SimTime>,
-    starts: &mut usize,
-    backfills: &mut usize,
-) {
-    let base = rm.allocate(q.job.cn, q.job.bn_min).expect("checked fit");
-    waits.push(now.saturating_sub(q.queued_at));
-    *starts += 1;
-    if backfill {
-        *backfills += 1;
+    queue: Vec<Queued>,
+    running: Vec<Run>,
+    /// Booked repairs, ascending `(time, node)`.
+    repairs: Vec<(SimTime, NodeId)>,
+    events: Vec<EngineEvent>,
+    reservations: Vec<HeadReservation>,
+    waits: Vec<SimTime>,
+    /// Node-seconds of requested CN / active BN so far.
+    busy_cn: f64,
+    busy_bn: f64,
+}
+
+impl State<'_> {
+    fn independent(&self) -> bool {
+        matches!(self.cfg.policy, AllocationPolicy::Independent)
     }
-    let bn_active = q.job.bn_min;
-    ev.push(EngineEvent::Start {
-        t: now,
-        id: q.job.id,
-        cn: q.job.cn,
-        bn: bn_active,
-        backfill,
-    });
-    running.push(Run {
-        base,
-        extras: Vec::new(),
-        bn_active,
-        logged_bn: bn_active,
-        done: q.done,
-        speed: 1.0,
-        requeues: q.requeues,
-        job: q.job,
-    });
+
+    /// Hand everything `r` holds back to the pools.
+    fn release(&self, r: &Run) {
+        self.rm.release(&r.base).expect("release running job");
+        for e in &r.extras {
+            self.rm.release(e).expect("release expansion");
+        }
+    }
+
+    /// Retire every running job whose work is done; returns how many.
+    fn complete_finished(&mut self) -> usize {
+        let mut finished = 0;
+        let mut i = 0;
+        while i < self.running.len() {
+            if self.running[i].remaining_secs() <= WORK_EPS {
+                let r = self.running.remove(i);
+                self.release(&r);
+                self.events.push(EngineEvent::Complete {
+                    t: self.now,
+                    id: r.job.id,
+                });
+                finished += 1;
+            } else {
+                i += 1;
+            }
+        }
+        finished
+    }
+
+    /// A node dies: quarantine it, kill the job holding it and requeue
+    /// that job from its checkpoint floor, and book the repair.
+    fn fault(&mut self, node: NodeId) {
+        self.rm.mark_down(node);
+        let victim = self.running.iter().position(|r| r.holds(node));
+        self.events.push(EngineEvent::Fault {
+            t: self.now,
+            node,
+            victim: victim.map(|i| self.running[i].job.id),
+        });
+        if let Some(i) = victim {
+            let r = self.running.remove(i);
+            self.release(&r);
+            let (resumed, level) = match &self.cfg.ckpt {
+                Some(p) => {
+                    let k = (r.done.as_secs() / p.interval.as_secs()).floor() as u32;
+                    if k == 0 {
+                        (SimTime::ZERO, None)
+                    } else {
+                        (
+                            (p.interval * k as f64).min(r.done),
+                            Some(p.schedule.level_of(k)),
+                        )
+                    }
+                }
+                None => (SimTime::ZERO, None),
+            };
+            self.events.push(EngineEvent::Requeue {
+                t: self.now,
+                id: r.job.id,
+                resumed_work: resumed,
+                level,
+            });
+            self.queue.push(Queued {
+                job: r.job,
+                queued_at: self.now,
+                done: resumed,
+                requeues: r.requeues + 1,
+            });
+        }
+        if let Some(d) = self.cfg.repair_after {
+            let at = self.now + d;
+            let pos = self
+                .repairs
+                .partition_point(|&(t, n)| (t, n.0) <= (at, node.0));
+            self.repairs.insert(pos, (at, node));
+        }
+    }
+
+    /// Return every node whose repair is due.
+    fn repair_due(&mut self) {
+        while !self.repairs.is_empty() && self.repairs[0].0 <= self.now {
+            let (_, n) = self.repairs.remove(0);
+            if self.rm.mark_up(n) {
+                self.events.push(EngineEvent::Repair {
+                    t: self.now,
+                    node: n,
+                });
+            }
+        }
+    }
+
+    fn arrive(&mut self, j: &TraceJob) {
+        self.events.push(EngineEvent::Arrival {
+            t: j.submit,
+            id: j.id,
+        });
+        self.queue.push(Queued {
+            job: j.clone(),
+            queued_at: j.submit,
+            done: SimTime::ZERO,
+            requeues: 0,
+        });
+    }
+
+    /// Allocate and start `queue[i]` now.
+    fn start(&mut self, i: usize, backfill: bool) {
+        let q = self.queue.remove(i);
+        let base = self
+            .rm
+            .allocate(q.job.cn, q.job.bn_min)
+            .expect("checked fit");
+        self.waits.push(self.now.saturating_sub(q.queued_at));
+        let bn_active = q.job.bn_min;
+        self.events.push(EngineEvent::Start {
+            t: self.now,
+            id: q.job.id,
+            cn: q.job.cn,
+            bn: bn_active,
+            backfill,
+        });
+        self.running.push(Run {
+            base,
+            extras: Vec::new(),
+            bn_active,
+            logged_bn: bn_active,
+            done: q.done,
+            speed: 1.0,
+            requeues: q.requeues,
+            job: q.job,
+        });
+    }
+
+    /// Worst-case end of `job` if it ran from now with `done` banked.
+    fn worst_end(&self, job: &TraceJob, done: SimTime) -> SimTime {
+        self.now
+            + SimTime::from_secs(
+                job.duration.saturating_sub(done).as_secs() / worst_speed(job, self.ck),
+            )
+    }
+
+    /// Start what the queue order and EASY backfill allow. Malleable
+    /// expansions are reclaimed first — the head (and any arrival)
+    /// outranks grown jobs; [`State::regrow`] hands back what stays idle.
+    fn schedule(&mut self) {
+        self.queue
+            .sort_by(|a, b| a.queued_at.cmp(&b.queued_at).then(a.job.id.cmp(&b.job.id)));
+        if self.independent() {
+            for r in self.running.iter_mut() {
+                for e in r.extras.drain(..) {
+                    self.rm.release(&e).expect("reclaim expansion");
+                }
+                r.bn_active = r.job.bn_min;
+            }
+        }
+        while let Some(head) = self.queue.first() {
+            if self.rm.can_allocate(head.job.cn, head.job.bn_min) {
+                self.start(0, false);
+                continue;
+            }
+            // Head blocked: compute and record its reservation.
+            let (need_cn, need_bn) = self.rm.effective(head.job.cn, head.job.bn_min);
+            let views: Vec<RunningView> = self
+                .running
+                .iter()
+                .map(|r| RunningView {
+                    cn: r.base.cluster.len(),
+                    bn: r.base.booster.len(),
+                    end: self.worst_end(&r.job, r.done),
+                })
+                .collect();
+            let free_cn = self.rm.free_cluster();
+            let free_bn = self.rm.free_booster();
+            let shadow = shadow_start(free_cn, free_bn, need_cn, need_bn, &views, self.now);
+            self.reservations.push(HeadReservation {
+                t: self.now,
+                id: head.job.id,
+                shadow,
+            });
+            // EASY backfill: admit the first later job whose worst-case
+            // end respects the head's reservation.
+            let admit = self.queue.iter().skip(1).position(|c| {
+                if !self.rm.can_allocate(c.job.cn, c.job.bn_min) {
+                    return false;
+                }
+                let (cn, bn) = self.rm.effective(c.job.cn, c.job.bn_min);
+                let end = self.worst_end(&c.job, c.done);
+                let cand = RunningView { cn, bn, end };
+                end <= shadow
+                    || fits_beside_head(free_cn, free_bn, cand, need_cn, need_bn, &views, shadow)
+            });
+            match admit {
+                Some(i) => self.start(i + 1, true),
+                None => break,
+            }
+        }
+    }
+
+    /// Hand idle Booster nodes back to malleable jobs, one node per job
+    /// per round (equi-partition growth), then log net size changes
+    /// against the last logged size. Independent reservation only: a
+    /// node-locked Booster node cannot leave its host.
+    fn regrow(&mut self) {
+        if !self.independent() {
+            return;
+        }
+        loop {
+            let mut grew = false;
+            for r in self.running.iter_mut() {
+                if r.job.malleable() && r.bn_active < r.job.bn_max && self.rm.free_booster() > 0 {
+                    let a = self.rm.allocate(0, 1).expect("free BN checked");
+                    r.extras.push(a);
+                    r.bn_active += 1;
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        for r in self.running.iter_mut() {
+            if r.bn_active > r.logged_bn {
+                self.events.push(EngineEvent::Expand {
+                    t: self.now,
+                    id: r.job.id,
+                    bn: r.bn_active,
+                });
+            } else if r.bn_active < r.logged_bn {
+                self.events.push(EngineEvent::Shrink {
+                    t: self.now,
+                    id: r.job.id,
+                    bn: r.bn_active,
+                });
+            }
+            r.logged_bn = r.bn_active;
+        }
+    }
+
+    /// Move the clock to `t`, every running job progressing at its
+    /// current speed. The one parallel site: element-wise disjoint
+    /// writes, so the result is bit-identical for any chunking (thread
+    /// count).
+    fn advance_to(&mut self, t: SimTime) {
+        let threads = self.cfg.threads.max(1);
+        let dt = t.saturating_sub(self.now).as_secs();
+        self.busy_cn += dt * self.running.iter().map(|r| r.job.cn).sum::<usize>() as f64;
+        self.busy_bn += dt * self.running.iter().map(|r| r.bn_active).sum::<usize>() as f64;
+        let chunks = chunk_ranges(self.running.len(), threads);
+        let slices = split_mut(&mut self.running, &chunks);
+        run_tasks(threads, slices, |chunk| {
+            for r in chunk {
+                r.done += SimTime::from_secs(dt * r.speed);
+            }
+        });
+        self.now = t;
+    }
 }
 
 /// The workload engine: a system plus a run configuration.
@@ -385,346 +627,98 @@ impl Engine {
     /// builds a fresh resource manager, so the same engine can replay
     /// the same trace bit-identically.
     pub fn run(&self, trace: &[TraceJob], faults: &FaultPlan) -> EngineReport {
-        let rm = ResourceManager::with_policy(&self.system, self.cfg.policy);
-        let independent = matches!(self.cfg.policy, AllocationPolicy::Independent);
-        let ck = self
-            .cfg
-            .ckpt
-            .as_ref()
-            .map(|c| c.amortization())
-            .unwrap_or(1.0);
-        let threads = self.cfg.threads.max(1);
-        let (total_cn, total_bn) = rm.totals();
-
+        let ck = self.cfg.ckpt.as_ref().map_or(1.0, |c| c.amortization());
+        let mut s = State {
+            cfg: &self.cfg,
+            ck,
+            rm: ResourceManager::with_policy(&self.system, self.cfg.policy),
+            now: SimTime::ZERO,
+            queue: Vec::new(),
+            running: Vec::new(),
+            repairs: Vec::new(),
+            events: Vec::new(),
+            reservations: Vec::new(),
+            waits: Vec::new(),
+            busy_cn: 0.0,
+            busy_bn: 0.0,
+        };
         // Arrival order: (submit, id) — the pinned scheduler tie-break.
         let mut order: Vec<&TraceJob> = trace.iter().collect();
         order.sort_by(|a, b| a.submit.cmp(&b.submit).then(a.id.cmp(&b.id)));
         let nf = faults.node_faults();
-
-        let mut queue: Vec<Queued> = Vec::new();
-        let mut running: Vec<Run> = Vec::new();
-        let mut repairs: Vec<(SimTime, NodeId)> = Vec::new();
         let (mut ai, mut fi) = (0usize, 0usize);
-        let mut now = SimTime::ZERO;
         let mut completed = 0usize;
-        let mut makespan = SimTime::ZERO;
-        let mut ev: Vec<EngineEvent> = Vec::new();
-        let mut reservations: Vec<HeadReservation> = Vec::new();
-        let mut waits: Vec<SimTime> = Vec::new();
-        let (mut busy_cn, mut busy_bn) = (0.0f64, 0.0f64);
-        let (mut starts, mut backfills) = (0usize, 0usize);
-        let (mut requeues, mut faults_n, mut repairs_n) = (0usize, 0usize, 0usize);
-        let (mut expands, mut shrinks) = (0usize, 0usize);
 
         loop {
-            // 1. Completions at `now`.
-            let mut i = 0;
-            while i < running.len() {
-                if running[i].remaining_secs() <= WORK_EPS {
-                    let r = running.remove(i);
-                    rm.release(&r.base).expect("release completed job");
-                    for e in &r.extras {
-                        rm.release(e).expect("release expansion");
-                    }
-                    ev.push(EngineEvent::Complete {
-                        t: now,
-                        id: r.job.id,
-                    });
-                    completed += 1;
-                    makespan = now;
-                } else {
-                    i += 1;
-                }
-            }
+            // Everything due at `now`, in this order: completions, faults,
+            // repairs, arrivals.
+            completed += s.complete_finished();
             if completed == trace.len() {
                 break;
             }
-
-            // 2. Faults at `now`: quarantine the node, kill and requeue
-            // the victim (resuming from its checkpoint floor).
-            while fi < nf.len() && nf[fi].at <= now {
-                let f = nf[fi];
+            while fi < nf.len() && nf[fi].at <= s.now {
+                s.fault(nf[fi].node);
                 fi += 1;
-                rm.mark_down(f.node);
-                faults_n += 1;
-                let victim = running.iter().position(|r| r.holds(f.node));
-                ev.push(EngineEvent::Fault {
-                    t: now,
-                    node: f.node,
-                    victim: victim.map(|i| running[i].job.id),
-                });
-                if let Some(i) = victim {
-                    let r = running.remove(i);
-                    rm.release(&r.base).expect("release victim");
-                    for e in &r.extras {
-                        rm.release(e).expect("release victim expansion");
-                    }
-                    let (resumed, level) = match &self.cfg.ckpt {
-                        Some(p) => {
-                            let k = (r.done.as_secs() / p.interval.as_secs()).floor() as u32;
-                            if k == 0 {
-                                (SimTime::ZERO, None)
-                            } else {
-                                (
-                                    (p.interval * k as f64).min(r.done),
-                                    Some(p.schedule.level_of(k)),
-                                )
-                            }
-                        }
-                        None => (SimTime::ZERO, None),
-                    };
-                    requeues += 1;
-                    ev.push(EngineEvent::Requeue {
-                        t: now,
-                        id: r.job.id,
-                        resumed_work: resumed,
-                        level,
-                    });
-                    queue.push(Queued {
-                        job: r.job,
-                        queued_at: now,
-                        done: resumed,
-                        requeues: r.requeues + 1,
-                    });
-                }
-                if let Some(d) = self.cfg.repair_after {
-                    let at = now + d;
-                    let pos = repairs.partition_point(|&(t, n)| (t, n.0) <= (at, f.node.0));
-                    repairs.insert(pos, (at, f.node));
-                }
             }
-
-            // 3. Repairs at `now`.
-            while !repairs.is_empty() && repairs[0].0 <= now {
-                let (_, n) = repairs.remove(0);
-                if rm.mark_up(n) {
-                    repairs_n += 1;
-                    ev.push(EngineEvent::Repair { t: now, node: n });
-                }
-            }
-
-            // 4. Arrivals at `now`.
-            while ai < order.len() && order[ai].submit <= now {
-                let j = order[ai];
+            s.repair_due();
+            while ai < order.len() && order[ai].submit <= s.now {
+                s.arrive(order[ai]);
                 ai += 1;
-                ev.push(EngineEvent::Arrival {
-                    t: j.submit,
-                    id: j.id,
-                });
-                queue.push(Queued {
-                    job: j.clone(),
-                    queued_at: j.submit,
-                    done: SimTime::ZERO,
-                    requeues: 0,
-                });
             }
 
-            // 5. Schedule. First reclaim every malleable expansion — the
-            // head (and any arrival) outranks grown jobs; what stays
-            // idle after the start pass is handed back out below.
-            queue.sort_by(|a, b| a.queued_at.cmp(&b.queued_at).then(a.job.id.cmp(&b.job.id)));
-            if independent {
-                for r in running.iter_mut() {
-                    for e in r.extras.drain(..) {
-                        rm.release(&e).expect("reclaim expansion");
-                    }
-                    r.bn_active = r.job.bn_min;
-                }
-            }
-            loop {
-                if queue.is_empty() {
-                    break;
-                }
-                if rm.can_allocate(queue[0].job.cn, queue[0].job.bn_min) {
-                    let q = queue.remove(0);
-                    start_job(
-                        &rm,
-                        q,
-                        false,
-                        now,
-                        &mut running,
-                        &mut ev,
-                        &mut waits,
-                        &mut starts,
-                        &mut backfills,
-                    );
-                    continue;
-                }
-                // Head blocked: compute and record its reservation.
-                let head = &queue[0];
-                let (need_cn, need_bn) = rm.effective(head.job.cn, head.job.bn_min);
-                let views: Vec<RunningView> = running
-                    .iter()
-                    .map(|r| RunningView {
-                        cn: r.base.cluster.len(),
-                        bn: r.base.booster.len(),
-                        end: now + SimTime::from_secs(r.remaining_secs() / worst_speed(&r.job, ck)),
-                    })
-                    .collect();
-                let free_cn = rm.free_cluster();
-                let free_bn = rm.free_booster();
-                let shadow = shadow_start(free_cn, free_bn, need_cn, need_bn, &views, now);
-                reservations.push(HeadReservation {
-                    t: now,
-                    id: head.job.id,
-                    shadow,
-                });
-                if self.cfg.discipline == Discipline::Fifo {
-                    break;
-                }
-                // EASY backfill: admit the first later job whose
-                // worst-case end respects the head's reservation.
-                let mut admit = None;
-                for (i, c) in queue.iter().enumerate().skip(1) {
-                    if !rm.can_allocate(c.job.cn, c.job.bn_min) {
-                        continue;
-                    }
-                    let (c_cn, c_bn) = rm.effective(c.job.cn, c.job.bn_min);
-                    let cand_end = now
-                        + SimTime::from_secs(
-                            c.job.duration.saturating_sub(c.done).as_secs()
-                                / worst_speed(&c.job, ck),
-                        );
-                    if cand_end <= shadow
-                        || fits_beside_head(
-                            free_cn, free_bn, c_cn, c_bn, cand_end, need_cn, need_bn, &views,
-                            shadow,
-                        )
-                    {
-                        admit = Some(i);
-                        break;
-                    }
-                }
-                match admit {
-                    Some(i) => {
-                        let q = queue.remove(i);
-                        start_job(
-                            &rm,
-                            q,
-                            true,
-                            now,
-                            &mut running,
-                            &mut ev,
-                            &mut waits,
-                            &mut starts,
-                            &mut backfills,
-                        );
-                    }
-                    None => break,
-                }
-            }
-            // Hand idle Booster nodes back to malleable jobs, one node
-            // per job per round (equi-partition growth), then log net
-            // size changes against the last logged size.
-            if independent {
-                loop {
-                    let mut grew = false;
-                    for r in running.iter_mut() {
-                        if r.job.malleable() && r.bn_active < r.job.bn_max && rm.free_booster() > 0
-                        {
-                            let a = rm.allocate(0, 1).expect("free BN checked");
-                            r.extras.push(a);
-                            r.bn_active += 1;
-                            grew = true;
-                        }
-                    }
-                    if !grew {
-                        break;
-                    }
-                }
-                for r in running.iter_mut() {
-                    if r.bn_active > r.logged_bn {
-                        expands += 1;
-                        ev.push(EngineEvent::Expand {
-                            t: now,
-                            id: r.job.id,
-                            bn: r.bn_active,
-                        });
-                    } else if r.bn_active < r.logged_bn {
-                        shrinks += 1;
-                        ev.push(EngineEvent::Shrink {
-                            t: now,
-                            id: r.job.id,
-                            bn: r.bn_active,
-                        });
-                    }
-                    r.logged_bn = r.bn_active;
-                }
-            }
+            s.schedule();
+            s.regrow();
+            recompute_speeds(&mut s.running, self.cfg.fabric_capacity_gbs, ck);
 
-            // 6. Speeds under the new running set and fabric shares.
-            recompute_speeds(&mut running, self.cfg.fabric_capacity_gbs, ck);
-
-            // 7. Next event: earliest of completion, arrival, fault,
-            // repair.
-            let mut t_next: Option<SimTime> = None;
-            let mut consider = |t: SimTime| {
-                t_next = Some(match t_next {
-                    Some(cur) => cur.min(t),
-                    None => t,
-                });
-            };
-            for r in &running {
-                consider(now + SimTime::from_secs(r.remaining_secs() / r.speed));
-            }
-            if let Some(j) = order.get(ai) {
-                consider(j.submit);
-            }
-            if let Some(f) = nf.get(fi) {
-                consider(f.at);
-            }
-            if let Some(&(t, _)) = repairs.first() {
-                consider(t);
-            }
-            let Some(t) = t_next else {
+            // Next event: earliest of completion, arrival, fault, repair.
+            let completions = s
+                .running
+                .iter()
+                .map(|r| s.now + SimTime::from_secs(r.remaining_secs() / r.speed));
+            let next = completions
+                .chain(order.get(ai).map(|j| j.submit))
+                .chain(nf.get(fi).map(|f| f.at))
+                .chain(s.repairs.first().map(|&(t, _)| t))
+                .min();
+            let Some(t) = next else {
                 panic!(
-                    "engine stuck at {now}: {} queued jobs cannot ever start \
+                    "engine stuck at {}: {} queued jobs cannot ever start \
                      (machine too small or too many nodes down for good)",
-                    queue.len()
+                    s.now,
+                    s.queue.len()
                 );
             };
-
-            // 8. Advance every running job by `dt` at its current speed.
-            // The one parallel site: element-wise disjoint writes, so the
-            // result is bit-identical for any chunking (thread count).
-            let dt = t.saturating_sub(now).as_secs();
-            busy_cn += dt * running.iter().map(|r| r.job.cn).sum::<usize>() as f64;
-            busy_bn += dt * running.iter().map(|r| r.bn_active).sum::<usize>() as f64;
-            let chunks = chunk_ranges(running.len(), threads);
-            let slices = split_mut(&mut running, &chunks);
-            run_tasks(threads, slices, |chunk| {
-                for r in chunk {
-                    r.done += SimTime::from_secs(dt * r.speed);
-                }
-            });
-            now = t;
+            s.advance_to(t);
         }
 
-        let denom_cn = makespan.as_secs() * total_cn as f64;
-        let denom_bn = makespan.as_secs() * total_bn as f64;
+        // The loop ends on the last completion, so the clock is the
+        // makespan; every other counter is a tally of the event log.
+        let makespan = s.now;
+        let (total_cn, total_bn) = s.rm.totals();
+        let utilization = |busy: f64, total: usize| {
+            let denom = makespan.as_secs() * total as f64;
+            if denom > 0.0 {
+                busy / denom
+            } else {
+                0.0
+            }
+        };
+        let count = |kind: fn(&EngineEvent) -> bool| s.events.iter().filter(|e| kind(e)).count();
         EngineReport {
             makespan,
-            waits,
-            cluster_utilization: if denom_cn > 0.0 {
-                busy_cn / denom_cn
-            } else {
-                0.0
-            },
-            booster_utilization: if denom_bn > 0.0 {
-                busy_bn / denom_bn
-            } else {
-                0.0
-            },
+            cluster_utilization: utilization(s.busy_cn, total_cn),
+            booster_utilization: utilization(s.busy_bn, total_bn),
             completed,
-            starts,
-            backfill_starts: backfills,
-            requeues,
-            faults: faults_n,
-            repairs: repairs_n,
-            expands,
-            shrinks,
-            events: ev,
-            reservations,
+            starts: count(|e| matches!(e, EngineEvent::Start { .. })),
+            backfill_starts: count(|e| matches!(e, EngineEvent::Start { backfill: true, .. })),
+            requeues: count(|e| matches!(e, EngineEvent::Requeue { .. })),
+            faults: count(|e| matches!(e, EngineEvent::Fault { .. })),
+            repairs: count(|e| matches!(e, EngineEvent::Repair { .. })),
+            expands: count(|e| matches!(e, EngineEvent::Expand { .. })),
+            shrinks: count(|e| matches!(e, EngineEvent::Shrink { .. })),
+            waits: s.waits,
+            events: s.events,
+            reservations: s.reservations,
         }
     }
 }
@@ -758,23 +752,26 @@ impl EngineReport {
     /// shrinks it. The engine re-records a fresh reservation at the
     /// fault event, so voided promises are always superseded.
     pub fn reservation_violations(&self) -> Vec<HeadReservation> {
-        let fault_times: Vec<SimTime> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                EngineEvent::Fault { t, .. } => Some(*t),
-                _ => None,
-            })
-            .collect();
+        // One pass over the log: start times per job and fault times, both
+        // ascending because the log is.
+        let mut starts: BTreeMap<u64, Vec<SimTime>> = BTreeMap::new();
+        let mut fault_times: Vec<SimTime> = Vec::new();
+        for e in &self.events {
+            match e {
+                EngineEvent::Start { t, id, .. } => starts.entry(*id).or_default().push(*t),
+                EngineEvent::Fault { t, .. } => fault_times.push(*t),
+                _ => {}
+            }
+        }
         self.reservations
             .iter()
             .filter(|r| {
                 let slack = 1e-9_f64.max(r.shadow.as_secs() * 1e-9);
                 let bound = SimTime::from_secs(r.shadow.as_secs() + slack);
-                self.starts_of(r.id)
-                    .into_iter()
-                    .find(|&s| s >= r.t)
-                    .is_some_and(|s| s > bound && !fault_times.iter().any(|&f| f >= r.t && f <= s))
+                starts
+                    .get(&r.id)
+                    .and_then(|of_job| of_job.iter().find(|&&s| s >= r.t))
+                    .is_some_and(|&s| s > bound && !fault_times.iter().any(|&f| f >= r.t && f <= s))
             })
             .copied()
             .collect()
@@ -784,7 +781,6 @@ impl EngineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::JobClass;
     use cluster_booster::SystemBuilder;
 
     fn system(cn: u32, bn: u32) -> System {
@@ -794,36 +790,250 @@ mod tests {
             .build()
     }
 
+    fn s(secs: f64) -> SimTime {
+        SimTime::from_secs(secs)
+    }
+
     fn job(id: u64, cn: usize, bn: usize, dur: f64, submit: f64) -> TraceJob {
-        TraceJob {
-            id,
-            name: format!("j{id}"),
-            class: if cn > 0 && bn > 0 {
-                JobClass::Combined
-            } else if bn > 0 {
-                JobClass::BoosterHeavy
-            } else {
-                JobClass::ClusterHeavy
+        TraceJob::rigid(id, format!("j{id}"), cn, bn, s(dur), s(submit))
+    }
+
+    /// One rigid job mix and what the engine must make of it.
+    struct Mix {
+        name: &'static str,
+        machine: (u32, u32),
+        policy: AllocationPolicy,
+        /// `(id, cn, bn, duration, submit)`, in submission-call order.
+        jobs: Vec<(u64, usize, usize, f64, f64)>,
+        /// `(id, start, end)` of every job.
+        spans: Vec<(u64, f64, f64)>,
+        makespan: f64,
+        mean_wait: f64,
+        backfills: usize,
+        /// `(cluster, booster)` utilization, where the mix pins it.
+        utilization: Option<(f64, f64)>,
+    }
+
+    /// The classic batch-scheduler cases, on the 16 CN + 8 BN prototype
+    /// shape unless the row says otherwise.
+    fn mixes() -> Vec<Mix> {
+        const PROTO: (u32, u32) = (16, 8);
+        let independent = AllocationPolicy::Independent;
+        let locked = AllocationPolicy::NodeLocked { ratio: 1 };
+        vec![
+            Mix {
+                name: "a single job runs immediately",
+                machine: PROTO,
+                policy: independent,
+                jobs: vec![(0, 4, 2, 10.0, 0.0)],
+                spans: vec![(0, 0.0, 10.0)],
+                makespan: 10.0,
+                mean_wait: 0.0,
+                backfills: 0,
+                utilization: None,
             },
-            cn,
-            bn_min: bn,
-            bn_max: bn,
-            duration: SimTime::from_secs(dur),
-            comm_fraction: 0.0,
-            fabric_demand_gbs: 0.0,
-            submit: SimTime::from_secs(submit),
+            // The paper's throughput argument for independent allocation:
+            // a Cluster-only and a Booster-only job share the machine.
+            Mix {
+                name: "complementary jobs co-schedule",
+                machine: PROTO,
+                policy: independent,
+                jobs: vec![(0, 16, 0, 100.0, 0.0), (1, 0, 8, 100.0, 0.0)],
+                spans: vec![(0, 0.0, 100.0), (1, 0.0, 100.0)],
+                makespan: 100.0,
+                mean_wait: 0.0,
+                backfills: 0,
+                utilization: None,
+            },
+            // Under the accelerated-cluster policy the same two jobs
+            // contend for host nodes and serialize.
+            Mix {
+                name: "node-locked policy serializes the same mix",
+                machine: (16, 16),
+                policy: locked,
+                jobs: vec![(0, 16, 0, 100.0, 0.0), (1, 0, 16, 100.0, 0.0)],
+                spans: vec![(0, 0.0, 100.0), (1, 100.0, 200.0)],
+                makespan: 200.0,
+                mean_wait: 50.0,
+                backfills: 0,
+                utilization: None,
+            },
+            // Job 0 holds the whole Cluster, the head needs it all, and
+            // a small short Booster job slips in at once.
+            Mix {
+                name: "a blocked head lets a short job backfill",
+                machine: PROTO,
+                policy: independent,
+                jobs: vec![
+                    (0, 16, 0, 100.0, 0.0),
+                    (1, 16, 0, 10.0, 1.0),
+                    (2, 0, 2, 5.0, 2.0),
+                ],
+                spans: vec![(0, 0.0, 100.0), (1, 100.0, 110.0), (2, 2.0, 7.0)],
+                makespan: 110.0,
+                mean_wait: 33.0,
+                backfills: 1,
+                utilization: None,
+            },
+            // A long small Cluster job would hold CN past the shadow: it
+            // waits, and the head starts exactly at its shadow time.
+            Mix {
+                name: "backfill does not delay the head",
+                machine: PROTO,
+                policy: independent,
+                jobs: vec![
+                    (0, 16, 0, 50.0, 0.0),
+                    (1, 16, 0, 10.0, 1.0),
+                    (2, 4, 0, 500.0, 2.0),
+                ],
+                spans: vec![(0, 0.0, 50.0), (1, 50.0, 60.0), (2, 60.0, 560.0)],
+                makespan: 560.0,
+                mean_wait: 107.0 / 3.0,
+                backfills: 0,
+                utilization: None,
+            },
+            // A Booster job does not touch the head's Cluster
+            // reservation: it backfills even though it is long.
+            Mix {
+                name: "backfill on the other module is free",
+                machine: PROTO,
+                policy: independent,
+                jobs: vec![
+                    (0, 16, 0, 50.0, 0.0),
+                    (1, 16, 0, 10.0, 1.0),
+                    (2, 0, 8, 500.0, 2.0),
+                ],
+                spans: vec![(0, 0.0, 50.0), (1, 50.0, 60.0), (2, 2.0, 502.0)],
+                makespan: 502.0,
+                mean_wait: 49.0 / 3.0,
+                backfills: 1,
+                utilization: None,
+            },
+            // 8 of 16 CN busy for the whole makespan.
+            Mix {
+                name: "utilization accounting",
+                machine: PROTO,
+                policy: independent,
+                jobs: vec![(0, 8, 0, 10.0, 0.0)],
+                spans: vec![(0, 0.0, 10.0)],
+                makespan: 10.0,
+                mean_wait: 0.0,
+                backfills: 0,
+                utilization: Some((0.5, 0.0)),
+            },
+            Mix {
+                name: "submit times are respected",
+                machine: PROTO,
+                policy: independent,
+                jobs: vec![(0, 1, 0, 5.0, 42.0)],
+                spans: vec![(0, 42.0, 47.0)],
+                makespan: 47.0,
+                mean_wait: 0.0,
+                backfills: 0,
+                utilization: None,
+            },
+            // Three whole-machine jobs at t = 0, handed over out of id
+            // order: the `(submit, id)` tie-break starts them 1, 5, 9.
+            Mix {
+                name: "equal submit times start in id order",
+                machine: PROTO,
+                policy: independent,
+                jobs: vec![
+                    (9, 16, 8, 10.0, 0.0),
+                    (1, 16, 8, 10.0, 0.0),
+                    (5, 16, 8, 10.0, 0.0),
+                ],
+                spans: vec![(1, 0.0, 10.0), (5, 10.0, 20.0), (9, 20.0, 30.0)],
+                makespan: 30.0,
+                mean_wait: 10.0,
+                backfills: 0,
+                utilization: None,
+            },
+            Mix {
+                name: "mean wait is positive under contention",
+                machine: PROTO,
+                policy: independent,
+                jobs: vec![(0, 16, 8, 10.0, 0.0), (1, 16, 8, 10.0, 0.0)],
+                spans: vec![(0, 0.0, 10.0), (1, 10.0, 20.0)],
+                makespan: 20.0,
+                mean_wait: 5.0, // (0 + 10) / 2
+                backfills: 0,
+                utilization: None,
+            },
+            // Node-locked, the Booster-only job drags a host along: the
+            // backfill check must charge it `(1, 1)`, not the `(0, 1)` it
+            // asked for, or it takes the fourth CN the head is waiting
+            // for and holds the head back from t = 100 to t = 502 (what
+            // the batch loop `core` used to carry did).
+            Mix {
+                name: "a node-locked backfill is charged its dragged host",
+                machine: (4, 4),
+                policy: locked,
+                jobs: vec![
+                    (0, 3, 0, 100.0, 0.0),
+                    (1, 4, 0, 50.0, 1.0),
+                    (2, 0, 1, 500.0, 2.0),
+                ],
+                spans: vec![(0, 0.0, 100.0), (1, 100.0, 150.0), (2, 150.0, 650.0)],
+                makespan: 650.0,
+                mean_wait: 247.0 / 3.0,
+                backfills: 0,
+                utilization: None,
+            },
+        ]
+    }
+
+    #[test]
+    fn rigid_mixes_schedule_as_the_table_says() {
+        for m in mixes() {
+            let trace: Vec<TraceJob> = m
+                .jobs
+                .iter()
+                .map(|&(id, cn, bn, dur, submit)| job(id, cn, bn, dur, submit))
+                .collect();
+            let cfg = EngineConfig {
+                policy: m.policy,
+                ..EngineConfig::default()
+            };
+            let r =
+                Engine::new(system(m.machine.0, m.machine.1), cfg).run(&trace, &FaultPlan::new());
+            assert_eq!(r.completed, trace.len(), "{}", m.name);
+            for &(id, start, end) in &m.spans {
+                let done = r.events.iter().find_map(|e| match e {
+                    EngineEvent::Complete { t, id: i } if *i == id => Some(*t),
+                    _ => None,
+                });
+                assert_eq!(r.starts_of(id), vec![s(start)], "{}: job {id}", m.name);
+                assert_eq!(done, Some(s(end)), "{}: job {id}", m.name);
+            }
+            assert_eq!(r.makespan, s(m.makespan), "{}", m.name);
+            let mean_wait = r.waits.iter().copied().sum::<SimTime>() / r.waits.len() as f64;
+            assert_eq!(mean_wait, s(m.mean_wait), "{}", m.name);
+            assert_eq!(r.backfill_starts, m.backfills, "{}", m.name);
+            if let Some(u) = m.utilization {
+                assert_eq!(
+                    (r.cluster_utilization, r.booster_utilization),
+                    u,
+                    "{}",
+                    m.name
+                );
+            }
+            assert!(r.reservation_violations().is_empty(), "{}", m.name);
         }
     }
 
-    fn no_faults() -> FaultPlan {
-        FaultPlan::from_node_faults(Vec::<(SimTime, NodeId)>::new())
+    #[test]
+    #[should_panic(expected = "engine stuck")]
+    fn oversized_job_panics() {
+        Engine::new(system(16, 8), EngineConfig::default())
+            .run(&[job(0, 17, 0, 5.0, 0.0)], &FaultPlan::new());
     }
 
     #[test]
     fn runs_a_trace_to_completion_and_reports() {
         let trace = vec![job(0, 2, 2, 100.0, 0.0), job(1, 2, 2, 50.0, 0.0)];
         let eng = Engine::new(system(4, 4), EngineConfig::default());
-        let r = eng.run(&trace, &no_faults());
+        let r = eng.run(&trace, &FaultPlan::new());
         assert_eq!(r.completed, 2);
         assert_eq!(r.starts, 2);
         // Both fit at once; makespan is the longer job.
@@ -845,7 +1055,7 @@ mod tests {
             job(3, 1, 0, 40.0, 3.0),
         ];
         let eng = Engine::new(system(4, 4), EngineConfig::default());
-        let r = eng.run(&trace, &no_faults());
+        let r = eng.run(&trace, &FaultPlan::new());
         assert_eq!(r.completed, 4);
         assert_eq!(r.starts_of(3), vec![SimTime::from_secs(3.0)]);
         assert_eq!(r.starts_of(1), vec![SimTime::from_secs(100.0)]);
@@ -853,22 +1063,6 @@ mod tests {
         assert!(r.starts_of(2)[0] >= SimTime::from_secs(100.0));
         assert_eq!(r.backfill_starts, 1);
         assert!(r.reservation_violations().is_empty());
-    }
-
-    #[test]
-    fn fifo_never_backfills() {
-        let trace = vec![
-            job(0, 3, 0, 100.0, 0.0),
-            job(1, 4, 0, 50.0, 1.0),
-            job(2, 1, 0, 40.0, 2.0),
-        ];
-        let cfg = EngineConfig {
-            discipline: Discipline::Fifo,
-            ..EngineConfig::default()
-        };
-        let r = Engine::new(system(4, 4), cfg).run(&trace, &no_faults());
-        assert_eq!(r.backfill_starts, 0);
-        assert!(r.starts_of(2)[0] >= r.starts_of(1)[0]);
     }
 
     #[test]
@@ -966,7 +1160,7 @@ mod tests {
         a.bn_max = 8;
         let b = job(1, 1, 4, 50.0, 10.0);
         let eng = Engine::new(system(2, 8), EngineConfig::default());
-        let r = eng.run(&[a, b], &no_faults());
+        let r = eng.run(&[a, b], &FaultPlan::new());
         assert_eq!(r.completed, 2);
         assert!(r.expands >= 1, "expected an expansion, got {:?}", r.events);
         assert!(r.shrinks >= 1, "expected a shrink, got {:?}", r.events);
@@ -996,7 +1190,7 @@ mod tests {
                     ..job(id, 0, 6, 60.0, 0.0)
                 })
                 .collect();
-            Engine::new(system(1, 8), EngineConfig::default()).run(&trace, &no_faults())
+            Engine::new(system(1, 8), EngineConfig::default()).run(&trace, &FaultPlan::new())
         };
         let (rigid, malleable) = (run(6), run(1));
         assert_eq!(rigid.makespan, SimTime::from_secs(120.0));
@@ -1018,7 +1212,7 @@ mod tests {
             policy: AllocationPolicy::NodeLocked { ratio: 4 },
             ..EngineConfig::default()
         };
-        let r = Engine::new(system(2, 8), cfg).run(&[a], &no_faults());
+        let r = Engine::new(system(2, 8), cfg).run(&[a], &FaultPlan::new());
         assert_eq!(r.expands, 0);
         assert_eq!(r.shrinks, 0);
         // Pinned at bn_min = 2 of 8: runs at quarter speed.
@@ -1042,8 +1236,8 @@ mod tests {
             fabric_capacity_gbs: 8.0,
             ..EngineConfig::default()
         };
-        let r_fast = Engine::new(system(2, 8), fast).run(&trace, &no_faults());
-        let r_slow = Engine::new(system(2, 8), slow).run(&trace, &no_faults());
+        let r_fast = Engine::new(system(2, 8), fast).run(&trace, &FaultPlan::new());
+        let r_slow = Engine::new(system(2, 8), slow).run(&trace, &FaultPlan::new());
         // Full shares: both finish at full speed.
         assert_eq!(r_fast.makespan, SimTime::from_secs(100.0));
         // 8/2 = 4 GB/s each of 16 wanted: sat 0.25, speed 0.625.
@@ -1062,12 +1256,12 @@ mod tests {
             job(2, 4, 0, 100.0, 0.1),
             job(3, 0, 8, 100.0, 0.1),
         ];
-        let ind = Engine::new(system(4, 8), EngineConfig::default()).run(&trace, &no_faults());
+        let ind = Engine::new(system(4, 8), EngineConfig::default()).run(&trace, &FaultPlan::new());
         let locked_cfg = EngineConfig {
             policy: AllocationPolicy::NodeLocked { ratio: 2 },
             ..EngineConfig::default()
         };
-        let locked = Engine::new(system(4, 8), locked_cfg).run(&trace, &no_faults());
+        let locked = Engine::new(system(4, 8), locked_cfg).run(&trace, &FaultPlan::new());
         assert_eq!(ind.completed, 4);
         assert_eq!(locked.completed, 4);
         assert!(

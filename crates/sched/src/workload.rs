@@ -54,6 +54,36 @@ pub struct TraceJob {
 }
 
 impl TraceJob {
+    /// A rigid job with no fabric demand: exactly `cn` + `bn` nodes for
+    /// `duration`, the class read off which modules it asks for. This is
+    /// the whole of a classic batch job, so a hand-written job mix is a
+    /// `Vec` of these.
+    pub fn rigid(
+        id: u64,
+        name: impl Into<String>,
+        cn: usize,
+        bn: usize,
+        duration: SimTime,
+        submit: SimTime,
+    ) -> Self {
+        TraceJob {
+            id,
+            name: name.into(),
+            class: match (cn, bn) {
+                (_, 0) => JobClass::ClusterHeavy,
+                (0, _) => JobClass::BoosterHeavy,
+                _ => JobClass::Combined,
+            },
+            cn,
+            bn_min: bn,
+            bn_max: bn,
+            duration,
+            comm_fraction: 0.0,
+            fabric_demand_gbs: 0.0,
+            submit,
+        }
+    }
+
     /// Whether the Booster side can shrink below its full-speed size.
     pub fn malleable(&self) -> bool {
         self.bn_min < self.bn_max

@@ -3,10 +3,13 @@
 //!
 //! 1. **EASY invariant** — backfill never delays the reserved head
 //!    start: every head reservation's promised shadow bounds the head's
-//!    actual start in the event log.
+//!    actual start in the event log, under independent reservation and
+//!    under node-locking (where a job is charged more nodes than it
+//!    asked for, so requested and effective sizes differ).
 //! 2. **Determinism contract** — the schedule (events, waits, makespan,
 //!    reservations) is bit-identical across host thread counts.
 
+use cluster_booster::resources::AllocationPolicy;
 use cluster_booster::SystemBuilder;
 use hwmodel::{NodeId, SimTime};
 use proptest::prelude::*;
@@ -27,17 +30,23 @@ proptest! {
     fn backfill_never_delays_the_reserved_head(seed in 0u64..1u64 << 48) {
         let cfg = WorkloadConfig::bursty(seed, 60, 6, 12);
         let trace = generate(&cfg);
-        let r = Engine::new(system(6, 12), EngineConfig::default())
-            .run(&trace, &FaultPlan::from_node_faults(Vec::<(SimTime, NodeId)>::new()));
-        prop_assert_eq!(r.completed, trace.len());
-        let violations = r.reservation_violations();
-        prop_assert!(
-            violations.is_empty(),
-            "seed {} violated {} head reservations: {:?}",
-            seed,
-            violations.len(),
-            violations
-        );
+        for policy in [
+            AllocationPolicy::Independent,
+            AllocationPolicy::NodeLocked { ratio: 2 },
+        ] {
+            let ec = EngineConfig { policy, ..EngineConfig::default() };
+            let r = Engine::new(system(6, 12), ec).run(&trace, &FaultPlan::new());
+            prop_assert_eq!(r.completed, trace.len());
+            let violations = r.reservation_violations();
+            prop_assert!(
+                violations.is_empty(),
+                "seed {} under {:?} violated {} head reservations: {:?}",
+                seed,
+                policy,
+                violations.len(),
+                violations
+            );
+        }
     }
 
     #[test]

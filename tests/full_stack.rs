@@ -157,22 +157,26 @@ fn spawned_worlds_share_the_fabric_with_io() {
 
 #[test]
 fn scheduler_runs_xpic_style_mix_to_completion() {
-    use cluster_booster::{BatchScheduler, ResourceManager};
-    let sys = deep_er_prototype();
-    let rm = ResourceManager::new(&sys);
-    let mut sched = BatchScheduler::new(rm);
+    // The one scheduler loop (`sched::Engine`) over a mix of rigid jobs on
+    // the 16 CN + 8 BN prototype.
+    use sched::{Engine, EngineConfig, TraceJob};
     let h = SimTime::from_secs(100.0);
-    let xpic = sched.submit("xpic-c+b", 8, 8, h, SimTime::ZERO);
-    let mono_c = sched.submit("seismic", 8, 0, h, SimTime::ZERO);
-    let mono_b = sched.submit("md", 0, 8, h * 0.5, SimTime::ZERO);
-    let stats = sched.simulate();
-    // xpic + seismic fill the cluster; md backfills...; all complete.
-    for id in [xpic, mono_c, mono_b] {
-        let (start, end) = stats.span(id);
-        assert!(end > start);
-    }
-    assert!(stats.makespan <= SimTime::from_secs(200.0));
-    assert!(stats.cluster_utilization > 0.0);
+    let mix = [
+        TraceJob::rigid(0, "xpic-c+b", 8, 8, h, SimTime::ZERO),
+        TraceJob::rigid(1, "seismic", 8, 0, h, SimTime::ZERO),
+        TraceJob::rigid(2, "md", 0, 8, h * 0.5, SimTime::ZERO),
+    ];
+    let report = Engine::new(deep_er_prototype(), EngineConfig::default())
+        .run(&mix, &simnet::FaultPlan::new());
+    assert_eq!(report.completed, 3);
+    // xpic + seismic fill the Cluster at once; md needs the Booster xpic
+    // holds and starts the moment xpic frees it.
+    assert_eq!(report.starts_of(0), vec![SimTime::ZERO]);
+    assert_eq!(report.starts_of(1), vec![SimTime::ZERO]);
+    assert_eq!(report.starts_of(2), vec![h]);
+    assert_eq!(report.makespan, SimTime::from_secs(150.0));
+    // All 16 CN busy for 100 of the 150 s.
+    assert_eq!(report.cluster_utilization, 2.0 / 3.0);
 }
 
 #[test]
