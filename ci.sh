@@ -40,39 +40,45 @@ echo "== repo benchmark (benchmark/ builds and smokes against the workspace API)
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== host smoke (ring rate and typed/bytes ratio within 1.5x of the recorded runs) =="
+# The one host-speed gate, read from the benchmark binary built above: its
+# `workload metric value unit` lines, its last line for the failed count.
+# Floor: the lowest ring_latency median of PRs 13-15 (5.15e5 msg/s) / 1.5.
+# Ceiling: the highest typed/bytes ratio recorded up to PR 15 (2.13) x 1.5.
+# A 2x regression of either fails; benchmark/README.md says how to read
+# the rest.
+BM="${CARGO_TARGET_DIR:-benchmark/target}/release/cb-benchmark"
+HS_TMP=$(mktemp -d)
+"$BM" --workload ring_latency --seed 20180521 --seconds 5 --trace 0 > "$HS_TMP/ring.txt"
+"$BM" --workload bulk_collectives --seed 20180521 --seconds 5 --trace 1 > "$HS_TMP/bulk.txt"
+tail -n 1 "$HS_TMP/ring.txt" | grep -q '"failed": 0,'
+tail -n 1 "$HS_TMP/bulk.txt" | grep -q '"failed": 0,'
+awk '$2 == "ops_per_s" { v = $3 }
+     END { if (v + 0 < 3.4e5) { print "host smoke: ring_latency ops_per_s " v " is under 3.4e5"; exit 1 } }' \
+    "$HS_TMP/ring.txt"
+awk '$2 == "psmpi.typed_bytes_ratio" { v = $3 }
+     END { if (v == "" || v + 0 > 3.2) { print "host smoke: typed_bytes_ratio " v " is over 3.2"; exit 1 } }' \
+    "$HS_TMP/bulk.txt"
+rm -rf "$HS_TMP"
+
 echo "== bench compile check =="
 cargo bench --workspace --no-run
-
-echo "== bench smoke (codec regression gate) =="
-# Reduced-sample fabric bench; fails if the 1 MiB typed p2p path costs more
-# than the stored multiple of the raw-bytes path (see fabric.rs).
-cargo bench -q -p cb-bench --bench fabric -- --smoke
-
-echo "== scale smoke (simulator throughput at 1000 nodes) =="
-# Ring exchange across 1000 simulated nodes through the sharded router and
-# the in-place typed path; fails if host cost per delivered message rises
-# above the stored ceiling or throughput drops under the floor (scale.rs).
-SCALE_TMP=$(mktemp -d)
-cargo run -q --release -p cb-bench --bin scale -- --smoke --out "$SCALE_TMP/BENCH_scale.json"
-rm -rf "$SCALE_TMP"
 
 echo "== sched smoke (1200-job trace through the workload engine) =="
 # The bursty production trace through the scheduler service, independent
 # vs node-locked reservation: must schedule every job with backfill,
-# malleability, and at least one fault-driven requeue, keep p99 queue
-# wait under the stored ceiling, and beat the node-locked makespan
-# (sched.rs). The BENCH_sched.json body must come out byte-identical
-# across host thread counts — and across commits: sched_smoke.metrics is
-# the `metrics` object written at commit 3e02c27, when `core` still had a
-# scheduler loop of its own (the first line of the file, the allowlist
-# hash, changes whenever allowlist.toml does and is left out).
+# malleability, and at least one fault-driven requeue, and beat the
+# node-locked makespan (sched.rs). The --out file is pure virtual time and
+# must come out byte-identical across host thread counts — and across
+# commits: sched_smoke.metrics holds the metrics written at commit 3e02c27,
+# when `core` still had a scheduler loop of its own.
 SCHED_TMP=$(mktemp -d)
 cargo run -q --release -p cb-bench --bin sched -- \
     --smoke --threads 1 --out "$SCHED_TMP/t1.json" > /dev/null
 cargo run -q --release -p cb-bench --bin sched -- \
     --smoke --threads 2 --out "$SCHED_TMP/t2.json" > /dev/null
-tail -n +2 "$SCHED_TMP/t1.json" | cmp - crates/bench/src/sched_smoke.metrics
-tail -n +2 "$SCHED_TMP/t2.json" | cmp - crates/bench/src/sched_smoke.metrics
+cmp "$SCHED_TMP/t1.json" crates/bench/src/sched_smoke.metrics
+cmp "$SCHED_TMP/t2.json" crates/bench/src/sched_smoke.metrics
 rm -rf "$SCHED_TMP"
 
 echo "== obs determinism (virtual-time traces are thread-invariant) =="

@@ -8,19 +8,18 @@
 //! node-locked to host nodes at a fixed accelerator:host ratio (the
 //! accelerated-cluster model). Makespan, queue-wait percentiles, module
 //! utilizations, backfill efficiency, and the faults/requeues processed
-//! land in `BENCH_sched.json` under `independent.*` / `node_locked.*`
-//! prefixes plus `comparison.*` ratios.
+//! land in the `--out` file (none is written without the flag) under
+//! `independent.*` / `node_locked.*` prefixes plus `comparison.*` ratios.
 //!
-//! The artifact body is pure virtual-time output and must come out
-//! byte-identical across host thread counts — ci.sh runs `--threads 1`
-//! and `--threads 2` and byte-compares. Wall-clock cost of the simulation
-//! itself goes to stdout only.
+//! That file is pure virtual-time output and must come out byte-identical
+//! across host thread counts and across commits — ci.sh runs `--threads 1`
+//! and `--threads 2` and compares both with `sched_smoke.metrics`.
+//! Wall-clock cost of the simulation itself goes to stdout only.
 //!
 //! `--smoke` is the CI regression gate: the independent run must schedule
 //! the full trace with at least one backfill start, at least one
 //! fault-driven requeue, malleable expansion and shrink both exercised,
-//! a p99 queue wait under the stored ceiling, and a makespan strictly
-//! better than node-locked.
+//! and a makespan strictly better than node-locked.
 
 use cluster_booster::resources::AllocationPolicy;
 use hwmodel::SimTime;
@@ -41,11 +40,6 @@ const LOCK_RATIO: u32 = 2;
 /// Per-node MTBF (s): ~250 h, giving a handful of faults over a
 /// multi-day trace on 192 nodes.
 const NODE_MTBF_S: f64 = 900_000.0;
-/// Smoke gate: p99 queue wait (s) of the independent run at the default
-/// seed/shape. Measured ~6100 s; the ceiling is ~2x that, so it trips on
-/// scheduling regressions (lost backfill, leaked nodes), not on noise —
-/// the run is bit-deterministic, so any drift at all is a code change.
-const SMOKE_MAX_P99_WAIT_S: f64 = 12_000.0;
 /// Smoke gate: the trace must really be production-sized.
 const SMOKE_MIN_JOBS: usize = 1000;
 
@@ -71,7 +65,7 @@ fn main() {
     let mut jobs = 1200usize;
     let mut seed = 20180521u64; // IPDPS 2018
     let mut threads = 1usize;
-    let mut out_path = "BENCH_sched.json".to_string();
+    let mut out_path = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -89,7 +83,7 @@ fn main() {
             }
             "--out" => {
                 i += 1;
-                out_path = args[i].clone();
+                out_path = Some(args[i].clone());
             }
             _ => {}
         }
@@ -169,23 +163,16 @@ fn main() {
     let p99_locked = m.get("node_locked.wait_p99_s").expect("reported");
     m.set("comparison.p99_wait_ratio", p99_locked / p99_ind.max(1e-9));
 
-    // Fingerprint of the deepcheck exception list in force when the
-    // numbers were produced (same contract as BENCH_kernels.json).
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let json = format!(
-        "{{\"deepcheck_allowlist_hash\": \"{}\",\n \"metrics\": {}}}\n",
-        deepcheck::allowlist_hash(&root),
-        m.to_json()
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_sched.json");
+    if let Some(path) = &out_path {
+        let json = format!("{{\n \"metrics\": {}}}\n", m.to_json());
+        std::fs::write(path, json).expect("write the --out file");
+    }
 
     // Wall-clock is host-dependent: stdout only, never the artifact.
     println!(
         "sched: {} jobs over {:.1} h submit span, {} planned faults — independent makespan \
          {:.1} h (p99 wait {:.0} s, {} backfills, {} requeues) vs node-locked {:.1} h; \
-         simulated in {:.2}+{:.2} s wall (wrote {out_path})",
+         simulated in {:.2}+{:.2} s wall",
         trace.len(),
         span.as_secs() / 3600.0,
         faults.node_faults().len(),
@@ -221,11 +208,6 @@ fn main() {
             ind.shrinks
         );
         assert!(
-            p99_ind <= SMOKE_MAX_P99_WAIT_S,
-            "sched smoke: independent p99 queue wait {p99_ind:.0} s exceeds the \
-             {SMOKE_MAX_P99_WAIT_S:.0} s ceiling"
-        );
-        assert!(
             ind.makespan < locked.makespan,
             "sched smoke: independent reservation ({:.0} s) must beat node-locked ({:.0} s)",
             ind.makespan.as_secs(),
@@ -238,8 +220,7 @@ fn main() {
             violations.len()
         );
         println!(
-            "sched smoke OK: {} jobs, p99 wait {:.0} s (ceiling {SMOKE_MAX_P99_WAIT_S:.0}), \
-             makespan ratio {:.3}",
+            "sched smoke OK: {} jobs, p99 wait {:.0} s, makespan ratio {:.3}",
             trace.len(),
             p99_ind,
             locked.makespan.as_secs() / ind.makespan.as_secs()

@@ -2,9 +2,9 @@
 //!
 //! One module per table/figure of the paper plus the ablation studies from
 //! DESIGN.md. Each module produces the figure's data as plain structs
-//! (reused by the regeneration binaries, the criterion benches, and the
-//! paper-claims integration tests) and offers a text rendering that prints
-//! the same rows/series the paper reports.
+//! (reused by the regeneration binaries, the repo benchmark in
+//! `benchmark/`, and the paper-claims integration tests) and offers a text
+//! rendering that prints the same rows/series the paper reports.
 //!
 //! | paper artifact | module | binary |
 //! |---|---|---|
@@ -24,7 +24,6 @@ pub mod fig8;
 pub mod obs_run;
 pub mod overlap_run;
 pub mod resilience_run;
-pub mod scale;
 pub mod sensitivity;
 pub mod table1;
 

@@ -188,8 +188,7 @@ fn entry_covers(e: &AllowEntry, f: &Finding) -> bool {
 }
 
 /// FNV-1a 64-bit hash, hex-encoded with a scheme prefix. Used to fingerprint
-/// the allowlist so bench artifacts are traceable to the audited source
-/// state (`BENCH_kernels.json` records it).
+/// the allowlist in `DEEPCHECK_REPORT.json` and the snippets waivers pin.
 pub fn fnv1a64_hex(data: &[u8]) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {

@@ -271,10 +271,9 @@ pub fn analyze_workspace(root: &Path, allowlist: &Allowlist) -> std::io::Result<
     Ok(report)
 }
 
-/// Fingerprint of the workspace's `allowlist.toml` (or `"absent"`). The
-/// bench records the same value in `BENCH_kernels.json`, tying perf
-/// artifacts to the audited source state.
-pub fn allowlist_hash(root: &Path) -> String {
+/// Fingerprint of the workspace's `allowlist.toml` (or `"absent"`), stamped
+/// into the report so it names the waiver set it was produced under.
+fn allowlist_hash(root: &Path) -> String {
     match std::fs::read(root.join("allowlist.toml")) {
         Ok(bytes) => fnv1a64_hex(&bytes),
         Err(_) => "absent".to_string(),

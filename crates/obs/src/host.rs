@@ -17,7 +17,8 @@
 //! serialization noise.
 //!
 //! None of the `Trace`/report/Chrome exporters read this type; it is
-//! surfaced only through host-metrics channels such as `BENCH_scale.json`.
+//! surfaced only through host-metrics channels such as the `sched` bin's
+//! `--out` file.
 
 use std::collections::BTreeMap;
 

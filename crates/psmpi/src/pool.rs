@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MAX_POOLED_CAPACITY: usize = 16 << 20;
 
 /// Default bound on pooled buffers; beyond it, retired buffers are simply
-/// freed. Tunable per pool via [`BufferPool::with_capacity`] — the scale
-/// bench showed this default is the binding constraint under synchronized
+/// freed. Tunable per pool via [`BufferPool::with_capacity`] — PR 8
+/// measured this default as the binding constraint under synchronized
 /// BSP bursts at 1000 ranks (~0.66 hit rate when every rank races for a
 /// staging buffer at the same host instant).
 pub const DEFAULT_MAX_POOLED_BUFFERS: usize = 64;
@@ -31,8 +31,9 @@ pub const DEFAULT_MAX_POOLED_BUFFERS: usize = 64;
 /// They count *wall-clock-domain* events whose totals depend on host
 /// scheduling (which thread wins a pooled buffer, whether a receiver
 /// drops its reference before the recycle attempt), so they are reported
-/// only through host-metrics channels (`BENCH_scale.json`) and must never
-/// feed virtual-time results or byte-diffed obs artifacts.
+/// only through host-metrics channels (the repo benchmark's
+/// `psmpi.pool_*` metrics) and must never feed virtual-time results or
+/// byte-diffed obs artifacts.
 pub struct BufferPool {
     bufs: Mutex<Vec<BytesMut>>, // lock-order: 50
     max_buffers: usize,

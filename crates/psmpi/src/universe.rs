@@ -205,7 +205,6 @@ pub struct UniverseBuilder {
     placements: Vec<NodeId>,
     ranks_per_node: u32,
     pool: Option<Arc<crate::BufferPool>>,
-    pool_capacity: Option<usize>,
 }
 
 impl UniverseBuilder {
@@ -217,7 +216,6 @@ impl UniverseBuilder {
             placements: Vec::new(),
             ranks_per_node: 1,
             pool: None,
-            pool_capacity: None,
         }
     }
 
@@ -248,28 +246,15 @@ impl UniverseBuilder {
         self
     }
 
-    /// Size the universe's own buffer pool to retain up to `max_buffers`
-    /// retired staging buffers (default
-    /// [`crate::DEFAULT_MAX_POOLED_BUFFERS`]). Ignored when an external
-    /// pool is supplied via [`UniverseBuilder::buffer_pool`], which
-    /// carries its own bound.
-    pub fn buffer_pool_capacity(mut self, max_buffers: usize) -> Self {
-        self.pool_capacity = Some(max_buffers);
-        self
-    }
-
     /// Build the universe and run `entry` on every placed rank.
     pub fn run<F>(self, entry: F) -> JobReport
     where
         F: Fn(&mut Rank) + Send + Sync + 'static,
     {
         let fabric = Fabric::with_model(self.topology, self.model.unwrap_or_default());
-        let universe = match (self.pool, self.pool_capacity) {
-            (Some(pool), _) => Universe::with_buffer_pool(fabric, pool),
-            (None, Some(cap)) => {
-                Universe::with_buffer_pool(fabric, Arc::new(crate::BufferPool::with_capacity(cap)))
-            }
-            (None, None) => Universe::new(fabric),
+        let universe = match self.pool {
+            Some(pool) => Universe::with_buffer_pool(fabric, pool),
+            None => Universe::new(fabric),
         };
         let mut placements = Vec::new();
         for &n in &self.placements {

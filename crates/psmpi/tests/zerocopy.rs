@@ -1,10 +1,13 @@
 //! Zero-copy message-path tests: raw `Bytes` payloads share one allocation
 //! from sender to receiver (and across collective fan-out), and a
-//! self-addressed message bypasses the fabric model entirely.
+//! self-addressed message bypasses the fabric model entirely; typed
+//! payloads stage through a reused buffer pool.
 
 use bytes::Bytes;
-use hwmodel::presets::deep_er_cluster_node;
-use psmpi::UniverseBuilder;
+use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
+use hwmodel::SimTime;
+use psmpi::{BufferPool, UniverseBuilder};
+use std::sync::Arc;
 
 fn cluster(n: u32) -> UniverseBuilder {
     UniverseBuilder::new().add_nodes(n, &deep_er_cluster_node())
@@ -129,4 +132,64 @@ fn self_probe_reports_zero_transfer() {
         );
         let _ = rank.recv::<Vec<u8>>(Some(0), Some(4)).unwrap();
     });
+}
+
+#[test]
+fn typed_ring_reuses_pooled_buffers_through_the_router() {
+    // The in-place typed path stages every send through the universe's
+    // buffer pool and the receiver recycles it after decoding. The pool is
+    // host-side only, so its retention bound moves the hit/miss split and
+    // never the virtual makespan.
+    const RANKS: usize = 80;
+    const ROUNDS: usize = 4;
+    let ring = |pool: BufferPool| {
+        let pool = Arc::new(pool);
+        let report = UniverseBuilder::new()
+            .add_nodes(RANKS as u32 / 2, &deep_er_cluster_node())
+            .add_nodes(RANKS as u32 / 2, &deep_er_booster_node())
+            .buffer_pool(pool.clone())
+            .run(|rank| {
+                let me = rank.rank();
+                let (next, prev) = ((me + 1) % RANKS, (me + RANKS - 1) % RANKS);
+                let payload = vec![me as f64; 64];
+                let mut inbox = vec![0.0f64; 64];
+                for _ in 0..ROUNDS {
+                    // A buffered send completes locally, so send-then-recv
+                    // cannot deadlock around the ring.
+                    rank.send_slice(next, 7, &payload).unwrap();
+                    rank.recv_into(Some(prev), Some(7), &mut inbox).unwrap();
+                    assert_eq!(inbox[0], prev as f64, "ring payload integrity");
+                }
+            });
+        (pool.stats(), report.makespan())
+    };
+    let delivered = (RANKS * ROUNDS) as u64;
+
+    let (default, makespan) = ring(BufferPool::new());
+    assert!(makespan > SimTime::ZERO);
+    assert_eq!(
+        default.hits + default.misses,
+        delivered,
+        "every send stages exactly one buffer through the pool: {default:?}"
+    );
+    assert!(
+        default.hits > delivered / 2,
+        "steady-state sends must reuse retired buffers: {default:?}"
+    );
+
+    // The two deterministic extremes of the retention bound (the in-between
+    // is host-scheduling dependent): a pool that retains nothing allocates
+    // on every get; one sized to the rank count allocates at most once per
+    // rank, each rank having at most one send outstanding.
+    let (starved, starved_makespan) = ring(BufferPool::with_capacity(0));
+    assert_eq!(starved.hits, 0, "nothing retained, nothing reused");
+    assert_eq!(starved.misses, delivered);
+    let (sized, sized_makespan) = ring(BufferPool::with_capacity(RANKS));
+    assert_eq!(sized.hits + sized.misses, delivered);
+    assert!(
+        sized.misses <= RANKS as u64,
+        "a rank-count pool allocates at most peak concurrency: {sized:?}"
+    );
+    assert_eq!(starved_makespan, makespan);
+    assert_eq!(sized_makespan, makespan);
 }

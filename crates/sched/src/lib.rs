@@ -22,7 +22,7 @@
 //!   schedule per `scr`);
 //! * [`report`] — flattens an [`EngineReport`] into `obs::HostMetrics`
 //!   (makespan, queue-wait percentiles, module utilizations, backfill
-//!   efficiency) for `BENCH_sched.json`.
+//!   efficiency) for the `sched` bin's `--out` file.
 //!
 //! Everything runs under the repo's determinism contract: virtual time
 //! only, seeded `StdRng` only, ordered containers only, and the one

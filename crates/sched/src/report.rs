@@ -1,5 +1,5 @@
 //! Flatten an [`EngineReport`] into `obs::HostMetrics` for the
-//! `BENCH_sched.json` artifact.
+//! `sched` bin's `--out` file.
 //!
 //! Every key is namespaced with the caller's prefix (e.g.
 //! `"independent."`, `"node_locked."`) so the two policy runs of the

@@ -105,3 +105,92 @@ proptest! {
         }
     }
 }
+
+/// The overhead-vs-MTBF table of EXPERIMENTS.md ("Asynchronous
+/// checkpointing"): a 3600 s job on 8 ranks × 1 MiB, checkpointed at the
+/// Young–Daly interval for the blocking Buddy cost, walked through
+/// `simulate_run` over one seeded failure trace per MTBF. Every mode gets
+/// the same cadence and the same failures and differs only in what a
+/// checkpoint blocks: the full cost (sync), the local stage with the rest
+/// drained behind compute (async), or the same split on delta-sized frames.
+#[test]
+fn overhead_vs_mtbf_curve_matches_experiments_md() {
+    use hwmodel::SimTime;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use scr::{simulate_run, young_daly_interval, FailureModel};
+
+    const RANKS: usize = 8;
+    const BYTES_PER_RANK: usize = 1 << 20;
+    const KEYFRAME_EVERY: f64 = 4.0; // xpic::resilience::KEYFRAME_EVERY_DEFAULT
+
+    let cn = Arc::new(hwmodel::presets::deep_er_cluster_node());
+    let nodes: Vec<NodeId> = (0..RANKS as u32).map(NodeId).collect();
+    let scr = ScrManager::new(
+        ScrConfig::default(),
+        nodes.clone(),
+        vec![cn; RANKS],
+        ParallelFs::deep_er(),
+    );
+    // (blocking cost, local stage, drain) of one Buddy checkpoint.
+    let split = |bytes: u64| {
+        let full = scr.checkpoint_cost(CheckpointLevel::Buddy, bytes);
+        let local = scr.checkpoint_cost(CheckpointLevel::Local, bytes);
+        (full, local, full.saturating_sub(local))
+    };
+    let (sync_cost, local_cost, drain_cost) = split(BYTES_PER_RANK as u64);
+
+    // Deltas are priced where they compress: ~2 % of the bytes flipped in
+    // 32 dirty runs, one keyframe every fourth checkpoint.
+    let base: Vec<u8> = (0..BYTES_PER_RANK).map(|i| (i * 131) as u8).collect();
+    let mut cur = base.clone();
+    for run in 0..32 {
+        let off = run * (BYTES_PER_RANK / 32);
+        for b in &mut cur[off..off + BYTES_PER_RANK / 1600] {
+            *b = b.wrapping_add(1);
+        }
+    }
+    let sparse_ratio = scr::delta::encode_delta(&base, &cur, 1).len() as f64
+        / scr::delta::encode_full(&cur).len() as f64;
+    let wire_ratio = (1.0 + (KEYFRAME_EVERY - 1.0) * sparse_ratio) / KEYFRAME_EVERY;
+    assert_eq!(
+        format!("{sparse_ratio:.2} {wire_ratio:.2}"),
+        "0.02 0.27",
+        "sparse-change delta ratio, alone and averaged with keyframes"
+    );
+    let (_, delta_local, delta_drain) = split((BYTES_PER_RANK as f64 * wire_ratio) as u64);
+
+    let work = SimTime::from_secs(3600.0);
+    let restart = SimTime::from_secs(1.0);
+    // node MTBF (s), failures hit, overhead = wall / work per mode.
+    let table = [
+        (300.0, 94, "1.0349 1.0320 1.0307"),
+        (1000.0, 40, "1.0166 1.0155 1.0148"),
+        (3000.0, 12, "1.0068 1.0062 1.0059"),
+        (10000.0, 2, "1.0018 1.0012 1.0012"),
+    ];
+    for (i, (mtbf_s, failures_hit, overheads)) in table.into_iter().enumerate() {
+        // Young–Daly prices the interval against the whole machine's
+        // failure rate, which grows with the node count.
+        let model = FailureModel::new(SimTime::from_secs(mtbf_s));
+        let interval = young_daly_interval(sync_cost, model.system_mtbf(RANKS)).min(work);
+        let mut rng = StdRng::seed_from_u64(0xA51C + i as u64);
+        let trace = model.sample_trace(&mut rng, &nodes, work * 4.0);
+        let run = |block, drain| simulate_run(work, interval, block, drain, restart, &trace);
+        let sync = run(sync_cost, SimTime::ZERO);
+        let asn = run(local_cost, drain_cost);
+        let delta = run(delta_local, delta_drain);
+        assert_eq!(sync.failures_hit, failures_hit, "MTBF {mtbf_s} s");
+        assert_eq!(
+            format!(
+                "{:.4} {:.4} {:.4}",
+                sync.overhead(work),
+                asn.overhead(work),
+                delta.overhead(work)
+            ),
+            overheads,
+            "sync / async / async+delta overhead at MTBF {mtbf_s} s"
+        );
+        assert!(asn.overhead(work) <= sync.overhead(work), "MTBF {mtbf_s} s");
+    }
+}
