@@ -40,25 +40,35 @@ echo "== repo benchmark (benchmark/ builds and smokes against the workspace API)
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== host smoke (ring rate and typed/bytes ratio within 1.5x of the recorded runs) =="
+echo "== host smoke (ring rate and typed/bytes ratio within 1.5x of the recorded runs, checkpointed-step rate above its floor) =="
 # The one host-speed gate, read from the benchmark binary built above: its
 # `workload metric value unit` lines, its last line for the failed count.
 # Floor: the lowest ring_latency median of PRs 13-15 (5.15e5 msg/s) / 1.5.
 # Ceiling: the highest typed/bytes ratio recorded up to PR 15 (2.13) x 1.5.
-# A 2x regression of either fails; benchmark/README.md says how to read
-# the rest.
+# Floor: the lowest xpic_ckpt ops_per_s of twenty 5 s runs at PR 17 (45.8
+# steps/s) / 1.5. Ten quiet runs read 179-195 and ten taken right after
+# this script's own build and test stages 46-159 (the parent binary read
+# 41-101 beside those): the host throttles after sustained load, so this
+# floor catches a collapse of the checkpointed step, not a 2x regression.
+# A 2x regression of either of the first two fails; benchmark/README.md
+# says how to read the rest.
 BM="${CARGO_TARGET_DIR:-benchmark/target}/release/cb-benchmark"
 HS_TMP=$(mktemp -d)
 "$BM" --workload ring_latency --seed 20180521 --seconds 5 --trace 0 > "$HS_TMP/ring.txt"
 "$BM" --workload bulk_collectives --seed 20180521 --seconds 5 --trace 1 > "$HS_TMP/bulk.txt"
+"$BM" --workload xpic_ckpt --seed 20180521 --seconds 5 --trace 0 > "$HS_TMP/ckpt.txt"
 tail -n 1 "$HS_TMP/ring.txt" | grep -q '"failed": 0,'
 tail -n 1 "$HS_TMP/bulk.txt" | grep -q '"failed": 0,'
+tail -n 1 "$HS_TMP/ckpt.txt" | grep -q '"failed": 0,'
 awk '$2 == "ops_per_s" { v = $3 }
      END { if (v + 0 < 3.4e5) { print "host smoke: ring_latency ops_per_s " v " is under 3.4e5"; exit 1 } }' \
     "$HS_TMP/ring.txt"
 awk '$2 == "psmpi.typed_bytes_ratio" { v = $3 }
      END { if (v == "" || v + 0 > 3.2) { print "host smoke: typed_bytes_ratio " v " is over 3.2"; exit 1 } }' \
     "$HS_TMP/bulk.txt"
+awk '$2 == "ops_per_s" { v = $3 }
+     END { if (v + 0 < 30) { print "host smoke: xpic_ckpt ops_per_s " v " is under 30"; exit 1 } }' \
+    "$HS_TMP/ckpt.txt"
 rm -rf "$HS_TMP"
 
 echo "== bench compile check =="

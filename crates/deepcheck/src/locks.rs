@@ -127,16 +127,19 @@ pub struct FileInput<'a> {
     pub toks: &'a [Tok],
 }
 
-/// Blocking entry points below `Rank`'s receive surface (the mailbox and
-/// probe calls). A call to any of these, or to a blocking receive of the
+/// Blocking entry points below `Rank`'s receive surface: the mailbox's one
+/// wait loop (`park_until`), its four callers, and the two probes `Rank`
+/// builds on them. A call to any of these, or to a blocking receive of the
 /// protocol tables, while a tracked guard is live is D008.
 /// `Condvar::wait` is *not* here: it releases the mutex it parks on.
 const BLOCKING: &[&str] = &[
+    "park_until",
     "recv_match",
     "recv_match_abortable",
     "probe_blocking",
     "probe_blocking_either",
     "probe",
+    "probe_either",
 ];
 
 fn is_blocking(method: &str) -> bool {

@@ -201,9 +201,7 @@ impl Rank {
         }
 
         let parent_abs = to_abs(parent.expect("non-root has a parent"));
-        let first =
-            self.mailbox()
-                .probe_blocking_either(comm.id, parent_abs, TAG_BCAST, TAG_BCAST_HDR);
+        let first = self.probe_either(comm, parent_abs, TAG_BCAST, TAG_BCAST_HDR)?;
         if first == TAG_BCAST {
             let (v, _) = self.recv_bytes_comm(comm, Some(parent_abs), Some(TAG_BCAST))?;
             for &c in &children {
@@ -368,18 +366,38 @@ impl Rank {
             self.send_comm(comm, root, TAG_GATHER, value)?;
             return Ok(None);
         }
-        let mut out: Vec<Option<T>> = vec![None; n];
-        out[root] = Some(value.clone());
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src == root {
-                continue;
+        let from = |src| match src == root {
+            true => Ok(value.clone()),
+            false => Ok(self.recv_comm::<T>(comm, Some(src), Some(TAG_GATHER))?.0),
+        };
+        (0..n).map(from).collect::<Result<_, _>>().map(Some)
+    }
+
+    /// [`Rank::gather`] of one raw payload per rank that moves the `Bytes`
+    /// handles instead of their contents: root's vector shares storage with
+    /// what each rank passed in. Charged on the wire like a gathered
+    /// `Vec<u8>`: the payload plus its 8-byte length header.
+    pub fn gather_bytes(
+        &mut self,
+        comm: &Communicator,
+        root: usize,
+        payload: bytes::Bytes,
+    ) -> Result<Option<Vec<bytes::Bytes>>, PsmpiError> {
+        self.with_collective("gather", |rank| {
+            if rank.comm_rank(comm)? != root {
+                let framed = payload.len() + 8;
+                rank.send_bytes_comm_sized(comm, root, TAG_GATHER, payload, framed)?;
+                return Ok(None);
             }
-            let (v, _) = self.recv_comm::<T>(comm, Some(src), Some(TAG_GATHER))?;
-            *slot = Some(v);
-        }
-        Ok(Some(
-            out.into_iter().map(|o| o.expect("all gathered")).collect(),
-        ))
+            let from = |src| match src == root {
+                true => Ok(payload.clone()),
+                false => Ok(rank.recv_bytes_comm(comm, Some(src), Some(TAG_GATHER))?.0),
+            };
+            (0..comm.size())
+                .map(from)
+                .collect::<Result<_, _>>()
+                .map(Some)
+        })
     }
 
     /// Every rank gets every rank's value, in rank order (ring algorithm:

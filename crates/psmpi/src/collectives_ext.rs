@@ -153,21 +153,21 @@ impl Rank {
         let n = comm.size();
         let me = self.comm_rank(comm)?;
         if me != root {
-            self.send_comm(comm, root, TAG_GATHERV, &value.to_vec())?;
+            // The `Vec<T>` frame, encoded straight from the slice.
+            let pool = self.router().buffer_pool();
+            let mut wire = pool.get(8 + T::FIXED_WIDTH.unwrap_or(0) * value.len());
+            (value.len() as u64).encode(&mut wire);
+            T::encode_slice(value, &mut wire);
+            self.send_bytes_comm(comm, root, TAG_GATHERV, wire.freeze())?;
             return Ok(None);
         }
-        let mut out: Vec<Option<Vec<T>>> = vec![None; n];
-        out[root] = Some(value.to_vec());
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src == root {
-                continue;
-            }
-            let (v, _) = self.recv_comm::<Vec<T>>(comm, Some(src), Some(TAG_GATHERV))?;
-            *slot = Some(v);
-        }
-        Ok(Some(
-            out.into_iter().map(|o| o.expect("gathered")).collect(),
-        ))
+        let from = |src| match src == root {
+            true => Ok(value.to_vec()),
+            false => Ok(self
+                .recv_comm::<Vec<T>>(comm, Some(src), Some(TAG_GATHERV))?
+                .0),
+        };
+        (0..n).map(from).collect::<Result<_, _>>().map(Some)
     }
 
     /// Global minimum *and* its owning rank (MPI_MINLOC over one double).

@@ -6,7 +6,7 @@ use crate::datatype::{
     pod_to_bytes_pooled, read_pod_into_exact, CodecError, FixedWidth, MpiDatatype,
 };
 use crate::envelope::{EndpointId, Envelope, Status, Tag, TAG_REVOKED};
-use crate::router::{EndpointEntry, Mailbox, RecvAbort, Router};
+use crate::router::{EndpointEntry, Mailbox, Probed, RecvAbort, Router};
 use bytes::{BufMut, Bytes, BytesMut};
 use hwmodel::{CostModel, NodeId, NodeSpec, SimTime, WorkSpec};
 use std::collections::BTreeMap;
@@ -471,11 +471,6 @@ impl Rank {
         self.router.buffer_pool()
     }
 
-    /// This rank's mailbox (collectives dispatch on queued tags).
-    pub(crate) fn mailbox(&self) -> &Arc<Mailbox> {
-        &self.mailbox
-    }
-
     /// Routing record of a peer endpoint, from this rank's private cache
     /// (filled on first use; see the `entries` field).
     fn entry_of(&mut self, ep: EndpointId) -> Result<Arc<EndpointEntry>, PsmpiError> {
@@ -591,10 +586,35 @@ impl Rank {
     // ---- probes ----
 
     /// Blocking probe: wait until a matching message is available and
-    /// return its status without receiving it.
-    pub fn probe(&mut self, comm: &impl Comm, src: Option<usize>, tag: Option<Tag>) -> Status {
-        let hit = self.mailbox.probe_blocking(comm.context(), src, tag);
-        self.probe_status(hit)
+    /// return its status without receiving it. Like a receive, it gives up
+    /// with [`PsmpiError::NodeFailed`] once the awaited sender is known
+    /// never to deliver.
+    pub fn probe(
+        &mut self,
+        comm: &impl Comm,
+        src: Option<usize>,
+        tag: Option<Tag>,
+    ) -> Result<Status, PsmpiError> {
+        let req = post_recv(comm, src, tag)?;
+        let hit = self.await_sender(req.src_ep, |mailbox, dead| {
+            mailbox.probe_blocking(req.comm, src, tag, dead)
+        })?;
+        Ok(self.probe_status(hit))
+    }
+
+    /// Which of two tags rank `src` of `comm` sent first, without receiving
+    /// it (collectives dispatch between sub-protocols on it); abortable
+    /// like [`Rank::probe`].
+    pub(crate) fn probe_either(
+        &mut self,
+        comm: &impl Comm,
+        src: usize,
+        tag_a: Tag,
+        tag_b: Tag,
+    ) -> Result<Tag, PsmpiError> {
+        self.await_sender(Some(peer_endpoint(comm, src)?), |mailbox, dead| {
+            mailbox.probe_blocking_either(comm.context(), src, tag_a, tag_b, dead)
+        })
     }
 
     /// Nonblocking probe.
@@ -611,10 +631,7 @@ impl Rank {
     /// Status a probe reports for a queued envelope. The transfer time is
     /// zero for a self-send (which never touches the fabric), the modelled
     /// fabric time otherwise.
-    fn probe_status(
-        &self,
-        (source, tag, bytes, stamp, src_ep): (usize, Tag, usize, SimTime, EndpointId),
-    ) -> Status {
+    fn probe_status(&self, (source, tag, bytes, stamp, src_ep): Probed) -> Status {
         let transfer = if src_ep == self.endpoint {
             SimTime::ZERO
         } else {
@@ -1107,6 +1124,34 @@ impl Rank {
         src_ep.and_then(|ep| self.entry_of(ep).ok().map(|e| e.node()))
     }
 
+    /// Block in this rank's mailbox through `wait`, which gives up once
+    /// the sender at `src_ep` is known never to deliver; that surfaces as
+    /// [`PsmpiError::NodeFailed`] naming the victim. The sender's node is
+    /// resolved up front so `dead` only consults the lock-free `any_dead`
+    /// screen, never the endpoint table.
+    fn await_sender<T>(
+        &mut self,
+        src_ep: Option<EndpointId>,
+        wait: impl FnOnce(&Mailbox, &dyn Fn() -> Option<(NodeId, SimTime)>) -> Result<T, RecvAbort>,
+    ) -> Result<T, PsmpiError> {
+        let node = self.awaited_node(src_ep);
+        let router = &self.router;
+        let dead = || node.and_then(|n| router.dead_time_of(n).map(|at| (n, at)));
+        let (node, at) = match wait(&self.mailbox, &dead) {
+            Ok(found) => return Ok(found),
+            Err(RecvAbort::Dead(node, at)) => (node, at),
+            Err(RecvAbort::Revoked(marker)) => decode_revoke_marker(&marker)
+                .ok_or_else(|| PsmpiError::Codec(CodecError("malformed revoke marker".into())))?,
+        };
+        // The receiver learns of the death no earlier than it happened;
+        // aligning the clock keeps recovery timing a function of the plan
+        // alone.
+        let pre = self.clock;
+        self.clock = self.clock.max(at);
+        self.comm_time += self.clock - pre;
+        Err(PsmpiError::NodeFailed { node, at })
+    }
+
     /// Complete a posted receive: block for the match (or the abort),
     /// advance the clock to the arrival and stamp the span `face` names.
     fn complete_recv(
@@ -1119,35 +1164,16 @@ impl Rank {
             Face::Request => (obs::Category::Wait, "wait-recv", "wait-aborted"),
         };
         let pre = self.clock;
-        // Resolve the watched sender's node up front so the abort closure
-        // only consults the lock-free `any_dead` screen, never the endpoint
-        // table.
-        let src_node = self.awaited_node(req.src_ep);
-        let router = &self.router;
-        let env = match self
-            .mailbox
-            .recv_match_abortable(req.comm, req.src, req.tag, || {
-                src_node.and_then(|n| router.dead_time_of(n).map(|at| (n, at)))
-            }) {
+        let matched = self.await_sender(req.src_ep, |mailbox, dead| {
+            mailbox.recv_match_abortable(req.comm, req.src, req.tag, dead)
+        });
+        let env = match matched {
             Ok(env) => env,
-            Err(abort) => {
-                let (node, at) = match abort {
-                    RecvAbort::Dead(node, at) => (node, at),
-                    RecvAbort::Revoked(marker) => {
-                        decode_revoke_marker(&marker).ok_or_else(|| {
-                            PsmpiError::Codec(CodecError("malformed revoke marker".into()))
-                        })?
-                    }
-                };
-                // The receiver learns of the death no earlier than it
-                // happened; aligning the clock keeps recovery timing a
-                // function of the plan alone.
-                self.clock = self.clock.max(at);
-                self.comm_time += self.clock - pre;
-                if let Some(track) = &self.obs {
+            Err(err) => {
+                if let (Some(track), PsmpiError::NodeFailed { .. }) = (&self.obs, &err) {
                     track.span(cat, abort_name, pre, self.clock);
                 }
-                return Err(PsmpiError::NodeFailed { node, at });
+                return Err(err);
             }
         };
         if env.src_endpoint == self.endpoint {

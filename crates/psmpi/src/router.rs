@@ -3,7 +3,9 @@
 //! Sends never block (buffered semantics — the sender deposits the envelope
 //! into the receiver's mailbox and moves on, as with small/eager messages in
 //! a real MPI; this also makes naive exchange loops deadlock-free). Receives
-//! block on a condition variable until a matching envelope exists.
+//! wait in one loop, `Mailbox::park_until`: a short spin on the arrival
+//! counter, then a sleep on a condition variable that depositors signal only
+//! while someone sleeps (DESIGN.md §3.7).
 
 use crate::comm::CommId;
 use crate::envelope::{EndpointId, Envelope, Tag};
@@ -14,8 +16,8 @@ use hwmodel::{NodeId, SimTime};
 use parking_lot::{Condvar, Mutex, RwLock};
 use simnet::Fabric;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 /// Interior of a [`Mailbox`], guarded by one mutex.
@@ -43,6 +45,11 @@ struct MailboxState {
     index: HashMap<(CommId, usize, Tag), VecDeque<u64>>,
     /// Number of live (non-tombstone) envelopes.
     live: usize,
+    /// Receivers inside `cv.wait`; while there is one, a deposit notifies.
+    parked: usize,
+    /// Those of them nothing has notified since they went to sleep; the
+    /// others count as awake again (see [`Mailbox::signal`]).
+    asleep: usize,
 }
 
 impl MailboxState {
@@ -65,6 +72,18 @@ impl MailboxState {
         self.slots[(arrival - self.base) as usize]
             .as_ref()
             .expect("peeked slot is live")
+    }
+
+    /// What a probe reports of the earliest live match, if there is one.
+    fn peek_match(&self, comm: CommId, src: Option<usize>, tag: Option<Tag>) -> Option<Probed> {
+        let e = self.peek(self.find(comm, src, tag)?);
+        Some((
+            e.src_rank,
+            e.tag,
+            e.payload.len(),
+            e.send_stamp,
+            e.src_endpoint,
+        ))
     }
 
     fn take(&mut self, arrival: u64) -> Envelope {
@@ -95,7 +114,7 @@ impl MailboxState {
     }
 }
 
-/// Why an abortable receive gave up instead of returning an envelope.
+/// Why an abortable wait gave up instead of returning its match.
 #[derive(Debug)]
 pub enum RecvAbort {
     /// A revoke marker from the awaited sender was queued: the sender
@@ -109,15 +128,42 @@ pub enum RecvAbort {
     Dead(NodeId, SimTime),
 }
 
+/// `(source rank, tag, payload bytes, send stamp, source endpoint)` of a
+/// queued envelope, as the probes report it.
+pub type Probed = (usize, Tag, usize, SimTime, EndpointId);
+
+/// Times a receiver with no match re-reads the arrival counter, lock
+/// released, before it sleeps. A count, not a duration: the message path
+/// reads no host clock.
+const SPIN_BUDGET: u32 = 1000;
+
+/// Cores of the host, read once.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Whether a receiver with no match spins before it sleeps: only while
+/// every awake rank thread can have a core to itself — otherwise the spin
+/// may keep the awaited sender, or a receiver just notified, off the CPU.
+fn spin_before_sleep(awake: isize, cores: usize) -> bool {
+    awake <= cores as isize
+}
+
 /// One endpoint's incoming-message queue.
 #[derive(Default)]
 pub struct Mailbox {
     state: Mutex<MailboxState>, // lock-order: 10
     cv: Condvar,
+    /// Deposits and interrupts so far; a spinning receiver watches it.
+    arrivals: AtomicU64,
+    /// [`Router::awake_ranks`] of the owning router (a stand-alone
+    /// mailbox counts for itself).
+    awake: Arc<AtomicIsize>,
 }
 
 impl Mailbox {
-    /// Deposit an envelope and wake any blocked receiver.
+    /// Deposit an envelope and wake the receiver if it sleeps.
     pub fn push(&self, env: Envelope) {
         let mut s = self.state.lock();
         crate::lock_witness!("psmpi.state");
@@ -128,7 +174,106 @@ impl Mailbox {
             .push_back(arrival);
         s.slots.push_back(Some(env));
         s.live += 1;
-        self.cv.notify_all();
+        self.signal(&mut s);
+    }
+
+    /// Make a receiver re-evaluate its abort conditions (called on every
+    /// mailbox when a node is declared down).
+    pub fn interrupt(&self) {
+        let mut s = self.state.lock();
+        crate::lock_witness!("psmpi.state");
+        self.signal(&mut s);
+    }
+
+    /// Publish a change, lock held: a spinner sees the counter move, and
+    /// a receiver inside `cv.wait` is notified. Nobody in there, no
+    /// `notify`: under the `std::sync` shim that is a `futex` syscall
+    /// whether or not anyone waits. The first notify after a receiver went
+    /// to sleep also counts it awake again: it wants a core from now on,
+    /// not from when it gets one, and a spinner must not take it. (Later
+    /// deposits notify it again until it has run; skipping those is
+    /// ROADMAP item 2's ring leg.)
+    fn signal(&self, s: &mut MailboxState) {
+        self.arrivals.fetch_add(1, Ordering::Release);
+        if s.parked > 0 {
+            let woken = std::mem::take(&mut s.asleep);
+            self.awake.fetch_add(woken as isize, Ordering::AcqRel);
+            self.cv.notify_all();
+        }
+    }
+
+    /// The one wait loop: block until `hit` yields, or until the `watched`
+    /// sender is known never to deliver. Every evaluation, under one lock
+    /// hold, tries in order:
+    /// 1. `hit` — so a sender's real messages win over its own revoke
+    ///    marker (deposited earlier on its thread, hence visible whenever
+    ///    the marker is);
+    /// 2. a revoke marker ([`crate::envelope::TAG_REVOKED`]) from the
+    ///    watched source — peeked, never consumed, so it unblocks every
+    ///    later wait on that sender too;
+    /// 3. `dead()` reporting the watched source's node as declared down.
+    ///
+    /// Both aborts are deterministic: markers and messages ride one mailbox
+    /// in the sender's program order, and a victim deposits all its sends
+    /// before declaring down. With nobody watched (a wildcard source) the
+    /// wait cannot abort.
+    ///
+    /// A miss spins on `arrivals` with the lock released, if
+    /// [`spin_before_sleep`] allows, re-evaluates, and only then sleeps;
+    /// `parked` rises under the lock a depositor holds, so no wake-up is
+    /// lost. None of this reads or moves a virtual clock.
+    fn park_until<T>(
+        &self,
+        comm: CommId,
+        watched: Option<usize>,
+        dead: impl Fn() -> Option<(NodeId, SimTime)>,
+        mut hit: impl FnMut(&mut MailboxState) -> Option<T>,
+    ) -> Result<T, RecvAbort> {
+        let mut spun = false;
+        loop {
+            let seen = {
+                let mut s = self.state.lock();
+                crate::lock_witness!("psmpi.state");
+                loop {
+                    if let Some(found) = hit(&mut s) {
+                        return Ok(found);
+                    }
+                    if let Some(sr) = watched {
+                        let tag = Some(crate::envelope::TAG_REVOKED);
+                        if let Some(arrival) = s.find(comm, Some(sr), tag) {
+                            return Err(RecvAbort::Revoked(s.peek(arrival).payload.clone()));
+                        }
+                        if let Some((node, at)) = dead() {
+                            return Err(RecvAbort::Dead(node, at));
+                        }
+                    }
+                    let arrivals = self.arrivals.load(Ordering::Acquire);
+                    if !spun && spin_before_sleep(self.awake.load(Ordering::Acquire), host_cores())
+                    {
+                        break arrivals;
+                    }
+                    s.parked += 1;
+                    s.asleep += 1;
+                    self.awake.fetch_sub(1, Ordering::AcqRel);
+                    self.cv.wait(&mut s);
+                    s.parked -= 1;
+                    if self.arrivals.load(Ordering::Acquire) == arrivals {
+                        // Woken by nobody: no `signal` has counted this
+                        // sleeper awake again, so it does that itself.
+                        s.asleep -= 1;
+                        self.awake.fetch_add(1, Ordering::AcqRel);
+                    }
+                    spun = false;
+                }
+            };
+            for _ in 0..SPIN_BUDGET {
+                if self.arrivals.load(Ordering::Acquire) != seen {
+                    break;
+                }
+                std::hint::spin_loop();
+            }
+            spun = true;
+        }
     }
 
     /// Block until an envelope matching `(comm, src, tag)` is queued, then
@@ -136,34 +281,18 @@ impl Mailbox {
     /// send order (MPI non-overtaking): both the index deques and the slot
     /// queue are in arrival order, and one sender's arrivals are ordered.
     pub fn recv_match(&self, comm: CommId, src: Option<usize>, tag: Option<Tag>) -> Envelope {
-        let mut s = self.state.lock();
-        crate::lock_witness!("psmpi.state");
-        loop {
-            if let Some(arrival) = s.find(comm, src, tag) {
-                return s.take(arrival);
-            }
-            self.cv.wait(&mut s);
-        }
+        self.park_until(
+            comm,
+            None,
+            || None,
+            |s| s.find(comm, src, tag).map(|arrival| s.take(arrival)),
+        )
+        .expect("a wait that watches nobody cannot abort")
     }
 
-    /// Like [`Mailbox::recv_match`], but abortable: gives up when the
-    /// awaited sender is known to never deliver.
-    ///
-    /// Priority on every wake-up, under one lock hold:
-    /// 1. a matching envelope — *always* consumed first, so a sender's real
-    ///    messages win over its own revoke marker (the sender deposits them
-    ///    earlier on its own thread, hence they are visible whenever the
-    ///    marker is);
-    /// 2. a revoke marker ([`crate::envelope::TAG_REVOKED`]) from the
-    ///    awaited source — peeked, never consumed, so it unblocks every
-    ///    later receive from that sender too;
-    /// 3. `dead()` reporting the awaited source's node as declared down.
-    ///
-    /// Both abort sources are deterministic: markers and real messages ride
-    /// the same mailbox in the sender's program order, and a victim node
-    /// deposits all sends before declaring down. With a wildcard source
-    /// there is no specific sender to wait out, so only path 1 applies and
-    /// the call degenerates to [`Mailbox::recv_match`].
+    /// Like [`Mailbox::recv_match`], but gives up when the awaited sender
+    /// is known never to deliver: a queued match first, then that sender's
+    /// revoke marker, then `dead()` reporting its node declared down.
     pub fn recv_match_abortable(
         &self,
         comm: CommId,
@@ -171,30 +300,9 @@ impl Mailbox {
         tag: Option<Tag>,
         dead: impl Fn() -> Option<(NodeId, SimTime)>,
     ) -> Result<Envelope, RecvAbort> {
-        let mut s = self.state.lock();
-        crate::lock_witness!("psmpi.state");
-        loop {
-            if let Some(arrival) = s.find(comm, src, tag) {
-                return Ok(s.take(arrival));
-            }
-            if let Some(sr) = src {
-                if let Some(arrival) = s.find(comm, Some(sr), Some(crate::envelope::TAG_REVOKED)) {
-                    return Err(RecvAbort::Revoked(s.peek(arrival).payload.clone()));
-                }
-                if let Some((node, at)) = dead() {
-                    return Err(RecvAbort::Dead(node, at));
-                }
-            }
-            self.cv.wait(&mut s);
-        }
-    }
-
-    /// Wake every blocked receiver so it re-evaluates its abort conditions
-    /// (called when a node is declared down).
-    pub fn interrupt(&self) {
-        let _guard = self.state.lock();
-        crate::lock_witness!("psmpi.state");
-        self.cv.notify_all();
+        self.park_until(comm, src, dead, |s| {
+            s.find(comm, src, tag).map(|arrival| s.take(arrival))
+        })
     }
 
     /// Like [`Mailbox::recv_match`] but non-blocking: peek metadata without
@@ -204,67 +312,43 @@ impl Mailbox {
         comm: CommId,
         src: Option<usize>,
         tag: Option<Tag>,
-    ) -> Option<(usize, Tag, usize, SimTime, EndpointId)> {
+    ) -> Option<Probed> {
         let s = self.state.lock();
         crate::lock_witness!("psmpi.state");
-        s.find(comm, src, tag).map(|arrival| {
-            let e = s.peek(arrival);
-            (
-                e.src_rank,
-                e.tag,
-                e.payload.len(),
-                e.send_stamp,
-                e.src_endpoint,
-            )
-        })
+        s.peek_match(comm, src, tag)
     }
 
-    /// Blocking probe: wait until a matching envelope is queued, return its
-    /// metadata without dequeuing.
+    /// Blocking probe: wait until a matching envelope is queued and return
+    /// its metadata without dequeuing (abortable).
     pub fn probe_blocking(
         &self,
         comm: CommId,
         src: Option<usize>,
         tag: Option<Tag>,
-    ) -> (usize, Tag, usize, SimTime, EndpointId) {
-        let mut s = self.state.lock();
-        crate::lock_witness!("psmpi.state");
-        loop {
-            if let Some(arrival) = s.find(comm, src, tag) {
-                let e = s.peek(arrival);
-                return (
-                    e.src_rank,
-                    e.tag,
-                    e.payload.len(),
-                    e.send_stamp,
-                    e.src_endpoint,
-                );
-            }
-            self.cv.wait(&mut s);
-        }
+        dead: impl Fn() -> Option<(NodeId, SimTime)>,
+    ) -> Result<Probed, RecvAbort> {
+        self.park_until(comm, src, dead, |s| s.peek_match(comm, src, tag))
     }
 
     /// Block until an envelope from `src` on `comm` carrying *either* tag
-    /// is queued, and return the tag seen without dequeuing. Lets a
-    /// collective receiver dispatch between two sub-protocols (e.g. a
-    /// single-shot bcast payload vs. a segmented-stream header) without
-    /// polling.
-    pub fn probe_blocking_either(&self, comm: CommId, src: usize, tag_a: Tag, tag_b: Tag) -> Tag {
-        let mut s = self.state.lock();
-        crate::lock_witness!("psmpi.state");
-        loop {
+    /// is queued, and return the tag seen without dequeuing (abortable).
+    /// Lets a collective receiver dispatch between two sub-protocols (e.g.
+    /// a single-shot bcast payload vs. a segmented-stream header).
+    pub fn probe_blocking_either(
+        &self,
+        comm: CommId,
+        src: usize,
+        tag_a: Tag,
+        tag_b: Tag,
+        dead: impl Fn() -> Option<(NodeId, SimTime)>,
+    ) -> Result<Tag, RecvAbort> {
+        self.park_until(comm, Some(src), dead, |s| {
             // Earliest arrival wins so one sender's protocol messages are
             // dispatched in send order.
-            let a = s.find(comm, Some(src), Some(tag_a));
-            let b = s.find(comm, Some(src), Some(tag_b));
-            match (a, b) {
-                (Some(x), Some(y)) => return if x < y { tag_a } else { tag_b },
-                (Some(_), None) => return tag_a,
-                (None, Some(_)) => return tag_b,
-                (None, None) => {}
-            }
-            self.cv.wait(&mut s);
-        }
+            let queued = |tag| s.find(comm, Some(src), Some(tag)).map(|at| (at, tag));
+            let earliest = [queued(tag_a), queued(tag_b)].into_iter().flatten().min();
+            earliest.map(|(_, tag)| tag)
+        })
     }
 
     /// Number of queued envelopes (diagnostics).
@@ -410,6 +494,10 @@ pub struct Router {
     obs: Mutex<Option<obs::Recorder>>, // lock-order: 42
     next_endpoint: AtomicU64,
     next_comm: AtomicU64,
+    /// Rank threads alive (`spawn_rank_thread` counts them in and out) and
+    /// not asleep in a mailbox, shared with every mailbox. Host-side only:
+    /// it gates the spin before a sleep and never reaches a virtual clock.
+    pub(crate) awake: Arc<AtomicIsize>,
     /// Threads spawned dynamically (via `Rank::spawn`); joined at job end.
     pub(crate) child_handles: Mutex<Vec<JoinHandle<()>>>, // lock-order: 44
     /// Outcomes of completed ranks.
@@ -447,6 +535,7 @@ impl Router {
             obs: Mutex::new(None),
             next_endpoint: AtomicU64::new(0),
             next_comm: AtomicU64::new(0),
+            awake: Arc::default(),
             child_handles: Mutex::new(Vec::new()),
             outcomes: Mutex::new(Vec::new()),
             spawn_latency: SimTime::from_millis(50.0),
@@ -464,11 +553,20 @@ impl Router {
         &self.pool
     }
 
+    /// Rank threads of this universe that are alive and not asleep in a
+    /// mailbox; 0 whenever no job runs.
+    pub fn awake_ranks(&self) -> isize {
+        self.awake.load(Ordering::Acquire)
+    }
+
     /// Allocate a fresh endpoint bound to `node`.
     pub fn register_endpoint(&self, node: NodeId) -> EndpointId {
         let id = EndpointId(self.next_endpoint.fetch_add(1, Ordering::Relaxed));
         let entry = Arc::new(EndpointEntry {
-            mailbox: Arc::new(Mailbox::default()),
+            mailbox: Arc::new(Mailbox {
+                awake: self.awake.clone(),
+                ..Mailbox::default()
+            }),
             node,
             nic_free: Mutex::new(SimTime::ZERO),
         });
@@ -615,13 +713,6 @@ impl Router {
         dead.get(&node).copied()
     }
 
-    /// Death time of the node hosting `ep`, if that node is currently
-    /// declared down. Feeds the abortable receive's `dead` closure.
-    pub fn dead_node_of(&self, ep: EndpointId) -> Option<(NodeId, SimTime)> {
-        let node = self.node_of(ep).ok()?;
-        self.dead_time_of(node).map(|at| (node, at))
-    }
-
     /// Whether the static fault plan says `node` is dead as of virtual time
     /// `t` (and not repaired since). This is the *sender's* check: it reads
     /// only the immutable plan plus the repairs map (quiescent while ranks
@@ -752,6 +843,13 @@ mod tests {
         Router::new(Fabric::new(t))
     }
 
+    /// Death time of the node hosting `ep`, looked up through the endpoint
+    /// table (a shard read under whatever the caller holds).
+    fn dead_node_of(r: &Router, ep: EndpointId) -> Option<(NodeId, SimTime)> {
+        let node = r.node_of(ep).ok()?;
+        r.dead_time_of(node).map(|at| (node, at))
+    }
+
     fn env(comm: u64, src_rank: usize, tag: Tag, seq: u64) -> Envelope {
         Envelope {
             comm: CommId(comm),
@@ -805,20 +903,20 @@ mod tests {
     fn declare_down_and_repair_roundtrip() {
         let r = router();
         let a = r.register_endpoint(NodeId(0));
-        assert_eq!(r.dead_node_of(a), None);
+        assert_eq!(dead_node_of(&r, a), None);
         r.declare_down(NodeId(0), SimTime::from_secs(2.0));
         assert_eq!(
-            r.dead_node_of(a),
+            dead_node_of(&r, a),
             Some((NodeId(0), SimTime::from_secs(2.0)))
         );
         // First declaration wins: a repeat cannot move the death time.
         r.declare_down(NodeId(0), SimTime::from_secs(9.0));
         assert_eq!(
-            r.dead_node_of(a),
+            dead_node_of(&r, a),
             Some((NodeId(0), SimTime::from_secs(2.0)))
         );
         r.repair(NodeId(0), SimTime::from_secs(3.0));
-        assert_eq!(r.dead_node_of(a), None);
+        assert_eq!(dead_node_of(&r, a), None);
     }
 
     #[test]
@@ -887,7 +985,7 @@ mod tests {
         let mb = r.mailbox(a).unwrap();
         let r2 = r.clone();
         let h = std::thread::spawn(move || {
-            mb.recv_match_abortable(CommId(1), Some(0), Some(5), || r2.dead_node_of(b))
+            mb.recv_match_abortable(CommId(1), Some(0), Some(5), || dead_node_of(&r2, b))
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         r.declare_down(NodeId(1), SimTime::from_secs(1.0));
@@ -909,7 +1007,7 @@ mod tests {
         let mb = r.mailbox(a).unwrap();
         let r2 = r.clone();
         let h = std::thread::spawn(move || {
-            mb.recv_match_abortable(CommId(1), Some(0), Some(5), || r2.dead_node_of(b))
+            mb.recv_match_abortable(CommId(1), Some(0), Some(5), || dead_node_of(&r2, b))
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         r.declare_down(NodeId(1), SimTime::from_secs(1.0));
@@ -1022,9 +1120,86 @@ mod tests {
         let m = Mailbox::default();
         m.push(env(1, 0, 8, 0));
         m.push(env(1, 0, 7, 1));
-        assert_eq!(m.probe_blocking_either(CommId(1), 0, 7, 8), 8);
+        let either = || {
+            m.probe_blocking_either(CommId(1), 0, 7, 8, || None)
+                .unwrap()
+        };
+        assert_eq!(either(), 8);
         m.recv_match(CommId(1), Some(0), Some(8));
-        assert_eq!(m.probe_blocking_either(CommId(1), 0, 7, 8), 7);
+        assert_eq!(either(), 7);
+    }
+
+    #[test]
+    fn probes_abort_like_receives() {
+        let m = Mailbox::default();
+        let dead = || Some((NodeId(3), SimTime::from_secs(1.5)));
+        // Nothing queued and the sender's node is down: both probes give up.
+        let single = m.probe_blocking(CommId(1), Some(0), Some(5), dead);
+        assert!(matches!(single, Err(RecvAbort::Dead(NodeId(3), _))));
+        let either = m.probe_blocking_either(CommId(1), 0, 7, 8, dead);
+        assert!(matches!(either, Err(RecvAbort::Dead(NodeId(3), _))));
+        // A revoke marker from the sender ranks before the dead check…
+        m.push(env(1, 0, crate::envelope::TAG_REVOKED, 0));
+        let either = m.probe_blocking_either(CommId(1), 0, 7, 8, dead);
+        assert!(matches!(either, Err(RecvAbort::Revoked(_))));
+        // …and a queued match before both; a wildcard probe watches nobody.
+        m.push(env(1, 0, 7, 1));
+        assert_eq!(
+            m.probe_blocking_either(CommId(1), 0, 7, 8, dead).unwrap(),
+            7
+        );
+        let hit = m.probe_blocking(CommId(1), None, Some(7), dead).unwrap();
+        assert_eq!((hit.0, hit.1), (0, 7));
+        assert_eq!(m.len(), 2, "probes dequeue nothing");
+    }
+
+    #[test]
+    fn spin_only_while_every_awake_rank_can_have_a_core() {
+        assert!(spin_before_sleep(2, 2));
+        assert!(!spin_before_sleep(3, 2));
+        assert!(spin_before_sleep(1, 1));
+        assert!(!spin_before_sleep(2, 1));
+        assert!(!spin_before_sleep(1000, 2));
+        // A stand-alone mailbox parked on by a non-rank thread counts below
+        // zero; that is "nobody competes".
+        assert!(spin_before_sleep(0, 1));
+        assert!(spin_before_sleep(-1, 1));
+    }
+
+    #[test]
+    fn a_sleeper_leaves_the_awake_count_until_it_is_notified() {
+        let r = router();
+        let mb = r.mailbox(r.register_endpoint(NodeId(0))).unwrap();
+        let m2 = mb.clone();
+        let h = std::thread::spawn(move || m2.recv_match(CommId(1), Some(0), Some(5)));
+        // Spin budget spent, the receiver (no rank thread: it counts from
+        // zero) goes to sleep and leaves the count.
+        let asleep = || r.awake_ranks() == -1 && mb.state.lock().asleep == 1;
+        while !asleep() {
+            std::thread::yield_now();
+        }
+        // Whoever notifies it first counts it awake on the spot, once: it
+        // cannot have run yet, for that it needs the lock held here.
+        {
+            let mut s = mb.state.lock();
+            mb.signal(&mut s);
+            mb.signal(&mut s);
+            assert_eq!(r.awake_ranks(), 0);
+            assert_eq!((s.parked, s.asleep), (1, 0));
+        }
+        while !asleep() {
+            std::thread::yield_now();
+        }
+        // A deposit it cannot match wakes it all the same; it misses, sleeps
+        // again (the queue now holds one), and the match wakes it for good.
+        mb.push(env(1, 0, 6, 0));
+        while !(asleep() && mb.len() == 1) {
+            std::thread::yield_now();
+        }
+        mb.push(env(1, 0, 5, 1));
+        assert_eq!(h.join().unwrap().seq, 1);
+        assert_eq!(r.awake_ranks(), 0);
+        assert_eq!(mb.state.lock().parked, 0);
     }
 
     #[test]

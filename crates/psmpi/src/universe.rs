@@ -12,6 +12,7 @@ use crate::router::{RankOutcome, Router};
 use hwmodel::{NodeId, NodeSpec, SimTime};
 use simnet::{Fabric, LogGpModel, Topology};
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -176,6 +177,7 @@ pub(crate) fn spawn_rank_thread(
         .expect("rank on known node")
         .clone();
     let endpoint = world.group.endpoints[rank_idx];
+    router.awake.fetch_add(1, Ordering::AcqRel);
     std::thread::Builder::new()
         .name(format!("psmpi-w{}r{}", world.id.0, rank_idx))
         .spawn(move || {
@@ -193,6 +195,7 @@ pub(crate) fn spawn_rank_thread(
             );
             entry(&mut rank);
             router.record_outcome(rank.into_outcome());
+            router.awake.fetch_sub(1, Ordering::AcqRel);
         })
         .expect("spawn rank thread")
 }

@@ -151,6 +151,93 @@ fn revoke_marker_aborts_transitively_blocked_rank() {
     psmpi::lockcheck::assert_acyclic();
 }
 
+/// Run `job` on a thread of its own and fail — rather than hang the suite —
+/// if it is not through in ten seconds (the launches below take
+/// milliseconds).
+fn within_ten_seconds(job: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        job();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("a rank is still blocked on a sender that will never deliver");
+}
+
+#[test]
+fn bcast_and_probe_on_a_dead_root_fail_instead_of_hanging() {
+    // The root dies before it broadcasts. Both non-roots sit in the bcast's
+    // blocking probe on it (binomial tree over 3 ranks: 0 is the parent of
+    // 1 and 2); the death must surface there as it does in a receive.
+    let fault_at = s(0.5);
+    let plan = FaultPlan::from_node_faults([(fault_at, NodeId(0))]);
+    let u = faulted_universe(3, plan);
+    within_ten_seconds(move || {
+        u.launch(&[NodeId(0), NodeId(1), NodeId(2)], move |rank| {
+            let w = rank.world();
+            if rank.rank() == 0 {
+                let at = rank.planned_fault_in(SimTime::ZERO, s(1.0)).unwrap();
+                return rank.fail_here(at);
+            }
+            for attempt in 0..2 {
+                let err = match attempt {
+                    0 => rank.bcast(&w, 0, None::<Vec<f64>>).unwrap_err(),
+                    _ => rank.probe(&w, Some(0), Some(9)).unwrap_err(),
+                };
+                match err {
+                    MpiError::NodeFailed { node, at } => {
+                        assert_eq!((node, at), (NodeId(0), fault_at));
+                    }
+                    other => panic!("expected NodeFailed, got {other}"),
+                }
+                assert!(rank.now() >= fault_at, "learnt no earlier than it happened");
+            }
+        });
+        assert_eq!(u.router().awake_ranks(), 0);
+    });
+    psmpi::lockcheck::assert_acyclic();
+}
+
+#[test]
+fn bcast_on_a_revoking_root_fails_with_the_victims_identity() {
+    // Rank 2 dies; the bcast root, rank 1, learns of it in a receive,
+    // revokes the world and leaves without broadcasting. Rank 0 waits in
+    // the bcast's probe on rank 1 — alive, but never sending — and must
+    // unblock off rank 1's marker, blaming rank 2.
+    let fault_at = s(0.25);
+    let plan = FaultPlan::from_node_faults([(fault_at, NodeId(2))]);
+    let u = faulted_universe(3, plan);
+    within_ten_seconds(move || {
+        u.launch(&[NodeId(0), NodeId(1), NodeId(2)], move |rank| {
+            let w = rank.world();
+            match rank.rank() {
+                2 => {
+                    let at = rank.planned_fault_in(SimTime::ZERO, s(1.0)).unwrap();
+                    rank.fail_here(at);
+                }
+                1 => {
+                    let err = rank.recv::<u64>(Some(2), Some(3)).unwrap_err();
+                    let MpiError::NodeFailed { node, at } = err else {
+                        panic!("expected NodeFailed");
+                    };
+                    rank.revoke_comm(&w, node, at);
+                }
+                _ => match rank.bcast(&w, 1, None::<Vec<f64>>).unwrap_err() {
+                    MpiError::NodeFailed { node, at } => {
+                        assert_eq!(
+                            (node, at),
+                            (NodeId(2), fault_at),
+                            "the marker names the victim"
+                        );
+                    }
+                    other => panic!("expected NodeFailed, got {other}"),
+                },
+            }
+        });
+    });
+    psmpi::lockcheck::assert_acyclic();
+}
+
 #[test]
 fn transient_link_fault_is_retried_through_backoff() {
     // Outage over [0, 250µs); default policy backs off 100µs then 200µs,

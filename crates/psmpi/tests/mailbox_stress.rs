@@ -11,6 +11,9 @@
 //! 2. **Probe earliest-arrival** — `probe_blocking_either` reports the tag
 //!    of the *earliest* queued envelope from the awaited sender and never
 //!    dequeues anything, even when it blocks across a concurrent push.
+//! 3. **No lost wake-up** — a deposit or an interrupt that races a receiver
+//!    on its way to sleep always wakes it, whether the receiver spins first
+//!    (awake rank threads ≤ host cores) or not (idle ranks held over it).
 
 use bytes::Bytes;
 use hwmodel::SimTime;
@@ -200,14 +203,15 @@ fn probe_blocking_either_reports_earliest_arrival_without_dequeue() {
     let mbox = Mailbox::default();
     mbox.push(env(0, TAG_B, 0));
     mbox.push(env(0, TAG_A, 1));
-    assert_eq!(mbox.probe_blocking_either(COMM, 0, TAG_A, TAG_B), TAG_B);
+    let either = |m: &Mailbox| m.probe_blocking_either(COMM, 0, TAG_A, TAG_B, || None);
+    assert_eq!(either(&mbox).unwrap(), TAG_B);
     assert_eq!(mbox.len(), 2, "probe must not consume");
 
     // Reversed arrival order, same argument order.
     let mbox = Mailbox::default();
     mbox.push(env(0, TAG_A, 0));
     mbox.push(env(0, TAG_B, 1));
-    assert_eq!(mbox.probe_blocking_either(COMM, 0, TAG_A, TAG_B), TAG_A);
+    assert_eq!(either(&mbox).unwrap(), TAG_A);
     assert_eq!(mbox.len(), 2);
     psmpi::lockcheck::assert_acyclic();
 }
@@ -223,7 +227,10 @@ fn probe_blocking_either_race_with_concurrent_sender() {
         let mbox = Arc::new(Mailbox::default());
         let prober = {
             let mbox = mbox.clone();
-            thread::spawn(move || mbox.probe_blocking_either(COMM, 7, TAG_A, TAG_B))
+            thread::spawn(move || {
+                mbox.probe_blocking_either(COMM, 7, TAG_A, TAG_B, || None)
+                    .unwrap()
+            })
         };
         let sender = {
             let mbox = mbox.clone();
@@ -238,6 +245,110 @@ fn probe_blocking_either_race_with_concurrent_sender() {
         // The probe's answer must still be receivable in arrival order.
         let e = mbox.recv_match(COMM, Some(7), Some(TAG_B));
         assert_eq!(decode(&e.payload), (7, 0));
+    }
+    psmpi::lockcheck::assert_acyclic();
+}
+
+/// A universe over `ranks` cluster nodes, one rank each.
+fn universe(ranks: usize) -> (psmpi::Universe, Vec<hwmodel::NodeId>) {
+    let mut t = simnet::Topology::new();
+    let nodes = t.add_nodes(ranks as u32, &hwmodel::presets::deep_er_cluster_node());
+    (psmpi::Universe::new(simnet::Fabric::new(t)), nodes)
+}
+
+/// Idle ranks that hold the awake count over the host's cores (the gate
+/// closed: nobody spins), and none (the gate open on a host with two cores
+/// or more).
+fn gate_states() -> [usize; 2] {
+    [0, thread::available_parallelism().map_or(1, |n| n.get())]
+}
+
+/// Ranks 2.. of a stress world: alive and outside any mailbox — awake, as
+/// the gate counts — until the racing pair is through.
+fn idle_until(done: &std::sync::atomic::AtomicBool) {
+    while !done.load(std::sync::atomic::Ordering::Acquire) {
+        thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// 10⁵ receives that each race the peer's deposit against the receiver's
+/// way to sleep: two ranks bounce one message, so every receive starts
+/// about when its message is pushed. A lost wake-up hangs the test.
+#[test]
+fn push_racing_park_never_loses_a_wakeup() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const ROUNDS: u64 = 50_000;
+    for idle in gate_states() {
+        let (u, nodes) = universe(2 + idle);
+        let done = Arc::new(AtomicBool::new(false));
+        let done_in = done.clone();
+        u.launch(&nodes, move |rank| {
+            let me = rank.rank();
+            if me > 1 {
+                return idle_until(&done_in);
+            }
+            for i in 0..ROUNDS {
+                if me == 0 {
+                    rank.send(1, TAG, &i).unwrap();
+                }
+                let (got, _) = rank.recv::<u64>(Some(1 - me), Some(TAG)).unwrap();
+                assert_eq!(got, i);
+                if me == 1 {
+                    rank.send(0, TAG, &i).unwrap();
+                }
+            }
+            done_in.store(true, Ordering::Release);
+        });
+        assert_eq!(u.router().awake_ranks(), 0, "{idle} idle ranks");
+    }
+    psmpi::lockcheck::assert_acyclic();
+}
+
+/// 10⁵ receives from a sender that sends nothing and dies instead, each
+/// racing the death's interrupt against the receiver's way to sleep. The
+/// three counters order one round: receiver about to wait → node declared
+/// down → receive aborted → node repaired.
+#[test]
+fn interrupt_racing_park_never_loses_a_wakeup() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const ROUNDS: u64 = 100_000;
+    let wait_for = |c: &AtomicU64, v: u64| {
+        while c.load(Ordering::Acquire) < v {
+            std::hint::spin_loop();
+            thread::yield_now();
+        }
+    };
+    for idle in gate_states() {
+        let (u, nodes) = universe(2 + idle);
+        let done = Arc::new(AtomicBool::new(false));
+        let marks = Arc::new([AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)]);
+        let (done_in, marks_in) = (done.clone(), marks.clone());
+        u.launch(&nodes, move |rank| {
+            let [waiting, aborted, repaired] = &*marks_in;
+            match rank.rank() {
+                0 => {
+                    for i in 1..=ROUNDS {
+                        wait_for(waiting, i);
+                        rank.fail_here(rank.now());
+                        wait_for(aborted, i);
+                        rank.repair_node(rank.node_id(), rank.now());
+                        repaired.store(i, Ordering::Release);
+                    }
+                    done_in.store(true, Ordering::Release);
+                }
+                1 => {
+                    for i in 1..=ROUNDS {
+                        waiting.store(i, Ordering::Release);
+                        let err = rank.recv::<u64>(Some(0), Some(TAG)).unwrap_err();
+                        assert!(matches!(err, psmpi::MpiError::NodeFailed { .. }), "{err}");
+                        aborted.store(i, Ordering::Release);
+                        wait_for(repaired, i);
+                    }
+                }
+                _ => idle_until(&done_in),
+            }
+        });
+        assert_eq!(u.router().awake_ranks(), 0, "{idle} idle ranks");
     }
     psmpi::lockcheck::assert_acyclic();
 }

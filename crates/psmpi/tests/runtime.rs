@@ -363,7 +363,7 @@ fn probe_reports_without_consuming() {
         if rank.rank() == 0 {
             rank.send(1, 4, &vec![1u8, 2, 3]).unwrap();
         } else {
-            let st = rank.probe(&w, Some(0), Some(4));
+            let st = rank.probe(&w, Some(0), Some(4)).unwrap();
             assert_eq!(st.bytes, 8 + 3); // length prefix + payload
             let (v, _) = rank.recv::<Vec<u8>>(Some(0), Some(4)).unwrap();
             assert_eq!(v, vec![1, 2, 3]);

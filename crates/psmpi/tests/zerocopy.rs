@@ -125,7 +125,7 @@ fn self_probe_reports_zero_transfer() {
         let w = rank.world();
         rank.send(0, 4, &vec![1u8, 2, 3]).unwrap();
         let sent_at = rank.now();
-        let st = rank.probe(&w, Some(0), Some(4));
+        let st = rank.probe(&w, Some(0), Some(4)).unwrap();
         assert!(
             st.arrival <= sent_at,
             "self message is available at its send stamp"

@@ -22,8 +22,12 @@
 //! reconstructed blob is bit-identical to the blob it encodes, at any
 //! host thread count.
 
-/// Tag byte of a full (keyframe) frame.
-const TAG_FULL: u8 = 0x00;
+use bytes::Bytes;
+
+/// Tag byte of a full (keyframe) frame: the frame is this byte, then the
+/// blob. Public so that a packer can put it in front of the blob it writes
+/// and use that one buffer as the blob's keyframe.
+pub const TAG_FULL: u8 = 0x00;
 /// Tag byte of a dirty-range delta frame.
 const TAG_DELTA: u8 = 0x01;
 
@@ -70,52 +74,82 @@ pub fn encode_full(cur: &[u8]) -> Vec<u8> {
 /// a dirty-range delta frame if that is strictly smaller than a full
 /// frame, otherwise a full keyframe. Length changes always force full.
 pub fn encode_delta(base: &[u8], cur: &[u8], base_id: u64) -> Vec<u8> {
+    try_encode_delta(base, cur, base_id).unwrap_or_else(|| encode_full(cur))
+}
+
+/// The delta frame [`encode_delta`] would write, or `None` where it falls
+/// back to a keyframe (which a caller may hold already).
+pub fn try_encode_delta(base: &[u8], cur: &[u8], base_id: u64) -> Option<Vec<u8>> {
     if base.len() != cur.len() {
-        return encode_full(cur);
+        return None;
     }
-    // Collect dirty runs, coalescing across gaps shorter than MIN_GAP.
-    let mut runs: Vec<(usize, usize)> = Vec::new(); // (offset, len)
+    frame_runs(cur, base_id, &dirty_runs(base, cur))
+}
+
+/// The dirty runs `(offset, len)` of `cur` against an equally long `base`,
+/// coalesced across clean gaps shorter than [`MIN_GAP`]. Compares eight
+/// bytes at a time: one XOR per word skips a clean stretch or finds the
+/// last dirty byte of a dirty one; only a tail shorter than a word goes
+/// byte by byte.
+fn dirty_runs(base: &[u8], cur: &[u8]) -> Vec<(usize, usize)> {
+    let n = cur.len();
+    let word = |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().unwrap());
+    let diff = |at: usize| word(base, at) ^ word(cur, at);
+    let mut runs = Vec::new();
     let mut i = 0usize;
-    while i < cur.len() {
-        if base[i] == cur[i] {
-            i += 1;
-            continue;
+    loop {
+        while i + 8 <= n && diff(i) == 0 {
+            i += 8;
         }
-        let start = i;
-        let mut end = i + 1; // exclusive end of the dirty run
-        let mut clean = 0usize;
-        let mut j = i + 1;
-        while j < cur.len() {
-            if base[j] != cur[j] {
-                end = j + 1;
-                clean = 0;
-            } else {
-                clean += 1;
-                if clean >= MIN_GAP {
+        while i < n && base[i] == cur[i] {
+            i += 1;
+        }
+        if i == n {
+            return runs;
+        }
+        // `end` is one past the last dirty byte seen; everything from there
+        // to `p` is known clean, and MIN_GAP of that ends the run.
+        let (start, mut end, mut p) = (i, i + 1, i + 1);
+        while p < n && p - end < MIN_GAP {
+            if p + 8 > n {
+                end = if base[p] != cur[p] { p + 1 } else { end };
+                p += 1;
+                continue;
+            }
+            let x = diff(p);
+            if x != 0 {
+                // Little-endian load: the lowest set bit is the first byte.
+                if p + x.trailing_zeros() as usize / 8 - end >= MIN_GAP {
                     break;
                 }
+                end = p + 8 - x.leading_zeros() as usize / 8;
             }
-            j += 1;
+            p += 8;
         }
         runs.push((start, end - start));
         i = end;
     }
+}
+
+/// Frame `runs` of `cur` as a delta against `base_id`, unless that would
+/// not be strictly smaller than a full frame.
+fn frame_runs(cur: &[u8], base_id: u64, runs: &[(usize, usize)]) -> Option<Vec<u8>> {
     let body: usize = runs.iter().map(|(_, l)| 16 + l).sum();
     let delta_len = 1 + 8 + 8 + 4 + body;
     if delta_len > cur.len() {
-        return encode_full(cur);
+        return None;
     }
     let mut out = Vec::with_capacity(delta_len);
     out.push(TAG_DELTA);
     out.extend_from_slice(&base_id.to_le_bytes());
     out.extend_from_slice(&(cur.len() as u64).to_le_bytes());
     out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-    for &(off, len) in &runs {
+    for &(off, len) in runs {
         out.extend_from_slice(&(off as u64).to_le_bytes());
         out.extend_from_slice(&(len as u64).to_le_bytes());
         out.extend_from_slice(&cur[off..off + len]);
     }
-    out
+    Some(out)
 }
 
 /// The base checkpoint id a frame needs, if it is a delta.
@@ -132,6 +166,15 @@ pub fn frame_base(frame: &[u8]) -> Result<Option<u64>, DeltaError> {
 /// Whether a frame is a delta (vs. a full keyframe).
 pub fn is_delta(frame: &[u8]) -> bool {
     frame.first() == Some(&TAG_DELTA)
+}
+
+/// [`decode`] of a frame held as [`Bytes`]: a full keyframe's blob is a
+/// view into the frame itself, not a copy.
+pub fn decode_bytes(frame: &Bytes, base: Option<&[u8]>) -> Result<Bytes, DeltaError> {
+    match frame.first() {
+        Some(&TAG_FULL) => Ok(frame.slice(1..)),
+        _ => decode(frame, base).map(Bytes::from),
+    }
 }
 
 /// Decode a frame into the full blob it represents. `base` must be the
@@ -184,6 +227,120 @@ pub fn decode(frame: &[u8], base: Option<&[u8]>) -> Result<Vec<u8>, DeltaError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-by-byte run finder [`dirty_runs`] replaced, kept as its
+    /// oracle.
+    fn dirty_runs_bytewise(base: &[u8], cur: &[u8]) -> Vec<(usize, usize)> {
+        let mut runs: Vec<(usize, usize)> = Vec::new(); // (offset, len)
+        let mut i = 0usize;
+        while i < cur.len() {
+            if base[i] == cur[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            let mut end = i + 1; // exclusive end of the dirty run
+            let mut clean = 0usize;
+            let mut j = i + 1;
+            while j < cur.len() {
+                if base[j] != cur[j] {
+                    end = j + 1;
+                    clean = 0;
+                } else {
+                    clean += 1;
+                    if clean >= MIN_GAP {
+                        break;
+                    }
+                }
+                j += 1;
+            }
+            runs.push((start, end - start));
+            i = end;
+        }
+        runs
+    }
+
+    /// A blob and an edited copy: `edits` dirty stretches of up to `span`
+    /// bytes at arbitrary (unaligned) offsets, some of them no-ops.
+    fn edited(len: usize, seed: u64, edits: usize, span: usize) -> (Vec<u8>, Vec<u8>) {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as usize
+        };
+        let base: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+        let mut cur = base.clone();
+        for _ in 0..edits {
+            let at = next() % len.max(1);
+            for b in cur.iter_mut().skip(at).take(1 + next() % span) {
+                *b ^= (next() % 3) as u8; // a third of the touches change nothing
+            }
+        }
+        (base, cur)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Word-wise and byte-wise encoders write the same frame: sparse
+        /// and dense edits, runs straddling word boundaries, gaps around
+        /// MIN_GAP, lengths that are not a multiple of 8.
+        #[test]
+        fn wordwise_encoder_matches_bytewise_oracle(
+            len in 0usize..700,
+            seed in any::<u64>(),
+            edits in 0usize..40,
+            span in 1usize..48,
+        ) {
+            let (base, cur) = edited(len, seed, edits, span);
+            let oracle = dirty_runs_bytewise(&base, &cur);
+            prop_assert_eq!(&dirty_runs(&base, &cur), &oracle);
+            let frame = encode_delta(&base, &cur, 9);
+            let by_oracle = frame_runs(&cur, 9, &oracle).unwrap_or_else(|| encode_full(&cur));
+            prop_assert_eq!(&frame, &by_oracle);
+            prop_assert_eq!(decode(&frame, Some(&base)).unwrap(), cur);
+        }
+    }
+
+    #[test]
+    fn run_ends_exactly_at_min_gap() {
+        // A run whose last dirty byte sits `lead` bytes into its word, then
+        // a dirty byte MIN_GAP - 1, MIN_GAP and MIN_GAP + 1 clean bytes
+        // later, at every alignment: 15 clean bytes coalesce, 16 split.
+        for at in 0..16 {
+            for lead in 0..8 {
+                for gap in [MIN_GAP - 1, MIN_GAP, MIN_GAP + 1] {
+                    let base = vec![0u8; 96];
+                    let last = at + lead;
+                    let cur = evolved(&base, &[(at, 1), (last, 1), (last + gap + 1, 1)]);
+                    let runs = dirty_runs(&base, &cur);
+                    let case = format!("at {at} lead {lead} gap {gap}");
+                    assert_eq!(runs, dirty_runs_bytewise(&base, &cur), "{case}");
+                    assert_eq!(runs.len(), if gap < MIN_GAP { 1 } else { 2 }, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_keyframe_decodes_to_a_view_into_its_frame() {
+        let frame = Bytes::from(encode_full(&[5u8; 300]));
+        let blob = decode_bytes(&frame, None).unwrap();
+        assert_eq!(blob.as_ptr(), frame.slice(1..).as_ptr());
+        assert_eq!(&blob[..], &[5u8; 300][..]);
+        // A delta frame has to be patched into a buffer of its own.
+        let base = vec![0u8; 300];
+        let delta = Bytes::from(encode_delta(&base, &evolved(&base, &[(7, 1)]), 2));
+        assert!(is_delta(&delta));
+        assert_eq!(decode_bytes(&delta, Some(&base)).unwrap()[7], 1);
+        assert_eq!(
+            decode_bytes(&delta, None),
+            Err(DeltaError::BadBase { base: 2 })
+        );
+    }
 
     fn evolved(base: &[u8], touches: &[(usize, u8)]) -> Vec<u8> {
         let mut cur = base.to_vec();
@@ -232,6 +389,21 @@ mod tests {
         let f = encode_delta(&base, &cur, 3);
         assert!(!is_delta(&f));
         assert_eq!(decode(&f, None).unwrap(), cur);
+    }
+
+    #[test]
+    fn try_encode_delta_is_none_exactly_where_encode_delta_writes_a_keyframe() {
+        let base = vec![0u8; 1024];
+        let sparse = evolved(&base, &[(5, 9)]);
+        assert_eq!(
+            try_encode_delta(&base, &sparse, 3),
+            Some(encode_delta(&base, &sparse, 3))
+        );
+        assert_eq!(try_encode_delta(&base, &[1u8; 1024], 3), None, "dense");
+        assert_eq!(try_encode_delta(&base, &[0u8; 1040], 3), None, "length");
+        // What a packer that writes TAG_FULL itself gets is encode_full's frame.
+        assert_eq!(encode_full(&sparse)[0], TAG_FULL);
+        assert_eq!(encode_full(&sparse)[1..], sparse[..]);
     }
 
     #[test]

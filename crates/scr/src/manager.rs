@@ -11,6 +11,7 @@
 //! an older, fully promoted checkpoint.
 
 use crate::delta::{self, DeltaError};
+use bytes::Bytes;
 use hwmodel::{MemoryLevel, NodeId, SimTime};
 use parking_lot::Mutex;
 use simnet::nam::{NamDevice, NamError, NamRegion};
@@ -47,16 +48,18 @@ pub enum CkptMode {
 }
 
 /// One payload per rank, in one of the two forms a checkpoint arrives in.
+/// The manager keeps clones of the [`Bytes`] handles (or views into them),
+/// never copies of their contents.
 #[derive(Debug, Clone, Copy)]
 pub enum Payload<'a> {
     /// The ranks' full state blobs.
-    Blobs(&'a [Vec<u8>]),
+    Blobs(&'a [Bytes]),
     /// Encoded frames (see [`crate::delta`]): full keyframes, or
     /// dirty-range deltas against a checkpoint the rank still holds
     /// locally. The manager stores the reconstructed full blobs, so a
     /// restart never decodes; the frame bytes are what the NVMe and the
     /// wire are charged for.
-    Frames(&'a [Vec<u8>]),
+    Frames(&'a [Bytes]),
 }
 
 /// A staged checkpoint: its local copies are written and recorded, its
@@ -207,9 +210,10 @@ struct ScrState {
     /// `local` copies, which live exactly as long.
     pending: BTreeSet<u64>,
     /// (ckpt id, rank) → blob, on the rank's own node.
-    local: BTreeMap<(u64, usize), Vec<u8>>,
-    /// (ckpt id, rank) → blob, on the buddy node.
-    buddy: BTreeMap<(u64, usize), Vec<u8>>,
+    local: BTreeMap<(u64, usize), Bytes>,
+    /// (ckpt id, rank) → blob, on the buddy node: the same buffer as the
+    /// local entry, which node it is lost with is bookkeeping.
+    buddy: BTreeMap<(u64, usize), Bytes>,
     /// Database of taken checkpoints, newest last.
     db: Vec<CheckpointRecord>,
     /// Nodes currently failed.
@@ -356,15 +360,17 @@ impl ScrManager {
         }
     }
 
-    /// Take checkpoint `id` at `level` with one blob per rank, blocking
-    /// until it holds at that level. Returns the virtual cost.
-    pub fn checkpoint(
+    /// Take checkpoint `id` at `level` with one blob per rank (`Vec<u8>`s,
+    /// copied once, or [`Bytes`], shared), blocking until it holds at that
+    /// level. Returns the virtual cost.
+    pub fn checkpoint<B: Clone + Into<Bytes>>(
         &self,
         id: u64,
         level: CheckpointLevel,
-        rank_data: &[Vec<u8>],
+        rank_data: &[B],
     ) -> Result<SimTime, ScrError> {
-        let staged = self.checkpoint_async(id, level, Payload::Blobs(rank_data))?;
+        let blobs: Vec<Bytes> = rank_data.iter().map(|b| b.clone().into()).collect();
+        let staged = self.checkpoint_async(id, level, Payload::Blobs(&blobs))?;
         self.promote(id, level)?;
         Ok(staged.full_cost)
     }
@@ -444,16 +450,16 @@ impl ScrManager {
 
     /// The full blob `rank`'s frame encodes, patched onto the base
     /// checkpoint's local copy when the frame is a delta.
-    fn decode_frame(&self, rank: usize, frame: &[u8]) -> Result<Vec<u8>, ScrError> {
+    fn decode_frame(&self, rank: usize, frame: &Bytes) -> Result<Bytes, ScrError> {
         let st = self.state.lock();
         let base = match delta::frame_base(frame).map_err(|_| ScrError::BadFrame { rank })? {
             Some(base) => {
                 let held = st.local.get(&(base, rank));
-                Some(held.ok_or(ScrError::DeltaBaseMissing { base })?.as_slice())
+                Some(&held.ok_or(ScrError::DeltaBaseMissing { base })?[..])
             }
             None => None,
         };
-        delta::decode(frame, base).map_err(|e| match e {
+        delta::decode_bytes(frame, base).map_err(|e| match e {
             DeltaError::BadBase { base } => ScrError::DeltaBaseMissing { base },
             DeltaError::Malformed => ScrError::BadFrame { rank },
         })
@@ -518,13 +524,13 @@ impl ScrManager {
     }
 
     /// Rank `rank`'s authoritative NAM copy of checkpoint `id`, if any.
-    fn nam_fetch(&self, st: &ScrState, id: u64, rank: usize) -> Option<Vec<u8>> {
+    fn nam_fetch(&self, st: &ScrState, id: u64, rank: usize) -> Option<Bytes> {
         let nam = self.config.nam.as_ref()?;
         if !st.nam_done.contains(&(id, rank)) {
             return None;
         }
         let region = st.nam_regions.get(&(id, rank))?;
-        nam.device.get(*region, 0, region.len).ok()
+        nam.device.get(*region, 0, region.len).ok().map(Bytes::from)
     }
 
     /// The NAM region rank `rank` should RDMA-put checkpoint `id` into
@@ -598,7 +604,7 @@ impl ScrManager {
     /// Restart from the newest recoverable checkpoint: returns
     /// `(id, level, per-rank blobs, virtual cost)`.
     #[allow(clippy::type_complexity)]
-    pub fn restart(&self) -> Result<(u64, CheckpointLevel, Vec<Vec<u8>>, SimTime), ScrError> {
+    pub fn restart(&self) -> Result<(u64, CheckpointLevel, Vec<Bytes>, SimTime), ScrError> {
         let st = self.state.lock();
         let mut seen = BTreeSet::new();
         for rec in st.db.iter().rev() {
@@ -615,14 +621,14 @@ impl ScrManager {
                     let (c, _) = SionContainer::open(&self.pfs, &format!("/scr/ckpt-{id}.sion"))
                         .expect("global checkpoint container");
                     let blobs = (0..self.ranks())
-                        .map(|r| c.read_task(r).expect("task chunk").0)
+                        .map(|r| Bytes::from(c.read_task(r).expect("task chunk").0))
                         .collect();
                     let total = rec.bytes_per_rank.iter().sum::<u64>();
                     let stage = self.config.nvme.write_time(max_bytes);
                     (blobs, self.pfs.transfer_time(total).max(stage))
                 }
                 level => {
-                    let found: Option<Vec<Vec<u8>>> = (0..self.ranks())
+                    let found: Option<Vec<Bytes>> = (0..self.ranks())
                         .map(|r| {
                             let held = st.local.get(&(id, r)).or_else(|| st.buddy.get(&(id, r)));
                             held.cloned().or_else(|| self.nam_fetch(&st, id, r))
@@ -686,8 +692,10 @@ mod tests {
         )
     }
 
-    fn blobs(ranks: usize, tag: u8) -> Vec<Vec<u8>> {
-        (0..ranks).map(|r| vec![tag + r as u8; 1024]).collect()
+    fn blobs(ranks: usize, tag: u8) -> Vec<Bytes> {
+        (0..ranks)
+            .map(|r| Bytes::from(vec![tag + r as u8; 1024]))
+            .collect()
     }
 
     #[test]
@@ -1104,7 +1112,7 @@ mod tests {
         let full: Vec<Vec<u8>> = (0..2)
             .map(|r| (0..16384u32).map(|i| ((i + r) % 251) as u8).collect())
             .collect();
-        let keyframes: Vec<Vec<u8>> = full.iter().map(|b| delta::encode_full(b)).collect();
+        let keyframes: Vec<Bytes> = full.iter().map(|b| delta::encode_full(b).into()).collect();
         let p1 = m
             .checkpoint_async(1, CheckpointLevel::Buddy, Payload::Frames(&keyframes))
             .unwrap();
@@ -1115,10 +1123,10 @@ mod tests {
             b[100] ^= 0xFF;
             b[9000] ^= 0x0F;
         }
-        let frames: Vec<Vec<u8>> = next
+        let frames: Vec<Bytes> = next
             .iter()
             .enumerate()
-            .map(|(r, b)| delta::encode_delta(&full[r], b, 1))
+            .map(|(r, b)| delta::encode_delta(&full[r], b, 1).into())
             .collect();
         let p2 = m
             .checkpoint_async(2, CheckpointLevel::Buddy, Payload::Frames(&frames))
@@ -1146,7 +1154,7 @@ mod tests {
         let mut cur = base.clone();
         cur[5] = 7;
         // Base id 9 was never checkpointed (or was pruned).
-        let frames = vec![delta::encode_delta(&base, &cur, 9)];
+        let frames = [Bytes::from(delta::encode_delta(&base, &cur, 9))];
         assert_eq!(
             m.checkpoint_async(1, CheckpointLevel::Buddy, Payload::Frames(&frames)),
             Err(ScrError::DeltaBaseMissing { base: 9 })
@@ -1167,7 +1175,11 @@ mod tests {
         bad.extend_from_slice(&1u32.to_le_bytes());
         bad.extend_from_slice(&0u64.to_le_bytes());
         bad.extend_from_slice(&u64::MAX.to_le_bytes());
-        let frames = vec![delta::encode_full(&cur[0]), bad, vec![7u8, 7, 7]];
+        let frames: [Bytes; 3] = [
+            delta::encode_full(&cur[0]).into(),
+            bad.into(),
+            vec![7u8, 7, 7].into(),
+        ];
         assert_eq!(
             m.checkpoint_async(1, CheckpointLevel::Buddy, Payload::Frames(&frames)),
             Err(ScrError::BadFrame { rank: 1 })
@@ -1175,7 +1187,7 @@ mod tests {
         // Nothing of the rejected checkpoint was staged.
         assert_eq!(m.level_of(1), None);
         assert_eq!(m.record_count(), 1);
-        let frames = vec![delta::encode_full(&cur[0]), frames[0].clone(), vec![]];
+        let frames = [frames[0].clone(), frames[0].clone(), Bytes::new()];
         assert_eq!(
             m.checkpoint_async(1, CheckpointLevel::Buddy, Payload::Frames(&frames)),
             Err(ScrError::BadFrame { rank: 2 })

@@ -6,6 +6,7 @@
 //! restartable state, same restore cost — before and after a node failure,
 //! on homogeneous, mixed Cluster/Booster and NAM-backed managers.
 
+use bytes::Bytes;
 use hwmodel::NodeId;
 use proptest::prelude::*;
 use scr::{CheckpointLevel, NamBuddy, Payload, ScrConfig, ScrManager};
@@ -74,7 +75,8 @@ proptest! {
         let asn = manager(ranks, backing);
 
         let sync_cost = sync.checkpoint(9, level, &data).unwrap();
-        let pending = asn.checkpoint_async(9, level, Payload::Blobs(&data)).unwrap();
+        let shared: Vec<Bytes> = data.iter().cloned().map(Bytes::from).collect();
+        let pending = asn.checkpoint_async(9, level, Payload::Blobs(&shared)).unwrap();
         // The stage prices the blocking checkpoint in one piece, and the
         // local stage plus the drain rebuild it up to rounding.
         prop_assert_eq!(pending.full_cost, sync_cost);

@@ -36,8 +36,8 @@ use parking_lot::Mutex;
 use psmpi::datatype::CodecError;
 use psmpi::universe::RankFn;
 use psmpi::{
-    BufferPool, Communicator, MpiDatatype, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp,
-    SendRequest, Tag,
+    Communicator, MpiDatatype, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp, SendRequest,
+    Tag,
 };
 pub use scr::CkptMode;
 use scr::{delta, CheckpointLevel, Payload, PendingDrain, ScrError, ScrManager};
@@ -90,29 +90,26 @@ fn encode_state(buf: &mut BytesMut, species: &[Species], fields: &Fields) {
     }
 }
 
+/// One rank's state blob with [`delta::TAG_FULL`] in front: the buffer is
+/// the blob's keyframe as it stands, and `slice(1..)` the blob. It is the
+/// only allocation a checkpoint makes for the blob — gather, `scr` entries,
+/// delta base and restart hold views of it. Not a [`psmpi::BufferPool`]
+/// buffer: `scr` retains it, it would never go back.
+fn pack_keyframe(species: &[Species], fields: &Fields) -> Bytes {
+    let mut buf = BytesMut::with_capacity(1 + state_size(species, fields));
+    buf.put_u8(delta::TAG_FULL);
+    encode_state(&mut buf, species, fields);
+    buf.freeze()
+}
+
 /// Serialize one rank's simulation state (all species + fields) to bytes.
-pub fn pack_state(species: &[Species], fields: &Fields) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(state_size(species, fields));
-    encode_state(&mut buf, species, fields);
-    buf.to_vec()
+pub fn pack_state(species: &[Species], fields: &Fields) -> Bytes {
+    pack_keyframe(species, fields).slice(1..)
 }
 
-/// [`pack_state`] staging its encode scratch through the rank's
-/// [`BufferPool`]: the buffer is drawn from and returned to the pool, so
-/// steady-state checkpointing allocates only the output vector. The output
-/// bytes are identical to [`pack_state`]'s.
-pub fn pack_state_pooled(pool: &BufferPool, species: &[Species], fields: &Fields) -> Vec<u8> {
-    let mut buf = pool.get(state_size(species, fields));
-    encode_state(&mut buf, species, fields);
-    let staged = buf.freeze();
-    let out = staged.to_vec();
-    pool.recycle(staged);
-    out
-}
-
-/// Inverse of [`pack_state`].
-pub fn unpack_state(data: &[u8], grid: &Grid) -> (Vec<Species>, Fields) {
-    let mut buf = Bytes::copy_from_slice(data);
+/// Inverse of [`pack_state`]; reads `data` in place.
+pub fn unpack_state(data: &Bytes, grid: &Grid) -> (Vec<Species>, Fields) {
+    let mut buf = data.clone();
     let nspec = buf.get_u64_le() as usize;
     let mut species = Vec::with_capacity(nspec);
     for _ in 0..nspec {
@@ -172,7 +169,7 @@ struct CkptEngine<'a> {
     /// Checkpoints taken by this incarnation (drives the keyframe cadence).
     taken: u32,
     /// Delta base: the previous checkpoint's id and full blob on this rank.
-    base: Option<(u64, Vec<u8>)>,
+    base: Option<(u64, Bytes)>,
     /// This rank's outstanding drain transfers.
     send: Option<SendRequest>,
     recv: Option<RecvRequest>,
@@ -242,19 +239,21 @@ impl<'a> CkptEngine<'a> {
         res
     }
 
-    /// Encode this rank's wire frame in delta mode (`None` in the plain
-    /// modes: the full blob itself rides the wire).
-    fn encode_frame(&self, id: u64, full: &[u8]) -> Option<Vec<u8>> {
+    /// This rank's wire frame in delta mode (`None` in the plain modes: the
+    /// full blob itself rides the wire): a delta against the base where one
+    /// is due and smaller, else `keyframe`, the buffer the blob sits in.
+    fn encode_frame(&self, id: u64, keyframe: &Bytes) -> Option<Bytes> {
         if self.mode != CkptMode::AsyncDelta {
             return None;
         }
-        let keyframe = self.taken.is_multiple_of(self.keyframe_every);
-        Some(match &self.base {
-            Some((base_id, base)) if !keyframe && *base_id != id => {
-                delta::encode_delta(base, full, *base_id)
+        let due = self.taken.is_multiple_of(self.keyframe_every);
+        let delta = match &self.base {
+            Some((base_id, base)) if !due && *base_id != id => {
+                delta::try_encode_delta(base, &keyframe[1..], *base_id)
             }
-            _ => delta::encode_full(full),
-        })
+            _ => None,
+        };
+        Some(delta.map_or_else(|| keyframe.clone(), Bytes::from))
     }
 
     /// Post this rank's share of the new checkpoint's drain.
@@ -263,7 +262,7 @@ impl<'a> CkptEngine<'a> {
         rank: &mut Rank,
         world: &Communicator,
         id: u64,
-        wire: &[u8],
+        wire: &Bytes,
         full: &[u8],
     ) -> Result<(), PsmpiError> {
         match self.level {
@@ -291,8 +290,8 @@ impl<'a> CkptEngine<'a> {
                     let me = rank.rank();
                     let buddy = self.scr.buddy_of(me);
                     let from = (me + n - self.scr.buddy_of(0)) % n;
-                    let payload = Bytes::copy_from_slice(wire);
-                    self.send = Some(rank.isend_bytes_comm(world, buddy, TAG_DRAIN, payload)?);
+                    self.send =
+                        Some(rank.isend_bytes_comm(world, buddy, TAG_DRAIN, wire.clone())?);
                     self.recv = Some(rank.irecv_bytes_comm(world, Some(from), Some(TAG_DRAIN))?);
                 }
             }
@@ -323,11 +322,12 @@ impl<'a> CkptEngine<'a> {
         // already hid (part of) it. Blocking checkpoints leave none.
         self.drain_wait(rank)?;
 
-        let full = pack_state_pooled(rank.buffer_pool(), species, fields);
+        let keyframe = pack_keyframe(species, fields);
+        let full = keyframe.slice(1..);
         let id = step as u64;
-        let frame = self.encode_frame(id, &full);
+        let frame = self.encode_frame(id, &keyframe);
         let wire = frame.as_ref().unwrap_or(&full);
-        let gathered = rank.gather(world, 0, wire)?;
+        let gathered = rank.gather_bytes(world, 0, wire.clone())?;
         if let Some(sent) = gathered {
             // Every rank's payload arrived, so every rank finished its
             // drain_wait: promote the previous checkpoint to its full
@@ -459,7 +459,7 @@ pub fn run_checkpointed(
 /// Restore the newest recoverable checkpoint on `rank`'s clock: the
 /// restore cost is charged and shown as one `scr_restart` span. Returns
 /// the step the state belongs to and every rank's blob.
-fn restore(rank: &mut Rank, scr: &ScrManager) -> Result<(u32, Vec<Vec<u8>>), ScrError> {
+fn restore(rank: &mut Rank, scr: &ScrManager) -> Result<(u32, Vec<Bytes>), ScrError> {
     let (id, _level, blobs, cost) = scr.restart()?;
     let now = rank.now();
     if let Some(track) = rank.obs() {
@@ -669,7 +669,7 @@ fn supervise(
 ) {
     let world = rank.world();
     // The restored step and its blobs; `None` starts from the seed.
-    let mut restored: Option<(u32, Arc<Vec<Vec<u8>>>)> = None;
+    let mut restored: Option<(u32, Arc<Vec<Bytes>>)> = None;
     let mut failures: Vec<(NodeId, SimTime)> = Vec::new();
     let mut recoveries = 0u32;
     let mut resume_steps: Vec<u32> = Vec::new();
@@ -768,7 +768,7 @@ fn resilient_child(
 struct Incarnation<'a> {
     /// The restored step and every rank's blob of it; `None` seeds the
     /// initial population at step 0.
-    restored: Option<(u32, &'a [Vec<u8>])>,
+    restored: Option<(u32, &'a [Bytes])>,
     /// Whether this is the job's first world. It watches the fault plan
     /// from t = 0; a respawned world only from its own start (the
     /// supervisor's clock passed the death it just repaired, so spent

@@ -172,6 +172,21 @@ fn losing_solver_rank_zero_still_recovers() {
 }
 
 #[test]
+fn no_rank_thread_stays_counted_awake_after_a_recovered_run() {
+    // The victim returns without a word, the survivor aborts and revokes,
+    // the supervisor respawns: every one of those threads must have left
+    // the host-side awake count it was spawned into.
+    let l = launcher();
+    let scr = scr_for(&l);
+    let clean = run(1, None);
+    let victim = l.system().booster_nodes()[1];
+    let plan = FaultPlan::from_node_faults([(mid_run_fault(clean.makespan), victim)]);
+    let faulted = run_resilient(&l, BOOSTERS, &config(1), &scr, &recovery(), Some(plan));
+    assert!(faulted.recoveries >= 1);
+    assert_eq!(l.universe().router().awake_ranks(), 0);
+}
+
+#[test]
 fn fault_before_first_checkpoint_replays_from_scratch() {
     // Death in the first checkpoint interval leaves SCR empty: recovery
     // degrades to a from-scratch replay and still lands on the clean bits.

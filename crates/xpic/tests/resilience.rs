@@ -8,9 +8,7 @@ use scr::{CheckpointLevel, CkptMode, NamBuddy, ScrConfig, ScrManager};
 use sionio::ParallelFs;
 use xpic::grid::{Fields, Grid};
 use xpic::particles::Species;
-use xpic::resilience::{
-    pack_state, pack_state_pooled, run_checkpointed, unpack_state, RecoveryConfig,
-};
+use xpic::resilience::{pack_state, run_checkpointed, unpack_state, RecoveryConfig};
 use xpic::XpicConfig;
 
 fn launcher(n: u32) -> Launcher {
@@ -107,13 +105,35 @@ fn pack_state_wire_format_is_unchanged() {
     }
     let oracle = pack_old(&species, &fields);
     assert_eq!(pack_state(&species, &fields), oracle);
+}
 
-    // The pooled variant produces the same bytes and returns its staging
-    // buffer to the pool for the next checkpoint.
-    let pool = psmpi::BufferPool::new();
-    let before = pool.pooled();
-    assert_eq!(pack_state_pooled(&pool, &species, &fields), oracle);
-    assert_eq!(pool.pooled(), before + 1, "staging buffer must be recycled");
+#[test]
+fn a_checkpoint_blob_is_one_buffer_from_pack_to_restart() {
+    // What `pack_state` allocated is what `scr` keeps as the local and the
+    // buddy copy and what a restart hands back: handles, not copies.
+    let l = launcher(2);
+    let scr = scr_for(&l, 2);
+    let blobs: Vec<_> = (0..2)
+        .map(|r| {
+            let grid = Grid::slab(8, 8, r, 2);
+            let species = vec![Species::maxwellian(&grid, 3, 0.1, -1.0, 5 + r as u64)];
+            pack_state(&species, &Fields::zeros(&grid))
+        })
+        .collect();
+    let packed: Vec<_> = blobs.iter().map(|b| b.as_ptr()).collect();
+    scr.checkpoint(1, CheckpointLevel::Buddy, &blobs).unwrap();
+    let restored = |scr: &scr::ScrManager| -> Vec<_> {
+        let (_, _, back, _) = scr.restart().unwrap();
+        back.iter().map(|b| b.as_ptr()).collect()
+    };
+    assert_eq!(restored(&scr), packed, "local entries");
+    // Rank 0's node is lost and with it the local entry: the buddy entry
+    // answers, and it is the same buffer.
+    scr.fail_nodes(&l.system().cluster_nodes()[..1]);
+    assert_eq!(restored(&scr), packed, "buddy entry of rank 0");
+    // And unpacking reads that buffer in place.
+    let (species, _) = unpack_state(&blobs[1], &Grid::slab(8, 8, 1, 2));
+    assert_eq!(species.len(), 1);
 }
 
 #[test]
