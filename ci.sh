@@ -40,7 +40,7 @@ echo "== repo benchmark (benchmark/ builds and smokes against the workspace API)
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== host smoke (ring rate and typed/bytes ratio within 1.5x of the recorded runs, checkpointed-step rate above its floor) =="
+echo "== host smoke (ring rate, typed/bytes ratio and allreduce time within 1.5x of the recorded runs, pool misses counted, checkpointed-step rate above its floor) =="
 # The one host-speed gate, read from the benchmark binary built above: its
 # `workload metric value unit` lines, its last line for the failed count.
 # Floor: the lowest ring_latency median of PRs 13-15 (5.15e5 msg/s) / 1.5.
@@ -50,6 +50,12 @@ echo "== host smoke (ring rate and typed/bytes ratio within 1.5x of the recorded
 # this script's own build and test stages 46-159 (the parent binary read
 # 41-101 beside those): the host throttles after sustained load, so this
 # floor catches a collapse of the checkpointed step, not a 2x regression.
+# Ceiling: the highest psmpi.allreduce_ms of ten 5 s traced runs at PR 19
+# (1.17-1.53 ms; the parent read 1.5-1.8) x 1.5: a reduction that decodes
+# its partner's block into a scratch buffer again fails it on a quiet host.
+# Ceiling: psmpi.pool_misses 200 per repetition, a count, not a time: 96
+# root buffers of the segmented bcasts plus start-up read 125-163 in those
+# runs, and a pool that leaks the non-roots' reassembly buffers reads 388.
 # A 2x regression of either of the first two fails; benchmark/README.md
 # says how to read the rest.
 BM="${CARGO_TARGET_DIR:-benchmark/target}/release/cb-benchmark"
@@ -65,6 +71,12 @@ awk '$2 == "ops_per_s" { v = $3 }
     "$HS_TMP/ring.txt"
 awk '$2 == "psmpi.typed_bytes_ratio" { v = $3 }
      END { if (v == "" || v + 0 > 3.2) { print "host smoke: typed_bytes_ratio " v " is over 3.2"; exit 1 } }' \
+    "$HS_TMP/bulk.txt"
+awk '$2 == "psmpi.allreduce_ms" { v = $3 }
+     END { if (v == "" || v + 0 > 2.3) { print "host smoke: allreduce_ms " v " is over 2.3"; exit 1 } }' \
+    "$HS_TMP/bulk.txt"
+awk '$2 == "psmpi.pool_misses" { v = $3 }
+     END { if (v == "" || v + 0 > 200) { print "host smoke: pool_misses " v " is over 200"; exit 1 } }' \
     "$HS_TMP/bulk.txt"
 awk '$2 == "ops_per_s" { v = $3 }
      END { if (v + 0 < 30) { print "host smoke: xpic_ckpt ops_per_s " v " is under 30"; exit 1 } }' \

@@ -7,7 +7,8 @@
 //! non-negative tags.
 
 use crate::comm::{CommId, Communicator, Group};
-use crate::datatype::{MpiDatatype, ReduceOp};
+use crate::datatype::{CodecError, MpiDatatype, ReduceOp};
+use crate::pool::MAX_POOLED_CAPACITY;
 use crate::rank::{PsmpiError, Rank};
 use std::sync::Arc;
 
@@ -97,18 +98,26 @@ impl Rank {
     /// Broadcast `value` from `root` to all ranks (binomial tree). Non-root
     /// ranks pass `None` and receive the value; root passes `Some`.
     ///
-    /// The value is encoded **once** at the root; intermediate tree nodes
-    /// forward the received buffer by reference (see [`Rank::bcast_bytes`])
-    /// and every rank decodes once. Fan-out does not re-serialize.
+    /// The value is encoded **once** at the root, which gets its own value
+    /// back; intermediate tree nodes forward the received buffer by
+    /// reference (see [`Rank::bcast_bytes`]) and every other rank decodes
+    /// once and recycles the buffer. Fan-out does not re-serialize.
     pub fn bcast<T: MpiDatatype + Clone>(
         &mut self,
         comm: &Communicator,
         root: usize,
         value: Option<T>,
     ) -> Result<T, PsmpiError> {
-        let payload = value.map(|v| v.to_wire(self.router().buffer_pool()));
+        let is_root = self.comm_rank(comm)? == root;
+        let own = value.filter(|_| is_root); // a non-root's is ignored
+        let payload = own.as_ref().map(|v| v.to_wire(self.buffer_pool()));
         let bytes = self.bcast_bytes(comm, root, payload)?;
-        Ok(T::from_bytes(bytes)?)
+        if let Some(own) = own {
+            return Ok(own);
+        }
+        let received = T::from_bytes(bytes.clone())?;
+        self.buffer_pool().recycle(bytes);
+        Ok(received)
     }
 
     /// Zero-copy broadcast of a raw buffer from `root` (binomial tree).
@@ -214,18 +223,24 @@ impl Rank {
         for &c in &children {
             self.send_comm(comm, to_abs(c), TAG_BCAST_HDR, &header)?;
         }
+        // The header sizes an allocation and bounds a loop, so it is trusted
+        // no further than the pool's ceiling and the segments bear it out.
         let (total, seg) = (header.0 as usize, header.1 as usize);
-        let mut out = self.router().buffer_pool().get(total);
+        let bad = |why: String| PsmpiError::Codec(CodecError(format!("segmented bcast: {why}")));
+        if seg == 0 && total > 0 {
+            return Err(bad(format!("{total} bytes in empty segments")));
+        }
+        let mut out = self.buffer_pool().get(total.min(MAX_POOLED_CAPACITY));
         while out.len() < total {
             let (slice, _) = self.recv_bytes_comm(comm, Some(parent_abs), Some(TAG_BCAST_SEG))?;
+            let (len, left) = (slice.len(), total - out.len());
+            if len > seg || len > left {
+                return Err(bad(format!("{len}-byte segment, max {seg}, {left} left")));
+            }
             for &c in &children {
                 self.send_bytes_comm(comm, to_abs(c), TAG_BCAST_SEG, slice.clone())?;
             }
             out.extend_from_slice(&slice);
-            debug_assert!(
-                slice.len() == seg || out.len() == total,
-                "only the last segment may be short"
-            );
         }
         Ok(out.freeze())
     }
@@ -240,41 +255,26 @@ impl Rank {
         op: ReduceOp,
     ) -> Result<Option<Vec<f64>>, PsmpiError> {
         self.with_collective("reduce", |rank| {
-            rank.reduce_impl(comm, root, contribution, op)
+            let n = comm.size();
+            let me = rank.comm_rank(comm)?;
+            let rel = (me + n - root) % n;
+            let mut acc = contribution.to_vec();
+            let mut mask = 1usize;
+            while mask < n {
+                if rel & mask != 0 {
+                    let dst = (me + n - mask) % n;
+                    rank.send_slice_comm(comm, dst, TAG_REDUCE, &acc)?;
+                    return Ok(None);
+                }
+                let src_rel = rel | mask;
+                if src_rel < n {
+                    let src = (src_rel + root) % n;
+                    rank.recv_fold(comm, src, TAG_REDUCE, op, &mut acc, true)?;
+                }
+                mask <<= 1;
+            }
+            Ok(Some(acc))
         })
-    }
-
-    fn reduce_impl(
-        &mut self,
-        comm: &Communicator,
-        root: usize,
-        contribution: &[f64],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>, PsmpiError> {
-        let n = comm.size();
-        let me = self.comm_rank(comm)?;
-        let rel = (me + n - root) % n;
-        let mut acc = contribution.to_vec();
-        // Every rank contributes the same element count, so the partner
-        // exchanges ride the in-place typed path: one scratch buffer per
-        // call instead of a decoded Vec per round.
-        let mut scratch = vec![0.0f64; acc.len()];
-        let mut mask = 1usize;
-        while mask < n {
-            if rel & mask != 0 {
-                let dst = (me + n - mask) % n;
-                self.send_slice_comm(comm, dst, TAG_REDUCE, &acc)?;
-                return Ok(None);
-            }
-            let src_rel = rel | mask;
-            if src_rel < n {
-                let src = (src_rel + root) % n;
-                self.recv_into_comm(comm, Some(src), Some(TAG_REDUCE), &mut scratch)?;
-                op.apply_slice(&mut acc, &scratch);
-            }
-            mask <<= 1;
-        }
-        Ok(Some(acc))
     }
 
     /// Every rank gets the element-wise reduction of all contributions.
@@ -294,53 +294,68 @@ impl Rank {
         contribution: &[f64],
         op: ReduceOp,
     ) -> Result<Vec<f64>, PsmpiError> {
-        self.with_collective("allreduce", |rank| {
-            rank.allreduce_impl(comm, contribution, op)
-        })
-    }
-
-    fn allreduce_impl(
-        &mut self,
-        comm: &Communicator,
-        contribution: &[f64],
-        op: ReduceOp,
-    ) -> Result<Vec<f64>, PsmpiError> {
-        let n = comm.size();
-        if !n.is_power_of_two() || n < 2 {
-            let reduced = self.reduce(comm, 0, contribution, op)?;
-            return self.bcast(comm, 0, reduced);
-        }
-        let me = self.comm_rank(comm)?;
         let mut acc = contribution.to_vec();
-        // In-place typed exchanges: the partner's block lands in one
-        // reused scratch buffer (the combine order below is unchanged, so
-        // the balanced association tree — and the bits — are unchanged).
-        let mut scratch = vec![0.0f64; acc.len()];
-        let mut mask = 1usize;
-        while mask < n {
-            let partner = me ^ mask;
-            self.send_slice_comm(comm, partner, TAG_ALLREDUCE, &acc)?;
-            self.recv_into_comm(comm, Some(partner), Some(TAG_ALLREDUCE), &mut scratch)?;
-            if partner > me {
-                // Our block is the lower half of this round's pair.
-                op.apply_slice(&mut acc, &scratch);
-            } else {
-                op.apply_slice(&mut scratch, &acc);
-                std::mem::swap(&mut acc, &mut scratch);
-            }
-            mask <<= 1;
-        }
+        self.allreduce_in_place(comm, &mut acc, op)?;
         Ok(acc)
     }
 
-    /// Scalar convenience over [`Rank::allreduce`].
+    /// Scalar convenience over [`Rank::allreduce`]; allocates nothing on
+    /// the recursive-doubling path.
     pub fn allreduce_scalar(
         &mut self,
         comm: &Communicator,
         value: f64,
         op: ReduceOp,
     ) -> Result<f64, PsmpiError> {
-        Ok(self.allreduce(comm, &[value], op)?[0])
+        let mut acc = [value];
+        self.allreduce_in_place(comm, &mut acc, op)?;
+        Ok(acc[0])
+    }
+
+    /// [`Rank::allreduce`] over a caller-owned block: `acc` holds this
+    /// rank's contribution on entry and the reduction on return.
+    fn allreduce_in_place(
+        &mut self,
+        comm: &Communicator,
+        acc: &mut [f64],
+        op: ReduceOp,
+    ) -> Result<(), PsmpiError> {
+        self.with_collective("allreduce", |rank| {
+            let n = comm.size();
+            if !n.is_power_of_two() || n < 2 {
+                let reduced = rank.reduce(comm, 0, acc, op)?;
+                acc.copy_from_slice(&rank.bcast(comm, 0, reduced)?);
+                return Ok(());
+            }
+            let me = rank.comm_rank(comm)?;
+            let mut mask = 1usize;
+            while mask < n {
+                let partner = me ^ mask;
+                rank.send_slice_comm(comm, partner, TAG_ALLREDUCE, acc)?;
+                // Lower-rank block first, whichever side of the pair we are.
+                rank.recv_fold(comm, partner, TAG_ALLREDUCE, op, acc, partner > me)?;
+                mask <<= 1;
+            }
+            Ok(())
+        })
+    }
+
+    /// Receive rank `src`'s block of a reduction and fold it into `acc` off
+    /// the wire ([`ReduceOp::fold_wire`]): [`Rank::recv_into_comm`]'s match,
+    /// arrival and `recv` span, with the combine in place of the decode.
+    pub(crate) fn recv_fold(
+        &mut self,
+        comm: &Communicator,
+        src: usize,
+        tag: i32,
+        op: ReduceOp,
+        acc: &mut [f64],
+        acc_first: bool,
+    ) -> Result<(), PsmpiError> {
+        let (theirs, _) = self.recv_bytes_comm(comm, Some(src), Some(tag))?;
+        op.fold_wire(acc, &theirs, acc_first)?;
+        self.buffer_pool().recycle(theirs);
+        Ok(())
     }
 
     /// Gather one value from every rank to `root`, in rank order. Returns

@@ -41,11 +41,8 @@ impl Rank {
         let me = self.comm_rank(comm)?;
         let mut acc = contribution.to_vec();
         if me > 0 {
-            // Fixed-width chain hop: receive the running prefix in place.
-            let mut prev = vec![0.0f64; acc.len()];
-            self.recv_into_comm(comm, Some(me - 1), Some(TAG_SCAN), &mut prev)?;
-            op.apply_slice(&mut prev, &acc);
-            acc = prev;
+            // Chain hop: the running prefix is the left operand.
+            self.recv_fold(comm, me - 1, TAG_SCAN, op, &mut acc, false)?;
         }
         if me + 1 < n {
             self.send_slice_comm(comm, me + 1, TAG_SCAN, &acc)?;
@@ -126,15 +123,8 @@ impl Rank {
             };
             let outgoing = &work[send_lo * block..(send_lo + half) * block];
             self.send_slice_comm(comm, partner, TAG_REDUCE_SCATTER, outgoing)?;
-            let mut theirs = vec![0.0f64; half * block];
-            self.recv_into_comm(comm, Some(partner), Some(TAG_REDUCE_SCATTER), &mut theirs)?;
             let keep = &mut work[keep_lo * block..(keep_lo + half) * block];
-            if partner > me {
-                op.apply_slice(keep, &theirs);
-            } else {
-                op.apply_slice(&mut theirs, keep);
-                keep.copy_from_slice(&theirs);
-            }
+            self.recv_fold(comm, partner, TAG_REDUCE_SCATTER, op, keep, partner > me)?;
             lo = keep_lo;
             count = half;
             mask >>= 1;

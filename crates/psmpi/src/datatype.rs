@@ -365,6 +365,8 @@ impl FixedWidth for i8 {
 }
 
 impl MpiDatatype for usize {
+    const FIXED_WIDTH: Option<usize> = Some(8);
+
     fn encode(&self, buf: &mut BytesMut) {
         (*self as u64).encode(buf);
     }
@@ -374,6 +376,8 @@ impl MpiDatatype for usize {
 }
 
 impl MpiDatatype for bool {
+    const FIXED_WIDTH: Option<usize> = Some(1);
+
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(*self as u8);
     }
@@ -489,28 +493,34 @@ impl<T: MpiDatatype> MpiDatatype for Option<T> {
             t => Err(CodecError(format!("bad Option tag {t}"))),
         }
     }
-}
-
-impl<A: MpiDatatype, B: MpiDatatype> MpiDatatype for (A, B) {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok((A::decode(buf)?, B::decode(buf)?))
+    fn size_hint(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::size_hint)
     }
 }
 
-impl<A: MpiDatatype, B: MpiDatatype, C: MpiDatatype> MpiDatatype for (A, B, C) {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-        self.2.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
-    }
+/// Tuples encode their parts in order; width and size hint are the sums.
+macro_rules! impl_tuple {
+    ($($part:ident . $idx:tt),+) => {
+        impl<$($part: MpiDatatype),+> MpiDatatype for ($($part,)+) {
+            #[allow(non_snake_case)]
+            const FIXED_WIDTH: Option<usize> = match ($($part::FIXED_WIDTH,)+) {
+                ($(Some($part),)+) => Some(0 $(+ $part)+),
+                _ => None,
+            };
+            fn encode(&self, buf: &mut BytesMut) {
+                $(self.$idx.encode(buf);)+
+            }
+            fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+                Ok(($($part::decode(buf)?,)+))
+            }
+            fn size_hint(&self) -> usize {
+                0 $(+ self.$idx.size_hint())+
+            }
+        }
+    };
 }
+impl_tuple!(A.0, B.1);
+impl_tuple!(A.0, B.1, C.2);
 
 /// Reduction operators for `reduce`/`allreduce`/`scan`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -543,6 +553,43 @@ impl ReduceOp {
         for (a, b) in acc.iter_mut().zip(other) {
             *a = self.apply_f64(*a, *b);
         }
+    }
+
+    /// Fold a partner's block into `acc` straight from its wire form (the
+    /// unframed little-endian layout of [`pod_to_bytes`]): what decoding
+    /// `theirs` and [`ReduceOp::apply_slice`] compute, in one pass and with
+    /// no decoded copy. The operand order is `acc ∘ theirs` when `acc_first`,
+    /// `theirs ∘ acc` otherwise. A block of the wrong length is a protocol
+    /// error and leaves `acc` untouched.
+    pub fn fold_wire(
+        self,
+        acc: &mut [f64],
+        theirs: &[u8],
+        acc_first: bool,
+    ) -> Result<(), CodecError> {
+        // Operator and side are chosen outside the element loop, so each
+        // instantiation is a branch-free loop the compiler vectorizes.
+        fn fold(acc: &mut [f64], theirs: &[u8], acc_first: bool, f: impl Fn(f64, f64) -> f64) {
+            let theirs = theirs
+                .chunks_exact(8)
+                .map(|ch| f64::from_le_bytes(ch.try_into().expect("chunk is 8 bytes")));
+            if acc_first {
+                acc.iter_mut().zip(theirs).for_each(|(a, t)| *a = f(*a, t));
+            } else {
+                acc.iter_mut().zip(theirs).for_each(|(a, t)| *a = f(t, *a));
+            }
+        }
+        let (got, n) = (theirs.len(), acc.len());
+        if got != n * 8 {
+            return Err(CodecError(format!("{got}-byte reduction block, {n} f64s")));
+        }
+        match self {
+            ReduceOp::Sum => fold(acc, theirs, acc_first, |a, b| a + b),
+            ReduceOp::Prod => fold(acc, theirs, acc_first, |a, b| a * b),
+            ReduceOp::Min => fold(acc, theirs, acc_first, f64::min),
+            ReduceOp::Max => fold(acc, theirs, acc_first, f64::max),
+        }
+        Ok(())
     }
 
     /// The identity element (for empty reductions).
@@ -683,6 +730,30 @@ mod tests {
         let raw = Raw(Bytes::from(vec![7u8; 16]));
         let raw_wire = raw.to_wire(&pool);
         assert_eq!(raw_wire.as_ptr(), raw.0.as_ptr());
+    }
+
+    #[test]
+    fn composite_to_wire_never_reallocates() {
+        // The pool holds a buffer of exactly the encoded size under one
+        // too small for it: a `to_wire` that asked for less than it needs
+        // would take the small one and grow it while encoding.
+        fn check<T: MpiDatatype>(value: T, encoded: usize) {
+            assert_eq!(value.size_hint(), encoded);
+            let pool = crate::pool::BufferPool::new();
+            let exact = BytesMut::with_capacity(encoded);
+            let ptr = exact.as_ref().as_ptr();
+            pool.put(exact);
+            pool.put(BytesMut::with_capacity(1));
+            let wire = value.to_wire(&pool);
+            assert_eq!(wire.len(), encoded);
+            assert_eq!(wire.as_ptr(), ptr, "staging buffer moved while encoding");
+        }
+        check((1u64, 2u64), 16);
+        check((1u64, (0..100u64).collect::<Vec<_>>()), 8 + 8 + 800);
+        check(Some(7u32), 5);
+        check((true, 3u32, -4i64), 13); // a `split` entry
+        assert_eq!(<(u64, u64)>::FIXED_WIDTH, Some(16));
+        assert_eq!(<(u64, Vec<u64>)>::FIXED_WIDTH, None);
     }
 
     #[test]

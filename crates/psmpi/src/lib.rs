@@ -50,6 +50,14 @@
 //! through the same [`SendRequest`]; [`Rank::waitall`] drains a batch in
 //! posted order.
 //!
+//! ## Collectives: what happens to a received block
+//!
+//! | calls | received block |
+//! |---|---|
+//! | `reduce` `allreduce[_scalar]` `scan` `reduce_scatter_block` | folded into the accumulator off the wire ([`ReduceOp::fold_wire`]), lower-rank operand first; never decoded |
+//! | `bcast` `bcast_bytes[_with]` | forwarded by refcount; decoded once per non-root, the root keeps its value |
+//! | `gather[v]` `scatter` `allgather` `alltoall` `exscan` `split` | decoded (`recv_comm` / `recv_into_comm`) |
+//!
 //! ## Quick example
 //!
 //! ```

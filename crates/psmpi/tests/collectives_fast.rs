@@ -54,28 +54,94 @@ fn segmented_bcast_degenerates_on_two_ranks_and_tiny_segments() {
     });
 }
 
+/// Values whose sum depends on how it is associated.
+fn awkward(me: usize, len: usize) -> Vec<f64> {
+    (0..len)
+        .map(|i| ((me * 37 + i * 11) as f64 / 97.0).sin() * 1e3 + 0.1)
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn recursive_doubling_allreduce_is_bit_identical_to_reduce_bcast() {
-    // 8 ranks (power of two) uses recursive doubling. Awkward floating
-    // point values make any change in association order visible; comparing
-    // against the explicit reduce-to-0 + bcast result must match to the
-    // bit because both evaluate the same balanced combine tree.
-    cluster(8).run(|rank| {
+    // Power-of-two sizes use recursive doubling, folding each partner's
+    // block in off the wire. Comparing against the explicit reduce-to-0 +
+    // bcast result must match to the bit because both evaluate the same
+    // balanced combine tree, and every rank must hold what rank 0 holds.
+    for n in [2, 4, 8] {
+        cluster(n).run(|rank| {
+            let w = rank.world();
+            let contribution = awkward(rank.rank(), 33);
+            for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max] {
+                let fast = rank.allreduce(&w, &contribution, op).unwrap();
+                let reference = {
+                    let reduced = rank.reduce(&w, 0, &contribution, op).unwrap();
+                    rank.bcast(&w, 0, reduced).unwrap()
+                };
+                assert_eq!(
+                    bits(&fast),
+                    bits(&reference),
+                    "op {op:?} diverged from the tree"
+                );
+                let everyone = rank.allgather(&w, &fast).unwrap();
+                assert!(everyone.iter().all(|theirs| bits(theirs) == bits(&fast)));
+                let scalar = rank.allreduce_scalar(&w, contribution[7], op).unwrap();
+                let vector = rank.allreduce(&w, &contribution[7..8], op).unwrap();
+                assert_eq!(scalar.to_bits(), vector[0].to_bits());
+            }
+        });
+    }
+}
+
+#[test]
+fn scan_and_reduce_scatter_bits_are_pinned_across_commits() {
+    // Recorded at the commit before the fused receive-and-reduce: the
+    // operand order of every hop (running prefix on the left in `scan`,
+    // lower-rank partial on the left in recursive halving) is in these bits.
+    const SCAN: [[u64; 3]; 4] = [
+        [
+            4591870180066957722,
+            4637670321733122725,
+            4642119256419910331,
+        ],
+        [
+            4645260009252916018,
+            4648385559119391977,
+            4650217257571335522,
+        ],
+        [
+            4652392451515660102,
+            4653681749024055022,
+            4654894410750480588,
+        ],
+        [
+            4656397018501358366,
+            4657294239929510646,
+            4657963769233049758,
+        ],
+    ];
+    const REDUCE_SCATTER: [[u64; 2]; 4] = [
+        [4656397018501358366, 4657294239929510646],
+        [4657963769233049758, 4658559503569790765],
+        [4659073789986410006, 4659500021830078116],
+        [4659832723619186141, 4660067621382761261],
+    ];
+    cluster(4).run(|rank| {
         let w = rank.world();
         let me = rank.rank();
-        let contribution: Vec<f64> = (0..33)
-            .map(|i| ((me * 37 + i * 11) as f64 / 97.0).sin() * 1e3 + 0.1)
-            .collect();
-        for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max] {
-            let fast = rank.allreduce(&w, &contribution, op).unwrap();
-            let reference = {
-                let reduced = rank.reduce(&w, 0, &contribution, op).unwrap();
-                rank.bcast(&w, 0, reduced).unwrap()
-            };
-            let fast_bits: Vec<u64> = fast.iter().map(|x| x.to_bits()).collect();
-            let ref_bits: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(fast_bits, ref_bits, "op {op:?} diverged from the tree");
-        }
+        let prefix = rank.scan(&w, &awkward(me, 3), ReduceOp::Sum).unwrap();
+        let block = rank
+            .reduce_scatter_block(&w, &awkward(me, 8), ReduceOp::Sum)
+            .unwrap();
+        assert_eq!(bits(&prefix), SCAN[me], "scan on rank {me}");
+        assert_eq!(
+            bits(&block),
+            REDUCE_SCATTER[me],
+            "reduce_scatter_block on rank {me}"
+        );
     });
 }
 

@@ -352,3 +352,46 @@ fn faulted_run_is_identical_across_thread_interleavings() {
     }
     psmpi::lockcheck::assert_acyclic();
 }
+
+#[test]
+fn forged_segmented_bcast_header_is_a_codec_error_not_an_allocation() {
+    // The segmented bcast's header is the one frame in psmpi that sizes an
+    // allocation from the wire. Rank 0 plays a corrupt parent: it deposits
+    // a hand-made header (and segments) under the collective's reserved
+    // tags instead of calling `bcast`; rank 1's `bcast` must reject each
+    // with a typed error.
+    const TAG_BCAST_HDR: psmpi::Tag = -18;
+    const TAG_BCAST_SEG: psmpi::Tag = -19;
+    // (total, seg) as sent, then the segment lengths that follow it.
+    let forgeries: [(u64, u64, &[usize]); 4] = [
+        (1 << 20, 0, &[]),         // bytes promised in empty segments
+        (u64::MAX, 4, &[5]),       // multi-exabyte total, over-long segment
+        (6, 4, &[4, 4]),           // segments overshoot the total
+        (u64::MAX, u64::MAX, &[]), // accepted so far: nothing reserved past the pool's ceiling
+    ];
+    let u = faulted_universe(2, FaultPlan::new());
+    u.launch(&[NodeId(0), NodeId(1)], move |rank| {
+        let w = rank.world();
+        for (round, &(total, seg, segments)) in forgeries.iter().enumerate() {
+            let last = round + 1 == forgeries.len();
+            if rank.rank() == 0 {
+                rank.send_comm(&w, 1, TAG_BCAST_HDR, &(total, seg)).unwrap();
+                for &len in segments {
+                    let segment = Bytes::from(vec![7u8; len]);
+                    rank.send_bytes_comm(&w, 1, TAG_BCAST_SEG, segment).unwrap();
+                }
+                if last {
+                    // An honest segment stream would have to go on for
+                    // exabytes; the parent dying mid-stream ends it.
+                    rank.fail_here(rank.now());
+                }
+            } else {
+                let err = rank.bcast_bytes(&w, 0, None).unwrap_err();
+                match (last, err) {
+                    (false, MpiError::Codec(_)) | (true, MpiError::NodeFailed { .. }) => {}
+                    (_, other) => panic!("forgery {round}: unexpected {other}"),
+                }
+            }
+        }
+    });
+}

@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use psmpi::datatype::{bytes_to_pod, pod_to_bytes};
 use psmpi::{MpiDatatype, ReduceOp};
 
 fn roundtrip<T: MpiDatatype + PartialEq + std::fmt::Debug + Clone>(x: &T) -> bool {
@@ -10,7 +11,84 @@ fn roundtrip<T: MpiDatatype + PartialEq + std::fmt::Debug + Clone>(x: &T) -> boo
         .unwrap_or(false)
 }
 
+/// `f64`s drawn from raw bit patterns, with the special values a uniform
+/// draw would never hit: payload-carrying NaNs, signed zeros, infinities
+/// and subnormals.
+fn any_bits_f64() -> impl Strategy<Value = f64> {
+    const SPECIAL: [u64; 10] = [
+        0x7ff8_0000_0000_0001, // quiet NaN, payload 1
+        0xfff8_0000_dead_beef, // negative quiet NaN with a payload
+        0x7ff0_0000_0000_0001, // signalling NaN
+        0x0000_0000_0000_0000, // +0.0
+        0x8000_0000_0000_0000, // -0.0
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x800f_ffff_ffff_ffff, // largest negative subnormal
+        0x3ff0_0000_0000_0001, // 1 + ulp
+    ];
+    // Half the draws are raw bit patterns, half come from the table.
+    (any::<u64>(), 0..2 * SPECIAL.len())
+        .prop_map(|(raw, i)| f64::from_bits(*SPECIAL.get(i).unwrap_or(&raw)))
+}
+
+/// Bit patterns of `v`, every NaN mapped to one pattern. Which payload
+/// `NaN ∘ NaN` keeps is the one thing the operand order in the source does
+/// not fix: IEEE 754 leaves it open and the compiler treats `+` and `*` as
+/// commutative, so an optimized build of `apply_slice` already disagrees
+/// with itself between its vector body and its scalar tail.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn fused_fold_equals_decode_then_apply(
+        len in (0usize..5).prop_map(|i| [0, 1, 7, 8, 4097][i]),
+        seed in prop::collection::vec((any_bits_f64(), any_bits_f64()), 64),
+    ) {
+        // Both blocks cycle through the drawn pairs, so the long lengths
+        // keep every special value without 4097 draws per case.
+        let ours: Vec<f64> = (0..len).map(|i| seed[i % seed.len()].0).collect();
+        let theirs: Vec<f64> = (0..len).map(|i| seed[(i * 7 + 3) % seed.len()].1).collect();
+        let wire = pod_to_bytes(&theirs);
+        for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max] {
+            for acc_first in [true, false] {
+                let mut fused = ours.clone();
+                op.fold_wire(&mut fused, &wire, acc_first).unwrap();
+                // The path the collectives took before the fold existed.
+                let mut decoded = bytes_to_pod::<f64>(&wire).unwrap();
+                let reference = if acc_first {
+                    let mut acc = ours.clone();
+                    op.apply_slice(&mut acc, &decoded);
+                    acc
+                } else {
+                    op.apply_slice(&mut decoded, &ours);
+                    decoded
+                };
+                prop_assert_eq!(bits(&fused), bits(&reference), "{:?}, acc_first {}", op, acc_first);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_fold_rejects_wrong_length(n in 0usize..40, extra in 1usize..17, cut in any::<bool>()) {
+        let mut acc = vec![1.0f64; n];
+        let len = if cut { (n * 8).saturating_sub(extra) } else { n * 8 + extra };
+        prop_assume!(len != n * 8);
+        let block = vec![0u8; len];
+        prop_assert!(ReduceOp::Sum.fold_wire(&mut acc, &block, true).is_err());
+        prop_assert!(acc.iter().all(|&x| x == 1.0));
+    }
+
     #[test]
     fn scalars_roundtrip(a in any::<u64>(), b in any::<i32>(), c in any::<f64>().prop_filter("nan", |x| !x.is_nan()), d in any::<bool>()) {
         prop_assert!(roundtrip(&a));

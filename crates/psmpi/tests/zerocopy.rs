@@ -78,6 +78,35 @@ fn typed_bcast_still_delivers_values() {
 }
 
 #[test]
+fn typed_bcast_root_keeps_its_value_and_children_return_their_buffers() {
+    // 1 MiB + 8 bytes on the wire: above the segmenting threshold, so each
+    // of the three non-roots reassembles into a pooled buffer, decodes it
+    // and hands it back; the root never decodes its own encoding.
+    let pool = Arc::new(BufferPool::new());
+    cluster(4).buffer_pool(pool.clone()).run(|rank| {
+        let w = rank.world();
+        if rank.rank() == 0 {
+            let value = vec![0.25f64; 1 << 17];
+            let ptr = value.as_ptr();
+            let back = rank.bcast(&w, 0, Some(value)).unwrap();
+            assert_eq!(back.as_ptr(), ptr, "the root gets its own allocation back");
+        } else {
+            let got = rank.bcast::<Vec<f64>>(&w, 0, None).unwrap();
+            assert_eq!(got, vec![0.25f64; 1 << 17]);
+        }
+    });
+    let wire = (1 << 20) + 8;
+    let before = pool.stats().hits;
+    let reassembly: Vec<_> = (0..3).map(|_| pool.get(wire)).collect();
+    assert!(reassembly.iter().all(|b| b.capacity() >= wire));
+    assert_eq!(
+        pool.stats().hits - before,
+        3,
+        "the job left three reassembly buffers in the pool"
+    );
+}
+
+#[test]
 fn self_send_charges_only_send_overhead() {
     // A rank messaging itself never touches the fabric: the round trip
     // must cost exactly the sender-side injection overhead — no loopback

@@ -548,6 +548,8 @@ struct StatusMsg {
 }
 
 impl MpiDatatype for StatusMsg {
+    const FIXED_WIDTH: Option<usize> = Some(32);
+
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.steps_done);
         buf.put_f64_le(self.field_energy);
