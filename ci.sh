@@ -40,7 +40,7 @@ echo "== repo benchmark (benchmark/ builds and smokes against the workspace API)
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== host smoke (ring rate, typed/bytes ratio and allreduce time within 1.5x of the recorded runs, pool misses counted, checkpointed-step rate above its floor) =="
+echo "== host smoke (ring rate, scheduler rate, typed/bytes ratio and allreduce time within 1.5x of the recorded runs, pool misses counted, checkpointed-step rate above its floor) =="
 # The one host-speed gate, read from the benchmark binary built above: its
 # `workload metric value unit` lines, its last line for the failed count.
 # Floor: the lowest ring_latency median of PRs 13-15 (5.15e5 msg/s) / 1.5.
@@ -56,6 +56,10 @@ echo "== host smoke (ring rate, typed/bytes ratio and allreduce time within 1.5x
 # Ceiling: psmpi.pool_misses 200 per repetition, a count, not a time: 96
 # root buffers of the segmented bcasts plus start-up read 125-163 in those
 # runs, and a pool that leaks the non-roots' reassembly buffers reads 388.
+# Floor: the lowest sched_trace ops_per_s of ten 5 s runs at PR 20
+# (154-238 k jobs/s; the parent read 52-57 k) / 1.5: an engine that
+# locks the pools per backfill candidate or deals expansions as one-node
+# allocations again reads a quarter of the floor.
 # A 2x regression of either of the first two fails; benchmark/README.md
 # says how to read the rest.
 BM="${CARGO_TARGET_DIR:-benchmark/target}/release/cb-benchmark"
@@ -63,9 +67,11 @@ HS_TMP=$(mktemp -d)
 "$BM" --workload ring_latency --seed 20180521 --seconds 5 --trace 0 > "$HS_TMP/ring.txt"
 "$BM" --workload bulk_collectives --seed 20180521 --seconds 5 --trace 1 > "$HS_TMP/bulk.txt"
 "$BM" --workload xpic_ckpt --seed 20180521 --seconds 5 --trace 0 > "$HS_TMP/ckpt.txt"
+"$BM" --workload sched_trace --seed 20180521 --seconds 5 --trace 0 > "$HS_TMP/sched.txt"
 tail -n 1 "$HS_TMP/ring.txt" | grep -q '"failed": 0,'
 tail -n 1 "$HS_TMP/bulk.txt" | grep -q '"failed": 0,'
 tail -n 1 "$HS_TMP/ckpt.txt" | grep -q '"failed": 0,'
+tail -n 1 "$HS_TMP/sched.txt" | grep -q '"failed": 0,'
 awk '$2 == "ops_per_s" { v = $3 }
      END { if (v + 0 < 3.4e5) { print "host smoke: ring_latency ops_per_s " v " is under 3.4e5"; exit 1 } }' \
     "$HS_TMP/ring.txt"
@@ -81,6 +87,9 @@ awk '$2 == "psmpi.pool_misses" { v = $3 }
 awk '$2 == "ops_per_s" { v = $3 }
      END { if (v + 0 < 30) { print "host smoke: xpic_ckpt ops_per_s " v " is under 30"; exit 1 } }' \
     "$HS_TMP/ckpt.txt"
+awk '$2 == "ops_per_s" { v = $3 }
+     END { if (v + 0 < 1.0e5) { print "host smoke: sched_trace ops_per_s " v " is under 1.0e5"; exit 1 } }' \
+    "$HS_TMP/sched.txt"
 rm -rf "$HS_TMP"
 
 echo "== bench compile check =="

@@ -11,7 +11,7 @@
 
 use crate::system::{ModuleKind, System};
 use hwmodel::NodeId;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -83,23 +83,98 @@ impl Allocation {
     }
 }
 
+/// A set of node ids as a bitmap (as long as its largest id) with a
+/// count: every pool operation is one word access, and the lowest free id
+/// is a `trailing_zeros` away.
+#[derive(Debug, Default)]
+struct NodeSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl NodeSet {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn contains(&self, n: &NodeId) -> bool {
+        (self.words.get(n.0 as usize / 64)).is_some_and(|w| w >> (n.0 % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, n: NodeId) {
+        let w = n.0 as usize / 64;
+        if self.words.len() <= w {
+            self.words.resize(w + 1, 0);
+        }
+        self.len += usize::from(!self.contains(&n));
+        self.words[w] |= 1 << (n.0 % 64);
+    }
+
+    fn remove(&mut self, n: &NodeId) -> bool {
+        let had = self.contains(n);
+        if had {
+            self.words[n.0 as usize / 64] &= !(1 << (n.0 % 64));
+            self.len -= 1;
+        }
+        had
+    }
+
+    fn pop_first(&mut self) -> Option<NodeId> {
+        let w = self.words.iter().position(|&w| w != 0)?;
+        let n = NodeId(w as u32 * 64 + self.words[w].trailing_zeros());
+        self.remove(&n);
+        Some(n)
+    }
+}
+
+impl FromIterator<NodeId> for NodeSet {
+    fn from_iter<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
+        let mut set = NodeSet::default();
+        nodes.into_iter().for_each(|n| set.insert(n));
+        set
+    }
+}
+
+/// The compute modules nodes are pooled by, in the index order of
+/// [`Pools::free`] and [`Pools::down`].
+const MODULES: [ModuleKind; 3] = [ModuleKind::Cluster, ModuleKind::Booster, ModuleKind::Dam];
+const CN: usize = 0;
+const BN: usize = 1;
+const DAM: usize = 2;
+
 #[derive(Debug)]
 struct Pools {
-    free_cluster: BTreeSet<NodeId>,
-    free_booster: BTreeSet<NodeId>,
-    free_dam: BTreeSet<NodeId>,
+    /// Free nodes per module.
+    free: [NodeSet; 3],
     /// Nodes marked down by a fault ([`ResourceManager::mark_down`]),
     /// per module: removed from the free pools, never handed out until
     /// repaired with [`ResourceManager::mark_up`].
-    down_cluster: BTreeSet<NodeId>,
-    down_booster: BTreeSet<NodeId>,
-    down_dam: BTreeSet<NodeId>,
+    down: [NodeSet; 3],
     /// Downed nodes that were allocated at fault time: they route to the
-    /// down sets (not back to the free pools) when their allocation is
-    /// released.
-    pending_down: BTreeSet<NodeId>,
+    /// down sets (not back to the free pools) when they leave their
+    /// allocation.
+    pending_down: NodeSet,
     live: BTreeSet<u64>,
     next_id: u64,
+}
+
+impl Pools {
+    /// Nodes of module `m` leave an allocation: one marked down meanwhile
+    /// is quarantined, every other is free again.
+    fn give_back(&mut self, m: usize, nodes: &[NodeId]) {
+        for &n in nodes {
+            if self.pending_down.remove(&n) {
+                self.down[m].insert(n);
+            } else {
+                self.free[m].insert(n);
+            }
+        }
+    }
+
+    /// Take the `n` lowest free ids of module `m`; the caller counted them.
+    fn take(&mut self, m: usize, n: usize) -> impl Iterator<Item = NodeId> + '_ {
+        (0..n).map(move |_| self.free[m].pop_first().expect("counted free"))
+    }
 }
 
 /// Allocation policy.
@@ -134,20 +209,19 @@ impl ResourceManager {
 
     /// Manage with an explicit policy.
     pub fn with_policy(system: &System, policy: AllocationPolicy) -> Self {
-        let cluster: BTreeSet<NodeId> = system.cluster_nodes().into_iter().collect();
-        let booster: BTreeSet<NodeId> = system.booster_nodes().into_iter().collect();
-        let dam: BTreeSet<NodeId> = system.dam_nodes().into_iter().collect();
+        let free = [
+            system.cluster_nodes(),
+            system.booster_nodes(),
+            system.dam_nodes(),
+        ]
+        .map(NodeSet::from_iter);
         ResourceManager {
-            total_cluster: cluster.len(),
-            total_booster: booster.len(),
+            total_cluster: free[CN].len(),
+            total_booster: free[BN].len(),
             pools: Arc::new(Mutex::new(Pools {
-                free_cluster: cluster,
-                free_booster: booster,
-                free_dam: dam,
-                down_cluster: BTreeSet::new(),
-                down_booster: BTreeSet::new(),
-                down_dam: BTreeSet::new(),
-                pending_down: BTreeSet::new(),
+                free,
+                down: Default::default(),
+                pending_down: NodeSet::default(),
                 live: BTreeSet::new(),
                 next_id: 0,
             })),
@@ -162,17 +236,17 @@ impl ResourceManager {
 
     /// Free cluster-node count.
     pub fn free_cluster(&self) -> usize {
-        self.pools.lock().free_cluster.len()
+        self.pools.lock().free[CN].len()
     }
 
     /// Free booster-node count.
     pub fn free_booster(&self) -> usize {
-        self.pools.lock().free_booster.len()
+        self.pools.lock().free[BN].len()
     }
 
     /// Free DAM-node count.
     pub fn free_dam(&self) -> usize {
-        self.pools.lock().free_dam.len()
+        self.pools.lock().free[DAM].len()
     }
 
     /// Total managed nodes per module (Cluster, Booster).
@@ -182,9 +256,9 @@ impl ResourceManager {
 
     /// Whether `(cn, bn)` could be allocated right now.
     pub fn can_allocate(&self, cn: usize, bn: usize) -> bool {
-        let (need_cn, need_bn) = self.effective_request(cn, bn);
+        let (need_cn, need_bn) = self.effective(cn, bn);
         let p = self.pools.lock();
-        p.free_cluster.len() >= need_cn && p.free_booster.len() >= need_bn
+        p.free[CN].len() >= need_cn && p.free[BN].len() >= need_bn
     }
 
     /// The `(cn, bn)` a request really consumes under the active policy:
@@ -193,10 +267,6 @@ impl ResourceManager {
     /// reservation math (backfill shadow times, utilization denominators)
     /// can account in the same units the pools charge.
     pub fn effective(&self, cn: usize, bn: usize) -> (usize, usize) {
-        self.effective_request(cn, bn)
-    }
-
-    fn effective_request(&self, cn: usize, bn: usize) -> (usize, usize) {
         match self.policy {
             AllocationPolicy::Independent => (cn, bn),
             AllocationPolicy::NodeLocked { ratio } => {
@@ -223,49 +293,26 @@ impl ResourceManager {
         bn: usize,
         dn: usize,
     ) -> Result<Allocation, AllocationError> {
-        let (need_cn, need_bn) = self.effective_request(cn, bn);
+        let (need_cn, need_bn) = self.effective(cn, bn);
         let mut p = self.pools.lock();
-        if p.free_cluster.len() < need_cn {
-            return Err(AllocationError::Insufficient {
-                module: ModuleKind::Cluster,
-                requested: need_cn,
-                free: p.free_cluster.len(),
-            });
-        }
-        if p.free_booster.len() < need_bn {
-            return Err(AllocationError::Insufficient {
-                module: ModuleKind::Booster,
-                requested: need_bn,
-                free: p.free_booster.len(),
-            });
-        }
-        if p.free_dam.len() < dn {
-            return Err(AllocationError::Insufficient {
-                module: ModuleKind::Dam,
-                requested: dn,
-                free: p.free_dam.len(),
-            });
-        }
-        let cluster: Vec<NodeId> = p.free_cluster.iter().take(need_cn).copied().collect();
-        let booster: Vec<NodeId> = p.free_booster.iter().take(need_bn).copied().collect();
-        let dam: Vec<NodeId> = p.free_dam.iter().take(dn).copied().collect();
-        for n in &cluster {
-            p.free_cluster.remove(n);
-        }
-        for n in &booster {
-            p.free_booster.remove(n);
-        }
-        for n in &dam {
-            p.free_dam.remove(n);
+        for (m, requested) in [need_cn, need_bn, dn].into_iter().enumerate() {
+            let free = p.free[m].len();
+            if free < requested {
+                return Err(AllocationError::Insufficient {
+                    module: MODULES[m],
+                    requested,
+                    free,
+                });
+            }
         }
         let id = p.next_id;
         p.next_id += 1;
         p.live.insert(id);
         Ok(Allocation {
             id,
-            cluster,
-            booster,
-            dam,
+            cluster: p.take(CN, need_cn).collect(),
+            booster: p.take(BN, need_bn).collect(),
+            dam: p.take(DAM, dn).collect(),
         })
     }
 
@@ -277,74 +324,58 @@ impl ResourceManager {
         if !p.live.remove(&alloc.id) {
             return Err(AllocationError::StaleAllocation);
         }
-        for &n in &alloc.cluster {
-            if p.pending_down.remove(&n) {
-                p.down_cluster.insert(n);
-            } else {
-                p.free_cluster.insert(n);
-            }
-        }
-        for &n in &alloc.booster {
-            if p.pending_down.remove(&n) {
-                p.down_booster.insert(n);
-            } else {
-                p.free_booster.insert(n);
-            }
-        }
-        for &n in &alloc.dam {
-            if p.pending_down.remove(&n) {
-                p.down_dam.insert(n);
-            } else {
-                p.free_dam.insert(n);
-            }
+        for (m, nodes) in [&alloc.cluster, &alloc.booster, &alloc.dam]
+            .into_iter()
+            .enumerate()
+        {
+            p.give_back(m, nodes);
         }
         Ok(())
     }
 
+    /// Lock the pools for one pass of [`LockedPools::grow`] and
+    /// [`LockedPools::shrink`] calls over live allocations.
+    pub fn lock(&self) -> LockedPools<'_> {
+        LockedPools {
+            p: self.pools.lock(),
+            growable: self.policy == AllocationPolicy::Independent,
+        }
+    }
+
     /// Take `node` out of service (a fault). If it is free it is
     /// quarantined immediately; if it is currently allocated the
-    /// quarantine is deferred to the allocation's release. Returns `true`
-    /// when the node was free (idle fault), `false` when it was in use —
-    /// the caller then decides what to do with the victim job.
+    /// quarantine is deferred to the allocation's release; if it is
+    /// already quarantined nothing changes. Returns `true` when the node
+    /// was not in use (idle fault), `false` when it was — the caller then
+    /// decides what to do with the victim job.
     pub fn mark_down(&self, node: NodeId) -> bool {
-        let mut p = self.pools.lock();
-        if p.free_cluster.remove(&node) {
-            p.down_cluster.insert(node);
-            true
-        } else if p.free_booster.remove(&node) {
-            p.down_booster.insert(node);
-            true
-        } else if p.free_dam.remove(&node) {
-            p.down_dam.insert(node);
-            true
-        } else {
-            p.pending_down.insert(node);
-            false
+        let p = &mut *self.pools.lock();
+        if p.down.iter().any(|d| d.contains(&node)) {
+            return true;
         }
+        for (free, down) in p.free.iter_mut().zip(&mut p.down) {
+            if free.remove(&node) {
+                down.insert(node);
+                return true;
+            }
+        }
+        p.pending_down.insert(node);
+        false
     }
 
     /// Return a repaired node to service. Idempotent; returns `true` when
     /// the node was actually down (or pending down).
     pub fn mark_up(&self, node: NodeId) -> bool {
-        let mut p = self.pools.lock();
-        // Cancel any deferred quarantine unconditionally: a node that
-        // faulted again while already down must not carry a stale
-        // pending flag past its repair.
-        let was_pending = p.pending_down.remove(&node);
-        if p.down_cluster.remove(&node) {
-            p.free_cluster.insert(node);
-            true
-        } else if p.down_booster.remove(&node) {
-            p.free_booster.insert(node);
-            true
-        } else if p.down_dam.remove(&node) {
-            p.free_dam.insert(node);
-            true
-        } else {
-            // Repaired while still allocated: the node returns to its
-            // free pool at release.
-            was_pending
+        let p = &mut *self.pools.lock();
+        for (free, down) in p.free.iter_mut().zip(&mut p.down) {
+            if down.remove(&node) {
+                free.insert(node);
+                return true;
+            }
         }
+        // Not quarantined: repaired while still allocated (the node
+        // returns to its free pool at release), or never down at all.
+        p.pending_down.remove(&node)
     }
 
     /// Nodes currently quarantined per module (Cluster, Booster, DAM).
@@ -353,12 +384,54 @@ impl ResourceManager {
     /// [`ResourceManager::pending_down_count`].
     pub fn down_counts(&self) -> (usize, usize, usize) {
         let p = self.pools.lock();
-        (p.down_cluster.len(), p.down_booster.len(), p.down_dam.len())
+        (p.down[CN].len(), p.down[BN].len(), p.down[DAM].len())
     }
 
     /// Faulted nodes still held by live allocations (quarantine deferred).
     pub fn pending_down_count(&self) -> usize {
         self.pools.lock().pending_down.len()
+    }
+}
+
+/// The pools of a [`ResourceManager`], held locked ([`ResourceManager::lock`])
+/// so that a pass over many allocations acquires them once.
+pub struct LockedPools<'a> {
+    p: MutexGuard<'a, Pools>,
+    /// Only independently reserved Booster nodes can join an allocation:
+    /// a node-locked one cannot leave its host.
+    growable: bool,
+}
+
+impl LockedPools<'_> {
+    /// Add `n` free Booster nodes to a live allocation, lowest ids first:
+    /// the nodes `n` calls of `allocate(0, 1)` would hand out, appended to
+    /// `alloc.booster`. Atomic: on failure nothing is taken.
+    pub fn grow(&mut self, alloc: &mut Allocation, n: usize) -> Result<(), AllocationError> {
+        if !self.p.live.contains(&alloc.id) {
+            return Err(AllocationError::StaleAllocation);
+        }
+        let free = usize::from(self.growable) * self.p.free[BN].len();
+        if free < n {
+            return Err(AllocationError::Insufficient {
+                module: ModuleKind::Booster,
+                requested: n,
+                free,
+            });
+        }
+        alloc.booster.extend(self.p.take(BN, n));
+        Ok(())
+    }
+
+    /// Cut a live allocation back to its first `keep` Booster nodes; the
+    /// rest leave it as in [`ResourceManager::release`].
+    pub fn shrink(&mut self, alloc: &mut Allocation, keep: usize) -> Result<(), AllocationError> {
+        if !self.p.live.contains(&alloc.id) {
+            return Err(AllocationError::StaleAllocation);
+        }
+        let cut = alloc.booster.get(keep..).unwrap_or_default();
+        self.p.give_back(BN, cut);
+        alloc.booster.truncate(keep);
+        Ok(())
     }
 }
 
@@ -544,6 +617,116 @@ mod tests {
         let locked = ResourceManager::with_policy(&sys, AllocationPolicy::NodeLocked { ratio: 2 });
         assert_eq!(locked.effective(0, 5), (3, 6), "ceil(5/2)=3 hosts");
         assert_eq!(locked.effective(4, 0), (4, 8), "hosts drag accelerators");
+    }
+
+    #[test]
+    fn a_second_fault_on_a_quarantined_node_changes_nothing() {
+        let rm = rm();
+        let probe = rm.allocate(0, 1).unwrap();
+        let node = probe.booster[0];
+        rm.release(&probe).unwrap();
+        assert!(rm.mark_down(node));
+        assert!(rm.mark_down(node), "already down: not in use");
+        assert_eq!(rm.pending_down_count(), 0, "no stale deferred quarantine");
+        assert_eq!(rm.down_counts(), (0, 1, 0));
+        // One repair brings it all the way back.
+        assert!(rm.mark_up(node));
+        assert_eq!(rm.free_booster(), 8);
+        assert_eq!(rm.pending_down_count(), 0);
+        assert!(!rm.mark_up(node), "nothing left to repair");
+    }
+
+    #[test]
+    fn grown_nodes_are_the_ones_one_node_allocations_handed_out() {
+        // Two jobs dealt four nodes in turn, as `allocate(0, 1)` calls ...
+        let singles = rm();
+        let (a, b) = (
+            singles.allocate(1, 1).unwrap(),
+            singles.allocate(1, 1).unwrap(),
+        );
+        let mut dealt = [a.booster.clone(), b.booster.clone()];
+        for turn in 0..4 {
+            dealt[turn % 2].extend(singles.allocate(0, 1).unwrap().booster);
+        }
+        // ... and as growth in place, under one lock.
+        let rm = rm();
+        let (mut a, mut b) = (rm.allocate(1, 1).unwrap(), rm.allocate(1, 1).unwrap());
+        let mut pools = rm.lock();
+        for _ in 0..2 {
+            pools.grow(&mut a, 1).unwrap();
+            pools.grow(&mut b, 1).unwrap();
+        }
+        drop(pools);
+        assert_eq!([a.booster.clone(), b.booster.clone()], dealt);
+        assert_eq!(a.booster.len(), 3);
+        assert_eq!(rm.free_booster(), 2);
+        // Atomic: three are not to be had, and nothing is taken.
+        assert!(matches!(
+            rm.lock().grow(&mut a, 3),
+            Err(AllocationError::Insufficient {
+                module: ModuleKind::Booster,
+                requested: 3,
+                free: 2
+            })
+        ));
+        assert_eq!((a.booster.len(), rm.free_booster()), (3, 2));
+        // Release returns base and growth alike.
+        rm.release(&a).unwrap();
+        rm.release(&b).unwrap();
+        assert_eq!((rm.free_cluster(), rm.free_booster()), (16, 8));
+    }
+
+    #[test]
+    fn shrinking_quarantines_a_node_that_faulted_meanwhile() {
+        let rm = rm();
+        let mut a = rm.allocate(0, 2).unwrap();
+        rm.lock().grow(&mut a, 3).unwrap();
+        let (kept, grown) = (a.booster[1], a.booster[3]);
+        assert!(!rm.mark_down(grown) && !rm.mark_down(kept));
+        rm.lock().shrink(&mut a, 2).unwrap();
+        assert_eq!(a.booster.len(), 2);
+        // The grown node went down, not free; the kept one is still held.
+        assert_eq!(rm.down_counts(), (0, 1, 0));
+        assert_eq!(rm.free_booster(), 5);
+        assert_eq!(rm.pending_down_count(), 1);
+        // Shrinking to what it already has is a no-op.
+        rm.lock().shrink(&mut a, 5).unwrap();
+        assert_eq!((a.booster.len(), rm.free_booster()), (2, 5));
+        rm.release(&a).unwrap();
+        assert_eq!(rm.down_counts(), (0, 2, 0));
+        assert_eq!(rm.pending_down_count(), 0);
+    }
+
+    #[test]
+    fn a_released_allocation_neither_grows_nor_shrinks() {
+        let rm = rm();
+        let mut a = rm.allocate(1, 2).unwrap();
+        rm.release(&a).unwrap();
+        assert_eq!(
+            rm.lock().grow(&mut a, 1),
+            Err(AllocationError::StaleAllocation)
+        );
+        assert_eq!(
+            rm.lock().shrink(&mut a, 0),
+            Err(AllocationError::StaleAllocation)
+        );
+        assert_eq!((a.booster.len(), rm.free_booster()), (2, 8));
+    }
+
+    #[test]
+    fn a_node_locked_allocation_never_grows() {
+        let rm = ResourceManager::with_policy(
+            &deep_er_prototype(),
+            AllocationPolicy::NodeLocked { ratio: 1 },
+        );
+        let mut a = rm.allocate(2, 0).unwrap();
+        assert_eq!(rm.free_booster(), 6);
+        // Six Booster nodes are idle, each bound to its host.
+        assert!(matches!(
+            rm.lock().grow(&mut a, 1),
+            Err(AllocationError::Insufficient { free: 0, .. })
+        ));
+        assert_eq!((a.booster.len(), rm.free_booster()), (2, 6));
     }
 
     #[test]

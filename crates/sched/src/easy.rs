@@ -49,31 +49,20 @@ pub(crate) fn shadow_start(
     SimTime::from_secs(f64::MAX / 4.0)
 }
 
-/// Whether starting `cand` now still leaves the `(head_cn, head_bn)` head
-/// job its reservation at `shadow` (conservative node-count check): nodes
-/// released at or before the shadow time, minus whatever the candidate
-/// still holds then, must cover the head.
-pub(crate) fn fits_beside_head(
+/// Nodes free at `shadow`: what is free now plus what the running set
+/// returns by then. A job started now that outlasts the shadow leaves
+/// the `(head_cn, head_bn)` head its reservation when this still covers
+/// the head's need plus its own (conservative node-count check).
+pub(crate) fn surplus_at(
     free_cn: usize,
     free_bn: usize,
-    cand: RunningView,
-    head_cn: usize,
-    head_bn: usize,
     running: &[RunningView],
     shadow: SimTime,
-) -> bool {
-    let mut free_cn = free_cn;
-    let mut free_bn = free_bn;
-    for r in running {
-        if r.end <= shadow {
-            free_cn += r.cn;
-            free_bn += r.bn;
-        }
-    }
-    let releases = cand.end <= shadow;
-    let held_cn = if releases { 0 } else { cand.cn };
-    let held_bn = if releases { 0 } else { cand.bn };
-    free_cn >= head_cn + held_cn && free_bn >= head_bn + held_bn
+) -> (usize, usize) {
+    running
+        .iter()
+        .filter(|r| r.end <= shadow)
+        .fold((free_cn, free_bn), |(cn, bn), r| (cn + r.cn, bn + r.bn))
 }
 
 #[cfg(test)]
@@ -106,29 +95,12 @@ mod tests {
     }
 
     #[test]
-    fn fits_beside_head_accounts_for_held_nodes_at_shadow() {
-        let running = [view(12, 0, 50.0)];
-        let shadow = s(50.0);
-        // Candidate ends before the shadow: holds nothing then → fits.
-        assert!(fits_beside_head(
-            4,
-            8,
-            view(4, 0, 20.0),
-            16,
-            0,
-            &running,
-            shadow
-        ));
-        // Candidate outlives the shadow and would hold 4 of the CN the
-        // head needs → rejected.
-        assert!(!fits_beside_head(
-            4,
-            8,
-            view(4, 0, 80.0),
-            16,
-            0,
-            &running,
-            shadow
-        ));
+    fn surplus_counts_only_what_returns_by_the_shadow() {
+        let running = [view(12, 0, 50.0), view(2, 4, 80.0)];
+        // 4 CN free + 12 back by t=50: a 16-CN head is covered, with no
+        // room beside it for a 4-CN job that outlasts the shadow.
+        assert_eq!(surplus_at(4, 8, &running, s(50.0)), (16, 8));
+        assert_eq!(surplus_at(4, 8, &running, s(80.0)), (18, 12));
+        assert_eq!(surplus_at(4, 8, &running, s(10.0)), (4, 8));
     }
 }

@@ -46,14 +46,14 @@
 //! goes through `xpic::par` with element-wise disjoint writes, so the
 //! schedule is bit-identical at any host thread count.
 
-use crate::easy::{fits_beside_head, shadow_start, RunningView};
+use crate::easy::{shadow_start, surplus_at, RunningView};
 use crate::workload::TraceJob;
 use cluster_booster::resources::{Allocation, AllocationPolicy, ResourceManager};
 use cluster_booster::System;
 use hwmodel::{NodeId, SimTime};
 use scr::{CheckpointLevel, MultiLevelSchedule};
 use simnet::{max_min_shares, FaultPlan};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use xpic::par::{chunk_ranges, run_tasks, split_mut};
 
 /// Completion slack in work-seconds: a job is done when its remaining
@@ -243,21 +243,20 @@ pub struct EngineReport {
 }
 
 /// A queued (or requeued) job.
-struct Queued {
-    job: TraceJob,
+struct Queued<'a> {
+    job: &'a TraceJob,
     queued_at: SimTime,
     /// Work already banked (checkpoint resume floor).
     done: SimTime,
-    requeues: u32,
 }
 
 /// A running job.
-struct Run {
-    job: TraceJob,
-    base: Allocation,
-    /// One-node expansion allocations (Independent policy only).
-    extras: Vec<Allocation>,
-    /// Booster nodes the job is actually using (`bn_min + extras`).
+struct Run<'a> {
+    job: &'a TraceJob,
+    /// The nodes it started on, then (Independent policy only) the
+    /// Booster nodes it grew into.
+    alloc: Allocation,
+    /// Booster nodes the job is actually using (`bn_min` + grown).
     bn_active: usize,
     /// `bn_active` as last logged to the event stream.
     logged_bn: usize,
@@ -265,17 +264,15 @@ struct Run {
     done: SimTime,
     /// Current progress rate (recomputed at every event).
     speed: f64,
-    requeues: u32,
 }
 
-impl Run {
+impl Run<'_> {
     fn remaining_secs(&self) -> f64 {
         self.job.duration.saturating_sub(self.done).as_secs()
     }
 
     fn holds(&self, node: NodeId) -> bool {
-        self.base.all_nodes().contains(&node)
-            || self.extras.iter().any(|a| a.all_nodes().contains(&node))
+        self.alloc.cluster.contains(&node) || self.alloc.booster.contains(&node)
     }
 }
 
@@ -298,7 +295,7 @@ fn worst_speed(job: &TraceJob, ck: f64) -> f64 {
 
 /// Recompute every running job's speed from its current size and its
 /// max-min fair fabric share.
-fn recompute_speeds(running: &mut [Run], capacity_gbs: f64, ck: f64) {
+fn recompute_speeds(running: &mut [Run<'_>], capacity_gbs: f64, ck: f64) {
     let demands: Vec<f64> = running
         .iter()
         .filter(|r| r.job.fabric_demand_gbs > 0.0)
@@ -333,10 +330,14 @@ struct State<'a> {
     ck: f64,
     rm: ResourceManager,
     now: SimTime,
-    queue: Vec<Queued>,
-    running: Vec<Run>,
+    /// Waiting jobs, ascending `(queued_at, id)`.
+    queue: Vec<Queued<'a>>,
+    /// What each queued job takes from the pools (`rm.effective`), index
+    /// for index: all the backfill scan reads of a job that does not fit.
+    needs: Vec<(usize, usize)>,
+    running: Vec<Run<'a>>,
     /// Booked repairs, ascending `(time, node)`.
-    repairs: Vec<(SimTime, NodeId)>,
+    repairs: VecDeque<(SimTime, NodeId)>,
     events: Vec<EngineEvent>,
     reservations: Vec<HeadReservation>,
     waits: Vec<SimTime>,
@@ -345,17 +346,15 @@ struct State<'a> {
     busy_bn: f64,
 }
 
-impl State<'_> {
-    fn independent(&self) -> bool {
-        matches!(self.cfg.policy, AllocationPolicy::Independent)
-    }
-
-    /// Hand everything `r` holds back to the pools.
-    fn release(&self, r: &Run) {
-        self.rm.release(&r.base).expect("release running job");
-        for e in &r.extras {
-            self.rm.release(e).expect("release expansion");
-        }
+impl<'a> State<'a> {
+    /// Put `q` in the queue at its `(queued_at, id)` place.
+    fn enqueue(&mut self, q: Queued<'a>) {
+        let at = self
+            .queue
+            .partition_point(|o| (o.queued_at, o.job.id) <= (q.queued_at, q.job.id));
+        self.needs
+            .insert(at, self.rm.effective(q.job.cn, q.job.bn_min));
+        self.queue.insert(at, q);
     }
 
     /// Retire every running job whose work is done; returns how many.
@@ -365,7 +364,7 @@ impl State<'_> {
         while i < self.running.len() {
             if self.running[i].remaining_secs() <= WORK_EPS {
                 let r = self.running.remove(i);
-                self.release(&r);
+                self.rm.release(&r.alloc).expect("release finished job");
                 self.events.push(EngineEvent::Complete {
                     t: self.now,
                     id: r.job.id,
@@ -390,7 +389,7 @@ impl State<'_> {
         });
         if let Some(i) = victim {
             let r = self.running.remove(i);
-            self.release(&r);
+            self.rm.release(&r.alloc).expect("release fault victim");
             let (resumed, level) = match &self.cfg.ckpt {
                 Some(p) => {
                     let k = (r.done.as_secs() / p.interval.as_secs()).floor() as u32;
@@ -411,11 +410,10 @@ impl State<'_> {
                 resumed_work: resumed,
                 level,
             });
-            self.queue.push(Queued {
+            self.enqueue(Queued {
                 job: r.job,
                 queued_at: self.now,
                 done: resumed,
-                requeues: r.requeues + 1,
             });
         }
         if let Some(d) = self.cfg.repair_after {
@@ -429,8 +427,8 @@ impl State<'_> {
 
     /// Return every node whose repair is due.
     fn repair_due(&mut self) {
-        while !self.repairs.is_empty() && self.repairs[0].0 <= self.now {
-            let (_, n) = self.repairs.remove(0);
+        while self.repairs.front().is_some_and(|&(t, _)| t <= self.now) {
+            let (_, n) = self.repairs.pop_front().expect("checked front");
             if self.rm.mark_up(n) {
                 self.events.push(EngineEvent::Repair {
                     t: self.now,
@@ -440,23 +438,23 @@ impl State<'_> {
         }
     }
 
-    fn arrive(&mut self, j: &TraceJob) {
+    fn arrive(&mut self, j: &'a TraceJob) {
         self.events.push(EngineEvent::Arrival {
             t: j.submit,
             id: j.id,
         });
-        self.queue.push(Queued {
-            job: j.clone(),
+        self.enqueue(Queued {
+            job: j,
             queued_at: j.submit,
             done: SimTime::ZERO,
-            requeues: 0,
         });
     }
 
     /// Allocate and start `queue[i]` now.
     fn start(&mut self, i: usize, backfill: bool) {
         let q = self.queue.remove(i);
-        let base = self
+        self.needs.remove(i);
+        let alloc = self
             .rm
             .allocate(q.job.cn, q.job.bn_min)
             .expect("checked fit");
@@ -470,13 +468,11 @@ impl State<'_> {
             backfill,
         });
         self.running.push(Run {
-            base,
-            extras: Vec::new(),
+            alloc,
             bn_active,
             logged_bn: bn_active,
             done: q.done,
             speed: 1.0,
-            requeues: q.requeues,
             job: q.job,
         });
     }
@@ -492,82 +488,95 @@ impl State<'_> {
     /// Start what the queue order and EASY backfill allow. Malleable
     /// expansions are reclaimed first — the head (and any arrival)
     /// outranks grown jobs; [`State::regrow`] hands back what stays idle.
+    /// The pools are read once: every start below takes exactly the need
+    /// it was tested with.
     fn schedule(&mut self) {
-        self.queue
-            .sort_by(|a, b| a.queued_at.cmp(&b.queued_at).then(a.job.id.cmp(&b.job.id)));
-        if self.independent() {
-            for r in self.running.iter_mut() {
-                for e in r.extras.drain(..) {
-                    self.rm.release(&e).expect("reclaim expansion");
-                }
-                r.bn_active = r.job.bn_min;
-            }
+        let mut pools = self.rm.lock();
+        for r in self
+            .running
+            .iter_mut()
+            .filter(|r| r.bn_active > r.job.bn_min)
+        {
+            pools
+                .shrink(&mut r.alloc, r.job.bn_min)
+                .expect("reclaim expansion");
+            r.bn_active = r.job.bn_min;
         }
-        while let Some(head) = self.queue.first() {
-            if self.rm.can_allocate(head.job.cn, head.job.bn_min) {
-                self.start(0, false);
-                continue;
+        drop(pools);
+        let (mut free_cn, mut free_bn) = (self.rm.free_cluster(), self.rm.free_booster());
+        while let Some(&(cn, bn)) = self.needs.first() {
+            if cn > free_cn || bn > free_bn {
+                break;
             }
-            // Head blocked: compute and record its reservation.
-            let (need_cn, need_bn) = self.rm.effective(head.job.cn, head.job.bn_min);
-            let views: Vec<RunningView> = self
-                .running
-                .iter()
-                .map(|r| RunningView {
-                    cn: r.base.cluster.len(),
-                    bn: r.base.booster.len(),
-                    end: self.worst_end(&r.job, r.done),
-                })
-                .collect();
-            let free_cn = self.rm.free_cluster();
-            let free_bn = self.rm.free_booster();
-            let shadow = shadow_start(free_cn, free_bn, need_cn, need_bn, &views, self.now);
-            self.reservations.push(HeadReservation {
-                t: self.now,
-                id: head.job.id,
-                shadow,
-            });
-            // EASY backfill: admit the first later job whose worst-case
-            // end respects the head's reservation.
-            let admit = self.queue.iter().skip(1).position(|c| {
-                if !self.rm.can_allocate(c.job.cn, c.job.bn_min) {
-                    return false;
+            self.start(0, false);
+            (free_cn, free_bn) = (free_cn - cn, free_bn - bn);
+        }
+        // Head blocked: compute and record its reservation.
+        let Some(head) = self.queue.first() else {
+            return;
+        };
+        let (need_cn, need_bn) = self.needs[0];
+        let views: Vec<RunningView> = self
+            .running
+            .iter()
+            .map(|r| RunningView {
+                cn: r.alloc.cluster.len(),
+                bn: r.alloc.booster.len(),
+                end: self.worst_end(r.job, r.done),
+            })
+            .collect();
+        let reservation = HeadReservation {
+            t: self.now,
+            id: head.job.id,
+            shadow: shadow_start(free_cn, free_bn, need_cn, need_bn, &views, self.now),
+        };
+        let shadow = reservation.shadow;
+        self.reservations.push(reservation);
+        // EASY backfill: admit, in queue order, every later job that ends
+        // by the shadow at worst or leaves the head its nodes then. One
+        // scan serves every admission: a start only lowers what is free
+        // now and spare at the shadow, so it moves neither the shadow nor
+        // an earlier rejection (DESIGN.md §3.10).
+        let (mut spare_cn, mut spare_bn) = surplus_at(free_cn, free_bn, &views, shadow);
+        let mut i = 1;
+        while i < self.queue.len() {
+            let (cn, bn) = self.needs[i];
+            if cn <= free_cn && bn <= free_bn {
+                let c = &self.queue[i];
+                let released = self.worst_end(c.job, c.done) <= shadow;
+                if released || (spare_cn >= need_cn + cn && spare_bn >= need_bn + bn) {
+                    self.start(i, true);
+                    (free_cn, free_bn) = (free_cn - cn, free_bn - bn);
+                    if !released {
+                        (spare_cn, spare_bn) = (spare_cn - cn, spare_bn - bn);
+                    }
+                    self.reservations.push(reservation);
+                    continue;
                 }
-                let (cn, bn) = self.rm.effective(c.job.cn, c.job.bn_min);
-                let end = self.worst_end(&c.job, c.done);
-                let cand = RunningView { cn, bn, end };
-                end <= shadow
-                    || fits_beside_head(free_cn, free_bn, cand, need_cn, need_bn, &views, shadow)
-            });
-            match admit {
-                Some(i) => self.start(i + 1, true),
-                None => break,
             }
+            i += 1;
         }
     }
 
     /// Hand idle Booster nodes back to malleable jobs, one node per job
-    /// per round (equi-partition growth), then log net size changes
-    /// against the last logged size. Independent reservation only: a
-    /// node-locked Booster node cannot leave its host.
+    /// per round in running order (equi-partition growth: the deal order
+    /// decides which job holds which node, hence whom a fault kills), then
+    /// log net size changes against the last logged size. Independent
+    /// reservation only: a node-locked Booster node cannot leave its host,
+    /// and `grow` refuses it.
     fn regrow(&mut self) {
-        if !self.independent() {
-            return;
-        }
-        loop {
-            let mut grew = false;
+        let mut pools = self.rm.lock();
+        let mut grew = true;
+        while grew {
+            grew = false;
             for r in self.running.iter_mut() {
-                if r.job.malleable() && r.bn_active < r.job.bn_max && self.rm.free_booster() > 0 {
-                    let a = self.rm.allocate(0, 1).expect("free BN checked");
-                    r.extras.push(a);
+                if r.bn_active < r.job.bn_max && pools.grow(&mut r.alloc, 1).is_ok() {
                     r.bn_active += 1;
                     grew = true;
                 }
             }
-            if !grew {
-                break;
-            }
         }
+        drop(pools);
         for r in self.running.iter_mut() {
             if r.bn_active > r.logged_bn {
                 self.events.push(EngineEvent::Expand {
@@ -634,8 +643,9 @@ impl Engine {
             rm: ResourceManager::with_policy(&self.system, self.cfg.policy),
             now: SimTime::ZERO,
             queue: Vec::new(),
+            needs: Vec::new(),
             running: Vec::new(),
-            repairs: Vec::new(),
+            repairs: VecDeque::new(),
             events: Vec::new(),
             reservations: Vec::new(),
             waits: Vec::new(),
@@ -678,7 +688,7 @@ impl Engine {
             let next = completions
                 .chain(order.get(ai).map(|j| j.submit))
                 .chain(nf.get(fi).map(|f| f.at))
-                .chain(s.repairs.first().map(|&(t, _)| t))
+                .chain(s.repairs.front().map(|&(t, _)| t))
                 .min();
             let Some(t) = next else {
                 panic!(
@@ -1150,6 +1160,43 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, EngineEvent::Fault { victim: None, .. })));
+    }
+
+    #[test]
+    fn fault_on_an_expansion_node_kills_its_holder_and_quarantines_the_node() {
+        // The job starts on the 2 lowest Booster nodes and grows into all
+        // 8; the highest is one it grew into. Its death kills the job, and
+        // the rerun finds only 7 until the repair: the node left the
+        // released allocation for the down set, not the free pool.
+        let sys = system(1, 8);
+        let last = *sys.booster_nodes().last().expect("8 BN");
+        let mut a = job(0, 1, 2, 1000.0, 0.0);
+        a.bn_max = 8;
+        let cfg = EngineConfig {
+            repair_after: Some(s(50.0)),
+            ..EngineConfig::default()
+        };
+        let faults = FaultPlan::from_node_faults([(s(10.0), last)]);
+        let r = Engine::new(sys, cfg).run(&[a], &faults);
+        let sizes: Vec<(SimTime, usize)> = r
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                EngineEvent::Expand { t, id: 0, bn } => Some((*t, *bn)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sizes, vec![(s(0.0), 8), (s(10.0), 7), (s(60.0), 8)]);
+        assert!(r.events.contains(&EngineEvent::Fault {
+            t: s(10.0),
+            node: last,
+            victim: Some(0)
+        }));
+        assert!(r.events.contains(&EngineEvent::Repair {
+            t: s(60.0),
+            node: last
+        }));
+        assert_eq!((r.requeues, r.starts, r.completed), (1, 2, 1));
     }
 
     #[test]

@@ -8,12 +8,18 @@
 //!    asked for, so requested and effective sizes differ).
 //! 2. **Determinism contract** — the schedule (events, waits, makespan,
 //!    reservations) is bit-identical across host thread counts.
+//!
+//! And one pin across commits: the whole [`sched::EngineReport`] of a
+//! faulted, checkpointed 600-job trace, hashed, under both policies.
 
 use cluster_booster::resources::AllocationPolicy;
 use cluster_booster::SystemBuilder;
 use hwmodel::{NodeId, SimTime};
 use proptest::prelude::*;
-use sched::{generate, Engine, EngineConfig, WorkloadConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sched::{generate, CheckpointPolicy, Engine, EngineConfig, WorkloadConfig};
+use scr::FailureModel;
 use simnet::FaultPlan;
 
 fn system(cn: u32, bn: u32) -> cluster_booster::System {
@@ -70,5 +76,62 @@ proptest! {
         prop_assert_eq!(&base, &multi);
         prop_assert_eq!(base.completed, trace.len());
         prop_assert!(base.reservation_violations().is_empty());
+    }
+}
+
+/// FNV-1a, 64 bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The full report — every event, reservation, wait and utilization, not
+/// the aggregates `sched_smoke.metrics` holds — of a 600-job bursty trace
+/// on 64 CN + 128 BN with a fault every few hours (dense enough to
+/// requeue) and checkpointing on. The hashes are FNV-1a over the report's
+/// `Debug` text (derived, so every `f64` prints in its shortest
+/// round-trip form: equal text is equal bits), recorded at commit 7648c9a,
+/// before allocations grew in place and the backfill scan resumed. A
+/// change that moves one has changed a schedule, a victim or a node id.
+#[test]
+fn the_whole_report_is_pinned_across_commits() {
+    let trace = generate(&WorkloadConfig::bursty(20180521, 600, 32, 64));
+    let failures = FailureModel::new(SimTime::from_secs(900_000.0 / 50.0));
+    let nodes: Vec<NodeId> = (0..192).map(NodeId).collect();
+    let mut rng = StdRng::seed_from_u64(20180521 ^ 0x5EED_FA17);
+    let faults = failures.fault_plan(&mut rng, &nodes, SimTime::from_secs(40.0 * 3600.0));
+    for (policy, pinned) in [
+        (AllocationPolicy::Independent, 16_459_725_729_510_707_731u64),
+        (
+            AllocationPolicy::NodeLocked { ratio: 2 },
+            5_359_291_356_012_729_292u64,
+        ),
+    ] {
+        let cfg = EngineConfig {
+            policy,
+            ckpt: Some(CheckpointPolicy::derive(
+                SimTime::from_secs(30.0),
+                SimTime::from_secs(120.0),
+                SimTime::from_secs(600.0),
+                failures.system_mtbf(nodes.len()),
+            )),
+            repair_after: Some(SimTime::from_secs(4.0 * 3600.0)),
+            ..EngineConfig::default()
+        };
+        let r = Engine::new(system(64, 128), cfg).run(&trace, &faults);
+        assert_eq!(r.completed, trace.len());
+        assert!(r.requeues > 0 && r.backfill_starts > 0 && !r.reservations.is_empty());
+        assert!(matches!(policy, AllocationPolicy::NodeLocked { .. }) || r.expands > 0);
+        assert_eq!(
+            fnv1a(format!("{r:?}").as_bytes()),
+            pinned,
+            "{policy:?}: {} events, {} requeues, {} backfills, {} reservations, {} expands",
+            r.events.len(),
+            r.requeues,
+            r.backfill_starts,
+            r.reservations.len(),
+            r.expands
+        );
     }
 }
