@@ -10,11 +10,16 @@
 //! utilizations, backfill efficiency, and the faults/requeues processed
 //! land in the `--out` file (none is written without the flag) under
 //! `independent.*` / `node_locked.*` prefixes plus `comparison.*` ratios.
+//! `--trace-out` writes the independent run as a Chrome trace, one track
+//! per job (`sched::chrome_trace`).
 //!
-//! That file is pure virtual-time output and must come out byte-identical
-//! across host thread counts and across commits — ci.sh runs `--threads 1`
-//! and `--threads 2` and compares both with `sched_smoke.metrics`.
-//! Wall-clock cost of the simulation itself goes to stdout only.
+//! Both files are pure virtual-time output and must come out
+//! byte-identical across host thread counts, the `--out` file across
+//! commits too — ci.sh runs `--threads 1` and `--threads 2`, compares both
+//! `--out` files with `sched_smoke.metrics` and the two traces with each
+//! other. `--threads` is handed to the engine, which is one sequential
+//! loop and ignores it. Wall-clock cost of the simulation itself goes to
+//! stdout only.
 //!
 //! `--smoke` is the CI regression gate: the independent run must schedule
 //! the full trace with at least one backfill start, at least one
@@ -27,7 +32,8 @@ use obs::HostMetrics;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sched::{
-    generate, report_metrics, CheckpointPolicy, Engine, EngineConfig, EngineReport, WorkloadConfig,
+    chrome_trace, generate, report_metrics, CheckpointPolicy, Engine, EngineConfig, EngineReport,
+    WorkloadConfig,
 };
 use std::time::Instant;
 
@@ -66,6 +72,7 @@ fn main() {
     let mut seed = 20180521u64; // IPDPS 2018
     let mut threads = 1usize;
     let mut out_path = None;
+    let mut trace_path = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -84,6 +91,10 @@ fn main() {
             "--out" => {
                 i += 1;
                 out_path = Some(args[i].clone());
+            }
+            "--trace-out" => {
+                i += 1;
+                trace_path = Some(args[i].clone());
             }
             _ => {}
         }
@@ -166,6 +177,10 @@ fn main() {
     if let Some(path) = &out_path {
         let json = format!("{{\n \"metrics\": {}}}\n", m.to_json());
         std::fs::write(path, json).expect("write the --out file");
+    }
+
+    if let Some(path) = &trace_path {
+        std::fs::write(path, chrome_trace(&ind, &trace)).expect("write the --trace-out file");
     }
 
     // Wall-clock is host-dependent: stdout only, never the artifact.

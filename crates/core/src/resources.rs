@@ -403,6 +403,11 @@ pub struct LockedPools<'a> {
 }
 
 impl LockedPools<'_> {
+    /// How many nodes [`LockedPools::grow`] could hand out now.
+    pub fn free_to_grow(&self) -> usize {
+        usize::from(self.growable) * self.p.free[BN].len()
+    }
+
     /// Add `n` free Booster nodes to a live allocation, lowest ids first:
     /// the nodes `n` calls of `allocate(0, 1)` would hand out, appended to
     /// `alloc.booster`. Atomic: on failure nothing is taken.
@@ -410,7 +415,7 @@ impl LockedPools<'_> {
         if !self.p.live.contains(&alloc.id) {
             return Err(AllocationError::StaleAllocation);
         }
-        let free = usize::from(self.growable) * self.p.free[BN].len();
+        let free = self.free_to_grow();
         if free < n {
             return Err(AllocationError::Insufficient {
                 module: ModuleKind::Booster,

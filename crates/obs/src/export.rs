@@ -21,7 +21,8 @@ fn secs(t: SimTime) -> String {
     format!("{:.9}", t.as_secs())
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` as the inside of a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

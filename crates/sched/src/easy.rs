@@ -21,14 +21,16 @@ pub(crate) struct RunningView {
 /// Earliest time a `(need_cn, need_bn)` request could be satisfied given
 /// `free_*` nodes now and the running set's end times: walk completions
 /// in end order, accumulating released nodes, until the request fits.
-/// Returns effectively-unbounded time when even draining everything is
-/// not enough (the caller decides whether that is a hard error).
+/// `running` is left in that order (a stable sort: equal ends keep their
+/// input order). Returns effectively-unbounded time when even draining
+/// everything is not enough (the caller decides whether that is a hard
+/// error).
 pub(crate) fn shadow_start(
     free_cn: usize,
     free_bn: usize,
     need_cn: usize,
     need_bn: usize,
-    running: &[RunningView],
+    running: &mut [RunningView],
     now: SimTime,
 ) -> SimTime {
     let mut free_cn = free_cn;
@@ -36,9 +38,8 @@ pub(crate) fn shadow_start(
     if free_cn >= need_cn && free_bn >= need_bn {
         return now;
     }
-    let mut ends: Vec<&RunningView> = running.iter().collect();
-    ends.sort_by_key(|r| r.end);
-    for r in ends {
+    running.sort_by_key(|r| r.end);
+    for r in running.iter() {
         free_cn += r.cn;
         free_bn += r.bn;
         if free_cn >= need_cn && free_bn >= need_bn {
@@ -83,15 +84,40 @@ mod tests {
 
     #[test]
     fn shadow_start_walks_completions_in_end_order() {
-        let running = [view(8, 0, 30.0), view(8, 4, 10.0)];
+        let mut running = [view(8, 0, 30.0), view(8, 4, 10.0)];
         // Fits now: 4 CN free, need 4.
-        assert_eq!(shadow_start(4, 0, 4, 0, &running, s(1.0)), s(1.0));
+        assert_eq!(shadow_start(4, 0, 4, 0, &mut running, s(1.0)), s(1.0));
         // Needs the t=10 release only.
-        assert_eq!(shadow_start(0, 0, 8, 2, &running, s(1.0)), s(10.0));
+        assert_eq!(shadow_start(0, 0, 8, 2, &mut running, s(1.0)), s(10.0));
         // Needs both releases.
-        assert_eq!(shadow_start(0, 0, 16, 0, &running, s(1.0)), s(30.0));
+        assert_eq!(shadow_start(0, 0, 16, 0, &mut running, s(1.0)), s(30.0));
         // Never fits: effectively unbounded.
-        assert!(shadow_start(0, 0, 99, 0, &running, s(1.0)) > s(1e9));
+        assert!(shadow_start(0, 0, 99, 0, &mut running, s(1.0)) > s(1e9));
+    }
+
+    #[test]
+    fn shadow_start_sorts_in_place_and_keeps_equal_ends_in_input_order() {
+        let mut running = [
+            view(2, 0, 40.0),
+            view(4, 1, 20.0),
+            view(1, 0, 10.0),
+            view(4, 2, 20.0),
+        ];
+        // 1 + 4 CN are back at t = 20 with the first of the two jobs that
+        // end then: the first covering end, not the later 40.
+        assert_eq!(shadow_start(0, 0, 5, 0, &mut running, s(1.0)), s(20.0));
+        assert_eq!(
+            running,
+            [
+                view(1, 0, 10.0),
+                view(4, 1, 20.0),
+                view(4, 2, 20.0),
+                view(2, 0, 40.0)
+            ]
+        );
+        // Sorted already, it walks the same way.
+        assert_eq!(shadow_start(0, 0, 9, 3, &mut running, s(1.0)), s(20.0));
+        assert_eq!(shadow_start(0, 0, 10, 0, &mut running, s(1.0)), s(40.0));
     }
 
     #[test]

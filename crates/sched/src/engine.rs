@@ -41,20 +41,18 @@
 //!
 //! ## Determinism
 //!
-//! The loop itself is sequential and iterates only ordered structures.
-//! The one parallel site — advancing per-job progress between events —
-//! goes through `xpic::par` with element-wise disjoint writes, so the
-//! schedule is bit-identical at any host thread count.
+//! The loop is sequential from end to end and iterates only ordered
+//! structures, so the schedule is bit-identical on any host;
+//! [`EngineConfig::threads`] is accepted and changes nothing.
 
 use crate::easy::{shadow_start, surplus_at, RunningView};
 use crate::workload::TraceJob;
-use cluster_booster::resources::{Allocation, AllocationPolicy, ResourceManager};
+use cluster_booster::resources::{Allocation, AllocationPolicy, LockedPools, ResourceManager};
 use cluster_booster::System;
 use hwmodel::{NodeId, SimTime};
 use scr::{CheckpointLevel, MultiLevelSchedule};
-use simnet::{max_min_shares, FaultPlan};
+use simnet::{max_min_shares_into, FaultPlan};
 use std::collections::{BTreeMap, VecDeque};
-use xpic::par::{chunk_ranges, run_tasks, split_mut};
 
 /// Completion slack in work-seconds: a job is done when its remaining
 /// work drops below this (floating-point accumulation guard).
@@ -100,7 +98,8 @@ pub struct EngineConfig {
     pub fabric_capacity_gbs: f64,
     /// Checkpointing; `None` means faults restart victims from scratch.
     pub ckpt: Option<CheckpointPolicy>,
-    /// Host threads for the progress-advance site (result-invariant).
+    /// Accepted and without effect: the engine is one sequential loop, so
+    /// its schedule cannot depend on a host thread count.
     pub threads: usize,
     /// How long a downed node stays quarantined; `None` = forever.
     pub repair_after: Option<SimTime>,
@@ -248,15 +247,18 @@ struct Queued<'a> {
     queued_at: SimTime,
     /// Work already banked (checkpoint resume floor).
     done: SimTime,
+    /// How long it runs at worst from whenever it starts: the work left
+    /// over [`worst_speed`]. Neither moves while it waits.
+    worst: SimTime,
 }
 
 /// A running job.
 struct Run<'a> {
     job: &'a TraceJob,
-    /// The nodes it started on, then (Independent policy only) the
-    /// Booster nodes it grew into.
+    /// The nodes it started on; in an instant a fault strikes, also the
+    /// Booster nodes behind its expansion ([`draw_ids`]).
     alloc: Allocation,
-    /// Booster nodes the job is actually using (`bn_min` + grown).
+    /// Booster nodes the job is actually using (`bn_min` + dealt).
     bn_active: usize,
     /// `bn_active` as last logged to the event stream.
     logged_bn: usize,
@@ -264,6 +266,11 @@ struct Run<'a> {
     done: SimTime,
     /// Current progress rate (recomputed at every event).
     speed: f64,
+    /// [`worst_speed`] of the job.
+    worst_speed: f64,
+    /// Fabric factor of `speed`: `(1-f) + f·x` at the job's current share,
+    /// `1` without fabric demand. Moves only with the running set.
+    fabric: f64,
 }
 
 impl Run<'_> {
@@ -293,31 +300,54 @@ fn worst_speed(job: &TraceJob, ck: f64) -> f64 {
     size * comm * ck
 }
 
-/// Recompute every running job's speed from its current size and its
-/// max-min fair fabric share.
-fn recompute_speeds(running: &mut [Run<'_>], capacity_gbs: f64, ck: f64) {
-    let demands: Vec<f64> = running
-        .iter()
-        .filter(|r| r.job.fabric_demand_gbs > 0.0)
-        .map(|r| r.job.fabric_demand_gbs)
-        .collect();
-    let shares = max_min_shares(&demands, capacity_gbs);
-    let mut si = 0;
-    for r in running.iter_mut() {
-        let size = if r.job.bn_max > 0 {
-            r.bn_active as f64 / r.job.bn_max as f64
+/// Deal `free` idle Booster nodes to the jobs still under `bn_max`, as
+/// counts: whole rounds while every taker wants one more and the pool
+/// covers a round, then the remainder to the first takers in running
+/// order. The closed form of one node per job per round.
+fn deal_counts(running: &mut [Run<'_>], mut free: usize) {
+    while free > 0 {
+        let (takers, least) = running
+            .iter()
+            .filter(|r| r.bn_active < r.job.bn_max)
+            .fold((0, usize::MAX), |(k, least), r| {
+                (k + 1, least.min(r.job.bn_max - r.bn_active))
+            });
+        if takers == 0 {
+            break;
+        }
+        let rounds = least.min(free / takers);
+        let (each, served) = if rounds > 0 {
+            (rounds, takers)
         } else {
-            1.0
+            (1, free)
         };
-        let comm = if r.job.fabric_demand_gbs > 0.0 {
-            let sat = (shares[si] / r.job.fabric_demand_gbs).min(1.0);
-            si += 1;
-            (1.0 - r.job.comm_fraction) + r.job.comm_fraction * sat
-        } else {
-            1.0
-        };
-        r.speed = size * comm * ck;
-        debug_assert!(r.speed > 0.0, "job {} stalled", r.job.id);
+        for r in running
+            .iter_mut()
+            .filter(|r| r.bn_active < r.job.bn_max)
+            .take(served)
+        {
+            r.bn_active += each;
+        }
+        free -= each * served;
+    }
+}
+
+/// Name the nodes behind the dealt counts: one node per job per round in
+/// running order, lowest free id first, until every allocation is as long
+/// as its count — the deal order that decides whom a fault kills.
+fn draw_ids(running: &mut [Run<'_>], pools: &mut LockedPools<'_>) {
+    let mut drew = true;
+    while drew {
+        drew = false;
+        for r in running
+            .iter_mut()
+            .filter(|r| r.alloc.booster.len() < r.bn_active)
+        {
+            pools
+                .grow(&mut r.alloc, 1)
+                .expect("dealt from the free count");
+            drew = true;
+        }
     }
 }
 
@@ -333,9 +363,21 @@ struct State<'a> {
     /// Waiting jobs, ascending `(queued_at, id)`.
     queue: Vec<Queued<'a>>,
     /// What each queued job takes from the pools (`rm.effective`), index
-    /// for index: all the backfill scan reads of a job that does not fit.
-    needs: Vec<(usize, usize)>,
+    /// for index and packed by itself: all the backfill scan reads of a
+    /// job that does not fit.
+    needs: Vec<(u32, u32)>,
     running: Vec<Run<'a>>,
+    /// Whether the allocations hold the ids of their expansions
+    /// ([`draw_ids`]) for the next reclaim to give back.
+    ids_drawn: bool,
+    /// Whether a fabric job joined or left `running` since its fabric
+    /// factors were computed.
+    fabric_stale: bool,
+    /// Buffers of [`State::share_fabric`] and of the blocked-head pass.
+    demands: Vec<f64>,
+    order: Vec<usize>,
+    shares: Vec<f64>,
+    views: Vec<RunningView>,
     /// Booked repairs, ascending `(time, node)`.
     repairs: VecDeque<(SimTime, NodeId)>,
     events: Vec<EngineEvent>,
@@ -347,14 +389,30 @@ struct State<'a> {
 }
 
 impl<'a> State<'a> {
-    /// Put `q` in the queue at its `(queued_at, id)` place.
-    fn enqueue(&mut self, q: Queued<'a>) {
+    /// Queue `job` at its `(queued_at, id)` place with `done` banked.
+    fn enqueue(&mut self, job: &'a TraceJob, queued_at: SimTime, done: SimTime) {
         let at = self
             .queue
-            .partition_point(|o| (o.queued_at, o.job.id) <= (q.queued_at, q.job.id));
-        self.needs
-            .insert(at, self.rm.effective(q.job.cn, q.job.bn_min));
-        self.queue.insert(at, q);
+            .partition_point(|o| (o.queued_at, o.job.id) <= (queued_at, job.id));
+        let (cn, bn) = self.rm.effective(job.cn, job.bn_min);
+        let packed = |n: usize| u32::try_from(n).expect("node counts fit a node id");
+        self.needs.insert(at, (packed(cn), packed(bn)));
+        let left = job.duration.saturating_sub(done).as_secs();
+        self.queue.insert(
+            at,
+            Queued {
+                job,
+                queued_at,
+                done,
+                worst: SimTime::from_secs(left / worst_speed(job, self.ck)),
+            },
+        );
+    }
+
+    /// What `queue[i]` takes from the pools.
+    fn need(&self, i: usize) -> (usize, usize) {
+        let (cn, bn) = self.needs[i];
+        (cn as usize, bn as usize)
     }
 
     /// Retire every running job whose work is done; returns how many.
@@ -364,6 +422,7 @@ impl<'a> State<'a> {
         while i < self.running.len() {
             if self.running[i].remaining_secs() <= WORK_EPS {
                 let r = self.running.remove(i);
+                self.fabric_stale |= r.job.fabric_demand_gbs > 0.0;
                 self.rm.release(&r.alloc).expect("release finished job");
                 self.events.push(EngineEvent::Complete {
                     t: self.now,
@@ -389,6 +448,7 @@ impl<'a> State<'a> {
         });
         if let Some(i) = victim {
             let r = self.running.remove(i);
+            self.fabric_stale |= r.job.fabric_demand_gbs > 0.0;
             self.rm.release(&r.alloc).expect("release fault victim");
             let (resumed, level) = match &self.cfg.ckpt {
                 Some(p) => {
@@ -410,11 +470,7 @@ impl<'a> State<'a> {
                 resumed_work: resumed,
                 level,
             });
-            self.enqueue(Queued {
-                job: r.job,
-                queued_at: self.now,
-                done: resumed,
-            });
+            self.enqueue(r.job, self.now, resumed);
         }
         if let Some(d) = self.cfg.repair_after {
             let at = self.now + d;
@@ -443,11 +499,7 @@ impl<'a> State<'a> {
             t: j.submit,
             id: j.id,
         });
-        self.enqueue(Queued {
-            job: j,
-            queued_at: j.submit,
-            done: SimTime::ZERO,
-        });
+        self.enqueue(j, j.submit, SimTime::ZERO);
     }
 
     /// Allocate and start `queue[i]` now.
@@ -467,44 +519,44 @@ impl<'a> State<'a> {
             bn: bn_active,
             backfill,
         });
+        self.fabric_stale |= q.job.fabric_demand_gbs > 0.0;
         self.running.push(Run {
             alloc,
             bn_active,
             logged_bn: bn_active,
             done: q.done,
             speed: 1.0,
+            worst_speed: worst_speed(q.job, self.ck),
+            fabric: 1.0,
             job: q.job,
         });
-    }
-
-    /// Worst-case end of `job` if it ran from now with `done` banked.
-    fn worst_end(&self, job: &TraceJob, done: SimTime) -> SimTime {
-        self.now
-            + SimTime::from_secs(
-                job.duration.saturating_sub(done).as_secs() / worst_speed(job, self.ck),
-            )
     }
 
     /// Start what the queue order and EASY backfill allow. Malleable
     /// expansions are reclaimed first — the head (and any arrival)
     /// outranks grown jobs; [`State::regrow`] hands back what stays idle.
-    /// The pools are read once: every start below takes exactly the need
-    /// it was tested with.
+    /// An expansion is a count, so reclaiming it touches the pools only
+    /// when this instant's fault had its ids drawn. The pools are read
+    /// once: every start below takes exactly the need it was tested with.
     fn schedule(&mut self) {
-        let mut pools = self.rm.lock();
-        for r in self
-            .running
-            .iter_mut()
-            .filter(|r| r.bn_active > r.job.bn_min)
-        {
-            pools
-                .shrink(&mut r.alloc, r.job.bn_min)
-                .expect("reclaim expansion");
+        if std::mem::take(&mut self.ids_drawn) {
+            let mut pools = self.rm.lock();
+            for r in self
+                .running
+                .iter_mut()
+                .filter(|r| r.bn_active > r.job.bn_min)
+            {
+                pools
+                    .shrink(&mut r.alloc, r.job.bn_min)
+                    .expect("reclaim expansion");
+            }
+        }
+        for r in self.running.iter_mut() {
             r.bn_active = r.job.bn_min;
         }
-        drop(pools);
         let (mut free_cn, mut free_bn) = (self.rm.free_cluster(), self.rm.free_booster());
-        while let Some(&(cn, bn)) = self.needs.first() {
+        while !self.queue.is_empty() {
+            let (cn, bn) = self.need(0);
             if cn > free_cn || bn > free_bn {
                 break;
             }
@@ -515,20 +567,18 @@ impl<'a> State<'a> {
         let Some(head) = self.queue.first() else {
             return;
         };
-        let (need_cn, need_bn) = self.needs[0];
-        let views: Vec<RunningView> = self
-            .running
-            .iter()
-            .map(|r| RunningView {
-                cn: r.alloc.cluster.len(),
-                bn: r.alloc.booster.len(),
-                end: self.worst_end(r.job, r.done),
-            })
-            .collect();
+        let (need_cn, need_bn) = self.need(0);
+        let now = self.now;
+        self.views.clear();
+        self.views.extend(self.running.iter().map(|r| RunningView {
+            cn: r.alloc.cluster.len(),
+            bn: r.alloc.booster.len(),
+            end: now + SimTime::from_secs(r.remaining_secs() / r.worst_speed),
+        }));
         let reservation = HeadReservation {
-            t: self.now,
+            t: now,
             id: head.job.id,
-            shadow: shadow_start(free_cn, free_bn, need_cn, need_bn, &views, self.now),
+            shadow: shadow_start(free_cn, free_bn, need_cn, need_bn, &mut self.views, now),
         };
         let shadow = reservation.shadow;
         self.reservations.push(reservation);
@@ -537,13 +587,12 @@ impl<'a> State<'a> {
         // scan serves every admission: a start only lowers what is free
         // now and spare at the shadow, so it moves neither the shadow nor
         // an earlier rejection (DESIGN.md §3.10).
-        let (mut spare_cn, mut spare_bn) = surplus_at(free_cn, free_bn, &views, shadow);
+        let (mut spare_cn, mut spare_bn) = surplus_at(free_cn, free_bn, &self.views, shadow);
         let mut i = 1;
         while i < self.queue.len() {
-            let (cn, bn) = self.needs[i];
+            let (cn, bn) = self.need(i);
             if cn <= free_cn && bn <= free_bn {
-                let c = &self.queue[i];
-                let released = self.worst_end(c.job, c.done) <= shadow;
+                let released = now + self.queue[i].worst <= shadow;
                 if released || (spare_cn >= need_cn + cn && spare_bn >= need_bn + bn) {
                     self.start(i, true);
                     (free_cn, free_bn) = (free_cn - cn, free_bn - bn);
@@ -561,22 +610,13 @@ impl<'a> State<'a> {
     /// Hand idle Booster nodes back to malleable jobs, one node per job
     /// per round in running order (equi-partition growth: the deal order
     /// decides which job holds which node, hence whom a fault kills), then
-    /// log net size changes against the last logged size. Independent
-    /// reservation only: a node-locked Booster node cannot leave its host,
-    /// and `grow` refuses it.
+    /// log net size changes against the last logged size. The deal is of
+    /// counts ([`deal_counts`]); the pools are read, not written.
+    /// Independent reservation only: a node-locked Booster node cannot
+    /// leave its host, and the pools report none free to grow into.
     fn regrow(&mut self) {
-        let mut pools = self.rm.lock();
-        let mut grew = true;
-        while grew {
-            grew = false;
-            for r in self.running.iter_mut() {
-                if r.bn_active < r.job.bn_max && pools.grow(&mut r.alloc, 1).is_ok() {
-                    r.bn_active += 1;
-                    grew = true;
-                }
-            }
-        }
-        drop(pools);
+        let free = self.rm.lock().free_to_grow();
+        deal_counts(&mut self.running, free);
         for r in self.running.iter_mut() {
             if r.bn_active > r.logged_bn {
                 self.events.push(EngineEvent::Expand {
@@ -595,22 +635,56 @@ impl<'a> State<'a> {
         }
     }
 
+    /// Recompute the fabric factor of every running fabric job from its
+    /// max-min fair share.
+    fn share_fabric(&mut self) {
+        let fabric_jobs = |r: &&mut Run<'a>| r.job.fabric_demand_gbs > 0.0;
+        self.demands.clear();
+        self.demands.extend(
+            (self.running.iter())
+                .map(|r| r.job.fabric_demand_gbs)
+                .filter(|&d| d > 0.0),
+        );
+        max_min_shares_into(
+            &self.demands,
+            self.cfg.fabric_capacity_gbs,
+            &mut self.order,
+            &mut self.shares,
+        );
+        for (r, share) in (self.running.iter_mut().filter(fabric_jobs)).zip(&self.shares) {
+            let sat = (share / r.job.fabric_demand_gbs).min(1.0);
+            r.fabric = (1.0 - r.job.comm_fraction) + r.job.comm_fraction * sat;
+        }
+    }
+
+    /// Recompute every running job's speed from its current size and its
+    /// fabric factor, the latter first if the running set changed.
+    fn respeed(&mut self) {
+        if std::mem::take(&mut self.fabric_stale) {
+            self.share_fabric();
+        }
+        for r in self.running.iter_mut() {
+            let size = if r.job.bn_max > 0 {
+                r.bn_active as f64 / r.job.bn_max as f64
+            } else {
+                1.0
+            };
+            r.speed = size * r.fabric * self.ck;
+            debug_assert!(r.speed > 0.0, "job {} stalled", r.job.id);
+        }
+    }
+
     /// Move the clock to `t`, every running job progressing at its
-    /// current speed. The one parallel site: element-wise disjoint
-    /// writes, so the result is bit-identical for any chunking (thread
-    /// count).
+    /// current speed.
     fn advance_to(&mut self, t: SimTime) {
-        let threads = self.cfg.threads.max(1);
         let dt = t.saturating_sub(self.now).as_secs();
-        self.busy_cn += dt * self.running.iter().map(|r| r.job.cn).sum::<usize>() as f64;
-        self.busy_bn += dt * self.running.iter().map(|r| r.bn_active).sum::<usize>() as f64;
-        let chunks = chunk_ranges(self.running.len(), threads);
-        let slices = split_mut(&mut self.running, &chunks);
-        run_tasks(threads, slices, |chunk| {
-            for r in chunk {
-                r.done += SimTime::from_secs(dt * r.speed);
-            }
-        });
+        let (mut cn, mut bn) = (0, 0);
+        for r in self.running.iter_mut() {
+            (cn, bn) = (cn + r.job.cn, bn + r.bn_active);
+            r.done += SimTime::from_secs(dt * r.speed);
+        }
+        self.busy_cn += dt * cn as f64;
+        self.busy_bn += dt * bn as f64;
         self.now = t;
     }
 }
@@ -636,6 +710,21 @@ impl Engine {
     /// builds a fresh resource manager, so the same engine can replay
     /// the same trace bit-identically.
     pub fn run(&self, trace: &[TraceJob], faults: &FaultPlan) -> EngineReport {
+        for j in trace {
+            assert!(
+                j.bn_min <= j.bn_max && (j.bn_min > 0 || j.bn_max == 0),
+                "job {}: bn_min {} must lie in 1..=bn_max {} (0 only with bn_max 0)",
+                j.id,
+                j.bn_min,
+                j.bn_max
+            );
+            assert!(
+                j.fabric_demand_gbs <= 0.0 || (0.0..1.0).contains(&j.comm_fraction),
+                "job {}: comm_fraction {} of a fabric job must lie in [0, 1)",
+                j.id,
+                j.comm_fraction
+            );
+        }
         let ck = self.cfg.ckpt.as_ref().map_or(1.0, |c| c.amortization());
         let mut s = State {
             cfg: &self.cfg,
@@ -645,6 +734,12 @@ impl Engine {
             queue: Vec::new(),
             needs: Vec::new(),
             running: Vec::new(),
+            ids_drawn: false,
+            fabric_stale: false,
+            demands: Vec::new(),
+            order: Vec::new(),
+            shares: Vec::new(),
+            views: Vec::new(),
             repairs: VecDeque::new(),
             events: Vec::new(),
             reservations: Vec::new(),
@@ -660,6 +755,14 @@ impl Engine {
         let mut completed = 0usize;
 
         loop {
+            // A fault due at `now` asks which nodes the jobs held when the
+            // clock got here: give every expansion its ids, as the previous
+            // event dealt them, before anything of this instant moves the
+            // pools. `schedule` takes them back.
+            if nf.get(fi).is_some_and(|f| f.at <= s.now) {
+                draw_ids(&mut s.running, &mut s.rm.lock());
+                s.ids_drawn = true;
+            }
             // Everything due at `now`, in this order: completions, faults,
             // repairs, arrivals.
             completed += s.complete_finished();
@@ -678,7 +781,7 @@ impl Engine {
 
             s.schedule();
             s.regrow();
-            recompute_speeds(&mut s.running, self.cfg.fabric_capacity_gbs, ck);
+            s.respeed();
 
             // Next event: earliest of completion, arrival, fault, repair.
             let completions = s
@@ -792,6 +895,7 @@ impl EngineReport {
 mod tests {
     use super::*;
     use cluster_booster::SystemBuilder;
+    use proptest::prelude::*;
 
     fn system(cn: u32, bn: u32) -> System {
         SystemBuilder::new("t")
@@ -1040,6 +1144,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "job 3: bn_min 5")]
+    fn a_job_with_bn_min_over_bn_max_fails_at_the_door() {
+        let bad = TraceJob {
+            bn_min: 5,
+            ..job(3, 1, 4, 5.0, 9.0)
+        };
+        Engine::new(system(16, 8), EngineConfig::default())
+            .run(&[job(0, 1, 0, 5.0, 0.0), bad], &FaultPlan::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1: comm_fraction 1")]
+    fn a_fabric_job_that_only_communicates_fails_at_the_door() {
+        let bad = TraceJob {
+            comm_fraction: 1.0,
+            fabric_demand_gbs: 4.0,
+            ..job(1, 1, 1, 5.0, 0.0)
+        };
+        Engine::new(system(16, 8), EngineConfig::default()).run(&[bad], &FaultPlan::new());
+    }
+
+    #[test]
     fn runs_a_trace_to_completion_and_reports() {
         let trace = vec![job(0, 2, 2, 100.0, 0.0), job(1, 2, 2, 50.0, 0.0)];
         let eng = Engine::new(system(4, 4), EngineConfig::default());
@@ -1197,6 +1323,179 @@ mod tests {
             node: last
         }));
         assert_eq!((r.requeues, r.starts, r.completed), (1, 2, 1));
+    }
+
+    #[test]
+    fn a_fault_sees_the_ids_dealt_before_its_instants_completions() {
+        // Job 0 holds the two lowest Booster nodes until t = 10; job 1
+        // starts on the third and is dealt the other five. The highest
+        // dies at t = 10: job 1 held it when the clock got there. Drawn
+        // after job 0's release, job 1's five would be the lowest free
+        // ids — job 0's two among them — and the dead node nobody's.
+        let sys = system(2, 8);
+        let last = *sys.booster_nodes().last().expect("8 BN");
+        let b = TraceJob {
+            bn_min: 1,
+            ..job(1, 1, 8, 1000.0, 0.0)
+        };
+        let faults = FaultPlan::from_node_faults([(s(10.0), last)]);
+        let cfg = EngineConfig {
+            repair_after: None,
+            ..EngineConfig::default()
+        };
+        let r = Engine::new(sys, cfg).run(&[job(0, 1, 2, 10.0, 0.0), b], &faults);
+        let first = (r.events.iter())
+            .position(|e| matches!(e, EngineEvent::Complete { .. }))
+            .expect("job 0 completes");
+        assert_eq!(
+            r.events[first..first + 5],
+            [
+                EngineEvent::Complete { t: s(10.0), id: 0 },
+                EngineEvent::Fault {
+                    t: s(10.0),
+                    node: last,
+                    victim: Some(1)
+                },
+                EngineEvent::Requeue {
+                    t: s(10.0),
+                    id: 1,
+                    resumed_work: SimTime::ZERO,
+                    level: None
+                },
+                EngineEvent::Start {
+                    t: s(10.0),
+                    id: 1,
+                    cn: 1,
+                    bn: 1,
+                    backfill: false
+                },
+                // Seven serviceable nodes are left, all its own.
+                EngineEvent::Expand {
+                    t: s(10.0),
+                    id: 1,
+                    bn: 7
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_fault_on_a_node_dealt_to_nobody_only_shortens_the_next_deal() {
+        // Job 0 runs on 2 of 8 Booster nodes and is dealt 2 more: the
+        // four lowest. The seventh dies idle; nobody is killed, and when
+        // job 1 takes 4 at t = 20 only 1 of the 5 left is job 0's to keep.
+        let sys = system(2, 8);
+        let idle = sys.booster_nodes()[6];
+        let a = TraceJob {
+            bn_min: 2,
+            ..job(0, 1, 4, 1000.0, 0.0)
+        };
+        let faults = FaultPlan::from_node_faults([(s(10.0), idle)]);
+        let cfg = EngineConfig {
+            repair_after: None,
+            ..EngineConfig::default()
+        };
+        let r = Engine::new(sys, cfg).run(&[a, job(1, 1, 4, 50.0, 20.0)], &faults);
+        assert!(r.events.contains(&EngineEvent::Fault {
+            t: s(10.0),
+            node: idle,
+            victim: None
+        }));
+        let sizes: Vec<&EngineEvent> = r
+            .events
+            .iter()
+            .filter(|e| matches!(e, EngineEvent::Expand { .. } | EngineEvent::Shrink { .. }))
+            .collect();
+        assert_eq!(
+            sizes,
+            [
+                &EngineEvent::Expand {
+                    t: s(0.0),
+                    id: 0,
+                    bn: 4
+                },
+                &EngineEvent::Shrink {
+                    t: s(20.0),
+                    id: 0,
+                    bn: 3
+                },
+                &EngineEvent::Expand {
+                    t: s(70.0),
+                    id: 0,
+                    bn: 4
+                },
+            ]
+        );
+        assert_eq!((r.requeues, r.starts, r.completed), (0, 2, 2));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The deal-order contract: counts by [`deal_counts`], then ids by
+        /// [`draw_ids`], are node for node what dealing `grow(.., 1)` round
+        /// robin hands out from the same pool — with holes in the free ids,
+        /// a downed node, jobs that want nothing and a pool that runs dry.
+        #[test]
+        fn dealt_counts_then_drawn_ids_are_the_node_by_node_deal(
+            wants in prop::collection::vec(0usize..=64, 1..10),
+            busy in prop::collection::vec(any::<bool>(), 96),
+            down in 0usize..96,
+        ) {
+            let jobs: Vec<TraceJob> = (wants.iter().zip(0..))
+                .map(|(&want, id)| TraceJob { bn_min: 1, ..job(id, 0, 1 + want, 10.0, 0.0) })
+                .collect();
+            // The same pool twice: some nodes busy, one down, then every
+            // job's first node.
+            let pool = || {
+                let sys = system(1, 96);
+                let rm = ResourceManager::new(&sys);
+                let singles: Vec<Allocation> =
+                    (0..96).map(|_| rm.allocate(0, 1).expect("96 BN")).collect();
+                for (a, _) in singles.iter().zip(&busy).filter(|(_, &busy)| !busy) {
+                    rm.release(a).expect("live");
+                }
+                rm.mark_down(sys.booster_nodes()[down]);
+                let base: Option<Vec<Allocation>> =
+                    jobs.iter().map(|_| rm.allocate(0, 1).ok()).collect();
+                (rm, base)
+            };
+            let ((rm, base), (one_by_one, reference)) = (pool(), pool());
+            prop_assume!(base.is_some());
+            let mut reference = reference.expect("same pool");
+            let mut pools = one_by_one.lock();
+            let mut grew = true;
+            while grew {
+                grew = false;
+                for (a, job) in reference.iter_mut().zip(&jobs) {
+                    if a.booster.len() < job.bn_max && pools.grow(a, 1).is_ok() {
+                        grew = true;
+                    }
+                }
+            }
+            let mut running: Vec<Run<'_>> = (base.expect("assumed").into_iter().zip(&jobs))
+                .map(|(alloc, job)| Run {
+                    job,
+                    alloc,
+                    bn_active: 1,
+                    logged_bn: 1,
+                    done: SimTime::ZERO,
+                    speed: 1.0,
+                    worst_speed: 1.0,
+                    fabric: 1.0,
+                })
+                .collect();
+            let mut pools = rm.lock();
+            let free = pools.free_to_grow();
+            deal_counts(&mut running, free);
+            let dealt: usize = running.iter().map(|r| r.bn_active - 1).sum();
+            prop_assert_eq!(dealt, free.min(wants.iter().sum()));
+            draw_ids(&mut running, &mut pools);
+            for (r, a) in running.iter().zip(&reference) {
+                prop_assert_eq!(r.bn_active, a.booster.len());
+                prop_assert_eq!(&r.alloc.booster, &a.booster);
+            }
+        }
     }
 
     #[test]

@@ -22,13 +22,12 @@
 //!   schedule per `scr`);
 //! * [`report`] — flattens an [`EngineReport`] into `obs::HostMetrics`
 //!   (makespan, queue-wait percentiles, module utilizations, backfill
-//!   efficiency) for the `sched` bin's `--out` file.
+//!   efficiency) for the `sched` bin's `--out` file, and renders its event
+//!   log as a Chrome trace with one track per job ([`chrome_trace`]).
 //!
 //! Everything runs under the repo's determinism contract: virtual time
-//! only, seeded `StdRng` only, ordered containers only, and the one
-//! parallel site (advancing job progress between events) goes through
-//! `xpic::par` with element-wise disjoint writes — so a trace schedules
-//! bit-identically on any host at any thread count.
+//! only, seeded `StdRng` only, ordered containers only, one sequential
+//! loop — so a trace schedules bit-identically on any host.
 
 #![forbid(unsafe_code)]
 
@@ -40,5 +39,5 @@ pub mod workload;
 pub use engine::{
     CheckpointPolicy, Engine, EngineConfig, EngineEvent, EngineReport, HeadReservation,
 };
-pub use report::report_metrics;
+pub use report::{chrome_trace, report_metrics};
 pub use workload::{generate, ArrivalModel, JobClass, MixWeights, TraceJob, WorkloadConfig};

@@ -91,23 +91,26 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// on 64 CN + 128 BN with a fault every few hours (dense enough to
 /// requeue) and checkpointing on. The hashes are FNV-1a over the report's
 /// `Debug` text (derived, so every `f64` prints in its shortest
-/// round-trip form: equal text is equal bits), recorded at commit 7648c9a,
-/// before allocations grew in place and the backfill scan resumed. A
-/// change that moves one has changed a schedule, a victim or a node id.
+/// round-trip form: equal text is equal bits). Those of seed 20180521 were
+/// recorded at commit 7648c9a, before allocations grew in place and the
+/// backfill scan resumed; those of seed 7 at commit 5f650ce, before the
+/// deal became arithmetic. A change that moves one has changed a
+/// schedule, a victim or a node id.
 #[test]
 fn the_whole_report_is_pinned_across_commits() {
-    let trace = generate(&WorkloadConfig::bursty(20180521, 600, 32, 64));
-    let failures = FailureModel::new(SimTime::from_secs(900_000.0 / 50.0));
-    let nodes: Vec<NodeId> = (0..192).map(NodeId).collect();
-    let mut rng = StdRng::seed_from_u64(20180521 ^ 0x5EED_FA17);
-    let faults = failures.fault_plan(&mut rng, &nodes, SimTime::from_secs(40.0 * 3600.0));
-    for (policy, pinned) in [
-        (AllocationPolicy::Independent, 16_459_725_729_510_707_731u64),
-        (
-            AllocationPolicy::NodeLocked { ratio: 2 },
-            5_359_291_356_012_729_292u64,
-        ),
+    let independent = AllocationPolicy::Independent;
+    let locked = AllocationPolicy::NodeLocked { ratio: 2 };
+    for (seed, policy, pinned) in [
+        (20180521, independent, 16_459_725_729_510_707_731u64),
+        (20180521, locked, 5_359_291_356_012_729_292u64),
+        (7, independent, 16_485_808_009_194_980_253u64),
+        (7, locked, 8_146_121_006_653_829_769u64),
     ] {
+        let trace = generate(&WorkloadConfig::bursty(seed, 600, 32, 64));
+        let failures = FailureModel::new(SimTime::from_secs(900_000.0 / 50.0));
+        let nodes: Vec<NodeId> = (0..192).map(NodeId).collect();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_FA17);
+        let faults = failures.fault_plan(&mut rng, &nodes, SimTime::from_secs(40.0 * 3600.0));
         let cfg = EngineConfig {
             policy,
             ckpt: Some(CheckpointPolicy::derive(
@@ -126,7 +129,7 @@ fn the_whole_report_is_pinned_across_commits() {
         assert_eq!(
             fnv1a(format!("{r:?}").as_bytes()),
             pinned,
-            "{policy:?}: {} events, {} requeues, {} backfills, {} reservations, {} expands",
+            "seed {seed} {policy:?}: {} events, {} requeues, {} backfills, {} reservations, {} expands",
             r.events.len(),
             r.requeues,
             r.backfill_starts,

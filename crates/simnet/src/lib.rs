@@ -29,7 +29,7 @@ pub mod rdma;
 pub mod topology;
 pub mod trace;
 
-pub use contention::max_min_shares;
+pub use contention::{max_min_shares, max_min_shares_into};
 pub use fabric::Fabric;
 pub use faults::{FaultPlan, LinkFault, NodeFault};
 pub use loggp::{LogGpModel, Protocol};
