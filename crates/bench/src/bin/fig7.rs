@@ -5,7 +5,10 @@
 //! `<path>` plus the text report to `<path>.report.txt`.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = cb_bench::obs_run::parse_fig_cli(&args, 10, 1);
+    let cli = cb_bench::obs_run::parse_fig_cli(&args, 10, 1).unwrap_or_else(|e| {
+        eprintln!("fig7: {e}");
+        std::process::exit(2)
+    });
     if cb_bench::obs_run::maybe_run_obs(&cli) {
         return;
     }

@@ -20,7 +20,10 @@
 //! `ASYNC_CKPT_GATE` verdict.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = cb_bench::obs_run::parse_fig_cli(&args, 10, 4);
+    let cli = cb_bench::obs_run::parse_fig_cli(&args, 10, 4).unwrap_or_else(|e| {
+        eprintln!("fig8: {e}");
+        std::process::exit(2)
+    });
     if cb_bench::obs_run::maybe_run_obs(&cli) {
         return;
     }

@@ -26,6 +26,7 @@
 //! fault-driven requeue, malleable expansion and shrink both exercised,
 //! and a makespan strictly better than node-locked.
 
+use cb_bench::obs_run::flag_value;
 use cluster_booster::resources::AllocationPolicy;
 use hwmodel::SimTime;
 use obs::HostMetrics;
@@ -65,41 +66,57 @@ fn engine_config(policy: AllocationPolicy, threads: usize, system_mtbf: SimTime)
     }
 }
 
+/// The command line.
+#[derive(Debug, PartialEq)]
+struct Cli {
+    smoke: bool,
+    jobs: usize,
+    seed: u64,
+    threads: usize,
+    out_path: Option<String>,
+    trace_path: Option<String>,
+}
+
+/// Parse argv (everything after the program name). An unknown argument, a
+/// flag without its value or a value that does not parse is an error
+/// naming the argument.
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        smoke: false,
+        jobs: 1200,
+        seed: 20180521, // IPDPS 2018
+        threads: 1,
+        out_path: None,
+        trace_path: None,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => cli.smoke = true,
+            "--jobs" => cli.jobs = flag_value(&mut args, arg)?,
+            "--seed" => cli.seed = flag_value(&mut args, arg)?,
+            "--threads" => cli.threads = flag_value(&mut args, arg)?,
+            "--out" => cli.out_path = Some(flag_value(&mut args, arg)?),
+            "--trace-out" => cli.trace_path = Some(flag_value(&mut args, arg)?),
+            s => return Err(format!("unknown argument `{s}`")),
+        }
+    }
+    Ok(cli)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut jobs = 1200usize;
-    let mut seed = 20180521u64; // IPDPS 2018
-    let mut threads = 1usize;
-    let mut out_path = None;
-    let mut trace_path = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" => {
-                i += 1;
-                jobs = args[i].parse().expect("--jobs <n>");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed <n>");
-            }
-            "--threads" => {
-                i += 1;
-                threads = args[i].parse().expect("--threads <n>");
-            }
-            "--out" => {
-                i += 1;
-                out_path = Some(args[i].clone());
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_path = Some(args[i].clone());
-            }
-            _ => {}
-        }
-        i += 1;
-    }
+    let Cli {
+        smoke,
+        jobs,
+        seed,
+        threads,
+        out_path,
+        trace_path,
+    } = parse_cli(&args).unwrap_or_else(|e| {
+        eprintln!("sched: {e}");
+        std::process::exit(2)
+    });
 
     // Jobs sized up to half the machine per module: big enough to block
     // the head (exercising reservations and backfill), small enough that
@@ -240,5 +257,30 @@ fn main() {
             p99_ind,
             locked.makespan.as_secs() / ind.makespan.as_secs()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_cli(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn cli_parses_flags_and_rejects_the_rest() {
+        let cli = parse(&["--smoke", "--threads", "2", "--out", "m.json"]).unwrap();
+        assert!(cli.smoke);
+        assert_eq!((cli.jobs, cli.seed, cli.threads), (1200, 20180521, 2));
+        assert_eq!(cli.out_path.as_deref(), Some("m.json"));
+        assert_eq!(cli.trace_path, None);
+        assert!(parse(&["--trace_out", "t.json"])
+            .unwrap_err()
+            .contains("`--trace_out`"));
+        assert!(parse(&["--jobs", "many"]).unwrap_err().contains("`many`"));
+        assert!(parse(&["--seed"])
+            .unwrap_err()
+            .contains("`--seed` needs a value"));
     }
 }

@@ -160,7 +160,13 @@ pub struct FigCli {
 }
 
 /// Parse the figure binaries' argv (everything after the program name).
-pub fn parse_fig_cli(args: &[String], default_steps: u32, default_nodes: usize) -> FigCli {
+/// An unknown flag, a flag without its value or a value that does not
+/// parse is an error naming the argument.
+pub fn parse_fig_cli(
+    args: &[String],
+    default_steps: u32,
+    default_nodes: usize,
+) -> Result<FigCli, String> {
     let mut cli = FigCli {
         steps: default_steps,
         obs_path: None,
@@ -173,74 +179,42 @@ pub fn parse_fig_cli(args: &[String], default_steps: u32, default_nodes: usize) 
         async_ckpt: false,
         smoke: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--obs" => {
-                i += 1;
-                cli.obs_path = Some(args.get(i).expect("--obs <path>").clone());
-            }
-            "--threads" => {
-                i += 1;
-                cli.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads <n>");
-            }
-            "--nodes" => {
-                i += 1;
-                cli.nodes = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--nodes <n>");
-            }
-            "--steps" => {
-                i += 1;
-                cli.steps = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--steps <n>");
-            }
-            "--fault-at" => {
-                i += 1;
-                cli.fault_at = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--fault-at <secs>"),
-                );
-            }
-            "--mtbf" => {
-                i += 1;
-                cli.mtbf = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--mtbf <secs>"),
-                );
-            }
-            "--overlap" => {
-                cli.overlap = true;
-            }
-            "--async-ckpt" => {
-                cli.async_ckpt = true;
-            }
-            "--smoke" => {
-                cli.smoke = true;
-            }
-            "--ckpt-every" => {
-                i += 1;
-                cli.ckpt_every = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--ckpt-every <n>"),
-                );
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--obs" => cli.obs_path = Some(flag_value(&mut args, arg)?),
+            "--threads" => cli.threads = flag_value(&mut args, arg)?,
+            "--nodes" => cli.nodes = flag_value(&mut args, arg)?,
+            "--steps" => cli.steps = flag_value(&mut args, arg)?,
+            "--fault-at" => cli.fault_at = Some(flag_value(&mut args, arg)?),
+            "--mtbf" => cli.mtbf = Some(flag_value(&mut args, arg)?),
+            "--ckpt-every" => cli.ckpt_every = Some(flag_value(&mut args, arg)?),
+            "--overlap" => cli.overlap = true,
+            "--async-ckpt" => cli.async_ckpt = true,
+            "--smoke" => cli.smoke = true,
+            s if s.starts_with('-') => return Err(format!("unknown argument `{s}`")),
             s => {
-                cli.steps = s.parse().unwrap_or(cli.steps);
+                cli.steps = s
+                    .parse()
+                    .map_err(|_| format!("`{s}` is not a step count"))?
             }
         }
-        i += 1;
     }
-    cli
+    Ok(cli)
+}
+
+/// The value following `flag` in `args`, parsed; the error names the flag
+/// when the value is missing or does not parse.
+pub fn flag_value<T: std::str::FromStr>(
+    args: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, String> {
+    let value = args
+        .next()
+        .ok_or_else(|| format!("`{flag}` needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("`{flag}`: cannot parse `{value}`"))
 }
 
 /// Handle a `--obs` invocation: write `<path>` (Chrome JSON) and
@@ -290,12 +264,12 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let cli = parse_fig_cli(&args, 10, 2);
+        let cli = parse_fig_cli(&args, 10, 2).unwrap();
         assert_eq!(cli.steps, 4);
         assert_eq!(cli.obs_path.as_deref(), Some("/tmp/t.json"));
         assert_eq!(cli.threads, 2);
         assert_eq!(cli.nodes, 3);
-        let cli = parse_fig_cli(&[], 10, 2);
+        let cli = parse_fig_cli(&[], 10, 2).unwrap();
         assert_eq!(cli.steps, 10);
         assert!(cli.obs_path.is_none());
         assert!(cli.fault_at.is_none() && cli.mtbf.is_none() && cli.ckpt_every.is_none());
@@ -308,7 +282,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let cli = parse_fig_cli(&args, 10, 2);
+        let cli = parse_fig_cli(&args, 10, 2).unwrap();
         assert!(cli.async_ckpt);
         assert!(cli.smoke);
         assert_eq!(cli.mtbf, Some(0.5));
@@ -320,12 +294,27 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let cli = parse_fig_cli(&args, 10, 2);
+        let cli = parse_fig_cli(&args, 10, 2).unwrap();
         assert_eq!(cli.fault_at, Some(0.125));
         assert_eq!(cli.mtbf, Some(30.0));
         assert_eq!(cli.ckpt_every, Some(3));
         assert!(crate::resilience_run::resilient_requested(&cli));
-        let plain = parse_fig_cli(&[], 10, 2);
+        let plain = parse_fig_cli(&[], 10, 2).unwrap();
         assert!(!crate::resilience_run::resilient_requested(&plain));
+    }
+
+    #[test]
+    fn cli_rejects_unknown_flags_and_bad_values() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            parse_fig_cli(&args, 10, 2).err().expect("must be rejected")
+        };
+        // Underscores are not the flags' spelling: no silent plain sweep.
+        assert!(parse(&["--ckpt_every", "3"]).contains("`--ckpt_every`"));
+        assert!(parse(&["--fault_at", "0.052"]).contains("`--fault_at`"));
+        assert!(parse(&["abc"]).contains("`abc`"));
+        assert!(parse(&["--threads", "two"]).contains("`--threads`"));
+        assert!(parse(&["--fault-at", "soon"]).contains("`soon`"));
+        assert!(parse(&["--mtbf"]).contains("`--mtbf` needs a value"));
     }
 }

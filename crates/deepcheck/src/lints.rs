@@ -549,7 +549,7 @@ fn m003_request_discarded(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
 
 /// D007: `Ordering::Relaxed` on an atomic that *gates* cross-thread data
 /// — a name with both `load` and `store` sites in the file (the shape of
-/// a flag like `any_dead` or `trace_attached` published by one thread and
+/// a flag like `any_dead` published by one thread and
 /// polled by another). A relaxed load can observe the flag without the
 /// writes it advertises; the pair must form a release/acquire edge.
 /// Pure counters (`fetch_add` + load-only stats) never have a `store`

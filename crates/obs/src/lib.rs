@@ -46,7 +46,7 @@ pub mod recorder;
 
 pub use critical::CriticalPath;
 pub use host::{percentile, HostMetrics};
-pub use profile::{Bucket, Profile, RankProfile};
+pub use profile::{Bucket, Profile, RankProfile, TrafficSummary};
 pub use recorder::{
     Category, EdgeView, Recorder, Span, SpanGuard, Trace, TrackHandle, TrackKey, TrackView,
 };

@@ -4,12 +4,11 @@
 //! span covering it. The profile sweeps each track once, attributing every
 //! span's *exclusive* time (duration minus nested children) to a category
 //! bucket and to the innermost enclosing [`Category::Phase`] span's module.
-//! Bytes are aggregated from message edges into the same node-kind-pair
-//! shape as `simnet::TrafficSummary` (which this model supersedes: the
-//! summary here is exact and carries timing, not just volume).
+//! Bytes are aggregated from message edges into a [`TrafficSummary`] by
+//! node-kind pair.
 
 use crate::recorder::{Category, Span, Trace, TrackKey, TrackView};
-use hwmodel::SimTime;
+use hwmodel::{NodeKind, SimTime};
 use std::collections::BTreeMap;
 
 /// Seconds by coarse activity class.
@@ -77,10 +76,68 @@ pub struct Profile {
     /// Per-module (innermost enclosing phase span) breakdown; spans outside
     /// any phase land under `"(unphased)"`.
     pub modules: BTreeMap<String, Bucket>,
-    /// Traffic by node-kind pair, same shape as `simnet::TrafficSummary`.
-    pub traffic: simnet::TrafficSummary,
+    /// Traffic by node-kind pair.
+    pub traffic: TrafficSummary,
     /// Job virtual runtime.
     pub makespan: SimTime,
+}
+
+/// Messages and bytes between node-kind pairs, folded from the message
+/// edges (one per cross-rank delivery; a self-send has none).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TrafficSummary {
+    /// (src kind label, dst kind label) → (messages, bytes).
+    pub pairs: BTreeMap<(String, String), (u64, u64)>,
+    /// Total messages.
+    pub messages: u64,
+    /// Total bytes.
+    pub bytes: u64,
+    /// Largest single message.
+    pub max_message: u64,
+}
+
+impl TrafficSummary {
+    fn add(&mut self, src: &str, dst: &str, bytes: u64) {
+        let entry = self
+            .pairs
+            .entry((src.to_string(), dst.to_string()))
+            .or_insert((0, 0));
+        entry.0 += 1;
+        entry.1 += bytes;
+        self.messages += 1;
+        self.bytes += bytes;
+        self.max_message = self.max_message.max(bytes);
+    }
+
+    /// Bytes exchanged between two kinds (both directions).
+    pub fn between(&self, a: NodeKind, b: NodeKind) -> u64 {
+        let one_way = |s: NodeKind, d: NodeKind| {
+            self.pairs
+                .get(&(s.label().to_string(), d.label().to_string()))
+                .map_or(0, |v| v.1)
+        };
+        if a == b {
+            one_way(a, a)
+        } else {
+            one_way(a, b) + one_way(b, a)
+        }
+    }
+
+    /// Render as a text table.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "traffic: {} messages, {} bytes (largest {})\n",
+            self.messages, self.bytes, self.max_message
+        );
+        out.push_str(&format!(
+            "{:>6} → {:<6} {:>10} {:>14}\n",
+            "src", "dst", "msgs", "bytes"
+        ));
+        for ((s, d), (m, b)) in &self.pairs {
+            out.push_str(&format!("{s:>6} → {d:<6} {m:>10} {b:>14}\n"));
+        }
+        out
+    }
 }
 
 impl Profile {
@@ -207,7 +264,7 @@ impl Trace {
             self.tracks.iter().map(|t| (t.key, t.kind)).collect();
         let mut ranks = Vec::with_capacity(self.tracks.len());
         let mut modules: BTreeMap<String, Bucket> = BTreeMap::new();
-        let mut traffic = simnet::TrafficSummary::default();
+        let mut traffic = TrafficSummary::default();
         for track in &self.tracks {
             let (row, track_modules) = rank_profile(track);
             ranks.push(row);
@@ -221,15 +278,7 @@ impl Trace {
             }
             for e in &track.edges {
                 let src_kind = e.src.and_then(|k| kinds.get(&k).copied()).unwrap_or("??");
-                let entry = traffic
-                    .pairs
-                    .entry((src_kind.to_string(), track.kind.to_string()))
-                    .or_insert((0, 0));
-                entry.0 += 1;
-                entry.1 += e.bytes;
-                traffic.messages += 1;
-                traffic.bytes += e.bytes;
-                traffic.max_message = traffic.max_message.max(e.bytes as usize);
+                traffic.add(src_kind, track.kind, e.bytes);
             }
         }
         Profile {

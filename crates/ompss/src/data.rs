@@ -40,11 +40,6 @@ impl DataStore {
             .unwrap_or_else(|| panic!("data block `{name}` missing"))
     }
 
-    /// Whether a block exists.
-    pub fn contains(&self, name: &str) -> bool {
-        self.blocks.contains_key(name)
-    }
-
     /// Size of a block in bytes (0 if absent) — used for transfer costs.
     pub fn bytes_of(&self, name: &str) -> u64 {
         self.blocks.get(name).map_or(0, |b| (b.len() * 8) as u64)
@@ -86,7 +81,6 @@ mod tests {
         assert!(s.is_empty());
         s.put("rho", vec![1.0, 2.0]);
         assert_eq!(s.get("rho"), &[1.0, 2.0]);
-        assert!(s.contains("rho"));
         assert_eq!(s.len(), 1);
         s.get_mut("rho")[0] = 9.0;
         assert_eq!(s.get("rho")[0], 9.0);

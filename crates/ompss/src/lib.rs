@@ -19,22 +19,21 @@
 //! * [`runtime::OmpssRuntime`] — a virtual-time list scheduler over the two
 //!   modules: each task runs on its target device (Cluster or Booster node
 //!   model), cross-device dependencies are charged fabric transfer time for
-//!   the data they move, and the makespan is reported;
-//! * [`resilience`] — the three DEEP-ER resiliency extensions (§III-D):
-//!   task inputs saved to memory before execution, per-task restart from
-//!   those saved inputs on failure (including offloaded tasks, without
-//!   losing concurrent work), and fast-forward of a restarted application
-//!   past already-completed tasks.
+//!   the data they move, and the makespan is reported. With
+//!   [`OmpssRuntime::resilient`] it carries the DEEP-ER task-restart
+//!   features (§III-D): task inputs saved before execution and restored
+//!   for a per-task retry, without losing concurrent work.
+//!
+//! The figures do not run through this crate: xPic's Cluster+Booster mode
+//! is split by hand over `MPI_Comm_spawn` (§IV), the mechanism OmpSs
+//! lowers onto.
 
 #![forbid(unsafe_code)]
 
 pub mod data;
 pub mod graph;
-pub mod mpi_offload;
-pub mod resilience;
 pub mod runtime;
 
 pub use data::DataStore;
 pub use graph::{Device, TaskGraph, TaskId};
-pub use mpi_offload::{run_offloaded, OffloadReport};
 pub use runtime::{OmpssRuntime, RunReport, TaskRecord};

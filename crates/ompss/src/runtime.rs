@@ -14,11 +14,12 @@ use crate::graph::{Device, TaskGraph, TaskId};
 use hwmodel::{CostModel, NodeSpec, SimTime};
 use simnet::LogGpModel;
 
+/// Fixed recovery overhead charged per retry, seconds.
+const RECOVERY_OVERHEAD_S: f64 = 1e-3;
+
 /// Execution record of one task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
-    /// The task.
-    pub id: TaskId,
     /// Task name.
     pub name: String,
     /// Device it ran on.
@@ -31,10 +32,6 @@ pub struct TaskRecord {
     pub retries: u32,
     /// Bytes moved across modules to feed this task.
     pub transfer_bytes: u64,
-    /// The constraint that determined this task's start time: the
-    /// predecessor task it waited for (a data dependency or the previous
-    /// occupant of its worker), or `None` if it started unconstrained.
-    pub bound_by: Option<TaskId>,
 }
 
 /// Result of running a graph.
@@ -54,52 +51,6 @@ impl RunReport {
     /// Record of one task.
     pub fn task(&self, id: TaskId) -> &TaskRecord {
         &self.tasks[id.0]
-    }
-
-    /// The critical path: the chain of tasks whose start-time constraints
-    /// determine the makespan, from the first unconstrained task to the
-    /// last finisher. Useful for deciding *what to offload next*.
-    pub fn critical_path(&self) -> Vec<TaskId> {
-        let Some(last) = self.tasks.iter().max_by(|a, b| a.end.total_cmp_end(b)) else {
-            return Vec::new();
-        };
-        let mut path = vec![last.id];
-        let mut cur = last;
-        while let Some(prev) = cur.bound_by {
-            path.push(prev);
-            cur = &self.tasks[prev.0];
-        }
-        path.reverse();
-        path
-    }
-
-    /// Render the schedule as a text Gantt chart (diagnostics).
-    pub fn gantt(&self) -> String {
-        let mut out = String::new();
-        let span = self.makespan.as_secs().max(1e-12);
-        for t in &self.tasks {
-            let begin = (40.0 * t.start.as_secs() / span) as usize;
-            let len = ((40.0 * (t.end - t.start).as_secs() / span) as usize).max(1);
-            out.push_str(&format!(
-                "{:>3} {:<16} {:>8?} |{}{}|\n",
-                t.id.0,
-                t.name,
-                t.device,
-                " ".repeat(begin.min(40)),
-                "#".repeat(len.min(41 - begin.min(40)))
-            ));
-        }
-        out
-    }
-}
-
-trait TotalCmpEnd {
-    fn total_cmp_end(&self, other: &TaskRecord) -> std::cmp::Ordering;
-}
-
-impl TotalCmpEnd for SimTime {
-    fn total_cmp_end(&self, other: &TaskRecord) -> std::cmp::Ordering {
-        self.as_secs().total_cmp(&other.end.as_secs())
     }
 }
 
@@ -134,10 +85,8 @@ pub struct OmpssRuntime {
     link: LogGpModel,
     /// Concurrent tasks per device.
     workers_per_device: usize,
-    /// Input-saving + restart on failure (paper §III-D).
+    /// Input saving + per-task restart on failure (paper §III-D).
     resilient: bool,
-    /// Fixed recovery overhead charged per retry.
-    recovery_overhead: SimTime,
     cost: CostModel,
 }
 
@@ -150,7 +99,6 @@ impl OmpssRuntime {
             link: LogGpModel::default(),
             workers_per_device: 1,
             resilient: false,
-            recovery_overhead: SimTime::from_millis(1.0),
             cost: CostModel,
         }
     }
@@ -162,15 +110,12 @@ impl OmpssRuntime {
         self
     }
 
-    /// Enable the resiliency features (input saving + task restart).
+    /// Enable the DEEP-ER resiliency features (§III-D): each task's
+    /// inputs are saved before it runs and restored after a failed
+    /// attempt, and only the failed task is retried — work that ran in
+    /// parallel, offloaded or not, stays valid.
     pub fn resilient(mut self) -> Self {
         self.resilient = true;
-        self
-    }
-
-    /// Override the retry overhead.
-    pub fn with_recovery_overhead(mut self, t: SimTime) -> Self {
-        self.recovery_overhead = t;
         self
     }
 
@@ -198,10 +143,9 @@ impl OmpssRuntime {
         let n = graph.tasks.len();
         let mut finish: Vec<Option<SimTime>> = vec![None; n];
         let mut records: Vec<Option<TaskRecord>> = (0..n).map(|_| None).collect();
-        // Worker availability per device (+ the last task each ran, for
-        // critical-path attribution).
-        let mut cluster_workers = vec![(SimTime::ZERO, None::<TaskId>); self.workers_per_device];
-        let mut booster_workers = vec![(SimTime::ZERO, None::<TaskId>); self.workers_per_device];
+        // When each worker of a device is next free.
+        let mut cluster_workers = vec![SimTime::ZERO; self.workers_per_device];
+        let mut booster_workers = vec![SimTime::ZERO; self.workers_per_device];
         let mut done = 0usize;
         let mut total_transfer = 0u64;
         let mut total_retries = 0u32;
@@ -218,20 +162,13 @@ impl OmpssRuntime {
                 if !deps[i].iter().all(|d| finish[d.0].is_some()) {
                     continue;
                 }
-                let t = &mut graph.tasks[i];
-                let device = t.device;
+                let device = graph.tasks[i].device;
 
                 // Data-ready time: dependencies + cross-device movement of
-                // this task's inputs from their producers. Track which
-                // predecessor binds the start (critical-path attribution).
+                // this task's inputs from their producers.
                 let mut ready = SimTime::ZERO;
-                let mut bound_by: Option<TaskId> = None;
                 for d in &deps[i] {
-                    let f = finish[d.0].expect("dep finished");
-                    if f > ready {
-                        ready = f;
-                        bound_by = Some(*d);
-                    }
+                    ready = ready.max(finish[d.0].expect("dep finished"));
                 }
                 let mut moved = 0u64;
                 for (name, producer) in &producers[i] {
@@ -243,11 +180,7 @@ impl OmpssRuntime {
                         let bytes = store.bytes_of(name);
                         moved += bytes;
                         let base = producer.and_then(|p| finish[p.0]).unwrap_or(SimTime::ZERO);
-                        let arrive = base + self.transfer_time(from, device, bytes);
-                        if arrive > ready {
-                            ready = arrive;
-                            bound_by = *producer;
-                        }
+                        ready = ready.max(base + self.transfer_time(from, device, bytes));
                     }
                 }
 
@@ -255,59 +188,50 @@ impl OmpssRuntime {
                     Device::Cluster => &mut cluster_workers,
                     Device::Booster => &mut booster_workers,
                 };
-                let (widx, (wfree, wlast)) = workers
+                let (widx, wfree) = workers
                     .iter()
+                    .copied()
                     .enumerate()
-                    .min_by(|(_, a), (_, b)| a.0.cmp(&b.0))
-                    .map(|(i, t)| (i, *t))
+                    .min_by_key(|&(_, free)| free)
                     .expect("at least one worker");
                 let start = ready.max(wfree);
-                if wfree > ready {
-                    bound_by = wlast;
-                }
 
-                // Resiliency: snapshot inputs before running (§III-D).
-                let snapshot = if self.resilient {
-                    Some(store.snapshot(&graph.tasks[i].ins))
-                } else {
-                    None
-                };
                 let t = &mut graph.tasks[i];
-                let mut retries = 0u32;
-                let mut duration = self.cost.time(self.node(device), &t.work);
-                while t.failures > 0 {
-                    t.failures -= 1;
-                    if !self.resilient {
-                        return Err(RunError::TaskFailed {
-                            task: i,
-                            name: t.name.clone(),
-                        });
-                    }
-                    retries += 1;
-                    // The failed attempt costs its full duration plus the
-                    // recovery overhead; inputs are restored from the saved
-                    // snapshot so the retry sees clean data.
-                    duration += self.cost.time(self.node(device), &t.work) + self.recovery_overhead;
-                    if let Some(snap) = &snapshot {
-                        store.restore(snap);
+                if t.failures > 0 && !self.resilient {
+                    return Err(RunError::TaskFailed {
+                        task: i,
+                        name: t.name.clone(),
+                    });
+                }
+                let attempt = self.cost.time(self.node(device), &t.work);
+                let mut duration = attempt;
+                let retries = std::mem::take(&mut t.failures);
+                if retries > 0 {
+                    // Input saving (§III-D): each failed attempt runs, and
+                    // may clobber its inputs, for its full duration plus
+                    // the recovery overhead; the inputs saved before it
+                    // are restored for the next attempt.
+                    let saved = store.snapshot(&t.ins);
+                    for _ in 0..retries {
+                        (t.action)(store);
+                        store.restore(&saved);
+                        duration += attempt + SimTime::from_secs(RECOVERY_OVERHEAD_S);
                     }
                 }
                 (t.action)(store);
 
                 let end = start + duration;
-                workers[widx] = (end, Some(TaskId(i)));
+                workers[widx] = end;
                 finish[i] = Some(end);
                 total_transfer += moved;
                 total_retries += retries;
                 records[i] = Some(TaskRecord {
-                    id: TaskId(i),
-                    name: graph.tasks[i].name.clone(),
+                    name: t.name.clone(),
                     device,
                     start,
                     end,
                     retries,
                     transfer_bytes: moved,
-                    bound_by,
                 });
                 done += 1;
                 progressed = true;
@@ -507,35 +431,79 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_follows_the_chain() {
-        // chain: a → b → c, plus an off-path task d.
+    fn input_saving_restores_on_retry() {
+        // The flaky task mutates its input on every attempt; each retry
+        // must see the original value (input saving).
         let mut g = TaskGraph::new();
-        let mut store = DataStore::new();
-        g.add_task("a", &[], &["x"], Device::Cluster, work(1e9, 0.0), |s| {
-            s.put("x", vec![])
-        });
-        g.add_task("b", &["x"], &["y"], Device::Booster, work(1e10, 1.0), |s| {
-            s.put("y", vec![])
-        });
-        g.add_task("c", &["y"], &[], Device::Cluster, work(1e9, 0.0), |_| {});
-        g.add_task("d", &[], &[], Device::Booster, work(1e6, 1.0), |_| {});
-        let rep = rt().with_workers(2).run(&mut g, &mut store).unwrap();
-        let path = rep.critical_path();
-        assert_eq!(path, vec![TaskId(0), TaskId(1), TaskId(2)], "{path:?}");
-        let gantt = rep.gantt();
-        assert!(gantt.contains("a") && gantt.contains("#"));
+        let mut s = DataStore::new();
+        s.put("x", vec![1.0]);
+        let id = g.add_task(
+            "flaky",
+            &["x"],
+            &["x", "y"],
+            Device::Cluster,
+            work(1e8, 0.0),
+            |s| {
+                let v = s.get("x")[0];
+                s.get_mut("x")[0] = v + 1.0;
+                s.put("y", vec![v]);
+            },
+        );
+        g.inject_failures(id, 2);
+        let rep = rt().resilient().run(&mut g, &mut s).unwrap();
+        assert_eq!(rep.total_retries, 2);
+        assert_eq!(s.get("y"), &[1.0], "retry saw the restored input");
+        assert_eq!(s.get("x"), &[2.0], "final run applied its mutation once");
     }
 
     #[test]
-    fn critical_path_attributes_worker_contention() {
-        // Two independent tasks on one Cluster worker: the second is bound
-        // by the first even without a data dependency.
+    fn retries_cost_time() {
+        let make = |failures: u32| {
+            let mut g = TaskGraph::new();
+            let id = g.add_task("t", &[], &[], Device::Booster, work(1e8, 0.0), |_| {});
+            g.inject_failures(id, failures);
+            rt().resilient()
+                .run(&mut g, &mut DataStore::new())
+                .unwrap()
+                .makespan
+        };
+        let clean = make(0);
+        let retried = make(3);
+        assert!(retried > clean * 3.0, "retries pay full re-execution");
+    }
+
+    #[test]
+    fn offloaded_restart_keeps_parallel_work() {
+        // A failing Booster task does not invalidate the Cluster task that
+        // ran in parallel.
         let mut g = TaskGraph::new();
-        g.add_task("first", &[], &[], Device::Cluster, work(1e9, 0.0), |_| {});
-        g.add_task("second", &[], &[], Device::Cluster, work(1e9, 0.0), |_| {});
-        let rep = rt().run(&mut g, &mut DataStore::new()).unwrap();
-        assert_eq!(rep.task(TaskId(1)).bound_by, Some(TaskId(0)));
-        assert_eq!(rep.critical_path(), vec![TaskId(0), TaskId(1)]);
+        let mut s = DataStore::new();
+        g.add_task(
+            "cluster-side",
+            &[],
+            &["a"],
+            Device::Cluster,
+            work(1e8, 0.0),
+            |s| s.put("a", vec![42.0]),
+        );
+        let flaky = g.add_task(
+            "booster-side",
+            &[],
+            &["b"],
+            Device::Booster,
+            work(1e8, 0.0),
+            |s| s.put("b", vec![7.0]),
+        );
+        g.inject_failures(flaky, 1);
+        let rep = rt()
+            .resilient()
+            .with_workers(2)
+            .run(&mut g, &mut s)
+            .unwrap();
+        assert_eq!(s.get("a"), &[42.0]);
+        assert_eq!(s.get("b"), &[7.0]);
+        assert_eq!(rep.task(TaskId(0)).retries, 0);
+        assert_eq!(rep.task(flaky).retries, 1);
     }
 
     #[test]

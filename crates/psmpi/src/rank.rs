@@ -287,8 +287,6 @@ pub struct Rank {
     /// receive lands here, and a self-addressed send is pushed straight in
     /// without consulting the router's endpoint table at all.
     mailbox: Arc<Mailbox>,
-    /// This rank's own routing record (incast bookkeeping target).
-    self_entry: Arc<EndpointEntry>,
     /// Lazily-built cache of peer routing records. Entries are immutable
     /// and never removed from the router, so a cached `Arc` stays valid for
     /// the life of the universe; after the first message to/from a peer,
@@ -341,10 +339,11 @@ impl Rank {
         cores: u32,
         obs_origin: Option<obs::TrackKey>,
     ) -> Self {
-        let self_entry = router
+        let mailbox = router
             .entry(endpoint)
-            .expect("rank endpoint is registered at construction");
-        let mailbox = self_entry.mailbox().clone();
+            .expect("rank endpoint is registered at construction")
+            .mailbox()
+            .clone();
         let fault_plan = router.fabric().fault_plan();
         let obs = router.obs_recorder().map(|rec| {
             rec.register(
@@ -362,7 +361,6 @@ impl Rank {
             router,
             endpoint,
             mailbox,
-            self_entry,
             entries: BTreeMap::new(),
             comm_ranks: BTreeMap::new(),
             fault_plan,
@@ -1178,29 +1176,16 @@ impl Rank {
         };
         if env.src_endpoint == self.endpoint {
             // Self-receive: the message never touched the fabric — no
-            // loopback transfer time, no incast queueing, no trace entry,
-            // no obs edge (a self-send can never block: its stamp is in
-            // the receiver's past). The clock only respects causality
-            // with the send.
+            // loopback transfer time, no obs edge (a self-send can never
+            // block: its stamp is in the receiver's past). The clock only
+            // respects causality with the send.
             self.clock = self.clock.max(env.send_stamp);
         } else {
             let src_node = self.entry_of(env.src_endpoint)?.node();
             let transfer =
                 self.router
                     .transfer_time_nodes(src_node, self.node_id, env.wire_size())?;
-            let arrival = self.router.incast_adjust(
-                &self.self_entry,
-                env.send_stamp + transfer,
-                env.wire_size(),
-            );
-            self.clock = self.clock.max(arrival);
-            self.router.trace_delivery(
-                src_node,
-                self.node_id,
-                env.wire_size(),
-                env.send_stamp,
-                arrival,
-            );
+            self.clock = self.clock.max(env.send_stamp + transfer);
             if let Some(track) = &self.obs {
                 // The dependency edge the critical-path walk follows.
                 track.edge(

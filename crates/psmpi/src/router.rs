@@ -424,18 +424,13 @@ fn shard_of(ep: EndpointId) -> usize {
     (ep.0 as usize) & (ENDPOINT_SHARDS - 1)
 }
 
-/// One endpoint's routing record: its mailbox, host node, and private NIC
-/// drain state. Everything except `nic_free` is immutable after
-/// registration, so holders of an `Arc<EndpointEntry>` (each [`crate::Rank`]
-/// caches the entries of its frequent peers) read it without any lock, and
-/// NIC-timestamp bookkeeping contends only with senders targeting the *same*
-/// endpoint — never with the other 999 ranks.
+/// One endpoint's routing record: its mailbox and host node. Immutable
+/// after registration, so holders of an `Arc<EndpointEntry>` (each
+/// [`crate::Rank`] caches the entries of its frequent peers) read it
+/// without any lock.
 pub struct EndpointEntry {
     mailbox: Arc<Mailbox>,
     node: NodeId,
-    /// Virtual time until which this endpoint's receive pipe is busy
-    /// (opt-in incast model). Per-endpoint lock domain.
-    nic_free: Mutex<SimTime>, // lock-order: 60
 }
 
 impl EndpointEntry {
@@ -453,10 +448,9 @@ impl EndpointEntry {
 /// Shared state of a running universe.
 ///
 /// Hot-path message delivery never takes a router-wide lock: the endpoint
-/// table is sharded into [`ENDPOINT_SHARDS`] read-mostly lock domains,
-/// NIC-drain bookkeeping lives on each [`EndpointEntry`], the dynamic dead
-/// set is screened by a lock-free flag that is false for the whole run in
-/// the fault-free case, and trace recording is screened the same way.
+/// table is sharded into [`ENDPOINT_SHARDS`] read-mostly lock domains and
+/// the dynamic dead set is screened by a lock-free flag that is false for
+/// the whole run in the fault-free case.
 pub struct Router {
     fabric: Fabric,
     /// The endpoint table, sharded by endpoint id. Each shard is a
@@ -483,11 +477,6 @@ pub struct Router {
     repairs: RwLock<BTreeMap<NodeId, SimTime>>, // lock-order: 32
     /// Sender-side retry/backoff configuration for transient link faults.
     retry: RwLock<RetryPolicy>, // lock-order: 34
-    /// Optional message-trace sink (performance-analysis hook).
-    trace: Mutex<Option<simnet::TraceCollector>>, // lock-order: 40
-    /// Lock-free screen for `trace`: deliveries skip the trace lock
-    /// entirely unless a collector was attached.
-    trace_attached: AtomicBool,
     /// Optional span/counter recorder: when attached, every rank of every
     /// subsequent job registers an `obs` track and the runtime emits
     /// compute/send/recv/collective spans automatically.
@@ -530,8 +519,6 @@ impl Router {
             any_dead: AtomicBool::new(false),
             repairs: RwLock::new(BTreeMap::new()),
             retry: RwLock::new(RetryPolicy::default()),
-            trace: Mutex::new(None),
-            trace_attached: AtomicBool::new(false),
             obs: Mutex::new(None),
             next_endpoint: AtomicU64::new(0),
             next_comm: AtomicU64::new(0),
@@ -568,7 +555,6 @@ impl Router {
                 ..Mailbox::default()
             }),
             node,
-            nic_free: Mutex::new(SimTime::ZERO),
         });
         let mut shard = self.endpoints[shard_of(id)].write();
         crate::lock_witness!("psmpi.endpoints");
@@ -739,14 +725,6 @@ impl Router {
         outcomes.push(outcome);
     }
 
-    /// Attach a trace collector; every subsequent delivery is recorded.
-    pub fn attach_trace(&self, collector: simnet::TraceCollector) {
-        let mut trace = self.trace.lock();
-        crate::lock_witness!("psmpi.trace");
-        *trace = Some(collector);
-        self.trace_attached.store(true, Ordering::Release);
-    }
-
     /// Attach an observability recorder; ranks created afterwards get a
     /// track each and emit runtime spans automatically.
     pub fn attach_obs(&self, recorder: obs::Recorder) {
@@ -769,64 +747,6 @@ impl Router {
             .and_then(|n| self.fabric.node(n).ok())
             .map(|n| n.kind)
             .unwrap_or(hwmodel::NodeKind::Cluster)
-    }
-
-    /// Record a delivery into the attached trace, if any. The nodes come
-    /// pre-resolved from the receive path's cached endpoint entries; when
-    /// no collector was ever attached this is a single relaxed-atomic read.
-    pub fn trace_delivery(
-        &self,
-        src_node: NodeId,
-        dst_node: NodeId,
-        bytes: usize,
-        depart: SimTime,
-        arrive: SimTime,
-    ) {
-        if !self.trace_attached.load(Ordering::Acquire) {
-            return;
-        }
-        let guard = self.trace.lock();
-        crate::lock_witness!("psmpi.trace");
-        let Some(collector) = guard.as_ref() else {
-            return;
-        };
-        let src_kind = self
-            .fabric
-            .node(src_node)
-            .map(|n| n.kind)
-            .unwrap_or(hwmodel::NodeKind::Cluster);
-        let dst_kind = self
-            .fabric
-            .node(dst_node)
-            .map(|n| n.kind)
-            .unwrap_or(hwmodel::NodeKind::Cluster);
-        collector.record(simnet::TraceEvent {
-            src: src_node,
-            dst: dst_node,
-            src_kind,
-            dst_kind,
-            bytes,
-            depart,
-            arrive,
-        });
-    }
-
-    /// Apply the (opt-in) incast model to a message delivered to `dst` with
-    /// network arrival time `arrival`: the receiver's NIC drains one
-    /// payload at a time, so simultaneous arrivals serialize. Returns the
-    /// adjusted completion time. The drain timestamp lives on the
-    /// endpoint's own entry, so ranks never contend on a router-wide lock
-    /// here — only concurrent senders into the *same* endpoint serialize.
-    pub fn incast_adjust(&self, dst: &EndpointEntry, arrival: SimTime, bytes: usize) -> SimTime {
-        if !self.fabric.model().model_incast {
-            return arrival;
-        }
-        let drain = SimTime::from_secs(bytes as f64 / self.fabric.model().payload_bw);
-        let mut free = dst.nic_free.lock();
-        crate::lock_witness!("psmpi.nic_free");
-        let completion = arrival.max(*free + drain);
-        *free = completion;
-        completion
     }
 }
 
@@ -1256,28 +1176,5 @@ mod tests {
         r.repair(NodeId(0), SimTime::from_secs(2.0));
         // Repairing the only dead node re-arms the fast path.
         assert_eq!(r.dead_time_of(NodeId(0)), None);
-    }
-
-    #[test]
-    fn incast_drain_serializes_per_endpoint() {
-        let mut t = Topology::new();
-        t.add_nodes(2, &deep_er_cluster_node());
-        let model = simnet::LogGpModel {
-            model_incast: true,
-            ..Default::default()
-        };
-        let r = Router::new(Fabric::with_model(t, model));
-        let a = r.register_endpoint(NodeId(0));
-        let b = r.register_endpoint(NodeId(1));
-        let ea = r.entry(a).unwrap();
-        let eb = r.entry(b).unwrap();
-        let t0 = SimTime::from_secs(1.0);
-        let first = r.incast_adjust(&ea, t0, 1 << 20);
-        let second = r.incast_adjust(&ea, t0, 1 << 20);
-        assert!(first >= t0);
-        assert!(second > first, "same endpoint serializes");
-        // A different endpoint has its own drain state.
-        let other = r.incast_adjust(&eb, t0, 1 << 20);
-        assert_eq!(other, first);
     }
 }

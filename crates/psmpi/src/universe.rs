@@ -52,13 +52,6 @@ impl Universe {
         &self.router
     }
 
-    /// Attach a message-trace collector: every delivery in every
-    /// subsequent job is recorded (the performance-analysis hook of the
-    /// DEEP software stack).
-    pub fn attach_trace(&self, collector: simnet::TraceCollector) {
-        self.router.attach_trace(collector);
-    }
-
     /// Attach an observability recorder: every rank of every subsequent
     /// job gets a virtual-time track with automatic runtime spans
     /// (compute/send/recv/collective), message dependency edges, and

@@ -1,11 +1,12 @@
 //! Observability across `comm_spawn`: spans stay well-nested on both sides
 //! of the inter-communicator, teardown under *active* spans is counted
 //! rather than lost, and the critical path crosses the intercomm into the
-//! spawned world.
+//! spawned world. Message edges fold into traffic by node-kind pair; a
+//! self-send leaves neither.
 
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
-use hwmodel::{NodeId, SimTime};
-use obs::{Category, Recorder, TrackKey};
+use hwmodel::{NodeId, NodeKind, SimTime};
+use obs::{Category, Recorder, TrackKey, TrafficSummary};
 use psmpi::{Rank, Universe};
 use simnet::{Fabric, Topology};
 
@@ -169,4 +170,64 @@ fn traces_are_identical_across_runs() {
     assert!(json_a.contains("\"ph\":\"X\""));
     assert!(rep_a.contains("critical path"));
     let _ = SimTime::ZERO;
+}
+
+#[test]
+fn traffic_is_attributed_to_node_kind_pairs() {
+    let u = universe(2, 2);
+    let rec = Recorder::new();
+    u.attach_obs(rec.clone());
+    u.launch(
+        &[NodeId(0), NodeId(1), NodeId(2), NodeId(3)],
+        // CN0 → CN1 (intra-cluster), CN0 → BN2 (inter-module).
+        |rank| match rank.rank() {
+            0 => {
+                rank.send(1, 0, &vec![0u8; 92]).unwrap(); // 100 B wire
+                rank.send(2, 0, &vec![0u8; 192]).unwrap(); // 200 B wire
+            }
+            1 | 2 => {
+                let _ = rank.recv::<Vec<u8>>(Some(0), Some(0)).unwrap();
+            }
+            _ => {}
+        },
+    );
+    let traffic = rec.snapshot().profile().traffic;
+    assert_eq!((traffic.messages, traffic.bytes), (2, 300));
+    assert_eq!(traffic.pairs[&("CN".into(), "CN".into())], (1, 100));
+    assert_eq!(traffic.pairs[&("CN".into(), "BN".into())], (1, 200));
+    assert_eq!(traffic.between(NodeKind::Cluster, NodeKind::Booster), 200);
+    assert_eq!(traffic.between(NodeKind::Cluster, NodeKind::Cluster), 100);
+}
+
+#[test]
+fn binomial_bcast_moves_one_message_per_non_root() {
+    let u = universe(4, 0);
+    let rec = Recorder::new();
+    u.attach_obs(rec.clone());
+    u.launch(&[NodeId(0), NodeId(1), NodeId(2), NodeId(3)], |rank| {
+        let w = rank.world();
+        let v = if rank.rank() == 0 {
+            rank.bcast(&w, 0, Some(7u64)).unwrap()
+        } else {
+            rank.bcast::<u64>(&w, 0, None).unwrap()
+        };
+        assert_eq!(v, 7);
+    });
+    assert_eq!(rec.snapshot().profile().traffic.messages, 3);
+}
+
+#[test]
+fn self_send_adds_no_edge_and_no_traffic() {
+    // DESIGN.md §3.2: a self-send never touches the fabric.
+    let u = universe(1, 0);
+    let rec = Recorder::new();
+    u.attach_obs(rec.clone());
+    u.launch(&[NodeId(0)], |rank| {
+        rank.send(0, 5, &vec![0u8; 92]).unwrap();
+        let (v, _) = rank.recv::<Vec<u8>>(Some(0), Some(5)).unwrap();
+        assert_eq!(v.len(), 92);
+    });
+    let trace = rec.snapshot();
+    assert!(trace.tracks[0].edges.is_empty());
+    assert_eq!(trace.profile().traffic, TrafficSummary::default());
 }

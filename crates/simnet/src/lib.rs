@@ -27,7 +27,6 @@ pub mod loggp;
 pub mod nam;
 pub mod rdma;
 pub mod topology;
-pub mod trace;
 
 pub use contention::{max_min_shares, max_min_shares_into};
 pub use fabric::Fabric;
@@ -36,4 +35,3 @@ pub use loggp::{LogGpModel, Protocol};
 pub use nam::{NamDevice, NamError, NamRegion};
 pub use rdma::RdmaEngine;
 pub use topology::{Topology, TopologyError};
-pub use trace::{TraceCollector, TraceEvent, TrafficSummary};

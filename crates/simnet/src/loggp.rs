@@ -52,12 +52,6 @@ pub struct LogGpModel {
     pub eager_threshold: usize,
     /// Loopback (same-node) copy latency.
     pub loopback_latency: SimTime,
-    /// Model receiver-side NIC serialization (incast): a node can drain
-    /// only one incoming payload at a time, so n simultaneous senders
-    /// serialize at the receiver. Off by default — the paper's experiments
-    /// are too small to exercise congestion, but the knob matters for
-    /// larger modular systems.
-    pub model_incast: bool,
 }
 
 impl Default for LogGpModel {
@@ -67,7 +61,6 @@ impl Default for LogGpModel {
             payload_bw: calib::EXTOLL_PAYLOAD_BW,
             eager_threshold: calib::EXTOLL_EAGER_THRESHOLD,
             loopback_latency: SimTime::from_nanos(200.0),
-            model_incast: false,
         }
     }
 }

@@ -240,6 +240,7 @@ mod tests {
         assert!(base.len() >= crate::par::MIN_PAR_PARTICLES);
         let mut serial = base.clone();
         boris_push(&g, &f, &mut serial, 0.05);
+        // threads = 1 is `boris_push` itself: no chunking, no spawn.
         for threads in [1usize, 2, 4, 8] {
             let mut s = base.clone();
             boris_push_threads(&g, &f, &mut s, 0.05, threads);

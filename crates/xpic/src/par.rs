@@ -200,6 +200,19 @@ mod tests {
     }
 
     #[test]
+    fn one_thread_runs_every_task_on_the_caller() {
+        // No spawn at one thread: the deposit's chunk grid costs its
+        // partial buffers and nothing else.
+        let caller = std::thread::current().id();
+        let ran = AtomicUsize::new(0);
+        run_tasks(1, (0..5).collect(), |_: usize| {
+            assert_eq!(std::thread::current().id(), caller);
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
     fn run_tasks_with_mutable_slices() {
         let mut data = vec![0u64; 100];
         let ranges = chunk_ranges(data.len(), 8);
