@@ -48,7 +48,10 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== host smoke (ring, scheduler and xPic rates, typed/bytes ratio and allreduce time within 1.5x of the recorded runs, pool misses counted, checkpointed-step rate above its floor) =="
 # The one host-speed gate, read from the benchmark binary built above: its
 # `workload metric value unit` lines, its last line for the failed count.
-# Floor: the lowest ring_latency median of PRs 13-15 (5.15e5 msg/s) / 1.5.
+# Floor: the lowest ring_latency ops_per_s of ten 5 s runs at PR 26 (1.437,
+# 1.229, 1.281, 1.207, 1.240, 1.273, 1.166, 1.209, 1.282, 1.228 M msg/s) /
+# 1.5: its parent, which notified on every deposit and took the pool's lock
+# twice a message, read 0.70-0.73 M in 15 s runs and is under it.
 # Ceiling: the highest typed/bytes ratio recorded up to PR 15 (2.13) x 1.5.
 # Floor: the lowest xpic_ckpt ops_per_s of twenty 5 s runs at PR 17 (45.8
 # steps/s) / 1.5. Ten quiet runs read 179-195 and ten taken right after
@@ -84,7 +87,7 @@ tail -n 1 "$HS_TMP/fig7.txt" | grep -q '"failed": 0,'
 tail -n 1 "$HS_TMP/ckpt.txt" | grep -q '"failed": 0,'
 tail -n 1 "$HS_TMP/sched.txt" | grep -q '"failed": 0,'
 awk '$2 == "ops_per_s" { v = $3 }
-     END { if (v + 0 < 3.4e5) { print "host smoke: ring_latency ops_per_s " v " is under 3.4e5"; exit 1 } }' \
+     END { if (v + 0 < 7.7e5) { print "host smoke: ring_latency ops_per_s " v " is under 7.7e5"; exit 1 } }' \
     "$HS_TMP/ring.txt"
 awk '$2 == "psmpi.typed_bytes_ratio" { v = $3 }
      END { if (v == "" || v + 0 > 3.2) { print "host smoke: typed_bytes_ratio " v " is over 3.2"; exit 1 } }' \

@@ -38,7 +38,6 @@ pub mod node;
 pub mod power;
 pub mod presets;
 pub mod processor;
-pub mod roofline;
 pub mod time;
 pub mod work;
 

@@ -110,13 +110,13 @@ impl Rank {
     ) -> Result<T, PsmpiError> {
         let is_root = self.comm_rank(comm)? == root;
         let own = value.filter(|_| is_root); // a non-root's is ignored
-        let payload = own.as_ref().map(|v| v.to_wire(self.buffer_pool()));
+        let payload = own.as_ref().map(|v| v.to_wire_via(|cap| self.stage(cap)));
         let bytes = self.bcast_bytes(comm, root, payload)?;
         if let Some(own) = own {
             return Ok(own);
         }
         let received = T::from_bytes(bytes.clone())?;
-        self.buffer_pool().recycle(bytes);
+        self.retire(bytes);
         Ok(received)
     }
 
@@ -230,7 +230,7 @@ impl Rank {
         if seg == 0 && total > 0 {
             return Err(bad(format!("{total} bytes in empty segments")));
         }
-        let mut out = self.buffer_pool().get(total.min(MAX_POOLED_CAPACITY));
+        let mut out = self.stage(total.min(MAX_POOLED_CAPACITY));
         while out.len() < total {
             let (slice, _) = self.recv_bytes_comm(comm, Some(parent_abs), Some(TAG_BCAST_SEG))?;
             let (len, left) = (slice.len(), total - out.len());
@@ -354,7 +354,7 @@ impl Rank {
     ) -> Result<(), PsmpiError> {
         let (theirs, _) = self.recv_bytes_comm(comm, Some(src), Some(tag))?;
         op.fold_wire(acc, &theirs, acc_first)?;
-        self.buffer_pool().recycle(theirs);
+        self.retire(theirs);
         Ok(())
     }
 
@@ -442,7 +442,7 @@ impl Rank {
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
         let mut blocks: Vec<Option<bytes::Bytes>> = vec![None; n];
-        let own = value.to_wire(self.router().buffer_pool());
+        let own = value.to_wire_via(|cap| self.stage(cap));
         blocks[me] = Some(own.clone());
         let mut current = own;
         for round in 0..n - 1 {

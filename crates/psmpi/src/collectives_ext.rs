@@ -144,8 +144,7 @@ impl Rank {
         let me = self.comm_rank(comm)?;
         if me != root {
             // The `Vec<T>` frame, encoded straight from the slice.
-            let pool = self.router().buffer_pool();
-            let mut wire = pool.get(8 + T::FIXED_WIDTH.unwrap_or(0) * value.len());
+            let mut wire = self.stage(8 + T::FIXED_WIDTH.unwrap_or(0) * value.len());
             (value.len() as u64).encode(&mut wire);
             T::encode_slice(value, &mut wire);
             self.send_bytes_comm(comm, root, TAG_GATHERV, wire.freeze())?;

@@ -71,11 +71,17 @@ pub trait MpiDatatype: Sized {
         buf.freeze()
     }
 
-    /// Encode for the wire, drawing the staging buffer from `pool`. Types
-    /// that already hold their encoded form (`Raw`) override this to hand
-    /// the existing buffer over without copying.
+    /// Encode for the wire, drawing the staging buffer from `pool`.
     fn to_wire(&self, pool: &crate::pool::BufferPool) -> Bytes {
-        let mut buf = pool.get(self.size_hint());
+        self.to_wire_via(|cap| pool.get(cap))
+    }
+
+    /// Encode for the wire into the buffer `stage` hands out for the size
+    /// hint (a rank stages through its slot in front of the pool). Types
+    /// that already hold their encoded form (`Raw`) override this to hand
+    /// the existing buffer over without staging or copying.
+    fn to_wire_via(&self, stage: impl FnOnce(usize) -> BytesMut) -> Bytes {
+        let mut buf = stage(self.size_hint());
         self.encode(&mut buf);
         buf.freeze()
     }
@@ -187,7 +193,16 @@ pub fn bytes_to_pod<T: FixedWidth>(buf: &Bytes) -> Result<Vec<T>, CodecError> {
 /// fresh allocation — the steady-state typed send path of
 /// [`crate::Rank::send_slice_comm`].
 pub fn pod_to_bytes_pooled<T: FixedWidth>(pool: &crate::BufferPool, items: &[T]) -> Bytes {
-    let mut buf = pool.get(items.len() * T::WIDTH);
+    pod_to_bytes_via(|cap| pool.get(cap), items)
+}
+
+/// [`pod_to_bytes`] encoding into the buffer `stage` hands out for the
+/// slice's byte length.
+pub(crate) fn pod_to_bytes_via<T: FixedWidth>(
+    stage: impl FnOnce(usize) -> BytesMut,
+    items: &[T],
+) -> Bytes {
+    let mut buf = stage(items.len() * T::WIDTH);
     T::encode_slice(items, &mut buf);
     buf.freeze()
 }
@@ -420,7 +435,7 @@ impl MpiDatatype for Raw {
     fn to_bytes(&self) -> Bytes {
         self.0.clone() // refcount bump, not a copy
     }
-    fn to_wire(&self, _pool: &crate::pool::BufferPool) -> Bytes {
+    fn to_wire_via(&self, _stage: impl FnOnce(usize) -> BytesMut) -> Bytes {
         self.0.clone() // already wire-shaped; never staged through the pool
     }
     fn from_bytes(bytes: Bytes) -> Result<Self, CodecError> {

@@ -10,6 +10,12 @@
 //! receiver holds the last reference — so a buffer still shared with a
 //! zero-copy consumer (a `Raw` decode, a bcast sibling, a self-send alias)
 //! is never recycled while aliased.
+//!
+//! Each `Rank` holds one retired buffer in front of the pool (`Rank::stage`
+//! / `Rank::retire`, through `BufferPool::get_via` and
+//! `BufferPool::recycle_via`), so a steady exchange hands its wire buffer
+//! from receive to next send without taking the pool's lock. A slot hit is
+//! a pool hit, and the slot goes back to the pool when the rank exits.
 
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
@@ -138,10 +144,32 @@ impl BufferPool {
         }
     }
 
+    /// [`BufferPool::get`] through a caller-held one-buffer slot (a rank's,
+    /// see `Rank::stage`): a slot buffer that `get` would hand out for
+    /// `cap` is taken without the mutex and counts as a hit; otherwise the
+    /// stacks serve the request and the slot keeps its buffer.
+    pub(crate) fn get_via(&self, slot: &mut Option<BytesMut>, cap: usize) -> BytesMut {
+        let fits =
+            |b: &mut BytesMut| b.capacity() >= cap && class_of(b.capacity()) <= class_of(cap) + 1;
+        match slot.take_if(fits) {
+            Some(mut b) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                b.clear();
+                b
+            }
+            None => self.get(cap),
+        }
+    }
+
+    /// Whether [`BufferPool::put`] can retain `buf` (given room in its class).
+    fn retainable(&self, buf: &BytesMut) -> bool {
+        self.max_buffers > 0 && (1..=MAX_POOLED_CAPACITY).contains(&buf.capacity())
+    }
+
     /// Retire a buffer into its capacity class (dropped if the class is
     /// full or the buffer is outsized).
     pub fn put(&self, buf: BytesMut) {
-        if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
+        if !self.retainable(&buf) {
             return;
         }
         let mut bufs = self.bufs.lock();
@@ -152,15 +180,31 @@ impl BufferPool {
         }
     }
 
+    /// A frozen payload's storage if `bytes` is its sole owner; a failed
+    /// reclaim is counted.
+    fn reclaim(&self, bytes: Bytes) -> Option<BytesMut> {
+        let failed = |_still_shared: Bytes| self.reclaim_failures.fetch_add(1, Ordering::Relaxed);
+        bytes.try_into_mut().map_err(failed).ok()
+    }
+
     /// Try to reclaim a frozen payload's storage. Succeeds only when
     /// `bytes` is the sole owner; aliased or static buffers are dropped
     /// untouched, which keeps every zero-copy sharing guarantee intact.
     pub fn recycle(&self, bytes: Bytes) {
-        match bytes.try_into_mut() {
-            Ok(buf) => self.put(buf),
-            Err(_still_shared) => {
-                self.reclaim_failures.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(buf) = self.reclaim(bytes) {
+            self.put(buf);
+        }
+    }
+
+    /// [`BufferPool::recycle`] through a caller-held slot: a reclaimed
+    /// buffer the stacks could retain fills an empty slot without the
+    /// mutex; with the slot full it goes to [`BufferPool::put`]. An
+    /// aliased payload is never reclaimed, so it never enters a slot.
+    pub(crate) fn recycle_via(&self, slot: &mut Option<BytesMut>, bytes: Bytes) {
+        match self.reclaim(bytes) {
+            Some(buf) if slot.is_none() && self.retainable(&buf) => *slot = Some(buf),
+            Some(buf) => self.put(buf),
+            None => {}
         }
     }
 
@@ -268,6 +312,46 @@ mod tests {
         assert_eq!(s.misses, 2);
         assert_eq!(s.reclaim_failures, 1);
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_slot_serves_what_the_stacks_would_as_a_hit() {
+        let pool = BufferPool::new();
+        let mut slot = Some(BytesMut::with_capacity(8192));
+        let ptr = slot.as_ref().unwrap().as_ptr();
+        // A header would not get an 8 KiB buffer from the stacks: the slot
+        // keeps it and the request misses.
+        assert!(pool.get_via(&mut slot, 16).capacity() < 8192);
+        assert!(slot.is_some());
+        let staged = pool.get_via(&mut slot, 8192);
+        assert_eq!(staged.as_ptr(), ptr);
+        assert!(slot.is_none());
+        assert_eq!((pool.stats().hits, pool.stats().misses), (1, 1));
+        assert_eq!(pool.pooled(), 0, "the slot never went through the stacks");
+    }
+
+    #[test]
+    fn a_slot_takes_only_sole_owned_buffers_the_pool_would_keep() {
+        let pool = BufferPool::new();
+        let mut slot = None;
+        let frozen = pool.get(64).freeze();
+        let alias = frozen.clone();
+        pool.recycle_via(&mut slot, frozen);
+        assert!(slot.is_none(), "an aliased payload never enters a slot");
+        assert_eq!(pool.stats().reclaim_failures, 1);
+        pool.recycle_via(&mut slot, alias);
+        assert!(slot.is_some(), "its last owner's retire fills the slot");
+        pool.recycle_via(&mut slot, pool.get(64).freeze());
+        assert_eq!(
+            pool.pooled(),
+            1,
+            "a full slot leaves the next to the stacks"
+        );
+
+        let starved = BufferPool::with_capacity(0);
+        let mut slot = None;
+        starved.recycle_via(&mut slot, starved.get(64).freeze());
+        assert!(slot.is_none(), "a pool that retains nothing fills no slot");
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! charging. One [`Rank`] is owned by each rank thread.
 
 use crate::comm::{Comm, CommId, Communicator, Intercomm};
-use crate::datatype::{
-    pod_to_bytes_pooled, read_pod_into_exact, CodecError, FixedWidth, MpiDatatype,
-};
+use crate::datatype::{pod_to_bytes_via, read_pod_into_exact, CodecError, FixedWidth, MpiDatatype};
 use crate::envelope::{EndpointId, Envelope, Status, Tag, TAG_REVOKED};
 use crate::router::{EndpointEntry, Mailbox, Probed, RecvAbort, Router};
 use bytes::{BufMut, Bytes, BytesMut};
 use hwmodel::{CostModel, NodeId, NodeSpec, SimTime, WorkSpec};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -191,7 +190,12 @@ impl MpiRequest for RecvRequest {
     /// consumes from its mailbox and death declarations are not withdrawn
     /// while ranks run, so a `true` here cannot turn into a blocking wait.
     fn ready(&self, rank: &mut Rank) -> bool {
-        let queued = |src, tag| rank.mailbox.probe_match(self.comm, src, tag).is_some();
+        let queued = |src, tag| {
+            rank.own
+                .mailbox()
+                .probe_match(self.comm, src, tag)
+                .is_some()
+        };
         queued(self.src, self.tag)
             || self.src.is_some_and(|s| queued(Some(s), Some(TAG_REVOKED)))
             || rank
@@ -215,7 +219,7 @@ impl<T: FixedWidth> RecvIntoRequest<'_, T> {
     fn complete(self, rank: &mut Rank, face: Face) -> Result<Status, PsmpiError> {
         let (bytes, st) = rank.complete_recv(self.inner, face)?;
         read_pod_into_exact(&bytes, self.out)?;
-        rank.router.buffer_pool().recycle(bytes);
+        rank.retire(bytes);
         Ok(st)
     }
 }
@@ -240,6 +244,21 @@ fn peer_endpoint(comm: &impl Comm, rank: usize) -> Result<EndpointId, PsmpiError
         rank,
         size: peers.len(),
     })
+}
+
+/// Routing record of endpoint `ep` from a rank's private cache, filled from
+/// `router` on first use (see the `entries` field of [`Rank`]). A free
+/// function so the borrow covers the cache alone: the receive path prices
+/// against the rank's own entry while holding the peer's.
+fn cached_entry<'a>(
+    entries: &'a mut BTreeMap<EndpointId, Arc<EndpointEntry>>,
+    router: &Router,
+    ep: EndpointId,
+) -> Result<&'a Arc<EndpointEntry>, PsmpiError> {
+    match entries.entry(ep) {
+        Entry::Occupied(e) => Ok(e.into_mut()),
+        Entry::Vacant(v) => Ok(v.insert(router.entry(ep)?)),
+    }
 }
 
 /// Post a receive: validate `src` against the peer group and record the
@@ -283,15 +302,21 @@ fn decode_revoke_marker(b: &Bytes) -> Option<(NodeId, SimTime)> {
 pub struct Rank {
     router: Arc<Router>,
     endpoint: EndpointId,
-    /// This rank's own mailbox, resolved once at construction: every
-    /// receive lands here, and a self-addressed send is pushed straight in
-    /// without consulting the router's endpoint table at all.
-    mailbox: Arc<Mailbox>,
+    /// This rank's own routing record, resolved once at construction:
+    /// every receive lands in its mailbox and is priced against it, and a
+    /// self-addressed send is pushed straight in without consulting the
+    /// router's endpoint table at all.
+    own: Arc<EndpointEntry>,
     /// Lazily-built cache of peer routing records. Entries are immutable
     /// and never removed from the router, so a cached `Arc` stays valid for
     /// the life of the universe; after the first message to/from a peer,
     /// the hot paths never touch the router's sharded table again.
     entries: BTreeMap<EndpointId, Arc<EndpointEntry>>,
+    /// One retired wire buffer held in front of the shared pool (see
+    /// [`Rank::stage`]): a receive that decodes in place leaves its buffer
+    /// here and the next staged send takes it, so a steady exchange never
+    /// takes the pool's lock. Goes back to the pool when the rank exits.
+    slot: Option<BytesMut>,
     /// This rank's index per communicator context, so repeated sends on
     /// the same communicator skip [`crate::Group::rank_of`]'s O(n)
     /// endpoint scan (quadratic per exchange step at 1000 ranks). The
@@ -339,11 +364,9 @@ impl Rank {
         cores: u32,
         obs_origin: Option<obs::TrackKey>,
     ) -> Self {
-        let mailbox = router
+        let own = router
             .entry(endpoint)
-            .expect("rank endpoint is registered at construction")
-            .mailbox()
-            .clone();
+            .expect("rank endpoint is registered at construction");
         let fault_plan = router.fabric().fault_plan();
         let obs = router.obs_recorder().map(|rec| {
             rec.register(
@@ -360,8 +383,9 @@ impl Rank {
         Rank {
             router,
             endpoint,
-            mailbox,
+            own,
             entries: BTreeMap::new(),
+            slot: None,
             comm_ranks: BTreeMap::new(),
             fault_plan,
             node_id,
@@ -469,15 +493,20 @@ impl Rank {
         self.router.buffer_pool()
     }
 
-    /// Routing record of a peer endpoint, from this rank's private cache
-    /// (filled on first use; see the `entries` field).
-    fn entry_of(&mut self, ep: EndpointId) -> Result<Arc<EndpointEntry>, PsmpiError> {
-        if let Some(e) = self.entries.get(&ep) {
-            return Ok(e.clone());
-        }
-        let e = self.router.entry(ep)?;
-        self.entries.insert(ep, e.clone());
-        Ok(e)
+    /// A staging buffer of at least `cap` bytes: the rank's slot if the
+    /// pool would hand out its buffer for `cap` (a pool hit), else the
+    /// pool's [`BufferPool::get`](crate::BufferPool::get). Every encode
+    /// psmpi does on a rank's behalf stages here.
+    pub(crate) fn stage(&mut self, cap: usize) -> BytesMut {
+        self.router.buffer_pool().get_via(&mut self.slot, cap)
+    }
+
+    /// Give a received payload's storage back once decoded: into the
+    /// rank's slot if this rank is its sole owner and the slot is empty,
+    /// else [`BufferPool::recycle`](crate::BufferPool::recycle). The other
+    /// half of [`Rank::stage`].
+    pub(crate) fn retire(&mut self, bytes: Bytes) {
+        self.router.buffer_pool().recycle_via(&mut self.slot, bytes);
     }
 
     /// This rank's index within the local group of `comm`, cached per
@@ -540,7 +569,7 @@ impl Rank {
         tag: Tag,
         value: &T,
     ) -> Result<(), PsmpiError> {
-        let wire = value.to_wire(self.router.buffer_pool());
+        let wire = value.to_wire_via(|cap| self.stage(cap));
         self.send_bytes_comm(comm, dst, tag, wire)
     }
 
@@ -554,9 +583,9 @@ impl Rank {
     ) -> Result<(T, Status), PsmpiError> {
         let (bytes, st) = self.recv_bytes_comm(comm, src, tag)?;
         let value = T::from_bytes(bytes.clone())?;
-        // Return the payload allocation to the pool — a no-op whenever the
-        // decode (e.g. `Raw`) or another rank still holds a reference.
-        self.router.buffer_pool().recycle(bytes);
+        // Give the payload allocation back — a no-op whenever the decode
+        // (e.g. `Raw`) or another rank still holds a reference.
+        self.retire(bytes);
         Ok((value, st))
     }
 
@@ -622,7 +651,7 @@ impl Rank {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Option<Status> {
-        let hit = self.mailbox.probe_match(comm.context(), src, tag)?;
+        let hit = self.own.mailbox().probe_match(comm.context(), src, tag)?;
         Some(self.probe_status(hit))
     }
 
@@ -706,7 +735,7 @@ impl Rank {
     // count is implied by the byte length, so both sides must agree on it.
 
     /// Typed send of a POD slice to `dst` in `comm`: bulk-encoded into a
-    /// pooled buffer, no intermediate `Vec`.
+    /// staged buffer ([`Rank::stage`]), no intermediate `Vec`.
     pub fn send_slice_comm<T: FixedWidth>(
         &mut self,
         comm: &impl Comm,
@@ -714,7 +743,7 @@ impl Rank {
         tag: Tag,
         data: &[T],
     ) -> Result<(), PsmpiError> {
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
+        let wire = pod_to_bytes_via(|cap| self.stage(cap), data);
         self.send_bytes_comm(comm, dst, tag, wire)
     }
 
@@ -813,7 +842,7 @@ impl Rank {
         tag: Tag,
         data: &[T],
     ) -> Result<SendRequest, PsmpiError> {
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
+        let wire = pod_to_bytes_via(|cap| self.stage(cap), data);
         self.isend_bytes(dst, tag, wire)
     }
 
@@ -996,7 +1025,7 @@ impl Rank {
             Err((parked_at, err)) => {
                 // The encode buffer never reached an envelope; reclaim it
                 // (a no-op if anyone else still holds a reference).
-                self.router.buffer_pool().recycle(payload);
+                self.retire(payload);
                 return match parked_at {
                     Some(at) => Ok(SendRequest {
                         at,
@@ -1021,7 +1050,7 @@ impl Rank {
         self.count_sent(size);
         match dst_entry {
             // Self-send: straight into our own mailbox.
-            None => self.mailbox.push(env),
+            None => self.own.mailbox().push(env),
             Some(entry) => entry.mailbox().push(env),
         }
         Ok(SendRequest {
@@ -1050,7 +1079,9 @@ impl Rank {
         if dst_ep == self.endpoint {
             return Ok((src_rank, None, post));
         }
-        let entry = self.entry_of(dst_ep).map_err(|e| (Some(post), e))?;
+        let entry = cached_entry(&mut self.entries, &self.router, dst_ep)
+            .map_err(|e| (Some(post), e))?
+            .clone();
         match self.destination_clearance(entry.node(), post) {
             (cleared, None) => Ok((src_rank, Some(entry), cleared)),
             (gave_up, Some(err)) => Err((Some(gave_up), err)),
@@ -1119,7 +1150,10 @@ impl Rank {
     /// Node of the sender a receive waits on, if it named one. An unknown
     /// endpoint maps to "nothing to watch".
     fn awaited_node(&mut self, src_ep: Option<EndpointId>) -> Option<NodeId> {
-        src_ep.and_then(|ep| self.entry_of(ep).ok().map(|e| e.node()))
+        let ep = src_ep?;
+        cached_entry(&mut self.entries, &self.router, ep)
+            .ok()
+            .map(|e| e.node())
     }
 
     /// Block in this rank's mailbox through `wait`, which gives up once
@@ -1135,7 +1169,7 @@ impl Rank {
         let node = self.awaited_node(src_ep);
         let router = &self.router;
         let dead = || node.and_then(|n| router.dead_time_of(n).map(|at| (n, at)));
-        let (node, at) = match wait(&self.mailbox, &dead) {
+        let (node, at) = match wait(self.own.mailbox(), &dead) {
             Ok(found) => return Ok(found),
             Err(RecvAbort::Dead(node, at)) => (node, at),
             Err(RecvAbort::Revoked(marker)) => decode_revoke_marker(&marker)
@@ -1181,10 +1215,10 @@ impl Rank {
             // respects causality with the send.
             self.clock = self.clock.max(env.send_stamp);
         } else {
-            let src_node = self.entry_of(env.src_endpoint)?.node();
-            let transfer =
-                self.router
-                    .transfer_time_nodes(src_node, self.node_id, env.wire_size())?;
+            let src = cached_entry(&mut self.entries, &self.router, env.src_endpoint)?;
+            let transfer = self
+                .router
+                .transfer_time_between(src, &self.own, env.wire_size())?;
             self.clock = self.clock.max(env.send_stamp + transfer);
             if let Some(track) = &self.obs {
                 // The dependency edge the critical-path walk follows.
@@ -1275,7 +1309,7 @@ impl Rank {
     }
 
     /// Finalize: build the outcome record. Called by the runtime when the
-    /// rank function returns.
+    /// rank function returns (dropping the rank gives its slot back).
     pub(crate) fn into_outcome(self) -> crate::router::RankOutcome {
         if let Some(track) = &self.obs {
             track.set_final(self.clock);
@@ -1294,6 +1328,16 @@ impl Rank {
             compute_time: self.compute_time,
             comm_time: self.comm_time,
             energy_joules,
+        }
+    }
+}
+
+impl Drop for Rank {
+    /// The slot's buffer goes back to the pool (subject to its bound), so
+    /// after a job no buffer is held outside it.
+    fn drop(&mut self) {
+        if let Some(buf) = self.slot.take() {
+            self.router.buffer_pool().put(buf);
         }
     }
 }

@@ -4,15 +4,15 @@
 //! into the receiver's mailbox and moves on, as with small/eager messages in
 //! a real MPI; this also makes naive exchange loops deadlock-free). Receives
 //! wait in one loop, `Mailbox::park_until`: a short spin on the arrival
-//! counter, then a sleep on a condition variable that depositors signal only
-//! while someone sleeps (DESIGN.md §3.7).
+//! counter, then a sleep on a condition variable that the first deposit
+//! after the receiver went to sleep signals, and no other (DESIGN.md §3.7).
 
 use crate::comm::CommId;
 use crate::envelope::{EndpointId, Envelope, Tag};
 use crate::pool::BufferPool;
 use crate::rank::PsmpiError;
 use bytes::Bytes;
-use hwmodel::{NodeId, SimTime};
+use hwmodel::{NodeId, NodeSpec, SimTime};
 use parking_lot::{Condvar, Mutex, RwLock};
 use simnet::Fabric;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -35,6 +35,11 @@ use std::thread::JoinHandle;
 /// earlier same-class envelope would have matched too. Removal therefore
 /// always pops that class's deque at the front, and deque fronts always
 /// reference live slots.
+///
+/// A class that empties keeps its key and its deque's allocation for the
+/// next message of the class, so a steady exchange allocates nothing here;
+/// only while the index holds more than [`RETAINED_CLASSES`] classes does
+/// an emptied one go, which bounds the empty ones a mailbox keeps.
 #[derive(Default)]
 struct MailboxState {
     slots: VecDeque<Option<Envelope>>,
@@ -45,12 +50,15 @@ struct MailboxState {
     index: HashMap<(CommId, usize, Tag), VecDeque<u64>>,
     /// Number of live (non-tombstone) envelopes.
     live: usize,
-    /// Receivers inside `cv.wait`; while there is one, a deposit notifies.
-    parked: usize,
-    /// Those of them nothing has notified since they went to sleep; the
-    /// others count as awake again (see [`Mailbox::signal`]).
+    /// Receivers inside `cv.wait` that nothing has notified since they
+    /// went to sleep; while there is one, a deposit notifies (see
+    /// [`Mailbox::signal`]).
     asleep: usize,
 }
+
+/// Match classes beyond which an emptied one is dropped (see
+/// [`MailboxState`]).
+const RETAINED_CLASSES: usize = 64;
 
 impl MailboxState {
     /// Arrival number of the earliest live envelope matching the triple.
@@ -95,12 +103,12 @@ impl MailboxState {
         let class = self.index.get_mut(&key).expect("indexed class");
         debug_assert_eq!(class.front(), Some(&arrival), "removal is class front");
         class.pop_front();
-        if class.is_empty() {
+        if class.is_empty() && self.index.len() > RETAINED_CLASSES {
             self.index.remove(&key);
         }
         // Compact tombstones: always from the front, wholesale when the
-        // queue drained (arrival numbers in `index` stay valid because the
-        // map is empty whenever `live` is zero).
+        // queue drained (arrival numbers in `index` stay valid because
+        // every class is empty whenever `live` is zero).
         if self.live == 0 {
             self.base += self.slots.len() as u64;
             self.slots.clear();
@@ -167,6 +175,11 @@ impl Mailbox {
     pub fn push(&self, env: Envelope) {
         let mut s = self.state.lock();
         crate::lock_witness!("psmpi.state");
+        self.deposit(&mut s, env);
+    }
+
+    /// [`Mailbox::push`] with the lock held; returns whether it notified.
+    fn deposit(&self, s: &mut MailboxState, env: Envelope) -> bool {
         let arrival = s.base + s.slots.len() as u64;
         s.index
             .entry((env.comm, env.src_rank, env.tag))
@@ -174,7 +187,7 @@ impl Mailbox {
             .push_back(arrival);
         s.slots.push_back(Some(env));
         s.live += 1;
-        self.signal(&mut s);
+        self.signal(s)
     }
 
     /// Make a receiver re-evaluate its abort conditions (called on every
@@ -186,20 +199,24 @@ impl Mailbox {
     }
 
     /// Publish a change, lock held: a spinner sees the counter move, and
-    /// a receiver inside `cv.wait` is notified. Nobody in there, no
-    /// `notify`: under the `std::sync` shim that is a `futex` syscall
-    /// whether or not anyone waits. The first notify after a receiver went
-    /// to sleep also counts it awake again: it wants a core from now on,
-    /// not from when it gets one, and a spinner must not take it. (Later
-    /// deposits notify it again until it has run; skipping those is
-    /// ROADMAP item 2's ring leg.)
-    fn signal(&self, s: &mut MailboxState) {
+    /// a receiver that went to sleep since the last notify is notified;
+    /// returns whether one was. Notify once per sleep: a receiver already
+    /// notified is on its way back to this lock and will see this change
+    /// too, and under the `std::sync` shim every `notify` is a `futex`
+    /// syscall whether or not anyone waits — in the ring a notified rank
+    /// waits milliseconds for a core while its neighbour deposits a batch
+    /// of rounds. The notify also counts the sleepers awake again: they
+    /// want a core from now on, not from when they get one, and a spinner
+    /// must not take it.
+    fn signal(&self, s: &mut MailboxState) -> bool {
         self.arrivals.fetch_add(1, Ordering::Release);
-        if s.parked > 0 {
-            let woken = std::mem::take(&mut s.asleep);
-            self.awake.fetch_add(woken as isize, Ordering::AcqRel);
-            self.cv.notify_all();
+        if s.asleep == 0 {
+            return false;
         }
+        let woken = std::mem::take(&mut s.asleep);
+        self.awake.fetch_add(woken as isize, Ordering::AcqRel);
+        self.cv.notify_all();
+        true
     }
 
     /// The one wait loop: block until `hit` yields, or until the `watched`
@@ -220,7 +237,7 @@ impl Mailbox {
     ///
     /// A miss spins on `arrivals` with the lock released, if
     /// [`spin_before_sleep`] allows, re-evaluates, and only then sleeps;
-    /// `parked` rises under the lock a depositor holds, so no wake-up is
+    /// `asleep` rises under the lock a depositor holds, so no wake-up is
     /// lost. None of this reads or moves a virtual clock.
     fn park_until<T>(
         &self,
@@ -252,11 +269,9 @@ impl Mailbox {
                     {
                         break arrivals;
                     }
-                    s.parked += 1;
                     s.asleep += 1;
                     self.awake.fetch_sub(1, Ordering::AcqRel);
                     self.cv.wait(&mut s);
-                    s.parked -= 1;
                     if self.arrivals.load(Ordering::Acquire) == arrivals {
                         // Woken by nobody: no `signal` has counted this
                         // sleeper awake again, so it does that itself.
@@ -424,13 +439,17 @@ fn shard_of(ep: EndpointId) -> usize {
     (ep.0 as usize) & (ENDPOINT_SHARDS - 1)
 }
 
-/// One endpoint's routing record: its mailbox and host node. Immutable
-/// after registration, so holders of an `Arc<EndpointEntry>` (each
-/// [`crate::Rank`] caches the entries of its frequent peers) read it
-/// without any lock.
+/// One endpoint's routing record: its mailbox, host node and that node's
+/// spec. Immutable after registration, so holders of an
+/// `Arc<EndpointEntry>` (each [`crate::Rank`] caches the entries of its
+/// frequent peers) read it without any lock, and price a message between
+/// two entries without a topology lookup ([`Router::transfer_time_between`]).
 pub struct EndpointEntry {
     mailbox: Arc<Mailbox>,
     node: NodeId,
+    /// The topology's spec of `node`; `None` for a node off the topology,
+    /// which has no route.
+    spec: Option<Arc<NodeSpec>>,
 }
 
 impl EndpointEntry {
@@ -555,6 +574,7 @@ impl Router {
                 ..Mailbox::default()
             }),
             node,
+            spec: self.fabric.node(node).ok().cloned(),
         });
         let mut shard = self.endpoints[shard_of(id)].write();
         crate::lock_witness!("psmpi.endpoints");
@@ -604,22 +624,28 @@ impl Router {
         dst: EndpointId,
         bytes: usize,
     ) -> Result<SimTime, PsmpiError> {
-        let sn = self.node_of(src)?;
-        let dn = self.node_of(dst)?;
-        self.transfer_time_nodes(sn, dn, bytes)
+        let (src, dst) = (self.entry(src)?, self.entry(dst)?);
+        self.transfer_time_between(&src, &dst, bytes)
     }
 
-    /// [`Router::transfer_time`] with the nodes already resolved (the hot
-    /// receive path caches endpoint entries and skips the table lookups).
-    pub fn transfer_time_nodes(
+    /// [`Router::transfer_time`] between two resolved entries: `Fabric::p2p_time`'s
+    /// arithmetic on the specs the entries hold, with no table lookup (the
+    /// receive path prices every message from its cached entries this way).
+    pub fn transfer_time_between(
         &self,
-        sn: NodeId,
-        dn: NodeId,
+        src: &EndpointEntry,
+        dst: &EndpointEntry,
         bytes: usize,
     ) -> Result<SimTime, PsmpiError> {
-        self.fabric
-            .p2p_time(sn, dn, bytes)
-            .map_err(|_| PsmpiError::NoRoute { src: sn, dst: dn })
+        match (&src.spec, &dst.spec) {
+            (Some(s), Some(d)) => Ok(self
+                .fabric
+                .p2p_time_between(src.node, s, dst.node, d, bytes)),
+            _ => Err(PsmpiError::NoRoute {
+                src: src.node,
+                dst: dst.node,
+            }),
+        }
     }
 
     // ---- fault state ----
@@ -742,10 +768,9 @@ impl Router {
 
     /// Node kind of an endpoint's node (labels obs tracks).
     pub fn kind_of(&self, ep: EndpointId) -> hwmodel::NodeKind {
-        self.node_of(ep)
+        self.entry(ep)
             .ok()
-            .and_then(|n| self.fabric.node(n).ok())
-            .map(|n| n.kind)
+            .and_then(|e| e.spec.as_ref().map(|s| s.kind))
             .unwrap_or(hwmodel::NodeKind::Cluster)
     }
 }
@@ -1036,6 +1061,30 @@ mod tests {
     }
 
     #[test]
+    fn emptied_classes_stay_indexed_up_to_a_bound() {
+        let m = Mailbox::default();
+        for seq in 0..3 {
+            m.push(env(1, 0, 5, seq));
+            assert_eq!(m.recv_match(CommId(1), Some(0), Some(5)).seq, seq);
+            assert_eq!(
+                m.state.lock().index.len(),
+                1,
+                "the class outlives its message"
+            );
+        }
+        let tags = 0..=RETAINED_CLASSES as Tag;
+        for tag in tags.clone() {
+            m.push(env(1, 0, tag, 0));
+        }
+        for tag in tags {
+            assert_eq!(m.recv_match(CommId(1), Some(0), Some(tag)).tag, tag);
+        }
+        assert!(m.is_empty());
+        let kept = m.state.lock().index.len();
+        assert_eq!(kept, RETAINED_CLASSES, "the one class over the bound went");
+    }
+
+    #[test]
     fn probe_blocking_either_picks_earliest_arrival() {
         let m = Mailbox::default();
         m.push(env(1, 0, 8, 0));
@@ -1102,10 +1151,10 @@ mod tests {
         // cannot have run yet, for that it needs the lock held here.
         {
             let mut s = mb.state.lock();
-            mb.signal(&mut s);
-            mb.signal(&mut s);
+            assert!(mb.signal(&mut s));
+            assert!(!mb.signal(&mut s));
             assert_eq!(r.awake_ranks(), 0);
-            assert_eq!((s.parked, s.asleep), (1, 0));
+            assert_eq!(s.asleep, 0);
         }
         while !asleep() {
             std::thread::yield_now();
@@ -1119,7 +1168,38 @@ mod tests {
         mb.push(env(1, 0, 5, 1));
         assert_eq!(h.join().unwrap().seq, 1);
         assert_eq!(r.awake_ranks(), 0);
-        assert_eq!(mb.state.lock().parked, 0);
+        assert_eq!(mb.state.lock().asleep, 0);
+    }
+
+    #[test]
+    fn deposits_notify_a_sleeper_once_until_it_sleeps_again() {
+        const K: u64 = 5;
+        let r = router();
+        let mb = r.mailbox(r.register_endpoint(NodeId(0))).unwrap();
+        let m2 = mb.clone();
+        let h = std::thread::spawn(move || m2.recv_match(CommId(1), Some(0), Some(5)));
+        while !(r.awake_ranks() == -1 && mb.state.lock().asleep == 1) {
+            std::thread::yield_now();
+        }
+        // K deposits land before the sleeper can run (it needs the lock held
+        // here): the first notifies and counts it awake, the rest do neither.
+        // Only the last one matches.
+        {
+            let mut s = mb.state.lock();
+            let notified: Vec<bool> = (0..K)
+                .map(|i| {
+                    let tag = if i == K - 1 { 5 } else { 6 };
+                    mb.deposit(&mut s, env(1, 0, tag, i))
+                })
+                .collect();
+            assert_eq!(notified, [true, false, false, false, false]);
+            assert_eq!(r.awake_ranks(), 0, "counted awake exactly once");
+            assert_eq!(s.asleep, 0);
+        }
+        // The last deposit was the match: one wake-up served the batch.
+        assert_eq!(h.join().unwrap().seq, K - 1);
+        assert_eq!(r.awake_ranks(), 0);
+        assert_eq!(mb.len(), K as usize - 1);
     }
 
     #[test]

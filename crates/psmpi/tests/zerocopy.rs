@@ -80,8 +80,13 @@ fn typed_bcast_still_delivers_values() {
 #[test]
 fn typed_bcast_root_keeps_its_value_and_children_return_their_buffers() {
     // 1 MiB + 8 bytes on the wire: above the segmenting threshold, so each
-    // of the three non-roots reassembles into a pooled buffer, decodes it
-    // and hands it back; the root never decodes its own encoding.
+    // of the three non-roots reassembles into a staged buffer, decodes it
+    // and hands it back; the root never decodes its own encoding. How many
+    // reassembly buffers exist depends on the interleaving (a child that
+    // reassembles after another gave its buffer back reuses it), so what
+    // holds under any is the bookkeeping: every allocation the job made is
+    // back in the pool except the root's encoding, which the segments
+    // alias until the job drops them.
     let pool = Arc::new(BufferPool::new());
     cluster(4).buffer_pool(pool.clone()).run(|rank| {
         let w = rank.world();
@@ -95,15 +100,22 @@ fn typed_bcast_root_keeps_its_value_and_children_return_their_buffers() {
             assert_eq!(got, vec![0.25f64; 1 << 17]);
         }
     });
-    let wire = (1 << 20) + 8;
-    let before = pool.stats().hits;
-    let reassembly: Vec<_> = (0..3).map(|_| pool.get(wire)).collect();
-    assert!(reassembly.iter().all(|b| b.capacity() >= wire));
+    let stats = pool.stats();
     assert_eq!(
-        pool.stats().hits - before,
-        3,
-        "the job left three reassembly buffers in the pool"
+        stats.reclaim_failures, 0,
+        "nothing was retired aliased: {stats:?}"
     );
+    assert_eq!(
+        pool.pooled() as u64,
+        stats.misses - 1,
+        "every allocation but the root's encoding is back: {stats:?}"
+    );
+    let wire = (1 << 20) + 8;
+    assert!(
+        pool.get(wire).capacity() >= wire,
+        "a reassembly buffer is among them"
+    );
+    assert_eq!(pool.stats().hits, stats.hits + 1);
 }
 
 #[test]
@@ -165,14 +177,17 @@ fn self_probe_reports_zero_transfer() {
 
 #[test]
 fn typed_ring_reuses_pooled_buffers_through_the_router() {
-    // The in-place typed path stages every send through the universe's
-    // buffer pool and the receiver recycles it after decoding. The pool is
-    // host-side only, so its retention bound moves the hit/miss split and
-    // never the virtual makespan.
+    // The in-place typed path stages every send through the rank's slot in
+    // front of the universe's buffer pool, and the receiver retires the
+    // buffer there after decoding. Pool and slots are host-side only, so
+    // the retention bound moves the hit/miss split and never the virtual
+    // makespan.
     const RANKS: usize = 80;
     const ROUNDS: usize = 4;
+    let delivered = (RANKS * ROUNDS) as u64;
     let ring = |pool: BufferPool| {
         let pool = Arc::new(pool);
+        let capacity = pool.capacity() as u64;
         let report = UniverseBuilder::new()
             .add_nodes(RANKS as u32 / 2, &deep_er_cluster_node())
             .add_nodes(RANKS as u32 / 2, &deep_er_booster_node())
@@ -190,17 +205,20 @@ fn typed_ring_reuses_pooled_buffers_through_the_router() {
                     assert_eq!(inbox[0], prev as f64, "ring payload integrity");
                 }
             });
-        (pool.stats(), report.makespan())
+        let stats = pool.stats();
+        // Every send stages exactly one buffer (a slot hit is a pool hit).
+        assert_eq!(stats.hits + stats.misses, delivered, "{stats:?}");
+        // One size class: once every rank has exited, each allocation is
+        // back in the pool unless the bound dropped it — none is still
+        // held in a slot.
+        let pooled = pool.pooled() as u64;
+        assert!(pooled <= capacity, "{pooled} pooled over {capacity}");
+        assert_eq!(pooled, stats.misses.min(capacity), "{stats:?}");
+        (stats, report.makespan())
     };
-    let delivered = (RANKS * ROUNDS) as u64;
 
     let (default, makespan) = ring(BufferPool::new());
     assert!(makespan > SimTime::ZERO);
-    assert_eq!(
-        default.hits + default.misses,
-        delivered,
-        "every send stages exactly one buffer through the pool: {default:?}"
-    );
     assert!(
         default.hits > delivered / 2,
         "steady-state sends must reuse retired buffers: {default:?}"
@@ -208,17 +226,71 @@ fn typed_ring_reuses_pooled_buffers_through_the_router() {
 
     // The two deterministic extremes of the retention bound (the in-between
     // is host-scheduling dependent): a pool that retains nothing allocates
-    // on every get; one sized to the rank count allocates at most once per
-    // rank, each rank having at most one send outstanding.
+    // on every get, its slots included; one sized to the rank count
+    // allocates at most once per rank, each rank having at most one send
+    // outstanding.
     let (starved, starved_makespan) = ring(BufferPool::with_capacity(0));
     assert_eq!(starved.hits, 0, "nothing retained, nothing reused");
     assert_eq!(starved.misses, delivered);
     let (sized, sized_makespan) = ring(BufferPool::with_capacity(RANKS));
-    assert_eq!(sized.hits + sized.misses, delivered);
     assert!(
         sized.misses <= RANKS as u64,
         "a rank-count pool allocates at most peak concurrency: {sized:?}"
     );
     assert_eq!(starved_makespan, makespan);
     assert_eq!(sized_makespan, makespan);
+}
+
+#[test]
+fn aliased_payloads_never_enter_a_rank_slot() {
+    // A typed receive retires its wire buffer, but only a sole owner's
+    // retire reclaims it; an alias held elsewhere — the sender's own
+    // handle on a self-send, a bcast sibling's — leaves it alone, so no
+    // later staged send can encode over bytes someone still reads.
+    // Only raw sends until the last step, so nothing but those retires
+    // touches the pool.
+    let pool = Arc::new(BufferPool::new());
+    cluster(3).buffer_pool(pool.clone()).run(|rank| {
+        let (w, me) = (rank.world(), rank.rank());
+        let mut got = [0.0f64; 64];
+        // Self-send alias: this rank keeps a handle on what it sends.
+        let held = psmpi::datatype::pod_to_bytes(&[1.0f64; 64]);
+        rank.send_bytes_comm(&w, me, 1, held.clone()).unwrap();
+        rank.recv_into(Some(me), Some(1), &mut got).unwrap();
+        // Bcast sibling alias: each child retires its handle on the root's
+        // allocation while the root still holds the payload it sent.
+        let shared = rank.bcast_bytes(&w, 0, Some(held.clone())).unwrap();
+        if me != 0 {
+            rank.send_bytes_comm(&w, me, 2, shared).unwrap();
+            rank.recv_into(Some(me), Some(2), &mut got).unwrap();
+        }
+        // The next staged send finds no buffer to reuse (no rank has exited
+        // to give its slot back yet) and encodes into a fresh one; the
+        // aliased bytes still read what they were sent with.
+        rank.send_slice(me, 3, &[2.0f64; 64]).unwrap();
+        rank.recv_into(Some(me), Some(3), &mut got).unwrap();
+        assert_eq!(got, [2.0; 64]);
+        assert!(held.chunks(8).all(|x| x == 1.0f64.to_le_bytes()));
+        // The root holds its payload until both children are through, and
+        // nobody exits (giving its slot back) before all three have staged.
+        if me == 0 {
+            for child in 1..3 {
+                rank.recv_bytes_comm(&w, Some(child), Some(4)).unwrap();
+            }
+            for child in 1..3 {
+                rank.send_bytes_comm(&w, child, 5, Bytes::new()).unwrap();
+            }
+        } else {
+            rank.send_bytes_comm(&w, 0, 4, Bytes::new()).unwrap();
+            rank.recv_bytes_comm(&w, Some(0), Some(5)).unwrap();
+        }
+    });
+    let stats = pool.stats();
+    assert_eq!(stats.reclaim_failures, 3 + 2, "{stats:?}");
+    assert_eq!((stats.hits, stats.misses), (0, 3), "{stats:?}");
+    assert_eq!(
+        pool.pooled(),
+        3,
+        "the fresh buffers came back through the slots"
+    );
 }

@@ -98,8 +98,23 @@ impl Fabric {
     ) -> Result<SimTime, TopologyError> {
         let s = self.inner.topology.node(src)?;
         let d = self.inner.topology.node(dst)?;
-        let hops = self.inner.topology.hops(src, dst)?;
-        Ok(self.inner.model.transfer_time(s, d, size, hops))
+        Ok(self.p2p_time_between(src, s, dst, d, size))
+    }
+
+    /// [`Fabric::p2p_time`] for two nodes whose specs the caller already
+    /// holds (the ones the topology registered under `src` and `dst`): the
+    /// same arithmetic on the same operands, with no table lookup. psmpi
+    /// prices every received message this way.
+    pub fn p2p_time_between(
+        &self,
+        src: NodeId,
+        s: &NodeSpec,
+        dst: NodeId,
+        d: &NodeSpec,
+        size: usize,
+    ) -> SimTime {
+        let hops = self.inner.topology.hops_between(src, s, dst, d);
+        self.inner.model.transfer_time(s, d, size, hops)
     }
 
     /// Zero-byte message latency between two nodes (the Fig. 3 latency plot
@@ -181,6 +196,22 @@ mod tests {
         let t = f.p2p_time(NodeId(0), NodeId(16), 1024).unwrap();
         assert!(t > SimTime::ZERO);
         assert!(f.p2p_time(NodeId(0), NodeId(99), 1).is_err());
+    }
+
+    #[test]
+    fn pricing_from_held_specs_is_p2p_time_to_the_bit() {
+        let mut t = Topology::new().with_inter_module_hops(2);
+        t.add_nodes(2, &deep_er_cluster_node());
+        t.add_nodes(2, &deep_er_booster_node());
+        let f = Fabric::new(t);
+        for (a, b) in (0..4).flat_map(|a| (0..4).map(move |b| (NodeId(a), NodeId(b)))) {
+            for size in [1, 8192, 1 << 20] {
+                let (s, d) = (f.node(a).unwrap(), f.node(b).unwrap());
+                let held = f.p2p_time_between(a, s, b, d, size);
+                let looked_up = f.p2p_time(a, b, size).unwrap();
+                assert_eq!(held.as_secs().to_bits(), looked_up.as_secs().to_bits());
+            }
+        }
     }
 
     #[test]

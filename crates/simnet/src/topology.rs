@@ -106,15 +106,18 @@ impl Topology {
     /// Switch hops between two endpoints. Same node: 0 (loopback). Same
     /// module: 1. Different modules: 1 + configured extra hops.
     pub fn hops(&self, a: NodeId, b: NodeId) -> Result<u32, TopologyError> {
-        let sa = self.node(a)?;
-        let sb = self.node(b)?;
+        Ok(self.hops_between(a, self.node(a)?, b, self.node(b)?))
+    }
+
+    /// [`Topology::hops`] for two nodes whose specs the caller already
+    /// holds (the ones registered under `a` and `b`): no table lookup.
+    pub fn hops_between(&self, a: NodeId, sa: &NodeSpec, b: NodeId, sb: &NodeSpec) -> u32 {
         if a == b {
-            return Ok(0);
-        }
-        if sa.kind == sb.kind {
-            Ok(1)
+            0
+        } else if sa.kind == sb.kind {
+            1
         } else {
-            Ok(1 + self.inter_module_extra_hops)
+            1 + self.inter_module_extra_hops
         }
     }
 }
