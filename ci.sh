@@ -129,88 +129,6 @@ cmp "$SCHED_TMP/t2.json" crates/bench/src/sched_smoke.metrics
 cmp "$SCHED_TMP/t1.trace.json" "$SCHED_TMP/t2.trace.json"
 rm -rf "$SCHED_TMP"
 
-echo "== obs determinism (virtual-time traces are thread-invariant) =="
-# The same workload, instrumented, at two thread counts: both the Chrome
-# trace and the text report must come out byte-for-byte identical.
-OBS_TMP=$(mktemp -d)
-cargo run -q --release -p cb-bench --bin fig8 -- \
-    --obs "$OBS_TMP/a.json" --steps 3 --nodes 2 --threads 1 > /dev/null
-cargo run -q --release -p cb-bench --bin fig8 -- \
-    --obs "$OBS_TMP/b.json" --steps 3 --nodes 2 --threads 2 > /dev/null
-cmp "$OBS_TMP/a.json" "$OBS_TMP/b.json"
-cmp "$OBS_TMP/a.json.report.txt" "$OBS_TMP/b.json.report.txt"
-rm -rf "$OBS_TMP"
-
-echo "== overlap gate (nonblocking transfers: bit-exact and faster) =="
-# The C+B job overlapped vs. blocking at the strong-scaling smoke shape
-# (overlap_run.rs): FINAL bits must match, the makespan must shrink, and
-# interface+halo wait_s must drop by the stored minimum. The whole report
-# must also come out byte-identical across host thread counts.
-OV_TMP=$(mktemp -d)
-cargo run -q --release -p cb-bench --bin fig8 -- \
-    --overlap --steps 3 --nodes 2 --threads 1 > "$OV_TMP/t1.txt"
-cargo run -q --release -p cb-bench --bin fig8 -- \
-    --overlap --steps 3 --nodes 2 --threads 2 > "$OV_TMP/t2.txt"
-grep -q '^OVERLAP_GATE ok=1' "$OV_TMP/t1.txt"
-cmp "$OV_TMP/t1.txt" "$OV_TMP/t2.txt"
-rm -rf "$OV_TMP"
-
-echo "== fault injection (recovery is bit-exact and thread-invariant) =="
-# Kill a Booster node mid-run: the job must restart from the newest SCR
-# checkpoint and print a FINAL energy line bit-identical to a clean run's,
-# at 1 and 2 kernel threads.
-FI_TMP=$(mktemp -d)
-cargo run -q --release -p cb-bench --bin fig8 -- \
-    --steps 3 --nodes 2 --threads 1 --ckpt-every 1 > "$FI_TMP/clean.txt"
-cargo run -q --release -p cb-bench --bin fig8 -- \
-    --steps 3 --nodes 2 --threads 1 --ckpt-every 1 --fault-at 0.052 > "$FI_TMP/f1.txt"
-cargo run -q --release -p cb-bench --bin fig8 -- \
-    --steps 3 --nodes 2 --threads 2 --ckpt-every 1 --fault-at 0.052 > "$FI_TMP/f2.txt"
-grep -q '^RECOVERIES n=0' "$FI_TMP/clean.txt"
-grep -q '^RECOVERIES n=[1-9]' "$FI_TMP/f1.txt"
-# 0.052 s lands past the step-2 checkpoint: the restart must come from a
-# real surviving checkpoint, not a from-scratch replay.
-grep -q 'resumed from step [1-9]' "$FI_TMP/f1.txt"
-grep '^FINAL' "$FI_TMP/clean.txt" > "$FI_TMP/clean.final"
-grep '^FINAL' "$FI_TMP/f1.txt" > "$FI_TMP/f1.final"
-grep '^FINAL' "$FI_TMP/f2.txt" > "$FI_TMP/f2.final"
-# ... and to the bits recorded at commit d0a74c4, before the wrap-free
-# kernels: a pin across commits, where the two below compare one build.
-cmp "$FI_TMP/clean.final" crates/bench/src/resilience_run.final
-cmp "$FI_TMP/clean.final" "$FI_TMP/f1.final"
-cmp "$FI_TMP/f1.final" "$FI_TMP/f2.final"
-rm -rf "$FI_TMP"
-
-echo "== async checkpoint gate (drain overlaps, bits invariant) =="
-# The sync/async/async+delta comparison at equal protection, clean and
-# under an MTBF-sampled fault schedule: async blocking must sit strictly
-# below sync (ASYNC_CKPT_GATE), every mode's FINAL physics line must be
-# bit-identical within a run, and the whole faulted report must come out
-# byte-identical across host thread counts.
-AC_TMP=$(mktemp -d)
-cargo run -q --release -p cb-bench --bin fig8 -- \
-    --async-ckpt --smoke --threads 1 > "$AC_TMP/clean.txt"
-cargo run -q --release -p cb-bench --bin fig8 -- \
-    --async-ckpt --mtbf 0.5 --smoke --threads 1 > "$AC_TMP/f1.txt"
-cargo run -q --release -p cb-bench --bin fig8 -- \
-    --async-ckpt --mtbf 0.5 --smoke --threads 2 > "$AC_TMP/f2.txt"
-grep -q '^ASYNC_CKPT_GATE ok=1' "$AC_TMP/clean.txt"
-grep -q '^ASYNC_CKPT_GATE ok=1' "$AC_TMP/f1.txt"
-# Both reports are pure virtual-time text, so they are also pinned across
-# commits: the files below were written at commit e2a7c79, before the three
-# modes shared one stage/promote path (every other check in this stage
-# compares a build with itself). tests/full_stack.rs pins the small shape
-# to the bit, where these print nine decimals.
-cmp "$AC_TMP/clean.txt" crates/bench/src/async_ckpt_clean.report
-cmp "$AC_TMP/f1.txt" crates/bench/src/async_ckpt_mtbf.report
-# All three modes agree on the physics bits, clean and faulted alike:
-# one unique FINAL line per report, the same one in both.
-test "$(grep '^FINAL' "$AC_TMP/clean.txt" | sort -u | wc -l)" -eq 1
-test "$(grep '^FINAL' "$AC_TMP/f1.txt" | sort -u | wc -l)" -eq 1
-grep '^FINAL' "$AC_TMP/clean.txt" | sort -u > "$AC_TMP/clean.final"
-grep '^FINAL' "$AC_TMP/f1.txt" | sort -u > "$AC_TMP/f1.final"
-cmp "$AC_TMP/clean.final" "$AC_TMP/f1.final"
-cmp "$AC_TMP/f1.txt" "$AC_TMP/f2.txt"
-rm -rf "$AC_TMP"
+# The tier-1 test equivalence_matrix_matches_its_golden (cb_bench::matrix) now holds the obs, overlap, fault and async-checkpoint checks.
 
 echo "CI green."

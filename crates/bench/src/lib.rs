@@ -14,6 +14,7 @@
 //! | Fig. 8 (xPic scaling + efficiency) | [`fig8`] | `fig8` |
 //! | ablations & extensions | [`ablation`] | `ablations` |
 //! | calibration sensitivity | [`sensitivity`] | `ablations` |
+//! | blocking ≡ overlap, Sync ≡ Async ≡ AsyncDelta, clean or faulted | [`matrix`] | `matrix` |
 
 #![forbid(unsafe_code)]
 
@@ -21,9 +22,8 @@ pub mod ablation;
 pub mod fig3;
 pub mod fig7;
 pub mod fig8;
+pub mod matrix;
 pub mod obs_run;
-pub mod overlap_run;
-pub mod resilience_run;
 pub mod sensitivity;
 pub mod table1;
 

@@ -1,0 +1,339 @@
+//! The equivalence matrix: one xPic shape, `XpicConfig::paper_bench(3)` on
+//! 2 nodes per solver, run as C+B overlapped and blocking ([`run_mode`])
+//! and in each [`CkptMode`] under each of the `FAULTS` ([`run_resilient`],
+//! a Buddy checkpoint after every step): fourteen rows, each at every one
+//! of `THREADS` with an [`obs::Recorder`] attached. The checks are
+//! [`Matrix::errors`]. Faulted rows' blocking is not compared: each
+//! reports the incarnation that finished, and those took different
+//! numbers of checkpoints. Overlap is not crossed with the checkpoint
+//! modes: the resilient loop ignores [`XpicConfig::overlap`].
+//!
+//! `tests/full_stack.rs` pins [`Matrix::render`] to `matrix.golden` beside
+//! this file; its values are those the figure binaries' gate flags
+//! printed at commit 15fa441, before this module replaced them.
+
+use hwmodel::{NodeId, SimTime};
+use obs::Recorder;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use scr::{FailureModel, ScrConfig, ScrManager};
+use simnet::FaultPlan;
+use sionio::ParallelFs;
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
+use xpic::resilience::{run_resilient, RecoveryConfig};
+use xpic::{run_mode, CkptMode, Mode, XpicConfig};
+
+const STEPS: u32 = 3;
+const NODES: usize = 2;
+
+/// Host kernel thread counts every row runs at.
+const THREADS: [usize; 3] = [1, 2, 4];
+
+/// Minimum fractional cut of C+B `interface` + `halo` wait that overlap
+/// must deliver against blocking.
+const MIN_WAIT_REDUCTION: f64 = 0.30;
+
+/// The fault classes ([`fault_plan`]): none; the second solver node dying
+/// at 0.052 s, after step 2's checkpoint was staged (the async modes lose
+/// its drain); both solver nodes dying then, a buddy copy with its owner;
+/// a seeded exponential schedule, MTBF 0.05 s per node, over 0.2 s.
+const FAULTS: [&str; 4] = ["clean", "after-stage", "buddy+owner", "mtbf"];
+
+/// How one row runs the job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Row {
+    /// C+B through [`run_mode`], overlapped (`true`) or blocking.
+    ClusterBooster(bool),
+    /// A supervised Booster solver world through [`run_resilient`] under
+    /// one of the [`FAULTS`].
+    Resilient(CkptMode, &'static str),
+}
+
+impl Row {
+    /// The fourteen rows, in table order.
+    fn all() -> Vec<Row> {
+        let modes = [CkptMode::Sync, CkptMode::Async, CkptMode::AsyncDelta];
+        let cb = [true, false].map(Row::ClusterBooster).to_vec();
+        let faulted = FAULTS.map(|f| modes.map(|m| Row::Resilient(m, f)));
+        [cb, faulted.concat()].concat()
+    }
+
+    /// The row's name in the table and in errors.
+    fn label(self) -> String {
+        match self {
+            Row::ClusterBooster(true) => "C+B overlap".into(),
+            Row::ClusterBooster(false) => "C+B blocking".into(),
+            Row::Resilient(mode, fault) => format!("{mode:?} {fault}"),
+        }
+    }
+}
+
+/// The plan of one of the [`FAULTS`] over the solver `nodes`.
+fn fault_plan(fault: &str, nodes: &[NodeId], seed: u64) -> Option<FaultPlan> {
+    let (at, mtbf) = (SimTime::from_secs(0.052), SimTime::from_secs(0.05));
+    match fault {
+        "clean" => None,
+        "after-stage" => Some(FaultPlan::from_node_faults([(at, nodes[1])])),
+        "buddy+owner" => Some(FaultPlan::from_node_faults(nodes.iter().map(|&n| (at, n)))),
+        "mtbf" => {
+            let mut rng = StdRng::seed_from_u64(seed);
+            Some(FailureModel::new(mtbf).fault_plan(&mut rng, nodes, mtbf * 4.0))
+        }
+        other => panic!("unknown fault class `{other}`"),
+    }
+}
+
+/// What one row printed at one thread count, and what the gates read.
+#[derive(Default)]
+struct Cell {
+    /// The row's values as the table prints them.
+    line: String,
+    final_line: String,
+    /// Every step's energy bits (C+B rows only).
+    history: Vec<u64>,
+    makespan: SimTime,
+    /// C+B `interface` + `halo` wait.
+    wait: SimTime,
+    ckpt_block: SimTime,
+    chrome_json: String,
+    report: String,
+}
+
+fn final_line(field_energy: f64, kinetic_energy: f64, steps: u32) -> String {
+    let (fe, ke) = (field_energy.to_bits(), kinetic_energy.to_bits());
+    format!("FINAL fe={fe:016x} ke={ke:016x} steps={steps}")
+}
+
+fn run_cell(row: Row, threads: usize) -> Cell {
+    let launcher = crate::prototype_launcher();
+    let rec = Recorder::new();
+    launcher.universe().attach_obs(rec.clone());
+    let mut cfg = XpicConfig::paper_bench(STEPS);
+    cfg.threads = threads;
+    let cell = match row {
+        Row::ClusterBooster(overlap) => {
+            // The per-node model load deep into the Fig. 8 sweep, where
+            // transfers are comparable to the per-step compute so overlap
+            // dominates (EXPERIMENTS.md). Model scale only: same physics.
+            cfg.overlap = overlap;
+            cfg.model.cells_per_node = 2048;
+            cfg.model.particles_per_cell = 64;
+            cfg.model.cg_iters = 10;
+            let r = run_mode(&launcher, Mode::ClusterBooster, NODES, &cfg);
+            let profile = rec.snapshot().profile();
+            let wait_of = |m| profile.modules.get(m).map_or(SimTime::ZERO, |b| b.wait);
+            let wait = wait_of("interface") + wait_of("halo");
+            let makespan = profile.makespan;
+            let (m, w) = (makespan.as_secs(), wait.as_secs());
+            Cell {
+                line: format!("makespan_s={m:.9} wait_s={w:.9}"),
+                final_line: final_line(r.field_energy, r.kinetic_energy, r.steps),
+                history: r.energy_history.iter().map(|e| e.to_bits()).collect(),
+                makespan,
+                wait,
+                ..Cell::default()
+            }
+        }
+        Row::Resilient(ckpt_mode, fault) => {
+            let nodes = &launcher.system().booster_nodes()[..NODES];
+            let fabric = launcher.system().fabric();
+            let specs = nodes
+                .iter()
+                .map(|&n| fabric.node(n).expect("prototype Booster node").clone());
+            let pfs = ParallelFs::deep_er();
+            let scr = ScrManager::new(ScrConfig::default(), nodes.to_vec(), specs.collect(), pfs);
+            let recovery = RecoveryConfig {
+                checkpoint_every: 1,
+                max_recoveries: 32,
+                ckpt_mode,
+                ..RecoveryConfig::default()
+            };
+            let plan = fault_plan(fault, nodes, cfg.seed);
+            let r = run_resilient(&launcher, NODES, &cfg, &scr, &recovery, plan);
+            let (b, m) = (r.ckpt_block.as_secs(), r.makespan.as_secs());
+            let (n, k, resumed) = (r.ckpts_taken, r.recoveries, &r.resume_steps);
+            Cell {
+                line: format!(
+                    "block_s={b:.9} ckpts={n} recoveries={k} makespan_s={m:.9} resumed={resumed:?}"
+                ),
+                final_line: final_line(r.field_energy, r.kinetic_energy, r.steps),
+                ckpt_block: r.ckpt_block,
+                ..Cell::default()
+            }
+        }
+    };
+    let awake = launcher.universe().router().awake_ranks();
+    assert_eq!(awake, 0, "{row:?} at threads {threads} left ranks awake");
+    let trace = rec.snapshot();
+    Cell {
+        chrome_json: trace.chrome_json(),
+        report: trace.report(),
+        ..cell
+    }
+}
+
+/// Every row with its cells, in `THREADS` order.
+pub struct Matrix {
+    rows: Vec<(Row, Vec<Cell>)>,
+}
+
+/// Run all 42 cells.
+pub fn run() -> Matrix {
+    let cells = |row| Vec::from(THREADS.map(|t| run_cell(row, t)));
+    let rows = Row::all().into_iter().map(|r| (r, cells(r))).collect();
+    Matrix { rows }
+}
+
+impl Matrix {
+    /// The threads-1 cell of `row`.
+    fn cell(&self, row: Row) -> &Cell {
+        let found = self.rows.iter().find(|(r, _)| *r == row);
+        &found.expect("every row is in the matrix").1[0]
+    }
+
+    /// Fractional cut of C+B `interface` + `halo` wait, overlap against
+    /// blocking.
+    fn wait_cut(&self) -> f64 {
+        let wait = |overlap| self.cell(Row::ClusterBooster(overlap)).wait;
+        1.0 - wait(true) / wait(false)
+    }
+
+    fn finals(&self) -> BTreeSet<&str> {
+        let cells = self.rows.iter().flat_map(|(_, cells)| cells);
+        cells.map(|c| c.final_line.as_str()).collect()
+    }
+
+    /// The table: a header, one line per row (its threads-1 cell), and the
+    /// `FINAL` line.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "equivalence matrix: xPic paper_bench({STEPS}), {NODES} nodes per solver, \
+             checkpoint every step, threads {THREADS:?}\n"
+        );
+        for (row, cells) in &self.rows {
+            let _ = write!(out, "{:<22} {}", row.label(), cells[0].line);
+            if *row == Row::ClusterBooster(true) {
+                let _ = write!(out, " wait_cut={:.1}%", 100.0 * self.wait_cut());
+            }
+            out.push('\n');
+        }
+        for final_line in self.finals() {
+            let _ = writeln!(out, "{final_line}");
+        }
+        out
+    }
+
+    /// Every failed check, each naming what failed; empty when the matrix
+    /// holds.
+    pub fn errors(&self) -> Vec<String> {
+        let mut errors = Vec::new();
+        for (row, cells) in &self.rows {
+            for (cell, t) in cells.iter().zip(THREADS).skip(1) {
+                if let Some(at) = divergence(&cells[0], cell) {
+                    let (row, t0) = (row.label(), THREADS[0]);
+                    errors.push(format!("{row}: threads {t0} and {t} differ in the {at}"));
+                }
+            }
+        }
+        let finals = self.finals();
+        if finals.len() > 1 {
+            errors.push(format!("{} FINAL values: {finals:?}", finals.len()));
+        }
+        let [on, off] = [true, false].map(|overlap| self.cell(Row::ClusterBooster(overlap)));
+        let bit_exact = (&on.final_line, &on.history) == (&off.final_line, &off.history);
+        let (cut, on_m, off_m) = (self.wait_cut(), on.makespan, off.makespan);
+        if !(bit_exact && on_m < off_m && cut >= MIN_WAIT_REDUCTION) {
+            errors.push(format!(
+                "overlap gate: bit-exact {bit_exact}, makespan {on_m} against blocking's \
+                 {off_m}, interface+halo wait cut {cut:.3} (at least {MIN_WAIT_REDUCTION})"
+            ));
+        }
+        let block = |mode| self.cell(Row::Resilient(mode, "clean")).ckpt_block;
+        for mode in [CkptMode::Async, CkptMode::AsyncDelta] {
+            if block(mode) >= block(CkptMode::Sync) {
+                let (b, sync) = (block(mode), block(CkptMode::Sync));
+                errors.push(format!("clean {mode:?} blocked {b}, Sync {sync}"));
+            }
+        }
+        errors
+    }
+}
+
+/// Where two cells of one row part: the first differing line of their
+/// text reports; if those agree, the first differing byte of their Chrome
+/// JSONs; if those agree too, their row lines.
+fn divergence(a: &Cell, b: &Cell) -> Option<String> {
+    let lines = |c: &Cell| format!("`{} {}`", c.line, c.final_line);
+    first_line_diff(&a.report, &b.report)
+        .map(|at| format!("report at {at}"))
+        .or_else(|| {
+            first_byte_diff(&a.chrome_json, &b.chrome_json).map(|at| format!("Chrome JSON at {at}"))
+        })
+        .or_else(|| {
+            (lines(a) != lines(b)).then(|| format!("row line: {} vs {}", lines(a), lines(b)))
+        })
+}
+
+/// The first line, numbered from 1, at which `a` and `b` differ, quoting
+/// both; `None` when the texts are equal.
+fn first_line_diff(a: &str, b: &str) -> Option<String> {
+    if a == b {
+        return None;
+    }
+    let (la, lb): (Vec<_>, Vec<_>) = (a.lines().collect(), b.lines().collect());
+    let Some(i) = (0..la.len().max(lb.len())).find(|&i| la.get(i) != lb.get(i)) else {
+        return Some("line endings".into());
+    };
+    let quote = |l: Option<&&str>| l.map_or("<end of text>".into(), |l| format!("`{l}`"));
+    let (x, y) = (quote(la.get(i)), quote(lb.get(i)));
+    Some(format!("line {}: {x} vs {y}", i + 1))
+}
+
+/// The first byte offset at which `a` and `b` differ, quoting up to 60
+/// bytes either side of it from both; `None` when the texts are equal.
+fn first_byte_diff(a: &str, b: &str) -> Option<String> {
+    let common = a.bytes().zip(b.bytes()).position(|(x, y)| x != y);
+    let at = common.or_else(|| (a.len() != b.len()).then(|| a.len().min(b.len())))?;
+    let around = |s: &str| {
+        let window = &s.as_bytes()[at.saturating_sub(60)..(at + 60).min(s.len())];
+        String::from_utf8_lossy(window).into_owned()
+    };
+    Some(format!("byte {at}: `{}` vs `{}`", around(a), around(b)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn divergence_helpers_name_the_first_difference() {
+        let a = "# obs report\nmakespan_s: 0.051\ntracks: 4\n";
+        let b = "# obs report\nmakespan_s: 0.052\ntracks: 4\n";
+        assert_eq!(first_line_diff(a, a), None);
+        assert_eq!(
+            first_line_diff(a, b).unwrap(),
+            "line 2: `makespan_s: 0.051` vs `makespan_s: 0.052`"
+        );
+        assert_eq!(
+            first_line_diff("x\n", "x\ny\n").unwrap(),
+            "line 2: <end of text> vs `y`"
+        );
+        assert_eq!(first_line_diff("x", "x\r\n").unwrap(), "line endings");
+
+        let pad = "p".repeat(100);
+        let (a, b) = (
+            format!("{pad}{{\"ts\":1}}{pad}"),
+            format!("{pad}{{\"ts\":2}}{pad}"),
+        );
+        assert_eq!(first_byte_diff(&a, &a), None);
+        let at = first_byte_diff(&a, &b).unwrap();
+        // 60 bytes either side of the differing byte, from each text.
+        let window = |s: &str| format!("`{}`", &s[46..166]);
+        assert_eq!(at, format!("byte 106: {} vs {}", window(&a), window(&b)));
+        assert_eq!(
+            first_byte_diff("ab", "abc").unwrap(),
+            "byte 2: `ab` vs `abc`"
+        );
+    }
+}

@@ -4,28 +4,19 @@
 //! report, and the "why C+B wins" wait comparison.
 //!
 //! Everything here is sourced from virtual time: the artifacts are
-//! byte-identical across repeated runs and across `threads` settings (the
-//! CI gate diffs them), and the critical-path category totals telescope to
-//! the job makespan within float-addition error.
+//! byte-identical across repeated runs and across `threads` settings
+//! ([`crate::matrix`] diffs them for its C+B rows), and the critical-path
+//! category totals telescope to the job makespan within float-addition
+//! error.
 
 use obs::{Recorder, Trace};
 use std::fmt::Write as _;
 use xpic::{run_mode, Mode, XpicConfig};
 
-/// One instrumented run's trace plus what produced it.
-pub struct ObsRun {
-    /// Execution mode of the run.
-    pub mode: Mode,
-    /// Nodes per solver.
-    pub nodes: usize,
-    /// The recorded trace.
-    pub trace: Trace,
-}
-
 /// Run one xPic job with a recorder attached and snapshot the trace.
 /// The system is sized to the requested node count ([`crate::launcher_for`]),
 /// so `--nodes 1000` boots instead of failing allocation on the prototype.
-pub fn run_with_obs(mode: Mode, nodes: usize, steps: u32, threads: usize) -> ObsRun {
+pub fn run_with_obs(mode: Mode, nodes: usize, steps: u32, threads: usize) -> Trace {
     let launcher = crate::launcher_for(nodes);
     let rec = Recorder::new();
     launcher.universe().attach_obs(rec.clone());
@@ -39,11 +30,7 @@ pub fn run_with_obs(mode: Mode, nodes: usize, steps: u32, threads: usize) -> Obs
         cfg.ny = nodes;
     }
     let _ = run_mode(&launcher, mode, nodes, &cfg);
-    ObsRun {
-        mode,
-        nodes,
-        trace: rec.snapshot(),
-    }
+    rec.snapshot()
 }
 
 /// The files a `--obs <path>` invocation writes, plus a stdout summary.
@@ -62,18 +49,18 @@ pub fn obs_artifacts(steps: u32, nodes: usize, threads: usize) -> ObsArtifacts {
     let cb = run_with_obs(Mode::ClusterBooster, nodes, steps, threads);
     let cl = run_with_obs(Mode::ClusterOnly, nodes, steps, threads);
 
-    let cb_prof = cb.trace.profile();
-    let cl_prof = cl.trace.profile();
-    let cp = cb.trace.critical_path();
+    let cb_prof = cb.profile();
+    let cl_prof = cl.profile();
+    let cp = cb.critical_path();
 
     // Acceptance invariant: the critical-path category shares account for
     // the whole makespan.
-    let drift = (cp.total().as_secs() - cb.trace.makespan().as_secs()).abs();
+    let drift = (cp.total().as_secs() - cb.makespan().as_secs()).abs();
     assert!(
         drift < 1e-9,
         "critical path sums to {} but makespan is {}",
         cp.total(),
-        cb.trace.makespan()
+        cb.makespan()
     );
 
     let mut summary = String::new();
@@ -83,7 +70,7 @@ pub fn obs_artifacts(steps: u32, nodes: usize, threads: usize) -> ObsArtifacts {
         nodes,
         steps,
         cb_prof.makespan.as_secs(),
-        cb.trace.tracks.len()
+        cb.tracks.len()
     );
     let mut cats: Vec<_> = cp.categories.iter().collect();
     cats.sort_by(|a, b| b.1.partial_cmp(a.1).unwrap().then(a.0.cmp(b.0)));
@@ -121,8 +108,8 @@ pub fn obs_artifacts(steps: u32, nodes: usize, threads: usize) -> ObsArtifacts {
     );
 
     ObsArtifacts {
-        chrome_json: cb.trace.chrome_json(),
-        report: cb.trace.report(),
+        chrome_json: cb.chrome_json(),
+        report: cb.report(),
         summary,
     }
 }
@@ -138,25 +125,6 @@ pub struct FigCli {
     pub threads: usize,
     /// `--nodes <n>` nodes per solver for the instrumented run.
     pub nodes: usize,
-    /// `--fault-at <secs>`: kill a solver node at this virtual time and
-    /// recover (see [`crate::resilience_run`]).
-    pub fault_at: Option<f64>,
-    /// `--mtbf <secs>`: sample a fault schedule from an exponential
-    /// per-node failure model instead of a single planned death.
-    pub mtbf: Option<f64>,
-    /// `--ckpt-every <n>`: checkpoint interval in steps for the resilient
-    /// run (also selects the resilient mode on its own, with no faults).
-    pub ckpt_every: Option<u32>,
-    /// `--overlap`: run the overlap-on/off comparison and print the
-    /// `OVERLAP_GATE` verdict (see [`crate::overlap_run`]).
-    pub overlap: bool,
-    /// `--async-ckpt`: run the sync/async/async+delta checkpoint-mode
-    /// comparison and print the `ASYNC_CKPT_GATE` verdict
-    /// (see [`crate::resilience_run::run_async_ckpt_cli`]).
-    pub async_ckpt: bool,
-    /// `--smoke`: shrink the workload to a CI-sized shape (fewer steps)
-    /// without changing any gate semantics.
-    pub smoke: bool,
 }
 
 /// Parse the figure binaries' argv (everything after the program name).
@@ -172,12 +140,6 @@ pub fn parse_fig_cli(
         obs_path: None,
         threads: 1,
         nodes: default_nodes,
-        fault_at: None,
-        mtbf: None,
-        ckpt_every: None,
-        overlap: false,
-        async_ckpt: false,
-        smoke: false,
     };
     let mut args = args.iter();
     while let Some(arg) = args.next() {
@@ -186,12 +148,6 @@ pub fn parse_fig_cli(
             "--threads" => cli.threads = flag_value(&mut args, arg)?,
             "--nodes" => cli.nodes = flag_value(&mut args, arg)?,
             "--steps" => cli.steps = flag_value(&mut args, arg)?,
-            "--fault-at" => cli.fault_at = Some(flag_value(&mut args, arg)?),
-            "--mtbf" => cli.mtbf = Some(flag_value(&mut args, arg)?),
-            "--ckpt-every" => cli.ckpt_every = Some(flag_value(&mut args, arg)?),
-            "--overlap" => cli.overlap = true,
-            "--async-ckpt" => cli.async_ckpt = true,
-            "--smoke" => cli.smoke = true,
             s if s.starts_with('-') => return Err(format!("unknown argument `{s}`")),
             s => {
                 cli.steps = s
@@ -238,14 +194,14 @@ mod tests {
 
     #[test]
     fn artifacts_have_one_track_per_rank_and_sum_to_makespan() {
-        let run = run_with_obs(Mode::ClusterBooster, 1, 2, 1);
+        let trace = run_with_obs(Mode::ClusterBooster, 1, 2, 1);
         // 1 booster rank + 1 spawned cluster rank.
-        assert_eq!(run.trace.tracks.len(), 2);
-        let cp = run.trace.critical_path();
-        let drift = (cp.total().as_secs() - run.trace.makespan().as_secs()).abs();
+        assert_eq!(trace.tracks.len(), 2);
+        let cp = trace.critical_path();
+        let drift = (cp.total().as_secs() - trace.makespan().as_secs()).abs();
         assert!(drift < 1e-9, "{drift}");
-        let json = run.trace.chrome_json();
-        for tr in &run.trace.tracks {
+        let json = trace.chrome_json();
+        for tr in &trace.tracks {
             assert!(json.contains(&format!("\"tid\":{}", tr.key.rank)));
         }
     }
@@ -272,35 +228,6 @@ mod tests {
         let cli = parse_fig_cli(&[], 10, 2).unwrap();
         assert_eq!(cli.steps, 10);
         assert!(cli.obs_path.is_none());
-        assert!(cli.fault_at.is_none() && cli.mtbf.is_none() && cli.ckpt_every.is_none());
-        assert!(!cli.async_ckpt && !cli.smoke);
-    }
-
-    #[test]
-    fn cli_parses_async_ckpt_flags() {
-        let args: Vec<String> = ["--async-ckpt", "--smoke", "--mtbf", "0.5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let cli = parse_fig_cli(&args, 10, 2).unwrap();
-        assert!(cli.async_ckpt);
-        assert!(cli.smoke);
-        assert_eq!(cli.mtbf, Some(0.5));
-    }
-
-    #[test]
-    fn cli_parses_fault_injection_flags() {
-        let args: Vec<String> = ["--fault-at", "0.125", "--mtbf", "30", "--ckpt-every", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let cli = parse_fig_cli(&args, 10, 2).unwrap();
-        assert_eq!(cli.fault_at, Some(0.125));
-        assert_eq!(cli.mtbf, Some(30.0));
-        assert_eq!(cli.ckpt_every, Some(3));
-        assert!(crate::resilience_run::resilient_requested(&cli));
-        let plain = parse_fig_cli(&[], 10, 2).unwrap();
-        assert!(!crate::resilience_run::resilient_requested(&plain));
     }
 
     #[test]
@@ -309,12 +236,24 @@ mod tests {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
             parse_fig_cli(&args, 10, 2).err().expect("must be rejected")
         };
-        // Underscores are not the flags' spelling: no silent plain sweep.
-        assert!(parse(&["--ckpt_every", "3"]).contains("`--ckpt_every`"));
-        assert!(parse(&["--fault_at", "0.052"]).contains("`--fault_at`"));
+        // A misspelt flag is an error, not a silent plain sweep.
+        assert!(parse(&["--thread", "2"]).contains("`--thread`"));
         assert!(parse(&["abc"]).contains("`abc`"));
         assert!(parse(&["--threads", "two"]).contains("`--threads`"));
-        assert!(parse(&["--fault-at", "soon"]).contains("`soon`"));
-        assert!(parse(&["--mtbf"]).contains("`--mtbf` needs a value"));
+        assert!(parse(&["--nodes", "2.5"]).contains("`2.5`"));
+        assert!(parse(&["--steps"]).contains("`--steps` needs a value"));
+        // The gate flags the equivalence matrix replaced: a stale script
+        // fails instead of running the full sweep.
+        for flag in [
+            &["--overlap"][..],
+            &["--async-ckpt"],
+            &["--smoke"],
+            &["--fault-at", "0.05"],
+            &["--mtbf", "0.5"],
+            &["--ckpt-every", "1"],
+        ] {
+            let err = parse(flag);
+            assert_eq!(err, format!("unknown argument `{}`", flag[0]));
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The trace is synthetic (hand-built spans/edges, not a model run) so the
 //! golden stays stable under hardware-model recalibration: this pins the
-//! *report format*, while determinism of real runs is covered by the CI
-//! byte-diff stage and `psmpi/tests/obs_spans.rs`.
+//! *report format*, while determinism of real runs is covered by the
+//! equivalence matrix (`cb_bench::matrix`) and `psmpi/tests/obs_spans.rs`.
 
 use hwmodel::SimTime;
 use obs::{Category, Recorder, Trace, TrackKey};

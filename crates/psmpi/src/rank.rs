@@ -1082,7 +1082,7 @@ impl Rank {
         let entry = cached_entry(&mut self.entries, &self.router, dst_ep)
             .map_err(|e| (Some(post), e))?
             .clone();
-        match self.destination_clearance(entry.node(), post) {
+        match self.destination_clearance(&entry, post) {
             (cleared, None) => Ok((src_rank, Some(entry), cleared)),
             (gave_up, Some(err)) => Err((Some(gave_up), err)),
         }
@@ -1096,20 +1096,21 @@ impl Rank {
     /// request, never applied here.
     ///
     /// Determinism: the node check reads only the *static* fault plan (plus
-    /// the repairs map, quiescent while ranks run) against the sender's own
-    /// virtual clock — never the dynamic dead set, whose update timing
+    /// the repair frozen into the destination's entry) against the sender's
+    /// own virtual clock — never the dynamic dead set, whose update timing
     /// depends on host scheduling. The retry/backoff walk is equally a
     /// pure function of the plan and the clock.
     fn destination_clearance(
         &self,
-        dst_node: NodeId,
+        dst: &EndpointEntry,
         start: SimTime,
     ) -> (SimTime, Option<PsmpiError>) {
         let Some(plan) = self.fault_plan.as_deref() else {
             return (start, None);
         };
+        let dst_node = dst.node();
         let mut clock = start;
-        if let Some(at) = self.router.planned_dead(dst_node, clock) {
+        if let Some(at) = self.router.planned_dead(dst, clock) {
             return (clock, Some(PsmpiError::NodeFailed { node: dst_node, at }));
         }
         if plan.link_fault_at(self.node_id, dst_node, clock).is_some() {
@@ -1140,7 +1141,7 @@ impl Rank {
                 tries += 1;
             }
             // The destination may have died while we were backing off.
-            if let Some(at) = self.router.planned_dead(dst_node, clock) {
+            if let Some(at) = self.router.planned_dead(dst, clock) {
                 return (clock, Some(PsmpiError::NodeFailed { node: dst_node, at }));
             }
         }

@@ -450,6 +450,12 @@ pub struct EndpointEntry {
     /// The topology's spec of `node`; `None` for a node off the topology,
     /// which has no route.
     spec: Option<Arc<NodeSpec>>,
+    /// The last repair of `node` when the endpoint was registered: planned
+    /// deaths no later than it are spent *for this endpoint*. Frozen here,
+    /// not read live, because a rank of a failed world can still be running
+    /// when the supervisor repairs the node for the next world; to that
+    /// rank its peer on the node stays dead, whatever the host interleaving.
+    repaired: Option<SimTime>,
 }
 
 impl EndpointEntry {
@@ -489,10 +495,9 @@ pub struct Router {
     /// mailbox-interrupt handshake makes a blocked receiver re-check under
     /// a visible flag (see [`Router::declare_down`]).
     any_dead: AtomicBool,
-    /// Last repair time per node. Consulted together with the static fault
-    /// plan by senders: a planned death no later than the last repair is
-    /// spent. Only ever written between child worlds (by the supervisor,
-    /// before respawning), so the read lock senders take is uncontended.
+    /// Last repair time per node, written by the supervisor before it
+    /// respawns a world and copied into each endpoint registered after
+    /// (`EndpointEntry::repaired`); senders never read it.
     repairs: RwLock<BTreeMap<NodeId, SimTime>>, // lock-order: 32
     /// Sender-side retry/backoff configuration for transient link faults.
     retry: RwLock<RetryPolicy>, // lock-order: 34
@@ -568,6 +573,11 @@ impl Router {
     /// Allocate a fresh endpoint bound to `node`.
     pub fn register_endpoint(&self, node: NodeId) -> EndpointId {
         let id = EndpointId(self.next_endpoint.fetch_add(1, Ordering::Relaxed));
+        let repaired = {
+            let reps = self.repairs.read();
+            crate::lock_witness!("psmpi.repairs");
+            reps.get(&node).copied()
+        };
         let entry = Arc::new(EndpointEntry {
             mailbox: Arc::new(Mailbox {
                 awake: self.awake.clone(),
@@ -575,6 +585,7 @@ impl Router {
             }),
             node,
             spec: self.fabric.node(node).ok().cloned(),
+            repaired,
         });
         let mut shard = self.endpoints[shard_of(id)].write();
         crate::lock_witness!("psmpi.endpoints");
@@ -698,8 +709,9 @@ impl Router {
         }
     }
 
-    /// Clear a death declaration (node repaired at `at`). Subsequent sends
-    /// treat planned faults at or before `at` as spent.
+    /// Clear a death declaration (node repaired at `at`). Sends to
+    /// endpoints registered afterwards treat planned faults at or before
+    /// `at` as spent.
     pub fn repair(&self, node: NodeId, at: SimTime) {
         {
             let mut dead = self.dead_nodes.lock();
@@ -725,20 +737,15 @@ impl Router {
         dead.get(&node).copied()
     }
 
-    /// Whether the static fault plan says `node` is dead as of virtual time
-    /// `t` (and not repaired since). This is the *sender's* check: it reads
-    /// only the immutable plan plus the repairs map (quiescent while ranks
-    /// run), never the dynamic dead set, so the verdict depends only on the
-    /// sender's virtual clock — deterministic across thread counts.
-    pub fn planned_dead(&self, node: NodeId, t: SimTime) -> Option<SimTime> {
-        let plan = self.fabric.fault_plan()?;
-        let tf = plan.node_fault_at(node, t)?;
-        let repaired = {
-            let reps = self.repairs.read();
-            crate::lock_witness!("psmpi.repairs");
-            reps.get(&node).copied()
-        };
-        match repaired {
+    /// Whether the static fault plan says the node of endpoint `dst` is
+    /// dead as of virtual time `t` (and was not repaired before `dst` was
+    /// registered). This is the *sender's* check: it reads only the
+    /// immutable plan and the entry, never the dynamic dead set or the live
+    /// repairs map, so the verdict depends only on the sender's virtual
+    /// clock — deterministic across thread counts.
+    pub fn planned_dead(&self, dst: &EndpointEntry, t: SimTime) -> Option<SimTime> {
+        let tf = self.fabric.fault_plan()?.node_fault_at(dst.node, t)?;
+        match dst.repaired {
             Some(r) if tf <= r => None,
             _ => Some(tf),
         }
@@ -872,15 +879,24 @@ mod tests {
                 SimTime::from_secs(5.0),
                 NodeId(1),
             )]));
-        assert_eq!(r.planned_dead(NodeId(1), SimTime::from_secs(4.9)), None);
-        assert_eq!(
-            r.planned_dead(NodeId(1), SimTime::from_secs(5.0)),
-            Some(SimTime::from_secs(5.0))
+        let entry = |ep| r.entry(ep).unwrap();
+        let (on0, on1) = (
+            r.register_endpoint(NodeId(0)),
+            r.register_endpoint(NodeId(1)),
         );
-        assert_eq!(r.planned_dead(NodeId(0), SimTime::from_secs(9.0)), None);
-        // After a repair at/after the fault time, the fault is spent.
-        r.repair(NodeId(1), SimTime::from_secs(6.0));
-        assert_eq!(r.planned_dead(NodeId(1), SimTime::from_secs(7.0)), None);
+        let secs = SimTime::from_secs;
+        assert_eq!(r.planned_dead(&entry(on1), secs(4.9)), None);
+        assert_eq!(r.planned_dead(&entry(on1), secs(5.0)), Some(secs(5.0)));
+        assert_eq!(r.planned_dead(&entry(on0), secs(9.0)), None);
+        // After a repair at/after the fault time, the fault is spent for
+        // endpoints registered since...
+        r.repair(NodeId(1), secs(6.0));
+        let respawned = r.register_endpoint(NodeId(1));
+        assert_eq!(r.planned_dead(&entry(respawned), secs(7.0)), None);
+        // ...but not for one of the world that lost the node: a rank still
+        // running there sees its peer dead whether or not the repair has
+        // happened yet on the host.
+        assert_eq!(r.planned_dead(&entry(on1), secs(7.0)), Some(secs(5.0)));
     }
 
     #[test]

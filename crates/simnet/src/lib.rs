@@ -14,9 +14,9 @@
 //!   eager/rendezvous protocol switch with eager-copy costs;
 //! * [`Fabric`] — the façade combining both, used by `psmpi` for every
 //!   message and by the figure-3 harness directly;
-//! * [`rdma`] — one-sided put/get that does not involve the remote CPU;
 //! * [`nam`] — the Network Attached Memory device (HMC + FPGA on the
-//!   fabric), usable by all nodes through RDMA.
+//!   fabric), usable by all nodes through one-sided RDMA
+//!   ([`Fabric::nam_rdma_time`] prices a transfer to it).
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +25,6 @@ pub mod fabric;
 pub mod faults;
 pub mod loggp;
 pub mod nam;
-pub mod rdma;
 pub mod topology;
 
 pub use contention::{max_min_shares, max_min_shares_into};
@@ -33,5 +32,4 @@ pub use fabric::Fabric;
 pub use faults::{FaultPlan, LinkFault, NodeFault};
 pub use loggp::{LogGpModel, Protocol};
 pub use nam::{NamDevice, NamError, NamRegion};
-pub use rdma::RdmaEngine;
 pub use topology::{Topology, TopologyError};

@@ -1,5 +1,5 @@
 //! Explore the modelled EXTOLL fabric: latency/bandwidth between node
-//! classes (the Fig. 3 measurement), RDMA one-sided transfers, and the
+//! classes (the Fig. 3 measurement) and one-sided RDMA into the
 //! network-attached memory.
 //!
 //! Run with: `cargo run --example fabric_explorer`
@@ -7,7 +7,7 @@
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::NodeId;
 use psmpi::pingpong;
-use simnet::{Fabric, LogGpModel, NamDevice, RdmaEngine, Topology};
+use simnet::{Fabric, LogGpModel, NamDevice, Topology};
 
 fn main() {
     let cn = deep_er_cluster_node();
@@ -35,21 +35,14 @@ fn main() {
         );
     }
 
-    // One-sided RDMA: moves real bytes without involving the target CPU.
+    // The NAM: fabric-attached memory every node reaches by one-sided RDMA,
+    // without involving a remote CPU (psmpi's `Rank::inam_put` prices its
+    // puts the same way).
     let mut topo = Topology::new();
     topo.add_nodes(2, &cn);
     topo.add_nodes(2, &bn);
     let nam = NamDevice::deep_er();
     let fabric = Fabric::with_nams(topo, LogGpModel::default(), vec![nam.clone()]);
-    let rdma = RdmaEngine::new(fabric.clone());
-
-    let window = rdma.register(NodeId(2), 1 << 20);
-    let t_put = rdma.put(NodeId(0), window, 0, &vec![7u8; 1 << 20]).unwrap();
-    let (data, t_get) = rdma.get(NodeId(3), window, 0, 1 << 20).unwrap();
-    assert!(data.iter().all(|&b| b == 7));
-    println!("\nRDMA 1 MiB: CN put into a BN window in {t_put}, BN get in {t_get}");
-
-    // The NAM: fabric-attached memory usable by every node.
     let region = nam.alloc(8 << 20).unwrap();
     nam.put(region, 0, b"globally visible checkpoint fragment")
         .unwrap();

@@ -338,10 +338,9 @@ fn xpic_physics_bits_are_pinned_across_commits() {
 
 #[test]
 fn checkpoint_virtual_times_are_pinned_across_commits() {
-    // The ci.sh async-checkpoint reports print nine decimals and compare a
-    // build with itself or with a golden file; a checkpoint cost that moved
-    // by one ulp (say, charged as local + drain instead of in one piece)
-    // would round to the same text. These are the exact bits, recorded at
+    // The equivalence matrix (below) prints nine decimals; a checkpoint
+    // cost that moved by one ulp (say, charged as local + drain instead of
+    // in one piece) would round to the same text. These are the exact bits, recorded at
     // commit e2a7c79 — before `checkpoint`, `checkpoint_async` and the
     // three `CkptMode`s were put on one stage/promote path: 2 Booster
     // ranks, 16 x 16 cells x 8 particles per cell, 6 steps, a Buddy-level
@@ -406,6 +405,22 @@ fn checkpoint_virtual_times_are_pinned_across_commits() {
     ] {
         pin(mode, Some(resumed), [block, makespan], ckpts);
     }
+}
+
+#[test]
+fn equivalence_matrix_matches_its_golden() {
+    // One xPic shape through C+B overlap and blocking and through every
+    // checkpoint mode under every fault class, each at threads 1, 2 and 4
+    // with a recorder attached (cb_bench::matrix): a row must print the
+    // same line, Chrome trace and report at every thread count, all 42
+    // cells the same FINAL bits, overlap must win and async must block
+    // less. The table itself is pinned across commits.
+    let matrix = cb_bench::matrix::run();
+    assert_eq!(matrix.errors(), Vec::<String>::new());
+    assert_eq!(
+        matrix.render(),
+        include_str!("../crates/bench/src/matrix.golden")
+    );
 }
 
 #[test]
