@@ -141,21 +141,29 @@ struct SlabState {
 }
 
 impl SlabState {
+    /// A slab with its particles: both solvers on one module, or the
+    /// particle solver of C+B.
     fn new(config: &XpicConfig, slab: usize, nslabs: usize) -> SlabState {
-        let grid = Grid::slab(config.nx, config.ny, slab, nslabs);
-        let solver = FieldSolver::new(grid, config);
-        let species = Species::from_config(config, &grid);
+        let mut st = SlabState::without_particles(config, slab, nslabs);
+        st.species = Species::from_config(config, &st.grid);
         // Work charged per species is relative to the baseline electron
         // population, so adding a kinetic ion species doubles the particle
         // workload (the model scale describes one species' population).
         let base_ppc = config.sim_particles_per_cell.max(1) as f64;
         let specs = config.species_specs();
-        let ppc_share = specs.iter().map(|s| s.ppc as f64 / base_ppc).collect();
+        st.ppc_share = specs.iter().map(|s| s.ppc as f64 / base_ppc).collect();
+        st
+    }
+
+    /// The field solver's slab of C+B (Listing 2): no particles, which
+    /// live on the Booster.
+    fn without_particles(config: &XpicConfig, slab: usize, nslabs: usize) -> SlabState {
+        let grid = Grid::slab(config.nx, config.ny, slab, nslabs);
         SlabState {
             grid,
-            solver,
-            species,
-            ppc_share,
+            solver: FieldSolver::new(grid, config),
+            species: Vec::new(),
+            ppc_share: Vec::new(),
             fields: Fields::zeros(&grid),
             moments: Moments::zeros(&grid),
         }
@@ -528,8 +536,7 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>)
     let world = rank.world();
     let me = rank.rank();
     let ic = rank.parent().expect("spawned by the Booster side");
-    let mut st = SlabState::new(config, me, world.size());
-    st.species.clear(); // particles live on the Booster
+    let mut st = SlabState::without_particles(config, me, world.size());
 
     // Initial moments from the Booster.
     let phase = rank.obs_open(obs::Category::Phase, "interface");

@@ -119,6 +119,25 @@ fn wrap_col(i: isize, nx: isize) -> usize {
     c as usize
 }
 
+/// `x.floor() as isize`, for every `f64` (±0, NaN, ±∞ and values past
+/// ±2⁶³ included), without calling `floor`.
+///
+/// The baseline x86-64 target has no `roundsd`, so `f64::floor` is an
+/// out-of-line software routine; the particle loops ask for two floors per
+/// particle per kernel. The saturating truncation already rounds towards
+/// zero, so only a negative non-integer needs the step down — and at
+/// `isize::MIN` the step saturates, as the saturating cast of the floor
+/// would.
+#[inline]
+pub fn floor_index(x: f64) -> isize {
+    let t = x as isize;
+    if t as f64 > x {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
 /// Fold coordinate `r` into the periodic interval `[0, n)`.
 ///
 /// A position already inside the interval — nearly every particle, every
@@ -160,12 +179,12 @@ impl Stencil {
     /// slab, may reach into the ghost rows; x periodic).
     #[inline]
     pub fn at(grid: &Grid, x: f64, y: f64) -> Stencil {
-        // Cell centers sit at integer+0.5; shift so floor() finds the lower
-        // left center.
+        // Cell centers sit at integer+0.5; shift so the floor finds the
+        // lower left center.
         let gx = x - 0.5;
         let gy = y - 0.5;
-        let i0 = gx.floor() as isize;
-        let j0 = gy.floor() as isize;
+        let i0 = floor_index(gx);
+        let j0 = floor_index(gy);
         let fx = gx - i0 as f64;
         let fy = gy - j0 as f64;
         let nx = grid.nx as isize;
@@ -344,6 +363,7 @@ impl Moments {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn slab_partition_covers_domain() {
@@ -382,6 +402,40 @@ mod tests {
         assert_eq!(g.owned_rows(0..g.ny_local), g.row(0).start..g.row(7).end);
         assert_eq!(g.owned_rows(2..5), g.row(2).start..g.row(4).end);
         assert!(g.owned_rows(3..3).is_empty());
+    }
+
+    #[test]
+    fn floor_index_is_the_saturating_floor_on_the_edges() {
+        let ulp_around = |v: f64| {
+            let b = v.to_bits();
+            [f64::from_bits(b - 1), v, f64::from_bits(b + 1)]
+        };
+        let mut xs = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        xs.extend([f64::MAX, f64::MIN, f64::MIN_POSITIVE, -f64::MIN_POSITIVE]);
+        xs.extend([f64::from_bits(1), -f64::from_bits(1)]);
+        for v in [1.0, -1.0] {
+            xs.extend(ulp_around(v));
+        }
+        for e in [52, 53, 63] {
+            let p = 2f64.powi(e);
+            xs.extend(ulp_around(p));
+            xs.extend(ulp_around(-p));
+        }
+        for x in xs {
+            assert_eq!(floor_index(x), x.floor() as isize, "x = {x:e}");
+        }
+        assert_eq!(floor_index(-0.5), -1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn floor_index_is_the_saturating_floor_for_any_bits(
+            x in any::<u64>().prop_map(f64::from_bits)
+        ) {
+            prop_assert_eq!(floor_index(x), x.floor() as isize, "x = {:e}", x);
+        }
     }
 
     #[test]

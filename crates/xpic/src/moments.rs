@@ -17,22 +17,32 @@ use std::ops::Range;
 /// Deposit one species' moments. Ghost rows accumulate boundary spillover
 /// to be halo-added by the caller.
 pub fn deposit(grid: &Grid, species: &Species, moments: &mut Moments) {
-    deposit_range(grid, species, moments, 0..species.len());
+    let Moments { rho, jx, jy, jz } = moments;
+    scatter(grid, species, 0..species.len(), |k, [r, x, y, z]| {
+        rho[k] += r;
+        jx[k] += x;
+        jy[k] += y;
+        jz[k] += z;
+    });
 }
 
-/// Deposit the particles of one index range (one chunk of the fixed
-/// reduction grid) into a partial accumulation buffer.
-fn deposit_range(grid: &Grid, species: &Species, moments: &mut Moments, particles: Range<usize>) {
+/// The deposit kernel over the particles of one index range: for each of
+/// a particle's four stencil cells, in stencil order, hand `add` the cell
+/// index and the (ρ, Jx, Jy, Jz) contribution `q·w · (1, vx, vy, vz)`.
+#[inline]
+fn scatter(
+    grid: &Grid,
+    species: &Species,
+    particles: Range<usize>,
+    mut add: impl FnMut(usize, [f64; 4]),
+) {
     let q = species.q_per_particle;
     for p in particles {
         let st = Stencil::at(grid, species.x[p], grid.to_local_y(species.y[p]));
         let (vx, vy, vz) = (species.vx[p], species.vy[p], species.vz[p]);
         for (k, wt) in st.k.into_iter().zip(st.w) {
             let qw = q * wt;
-            moments.rho[k] += qw;
-            moments.jx[k] += qw * vx;
-            moments.jy[k] += qw * vy;
-            moments.jz[k] += qw * vz;
+            add(k, [qw, qw * vx, qw * vy, qw * vz]);
         }
     }
 }
@@ -42,11 +52,12 @@ fn deposit_range(grid: &Grid, species: &Species, moments: &mut Moments, particle
 /// The scatter is a reduction (many particles hit the same cell), so the
 /// particle population is cut into a **fixed chunk grid** — a function of
 /// the particle count only, never of the thread count (see [`par`]) — each
-/// chunk accumulates from zero into a partial [`Moments`] buffer, and the
-/// partials are added to `moments` serially in chunk order. The
-/// floating-point result is therefore bit-identical for every thread
-/// count; against the legacy single-buffer [`deposit`] it differs only in
-/// summation association (≤ 1e-12 relative, guarded by a property test).
+/// chunk accumulates from zero into a partial buffer of one (ρ, Jx, Jy, Jz)
+/// record per cell, and the partials are added to `moments` serially in
+/// chunk order. The floating-point result is therefore bit-identical for
+/// every thread count; against the legacy single-buffer [`deposit`] it
+/// differs only in summation association (≤ 1e-12 relative, guarded by a
+/// property test).
 ///
 /// Only `threads` chunks are ever in flight, so only that many partial
 /// buffers exist: the chunk grid is walked in waves of `threads` chunks,
@@ -57,31 +68,33 @@ pub fn deposit_threads(grid: &Grid, species: &Species, moments: &mut Moments, th
     if chunks <= 1 {
         // One chunk ⇒ the chunked accumulation degenerates to the serial
         // order exactly; skip the partial buffer.
-        deposit_range(grid, species, moments, 0..n);
+        deposit(grid, species, moments);
         return;
     }
     let ranges = par::chunk_ranges(n, chunks);
     let threads = par::resolve_threads(threads).clamp(1, ranges.len());
-    let mut partials: Vec<Moments> = (0..threads).map(|_| Moments::zeros(grid)).collect();
+    let mut partials: Vec<Vec<[f64; 4]>> = vec![vec![[0.0; 4]; grid.len()]; threads];
     for wave in ranges.chunks(threads) {
-        let tasks: Vec<(Range<usize>, &mut Moments)> =
+        let tasks: Vec<(Range<usize>, &mut Vec<[f64; 4]>)> =
             wave.iter().cloned().zip(partials.iter_mut()).collect();
         par::run_tasks(threads, tasks, |(r, part)| {
-            deposit_range(grid, species, part, r)
+            scatter(grid, species, r, |k, add| {
+                for (acc, a) in part[k].iter_mut().zip(add) {
+                    *acc += a;
+                }
+            })
         });
         // Merge in chunk order — a fixed association of the sums. Every
         // cell is added, untouched zeros included, exactly as if each
         // chunk had its own buffer.
+        let Moments { rho, jx, jy, jz } = &mut *moments;
         for part in &mut partials[..wave.len()] {
-            for (dst, src) in moments
-                .components_mut()
-                .into_iter()
-                .zip(part.components_mut())
-            {
-                for (d, s) in dst.iter_mut().zip(src.iter_mut()) {
-                    *d += *s;
-                    *s = 0.0;
-                }
+            for (k, cell) in part.iter_mut().enumerate() {
+                let [r, x, y, z] = std::mem::take(cell);
+                rho[k] += r;
+                jx[k] += x;
+                jy[k] += y;
+                jz[k] += z;
             }
         }
     }

@@ -10,7 +10,7 @@
 
 use crate::config::XpicConfig;
 use crate::fields::FieldComm;
-use crate::grid::{wrap_periodic, Grid, Moments};
+use crate::grid::{floor_index, wrap_periodic, Grid, Moments};
 use crate::moments::{add_into_border_row, clear_ghosts, extract_ghost_row};
 use crate::particles::Species;
 use crate::wire;
@@ -319,13 +319,13 @@ pub fn try_migrate_particles(
     let mut i = 0;
     while i < species.len() {
         let y = wrap_periodic(species.y[i], ny);
-        if grid.owns_row(y.floor() as isize) {
+        if grid.owns_row(floor_index(y)) {
             species.y[i] = y;
             i += 1;
             continue;
         }
         let (x, _, vx, vy, vz) = species.take(i);
-        let dest = if prev_grid.owns_row(y.floor() as isize) {
+        let dest = if prev_grid.owns_row(floor_index(y)) {
             &mut up
         } else {
             &mut down
@@ -344,7 +344,7 @@ pub fn try_migrate_particles(
     let from_prev = wire::bytes_to_f64s(&from_prev);
     for chunk in from_next.chunks_exact(5).chain(from_prev.chunks_exact(5)) {
         debug_assert!(
-            grid.owns_row(chunk[1].floor() as isize),
+            grid.owns_row(floor_index(chunk[1])),
             "migrated to wrong rank"
         );
         species.push_particle(chunk[0], chunk[1], chunk[2], chunk[3], chunk[4]);

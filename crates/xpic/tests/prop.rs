@@ -201,12 +201,14 @@ proptest! {
 // ---- Bit oracle -----------------------------------------------------------
 //
 // The kernels keep the periodic wrap out of their inner loops: one `Stencil`
-// per particle, whole-row slices with the x-neighbour wrap at the two edge
+// per particle, whose cell is picked by the integer `floor_index` in place of
+// `f64::floor`, whole-row slices with the x-neighbour wrap at the two edge
 // columns, `wrap_periodic` in place of `f64::rem_euclid`, and at most
-// `threads` partial deposit buffers. All of that is index arithmetic; the
-// floating-point operations and their order must be those of the plain
-// forms below, which resolve every access through `Grid::idx` and keep one
-// deposit buffer per chunk. Every comparison is on bit patterns.
+// `threads` partial deposit buffers of one (ρ, J) record per cell. All of
+// that is index arithmetic; the floating-point operations and their order
+// must be those of the plain forms below, which take `f64::floor`, resolve
+// every access through `Grid::idx` and keep one `Moments` buffer per chunk.
+// Every comparison is on bit patterns.
 mod reference {
     use xpic::fields::FieldSolver;
     use xpic::grid::{Fields, Grid, Moments};
@@ -376,15 +378,26 @@ fn fill(seed: u64, arrays: &mut [&mut Vec<f64>]) {
     }
 }
 
-/// Particles of `grid`'s slab on the spots where the wrap matters: on the
-/// x = 0 seam, one ulp below nx, at x = nx itself (where a rounded-up wrap
-/// used to leave them), inside both ghost margins in y, and anywhere.
+/// Particles of `grid`'s slab on the spots where the wrap or the floor
+/// matters: on the x = 0 seam, one ulp below nx, at x = nx itself (where a
+/// rounded-up wrap used to leave them), inside both ghost margins in y,
+/// exactly on a cell centre (an integer seam of the stencil's floor) and one
+/// ulp either side of it, at the first centre less one ulp (`gx`/`gy` a tiny
+/// negative), and anywhere.
 fn arb_hard_species(grid: Grid, n: usize) -> impl Strategy<Value = Species> {
-    let spot = (0usize..5, 0usize..4, 0.0f64..1.0, 0.0f64..1.0);
+    let spot = (0usize..8, 0usize..7, 0.0f64..1.0, 0.0f64..1.0);
     let vel = (-0.4f64..0.4, -0.4f64..0.4, -0.4f64..0.4);
     prop::collection::vec((spot, vel), 1..n).prop_map(move |ps| {
         let nx = grid.nx as f64;
         let ny = grid.ny_local as f64;
+        let y0 = grid.y0 as f64;
+        // The centre `origin + k + 0.5` of the cell `k` that `u` ∈ [0, 1)
+        // picks among `cells`, moved by `ulps` ulps. Built in global
+        // coordinates: the slab-local y is then exact.
+        let centre = |origin: f64, cells: f64, u: f64, ulps: i64| {
+            let c = origin + (u * cells).floor() + 0.5;
+            f64::from_bits(c.to_bits().wrapping_add_signed(ulps))
+        };
         let mut s = Species {
             qom: -1.0,
             q_per_particle: -0.37,
@@ -395,14 +408,18 @@ fn arb_hard_species(grid: Grid, n: usize) -> impl Strategy<Value = Species> {
                 0 => 0.0,
                 1 => f64::from_bits(nx.to_bits() - 1),
                 2 => nx,
+                3..=5 => centre(0.0, nx, u, xk as i64 - 4),
+                6 => centre(0.0, 0.0, u, -1),
                 _ => u * nx,
             };
-            let ly = match yk {
-                0 => -0.5 + 0.5 * v,
-                1 => ny + 0.49 * v,
-                _ => v * ny,
+            let y = match yk {
+                0 => (-0.5 + 0.5 * v) + y0,
+                1 => (ny + 0.49 * v) + y0,
+                2..=4 => centre(y0, ny, v, yk as i64 - 3),
+                5 => centre(y0, 0.0, v, -1),
+                _ => v * ny + y0,
             };
-            s.push_particle(x, ly + grid.y0 as f64, vx, vy, vz);
+            s.push_particle(x, y, vx, vy, vz);
         }
         s
     })

@@ -1,6 +1,6 @@
 //! Cross-crate integration: the whole DEEP-ER software stack working
-//! together — modular system, psmpi spawn offload, I/O through the cache
-//! domain onto the parallel file system, and SCR checkpoint/restart of a
+//! together — modular system, psmpi spawn offload, I/O through a SION
+//! container onto the parallel file system, and SCR checkpoint/restart of a
 //! running xPic-style job after injected node failures.
 
 use bytes::Bytes;
@@ -10,31 +10,22 @@ use hwmodel::{NodeId, SimTime};
 use parking_lot::Mutex;
 use psmpi::ReduceOp;
 use scr::{CheckpointLevel, Payload, ScrConfig, ScrManager};
-use sionio::{CacheDomain, CacheMode, ParallelFs, SionContainer};
+use sionio::{ParallelFs, SionContainer};
 use std::sync::Arc;
 
 #[test]
 fn job_writes_task_local_checkpoints_through_the_stack() {
-    // A 4-rank Booster job writes per-rank state through the BeeOND-style
-    // cache into a SION container, simulating the §III-C I/O path.
+    // A 4-rank Booster job writes per-rank state into a SION container,
+    // simulating the §III-C I/O path.
     let launcher = Launcher::new(deep_er_prototype());
     let pfs = ParallelFs::deep_er();
-    let cache = CacheDomain::new(
-        pfs.clone(),
-        hwmodel::presets::nvme_p3700(),
-        CacheMode::Asynchronous,
-    );
     let (container, _) = SionContainer::create(&pfs, "/ckpt/state.sion", 4, 4096).unwrap();
 
-    let cache_in = cache.clone();
     let container_in = container.clone();
     launcher
         .launch(&JobSpec::booster_only("io-job", 4), move |rank, _| {
             let me = rank.rank();
             let state = vec![me as u8; 2048];
-            // Stage locally (fast), then write the shared container chunk.
-            let t_cache = cache_in.write(rank.node_id(), format!("/stage/r{me}"), &state);
-            rank.advance(t_cache);
             let t_sion = container_in.write_task(me, &state).unwrap();
             rank.advance(t_sion);
             let w = rank.world();
@@ -47,13 +38,6 @@ fn job_writes_task_local_checkpoints_through_the_stack() {
         let (data, _) = container.read_task(r).unwrap();
         assert_eq!(data, vec![r as u8; 2048]);
     }
-    // The async cache still holds dirty staged copies until flushed.
-    assert!(
-        cache.dirty_count(NodeId(16)) > 0,
-        "staged data awaits flush"
-    );
-    cache.flush(NodeId(16));
-    assert_eq!(cache.dirty_count(NodeId(16)), 0);
 }
 
 #[test]
