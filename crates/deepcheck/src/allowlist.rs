@@ -22,11 +22,6 @@ pub struct AllowEntry {
     pub path: String,
     /// Why the site is intentional.
     pub reason: String,
-    /// Optional site pin: when set, the entry only covers findings whose
-    /// trimmed source line equals this text — or whose FNV-1a hash equals
-    /// it, for `fnv1a64:…` values. Matching on the line's *content* rather
-    /// than its number keeps waivers valid when refactors shift the file.
-    pub snippet: Option<String>,
 }
 
 /// The parsed allowlist.
@@ -55,7 +50,6 @@ struct PartialEntry {
     lint: Option<String>,
     path: Option<String>,
     reason: Option<String>,
-    snippet: Option<String>,
     line: usize,
 }
 
@@ -87,12 +81,7 @@ impl Allowlist {
                         "entry at line {line} ({lint} {path}) has no reason — every exception must be justified"
                     ))
                 })?;
-            entries.push(AllowEntry {
-                lint,
-                path,
-                reason,
-                snippet: e.snippet,
-            });
+            entries.push(AllowEntry { lint, path, reason });
             Ok(())
         }
 
@@ -139,7 +128,6 @@ impl Allowlist {
                 "lint" => &mut cur.lint,
                 "path" => &mut cur.path,
                 "reason" => &mut cur.reason,
-                "snippet" => &mut cur.snippet,
                 other => {
                     return Err(AllowlistError(format!(
                         "line {line_no}: unknown key `{other}`"
@@ -157,9 +145,7 @@ impl Allowlist {
         Ok(Allowlist { entries })
     }
 
-    /// The entry covering a finding, if any: lint + exact path match,
-    /// plus — when the entry pins a `snippet` — a content match against
-    /// the finding's source line (verbatim or by `fnv1a64:` hash). Line
+    /// The entry covering a finding, if any: lint + exact path match. Line
     /// numbers never participate, so refactors that shift a file do not
     /// orphan its waivers.
     pub fn lookup(&self, f: &Finding) -> Option<&AllowEntry> {
@@ -177,25 +163,7 @@ impl Allowlist {
 }
 
 fn entry_covers(e: &AllowEntry, f: &Finding) -> bool {
-    if e.lint != f.lint || e.path != f.path {
-        return false;
-    }
-    match &e.snippet {
-        None => true,
-        Some(s) if s.starts_with("fnv1a64:") => fnv1a64_hex(f.snippet.trim().as_bytes()) == *s,
-        Some(s) => f.snippet.trim() == s.trim(),
-    }
-}
-
-/// FNV-1a 64-bit hash, hex-encoded with a scheme prefix. Used to fingerprint
-/// the allowlist in `DEEPCHECK_REPORT.json` and the snippets waivers pin.
-pub fn fnv1a64_hex(data: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("fnv1a64:{h:016x}")
+    e.lint == f.lint && e.path == f.path
 }
 
 #[cfg(test)]
@@ -213,13 +181,13 @@ reason = "sanctioned sizing site"
 
 [[allow]]
 lint = "D001"
-path = "crates/bench/benches/kernels.rs"
-reason = "artifact path discovery"
+path = "crates/bench/src/bin/fig7.rs"
+reason = "argv selects the sweep"
 "#;
         let a = Allowlist::parse(src).unwrap();
         assert_eq!(a.entries.len(), 2);
         assert_eq!(a.entries[0].lint, "D003");
-        assert_eq!(a.entries[1].path, "crates/bench/benches/kernels.rs");
+        assert_eq!(a.entries[1].path, "crates/bench/src/bin/fig7.rs");
     }
 
     #[test]
@@ -237,48 +205,12 @@ reason = "artifact path discovery"
 
     #[test]
     fn unknown_keys_are_rejected() {
-        let src = "[[allow]]\nlint = \"D001\"\npath = \"x.rs\"\nreason = \"r\"\nfoo = \"bar\"\n";
-        assert!(Allowlist::parse(src).is_err());
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        assert_eq!(fnv1a64_hex(b""), "fnv1a64:cbf29ce484222325");
-        assert_ne!(fnv1a64_hex(b"a"), fnv1a64_hex(b"b"));
-    }
-
-    fn finding(line: u32, snippet: &str) -> Finding {
-        Finding {
-            lint: "D001",
-            path: "a.rs".to_string(),
-            line,
-            message: "msg".to_string(),
-            snippet: snippet.to_string(),
+        // A waiver covers one lint in one whole file: there is no `snippet` pin.
+        for key in ["foo", "snippet"] {
+            let src = format!(
+                "[[allow]]\nlint = \"D001\"\npath = \"x.rs\"\nreason = \"r\"\n{key} = \"bar\"\n"
+            );
+            assert!(Allowlist::parse(&src).is_err(), "{key}");
         }
-    }
-
-    #[test]
-    fn snippet_pins_narrow_the_waiver_to_one_site() {
-        let a = Allowlist::parse(
-            "[[allow]]\nlint = \"D001\"\npath = \"a.rs\"\nreason = \"r\"\nsnippet = \"let t = now();\"\n",
-        )
-        .unwrap();
-        assert!(a.lookup(&finding(10, "let t = now();")).is_some());
-        // Same line content after a refactor moved it: still covered.
-        assert!(a.lookup(&finding(99, "  let t = now();  ")).is_some());
-        // A different site in the same file is NOT covered.
-        assert!(a.lookup(&finding(11, "let u = now();")).is_none());
-        assert_eq!(a.unused(&[finding(11, "let u = now();")]).len(), 1);
-    }
-
-    #[test]
-    fn snippet_pins_accept_fnv_hashes() {
-        let hash = fnv1a64_hex(b"let t = now();");
-        let src = format!(
-            "[[allow]]\nlint = \"D001\"\npath = \"a.rs\"\nreason = \"r\"\nsnippet = \"{hash}\"\n"
-        );
-        let a = Allowlist::parse(&src).unwrap();
-        assert!(a.lookup(&finding(3, "let t = now();")).is_some());
-        assert!(a.lookup(&finding(3, "let u = now();")).is_none());
     }
 }

@@ -127,11 +127,12 @@ pub struct FileInput<'a> {
     pub toks: &'a [Tok],
 }
 
-/// Blocking entry points below `Rank`'s receive surface: the mailbox's one
-/// wait loop (`park_until`), its four callers, and the two probes `Rank`
-/// builds on them. A call to any of these, or to a blocking receive of the
-/// protocol tables, while a tracked guard is live is D008.
-/// `Condvar::wait` is *not* here: it releases the mutex it parks on.
+/// Every blocking call of psmpi's receive surface: the mailbox's one wait
+/// loop (`park_until`) and its four callers, the two probes `Rank` builds
+/// on them, and `Rank`'s five blocking receives (a unit test keeps these
+/// equal to the `pub fn recv*` of `rank.rs`). A call to any of these while
+/// a tracked guard is live is D008. `Condvar::wait` is *not* here: it
+/// releases the mutex it parks on.
 const BLOCKING: &[&str] = &[
     "park_until",
     "recv_match",
@@ -140,12 +141,12 @@ const BLOCKING: &[&str] = &[
     "probe_blocking_either",
     "probe",
     "probe_either",
+    "recv",
+    "recv_comm",
+    "recv_into",
+    "recv_into_comm",
+    "recv_bytes_comm",
 ];
-
-fn is_blocking(method: &str) -> bool {
-    let recvs = crate::protocol::RECVS.iter().map(|e| e.0);
-    BLOCKING.contains(&method) || recvs.filter(|m| !m.starts_with('i')).any(|m| m == method)
-}
 
 /// Run the lock-discipline pass over one crate. Returns every lock name
 /// that was seen (declared, or acquired through a `lockorder.toml` name)
@@ -563,7 +564,10 @@ fn simulate(
                     continue;
                 }
                 // D008: blocking receive surface under a live guard.
-                if m.kind == TokKind::Ident && is_blocking(m.text.as_str()) && !guards.is_empty() {
+                if m.kind == TokKind::Ident
+                    && BLOCKING.contains(&m.text.as_str())
+                    && !guards.is_empty()
+                {
                     // Opening paren, possibly behind a turbofish.
                     let mut p = i + 2;
                     if toks.get(p).is_some_and(|t| t.is_punct("::")) {
@@ -867,6 +871,35 @@ fn f(s: &S, r: &Rank) {
         let d008: Vec<_> = out.iter().filter(|f| f.lint == "D008").collect();
         assert_eq!(d008.len(), 1, "{out:?}");
         assert_eq!(d008[0].line, 3);
+    }
+
+    #[test]
+    fn blocking_table_tracks_the_psmpi_sources() {
+        // Table rot guard: every `pub fn recv*` of psmpi's rank.rs is in
+        // BLOCKING, and every BLOCKING name is a `fn` of rank.rs or router.rs.
+        let fns = |file: &str, public: bool| -> BTreeSet<String> {
+            let path = format!("{}/../psmpi/src/{file}", env!("CARGO_MANIFEST_DIR"));
+            let src = std::fs::read_to_string(&path).expect("psmpi source is readable");
+            tokenize(&src)
+                .windows(3)
+                .filter(|w| w[1].is_ident("fn") && (!public || w[0].is_ident("pub")))
+                .map(|w| w[2].text.clone())
+                .collect()
+        };
+        let table: BTreeSet<String> = BLOCKING.iter().map(|s| s.to_string()).collect();
+        let rank_recvs: BTreeSet<String> = fns("rank.rs", true)
+            .into_iter()
+            .filter(|n| n.starts_with("recv"))
+            .collect();
+        let missing: Vec<_> = rank_recvs.difference(&table).collect();
+        assert!(
+            missing.is_empty(),
+            "blocking receives not in BLOCKING: {missing:?}"
+        );
+        let mut defined = fns("rank.rs", false);
+        defined.extend(fns("router.rs", false));
+        let stale: Vec<_> = table.difference(&defined).collect();
+        assert!(stale.is_empty(), "BLOCKING names no psmpi fn: {stale:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! non-allowlisted finding (the CI gate).
 //!
 //! ```text
-//! deepcheck [--root <dir>] [--report <file>] [--stats]
+//! deepcheck [--root <dir>] [--report <file>]
 //! ```
 
 #![forbid(unsafe_code)]
@@ -15,7 +15,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
-    let mut stats = false;
     // Host CLI of the analyzer itself — allowlisted D001 site; nothing
     // here feeds the simulated clock.
     let mut args = std::env::args().skip(1);
@@ -23,9 +22,8 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
             "--report" => report_path = args.next().map(PathBuf::from),
-            "--stats" => stats = true,
             "--help" | "-h" => {
-                println!("usage: deepcheck [--root <dir>] [--report <file>] [--stats]");
+                println!("usage: deepcheck [--root <dir>] [--report <file>]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -60,20 +58,15 @@ fn main() -> ExitCode {
         Err(_) => Allowlist::default(),
     };
 
-    let started = std::time::Instant::now();
-    let mut report = match analyze_workspace(&root, &allowlist) {
+    let report = match analyze_workspace(&root, &allowlist) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("deepcheck: analysis failed: {e}");
             return ExitCode::from(2);
         }
     };
-    report.scan_ms = started.elapsed().as_millis() as u64;
 
     print!("{}", report.render_text());
-    if stats {
-        print!("{}", report.render_stats());
-    }
 
     let report_path = report_path.unwrap_or_else(|| root.join("DEEPCHECK_REPORT.json"));
     if let Err(e) = std::fs::write(&report_path, report.render_json()) {

@@ -26,22 +26,11 @@ pub struct Report {
     pub stale_lockorder: Vec<String>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Scan wall time in milliseconds (host-side tool metric; set by the
-    /// CLI after the run so analyzer-runtime regressions are visible in
-    /// the report artifact).
-    pub scan_ms: u64,
-    /// Fingerprint of the allowlist the run was judged against.
-    pub allowlist_hash: String,
 }
 
 impl Report {
     /// Join findings with the allowlist.
-    pub fn new(
-        mut findings: Vec<Finding>,
-        allowlist: &Allowlist,
-        files_scanned: usize,
-        allowlist_hash: String,
-    ) -> Report {
+    pub fn new(mut findings: Vec<Finding>, allowlist: &Allowlist, files_scanned: usize) -> Report {
         findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
         let unused_allow = allowlist.unused(&findings).into_iter().cloned().collect();
         let judged = findings
@@ -56,8 +45,6 @@ impl Report {
             unused_allow,
             stale_lockorder: Vec::new(),
             files_scanned,
-            scan_ms: 0,
-            allowlist_hash,
         }
     }
 
@@ -78,26 +65,6 @@ impl Report {
     /// Number of findings covered by a waiver.
     pub fn waivers_used(&self) -> usize {
         self.judged.iter().filter(|j| j.reason.is_some()).count()
-    }
-
-    /// The `--stats` table: scan scope, per-lint fire counts, waiver use,
-    /// and wall time — the same numbers stamped into the JSON report.
-    pub fn render_stats(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "deepcheck stats:");
-        let _ = writeln!(out, "  files scanned   {}", self.files_scanned);
-        let _ = writeln!(out, "  scan wall-time  {} ms", self.scan_ms);
-        let _ = writeln!(out, "  findings        {}", self.judged.len());
-        for (lint, n) in self.per_lint() {
-            let _ = writeln!(out, "    {lint}          {n}");
-        }
-        let _ = writeln!(out, "  waivers used    {}", self.waivers_used());
-        let _ = writeln!(
-            out,
-            "  stale waivers   {}",
-            self.unused_allow.len() + self.stale_lockorder.len()
-        );
-        out
     }
 
     /// rustc-style text output.
@@ -146,7 +113,6 @@ impl Report {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"tool\": \"deepcheck\",");
-        let _ = writeln!(out, "  \"allowlist_hash\": \"{}\",", self.allowlist_hash);
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         out.push_str("  \"findings\": [\n");
         for (i, j) in self.judged.iter().enumerate() {
@@ -209,9 +175,8 @@ impl Report {
             .join(", ");
         let _ = writeln!(
             out,
-            "  \"stats\": {{\"files_scanned\": {}, \"scan_ms\": {}, \"waivers_used\": {}, \"lints\": {{{lints}}}}}",
+            "  \"stats\": {{\"files_scanned\": {}, \"waivers_used\": {}, \"lints\": {{{lints}}}}}",
             self.files_scanned,
-            self.scan_ms,
             self.waivers_used(),
         );
         out.push_str("}\n");
@@ -253,7 +218,6 @@ mod tests {
             vec![finding("D003", "a.rs", 3), finding("D001", "b.rs", 9)],
             &allow,
             2,
-            "fnv1a64:0".to_string(),
         );
         assert_eq!(r.violations().count(), 1);
         let text = r.render_text();
@@ -269,15 +233,10 @@ mod tests {
             vec![finding("D006", "a.rs", 1), finding("D006", "a.rs", 2)],
             &Allowlist::default(),
             3,
-            "fnv1a64:0".to_string(),
         );
-        r.scan_ms = 12;
         r.stale_lockorder = vec!["psmpi.ghost".to_string()];
-        let stats = r.render_stats();
-        assert!(stats.contains("files scanned   3"), "{stats}");
-        assert!(stats.contains("D006"), "{stats}");
         let json = r.render_json();
-        assert!(json.contains("\"scan_ms\": 12"), "{json}");
+        assert!(json.contains("\"files_scanned\": 3"), "{json}");
         assert!(json.contains("\"D006\": 2"), "{json}");
         assert!(json.contains("psmpi.ghost"), "{json}");
         assert!(
@@ -294,7 +253,7 @@ mod tests {
             "[[allow]]\nlint = \"D002\"\npath = \"gone.rs\"\nreason = \"was fixed\"\n",
         )
         .unwrap();
-        let r = Report::new(vec![], &allow, 0, "fnv1a64:0".to_string());
+        let r = Report::new(vec![], &allow, 0);
         assert_eq!(r.unused_allow.len(), 1);
         assert!(r.render_text().contains("stale allowlist entry"));
     }

@@ -1,7 +1,6 @@
 // Clean fixture: near-miss patterns that must NOT fire any lint.
 // "Instant::now" and available_parallelism appear only in comments and
-// string literals, iteration uses ordered collections, tags match, and
-// the collective is unconditional.
+// string literals, and iteration uses ordered collections.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -30,17 +29,6 @@ impl State {
         // the BTreeMap, so nothing fires.
         self.ordered.keys().copied().collect()
     }
-}
-
-fn exchange(rank: &mut Rank) {
-    // Matched literal tags: 5 flows both ways.
-    if rank.rank() == 0 {
-        rank.send(1, 5, &[1u8]).unwrap();
-    } else {
-        let (_d, _s) = rank.recv::<Vec<u8>>(Some(0), Some(5)).unwrap();
-    }
-    // Unconditional collective: every rank enters.
-    rank.barrier(&rank.world()).unwrap();
 }
 
 fn sanctioned_randomness(seed: u64) -> u64 {

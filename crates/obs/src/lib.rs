@@ -14,7 +14,7 @@
 //! ## Determinism contract
 //!
 //! Nothing in this crate reads wall-clock time — every timestamp is a
-//! [`hwmodel::SimTime`] handed in by the caller (deepcheck lint D005
+//! [`hwmodel::SimTime`] handed in by the caller (deepcheck lint D001
 //! enforces this). Because the runtime's virtual clocks are thread-count
 //! invariant, two identical runs produce **byte-identical** trace files:
 //! tracks are keyed and ordered by `(world, rank)`, spans are recorded in

@@ -166,8 +166,9 @@ impl TrackBuf {
 /// Guard returned by [`TrackHandle::open_span`]; finish the span with
 /// [`SpanGuard::close`] and the closing virtual time. Dropping the guard
 /// without closing records the span as zero-length at its opening time and
-/// bumps the track's `unclosed` count (deepcheck lint D005 flags call
-/// sites that discard the guard outright).
+/// bumps the track's `unclosed` count (the workspace denies
+/// `unused_must_use`, so a call site that discards the guard outright does
+/// not compile).
 #[must_use = "span guards must be closed with the closing virtual time"]
 pub struct SpanGuard {
     buf: Arc<Mutex<TrackBuf>>, // lock-order: 30

@@ -87,9 +87,8 @@ impl Intercomm {
     /// Sever the connection — the analogue of `MPI_Comm_disconnect`.
     ///
     /// Consumes the handle, so the borrow checker rules out use-after-
-    /// disconnect through *this* handle; deepcheck's M001 lint covers the
-    /// remaining lexical shapes (clones of the handle used after a
-    /// `.disconnect()` in the same file). A spawned world keeps running
+    /// disconnect through *this* handle. A clone stays usable: disconnect
+    /// closes nothing in the simulation. A spawned world keeps running
     /// after its parent disconnects — only the message channel goes away.
     pub fn disconnect(self) {}
 }
@@ -180,7 +179,7 @@ mod tests {
         assert_eq!(ic.local_size(), 2);
         assert_eq!(ic.remote_size(), 3);
         // Disconnect consumes the handle; later use of `ic` would not
-        // compile (and is what deepcheck M001 flags for lingering clones).
+        // compile.
         ic.disconnect();
     }
 }

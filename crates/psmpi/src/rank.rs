@@ -135,9 +135,10 @@ pub trait MpiRequest: Sized {
 /// the blocking path would have stamped it), but the sender-side costs
 /// were not charged — NIC serialization and link-retry backoff accrue to
 /// this handle and land on the poster's clock at [`MpiRequest::wait`].
-/// Dropping the handle without `wait`/`test` silently loses that charge;
-/// deepcheck lint M003 flags statement-level discards.
-#[must_use = "a dropped send request never charges its NIC time (deepcheck M003)"]
+/// Dropping the handle without `wait`/`test` silently loses that charge,
+/// so a statement-level discard fails the build (`unused_must_use` is
+/// denied workspace-wide).
+#[must_use = "a dropped send request never charges its NIC time; wait or test it"]
 pub struct SendRequest {
     /// Virtual time the sender-side work finishes at — or, with a `fault`,
     /// gives up at. Computed at post time from the sender's virtual state;
@@ -168,7 +169,7 @@ impl MpiRequest for SendRequest {
 /// clock to `max(clock at wait, arrival)`, so compute done between post
 /// and wait hides the transfer. Completion emits a request-scoped `Wait`
 /// span and surfaces sender death as [`PsmpiError::NodeFailed`].
-#[must_use = "an irecv only matches at wait/test (deepcheck M003)"]
+#[must_use = "an irecv only matches at wait/test"]
 pub struct RecvRequest {
     comm: CommId,
     src: Option<usize>,
@@ -209,7 +210,7 @@ impl MpiRequest for RecvRequest {
 /// straight into it at [`MpiRequest::wait`] (the message's element count
 /// must match the slice length exactly, as with
 /// [`Rank::recv_into_comm`]).
-#[must_use = "an irecv only matches at wait/test (deepcheck M003)"]
+#[must_use = "an irecv only matches at wait/test"]
 pub struct RecvIntoRequest<'a, T: FixedWidth> {
     inner: RecvRequest,
     out: &'a mut [T],
@@ -416,6 +417,49 @@ impl Rank {
 
     /// Open an application span at the current virtual time. Returns
     /// `None` when no recorder is attached; close with [`Rank::obs_close`].
+    ///
+    /// The guard must be bound: dropping it closes the span at its own open
+    /// time and counts it as unclosed. `Option` is not `#[must_use]` by
+    /// itself, so this function is, and the workspace denies
+    /// `unused_must_use`. Binding the guard and a posted request compiles:
+    ///
+    /// ```
+    /// #![deny(unused_must_use)]
+    /// use psmpi::{MpiRequest, PsmpiError, Rank};
+    ///
+    /// fn step(rank: &mut Rank) -> Result<(), PsmpiError> {
+    ///     let span = rank.obs_open(obs::Category::Phase, "mover");
+    ///     let req = rank.isend_bytes(1, 7, bytes::Bytes::new())?;
+    ///     req.wait(rank)?;
+    ///     rank.obs_close(span);
+    ///     Ok(())
+    /// }
+    /// ```
+    ///
+    /// Discarding the guard does not:
+    ///
+    /// ```compile_fail
+    /// #![deny(unused_must_use)]
+    /// use psmpi::{PsmpiError, Rank};
+    ///
+    /// fn step(rank: &mut Rank) -> Result<(), PsmpiError> {
+    ///     rank.obs_open(obs::Category::Phase, "mover");
+    ///     Ok(())
+    /// }
+    /// ```
+    ///
+    /// Nor does discarding a request behind `?`:
+    ///
+    /// ```compile_fail
+    /// #![deny(unused_must_use)]
+    /// use psmpi::{PsmpiError, Rank};
+    ///
+    /// fn step(rank: &mut Rank) -> Result<(), PsmpiError> {
+    ///     rank.isend_bytes(1, 7, bytes::Bytes::new())?;
+    ///     Ok(())
+    /// }
+    /// ```
+    #[must_use = "a dropped span guard closes the span at its open time; bind it and obs_close it"]
     pub fn obs_open(&self, cat: obs::Category, name: &str) -> Option<obs::SpanGuard> {
         let now = self.clock;
         self.obs.as_ref().map(|t| t.open_span(cat, name, now))
