@@ -3,7 +3,9 @@
 //! and in each [`CkptMode`] under each of the `FAULTS` ([`run_resilient`],
 //! a Buddy checkpoint after every step): fourteen rows, each at every one
 //! of `THREADS` with an [`obs::Recorder`] attached. The checks are
-//! [`Matrix::errors`]. Faulted rows' blocking is not compared: each
+//! [`Matrix::errors`], plus the leftovers each cell asserts: no rank
+//! awake, no drain in flight, at most two checkpoints held. Faulted rows'
+//! blocking is not compared: each
 //! reports the incarnation that finished, and those took different
 //! numbers of checkpoints. Overlap is not crossed with the checkpoint
 //! modes: the resilient loop ignores [`XpicConfig::overlap`].
@@ -151,6 +153,12 @@ fn run_cell(row: Row, threads: usize) -> Cell {
             };
             let plan = fault_plan(fault, nodes, cfg.seed);
             let r = run_resilient(&launcher, NODES, &cfg, &scr, &recovery, plan);
+            // The last promotion dominates every earlier checkpoint.
+            let (drains, held) = (scr.drains_in_flight(), scr.record_count());
+            assert!(
+                drains == 0 && held <= 2,
+                "{row:?} at threads {threads} left {drains} drains in flight, {held} checkpoints"
+            );
             let (b, m) = (r.ckpt_block.as_secs(), r.makespan.as_secs());
             let (n, k, resumed) = (r.ckpts_taken, r.recoveries, &r.resume_steps);
             Cell {

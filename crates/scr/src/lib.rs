@@ -18,7 +18,9 @@
 //!   [`ScrManager::checkpoint_async`] blocks for the local stage only and
 //!   [`ScrManager::finish_drain`] promotes once the drain has been
 //!   realized, so a death mid-drain falls back to the newest promoted
-//!   checkpoint.
+//!   checkpoint. The manager keeps only what a restart could still
+//!   choose: a promotion drops the older checkpoints it dominates and
+//!   hands their blobs back.
 //! * [`failure`] — the failure model: exponential per-node failures with a
 //!   configurable MTBF, sampled into failure traces.
 //! * [`interval`] — Young/Daly-style optimal checkpoint intervals per level

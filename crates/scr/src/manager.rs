@@ -9,6 +9,17 @@
 //! [`PendingDrain`], and [`ScrManager::finish_drain`] promotes once the
 //! caller has realized the drain — so a failure in between falls back to
 //! an older, fully promoted checkpoint.
+//!
+//! The manager keeps only what [`ScrManager::restart`] could still choose.
+//! Promoting a record to level L drops every older record that is not in
+//! flight and protects no more than L (Local ≤ Buddy ≤ Global, a
+//! NAM-backed Buddy ranking with Global), and hands their blobs back. That
+//! is exact: [`ScrManager::fail_nodes`] takes copies by node, the same way
+//! for every record, and [`ScrManager::heal`] brings none back, so a newer
+//! record at the same or a higher level is recoverable whenever an older
+//! one is, and `restart` scans newest first. Ids repeat when a resumed run
+//! re-reaches a step; every take is a record with copies of its own, and
+//! an id names its newest take.
 
 use crate::delta::{self, DeltaError};
 use bytes::Bytes;
@@ -17,7 +28,7 @@ use parking_lot::Mutex;
 use simnet::nam::{NamDevice, NamError, NamRegion};
 use simnet::LogGpModel;
 use sionio::{ParallelFs, SionContainer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Where a checkpoint lives — SCR's storage hierarchy on the prototype.
@@ -108,7 +119,7 @@ pub enum ScrError {
         id: u64,
     },
     /// A delta frame references a base checkpoint that is no longer held
-    /// locally (pruned, or lost with a node) — the sender must fall back
+    /// locally (dropped, or lost with a node) — the sender must fall back
     /// to a full keyframe.
     DeltaBaseMissing {
         /// The missing base checkpoint id.
@@ -194,38 +205,59 @@ impl Default for ScrConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One rank's copies of one checkpoint.
+#[derive(Default)]
+struct RankCopies {
+    /// The blob on the rank's own node.
+    local: Option<Bytes>,
+    /// The blob on the buddy node: the same buffer as `local`, which node
+    /// it is lost with is bookkeeping.
+    buddy: Option<Bytes>,
+    /// The NAM region, when the buddy level is NAM-backed. Allocated right
+    /// after the local stage so the live drain can RDMA-put straight into
+    /// it.
+    nam_region: Option<NamRegion>,
+    /// Whether the NAM copy is authoritative (promotion completed). Never
+    /// touched by `fail_nodes` — the device survives node deaths.
+    nam_done: bool,
+}
+
+/// One taken checkpoint with its copies. Ids repeat when a resumed run
+/// re-reaches a step; each take is a record of its own.
 struct CheckpointRecord {
     id: u64,
+    /// Position among every record the manager staged: names the SION
+    /// container, which must not be shared with an earlier take of `id`.
+    seq: u64,
     level: CheckpointLevel,
+    /// Staged, with its drain neither promoted nor aborted.
+    in_flight: bool,
     bytes_per_rank: Vec<u64>,
+    ranks: Vec<RankCopies>,
+}
+
+impl CheckpointRecord {
+    /// The SION container of the record's global copy.
+    fn sion_path(&self) -> String {
+        format!("/scr/ckpt-{}.{}.sion", self.id, self.seq)
+    }
 }
 
 #[derive(Default)]
 struct ScrState {
-    // Ordered maps/sets throughout: drain, failure sweeps, and recovery
-    // scans iterate these, and their virtual-time outcomes must not depend
-    // on hash order (deepcheck D002).
-    /// Ids staged and not yet promoted. The payloads themselves are the
-    /// `local` copies, which live exactly as long.
-    pending: BTreeSet<u64>,
-    /// (ckpt id, rank) → blob, on the rank's own node.
-    local: BTreeMap<(u64, usize), Bytes>,
-    /// (ckpt id, rank) → blob, on the buddy node: the same buffer as the
-    /// local entry, which node it is lost with is bookkeeping.
-    buddy: BTreeMap<(u64, usize), Bytes>,
-    /// Database of taken checkpoints, newest last.
+    /// The checkpoints a restart could still choose, newest last.
     db: Vec<CheckpointRecord>,
-    /// Nodes currently failed.
+    /// Records staged so far.
+    staged: u64,
+    /// Nodes currently failed (ordered: deepcheck D002).
     dead: BTreeSet<NodeId>,
-    /// (ckpt id, rank) → allocated NAM region, when the buddy level is
-    /// NAM-backed. Allocation happens at the local stage so the live
-    /// drain can RDMA-put straight into the region.
-    nam_regions: BTreeMap<(u64, usize), NamRegion>,
-    /// (ckpt id, rank) pairs whose NAM copy is authoritative (promotion
-    /// completed). Never touched by `fail_nodes` — the device survives
-    /// node deaths.
-    nam_done: BTreeSet<(u64, usize)>,
+}
+
+impl ScrState {
+    /// The newest record of `id`: the one its [`PendingDrain`] names.
+    fn newest(&mut self, id: u64) -> Option<&mut CheckpointRecord> {
+        self.db.iter_mut().rev().find(|r| r.id == id)
+    }
 }
 
 /// The checkpoint manager for one job.
@@ -240,23 +272,21 @@ pub struct ScrManager {
     state: Arc<Mutex<ScrState>>, // lock-order: 10
 }
 
-/// The region rank `key.1` keeps checkpoint `key.0` in, allocated on first
-/// use and re-allocated when the blob length changed.
+/// The region `held`, allocated on first use and re-allocated when the
+/// blob length changed.
 fn nam_region_for(
     nam: &NamBuddy,
-    regions: &mut BTreeMap<(u64, usize), NamRegion>,
-    key: (u64, usize),
+    held: &mut Option<NamRegion>,
     len: u64,
 ) -> Result<NamRegion, ScrError> {
-    if let Some(held) = regions.get(&key).copied() {
-        if held.len == len {
-            return Ok(held);
+    if let Some(region) = *held {
+        if region.len == len {
+            return Ok(region);
         }
-        let _ = nam.device.dealloc(held);
+        let _ = nam.device.dealloc(region);
+        *held = None;
     }
-    let region = nam.device.alloc(len)?;
-    regions.insert(key, region);
-    Ok(region)
+    Ok(*held.insert(nam.device.alloc(len)?))
 }
 
 impl ScrManager {
@@ -362,7 +392,8 @@ impl ScrManager {
 
     /// Take checkpoint `id` at `level` with one blob per rank (`Vec<u8>`s,
     /// copied once, or [`Bytes`], shared), blocking until it holds at that
-    /// level. Returns the virtual cost.
+    /// level. Returns the virtual cost; the blobs of the checkpoints it
+    /// dominates are dropped.
     pub fn checkpoint<B: Clone + Into<Bytes>>(
         &self,
         id: u64,
@@ -377,17 +408,25 @@ impl ScrManager {
 
     /// Promote a staged checkpoint to its level, once its drain time has
     /// been realized (by waiting on the transfers, or by charging
-    /// `drain()`). Promoting twice is a no-op. A drain that was aborted —
-    /// by [`ScrManager::abort_drain`], or by [`ScrManager::fail_nodes`]
-    /// losing one of the job's nodes while it was in flight — is refused
-    /// with [`ScrError::DrainAborted`] and the checkpoint stays at `Local`
-    /// level, so a restart falls back to the newest *promoted* checkpoint,
-    /// exactly as [`crate::simulate_run`] models.
-    pub fn finish_drain(&self, pending: PendingDrain) -> Result<(), ScrError> {
-        if self.state.lock().pending.contains(&pending.id) {
+    /// `drain()`), and return one handle per rank blob of the older
+    /// checkpoints it dominates, which the manager no longer holds (see
+    /// the module docs). Promoting twice is a no-op while the checkpoint is
+    /// held. A drain that was aborted — by [`ScrManager::abort_drain`], or by
+    /// [`ScrManager::fail_nodes`] losing one of the job's nodes while it
+    /// was in flight — is refused with [`ScrError::DrainAborted`] and the
+    /// checkpoint stays at `Local` level, so a restart falls back to the
+    /// newest *promoted* checkpoint, exactly as [`crate::simulate_run`]
+    /// models.
+    pub fn finish_drain(&self, pending: PendingDrain) -> Result<Vec<Bytes>, ScrError> {
+        let in_flight = self
+            .state
+            .lock()
+            .newest(pending.id)
+            .is_some_and(|r| r.in_flight);
+        if in_flight {
             self.promote(pending.id, pending.level)
         } else if self.level_of(pending.id) == Some(pending.level) {
-            Ok(())
+            Ok(Vec::new())
         } else {
             Err(ScrError::DrainAborted { id: pending.id })
         }
@@ -397,7 +436,9 @@ impl ScrManager {
     /// already promoted or already aborted). The checkpoint keeps its
     /// `Local` protection.
     pub fn abort_drain(&self, pending: &PendingDrain) -> bool {
-        self.state.lock().pending.remove(&pending.id)
+        let mut st = self.state.lock();
+        st.newest(pending.id)
+            .is_some_and(|r| std::mem::take(&mut r.in_flight))
     }
 
     /// Take checkpoint `id` asynchronously — the *stage* every checkpoint
@@ -430,15 +471,27 @@ impl ScrManager {
         };
         let wire_bytes = sent.iter().map(|d| d.len() as u64).max().unwrap_or(0);
         let mut st = self.state.lock();
+        // A re-taken id's handle names the new record from here on, so an
+        // earlier take of it can no longer finish its drain.
+        if let Some(earlier) = st.newest(id) {
+            earlier.in_flight = false;
+        }
+        let seq = st.staged;
+        st.staged += 1;
         st.db.push(CheckpointRecord {
             id,
+            seq,
             level: CheckpointLevel::Local,
+            in_flight: true,
             bytes_per_rank: blobs.iter().map(|d| d.len() as u64).collect(),
+            ranks: blobs
+                .into_iter()
+                .map(|blob| RankCopies {
+                    local: Some(blob),
+                    ..RankCopies::default()
+                })
+                .collect(),
         });
-        for (r, blob) in blobs.into_iter().enumerate() {
-            st.local.insert((id, r), blob);
-        }
-        st.pending.insert(id);
         Ok(PendingDrain {
             id,
             level,
@@ -451,10 +504,10 @@ impl ScrManager {
     /// The full blob `rank`'s frame encodes, patched onto the base
     /// checkpoint's local copy when the frame is a delta.
     fn decode_frame(&self, rank: usize, frame: &Bytes) -> Result<Bytes, ScrError> {
-        let st = self.state.lock();
+        let mut st = self.state.lock();
         let base = match delta::frame_base(frame).map_err(|_| ScrError::BadFrame { rank })? {
             Some(base) => {
-                let held = st.local.get(&(base, rank));
+                let held = st.newest(base).and_then(|r| r.ranks[rank].local.as_ref());
                 Some(&held.ok_or(ScrError::DeltaBaseMissing { base })?[..])
             }
             None => None,
@@ -468,38 +521,28 @@ impl ScrManager {
     /// Raise staged checkpoint `id` to `level`: copy each rank's local
     /// blob to the buddy node's NVMe, the NAM device or a SION container,
     /// and update the database record in place — the local copies are not
-    /// rewritten and the checkpoint appears once in the database.
-    fn promote(&self, id: u64, level: CheckpointLevel) -> Result<(), ScrError> {
+    /// rewritten and the checkpoint appears once in the database. Then drop
+    /// the older records it dominates and return their blobs.
+    fn promote(&self, id: u64, level: CheckpointLevel) -> Result<Vec<Bytes>, ScrError> {
         let mut st = self.state.lock();
-        let ScrState {
-            pending,
-            local,
-            buddy,
-            db,
-            nam_regions,
-            nam_done,
-            ..
-        } = &mut *st;
-        pending.remove(&id);
         let lost = || ScrError::DrainAborted { id };
-        let record = db.iter_mut().rev().find(|r| r.id == id).ok_or_else(lost)?;
-        let blob = |r: usize| local.get(&(id, r)).ok_or_else(lost);
+        let at = st.db.iter().rposition(|r| r.id == id).ok_or_else(lost)?;
+        let record = &mut st.db[at];
+        record.in_flight = false;
         match level {
             CheckpointLevel::Local => {}
             CheckpointLevel::Buddy => {
-                for r in 0..self.ranks() {
+                for copies in &mut record.ranks {
+                    let data = copies.local.as_ref().ok_or_else(lost)?;
                     match &self.config.nam {
                         // The device lock nests inside the state lock (10 → 40).
                         Some(nam) => {
-                            let data = blob(r)?;
                             let len = data.len() as u64;
-                            let region = nam_region_for(nam, nam_regions, (id, r), len)?;
+                            let region = nam_region_for(nam, &mut copies.nam_region, len)?;
                             nam.device.put(region, 0, data)?;
-                            nam_done.insert((id, r));
+                            copies.nam_done = true;
                         }
-                        None => {
-                            buddy.insert((id, r), blob(r)?.clone());
-                        }
+                        None => copies.buddy = Some(data.clone()),
                     }
                 }
             }
@@ -507,42 +550,78 @@ impl ScrManager {
                 let chunk = record.bytes_per_rank.iter().copied().max().unwrap_or(1);
                 let (container, _) = SionContainer::create(
                     &self.pfs,
-                    format!("/scr/ckpt-{id}.sion"),
+                    record.sion_path(),
                     self.ranks(),
                     chunk.max(1),
                 )
                 .expect("fresh container path");
-                for r in 0..self.ranks() {
+                for (r, copies) in record.ranks.iter().enumerate() {
                     container
-                        .write_task(r, blob(r)?)
+                        .write_task(r, copies.local.as_ref().ok_or_else(lost)?)
                         .expect("chunk sized for the largest blob");
                 }
             }
         }
         record.level = level;
-        Ok(())
+        // Older records at most this well protected can never be chosen
+        // again; one still in flight could yet rise above it.
+        let shield = self.shield(level);
+        let dominated = |r: &mut CheckpointRecord| !r.in_flight && self.shield(r.level) <= shield;
+        let dropped: Vec<_> = st.db.extract_if(..at, dominated).collect();
+        Ok(dropped.into_iter().flat_map(|r| self.forget(r)).collect())
     }
 
-    /// Rank `rank`'s authoritative NAM copy of checkpoint `id`, if any.
-    fn nam_fetch(&self, st: &ScrState, id: u64, rank: usize) -> Option<Bytes> {
-        let nam = self.config.nam.as_ref()?;
-        if !st.nam_done.contains(&(id, rank)) {
+    /// What a record at `level` survives, as a level: a NAM-backed buddy
+    /// copy outlives any node loss, as a global one does.
+    fn shield(&self, level: CheckpointLevel) -> CheckpointLevel {
+        match level {
+            CheckpointLevel::Buddy if self.config.nam.is_some() => CheckpointLevel::Global,
+            level => level,
+        }
+    }
+
+    /// Delete a dropped record's copies on every level, returning one
+    /// handle per rank blob that was still held (the local and buddy
+    /// copies share one buffer).
+    fn forget(&self, record: CheckpointRecord) -> impl Iterator<Item = Bytes> + '_ {
+        // A global promotion cut short by a lost copy leaves a container
+        // too, under a record still at a lower level.
+        let _ = self.pfs.delete(&record.sion_path());
+        record.ranks.into_iter().filter_map(|copies| {
+            if let (Some(region), Some(nam)) = (copies.nam_region, self.nam()) {
+                let _ = nam.device.dealloc(region);
+            }
+            copies.local.or(copies.buddy)
+        })
+    }
+
+    /// A rank's blob from the first of its copies still held: the local
+    /// one, the buddy one, the authoritative NAM one.
+    fn fetch(&self, copies: &RankCopies) -> Option<Bytes> {
+        if let Some(blob) = copies.local.as_ref().or(copies.buddy.as_ref()) {
+            return Some(blob.clone());
+        }
+        if !copies.nam_done {
             return None;
         }
-        let region = st.nam_regions.get(&(id, rank))?;
-        nam.device.get(*region, 0, region.len).ok().map(Bytes::from)
+        let (nam, region) = (self.nam()?, copies.nam_region?);
+        nam.device.get(region, 0, region.len).ok().map(Bytes::from)
     }
 
     /// The NAM region rank `rank` should RDMA-put checkpoint `id` into
     /// (allocating it on first use). Live drains call this right after the
-    /// local stage so the put lands in the region the restart will read.
+    /// local stage so the put lands in the region the restart will read;
+    /// a checkpoint the manager no longer holds is
+    /// [`ScrError::DrainAborted`].
     pub fn nam_region(&self, id: u64, rank: usize, len: u64) -> Result<NamRegion, ScrError> {
         let nam = self
             .config
             .nam
             .as_ref()
             .expect("nam_region requires a NAM-backed buddy level");
-        nam_region_for(nam, &mut self.state.lock().nam_regions, (id, rank), len)
+        let mut st = self.state.lock();
+        let record = st.newest(id).ok_or(ScrError::DrainAborted { id })?;
+        nam_region_for(nam, &mut record.ranks[rank].nam_region, len)
     }
 
     /// Mark nodes as failed: their local checkpoint copies (and the buddy
@@ -554,16 +633,22 @@ impl ScrManager {
     /// checkpoint). NAM copies survive: the device has no host node.
     pub fn fail_nodes(&self, nodes: &[NodeId]) {
         let mut st = self.state.lock();
+        let st = &mut *st;
         st.dead.extend(nodes.iter().copied());
-        let dead = st.dead.clone();
-        if nodes.iter().any(|n| self.nodes.contains(n)) {
-            st.pending.clear();
-        }
+        let ours = nodes.iter().any(|n| self.nodes.contains(n));
         // Local copies live on the rank's node; buddy copies on the buddy's.
-        st.local.retain(|(_, r), _| !dead.contains(&self.nodes[*r]));
-        let buddies: Vec<usize> = (0..self.ranks()).map(|r| self.buddy_of(r)).collect();
-        st.buddy
-            .retain(|(_, r), _| !dead.contains(&self.nodes[buddies[*r]]));
+        let gone = |r: usize| st.dead.contains(&self.nodes[r]);
+        for record in &mut st.db {
+            record.in_flight &= !ours;
+            for (r, copies) in record.ranks.iter_mut().enumerate() {
+                if gone(r) {
+                    copies.local = None;
+                }
+                if gone(self.buddy_of(r)) {
+                    copies.buddy = None;
+                }
+            }
+        }
     }
 
     /// Repair failed nodes (replacement hardware / reboot).
@@ -573,32 +658,35 @@ impl ScrManager {
 
     /// Whether checkpoint `id` is fully recoverable right now.
     pub fn recoverable(&self, id: u64) -> bool {
-        let st = self.state.lock();
-        let Some(rec) = st.db.iter().rev().find(|r| r.id == id) else {
+        let mut st = self.state.lock();
+        let Some(rec) = st.newest(id) else {
             return false;
         };
         match rec.level {
             CheckpointLevel::Global => true,
-            CheckpointLevel::Local => (0..self.ranks()).all(|r| st.local.contains_key(&(id, r))),
-            CheckpointLevel::Buddy => (0..self.ranks()).all(|r| {
-                st.local.contains_key(&(id, r))
-                    || st.buddy.contains_key(&(id, r))
-                    || st.nam_done.contains(&(id, r))
-            }),
+            CheckpointLevel::Local => rec.ranks.iter().all(|c| c.local.is_some()),
+            CheckpointLevel::Buddy => rec
+                .ranks
+                .iter()
+                .all(|c| c.local.is_some() || c.buddy.is_some() || c.nam_done),
         }
     }
 
-    /// Number of records in the checkpoint database (each taken
-    /// checkpoint appears exactly once; promotion updates the record's
-    /// level in place rather than appending).
+    /// Number of records in the checkpoint database (a held checkpoint
+    /// appears exactly once; promotion updates the record's level in place
+    /// rather than appending).
     pub fn record_count(&self) -> usize {
         self.state.lock().db.len()
     }
 
+    /// Number of staged checkpoints whose drain is still in flight.
+    pub fn drains_in_flight(&self) -> usize {
+        self.state.lock().db.iter().filter(|r| r.in_flight).count()
+    }
+
     /// The level checkpoint `id` currently holds at, per the database.
     pub fn level_of(&self, id: u64) -> Option<CheckpointLevel> {
-        let st = self.state.lock();
-        st.db.iter().rev().find(|r| r.id == id).map(|r| r.level)
+        self.state.lock().newest(id).map(|r| r.level)
     }
 
     /// Restart from the newest recoverable checkpoint: returns
@@ -606,19 +694,13 @@ impl ScrManager {
     #[allow(clippy::type_complexity)]
     pub fn restart(&self) -> Result<(u64, CheckpointLevel, Vec<Bytes>, SimTime), ScrError> {
         let st = self.state.lock();
-        let mut seen = BTreeSet::new();
         for rec in st.db.iter().rev() {
-            // Ids repeat when a resumed run re-reaches a step; only the
-            // newest record of an id speaks for it.
-            if !seen.insert(rec.id) {
-                continue;
-            }
             let id = rec.id;
             let max_bytes = rec.bytes_per_rank.iter().copied().max().unwrap_or(0);
             let read = self.config.nvme.read_time(max_bytes);
             let (blobs, cost) = match rec.level {
                 CheckpointLevel::Global => {
-                    let (c, _) = SionContainer::open(&self.pfs, &format!("/scr/ckpt-{id}.sion"))
+                    let (c, _) = SionContainer::open(&self.pfs, &rec.sion_path())
                         .expect("global checkpoint container");
                     let blobs = (0..self.ranks())
                         .map(|r| Bytes::from(c.read_task(r).expect("task chunk").0))
@@ -628,12 +710,8 @@ impl ScrManager {
                     (blobs, self.pfs.transfer_time(total).max(stage))
                 }
                 level => {
-                    let found: Option<Vec<Bytes>> = (0..self.ranks())
-                        .map(|r| {
-                            let held = st.local.get(&(id, r)).or_else(|| st.buddy.get(&(id, r)));
-                            held.cloned().or_else(|| self.nam_fetch(&st, id, r))
-                        })
-                        .collect();
+                    let found: Option<Vec<Bytes>> =
+                        rec.ranks.iter().map(|c| self.fetch(c)).collect();
                     let Some(blobs) = found else { continue };
                     match level {
                         // Fetch back over the same slowest-pair path the
@@ -646,34 +724,6 @@ impl ScrManager {
             return Ok((id, rec.level, blobs, cost));
         }
         Err(ScrError::NothingToRestart)
-    }
-
-    /// Drop checkpoints older than `keep_newest` restartable ones (SCR's
-    /// rolling window). Returns how many records were evicted.
-    pub fn prune(&self, keep_newest: usize) -> usize {
-        let mut st = self.state.lock();
-        if st.db.len() <= keep_newest {
-            return 0;
-        }
-        let cut = st.db.len() - keep_newest;
-        let evicted: Vec<CheckpointRecord> = st.db.drain(..cut).collect();
-        for rec in &evicted {
-            st.pending.remove(&rec.id);
-            for r in 0..self.nodes.len() {
-                st.local.remove(&(rec.id, r));
-                st.buddy.remove(&(rec.id, r));
-                st.nam_done.remove(&(rec.id, r));
-                if let Some(region) = st.nam_regions.remove(&(rec.id, r)) {
-                    if let Some(nam) = &self.config.nam {
-                        let _ = nam.device.dealloc(region);
-                    }
-                }
-            }
-            if rec.level == CheckpointLevel::Global {
-                let _ = self.pfs.delete(&format!("/scr/ckpt-{}.sion", rec.id));
-            }
-        }
-        evicted.len()
     }
 }
 
@@ -807,16 +857,81 @@ mod tests {
     }
 
     #[test]
-    fn prune_evicts_old_checkpoints() {
+    fn promotion_drops_and_returns_what_it_dominates() {
         let m = manager(2);
-        for id in 1..=5 {
-            m.checkpoint(id, CheckpointLevel::Local, &blobs(2, id as u8))
-                .unwrap();
-        }
-        assert_eq!(m.prune(2), 3);
-        assert!(!m.recoverable(3));
+        m.checkpoint(1, CheckpointLevel::Global, &blobs(2, 1))
+            .unwrap();
+        m.checkpoint(2, CheckpointLevel::Buddy, &blobs(2, 2))
+            .unwrap();
+        m.checkpoint(3, CheckpointLevel::Local, &blobs(2, 3))
+            .unwrap();
+        assert_eq!(
+            m.record_count(),
+            3,
+            "each is better protected than the next"
+        );
+        // A drain still in flight could rise above the promotion: kept.
+        let global = m
+            .checkpoint_async(4, CheckpointLevel::Global, Payload::Blobs(&blobs(2, 4)))
+            .unwrap();
+        let buddy = m
+            .checkpoint_async(5, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 5)))
+            .unwrap();
+        // 2 and 3 go, one handle per rank blob each; 1 protects more.
+        let dropped = m.finish_drain(buddy).unwrap();
+        assert_eq!(dropped, [blobs(2, 2), blobs(2, 3)].concat());
+        assert_eq!((m.level_of(2), m.level_of(3)), (None, None));
+        assert_eq!(m.record_count(), 3);
+        assert_eq!(m.drains_in_flight(), 1);
+        // 4 reaches Global: 1 goes, and so does its container.
+        assert_eq!(m.finish_drain(global).unwrap(), blobs(2, 1));
+        assert_eq!(m.record_count(), 2);
+        assert_eq!(m.drains_in_flight(), 0);
+        assert_eq!(m.pfs.list().len(), 1, "4's container is the one left");
         assert_eq!(m.restart().unwrap().0, 5);
-        assert_eq!(m.prune(2), 0);
+        m.fail_nodes(&[NodeId(0), NodeId(1)]);
+        assert_eq!(m.restart().unwrap().0, 4);
+    }
+
+    /// Regression: a rolling window that deleted the `(id, rank)` copies
+    /// of every record it evicted took a re-taken id's *newer* blobs with
+    /// the old record, and the restart found nothing.
+    #[test]
+    fn a_retaken_id_keeps_its_blobs_until_a_newer_checkpoint_dominates_it() {
+        let m = manager(2);
+        m.checkpoint(6, CheckpointLevel::Buddy, &blobs(2, 6))
+            .unwrap();
+        let _lost = m
+            .checkpoint_async(7, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 7)))
+            .unwrap();
+        m.fail_nodes(&[NodeId(0)]);
+        assert_eq!(m.restart().unwrap().0, 6);
+        m.heal();
+        // The resumed run re-takes 7 and promotes it, dropping 6 and the
+        // lost take of 7 (its rank-1 blob was still held).
+        let p7 = m
+            .checkpoint_async(7, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 70)))
+            .unwrap();
+        let dropped = m.finish_drain(p7).unwrap();
+        assert_eq!(dropped, [&blobs(2, 6)[..], &blobs(2, 7)[1..]].concat());
+        // 8's drain dies with node 1: the new 7 restores, its rank-1 blob
+        // from the buddy copy.
+        let _aborted = m
+            .checkpoint_async(8, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 8)))
+            .unwrap();
+        m.fail_nodes(&[NodeId(1)]);
+        let (id, level, data, _) = m.restart().unwrap();
+        assert_eq!((id, level, data), (7, CheckpointLevel::Buddy, blobs(2, 70)));
+        m.heal();
+        // Until a promoted 8 dominates it.
+        let p8 = m
+            .checkpoint_async(8, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 80)))
+            .unwrap();
+        assert!(m.recoverable(7));
+        let dropped = m.finish_drain(p8).unwrap();
+        assert_eq!(dropped, [&blobs(2, 70)[..], &blobs(2, 8)[..1]].concat());
+        assert_eq!(m.record_count(), 1);
+        assert_eq!(m.restart().unwrap().2, blobs(2, 80));
     }
 
     #[test]
@@ -911,18 +1026,26 @@ mod tests {
         assert_eq!(data, blobs(4, 20));
     }
 
+    /// Regression: regions were freed only by an explicit prune, so a run
+    /// of 2 ranks × 2 MiB filled the 2 GiB device at about checkpoint 512.
     #[test]
-    fn nam_regions_released_on_prune() {
+    fn nam_regions_released_on_eviction() {
         let (m, device) = nam_manager(2);
-        for id in 1..=4 {
-            m.checkpoint(id, CheckpointLevel::Buddy, &blobs(2, id as u8))
+        let len = 2 << 20;
+        let data: Vec<Bytes> = (0..2).map(|r| Bytes::from(vec![r; len])).collect();
+        for id in 1..=1000 {
+            let staged = m
+                .checkpoint_async(id, CheckpointLevel::Buddy, Payload::Blobs(&data))
                 .unwrap();
+            // As the live drain does: RDMA-put into the region it promotes.
+            for r in 0..2 {
+                m.nam_region(id, r, len as u64).unwrap();
+            }
+            assert!(device.used() <= 2 * 2 * len as u64, "checkpoint {id}");
+            m.finish_drain(staged).unwrap();
         }
-        let used = device.used();
-        assert!(used > 0);
-        assert_eq!(m.prune(1), 3);
-        assert!(device.used() < used, "pruned regions are deallocated");
-        assert_eq!(m.restart().unwrap().0, 4);
+        assert_eq!(device.used(), 2 * len as u64);
+        assert_eq!(m.restart().unwrap().0, 1000);
     }
 
     #[test]

@@ -90,13 +90,11 @@ fn encode_state(buf: &mut BytesMut, species: &[Species], fields: &Fields) {
     }
 }
 
-/// One rank's state blob with [`delta::TAG_FULL`] in front: the buffer is
-/// the blob's keyframe as it stands, and `slice(1..)` the blob. It is the
-/// only allocation a checkpoint makes for the blob — gather, `scr` entries,
-/// delta base and restart hold views of it. Not a [`psmpi::BufferPool`]
-/// buffer: `scr` retains it, it would never go back.
-fn pack_keyframe(species: &[Species], fields: &Fields) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 + state_size(species, fields));
+/// One rank's state blob with [`delta::TAG_FULL`] in front, written into
+/// `buf`: the buffer is the blob's keyframe as it stands, and `slice(1..)`
+/// the blob. Gather, `scr` entries, delta base and restart hold views of
+/// it, and `scr` hands it back once a newer checkpoint dominates it.
+fn pack_keyframe(mut buf: BytesMut, species: &[Species], fields: &Fields) -> Bytes {
     buf.put_u8(delta::TAG_FULL);
     encode_state(&mut buf, species, fields);
     buf.freeze()
@@ -104,7 +102,8 @@ fn pack_keyframe(species: &[Species], fields: &Fields) -> Bytes {
 
 /// Serialize one rank's simulation state (all species + fields) to bytes.
 pub fn pack_state(species: &[Species], fields: &Fields) -> Bytes {
-    pack_keyframe(species, fields).slice(1..)
+    let buf = BytesMut::with_capacity(1 + state_size(species, fields));
+    pack_keyframe(buf, species, fields).slice(1..)
 }
 
 /// Inverse of [`pack_state`]; reads `data` in place.
@@ -322,7 +321,10 @@ impl<'a> CkptEngine<'a> {
         // already hid (part of) it. Blocking checkpoints leave none.
         self.drain_wait(rank)?;
 
-        let keyframe = pack_keyframe(species, fields);
+        // Rounded up to a power of two, a recycled buffer still covers the
+        // blob when migration grows it a little.
+        let cap = (1 + state_size(species, fields)).next_power_of_two();
+        let keyframe = pack_keyframe(rank.buffer_pool().get(cap), species, fields);
         let full = keyframe.slice(1..);
         let id = step as u64;
         let frame = self.encode_frame(id, &keyframe);
@@ -332,7 +334,7 @@ impl<'a> CkptEngine<'a> {
             // Every rank's payload arrived, so every rank finished its
             // drain_wait: promote the previous checkpoint to its full
             // level before the new one is staged.
-            self.finish_promote();
+            self.finish_promote(rank);
             let payload = match frame {
                 Some(_) => Payload::Frames(&sent),
                 None => Payload::Blobs(&sent),
@@ -353,7 +355,7 @@ impl<'a> CkptEngine<'a> {
                 }
                 rank.advance(staged.full_cost);
                 self.block += staged.full_cost;
-                self.scr.finish_drain(staged).expect("promotion");
+                self.promote(rank, staged);
             } else {
                 let span = rank.obs_open(obs::Category::CkptLocal, "local-stage");
                 rank.advance(staged.local_cost);
@@ -375,9 +377,18 @@ impl<'a> CkptEngine<'a> {
 
     /// Promote the staged checkpoint, if this rank holds one (rank 0,
     /// once every rank is known to have realized its share of the drain).
-    fn finish_promote(&mut self) {
+    fn finish_promote(&mut self, rank: &Rank) {
         if let Some(p) = self.pending.take() {
-            self.scr.finish_drain(p).expect("drain promotion");
+            self.promote(rank, p);
+        }
+    }
+
+    /// Promote `staged` and hand the blobs of the checkpoints it dominates
+    /// to the buffer pool, which keeps those no one else still holds.
+    fn promote(&self, rank: &Rank, staged: PendingDrain) {
+        let pool = rank.buffer_pool();
+        for blob in self.scr.finish_drain(staged).expect("drain promotion") {
+            pool.recycle(blob);
         }
     }
 }
@@ -878,6 +889,6 @@ fn resilient_steps(
     if me != 0 {
         return Ok(None);
     }
-    engine.finish_promote();
+    engine.finish_promote(rank);
     Ok(Some(status(&engine, config.steps, [sums[0], sums[1]])))
 }
