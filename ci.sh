@@ -18,6 +18,14 @@ cargo test -q --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== doc links (rustdoc, deny warnings) =="
+# A deleted or renamed item that a doc comment still links to fails here,
+# and so does a paper citation left as `[6]` (write `\[6\]`). --lib: the
+# cb-bench `sched` binary's doc output would collide with the `sched` crate.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --lib \
+    -p hwmodel -p simnet -p psmpi -p cluster-booster -p ompss -p sionio -p scr \
+    -p sched -p xpic -p obs -p deepcheck -p cb-bench -p cluster-booster-repro
+
 echo "== deepcheck (determinism contract + lock discipline) =="
 # Fails on any finding (D001-D004, D006, D008) not covered by allowlist.toml
 # or ranked in lockorder.toml; writes DEEPCHECK_REPORT.json with every

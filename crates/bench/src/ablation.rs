@@ -10,7 +10,7 @@
 //! * [`checkpoint_sweep`] — wall time vs checkpoint interval under the
 //!   prototype failure model (§III-D extension), including Young's optimum;
 //! * [`nam_checkpoint`] — checkpoint staging onto the NAM vs a buddy node
-//!   (§II-B / ref [6] extension).
+//!   (§II-B / ref \[6\] extension).
 
 use cluster_booster::resources::AllocationPolicy;
 use cluster_booster::{Launcher, SystemBuilder};
@@ -252,7 +252,7 @@ pub struct NamStudy {
 
 /// Stage a per-rank checkpoint of `bytes` onto the NAM and compare with a
 /// buddy copy. The NAM path needs no remote CPU (no receive-side software
-/// overhead, no partner NVMe write), which is ref [6]'s motivation.
+/// overhead, no partner NVMe write), which is ref \[6\]'s motivation.
 pub fn nam_checkpoint(bytes: usize) -> NamStudy {
     let mut topo = Topology::new();
     topo.add_nodes(2, &deep_er_booster_node());

@@ -10,7 +10,7 @@
 use hwmodel::presets::{
     deep_er_booster_node, deep_er_cluster_node, deep_er_metadata_server, deep_er_storage_server,
 };
-use hwmodel::{NodeId, NodeKind, NodeSpec};
+use hwmodel::{NodeId, NodeSpec};
 use simnet::{Fabric, LogGpModel, NamDevice, Topology};
 
 /// The role of a module within the modular system.
@@ -30,17 +30,6 @@ pub enum ModuleKind {
     Dam,
     /// Storage module (parallel file system servers).
     Storage,
-}
-
-impl ModuleKind {
-    /// The node kind populating this module.
-    pub fn node_kind(self) -> NodeKind {
-        match self {
-            ModuleKind::Cluster | ModuleKind::Dam => NodeKind::Cluster,
-            ModuleKind::Booster => NodeKind::Booster,
-            ModuleKind::Storage => NodeKind::Storage,
-        }
-    }
 }
 
 /// The default DAM node: a Haswell-class node with 512 GB of memory (the
@@ -97,11 +86,6 @@ impl System {
         &self.name
     }
 
-    /// All modules.
-    pub fn modules(&self) -> &[Module] {
-        &self.modules
-    }
-
     /// The module of a given kind, if present.
     pub fn module(&self, kind: ModuleKind) -> Option<&Module> {
         self.modules.iter().find(|m| m.kind == kind)
@@ -137,44 +121,13 @@ impl System {
     pub fn total_nodes(&self) -> usize {
         self.modules.iter().map(Module::len).sum()
     }
-
-    /// Which module a node belongs to.
-    pub fn module_of(&self, node: NodeId) -> Option<ModuleKind> {
-        self.modules
-            .iter()
-            .find(|m| m.nodes.contains(&node))
-            .map(|m| m.kind)
-    }
-
-    /// Human-readable system summary (the sysadmin's `sinfo`).
-    pub fn describe(&self) -> String {
-        let mut out = format!(
-            "system `{}` — {} nodes, {} modules\n",
-            self.name,
-            self.total_nodes(),
-            self.modules.len()
-        );
-        for m in &self.modules {
-            out.push_str(&format!(
-                "  {:<8} {:>3} × {:<24} {:>4} cores {:>6.1} GF {:>6} GB RAM\n",
-                format!("{:?}", m.kind),
-                m.len(),
-                m.spec.processor.name,
-                m.spec.cores(),
-                m.spec.peak_gflops(),
-                m.spec.ram_bytes() >> 30,
-            ));
-        }
-        out.push_str(&format!(
-            "  fabric: {} NAM device(s)\n",
-            self.fabric.nams().len()
-        ));
-        out
-    }
 }
 
 /// Builder for [`System`]s. Node ids are allocated contiguously in the
-/// order: cluster, booster, storage, metadata.
+/// order: cluster, booster, DAM, storage, metadata. Every node is its
+/// module's DEEP preset ([`deep_er_cluster_node`], [`deep_er_booster_node`],
+/// [`dam_node`], the DEEP-ER storage and metadata servers) and the fabric
+/// runs the default [`LogGpModel`].
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     name: String,
@@ -184,10 +137,6 @@ pub struct SystemBuilder {
     storage: u32,
     metadata: u32,
     nams: u32,
-    cluster_spec: NodeSpec,
-    booster_spec: NodeSpec,
-    dam_spec: NodeSpec,
-    link_model: LogGpModel,
 }
 
 impl SystemBuilder {
@@ -201,10 +150,6 @@ impl SystemBuilder {
             storage: 0,
             metadata: 0,
             nams: 0,
-            cluster_spec: deep_er_cluster_node(),
-            booster_spec: deep_er_booster_node(),
-            dam_spec: dam_node(),
-            link_model: LogGpModel::default(),
         }
     }
 
@@ -226,12 +171,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Override the DAM node hardware.
-    pub fn dam_spec(mut self, spec: NodeSpec) -> Self {
-        self.dam_spec = spec;
-        self
-    }
-
     /// Number of storage servers.
     pub fn storage_servers(mut self, n: u32) -> Self {
         self.storage = n;
@@ -250,51 +189,20 @@ impl SystemBuilder {
         self
     }
 
-    /// Override the Cluster node hardware.
-    pub fn cluster_spec(mut self, spec: NodeSpec) -> Self {
-        self.cluster_spec = spec;
-        self
-    }
-
-    /// Override the Booster node hardware.
-    pub fn booster_spec(mut self, spec: NodeSpec) -> Self {
-        self.booster_spec = spec;
-        self
-    }
-
-    /// Override the fabric link model.
-    pub fn link_model(mut self, model: LogGpModel) -> Self {
-        self.link_model = model;
-        self
-    }
-
     /// Assemble the system.
     pub fn build(self) -> System {
         let mut topology = Topology::new();
         let mut modules = Vec::new();
-        if self.cluster > 0 {
-            let nodes = topology.add_nodes(self.cluster, &self.cluster_spec);
-            modules.push(Module {
-                kind: ModuleKind::Cluster,
-                nodes,
-                spec: self.cluster_spec.clone(),
-            });
-        }
-        if self.booster > 0 {
-            let nodes = topology.add_nodes(self.booster, &self.booster_spec);
-            modules.push(Module {
-                kind: ModuleKind::Booster,
-                nodes,
-                spec: self.booster_spec.clone(),
-            });
-        }
-        if self.dam > 0 {
-            let nodes = topology.add_nodes(self.dam, &self.dam_spec);
-            modules.push(Module {
-                kind: ModuleKind::Dam,
-                nodes,
-                spec: self.dam_spec.clone(),
-            });
+        let compute = [
+            (ModuleKind::Cluster, self.cluster, deep_er_cluster_node()),
+            (ModuleKind::Booster, self.booster, deep_er_booster_node()),
+            (ModuleKind::Dam, self.dam, dam_node()),
+        ];
+        for (kind, count, spec) in compute {
+            if count > 0 {
+                let nodes = topology.add_nodes(count, &spec);
+                modules.push(Module { kind, nodes, spec });
+            }
         }
         if self.storage > 0 || self.metadata > 0 {
             let spec = deep_er_storage_server();
@@ -307,7 +215,7 @@ impl SystemBuilder {
             });
         }
         let nams = (0..self.nams).map(|_| NamDevice::deep_er()).collect();
-        let fabric = Fabric::with_nams(topology, self.link_model, nams);
+        let fabric = Fabric::with_nams(topology, LogGpModel::default(), nams);
         System {
             name: self.name,
             modules,
@@ -343,40 +251,12 @@ mod tests {
     }
 
     #[test]
-    fn module_membership() {
-        let sys = deep_er_prototype();
-        assert_eq!(sys.module_of(NodeId(0)), Some(ModuleKind::Cluster));
-        assert_eq!(sys.module_of(NodeId(16)), Some(ModuleKind::Booster));
-        assert_eq!(sys.module_of(NodeId(24)), Some(ModuleKind::Storage));
-        assert_eq!(sys.module_of(NodeId(99)), None);
-    }
-
-    #[test]
     fn builder_partial_systems() {
         let sys = SystemBuilder::new("booster-only").booster_nodes(4).build();
         assert!(sys.cluster_nodes().is_empty());
         assert_eq!(sys.booster_nodes().len(), 4);
         assert!(sys.module(ModuleKind::Storage).is_none());
         assert!(!sys.module(ModuleKind::Booster).unwrap().is_empty());
-    }
-
-    #[test]
-    fn module_kind_node_kind() {
-        assert_eq!(ModuleKind::Cluster.node_kind(), NodeKind::Cluster);
-        assert_eq!(ModuleKind::Booster.node_kind(), NodeKind::Booster);
-        assert_eq!(ModuleKind::Storage.node_kind(), NodeKind::Storage);
-        assert_eq!(ModuleKind::Dam.node_kind(), NodeKind::Cluster);
-    }
-
-    #[test]
-    fn describe_lists_every_module() {
-        let sys = deep_er_prototype();
-        let text = sys.describe();
-        assert!(text.contains("Cluster"));
-        assert!(text.contains("Booster"));
-        assert!(text.contains("Storage"));
-        assert!(text.contains("NAM device"));
-        assert!(text.contains("16 ×") || text.contains(" 16 ×"));
     }
 
     #[test]
@@ -392,7 +272,6 @@ mod tests {
         assert_eq!(sys.total_nodes(), 8);
         let dam = sys.module(ModuleKind::Dam).unwrap();
         assert_eq!(dam.spec.ram_bytes(), 512 * (1 << 30), "large-memory nodes");
-        assert_eq!(sys.module_of(sys.dam_nodes()[0]), Some(ModuleKind::Dam));
         // DAM nodes are allocatable independently like any module.
         let rm = crate::resources::ResourceManager::new(&sys);
         let a = rm.allocate_modular(1, 2, 2).unwrap();

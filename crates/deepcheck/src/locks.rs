@@ -128,18 +128,16 @@ pub struct FileInput<'a> {
 }
 
 /// Every blocking call of psmpi's receive surface: the mailbox's one wait
-/// loop (`park_until`) and its four callers, the two probes `Rank` builds
-/// on them, and `Rank`'s five blocking receives (a unit test keeps these
-/// equal to the `pub fn recv*` of `rank.rs`). A call to any of these while
-/// a tracked guard is live is D008. `Condvar::wait` is *not* here: it
-/// releases the mutex it parks on.
+/// loop (`park_until`) and its three callers, the probe `Rank`'s
+/// collectives build on them, and `Rank`'s five blocking receives (a unit
+/// test keeps these equal to the `pub fn recv*` of `rank.rs`). A call to
+/// any of these while a tracked guard is live is D008. `Condvar::wait` is
+/// *not* here: it releases the mutex it parks on.
 const BLOCKING: &[&str] = &[
     "park_until",
     "recv_match",
     "recv_match_abortable",
-    "probe_blocking",
     "probe_blocking_either",
-    "probe",
     "probe_either",
     "recv",
     "recv_comm",

@@ -1,7 +1,7 @@
 //! Node power models.
 //!
 //! The Cluster-Booster architecture exists because "a large scale
-//! homogeneous system made of [general purpose] processors [is] extremely
+//! homogeneous system made of \[general purpose\] processors \[is\] extremely
 //! power hungry and costly" while many-core accelerators "provide higher
 //! Flop/s performance per Watt" (§I–II). This module attaches a simple
 //! two-state power model to nodes — an active (compute) power and an idle
@@ -26,7 +26,7 @@ use crate::node::{NodeKind, NodeSpec};
 use crate::time::SimTime;
 
 /// Active (fully busy) power draw of one node, in Watts.
-pub fn active_watts(node: &NodeSpec) -> f64 {
+fn active_watts(node: &NodeSpec) -> f64 {
     match node.kind {
         NodeKind::Cluster => 300.0,
         NodeKind::Booster => 270.0,
@@ -35,7 +35,7 @@ pub fn active_watts(node: &NodeSpec) -> f64 {
 }
 
 /// Idle power draw of one node, in Watts.
-pub fn idle_watts(node: &NodeSpec) -> f64 {
+fn idle_watts(node: &NodeSpec) -> f64 {
     match node.kind {
         NodeKind::Cluster => 120.0,
         NodeKind::Booster => 100.0,
@@ -50,11 +50,6 @@ pub fn energy_joules(node: &NodeSpec, wall: SimTime, compute: SimTime) -> f64 {
     busy.as_secs() * active_watts(node) + (wall - busy).as_secs() * idle_watts(node)
 }
 
-/// Peak GFlop/s per Watt of a node (the §II efficiency argument).
-pub fn gflops_per_watt(node: &NodeSpec) -> f64 {
-    node.peak_gflops() / active_watts(node)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,7 +57,9 @@ mod tests {
 
     #[test]
     fn booster_wins_flops_per_watt() {
-        // The architectural premise: the Booster is ~3× more efficient.
+        // The architectural premise (§II): per peak GFlop/s per Watt, the
+        // Booster is ~3× more efficient.
+        let gflops_per_watt = |n: &NodeSpec| n.peak_gflops() / active_watts(n);
         let cn = gflops_per_watt(&deep_er_cluster_node());
         let bn = gflops_per_watt(&deep_er_booster_node());
         assert!(

@@ -21,9 +21,9 @@ pub struct WorkSpec {
     pub flops: f64,
     /// Bytes of memory traffic streamed from/to the bound memory level.
     pub bytes: f64,
-    /// Fraction of the flops issued from SIMD-vectorizable loops, in [0,1].
+    /// Fraction of the flops issued from SIMD-vectorizable loops, in `[0, 1]`.
     pub vector_fraction: f64,
-    /// Fraction of the runtime that parallelizes over cores (Amdahl), [0,1].
+    /// Fraction of the runtime that parallelizes over cores (Amdahl), in `[0, 1]`.
     pub parallel_fraction: f64,
     /// Cap on the number of cores the kernel can use (`None` = whole node).
     pub max_cores: Option<u32>,

@@ -6,25 +6,19 @@
 //! Internal messages use reserved negative tags; user code should use
 //! non-negative tags.
 
-use crate::comm::{CommId, Communicator, Group};
+use crate::comm::Communicator;
 use crate::datatype::{CodecError, MpiDatatype, ReduceOp};
 use crate::pool::MAX_POOLED_CAPACITY;
 use crate::rank::{PsmpiError, Rank};
-use std::sync::Arc;
 
 /// Reserved tags for internal collective traffic.
 const TAG_BARRIER: i32 = -10;
 const TAG_BCAST: i32 = -11;
 const TAG_REDUCE: i32 = -12;
 const TAG_GATHER: i32 = -13;
-const TAG_SCATTER: i32 = -14;
-const TAG_ALLTOALL: i32 = -15;
-const TAG_SPLIT: i32 = -16;
 const TAG_ALLREDUCE: i32 = -17;
 const TAG_BCAST_HDR: i32 = -18;
 const TAG_BCAST_SEG: i32 = -19;
-// -20..-23 are used by `collectives_ext`.
-const TAG_ALLGATHER: i32 = -24;
 
 /// Broadcast payloads above this size go out as a pipelined segment
 /// stream instead of one message (see [`Rank::bcast_bytes_with`]).
@@ -54,6 +48,17 @@ fn binomial_tree(rel: usize, n: usize) -> (Option<usize>, Vec<usize>) {
         m >>= 1;
     }
     (parent, children)
+}
+
+/// A tree root must be a rank of `comm`. Every rank checks before it
+/// sends anything, so a bad root is the same error on every rank instead
+/// of a tree rooted nowhere.
+fn check_root(comm: &Communicator, root: usize) -> Result<(), PsmpiError> {
+    let size = comm.size();
+    match root < size {
+        true => Ok(()),
+        false => Err(PsmpiError::InvalidRank { rank: root, size }),
+    }
 }
 
 impl Rank {
@@ -177,6 +182,7 @@ impl Rank {
         threshold: usize,
         segment: usize,
     ) -> Result<bytes::Bytes, PsmpiError> {
+        check_root(comm, root)?;
         let n = comm.size();
         let me = self.comm_rank(comm)?;
         let rel = (me + n - root) % n;
@@ -255,6 +261,7 @@ impl Rank {
         op: ReduceOp,
     ) -> Result<Option<Vec<f64>>, PsmpiError> {
         self.with_collective("reduce", |rank| {
+            check_root(comm, root)?;
             let n = comm.size();
             let me = rank.comm_rank(comm)?;
             let rel = (me + n - root) % n;
@@ -412,248 +419,6 @@ impl Rank {
                 .map(from)
                 .collect::<Result<_, _>>()
                 .map(Some)
-        })
-    }
-
-    /// Every rank gets every rank's value, in rank order (ring algorithm:
-    /// n−1 rounds, each rank forwarding the block it just received to its
-    /// right neighbour). Bandwidth-optimal — each block crosses each link
-    /// once, encoded once at its origin and refcount-forwarded around the
-    /// ring — unlike the old gather-to-0 + bcast, which moved the whole
-    /// assembled vector down a tree after serializing it a second time.
-    pub fn allgather<T: MpiDatatype + Clone>(
-        &mut self,
-        comm: &Communicator,
-        value: &T,
-    ) -> Result<Vec<T>, PsmpiError> {
-        self.with_collective("allgather", |rank| rank.allgather_impl(comm, value))
-    }
-
-    fn allgather_impl<T: MpiDatatype + Clone>(
-        &mut self,
-        comm: &Communicator,
-        value: &T,
-    ) -> Result<Vec<T>, PsmpiError> {
-        let n = comm.size();
-        let me = self.comm_rank(comm)?;
-        if n == 1 {
-            return Ok(vec![value.clone()]);
-        }
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        let mut blocks: Vec<Option<bytes::Bytes>> = vec![None; n];
-        let own = value.to_wire_via(|cap| self.stage(cap));
-        blocks[me] = Some(own.clone());
-        let mut current = own;
-        for round in 0..n - 1 {
-            self.send_bytes_comm(comm, right, TAG_ALLGATHER, current)?;
-            let (incoming, _) = self.recv_bytes_comm(comm, Some(left), Some(TAG_ALLGATHER))?;
-            // Round r delivers the block that originated r+1 hops to the
-            // left (FIFO per link keeps the stream in origin order).
-            let origin = (me + n - 1 - round) % n;
-            blocks[origin] = Some(incoming.clone());
-            current = incoming;
-        }
-        let mut out = Vec::with_capacity(n);
-        for b in blocks {
-            out.push(T::from_bytes(b.expect("ring filled every block"))?);
-        }
-        Ok(out)
-    }
-
-    /// Scatter `values[i]` from `root` to rank `i`. Root passes `Some`
-    /// with exactly `comm.size()` elements.
-    pub fn scatter<T: MpiDatatype + Clone>(
-        &mut self,
-        comm: &Communicator,
-        root: usize,
-        values: Option<Vec<T>>,
-    ) -> Result<T, PsmpiError> {
-        self.with_collective("scatter", |rank| rank.scatter_impl(comm, root, values))
-    }
-
-    fn scatter_impl<T: MpiDatatype + Clone>(
-        &mut self,
-        comm: &Communicator,
-        root: usize,
-        values: Option<Vec<T>>,
-    ) -> Result<T, PsmpiError> {
-        let n = comm.size();
-        let me = self.comm_rank(comm)?;
-        if me == root {
-            let vals = values
-                .ok_or_else(|| PsmpiError::Spawn("scatter root must supply values".into()))?;
-            if vals.len() != n {
-                return Err(PsmpiError::InvalidRank {
-                    rank: vals.len(),
-                    size: n,
-                });
-            }
-            let mut own: Option<T> = None;
-            for (i, v) in vals.into_iter().enumerate() {
-                if i == me {
-                    own = Some(v);
-                } else {
-                    self.send_comm(comm, i, TAG_SCATTER, &v)?;
-                }
-            }
-            Ok(own.expect("root keeps its own element"))
-        } else {
-            let (v, _) = self.recv_comm::<T>(comm, Some(root), Some(TAG_SCATTER))?;
-            Ok(v)
-        }
-    }
-
-    /// All-to-all personalized exchange: rank `i` receives `values[i]` from
-    /// every rank, assembled in source order.
-    pub fn alltoall<T: MpiDatatype + Clone>(
-        &mut self,
-        comm: &Communicator,
-        values: &[T],
-    ) -> Result<Vec<T>, PsmpiError> {
-        self.with_collective("alltoall", |rank| rank.alltoall_impl(comm, values))
-    }
-
-    fn alltoall_impl<T: MpiDatatype + Clone>(
-        &mut self,
-        comm: &Communicator,
-        values: &[T],
-    ) -> Result<Vec<T>, PsmpiError> {
-        let n = comm.size();
-        let me = self.comm_rank(comm)?;
-        if values.len() != n {
-            return Err(PsmpiError::InvalidRank {
-                rank: values.len(),
-                size: n,
-            });
-        }
-        // Buffered sends cannot deadlock; send everything, then receive.
-        for (i, v) in values.iter().enumerate() {
-            if i != me {
-                self.send_comm(comm, i, TAG_ALLTOALL, v)?;
-            }
-        }
-        let mut out: Vec<Option<T>> = vec![None; n];
-        out[me] = Some(values[me].clone());
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src == me {
-                continue;
-            }
-            let (v, _) = self.recv_comm::<T>(comm, Some(src), Some(TAG_ALLTOALL))?;
-            *slot = Some(v);
-        }
-        Ok(out.into_iter().map(|o| o.expect("all received")).collect())
-    }
-
-    /// Split `comm` into sub-communicators by `color`; ranks passing the
-    /// same color end up in the same new communicator, ordered by
-    /// `(key, old rank)`. Returns `None` for `color = None` (the
-    /// MPI_UNDEFINED case).
-    pub fn split(
-        &mut self,
-        comm: &Communicator,
-        color: Option<u32>,
-        key: i64,
-    ) -> Result<Option<Communicator>, PsmpiError> {
-        let n = comm.size();
-        let me = self.comm_rank(comm)?;
-        // Gather (has_color, color, key) to rank 0.
-        let entry = (color.is_some(), color.unwrap_or(0), key);
-        let gathered = self.gather(comm, 0, &entry)?;
-
-        // Rank 0 computes the assignment: for each old rank, the members of
-        // its color group (old ranks, ordered) — or empty for undefined.
-        let assignment: Vec<Vec<u64>> = if let Some(entries) = gathered {
-            let mut colors: Vec<u32> = entries
-                .iter()
-                .filter(|(has, _, _)| *has)
-                .map(|(_, c, _)| *c)
-                .collect();
-            colors.sort_unstable();
-            colors.dedup();
-            let mut per_rank: Vec<Vec<u64>> = vec![Vec::new(); n];
-            for &c in &colors {
-                let mut members: Vec<(i64, usize)> = entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (has, col, _))| *has && *col == c)
-                    .map(|(r, (_, _, k))| (*k, r))
-                    .collect();
-                members.sort_unstable();
-                let ordered: Vec<u64> = members.iter().map(|(_, r)| *r as u64).collect();
-                for &(_, r) in &members {
-                    per_rank[r] = ordered.clone();
-                }
-            }
-            per_rank
-        } else {
-            Vec::new()
-        };
-
-        // Rank 0 allocates one context id per distinct color group and sends
-        // each rank its (comm id, member list). A group is identified by its
-        // ordered member list.
-        let my_info: (u64, Vec<u64>) = if me == 0 {
-            let mut ids: Vec<(Vec<u64>, u64)> = Vec::new();
-            let mut my_own: (u64, Vec<u64>) = (u64::MAX, Vec::new());
-            for (r, members) in assignment.iter().enumerate() {
-                let info = if members.is_empty() {
-                    (u64::MAX, Vec::new())
-                } else {
-                    let id = match ids.iter().find(|(m, _)| m == members) {
-                        Some((_, id)) => *id,
-                        None => {
-                            let id = self.router().alloc_comm().0;
-                            ids.push((members.clone(), id));
-                            id
-                        }
-                    };
-                    (id, members.clone())
-                };
-                if r == 0 {
-                    my_own = info;
-                } else {
-                    self.send_comm(comm, r, TAG_SPLIT, &info)?;
-                }
-            }
-            my_own
-        } else {
-            let (info, _) = self.recv_comm::<(u64, Vec<u64>)>(comm, Some(0), Some(TAG_SPLIT))?;
-            info
-        };
-
-        let (new_id, members) = my_info;
-        if new_id == u64::MAX {
-            return Ok(None);
-        }
-        let group = Group {
-            endpoints: members
-                .iter()
-                .map(|&r| comm.group.endpoints[r as usize])
-                .collect(),
-            nodes: members
-                .iter()
-                .map(|&r| comm.group.nodes[r as usize])
-                .collect(),
-        };
-        Ok(Some(Communicator {
-            id: CommId(new_id),
-            group: Arc::new(group),
-        }))
-    }
-
-    /// Duplicate a communicator (fresh context id, same group).
-    pub fn dup(&mut self, comm: &Communicator) -> Result<Communicator, PsmpiError> {
-        let me = self.comm_rank(comm)?;
-        let id = if me == 0 {
-            let id = self.router().alloc_comm().0;
-            self.bcast(comm, 0, Some(id))?
-        } else {
-            self.bcast::<u64>(comm, 0, None)?
-        };
-        Ok(Communicator {
-            id: CommId(id),
-            group: comm.group.clone(),
         })
     }
 }

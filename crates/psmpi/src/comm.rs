@@ -1,5 +1,5 @@
-//! Communicators: intra-communicators (a world or a split of one) and
-//! inter-communicators (the spawn-offload connection of Fig. 4).
+//! Communicators: intra-communicators (a world) and inter-communicators
+//! (the spawn-offload connection of Fig. 4).
 
 use crate::envelope::EndpointId;
 use hwmodel::NodeId;
@@ -74,23 +74,10 @@ pub struct Intercomm {
 }
 
 impl Intercomm {
-    /// Size of the local group.
-    pub fn local_size(&self) -> usize {
-        self.local.len()
-    }
-
     /// Size of the remote group.
     pub fn remote_size(&self) -> usize {
         self.remote.len()
     }
-
-    /// Sever the connection — the analogue of `MPI_Comm_disconnect`.
-    ///
-    /// Consumes the handle, so the borrow checker rules out use-after-
-    /// disconnect through *this* handle. A clone stays usable: disconnect
-    /// closes nothing in the simulation. A spawned world keeps running
-    /// after its parent disconnects — only the message channel goes away.
-    pub fn disconnect(self) {}
 }
 
 mod sealed {
@@ -176,10 +163,6 @@ mod tests {
             local: Arc::new(group(&[1, 2])),
             remote: Arc::new(group(&[10, 11, 12])),
         };
-        assert_eq!(ic.local_size(), 2);
         assert_eq!(ic.remote_size(), 3);
-        // Disconnect consumes the handle; later use of `ic` would not
-        // compile.
-        ic.disconnect();
     }
 }

@@ -41,22 +41,26 @@
 //! | payload | blocking, world | blocking, `comm` | request, world | request, `comm` |
 //! |---|---|---|---|---|
 //! | [`MpiDatatype`] (framed) | `send` `recv` | `send_comm` `recv_comm` | — | — |
-//! | raw [`bytes::Bytes`] (zero-copy) | — | `send_bytes_comm[_sized]` `recv_bytes_comm` | `isend_bytes` `irecv_bytes` | `isend_bytes_comm[_sized]` `irecv_bytes_comm` |
+//! | raw [`bytes::Bytes`] (zero-copy) | — | `send_bytes_comm[_sized]` `recv_bytes_comm` | — | `isend_bytes_comm[_sized]` `irecv_bytes_comm` |
 //! | `&[T: FixedWidth]` (unframed POD, in place) | `send_slice` `recv_into` | `send_slice_comm` `recv_into_comm` | `isend_slice` `irecv_into` | — |
 //!
 //! `_sized` charges a modelled wire size instead of the payload length; it
 //! exists only on the bytes path, where xpic moves reduced-scale data at
-//! model scale. [`Rank::inam_put`]`[_sized]` posts a one-sided NAM put
-//! through the same [`SendRequest`]; [`Rank::waitall`] drains a batch in
-//! posted order.
+//! model scale. [`Rank::inam_put_sized`] posts a one-sided NAM put through
+//! the same [`SendRequest`]; [`Rank::waitall`] drains a batch in posted
+//! order.
 //!
 //! ## Collectives: what happens to a received block
 //!
 //! | calls | received block |
 //! |---|---|
-//! | `reduce` `allreduce[_scalar]` `scan` `reduce_scatter_block` | folded into the accumulator off the wire ([`ReduceOp::fold_wire`]), lower-rank operand first; never decoded |
+//! | `reduce` `allreduce[_scalar]` | folded into the accumulator off the wire ([`ReduceOp::fold_wire`]), lower-rank operand first; never decoded |
 //! | `bcast` `bcast_bytes[_with]` | forwarded by refcount; decoded once per non-root, the root keeps its value |
-//! | `gather[v]` `scatter` `allgather` `alltoall` `exscan` `split` | decoded (`recv_comm` / `recv_into_comm`) |
+//! | `gather` | decoded (`recv_comm`) |
+//! | `gather_bytes` | kept as received: root's vector shares each sender's allocation |
+//!
+//! These, `barrier` and [`Rank::spawn`] are the whole collective surface:
+//! the part of MPI the paper's offload and xPic's solvers use.
 //!
 //! ## Quick example
 //!
@@ -80,7 +84,6 @@
 #![forbid(unsafe_code)]
 
 pub mod collectives;
-pub mod collectives_ext;
 pub mod comm;
 pub mod datatype;
 pub mod envelope;

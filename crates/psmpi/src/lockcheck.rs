@@ -9,7 +9,7 @@
 //! takes a mailbox `state` lock looks clean in both functions separately.
 //!
 //! This module closes that gap at test time. With `--features lockcheck`,
-//! instrumented lock sites call [`acquire`] (via the [`lock_witness!`]
+//! instrumented lock sites call [`acquire`] (via the [`lock_witness!`](crate::lock_witness)
 //! macro) just after taking the real guard. Each call records a directed
 //! edge `held → acquired` for every lock the current thread already
 //! holds, into one process-global graph. [`assert_acyclic`] — called at
@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 
 /// The global edge set: `(held, acquired)` pairs, lock names as given to
-/// [`lock_witness!`]. std `Mutex` (not parking_lot) so the witness's own
+/// [`lock_witness!`](crate::lock_witness). std `Mutex` (not parking_lot) so the witness's own
 /// lock is outside the hierarchy it audits.
 fn edges() -> &'static Mutex<BTreeSet<(&'static str, &'static str)>> {
     // Last in the hierarchy: taken with arbitrary workspace locks held,

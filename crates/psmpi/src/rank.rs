@@ -4,7 +4,7 @@
 use crate::comm::{Comm, CommId, Communicator, Intercomm};
 use crate::datatype::{pod_to_bytes_via, read_pod_into_exact, CodecError, FixedWidth, MpiDatatype};
 use crate::envelope::{EndpointId, Envelope, Status, Tag, TAG_REVOKED};
-use crate::router::{EndpointEntry, Mailbox, Probed, RecvAbort, Router};
+use crate::router::{EndpointEntry, Mailbox, RecvAbort, Router};
 use bytes::{BufMut, Bytes, BytesMut};
 use hwmodel::{CostModel, NodeId, NodeSpec, SimTime, WorkSpec};
 use std::collections::btree_map::Entry;
@@ -128,7 +128,7 @@ pub trait MpiRequest: Sized {
     }
 }
 
-/// A posted nonblocking send (`isend_bytes*` / `isend_slice`) or NAM put.
+/// A posted nonblocking send (`isend_bytes_comm*` / `isend_slice`) or NAM put.
 ///
 /// The envelope was deposited with the receiver at post time (buffered
 /// semantics: the message is matchable immediately, stamped exactly as
@@ -162,7 +162,7 @@ impl MpiRequest for SendRequest {
     }
 }
 
-/// A posted nonblocking raw-payload receive (`irecv_bytes*`).
+/// A posted nonblocking raw-payload receive (`irecv_bytes_comm`).
 ///
 /// Posting records the matching criteria only — in virtual time a post
 /// is free, and the payoff comes from waiting late: completion sets the
@@ -429,7 +429,7 @@ impl Rank {
     ///
     /// fn step(rank: &mut Rank) -> Result<(), PsmpiError> {
     ///     let span = rank.obs_open(obs::Category::Phase, "mover");
-    ///     let req = rank.isend_bytes(1, 7, bytes::Bytes::new())?;
+    ///     let req = rank.isend_slice(1, 7, &[0.5f64])?;
     ///     req.wait(rank)?;
     ///     rank.obs_close(span);
     ///     Ok(())
@@ -455,7 +455,7 @@ impl Rank {
     /// use psmpi::{PsmpiError, Rank};
     ///
     /// fn step(rank: &mut Rank) -> Result<(), PsmpiError> {
-    ///     rank.isend_bytes(1, 7, bytes::Bytes::new())?;
+    ///     rank.isend_slice(1, 7, &[0.5f64])?;
     ///     Ok(())
     /// }
     /// ```
@@ -517,12 +517,6 @@ impl Rank {
     /// Virtual time spent in `compute` calls so far.
     pub fn compute_time(&self) -> SimTime {
         self.compute_time
-    }
-
-    /// Virtual time spent communicating (clock advanced inside messaging
-    /// calls) so far.
-    pub fn comm_time(&self) -> SimTime {
-        self.comm_time
     }
 
     /// The shared router (used by sibling modules: collectives, spawn).
@@ -654,28 +648,10 @@ impl Rank {
         self.recv_comm(&w, src, tag)
     }
 
-    // ---- probes ----
-
-    /// Blocking probe: wait until a matching message is available and
-    /// return its status without receiving it. Like a receive, it gives up
-    /// with [`PsmpiError::NodeFailed`] once the awaited sender is known
-    /// never to deliver.
-    pub fn probe(
-        &mut self,
-        comm: &impl Comm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<Status, PsmpiError> {
-        let req = post_recv(comm, src, tag)?;
-        let hit = self.await_sender(req.src_ep, |mailbox, dead| {
-            mailbox.probe_blocking(req.comm, src, tag, dead)
-        })?;
-        Ok(self.probe_status(hit))
-    }
-
     /// Which of two tags rank `src` of `comm` sent first, without receiving
-    /// it (collectives dispatch between sub-protocols on it); abortable
-    /// like [`Rank::probe`].
+    /// it (collectives dispatch between sub-protocols on it). Abortable like
+    /// a receive: it gives up with [`PsmpiError::NodeFailed`] once the
+    /// awaited sender is known never to deliver.
     pub(crate) fn probe_either(
         &mut self,
         comm: &impl Comm,
@@ -686,38 +662,6 @@ impl Rank {
         self.await_sender(Some(peer_endpoint(comm, src)?), |mailbox, dead| {
             mailbox.probe_blocking_either(comm.context(), src, tag_a, tag_b, dead)
         })
-    }
-
-    /// Nonblocking probe.
-    pub fn iprobe(
-        &mut self,
-        comm: &impl Comm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Option<Status> {
-        let hit = self.own.mailbox().probe_match(comm.context(), src, tag)?;
-        Some(self.probe_status(hit))
-    }
-
-    /// Status a probe reports for a queued envelope. The transfer time is
-    /// zero for a self-send (which never touches the fabric), the modelled
-    /// fabric time otherwise.
-    fn probe_status(&self, (source, tag, bytes, stamp, src_ep): Probed) -> Status {
-        let transfer = if src_ep == self.endpoint {
-            SimTime::ZERO
-        } else {
-            // A probe of a message from a torn-down endpoint cannot time the
-            // transfer; report zero rather than failing the status query.
-            self.router
-                .transfer_time(src_ep, self.endpoint, bytes)
-                .unwrap_or(SimTime::ZERO)
-        };
-        Status {
-            source,
-            tag,
-            bytes,
-            arrival: stamp + transfer,
-        }
     }
 
     // ---- zero-copy point-to-point (raw Bytes payloads) ----
@@ -779,7 +723,7 @@ impl Rank {
     // count is implied by the byte length, so both sides must agree on it.
 
     /// Typed send of a POD slice to `dst` in `comm`: bulk-encoded into a
-    /// staged buffer ([`Rank::stage`]), no intermediate `Vec`.
+    /// staged buffer (`Rank::stage`), no intermediate `Vec`.
     pub fn send_slice_comm<T: FixedWidth>(
         &mut self,
         comm: &impl Comm,
@@ -867,17 +811,6 @@ impl Rank {
         self.post_send(comm, dst, tag, payload, Some(virtual_bytes))
     }
 
-    /// [`Rank::isend_bytes_comm`] on the world communicator.
-    pub fn isend_bytes(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-    ) -> Result<SendRequest, PsmpiError> {
-        let w = self.world.clone();
-        self.post_send(&w, dst, tag, payload, None)
-    }
-
     /// Nonblocking typed POD-slice send on the world communicator (the
     /// `isend` face of [`Rank::send_slice`]).
     pub fn isend_slice<T: FixedWidth>(
@@ -887,7 +820,8 @@ impl Rank {
         data: &[T],
     ) -> Result<SendRequest, PsmpiError> {
         let wire = pod_to_bytes_via(|cap| self.stage(cap), data);
-        self.isend_bytes(dst, tag, wire)
+        let w = self.world.clone();
+        self.post_send(&w, dst, tag, wire, None)
     }
 
     /// Post a nonblocking zero-copy receive on `comm` (the `MPI_Irecv` of
@@ -901,15 +835,6 @@ impl Rank {
         tag: Option<Tag>,
     ) -> Result<RecvRequest, PsmpiError> {
         post_recv(comm, src, tag)
-    }
-
-    /// [`Rank::irecv_bytes_comm`] on the world communicator.
-    pub fn irecv_bytes(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<RecvRequest, PsmpiError> {
-        post_recv(&self.world, src, tag)
     }
 
     /// Post a nonblocking in-place typed receive on the world
@@ -935,28 +860,18 @@ impl Rank {
     /// injection, the slower of the wire and HMC streams, the FPGA
     /// pipeline latency; see [`simnet::Fabric::nam_rdma_time`]) accrues
     /// to the returned request and lands on the poster's clock at
-    /// [`MpiRequest::wait`], exactly like `isend_bytes_*`: compute done
+    /// [`MpiRequest::wait`], exactly like `isend_bytes_comm`: compute done
     /// between post and wait hides the transfer in virtual time.
+    ///
+    /// `virtual_size` is the modelled wire size (the `_sized` idiom;
+    /// `None` charges `data.len()`): e.g. a delta checkpoint frame
+    /// serializes only the frame bytes while the region holds the
+    /// reconstructed blob.
     ///
     /// The device has no host node, so no node-death clearance applies;
     /// an unknown `nam_index` surfaces as [`PsmpiError::Nam`] with a
-    /// stale-region error.
-    pub fn inam_put(
-        &mut self,
-        nam_index: usize,
-        region: simnet::nam::NamRegion,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<SendRequest, PsmpiError> {
-        self.inam_put_sized(nam_index, region, offset, data, None)
-    }
-
-    /// [`Rank::inam_put`] with an explicit modelled wire size (the
-    /// `_sized` idiom): e.g. a delta checkpoint frame serializes only
-    /// the frame bytes while the region holds the reconstructed blob.
-    ///
-    /// The NAM device has no node id, so the one routing failure — this
-    /// rank's own node missing from the fabric topology — is reported as
+    /// stale-region error. The one routing failure — this rank's own node
+    /// missing from the fabric topology — is reported as
     /// [`PsmpiError::NoRoute`] with `src == dst ==` that node.
     pub fn inam_put_sized(
         &mut self,

@@ -333,18 +333,6 @@ impl Mailbox {
         s.peek_match(comm, src, tag)
     }
 
-    /// Blocking probe: wait until a matching envelope is queued and return
-    /// its metadata without dequeuing (abortable).
-    pub fn probe_blocking(
-        &self,
-        comm: CommId,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        dead: impl Fn() -> Option<(NodeId, SimTime)>,
-    ) -> Result<Probed, RecvAbort> {
-        self.park_until(comm, src, dead, |s| s.peek_match(comm, src, tag))
-    }
-
     /// Block until an envelope from `src` on `comm` carrying *either* tag
     /// is queued, and return the tag seen without dequeuing (abortable).
     /// Lets a collective receiver dispatch between two sub-protocols (e.g.
@@ -473,7 +461,7 @@ impl EndpointEntry {
 /// Shared state of a running universe.
 ///
 /// Hot-path message delivery never takes a router-wide lock: the endpoint
-/// table is sharded into [`ENDPOINT_SHARDS`] read-mostly lock domains and
+/// table is sharded into `ENDPOINT_SHARDS` read-mostly lock domains and
 /// the dynamic dead set is screened by a lock-free flag that is false for
 /// the whole run in the fault-free case.
 pub struct Router {
@@ -1118,23 +1106,19 @@ mod tests {
     fn probes_abort_like_receives() {
         let m = Mailbox::default();
         let dead = || Some((NodeId(3), SimTime::from_secs(1.5)));
-        // Nothing queued and the sender's node is down: both probes give up.
-        let single = m.probe_blocking(CommId(1), Some(0), Some(5), dead);
-        assert!(matches!(single, Err(RecvAbort::Dead(NodeId(3), _))));
+        // Nothing queued and the sender's node is down: the probe gives up.
         let either = m.probe_blocking_either(CommId(1), 0, 7, 8, dead);
         assert!(matches!(either, Err(RecvAbort::Dead(NodeId(3), _))));
         // A revoke marker from the sender ranks before the dead check…
         m.push(env(1, 0, crate::envelope::TAG_REVOKED, 0));
         let either = m.probe_blocking_either(CommId(1), 0, 7, 8, dead);
         assert!(matches!(either, Err(RecvAbort::Revoked(_))));
-        // …and a queued match before both; a wildcard probe watches nobody.
+        // …and a queued match before both.
         m.push(env(1, 0, 7, 1));
         assert_eq!(
             m.probe_blocking_either(CommId(1), 0, 7, 8, dead).unwrap(),
             7
         );
-        let hit = m.probe_blocking(CommId(1), None, Some(7), dead).unwrap();
-        assert_eq!((hit.0, hit.1), (0, 7));
         assert_eq!(m.len(), 2, "probes dequeue nothing");
     }
 

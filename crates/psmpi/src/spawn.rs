@@ -197,22 +197,6 @@ impl Rank {
     }
 }
 
-/// Placement distribution helpers used by callers of spawn.
-pub mod placement {
-    use hwmodel::NodeId;
-
-    /// `n` ranks round-robin over `nodes`.
-    pub fn round_robin(nodes: &[NodeId], n: usize) -> Vec<NodeId> {
-        assert!(!nodes.is_empty());
-        (0..n).map(|i| nodes[i % nodes.len()]).collect()
-    }
-
-    /// One rank on each node.
-    pub fn one_per_node(nodes: &[NodeId]) -> Vec<NodeId> {
-        nodes.to_vec()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,15 +235,5 @@ mod tests {
     fn spawn_info_short_buffer() {
         let raw = bytes::Bytes::from_static(&[0, 1, 2]);
         assert!(SpawnInfo::from_bytes(raw).is_err());
-    }
-
-    #[test]
-    fn placement_helpers() {
-        let nodes = vec![NodeId(0), NodeId(1)];
-        assert_eq!(
-            placement::round_robin(&nodes, 5),
-            vec![NodeId(0), NodeId(1), NodeId(0), NodeId(1), NodeId(0)]
-        );
-        assert_eq!(placement::one_per_node(&nodes), nodes);
     }
 }

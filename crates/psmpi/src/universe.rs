@@ -10,7 +10,7 @@ use crate::comm::{CommId, Communicator, Group, Intercomm};
 use crate::rank::Rank;
 use crate::router::{RankOutcome, Router};
 use hwmodel::{NodeId, NodeSpec, SimTime};
-use simnet::{Fabric, LogGpModel, Topology};
+use simnet::{Fabric, Topology};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -69,12 +69,8 @@ impl Universe {
     where
         F: Fn(&mut Rank) + Send + Sync + 'static,
     {
-        self.launch_arc(placements, Arc::new(entry))
-    }
-
-    /// [`Universe::launch`] with a pre-wrapped entry point.
-    pub fn launch_arc(&self, placements: &[NodeId], entry: Arc<RankFn>) -> JobReport {
         assert!(!placements.is_empty(), "job needs at least one rank");
+        let entry: Arc<RankFn> = Arc::new(entry);
         let world_id = self.router.alloc_comm();
         let group = build_group(&self.router, placements);
         let world = Communicator {
@@ -193,45 +189,25 @@ pub(crate) fn spawn_rank_thread(
         .expect("spawn rank thread")
 }
 
-/// Convenience builder: assemble a topology and run one job on all of it.
+/// Convenience builder: assemble a topology and run one job on all of it,
+/// one rank per node, over the default link model.
 #[derive(Default)]
 pub struct UniverseBuilder {
     topology: Topology,
-    model: Option<LogGpModel>,
     placements: Vec<NodeId>,
-    ranks_per_node: u32,
     pool: Option<Arc<crate::BufferPool>>,
 }
 
 impl UniverseBuilder {
     /// Empty builder.
     pub fn new() -> Self {
-        UniverseBuilder {
-            topology: Topology::new(),
-            model: None,
-            placements: Vec::new(),
-            ranks_per_node: 1,
-            pool: None,
-        }
+        UniverseBuilder::default()
     }
 
-    /// Add `count` identical nodes; one rank is placed on each by default.
+    /// Add `count` identical nodes; one rank is placed on each.
     pub fn add_nodes(mut self, count: u32, spec: &NodeSpec) -> Self {
         let ids = self.topology.add_nodes(count, spec);
         self.placements.extend(ids);
-        self
-    }
-
-    /// Place several ranks per node instead of one.
-    pub fn ranks_per_node(mut self, n: u32) -> Self {
-        assert!(n >= 1);
-        self.ranks_per_node = n;
-        self
-    }
-
-    /// Override the fabric link model.
-    pub fn link_model(mut self, model: LogGpModel) -> Self {
-        self.model = Some(model);
         self
     }
 
@@ -247,18 +223,12 @@ impl UniverseBuilder {
     where
         F: Fn(&mut Rank) + Send + Sync + 'static,
     {
-        let fabric = Fabric::with_model(self.topology, self.model.unwrap_or_default());
+        let fabric = Fabric::new(self.topology);
         let universe = match self.pool {
             Some(pool) => Universe::with_buffer_pool(fabric, pool),
             None => Universe::new(fabric),
         };
-        let mut placements = Vec::new();
-        for &n in &self.placements {
-            for _ in 0..self.ranks_per_node {
-                placements.push(n);
-            }
-        }
-        universe.launch(&placements, entry)
+        universe.launch(&self.placements, entry)
     }
 }
 
@@ -292,16 +262,6 @@ impl JobReport {
         w
     }
 
-    /// Makespan of one world.
-    pub fn world_makespan(&self, world: CommId) -> SimTime {
-        self.outcomes
-            .iter()
-            .filter(|o| o.world == world)
-            .map(|o| o.clock)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Total bytes sent by all ranks.
     pub fn total_bytes_sent(&self) -> u64 {
         self.outcomes.iter().map(|o| o.bytes_sent).sum()
@@ -310,20 +270,6 @@ impl JobReport {
     /// Total messages sent by all ranks.
     pub fn total_msgs_sent(&self) -> u64 {
         self.outcomes.iter().map(|o| o.msgs_sent).sum()
-    }
-
-    /// Maximum communication-time fraction over ranks (comm_time / clock).
-    pub fn max_comm_fraction(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .filter(|o| !o.clock.is_zero())
-            .map(|o| o.comm_time / o.clock)
-            .fold(0.0, f64::max)
-    }
-
-    /// Sum of compute time over all ranks.
-    pub fn total_compute_time(&self) -> SimTime {
-        self.outcomes.iter().map(|o| o.compute_time).sum()
     }
 
     /// Energy-to-solution: Joules summed over all ranks (compute at active

@@ -87,6 +87,7 @@ fn victim_messages_before_death_arrive_in_order_then_recv_aborts() {
     let fault_at = s(0.5);
     let plan = FaultPlan::from_node_faults([(fault_at, NodeId(1))]);
     let u = faulted_universe(2, plan);
+    let router = u.router().clone();
     u.launch(&[NodeId(0), NodeId(1)], move |rank| {
         let w = rank.world();
         if rank.rank() == 1 {
@@ -112,7 +113,8 @@ fn victim_messages_before_death_arrive_in_order_then_recv_aborts() {
         // Learning of the death cannot predate the death.
         assert!(rank.now() >= fault_at);
         // No dangling index entry: probing the drained class finds nothing.
-        assert!(rank.iprobe(&w, Some(1), Some(7)).is_none());
+        let mailbox = router.mailbox(w.group.endpoints[0]).unwrap();
+        assert!(mailbox.probe_match(w.id, Some(1), Some(7)).is_none());
     });
     psmpi::lockcheck::assert_acyclic();
 }
@@ -171,7 +173,8 @@ fn within_ten_seconds(job: impl FnOnce() + Send + 'static) {
 fn bcast_and_probe_on_a_dead_root_fail_instead_of_hanging() {
     // The root dies before it broadcasts. Both non-roots sit in the bcast's
     // blocking probe on it (binomial tree over 3 ranks: 0 is the parent of
-    // 1 and 2); the death must surface there as it does in a receive.
+    // 1 and 2); the death must surface there as it does in a receive, in
+    // the typed bcast and again in the bytes one.
     let fault_at = s(0.5);
     let plan = FaultPlan::from_node_faults([(fault_at, NodeId(0))]);
     let u = faulted_universe(3, plan);
@@ -185,7 +188,7 @@ fn bcast_and_probe_on_a_dead_root_fail_instead_of_hanging() {
             for attempt in 0..2 {
                 let err = match attempt {
                     0 => rank.bcast(&w, 0, None::<Vec<f64>>).unwrap_err(),
-                    _ => rank.probe(&w, Some(0), Some(9)).unwrap_err(),
+                    _ => rank.bcast_bytes(&w, 0, None).unwrap_err(),
                 };
                 match err {
                     MpiError::NodeFailed { node, at } => {
@@ -197,6 +200,34 @@ fn bcast_and_probe_on_a_dead_root_fail_instead_of_hanging() {
             }
         });
         assert_eq!(u.router().awake_ranks(), 0);
+    });
+    psmpi::lockcheck::assert_acyclic();
+}
+
+#[test]
+fn an_out_of_range_root_is_invalid_rank_on_every_rank() {
+    // A root past the end of the communicator roots the tree nowhere:
+    // unchecked, the bcast takes rank 0 for a root without a value while
+    // ranks 1-3 wait on it forever, and the reduce's relative rank
+    // underflows. Every rank must refuse the root before it sends anything.
+    let u = faulted_universe(4, FaultPlan::new());
+    within_ten_seconds(move || {
+        let report = u.launch(&[NodeId(0), NodeId(1), NodeId(2), NodeId(3)], |rank| {
+            let w = rank.world();
+            let invalid = |e: MpiError, root: usize| {
+                assert!(
+                    matches!(e, MpiError::InvalidRank { rank, size: 4 } if rank == root),
+                    "{e}"
+                );
+            };
+            invalid(rank.bcast(&w, 4, Some(7u64)).unwrap_err(), 4);
+            invalid(
+                rank.reduce(&w, 9, &[1.0], psmpi::ReduceOp::Sum)
+                    .unwrap_err(),
+                9,
+            );
+        });
+        assert_eq!(report.total_msgs_sent(), 0, "nothing was sent");
     });
     psmpi::lockcheck::assert_acyclic();
 }

@@ -166,9 +166,10 @@ fn waitall_over_thousand_concurrent_senders_is_deterministic() {
                 }
                 // Post fully-specified receives in reverse sender order so
                 // posted order visibly differs from rank order, then drain.
+                let w = rank.world();
                 let reqs: Vec<_> = (1..=SENDERS)
                     .rev()
-                    .map(|s| rank.irecv_bytes(Some(s), Some(TAG)).unwrap())
+                    .map(|s| rank.irecv_bytes_comm(&w, Some(s), Some(TAG)).unwrap())
                     .collect();
                 let got = rank.waitall(reqs).unwrap();
                 let mut sum = 0u64;

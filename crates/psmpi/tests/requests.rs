@@ -387,7 +387,8 @@ fn irecv_wait_aborts_when_the_awaited_sender_dies() {
             rank.fail_here(at);
             return;
         }
-        let req = rank.irecv_bytes(Some(1), Some(7)).unwrap();
+        let w = rank.world();
+        let req = rank.irecv_bytes_comm(&w, Some(1), Some(7)).unwrap();
         let err = req.wait(rank).unwrap_err();
         match err {
             MpiError::NodeFailed { node, at } => {
@@ -433,7 +434,8 @@ fn test_polling_surfaces_the_death_of_the_awaited_sender() {
             rank.fail_here(at);
             return;
         }
-        let req = rank.irecv_bytes(Some(1), Some(7)).unwrap();
+        let w = rank.world();
+        let req = rank.irecv_bytes_comm(&w, Some(1), Some(7)).unwrap();
         match poll_to_completion(rank, req) {
             Err(MpiError::NodeFailed { node, at }) => {
                 assert_eq!((node, at), (NodeId(1), fault_at));
@@ -501,7 +503,8 @@ fn test_misses_without_moving_the_clock_then_completes_on_a_hit() {
     UniverseBuilder::new()
         .add_nodes(1, &deep_er_cluster_node())
         .run(|rank| {
-            let req = rank.irecv_bytes(Some(0), Some(7)).unwrap();
+            let w = rank.world();
+            let req = rank.irecv_bytes_comm(&w, Some(0), Some(7)).unwrap();
             let t0 = rank.now();
             // Nothing queued: the request comes back untouched, clock still.
             let req = match req.test(rank).unwrap() {
@@ -533,9 +536,10 @@ fn waitall_completes_in_posted_order() {
                 _ => {
                     // Post in the order 2 then 1: waitall must yield the
                     // payloads in that posted order, not arrival order.
+                    let w = rank.world();
                     let reqs = vec![
-                        rank.irecv_bytes(Some(2), Some(7)).unwrap(),
-                        rank.irecv_bytes(Some(1), Some(7)).unwrap(),
+                        rank.irecv_bytes_comm(&w, Some(2), Some(7)).unwrap(),
+                        rank.irecv_bytes_comm(&w, Some(1), Some(7)).unwrap(),
                     ];
                     let got = rank.waitall(reqs).unwrap();
                     assert_eq!(got[0].1.source, 2);
@@ -588,7 +592,7 @@ fn inam_put_post_is_free_and_wait_charges_rdma_time() {
     u.launch(&[NodeId(0)], move |rank| {
         let data = vec![0xABu8; 4096];
         let t0 = rank.now();
-        let req = rank.inam_put(0, region, 0, &data).unwrap();
+        let req = rank.inam_put_sized(0, region, 0, &data, None).unwrap();
         assert_eq!(rank.now(), t0, "posting a NAM put must not move the clock");
         assert_eq!(
             nam_probe.get(region, 0, 4096).unwrap(),
@@ -602,7 +606,7 @@ fn inam_put_post_is_free_and_wait_charges_rdma_time() {
             "wait charges exactly the modelled NAM RDMA time"
         );
         // A second put fully hidden behind compute costs nothing at wait.
-        let req = rank.inam_put(0, region, 0, &data).unwrap();
+        let req = rank.inam_put_sized(0, region, 0, &data, None).unwrap();
         rank.advance(expect * 2.0);
         let t1 = rank.now();
         req.wait(rank).unwrap();
@@ -647,11 +651,11 @@ fn inam_put_rejects_unknown_device_and_bad_region() {
     let u = Universe::new(fabric);
     u.launch(&[NodeId(0)], move |rank| {
         assert!(matches!(
-            rank.inam_put(7, region, 0, &[0u8; 4]),
+            rank.inam_put_sized(7, region, 0, &[0u8; 4], None),
             Err(MpiError::Nam(_))
         ));
         assert!(matches!(
-            rank.inam_put(0, region, 12, &[0u8; 8]),
+            rank.inam_put_sized(0, region, 12, &[0u8; 8], None),
             Err(MpiError::Nam(simnet::nam::NamError::OutOfBounds { .. }))
         ));
     });

@@ -4,7 +4,8 @@
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::{NodeId, SimTime, WorkSpec};
 use parking_lot::Mutex;
-use psmpi::{MpiDatatype, MpiRequest, ReduceOp, UniverseBuilder, ANY_SOURCE, ANY_TAG};
+use psmpi::{MpiDatatype, MpiRequest, ReduceOp, Universe, UniverseBuilder, ANY_SOURCE, ANY_TAG};
+use simnet::{Fabric, Topology};
 use std::sync::Arc;
 
 fn cluster(n: u32) -> UniverseBuilder {
@@ -117,7 +118,7 @@ fn compute_charges_model_time() {
         assert_eq!(rank.compute_time(), t);
     });
     assert!(report.makespan() > SimTime::ZERO);
-    assert!(report.total_compute_time() > SimTime::ZERO);
+    assert!(report.outcomes()[0].compute_time > SimTime::ZERO);
 }
 
 #[test]
@@ -132,7 +133,8 @@ fn nonblocking_overlap_hides_transfer() {
         if rank.rank() == 0 {
             rank.send(1, 0, &payload).unwrap();
         } else {
-            let req = rank.irecv_bytes(Some(0), Some(0)).unwrap();
+            let w = rank.world();
+            let req = rank.irecv_bytes_comm(&w, Some(0), Some(0)).unwrap();
             let aux = WorkSpec::named("aux")
                 .flops(5e8)
                 .vector_fraction(0.5)
@@ -209,90 +211,15 @@ fn reduce_and_allreduce() {
 }
 
 #[test]
-fn gather_scatter_allgather_alltoall() {
+fn gather_collects_in_rank_order() {
     cluster(4).run(|rank| {
         let w = rank.world();
         let me = rank.rank();
-
         let g = rank.gather(&w, 1, &(me as u64)).unwrap();
         if me == 1 {
             assert_eq!(g.unwrap(), vec![0, 1, 2, 3]);
-        }
-
-        let s = rank
-            .scatter(
-                &w,
-                0,
-                if me == 0 {
-                    Some(vec![10u64, 11, 12, 13])
-                } else {
-                    None
-                },
-            )
-            .unwrap();
-        assert_eq!(s, 10 + me as u64);
-
-        let ag = rank.allgather(&w, &(me as u64 * 100)).unwrap();
-        assert_eq!(ag, vec![0, 100, 200, 300]);
-
-        let out: Vec<u64> = (0..4).map(|i| (me * 10 + i) as u64).collect();
-        let inn = rank.alltoall(&w, &out).unwrap();
-        let expect: Vec<u64> = (0..4).map(|src| (src * 10 + me) as u64).collect();
-        assert_eq!(inn, expect);
-    });
-}
-
-#[test]
-fn split_forms_subcommunicators() {
-    cluster(6).run(|rank| {
-        let w = rank.world();
-        let me = rank.rank();
-        // Even/odd split, reverse-order keys.
-        let comm = rank
-            .split(&w, Some((me % 2) as u32), -(me as i64))
-            .unwrap()
-            .expect("everyone has a color");
-        assert_eq!(comm.size(), 3);
-        // Keys are descending in old rank, so new rank 0 is the largest old.
-        let sum = rank
-            .allreduce_scalar(&comm, me as f64, ReduceOp::Sum)
-            .unwrap();
-        if me % 2 == 0 {
-            assert_eq!(sum, 0.0 + 2.0 + 4.0);
         } else {
-            assert_eq!(sum, 1.0 + 3.0 + 5.0);
-        }
-    });
-}
-
-#[test]
-fn split_undefined_color_excludes() {
-    cluster(4).run(|rank| {
-        let w = rank.world();
-        let color = if rank.rank() < 2 { Some(7) } else { None };
-        let got = rank.split(&w, color, rank.rank() as i64).unwrap();
-        assert_eq!(got.is_some(), rank.rank() < 2);
-        if let Some(c) = got {
-            assert_eq!(c.size(), 2);
-        }
-    });
-}
-
-#[test]
-fn dup_gets_fresh_context() {
-    cluster(3).run(|rank| {
-        let w = rank.world();
-        let d = rank.dup(&w).unwrap();
-        assert_ne!(d.id, w.id);
-        assert_eq!(d.size(), w.size());
-        // Messages on the dup don't leak into the world context.
-        if rank.rank() == 0 {
-            rank.send_comm(&d, 1, 3, &1u8).unwrap();
-            rank.send_comm(&w, 1, 3, &2u8).unwrap();
-        } else if rank.rank() == 1 {
-            let (vw, _) = rank.recv_comm::<u8>(&w, Some(0), Some(3)).unwrap();
-            let (vd, _) = rank.recv_comm::<u8>(&d, Some(0), Some(3)).unwrap();
-            assert_eq!((vw, vd), (2, 1));
+            assert!(g.is_none());
         }
     });
 }
@@ -302,74 +229,42 @@ fn spawn_creates_child_world_with_intercomm() {
     // The Fig. 4 scenario: a 2-rank world on the Cluster spawns a 3-rank
     // child world on the Booster; data flows both ways over the
     // inter-communicator.
-    let report = UniverseBuilder::new()
-        .add_nodes(2, &deep_er_cluster_node())
-        .add_nodes(3, &deep_er_booster_node())
-        .run(|rank| {
-            if rank.size() == 5 {
-                // Initial world spans all 5 nodes; the parent app runs on
-                // the 2 cluster ranks only. split() is collective, so every
-                // world rank calls it (booster ranks with no color).
-                let w = rank.world();
-                let parents = rank
-                    .split(
-                        &w,
-                        if rank.rank() < 2 { Some(0) } else { None },
-                        rank.rank() as i64,
-                    )
-                    .unwrap();
-                let Some(parents) = parents else {
-                    return; // booster ranks idle in the initial world
-                };
-                let booster_nodes = [NodeId(2), NodeId(3), NodeId(4)];
-                let ic = rank
-                    .spawn(
-                        &parents,
-                        &booster_nodes,
-                        Arc::new(|child: &mut psmpi::Rank| {
-                            let pic = child.parent().expect("child sees parent");
-                            assert_eq!(child.size(), 3);
-                            assert_eq!(pic.remote_size(), 2);
-                            // Child rank 0 sends its world size to parent rank 0.
-                            if child.rank() == 0 {
-                                child.send_comm(&pic, 0, 9, &(child.size() as u64)).unwrap();
-                                let (echo, _) =
-                                    child.recv_comm::<u64>(&pic, Some(0), Some(10)).unwrap();
-                                assert_eq!(echo, 42);
-                            }
-                        }),
-                    )
-                    .unwrap();
-                assert_eq!(ic.remote_size(), 3);
-                assert_eq!(ic.local_size(), 2);
-                if rank.rank() == 0 {
-                    let (n, st) = rank.recv_comm::<u64>(&ic, Some(0), Some(9)).unwrap();
-                    assert_eq!(n, 3);
-                    assert_eq!(st.source, 0);
-                    rank.send_comm(&ic, 0, 10, &42u64).unwrap();
-                }
-            }
-        });
+    let mut t = Topology::new();
+    t.add_nodes(2, &deep_er_cluster_node());
+    let booster_nodes = t.add_nodes(3, &deep_er_booster_node());
+    let u = Universe::new(Fabric::new(t));
+    let report = u.launch(&[NodeId(0), NodeId(1)], move |rank| {
+        let w = rank.world();
+        let ic = rank
+            .spawn(
+                &w,
+                &booster_nodes,
+                Arc::new(|child: &mut psmpi::Rank| {
+                    let pic = child.parent().expect("child sees parent");
+                    assert_eq!(child.size(), 3);
+                    assert_eq!(pic.remote_size(), 2);
+                    // Child rank 0 sends its world size to parent rank 0.
+                    if child.rank() == 0 {
+                        child.send_comm(&pic, 0, 9, &(child.size() as u64)).unwrap();
+                        let (echo, _) = child.recv_comm::<u64>(&pic, Some(0), Some(10)).unwrap();
+                        assert_eq!(echo, 42);
+                    }
+                }),
+            )
+            .unwrap();
+        assert_eq!(ic.remote_size(), 3);
+        assert_eq!(ic.local.len(), 2);
+        if rank.rank() == 0 {
+            let (n, st) = rank.recv_comm::<u64>(&ic, Some(0), Some(9)).unwrap();
+            assert_eq!(n, 3);
+            assert_eq!(st.source, 0);
+            rank.send_comm(&ic, 0, 10, &42u64).unwrap();
+        }
+    });
     // Parent world + child world both finished; spawn latency (50 ms)
     // bounds the makespan from below.
     assert!(report.makespan() >= SimTime::from_millis(50.0));
-    assert!(report.worlds().len() >= 2, "two worlds existed");
-}
-
-#[test]
-fn probe_reports_without_consuming() {
-    cluster(2).run(|rank| {
-        let w = rank.world();
-        if rank.rank() == 0 {
-            rank.send(1, 4, &vec![1u8, 2, 3]).unwrap();
-        } else {
-            let st = rank.probe(&w, Some(0), Some(4)).unwrap();
-            assert_eq!(st.bytes, 8 + 3); // length prefix + payload
-            let (v, _) = rank.recv::<Vec<u8>>(Some(0), Some(4)).unwrap();
-            assert_eq!(v, vec![1, 2, 3]);
-            assert!(rank.iprobe(&w, Some(0), Some(4)).is_none());
-        }
-    });
+    assert_eq!(report.worlds().len(), 2, "two worlds existed");
 }
 
 #[test]
@@ -377,7 +272,7 @@ fn request_test_polls_without_blocking() {
     cluster(2).run(|rank| {
         let w = rank.world();
         if rank.rank() == 1 {
-            let mut req = rank.irecv_bytes(Some(0), Some(9)).unwrap();
+            let mut req = rank.irecv_bytes_comm(&w, Some(0), Some(9)).unwrap();
             // The sender is still held at the barrier, so the first poll
             // finds nothing and hands the request back.
             req = match req.test(rank).unwrap() {
@@ -417,7 +312,10 @@ fn report_accounts_traffic() {
     });
     assert_eq!(report.total_msgs_sent(), 1);
     assert_eq!(report.total_bytes_sent(), 108);
-    assert!(report.max_comm_fraction() > 0.0);
+    assert!(report
+        .outcomes()
+        .iter()
+        .any(|o| o.comm_time > SimTime::ZERO));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Nested and repeated spawning: grandchild worlds, universe reuse across
-//! jobs, and spawn from a split sub-communicator.
+//! jobs, and a child addressing a non-root parent.
 
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::{NodeId, SimTime};
@@ -70,37 +70,22 @@ fn universe_reusable_across_jobs() {
 }
 
 #[test]
-fn spawn_from_split_subcommunicator() {
-    // A 4-rank world splits; only the even sub-communicator spawns. The
-    // odd ranks never see the child world.
-    let u = universe(4, 1);
-    let report = u.launch(&[NodeId(0), NodeId(1), NodeId(2), NodeId(3)], |rank| {
-        let w = rank.world();
-        let color = (rank.rank() % 2) as u32;
-        let sub = rank
-            .split(&w, Some(color), rank.rank() as i64)
-            .unwrap()
+fn spawned_child_reaches_a_non_root_parent() {
+    // A 2-rank world spawns one child; the child addresses parent rank 1,
+    // not the spawn root, over the inter-communicator.
+    let u = universe(2, 1);
+    let report = u.launch(&[NodeId(0), NodeId(1)], |rank| {
+        let ic = rank
+            .spawn_world(&[NodeId(2)], |child: &mut Rank| {
+                let p = child.parent().unwrap();
+                assert_eq!(p.remote_size(), 2, "parent group is the 2-rank world");
+                child.send_comm(&p, 1, 3, &5u8).unwrap();
+            })
             .unwrap();
-        if color == 0 {
-            let ic = rank
-                .spawn(
-                    &sub,
-                    &[NodeId(4)],
-                    Arc::new(|child: &mut Rank| {
-                        let p = child.parent().unwrap();
-                        assert_eq!(p.remote_size(), 2, "parent group is the sub-communicator");
-                        if child.rank() == 0 {
-                            child.send_comm(&p, 1, 3, &5u8).unwrap();
-                        }
-                    }),
-                )
-                .unwrap();
-            assert_eq!(ic.local_size(), 2);
-            // Sub-rank 1 (world rank 2) receives.
-            if rank.rank() == 2 {
-                let (v, _) = rank.recv_comm::<u8>(&ic, Some(0), Some(3)).unwrap();
-                assert_eq!(v, 5);
-            }
+        assert_eq!(ic.local.len(), 2);
+        if rank.rank() == 1 {
+            let (v, _) = rank.recv_comm::<u8>(&ic, Some(0), Some(3)).unwrap();
+            assert_eq!(v, 5);
         }
     });
     assert_eq!(report.worlds().len(), 2);

@@ -161,21 +161,6 @@ fn self_send_works_through_typed_api_too() {
 }
 
 #[test]
-fn self_probe_reports_zero_transfer() {
-    cluster(1).run(|rank| {
-        let w = rank.world();
-        rank.send(0, 4, &vec![1u8, 2, 3]).unwrap();
-        let sent_at = rank.now();
-        let st = rank.probe(&w, Some(0), Some(4)).unwrap();
-        assert!(
-            st.arrival <= sent_at,
-            "self message is available at its send stamp"
-        );
-        let _ = rank.recv::<Vec<u8>>(Some(0), Some(4)).unwrap();
-    });
-}
-
-#[test]
 fn typed_ring_reuses_pooled_buffers_through_the_router() {
     // The in-place typed path stages every send through the rank's slot in
     // front of the universe's buffer pool, and the receiver retires the

@@ -11,7 +11,7 @@
 //!
 //! * **size** — a malleable Booster job running on `bn` of its `bn_max`
 //!   nodes progresses at `bn / bn_max` (the equi-partition fluid model of
-//!   DEEP's adaptive batch system, paper §II-A ref [5]);
+//!   DEEP's adaptive batch system, paper §II-A ref \[5\]);
 //! * **fabric** — combined C+B jobs contend for the shared fabric: each
 //!   gets its max-min fair bandwidth share ([`simnet::max_min_shares`]),
 //!   and a job whose communication fraction `f` is satisfied to degree

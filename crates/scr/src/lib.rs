@@ -1,7 +1,7 @@
 //! # scr — scalable multi-level checkpoint/restart
 //!
 //! DEEP-ER adopted the Scalable Checkpoint-Restart library (paper §III-D,
-//! ref [14]) and extended it "to decide where and how often checkpoints are
+//! ref \[14\]) and extended it "to decide where and how often checkpoints are
 //! performed, based on a failure model of the DEEP-ER prototype". This
 //! crate rebuilds that stack:
 //!

@@ -37,7 +37,7 @@ pub fn max_min_shares(demands: &[f64], capacity: f64) -> Vec<f64> {
 
 /// [`max_min_shares`] into caller-kept buffers (`order` is scratch), for a
 /// caller that shares a fabric at every event. Demands that fit under the
-/// capacity with [`UNCONTENDED_MARGIN`] to spare are met without sorting:
+/// capacity with `UNCONTENDED_MARGIN` to spare are met without sorting:
 /// the filling would hand each flow `min(demand, level)` with
 /// `level >= demand` at every step, the demand itself.
 pub fn max_min_shares_into(

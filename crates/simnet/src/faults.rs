@@ -7,7 +7,7 @@
 //! times regardless of host scheduling or thread count, so a faulted run
 //! can be replayed bit-identically.
 //!
-//! `Fabric` carries an optional shared plan (see [`Fabric::set_fault_plan`])
+//! `Fabric` carries an optional shared plan (see [`Fabric::set_fault_plan`](crate::Fabric::set_fault_plan))
 //! so every rank thread in `psmpi` consults the same instant-indexed truth.
 
 use hwmodel::{NodeId, SimTime};

@@ -1,6 +1,6 @@
 //! Network Attached Memory (NAM).
 //!
-//! DEEP-ER introduced the NAM (paper §II-B, ref [6]): Hybrid Memory Cube
+//! DEEP-ER introduced the NAM (paper §II-B, ref \[6\]): Hybrid Memory Cube
 //! devices behind a Xilinx Virtex 7 FPGA, attached directly to the EXTOLL
 //! fabric. Any node can read and write NAM memory through remote DMA
 //! *without any active component on the remote side* — there is no CPU at

@@ -1,6 +1,6 @@
 //! The implicit field solver (calculateE / calculateB of Listing 1).
 //!
-//! xPic uses the Implicit Moment Method (Markidis et al. [15]): the
+//! xPic uses the Implicit Moment Method (Markidis et al. \[15\]): the
 //! electric field at the new time level satisfies an elliptic system whose
 //! coefficients involve the plasma moments. We implement the standard
 //! reduced form: for each component of E solve
