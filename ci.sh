@@ -9,6 +9,35 @@ cd "$(dirname "$0")"
 echo "== format check =="
 cargo fmt --all -- --check
 
+echo "== declared dependencies are used =="
+# A [dependencies] or [dev-dependencies] entry that no .rs file under the
+# crate's src/ tests/ examples/ benches/ names (a `-` in the crate name
+# read as `_`) is a dead edge: it builds, links and pins a crate that
+# nothing calls. Covers every workspace member, the vendored ones too.
+unused_deps=0
+for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    src_dirs=()
+    for d in src tests examples benches; do
+        [ -d "$dir/$d" ] && src_dirs+=("$dir/$d")
+    done
+    for dep in $(awk '
+        /^\[(dev-)?dependencies\]$/ { in_deps = 1; next }
+        /^\[(dev-)?dependencies\.[A-Za-z0-9_-]+\]$/ {
+            name = $0; sub(/^\[(dev-)?dependencies\./, "", name); sub(/\]$/, "", name)
+            print name; in_deps = 0; next
+        }
+        /^\[/ { in_deps = 0; next }
+        in_deps && /^[A-Za-z0-9_-]+ *=/ { name = $0; sub(/ *=.*/, "", name); print name }
+    ' "$manifest"); do
+        if ! grep -rqw --include='*.rs' "${dep//-/_}" "${src_dirs[@]}"; then
+            echo "$manifest: declares \`$dep\`, which no .rs file of the crate names"
+            unused_deps=1
+        fi
+    done
+done
+[ "$unused_deps" -eq 0 ]
+
 echo "== build (release) =="
 cargo build --release
 
@@ -142,19 +171,18 @@ echo "== sched smoke (1200-job trace through the workload engine) =="
 # vs node-locked reservation: must schedule every job with backfill,
 # malleability, and at least one fault-driven requeue, and beat the
 # node-locked makespan (sched.rs). The --out file is pure virtual time and
-# must come out byte-identical across host thread counts — and across
-# commits: sched_smoke.metrics holds the metrics written at commit 3e02c27,
-# when `core` still had a scheduler loop of its own. The --trace-out file
-# (one track per job, sched::chrome_trace) is compared across thread
-# counts only.
+# must come out byte-identical across commits: sched_smoke.metrics holds the
+# metrics written at commit 3e02c27, when `core` still had a scheduler loop
+# of its own. The smoke runs twice with the same arguments, and the two
+# --trace-out files (one track per job, sched::chrome_trace) must match:
+# a run-to-run determinism check on the whole event log.
 SCHED_TMP=$(mktemp -d)
-cargo run -q --release -p cb-bench --bin sched -- \
-    --smoke --threads 1 --out "$SCHED_TMP/t1.json" --trace-out "$SCHED_TMP/t1.trace.json" > /dev/null
-cargo run -q --release -p cb-bench --bin sched -- \
-    --smoke --threads 2 --out "$SCHED_TMP/t2.json" --trace-out "$SCHED_TMP/t2.trace.json" > /dev/null
-cmp "$SCHED_TMP/t1.json" crates/bench/src/sched_smoke.metrics
-cmp "$SCHED_TMP/t2.json" crates/bench/src/sched_smoke.metrics
-cmp "$SCHED_TMP/t1.trace.json" "$SCHED_TMP/t2.trace.json"
+for run in 1 2; do
+    cargo run -q --release -p cb-bench --bin sched -- --smoke \
+        --out "$SCHED_TMP/run$run.json" --trace-out "$SCHED_TMP/run$run.trace.json" > /dev/null
+    cmp "$SCHED_TMP/run$run.json" crates/bench/src/sched_smoke.metrics
+done
+cmp "$SCHED_TMP/run1.trace.json" "$SCHED_TMP/run2.trace.json"
 rm -rf "$SCHED_TMP"
 
 # The tier-1 test equivalence_matrix_matches_its_golden (cb_bench::matrix) now holds the obs, overlap, fault and async-checkpoint checks.

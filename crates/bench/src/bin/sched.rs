@@ -13,13 +13,12 @@
 //! `--trace-out` writes the independent run as a Chrome trace, one track
 //! per job (`sched::chrome_trace`).
 //!
-//! Both files are pure virtual-time output and must come out
-//! byte-identical across host thread counts, the `--out` file across
-//! commits too — ci.sh runs `--threads 1` and `--threads 2`, compares both
-//! `--out` files with `sched_smoke.metrics` and the two traces with each
-//! other. `--threads` is handed to the engine, which is one sequential
-//! loop and ignores it. Wall-clock cost of the simulation itself goes to
-//! stdout only.
+//! Both files are pure virtual-time output: the engine is one sequential
+//! loop, so a run is a function of its arguments alone. ci.sh runs the
+//! smoke twice with the same arguments, compares both `--out` files with
+//! `sched_smoke.metrics` (the `--out` file is pinned across commits) and
+//! the two traces with each other. Wall-clock cost of the simulation
+//! itself goes to stdout only.
 //!
 //! `--smoke` is the CI regression gate: the independent run must schedule
 //! the full trace with at least one backfill start, at least one
@@ -50,10 +49,9 @@ const NODE_MTBF_S: f64 = 900_000.0;
 /// Smoke gate: the trace must really be production-sized.
 const SMOKE_MIN_JOBS: usize = 1000;
 
-fn engine_config(policy: AllocationPolicy, threads: usize, system_mtbf: SimTime) -> EngineConfig {
+fn engine_config(policy: AllocationPolicy, system_mtbf: SimTime) -> EngineConfig {
     EngineConfig {
         policy,
-        threads,
         // Local/buddy/global checkpoint costs in the PR-5 regime.
         ckpt: Some(CheckpointPolicy::derive(
             SimTime::from_secs(30.0),
@@ -72,7 +70,6 @@ struct Cli {
     smoke: bool,
     jobs: usize,
     seed: u64,
-    threads: usize,
     out_path: Option<String>,
     trace_path: Option<String>,
 }
@@ -85,7 +82,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         smoke: false,
         jobs: 1200,
         seed: 20180521, // IPDPS 2018
-        threads: 1,
         out_path: None,
         trace_path: None,
     };
@@ -95,7 +91,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--smoke" => cli.smoke = true,
             "--jobs" => cli.jobs = flag_value(&mut args, arg)?,
             "--seed" => cli.seed = flag_value(&mut args, arg)?,
-            "--threads" => cli.threads = flag_value(&mut args, arg)?,
             "--out" => cli.out_path = Some(flag_value(&mut args, arg)?),
             "--trace-out" => cli.trace_path = Some(flag_value(&mut args, arg)?),
             s => return Err(format!("unknown argument `{s}`")),
@@ -110,7 +105,6 @@ fn main() {
         smoke,
         jobs,
         seed,
-        threads,
         out_path,
         trace_path,
     } = parse_cli(&args).unwrap_or_else(|e| {
@@ -164,7 +158,7 @@ fn main() {
     );
 
     let run = |policy: AllocationPolicy| -> (EngineReport, f64) {
-        let eng = Engine::new(build_system(), engine_config(policy, threads, system_mtbf));
+        let eng = Engine::new(build_system(), engine_config(policy, system_mtbf));
         let t0 = Instant::now();
         let r = eng.run(&trace, &faults);
         (r, t0.elapsed().as_secs_f64())
@@ -270,15 +264,18 @@ mod tests {
 
     #[test]
     fn cli_parses_flags_and_rejects_the_rest() {
-        let cli = parse(&["--smoke", "--threads", "2", "--out", "m.json"]).unwrap();
+        let cli = parse(&["--smoke", "--jobs", "40", "--out", "m.json"]).unwrap();
         assert!(cli.smoke);
-        assert_eq!((cli.jobs, cli.seed, cli.threads), (1200, 20180521, 2));
+        assert_eq!((cli.jobs, cli.seed), (40, 20180521));
         assert_eq!(cli.out_path.as_deref(), Some("m.json"));
         assert_eq!(cli.trace_path, None);
         assert!(parse(&["--trace_out", "t.json"])
             .unwrap_err()
             .contains("`--trace_out`"));
         assert!(parse(&["--jobs", "many"]).unwrap_err().contains("`many`"));
+        assert!(parse(&["--threads", "2"])
+            .unwrap_err()
+            .contains("`--threads`"));
         assert!(parse(&["--seed"])
             .unwrap_err()
             .contains("`--seed` needs a value"));

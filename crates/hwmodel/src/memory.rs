@@ -8,10 +8,9 @@
 //! captures capacity, sustained bandwidth, and access latency of one level.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The kinds of memory present in the prototype.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryKind {
     /// On-package high-bandwidth memory (KNL MCDRAM, 16 GB).
     Mcdram,
@@ -24,7 +23,7 @@ pub enum MemoryKind {
 }
 
 /// One level of a node's memory hierarchy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryLevel {
     /// Kind of this level.
     pub kind: MemoryKind,

@@ -9,10 +9,9 @@
 use crate::memory::{MemoryKind, MemoryLevel};
 use crate::processor::Processor;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Globally unique node identifier within a simulated system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -22,7 +21,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// The role a node plays in the modular system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// General-purpose Cluster node (Xeon). "CN" in the paper's figures.
     Cluster,
@@ -47,7 +46,7 @@ impl NodeKind {
 }
 
 /// A complete node model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Role of the node.
     pub kind: NodeKind,

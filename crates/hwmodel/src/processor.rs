@@ -7,10 +7,8 @@
 //! prototype — Haswell on the Cluster, Knights Landing on the Booster — are
 //! provided as presets in [`crate::presets`].
 
-use serde::{Deserialize, Serialize};
-
 /// The microarchitectures present in the DEEP projects' prototypes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Microarch {
     /// Intel Haswell (Xeon E5 v3) — Cluster side of the DEEP-ER prototype.
     Haswell,
@@ -30,7 +28,7 @@ pub enum Microarch {
 /// All throughput figures are *sustained* rather than peak: the SIMD
 /// efficiency factor folds in the usual gap between peak FMA throughput and
 /// what real vectorized kernels achieve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Processor {
     /// Marketing name, e.g. `"Intel Xeon E5-2680 v3"`.
     pub name: String,

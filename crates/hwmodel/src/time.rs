@@ -6,7 +6,6 @@
 //! seconds that provides total ordering (virtual times are never NaN by
 //! construction) and the usual arithmetic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -16,7 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// `SimTime` is both an instant and a duration; the simulation never needs
 /// the distinction and keeping one type avoids a large amount of conversion
 /// noise in cost-model code.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -10,10 +10,9 @@
 
 use crate::memory::MemoryKind;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A description of one kernel invocation's resource demands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkSpec {
     /// Human-readable kernel name (appears in traces).
     pub name: String,

@@ -58,6 +58,9 @@ use std::collections::{BTreeMap, VecDeque};
 /// work drops below this (floating-point accumulation guard).
 const WORK_EPS: f64 = 1e-6;
 
+/// Aggregate fabric bandwidth shared by combined jobs, GB/s.
+const FABRIC_CAPACITY_GBS: f64 = 32.0;
+
 /// Checkpointing behaviour of every job in the trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointPolicy {
@@ -94,8 +97,6 @@ impl CheckpointPolicy {
 pub struct EngineConfig {
     /// Allocation policy (the paper's independent-vs-node-locked axis).
     pub policy: AllocationPolicy,
-    /// Aggregate fabric bandwidth shared by combined jobs, GB/s.
-    pub fabric_capacity_gbs: f64,
     /// Checkpointing; `None` means faults restart victims from scratch.
     pub ckpt: Option<CheckpointPolicy>,
     /// Accepted and without effect: the engine is one sequential loop, so
@@ -109,7 +110,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             policy: AllocationPolicy::Independent,
-            fabric_capacity_gbs: 32.0,
             ckpt: None,
             threads: 1,
             repair_after: Some(SimTime::from_secs(2.0 * 3600.0)),
@@ -647,7 +647,7 @@ impl<'a> State<'a> {
         );
         max_min_shares_into(
             &self.demands,
-            self.cfg.fabric_capacity_gbs,
+            FABRIC_CAPACITY_GBS,
             &mut self.order,
             &mut self.shares,
         );
@@ -1567,27 +1567,20 @@ mod tests {
 
     #[test]
     fn fabric_contention_slows_combined_jobs() {
-        let combined = |id| {
+        let combined = |id, demand| {
             let mut j = job(id, 1, 4, 100.0, 0.0);
             j.comm_fraction = 0.5;
-            j.fabric_demand_gbs = 16.0;
+            j.fabric_demand_gbs = demand;
             j
         };
-        let trace = vec![combined(0), combined(1)];
-        let fast = EngineConfig {
-            fabric_capacity_gbs: 32.0,
-            ..EngineConfig::default()
+        let run = |demand| {
+            let trace = vec![combined(0, demand), combined(1, demand)];
+            Engine::new(system(2, 8), EngineConfig::default()).run(&trace, &FaultPlan::new())
         };
-        let slow = EngineConfig {
-            fabric_capacity_gbs: 8.0,
-            ..EngineConfig::default()
-        };
-        let r_fast = Engine::new(system(2, 8), fast).run(&trace, &FaultPlan::new());
-        let r_slow = Engine::new(system(2, 8), slow).run(&trace, &FaultPlan::new());
-        // Full shares: both finish at full speed.
-        assert_eq!(r_fast.makespan, SimTime::from_secs(100.0));
-        // 8/2 = 4 GB/s each of 16 wanted: sat 0.25, speed 0.625.
-        assert_eq!(r_slow.makespan, SimTime::from_secs(160.0));
+        // 2 × 16 GB/s fit the 32 GB/s fabric: both finish at full speed.
+        assert_eq!(run(16.0).makespan, SimTime::from_secs(100.0));
+        // 32/2 = 16 GB/s each of 64 wanted: sat 0.25, speed 0.625.
+        assert_eq!(run(64.0).makespan, SimTime::from_secs(160.0));
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!
 //! * [`workload`] — a seeded, deterministic workload generator: thousands
 //!   of heterogeneous jobs (Cluster-heavy, Booster-heavy, combined C+B)
-//!   arriving by Poisson or bursty "heavy traffic" processes, or by exact
-//!   trace replay;
+//!   arriving by a bursty "heavy traffic" process;
 //! * [`engine`] — the scheduler in virtual time: EASY backfill with
 //!   worst-case reservations (arithmetic in `easy`), malleable Booster
 //!   jobs that grow into idle BN and yield them back when the queue head
@@ -40,4 +39,4 @@ pub use engine::{
     CheckpointPolicy, Engine, EngineConfig, EngineEvent, EngineReport, HeadReservation,
 };
 pub use report::{chrome_trace, report_metrics};
-pub use workload::{generate, ArrivalModel, JobClass, MixWeights, TraceJob, WorkloadConfig};
+pub use workload::{generate, ArrivalModel, JobClass, TraceJob, WorkloadConfig};

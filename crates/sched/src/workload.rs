@@ -93,11 +93,6 @@ impl TraceJob {
 /// The arrival process of a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalModel {
-    /// Memoryless arrivals at a constant rate.
-    Poisson {
-        /// Mean arrivals per hour.
-        rate_per_hour: f64,
-    },
     /// Heavy-traffic phases: the rate alternates between a base and a
     /// burst level — every `burst_every` of virtual time, arrivals come
     /// at `burst_rate_per_hour` for `burst_len`, then fall back.
@@ -111,36 +106,16 @@ pub enum ArrivalModel {
         /// Length of the burst at the start of each cycle.
         burst_len: SimTime,
     },
-    /// Exact submission instants (trace replay); the trace is truncated
-    /// or cycled to `cfg.jobs` entries, each offset by full cycles of the
-    /// last time.
-    Replay {
-        /// Submission times, ascending.
-        times: Vec<SimTime>,
-    },
 }
 
-/// Job-class mix weights (need not sum to 1; normalized internally).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MixWeights {
-    /// Weight of [`JobClass::ClusterHeavy`].
-    pub cluster_heavy: f64,
-    /// Weight of [`JobClass::BoosterHeavy`].
-    pub booster_heavy: f64,
-    /// Weight of [`JobClass::Combined`].
-    pub combined: f64,
-}
-
-impl Default for MixWeights {
-    /// The balanced production mix used by the sched bench.
-    fn default() -> Self {
-        MixWeights {
-            cluster_heavy: 0.4,
-            booster_heavy: 0.35,
-            combined: 0.25,
-        }
-    }
-}
+// The balanced production mix of job classes; `generate` normalizes the
+// weights by their sum.
+/// Weight of [`JobClass::ClusterHeavy`].
+const MIX_CLUSTER_HEAVY: f64 = 0.4;
+/// Weight of [`JobClass::BoosterHeavy`].
+const MIX_BOOSTER_HEAVY: f64 = 0.35;
+/// Weight of [`JobClass::Combined`].
+const MIX_COMBINED: f64 = 0.25;
 
 /// Everything that determines a trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,8 +126,6 @@ pub struct WorkloadConfig {
     pub jobs: usize,
     /// Arrival process.
     pub arrivals: ArrivalModel,
-    /// Class mix.
-    pub mix: MixWeights,
     /// Largest CN request to draw (power of two, clamped to ≥ 1).
     pub max_cn: usize,
     /// Largest BN request to draw (power of two, clamped to ≥ 1).
@@ -171,7 +144,6 @@ impl WorkloadConfig {
                 burst_every: SimTime::from_secs(4.0 * 3600.0),
                 burst_len: SimTime::from_secs(1800.0),
             },
-            mix: MixWeights::default(),
             max_cn,
             max_bn,
         }
@@ -204,46 +176,35 @@ fn exp_interarrival(rng: &mut StdRng, rate_per_hour: f64) -> SimTime {
 }
 
 /// Next submission time under `model`, strictly after `t`.
-fn next_arrival(rng: &mut StdRng, model: &ArrivalModel, t: SimTime, index: usize) -> SimTime {
-    match model {
-        ArrivalModel::Poisson { rate_per_hour } => t + exp_interarrival(rng, *rate_per_hour),
-        ArrivalModel::Bursty {
-            base_rate_per_hour,
-            burst_rate_per_hour,
-            burst_every,
-            burst_len,
-        } => {
-            let phase = SimTime::from_secs(t.as_secs() % burst_every.as_secs().max(1e-9));
-            let rate = if phase < *burst_len {
-                *burst_rate_per_hour
-            } else {
-                *base_rate_per_hour
-            };
-            t + exp_interarrival(rng, rate)
-        }
-        ArrivalModel::Replay { times } => {
-            assert!(!times.is_empty(), "replay trace must not be empty");
-            let cycle = index / times.len();
-            let span = *times.last().expect("non-empty") + SimTime::from_secs(1.0);
-            times[index % times.len()] + span * cycle as f64
-        }
-    }
+fn next_arrival(rng: &mut StdRng, model: &ArrivalModel, t: SimTime) -> SimTime {
+    let ArrivalModel::Bursty {
+        base_rate_per_hour,
+        burst_rate_per_hour,
+        burst_every,
+        burst_len,
+    } = model;
+    let phase = SimTime::from_secs(t.as_secs() % burst_every.as_secs().max(1e-9));
+    let rate = if phase < *burst_len {
+        *burst_rate_per_hour
+    } else {
+        *base_rate_per_hour
+    };
+    t + exp_interarrival(rng, rate)
 }
 
 /// Generate the trace: `cfg.jobs` jobs, ids `0..jobs`, submission times
 /// ascending. Pure function of `cfg` (see module docs).
 pub fn generate(cfg: &WorkloadConfig) -> Vec<TraceJob> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let wsum = cfg.mix.cluster_heavy + cfg.mix.booster_heavy + cfg.mix.combined;
-    assert!(wsum > 0.0, "mix weights must not all be zero");
+    let wsum = MIX_CLUSTER_HEAVY + MIX_BOOSTER_HEAVY + MIX_COMBINED;
     let mut jobs = Vec::with_capacity(cfg.jobs);
     let mut t = SimTime::ZERO;
     for id in 0..cfg.jobs as u64 {
-        t = next_arrival(&mut rng, &cfg.arrivals, t, id as usize);
+        t = next_arrival(&mut rng, &cfg.arrivals, t);
         let pick: f64 = rng.gen::<f64>() * wsum;
-        let class = if pick < cfg.mix.cluster_heavy {
+        let class = if pick < MIX_CLUSTER_HEAVY {
             JobClass::ClusterHeavy
-        } else if pick < cfg.mix.cluster_heavy + cfg.mix.booster_heavy {
+        } else if pick < MIX_CLUSTER_HEAVY + MIX_BOOSTER_HEAVY {
             JobClass::BoosterHeavy
         } else {
             JobClass::Combined
@@ -355,26 +316,5 @@ mod tests {
             "{in_burst}/{} arrivals in burst windows",
             jobs.len()
         );
-    }
-
-    #[test]
-    fn replay_reproduces_exact_times_and_cycles() {
-        let times = vec![
-            SimTime::from_secs(5.0),
-            SimTime::from_secs(9.0),
-            SimTime::from_secs(20.0),
-        ];
-        let cfg = WorkloadConfig {
-            seed: 0,
-            jobs: 5,
-            arrivals: ArrivalModel::Replay { times },
-            mix: MixWeights::default(),
-            max_cn: 4,
-            max_bn: 4,
-        };
-        let jobs = generate(&cfg);
-        let got: Vec<f64> = jobs.iter().map(|j| j.submit.as_secs()).collect();
-        // Second cycle offsets by last time + 1 s = 21.
-        assert_eq!(got, vec![5.0, 9.0, 20.0, 26.0, 30.0]);
     }
 }

@@ -180,29 +180,17 @@ pub struct NamBuddy {
     pub device: NamDevice,
 }
 
-/// Configuration of the checkpoint stack.
-#[derive(Clone)]
+/// Buddy partner: rank `i` copies to the node of rank `(i + 1) % n`.
+const BUDDY_OFFSET: usize = 1;
+
+/// Configuration of the checkpoint stack. The node-local level is the
+/// prototype's NVMe ([`hwmodel::presets::nvme_p3700`]) and buddy copies
+/// cross the default fabric model ([`LogGpModel::default`]).
+#[derive(Clone, Default)]
 pub struct ScrConfig {
-    /// NVMe device model of the compute nodes.
-    pub nvme: MemoryLevel,
-    /// Fabric model for buddy transfers.
-    pub link: LogGpModel,
-    /// Buddy partner: rank `i` copies to node of rank `(i + offset) % n`.
-    pub buddy_offset: usize,
     /// When set, the buddy level drains into this NAM device instead of
     /// the buddy node's NVMe.
     pub nam: Option<NamBuddy>,
-}
-
-impl Default for ScrConfig {
-    fn default() -> Self {
-        ScrConfig {
-            nvme: hwmodel::presets::nvme_p3700(),
-            link: LogGpModel::default(),
-            buddy_offset: 1,
-            nam: None,
-        }
-    }
 }
 
 /// One rank's copies of one checkpoint.
@@ -264,6 +252,10 @@ impl ScrState {
 #[derive(Clone)]
 pub struct ScrManager {
     config: ScrConfig,
+    /// NVMe device model of the compute nodes.
+    nvme: MemoryLevel,
+    /// Fabric model for buddy transfers.
+    link: LogGpModel,
     /// Node of each rank.
     nodes: Vec<NodeId>,
     /// Node specs of each rank (for buddy-transfer cost).
@@ -302,6 +294,8 @@ impl ScrManager {
         assert!(!nodes.is_empty());
         ScrManager {
             config,
+            nvme: hwmodel::presets::nvme_p3700(),
+            link: LogGpModel::default(),
             nodes,
             specs,
             pfs,
@@ -316,7 +310,7 @@ impl ScrManager {
 
     /// Buddy rank of `rank`.
     pub fn buddy_of(&self, rank: usize) -> usize {
-        (rank + self.config.buddy_offset) % self.ranks()
+        (rank + BUDDY_OFFSET) % self.ranks()
     }
 
     /// The NAM backing of the buddy level, if configured.
@@ -333,12 +327,12 @@ impl ScrManager {
     pub fn buddy_copy_time(&self, bytes: u64) -> SimTime {
         match &self.config.nam {
             Some(nam) => {
-                let stream = SimTime::from_secs(bytes as f64 / self.config.link.payload_bw)
+                let stream = SimTime::from_secs(bytes as f64 / self.link.payload_bw)
                     .max(SimTime::from_secs(bytes as f64 / nam.device.bandwidth()));
                 (0..self.ranks())
                     .map(|r| {
                         self.specs[r].nic_send_overhead
-                            + self.config.link.wire_latency
+                            + self.link.wire_latency
                             + stream
                             + nam.device.access_latency()
                     })
@@ -347,7 +341,7 @@ impl ScrManager {
             }
             None => (0..self.ranks())
                 .map(|r| {
-                    self.config.link.transfer_time(
+                    self.link.transfer_time(
                         &self.specs[r],
                         &self.specs[self.buddy_of(r)],
                         bytes as usize,
@@ -363,27 +357,26 @@ impl ScrManager {
     /// (ranks write in parallel; the slowest path bounds).
     pub fn checkpoint_cost(&self, level: CheckpointLevel, bytes_per_rank: u64) -> SimTime {
         match level {
-            CheckpointLevel::Local => self.config.nvme.write_time(bytes_per_rank),
+            CheckpointLevel::Local => self.nvme.write_time(bytes_per_rank),
             CheckpointLevel::Buddy => {
                 // Local write, then read-back + copy to the buddy store,
                 // bounded by the slowest (rank, buddy) pair. A NAM target
                 // needs no far-side NVMe write — the HMC stream is already
                 // inside the copy term.
-                let local = self.config.nvme.write_time(bytes_per_rank);
+                let local = self.nvme.write_time(bytes_per_rank);
                 let copy = self.buddy_copy_time(bytes_per_rank);
                 let far_write = if self.config.nam.is_some() {
                     SimTime::ZERO
                 } else {
-                    self.config.nvme.write_time(bytes_per_rank)
+                    self.nvme.write_time(bytes_per_rank)
                 };
-                local + self.config.nvme.read_time(bytes_per_rank).max(copy) + far_write
+                local + self.nvme.read_time(bytes_per_rank).max(copy) + far_write
             }
             CheckpointLevel::Global => {
                 // All ranks' chunks funnel into the striped PFS; staging
                 // from NVMe overlaps the slower disk path.
                 let total = bytes_per_rank * self.ranks() as u64;
-                self.config
-                    .nvme
+                self.nvme
                     .read_time(bytes_per_rank)
                     .max(self.pfs.transfer_time(total))
             }
@@ -697,7 +690,7 @@ impl ScrManager {
         for rec in st.db.iter().rev() {
             let id = rec.id;
             let max_bytes = rec.bytes_per_rank.iter().copied().max().unwrap_or(0);
-            let read = self.config.nvme.read_time(max_bytes);
+            let read = self.nvme.read_time(max_bytes);
             let (blobs, cost) = match rec.level {
                 CheckpointLevel::Global => {
                     let (c, _) = SionContainer::open(&self.pfs, &rec.sion_path())
@@ -706,7 +699,7 @@ impl ScrManager {
                         .map(|r| Bytes::from(c.read_task(r).expect("task chunk").0))
                         .collect();
                     let total = rec.bytes_per_rank.iter().sum::<u64>();
-                    let stage = self.config.nvme.write_time(max_bytes);
+                    let stage = self.nvme.write_time(max_bytes);
                     (blobs, self.pfs.transfer_time(total).max(stage))
                 }
                 level => {
@@ -955,39 +948,33 @@ mod tests {
         // Rank 0 is a Cluster node, ranks 1-3 are Boosters: the rank-0
         // pair (CN→BN) differs from e.g. (BN→BN) and (BN→CN).
         let specs = vec![cn.clone(), bn.clone(), bn.clone(), bn.clone()];
-        let cfg = ScrConfig::default();
+        let (link, nvme) = (LogGpModel::default(), hwmodel::presets::nvme_p3700());
         let m = ScrManager::new(
-            cfg.clone(),
+            ScrConfig::default(),
             (0..4u32).map(NodeId).collect(),
             specs.clone(),
             ParallelFs::deep_er(),
         );
         let bytes = 8u64 << 20;
         let slowest = (0..4)
-            .map(|r| {
-                cfg.link
-                    .transfer_time(&specs[r], &specs[(r + 1) % 4], bytes as usize, 1)
-            })
+            .map(|r| link.transfer_time(&specs[r], &specs[(r + 1) % 4], bytes as usize, 1))
             .max()
             .unwrap();
         assert_eq!(m.buddy_copy_time(bytes), slowest);
-        let rank0_pair = cfg
-            .link
-            .transfer_time(&specs[0], &specs[1], bytes as usize, 1);
+        let rank0_pair = link.transfer_time(&specs[0], &specs[1], bytes as usize, 1);
         assert!(
             slowest > rank0_pair,
             "the old specs[0] formula must actually differ: {slowest} vs {rank0_pair}"
         );
         // The full buddy cost embeds the slowest-pair copy.
-        let expect = cfg.nvme.write_time(bytes)
-            + cfg.nvme.read_time(bytes).max(slowest)
-            + cfg.nvme.write_time(bytes);
+        let expect =
+            nvme.write_time(bytes) + nvme.read_time(bytes).max(slowest) + nvme.write_time(bytes);
         assert_eq!(m.checkpoint_cost(CheckpointLevel::Buddy, bytes), expect);
         // And the restart path prices the same slowest pair.
         m.checkpoint(1, CheckpointLevel::Buddy, &blobs(4, 3))
             .unwrap();
         let (_, _, _, cost) = m.restart().unwrap();
-        assert_eq!(cost, cfg.nvme.read_time(1024) + m.buddy_copy_time(1024));
+        assert_eq!(cost, nvme.read_time(1024) + m.buddy_copy_time(1024));
     }
 
     fn nam_manager(ranks: usize) -> (ScrManager, simnet::nam::NamDevice) {
@@ -997,7 +984,6 @@ mod tests {
                 index: 0,
                 device: device.clone(),
             }),
-            ..ScrConfig::default()
         };
         let spec = Arc::new(deep_er_booster_node());
         (
@@ -1057,8 +1043,7 @@ mod tests {
         // write with the overlapped RDMA stream.
         let nam_cost = m.checkpoint_cost(CheckpointLevel::Buddy, bytes);
         let expect = m.checkpoint_cost(CheckpointLevel::Local, bytes)
-            + ScrConfig::default()
-                .nvme
+            + hwmodel::presets::nvme_p3700()
                 .read_time(bytes)
                 .max(m.buddy_copy_time(bytes));
         assert_eq!(nam_cost, expect);

@@ -33,10 +33,7 @@ fn manager(ranks: usize, backing: u8) -> ScrManager {
         device: simnet::nam::NamDevice::deep_er(),
     });
     ScrManager::new(
-        ScrConfig {
-            nam,
-            ..ScrConfig::default()
-        },
+        ScrConfig { nam },
         (0..ranks as u32).map(NodeId).collect(),
         specs,
         ParallelFs::deep_er(),

@@ -103,7 +103,7 @@ impl Model {
             .find(|rec| rec.level == CheckpointLevel::Global || held(rec))?;
         let lens = rec.blobs.iter().map(|b| b.len() as u64);
         let (max, total) = (lens.clone().max().unwrap_or(0), lens.sum::<u64>());
-        let nvme = ScrConfig::default().nvme;
+        let nvme = hwmodel::presets::nvme_p3700();
         let cost = match rec.level {
             CheckpointLevel::Local => nvme.read_time(max),
             CheckpointLevel::Buddy => nvme.read_time(max) + m.buddy_copy_time(max),
@@ -123,10 +123,7 @@ fn manager(nam: bool) -> ScrManager {
         device: simnet::nam::NamDevice::deep_er(),
     });
     ScrManager::new(
-        ScrConfig {
-            nam,
-            ..ScrConfig::default()
-        },
+        ScrConfig { nam },
         (0..RANKS as u32).map(NodeId).collect(),
         vec![bn; RANKS],
         ParallelFs::deep_er(),

@@ -30,10 +30,9 @@
 //! all kinds of nodes is limited by fabric bandwidth").
 
 use hwmodel::{calib, NodeSpec, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which wire protocol a message of a given size uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// Copy through bounce buffers, single trip. Small messages.
     Eager,
@@ -42,7 +41,7 @@ pub enum Protocol {
 }
 
 /// The fabric link/protocol parameters. Defaults model EXTOLL Tourmalet A3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogGpModel {
     /// Wire + switch latency per hop.
     pub wire_latency: SimTime,

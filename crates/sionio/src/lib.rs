@@ -22,5 +22,5 @@
 pub mod pfs;
 pub mod sion;
 
-pub use pfs::{FsError, ParallelFs, PfsConfig};
+pub use pfs::{FsError, ParallelFs};
 pub use sion::{SionContainer, SionError};

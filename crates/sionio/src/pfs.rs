@@ -41,31 +41,23 @@ impl std::fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
-/// Static configuration of the file system.
-#[derive(Debug, Clone)]
-pub struct PfsConfig {
-    /// Number of storage servers (DEEP-ER: 2).
-    pub storage_servers: u32,
-    /// Stripe size in bytes (BeeGFS default 512 KiB).
-    pub stripe_size: u64,
-    /// Metadata operation round-trip time.
-    pub metadata_latency: SimTime,
-    /// Per-server streaming bandwidth, bytes/s.
-    pub server_bw: f64,
-    /// Per-server first-byte latency.
-    pub server_latency: SimTime,
+/// Storage servers of the DEEP-ER rack.
+const STORAGE_SERVERS: u64 = 2;
+/// Stripe size in bytes (the BeeGFS default, 512 KiB).
+pub(crate) const STRIPE_SIZE: u64 = 512 * 1024;
+/// Metadata operation round-trip time, µs.
+const METADATA_LATENCY_US: f64 = 250.0;
+/// Per-server streaming bandwidth, bytes/s.
+const SERVER_BW: f64 = hwmodel::calib::DISK_BW_GBS * 1e9;
+
+/// Metadata operation round-trip time.
+fn metadata_latency() -> SimTime {
+    SimTime::from_micros(METADATA_LATENCY_US)
 }
 
-impl Default for PfsConfig {
-    fn default() -> Self {
-        PfsConfig {
-            storage_servers: 2,
-            stripe_size: 512 * 1024,
-            metadata_latency: SimTime::from_micros(250.0),
-            server_bw: hwmodel::calib::DISK_BW_GBS * 1e9,
-            server_latency: SimTime::from_millis(hwmodel::calib::DISK_LATENCY_MS),
-        }
-    }
+/// Per-server first-byte latency.
+fn server_latency() -> SimTime {
+    SimTime::from_millis(hwmodel::calib::DISK_LATENCY_MS)
 }
 
 #[derive(Debug, Default)]
@@ -78,48 +70,31 @@ struct FsState {
 /// The shared parallel file system. Clone-shared across ranks.
 #[derive(Debug, Clone)]
 pub struct ParallelFs {
-    config: PfsConfig,
     state: Arc<Mutex<FsState>>, // lock-order: 10
 }
 
 impl ParallelFs {
-    /// An empty file system with the given configuration.
-    pub fn new(config: PfsConfig) -> Self {
-        assert!(
-            config.storage_servers >= 1,
-            "need at least one storage server"
-        );
-        assert!(config.stripe_size >= 1);
+    /// The DEEP-ER storage rack, empty: one metadata server and two
+    /// storage servers.
+    pub fn deep_er() -> Self {
         ParallelFs {
-            config,
             state: Arc::new(Mutex::new(FsState::default())),
         }
-    }
-
-    /// The DEEP-ER storage rack: two storage servers.
-    pub fn deep_er() -> Self {
-        ParallelFs::new(PfsConfig::default())
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PfsConfig {
-        &self.config
     }
 
     /// Virtual time to move `bytes` as one striped transfer.
     pub fn transfer_time(&self, bytes: u64) -> SimTime {
         if bytes == 0 {
-            return self.config.metadata_latency;
+            return metadata_latency();
         }
         // Stripes round-robin over servers; the slowest server bounds the
         // parallel transfer. Server i gets stripes i, i+S, i+2S, ...
-        let stripes = bytes.div_ceil(self.config.stripe_size);
-        let s = self.config.storage_servers as u64;
-        let max_stripes_per_server = stripes.div_ceil(s);
-        let per_server_bytes = (max_stripes_per_server * self.config.stripe_size).min(bytes);
-        self.config.metadata_latency
-            + self.config.server_latency
-            + SimTime::from_secs(per_server_bytes as f64 / self.config.server_bw)
+        let stripes = bytes.div_ceil(STRIPE_SIZE);
+        let max_stripes_per_server = stripes.div_ceil(STORAGE_SERVERS);
+        let per_server_bytes = (max_stripes_per_server * STRIPE_SIZE).min(bytes);
+        metadata_latency()
+            + server_latency()
+            + SimTime::from_secs(per_server_bytes as f64 / SERVER_BW)
     }
 
     /// Create (or truncate) a file with contents. Returns the virtual cost.
@@ -196,7 +171,7 @@ impl ParallelFs {
             .files
             .get(path)
             .ok_or_else(|| FsError::NotFound(path.into()))?;
-        Ok((data.len() as u64, self.config.metadata_latency))
+        Ok((data.len() as u64, metadata_latency()))
     }
 
     /// Whether a path exists (metadata cost charged to caller separately).
@@ -209,7 +184,7 @@ impl ParallelFs {
         let mut st = self.state.lock();
         st.files
             .remove(path)
-            .map(|_| self.config.metadata_latency)
+            .map(|_| metadata_latency())
             .ok_or_else(|| FsError::NotFound(path.into()))
     }
 
@@ -258,29 +233,22 @@ mod tests {
 
     #[test]
     fn striping_parallelizes_large_transfers() {
-        // Doubling the server count nearly halves the transfer time of a
-        // multi-stripe file (large enough that the 5 ms disk latency is
-        // negligible against the streaming term).
-        let big = 1024 * 1024 * 1024u64;
-        let t2 = ParallelFs::new(PfsConfig {
-            storage_servers: 2,
-            ..Default::default()
-        })
-        .transfer_time(big);
-        let t4 = ParallelFs::new(PfsConfig {
-            storage_servers: 4,
-            ..Default::default()
-        })
-        .transfer_time(big);
-        let ratio = t2.as_secs() / t4.as_secs();
-        assert!(ratio > 1.8 && ratio < 2.2, "ratio {ratio}");
+        // The two servers stream their stripes in parallel: a 2-stripe
+        // transfer costs what a 1-stripe one does, and a third stripe
+        // costs one stripe more on the server that gets two.
+        let fs = ParallelFs::deep_er();
+        let stripe = STRIPE_SIZE as f64 / SERVER_BW;
+        let one = fs.transfer_time(STRIPE_SIZE);
+        assert_eq!(fs.transfer_time(2 * STRIPE_SIZE), one);
+        let third = (fs.transfer_time(3 * STRIPE_SIZE) - one).as_secs();
+        assert!((third - stripe).abs() < 1e-15, "{third} vs {stripe}");
     }
 
     #[test]
     fn small_files_are_latency_bound() {
         let fs = ParallelFs::deep_er();
         let t = fs.transfer_time(10);
-        let floor = fs.config().metadata_latency + fs.config().server_latency;
+        let floor = metadata_latency() + server_latency();
         assert!(t >= floor);
         assert!(t < floor * 1.01);
     }
@@ -305,7 +273,7 @@ mod tests {
         fs.write("/f", &[0u8; 1234]);
         let (size, t) = fs.stat("/f").unwrap();
         assert_eq!(size, 1234);
-        assert_eq!(t, fs.config().metadata_latency);
+        assert_eq!(t, metadata_latency());
     }
 
     #[test]

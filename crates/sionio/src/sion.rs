@@ -78,7 +78,7 @@ impl SionContainer {
     ) -> Result<(Self, SimTime), SionError> {
         assert!(tasks >= 1, "container needs at least one task");
         let path = path.into();
-        let stripe = fs.config().stripe_size;
+        let stripe = crate::pfs::STRIPE_SIZE;
         let chunk_size = chunk_size.div_ceil(stripe) * stripe;
         // Header: magic, task count, chunk size (textual for debuggability;
         // the real SIONlib header is binary but serves the same purpose).

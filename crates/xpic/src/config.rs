@@ -15,10 +15,9 @@
 //! perfectly thread-parallel).
 
 use hwmodel::{SimTime, WorkSpec};
-use serde::{Deserialize, Serialize};
 
 /// The per-node workload that virtual time is charged for.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelScale {
     /// Cells per node (Table II: 4096).
     pub cells_per_node: u64,
@@ -90,7 +89,7 @@ pub mod kernel {
 }
 
 /// One particle species of the run (the `nspec` loop of Listing 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeciesSpec {
     /// Species name (diagnostics).
     pub name: String,
@@ -106,7 +105,7 @@ pub struct SpeciesSpec {
 }
 
 /// Full configuration of one xPic run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct XpicConfig {
     /// Simulation grid cells in x (actual arrays).
     pub nx: usize,
@@ -120,10 +119,6 @@ pub struct XpicConfig {
     pub steps: u32,
     /// Implicitness parameter θ of the field solve.
     pub theta: f64,
-    /// CG relative-residual tolerance.
-    pub cg_tol: f64,
-    /// CG iteration cap for the real solve.
-    pub cg_max_iters: u32,
     /// Thermal velocity of the initial Maxwellian.
     pub vth: f64,
     /// RNG seed (per-slab seeds derive from it, so decompositions agree).
@@ -156,8 +151,6 @@ impl XpicConfig {
             dt: 0.05,
             steps: 4,
             theta: 0.5,
-            cg_tol: 1e-8,
-            cg_max_iters: 200,
             vth: 0.05,
             seed: 20180521,
             overlap: true,

@@ -31,6 +31,11 @@ use crate::grid::{Fields, Grid, Moments};
 use crate::par;
 use std::ops::Range;
 
+/// CG relative-residual tolerance of the field solve.
+const CG_TOL: f64 = 1e-8;
+/// CG iteration cap.
+const CG_MAX_ITERS: u32 = 200;
+
 /// The solver's communication needs: ghost-row exchange and global sums.
 pub trait FieldComm {
     /// Fill the ghost rows of `arr` from the neighbouring slabs
@@ -106,10 +111,9 @@ pub struct FieldSolver {
     pub dt: f64,
     /// Implicitness parameter θ ∈ [0.5, 1].
     pub theta: f64,
-    /// CG relative-residual tolerance.
+    /// CG relative-residual tolerance: 1e-8 for the field solve, looser
+    /// for the divergence cleaner.
     pub cg_tol: f64,
-    /// CG iteration cap.
-    pub cg_max_iters: u32,
     /// OS threads for the grid loops (resolved; ≥ 1). Wall-clock only —
     /// the loops are organized so every thread count computes the same
     /// bits (see [`par`]).
@@ -123,8 +127,7 @@ impl FieldSolver {
             grid,
             dt: config.dt,
             theta: config.theta,
-            cg_tol: config.cg_tol,
-            cg_max_iters: config.cg_max_iters,
+            cg_tol: CG_TOL,
             threads: par::resolve_threads(config.threads),
         }
     }
@@ -248,7 +251,7 @@ impl FieldSolver {
         let mut rs = comm.allreduce_sum(self.dot_local(r, r));
         let tol2 = self.cg_tol * self.cg_tol * rhs_norm2;
         let mut iters = 0;
-        while rs > tol2 && iters < self.cg_max_iters {
+        while rs > tol2 && iters < CG_MAX_ITERS {
             comm.halo_exchange(g, p);
             self.apply(kappa, p, ap);
             let p_ap = comm.allreduce_sum(self.dot_local(p, ap));
@@ -455,7 +458,7 @@ mod tests {
         s.apply(&kappa, &x_star, &mut rhs);
         let mut x = vec![0.0; g.len()];
         let iters = s.solve_component(&kappa, &rhs, &mut x, &mut CgWork::new(&g), &mut comm);
-        assert!(iters > 0 && iters < s.cg_max_iters, "iters {iters}");
+        assert!(iters > 0 && iters < CG_MAX_ITERS, "iters {iters}");
         for j in 0..g.ny_local as isize {
             for i in 0..g.nx as isize {
                 let k = g.idx(i, j);

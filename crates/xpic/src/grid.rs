@@ -5,11 +5,10 @@
 //! solver ranks. Each slab stores one ghost row above and below for the
 //! stencil and deposit halos. Fields are collocated at cell centers.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Geometry of one rank's slab.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid {
     /// Global cells in x.
     pub nx: usize,
@@ -213,7 +212,7 @@ impl Stencil {
 }
 
 /// The six electromagnetic field components on one slab.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fields {
     /// Electric field components.
     pub ex: Vec<f64>,
@@ -288,7 +287,7 @@ impl Fields {
 
 /// The charge/current moments on one slab (with ghost rows used as deposit
 /// accumulation buffers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Moments {
     /// Charge density.
     pub rho: Vec<f64>,

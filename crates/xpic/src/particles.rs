@@ -11,10 +11,9 @@ use crate::config::XpicConfig;
 use crate::grid::Grid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One particle species on one rank (structure of arrays).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Species {
     /// Charge/mass ratio (normalized; electrons: −1).
     pub qom: f64,

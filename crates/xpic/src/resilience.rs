@@ -50,6 +50,10 @@ pub const TAG_DRAIN: Tag = 121;
 /// keyframe.
 const KEYFRAME_EVERY: u32 = 4;
 
+/// Fixed respawn overhead charged per recovery (node replacement, process
+/// manager round-trip) on top of the SCR restore cost, in milliseconds.
+const RECOVERY_LATENCY_MS: f64 = 50.0;
+
 fn put_f64s(buf: &mut BytesMut, v: &[f64]) {
     buf.put_u64_le(v.len() as u64);
     f64::encode_slice(v, buf);
@@ -411,9 +415,6 @@ pub struct RecoveryConfig {
     pub checkpoint_every: u32,
     /// Restart budget: exceeding it panics, as a real job would abort.
     pub max_recoveries: u32,
-    /// Fixed respawn overhead charged per recovery (node replacement,
-    /// process manager round-trip) on top of the SCR restore cost.
-    pub recovery_latency: SimTime,
     /// How checkpoints are taken: blocking, async drain, or async drain
     /// with delta frames (see [`CkptMode`]).
     pub ckpt_mode: CkptMode,
@@ -425,7 +426,6 @@ impl Default for RecoveryConfig {
             level: CheckpointLevel::Buddy,
             checkpoint_every: 2,
             max_recoveries: 8,
-            recovery_latency: SimTime::from_millis(50.0),
             ckpt_mode: CkptMode::Sync,
         }
     }
@@ -649,7 +649,7 @@ fn supervise(
                 resume_steps.push(restored.as_ref().map_or(0, |(step, _)| *step));
                 scr.heal();
                 rank.repair_node(node, rank.now().max(at));
-                rank.advance(recovery.recovery_latency);
+                rank.advance(SimTime::from_millis(RECOVERY_LATENCY_MS));
                 if let Some(track) = rank.obs() {
                     track.span(obs::Category::Recovery, "restore-respawn", t0, rank.now());
                 }

@@ -343,13 +343,7 @@ fn nam_backed_async_drain_survives_losing_both_solver_nodes() {
         let l = nam_launcher();
         let device = l.system().fabric().nams()[0].clone();
         let nam = Some(NamBuddy { index: 0, device });
-        let scr = scr_with(
-            &l,
-            ScrConfig {
-                nam,
-                ..ScrConfig::default()
-            },
-        );
+        let scr = scr_with(&l, ScrConfig { nam });
         let recovery = RecoveryConfig {
             ckpt_mode: CkptMode::Async,
             ..recovery()
