@@ -194,8 +194,8 @@ pub struct EnergyStudy {
 }
 
 /// Run the energy extension experiment: the Booster's Flops/W advantage
-/// (§I–II) shows in raw energy; the C+B split wins the energy-delay
-/// product because each solver draws power only where it runs fast.
+/// (§I–II) shows in raw energy and, at the paper's 1.21× C+B gain, in the
+/// energy-delay product too; the C+B split wins time only.
 pub fn energy_study(launcher: &Launcher, steps: u32) -> EnergyStudy {
     // Enough steps that the one-off spawn/connect transient of the C+B
     // mode amortizes, as it would in a production run.
@@ -403,20 +403,27 @@ mod tests {
     }
 
     #[test]
-    fn booster_wins_energy_cb_wins_edp() {
+    fn booster_wins_energy_and_edp_cb_wins_time() {
         let e = energy_study(&prototype_launcher(), 40);
         // The Booster's Flops/W advantage makes it the raw-energy winner.
         assert!(
-            e.energy[1] < e.energy[0],
-            "Booster energy {} < Cluster {}",
-            e.energy[1],
-            e.energy[0]
+            e.energy[1] < e.energy[0] && e.energy[1] < e.energy[2],
+            "Booster energy best: {:?}",
+            e.energy
         );
-        // The C+B split wins the energy-delay product.
+        // C+B beats the Booster on EDP only if E_cb / E_b < T_b / T_cb.
+        // At the paper's 1.21x gain the two-state power model does not
+        // meet that: C+B keeps a node of each module powered, so it wins
+        // time and loses the energy-delay product to the Booster alone.
         assert!(
-            e.edp[2] < e.edp[0] && e.edp[2] < e.edp[1],
-            "C+B EDP best: {:?}",
+            e.edp[1] < e.edp[0] && e.edp[1] < e.edp[2],
+            "Booster EDP best: {:?}",
             e.edp
+        );
+        let time: Vec<f64> = (0..3).map(|i| e.edp[i] / e.energy[i]).collect();
+        assert!(
+            time[2] < time[0] && time[2] < time[1],
+            "C+B time best: {time:?}"
         );
     }
 

@@ -37,9 +37,11 @@ const THREADS: [usize; 3] = [1, 2, 4];
 const MIN_WAIT_REDUCTION: f64 = 0.30;
 
 /// The fault classes ([`fault_plan`]): none; the second solver node dying
-/// at 0.052 s, after step 2's checkpoint was staged (the async modes lose
+/// at 0.0535 s, after step 2's checkpoint was staged (the async modes lose
 /// its drain); both solver nodes dying then, a buddy copy with its owner;
-/// a seeded exponential schedule, MTBF 0.05 s per node, over 0.2 s.
+/// a seeded exponential schedule, MTBF 0.05 s per node, over 0.2 s. The
+/// instant sits mid-way in the window where a death has that class
+/// (about 0.0529-0.0541 s); a change to the xPic prices can move the window.
 const FAULTS: [&str; 4] = ["clean", "after-stage", "buddy+owner", "mtbf"];
 
 /// How one row runs the job.
@@ -73,7 +75,7 @@ impl Row {
 
 /// The plan of one of the [`FAULTS`] over the solver `nodes`.
 fn fault_plan(fault: &str, nodes: &[NodeId], seed: u64) -> Option<FaultPlan> {
-    let (at, mtbf) = (SimTime::from_secs(0.052), SimTime::from_secs(0.05));
+    let (at, mtbf) = (SimTime::from_secs(0.0535), SimTime::from_secs(0.05));
     match fault {
         "clean" => None,
         "after-stage" => Some(FaultPlan::from_node_faults([(at, nodes[1])])),

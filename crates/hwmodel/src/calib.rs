@@ -3,7 +3,8 @@
 //! Every constant is derived from the paper's Table I, its Fig. 3, or the
 //! public spec sheets of the named components. Nothing here is fitted to the
 //! *application* results (Figs. 7–8); those emerge from the model plus the
-//! xPic kernel descriptors.
+//! xPic kernel descriptors (`xpic::config::kernel`), where the prices fitted
+//! to Figs. 7–8 live (DESIGN.md §3.13).
 //!
 //! ## Processors
 //!

@@ -324,13 +324,16 @@ fn xpic_physics_bits_are_pinned_across_commits() {
 fn checkpoint_virtual_times_are_pinned_across_commits() {
     // The equivalence matrix (below) prints nine decimals; a checkpoint
     // cost that moved by one ulp (say, charged as local + drain instead of
-    // in one piece) would round to the same text. These are the exact bits, recorded at
-    // commit e2a7c79 — before `checkpoint`, `checkpoint_async` and the
-    // three `CkptMode`s were put on one stage/promote path: 2 Booster
-    // ranks, 16 x 16 cells x 8 particles per cell, 6 steps, a Buddy-level
-    // checkpoint every 2, clean and with the second rank's node dying at
-    // 0.053 s (after the step-4 checkpoint was staged: the blocking mode
-    // resumes from it, the async modes lost its drain and fall back to 2).
+    // in one piece) would round to the same text. These are the exact bits:
+    // 2 Booster ranks, 16 x 16 cells x 8 particles per cell, 6 steps, a
+    // Buddy-level checkpoint every 2, clean and with the second rank's node
+    // dying at 0.056 s (after the step-4 checkpoint was staged: the
+    // blocking mode resumes from it, the async modes lost its drain and
+    // fall back to 2; deaths from about 0.0552 s to 0.0575 s have that
+    // class). The block bits date from commit e2a7c79, before the three
+    // `CkptMode`s were put on one stage/promote path; the makespans were
+    // re-recorded when the xPic kernel prices were fitted to Figs. 7-8
+    // (DESIGN.md §3.13).
     use simnet::FaultPlan;
     use xpic::resilience::{run_resilient, RecoveryConfig};
     use xpic::CkptMode::{self, Async, AsyncDelta, Sync};
@@ -359,7 +362,7 @@ fn checkpoint_virtual_times_are_pinned_across_commits() {
             ckpt_mode,
             ..RecoveryConfig::default()
         };
-        let death = (SimTime::from_secs(0.053), nodes[1]);
+        let death = (SimTime::from_secs(0.056), nodes[1]);
         let plan = resumed.map(|_| FaultPlan::from_node_faults([death]));
         let report = run_resilient(&launcher, 2, &cfg, &scr, &recovery, plan);
         assert_eq!(
@@ -374,18 +377,18 @@ fn checkpoint_virtual_times_are_pinned_across_commits() {
     };
     // Clean: ckpt_block bits, makespan bits, checkpoints taken.
     for (mode, block, makespan, ckpts) in [
-        (Sync, 0x3f30e154dcb27926, 0x3fabe721a73b3106, 2),
-        (Async, 0x3f17f310d9412462, 0x3fabd15885ee6ca6, 2),
-        (AsyncDelta, 0x3f17f322eec6f056, 0x3fabd15890b9f74a, 2),
+        (Sync, 0x3f30e154dcb27926, 0x3fad7b08085a6e06, 2),
+        (Async, 0x3f17f310d9412462, 0x3fad653ee70da9a6, 2),
+        (AsyncDelta, 0x3f17f322eec6f056, 0x3fad653ef1d9344a, 2),
     ] {
         pin(mode, None, [block, makespan], ckpts);
     }
     // With the death: the same of the world that finished the job, and the
     // step it resumed from.
     for (mode, block, makespan, ckpts, resumed) in [
-        (Sync, 0x0000000000000000, 0x3fc3c440383e9d52, 0, 4),
-        (Async, 0x3f07f310d9412462, 0x3fc3f3aebcedc0da, 1, 2),
-        (AsyncDelta, 0x3f07f322eec6f056, 0x3fc3f3aebe47322f, 1, 2),
+        (Sync, 0x0000000000000000, 0x3fc4483693483710, 0, 4),
+        (Async, 0x3f07f310d9412462, 0x3fc4994da00f4a5a, 1, 2),
+        (AsyncDelta, 0x3f07f322eec6f056, 0x3fc4994da168bbaf, 1, 2),
     ] {
         pin(mode, Some(resumed), [block, makespan], ckpts);
     }
