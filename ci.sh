@@ -44,7 +44,13 @@ cargo build --release
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
-echo "== clippy (deny warnings) =="
+echo "== clippy (deny warnings; clippy.toml is the determinism contract) =="
+# The root clippy.toml bans, by resolved path, the host clock and
+# environment, HashMap/HashSet, available_parallelism and
+# thread::scope/spawn (DESIGN.md §3.3) in every target, tests and examples
+# included. A sanctioned site carries #[expect(clippy::disallowed_…,
+# reason = "…")]; the workspace denies #[allow] and reasonless waivers, and
+# -D warnings fails an #[expect] that no longer matches.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== doc links (rustdoc, deny warnings) =="
@@ -55,13 +61,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --lib \
     -p hwmodel -p simnet -p psmpi -p cluster-booster -p ompss -p sionio -p scr \
     -p sched -p xpic -p obs -p deepcheck -p cb-bench -p cluster-booster-repro
 
-echo "== deepcheck (determinism contract + lock discipline) =="
-# Fails on any finding (D001-D004, D006, D008) not covered by allowlist.toml
-# or ranked in lockorder.toml; writes DEEPCHECK_REPORT.json with every
-# finding, its verdict and per-lint counts (a pure function of the tree).
+echo "== deepcheck (lock discipline) =="
+# Fails on any D006 (unranked lock or rank inversion; ranks inline or in
+# lockorder.toml) or D008 (blocking receive under a live guard) finding;
+# writes DEEPCHECK_REPORT.json with every finding and per-lint counts (a
+# pure function of the tree), which must match the committed copy.
 # Discarded requests and span guards fail the build stages above instead:
 # the workspace denies unused_must_use.
 cargo run -q --release -p deepcheck -- --root . --report DEEPCHECK_REPORT.json
+git diff --exit-code DEEPCHECK_REPORT.json
 
 echo "== examples (each runs to exit 0) =="
 # `cargo test` builds examples but never runs them. Several assert at run

@@ -3,6 +3,10 @@
 //! With `--obs <path>` the binary instead runs one instrumented C+B job
 //! (one node per solver) and writes the virtual-time Chrome trace to
 //! `<path>` plus the text report to `<path>.report.txt`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "CLI knob parsing in a host-side plot driver; argv selects which sweep to run and never influences virtual time"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = cb_bench::obs_run::parse_fig_cli(&args, 10, 1).unwrap_or_else(|e| {

@@ -6,6 +6,10 @@
 //!
 //! Overlap against blocking and the checkpoint modes, clean and faulted,
 //! are compared by the `matrix` binary (`cb_bench::matrix`).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "CLI knob parsing in a host-side plot driver; argv selects which sweep to run and never influences virtual time"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = cb_bench::obs_run::parse_fig_cli(&args, 10, 4).unwrap_or_else(|e| {

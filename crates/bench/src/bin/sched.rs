@@ -99,6 +99,10 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the scheduler-load bench: argv selects trace shape/seed and Instant times the host-side cost of simulating the trace for stdout; the engine underneath is one sequential virtual-time loop and the `--out` file is byte-identical run to run and pinned across commits"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Cli {

@@ -441,6 +441,10 @@ impl LockedPools<'_> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the concurrency test needs real threads racing the shared manager"
+)]
 mod tests {
     use super::*;
     use crate::presets::deep_er_prototype;
@@ -750,7 +754,7 @@ mod tests {
         });
         let ok: Vec<_> = grabbed.into_iter().flatten().collect();
         assert_eq!(ok.len(), 8, "16 CN / 2 and 8 BN / 1 fit exactly 8 jobs");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for a in &ok {
             for n in a.all_nodes() {
                 assert!(seen.insert(n), "node double-allocated");

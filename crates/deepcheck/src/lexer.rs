@@ -1,13 +1,13 @@
-//! A lightweight Rust tokenizer — just enough structure for token-pattern
-//! lints, with no external parser dependency (consistent with the
-//! vendored-stubs policy: no `syn`, no `proc-macro2`).
+//! A lightweight Rust tokenizer — just enough structure for the lock pass,
+//! with no external parser dependency (consistent with the vendored-stubs
+//! policy: no `syn`, no `proc-macro2`).
 //!
 //! The lexer produces identifiers, punctuation (with `::` fused into a
 //! single token), and opaque literal markers. Comment and string *contents*
-//! never become tokens, so a lint pattern like `Instant :: now` cannot
-//! fire on documentation or on deepcheck's own pattern tables. A second
-//! pass strips `#[cfg(test)] mod … { … }` blocks: the determinism contract
-//! governs shipped simulation code, not test harnesses.
+//! never become tokens, so a `Mutex<…>` or a `recv_match(` named in
+//! documentation is no declaration or call. A second pass strips
+//! `#[cfg(test)] mod … { … }` blocks: the lock hierarchy governs shipped
+//! code, not test harnesses.
 
 /// Kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,8 +239,8 @@ fn starts_raw_string(b: &[u8], i: usize) -> bool {
 }
 
 /// Remove every `#[cfg(test)] mod … { … }` region from a token stream.
-/// Lints govern shipped code; in-file test modules routinely use wall
-/// clocks, direct thread spawns, and unordered iteration on purpose.
+/// The lock pass governs shipped code; in-file test modules build ad-hoc
+/// locks that belong to no hierarchy.
 pub fn strip_test_modules(toks: Vec<Tok>) -> Vec<Tok> {
     let mut out = Vec::with_capacity(toks.len());
     let mut i = 0;
@@ -325,36 +325,6 @@ fn is_cfg_test_at(toks: &[Tok], i: usize) -> bool {
         && toks[i + 6].is_punct("]")
 }
 
-/// Find the next occurrence of a sequence of idents/puncts starting at or
-/// after `from`. Pattern entries starting with a letter or `_` match
-/// identifiers; everything else matches punctuation. Returns the index of
-/// the first token of the match.
-pub fn find_seq(toks: &[Tok], from: usize, pat: &[&str]) -> Option<usize> {
-    if pat.is_empty() || toks.len() < pat.len() {
-        return None;
-    }
-    'outer: for s in from..=toks.len() - pat.len() {
-        for (k, p) in pat.iter().enumerate() {
-            let t = &toks[s + k];
-            let want_ident = p
-                .chars()
-                .next()
-                .map(|c| c.is_ascii_alphabetic() || c == '_')
-                .unwrap_or(false);
-            let ok = if want_ident {
-                t.is_ident(p)
-            } else {
-                t.is_punct(p)
-            };
-            if !ok {
-                continue 'outer;
-            }
-        }
-        return Some(s);
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,8 +353,11 @@ mod tests {
 
     #[test]
     fn double_colon_is_fused() {
-        let toks = tokenize("std::env::args()");
-        assert!(find_seq(&toks, 0, &["std", "::", "env", "::", "args"]).is_some());
+        let texts: Vec<String> = tokenize("Mutex::new(0)")
+            .into_iter()
+            .map(|t| t.text)
+            .collect();
+        assert_eq!(texts, ["Mutex", "::", "new", "(", "§", ")"]);
     }
 
     #[test]
@@ -412,14 +385,17 @@ mod tests {
             }
             fn also_shipped() {}
         "#;
-        let toks = strip_test_modules(tokenize(src));
-        assert!(find_seq(&toks, 0, &["thread", "::", "spawn"]).is_none());
-        assert!(find_seq(&toks, 0, &["also_shipped"]).is_some());
+        let ids: Vec<String> = strip_test_modules(tokenize(src))
+            .into_iter()
+            .map(|t| t.text)
+            .collect();
+        assert!(!ids.contains(&"spawn".to_string()));
+        assert!(ids.contains(&"also_shipped".to_string()));
     }
 
     #[test]
     fn raw_strings_are_opaque() {
-        let toks = tokenize(r##"let p = r#"available_parallelism"#;"##);
-        assert!(find_seq(&toks, 0, &["available_parallelism"]).is_none());
+        let ids = idents(r##"let p = r#"available_parallelism"#;"##);
+        assert_eq!(ids, ["let", "p"]);
     }
 }

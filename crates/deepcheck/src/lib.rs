@@ -1,22 +1,18 @@
-//! deepcheck — the workspace static analyzer enforcing the determinism
-//! contract.
+//! deepcheck — the workspace lock-discipline analyzer.
 //!
-//! PR 1 established the repo's core guarantee: virtual times and CG
-//! iteration counts are bit-identical across thread counts. This crate
-//! *enforces* it offline, with its own lightweight Rust tokenizer (no
-//! `syn` — consistent with the vendored-stubs policy). It walks every
-//! workspace `src/` and `src/bin/` file, reports rustc-style `file:line`
-//! diagnostics plus a machine-readable `DEEPCHECK_REPORT.json`, and exits
-//! non-zero on any finding not covered by `allowlist.toml`.
+//! The determinism contract's name bans (host clock and environment, hash
+//! containers, host core count, unmanaged threads) are clippy
+//! configuration: the root `clippy.toml`, enforced by ci.sh's
+//! `cargo clippy -- -D warnings` stage. What clippy cannot express is the
+//! lock hierarchy, and that is this crate: with its own lightweight Rust
+//! tokenizer (no `syn` — consistent with the vendored-stubs policy) it
+//! walks every `src/` file of the virtual-time crates, reports
+//! rustc-style `file:line` diagnostics plus a machine-readable
+//! `DEEPCHECK_REPORT.json`, and exits non-zero on any finding.
 //!
 //! Lint families (details in DESIGN.md §"Enforcing the determinism
 //! contract"):
 //!
-//! * **D001** — wall-clock / OS-entropy / host-environment sources;
-//! * **D002** — `HashMap`/`HashSet` iteration in virtual-time crates;
-//! * **D003** — `available_parallelism` outside the sanctioned sites;
-//! * **D004** — parallelism bypassing `xpic::par::run_tasks`'s fixed-order
-//!   merge;
 //! * **D006** — lock-order discipline: every `Mutex`/`RwLock` carries a
 //!   rank (inline annotation or `lockorder.toml`), and no acquisition may
 //!   invert the declared partial order;
@@ -29,69 +25,59 @@
 
 #![forbid(unsafe_code)]
 
-pub mod allowlist;
 pub mod lexer;
-pub mod lints;
 pub mod locks;
 pub mod report;
 
-pub use allowlist::{Allowlist, AllowlistError};
-pub use lints::{Finding, VIRTUAL_TIME_CRATES};
-pub use locks::{LockOrder, LockOrderError};
-pub use report::{Judged, Report};
+pub use locks::{Finding, LockOrder, LockOrderError};
+pub use report::Report;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
+/// Crates whose state feeds virtual time or CG iteration counts: the lock
+/// pass runs only inside these. The bench and the analyzer itself run on
+/// the host, outside the simulated clock.
+pub const VIRTUAL_TIME_CRATES: &[&str] = &[
+    "hwmodel", "simnet", "psmpi", "core", "ompss", "sionio", "scr", "xpic", "obs", "sched",
+];
+
 /// Analyze one source string as `path` belonging to `crate_name` (the
 /// workspace directory name, e.g. `psmpi`). Test modules are stripped
-/// before linting. The lock-discipline pass (D006/D008) sees just this one
-/// file and an empty lock hierarchy; use [`analyze_source_with_order`] to
-/// rank locks.
+/// before the lock pass, which sees just this one file and an empty lock
+/// hierarchy: a lock ranks only by its inline annotation.
 pub fn analyze_source(crate_name: &str, path: &str, src: &str) -> Vec<Finding> {
-    analyze_source_with_order(crate_name, path, src, &LockOrder::default())
+    let files = [(path.to_string(), src.to_string())];
+    analyze_crate(crate_name, &files, &LockOrder::default()).0
 }
 
-/// [`analyze_source`] with an explicit `lockorder.toml` hierarchy.
-pub fn analyze_source_with_order(
-    crate_name: &str,
-    path: &str,
-    src: &str,
-    order: &LockOrder,
-) -> Vec<Finding> {
-    analyze_crate(crate_name, &[(path.to_string(), src.to_string())], order).0
-}
-
-/// Lint every file of one crate — `(workspace-relative path, source)`
-/// pairs — and stamp each finding with the trimmed text of its line.
-/// Returns the findings in (path, line, lint) order and every lock name
-/// the lock-discipline pass saw (empty outside the virtual-time crates).
+/// Run the lock pass over every file of one crate — `(workspace-relative
+/// path, source)` pairs — and stamp each finding with the trimmed text of
+/// its line. Returns the findings in (path, line, lint) order and every
+/// lock name the pass saw (nothing outside the virtual-time crates).
 fn analyze_crate(
     krate: &str,
     files: &[(String, String)],
     order: &LockOrder,
 ) -> (Vec<Finding>, BTreeSet<String>) {
+    let mut out = Vec::new();
+    if !VIRTUAL_TIME_CRATES.contains(&krate) {
+        return (out, BTreeSet::new());
+    }
     let toks: Vec<Vec<lexer::Tok>> = files
         .iter()
         .map(|(_, src)| lexer::strip_test_modules(lexer::tokenize(src)))
         .collect();
-    let mut out = Vec::new();
-    for ((rel, _), t) in files.iter().zip(&toks) {
-        out.extend(lints::run_all(krate, rel, t));
-    }
-    let mut used = BTreeSet::new();
-    if VIRTUAL_TIME_CRATES.contains(&krate) {
-        let inputs: Vec<locks::FileInput> = files
-            .iter()
-            .zip(&toks)
-            .map(|((rel, src), t)| locks::FileInput {
-                path: rel,
-                raw: src,
-                toks: t,
-            })
-            .collect();
-        used = locks::run_crate(krate, &inputs, order, &mut out);
-    }
+    let inputs: Vec<locks::FileInput> = files
+        .iter()
+        .zip(&toks)
+        .map(|((rel, src), t)| locks::FileInput {
+            path: rel,
+            raw: src,
+            toks: t,
+        })
+        .collect();
+    let used = locks::run_crate(krate, &inputs, order, &mut out);
     for f in &mut out {
         let src = files.iter().find(|(rel, _)| *rel == f.path).map(|(_, s)| s);
         if let Some(l) = src.and_then(|s| s.lines().nth(f.line.saturating_sub(1) as usize)) {
@@ -122,8 +108,8 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// The `.rs` files deepcheck audits, workspace-relative and sorted (the
-/// report must not depend on directory enumeration order — the analyzer
-/// obeys its own contract). Covers `crates/*/src/**` and the root `src/`;
+/// report must not depend on directory enumeration order): the
+/// `crates/<name>/src/**` of every [`VIRTUAL_TIME_CRATES`] member.
 /// `vendor/` (external stand-ins), `target/` and `tests/` directories are
 /// out of scope.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -131,15 +117,15 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         for member in read_dir_sorted(&crates_dir)? {
+            let in_scope = member
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| VIRTUAL_TIME_CRATES.contains(&n));
             let src = member.join("src");
-            if src.is_dir() {
+            if in_scope && src.is_dir() {
                 collect_rs(&src, &mut out)?;
             }
         }
-    }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        collect_rs(&root_src, &mut out)?;
     }
     out.sort();
     Ok(out)
@@ -167,7 +153,7 @@ fn read_dir_sorted(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// The crate a workspace-relative path belongs to: `crates/<name>/…` maps
-/// to `<name>`, the root `src/` maps to `root`.
+/// to `<name>`, anything else to `root`.
 pub fn crate_of(rel: &str) -> &str {
     let mut parts = rel.split('/');
     match parts.next() {
@@ -177,7 +163,7 @@ pub fn crate_of(rel: &str) -> &str {
 }
 
 /// Load the workspace's `lockorder.toml` (absent file → empty order; a
-/// malformed file is a hard error, same policy as the allowlist).
+/// malformed file is a hard error).
 pub fn load_lockorder(root: &Path) -> std::io::Result<LockOrder> {
     match std::fs::read_to_string(root.join("lockorder.toml")) {
         Ok(src) => LockOrder::parse(&src)
@@ -189,7 +175,7 @@ pub fn load_lockorder(root: &Path) -> std::io::Result<LockOrder> {
 
 /// Run the full analysis over a workspace. Returns the report; the caller
 /// decides how to render it and what exit code to use.
-pub fn analyze_workspace(root: &Path, allowlist: &Allowlist) -> std::io::Result<Report> {
+pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
     let order = load_lockorder(root)?;
     let files = workspace_files(root)?;
 
@@ -218,8 +204,7 @@ pub fn analyze_workspace(root: &Path, allowlist: &Allowlist) -> std::io::Result<
         used_locks.insert(krate.clone(), used);
     }
 
-    // lockorder.toml entries naming locks that no longer exist are stale —
-    // same hygiene rule as unused allowlist entries.
+    // lockorder.toml entries naming locks that no longer exist are stale.
     let mut stale_lockorder = Vec::new();
     for (krate, names) in &order.ranks {
         for name in names.keys() {
@@ -230,9 +215,11 @@ pub fn analyze_workspace(root: &Path, allowlist: &Allowlist) -> std::io::Result<
         }
     }
 
-    let mut report = Report::new(findings, allowlist, files.len());
-    report.stale_lockorder = stale_lockorder;
-    Ok(report)
+    Ok(Report {
+        findings,
+        stale_lockorder,
+        files_scanned: files.len(),
+    })
 }
 
 #[cfg(test)]
@@ -247,7 +234,9 @@ mod tests {
 
     #[test]
     fn analyze_source_strips_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f() { let t = Instant::now(); }\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n struct S { m: Mutex<u8> }\n}\n";
         assert!(analyze_source("psmpi", "x.rs", src).is_empty());
+        let shipped = "struct S { m: Mutex<u8> }\n";
+        assert_eq!(analyze_source("psmpi", "x.rs", shipped).len(), 1);
     }
 }

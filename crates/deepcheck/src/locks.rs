@@ -25,8 +25,32 @@
 //! what the runtime witness in `psmpi::lockcheck` covers.
 
 use crate::lexer::{Tok, TokKind};
-use crate::lints::{push, Finding};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// A single diagnostic.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Lint code (`D006` or `D008`).
+    pub lint: &'static str,
+    /// Workspace-relative path of the offending file.
+    pub path: String,
+    /// 1-indexed line.
+    pub line: u32,
+    /// Human-readable explanation.
+    pub message: String,
+    /// Trimmed source text of the offending line, shown in the report.
+    pub snippet: String,
+}
+
+fn push(out: &mut Vec<Finding>, lint: &'static str, path: &str, line: u32, msg: String) {
+    out.push(Finding {
+        lint,
+        path: path.to_string(),
+        line,
+        message: msg,
+        snippet: String::new(),
+    });
+}
 
 /// The parsed `lockorder.toml`: crate name → lock name → rank.
 #[derive(Debug, Clone, Default)]
@@ -35,9 +59,8 @@ pub struct LockOrder {
     pub ranks: BTreeMap<String, BTreeMap<String, i64>>,
 }
 
-/// A malformed `lockorder.toml` is a hard error, same policy as a
-/// malformed allowlist: CI must not run against a half-understood
-/// hierarchy.
+/// A malformed `lockorder.toml` is a hard error: CI must not run against
+/// a half-understood hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockOrderError(pub String);
 

@@ -102,7 +102,10 @@ impl SimTime {
 impl Eq for SimTime {}
 
 // SimTime is never NaN (enforced at construction), so a total order exists.
-#[allow(clippy::derive_ord_xor_partial_ord)]
+#[expect(
+    clippy::derive_ord_xor_partial_ord,
+    reason = "the derived PartialOrd agrees with this Ord: SimTime is never NaN"
+)]
 impl Ord for SimTime {
     #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {

@@ -9,9 +9,10 @@
 //! (correctly) fail — so they get their own sink.
 //!
 //! A [`HostMetrics`] is a plain ordered bag of named scalar samples. It
-//! does not read clocks or entropy itself (deepcheck D001 applies here
-//! too): callers measure with whatever wall-clock source their context
-//! permits (the bench binaries are allowlisted) and deposit plain numbers.
+//! does not read clocks or entropy itself (the `clippy.toml` clock ban
+//! applies here too): callers measure with whatever wall-clock source their
+//! context permits (the bench binaries carry a reasoned `#[expect]`) and
+//! deposit plain numbers.
 //! The JSON rendering is deterministic *given the samples* — keys sorted,
 //! fixed float formatting — so diffs between runs show metric drift, not
 //! serialization noise.

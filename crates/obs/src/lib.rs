@@ -14,8 +14,8 @@
 //! ## Determinism contract
 //!
 //! Nothing in this crate reads wall-clock time — every timestamp is a
-//! [`hwmodel::SimTime`] handed in by the caller (deepcheck lint D001
-//! enforces this). Because the runtime's virtual clocks are thread-count
+//! [`hwmodel::SimTime`] handed in by the caller (the `clippy.toml` clock
+//! ban enforces this). Because the runtime's virtual clocks are thread-count
 //! invariant, two identical runs produce **byte-identical** trace files:
 //! tracks are keyed and ordered by `(world, rank)`, spans are recorded in
 //! each rank thread's program order, and all aggregation uses `BTreeMap`.

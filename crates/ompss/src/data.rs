@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataStore {
     /// Name → block. Ordered so snapshot/restore walk blocks in a
-    /// reproducible order (deepcheck D002).
+    /// reproducible order (`clippy.toml` bans the hash containers).
     blocks: BTreeMap<String, Vec<f64>>,
 }
 

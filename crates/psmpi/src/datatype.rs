@@ -517,7 +517,7 @@ impl<T: MpiDatatype> MpiDatatype for Option<T> {
 macro_rules! impl_tuple {
     ($($part:ident . $idx:tt),+) => {
         impl<$($part: MpiDatatype),+> MpiDatatype for ($($part,)+) {
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "the tuple's type parameters double as pattern bindings")]
             const FIXED_WIDTH: Option<usize> = match ($($part::FIXED_WIDTH,)+) {
                 ($(Some($part),)+) => Some(0 $(+ $part)+),
                 _ => None,

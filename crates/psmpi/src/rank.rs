@@ -352,7 +352,10 @@ pub struct Rank {
 
 impl Rank {
     /// Used by the universe/spawner; not public API.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the one constructor, called only by the spawner with every field of the rank"
+    )]
     pub(crate) fn new(
         router: Arc<Router>,
         endpoint: EndpointId,
@@ -1026,7 +1029,10 @@ impl Rank {
     /// consults the router) and the virtual time at which the fabric
     /// accepts the injection. The error side carries the time the sender
     /// gives up at for a fault, `None` for a usage error.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a private helper whose two sides are each read once by the caller"
+    )]
     fn route_send(
         &mut self,
         comm: &impl Comm,

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use hwmodel::{NodeId, NodeSpec, SimTime};
 use parking_lot::{Condvar, Mutex, RwLock};
 use simnet::Fabric;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -47,7 +47,11 @@ struct MailboxState {
     base: u64,
     /// Exact-match index; only ever *looked up* by key, never iterated,
     /// so hash order cannot influence matching (determinism contract).
-    index: HashMap<(CommId, usize, Tag), VecDeque<u64>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup only, never iterated: hash order reaches no clock or match"
+    )]
+    index: std::collections::HashMap<(CommId, usize, Tag), VecDeque<u64>>,
     /// Number of live (non-tombstone) envelopes.
     live: usize,
     /// Receivers inside `cv.wait` that nothing has notified since they
@@ -146,6 +150,10 @@ pub type Probed = (usize, Tag, usize, SimTime, EndpointId);
 const SPIN_BUDGET: u32 = 1000;
 
 /// Cores of the host, read once.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host-side wake-up policy: the core count only decides whether a receiver that found no match spins on the arrival counter before it sleeps (and only while awake rank threads <= cores); it never reaches a clock, a match decision or any virtual-time value"
+)]
 fn host_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -470,8 +478,9 @@ pub struct Router {
     /// BTreeMap (not HashMap): `declare_down` iterates the shards in index
     /// order and each map in key order to interrupt blocked receivers, and
     /// iteration in a virtual-time crate must be in a deterministic order
-    /// (deepcheck D002). Entries are never removed, so cached
-    /// `Arc<EndpointEntry>` handles can outlive the lookup.
+    /// (`clippy.toml` bans the hash containers). Entries are never
+    /// removed, so cached `Arc<EndpointEntry>` handles can outlive the
+    /// lookup.
     endpoints: [RwLock<BTreeMap<EndpointId, Arc<EndpointEntry>>>; ENDPOINT_SHARDS], // lock-order: 20
     /// Nodes declared down at run time, with their virtual death times.
     /// Written by the victim's own thread *after* it deposited all its
@@ -751,6 +760,10 @@ impl Router {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the wake-up races under test need real rank threads racing a real mailbox"
+)]
 mod tests {
     use super::*;
     use bytes::Bytes;

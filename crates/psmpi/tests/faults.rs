@@ -160,6 +160,10 @@ fn revoke_marker_aborts_transitively_blocked_rank() {
 /// Run `job` on a thread of its own and fail — rather than hang the suite —
 /// if it is not through in ten seconds (the launches below take
 /// milliseconds).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a watchdog thread outside the simulated world; it reads no virtual time"
+)]
 fn within_ten_seconds(job: impl FnOnce() + Send + 'static) {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {

@@ -15,6 +15,11 @@
 //!    on its way to sleep always wakes it, whether the receiver spins first
 //!    (awake rank threads ≤ host cores) or not (idle ranks held over it).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the races under test need real threads, and the spin gate needs the host's core count to be held shut"
+)]
+
 use bytes::Bytes;
 use hwmodel::SimTime;
 use psmpi::envelope::EndpointId;

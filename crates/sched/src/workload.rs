@@ -4,8 +4,9 @@
 //! known work, a communication profile, and a submission time drawn from
 //! an arrival process. Everything is a pure function of the
 //! [`WorkloadConfig`] — the only randomness is a `StdRng` seeded from
-//! `cfg.seed` (the repo's sanctioned pattern, deepcheck D001), so the
-//! same config always produces byte-identical traces on every host.
+//! `cfg.seed` (the repo's sanctioned pattern; the vendored `rand` has no
+//! OS-entropy source), so the same config always produces byte-identical
+//! traces on every host.
 
 use hwmodel::SimTime;
 use rand::rngs::StdRng;

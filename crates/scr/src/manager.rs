@@ -237,7 +237,8 @@ struct ScrState {
     db: Vec<CheckpointRecord>,
     /// Records staged so far.
     staged: u64,
-    /// Nodes currently failed (ordered: deepcheck D002).
+    /// Nodes currently failed (ordered: `clippy.toml` bans the hash
+    /// containers).
     dead: BTreeSet<NodeId>,
 }
 
@@ -684,7 +685,6 @@ impl ScrManager {
 
     /// Restart from the newest recoverable checkpoint: returns
     /// `(id, level, per-rank blobs, virtual cost)`.
-    #[allow(clippy::type_complexity)]
     pub fn restart(&self) -> Result<(u64, CheckpointLevel, Vec<Bytes>, SimTime), ScrError> {
         let st = self.state.lock();
         for rec in st.db.iter().rev() {

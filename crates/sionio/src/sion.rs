@@ -189,6 +189,10 @@ impl SionContainer {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "concurrent SION writers under test need real threads racing the shared container"
+)]
 mod tests {
     use super::*;
 

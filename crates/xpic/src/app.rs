@@ -349,7 +349,10 @@ fn run_combined(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>) {
     );
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the combined-mode tail of one run: each argument is a distinct measurement of it"
+)]
 fn finalize_combined(
     rank: &mut Rank,
     world: &Communicator,

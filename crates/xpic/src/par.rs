@@ -50,6 +50,10 @@ pub const MIN_PAR_ROWS: usize = 64;
 
 /// Resolve a thread-count knob: `0` means "use the machine", anything else
 /// is taken literally.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned sizing site: resolve_threads(0) maps to the host core count by design (paper runs size the pool to the node); results stay bit-identical across thread counts by contract"
+)]
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
@@ -106,6 +110,10 @@ pub fn split_mut<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Vec<
 /// worker processes its tasks in index order; with `threads <= 1` (or one
 /// task) everything runs inline on the caller. Which worker runs a task
 /// must not matter to the result — see the module docs.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "par.rs IS the fixed-order merge helper: run_tasks owns the thread::scope that every other crate must go through"
+)]
 pub fn run_tasks<T, F>(threads: usize, tasks: Vec<T>, f: F)
 where
     T: Send,

@@ -7,6 +7,10 @@ use cluster_booster::presets::deep_er_prototype;
 use cluster_booster::Launcher;
 use xpic::{run_mode, Mode, XpicConfig};
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "argv picks the step count, an input of the run like any config value; nothing reads the host during it"
+)]
 fn main() {
     let steps = std::env::args()
         .nth(1)
