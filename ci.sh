@@ -76,8 +76,8 @@ echo "== examples (each runs to exit 0) =="
 # time: ompss_offload (the ompss crate's only caller) that injected task
 # failures were absorbed by input saving + retry, modular_supercomputing
 # that three module worlds cooperated, checkpoint_restart that the newest
-# surviving state is restored, xpic_partitioned that C+B and Cluster-only
-# end on the same energies.
+# surviving state is restored, xpic_partitioned that Cluster-only,
+# Booster-only and C+B end on bit-identical field and kinetic energies.
 for example in quickstart fabric_explorer modular_supercomputing \
     checkpoint_restart xpic_partitioned ompss_offload; do
     cargo run -q --release --example "$example" > /dev/null

@@ -1,18 +1,21 @@
 //! The equivalence matrix: one xPic shape, `XpicConfig::paper_bench(3)` on
-//! 2 nodes per solver, run as C+B overlapped and blocking ([`run_mode`])
-//! and in each [`CkptMode`] under each of the `FAULTS` ([`run_resilient`],
-//! a Buddy checkpoint after every step): fourteen rows, each at every one
-//! of `THREADS` with an [`obs::Recorder`] attached. The checks are
-//! [`Matrix::errors`], plus the leftovers each cell asserts: no rank
-//! awake, no drain in flight, at most two checkpoints held. Faulted rows'
-//! blocking is not compared: each
+//! 2 nodes per solver, run in the paper's three placements ([`run_mode`]:
+//! C+B overlapped and blocking, then Listing 1's combined loop on the
+//! Cluster and on the Booster) and in each [`CkptMode`] under each of the
+//! `FAULTS` ([`run_resilient`], a Buddy checkpoint after every step):
+//! sixteen rows, each at every one of `THREADS` with an [`obs::Recorder`]
+//! attached. The checks are [`Matrix::errors`], plus the leftovers each
+//! cell asserts: no rank awake, no drain in flight, at most two
+//! checkpoints held. Faulted rows' blocking is not compared: each
 //! reports the incarnation that finished, and those took different
 //! numbers of checkpoints. Overlap is not crossed with the checkpoint
 //! modes: the resilient loop ignores [`XpicConfig::overlap`].
 //!
 //! `tests/full_stack.rs` pins [`Matrix::render`] to `matrix.golden` beside
 //! this file; its values are those the figure binaries' gate flags
-//! printed at commit 15fa441, before this module replaced them.
+//! printed at commit 15fa441, before this module replaced them. The
+//! `Cluster` and `Booster` rows came later and pin the combined loop's
+//! virtual times and its energy-to-solution.
 
 use hwmodel::{NodeId, SimTime};
 use obs::Recorder;
@@ -47,27 +50,35 @@ const FAULTS: [&str; 4] = ["clean", "after-stage", "buddy+owner", "mtbf"];
 /// How one row runs the job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Row {
-    /// C+B through [`run_mode`], overlapped (`true`) or blocking.
-    ClusterBooster(bool),
+    /// One placement through [`run_mode`], overlapped (`true`) or
+    /// blocking: the combined loop rows run overlapped, C+B both ways.
+    Placement(Mode, bool),
     /// A supervised Booster solver world through [`run_resilient`] under
     /// one of the [`FAULTS`].
     Resilient(CkptMode, &'static str),
 }
 
 impl Row {
-    /// The fourteen rows, in table order.
+    /// C+B, overlapped (`true`) or blocking.
+    fn cb(overlap: bool) -> Row {
+        Row::Placement(Mode::ClusterBooster, overlap)
+    }
+
+    /// The sixteen rows, in table order.
     fn all() -> Vec<Row> {
         let modes = [CkptMode::Sync, CkptMode::Async, CkptMode::AsyncDelta];
-        let cb = [true, false].map(Row::ClusterBooster).to_vec();
+        let combined = [Mode::ClusterOnly, Mode::BoosterOnly].map(|m| Row::Placement(m, true));
+        let placements = [[Row::cb(true), Row::cb(false)], combined].concat();
         let faulted = FAULTS.map(|f| modes.map(|m| Row::Resilient(m, f)));
-        [cb, faulted.concat()].concat()
+        [placements, faulted.concat()].concat()
     }
 
     /// The row's name in the table and in errors.
     fn label(self) -> String {
         match self {
-            Row::ClusterBooster(true) => "C+B overlap".into(),
-            Row::ClusterBooster(false) => "C+B blocking".into(),
+            Row::Placement(Mode::ClusterBooster, true) => "C+B overlap".into(),
+            Row::Placement(Mode::ClusterBooster, false) => "C+B blocking".into(),
+            Row::Placement(mode, _) => mode.label().into(),
             Row::Resilient(mode, fault) => format!("{mode:?} {fault}"),
         }
     }
@@ -94,7 +105,7 @@ struct Cell {
     /// The row's values as the table prints them.
     line: String,
     final_line: String,
-    /// Every step's energy bits (C+B rows only).
+    /// Every step's energy bits (placement rows only).
     history: Vec<u64>,
     makespan: SimTime,
     /// C+B `interface` + `halo` wait.
@@ -116,7 +127,7 @@ fn run_cell(row: Row, threads: usize) -> Cell {
     let mut cfg = XpicConfig::paper_bench(STEPS);
     cfg.threads = threads;
     let cell = match row {
-        Row::ClusterBooster(overlap) => {
+        Row::Placement(mode, overlap) => {
             // The per-node model load deep into the Fig. 8 sweep, where
             // transfers are comparable to the per-step compute so overlap
             // dominates (EXPERIMENTS.md). Model scale only: same physics.
@@ -124,14 +135,21 @@ fn run_cell(row: Row, threads: usize) -> Cell {
             cfg.model.cells_per_node = 2048;
             cfg.model.particles_per_cell = 64;
             cfg.model.cg_iters = 10;
-            let r = run_mode(&launcher, Mode::ClusterBooster, NODES, &cfg);
+            let r = run_mode(&launcher, mode, NODES, &cfg);
             let profile = rec.snapshot().profile();
             let wait_of = |m| profile.modules.get(m).map_or(SimTime::ZERO, |b| b.wait);
             let wait = wait_of("interface") + wait_of("halo");
             let makespan = profile.makespan;
             let (m, w) = (makespan.as_secs(), wait.as_secs());
+            let (f, p) = (r.field_time.as_secs(), r.particle_time.as_secs());
+            let e = r.energy_joules;
             Cell {
-                line: format!("makespan_s={m:.9} wait_s={w:.9}"),
+                line: match mode {
+                    Mode::ClusterBooster => format!("makespan_s={m:.9} wait_s={w:.9}"),
+                    _ => format!(
+                        "makespan_s={m:.9} field_s={f:.9} particle_s={p:.9} energy_j={e:.9}"
+                    ),
+                },
                 final_line: final_line(r.field_energy, r.kinetic_energy, r.steps),
                 history: r.energy_history.iter().map(|e| e.to_bits()).collect(),
                 makespan,
@@ -188,7 +206,7 @@ pub struct Matrix {
     rows: Vec<(Row, Vec<Cell>)>,
 }
 
-/// Run all 42 cells.
+/// Run all 48 cells.
 pub fn run() -> Matrix {
     let cells = |row| Vec::from(THREADS.map(|t| run_cell(row, t)));
     let rows = Row::all().into_iter().map(|r| (r, cells(r))).collect();
@@ -205,7 +223,7 @@ impl Matrix {
     /// Fractional cut of C+B `interface` + `halo` wait, overlap against
     /// blocking.
     fn wait_cut(&self) -> f64 {
-        let wait = |overlap| self.cell(Row::ClusterBooster(overlap)).wait;
+        let wait = |overlap| self.cell(Row::cb(overlap)).wait;
         1.0 - wait(true) / wait(false)
     }
 
@@ -223,7 +241,7 @@ impl Matrix {
         );
         for (row, cells) in &self.rows {
             let _ = write!(out, "{:<22} {}", row.label(), cells[0].line);
-            if *row == Row::ClusterBooster(true) {
+            if *row == Row::cb(true) {
                 let _ = write!(out, " wait_cut={:.1}%", 100.0 * self.wait_cut());
             }
             out.push('\n');
@@ -250,7 +268,7 @@ impl Matrix {
         if finals.len() > 1 {
             errors.push(format!("{} FINAL values: {finals:?}", finals.len()));
         }
-        let [on, off] = [true, false].map(|overlap| self.cell(Row::ClusterBooster(overlap)));
+        let [on, off] = [true, false].map(|overlap| self.cell(Row::cb(overlap)));
         let bit_exact = (&on.final_line, &on.history) == (&off.final_line, &off.history);
         let (cut, on_m, off_m) = (self.wait_cut(), on.makespan, off.makespan);
         if !(bit_exact && on_m < off_m && cut >= MIN_WAIT_REDUCTION) {
@@ -258,6 +276,14 @@ impl Matrix {
                 "overlap gate: bit-exact {bit_exact}, makespan {on_m} against blocking's \
                  {off_m}, interface+halo wait cut {cut:.3} (at least {MIN_WAIT_REDUCTION})"
             ));
+        }
+        for (row, cells) in &self.rows {
+            if matches!(row, Row::Placement(..)) && cells[0].history != on.history {
+                errors.push(format!(
+                    "{}: energy history differs from C+B's",
+                    row.label()
+                ));
+            }
         }
         let block = |mode| self.cell(Row::Resilient(mode, "clean")).ckpt_block;
         for mode in [CkptMode::Async, CkptMode::AsyncDelta] {

@@ -12,6 +12,11 @@
 //!
 //! The physics is the same in every mode (tested): only the placement and
 //! the overlap structure change — which is precisely the paper's point.
+//!
+//! Each step is written once (one function per kernel phase, one
+//! interface codec, one end-of-run `reduce_tail`); each Listing keeps one
+//! loop that orders the calls, and C+B keeps its overlapped and blocking
+//! branches apart (DESIGN.md §3.9 says why).
 
 use crate::config::XpicConfig;
 use crate::diagnostics::{field_energy, kinetic_energy};
@@ -24,6 +29,7 @@ use crate::solver::{
     complete_halo_add, halo_add_moments, migrate_particles, post_halo_add_recvs,
     send_halo_add_ghosts, tags, MpiFieldComm,
 };
+use bytes::Bytes;
 use cluster_booster::{JobSpec, Launcher};
 use hwmodel::SimTime;
 use parking_lot::Mutex;
@@ -62,7 +68,11 @@ pub struct XpicReport {
     pub nodes_per_solver: usize,
     /// Steps simulated.
     pub steps: u32,
-    /// End-to-end virtual runtime (job makespan).
+    /// Steady-state virtual loop time: the span from the end of the first
+    /// step to the end of the last, max over all ranks of all worlds,
+    /// rescaled by `steps / (steps − 1)` to stand for every step. The
+    /// one-off start-up (C+B's spawn, the initial moments) is excluded.
+    /// The job makespan stands in only when that span is zero (one step).
     pub total: SimTime,
     /// Field-solver section time (max over ranks).
     pub field_time: SimTime,
@@ -80,7 +90,8 @@ pub struct XpicReport {
     /// Total real CG iterations across steps and ranks.
     pub cg_iters: u64,
     /// Energy-to-solution in Joules (two-state node power model; waits at
-    /// idle power — see `hwmodel::power`).
+    /// idle power — see `hwmodel::power`), the per-rank values summed in
+    /// ascending order so the total does not depend on host scheduling.
     pub energy_joules: f64,
     /// Global field energy after each step (the time series the paper's
     /// auxiliary computations produce for output files).
@@ -128,8 +139,10 @@ fn steady_total(span: SimTime, steps: u32) -> SimTime {
     }
 }
 
-/// Per-rank state of one slab's simulation.
+/// Per-rank state of one slab's simulation, and the solver world the slab
+/// belongs to.
 struct SlabState {
+    world: Communicator,
     grid: Grid,
     solver: FieldSolver,
     /// One entry per species (the `nspec` loop of Listing 1).
@@ -141,10 +154,10 @@ struct SlabState {
 }
 
 impl SlabState {
-    /// A slab with its particles: both solvers on one module, or the
-    /// particle solver of C+B.
-    fn new(config: &XpicConfig, slab: usize, nslabs: usize) -> SlabState {
-        let mut st = SlabState::without_particles(config, slab, nslabs);
+    /// `rank`'s slab with its particles: both solvers on one module, or
+    /// the particle solver of C+B.
+    fn new(config: &XpicConfig, rank: &Rank) -> SlabState {
+        let mut st = SlabState::without_particles(config, rank);
         st.species = Species::from_config(config, &st.grid);
         // Work charged per species is relative to the baseline electron
         // population, so adding a kinetic ion species doubles the particle
@@ -157,9 +170,11 @@ impl SlabState {
 
     /// The field solver's slab of C+B (Listing 2): no particles, which
     /// live on the Booster.
-    fn without_particles(config: &XpicConfig, slab: usize, nslabs: usize) -> SlabState {
-        let grid = Grid::slab(config.nx, config.ny, slab, nslabs);
+    fn without_particles(config: &XpicConfig, rank: &Rank) -> SlabState {
+        let world = rank.world();
+        let grid = Grid::slab(config.nx, config.ny, rank.rank(), world.size());
         SlabState {
+            world,
             grid,
             solver: FieldSolver::new(grid, config),
             species: Vec::new(),
@@ -167,6 +182,112 @@ impl SlabState {
             fields: Fields::zeros(&grid),
             moments: Moments::zeros(&grid),
         }
+    }
+
+    /// Initial moment gathering (every species' deposit, then the
+    /// halo-add) so the first calculateE sees ρ,J.
+    fn initial_moments(&mut self, rank: &mut Rank, config: &XpicConfig) {
+        for (species, &share) in self.species.iter().zip(&self.ppc_share) {
+            deposit_threads(&self.grid, species, &mut self.moments, config.threads);
+            rank.compute(&config.work_moments().scaled(share));
+        }
+        halo_add_moments(rank, &self.world, &self.grid, &mut self.moments, config)
+            .expect("moment halo-add exchange");
+    }
+
+    /// Field phase: calculateE with model-scale cost and padded
+    /// collectives, then cpyToArr_F; returns real CG iterations.
+    fn field_solve_e(&mut self, rank: &mut Rank, config: &XpicConfig) -> u64 {
+        let phase = rank.obs_open(obs::Category::Phase, "field-solve");
+        let mut fc = MpiFieldComm::new(rank, self.world.clone(), config);
+        let iters = self
+            .solver
+            .calculate_e(&mut self.fields, &self.moments, &mut fc);
+        let done = fc.allreduces;
+        // Charge the model-scale compute (Table II cells × model CG iterations).
+        rank.compute(&config.work_cg_iter().scaled(config.model.cg_iters as f64));
+        // Pad the global reductions up to the model iteration count (two dot
+        // products per CG iteration, three components' setup reductions).
+        let target = 2 * config.model.cg_iters + 6;
+        for _ in done..target {
+            rank.allreduce_scalar(&self.world, 0.0, ReduceOp::Sum)
+                .expect("pad allreduce");
+        }
+        rank.obs_close(phase);
+        rank.compute(&config.work_cpy()); // cpyToArr_F
+        u64::from(iters)
+    }
+
+    /// Field phase: calculateB (the Faraday update, which reads fields
+    /// only) and cpyFromArr_M.
+    fn field_solve_b(&mut self, rank: &mut Rank, config: &XpicConfig) {
+        let phase = rank.obs_open(obs::Category::Phase, "field-solve");
+        let mut fc = MpiFieldComm::new(rank, self.world.clone(), config);
+        self.solver.calculate_b(&mut self.fields, &mut fc);
+        rank.compute(&config.work_curl());
+        rank.compute(&config.work_cpy());
+        rank.obs_close(phase);
+    }
+
+    /// Particle phase: the Listing-1 species loop — push + moment
+    /// gathering for every species — then the halo-add (deposit, then
+    /// migrate: the migration is [`SlabState::migrate_all`], so C+B can
+    /// overlap it).
+    fn particle_phase(&mut self, rank: &mut Rank, config: &XpicConfig) {
+        let (world, grid) = (&self.world, &self.grid);
+        rank.compute(&config.work_cpy()); // cpyFromArr_F
+        self.moments.clear();
+        // Overlapped halo-add: the neighbour ghost-row receives are posted
+        // before the interior mover/deposit sweep even starts and completed
+        // only after the sweep's trailing copy, so the exchange rides under
+        // the step's compute (fold order is unchanged — bit-exact moments).
+        let halo_recvs = if config.overlap {
+            post_halo_add_recvs(rank, world).expect("post moment halo recvs")
+        } else {
+            None
+        };
+        // for (auto is=0; is<nspec; is++) { ParticlesMove(); ParticleMoments(); }
+        for (species, &share) in self.species.iter_mut().zip(&self.ppc_share) {
+            let phase = rank.obs_open(obs::Category::Phase, "mover");
+            boris_push_threads(grid, &self.fields, species, config.dt, config.threads);
+            rank.compute(&config.work_push().scaled(share));
+            rank.obs_close(phase);
+            let phase = rank.obs_open(obs::Category::Phase, "deposit");
+            deposit_threads(grid, species, &mut self.moments, config.threads);
+            rank.compute(&config.work_moments().scaled(share));
+            rank.obs_close(phase);
+        }
+        let phase = rank.obs_open(obs::Category::Phase, "halo");
+        if config.overlap {
+            let halo_sends = send_halo_add_ghosts(rank, world, grid, &self.moments, config)
+                .expect("send moment ghost rows");
+            rank.obs_close(phase);
+            rank.compute(&config.work_cpy()); // cpyToArr_M, under the exchange
+            let phase = rank.obs_open(obs::Category::Phase, "halo");
+            complete_halo_add(rank, world, grid, &mut self.moments, halo_recvs, halo_sends)
+                .expect("moment halo-add exchange");
+            rank.obs_close(phase);
+        } else {
+            halo_add_moments(rank, world, grid, &mut self.moments, config)
+                .expect("moment halo-add exchange");
+            rank.obs_close(phase);
+            rank.compute(&config.work_cpy()); // cpyToArr_M
+        }
+    }
+
+    /// Migrate every species (wraps y periodically on one rank).
+    fn migrate_all(&mut self, rank: &mut Rank, config: &XpicConfig) {
+        let phase = rank.obs_open(obs::Category::Phase, "migrate");
+        for species in &mut self.species {
+            migrate_particles(rank, &self.world, &self.grid, species, config)
+                .expect("particle migration exchange");
+        }
+        rank.obs_close(phase);
+    }
+
+    /// This slab's field energy (the per-step diagnostic).
+    fn field_energy(&self) -> f64 {
+        field_energy(&self.grid, &self.fields)
     }
 
     fn kinetic_energy(&self) -> f64 {
@@ -178,97 +299,12 @@ impl SlabState {
     }
 }
 
-/// Field phase: calculateE with model-scale cost and padded collectives,
-/// returns real CG iterations.
-fn field_solve_e(
-    rank: &mut Rank,
-    comm: &Communicator,
-    config: &XpicConfig,
-    st: &mut SlabState,
-) -> u32 {
-    let phase = rank.obs_open(obs::Category::Phase, "field-solve");
-    let mut fc = MpiFieldComm::new(rank, comm.clone(), config);
-    let iters = st.solver.calculate_e(&mut st.fields, &st.moments, &mut fc);
-    let done = fc.allreduces;
-    // Charge the model-scale compute (Table II cells × model CG iterations).
-    rank.compute(&config.work_cg_iter().scaled(config.model.cg_iters as f64));
-    // Pad the global reductions up to the model iteration count (two dot
-    // products per CG iteration, three components' setup reductions).
-    let target = 2 * config.model.cg_iters + 6;
-    for _ in done..target {
-        rank.allreduce_scalar(comm, 0.0, ReduceOp::Sum)
-            .expect("pad allreduce");
-    }
-    rank.obs_close(phase);
-    iters
-}
-
-/// Particle phase: the Listing-1 species loop — push + moment gathering
-/// for every species — then the halo-add (deposit-then-migrate; the
-/// migration itself is the caller's, so C+B can overlap it).
-fn particle_phase(rank: &mut Rank, comm: &Communicator, config: &XpicConfig, st: &mut SlabState) {
-    rank.compute(&config.work_cpy()); // cpyFromArr_F
-    st.moments.clear();
-    // Overlapped halo-add: the neighbour ghost-row receives are posted
-    // before the interior mover/deposit sweep even starts and completed
-    // only after the sweep's trailing copy, so the exchange rides under
-    // the step's compute (fold order is unchanged — bit-exact moments).
-    let halo_recvs = if config.overlap {
-        post_halo_add_recvs(rank, comm).expect("post moment halo recvs")
-    } else {
-        None
-    };
-    // for (auto is=0; is<nspec; is++) { ParticlesMove(); ParticleMoments(); }
-    for is in 0..st.species.len() {
-        let phase = rank.obs_open(obs::Category::Phase, "mover");
-        boris_push_threads(
-            &st.grid,
-            &st.fields,
-            &mut st.species[is],
-            config.dt,
-            config.threads,
-        );
-        rank.compute(&config.work_push().scaled(st.ppc_share[is]));
-        rank.obs_close(phase);
-        let phase = rank.obs_open(obs::Category::Phase, "deposit");
-        deposit_threads(&st.grid, &st.species[is], &mut st.moments, config.threads);
-        rank.compute(&config.work_moments().scaled(st.ppc_share[is]));
-        rank.obs_close(phase);
-    }
-    if config.overlap {
-        let phase = rank.obs_open(obs::Category::Phase, "halo");
-        let halo_sends = send_halo_add_ghosts(rank, comm, &st.grid, &st.moments, config)
-            .expect("send moment ghost rows");
-        rank.obs_close(phase);
-        rank.compute(&config.work_cpy()); // cpyToArr_M, under the exchange
-        let phase = rank.obs_open(obs::Category::Phase, "halo");
-        complete_halo_add(
-            rank,
-            comm,
-            &st.grid,
-            &mut st.moments,
-            halo_recvs,
-            halo_sends,
-        )
-        .expect("moment halo-add exchange");
-        rank.obs_close(phase);
-    } else {
-        let phase = rank.obs_open(obs::Category::Phase, "halo");
-        halo_add_moments(rank, comm, &st.grid, &mut st.moments, config)
-            .expect("moment halo-add exchange");
-        rank.obs_close(phase);
-        rank.compute(&config.work_cpy()); // cpyToArr_M
-    }
-}
-
-/// Migrate every species (wraps y periodically on one rank).
-fn migrate_all(rank: &mut Rank, comm: &Communicator, config: &XpicConfig, st: &mut SlabState) {
-    let phase = rank.obs_open(obs::Category::Phase, "migrate");
-    for is in 0..st.species.len() {
-        migrate_particles(rank, comm, &st.grid, &mut st.species[is], config)
-            .expect("particle migration exchange");
-    }
-    rank.obs_close(phase);
+/// Run `f` on `rank` and add the virtual time it took to `acc`.
+fn timed<T>(rank: &mut Rank, acc: &mut SimTime, f: impl FnOnce(&mut Rank) -> T) -> T {
+    let t0 = rank.now();
+    let out = f(rank);
+    *acc += rank.now() - t0;
+    out
 }
 
 /// Auxiliary computations + output (overlapped in C+B mode).
@@ -279,55 +315,79 @@ fn aux_phase(rank: &mut Rank, config: &XpicConfig, elems: u64) {
     rank.obs_close(phase);
 }
 
+/// An interface buffer (the owned E,B or ρ,J rows) on psmpi's zero-copy
+/// Bytes path: packed once into a pooled flat f64 buffer ...
+fn pack_interface(rank: &Rank, owned: &[f64]) -> Bytes {
+    pod_to_bytes_pooled(rank.buffer_pool(), owned)
+}
+
+/// ... and decoded once on the other side, the buffer going back to the
+/// pool.
+fn unpack_interface(rank: &Rank, buf: Bytes) -> Vec<f64> {
+    let owned = bytes_to_pod::<f64>(&buf).expect("interface buffer length");
+    rank.buffer_pool().recycle(buf);
+    owned
+}
+
+/// A blocking interface send to the paired rank, under the `interface`
+/// phase.
+fn send_interface(rank: &mut Rank, ic: &Intercomm, tag: i32, owned: &[f64], wire_size: usize) {
+    let phase = rank.obs_open(obs::Category::Phase, "interface");
+    let buf = pack_interface(rank, owned);
+    rank.send_bytes_comm_sized(ic, rank.rank(), tag, buf, wire_size)
+        .expect("send interface buffer");
+    rank.obs_close(phase);
+}
+
+/// The end-of-run reductions of one world, in the order every world issues
+/// them: the per-step field-energy `history` (if the world keeps one) and
+/// `sums` summed, then `maxes` maxed. Returns `(history, sums, maxes)` on
+/// world rank 0, the rank that records them; `history` is empty when none
+/// was given.
+fn reduce_tail<const S: usize, const M: usize>(
+    rank: &mut Rank,
+    world: &Communicator,
+    history: Option<&[f64]>,
+    sums: [f64; S],
+    maxes: [SimTime; M],
+) -> Option<(Vec<f64>, [f64; S], [SimTime; M])> {
+    let mut reduce = |v: &[f64], op| rank.allreduce(world, v, op).expect("final reduction");
+    let history = history.map_or_else(Vec::new, |h| reduce(h, ReduceOp::Sum));
+    let sums = reduce(&sums, ReduceOp::Sum);
+    let maxes = reduce(&maxes.map(SimTime::as_secs), ReduceOp::Max);
+    let sums = sums.try_into().expect("one sum per operand");
+    let maxes: [f64; M] = maxes.try_into().expect("one max per operand");
+    (rank.rank() == 0).then(|| (history, sums, maxes.map(SimTime::from_secs)))
+}
+
 /// The combined main loop of Listing 1, one module (Cluster-only or
 /// Booster-only mode).
 // lock-order: 10
 fn run_combined(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>) {
-    let world = rank.world();
-    let n = world.size();
-    let mut st = SlabState::new(config, rank.rank(), n);
+    let mut st = SlabState::new(config, rank);
+    st.initial_moments(rank, config);
+
     let mut cg_total: u64 = 0;
-
-    // Initial moment gathering so the first calculateE sees ρ,J.
-    for is in 0..st.species.len() {
-        deposit_threads(&st.grid, &st.species[is], &mut st.moments, config.threads);
-        rank.compute(&config.work_moments().scaled(st.ppc_share[is]));
-    }
-    halo_add_moments(rank, &world, &st.grid, &mut st.moments, config)
-        .expect("moment halo-add exchange");
-
     let mut field_time = SimTime::ZERO;
     let mut particle_time = SimTime::ZERO;
     let mut steady_mark = SimTime::ZERO;
     let mut history: Vec<f64> = Vec::with_capacity(config.steps as usize);
     for step in 0..config.steps {
         // fld.solver->calculateE(); fld.cpyToArr_F();
-        let t0 = rank.now();
-        cg_total += field_solve_e(rank, &world, config, &mut st) as u64;
-        rank.compute(&config.work_cpy());
-        field_time += rank.now() - t0;
+        cg_total += timed(rank, &mut field_time, |r| st.field_solve_e(r, config));
 
         // pcl: cpyFromArr_F; ParticlesMove; ParticleMoments; cpyToArr_M.
-        let t1 = rank.now();
-        particle_phase(rank, &world, config, &mut st);
-        migrate_all(rank, &world, config, &mut st);
-        particle_time += rank.now() - t1;
+        timed(rank, &mut particle_time, |r| {
+            st.particle_phase(r, config);
+            st.migrate_all(r, config);
+        });
 
         // fld.solver->calculateB(); fld.cpyFromArr_M();
-        let t2 = rank.now();
-        let phase = rank.obs_open(obs::Category::Phase, "field-solve");
-        {
-            let mut fc = MpiFieldComm::new(rank, world.clone(), config);
-            st.solver.calculate_b(&mut st.fields, &mut fc);
-        }
-        rank.compute(&config.work_curl());
-        rank.compute(&config.work_cpy());
-        rank.obs_close(phase);
-        field_time += rank.now() - t2;
+        timed(rank, &mut field_time, |r| st.field_solve_b(r, config));
 
         // Auxiliary computations + output (serial in the combined mode):
         // the per-step field-energy diagnostic is the real aux work.
-        history.push(field_energy(&st.grid, &st.fields));
+        history.push(st.field_energy());
         aux_phase(rank, config, config.model.cells_per_node);
         if step == 0 {
             steady_mark = rank.now();
@@ -335,66 +395,15 @@ fn run_combined(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>) {
     }
     let loop_time = steady_total(rank.now() - steady_mark, config.steps);
 
-    finalize_combined(
-        rank,
-        &world,
-        config,
-        &st,
-        field_time,
-        particle_time,
-        loop_time,
-        cg_total,
-        &history,
-        acc,
-    );
-}
-
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the combined-mode tail of one run: each argument is a distinct measurement of it"
-)]
-fn finalize_combined(
-    rank: &mut Rank,
-    world: &Communicator,
-    _config: &XpicConfig,
-    st: &SlabState,
-    field_time: SimTime,
-    particle_time: SimTime,
-    loop_time: SimTime,
-    cg_total: u64,
-    history: &[f64],
-    acc: &Arc<Mutex<Acc>>, // lock-order: 10
-) {
-    let global_history = rank
-        .allreduce(world, history, ReduceOp::Sum)
-        .expect("history reduction");
-    let fe = field_energy(&st.grid, &st.fields);
-    let ke = st.kinetic_energy();
-    let charge = st.total_charge();
-    let sums = rank
-        .allreduce(world, &[fe, ke, charge, cg_total as f64], ReduceOp::Sum)
-        .expect("final reduction");
-    let maxes = rank
-        .allreduce(
-            world,
-            &[
-                field_time.as_secs(),
-                particle_time.as_secs(),
-                loop_time.as_secs(),
-            ],
-            ReduceOp::Max,
-        )
-        .expect("final time reduction");
-    if rank.rank() == 0 {
+    let (fe, ke, charge) = (st.field_energy(), st.kinetic_energy(), st.total_charge());
+    let sums = [fe, ke, charge, cg_total as f64];
+    let maxes = [field_time, particle_time, loop_time];
+    let tail = reduce_tail(rank, &st.world, Some(&history), sums, maxes);
+    if let Some((history, [fe, ke, charge, cg], [field, particle, looped])) = tail {
         let mut a = acc.lock();
-        a.fe = sums[0];
-        a.ke = sums[1];
-        a.charge = sums[2];
-        a.cg = sums[3] as u64;
-        a.field_time = SimTime::from_secs(maxes[0]);
-        a.particle_time = SimTime::from_secs(maxes[1]);
-        a.loop_time = a.loop_time.max(SimTime::from_secs(maxes[2]));
-        a.history = global_history;
+        (a.fe, a.ke, a.charge, a.cg, a.history) = (fe, ke, charge, cg as u64, history);
+        (a.field_time, a.particle_time) = (field, particle);
+        a.loop_time = a.loop_time.max(looped);
     }
 }
 
@@ -405,17 +414,15 @@ fn run_booster_side(
     cluster_nodes: &[hwmodel::NodeId],
     acc: &Arc<Mutex<Acc>>, // lock-order: 10
 ) {
-    let world = rank.world();
-    let n = world.size();
     let me = rank.rank();
-    let mut st = SlabState::new(config, me, n);
+    let mut st = SlabState::new(config, rank);
 
     // Spawn the field solver onto the Cluster (Fig. 4).
     let config_c = Arc::new(config.clone());
     let acc_c = acc.clone();
     let ic: Intercomm = rank
         .spawn(
-            &world,
+            &st.world,
             cluster_nodes,
             Arc::new(move |child: &mut Rank| {
                 run_cluster_side(child, &config_c, &acc_c);
@@ -424,19 +431,9 @@ fn run_booster_side(
         .expect("spawn field solver");
 
     // Initial moments → Cluster.
-    for is in 0..st.species.len() {
-        deposit_threads(&st.grid, &st.species[is], &mut st.moments, config.threads);
-        rank.compute(&config.work_moments().scaled(st.ppc_share[is]));
-    }
-    halo_add_moments(rank, &world, &st.grid, &mut st.moments, config)
-        .expect("moment halo-add exchange");
-    // The ρ,J and E,B interface buffers ride psmpi's zero-copy Bytes path:
-    // packed once into a flat f64 buffer, decoded once on the other side.
-    let phase = rank.obs_open(obs::Category::Phase, "interface");
-    let rhoj = pod_to_bytes_pooled(rank.buffer_pool(), &st.moments.pack_owned(&st.grid));
-    rank.send_bytes_comm_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
-        .expect("initial moments");
-    rank.obs_close(phase);
+    st.initial_moments(rank, config);
+    let rhoj = st.moments.pack_owned(&st.grid);
+    send_interface(rank, &ic, tags::RHOJ, &rhoj, config.wire_moments());
 
     let mut particle_time = SimTime::ZERO;
     let mut steady_mark = SimTime::ZERO;
@@ -447,68 +444,59 @@ fn run_booster_side(
     for step in 0..config.steps {
         // ClusterToBooster(); ClusterWait(); — receive E,B.
         let phase = rank.obs_open(obs::Category::Phase, "interface");
-        let eb = match next_eb.take() {
-            Some(req) => req.wait(rank).expect("receive E,B").0,
-            None => {
-                rank.recv_bytes_comm(&ic, Some(me), Some(tags::EB))
-                    .expect("receive E,B")
-                    .0
-            }
-        };
-        st.fields.unpack_owned(
-            &st.grid,
-            &bytes_to_pod::<f64>(&eb).expect("interface buffer length"),
-        );
-        rank.buffer_pool().recycle(eb);
+        let (eb, _) = match next_eb.take() {
+            Some(req) => req.wait(rank),
+            None => rank.recv_bytes_comm(&ic, Some(me), Some(tags::EB)),
+        }
+        .expect("receive E,B");
+        st.fields
+            .unpack_owned(&st.grid, &unpack_interface(rank, eb));
         // The interface buffer carries owned rows only; refresh the ghost
         // rows within the Booster world so edge particles gather the same
         // fields as in the combined mode.
-        {
-            let mut fc = MpiFieldComm::new(rank, world.clone(), config);
-            let g = st.grid;
-            for comp in st.fields.components_mut() {
-                fc.halo_exchange(&g, comp);
-            }
+        let mut fc = MpiFieldComm::new(rank, st.world.clone(), config);
+        for comp in st.fields.components_mut() {
+            fc.halo_exchange(&st.grid, comp);
         }
         rank.obs_close(phase);
 
         // pcl.cpyFromArr_F; ParticlesMove; ParticleMoments; cpyToArr_M.
-        let t0 = rank.now();
-        particle_phase(rank, &world, config, &mut st);
         if config.overlap {
             // BoosterToCluster(); — post ρ,J (nonblocking) and the next
             // E,B receive, then do the I/O, auxiliary computations and
             // the particle migration while the Cluster solves the fields
             // (Listing 3's structure). The deferred send charge is
             // collected after the migration.
-            let phase = rank.obs_open(obs::Category::Phase, "interface");
-            let rhoj = pod_to_bytes_pooled(rank.buffer_pool(), &st.moments.pack_owned(&st.grid));
-            let rhoj_send = rank
-                .isend_bytes_comm_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
-                .expect("send moments");
-            if step + 1 < config.steps {
-                next_eb = Some(
-                    rank.irecv_bytes_comm(&ic, Some(me), Some(tags::EB))
-                        .expect("post E,B recv"),
-                );
-            }
-            rank.obs_close(phase);
-            particle_time += rank.now() - t0;
+            let rhoj_send = timed(rank, &mut particle_time, |r| {
+                st.particle_phase(r, config);
+                let phase = r.obs_open(obs::Category::Phase, "interface");
+                let rhoj = pack_interface(r, &st.moments.pack_owned(&st.grid));
+                let rhoj_send = r
+                    .isend_bytes_comm_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
+                    .expect("send moments");
+                if step + 1 < config.steps {
+                    next_eb = Some(
+                        r.irecv_bytes_comm(&ic, Some(me), Some(tags::EB))
+                            .expect("post E,B recv"),
+                    );
+                }
+                r.obs_close(phase);
+                rhoj_send
+            });
             aux_phase(rank, config, config.model.particles_per_node() / 100);
-            migrate_all(rank, &world, config, &mut st);
+            st.migrate_all(rank, config);
             let phase = rank.obs_open(obs::Category::Phase, "interface");
             rhoj_send.wait(rank).expect("complete moment send");
             rank.obs_close(phase);
         } else {
             // Ablation: everything before the send → fully serialized.
-            aux_phase(rank, config, config.model.particles_per_node() / 100);
-            migrate_all(rank, &world, config, &mut st);
-            let phase = rank.obs_open(obs::Category::Phase, "interface");
-            let rhoj = pod_to_bytes_pooled(rank.buffer_pool(), &st.moments.pack_owned(&st.grid));
-            rank.send_bytes_comm_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
-                .expect("send moments");
-            rank.obs_close(phase);
-            particle_time += rank.now() - t0;
+            timed(rank, &mut particle_time, |r| {
+                st.particle_phase(r, config);
+                aux_phase(r, config, config.model.particles_per_node() / 100);
+                st.migrate_all(r, config);
+                let rhoj = st.moments.pack_owned(&st.grid);
+                send_interface(r, &ic, tags::RHOJ, &rhoj, config.wire_moments());
+            });
         }
         if step == 0 {
             steady_mark = rank.now();
@@ -516,45 +504,31 @@ fn run_booster_side(
     }
     let loop_time = steady_total(rank.now() - steady_mark, config.steps);
 
-    // Final reductions over the Booster world.
-    let ke = st.kinetic_energy();
-    let charge = st.total_charge();
-    let sums = rank
-        .allreduce(&world, &[ke, charge], ReduceOp::Sum)
-        .expect("booster reduction");
-    let maxes = rank
-        .allreduce(
-            &world,
-            &[particle_time.as_secs(), loop_time.as_secs()],
-            ReduceOp::Max,
-        )
-        .expect("booster time reduction");
-    if me == 0 {
+    let sums = [st.kinetic_energy(), st.total_charge()];
+    let tail = reduce_tail(rank, &st.world, None, sums, [particle_time, loop_time]);
+    if let Some((_, [ke, charge], [particle, looped])) = tail {
         let mut a = acc.lock();
-        a.ke = sums[0];
-        a.charge = sums[1];
-        a.particle_time = SimTime::from_secs(maxes[0]);
-        a.loop_time = a.loop_time.max(SimTime::from_secs(maxes[1]));
+        (a.ke, a.charge, a.particle_time) = (ke, charge, particle);
+        a.loop_time = a.loop_time.max(looped);
     }
 }
 
 /// The Cluster main loop of Listing 2 (field solver side of C+B).
 // lock-order: 10
 fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>) {
-    let world = rank.world();
     let me = rank.rank();
     let ic = rank.parent().expect("spawned by the Booster side");
-    let mut st = SlabState::without_particles(config, me, world.size());
+    let mut st = SlabState::without_particles(config, rank);
 
-    // Initial moments from the Booster.
+    // Initial moments from the Booster. This one buffer stays out of the
+    // pool: pooling it slowed the host's next `Launcher::new` by about a
+    // third (`setup_s` of the repo benchmark's xpic_fig7 workload).
     let phase = rank.obs_open(obs::Category::Phase, "interface");
     let (mj, _) = rank
         .recv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))
         .expect("initial moments");
-    st.moments.unpack_owned(
-        &st.grid,
-        &bytes_to_pod::<f64>(&mj).expect("interface buffer length"),
-    );
+    let rhoj = bytes_to_pod::<f64>(&mj).expect("interface buffer length");
+    st.moments.unpack_owned(&st.grid, &rhoj);
     rank.obs_close(phase);
 
     let mut field_time = SimTime::ZERO;
@@ -563,9 +537,6 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>)
     let mut history: Vec<f64> = Vec::with_capacity(config.steps as usize);
     for step in 0..config.steps {
         // fld.solver->calculateE(); fld.cpyToArr_F();
-        let t0 = rank.now();
-        cg_total += field_solve_e(rank, &world, config, &mut st) as u64;
-        rank.compute(&config.work_cpy());
         if config.overlap {
             // ClusterToBooster(); — post E,B (nonblocking) and the ρ,J
             // receive right away, then let the auxiliary computations AND
@@ -573,84 +544,56 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>)
             // consumed only by the next step's calculateE, so the wait
             // can sit after the whole back half of the step (Listing 2's
             // structure, pushed as far as the data flow allows).
-            let phase = rank.obs_open(obs::Category::Phase, "interface");
-            let eb = pod_to_bytes_pooled(rank.buffer_pool(), &st.fields.pack_owned(&st.grid));
-            let eb_send = rank
-                .isend_bytes_comm_sized(&ic, me, tags::EB, eb, config.wire_fields())
-                .expect("send E,B");
-            let rhoj_req = rank
-                .irecv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))
-                .expect("post moments recv");
-            rank.obs_close(phase);
-            field_time += rank.now() - t0;
+            let (eb_send, rhoj_req) = timed(rank, &mut field_time, |r| {
+                cg_total += st.field_solve_e(r, config);
+                let phase = r.obs_open(obs::Category::Phase, "interface");
+                let eb = pack_interface(r, &st.fields.pack_owned(&st.grid));
+                let eb_send = r
+                    .isend_bytes_comm_sized(&ic, me, tags::EB, eb, config.wire_fields())
+                    .expect("send E,B");
+                let rhoj_req = r
+                    .irecv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))
+                    .expect("post moments recv");
+                r.obs_close(phase);
+                (eb_send, rhoj_req)
+            });
             aux_phase(rank, config, config.model.cells_per_node);
 
             // calculateB(); cpyFromArr_M(); — reads fields only, so it
             // legally overlaps the in-flight ρ,J.
-            let t2 = rank.now();
-            let phase = rank.obs_open(obs::Category::Phase, "field-solve");
-            {
-                let mut fc = MpiFieldComm::new(rank, world.clone(), config);
-                st.solver.calculate_b(&mut st.fields, &mut fc);
-            }
-            rank.compute(&config.work_curl());
-            rank.compute(&config.work_cpy());
-            rank.obs_close(phase);
-            field_time += rank.now() - t2;
-            // Record the per-step field-energy diagnostic (after
-            // calculateB, the same point in the step as the combined
-            // main loop).
-            history.push(field_energy(&st.grid, &st.fields));
+            timed(rank, &mut field_time, |r| st.field_solve_b(r, config));
+            history.push(st.field_energy());
 
             // BoosterWait(); — collect the deferred send charge and the
             // moments, just in time for the next calculateE.
             let phase = rank.obs_open(obs::Category::Phase, "interface");
             eb_send.wait(rank).expect("complete E,B send");
             let (mj, _) = rhoj_req.wait(rank).expect("receive moments");
-            st.moments.unpack_owned(
-                &st.grid,
-                &bytes_to_pod::<f64>(&mj).expect("interface buffer length"),
-            );
-            rank.buffer_pool().recycle(mj);
+            st.moments
+                .unpack_owned(&st.grid, &unpack_interface(rank, mj));
             rank.obs_close(phase);
         } else {
             // Ablation: auxiliary work delays the send, and every
             // transfer is waited where it is issued.
-            aux_phase(rank, config, config.model.cells_per_node);
-            let phase = rank.obs_open(obs::Category::Phase, "interface");
-            let eb = pod_to_bytes_pooled(rank.buffer_pool(), &st.fields.pack_owned(&st.grid));
-            rank.send_bytes_comm_sized(&ic, me, tags::EB, eb, config.wire_fields())
-                .expect("send E,B");
-            rank.obs_close(phase);
-            field_time += rank.now() - t0;
+            timed(rank, &mut field_time, |r| {
+                cg_total += st.field_solve_e(r, config);
+                aux_phase(r, config, config.model.cells_per_node);
+                let eb = st.fields.pack_owned(&st.grid);
+                send_interface(r, &ic, tags::EB, &eb, config.wire_fields());
+            });
 
             // BoosterToCluster(); BoosterWait(); — receive ρ,J.
             let phase = rank.obs_open(obs::Category::Phase, "interface");
             let (mj, _) = rank
                 .recv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))
                 .expect("receive moments");
-            st.moments.unpack_owned(
-                &st.grid,
-                &bytes_to_pod::<f64>(&mj).expect("interface buffer length"),
-            );
-            rank.buffer_pool().recycle(mj);
+            st.moments
+                .unpack_owned(&st.grid, &unpack_interface(rank, mj));
             rank.obs_close(phase);
 
             // calculateB(); cpyFromArr_M();
-            let t2 = rank.now();
-            let phase = rank.obs_open(obs::Category::Phase, "field-solve");
-            {
-                let mut fc = MpiFieldComm::new(rank, world.clone(), config);
-                st.solver.calculate_b(&mut st.fields, &mut fc);
-            }
-            rank.compute(&config.work_curl());
-            rank.compute(&config.work_cpy());
-            rank.obs_close(phase);
-            field_time += rank.now() - t2;
-            // Record the per-step field-energy diagnostic (after
-            // calculateB, the same point in the step as the combined
-            // main loop).
-            history.push(field_energy(&st.grid, &st.fields));
+            timed(rank, &mut field_time, |r| st.field_solve_b(r, config));
+            history.push(st.field_energy());
         }
         if step == 0 {
             steady_mark = rank.now();
@@ -658,27 +601,15 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>)
     }
     let loop_time = steady_total(rank.now() - steady_mark, config.steps);
 
-    let global_history = rank
-        .allreduce(&world, &history, ReduceOp::Sum)
-        .expect("cluster history reduction");
-    let fe = field_energy(&st.grid, &st.fields);
-    let sums = rank
-        .allreduce(&world, &[fe, cg_total as f64], ReduceOp::Sum)
-        .expect("cluster reduction");
-    let maxes = rank
-        .allreduce(
-            &world,
-            &[field_time.as_secs(), loop_time.as_secs()],
-            ReduceOp::Max,
-        )
-        .expect("cluster time reduction");
-    if me == 0 {
+    let (sums, maxes) = (
+        [st.field_energy(), cg_total as f64],
+        [field_time, loop_time],
+    );
+    let tail = reduce_tail(rank, &st.world, Some(&history), sums, maxes);
+    if let Some((history, [fe, cg], [field, looped])) = tail {
         let mut a = acc.lock();
-        a.fe = sums[0];
-        a.cg = sums[1] as u64;
-        a.field_time = SimTime::from_secs(maxes[0]);
-        a.loop_time = a.loop_time.max(SimTime::from_secs(maxes[1]));
-        a.history = global_history;
+        (a.fe, a.cg, a.field_time, a.history) = (fe, cg as u64, field, history);
+        a.loop_time = a.loop_time.max(looped);
     }
 }
 
@@ -711,18 +642,12 @@ pub fn run_mode(
         .expect("xpic launch");
 
     // Modelled coupling transfer volume (C+B only): one E,B + one ρ,J
-    // message per pair per step, plus the initial moments.
+    // message per pair per step.
     let coupling_comm = if mode == Mode::ClusterBooster {
         let sys = launcher.system();
-        let cn = sys.cluster_nodes()[0];
-        let bn = sys.booster_nodes()[0];
-        let fabric = sys.fabric();
-        let per_step = fabric
-            .p2p_time(cn, bn, config.wire_fields())
-            .expect("cn-bn path")
-            + fabric
-                .p2p_time(bn, cn, config.wire_moments())
-                .expect("bn-cn path");
+        let (cn, bn) = (sys.cluster_nodes()[0], sys.booster_nodes()[0]);
+        let p2p = |from, to, bytes| sys.fabric().p2p_time(from, to, bytes).expect("CN-BN path");
+        let per_step = p2p(cn, bn, config.wire_fields()) + p2p(bn, cn, config.wire_moments());
         per_step * config.steps as f64
     } else {
         SimTime::ZERO
@@ -734,7 +659,6 @@ pub fn run_mode(
     } else {
         a.loop_time
     };
-    let energy_joules = report.total_energy_joules();
     XpicReport {
         mode,
         nodes_per_solver,
@@ -747,7 +671,7 @@ pub fn run_mode(
         kinetic_energy: a.ke,
         total_charge: a.charge,
         cg_iters: a.cg,
-        energy_joules,
+        energy_joules: report.total_energy_joules(),
         energy_history: a.history.clone(),
     }
 }

@@ -29,9 +29,10 @@
 //! (fields + moments storage), [`particles`] (species state), [`mover`]
 //! (gather + Boris push), [`moments`] (scatter/deposit), [`fields`] (CG
 //! solver + Faraday), [`par`] (shared-memory kernel parallelism with a
-//! thread-count-invariant determinism contract), [`solver`] (the per-rank
-//! solver drivers with halo exchange and migration), [`app`] (the three
-//! execution modes), [`resilience`] (checkpoint/restart under a fault
+//! thread-count-invariant determinism contract), [`solver`] (halo
+//! exchange, moment halo-add and migration over one neighbour exchange),
+//! [`app`] (the three execution modes: one function per kernel phase, one
+//! loop per Listing), [`resilience`] (checkpoint/restart under a fault
 //! plan), [`diagnostics`] (energies).
 
 #![forbid(unsafe_code)]

@@ -9,13 +9,15 @@
 //! f64 buffer drawn from the rank's buffer pool, with no length prefix, and
 //! the receiver decodes straight out of the sender's allocation. The free
 //! exchange functions return a [`PsmpiError`] on a dead node or a downed
-//! link; [`MpiFieldComm`] holds its first one for the caller.
+//! link; [`MpiFieldComm`] holds its first one for the caller. The blocking
+//! field halo, moment halo-add and migration share one neighbour swap.
 
 use crate::config::XpicConfig;
 use crate::fields::FieldComm;
 use crate::grid::{floor_index, wrap_periodic, Grid, Moments};
 use crate::moments::{add_into_border_row, clear_ghosts, extract_ghost_row};
 use crate::particles::Species;
+use bytes::Bytes;
 use psmpi::datatype::{bytes_to_pod, pod_to_bytes_pooled, read_pod_into_exact};
 use psmpi::{Communicator, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp, SendRequest};
 
@@ -80,27 +82,17 @@ impl<'a> MpiFieldComm<'a> {
     }
 
     fn try_halo_exchange(&mut self, grid: &Grid, arr: &mut [f64]) -> Result<(), PsmpiError> {
-        let n = self.comm.size();
         let phase = self.rank.obs_open(obs::Category::Phase, "halo");
-        let me = self.rank.rank();
-        let prev = (me + n - 1) % n;
-        let next = (me + 1) % n;
-        let pool = self.rank.buffer_pool();
         let last_j = grid.ny_local as isize - 1;
-        let first = pod_to_bytes_pooled(pool, &arr[grid.row(0)]);
-        let last = pod_to_bytes_pooled(pool, &arr[grid.row(last_j)]);
-        self.rank
-            .send_bytes_comm_sized(&self.comm, prev, tags::HALO_UP, first, self.wire_halo)?;
-        self.rank
-            .send_bytes_comm_sized(&self.comm, next, tags::HALO_DOWN, last, self.wire_halo)?;
-        // Our bottom ghost row is the next slab's first row.
-        let (from_next, _) =
-            self.rank
-                .recv_bytes_comm(&self.comm, Some(next), Some(tags::HALO_UP))?;
-        // Our top ghost row is the previous slab's last row.
-        let (from_prev, _) =
-            self.rank
-                .recv_bytes_comm(&self.comm, Some(prev), Some(tags::HALO_DOWN))?;
+        // Our bottom ghost row is the next slab's first row, our top ghost
+        // row the previous slab's last row.
+        let (from_next, from_prev) = swap_with_neighbours(
+            self.rank,
+            &self.comm,
+            (tags::HALO_UP, tags::HALO_DOWN),
+            [&arr[grid.row(0)], &arr[grid.row(last_j)]],
+            self.wire_halo,
+        )?;
         read_pod_into_exact(&from_prev, &mut arr[grid.row(-1)]).expect("halo row length");
         read_pod_into_exact(&from_next, &mut arr[grid.row(grid.ny_local as isize)])
             .expect("halo row length");
@@ -138,6 +130,45 @@ impl FieldComm for MpiFieldComm<'_> {
     }
 }
 
+/// The previous and next rank of `rank` on `comm`'s periodic ring of slabs.
+fn neighbours(rank: &Rank, comm: &Communicator) -> (usize, usize) {
+    let (me, n) = (rank.rank(), comm.size());
+    ((me + n - 1) % n, (me + 1) % n)
+}
+
+/// The blocking neighbour exchange every slab exchange shares: send `up`
+/// to the previous rank under `up_tag` and `down` to the next under
+/// `down_tag`, each charged at `wire_size` bytes, then receive from the
+/// next rank and from the previous one. Returns `(from_next, from_prev)`.
+fn swap_with_neighbours(
+    rank: &mut Rank,
+    comm: &Communicator,
+    (up_tag, down_tag): (i32, i32),
+    [up, down]: [&[f64]; 2],
+    wire_size: usize,
+) -> Result<(Bytes, Bytes), PsmpiError> {
+    let (prev, next) = neighbours(rank, comm);
+    let up = pod_to_bytes_pooled(rank.buffer_pool(), up);
+    let down = pod_to_bytes_pooled(rank.buffer_pool(), down);
+    rank.send_bytes_comm_sized(comm, prev, up_tag, up, wire_size)?;
+    rank.send_bytes_comm_sized(comm, next, down_tag, down, wire_size)?;
+    let (from_next, _) = rank.recv_bytes_comm(comm, Some(next), Some(up_tag))?;
+    let (from_prev, _) = rank.recv_bytes_comm(comm, Some(prev), Some(down_tag))?;
+    Ok((from_next, from_prev))
+}
+
+/// Add the neighbours' moment ghost rows into our border rows and clear
+/// the ghosts. The next slab's top ghost is spill below our last row, the
+/// previous slab's bottom ghost spill above our first row; next is folded
+/// first (addition order is part of the bit-exactness contract).
+fn fold_neighbour_rows(grid: &Grid, moments: &mut Moments, from_next: &Bytes, from_prev: &Bytes) {
+    for (row, above_first) in [(from_next, false), (from_prev, true)] {
+        let row = bytes_to_pod::<f64>(row).expect("ghost row length");
+        add_into_border_row(grid, moments, &row, above_first);
+    }
+    clear_ghosts(grid, moments);
+}
+
 /// Exchange deposited ghost rows with the neighbours and add them into the
 /// border rows (the distributed version of
 /// [`crate::moments::fold_ghosts_periodic`]). On `Err` the border rows are
@@ -149,37 +180,19 @@ pub fn halo_add_moments(
     moments: &mut Moments,
     config: &XpicConfig,
 ) -> Result<(), PsmpiError> {
-    let n = comm.size();
-    if n == 1 {
+    if comm.size() == 1 {
         crate::moments::fold_ghosts_periodic(grid, moments);
         return Ok(());
     }
-    let me = rank.rank();
-    let prev = (me + n - 1) % n;
-    let next = (me + 1) % n;
-    let wire_size = config.wire_halo();
-    let pool = rank.buffer_pool();
-    let top = pod_to_bytes_pooled(pool, &extract_ghost_row(grid, moments, true));
-    let bottom = pod_to_bytes_pooled(pool, &extract_ghost_row(grid, moments, false));
-    rank.send_bytes_comm_sized(comm, prev, tags::MOM_UP, top, wire_size)?;
-    rank.send_bytes_comm_sized(comm, next, tags::MOM_DOWN, bottom, wire_size)?;
-    let (from_next, _) = rank.recv_bytes_comm(comm, Some(next), Some(tags::MOM_UP))?;
-    let (from_prev, _) = rank.recv_bytes_comm(comm, Some(prev), Some(tags::MOM_DOWN))?;
-    // The next slab's top ghost is spill below our last row; the previous
-    // slab's bottom ghost is spill above our first row.
-    add_into_border_row(
-        grid,
-        moments,
-        &bytes_to_pod::<f64>(&from_next).expect("ghost row length"),
-        false,
-    );
-    add_into_border_row(
-        grid,
-        moments,
-        &bytes_to_pod::<f64>(&from_prev).expect("ghost row length"),
-        true,
-    );
-    clear_ghosts(grid, moments);
+    let [top, bottom] = [true, false].map(|top| extract_ghost_row(grid, moments, top));
+    let (from_next, from_prev) = swap_with_neighbours(
+        rank,
+        comm,
+        (tags::MOM_UP, tags::MOM_DOWN),
+        [&top, &bottom],
+        config.wire_halo(),
+    )?;
+    fold_neighbour_rows(grid, moments, &from_next, &from_prev);
     Ok(())
 }
 
@@ -200,13 +213,10 @@ pub fn post_halo_add_recvs(
     rank: &mut Rank,
     comm: &Communicator,
 ) -> Result<Option<HaloAddRecvs>, PsmpiError> {
-    let n = comm.size();
-    if n == 1 {
+    if comm.size() == 1 {
         return Ok(None);
     }
-    let me = rank.rank();
-    let prev = (me + n - 1) % n;
-    let next = (me + 1) % n;
+    let (prev, next) = neighbours(rank, comm);
     Ok(Some(HaloAddRecvs {
         from_next: rank.irecv_bytes_comm(comm, Some(next), Some(tags::MOM_UP))?,
         from_prev: rank.irecv_bytes_comm(comm, Some(prev), Some(tags::MOM_DOWN))?,
@@ -224,13 +234,10 @@ pub fn send_halo_add_ghosts(
     moments: &Moments,
     config: &XpicConfig,
 ) -> Result<Vec<SendRequest>, PsmpiError> {
-    let n = comm.size();
-    if n == 1 {
+    if comm.size() == 1 {
         return Ok(Vec::new());
     }
-    let me = rank.rank();
-    let prev = (me + n - 1) % n;
-    let next = (me + 1) % n;
+    let (prev, next) = neighbours(rank, comm);
     let wire_size = config.wire_halo();
     let pool = rank.buffer_pool();
     let top = pod_to_bytes_pooled(pool, &extract_ghost_row(grid, moments, true));
@@ -261,19 +268,7 @@ pub fn complete_halo_add(
     rank.waitall(sends)?;
     let (from_next, _) = recvs.from_next.wait(rank)?;
     let (from_prev, _) = recvs.from_prev.wait(rank)?;
-    add_into_border_row(
-        grid,
-        moments,
-        &bytes_to_pod::<f64>(&from_next).expect("ghost row length"),
-        false,
-    );
-    add_into_border_row(
-        grid,
-        moments,
-        &bytes_to_pod::<f64>(&from_prev).expect("ghost row length"),
-        true,
-    );
-    clear_ghosts(grid, moments);
+    fold_neighbour_rows(grid, moments, &from_next, &from_prev);
     Ok(())
 }
 
@@ -296,9 +291,7 @@ pub fn migrate_particles(
         }
         return Ok(0);
     }
-    let me = rank.rank();
-    let prev = (me + n - 1) % n;
-    let next = (me + 1) % n;
+    let (prev, _) = neighbours(rank, comm);
     let mut up: Vec<f64> = Vec::new();
     let mut down: Vec<f64> = Vec::new();
     let prev_grid = Grid::slab(grid.nx, grid.ny, prev, n);
@@ -319,13 +312,13 @@ pub fn migrate_particles(
         dest.extend_from_slice(&[x, y, vx, vy, vz]);
     }
     let sent = (up.len() + down.len()) / 5;
-    let wire_size = config.wire_migration();
-    let up_wire = pod_to_bytes_pooled(rank.buffer_pool(), &up);
-    let down_wire = pod_to_bytes_pooled(rank.buffer_pool(), &down);
-    rank.send_bytes_comm_sized(comm, prev, tags::MIG_UP, up_wire, wire_size)?;
-    rank.send_bytes_comm_sized(comm, next, tags::MIG_DOWN, down_wire, wire_size)?;
-    let (from_next, _) = rank.recv_bytes_comm(comm, Some(next), Some(tags::MIG_UP))?;
-    let (from_prev, _) = rank.recv_bytes_comm(comm, Some(prev), Some(tags::MIG_DOWN))?;
+    let (from_next, from_prev) = swap_with_neighbours(
+        rank,
+        comm,
+        (tags::MIG_UP, tags::MIG_DOWN),
+        [&up, &down],
+        config.wire_migration(),
+    )?;
     let from_next = bytes_to_pod::<f64>(&from_next).expect("migration buffer length");
     let from_prev = bytes_to_pod::<f64>(&from_prev).expect("migration buffer length");
     for chunk in from_next.chunks_exact(5).chain(from_prev.chunks_exact(5)) {

@@ -55,8 +55,15 @@ fn main() {
         100.0 * rcb.coupling_fraction()
     );
 
-    // The three placements computed the *same* simulation:
-    assert!(((rc.field_energy - rcb.field_energy) / rc.field_energy).abs() < 1e-9);
-    assert!(((rc.kinetic_energy - rcb.kinetic_energy) / rc.kinetic_energy).abs() < 1e-9);
+    // The three placements computed the *same* simulation, to the bit:
+    let bits = |r: &xpic::XpicReport| [r.field_energy, r.kinetic_energy].map(f64::to_bits);
+    for r in [rb, rcb] {
+        assert_eq!(
+            bits(r),
+            bits(rc),
+            "{} energies differ from Cluster's",
+            r.mode.label()
+        );
+    }
     println!("\nphysics identical across all three placements ✓");
 }

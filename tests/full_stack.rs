@@ -396,12 +396,13 @@ fn checkpoint_virtual_times_are_pinned_across_commits() {
 
 #[test]
 fn equivalence_matrix_matches_its_golden() {
-    // One xPic shape through C+B overlap and blocking and through every
-    // checkpoint mode under every fault class, each at threads 1, 2 and 4
-    // with a recorder attached (cb_bench::matrix): a row must print the
-    // same line, Chrome trace and report at every thread count, all 42
-    // cells the same FINAL bits, overlap must win and async must block
-    // less. The table itself is pinned across commits.
+    // One xPic shape through C+B overlap and blocking, the combined loop
+    // on the Cluster and on the Booster, and every checkpoint mode under
+    // every fault class, each at threads 1, 2 and 4 with a recorder
+    // attached (cb_bench::matrix): a row must print the same line, Chrome
+    // trace and report at every thread count, all 48 cells the same FINAL
+    // bits, every placement C+B's energy history, overlap must win and
+    // async must block less. The table itself is pinned across commits.
     let matrix = cb_bench::matrix::run();
     assert_eq!(matrix.errors(), Vec::<String>::new());
     assert_eq!(
