@@ -1,24 +1,16 @@
-//! Scheduler-load benchmark: a 1000+-job production trace through the
-//! `sched` workload engine, reproducing the paper's independent-vs-
-//! node-locked reservation comparison (§II-A) at trace scale.
-//!
-//! The same seeded bursty workload and the same seeded fault plan run
-//! twice on a 64 CN + 128 BN machine: once with independent per-module
-//! reservation (the Cluster-Booster model), once with Booster access
-//! node-locked to host nodes at a fixed accelerator:host ratio (the
-//! accelerated-cluster model). Makespan, queue-wait percentiles, module
-//! utilizations, backfill efficiency, and the faults/requeues processed
-//! land in the `--out` file (none is written without the flag) under
-//! `independent.*` / `node_locked.*` prefixes plus `comparison.*` ratios.
-//! `--trace-out` writes the independent run as a Chrome trace, one track
-//! per job (`sched::chrome_trace`).
+//! Scheduler-load benchmark: the independent-vs-node-locked comparison
+//! of [`cb_bench::sched_load`] at trace scale (§II-A). Its metrics land in
+//! the `--out` file (none is written without the flag); `--trace-out`
+//! writes the independent run as a Chrome trace, one track per job
+//! (`sched::chrome_trace`).
 //!
 //! Both files are pure virtual-time output: the engine is one sequential
-//! loop, so a run is a function of its arguments alone. ci.sh runs the
-//! smoke twice with the same arguments, compares both `--out` files with
-//! `sched_smoke.metrics` (the `--out` file is pinned across commits) and
-//! the two traces with each other. Wall-clock cost of the simulation
-//! itself goes to stdout only.
+//! loop, so a run is a function of its arguments alone. The metrics of the
+//! default run are pinned across commits by `tests/full_stack.rs`
+//! (`tests/golden/sched_smoke.golden`, one line per metric); ci.sh runs
+//! the smoke twice with the same arguments and compares the two `--out`
+//! files and the two traces with each other. Wall-clock cost of the
+//! simulation itself goes to stdout only.
 //!
 //! `--smoke` is the CI regression gate: the independent run must schedule
 //! the full trace with at least one backfill start, at least one
@@ -26,43 +18,12 @@
 //! and a makespan strictly better than node-locked.
 
 use cb_bench::obs_run::flag_value;
-use cluster_booster::resources::AllocationPolicy;
-use hwmodel::SimTime;
-use obs::HostMetrics;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sched::{
-    chrome_trace, generate, report_metrics, CheckpointPolicy, Engine, EngineConfig, EngineReport,
-    WorkloadConfig,
-};
+use cb_bench::sched_load::{self, SchedLoad};
+use sched::chrome_trace;
 use std::time::Instant;
 
-/// Machine shape: Cluster nodes.
-const CLUSTER_NODES: u32 = 64;
-/// Machine shape: Booster nodes.
-const BOOSTER_NODES: u32 = 128;
-/// Node-locked comparison: Booster nodes dragged per host node.
-const LOCK_RATIO: u32 = 2;
-/// Per-node MTBF (s): ~250 h, giving a handful of faults over a
-/// multi-day trace on 192 nodes.
-const NODE_MTBF_S: f64 = 900_000.0;
 /// Smoke gate: the trace must really be production-sized.
 const SMOKE_MIN_JOBS: usize = 1000;
-
-fn engine_config(policy: AllocationPolicy, system_mtbf: SimTime) -> EngineConfig {
-    EngineConfig {
-        policy,
-        // Local/buddy/global checkpoint costs in the PR-5 regime.
-        ckpt: Some(CheckpointPolicy::derive(
-            SimTime::from_secs(30.0),
-            SimTime::from_secs(120.0),
-            SimTime::from_secs(600.0),
-            system_mtbf,
-        )),
-        repair_after: Some(SimTime::from_secs(4.0 * 3600.0)),
-        ..EngineConfig::default()
-    }
-}
 
 /// The command line.
 #[derive(Debug, PartialEq)]
@@ -80,8 +41,8 @@ struct Cli {
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         smoke: false,
-        jobs: 1200,
-        seed: 20180521, // IPDPS 2018
+        jobs: sched_load::JOBS,
+        seed: sched_load::SEED,
         out_path: None,
         trace_path: None,
     };
@@ -116,78 +77,17 @@ fn main() {
         std::process::exit(2)
     });
 
-    // Jobs sized up to half the machine per module: big enough to block
-    // the head (exercising reservations and backfill), small enough that
-    // every job can run even with nodes down. Arrival rates put the
-    // machine near saturation in steady state and past it during bursts
-    // (the heavy-traffic phases), so queues form and drain rather than
-    // growing without bound.
-    let mut wl = WorkloadConfig::bursty(
-        seed,
-        jobs,
-        CLUSTER_NODES as usize / 2,
-        BOOSTER_NODES as usize / 2,
-    );
-    wl.arrivals = sched::ArrivalModel::Bursty {
-        base_rate_per_hour: 12.0,
-        burst_rate_per_hour: 120.0,
-        burst_every: SimTime::from_secs(4.0 * 3600.0),
-        burst_len: SimTime::from_secs(1800.0),
-    };
-    let trace = generate(&wl);
-    let span = trace
-        .iter()
-        .map(|j| j.submit)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-
-    let build_system = || {
-        cluster_booster::SystemBuilder::new("sched-load")
-            .cluster_nodes(CLUSTER_NODES)
-            .booster_nodes(BOOSTER_NODES)
-            .build()
-    };
-    let system = build_system();
-    let fm = scr::FailureModel::new(SimTime::from_secs(NODE_MTBF_S));
-    let system_mtbf = fm.system_mtbf(system.total_nodes());
-    // Faults over the submission span plus drain slack, from the bench's
-    // own seeded stream (independent of the workload stream).
-    let mut frng = StdRng::seed_from_u64(seed ^ 0x5EED_FA17);
-    let mut all_nodes = system.cluster_nodes();
-    all_nodes.extend(system.booster_nodes());
-    let faults = fm.fault_plan(
-        &mut frng,
-        &all_nodes,
-        span + SimTime::from_secs(6.0 * 3600.0),
-    );
-
-    let run = |policy: AllocationPolicy| -> (EngineReport, f64) {
-        let eng = Engine::new(build_system(), engine_config(policy, system_mtbf));
-        let t0 = Instant::now();
-        let r = eng.run(&trace, &faults);
-        (r, t0.elapsed().as_secs_f64())
-    };
-    let (ind, wall_ind) = run(AllocationPolicy::Independent);
-    let (locked, wall_locked) = run(AllocationPolicy::NodeLocked { ratio: LOCK_RATIO });
-
-    let mut m = HostMetrics::new();
-    m.set("config.jobs", trace.len() as f64);
-    m.set("config.seed", seed as f64);
-    m.set("config.cluster_nodes", CLUSTER_NODES as f64);
-    m.set("config.booster_nodes", BOOSTER_NODES as f64);
-    m.set("config.lock_ratio", LOCK_RATIO as f64);
-    m.set("config.node_mtbf_s", NODE_MTBF_S);
-    m.set("config.planned_faults", faults.node_faults().len() as f64);
-    m.set("config.submit_span_s", span.as_secs());
-    report_metrics(&ind, "independent.", &mut m);
-    report_metrics(&locked, "node_locked.", &mut m);
-    m.set(
-        "comparison.makespan_ratio",
-        locked.makespan.as_secs() / ind.makespan.as_secs(),
-    );
+    let t0 = Instant::now();
+    let SchedLoad {
+        trace,
+        span,
+        faults,
+        independent: ind,
+        node_locked: locked,
+        metrics: m,
+    } = sched_load::run(jobs, seed);
+    let wall = t0.elapsed().as_secs_f64();
     let p99_ind = m.get("independent.wait_p99_s").expect("reported");
-    let p99_locked = m.get("node_locked.wait_p99_s").expect("reported");
-    m.set("comparison.p99_wait_ratio", p99_locked / p99_ind.max(1e-9));
 
     if let Some(path) = &out_path {
         let json = format!("{{\n \"metrics\": {}}}\n", m.to_json());
@@ -202,7 +102,7 @@ fn main() {
     println!(
         "sched: {} jobs over {:.1} h submit span, {} planned faults — independent makespan \
          {:.1} h (p99 wait {:.0} s, {} backfills, {} requeues) vs node-locked {:.1} h; \
-         simulated in {:.2}+{:.2} s wall",
+         simulated in {:.2} s wall",
         trace.len(),
         span.as_secs() / 3600.0,
         faults.node_faults().len(),
@@ -211,8 +111,7 @@ fn main() {
         ind.backfill_starts,
         ind.requeues,
         locked.makespan.as_secs() / 3600.0,
-        wall_ind,
-        wall_locked,
+        wall,
     );
 
     if smoke {

@@ -15,6 +15,10 @@
 //! | ablations & extensions | [`ablation`] | `ablations` |
 //! | calibration sensitivity | [`sensitivity`] | `ablations` |
 //! | blocking ≡ overlap, Sync ≡ Async ≡ AsyncDelta, clean or faulted | [`matrix`] | `matrix` |
+//! | independent vs node-locked reservation at trace scale (§II-A) | [`sched_load`] | `sched` |
+//!
+//! [`golden`] is the one check behind every pin across commits: the goldens
+//! in `tests/golden/` at the workspace root, each value a price or program.
 
 #![forbid(unsafe_code)]
 
@@ -22,8 +26,10 @@ pub mod ablation;
 pub mod fig3;
 pub mod fig7;
 pub mod fig8;
+pub mod golden;
 pub mod matrix;
 pub mod obs_run;
+pub mod sched_load;
 pub mod sensitivity;
 pub mod table1;
 

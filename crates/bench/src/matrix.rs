@@ -11,12 +11,12 @@
 //! numbers of checkpoints. Overlap is not crossed with the checkpoint
 //! modes: the resilient loop ignores [`XpicConfig::overlap`].
 //!
-//! `tests/full_stack.rs` pins [`Matrix::render`] to `matrix.golden` beside
-//! this file; its values are those the figure binaries' gate flags
-//! printed at commit 15fa441, before this module replaced them. The
-//! `Cluster` and `Booster` rows came later and pin the combined loop's
-//! virtual times and its energy-to-solution.
+//! `tests/full_stack.rs` pins [`Matrix::render`] across commits to
+//! `tests/golden/matrix.golden` through [`crate::golden`]: the makespans,
+//! waits, field and particle times, energies and block times are prices,
+//! the counts, resume steps and `FINAL` line program.
 
+use crate::golden::{first_byte_diff, first_line_diff};
 use hwmodel::{NodeId, SimTime};
 use obs::Recorder;
 use rand::rngs::StdRng;
@@ -309,67 +309,4 @@ fn divergence(a: &Cell, b: &Cell) -> Option<String> {
         .or_else(|| {
             (lines(a) != lines(b)).then(|| format!("row line: {} vs {}", lines(a), lines(b)))
         })
-}
-
-/// The first line, numbered from 1, at which `a` and `b` differ, quoting
-/// both; `None` when the texts are equal.
-fn first_line_diff(a: &str, b: &str) -> Option<String> {
-    if a == b {
-        return None;
-    }
-    let (la, lb): (Vec<_>, Vec<_>) = (a.lines().collect(), b.lines().collect());
-    let Some(i) = (0..la.len().max(lb.len())).find(|&i| la.get(i) != lb.get(i)) else {
-        return Some("line endings".into());
-    };
-    let quote = |l: Option<&&str>| l.map_or("<end of text>".into(), |l| format!("`{l}`"));
-    let (x, y) = (quote(la.get(i)), quote(lb.get(i)));
-    Some(format!("line {}: {x} vs {y}", i + 1))
-}
-
-/// The first byte offset at which `a` and `b` differ, quoting up to 60
-/// bytes either side of it from both; `None` when the texts are equal.
-fn first_byte_diff(a: &str, b: &str) -> Option<String> {
-    let common = a.bytes().zip(b.bytes()).position(|(x, y)| x != y);
-    let at = common.or_else(|| (a.len() != b.len()).then(|| a.len().min(b.len())))?;
-    let around = |s: &str| {
-        let window = &s.as_bytes()[at.saturating_sub(60)..(at + 60).min(s.len())];
-        String::from_utf8_lossy(window).into_owned()
-    };
-    Some(format!("byte {at}: `{}` vs `{}`", around(a), around(b)))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn divergence_helpers_name_the_first_difference() {
-        let a = "# obs report\nmakespan_s: 0.051\ntracks: 4\n";
-        let b = "# obs report\nmakespan_s: 0.052\ntracks: 4\n";
-        assert_eq!(first_line_diff(a, a), None);
-        assert_eq!(
-            first_line_diff(a, b).unwrap(),
-            "line 2: `makespan_s: 0.051` vs `makespan_s: 0.052`"
-        );
-        assert_eq!(
-            first_line_diff("x\n", "x\ny\n").unwrap(),
-            "line 2: <end of text> vs `y`"
-        );
-        assert_eq!(first_line_diff("x", "x\r\n").unwrap(), "line endings");
-
-        let pad = "p".repeat(100);
-        let (a, b) = (
-            format!("{pad}{{\"ts\":1}}{pad}"),
-            format!("{pad}{{\"ts\":2}}{pad}"),
-        );
-        assert_eq!(first_byte_diff(&a, &a), None);
-        let at = first_byte_diff(&a, &b).unwrap();
-        // 60 bytes either side of the differing byte, from each text.
-        let window = |s: &str| format!("`{}`", &s[46..166]);
-        assert_eq!(at, format!("byte 106: {} vs {}", window(&a), window(&b)));
-        assert_eq!(
-            first_byte_diff("ab", "abc").unwrap(),
-            "byte 2: `ab` vs `abc`"
-        );
-    }
 }

@@ -1,8 +1,9 @@
 //! Golden-file test for the obs text report.
 //!
 //! The trace is synthetic (hand-built spans/edges, not a model run) so the
-//! golden stays stable under hardware-model recalibration: this pins the
-//! *report format*, while determinism of real runs is covered by the
+//! golden (`tests/golden/obs_report.golden` at the workspace root, all of
+//! it program) stays stable under hardware-model recalibration: this pins
+//! the *report format*, while determinism of real runs is covered by the
 //! equivalence matrix (`cb_bench::matrix`) and `psmpi/tests/obs_spans.rs`.
 
 use hwmodel::SimTime;
@@ -37,18 +38,11 @@ fn synthetic_trace() -> Trace {
     rec.snapshot()
 }
 
-fn golden_path() -> String {
-    format!("{}/tests/golden/obs_report.txt", env!("CARGO_MANIFEST_DIR"))
-}
-
 #[test]
 fn report_matches_golden() {
     let report = synthetic_trace().report();
-    let golden = std::fs::read_to_string(golden_path()).expect("golden file present");
-    assert_eq!(
-        report, golden,
-        "obs report format drifted; if intentional, regenerate tests/golden/obs_report.txt"
-    );
+    let tmp = env!("CARGO_TARGET_TMPDIR");
+    cb_bench::golden::assert_pinned("obs_report.golden", &report, &[], tmp);
 }
 
 #[test]

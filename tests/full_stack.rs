@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use cluster_booster::presets::{deep_er_prototype, mini_prototype};
-use cluster_booster::{JobSpec, Launcher};
+use cluster_booster::{JobSpec, Launcher, SystemBuilder};
 use hwmodel::{NodeId, SimTime};
 use parking_lot::Mutex;
 use psmpi::ReduceOp;
@@ -282,42 +282,37 @@ fn blocking_p2p_equals_post_plus_wait_on_two_nodes() {
     }
 }
 
+/// Where a pin that moved writes its candidate golden.
+const TMP: &str = env!("CARGO_TARGET_TMPDIR");
+
 #[test]
 fn xpic_physics_bits_are_pinned_across_commits() {
     // Every other bit-exactness gate compares two runs of the same build
     // (thread counts, modes, clean vs recovered), so a kernel change that
-    // reassociated a sum would pass them all. These constants were recorded
-    // at commit d0a74c4, before the xPic kernels were rewritten around
-    // `Stencil` and row slices: 16 x 16 cells x 8 particles per cell,
-    // 3 steps, seed 20180521. A change that moves them changes the
+    // reassociated a sum would pass them all. This pins 16 x 16 cells x 8
+    // particles per cell, 3 steps, seed 20180521, in every placement.
+    // Every value is program: a change that moves one changes the
     // physics, and with `cg_iters` every virtual time.
     use xpic::{run_mode, Mode, XpicConfig};
 
-    // (nodes per solver, field energy, kinetic energy, CG iterations)
-    const PINS: [(usize, u64, u64, u64); 2] = [
-        (1, 0x3fe6e5eec427a8bc, 0x3fedf9a3932ffee1, 93),
-        (2, 0x3fe6e5eec427a8c3, 0x3fedf9a3932ffee0, 186),
-    ];
     let cfg = XpicConfig {
         steps: 3,
         threads: 1,
         ..XpicConfig::test_small()
     };
-    for (nodes, field_energy, kinetic_energy, cg_iters) in PINS {
+    let mut pins = String::new();
+    for nodes in [1, 2] {
         for mode in [Mode::ClusterOnly, Mode::BoosterOnly, Mode::ClusterBooster] {
-            let report = run_mode(&Launcher::new(deep_er_prototype()), mode, nodes, &cfg);
-            assert_eq!(
-                (
-                    report.field_energy.to_bits(),
-                    report.kinetic_energy.to_bits(),
-                    report.cg_iters
-                ),
-                (field_energy, kinetic_energy, cg_iters),
-                "{} on {nodes} node(s) per solver",
-                mode.label()
+            let r = run_mode(&Launcher::new(deep_er_prototype()), mode, nodes, &cfg);
+            let (fe, ke) = (r.field_energy.to_bits(), r.kinetic_energy.to_bits());
+            pins += &format!(
+                "{} nodes={nodes} fe={fe:#018x} ke={ke:#018x} cg_iters={}\n",
+                mode.label(),
+                r.cg_iters
             );
         }
     }
+    cb_bench::golden::assert_pinned("xpic_physics.golden", &pins, &[], TMP);
 }
 
 #[test]
@@ -330,13 +325,11 @@ fn checkpoint_virtual_times_are_pinned_across_commits() {
     // dying at 0.056 s (after the step-4 checkpoint was staged: the
     // blocking mode resumes from it, the async modes lost its drain and
     // fall back to 2; deaths from about 0.0552 s to 0.0575 s have that
-    // class). The block bits date from commit e2a7c79, before the three
-    // `CkptMode`s were put on one stage/promote path; the makespans were
-    // re-recorded when the xPic kernel prices were fitted to Figs. 7-8
-    // (DESIGN.md §3.13).
+    // class). The block and makespan bits are prices; the checkpoints
+    // taken and the resume steps are program.
     use simnet::FaultPlan;
     use xpic::resilience::{run_resilient, RecoveryConfig};
-    use xpic::CkptMode::{self, Async, AsyncDelta, Sync};
+    use xpic::CkptMode::{Async, AsyncDelta, Sync};
     use xpic::XpicConfig;
 
     let cfg = XpicConfig {
@@ -344,54 +337,35 @@ fn checkpoint_virtual_times_are_pinned_across_commits() {
         threads: 1,
         ..XpicConfig::test_small()
     };
-    let pin = |ckpt_mode: CkptMode, resumed: Option<u32>, bits: [u64; 2], ckpts_taken: u32| {
-        let launcher = Launcher::new(deep_er_prototype());
-        let nodes: Vec<NodeId> = launcher.system().booster_nodes()[..2].to_vec();
-        let specs = nodes
-            .iter()
-            .map(|&n| launcher.system().fabric().node(n).unwrap().clone())
-            .collect();
-        let scr = ScrManager::new(
-            ScrConfig::default(),
-            nodes.clone(),
-            specs,
-            ParallelFs::deep_er(),
-        );
-        let recovery = RecoveryConfig {
-            checkpoint_every: 2,
-            ckpt_mode,
-            ..RecoveryConfig::default()
-        };
-        let death = (SimTime::from_secs(0.056), nodes[1]);
-        let plan = resumed.map(|_| FaultPlan::from_node_faults([death]));
-        let report = run_resilient(&launcher, 2, &cfg, &scr, &recovery, plan);
-        assert_eq!(
-            (
-                [report.ckpt_block, report.makespan].map(|t| t.as_secs().to_bits()),
-                report.ckpts_taken,
-                report.resume_steps,
-            ),
-            (bits, ckpts_taken, Vec::from_iter(resumed)),
-            "{ckpt_mode:?}, resumed from {resumed:?}"
-        );
-    };
-    // Clean: ckpt_block bits, makespan bits, checkpoints taken.
-    for (mode, block, makespan, ckpts) in [
-        (Sync, 0x3f30e154dcb27926, 0x3fad7b08085a6e06, 2),
-        (Async, 0x3f17f310d9412462, 0x3fad653ee70da9a6, 2),
-        (AsyncDelta, 0x3f17f322eec6f056, 0x3fad653ef1d9344a, 2),
-    ] {
-        pin(mode, None, [block, makespan], ckpts);
+    let mut pins = String::new();
+    for (run, dies) in [("clean", false), ("node-death", true)] {
+        for ckpt_mode in [Sync, Async, AsyncDelta] {
+            let launcher = Launcher::new(deep_er_prototype());
+            let nodes: Vec<NodeId> = launcher.system().booster_nodes()[..2].to_vec();
+            let specs = nodes
+                .iter()
+                .map(|&n| launcher.system().fabric().node(n).unwrap().clone())
+                .collect();
+            let pfs = ParallelFs::deep_er();
+            let scr = ScrManager::new(ScrConfig::default(), nodes.clone(), specs, pfs);
+            let recovery = RecoveryConfig {
+                checkpoint_every: 2,
+                ckpt_mode,
+                ..RecoveryConfig::default()
+            };
+            let death = (SimTime::from_secs(0.056), nodes[1]);
+            let plan = dies.then(|| FaultPlan::from_node_faults([death]));
+            let r = run_resilient(&launcher, 2, &cfg, &scr, &recovery, plan);
+            let [block, makespan] = [r.ckpt_block, r.makespan].map(|t| t.as_secs().to_bits());
+            pins += &format!(
+                "{ckpt_mode:?} {run} block_bits={block:#018x} makespan_bits={makespan:#018x} \
+                 ckpts={} resumed={:?}\n",
+                r.ckpts_taken, r.resume_steps
+            );
+        }
     }
-    // With the death: the same of the world that finished the job, and the
-    // step it resumed from.
-    for (mode, block, makespan, ckpts, resumed) in [
-        (Sync, 0x0000000000000000, 0x3fc4483693483710, 0, 4),
-        (Async, 0x3f07f310d9412462, 0x3fc4994da00f4a5a, 1, 2),
-        (AsyncDelta, 0x3f07f322eec6f056, 0x3fc4994da168bbaf, 1, 2),
-    ] {
-        pin(mode, Some(resumed), [block, makespan], ckpts);
-    }
+    let prices = ["block_bits", "makespan_bits"];
+    cb_bench::golden::assert_pinned("checkpoint.golden", &pins, &prices, TMP);
 }
 
 #[test]
@@ -405,10 +379,92 @@ fn equivalence_matrix_matches_its_golden() {
     // async must block less. The table itself is pinned across commits.
     let matrix = cb_bench::matrix::run();
     assert_eq!(matrix.errors(), Vec::<String>::new());
-    assert_eq!(
-        matrix.render(),
-        include_str!("../crates/bench/src/matrix.golden")
-    );
+    let prices = [
+        "makespan_s",
+        "wait_s",
+        "wait_cut",
+        "field_s",
+        "particle_s",
+        "energy_j",
+        "block_s",
+    ];
+    cb_bench::golden::assert_pinned("matrix.golden", &matrix.render(), &prices, TMP);
+}
+
+#[test]
+fn sched_reports_are_pinned_across_commits() {
+    // The whole report — every event, reservation and wait, not the
+    // aggregates the smoke's metrics hold — of a 600-job bursty trace on
+    // 64 CN + 128 BN with a fault every few hours (dense enough to
+    // requeue) and checkpointing on, under both policies at two seeds.
+    // Each scalar field is a line (the destructure has no `..`, so a new
+    // field does not compile until it is pinned); each vector is FNV-1a
+    // hashes of the `Debug` text of its chunks of 1000 (shortest
+    // round-trip floats: equal text is equal bits), a line per chunk with
+    // its first entry. All of it is program: a change that moves a line
+    // has changed a schedule, a victim or a node id.
+    use cb_bench::sched_load::engine_config;
+    use cluster_booster::resources::AllocationPolicy;
+    use rand::{rngs::StdRng, SeedableRng};
+    use sched::{generate, Engine, EngineReport, WorkloadConfig};
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    fn chunks<T: std::fmt::Debug>(run: &str, name: &str, all: &[T]) -> String {
+        let chunk = |(i, c): (usize, &[T])| {
+            let (from, hash) = (i * 1000, fnv1a(format!("{c:?}").as_bytes()));
+            let to = from + c.len();
+            format!(
+                "{run} {name}[{from}..{to}] first={:?} fnv1a={hash:#018x}\n",
+                c[0]
+            )
+        };
+        all.chunks(1000).enumerate().map(chunk).collect()
+    }
+    macro_rules! lines {
+        ($run:expr, $report:expr; $($scalar:ident)*; $($vector:ident)*) => {{
+            let EngineReport { $($scalar,)* $($vector,)* } = $report;
+            let scalars = [$(format!("{} {}={:?}\n", $run, stringify!($scalar), $scalar)),*];
+            [scalars.concat(), $(chunks(&$run, stringify!($vector), &$vector)),*].concat()
+        }};
+    }
+
+    let mut pins = String::new();
+    for seed in [20180521, 7] {
+        let trace = generate(&WorkloadConfig::bursty(seed, 600, 32, 64));
+        let failures = scr::FailureModel::new(SimTime::from_secs(900_000.0 / 50.0));
+        let nodes: Vec<NodeId> = (0..192).map(NodeId).collect();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_FA17);
+        let faults = failures.fault_plan(&mut rng, &nodes, SimTime::from_secs(40.0 * 3600.0));
+        for (name, policy) in [
+            ("independent", AllocationPolicy::Independent),
+            ("node-locked", AllocationPolicy::NodeLocked { ratio: 2 }),
+        ] {
+            let cfg = engine_config(policy, failures.system_mtbf(nodes.len()));
+            let system = SystemBuilder::new("sched")
+                .cluster_nodes(64)
+                .booster_nodes(128);
+            let r = Engine::new(system.build(), cfg).run(&trace, &faults);
+            let run = format!("{seed} {name}");
+            pins += &lines!(run, r; makespan cluster_utilization booster_utilization completed
+                starts backfill_starts requeues faults repairs expands shrinks;
+                events reservations waits);
+        }
+    }
+    cb_bench::golden::assert_pinned("sched_report.golden", &pins, &[], TMP);
+}
+
+#[test]
+fn sched_smoke_metrics_are_pinned_across_commits() {
+    // The `sched` bin's `--out` metrics at its default shape (the ci.sh
+    // smoke), one line per metric, each value the text the JSON prints.
+    // All of it is program.
+    use cb_bench::sched_load::{run, JOBS, SEED};
+    let lines = run(JOBS, SEED).metric_lines();
+    cb_bench::golden::assert_pinned("sched_smoke.golden", &lines, &[], TMP);
 }
 
 #[test]
