@@ -42,15 +42,22 @@ echo "== build (release) =="
 cargo build --release
 
 echo "== tests (workspace) =="
+# A debug build, so this is the stage that checks lock order: every
+# lockrank lock/read/write panics, naming both sites, unless its rank is
+# above every rank its thread holds, and a receive entered under any
+# ranked guard panics (DESIGN.md §3.8). Release builds carry no check.
 cargo test -q --workspace
 
-echo "== clippy (deny warnings; clippy.toml is the determinism contract) =="
+echo "== clippy (deny warnings; clippy.toml is the determinism contract and the lock ban) =="
 # The root clippy.toml bans, by resolved path, the host clock and
 # environment, HashMap/HashSet, available_parallelism and
-# thread::scope/spawn (DESIGN.md §3.3) in every target, tests and examples
-# included. A sanctioned site carries #[expect(clippy::disallowed_…,
-# reason = "…")]; the workspace denies #[allow] and reasonless waivers, and
-# -D warnings fails an #[expect] that no longer matches.
+# thread::scope/spawn (DESIGN.md §3.3), and the unranked locks
+# parking_lot::{Mutex, RwLock} and std::sync::{Mutex, RwLock} (§3.8), in
+# every target, tests and examples included. A sanctioned site carries
+# #[expect(clippy::disallowed_…, reason = "…")]; the workspace denies
+# #[allow] and reasonless waivers, and -D warnings fails an #[expect] that
+# no longer matches. Only lockrank and the vendored parking_lot shim waive
+# the lock ban.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== doc links (rustdoc, deny warnings) =="
@@ -59,17 +66,7 @@ echo "== doc links (rustdoc, deny warnings) =="
 # cb-bench `sched` binary's doc output would collide with the `sched` crate.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --lib \
     -p hwmodel -p simnet -p psmpi -p cluster-booster -p ompss -p sionio -p scr \
-    -p sched -p xpic -p obs -p deepcheck -p cb-bench -p cluster-booster-repro
-
-echo "== deepcheck (lock discipline) =="
-# Fails on any D006 (unranked lock or rank inversion; ranks inline or in
-# lockorder.toml) or D008 (blocking receive under a live guard) finding;
-# writes DEEPCHECK_REPORT.json with every finding and per-lint counts (a
-# pure function of the tree), which must match the committed copy.
-# Discarded requests and span guards fail the build stages above instead:
-# the workspace denies unused_must_use.
-cargo run -q --release -p deepcheck -- --root . --report DEEPCHECK_REPORT.json
-git diff --exit-code DEEPCHECK_REPORT.json
+    -p sched -p xpic -p obs -p lockrank -p cb-bench -p cluster-booster-repro
 
 echo "== examples (each runs to exit 0) =="
 # `cargo test` builds examples but never runs them. Several assert at run
@@ -82,13 +79,6 @@ for example in quickstart fabric_explorer modular_supercomputing \
     checkpoint_restart xpic_partitioned ompss_offload; do
     cargo run -q --release --example "$example" > /dev/null
 done
-
-echo "== lock witness (runtime lock-order graph stays acyclic) =="
-# The dynamic half of D006: psmpi's instrumented lock sites record every
-# cross-lock acquisition edge actually exercised; the stress and fault
-# tests assert the union is cycle-free (catches cross-function orders the
-# static pass cannot see).
-cargo test -q -p psmpi --features lockcheck
 
 echo "== repo benchmark (benchmark/ builds and smokes against the workspace API) =="
 # benchmark/ is its own [workspace] with path deps on crates/*, so the

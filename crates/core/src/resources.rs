@@ -11,7 +11,7 @@
 
 use crate::system::{ModuleKind, System};
 use hwmodel::NodeId;
-use parking_lot::{Mutex, MutexGuard};
+use lockrank::{Mutex, MutexGuard};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -195,7 +195,7 @@ pub enum AllocationPolicy {
 /// The resource manager of one system.
 #[derive(Clone)]
 pub struct ResourceManager {
-    pools: Arc<Mutex<Pools>>, // lock-order: 10
+    pools: Arc<Mutex<Pools, 200>>,
     policy: AllocationPolicy,
     total_cluster: usize,
     total_booster: usize,
@@ -335,6 +335,7 @@ impl ResourceManager {
 
     /// Lock the pools for one pass of [`LockedPools::grow`] and
     /// [`LockedPools::shrink`] calls over live allocations.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> LockedPools<'_> {
         LockedPools {
             p: self.pools.lock(),
@@ -396,7 +397,7 @@ impl ResourceManager {
 /// The pools of a [`ResourceManager`], held locked ([`ResourceManager::lock`])
 /// so that a pass over many allocations acquires them once.
 pub struct LockedPools<'a> {
-    p: MutexGuard<'a, Pools>,
+    p: MutexGuard<'a, Pools, 200>,
     /// Only independently reserved Booster nodes can join an allocation:
     /// a node-locked one cannot leave its host.
     growable: bool,
@@ -643,6 +644,19 @@ mod tests {
         assert_eq!(rm.free_booster(), 8);
         assert_eq!(rm.pending_down_count(), 0);
         assert!(!rm.mark_up(node), "nothing left to repair");
+    }
+
+    /// A second pass on one thread would wait for itself forever; the
+    /// rank check turns that hang into a panic naming both sites.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(
+        expected = "cluster_booster::resources::Pools (rank 200) acquired at crates/core/src/resources.rs"
+    )]
+    fn a_second_pass_on_one_thread_panics() {
+        let rm = rm();
+        let _pass = rm.lock();
+        let _again = rm.lock();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The span/counter recorder: one virtual-time track per rank.
 
 use hwmodel::SimTime;
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -171,7 +171,7 @@ impl TrackBuf {
 /// not compile).
 #[must_use = "span guards must be closed with the closing virtual time"]
 pub struct SpanGuard {
-    buf: Arc<Mutex<TrackBuf>>, // lock-order: 30
+    buf: Arc<Mutex<TrackBuf, 630>>,
     level: usize,
     armed: bool,
 }
@@ -203,7 +203,7 @@ impl Drop for SpanGuard {
 #[derive(Clone)]
 pub struct TrackHandle {
     key: TrackKey,
-    buf: Arc<Mutex<TrackBuf>>, // lock-order: 30
+    buf: Arc<Mutex<TrackBuf, 630>>,
 }
 
 impl TrackHandle {
@@ -277,9 +277,9 @@ impl TrackHandle {
 
 #[derive(Default)]
 struct Inner {
-    tracks: Mutex<BTreeMap<TrackKey, Arc<Mutex<TrackBuf>>>>, // lock-order: 20
+    tracks: Mutex<BTreeMap<TrackKey, Arc<Mutex<TrackBuf, 630>>>, 620>,
     /// Endpoint id → track, for resolving message edges at snapshot time.
-    endpoints: Mutex<BTreeMap<u64, TrackKey>>, // lock-order: 10
+    endpoints: Mutex<BTreeMap<u64, TrackKey>, 610>,
 }
 
 /// The shared recorder: attach one to a `psmpi` universe and every rank of
@@ -307,7 +307,6 @@ impl Recorder {
         start: SimTime,
         origin: Option<TrackKey>,
     ) -> TrackHandle {
-        // lock-order: 30
         let buf = Arc::new(Mutex::new(TrackBuf {
             kind,
             start,
@@ -322,16 +321,6 @@ impl Recorder {
         self.inner.tracks.lock().insert(key, buf.clone());
         self.inner.endpoints.lock().insert(endpoint, key);
         TrackHandle { key, buf }
-    }
-
-    /// Number of registered tracks.
-    pub fn len(&self) -> usize {
-        self.inner.tracks.lock().len()
-    }
-
-    /// Whether no track was registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Deterministic snapshot of everything recorded so far: tracks in

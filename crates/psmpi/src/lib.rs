@@ -87,7 +87,6 @@ pub mod collectives;
 pub mod comm;
 pub mod datatype;
 pub mod envelope;
-pub mod lockcheck;
 pub mod pingpong;
 pub mod pool;
 pub mod rank;

@@ -8,7 +8,7 @@
 
 use crate::universe::UniverseBuilder;
 use hwmodel::{NodeSpec, SimTime};
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use std::sync::Arc;
 
 /// One measured point of the ping-pong sweep.
@@ -32,7 +32,7 @@ pub fn fig3_sizes() -> Vec<usize> {
 pub fn measure(a: &NodeSpec, b: &NodeSpec, sizes: &[usize], reps: usize) -> Vec<PingPongPoint> {
     assert!(reps >= 1);
     let sizes = sizes.to_vec();
-    let results: Arc<Mutex<Vec<PingPongPoint>>> = Arc::new(Mutex::new(Vec::new())); // lock-order: 70
+    let results: Arc<Mutex<Vec<PingPongPoint>, 470>> = Arc::new(Mutex::new(Vec::new()));
     let results_in = results.clone();
 
     UniverseBuilder::new()
@@ -52,7 +52,6 @@ pub fn measure(a: &NodeSpec, b: &NodeSpec, sizes: &[usize], reps: usize) -> Vec<
                     let rtt = (rank.now() - t0) / reps as f64;
                     let latency = rtt / 2.0;
                     let mut results = results_in.lock();
-                    crate::lock_witness!("psmpi.results");
                     results.push(PingPongPoint {
                         size,
                         latency,

@@ -18,7 +18,7 @@
 //! a pool hit, and the slot goes back to the pool when the rank exits.
 
 use bytes::{Bytes, BytesMut};
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Retired buffers above this capacity are dropped rather than pooled, so
@@ -50,7 +50,7 @@ pub const DEFAULT_MAX_POOLED_BUFFERS: usize = 64;
 /// `psmpi.pool_*` metrics) and must never feed virtual-time results or
 /// byte-diffed obs artifacts.
 pub struct BufferPool {
-    bufs: Mutex<[Vec<BytesMut>; class_of(MAX_POOLED_CAPACITY) + 1]>, // lock-order: 50
+    bufs: Mutex<[Vec<BytesMut>; class_of(MAX_POOLED_CAPACITY) + 1], 450>,
     max_buffers: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -122,7 +122,6 @@ impl BufferPool {
     pub fn get(&self, cap: usize) -> BytesMut {
         let recycled = {
             let mut bufs = self.bufs.lock();
-            crate::lock_witness!("psmpi.bufs");
             let fitting = |class: &mut Vec<BytesMut>| {
                 let i = class.iter().rposition(|b| b.capacity() >= cap)?;
                 Some(class.swap_remove(i))
@@ -173,7 +172,6 @@ impl BufferPool {
             return;
         }
         let mut bufs = self.bufs.lock();
-        crate::lock_witness!("psmpi.bufs");
         let class = &mut bufs[class_of(buf.capacity())];
         if class.len() < self.max_buffers {
             class.push(buf);
@@ -211,7 +209,6 @@ impl BufferPool {
     /// Number of buffers currently pooled (for tests and diagnostics).
     pub fn pooled(&self) -> usize {
         let bufs = self.bufs.lock();
-        crate::lock_witness!("psmpi.bufs");
         bufs.iter().map(Vec::len).sum()
     }
 

@@ -13,7 +13,7 @@ use crate::pool::BufferPool;
 use crate::rank::PsmpiError;
 use bytes::Bytes;
 use hwmodel::{NodeId, NodeSpec, SimTime};
-use parking_lot::{Condvar, Mutex, RwLock};
+use lockrank::{Condvar, Mutex, RwLock};
 use simnet::Fabric;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering};
@@ -169,7 +169,7 @@ fn spin_before_sleep(awake: isize, cores: usize) -> bool {
 /// One endpoint's incoming-message queue.
 #[derive(Default)]
 pub struct Mailbox {
-    state: Mutex<MailboxState>, // lock-order: 10
+    state: Mutex<MailboxState, 410>,
     cv: Condvar,
     /// Deposits and interrupts so far; a spinning receiver watches it.
     arrivals: AtomicU64,
@@ -182,7 +182,6 @@ impl Mailbox {
     /// Deposit an envelope and wake the receiver if it sleeps.
     pub fn push(&self, env: Envelope) {
         let mut s = self.state.lock();
-        crate::lock_witness!("psmpi.state");
         self.deposit(&mut s, env);
     }
 
@@ -202,7 +201,6 @@ impl Mailbox {
     /// mailbox when a node is declared down).
     pub fn interrupt(&self) {
         let mut s = self.state.lock();
-        crate::lock_witness!("psmpi.state");
         self.signal(&mut s);
     }
 
@@ -254,11 +252,12 @@ impl Mailbox {
         dead: impl Fn() -> Option<(NodeId, SimTime)>,
         mut hit: impl FnMut(&mut MailboxState) -> Option<T>,
     ) -> Result<T, RecvAbort> {
+        // The one place a rank waits on another: no lock may be held here.
+        lockrank::assert_unlocked();
         let mut spun = false;
         loop {
             let seen = {
                 let mut s = self.state.lock();
-                crate::lock_witness!("psmpi.state");
                 loop {
                     if let Some(found) = hit(&mut s) {
                         return Ok(found);
@@ -337,7 +336,6 @@ impl Mailbox {
         tag: Option<Tag>,
     ) -> Option<Probed> {
         let s = self.state.lock();
-        crate::lock_witness!("psmpi.state");
         s.peek_match(comm, src, tag)
     }
 
@@ -365,7 +363,6 @@ impl Mailbox {
     /// Number of queued envelopes (diagnostics).
     pub fn len(&self) -> usize {
         let s = self.state.lock();
-        crate::lock_witness!("psmpi.state");
         s.live
     }
 
@@ -481,11 +478,11 @@ pub struct Router {
     /// (`clippy.toml` bans the hash containers). Entries are never
     /// removed, so cached `Arc<EndpointEntry>` handles can outlive the
     /// lookup.
-    endpoints: [RwLock<BTreeMap<EndpointId, Arc<EndpointEntry>>>; ENDPOINT_SHARDS], // lock-order: 20
+    endpoints: [RwLock<BTreeMap<EndpointId, Arc<EndpointEntry>>, 420>; ENDPOINT_SHARDS],
     /// Nodes declared down at run time, with their virtual death times.
     /// Written by the victim's own thread *after* it deposited all its
     /// sends; read by the abortable receive path.
-    dead_nodes: Mutex<BTreeMap<NodeId, SimTime>>, // lock-order: 30
+    dead_nodes: Mutex<BTreeMap<NodeId, SimTime>, 430>,
     /// Lock-free screen for `dead_nodes`: false means the set is empty and
     /// the per-receive dead check returns `None` without locking. Updated
     /// under the `dead_nodes` lock; the release store paired with the
@@ -495,13 +492,13 @@ pub struct Router {
     /// Last repair time per node, written by the supervisor before it
     /// respawns a world and copied into each endpoint registered after
     /// (`EndpointEntry::repaired`); senders never read it.
-    repairs: RwLock<BTreeMap<NodeId, SimTime>>, // lock-order: 32
+    repairs: RwLock<BTreeMap<NodeId, SimTime>, 432>,
     /// Sender-side retry/backoff configuration for transient link faults.
-    retry: RwLock<RetryPolicy>, // lock-order: 34
+    retry: RwLock<RetryPolicy, 434>,
     /// Optional span/counter recorder: when attached, every rank of every
     /// subsequent job registers an `obs` track and the runtime emits
     /// compute/send/recv/collective spans automatically.
-    obs: Mutex<Option<obs::Recorder>>, // lock-order: 42
+    obs: Mutex<Option<obs::Recorder>, 442>,
     next_endpoint: AtomicU64,
     next_comm: AtomicU64,
     /// Rank threads alive (`spawn_rank_thread` counts them in and out) and
@@ -509,9 +506,9 @@ pub struct Router {
     /// it gates the spin before a sleep and never reaches a virtual clock.
     pub(crate) awake: Arc<AtomicIsize>,
     /// Threads spawned dynamically (via `Rank::spawn`); joined at job end.
-    pub(crate) child_handles: Mutex<Vec<JoinHandle<()>>>, // lock-order: 44
+    pub(crate) child_handles: Mutex<Vec<JoinHandle<()>>, 444>,
     /// Outcomes of completed ranks.
-    pub(crate) outcomes: Mutex<Vec<RankOutcome>>, // lock-order: 46
+    pub(crate) outcomes: Mutex<Vec<RankOutcome>, 446>,
     /// Fixed virtual cost of a `spawn` operation (process launch, remote
     /// boot, connection setup).
     pub spawn_latency: SimTime,
@@ -572,7 +569,6 @@ impl Router {
         let id = EndpointId(self.next_endpoint.fetch_add(1, Ordering::Relaxed));
         let repaired = {
             let reps = self.repairs.read();
-            crate::lock_witness!("psmpi.repairs");
             reps.get(&node).copied()
         };
         let entry = Arc::new(EndpointEntry {
@@ -585,7 +581,6 @@ impl Router {
             repaired,
         });
         let mut shard = self.endpoints[shard_of(id)].write();
-        crate::lock_witness!("psmpi.endpoints");
         shard.insert(id, entry);
         id
     }
@@ -602,7 +597,6 @@ impl Router {
     /// paths should cache the `Arc` instead of looking up per message.
     pub fn entry(&self, ep: EndpointId) -> Result<Arc<EndpointEntry>, PsmpiError> {
         let shard = self.endpoints[shard_of(ep)].read();
-        crate::lock_witness!("psmpi.endpoints");
         shard
             .get(&ep)
             .cloned()
@@ -641,14 +635,12 @@ impl Router {
     /// The sender-side retry/backoff policy.
     pub fn retry_policy(&self) -> RetryPolicy {
         let retry = self.retry.read();
-        crate::lock_witness!("psmpi.retry");
         *retry
     }
 
     /// Replace the retry/backoff policy (call before launching ranks).
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         let mut retry = self.retry.write();
-        crate::lock_witness!("psmpi.retry");
         *retry = policy;
     }
 
@@ -664,20 +656,18 @@ impl Router {
     pub fn declare_down(&self, node: NodeId, at: SimTime) {
         {
             let mut dead = self.dead_nodes.lock();
-            crate::lock_witness!("psmpi.dead_nodes");
             dead.entry(node).or_insert(at);
             self.any_dead.store(true, Ordering::Release);
         }
         // Snapshot each shard's mailboxes before interrupting: `interrupt`
-        // takes a mailbox `state` lock (rank 10), which must not happen
-        // under a shard guard (rank 20). Worse than the rank inversion, a
+        // takes a mailbox `state` lock (rank 410), which must not happen
+        // under a shard guard (rank 420). Worse than the rank inversion, a
         // blocked receiver holds its `state` while its dead-check takes a
         // shard read — and parking_lot's writer-priority RwLock turns the
         // two read sides plus one queued writer into a deadlock.
         for shard in &self.endpoints {
             let mailboxes: Vec<Arc<Mailbox>> = {
                 let guard = shard.read();
-                crate::lock_witness!("psmpi.endpoints");
                 guard.values().map(|entry| entry.mailbox.clone()).collect()
             };
             for mailbox in mailboxes {
@@ -692,12 +682,10 @@ impl Router {
     pub fn repair(&self, node: NodeId, at: SimTime) {
         {
             let mut dead = self.dead_nodes.lock();
-            crate::lock_witness!("psmpi.dead_nodes");
             dead.remove(&node);
             self.any_dead.store(!dead.is_empty(), Ordering::Release);
         }
         let mut reps = self.repairs.write();
-        crate::lock_witness!("psmpi.repairs");
         let r = reps.entry(node).or_insert(at);
         *r = (*r).max(at);
     }
@@ -710,7 +698,6 @@ impl Router {
             return None;
         }
         let dead = self.dead_nodes.lock();
-        crate::lock_witness!("psmpi.dead_nodes");
         dead.get(&node).copied()
     }
 
@@ -731,7 +718,6 @@ impl Router {
     /// Record a finished rank.
     pub fn record_outcome(&self, outcome: RankOutcome) {
         let mut outcomes = self.outcomes.lock();
-        crate::lock_witness!("psmpi.outcomes");
         outcomes.push(outcome);
     }
 
@@ -739,14 +725,12 @@ impl Router {
     /// track each and emit runtime spans automatically.
     pub fn attach_obs(&self, recorder: obs::Recorder) {
         let mut obs = self.obs.lock();
-        crate::lock_witness!("psmpi.obs");
         *obs = Some(recorder);
     }
 
     /// The attached recorder, if any.
     pub fn obs_recorder(&self) -> Option<obs::Recorder> {
         let obs = self.obs.lock();
-        crate::lock_witness!("psmpi.obs");
         obs.clone()
     }
 
@@ -927,35 +911,47 @@ mod tests {
         assert!(matches!(res, Err(RecvAbort::Dead(_, _))));
     }
 
-    /// The runtime witness sees the cross-function order the static pass
-    /// cannot: a blocked receiver holds its mailbox `state` while its
-    /// dead-check takes an `endpoints` shard read. The reverse edge —
-    /// `declare_down` interrupting mailboxes *under* a shard guard — was
-    /// the deadlock this PR fixed; its absence keeps the graph acyclic.
-    #[cfg(feature = "lockcheck")]
+    /// The message of `f`'s panic.
+    #[cfg(debug_assertions)]
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("expected a lock-order panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    /// A receiver's dead-check takes an `endpoints` shard (rank 420) and
+    /// `dead_nodes` (430) under its mailbox `state` (410): that ascends.
+    /// The reverse shape, a mailbox interrupted under a shard guard (the
+    /// deadlock of DESIGN.md §3.8), panics naming both sites.
+    #[cfg(debug_assertions)]
     #[test]
-    fn witness_records_receiver_side_order_and_stays_acyclic() {
+    fn receiver_side_order_passes_and_interrupt_under_a_shard_panics() {
         let r = router();
         let a = r.register_endpoint(NodeId(0));
         let b = r.register_endpoint(NodeId(1));
-        let mb = r.entry(a).unwrap().mailbox().clone();
-        let r2 = r.clone();
-        let h = std::thread::spawn(move || {
-            mb.recv_match_abortable(CommId(1), Some(0), Some(5), || dead_node_of(&r2, b))
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
         r.declare_down(NodeId(1), SimTime::from_secs(1.0));
-        h.join().unwrap().expect_err("receiver aborts dead");
-        let edges = crate::lockcheck::recorded_edges();
-        assert!(
-            edges.contains(&("psmpi.state", "psmpi.endpoints")),
-            "receiver-side edge missing: {edges:?}"
-        );
-        assert!(
-            !edges.contains(&("psmpi.endpoints", "psmpi.state")),
-            "declare_down re-grew the interrupt-under-shard-guard edge: {edges:?}"
-        );
-        crate::lockcheck::assert_acyclic();
+        let mb = r.entry(a).unwrap().mailbox().clone();
+        let res = mb.recv_match_abortable(CommId(1), Some(0), Some(5), || dead_node_of(&r, b));
+        assert!(matches!(res, Err(RecvAbort::Dead(_, _))));
+
+        let (shard, shard_at) = (r.endpoints[shard_of(a)].read(), line!());
+        let msg = panic_message(|| shard[&a].mailbox().interrupt());
+        assert!(msg.contains(&format!("{}:{shard_at}:", file!())), "{msg}");
+        assert!(msg.contains("MailboxState (rank 410)"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_receive_under_a_ranked_guard_panics() {
+        let m = Mailbox::default();
+        m.push(env(1, 0, 5, 0));
+        let seen = lockrank::Mutex::<Vec<u64>, 900>::new(Vec::new());
+        let mut seen = seen.lock();
+        let msg = panic_message(|| seen.push(m.recv_match(CommId(1), Some(0), Some(5)).seq));
+        assert!(msg.contains("blocking wait"), "{msg}");
     }
 
     #[test]

@@ -147,9 +147,10 @@ impl Rank {
                     entry.clone(),
                 ));
             }
-            let mut child_handles = router.child_handles.lock();
-            crate::lock_witness!("psmpi.child_handles");
-            child_handles.extend(handles);
+            // Registered before the broadcast, which must not run under
+            // `child_handles`: it takes mailbox and pool locks, and
+            // `Universe::launch`'s join drain waits on this lock.
+            router.child_handles.lock().extend(handles);
 
             let info = SpawnInfo {
                 child_world: child_world_id.0,

@@ -101,7 +101,6 @@ impl Universe {
         loop {
             let drained: Vec<JoinHandle<()>> = {
                 let mut child_handles = self.router.child_handles.lock();
-                crate::lock_witness!("psmpi.child_handles");
                 std::mem::take(&mut *child_handles)
             };
             if drained.is_empty() {
@@ -113,7 +112,6 @@ impl Universe {
         }
         let outcomes = {
             let mut outcomes_guard = self.router.outcomes.lock();
-            crate::lock_witness!("psmpi.outcomes");
             std::mem::take(&mut *outcomes_guard)
         };
         JobReport { outcomes }

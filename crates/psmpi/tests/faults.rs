@@ -50,7 +50,6 @@ fn send_to_planned_dead_node_fails_and_recycles_sole_buffer() {
             "failed send must return its sole-owned encode buffer"
         );
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -75,7 +74,6 @@ fn failed_send_never_recycles_an_aliased_buffer() {
         // Our alias is untouched — nobody scribbled over the allocation.
         assert!(alias.iter().all(|&b| b == 42));
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -117,7 +115,6 @@ fn victim_messages_before_death_arrive_in_order_then_recv_aborts() {
         let mailbox = entry.mailbox();
         assert!(mailbox.probe_match(w.id, Some(1), Some(7)).is_none());
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -154,7 +151,6 @@ fn revoke_marker_aborts_transitively_blocked_rank() {
             }
         }
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 /// Run `job` on a thread of its own and fail — rather than hang the suite —
@@ -206,7 +202,6 @@ fn bcast_and_probe_on_a_dead_root_fail_instead_of_hanging() {
         });
         assert_eq!(u.router().awake_ranks(), 0);
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -234,7 +229,6 @@ fn an_out_of_range_root_is_invalid_rank_on_every_rank() {
         });
         assert_eq!(report.total_msgs_sent(), 0, "nothing was sent");
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -274,7 +268,6 @@ fn bcast_on_a_revoking_root_fails_with_the_victims_identity() {
             }
         });
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -302,7 +295,6 @@ fn transient_link_fault_is_retried_through_backoff() {
             assert_eq!(v, 7);
         }
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -327,7 +319,6 @@ fn persistent_link_fault_exhausts_retries_to_link_down() {
             other => panic!("expected LinkDown, got {other}"),
         }
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -352,7 +343,6 @@ fn link_fault_backoff_times_out_past_give_up_bound() {
             other => panic!("expected Timeout, got {other}"),
         }
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -389,7 +379,6 @@ fn faulted_run_is_identical_across_thread_interleavings() {
         again.sort_by_key(|a| a.0);
         assert_eq!(first, again);
     }
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]

@@ -103,7 +103,6 @@ fn thousand_senders_preserve_per_sender_order_under_wildcard_drain() {
     let next = receiver.join().unwrap();
     assert!(next.iter().all(|&n| n == PER_SENDER));
     assert!(mbox.is_empty(), "wildcard drain consumed everything");
-    psmpi::lockcheck::assert_acyclic();
 }
 
 /// Same fan-in, drained through the exact-match index: a fully-specified
@@ -140,7 +139,6 @@ fn thousand_senders_preserve_order_through_exact_match_index() {
         }
     }
     assert!(mbox.is_empty());
-    psmpi::lockcheck::assert_acyclic();
 }
 
 /// The request engine on top of the same fan-in: the receiver posts one
@@ -158,7 +156,7 @@ fn waitall_over_thousand_concurrent_senders_is_deterministic() {
     const SENDERS: usize = 1000;
 
     let run = || {
-        let outcome = Arc::new(parking_lot::Mutex::new((SimTime::ZERO, 0u64)));
+        let outcome = Arc::new(lockrank::Mutex::<_, 900>::new((SimTime::ZERO, 0u64)));
         let o2 = outcome.clone();
         UniverseBuilder::new()
             .add_nodes(SENDERS as u32 + 1, &deep_er_cluster_node())
@@ -196,7 +194,6 @@ fn waitall_over_thousand_concurrent_senders_is_deterministic() {
     for _ in 0..3 {
         assert_eq!(run(), first, "virtual outcome independent of host schedule");
     }
-    psmpi::lockcheck::assert_acyclic();
 }
 
 const TAG_A: Tag = 10;
@@ -219,7 +216,6 @@ fn probe_blocking_either_reports_earliest_arrival_without_dequeue() {
     mbox.push(env(0, TAG_B, 1));
     assert_eq!(either(&mbox).unwrap(), TAG_A);
     assert_eq!(mbox.len(), 2);
-    psmpi::lockcheck::assert_acyclic();
 }
 
 /// Race `probe_blocking_either` against a concurrent sender: the prober
@@ -252,7 +248,6 @@ fn probe_blocking_either_race_with_concurrent_sender() {
         let e = mbox.recv_match(COMM, Some(7), Some(TAG_B));
         assert_eq!(decode(&e.payload), (7, 0));
     }
-    psmpi::lockcheck::assert_acyclic();
 }
 
 /// A universe over `ranks` cluster nodes, one rank each.
@@ -307,7 +302,6 @@ fn push_racing_park_never_loses_a_wakeup() {
         });
         assert_eq!(u.router().awake_ranks(), 0, "{idle} idle ranks");
     }
-    psmpi::lockcheck::assert_acyclic();
 }
 
 /// 10⁵ receives from a sender that sends nothing and dies instead, each
@@ -356,5 +350,4 @@ fn interrupt_racing_park_never_loses_a_wakeup() {
         });
         assert_eq!(u.router().awake_ranks(), 0, "{idle} idle ranks");
     }
-    psmpi::lockcheck::assert_acyclic();
 }

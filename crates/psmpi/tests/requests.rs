@@ -6,8 +6,8 @@
 
 use hwmodel::presets::deep_er_cluster_node;
 use hwmodel::{NodeId, SimTime};
+use lockrank::Mutex;
 use obs::{Category, Recorder};
-use parking_lot::Mutex;
 use psmpi::datatype::{pod_to_bytes, pod_to_bytes_pooled, read_pod_into_exact};
 use psmpi::{Comm, MpiDatatype, MpiError, MpiRequest, Rank, Universe, UniverseBuilder};
 use simnet::{Fabric, FaultPlan, Topology};
@@ -48,7 +48,6 @@ fn isend_post_is_free_and_wait_charges_nic_serialization() {
                 assert!(inbox.iter().all(|&x| x == 1.0));
             }
         });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -71,7 +70,6 @@ fn compute_between_post_and_wait_hides_the_nic_charge() {
                 rank.recv_into(Some(0), Some(7), &mut inbox).unwrap();
             }
         });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -102,7 +100,6 @@ fn irecv_wait_is_max_of_clock_and_arrival() {
                 assert!(b.iter().all(|&x| x == 4.0));
             }
         });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 // ---- blocking == post + wait, over the whole surviving surface ----
@@ -214,8 +211,8 @@ fn eq_run(form: Form, inter: bool, fault: Fault, post_wait: bool) -> Observed {
     let u = faulted_universe(2, plan);
     let rec = Recorder::new();
     u.attach_obs(rec.clone());
-    let received = Arc::new(Mutex::new(Vec::new()));
-    let error = Arc::new(Mutex::new(None));
+    let received = Arc::new(Mutex::<_, 900>::new(Vec::new()));
+    let error = Arc::new(Mutex::<_, 900>::new(None));
     let (received_in, error_in) = (received.clone(), error.clone());
     let dead = fault == Fault::DeadDestination;
     let receive = move |rank: &mut Rank, recv: &dyn Fn(&mut Rank) -> Vec<u64>| {
@@ -347,7 +344,6 @@ fn blocking_equals_post_plus_wait_across_the_surface() {
             }
         }
     }
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -371,7 +367,6 @@ fn send_fault_is_parked_at_post_and_surfaced_at_wait() {
             other => panic!("expected NodeFailed, got {other}"),
         }
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -402,7 +397,6 @@ fn irecv_wait_aborts_when_the_awaited_sender_dies() {
             "learning of the death cannot predate it"
         );
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 /// Poll `test` until it stops handing the request back; every miss must
@@ -444,7 +438,6 @@ fn test_polling_surfaces_the_death_of_the_awaited_sender() {
         }
         assert_eq!(rank.now(), fault_at, "completion aligns the clock");
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -466,7 +459,6 @@ fn test_polling_surfaces_a_revoked_communicator() {
                 matches!(err, MpiError::NodeFailed { node, at } if node == NodeId(9) && at == s(0.25))
             );
         });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -495,7 +487,6 @@ fn out_of_range_source_on_an_intercomm_is_invalid_rank_not_a_hang() {
         invalid(rank.irecv_bytes_comm(&ic, Some(n), Some(7)).err().unwrap());
         invalid(rank.send_comm(&ic, n, 7, &1u64).unwrap_err());
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -522,7 +513,6 @@ fn test_misses_without_moving_the_clock_then_completes_on_a_hit() {
                 Err(_) => panic!("queued message must complete a test"),
             }
         });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -547,7 +537,6 @@ fn waitall_completes_in_posted_order() {
                 }
             }
         });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -573,7 +562,6 @@ fn waitall_surfaces_the_first_deferred_fault() {
             }
         }
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -612,7 +600,6 @@ fn inam_put_post_is_free_and_wait_charges_rdma_time() {
         req.wait(rank).unwrap();
         assert_eq!(rank.now(), t1, "fully-hidden NAM put adds zero wait");
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -638,7 +625,6 @@ fn inam_put_sized_charges_the_wire_size_not_the_blob() {
         assert_eq!(rank.now(), t0 + frame);
         assert!(frame < full);
     });
-    psmpi::lockcheck::assert_acyclic();
 }
 
 #[test]
@@ -659,5 +645,4 @@ fn inam_put_rejects_unknown_device_and_bad_region() {
             Err(MpiError::Nam(simnet::nam::NamError::OutOfBounds { .. }))
         ));
     });
-    psmpi::lockcheck::assert_acyclic();
 }

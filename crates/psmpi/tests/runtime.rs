@@ -3,7 +3,7 @@
 
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::{NodeId, SimTime, WorkSpec};
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use psmpi::{MpiDatatype, MpiRequest, ReduceOp, Universe, UniverseBuilder, ANY_SOURCE, ANY_TAG};
 use simnet::{Fabric, Topology};
 use std::sync::Arc;
@@ -126,7 +126,7 @@ fn nonblocking_overlap_hides_transfer() {
     // Rank 0 sends a large message; rank 1 posts irecv, computes, then
     // waits. The compute time overlaps the transfer, so rank 1's final
     // clock is close to max(compute, transfer), not their sum.
-    let clocks = Arc::new(Mutex::new(Vec::new()));
+    let clocks = Arc::new(Mutex::<_, 900>::new(Vec::new()));
     let c2 = clocks.clone();
     cluster(2).run(move |rank| {
         let payload = vec![0u8; 8 << 20]; // ~0.86 ms transfer
@@ -153,7 +153,7 @@ fn nonblocking_overlap_hides_transfer() {
 
 #[test]
 fn barrier_synchronizes_clocks() {
-    let clocks = Arc::new(Mutex::new(Vec::new()));
+    let clocks = Arc::new(Mutex::<_, 900>::new(Vec::new()));
     let c2 = clocks.clone();
     cluster(4).run(move |rank| {
         // Rank 2 is slow before the barrier.

@@ -3,7 +3,7 @@
 
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::{NodeId, SimTime};
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use psmpi::{Rank, Universe};
 use simnet::{Fabric, Topology};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ fn grandchild_worlds_all_join() {
     // World A (1 rank) spawns world B (1 rank), which spawns world C
     // (2 ranks); messages relay C → B → A.
     let u = universe(2, 2);
-    let result = Arc::new(Mutex::new(0u64));
+    let result = Arc::new(Mutex::<_, 900>::new(0u64));
     let r2 = result.clone();
     let report = u.launch(&[NodeId(0)], move |rank| {
         let ic_b = rank
@@ -53,7 +53,7 @@ fn universe_reusable_across_jobs() {
     // between them.
     let u = universe(2, 0);
     for i in 0..3u64 {
-        let seen = Arc::new(Mutex::new(0u64));
+        let seen = Arc::new(Mutex::<_, 900>::new(0u64));
         let s2 = seen.clone();
         let report = u.launch(&[NodeId(0), NodeId(1)], move |rank| {
             if rank.rank() == 0 {

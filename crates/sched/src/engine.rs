@@ -1473,6 +1473,8 @@ mod tests {
                     }
                 }
             }
+            // One pass guard at a time: both managers' pools have one rank.
+            drop(pools);
             let mut running: Vec<Run<'_>> = (base.expect("assumed").into_iter().zip(&jobs))
                 .map(|(alloc, job)| Run {
                     job,

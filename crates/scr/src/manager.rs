@@ -24,7 +24,7 @@
 use crate::delta::{self, DeltaError};
 use bytes::Bytes;
 use hwmodel::{MemoryLevel, NodeId, SimTime};
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use simnet::nam::{NamDevice, NamError, NamRegion};
 use simnet::LogGpModel;
 use sionio::{ParallelFs, SionContainer};
@@ -262,7 +262,7 @@ pub struct ScrManager {
     /// Node specs of each rank (for buddy-transfer cost).
     specs: Vec<Arc<hwmodel::NodeSpec>>,
     pfs: ParallelFs,
-    state: Arc<Mutex<ScrState>>, // lock-order: 10
+    state: Arc<Mutex<ScrState, 300>>,
 }
 
 /// The region `held`, allocated on first use and re-allocated when the
@@ -529,7 +529,7 @@ impl ScrManager {
                 for copies in &mut record.ranks {
                     let data = copies.local.as_ref().ok_or_else(lost)?;
                     match &self.config.nam {
-                        // The device lock nests inside the state lock (10 → 40).
+                        // The device lock nests inside the state lock (300 → 540).
                         Some(nam) => {
                             let len = data.len() as u64;
                             let region = nam_region_for(nam, &mut copies.nam_region, len)?;

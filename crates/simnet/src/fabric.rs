@@ -5,7 +5,7 @@ use crate::loggp::LogGpModel;
 use crate::nam::NamDevice;
 use crate::topology::{Topology, TopologyError};
 use hwmodel::{NodeId, NodeSpec, SimTime};
-use parking_lot::RwLock;
+use lockrank::RwLock;
 use std::sync::Arc;
 
 /// A complete simulated interconnect. Cheap to clone (`Arc` inside) so every
@@ -23,7 +23,7 @@ struct FabricInner {
     /// Optional fault schedule, shared by every clone. Installed once at
     /// launch (before rank threads start) and then only read, so the lock
     /// is uncontended on the message path.
-    faults: RwLock<Option<Arc<FaultPlan>>>, // lock-order: 50
+    faults: RwLock<Option<Arc<FaultPlan>>, 550>,
 }
 
 impl Fabric {

@@ -12,7 +12,7 @@
 //! can actually round-trip data through it.
 
 use hwmodel::SimTime;
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -80,7 +80,7 @@ pub struct NamDevice {
     access_latency: SimTime,
     /// HMC bandwidth through the FPGA, bytes/s.
     bandwidth: f64,
-    state: Arc<Mutex<NamState>>, // lock-order: 40
+    state: Arc<Mutex<NamState, 540>>,
 }
 
 impl NamDevice {

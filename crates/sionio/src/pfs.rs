@@ -8,7 +8,7 @@
 //! plus the fabric hop from the client.
 
 use hwmodel::SimTime;
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -70,7 +70,7 @@ struct FsState {
 /// The shared parallel file system. Clone-shared across ranks.
 #[derive(Debug, Clone)]
 pub struct ParallelFs {
-    state: Arc<Mutex<FsState>>, // lock-order: 10
+    state: Arc<Mutex<FsState, 510>>,
 }
 
 impl ParallelFs {

@@ -32,7 +32,7 @@ use crate::solver::{
 use bytes::Bytes;
 use cluster_booster::{JobSpec, Launcher};
 use hwmodel::SimTime;
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use psmpi::datatype::{bytes_to_pod, pod_to_bytes_pooled};
 use psmpi::{Communicator, Intercomm, MpiRequest, Rank, RecvRequest, ReduceOp};
 use std::sync::Arc;
@@ -362,8 +362,7 @@ fn reduce_tail<const S: usize, const M: usize>(
 
 /// The combined main loop of Listing 1, one module (Cluster-only or
 /// Booster-only mode).
-// lock-order: 10
-fn run_combined(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>) {
+fn run_combined(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc, 100>>) {
     let mut st = SlabState::new(config, rank);
     st.initial_moments(rank, config);
 
@@ -412,7 +411,7 @@ fn run_booster_side(
     rank: &mut Rank,
     config: &XpicConfig,
     cluster_nodes: &[hwmodel::NodeId],
-    acc: &Arc<Mutex<Acc>>, // lock-order: 10
+    acc: &Arc<Mutex<Acc, 100>>,
 ) {
     let me = rank.rank();
     let mut st = SlabState::new(config, rank);
@@ -514,8 +513,7 @@ fn run_booster_side(
 }
 
 /// The Cluster main loop of Listing 2 (field solver side of C+B).
-// lock-order: 10
-fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc>>) {
+fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc, 100>>) {
     let me = rank.rank();
     let ic = rank.parent().expect("spawned by the Booster side");
     let mut st = SlabState::without_particles(config, rank);
@@ -621,7 +619,7 @@ pub fn run_mode(
     nodes_per_solver: usize,
     config: &XpicConfig,
 ) -> XpicReport {
-    let acc = Arc::new(Mutex::new(Acc::default())); // lock-order: 10
+    let acc = Arc::new(Mutex::new(Acc::default()));
     let config = Arc::new(config.clone());
 
     let spec = match mode {

@@ -28,7 +28,7 @@ use crate::solver::{halo_add_moments, migrate_particles, MpiFieldComm};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cluster_booster::{JobSpec, Launcher, ModuleKind};
 use hwmodel::{NodeId, SimTime};
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use psmpi::datatype::CodecError;
 use psmpi::universe::RankFn;
 use psmpi::{
@@ -545,7 +545,6 @@ pub fn run_resilient(
     let config = Arc::new(config.clone());
     let scr_in = scr.clone();
     let recovery_in = recovery.clone();
-    // lock-order: 10
     let out = Arc::new(Mutex::new(ResilientReport {
         field_energy: 0.0,
         kinetic_energy: 0.0,
@@ -588,7 +587,7 @@ fn supervise(
     config: &Arc<XpicConfig>,
     scr: &ScrManager,
     recovery: &RecoveryConfig,
-    out: &Arc<Mutex<ResilientReport>>, // lock-order: 10
+    out: &Arc<Mutex<ResilientReport, 100>>,
 ) {
     let world = rank.world();
     // The restored step and its blobs; `None` starts from the seed.

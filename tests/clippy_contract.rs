@@ -1,8 +1,9 @@
-//! The determinism contract's name bans live in the root `clippy.toml`,
-//! which ci.sh's `cargo clippy -- -D warnings` stage enforces. Clippy gives
-//! no standing proof that its configuration still names what the contract
-//! bans, so this test does: it reads the file as text and fails when any
-//! banned path leaves it, or moves to the wrong list.
+//! The determinism contract's name bans and the ban on unranked locks live
+//! in the root `clippy.toml`, which ci.sh's `cargo clippy -- -D warnings`
+//! stage enforces. Clippy gives no standing proof that its configuration
+//! still names what the contract bans, so this test does: it reads the file
+//! as text and fails when any banned path leaves it, or moves to the wrong
+//! list.
 
 /// The `path = "…"` entries of one top-level `<key> = [ … ]` list.
 fn banned(config: &str, key: &str) -> Vec<String> {
@@ -47,8 +48,16 @@ fn ban_list_names_every_contract_path() {
             "clippy.toml's disallowed-methods lost `{want}`: {methods:?}"
         );
     }
-    // Per-process hash order.
-    for want in ["std::collections::HashMap", "std::collections::HashSet"] {
+    for want in [
+        // Per-process hash order.
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        // Locks with no rank in their type (lockrank ranks them).
+        "parking_lot::Mutex",
+        "parking_lot::RwLock",
+        "std::sync::Mutex",
+        "std::sync::RwLock",
+    ] {
         assert!(
             types.iter().any(|t| t == want),
             "clippy.toml's disallowed-types lost `{want}`: {types:?}"

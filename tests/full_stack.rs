@@ -7,7 +7,7 @@ use bytes::Bytes;
 use cluster_booster::presets::{deep_er_prototype, mini_prototype};
 use cluster_booster::{JobSpec, Launcher, SystemBuilder};
 use hwmodel::{NodeId, SimTime};
-use parking_lot::Mutex;
+use lockrank::Mutex;
 use psmpi::ReduceOp;
 use scr::{CheckpointLevel, Payload, ScrConfig, ScrManager};
 use sionio::{ParallelFs, SionContainer};
@@ -58,7 +58,7 @@ fn xpic_like_job_survives_node_failure_via_scr() {
     );
 
     let scr_in = scr.clone();
-    let step_counter = Arc::new(Mutex::new(Vec::<u64>::new()));
+    let step_counter = Arc::new(Mutex::<_, 900>::new(Vec::<u64>::new()));
     let steps_in = step_counter.clone();
     launcher
         .launch(&JobSpec::booster_only("ckpt-job", 2), move |rank, _| {
@@ -99,7 +99,7 @@ fn spawned_worlds_share_the_fabric_with_io() {
     // exchange data and the virtual clocks stay coherent (children start
     // after the spawn, messages never arrive before they were sent).
     let launcher = Launcher::new(mini_prototype());
-    let stamps = Arc::new(Mutex::new(Vec::<(SimTime, SimTime)>::new()));
+    let stamps = Arc::new(Mutex::<_, 900>::new(Vec::<(SimTime, SimTime)>::new()));
     let stamps_in = stamps.clone();
     launcher
         .launch(
@@ -213,7 +213,7 @@ fn blocking_p2p_equals_post_plus_wait_on_two_nodes() {
         if dead {
             fabric.set_fault_plan(FaultPlan::from_node_faults([(SimTime::ZERO, NodeId(1))]));
         }
-        let seen = Arc::new(Mutex::new((None, Vec::new())));
+        let seen = Arc::new(Mutex::<_, 900>::new((None, Vec::new())));
         let (at_sender, at_receiver) = (seen.clone(), seen.clone());
         let receive = move |rank: &mut Rank, c: &dyn Fn(&mut Rank) -> Vec<u64>| {
             if !dead {
