@@ -52,12 +52,12 @@ echo "== clippy (deny warnings; clippy.toml is the determinism contract and the 
 # The root clippy.toml bans, by resolved path, the host clock and
 # environment, HashMap/HashSet, available_parallelism and
 # thread::scope/spawn (DESIGN.md §3.3), and the unranked locks
-# parking_lot::{Mutex, RwLock} and std::sync::{Mutex, RwLock} (§3.8), in
+# std::sync::{Mutex, RwLock} (§3.8), in
 # every target, tests and examples included. A sanctioned site carries
 # #[expect(clippy::disallowed_…, reason = "…")]; the workspace denies
 # #[allow] and reasonless waivers, and -D warnings fails an #[expect] that
-# no longer matches. Only lockrank and the vendored parking_lot shim waive
-# the lock ban.
+# no longer matches. Only lockrank, which is built on them, waives the lock
+# ban.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== doc links (rustdoc, deny warnings) =="

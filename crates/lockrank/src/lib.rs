@@ -2,13 +2,17 @@
 //! of its type, and every acquisition in a debug build checks it.
 //!
 //! [`Mutex<T, RANK>`](Mutex) and [`RwLock<T, RANK>`](RwLock) wrap the
-//! vendored `parking_lot` locks. In a debug build (every `cargo test`),
+//! `std::sync` locks. In a debug build (every `cargo test`),
 //! each `lock`, `read` and `write` panics unless `RANK` is above every
 //! rank the calling thread already holds, and the message names both
 //! acquisition sites. [`assert_unlocked`] panics if the thread holds any
 //! ranked lock; it guards the one place a rank waits for a message. A
 //! release build keeps no thread-local list and passes no caller
-//! location: each method is the `parking_lot` call it wraps.
+//! location: each method is the `std::sync` call it wraps.
+//!
+//! Poisoning is swallowed: a thread that panics while holding a lock (a
+//! lock-order panic included) does not poison it for every later caller,
+//! and `lock`, `read` and `write` return their guards directly.
 //!
 //! # The rank rule
 //!
@@ -42,16 +46,17 @@
 //! *m.lock() += 1;
 //! ```
 //!
-//! The root `clippy.toml` bans the unranked `parking_lot` and `std::sync`
-//! locks everywhere but here and in the `parking_lot` shim.
+//! The root `clippy.toml` bans the unranked `std::sync` locks everywhere
+//! but here.
 #![forbid(unsafe_code)]
 #![expect(
     clippy::disallowed_types,
-    reason = "the ranked locks are built on the unranked parking_lot ones"
+    reason = "the ranked locks are built on the unranked std::sync ones"
 )]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::{self, PoisonError};
 
 #[cfg(debug_assertions)]
 mod held {
@@ -142,12 +147,14 @@ pub fn assert_unlocked() {
 /// A mutex of rank `RANK` in the workspace lock order.
 #[derive(Default)]
 pub struct Mutex<T: ?Sized, const RANK: u16> {
-    inner: parking_lot::Mutex<T>,
+    inner: sync::Mutex<T>,
 }
 
-/// Guard of a [`Mutex`]; dropping it leaves the held-rank list.
+/// Guard of a [`Mutex`]; dropping it leaves the held-rank list. The std
+/// guard sits in an `Option` so that [`Condvar::wait`] can hand it to the
+/// std condvar and put it back.
 pub struct MutexGuard<'a, T: ?Sized, const RANK: u16> {
-    inner: parking_lot::MutexGuard<'a, T>,
+    inner: Option<sync::MutexGuard<'a, T>>,
     #[cfg(debug_assertions)]
     _held: held::Token,
 }
@@ -156,13 +163,15 @@ impl<T, const RANK: u16> Mutex<T, RANK> {
     /// Wrap a value.
     pub const fn new(value: T) -> Self {
         Mutex {
-            inner: parking_lot::Mutex::new(value),
+            inner: sync::Mutex::new(value),
         }
     }
 
     /// Consume the lock, returning the value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -175,7 +184,7 @@ impl<T: ?Sized, const RANK: u16> Mutex<T, RANK> {
         #[cfg(debug_assertions)]
         let token = held::enter::<T>(RANK);
         MutexGuard {
-            inner: self.inner.lock(),
+            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
             #[cfg(debug_assertions)]
             _held: token,
         }
@@ -191,13 +200,13 @@ impl<T: ?Sized + fmt::Debug, const RANK: u16> fmt::Debug for Mutex<T, RANK> {
 impl<T: ?Sized, const RANK: u16> Deref for MutexGuard<'_, T, RANK> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        self.inner.as_ref().expect("guard active")
     }
 }
 
 impl<T: ?Sized, const RANK: u16> DerefMut for MutexGuard<'_, T, RANK> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+        self.inner.as_mut().expect("guard active")
     }
 }
 
@@ -206,14 +215,19 @@ impl<T: ?Sized, const RANK: u16> DerefMut for MutexGuard<'_, T, RANK> {
 /// whenever it runs.
 #[derive(Debug, Default)]
 pub struct Condvar {
-    inner: parking_lot::Condvar,
+    inner: sync::Condvar,
 }
 
 impl Condvar {
     /// Release the guarded lock, block until notified, and re-acquire it.
     #[inline]
     pub fn wait<T, const RANK: u16>(&self, guard: &mut MutexGuard<'_, T, RANK>) {
-        self.inner.wait(&mut guard.inner);
+        let held = guard.inner.take().expect("guard active");
+        let held = self
+            .inner
+            .wait(held)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.inner = Some(held);
     }
 
     /// Wake every waiter.
@@ -227,19 +241,19 @@ impl Condvar {
 /// read guard counts as holding the rank, like a write guard.
 #[derive(Default)]
 pub struct RwLock<T: ?Sized, const RANK: u16> {
-    inner: parking_lot::RwLock<T>,
+    inner: sync::RwLock<T>,
 }
 
 /// Shared guard of an [`RwLock`].
 pub struct RwLockReadGuard<'a, T: ?Sized, const RANK: u16> {
-    inner: parking_lot::RwLockReadGuard<'a, T>,
+    inner: sync::RwLockReadGuard<'a, T>,
     #[cfg(debug_assertions)]
     _held: held::Token,
 }
 
 /// Exclusive guard of an [`RwLock`].
 pub struct RwLockWriteGuard<'a, T: ?Sized, const RANK: u16> {
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
+    inner: sync::RwLockWriteGuard<'a, T>,
     #[cfg(debug_assertions)]
     _held: held::Token,
 }
@@ -248,7 +262,7 @@ impl<T, const RANK: u16> RwLock<T, RANK> {
     /// Wrap a value.
     pub const fn new(value: T) -> Self {
         RwLock {
-            inner: parking_lot::RwLock::new(value),
+            inner: sync::RwLock::new(value),
         }
     }
 }
@@ -261,7 +275,7 @@ impl<T: ?Sized, const RANK: u16> RwLock<T, RANK> {
         #[cfg(debug_assertions)]
         let token = held::enter::<T>(RANK);
         RwLockReadGuard {
-            inner: self.inner.read(),
+            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
             #[cfg(debug_assertions)]
             _held: token,
         }
@@ -274,7 +288,7 @@ impl<T: ?Sized, const RANK: u16> RwLock<T, RANK> {
         #[cfg(debug_assertions)]
         let token = held::enter::<T>(RANK);
         RwLockWriteGuard {
-            inner: self.inner.write(),
+            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
             #[cfg(debug_assertions)]
             _held: token,
         }
@@ -376,6 +390,46 @@ mod tests {
         assert!(msg.contains("blocking wait"), "{msg}");
         drop(g);
         assert_unlocked();
+    }
+
+    #[test]
+    fn a_panicked_holder_does_not_poison_the_lock() {
+        let (m, l) = (Mutex::<u8, 1>::new(0), RwLock::<u8, 2>::new(0));
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let (_m, _l) = (m.lock(), l.write());
+            panic!("holder dies");
+        }));
+        *m.lock() += 1;
+        *l.write() += 1;
+        assert_eq!(*l.read(), 1);
+        assert_eq!(m.into_inner(), 1);
+        assert_unlocked();
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wait/notify test needs a second real thread"
+    )]
+    fn condvar_wait_keeps_the_guard_and_its_rank() {
+        let pair = std::sync::Arc::new((Mutex::<bool, 3>::new(false), Condvar::default()));
+        let other = std::sync::Arc::clone(&pair);
+        let h = std::thread::spawn(move || {
+            let (m, cv) = &*other;
+            *m.lock() = true;
+            cv.notify_all();
+        });
+        let (m, cv) = &*pair;
+        let mut done = m.lock();
+        while !*done {
+            cv.wait(&mut done);
+        }
+        // The woken guard still holds rank 3.
+        let lower = Mutex::<u8, 2>::new(0);
+        let msg = panic_of(|| drop(lower.lock()));
+        assert!(msg.contains("(rank 3)"), "{msg}");
+        drop(done);
+        h.join().expect("the notifier finishes");
     }
 
     #[test]

@@ -663,7 +663,7 @@ impl Router {
         // takes a mailbox `state` lock (rank 410), which must not happen
         // under a shard guard (rank 420). Worse than the rank inversion, a
         // blocked receiver holds its `state` while its dead-check takes a
-        // shard read — and parking_lot's writer-priority RwLock turns the
+        // shard read — and std's writer-priority RwLock turns the
         // two read sides plus one queued writer into a deadlock.
         for shard in &self.endpoints {
             let mailboxes: Vec<Arc<Mailbox>> = {

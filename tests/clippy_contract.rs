@@ -53,8 +53,6 @@ fn ban_list_names_every_contract_path() {
         "std::collections::HashMap",
         "std::collections::HashSet",
         // Locks with no rank in their type (lockrank ranks them).
-        "parking_lot::Mutex",
-        "parking_lot::RwLock",
         "std::sync::Mutex",
         "std::sync::RwLock",
     ] {
