@@ -70,8 +70,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --lib \
 
 echo "== examples (each runs to exit 0) =="
 # `cargo test` builds examples but never runs them. Several assert at run
-# time: ompss_offload (the ompss crate's only caller) that injected task
-# failures were absorbed by input saving + retry, modular_supercomputing
+# time: ompss_offload (ompss::run's only non-test caller) that its task
+# graph, lowered onto comm_spawn, absorbed two injected task failures by
+# input saving + retry and ended on the data its actions leave when run in
+# program order, modular_supercomputing
 # that three module worlds cooperated, checkpoint_restart that the newest
 # surviving state is restored, xpic_partitioned that Cluster-only,
 # Booster-only and C+B end on bit-identical field and kinetic energies.

@@ -2,8 +2,8 @@
 //!
 //! OmpSs dependencies are expressed over program data; here every dependency
 //! object is a named block of `f64`s. Tasks receive the store mutably and
-//! really read/write it, which lets tests verify that out-of-order parallel
-//! scheduling preserves sequential semantics.
+//! really read/write it, and each device keeps its own store, which lets
+//! tests verify that the offloaded run ends on the sequential run's data.
 
 use std::collections::BTreeMap;
 
@@ -40,13 +40,8 @@ impl DataStore {
             .unwrap_or_else(|| panic!("data block `{name}` missing"))
     }
 
-    /// Size of a block in bytes (0 if absent) — used for transfer costs.
-    pub fn bytes_of(&self, name: &str) -> u64 {
-        self.blocks.get(name).map_or(0, |b| (b.len() * 8) as u64)
-    }
-
     /// Snapshot the named blocks (the §III-D input-saving feature).
-    pub fn snapshot(&self, names: &[String]) -> BTreeMap<String, Vec<f64>> {
+    pub(crate) fn snapshot(&self, names: &[String]) -> BTreeMap<String, Vec<f64>> {
         names
             .iter()
             .filter_map(|n| self.blocks.get(n).map(|b| (n.clone(), b.clone())))
@@ -54,20 +49,10 @@ impl DataStore {
     }
 
     /// Restore blocks from a snapshot.
-    pub fn restore(&mut self, snap: &BTreeMap<String, Vec<f64>>) {
+    pub(crate) fn restore(&mut self, snap: &BTreeMap<String, Vec<f64>>) {
         for (k, v) in snap {
             self.blocks.insert(k.clone(), v.clone());
         }
-    }
-
-    /// Number of blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
     }
 }
 
@@ -78,10 +63,8 @@ mod tests {
     #[test]
     fn put_get_roundtrip() {
         let mut s = DataStore::new();
-        assert!(s.is_empty());
         s.put("rho", vec![1.0, 2.0]);
         assert_eq!(s.get("rho"), &[1.0, 2.0]);
-        assert_eq!(s.len(), 1);
         s.get_mut("rho")[0] = 9.0;
         assert_eq!(s.get("rho")[0], 9.0);
     }
@@ -90,14 +73,6 @@ mod tests {
     #[should_panic(expected = "data block `missing` missing")]
     fn missing_block_panics() {
         DataStore::new().get("missing");
-    }
-
-    #[test]
-    fn bytes_of_counts_f64() {
-        let mut s = DataStore::new();
-        s.put("x", vec![0.0; 100]);
-        assert_eq!(s.bytes_of("x"), 800);
-        assert_eq!(s.bytes_of("absent"), 0);
     }
 
     #[test]

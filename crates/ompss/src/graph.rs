@@ -1,14 +1,14 @@
 //! Task graphs with OmpSs data-flow dependencies.
 //!
-//! Tasks are declared in sequential program order; the graph derives the
-//! dependency edges the OmpSs runtime would: a task depends on the latest
-//! earlier writer of each of its inputs (read-after-write), on all earlier
-//! readers of each of its outputs (write-after-read), and on the latest
-//! earlier writer of each of its outputs (write-after-write).
+//! Tasks are declared in sequential program order. The one dependency the
+//! runtime acts on is read-after-write: a task reads each input as its
+//! latest earlier writer left it (`TaskGraph::producers`). Each device
+//! runs its own tasks in program order on its own copy of the data, so a
+//! write-after-read or write-after-write across devices needs no edge.
 
 use crate::data::DataStore;
 use hwmodel::WorkSpec;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Task index within its graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,7 +25,7 @@ pub enum Device {
 }
 
 /// A task's action: a real closure over the data store.
-pub type TaskAction = Box<dyn FnMut(&mut DataStore) + Send>;
+pub(crate) type TaskAction = Box<dyn FnMut(&mut DataStore) + Send>;
 
 pub(crate) struct Task {
     pub name: String,
@@ -53,7 +53,9 @@ impl TaskGraph {
     /// Append a task in program order.
     ///
     /// * `ins`/`outs` — data blocks read/written (the pragma's
-    ///   `in(...)`/`out(...)` clauses; an `inout` block appears in both);
+    ///   `in(...)`/`out(...)` clauses; an `inout` block appears in both).
+    ///   The action must write every `out` block: the other device is sent
+    ///   what this device's store holds;
     /// * `device` — where it runs;
     /// * `work` — its cost descriptor for the device's node model;
     /// * `action` — the real computation.
@@ -83,62 +85,14 @@ impl TaskGraph {
     }
 
     /// Inject `n` failures into a task: its first `n` executions fail and
-    /// are retried by the resilient runtime.
+    /// are retried from its saved inputs.
     pub fn inject_failures(&mut self, task: TaskId, n: u32) {
         self.tasks[task.0].failures = n;
     }
 
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether the graph is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Dependency edges: `deps[i]` lists tasks that must finish before task
-    /// `i` starts.
-    pub fn dependencies(&self) -> Vec<Vec<TaskId>> {
-        let mut last_writer: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut readers_since_write: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut deps: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.tasks.len()];
-
-        for (i, t) in self.tasks.iter().enumerate() {
-            for d in &t.ins {
-                if let Some(&w) = last_writer.get(d.as_str()) {
-                    deps[i].insert(w); // RAW
-                }
-                readers_since_write.entry(d.as_str()).or_default().push(i);
-            }
-            for d in &t.outs {
-                if let Some(&w) = last_writer.get(d.as_str()) {
-                    if w != i {
-                        deps[i].insert(w); // WAW
-                    }
-                }
-                if let Some(rs) = readers_since_write.get(d.as_str()) {
-                    for &r in rs {
-                        if r != i {
-                            deps[i].insert(r); // WAR
-                        }
-                    }
-                }
-                last_writer.insert(d.as_str(), i);
-                readers_since_write.insert(d.as_str(), Vec::new());
-            }
-        }
-        // BTreeSet iterates in ascending order, so the edge lists come out
-        // sorted without an explicit sort.
-        deps.into_iter()
-            .map(|s| s.into_iter().map(TaskId).collect())
-            .collect()
-    }
-
     /// For each task input, the task that produces it (`None` = initial
-    /// data). Used for cross-device transfer costing.
-    pub fn producers(&self) -> Vec<Vec<(String, Option<TaskId>)>> {
+    /// data): where the input has to come from.
+    pub(crate) fn producers(&self) -> Vec<Vec<(String, Option<TaskId>)>> {
         let mut last_writer: BTreeMap<&str, usize> = BTreeMap::new();
         let mut out = Vec::with_capacity(self.tasks.len());
         for t in &self.tasks {
@@ -154,16 +108,6 @@ impl TaskGraph {
         }
         out
     }
-
-    /// Name of a task.
-    pub fn name(&self, id: TaskId) -> &str {
-        &self.tasks[id.0].name
-    }
-
-    /// Device of a task.
-    pub fn device(&self, id: TaskId) -> Device {
-        self.tasks[id.0].device
-    }
 }
 
 #[cfg(test)]
@@ -172,75 +116,6 @@ mod tests {
 
     fn w() -> WorkSpec {
         WorkSpec::named("w").build()
-    }
-
-    fn ids(v: &[usize]) -> Vec<TaskId> {
-        v.iter().map(|&i| TaskId(i)).collect()
-    }
-
-    #[test]
-    fn raw_dependency() {
-        let mut g = TaskGraph::new();
-        g.add_task("produce", &[], &["x"], Device::Cluster, w(), |_| {});
-        g.add_task("consume", &["x"], &[], Device::Cluster, w(), |_| {});
-        assert_eq!(g.dependencies(), vec![ids(&[]), ids(&[0])]);
-    }
-
-    #[test]
-    fn war_dependency() {
-        let mut g = TaskGraph::new();
-        g.add_task("read", &["x"], &[], Device::Cluster, w(), |_| {});
-        g.add_task("overwrite", &[], &["x"], Device::Cluster, w(), |_| {});
-        assert_eq!(g.dependencies()[1], ids(&[0]));
-    }
-
-    #[test]
-    fn waw_dependency() {
-        let mut g = TaskGraph::new();
-        g.add_task("w1", &[], &["x"], Device::Cluster, w(), |_| {});
-        g.add_task("w2", &[], &["x"], Device::Cluster, w(), |_| {});
-        assert_eq!(g.dependencies()[1], ids(&[0]));
-    }
-
-    #[test]
-    fn independent_tasks_have_no_edges() {
-        let mut g = TaskGraph::new();
-        g.add_task("a", &[], &["x"], Device::Cluster, w(), |_| {});
-        g.add_task("b", &[], &["y"], Device::Booster, w(), |_| {});
-        g.add_task("c", &["x"], &[], Device::Cluster, w(), |_| {});
-        let d = g.dependencies();
-        assert!(d[1].is_empty(), "b independent of a");
-        assert_eq!(d[2], ids(&[0]));
-    }
-
-    #[test]
-    fn inout_chains_serialize() {
-        // inout(x) three times: each depends on the previous (RAW + WAW).
-        let mut g = TaskGraph::new();
-        for i in 0..3 {
-            g.add_task(
-                format!("t{i}"),
-                &["x"],
-                &["x"],
-                Device::Cluster,
-                w(),
-                |_| {},
-            );
-        }
-        let d = g.dependencies();
-        assert_eq!(d[1], ids(&[0]));
-        assert_eq!(d[2], ids(&[1]));
-    }
-
-    #[test]
-    fn readers_do_not_depend_on_each_other() {
-        let mut g = TaskGraph::new();
-        g.add_task("w", &[], &["x"], Device::Cluster, w(), |_| {});
-        g.add_task("r1", &["x"], &[], Device::Cluster, w(), |_| {});
-        g.add_task("r2", &["x"], &[], Device::Booster, w(), |_| {});
-        let d = g.dependencies();
-        assert_eq!(d[1], ids(&[0]));
-        assert_eq!(d[2], ids(&[0]), "r2 must not depend on r1");
     }
 
     #[test]
@@ -252,15 +127,5 @@ mod tests {
         let p = g.producers();
         assert_eq!(p[2][0], ("x".to_string(), Some(TaskId(1))));
         assert_eq!(p[2][1], ("init".to_string(), None));
-    }
-
-    #[test]
-    fn metadata_accessors() {
-        let mut g = TaskGraph::new();
-        let id = g.add_task("solver", &[], &[], Device::Booster, w(), |_| {});
-        assert_eq!(g.name(id), "solver");
-        assert_eq!(g.device(id), Device::Booster);
-        assert_eq!(g.len(), 1);
-        assert!(!g.is_empty());
     }
 }

@@ -1,13 +1,15 @@
 //! The OmpSs-style offload abstraction (paper §III-B): annotate tasks with
-//! data dependencies and a target device; the runtime schedules them,
-//! moves data across the modules, and survives injected task failures with
-//! the DEEP-ER resiliency features (§III-D).
+//! data dependencies and a target device; the runtime lowers the graph
+//! onto `MPI_Comm_spawn` (the Cluster rank spawns the Booster world and
+//! each cross-module dependency is one message), and survives injected
+//! task failures with the DEEP-ER resiliency features (§III-D).
 //!
 //! Run with: `cargo run --example ompss_offload`
 
-use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
+use cluster_booster::presets::deep_er_prototype;
+use cluster_booster::Launcher;
 use hwmodel::WorkSpec;
-use ompss::{DataStore, Device, OmpssRuntime, TaskGraph};
+use ompss::{DataStore, Device, TaskGraph};
 
 fn work(name: &str, flops: f64, vf: f64) -> WorkSpec {
     WorkSpec::named(name)
@@ -17,10 +19,46 @@ fn work(name: &str, flops: f64, vf: f64) -> WorkSpec {
         .build()
 }
 
+// The tasks' actions, named so that the check below can run the same
+// actions in program order on one store.
+
+fn assemble(s: &mut DataStore) {
+    let m: Vec<f64> = s.get("mesh").iter().map(|x| 2.0 * x + 1.0).collect();
+    s.put("matrix", m);
+}
+
+fn solve(s: &mut DataStore) {
+    let f: Vec<f64> = s.get("matrix").iter().map(|x| x / 3.0).collect();
+    s.put("field", f);
+}
+
+fn init_particles(s: &mut DataStore) {
+    s.put("particles", vec![0.5; 512]);
+}
+
+fn push(s: &mut DataStore) {
+    let field: Vec<f64> = s.get("field").to_vec();
+    let p = s.get_mut("particles");
+    for (v, f) in p.iter_mut().zip(&field) {
+        *v += 0.01 * f;
+    }
+    let m: f64 = s.get("particles").iter().sum();
+    s.put("moments", vec![m]);
+}
+
+fn diagnose(s: &mut DataStore) {
+    let m = s.get("moments")[0];
+    s.put("result", vec![m / 512.0]);
+}
+
+fn initial_store() -> DataStore {
+    let mut store = DataStore::new();
+    store.put("mesh", (0..512).map(|i| i as f64).collect());
+    store
+}
+
 fn main() {
-    let runtime = OmpssRuntime::new(deep_er_cluster_node(), deep_er_booster_node())
-        .with_workers(2)
-        .resilient();
+    let launcher = Launcher::new(deep_er_prototype());
 
     // A miniature xPic-like pipeline as a task graph:
     //   assemble (Cluster) → solve (Cluster) ─┐
@@ -28,19 +66,14 @@ fn main() {
     //   init-particles (Booster) ─────────────┘
     //   → reduce diagnostics (Cluster)
     let mut graph = TaskGraph::new();
-    let mut store = DataStore::new();
-    store.put("mesh", (0..512).map(|i| i as f64).collect());
-
+    let mut store = initial_store();
     graph.add_task(
         "assemble",
         &["mesh"],
         &["matrix"],
         Device::Cluster,
         work("asm", 1e8, 0.1),
-        |s| {
-            let m: Vec<f64> = s.get("mesh").iter().map(|x| 2.0 * x + 1.0).collect();
-            s.put("matrix", m);
-        },
+        assemble,
     );
     graph.add_task(
         "solve",
@@ -48,10 +81,7 @@ fn main() {
         &["field"],
         Device::Cluster,
         work("slv", 5e8, 0.05),
-        |s| {
-            let f: Vec<f64> = s.get("matrix").iter().map(|x| x / 3.0).collect();
-            s.put("field", f);
-        },
+        solve,
     );
     graph.add_task(
         "init-particles",
@@ -59,27 +89,17 @@ fn main() {
         &["particles"],
         Device::Booster,
         work("init", 1e8, 0.9),
-        |s| {
-            s.put("particles", vec![0.5; 512]);
-        },
+        init_particles,
     );
     // The offloaded compute task (the `#pragma omp target device(booster)`
     // of the DEEP programming model).
-    let push = graph.add_task(
+    let push_id = graph.add_task(
         "push",
         &["field", "particles"],
         &["particles", "moments"],
         Device::Booster,
         work("push", 2e9, 0.95),
-        |s| {
-            let field: Vec<f64> = s.get("field").to_vec();
-            let p = s.get_mut("particles");
-            for (v, f) in p.iter_mut().zip(&field) {
-                *v += 0.01 * f;
-            }
-            let m: f64 = s.get("particles").iter().sum();
-            s.put("moments", vec![m]);
-        },
+        push,
     );
     graph.add_task(
         "diagnose",
@@ -87,18 +107,15 @@ fn main() {
         &["result"],
         Device::Cluster,
         work("diag", 1e7, 0.2),
-        |s| {
-            let m = s.get("moments")[0];
-            s.put("result", vec![m / 512.0]);
-        },
+        diagnose,
     );
 
-    // Make the offloaded task fail twice: the resilient runtime restores
-    // its saved inputs and retries without losing the other tasks' work.
-    graph.inject_failures(push, 2);
+    // Make the offloaded task fail twice: the runtime restores its saved
+    // inputs and retries without losing the other tasks' work.
+    graph.inject_failures(push_id, 2);
 
-    let report = runtime.run(&mut graph, &mut store).expect("graph runs");
-    println!("task schedule (virtual time):");
+    let report = ompss::run(&launcher, &mut graph, &mut store).expect("graph runs");
+    println!("task schedule (virtual time; the Booster world is spawned first):");
     for t in &report.tasks {
         println!(
             "  {:<16} {:>8?} {:>12} → {:>12}   retries={} moved={} B",
@@ -118,5 +135,14 @@ fn main() {
     assert_eq!(
         report.total_retries, 2,
         "the injected failures were absorbed"
+    );
+
+    let mut sequential = initial_store();
+    for action in [assemble, solve, init_particles, push, diagnose] {
+        action(&mut sequential);
+    }
+    assert_eq!(
+        store, sequential,
+        "the offloaded run ends on the sequential run's data"
     );
 }
