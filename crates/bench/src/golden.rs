@@ -65,8 +65,7 @@ pub fn check(golden: &Path, candidate: &Path, actual: &str, prices: &[&str]) -> 
     let table = price_moves(&pinned, actual, prices).map_err(|refusal| {
         format!(
             "{at}: {refusal}. That is program, not price, so no candidate was written: \
-             edit the golden by hand if the program change is meant; after a price-only \
-             change it means a fault instant has left its class window"
+             edit the golden by hand if the program change is meant"
         )
     })?;
     let written = std::fs::create_dir_all(candidate.parent().unwrap_or(Path::new(".")))

@@ -1,15 +1,18 @@
 //! The equivalence matrix: one xPic shape, `XpicConfig::paper_bench(3)` on
 //! 2 nodes per solver, run in the paper's three placements ([`run_mode`]:
 //! C+B overlapped and blocking, then Listing 1's combined loop on the
-//! Cluster and on the Booster) and in each [`CkptMode`] under each of the
-//! `FAULTS` ([`run_resilient`], a Buddy checkpoint after every step):
-//! sixteen rows, each at every one of `THREADS` with an [`obs::Recorder`]
-//! attached. The checks are [`Matrix::errors`], plus the leftovers each
-//! cell asserts: no rank awake, no drain in flight, at most two
-//! checkpoints held. Faulted rows' blocking is not compared: each
-//! reports the incarnation that finished, and those took different
-//! numbers of checkpoints. Overlap is not crossed with the checkpoint
-//! modes: the resilient loop ignores [`XpicConfig::overlap`].
+//! Cluster and on the Booster) and in each [`CkptMode`] under each
+//! `Fault` class ([`run_resilient`], a Buddy checkpoint after every
+//! step): sixteen rows, each at every one of `THREADS` with an
+//! [`obs::Recorder`] attached. The checks are [`Matrix::errors`], plus the
+//! leftovers each cell asserts: no rank awake, no drain in flight, at most
+//! two checkpoints held. A fault class names the event its deaths follow,
+//! and each faulted row takes the instant from its mode's clean row
+//! ([`obs::Trace::after_checkpoint`]) and must resume as its class says.
+//! Faulted rows' blocking is not compared: each reports the incarnation
+//! that finished, and those took different numbers of checkpoints.
+//! Overlap is not crossed with the checkpoint modes: the resilient loop
+//! ignores [`XpicConfig::overlap`].
 //!
 //! `tests/full_stack.rs` pins [`Matrix::render`] across commits to
 //! `tests/golden/matrix.golden` through [`crate::golden`]: the makespans,
@@ -18,7 +21,7 @@
 
 use crate::golden::{first_byte_diff, first_line_diff};
 use hwmodel::{NodeId, SimTime};
-use obs::Recorder;
+use obs::{Recorder, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scr::{FailureModel, ScrConfig, ScrManager};
@@ -39,13 +42,77 @@ const THREADS: [usize; 3] = [1, 2, 4];
 /// must deliver against blocking.
 const MIN_WAIT_REDUCTION: f64 = 0.30;
 
-/// The fault classes ([`fault_plan`]): none; the second solver node dying
-/// at 0.0535 s, after step 2's checkpoint was staged (the async modes lose
-/// its drain); both solver nodes dying then, a buddy copy with its owner;
-/// a seeded exponential schedule, MTBF 0.05 s per node, over 0.2 s. The
-/// instant sits mid-way in the window where a death has that class
-/// (about 0.0529-0.0541 s); a change to the xPic prices can move the window.
-const FAULTS: [&str; 4] = ["clean", "after-stage", "buddy+owner", "mtbf"];
+/// The checkpoint the after-stage and buddy+owner deaths follow: the
+/// run's last, taken after step `LAST`.
+const LAST: u32 = STEPS - 1;
+
+/// How a resilient row's solver nodes die.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    /// None.
+    Clean,
+    /// The second solver node, after checkpoint `LAST` was staged: the
+    /// async modes lose its drain.
+    AfterStage,
+    /// Both solver nodes at that instant, a buddy copy with its owner.
+    BuddyOwner,
+    /// A seeded exponential schedule, MTBF 0.05 s per node, over 0.2 s.
+    Mtbf,
+}
+
+impl Fault {
+    const ALL: [Fault; 4] = [
+        Fault::Clean,
+        Fault::AfterStage,
+        Fault::BuddyOwner,
+        Fault::Mtbf,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            Fault::Clean => "clean",
+            Fault::AfterStage => "after-stage",
+            Fault::BuddyOwner => "buddy+owner",
+            Fault::Mtbf => "mtbf",
+        }
+    }
+
+    /// The plan over the solver `nodes`; the after-stage and buddy+owner
+    /// deaths fall at `staged`, the middle of the window after checkpoint
+    /// `LAST` in the mode's clean row.
+    fn plan(self, nodes: &[NodeId], seed: u64, staged: Option<SimTime>) -> Option<FaultPlan> {
+        let staged = || staged.expect("its mode's clean row took checkpoint LAST");
+        match self {
+            Fault::Clean => None,
+            Fault::AfterStage => Some(FaultPlan::from_node_faults([(staged(), nodes[1])])),
+            Fault::BuddyOwner => Some(FaultPlan::from_node_faults(
+                nodes.iter().map(|&n| (staged(), n)),
+            )),
+            Fault::Mtbf => {
+                let mtbf = SimTime::from_secs(0.05);
+                let mut rng = StdRng::seed_from_u64(seed);
+                Some(FailureModel::new(mtbf).fault_plan(&mut rng, nodes, mtbf * 4.0))
+            }
+        }
+    }
+
+    /// The steps recoveries of this class resume from in `mode`: Sync
+    /// promoted checkpoint `LAST` on the spot, the async modes only the one
+    /// before it; the buddy+owner's second death finds no copy left.
+    /// `None` for the classes without a defining outcome.
+    fn resumes(self, mode: CkptMode) -> Option<Vec<u32>> {
+        let from = if mode == CkptMode::Sync {
+            LAST
+        } else {
+            LAST - 1
+        };
+        match self {
+            Fault::AfterStage => Some(vec![from]),
+            Fault::BuddyOwner => Some(vec![from, 0]),
+            Fault::Clean | Fault::Mtbf => None,
+        }
+    }
+}
 
 /// How one row runs the job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +121,8 @@ enum Row {
     /// blocking: the combined loop rows run overlapped, C+B both ways.
     Placement(Mode, bool),
     /// A supervised Booster solver world through [`run_resilient`] under
-    /// one of the [`FAULTS`].
-    Resilient(CkptMode, &'static str),
+    /// one [`Fault`] class.
+    Resilient(CkptMode, Fault),
 }
 
 impl Row {
@@ -64,12 +131,13 @@ impl Row {
         Row::Placement(Mode::ClusterBooster, overlap)
     }
 
-    /// The sixteen rows, in table order.
+    /// The sixteen rows, in table order (each clean row before its mode's
+    /// faulted ones).
     fn all() -> Vec<Row> {
         let modes = [CkptMode::Sync, CkptMode::Async, CkptMode::AsyncDelta];
         let combined = [Mode::ClusterOnly, Mode::BoosterOnly].map(|m| Row::Placement(m, true));
         let placements = [[Row::cb(true), Row::cb(false)], combined].concat();
-        let faulted = FAULTS.map(|f| modes.map(|m| Row::Resilient(m, f)));
+        let faulted = Fault::ALL.map(|f| modes.map(|m| Row::Resilient(m, f)));
         [placements, faulted.concat()].concat()
     }
 
@@ -79,23 +147,8 @@ impl Row {
             Row::Placement(Mode::ClusterBooster, true) => "C+B overlap".into(),
             Row::Placement(Mode::ClusterBooster, false) => "C+B blocking".into(),
             Row::Placement(mode, _) => mode.label().into(),
-            Row::Resilient(mode, fault) => format!("{mode:?} {fault}"),
+            Row::Resilient(mode, fault) => format!("{mode:?} {}", fault.label()),
         }
-    }
-}
-
-/// The plan of one of the [`FAULTS`] over the solver `nodes`.
-fn fault_plan(fault: &str, nodes: &[NodeId], seed: u64) -> Option<FaultPlan> {
-    let (at, mtbf) = (SimTime::from_secs(0.0535), SimTime::from_secs(0.05));
-    match fault {
-        "clean" => None,
-        "after-stage" => Some(FaultPlan::from_node_faults([(at, nodes[1])])),
-        "buddy+owner" => Some(FaultPlan::from_node_faults(nodes.iter().map(|&n| (at, n)))),
-        "mtbf" => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            Some(FailureModel::new(mtbf).fault_plan(&mut rng, nodes, mtbf * 4.0))
-        }
-        other => panic!("unknown fault class `{other}`"),
     }
 }
 
@@ -111,8 +164,9 @@ struct Cell {
     /// C+B `interface` + `halo` wait.
     wait: SimTime,
     ckpt_block: SimTime,
-    chrome_json: String,
-    report: String,
+    /// The step each recovery resumed from (resilient rows only).
+    resumed: Vec<u32>,
+    trace: Trace,
 }
 
 fn final_line(field_energy: f64, kinetic_energy: f64, steps: u32) -> String {
@@ -120,7 +174,9 @@ fn final_line(field_energy: f64, kinetic_energy: f64, steps: u32) -> String {
     format!("FINAL fe={fe:016x} ke={ke:016x} steps={steps}")
 }
 
-fn run_cell(row: Row, threads: usize) -> Cell {
+/// One row at `threads`; `staged` is where its mode's clean row shows the
+/// window after checkpoint `LAST` ([`Fault::plan`]).
+fn run_cell(row: Row, threads: usize, staged: Option<SimTime>) -> Cell {
     let launcher = crate::prototype_launcher();
     let rec = Recorder::new();
     launcher.universe().attach_obs(rec.clone());
@@ -171,7 +227,7 @@ fn run_cell(row: Row, threads: usize) -> Cell {
                 ckpt_mode,
                 ..RecoveryConfig::default()
             };
-            let plan = fault_plan(fault, nodes, cfg.seed);
+            let plan = fault.plan(nodes, cfg.seed, staged);
             let r = run_resilient(&launcher, NODES, &cfg, &scr, &recovery, plan);
             // The last promotion dominates every earlier checkpoint.
             let (drains, held) = (scr.drains_in_flight(), scr.record_count());
@@ -187,16 +243,15 @@ fn run_cell(row: Row, threads: usize) -> Cell {
                 ),
                 final_line: final_line(r.field_energy, r.kinetic_energy, r.steps),
                 ckpt_block: r.ckpt_block,
+                resumed: r.resume_steps,
                 ..Cell::default()
             }
         }
     };
     let awake = launcher.universe().router().awake_ranks();
     assert_eq!(awake, 0, "{row:?} at threads {threads} left ranks awake");
-    let trace = rec.snapshot();
     Cell {
-        chrome_json: trace.chrome_json(),
-        report: trace.report(),
+        trace: rec.snapshot(),
         ..cell
     }
 }
@@ -206,11 +261,22 @@ pub struct Matrix {
     rows: Vec<(Row, Vec<Cell>)>,
 }
 
-/// Run all 48 cells.
+/// Run all 48 cells; a faulted row places its deaths by its mode's clean
+/// row, which runs first.
 pub fn run() -> Matrix {
-    let cells = |row| Vec::from(THREADS.map(|t| run_cell(row, t)));
-    let rows = Row::all().into_iter().map(|r| (r, cells(r))).collect();
-    Matrix { rows }
+    let mut matrix = Matrix { rows: Vec::new() };
+    for row in Row::all() {
+        let staged = match row {
+            Row::Resilient(mode, fault) if fault != Fault::Clean => {
+                let clean = matrix.cell(Row::Resilient(mode, Fault::Clean));
+                clean.trace.after_checkpoint(LAST as usize)
+            }
+            _ => None,
+        };
+        let cells = THREADS.map(|t| run_cell(row, t, staged));
+        matrix.rows.push((row, Vec::from(cells)));
+    }
+    matrix
 }
 
 impl Matrix {
@@ -278,14 +344,22 @@ impl Matrix {
             ));
         }
         for (row, cells) in &self.rows {
-            if matches!(row, Row::Placement(..)) && cells[0].history != on.history {
-                errors.push(format!(
-                    "{}: energy history differs from C+B's",
-                    row.label()
-                ));
+            let (label, got) = (row.label(), &cells[0].resumed);
+            match *row {
+                Row::Placement(..) if cells[0].history != on.history => {
+                    errors.push(format!("{label}: energy history differs from C+B's"));
+                }
+                Row::Resilient(mode, fault) => {
+                    if let Some(want) = fault.resumes(mode).filter(|want| want != got) {
+                        errors.push(format!(
+                            "{label}: resumed from {got:?}, its class from {want:?}"
+                        ));
+                    }
+                }
+                Row::Placement(..) => {}
             }
         }
-        let block = |mode| self.cell(Row::Resilient(mode, "clean")).ckpt_block;
+        let block = |mode| self.cell(Row::Resilient(mode, Fault::Clean)).ckpt_block;
         for mode in [CkptMode::Async, CkptMode::AsyncDelta] {
             if block(mode) >= block(CkptMode::Sync) {
                 let (b, sync) = (block(mode), block(CkptMode::Sync));
@@ -301,10 +375,11 @@ impl Matrix {
 /// JSONs; if those agree too, their row lines.
 fn divergence(a: &Cell, b: &Cell) -> Option<String> {
     let lines = |c: &Cell| format!("`{} {}`", c.line, c.final_line);
-    first_line_diff(&a.report, &b.report)
+    first_line_diff(&a.trace.report(), &b.trace.report())
         .map(|at| format!("report at {at}"))
         .or_else(|| {
-            first_byte_diff(&a.chrome_json, &b.chrome_json).map(|at| format!("Chrome JSON at {at}"))
+            let [a, b] = [a, b].map(|c| c.trace.chrome_json());
+            first_byte_diff(&a, &b).map(|at| format!("Chrome JSON at {at}"))
         })
         .or_else(|| {
             (lines(a) != lines(b)).then(|| format!("row line: {} vs {}", lines(a), lines(b)))

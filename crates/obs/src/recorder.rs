@@ -425,6 +425,45 @@ impl Trace {
     pub fn unclosed(&self) -> u64 {
         self.tracks.iter().map(|t| t.unclosed).sum()
     }
+
+    /// The middle of the window that follows the `k`-th checkpoint of a
+    /// clean checkpointed run, where a fault can name the event it follows
+    /// instead of a virtual second. The checkpointing ranks are the tracks
+    /// holding `gather` spans, one per checkpoint. The window opens when
+    /// the `k`-th `Checkpoint` or `CkptLocal` span closes (the stage of
+    /// that checkpoint: `scr_checkpoint`, or `local-stage` in the async
+    /// modes) or, for `k = 0`, when the checkpointing ranks start. It
+    /// closes at the first `gather` of the next checkpoint on any rank or,
+    /// after the last checkpoint, at the earliest final clock among those
+    /// ranks. A node that dies in it leaves checkpoint `k` staged and, in
+    /// the async modes, not yet promoted. `None` when the run took fewer
+    /// than `k` checkpoints.
+    pub fn after_checkpoint(&self, k: usize) -> Option<SimTime> {
+        fn gathers(t: &TrackView) -> impl Iterator<Item = SimTime> + '_ {
+            t.spans
+                .iter()
+                .filter(|s| s.name == "gather")
+                .map(|s| s.start)
+        }
+        let ranks: Vec<&TrackView> = self
+            .tracks
+            .iter()
+            .filter(|&t| gathers(t).next().is_some())
+            .collect();
+        let opens = match k {
+            0 => ranks.iter().map(|t| t.start).max()?,
+            _ => {
+                let spans = ranks.iter().flat_map(|t| &t.spans);
+                let stage = |s: &&Span| matches!(s.cat, Category::Checkpoint | Category::CkptLocal);
+                spans.filter(stage).nth(k - 1)?.end
+            }
+        };
+        let closes = match ranks.iter().filter_map(|t| gathers(t).nth(k)).min() {
+            Some(next_gather) => next_gather,
+            None => ranks.iter().map(|t| t.final_clock).min()?,
+        };
+        Some(opens + closes.saturating_sub(opens) * 0.5)
+    }
 }
 
 #[cfg(test)]
@@ -486,6 +525,31 @@ mod tests {
         tr.add("bytes_sent", 5);
         let snap = rec.snapshot();
         assert_eq!(snap.tracks[0].counters["bytes_sent"], 15);
+    }
+
+    #[test]
+    fn after_checkpoint_spans_stage_to_next_gather_or_run_end() {
+        // Two checkpointing ranks, checkpoints gathered at 1.0 and 3.0 and
+        // staged on rank 0 until 1.5 and 3.5; rank 1 gathers later and
+        // finishes first. The supervisor track holds no gather.
+        let rec = Recorder::new();
+        let key = |world, rank| TrackKey { world, rank };
+        rec.register(key(0, 0), "CN", 0, t(0.0), None)
+            .set_final(t(6.0));
+        let r0 = rec.register(key(1, 0), "BN", 1, t(0.5), Some(key(0, 0)));
+        let r1 = rec.register(key(1, 1), "BN", 2, t(0.5), Some(key(0, 0)));
+        for (at, stage) in [(1.0, Category::Checkpoint), (3.0, Category::CkptLocal)] {
+            r0.span(Category::Collective, "gather", t(at), t(at + 0.25));
+            r0.span(stage, "stage", t(at + 0.25), t(at + 0.5));
+            r1.span(Category::Collective, "gather", t(at + 0.25), t(at + 0.5));
+        }
+        r0.set_final(t(5.5));
+        r1.set_final(t(4.5));
+        let trace = rec.snapshot();
+        assert_eq!(trace.after_checkpoint(0), Some(t(0.75)));
+        assert_eq!(trace.after_checkpoint(1), Some(t(2.25)));
+        assert_eq!(trace.after_checkpoint(2), Some(t(4.0)));
+        assert_eq!(trace.after_checkpoint(3), None);
     }
 
     #[test]

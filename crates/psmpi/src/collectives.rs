@@ -289,10 +289,10 @@ impl Rank {
     /// solver's CG iteration.
     ///
     /// Power-of-two communicators use recursive doubling: log₂ n rounds of
-    /// pairwise exchanges, reducing in place, with the combine always
-    /// applied lower-rank-block first. That ordering makes every rank
-    /// evaluate the *same balanced association tree* — the one the
-    /// reduce-to-0 + bcast fallback also evaluates — so results are
+    /// pairwise exchanges (none on one rank), reducing in place, with the
+    /// combine always applied lower-rank-block first. That ordering makes
+    /// every rank evaluate the *same balanced association tree* — the one
+    /// the reduce-to-0 + bcast fallback also evaluates — so results are
     /// bit-identical across ranks, across thread counts, and across the
     /// algorithm switch. Other sizes fall back to reduce + bcast.
     pub fn allreduce(
@@ -329,7 +329,7 @@ impl Rank {
     ) -> Result<(), PsmpiError> {
         self.with_collective("allreduce", |rank| {
             let n = comm.size();
-            if !n.is_power_of_two() || n < 2 {
+            if !n.is_power_of_two() {
                 let reduced = rank.reduce(comm, 0, acc, op)?;
                 acc.copy_from_slice(&rank.bcast(comm, 0, reduced)?);
                 return Ok(());

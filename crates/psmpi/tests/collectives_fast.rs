@@ -7,7 +7,8 @@
 
 use bytes::Bytes;
 use hwmodel::presets::deep_er_cluster_node;
-use psmpi::{ReduceOp, UniverseBuilder};
+use psmpi::{BufferPool, PoolStats, ReduceOp, UniverseBuilder};
+use std::sync::Arc;
 
 fn cluster(n: u32) -> UniverseBuilder {
     UniverseBuilder::new().add_nodes(n, &deep_er_cluster_node())
@@ -111,4 +112,25 @@ fn allreduce_agrees_across_ranks_on_non_power_of_two() {
             assert!(all.iter().all(|other| bits(other) == bits(&mine)));
         }
     });
+}
+
+#[test]
+fn one_rank_allreduce_hands_back_its_input_and_stages_nothing() {
+    // A one-rank world has nothing to combine: both entry points return
+    // the contribution's bits, advance no virtual time and draw no
+    // staging buffer from the pool.
+    let pool = Arc::new(BufferPool::new());
+    cluster(1).buffer_pool(pool.clone()).run(|rank| {
+        let w = rank.world();
+        let contribution = awkward(0, 33);
+        let t0 = rank.now();
+        for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max] {
+            let all = rank.allreduce(&w, &contribution, op).unwrap();
+            assert_eq!(bits(&all), bits(&contribution), "op {op:?}");
+            let one = rank.allreduce_scalar(&w, contribution[7], op).unwrap();
+            assert_eq!(one.to_bits(), contribution[7].to_bits(), "op {op:?}");
+        }
+        assert_eq!(rank.now(), t0);
+    });
+    assert_eq!(pool.stats(), PoolStats::default());
 }

@@ -54,7 +54,10 @@ pub enum CkptMode {
     /// through the fabric while the next steps compute.
     Async,
     /// [`CkptMode::Async`] with dirty-range delta frames between periodic
-    /// full keyframes, shrinking the drained bytes.
+    /// full keyframes. A delta is sent only against an equal-length base
+    /// and only when smaller than the blob. xPic's blobs change length as
+    /// particles migrate, or keep it and change almost every byte, so on
+    /// its state this mode sends keyframes.
     AsyncDelta,
 }
 

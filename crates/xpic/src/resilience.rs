@@ -162,8 +162,10 @@ pub fn unpack_state(data: &Bytes, grid: &Grid) -> (Vec<Species>, Fields) {
 /// dirty-range delta against the previous checkpoint's blob
 /// ([`scr::delta`]), with a full keyframe every [`KEYFRAME_EVERY`]-th
 /// checkpoint (and always on the first checkpoint of an incarnation, since
-/// a restored world cannot trust any earlier base), shrinking the bytes
-/// the gather and the drain push.
+/// a restored world cannot trust any earlier base). A delta shrinks the
+/// bytes the gather and the drain push only when the blob kept its length
+/// and changed sparsely; a blob whose particles migrated changes length
+/// and goes as a keyframe.
 struct CkptEngine<'a> {
     scr: &'a ScrManager,
     level: CheckpointLevel,

@@ -4,6 +4,7 @@
 
 use cluster_booster::{Launcher, SystemBuilder};
 use hwmodel::{NodeId, SimTime};
+use obs::Recorder;
 use scr::{CheckpointLevel, CkptMode, NamBuddy, ScrConfig, ScrManager};
 use simnet::FaultPlan;
 use sionio::ParallelFs;
@@ -58,26 +59,38 @@ fn run(threads: usize, plan: Option<FaultPlan>) -> ResilientReport {
     run_resilient(&l, BOOSTERS, &config(threads), &scr, &recovery(), plan)
 }
 
-/// A fault time well inside the stepping phase. Virtual spawn latency
-/// front-loads the makespan, so the PIC steps (and their checkpoints) all
-/// land in the final stretch: 0.97 of the clean makespan sits past the
-/// later checkpoints (a real restore happens) but before the last victim
+/// The run's last checkpoint: the checkpoints follow steps 2 and 4.
+const LAST: usize = 2;
+
+/// A clean one-thread run in `mode`, and the middle of its window after
+/// checkpoint `k` ([`obs::Trace::after_checkpoint`]; `k = 0` is the
+/// window before the first). A node that dies there dies after
+/// checkpoint `k` was staged and before the next one, or the last victim
 /// check, so the fault is always discovered.
-fn mid_run_fault(clean_makespan: SimTime) -> SimTime {
-    SimTime::from_secs(0.97 * clean_makespan.as_secs())
+fn clean_run(mode: CkptMode, k: usize) -> (ResilientReport, SimTime) {
+    let l = launcher();
+    let rec = Recorder::new();
+    l.universe().attach_obs(rec.clone());
+    let scr = scr_for(&l);
+    let recovery = RecoveryConfig {
+        ckpt_mode: mode,
+        ..recovery()
+    };
+    let clean = run_resilient(&l, BOOSTERS, &config(1), &scr, &recovery, None);
+    let at = rec.snapshot().after_checkpoint(k);
+    (clean, at.expect("the clean run takes two checkpoints"))
 }
 
 #[test]
 fn recovered_run_is_bit_identical_to_clean_run() {
-    let clean = run(1, None);
+    let (clean, at) = clean_run(CkptMode::Sync, LAST);
     assert_eq!(clean.steps, 6);
     assert_eq!(clean.recoveries, 0);
     assert!(clean.failures.is_empty());
     assert!(clean.field_energy > 0.0 && clean.kinetic_energy > 0.0);
 
-    // Kill the second solver rank's node mid-run.
+    // Kill the second solver rank's node after the last checkpoint.
     let victim = launcher().system().booster_nodes()[1];
-    let at = mid_run_fault(clean.makespan);
     let faulted = run(1, Some(FaultPlan::from_node_faults([(at, victim)])));
 
     assert_eq!(faulted.steps, 6);
@@ -138,7 +151,7 @@ fn recovery_is_thread_count_invariant() {
     // The determinism contract extends through failure and recovery: the
     // same job at 1 and 2 kernel threads — clean or faulted — lands on
     // the same bits.
-    let clean1 = run(1, None);
+    let (clean1, at) = clean_run(CkptMode::Sync, LAST);
     let clean2 = run(2, None);
     assert_eq!(clean1.field_energy.to_bits(), clean2.field_energy.to_bits());
     assert_eq!(
@@ -147,7 +160,6 @@ fn recovery_is_thread_count_invariant() {
     );
 
     let victim = launcher().system().booster_nodes()[1];
-    let at = mid_run_fault(clean1.makespan);
     let plan = FaultPlan::from_node_faults([(at, victim)]);
     let faulted1 = run(1, Some(plan.clone()));
     let faulted2 = run(2, Some(plan));
@@ -179,9 +191,8 @@ fn losing_solver_rank_zero_still_recovers() {
     // Rank 0 owns the gather root and the supervisor status channel; its
     // death exercises the dead-endpoint path at the supervisor rather
     // than the revoke-marker path.
-    let clean = run(1, None);
+    let (clean, at) = clean_run(CkptMode::Sync, LAST);
     let victim = launcher().system().booster_nodes()[0];
-    let at = mid_run_fault(clean.makespan);
     let faulted = run(1, Some(FaultPlan::from_node_faults([(at, victim)])));
     assert_eq!(faulted.steps, 6);
     assert!(faulted.recoveries >= 1);
@@ -200,9 +211,9 @@ fn no_rank_thread_stays_counted_awake_after_a_recovered_run() {
     // the host-side awake count it was spawned into.
     let l = launcher();
     let scr = scr_for(&l);
-    let clean = run(1, None);
+    let (_, at) = clean_run(CkptMode::Sync, LAST);
     let victim = l.system().booster_nodes()[1];
-    let plan = FaultPlan::from_node_faults([(mid_run_fault(clean.makespan), victim)]);
+    let plan = FaultPlan::from_node_faults([(at, victim)]);
     let faulted = run_resilient(&l, BOOSTERS, &config(1), &scr, &recovery(), Some(plan));
     assert!(faulted.recoveries >= 1);
     assert_eq!(l.universe().router().awake_ranks(), 0);
@@ -212,9 +223,8 @@ fn no_rank_thread_stays_counted_awake_after_a_recovered_run() {
 fn fault_before_first_checkpoint_replays_from_scratch() {
     // Death in the first checkpoint interval leaves SCR empty: recovery
     // degrades to a from-scratch replay and still lands on the clean bits.
-    let clean = run(1, None);
+    let (clean, at) = clean_run(CkptMode::Sync, 0);
     let victim = launcher().system().booster_nodes()[1];
-    let at = SimTime::from_secs(0.05 * clean.makespan.as_secs());
     let faulted = run(1, Some(FaultPlan::from_node_faults([(at, victim)])));
     assert_eq!(faulted.steps, 6);
     assert!(faulted.recoveries >= 1);
@@ -243,7 +253,7 @@ fn run_mode(threads: usize, mode: CkptMode, plan: Option<FaultPlan>) -> Resilien
 #[test]
 fn async_recovery_is_bit_identical_and_blocks_less() {
     let sync = run_mode(1, CkptMode::Sync, None);
-    let asn = run_mode(1, CkptMode::Async, None);
+    let (asn, at) = clean_run(CkptMode::Async, LAST);
 
     // Same physics bits, same protection cadence, less blocking: the
     // buddy drain hides behind the next steps' compute.
@@ -258,11 +268,10 @@ fn async_recovery_is_bit_identical_and_blocks_less() {
         sync.ckpt_block
     );
 
-    // A mid-run node death under async checkpointing: the in-flight drain
-    // is evicted, recovery falls back to the newest *promoted* checkpoint,
-    // and the replay still lands on the clean bits.
+    // A node death after the last async checkpoint was staged: the
+    // in-flight drain is evicted, recovery falls back to the newest
+    // *promoted* checkpoint, and the replay still lands on the clean bits.
     let victim = launcher().system().booster_nodes()[1];
-    let at = mid_run_fault(asn.makespan);
     let plan = FaultPlan::from_node_faults([(at, victim)]);
     let faulted1 = run_mode(1, CkptMode::Async, Some(plan.clone()));
     let faulted2 = run_mode(2, CkptMode::Async, Some(plan));
@@ -287,13 +296,16 @@ fn async_recovery_is_bit_identical_and_blocks_less() {
 fn async_delta_recovery_matches_sync_bits() {
     let sync = run_mode(1, CkptMode::Sync, None);
     let asn = run_mode(1, CkptMode::Async, None);
-    let clean = run_mode(1, CkptMode::AsyncDelta, None);
+    let (clean, at) = clean_run(CkptMode::AsyncDelta, LAST);
     assert_eq!(clean.field_energy.to_bits(), sync.field_energy.to_bits());
     assert_eq!(clean.ckpts_taken, asn.ckpts_taken);
-    // Dirty-range deltas cannot compress a PIC state where every particle
-    // moves each step: the encoder falls back to full keyframes (one tag
-    // byte of framing overhead), so delta mode must block essentially as
-    // long as plain async here. The delta win shows on sparse-change
+    // Here each rank's blob keeps its length between checkpoints, but
+    // every particle moves and every field changes, so no dirty-range
+    // delta is smaller than the blob: the encoder falls back to full
+    // keyframes (one tag byte of framing overhead), and delta mode must
+    // block essentially as long as plain async. (In xpic_ckpt's larger run
+    // the blobs change length as particles migrate, and the codec diffs
+    // only blobs of equal length.) The delta win shows on sparse-change
     // states (the scr delta tests).
     assert!(
         clean.ckpt_block.as_secs() <= asn.ckpt_block.as_secs() * 1.001,
@@ -303,7 +315,6 @@ fn async_delta_recovery_matches_sync_bits() {
     );
 
     let victim = launcher().system().booster_nodes()[0];
-    let at = mid_run_fault(clean.makespan);
     let faulted = run_mode(
         1,
         CkptMode::AsyncDelta,
@@ -341,6 +352,8 @@ fn nam_backed_async_drain_survives_losing_both_solver_nodes() {
     let reference = run_mode(1, CkptMode::Sync, None);
     let run = |plan: Option<FaultPlan>| {
         let l = nam_launcher();
+        let rec = Recorder::new();
+        l.universe().attach_obs(rec.clone());
         let device = l.system().fabric().nams()[0].clone();
         let nam = Some(NamBuddy { index: 0, device });
         let scr = scr_with(&l, ScrConfig { nam });
@@ -351,21 +364,21 @@ fn nam_backed_async_drain_survives_losing_both_solver_nodes() {
         let nodes = l.system().booster_nodes()[..BOOSTERS].to_vec();
         let report = run_resilient(&l, BOOSTERS, &config(1), &scr, &recovery, plan);
         let used = l.system().fabric().nams()[0].used();
-        (report, nodes, used)
+        (report, nodes, used, rec.snapshot().after_checkpoint(LAST))
     };
 
-    let (clean, nodes, used) = run(None);
+    let (clean, nodes, used, staged) = run(None);
     assert_eq!(
         clean.field_energy.to_bits(),
         reference.field_energy.to_bits()
     );
     assert!(used > 0, "the drain must land real bytes on the NAM device");
 
-    // Later than `mid_run_fault`: an async checkpoint protects only once
-    // the next one's gather has promoted it, and at 0.99 of the makespan
-    // checkpoint 2 is promoted while checkpoint 4 is still in flight.
-    let at = SimTime::from_secs(0.99 * clean.makespan.as_secs());
-    let (faulted, _, _) = run(Some(FaultPlan::from_node_faults(
+    // After the last checkpoint was staged: an async checkpoint protects
+    // only once the next one's gather has promoted it, and there the
+    // checkpoint of step 2 is promoted while step 4's is still in flight.
+    let at = staged.expect("the clean run takes two checkpoints");
+    let (faulted, _, _, _) = run(Some(FaultPlan::from_node_faults(
         nodes.iter().map(|&n| (at, n)),
     )));
     assert_eq!(faulted.steps, 6);

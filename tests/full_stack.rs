@@ -321,12 +321,13 @@ fn checkpoint_virtual_times_are_pinned_across_commits() {
     // cost that moved by one ulp (say, charged as local + drain instead of
     // in one piece) would round to the same text. These are the exact bits:
     // 2 Booster ranks, 16 x 16 cells x 8 particles per cell, 6 steps, a
-    // Buddy-level checkpoint every 2, clean and with the second rank's node
-    // dying at 0.056 s (after the step-4 checkpoint was staged: the
-    // blocking mode resumes from it, the async modes lost its drain and
-    // fall back to 2; deaths from about 0.0552 s to 0.0575 s have that
-    // class). The block and makespan bits are prices; the checkpoints
-    // taken and the resume steps are program.
+    // Buddy-level checkpoint every 2 (after steps 2 and 4), clean and with
+    // the second rank's node dying after the second checkpoint was staged,
+    // in the middle of that window in the mode's own clean run. The
+    // blocking mode resumes from step 4; the async modes lost its drain
+    // and fall back to step 2. The block and makespan bits are prices; the
+    // checkpoints taken and the resume steps are program.
+    use obs::Recorder;
     use simnet::FaultPlan;
     use xpic::resilience::{run_resilient, RecoveryConfig};
     use xpic::CkptMode::{Async, AsyncDelta, Sync};
@@ -338,9 +339,12 @@ fn checkpoint_virtual_times_are_pinned_across_commits() {
         ..XpicConfig::test_small()
     };
     let mut pins = String::new();
+    let mut staged = Vec::new();
     for (run, dies) in [("clean", false), ("node-death", true)] {
-        for ckpt_mode in [Sync, Async, AsyncDelta] {
+        for (i, ckpt_mode) in [Sync, Async, AsyncDelta].into_iter().enumerate() {
             let launcher = Launcher::new(deep_er_prototype());
+            let rec = Recorder::new();
+            launcher.universe().attach_obs(rec.clone());
             let nodes: Vec<NodeId> = launcher.system().booster_nodes()[..2].to_vec();
             let specs = nodes
                 .iter()
@@ -353,9 +357,16 @@ fn checkpoint_virtual_times_are_pinned_across_commits() {
                 ckpt_mode,
                 ..RecoveryConfig::default()
             };
-            let death = (SimTime::from_secs(0.056), nodes[1]);
-            let plan = dies.then(|| FaultPlan::from_node_faults([death]));
+            let plan = dies.then(|| FaultPlan::from_node_faults([(staged[i], nodes[1])]));
             let r = run_resilient(&launcher, 2, &cfg, &scr, &recovery, plan);
+            if dies {
+                let want = if ckpt_mode == Sync { 4 } else { 2 };
+                let at = staged[i];
+                assert_eq!(r.resume_steps, [want], "{ckpt_mode:?} {run} at {at}");
+            } else {
+                let after = rec.snapshot().after_checkpoint(2);
+                staged.push(after.expect("the clean run took two checkpoints"));
+            }
             let [block, makespan] = [r.ckpt_block, r.makespan].map(|t| t.as_secs().to_bits());
             pins += &format!(
                 "{ckpt_mode:?} {run} block_bits={block:#018x} makespan_bits={makespan:#018x} \
