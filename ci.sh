@@ -99,6 +99,8 @@ echo "== host smoke (ring, scheduler and xPic rates, the xPic fidelity ceiling, 
 # 1.5: its parent, which notified on every deposit and took the pool's lock
 # twice a message, read 0.70-0.73 M in 15 s runs and is under it.
 # Ceiling: the highest typed/bytes ratio recorded up to PR 15 (2.13) x 1.5.
+# The typed shift writes each wire byte once, straight into the staged
+# buffer, and decodes it once; the bytes shift copies once.
 # Floor: the lowest xpic_ckpt ops_per_s of ten 5 s runs with checkpoints
 # packed into recycled buffers (373.2, 402.9, 342.3, 321.9, 294.5, 359.0,
 # 278.4, 267.8, 268.3, 265.9 steps/s) / 1.5. The host throttles after

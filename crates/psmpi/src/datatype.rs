@@ -95,59 +95,48 @@ pub trait MpiDatatype: Sized {
 
 /// Marker for POD scalars whose encoding is exactly the little-endian
 /// image of the value: [`WIDTH`](FixedWidth::WIDTH) bytes, no framing.
-/// Buffers of these types move through the wire stack in bulk — reserve
-/// once, convert in cache-sized chunks — instead of one `BufMut` dispatch
-/// per element.
+/// Buffers of these types move through the wire stack in bulk — one
+/// concrete-width loop over the whole slice — instead of one `BufMut`
+/// dispatch per element.
 pub trait FixedWidth: MpiDatatype + Copy {
     /// Encoded width in bytes.
     const WIDTH: usize;
-
-    /// Write the little-endian image into `out` (exactly `WIDTH` bytes).
-    fn put_le(self, out: &mut [u8]);
 
     /// Read a value back from a `WIDTH`-byte little-endian image.
     fn get_le(src: &[u8]) -> Self;
 
     /// Bulk-decode `src` — exactly `out.len() * WIDTH` bytes — into `out`.
     ///
-    /// The default is the portable per-element loop. The scalar impls
-    /// override it with a concrete-width formulation (`chunks_exact` of a
-    /// literal width plus `try_into` to a fixed-size array) that the
-    /// compiler turns into wide vector loads — ~5x on a 1 MiB `f64`
-    /// buffer, which is most of the in-place receive's cost.
-    fn decode_slice_le(src: &[u8], out: &mut [Self]) {
-        for (dst, ch) in out.iter_mut().zip(src.chunks_exact(Self::WIDTH)) {
-            *dst = Self::get_le(ch);
-        }
-    }
+    /// Each scalar implements it with a concrete-width formulation
+    /// (`chunks_exact` of a literal width plus `try_into` to a fixed-size
+    /// array) that the compiler turns into wide vector loads — ~5x on a
+    /// 1 MiB `f64` buffer over a per-element loop, which is most of the
+    /// in-place receive's cost.
+    fn decode_slice_le(src: &[u8], out: &mut [Self]);
 
-    /// Bulk-encode `items`, appending `items.len() * WIDTH` bytes to
-    /// `buf`. Byte-identical to encoding each element in turn; overridden
-    /// per scalar like [`FixedWidth::decode_slice_le`].
-    fn encode_slice_le(items: &[Self], buf: &mut BytesMut) {
-        buf.reserve(items.len() * Self::WIDTH);
-        let per_chunk = (POD_CHUNK_BYTES / Self::WIDTH).max(1);
-        let mut tmp = [0u8; POD_CHUNK_BYTES];
-        for chunk in items.chunks(per_chunk) {
-            let mut off = 0;
-            for &x in chunk {
-                x.put_le(&mut tmp[off..off + Self::WIDTH]);
-                off += Self::WIDTH;
-            }
-            buf.extend_from_slice(&tmp[..off]);
-        }
-    }
+    /// Write the wire image of `items` over all of `out`, which must be
+    /// exactly `items.len() * WIDTH` bytes: a mismatch panics before any
+    /// byte is written, so a buffer is never left part old, part new.
+    /// Byte-identical to encoding each element in turn; the concrete-width
+    /// twin of [`FixedWidth::decode_slice_le`].
+    fn write_slice_le(items: &[Self], out: &mut [u8]);
 }
 
-/// Staging-block size for bulk conversion: big enough to amortise the
-/// `extend_from_slice` calls, small enough to stay cache-resident.
-const POD_CHUNK_BYTES: usize = 8192;
+/// The length check every [`FixedWidth::write_slice_le`] makes first.
+fn assert_image_len(items: usize, width: usize, out: usize) {
+    assert!(
+        out == items * width,
+        "wire image of {items} x {width}-byte items is {} bytes, the buffer {out}",
+        items * width
+    );
+}
 
-/// Append the encodings of `items` in bulk: one capacity reservation,
-/// then cache-sized chunks converted on the stack and appended with
-/// `extend_from_slice` (see [`FixedWidth::encode_slice_le`]).
+/// Append the encodings of `items` in bulk: grow `buf` by their byte
+/// length once, then [`FixedWidth::write_slice_le`] over the new tail.
 pub fn encode_pod_slice<T: FixedWidth>(items: &[T], buf: &mut BytesMut) {
-    T::encode_slice_le(items, buf);
+    let start = buf.len();
+    buf.resize(start + items.len() * T::WIDTH, 0);
+    T::write_slice_le(items, &mut buf[start..]);
 }
 
 /// Decode `n` values in bulk after an up-front length check, so a corrupt
@@ -170,8 +159,8 @@ pub fn read_pod_into<T: FixedWidth>(buf: &Bytes, out: &mut [T]) -> Result<(), Co
 
 /// Encode a bare (unframed: no length prefix) POD slice into one buffer.
 pub fn pod_to_bytes<T: FixedWidth>(items: &[T]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(items.len() * T::WIDTH);
-    T::encode_slice(items, &mut buf);
+    let mut buf = BytesMut::new();
+    encode_pod_slice(items, &mut buf);
     buf.freeze()
 }
 
@@ -189,21 +178,22 @@ pub fn bytes_to_pod<T: FixedWidth>(buf: &Bytes) -> Result<Vec<T>, CodecError> {
     decode_pod_vec(buf.len() / T::WIDTH, &mut view)
 }
 
-/// [`pod_to_bytes`] encoding into a buffer drawn from `pool` instead of a
-/// fresh allocation — the steady-state typed send path of
-/// [`crate::Rank::send_slice_comm`].
+/// [`pod_to_bytes`] written over a buffer of exactly its length drawn from
+/// `pool` instead of a fresh allocation — the steady-state typed send path
+/// of [`crate::Rank::send_slice_comm`].
 pub fn pod_to_bytes_pooled<T: FixedWidth>(pool: &crate::BufferPool, items: &[T]) -> Bytes {
-    pod_to_bytes_via(|cap| pool.get(cap), items)
+    pod_to_bytes_via(|len| pool.get_sized(len), items)
 }
 
-/// [`pod_to_bytes`] encoding into the buffer `stage` hands out for the
-/// slice's byte length.
+/// [`pod_to_bytes`] written over the buffer `stage` hands out, which must
+/// be exactly the slice's byte length: the wire image is written once,
+/// straight into the buffer that is frozen for the wire.
 pub(crate) fn pod_to_bytes_via<T: FixedWidth>(
     stage: impl FnOnce(usize) -> BytesMut,
     items: &[T],
 ) -> Bytes {
     let mut buf = stage(items.len() * T::WIDTH);
-    T::encode_slice(items, &mut buf);
+    T::write_slice_le(items, &mut buf);
     buf.freeze()
 }
 
@@ -265,35 +255,27 @@ macro_rules! impl_scalar {
         impl FixedWidth for $t {
             const WIDTH: usize = std::mem::size_of::<$t>();
 
-            fn put_le(self, out: &mut [u8]) {
-                out.copy_from_slice(&self.to_le_bytes());
-            }
             fn get_le(src: &[u8]) -> Self {
                 let mut raw = [0u8; std::mem::size_of::<$t>()];
                 raw.copy_from_slice(src);
                 <$t>::from_le_bytes(raw)
             }
 
-            // Concrete-width bulk hooks: the literal width lets the
+            // Concrete-width bulk kernels: the literal width lets the
             // `try_into` checks fold away and the loops compile to wide
-            // vector moves (the generic defaults stay scalar).
+            // vector moves.
             fn decode_slice_le(src: &[u8], out: &mut [Self]) {
                 const W: usize = std::mem::size_of::<$t>();
                 for (dst, ch) in out.iter_mut().zip(src.chunks_exact(W)) {
                     *dst = <$t>::from_le_bytes(ch.try_into().expect("chunk is W bytes"));
                 }
             }
-            fn encode_slice_le(items: &[Self], buf: &mut BytesMut) {
+            fn write_slice_le(items: &[Self], out: &mut [u8]) {
                 const W: usize = std::mem::size_of::<$t>();
-                buf.reserve(items.len() * W);
-                let per_chunk = (POD_CHUNK_BYTES / W).max(1);
-                let mut tmp = [0u8; POD_CHUNK_BYTES];
-                for chunk in items.chunks(per_chunk) {
-                    for (x, dch) in chunk.iter().zip(tmp.chunks_exact_mut(W)) {
-                        let arr: &mut [u8; W] = dch.try_into().expect("chunk is W bytes");
-                        *arr = x.to_le_bytes();
-                    }
-                    buf.extend_from_slice(&tmp[..chunk.len() * W]);
+                assert_image_len(items.len(), W, out.len());
+                for (x, dch) in items.iter().zip(out.chunks_exact_mut(W)) {
+                    let arr: &mut [u8; W] = dch.try_into().expect("chunk is W bytes");
+                    *arr = x.to_le_bytes();
                 }
             }
         }
@@ -308,10 +290,10 @@ impl_scalar!(i32, put_i32_le, get_i32_le);
 impl_scalar!(i64, put_i64_le, get_i64_le);
 impl_scalar!(f32, put_f32_le, get_f32_le);
 impl_scalar!(f64, put_f64_le, get_f64_le);
+impl_scalar!(i8, put_i8, get_i8);
 
-// Byte-width scalars get hand-written impls: a `&[u8]` already *is* its
-// wire image, so the bulk hooks collapse to single memcpys instead of the
-// staging-chunk loop the macro generates.
+// `u8` gets a hand-written impl: a `&[u8]` already *is* its wire image, so
+// the bulk hooks collapse to single memcpys.
 impl MpiDatatype for u8 {
     const FIXED_WIDTH: Option<usize> = Some(1);
 
@@ -336,46 +318,15 @@ impl MpiDatatype for u8 {
 impl FixedWidth for u8 {
     const WIDTH: usize = 1;
 
-    fn put_le(self, out: &mut [u8]) {
-        out[0] = self;
-    }
     fn get_le(src: &[u8]) -> Self {
         src[0]
     }
     fn decode_slice_le(src: &[u8], out: &mut [Self]) {
         out.copy_from_slice(src);
     }
-    fn encode_slice_le(items: &[Self], buf: &mut BytesMut) {
-        buf.extend_from_slice(items);
-    }
-}
-
-impl MpiDatatype for i8 {
-    const FIXED_WIDTH: Option<usize> = Some(1);
-
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_i8(*self);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        need(buf, 1, "i8")?;
-        Ok(buf.get_i8())
-    }
-    fn encode_slice(items: &[Self], buf: &mut BytesMut) {
-        encode_pod_slice(items, buf);
-    }
-    fn decode_vec(n: usize, buf: &mut Bytes) -> Result<Vec<Self>, CodecError> {
-        decode_pod_vec(n, buf)
-    }
-}
-
-impl FixedWidth for i8 {
-    const WIDTH: usize = 1;
-
-    fn put_le(self, out: &mut [u8]) {
-        out[0] = self as u8;
-    }
-    fn get_le(src: &[u8]) -> Self {
-        src[0] as i8
+    fn write_slice_le(items: &[Self], out: &mut [u8]) {
+        assert_image_len(items.len(), 1, out.len());
+        out.copy_from_slice(items);
     }
 }
 
@@ -693,7 +644,7 @@ mod tests {
     fn pod_fast_path_roundtrips() {
         roundtrip(vec![1u32, 2, 3, u32::MAX]);
         roundtrip(vec![0.5f32, -1.5, f32::MIN_POSITIVE]);
-        roundtrip((0..4097u64).collect::<Vec<_>>()); // crosses a staging chunk
+        roundtrip((0..4097u64).collect::<Vec<_>>()); // an odd length over 32 KiB
         roundtrip(vec![-1i8, 0, 1]);
         roundtrip(vec![u8::MAX; 3]);
     }

@@ -16,6 +16,11 @@
 //! `BufferPool::recycle_via`), so a steady exchange hands its wire buffer
 //! from receive to next send without taking the pool's lock. A slot hit is
 //! a pool hit, and the slot goes back to the pool when the rank exits.
+//!
+//! A POD send knows its wire length up front and writes every byte of it,
+//! so it draws with `BufferPool::get_sized`: the buffer comes back at
+//! exactly that length with its old bytes in place, and a steady exchange
+//! of one size neither zeroes nor allocates.
 
 use bytes::{Bytes, BytesMut};
 use lockrank::Mutex;
@@ -120,27 +125,16 @@ impl BufferPool {
     /// for all sizes a 16-byte header pops a recycled megabyte buffer and the
     /// next megabyte request "hits" a 16-byte one and reallocates it.
     pub fn get(&self, cap: usize) -> BytesMut {
-        let recycled = {
-            let mut bufs = self.bufs.lock();
-            let fitting = |class: &mut Vec<BytesMut>| {
-                let i = class.iter().rposition(|b| b.capacity() >= cap)?;
-                Some(class.swap_remove(i))
-            };
-            let mut near = bufs.iter_mut().skip(class_of(cap)).take(2);
-            near.find_map(fitting)
-        };
-        match recycled {
-            Some(mut b) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                b.clear();
-                b
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                // Rounded up so the buffer serves every later small request.
-                BytesMut::with_capacity(cap.max(MIN_CLASS_BYTES))
-            }
-        }
+        self.get_via(&mut None, cap)
+    }
+
+    /// A buffer of exactly `len` bytes for an encoder that writes every one
+    /// of them, drawn as [`BufferPool::get`] draws. A retired buffer keeps
+    /// the bytes it already holds, stale content of an earlier message
+    /// included, so only a tail it grows by is zeroed: a buffer that
+    /// carried `len` bytes before is handed out without a write.
+    pub(crate) fn get_sized(&self, len: usize) -> BytesMut {
+        self.get_sized_via(&mut None, len)
     }
 
     /// [`BufferPool::get`] through a caller-held one-buffer slot (a rank's,
@@ -148,16 +142,51 @@ impl BufferPool {
     /// `cap` is taken without the mutex and counts as a hit; otherwise the
     /// stacks serve the request and the slot keeps its buffer.
     pub(crate) fn get_via(&self, slot: &mut Option<BytesMut>, cap: usize) -> BytesMut {
-        let fits =
-            |b: &mut BytesMut| b.capacity() >= cap && class_of(b.capacity()) <= class_of(cap) + 1;
-        match slot.take_if(fits) {
+        match self.draw(slot, cap) {
             Some(mut b) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 b.clear();
                 b
             }
-            None => self.get(cap),
+            // Rounded up so the buffer serves every later small request.
+            None => BytesMut::with_capacity(cap.max(MIN_CLASS_BYTES)),
         }
+    }
+
+    /// [`BufferPool::get_sized`] through a caller-held slot, as
+    /// [`BufferPool::get_via`].
+    pub(crate) fn get_sized_via(&self, slot: &mut Option<BytesMut>, len: usize) -> BytesMut {
+        let mut b = match self.draw(slot, len) {
+            Some(b) => b,
+            // Zeroed by the allocator: a fresh megabyte arrives as untouched
+            // zero pages, not as a memset ahead of the encoder's write.
+            None => BytesMut::zeroed(len.max(MIN_CLASS_BYTES)),
+        };
+        b.resize(len, 0);
+        b
+    }
+
+    /// The retired buffer a draw for `cap` takes, its bytes as they were
+    /// retired: the slot's if it fits, else one from the stacks. Counts a
+    /// hit, or a miss when there is none and the caller allocates.
+    fn draw(&self, slot: &mut Option<BytesMut>, cap: usize) -> Option<BytesMut> {
+        let fits =
+            |b: &BytesMut| b.capacity() >= cap && class_of(b.capacity()) <= class_of(cap) + 1;
+        let recycled = slot.take_if(|b| fits(b)).or_else(|| {
+            let mut bufs = self.bufs.lock();
+            let fitting = |class: &mut Vec<BytesMut>| {
+                let i = class.iter().rposition(fits)?;
+                Some(class.swap_remove(i))
+            };
+            let mut near = bufs.iter_mut().skip(class_of(cap)).take(2);
+            near.find_map(fitting)
+        });
+        let counter = if recycled.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        recycled
     }
 
     /// Whether [`BufferPool::put`] can retain `buf` (given room in its class).
@@ -246,6 +275,26 @@ mod tests {
         assert!(again.is_empty());
         assert!(again.capacity() >= cap);
         assert_eq!((pool.stats().hits, pool.stats().misses), (1, 2));
+    }
+
+    #[test]
+    fn a_sized_draw_zeroes_only_the_tail_it_grows() {
+        let pool = BufferPool::new();
+        let mut b = pool.get(128);
+        b.extend_from_slice(&[7; 100]);
+        let ptr = b.as_ptr();
+        pool.recycle(b.freeze());
+        let short = pool.get_sized(50);
+        assert_eq!((short.as_ptr(), &short[..]), (ptr, &[7; 50][..]));
+        pool.recycle(short.freeze());
+        let long = pool.get_sized(120);
+        assert_eq!(long.as_ptr(), ptr);
+        assert_eq!(&long[..50], &[7; 50], "kept bytes are not rewritten");
+        assert_eq!(&long[50..], &[0; 70], "the grown tail is zeroed");
+        let fresh = pool.get_sized(120);
+        assert_eq!(&fresh[..], &[0; 120], "a miss is sized and zeroed");
+        assert!(pool.get_sized(8).capacity() >= MIN_CLASS_BYTES);
+        assert_eq!((pool.stats().hits, pool.stats().misses), (2, 3));
     }
 
     #[test]

@@ -542,6 +542,13 @@ impl Rank {
         self.router.buffer_pool().get_via(&mut self.slot, cap)
     }
 
+    /// A staging buffer of exactly `len` bytes, drawn as [`Rank::stage`]
+    /// draws, for an encoder that overwrites all of it
+    /// ([`BufferPool::get_sized`](crate::BufferPool::get_sized)).
+    pub(crate) fn stage_sized(&mut self, len: usize) -> BytesMut {
+        self.router.buffer_pool().get_sized_via(&mut self.slot, len)
+    }
+
     /// Give a received payload's storage back once decoded: into the
     /// rank's slot if this rank is its sole owner and the slot is empty,
     /// else [`BufferPool::recycle`](crate::BufferPool::recycle). The other
@@ -717,16 +724,21 @@ impl Rank {
     // ---- in-place typed point-to-point (POD slices) ----
     //
     // The framed `MpiDatatype` codec allocates a fresh `Vec` on every
-    // decode and carries a length header; these calls instead bulk-encode
-    // a POD slice straight into a pooled buffer on send
-    // (`pod_to_bytes_pooled`) and decode into a caller-owned slice on
-    // receive (`read_pod_into_exact`), so steady-state `&[f64]` p2p does
-    // no per-message heap allocation. The wire format is the unframed POD
-    // layout of `pod_to_bytes` (the xpic wire convention): the element
-    // count is implied by the byte length, so both sides must agree on it.
+    // decode and carries a length header; these calls instead write a POD
+    // slice's wire image once, straight into a staged buffer of exactly its
+    // length (`Rank::stage_sized`, `FixedWidth::write_slice_le`), and
+    // decode into a caller-owned slice on receive (`read_pod_into_exact`),
+    // which retires the buffer for the next send. Once the rank's slot and
+    // the pool are warm, steady-state `&[f64]` p2p does no per-message heap
+    // allocation: the buffer and its storage header cycle, and
+    // `Bytes::try_into_mut` hands back the header `freeze` moved. The wire
+    // format is the unframed POD layout of `pod_to_bytes` (the xpic wire
+    // convention): the element count is implied by the byte length, so
+    // both sides must agree on it.
 
-    /// Typed send of a POD slice to `dst` in `comm`: bulk-encoded into a
-    /// staged buffer (`Rank::stage`), no intermediate `Vec`.
+    /// Typed send of a POD slice to `dst` in `comm`: its wire image written
+    /// once into a staged buffer (`Rank::stage_sized`), no intermediate
+    /// `Vec` and no staging copy.
     pub fn send_slice_comm<T: FixedWidth>(
         &mut self,
         comm: &impl Comm,
@@ -734,7 +746,7 @@ impl Rank {
         tag: Tag,
         data: &[T],
     ) -> Result<(), PsmpiError> {
-        let wire = pod_to_bytes_via(|cap| self.stage(cap), data);
+        let wire = pod_to_bytes_via(|len| self.stage_sized(len), data);
         self.send_bytes_comm(comm, dst, tag, wire)
     }
 
@@ -822,7 +834,7 @@ impl Rank {
         tag: Tag,
         data: &[T],
     ) -> Result<SendRequest, PsmpiError> {
-        let wire = pod_to_bytes_via(|cap| self.stage(cap), data);
+        let wire = pod_to_bytes_via(|len| self.stage_sized(len), data);
         let w = self.world.clone();
         self.post_send(&w, dst, tag, wire, None)
     }

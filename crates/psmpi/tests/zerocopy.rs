@@ -279,3 +279,58 @@ fn aliased_payloads_never_enter_a_rank_slot() {
         "the fresh buffers came back through the slots"
     );
 }
+
+#[test]
+fn stale_bytes_never_reach_the_wire() {
+    // A sized draw hands a recycled buffer out with the bytes it last
+    // carried, so every byte a typed send puts on the wire must be written
+    // by the encoder. Rank 0 sends 1024, 512 and 1024 f64s twice, each
+    // round's values its own: first through its slot (rank 1 echoes each
+    // payload back and rank 0's typed receive retires it there), then
+    // through the pool's stacks (rank 1 recycles each payload and answers
+    // with an empty message). Every send after the first reuses a buffer
+    // that held another message, longer or shorter.
+    const SIZES: [usize; 3] = [1024, 512, 1024];
+    let message = |round: usize, n: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| (round * 4096 + i) as f64 * 0.5 + 1.0)
+            .collect()
+    };
+    let pool = Arc::new(BufferPool::new());
+    cluster(2).buffer_pool(pool.clone()).run(move |rank| {
+        let w = rank.world();
+        for (round, &n) in SIZES.iter().chain(&SIZES).enumerate() {
+            let via_slot = round < SIZES.len();
+            let sent = message(round, n);
+            if rank.rank() == 0 {
+                rank.send_slice(1, 1, &sent).unwrap();
+                if via_slot {
+                    let mut back = vec![0.0; n];
+                    rank.recv_into(Some(1), Some(2), &mut back).unwrap();
+                    assert_eq!(back, sent, "round {round}: echo");
+                } else {
+                    rank.recv_bytes_comm(&w, Some(1), Some(2)).unwrap();
+                }
+            } else {
+                let (wire, _) = rank.recv_bytes_comm(&w, Some(0), Some(1)).unwrap();
+                let want = psmpi::datatype::pod_to_bytes(&sent);
+                assert_eq!(wire.len(), want.len(), "round {round}: length");
+                assert_eq!(wire, want, "round {round}: content");
+                if via_slot {
+                    rank.send_bytes_comm(&w, 0, 2, wire).unwrap();
+                } else {
+                    rank.buffer_pool().recycle(wire);
+                    rank.send_bytes_comm(&w, 0, 2, Bytes::new()).unwrap();
+                }
+            }
+        }
+    });
+    let stats = pool.stats();
+    let staged = 2 * SIZES.len() as u64;
+    assert_eq!(
+        stats.hits + stats.misses,
+        staged,
+        "one draw per send: {stats:?}"
+    );
+    assert_eq!((stats.hits, stats.misses), (staged - 1, 1), "{stats:?}");
+}
