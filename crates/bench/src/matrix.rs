@@ -11,8 +11,9 @@
 //! ([`obs::Trace::after_checkpoint`]) and must resume as its class says.
 //! Faulted rows' blocking is not compared: each reports the incarnation
 //! that finished, and those took different numbers of checkpoints.
-//! Overlap is not crossed with the checkpoint modes: the resilient loop
-//! ignores [`XpicConfig::overlap`].
+//! Overlap is not crossed with the checkpoint modes: the checkpointed
+//! solver world steps the combined loop, which honours
+//! [`XpicConfig::overlap`], and its rows run overlapped.
 //!
 //! `tests/full_stack.rs` pins [`Matrix::render`] across commits to
 //! `tests/golden/matrix.golden` through [`crate::golden`]: the makespans,

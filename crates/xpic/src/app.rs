@@ -16,7 +16,8 @@
 //! Each step is written once (one function per kernel phase, one
 //! interface codec, one end-of-run `reduce_tail`); each Listing keeps one
 //! loop that orders the calls, and C+B keeps its overlapped and blocking
-//! branches apart (DESIGN.md §3.9 says why).
+//! branches apart (DESIGN.md §3.9 says why). Listing 1's loop also steps
+//! the checkpointed run of [`crate::resilience`].
 
 use crate::config::XpicConfig;
 use crate::diagnostics::{field_energy, kinetic_energy};
@@ -34,7 +35,8 @@ use cluster_booster::{JobSpec, Launcher};
 use hwmodel::SimTime;
 use lockrank::Mutex;
 use psmpi::datatype::{bytes_to_pod, pod_to_bytes_pooled};
-use psmpi::{Communicator, Intercomm, MpiRequest, Rank, RecvRequest, ReduceOp};
+use psmpi::{Communicator, Intercomm, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Execution mode (paper §IV-C, Figs. 7–8).
@@ -141,24 +143,28 @@ fn steady_total(span: SimTime, steps: u32) -> SimTime {
 
 /// Per-rank state of one slab's simulation, and the solver world the slab
 /// belongs to.
-struct SlabState {
-    world: Communicator,
+pub(crate) struct SlabState {
+    pub(crate) world: Communicator,
     grid: Grid,
     solver: FieldSolver,
     /// One entry per species (the `nspec` loop of Listing 1).
-    species: Vec<Species>,
+    pub(crate) species: Vec<Species>,
     /// Particle-count share of each species (for work charging).
     ppc_share: Vec<f64>,
-    fields: Fields,
+    pub(crate) fields: Fields,
     moments: Moments,
 }
 
 impl SlabState {
     /// `rank`'s slab with its particles: both solvers on one module, or
-    /// the particle solver of C+B.
-    fn new(config: &XpicConfig, rank: &Rank) -> SlabState {
+    /// the particle solver of C+B. It holds `state` when one is given (a
+    /// restored checkpoint), else the seeded population and zero fields.
+    fn new(config: &XpicConfig, rank: &Rank, state: Option<(Vec<Species>, Fields)>) -> SlabState {
         let mut st = SlabState::without_particles(config, rank);
-        st.species = Species::from_config(config, &st.grid);
+        match state {
+            Some((species, fields)) => (st.species, st.fields) = (species, fields),
+            None => st.species = Species::from_config(config, &st.grid),
+        }
         // Work charged per species is relative to the baseline electron
         // population, so adding a kinetic ion species doubles the particle
         // workload (the model scale describes one species' population).
@@ -186,54 +192,55 @@ impl SlabState {
 
     /// Initial moment gathering (every species' deposit, then the
     /// halo-add) so the first calculateE sees ρ,J.
-    fn initial_moments(&mut self, rank: &mut Rank, config: &XpicConfig) {
+    fn initial_moments(&mut self, rank: &mut Rank, config: &XpicConfig) -> Result<(), PsmpiError> {
         for (species, &share) in self.species.iter().zip(&self.ppc_share) {
             deposit_threads(&self.grid, species, &mut self.moments, config.threads);
             rank.compute(&config.work_moments().scaled(share));
         }
         halo_add_moments(rank, &self.world, &self.grid, &mut self.moments, config)
-            .expect("moment halo-add exchange");
     }
 
     /// Field phase: calculateE with model-scale cost and padded
     /// collectives, then cpyToArr_F; returns real CG iterations.
-    fn field_solve_e(&mut self, rank: &mut Rank, config: &XpicConfig) -> u64 {
+    fn field_solve_e(&mut self, rank: &mut Rank, config: &XpicConfig) -> Result<u64, PsmpiError> {
         let phase = rank.obs_open(obs::Category::Phase, "field-solve");
         let mut fc = MpiFieldComm::new(rank, self.world.clone(), config);
         let iters = self
             .solver
             .calculate_e(&mut self.fields, &self.moments, &mut fc);
         let done = fc.allreduces;
+        fc.take_failure().map_or(Ok(()), Err)?;
         // Charge the model-scale compute (Table II cells × model CG iterations).
         rank.compute(&config.work_cg_iter().scaled(config.model.cg_iters as f64));
         // Pad the global reductions up to the model iteration count (two dot
         // products per CG iteration, three components' setup reductions).
         let target = 2 * config.model.cg_iters + 6;
         for _ in done..target {
-            rank.allreduce_scalar(&self.world, 0.0, ReduceOp::Sum)
-                .expect("pad allreduce");
+            rank.allreduce_scalar(&self.world, 0.0, ReduceOp::Sum)?;
         }
         rank.obs_close(phase);
         rank.compute(&config.work_cpy()); // cpyToArr_F
-        u64::from(iters)
+        Ok(u64::from(iters))
     }
 
     /// Field phase: calculateB (the Faraday update, which reads fields
     /// only) and cpyFromArr_M.
-    fn field_solve_b(&mut self, rank: &mut Rank, config: &XpicConfig) {
+    fn field_solve_b(&mut self, rank: &mut Rank, config: &XpicConfig) -> Result<(), PsmpiError> {
         let phase = rank.obs_open(obs::Category::Phase, "field-solve");
         let mut fc = MpiFieldComm::new(rank, self.world.clone(), config);
         self.solver.calculate_b(&mut self.fields, &mut fc);
+        fc.take_failure().map_or(Ok(()), Err)?;
         rank.compute(&config.work_curl());
         rank.compute(&config.work_cpy());
         rank.obs_close(phase);
+        Ok(())
     }
 
     /// Particle phase: the Listing-1 species loop — push + moment
     /// gathering for every species — then the halo-add (deposit, then
     /// migrate: the migration is [`SlabState::migrate_all`], so C+B can
     /// overlap it).
-    fn particle_phase(&mut self, rank: &mut Rank, config: &XpicConfig) {
+    fn particle_phase(&mut self, rank: &mut Rank, config: &XpicConfig) -> Result<(), PsmpiError> {
         let (world, grid) = (&self.world, &self.grid);
         rank.compute(&config.work_cpy()); // cpyFromArr_F
         self.moments.clear();
@@ -242,7 +249,7 @@ impl SlabState {
         // only after the sweep's trailing copy, so the exchange rides under
         // the step's compute (fold order is unchanged — bit-exact moments).
         let halo_recvs = if config.overlap {
-            post_halo_add_recvs(rank, world).expect("post moment halo recvs")
+            post_halo_add_recvs(rank, world)?
         } else {
             None
         };
@@ -259,30 +266,28 @@ impl SlabState {
         }
         let phase = rank.obs_open(obs::Category::Phase, "halo");
         if config.overlap {
-            let halo_sends = send_halo_add_ghosts(rank, world, grid, &self.moments, config)
-                .expect("send moment ghost rows");
+            let halo_sends = send_halo_add_ghosts(rank, world, grid, &self.moments, config)?;
             rank.obs_close(phase);
             rank.compute(&config.work_cpy()); // cpyToArr_M, under the exchange
             let phase = rank.obs_open(obs::Category::Phase, "halo");
-            complete_halo_add(rank, world, grid, &mut self.moments, halo_recvs, halo_sends)
-                .expect("moment halo-add exchange");
+            complete_halo_add(rank, world, grid, &mut self.moments, halo_recvs, halo_sends)?;
             rank.obs_close(phase);
         } else {
-            halo_add_moments(rank, world, grid, &mut self.moments, config)
-                .expect("moment halo-add exchange");
+            halo_add_moments(rank, world, grid, &mut self.moments, config)?;
             rank.obs_close(phase);
             rank.compute(&config.work_cpy()); // cpyToArr_M
         }
+        Ok(())
     }
 
     /// Migrate every species (wraps y periodically on one rank).
-    fn migrate_all(&mut self, rank: &mut Rank, config: &XpicConfig) {
+    fn migrate_all(&mut self, rank: &mut Rank, config: &XpicConfig) -> Result<(), PsmpiError> {
         let phase = rank.obs_open(obs::Category::Phase, "migrate");
         for species in &mut self.species {
-            migrate_particles(rank, &self.world, &self.grid, species, config)
-                .expect("particle migration exchange");
+            migrate_particles(rank, &self.world, &self.grid, species, config)?;
         }
         rank.obs_close(phase);
+        Ok(())
     }
 
     /// This slab's field energy (the per-step diagnostic).
@@ -331,13 +336,22 @@ fn unpack_interface(rank: &Rank, buf: Bytes) -> Vec<f64> {
 
 /// A blocking interface send to the paired rank, under the `interface`
 /// phase.
-fn send_interface(rank: &mut Rank, ic: &Intercomm, tag: i32, owned: &[f64], wire_size: usize) {
+fn send_interface(
+    rank: &mut Rank,
+    ic: &Intercomm,
+    tag: i32,
+    owned: &[f64],
+    wire_size: usize,
+) -> Result<(), PsmpiError> {
     let phase = rank.obs_open(obs::Category::Phase, "interface");
     let buf = pack_interface(rank, owned);
-    rank.send_bytes_comm_sized(ic, rank.rank(), tag, buf, wire_size)
-        .expect("send interface buffer");
+    rank.send_bytes_comm_sized(ic, rank.rank(), tag, buf, wire_size)?;
     rank.obs_close(phase);
+    Ok(())
 }
+
+/// What [`reduce_tail`] hands world rank 0: history, sums and maxes.
+pub(crate) type Tail<const S: usize, const M: usize> = (Vec<f64>, [f64; S], [SimTime; M]);
 
 /// The end-of-run reductions of one world, in the order every world issues
 /// them: the per-step field-energy `history` (if the world keeps one) and
@@ -350,39 +364,54 @@ fn reduce_tail<const S: usize, const M: usize>(
     history: Option<&[f64]>,
     sums: [f64; S],
     maxes: [SimTime; M],
-) -> Option<(Vec<f64>, [f64; S], [SimTime; M])> {
-    let mut reduce = |v: &[f64], op| rank.allreduce(world, v, op).expect("final reduction");
-    let history = history.map_or_else(Vec::new, |h| reduce(h, ReduceOp::Sum));
-    let sums = reduce(&sums, ReduceOp::Sum);
-    let maxes = reduce(&maxes.map(SimTime::as_secs), ReduceOp::Max);
+) -> Result<Option<Tail<S, M>>, PsmpiError> {
+    let mut reduce = |v: &[f64], op| rank.allreduce(world, v, op);
+    let history = history.map(|h| reduce(h, ReduceOp::Sum)).transpose()?;
+    let sums = reduce(&sums, ReduceOp::Sum)?;
+    let maxes = reduce(&maxes.map(SimTime::as_secs), ReduceOp::Max)?;
     let sums = sums.try_into().expect("one sum per operand");
     let maxes: [f64; M] = maxes.try_into().expect("one max per operand");
-    (rank.rank() == 0).then(|| (history, sums, maxes.map(SimTime::from_secs)))
+    let history = history.unwrap_or_default();
+    Ok((rank.rank() == 0).then(|| (history, sums, maxes.map(SimTime::from_secs))))
 }
 
-/// The combined main loop of Listing 1, one module (Cluster-only or
-/// Booster-only mode).
-fn run_combined(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc, 100>>) {
-    let mut st = SlabState::new(config, rank);
-    st.initial_moments(rank, config);
+/// The combined main loop of Listing 1 on one module (Cluster-only,
+/// Booster-only, and the checkpointed run's solver world), cut after
+/// calculateE, where the carried state is exactly `(species, fields)`:
+/// `particle_phase` clears the moments before it deposits. `boundary` gets
+/// the steps done at each cut and may `Break` the loop (then `None`); a
+/// `restored` state starts at its cut. World rank 0 gets the [`Tail`]:
+/// sums `[fe, ke, charge, cg]`, maxes `[field, particle, loop]`.
+pub(crate) fn combined_loop(
+    rank: &mut Rank,
+    config: &XpicConfig,
+    restored: Option<(u32, (Vec<Species>, Fields))>,
+    mut boundary: impl FnMut(&mut Rank, u32, &SlabState) -> Result<ControlFlow<()>, PsmpiError>,
+) -> Result<Option<Tail<4, 3>>, PsmpiError> {
+    let (first, state) = restored.unzip();
+    let mut st = SlabState::new(config, rank, state);
 
     let mut cg_total: u64 = 0;
     let mut field_time = SimTime::ZERO;
     let mut particle_time = SimTime::ZERO;
     let mut steady_mark = SimTime::ZERO;
     let mut history: Vec<f64> = Vec::with_capacity(config.steps as usize);
-    for step in 0..config.steps {
-        // fld.solver->calculateE(); fld.cpyToArr_F();
-        cg_total += timed(rank, &mut field_time, |r| st.field_solve_e(r, config));
-
+    if first.is_none() {
+        st.initial_moments(rank, config)?;
+        if config.steps > 0 {
+            // fld.solver->calculateE(); fld.cpyToArr_F();
+            cg_total += timed(rank, &mut field_time, |r| st.field_solve_e(r, config))?;
+        }
+    }
+    for step in first.unwrap_or(0)..config.steps {
         // pcl: cpyFromArr_F; ParticlesMove; ParticleMoments; cpyToArr_M.
         timed(rank, &mut particle_time, |r| {
-            st.particle_phase(r, config);
-            st.migrate_all(r, config);
-        });
+            st.particle_phase(r, config)?;
+            st.migrate_all(r, config)
+        })?;
 
         // fld.solver->calculateB(); fld.cpyFromArr_M();
-        timed(rank, &mut field_time, |r| st.field_solve_b(r, config));
+        timed(rank, &mut field_time, |r| st.field_solve_b(r, config))?;
 
         // Auxiliary computations + output (serial in the combined mode):
         // the per-step field-energy diagnostic is the real aux work.
@@ -391,19 +420,38 @@ fn run_combined(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc, 100>>
         if step == 0 {
             steady_mark = rank.now();
         }
+
+        // The next step's fld.solver->calculateE(); fld.cpyToArr_F();
+        if step + 1 < config.steps {
+            cg_total += timed(rank, &mut field_time, |r| st.field_solve_e(r, config))?;
+        }
+        if boundary(rank, step + 1, &st)?.is_break() {
+            return Ok(None);
+        }
     }
     let loop_time = steady_total(rank.now() - steady_mark, config.steps);
 
     let (fe, ke, charge) = (st.field_energy(), st.kinetic_energy(), st.total_charge());
     let sums = [fe, ke, charge, cg_total as f64];
     let maxes = [field_time, particle_time, loop_time];
-    let tail = reduce_tail(rank, &st.world, Some(&history), sums, maxes);
+    reduce_tail(rank, &st.world, Some(&history), sums, maxes)
+}
+
+/// Cluster-only or Booster-only mode: Listing 1's loop with nothing at
+/// its boundaries, recorded into `acc`.
+fn run_combined(
+    rank: &mut Rank,
+    config: &XpicConfig,
+    acc: &Arc<Mutex<Acc, 100>>,
+) -> Result<(), PsmpiError> {
+    let tail = combined_loop(rank, config, None, |_, _, _| Ok(ControlFlow::Continue(())))?;
     if let Some((history, [fe, ke, charge, cg], [field, particle, looped])) = tail {
         let mut a = acc.lock();
         (a.fe, a.ke, a.charge, a.cg, a.history) = (fe, ke, charge, cg as u64, history);
         (a.field_time, a.particle_time) = (field, particle);
         a.loop_time = a.loop_time.max(looped);
     }
+    Ok(())
 }
 
 /// The Booster main loop of Listing 3 (particle solver side of C+B).
@@ -412,27 +460,25 @@ fn run_booster_side(
     config: &XpicConfig,
     cluster_nodes: &[hwmodel::NodeId],
     acc: &Arc<Mutex<Acc, 100>>,
-) {
+) -> Result<(), PsmpiError> {
     let me = rank.rank();
-    let mut st = SlabState::new(config, rank);
+    let mut st = SlabState::new(config, rank, None);
 
     // Spawn the field solver onto the Cluster (Fig. 4).
     let config_c = Arc::new(config.clone());
     let acc_c = acc.clone();
-    let ic: Intercomm = rank
-        .spawn(
-            &st.world,
-            cluster_nodes,
-            Arc::new(move |child: &mut Rank| {
-                run_cluster_side(child, &config_c, &acc_c);
-            }),
-        )
-        .expect("spawn field solver");
+    let ic: Intercomm = rank.spawn(
+        &st.world,
+        cluster_nodes,
+        Arc::new(move |child: &mut Rank| {
+            run_cluster_side(child, &config_c, &acc_c).expect("xpic field solver rank");
+        }),
+    )?;
 
     // Initial moments → Cluster.
-    st.initial_moments(rank, config);
+    st.initial_moments(rank, config)?;
     let rhoj = st.moments.pack_owned(&st.grid);
-    send_interface(rank, &ic, tags::RHOJ, &rhoj, config.wire_moments());
+    send_interface(rank, &ic, tags::RHOJ, &rhoj, config.wire_moments())?;
 
     let mut particle_time = SimTime::ZERO;
     let mut steady_mark = SimTime::ZERO;
@@ -446,8 +492,7 @@ fn run_booster_side(
         let (eb, _) = match next_eb.take() {
             Some(req) => req.wait(rank),
             None => rank.recv_bytes_comm(&ic, Some(me), Some(tags::EB)),
-        }
-        .expect("receive E,B");
+        }?;
         st.fields
             .unpack_owned(&st.grid, &unpack_interface(rank, eb));
         // The interface buffer carries owned rows only; refresh the ghost
@@ -457,6 +502,7 @@ fn run_booster_side(
         for comp in st.fields.components_mut() {
             fc.halo_exchange(&st.grid, comp);
         }
+        fc.take_failure().map_or(Ok(()), Err)?;
         rank.obs_close(phase);
 
         // pcl.cpyFromArr_F; ParticlesMove; ParticleMoments; cpyToArr_M.
@@ -467,35 +513,31 @@ fn run_booster_side(
             // (Listing 3's structure). The deferred send charge is
             // collected after the migration.
             let rhoj_send = timed(rank, &mut particle_time, |r| {
-                st.particle_phase(r, config);
+                st.particle_phase(r, config)?;
                 let phase = r.obs_open(obs::Category::Phase, "interface");
                 let rhoj = pack_interface(r, &st.moments.pack_owned(&st.grid));
-                let rhoj_send = r
-                    .isend_bytes_comm_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())
-                    .expect("send moments");
+                let rhoj_send =
+                    r.isend_bytes_comm_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())?;
                 if step + 1 < config.steps {
-                    next_eb = Some(
-                        r.irecv_bytes_comm(&ic, Some(me), Some(tags::EB))
-                            .expect("post E,B recv"),
-                    );
+                    next_eb = Some(r.irecv_bytes_comm(&ic, Some(me), Some(tags::EB))?);
                 }
                 r.obs_close(phase);
-                rhoj_send
-            });
+                Ok::<_, PsmpiError>(rhoj_send)
+            })?;
             aux_phase(rank, config, config.model.particles_per_node() / 100);
-            st.migrate_all(rank, config);
+            st.migrate_all(rank, config)?;
             let phase = rank.obs_open(obs::Category::Phase, "interface");
-            rhoj_send.wait(rank).expect("complete moment send");
+            rhoj_send.wait(rank)?;
             rank.obs_close(phase);
         } else {
             // Ablation: everything before the send → fully serialized.
             timed(rank, &mut particle_time, |r| {
-                st.particle_phase(r, config);
+                st.particle_phase(r, config)?;
                 aux_phase(r, config, config.model.particles_per_node() / 100);
-                st.migrate_all(r, config);
+                st.migrate_all(r, config)?;
                 let rhoj = st.moments.pack_owned(&st.grid);
-                send_interface(r, &ic, tags::RHOJ, &rhoj, config.wire_moments());
-            });
+                send_interface(r, &ic, tags::RHOJ, &rhoj, config.wire_moments())
+            })?;
         }
         if step == 0 {
             steady_mark = rank.now();
@@ -504,16 +546,21 @@ fn run_booster_side(
     let loop_time = steady_total(rank.now() - steady_mark, config.steps);
 
     let sums = [st.kinetic_energy(), st.total_charge()];
-    let tail = reduce_tail(rank, &st.world, None, sums, [particle_time, loop_time]);
+    let tail = reduce_tail(rank, &st.world, None, sums, [particle_time, loop_time])?;
     if let Some((_, [ke, charge], [particle, looped])) = tail {
         let mut a = acc.lock();
         (a.ke, a.charge, a.particle_time) = (ke, charge, particle);
         a.loop_time = a.loop_time.max(looped);
     }
+    Ok(())
 }
 
 /// The Cluster main loop of Listing 2 (field solver side of C+B).
-fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc, 100>>) {
+fn run_cluster_side(
+    rank: &mut Rank,
+    config: &XpicConfig,
+    acc: &Arc<Mutex<Acc, 100>>,
+) -> Result<(), PsmpiError> {
     let me = rank.rank();
     let ic = rank.parent().expect("spawned by the Booster side");
     let mut st = SlabState::without_particles(config, rank);
@@ -522,9 +569,7 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc, 1
     // pool: pooling it slowed the host's next `Launcher::new` by about a
     // third (`setup_s` of the repo benchmark's xpic_fig7 workload).
     let phase = rank.obs_open(obs::Category::Phase, "interface");
-    let (mj, _) = rank
-        .recv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))
-        .expect("initial moments");
+    let (mj, _) = rank.recv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))?;
     let rhoj = bytes_to_pod::<f64>(&mj).expect("interface buffer length");
     st.moments.unpack_owned(&st.grid, &rhoj);
     rank.obs_close(phase);
@@ -543,30 +588,27 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc, 1
             // can sit after the whole back half of the step (Listing 2's
             // structure, pushed as far as the data flow allows).
             let (eb_send, rhoj_req) = timed(rank, &mut field_time, |r| {
-                cg_total += st.field_solve_e(r, config);
+                cg_total += st.field_solve_e(r, config)?;
                 let phase = r.obs_open(obs::Category::Phase, "interface");
                 let eb = pack_interface(r, &st.fields.pack_owned(&st.grid));
-                let eb_send = r
-                    .isend_bytes_comm_sized(&ic, me, tags::EB, eb, config.wire_fields())
-                    .expect("send E,B");
-                let rhoj_req = r
-                    .irecv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))
-                    .expect("post moments recv");
+                let eb_send =
+                    r.isend_bytes_comm_sized(&ic, me, tags::EB, eb, config.wire_fields())?;
+                let rhoj_req = r.irecv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))?;
                 r.obs_close(phase);
-                (eb_send, rhoj_req)
-            });
+                Ok::<_, PsmpiError>((eb_send, rhoj_req))
+            })?;
             aux_phase(rank, config, config.model.cells_per_node);
 
             // calculateB(); cpyFromArr_M(); — reads fields only, so it
             // legally overlaps the in-flight ρ,J.
-            timed(rank, &mut field_time, |r| st.field_solve_b(r, config));
+            timed(rank, &mut field_time, |r| st.field_solve_b(r, config))?;
             history.push(st.field_energy());
 
             // BoosterWait(); — collect the deferred send charge and the
             // moments, just in time for the next calculateE.
             let phase = rank.obs_open(obs::Category::Phase, "interface");
-            eb_send.wait(rank).expect("complete E,B send");
-            let (mj, _) = rhoj_req.wait(rank).expect("receive moments");
+            eb_send.wait(rank)?;
+            let (mj, _) = rhoj_req.wait(rank)?;
             st.moments
                 .unpack_owned(&st.grid, &unpack_interface(rank, mj));
             rank.obs_close(phase);
@@ -574,23 +616,21 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc, 1
             // Ablation: auxiliary work delays the send, and every
             // transfer is waited where it is issued.
             timed(rank, &mut field_time, |r| {
-                cg_total += st.field_solve_e(r, config);
+                cg_total += st.field_solve_e(r, config)?;
                 aux_phase(r, config, config.model.cells_per_node);
                 let eb = st.fields.pack_owned(&st.grid);
-                send_interface(r, &ic, tags::EB, &eb, config.wire_fields());
-            });
+                send_interface(r, &ic, tags::EB, &eb, config.wire_fields())
+            })?;
 
             // BoosterToCluster(); BoosterWait(); — receive ρ,J.
             let phase = rank.obs_open(obs::Category::Phase, "interface");
-            let (mj, _) = rank
-                .recv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))
-                .expect("receive moments");
+            let (mj, _) = rank.recv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))?;
             st.moments
                 .unpack_owned(&st.grid, &unpack_interface(rank, mj));
             rank.obs_close(phase);
 
             // calculateB(); cpyFromArr_M();
-            timed(rank, &mut field_time, |r| st.field_solve_b(r, config));
+            timed(rank, &mut field_time, |r| st.field_solve_b(r, config))?;
             history.push(st.field_energy());
         }
         if step == 0 {
@@ -603,12 +643,13 @@ fn run_cluster_side(rank: &mut Rank, config: &XpicConfig, acc: &Arc<Mutex<Acc, 1
         [st.field_energy(), cg_total as f64],
         [field_time, loop_time],
     );
-    let tail = reduce_tail(rank, &st.world, Some(&history), sums, maxes);
+    let tail = reduce_tail(rank, &st.world, Some(&history), sums, maxes)?;
     if let Some((history, [fe, cg], [field, looped])) = tail {
         let mut a = acc.lock();
         (a.fe, a.cg, a.field_time, a.history) = (fe, cg as u64, field, history);
         a.loop_time = a.loop_time.max(looped);
     }
+    Ok(())
 }
 
 /// Run xPic in `mode` with `nodes_per_solver` nodes per solver on
@@ -633,9 +674,12 @@ pub fn run_mode(
     let acc_in = acc.clone();
     let config_in = config.clone();
     let report = launcher
-        .launch(&spec, move |rank, alloc| match mode {
-            Mode::ClusterOnly | Mode::BoosterOnly => run_combined(rank, &config_in, &acc_in),
-            Mode::ClusterBooster => run_booster_side(rank, &config_in, &alloc.cluster, &acc_in),
+        .launch(&spec, move |rank, alloc| {
+            match mode {
+                Mode::ClusterOnly | Mode::BoosterOnly => run_combined(rank, &config_in, &acc_in),
+                Mode::ClusterBooster => run_booster_side(rank, &config_in, &alloc.cluster, &acc_in),
+            }
+            .expect("xpic rank")
         })
         .expect("xpic launch");
 

@@ -7,24 +7,22 @@
 //! failure restarts from the newest recoverable checkpoint and must end in
 //! exactly the state of an uninterrupted run — which the tests verify.
 //!
-//! One driver steps the loop (`resilient_steps`): [`run_resilient`], the
-//! full recovery loop. A supervisor rank on the Cluster spawns the solver
-//! world onto the Booster through `MPI_Comm_spawn`, a [`FaultPlan`] kills
-//! nodes at virtual times, the typed `MpiError` surface aborts the step
-//! cleanly, and the supervisor restarts the lost world from the newest
-//! checkpoint. With no plan it is a plain checkpointed run. Because the
-//! fault schedule is static and the physics is a pure function of the
-//! checkpointed state, a recovered run finishes **bit-identical** to an
-//! uninterrupted one.
+//! One driver, [`run_resilient`], runs the full recovery loop. A
+//! supervisor rank on the Cluster spawns the solver world onto the Booster
+//! through `MPI_Comm_spawn`; the solver world steps Listing 1's loop of
+//! [`crate::app`], the one `run_mode`'s Booster-only mode steps, and
+//! checks the fault plan and checkpoints at each step boundary. A
+//! [`FaultPlan`] kills nodes at virtual times, the typed `MpiError` surface
+//! aborts the step cleanly, and the supervisor restarts the lost world
+//! from the newest checkpoint. With no plan it is a plain checkpointed
+//! run, which ends on `run_mode`'s bits. Because the fault schedule is
+//! static and the physics is a pure function of the checkpointed state, a
+//! recovered run finishes **bit-identical** to an uninterrupted one.
 
+use crate::app::combined_loop;
 use crate::config::XpicConfig;
-use crate::diagnostics::{field_energy, kinetic_energy};
-use crate::fields::FieldSolver;
-use crate::grid::{Fields, Grid, Moments};
-use crate::moments::deposit_threads;
-use crate::mover::boris_push_threads;
+use crate::grid::{Fields, Grid};
 use crate::particles::Species;
-use crate::solver::{halo_add_moments, migrate_particles, MpiFieldComm};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cluster_booster::{JobSpec, Launcher, ModuleKind};
 use hwmodel::{NodeId, SimTime};
@@ -32,12 +30,12 @@ use lockrank::Mutex;
 use psmpi::datatype::CodecError;
 use psmpi::universe::RankFn;
 use psmpi::{
-    Communicator, MpiDatatype, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp, SendRequest,
-    Tag,
+    Communicator, MpiDatatype, MpiRequest, PsmpiError, Rank, RecvRequest, SendRequest, Tag,
 };
 pub use scr::CkptMode;
 use scr::{delta, CheckpointLevel, Payload, PendingDrain, ScrError, ScrManager};
 use simnet::FaultPlan;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Tag of the completion report a child world sends its supervisor.
@@ -155,11 +153,14 @@ pub fn unpack_state(data: &Bytes, grid: &Grid) -> (Vec<Species>, Fields) {
 /// (`drain_wait`), after which rank 0 promotes the checkpoint to its full
 /// level ([`ScrManager::finish_drain`]). A node death while a drain is in
 /// flight aborts it ([`ScrManager::fail_nodes`]), promotion is refused, and
-/// recovery falls back to the newest *promoted* checkpoint — exactly as
-/// [`scr::simulate_run`] models.
+/// recovery falls back to the newest *promoted* checkpoint, the rule
+/// [`scr::simulate_run`] models too (no test compares the two makespans).
 ///
-/// [`CkptMode::AsyncDelta`] additionally encodes each checkpoint as a
-/// dirty-range delta against the previous checkpoint's blob
+/// No xPic run takes a delta in [`CkptMode::AsyncDelta`]: every frame
+/// falls back to a keyframe, because migration changes the blob's length
+/// or one step rewrites every double (ROADMAP item 19). The mode tries
+/// each checkpoint as a dirty-range delta against the previous
+/// checkpoint's blob
 /// ([`scr::delta`]), with a full keyframe every [`KEYFRAME_EVERY`]-th
 /// checkpoint (and always on the first checkpoint of an incarnation, since
 /// a restored world cannot trust any earlier base). A delta shrinks the
@@ -660,10 +661,13 @@ fn supervise(
     }
 }
 
-/// Child-world entry: step the PIC loop and report to the supervisor; on
-/// a communication failure, revoke both communicators so every blocked
-/// peer (and the supervisor) unblocks with the victim's identity, then
-/// bail out.
+/// Child-world entry: step Listing 1's loop ([`combined_loop`]) from the
+/// incarnation's state, checking the fault plan and checkpointing at its
+/// boundaries, and report to the supervisor. The last boundary realizes
+/// the outstanding drain; the final allreduces then prove every rank
+/// drained, so rank 0 may promote. On a communication failure the rank
+/// revokes both communicators, so every blocked peer (and the
+/// supervisor) unblocks with the victim's identity, then bails out.
 fn resilient_child(
     rank: &mut Rank,
     config: &XpicConfig,
@@ -674,7 +678,40 @@ fn resilient_child(
     let world = rank.world();
     let parent = rank.parent().expect("resilient child has a supervisor");
     let run = |rank: &mut Rank| -> Result<(), PsmpiError> {
-        if let Some(status) = resilient_steps(rank, &world, config, scr, recovery, inc)? {
+        let me = rank.rank();
+        let restored = inc.restored.map(|(step, blobs)| {
+            let grid = Grid::slab(config.nx, config.ny, me, world.size());
+            (step, unpack_state(&blobs[me], &grid))
+        });
+        let mut win_start = if inc.fresh { SimTime::ZERO } else { rank.now() };
+        let mut engine = CkptEngine::new(scr, recovery.level, recovery.ckpt_mode);
+        let tail = combined_loop(rank, config, restored, |rank, step, st| {
+            // Planned death check *before* the checkpoint: the victim's
+            // sends of this step are already deposited (survivors still
+            // match them), and the step it was about to checkpoint is
+            // genuinely lost.
+            let now = rank.now();
+            if let Some(at) = rank.planned_fault_in(win_start, now) {
+                rank.fail_here(at);
+                return Ok(ControlFlow::Break(()));
+            }
+            win_start = now;
+            if step == config.steps {
+                engine.drain_wait(rank)?;
+            } else if step.is_multiple_of(recovery.checkpoint_every) {
+                engine.checkpoint_step(rank, &st.world, step, &st.species, &st.fields)?;
+            }
+            Ok(ControlFlow::Continue(()))
+        })?;
+        if let Some((_, [fe, ke, ..], _)) = tail {
+            engine.finish_promote(rank);
+            let status = StatusMsg {
+                steps_done: config.steps,
+                field_energy: fe,
+                kinetic_energy: ke,
+                ckpt_block_s: engine.block.as_secs(),
+                ckpts_taken: engine.taken,
+            };
             rank.send_comm(&parent, 0, TAG_STATUS, &status)?;
         }
         Ok(())
@@ -696,97 +733,4 @@ struct Incarnation<'a> {
     /// supervisor's clock passed the death it just repaired, so spent
     /// faults are never re-discovered).
     fresh: bool,
-}
-
-/// The PIC stepping loop of one incarnation — the only one in this module.
-/// Rank 0 returns the status to report; a rank that dies to the fault plan
-/// returns nothing.
-///
-/// Moments are rebuilt at the *top* of every step, so the `(species,
-/// fields)` pair at a step boundary fully determines the forward
-/// evolution and a checkpoint taken there replays bit-identically.
-fn resilient_steps(
-    rank: &mut Rank,
-    world: &Communicator,
-    config: &XpicConfig,
-    scr: &ScrManager,
-    recovery: &RecoveryConfig,
-    inc: &Incarnation<'_>,
-) -> Result<Option<StatusMsg>, PsmpiError> {
-    let me = rank.rank();
-    let grid = Grid::slab(config.nx, config.ny, me, world.size());
-    let solver = FieldSolver::new(grid, config);
-
-    let (mut step, (mut species, mut fields)) = match inc.restored {
-        Some((step, blobs)) => (step, unpack_state(&blobs[me], &grid)),
-        None => (
-            0,
-            (Species::from_config(config, &grid), Fields::zeros(&grid)),
-        ),
-    };
-    let mut win_start = if inc.fresh { SimTime::ZERO } else { rank.now() };
-
-    let mut engine = CkptEngine::new(scr, recovery.level, recovery.ckpt_mode);
-    let mut moments = Moments::zeros(&grid);
-    while step < config.steps {
-        moments.clear();
-        for s in &species {
-            deposit_threads(&grid, s, &mut moments, config.threads);
-        }
-        halo_add_moments(rank, world, &grid, &mut moments, config)?;
-        {
-            let mut fc = MpiFieldComm::new(rank, world.clone(), config);
-            solver.calculate_e(&mut fields, &moments, &mut fc);
-            if let Some(err) = fc.take_failure() {
-                return Err(err);
-            }
-        }
-        for s in species.iter_mut() {
-            boris_push_threads(&grid, &fields, s, config.dt, config.threads);
-        }
-        for s in species.iter_mut() {
-            migrate_particles(rank, world, &grid, s, config)?;
-        }
-        {
-            let mut fc = MpiFieldComm::new(rank, world.clone(), config);
-            solver.calculate_b(&mut fields, &mut fc);
-            if let Some(err) = fc.take_failure() {
-                return Err(err);
-            }
-        }
-        step += 1;
-
-        // Planned death check at the step boundary, *before* the
-        // checkpoint: the victim's sends for this step are already
-        // deposited (survivors still match them), and the step it was
-        // about to checkpoint is genuinely lost.
-        let now = rank.now();
-        if let Some(at) = rank.planned_fault_in(win_start, now) {
-            rank.fail_here(at);
-            return Ok(None);
-        }
-        win_start = now;
-
-        if step.is_multiple_of(recovery.checkpoint_every) && step < config.steps {
-            engine.checkpoint_step(rank, world, step, &species, &fields)?;
-        }
-    }
-
-    // Realize any outstanding drain, then reduce; the completed allreduce
-    // proves every rank drained, so rank 0 may promote.
-    engine.drain_wait(rank)?;
-    let fe = field_energy(&grid, &fields);
-    let ke: f64 = species.iter().map(kinetic_energy).sum();
-    let sums = rank.allreduce(world, &[fe, ke], ReduceOp::Sum)?;
-    if me != 0 {
-        return Ok(None);
-    }
-    engine.finish_promote(rank);
-    Ok(Some(StatusMsg {
-        steps_done: config.steps,
-        field_energy: sums[0],
-        kinetic_energy: sums[1],
-        ckpt_block_s: engine.block.as_secs(),
-        ckpts_taken: engine.taken,
-    }))
 }

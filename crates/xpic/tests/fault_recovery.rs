@@ -1,6 +1,8 @@
 //! The tentpole guarantee: a run that loses a Booster node mid-flight to
 //! the fault plan restarts from the newest SCR checkpoint and finishes
 //! **bit-identical** to an uninterrupted run — at any host thread count.
+//! And the checkpointed run is `run_mode`'s Booster-only run: the same
+//! bits, the same kernel seconds.
 
 use cluster_booster::{Launcher, SystemBuilder};
 use hwmodel::{NodeId, SimTime};
@@ -9,15 +11,20 @@ use scr::{CheckpointLevel, CkptMode, NamBuddy, ScrConfig, ScrManager};
 use simnet::FaultPlan;
 use sionio::ParallelFs;
 use xpic::resilience::{run_resilient, RecoveryConfig, ResilientReport};
-use xpic::XpicConfig;
+use xpic::{Mode, XpicConfig};
 
 const BOOSTERS: usize = 2;
 
 fn launcher() -> Launcher {
+    launcher_with(BOOSTERS)
+}
+
+/// One Cluster node for the supervisor and `boosters` solver nodes.
+fn launcher_with(boosters: usize) -> Launcher {
     Launcher::new(
         SystemBuilder::new("fault-recovery")
             .cluster_nodes(1)
-            .booster_nodes(BOOSTERS as u32)
+            .booster_nodes(boosters as u32)
             .build(),
     )
 }
@@ -26,8 +33,9 @@ fn scr_for(launcher: &Launcher) -> ScrManager {
     scr_with(launcher, ScrConfig::default())
 }
 
+/// One SCR slot per Booster node of `launcher`.
 fn scr_with(launcher: &Launcher, config: ScrConfig) -> ScrManager {
-    let ids: Vec<NodeId> = launcher.system().booster_nodes()[..BOOSTERS].to_vec();
+    let ids: Vec<NodeId> = launcher.system().booster_nodes();
     let specs = ids
         .iter()
         .map(|&n| launcher.system().fabric().node(n).unwrap().clone())
@@ -397,4 +405,123 @@ fn nam_backed_async_drain_survives_losing_both_solver_nodes() {
         faulted.kinetic_energy.to_bits(),
         reference.kinetic_energy.to_bits()
     );
+}
+
+/// What a run is compared on: its final energies' bits and each solver
+/// rank's kernel seconds.
+#[derive(Debug)]
+struct Ran {
+    bits: [u64; 2],
+    compute: Vec<f64>,
+}
+
+impl Ran {
+    fn new(field_energy: f64, kinetic_energy: f64, rec: &Recorder) -> Ran {
+        let profile = rec.snapshot().profile();
+        let solvers = profile.ranks.iter().filter(|r| r.kind == "BN");
+        Ran {
+            bits: [field_energy.to_bits(), kinetic_energy.to_bits()],
+            compute: solvers.map(|r| r.busy.compute.as_secs()).collect(),
+        }
+    }
+}
+
+/// `config` on `nodes` Booster nodes through `run_mode(BoosterOnly)`, and
+/// through a clean `run_resilient` that checkpoints every 2 steps.
+fn plain_and_checkpointed(config: &XpicConfig, nodes: usize) -> (Ran, Ran) {
+    let traced = || {
+        let l = launcher_with(nodes);
+        let rec = Recorder::new();
+        l.universe().attach_obs(rec.clone());
+        (l, rec)
+    };
+    let (l, rec) = traced();
+    let plain = xpic::run_mode(&l, Mode::BoosterOnly, nodes, config);
+    let plain = Ran::new(plain.field_energy, plain.kinetic_energy, &rec);
+    let (l, rec) = traced();
+    let ckpt = run_resilient(&l, nodes, config, &scr_for(&l), &recovery(), None);
+    assert_eq!((ckpt.steps, ckpt.recoveries), (config.steps, 0));
+    (
+        plain,
+        Ran::new(ckpt.field_energy, ckpt.kinetic_energy, &rec),
+    )
+}
+
+#[test]
+fn a_checkpointed_run_is_run_mode() {
+    // The checkpointed solver world steps Listing 1's loop of `run_mode`,
+    // so a clean checkpointed run ends on the Booster-only bits and
+    // charges each solver rank the same kernel seconds (span durations
+    // are differences of absolute clocks, hence the relative bound).
+    let small = |steps| XpicConfig {
+        steps,
+        ..XpicConfig::test_small()
+    };
+    let shapes = [
+        ("test_small, 6 steps", small(6), 1),
+        ("test_small, 6 steps", small(6), 2),
+        ("8x8 fault-test shape", config(1), BOOSTERS),
+        ("paper_bench(3)", XpicConfig::paper_bench(3), 2),
+        ("paper_bench(12)", XpicConfig::paper_bench(12), 4),
+        (
+            "xpic_ckpt shape",
+            XpicConfig {
+                nx: 16,
+                ny: 16,
+                sim_particles_per_cell: 256,
+                threads: 1,
+                seed: 20180521 ^ 0x0C4B_7000,
+                ..XpicConfig::paper_bench(16)
+            },
+            2,
+        ),
+        (
+            "vth 0.5, 10 steps",
+            XpicConfig {
+                vth: 0.5,
+                ..small(10)
+            },
+            4,
+        ),
+        (
+            "ions, threads 2",
+            XpicConfig {
+                threads: 2,
+                ..XpicConfig::test_small().with_ions(16.0)
+            },
+            2,
+        ),
+    ];
+    for (name, config, nodes) in shapes {
+        let (plain, ckpt) = plain_and_checkpointed(&config, nodes);
+        assert_eq!(ckpt.bits, plain.bits, "{name} on {nodes} nodes");
+        assert_eq!(ckpt.compute.len(), nodes, "{name} on {nodes} nodes");
+        assert_eq!(ckpt.compute.len(), plain.compute.len());
+        for (rank, (c, p)) in ckpt.compute.iter().zip(&plain.compute).enumerate() {
+            assert!(
+                *p > 0.0 && (c - p).abs() <= 1e-12 * p,
+                "{name} on {nodes} nodes, rank {rank}: kernel seconds {c} against run_mode's {p}"
+            );
+        }
+    }
+
+    // A recovered run lands on the same bits, at a shape where a loop of
+    // its own used to end elsewhere.
+    let config = small(6);
+    let (plain, _) = plain_and_checkpointed(&config, BOOSTERS);
+    let l = launcher();
+    let rec = Recorder::new();
+    l.universe().attach_obs(rec.clone());
+    run_resilient(&l, BOOSTERS, &config, &scr_for(&l), &recovery(), None);
+    let at = rec
+        .snapshot()
+        .after_checkpoint(LAST)
+        .expect("two checkpoints");
+    let l = launcher();
+    let victim = l.system().booster_nodes()[1];
+    let plan = FaultPlan::from_node_faults([(at, victim)]);
+    let faulted = run_resilient(&l, BOOSTERS, &config, &scr_for(&l), &recovery(), Some(plan));
+    assert_eq!(faulted.resume_steps, [4]);
+    let bits = [faulted.field_energy, faulted.kinetic_energy].map(f64::to_bits);
+    assert_eq!(bits, plain.bits);
 }
