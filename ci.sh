@@ -48,6 +48,13 @@ echo "== tests (workspace) =="
 # ranked guard panics (DESIGN.md §3.8). Release builds carry no check.
 cargo test -q --workspace
 
+echo "== tests (psmpi, release) =="
+# The message path's concurrent code (the mailbox index, the per-rank pool
+# hit counts that `BufferPool::stats` sums mid-job) is reordered by the
+# optimiser differently from the debug build above, so it is tested again
+# as the benchmark builds it.
+cargo test -q --release -p psmpi
+
 echo "== clippy (deny warnings; clippy.toml is the determinism contract and the lock ban) =="
 # The root clippy.toml bans, by resolved path, the host clock and
 # environment, HashMap/HashSet, available_parallelism and

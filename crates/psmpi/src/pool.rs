@@ -11,11 +11,12 @@
 //! zero-copy consumer (a `Raw` decode, a bcast sibling, a self-send alias)
 //! is never recycled while aliased.
 //!
-//! Each `Rank` holds one retired buffer in front of the pool (`Rank::stage`
-//! / `Rank::retire`, through `BufferPool::get_via` and
-//! `BufferPool::recycle_via`), so a steady exchange hands its wire buffer
-//! from receive to next send without taking the pool's lock. A slot hit is
-//! a pool hit, and the slot goes back to the pool when the rank exits.
+//! Each `Rank` holds a `Slot` in front of the pool (`Rank::stage` /
+//! `Rank::retire`): one retired buffer, so a steady exchange hands its wire
+//! buffer from receive to next send without taking the pool's lock, and
+//! the rank's own hit count, so a hit writes no counter another rank
+//! writes. A slot hit is a pool hit, and the slot's buffer and count go
+//! back to the pool when the rank exits.
 //!
 //! A POD send knows its wire length up front and writes every byte of it,
 //! so it draws with `BufferPool::get_sized`: the buffer comes back at
@@ -25,6 +26,7 @@
 use bytes::{Bytes, BytesMut};
 use lockrank::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Retired buffers above this capacity are dropped rather than pooled, so
 /// one pathological message cannot pin a huge allocation forever.
@@ -55,11 +57,77 @@ pub const DEFAULT_MAX_POOLED_BUFFERS: usize = 64;
 /// `psmpi.pool_*` metrics) and must never feed virtual-time results or
 /// byte-diffed obs artifacts.
 pub struct BufferPool {
-    bufs: Mutex<[Vec<BytesMut>; class_of(MAX_POOLED_CAPACITY) + 1], 450>,
+    state: Mutex<PoolState, 450>,
     max_buffers: usize,
+    /// Hits drawn without a slot, plus the count of every slot dropped.
     hits: AtomicU64,
     misses: AtomicU64,
     reclaim_failures: AtomicU64,
+}
+
+/// What the pool's lock guards.
+#[derive(Default)]
+struct PoolState {
+    /// The retired buffers, one stack per capacity class.
+    classes: [Vec<BytesMut>; class_of(MAX_POOLED_CAPACITY) + 1],
+    /// Hit counts of the live slots, which [`BufferPool::stats`] adds in.
+    slots: Vec<Arc<SlotHits>>,
+}
+
+/// One slot's hit count, alone on its cache line: only the slot's rank
+/// writes it, so a hit moves no line between cores.
+#[derive(Default)]
+#[repr(align(128))]
+struct SlotHits(AtomicU64);
+
+/// A rank's private front on a [`BufferPool`] (see the module docs): one
+/// retired buffer, drawn and refilled without the pool's lock, and the
+/// rank's hit count. Dropping it hands both to the pool.
+pub(crate) struct Slot {
+    pool: Arc<BufferPool>,
+    buf: Option<BytesMut>,
+    hits: Arc<SlotHits>,
+}
+
+impl Slot {
+    /// [`BufferPool::get`] through the slot: its buffer if `get` would
+    /// hand that out for `cap`, else the stacks'.
+    pub(crate) fn get(&mut self, cap: usize) -> BytesMut {
+        self.pool.get_via(&mut self.buf, &self.hits.0, cap)
+    }
+
+    /// [`BufferPool::get_sized`] through the slot, as [`Slot::get`].
+    pub(crate) fn get_sized(&mut self, len: usize) -> BytesMut {
+        self.pool.get_sized_via(&mut self.buf, &self.hits.0, len)
+    }
+
+    /// [`BufferPool::recycle`] through the slot: a reclaimed buffer the
+    /// stacks could retain fills an empty slot without the mutex; with the
+    /// slot full it goes to [`BufferPool::put`]. An aliased payload is
+    /// never reclaimed, so it never enters a slot.
+    pub(crate) fn recycle(&mut self, bytes: Bytes) {
+        match self.pool.reclaim(bytes) {
+            Some(buf) if self.buf.is_none() && self.pool.retainable(&buf) => self.buf = Some(buf),
+            Some(buf) => self.pool.put(buf),
+            None => {}
+        }
+    }
+}
+
+impl Drop for Slot {
+    /// The buffer goes back to the stacks (subject to their bound), and the
+    /// count into the pool's own, in the same lock hold that takes it off
+    /// the live list, so [`BufferPool::stats`] never sees it twice or not
+    /// at all.
+    fn drop(&mut self) {
+        if let Some(buf) = self.buf.take() {
+            self.pool.put(buf);
+        }
+        let mut state = self.pool.state.lock();
+        let hits = self.hits.0.load(Ordering::Relaxed);
+        self.pool.hits.fetch_add(hits, Ordering::Relaxed);
+        state.slots.retain(|h| !Arc::ptr_eq(h, &self.hits));
+    }
 }
 
 impl Default for BufferPool {
@@ -106,7 +174,7 @@ impl BufferPool {
     /// fresh allocations (visible as `misses` in [`BufferPool::stats`]).
     pub fn with_capacity(max_buffers: usize) -> BufferPool {
         BufferPool {
-            bufs: Mutex::new(Default::default()),
+            state: Mutex::new(PoolState::default()),
             max_buffers,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -125,7 +193,7 @@ impl BufferPool {
     /// for all sizes a 16-byte header pops a recycled megabyte buffer and the
     /// next megabyte request "hits" a 16-byte one and reallocates it.
     pub fn get(&self, cap: usize) -> BytesMut {
-        self.get_via(&mut None, cap)
+        self.get_via(&mut None, &self.hits, cap)
     }
 
     /// A buffer of exactly `len` bytes for an encoder that writes every one
@@ -133,16 +201,28 @@ impl BufferPool {
     /// the bytes it already holds, stale content of an earlier message
     /// included, so only a tail it grows by is zeroed: a buffer that
     /// carried `len` bytes before is handed out without a write.
-    pub(crate) fn get_sized(&self, len: usize) -> BytesMut {
-        self.get_sized_via(&mut None, len)
+    pub fn get_sized(&self, len: usize) -> BytesMut {
+        self.get_sized_via(&mut None, &self.hits, len)
     }
 
-    /// [`BufferPool::get`] through a caller-held one-buffer slot (a rank's,
-    /// see `Rank::stage`): a slot buffer that `get` would hand out for
-    /// `cap` is taken without the mutex and counts as a hit; otherwise the
-    /// stacks serve the request and the slot keeps its buffer.
-    pub(crate) fn get_via(&self, slot: &mut Option<BytesMut>, cap: usize) -> BytesMut {
-        match self.draw(slot, cap) {
+    /// A new [`Slot`] on this pool, its count on the live list.
+    pub(crate) fn slot(pool: &Arc<BufferPool>) -> Slot {
+        let hits = Arc::new(SlotHits::default());
+        pool.state.lock().slots.push(hits.clone());
+        Slot {
+            pool: pool.clone(),
+            buf: None,
+            hits,
+        }
+    }
+
+    /// [`BufferPool::get`] through a caller-held one-buffer slot `buf`
+    /// (a [`Slot`]'s, or `None`), counting a hit on `hits`: a slot buffer
+    /// that `get` would hand out for `cap` is taken without the mutex;
+    /// otherwise the stacks serve the request and the slot keeps its
+    /// buffer.
+    fn get_via(&self, buf: &mut Option<BytesMut>, hits: &AtomicU64, cap: usize) -> BytesMut {
+        match self.draw(buf, hits, cap) {
             Some(mut b) => {
                 b.clear();
                 b
@@ -154,12 +234,16 @@ impl BufferPool {
 
     /// [`BufferPool::get_sized`] through a caller-held slot, as
     /// [`BufferPool::get_via`].
-    pub(crate) fn get_sized_via(&self, slot: &mut Option<BytesMut>, len: usize) -> BytesMut {
-        let mut b = match self.draw(slot, len) {
+    fn get_sized_via(&self, buf: &mut Option<BytesMut>, hits: &AtomicU64, len: usize) -> BytesMut {
+        let mut b = match self.draw(buf, hits, len) {
             Some(b) => b,
             // Zeroed by the allocator: a fresh megabyte arrives as untouched
             // zero pages, not as a memset ahead of the encoder's write.
-            None => BytesMut::zeroed(len.max(MIN_CLASS_BYTES)),
+            // Rounded up to a power of two, so the buffer still covers a
+            // later draw a little longer than this one (a checkpoint blob
+            // after migration); the shrink below writes nothing, and the
+            // pages past `len` stay untouched.
+            None => BytesMut::zeroed(len.max(MIN_CLASS_BYTES).next_power_of_two()),
         };
         b.resize(len, 0);
         b
@@ -167,21 +251,22 @@ impl BufferPool {
 
     /// The retired buffer a draw for `cap` takes, its bytes as they were
     /// retired: the slot's if it fits, else one from the stacks. Counts a
-    /// hit, or a miss when there is none and the caller allocates.
-    fn draw(&self, slot: &mut Option<BytesMut>, cap: usize) -> Option<BytesMut> {
+    /// hit on `hits`, or a miss when there is none and the caller
+    /// allocates.
+    fn draw(&self, slot: &mut Option<BytesMut>, hits: &AtomicU64, cap: usize) -> Option<BytesMut> {
         let fits =
             |b: &BytesMut| b.capacity() >= cap && class_of(b.capacity()) <= class_of(cap) + 1;
         let recycled = slot.take_if(|b| fits(b)).or_else(|| {
-            let mut bufs = self.bufs.lock();
+            let mut state = self.state.lock();
             let fitting = |class: &mut Vec<BytesMut>| {
                 let i = class.iter().rposition(fits)?;
                 Some(class.swap_remove(i))
             };
-            let mut near = bufs.iter_mut().skip(class_of(cap)).take(2);
+            let mut near = state.classes.iter_mut().skip(class_of(cap)).take(2);
             near.find_map(fitting)
         });
         let counter = if recycled.is_some() {
-            &self.hits
+            hits
         } else {
             &self.misses
         };
@@ -200,8 +285,8 @@ impl BufferPool {
         if !self.retainable(&buf) {
             return;
         }
-        let mut bufs = self.bufs.lock();
-        let class = &mut bufs[class_of(buf.capacity())];
+        let mut state = self.state.lock();
+        let class = &mut state.classes[class_of(buf.capacity())];
         if class.len() < self.max_buffers {
             class.push(buf);
         }
@@ -223,29 +308,25 @@ impl BufferPool {
         }
     }
 
-    /// [`BufferPool::recycle`] through a caller-held slot: a reclaimed
-    /// buffer the stacks could retain fills an empty slot without the
-    /// mutex; with the slot full it goes to [`BufferPool::put`]. An
-    /// aliased payload is never reclaimed, so it never enters a slot.
-    pub(crate) fn recycle_via(&self, slot: &mut Option<BytesMut>, bytes: Bytes) {
-        match self.reclaim(bytes) {
-            Some(buf) if slot.is_none() && self.retainable(&buf) => *slot = Some(buf),
-            Some(buf) => self.put(buf),
-            None => {}
-        }
-    }
-
     /// Number of buffers currently pooled (for tests and diagnostics).
     pub fn pooled(&self) -> usize {
-        let bufs = self.bufs.lock();
-        bufs.iter().map(Vec::len).sum()
+        let state = self.state.lock();
+        state.classes.iter().map(Vec::len).sum()
     }
 
     /// Snapshot the efficacy counters (see the struct docs for the
-    /// wall-clock-domain caveat).
+    /// wall-clock-domain caveat). Exact at any instant: the live slots'
+    /// hits are summed under the lock a dropped slot folds its count in
+    /// under, so a count a rank has published is never missed or doubled.
     pub fn stats(&self) -> PoolStats {
+        let state = self.state.lock();
+        let slot_hits: u64 = state
+            .slots
+            .iter()
+            .map(|h| h.0.load(Ordering::Relaxed))
+            .sum();
         PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed) + slot_hits,
             misses: self.misses.load(Ordering::Relaxed),
             reclaim_failures: self.reclaim_failures.load(Ordering::Relaxed),
         }
@@ -362,42 +443,78 @@ mod tests {
 
     #[test]
     fn a_slot_serves_what_the_stacks_would_as_a_hit() {
-        let pool = BufferPool::new();
-        let mut slot = Some(BytesMut::with_capacity(8192));
-        let ptr = slot.as_ref().unwrap().as_ptr();
+        let pool = Arc::new(BufferPool::new());
+        let mut slot = BufferPool::slot(&pool);
+        slot.buf = Some(BytesMut::with_capacity(8192));
+        let ptr = slot.buf.as_ref().unwrap().as_ptr();
         // A header would not get an 8 KiB buffer from the stacks: the slot
         // keeps it and the request misses.
-        assert!(pool.get_via(&mut slot, 16).capacity() < 8192);
-        assert!(slot.is_some());
-        let staged = pool.get_via(&mut slot, 8192);
+        assert!(slot.get(16).capacity() < 8192);
+        assert!(slot.buf.is_some());
+        let staged = slot.get(8192);
         assert_eq!(staged.as_ptr(), ptr);
-        assert!(slot.is_none());
+        assert!(slot.buf.is_none());
         assert_eq!((pool.stats().hits, pool.stats().misses), (1, 1));
         assert_eq!(pool.pooled(), 0, "the slot never went through the stacks");
     }
 
     #[test]
     fn a_slot_takes_only_sole_owned_buffers_the_pool_would_keep() {
-        let pool = BufferPool::new();
-        let mut slot = None;
+        let pool = Arc::new(BufferPool::new());
+        let mut slot = BufferPool::slot(&pool);
         let frozen = pool.get(64).freeze();
         let alias = frozen.clone();
-        pool.recycle_via(&mut slot, frozen);
-        assert!(slot.is_none(), "an aliased payload never enters a slot");
+        slot.recycle(frozen);
+        assert!(slot.buf.is_none(), "an aliased payload never enters a slot");
         assert_eq!(pool.stats().reclaim_failures, 1);
-        pool.recycle_via(&mut slot, alias);
-        assert!(slot.is_some(), "its last owner's retire fills the slot");
-        pool.recycle_via(&mut slot, pool.get(64).freeze());
+        slot.recycle(alias);
+        assert!(slot.buf.is_some(), "its last owner's retire fills the slot");
+        slot.recycle(pool.get(64).freeze());
         assert_eq!(
             pool.pooled(),
             1,
             "a full slot leaves the next to the stacks"
         );
+        drop(slot);
+        assert_eq!(pool.pooled(), 2, "a dropped slot's buffer goes back");
 
-        let starved = BufferPool::with_capacity(0);
-        let mut slot = None;
-        starved.recycle_via(&mut slot, starved.get(64).freeze());
-        assert!(slot.is_none(), "a pool that retains nothing fills no slot");
+        let starved = Arc::new(BufferPool::with_capacity(0));
+        let mut slot = BufferPool::slot(&starved);
+        slot.recycle(starved.get(64).freeze());
+        assert!(
+            slot.buf.is_none(),
+            "a pool that retains nothing fills no slot"
+        );
+    }
+
+    #[test]
+    fn slot_hits_count_while_the_slot_lives_and_after_it_drops() {
+        let pool = Arc::new(BufferPool::new());
+        let (mut a, mut b) = (BufferPool::slot(&pool), BufferPool::slot(&pool));
+        for _ in 0..3 {
+            let wire = a.get(64).freeze();
+            a.recycle(wire);
+        }
+        let wire = b.get(64).freeze();
+        b.recycle(wire);
+        let _stacked = pool.get(8); // a miss: slot buffers are private
+        let live = pool.stats();
+        assert_eq!((live.hits, live.misses), (2, 3), "a live slot's hits count");
+        drop(a);
+        assert_eq!(
+            pool.stats(),
+            live,
+            "a dropped slot's hits are folded in once"
+        );
+        drop(b);
+        assert_eq!(pool.stats(), live);
+        assert_eq!(
+            pool.state.lock().slots.len(),
+            0,
+            "dropped slots leave the list"
+        );
+        assert_eq!(pool.get(64).capacity(), 64, "their buffers went back");
+        assert_eq!(pool.stats().hits, 3);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::comm::{Comm, CommId, Communicator, Intercomm};
 use crate::datatype::{pod_to_bytes_via, read_pod_into_exact, CodecError, FixedWidth, MpiDatatype};
 use crate::envelope::{EndpointId, Envelope, Status, Tag, TAG_REVOKED};
+use crate::pool::Slot;
 use crate::router::{EndpointEntry, Mailbox, RecvAbort, Router};
 use bytes::{BufMut, Bytes, BytesMut};
 use hwmodel::{CostModel, NodeId, NodeSpec, SimTime, WorkSpec};
@@ -247,6 +248,15 @@ fn peer_endpoint(comm: &impl Comm, rank: usize) -> Result<EndpointId, PsmpiError
     })
 }
 
+/// Where a send goes, resolved from its communicator: the context it
+/// matches in, the sender's index there (the `source` the receiver sees)
+/// and the destination's endpoint.
+struct SendAddr {
+    comm: CommId,
+    src_rank: usize,
+    dst: EndpointId,
+}
+
 /// Routing record of endpoint `ep` from a rank's private cache, filled from
 /// `router` on first use (see the `entries` field of [`Rank`]). A free
 /// function so the borrow covers the cache alone: the receive path prices
@@ -299,6 +309,70 @@ fn decode_revoke_marker(b: &Bytes) -> Option<(NodeId, SimTime)> {
     Some((NodeId(node), SimTime::from_secs(secs)))
 }
 
+/// Sender-side fault checks of a send from node `src`, consulted before a
+/// remote injection, as a pure clock transform: starting at `start`, walk
+/// the retry/backoff schedule against the static plan (`None`: no faults)
+/// and return the virtual time at which the fabric accepts the injection —
+/// or the error plus the time at which the sender gives up. The result is
+/// charged to the posted request, never applied here. A free function so
+/// that `Rank::post_send` can hold the destination's cached entry while it
+/// runs.
+///
+/// Determinism: the node check reads only the *static* fault plan (plus
+/// the repair frozen into the destination's entry) against the sender's
+/// own virtual clock — never the dynamic dead set, whose update timing
+/// depends on host scheduling. The retry/backoff walk is equally a
+/// pure function of the plan and the clock.
+fn destination_clearance(
+    plan: Option<&simnet::FaultPlan>,
+    router: &Router,
+    src: NodeId,
+    dst: &EndpointEntry,
+    start: SimTime,
+) -> (SimTime, Option<PsmpiError>) {
+    let Some(plan) = plan else {
+        return (start, None);
+    };
+    let dst_node = dst.node();
+    let mut clock = start;
+    if let Some(at) = router.planned_dead(dst, clock) {
+        return (clock, Some(PsmpiError::NodeFailed { node: dst_node, at }));
+    }
+    if plan.link_fault_at(src, dst_node, clock).is_some() {
+        let policy = router.retry_policy();
+        let mut backoff = policy.base_backoff;
+        let mut tries = 0u32;
+        while plan.link_fault_at(src, dst_node, clock).is_some() {
+            if clock - start >= policy.give_up_after {
+                return (
+                    clock,
+                    Some(PsmpiError::Timeout {
+                        waited: clock - start,
+                    }),
+                );
+            }
+            if tries >= policy.max_retries {
+                return (
+                    clock,
+                    Some(PsmpiError::LinkDown {
+                        src,
+                        dst: dst_node,
+                        at: clock,
+                    }),
+                );
+            }
+            clock += backoff;
+            backoff = backoff * 2.0;
+            tries += 1;
+        }
+        // The destination may have died while we were backing off.
+        if let Some(at) = router.planned_dead(dst, clock) {
+            return (clock, Some(PsmpiError::NodeFailed { node: dst_node, at }));
+        }
+    }
+    (clock, None)
+}
+
 /// The handle each rank thread owns.
 pub struct Rank {
     router: Arc<Router>,
@@ -313,11 +387,12 @@ pub struct Rank {
     /// the life of the universe; after the first message to/from a peer,
     /// the hot paths never touch the router's sharded table again.
     entries: BTreeMap<EndpointId, Arc<EndpointEntry>>,
-    /// One retired wire buffer held in front of the shared pool (see
-    /// [`Rank::stage`]): a receive that decodes in place leaves its buffer
-    /// here and the next staged send takes it, so a steady exchange never
-    /// takes the pool's lock. Goes back to the pool when the rank exits.
-    slot: Option<BytesMut>,
+    /// This rank's front on the shared pool (see [`Rank::stage`]): a
+    /// receive that decodes in place leaves its buffer here and the next
+    /// staged send takes it, so a steady exchange never takes the pool's
+    /// lock, and the hit is counted on the slot's own cache line. Goes back
+    /// to the pool when the rank exits.
+    slot: Slot,
     /// This rank's index per communicator context, so repeated sends on
     /// the same communicator skip [`crate::Group::rank_of`]'s O(n)
     /// endpoint scan (quadratic per exchange step at 1000 ranks). The
@@ -372,6 +447,7 @@ impl Rank {
             .entry(endpoint)
             .expect("rank endpoint is registered at construction");
         let fault_plan = router.fabric().fault_plan();
+        let slot = router.buffer_slot();
         let obs = router.obs_recorder().map(|rec| {
             rec.register(
                 obs::TrackKey {
@@ -389,7 +465,7 @@ impl Rank {
             endpoint,
             own,
             entries: BTreeMap::new(),
-            slot: None,
+            slot,
             comm_ranks: BTreeMap::new(),
             fault_plan,
             node_id,
@@ -539,14 +615,14 @@ impl Rank {
     /// pool's [`BufferPool::get`](crate::BufferPool::get). Every encode
     /// psmpi does on a rank's behalf stages here.
     pub(crate) fn stage(&mut self, cap: usize) -> BytesMut {
-        self.router.buffer_pool().get_via(&mut self.slot, cap)
+        self.slot.get(cap)
     }
 
     /// A staging buffer of exactly `len` bytes, drawn as [`Rank::stage`]
     /// draws, for an encoder that overwrites all of it
     /// ([`BufferPool::get_sized`](crate::BufferPool::get_sized)).
     pub(crate) fn stage_sized(&mut self, len: usize) -> BytesMut {
-        self.router.buffer_pool().get_sized_via(&mut self.slot, len)
+        self.slot.get_sized(len)
     }
 
     /// Give a received payload's storage back once decoded: into the
@@ -554,7 +630,7 @@ impl Rank {
     /// else [`BufferPool::recycle`](crate::BufferPool::recycle). The other
     /// half of [`Rank::stage`].
     pub(crate) fn retire(&mut self, bytes: Bytes) {
-        self.router.buffer_pool().recycle_via(&mut self.slot, bytes);
+        self.slot.recycle(bytes);
     }
 
     /// This rank's index within the local group of `comm`, cached per
@@ -577,6 +653,28 @@ impl Rank {
             .ok_or(PsmpiError::NotInCommunicator)?;
         self.comm_ranks.insert(id, r);
         Ok(r)
+    }
+
+    /// Resolve a send to rank `dst` of `comm`. [`PsmpiError::InvalidRank`]
+    /// is checked before [`PsmpiError::NotInCommunicator`].
+    fn send_addr(&mut self, comm: &impl Comm, dst: usize) -> Result<SendAddr, PsmpiError> {
+        let dst = peer_endpoint(comm, dst)?;
+        Ok(SendAddr {
+            comm: comm.context(),
+            src_rank: self.comm_rank(comm)?,
+            dst,
+        })
+    }
+
+    /// [`Rank::send_addr`] on the world, read while borrowing it: the
+    /// world shortcuts never clone the world's `Arc<Group>`, one counter
+    /// every rank of the world would write twice per message.
+    fn world_addr(&self, dst: usize) -> Result<SendAddr, PsmpiError> {
+        Ok(SendAddr {
+            comm: self.world.id,
+            src_rank: self.my_rank,
+            dst: peer_endpoint(&self.world, dst)?,
+        })
     }
 
     /// Advance the virtual clock unconditionally (used for modelled waits,
@@ -618,7 +716,8 @@ impl Rank {
         value: &T,
     ) -> Result<(), PsmpiError> {
         let wire = value.to_wire_via(|cap| self.stage(cap));
-        self.send_bytes_comm(comm, dst, tag, wire)
+        let addr = self.send_addr(comm, dst);
+        self.send_to(addr, tag, wire)
     }
 
     /// Blocking receive from `src` (or any source) with `tag` (or any tag)
@@ -629,12 +728,8 @@ impl Rank {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<(T, Status), PsmpiError> {
-        let (bytes, st) = self.recv_bytes_comm(comm, src, tag)?;
-        let value = T::from_bytes(bytes.clone())?;
-        // Give the payload allocation back — a no-op whenever the decode
-        // (e.g. `Raw`) or another rank still holds a reference.
-        self.retire(bytes);
-        Ok((value, st))
+        let req = post_recv(comm, src, tag)?;
+        self.recv_decoded(req)
     }
 
     /// [`Rank::send_comm`] on the world communicator.
@@ -644,8 +739,9 @@ impl Rank {
         tag: Tag,
         value: &T,
     ) -> Result<(), PsmpiError> {
-        let w = self.world.clone();
-        self.send_comm(&w, dst, tag, value)
+        let wire = value.to_wire_via(|cap| self.stage(cap));
+        let addr = self.world_addr(dst);
+        self.send_to(addr, tag, wire)
     }
 
     /// [`Rank::recv_comm`] on the world communicator.
@@ -654,8 +750,21 @@ impl Rank {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<(T, Status), PsmpiError> {
-        let w = self.world.clone();
-        self.recv_comm(&w, src, tag)
+        let req = post_recv(&self.world, src, tag)?;
+        self.recv_decoded(req)
+    }
+
+    /// Complete a blocking typed receive: decode the payload, then give its
+    /// allocation back — a no-op whenever the decode (e.g. `Raw`) or
+    /// another rank still holds a reference.
+    fn recv_decoded<T: MpiDatatype>(
+        &mut self,
+        req: RecvRequest,
+    ) -> Result<(T, Status), PsmpiError> {
+        let (bytes, st) = self.complete_recv(req, Face::Blocking)?;
+        let value = T::from_bytes(bytes.clone())?;
+        self.retire(bytes);
+        Ok((value, st))
     }
 
     /// Which of two tags rank `src` of `comm` sent first, without receiving
@@ -691,7 +800,19 @@ impl Rank {
         tag: Tag,
         payload: Bytes,
     ) -> Result<(), PsmpiError> {
-        let req = self.post_send(comm, dst, tag, payload, None)?;
+        let addr = self.send_addr(comm, dst);
+        self.send_to(addr, tag, payload)
+    }
+
+    /// A blocking send of `payload` to `addr` (a usage error already, or
+    /// resolved): every `send*` that charges the payload's own length.
+    fn send_to(
+        &mut self,
+        addr: Result<SendAddr, PsmpiError>,
+        tag: Tag,
+        payload: Bytes,
+    ) -> Result<(), PsmpiError> {
+        let req = self.post_send(addr, tag, payload, None)?;
         self.complete_send(req, Face::Blocking)
     }
 
@@ -705,7 +826,8 @@ impl Rank {
         payload: Bytes,
         virtual_bytes: usize,
     ) -> Result<(), PsmpiError> {
-        let req = self.post_send(comm, dst, tag, payload, Some(virtual_bytes))?;
+        let addr = self.send_addr(comm, dst);
+        let req = self.post_send(addr, tag, payload, Some(virtual_bytes))?;
         self.complete_send(req, Face::Blocking)
     }
 
@@ -747,7 +869,8 @@ impl Rank {
         data: &[T],
     ) -> Result<(), PsmpiError> {
         let wire = pod_to_bytes_via(|len| self.stage_sized(len), data);
-        self.send_bytes_comm(comm, dst, tag, wire)
+        let addr = self.send_addr(comm, dst);
+        self.send_to(addr, tag, wire)
     }
 
     /// [`Rank::send_slice_comm`] on the world communicator.
@@ -757,8 +880,9 @@ impl Rank {
         tag: Tag,
         data: &[T],
     ) -> Result<(), PsmpiError> {
-        let w = self.world.clone();
-        self.send_slice_comm(&w, dst, tag, data)
+        let wire = pod_to_bytes_via(|len| self.stage_sized(len), data);
+        let addr = self.world_addr(dst);
+        self.send_to(addr, tag, wire)
     }
 
     /// Typed in-place receive on `comm`: decodes the payload directly into
@@ -783,8 +907,8 @@ impl Rank {
         tag: Option<Tag>,
         out: &mut [T],
     ) -> Result<Status, PsmpiError> {
-        let w = self.world.clone();
-        self.recv_into_comm(&w, src, tag, out)
+        let inner = post_recv(&self.world, src, tag)?;
+        RecvIntoRequest { inner, out }.complete(self, Face::Blocking)
     }
 
     // ---- nonblocking requests ----
@@ -810,7 +934,8 @@ impl Rank {
         tag: Tag,
         payload: Bytes,
     ) -> Result<SendRequest, PsmpiError> {
-        self.post_send(comm, dst, tag, payload, None)
+        let addr = self.send_addr(comm, dst);
+        self.post_send(addr, tag, payload, None)
     }
 
     /// Like [`Rank::isend_bytes_comm`] but charging `virtual_bytes` on
@@ -823,7 +948,8 @@ impl Rank {
         payload: Bytes,
         virtual_bytes: usize,
     ) -> Result<SendRequest, PsmpiError> {
-        self.post_send(comm, dst, tag, payload, Some(virtual_bytes))
+        let addr = self.send_addr(comm, dst);
+        self.post_send(addr, tag, payload, Some(virtual_bytes))
     }
 
     /// Nonblocking typed POD-slice send on the world communicator (the
@@ -835,8 +961,8 @@ impl Rank {
         data: &[T],
     ) -> Result<SendRequest, PsmpiError> {
         let wire = pod_to_bytes_via(|len| self.stage_sized(len), data);
-        let w = self.world.clone();
-        self.post_send(&w, dst, tag, wire, None)
+        let addr = self.world_addr(dst);
+        self.post_send(addr, tag, wire, None)
     }
 
     /// Post a nonblocking zero-copy receive on `comm` (the `MPI_Irecv` of
@@ -980,25 +1106,48 @@ impl Rank {
         }
     }
 
-    /// Post a send — the one place a point-to-point envelope is built.
-    /// Validates `dst`, resolves routing, runs the fault clearance from
-    /// the current clock *without* applying it, deposits the envelope
-    /// stamped with the cleared time, and hands back the deferred charge.
-    /// A usage error (`InvalidRank`, `NotInCommunicator`) is returned
-    /// here; a fault is parked on the request and surfaces at completion.
+    /// Post a send to a resolved address — the one place a point-to-point
+    /// envelope is built. Runs the fault clearance from the current clock
+    /// *without* applying it, deposits the envelope stamped with the
+    /// cleared time, and hands back the deferred charge. A usage error
+    /// (`InvalidRank`, `NotInCommunicator`) arrives as `addr` and is
+    /// returned here; a fault is parked on the request and surfaces at
+    /// completion. Either way the payload never reached an envelope and is
+    /// retired (a no-op if anyone else still holds a reference).
+    ///
+    /// The destination's routing record is borrowed from the private cache
+    /// (the only shared lookup a steady-state send makes is the
+    /// first-contact shard read; a self-send never consults the router),
+    /// not cloned: its `Arc` counter shares a cache line with the fields
+    /// the receiving rank reads on every receive.
     fn post_send(
         &mut self,
-        comm: &impl Comm,
-        dst: usize,
+        addr: Result<SendAddr, PsmpiError>,
         tag: Tag,
         payload: Bytes,
         virtual_size: Option<usize>,
     ) -> Result<SendRequest, PsmpiError> {
-        let (src_rank, dst_entry, cleared) = match self.route_send(comm, dst) {
-            Ok(route) => route,
+        let post = self.clock;
+        let routed = match addr {
+            Err(err) => Err((None, err)),
+            Ok(addr) if addr.dst == self.endpoint => Ok((addr, self.own.mailbox(), post)),
+            Ok(addr) => match cached_entry(&mut self.entries, &self.router, addr.dst) {
+                Err(err) => Err((Some(post), err)),
+                Ok(entry) => match destination_clearance(
+                    self.fault_plan.as_deref(),
+                    &self.router,
+                    self.node_id,
+                    entry,
+                    post,
+                ) {
+                    (cleared, None) => Ok((addr, entry.mailbox(), cleared)),
+                    (gave_up, Some(err)) => Err((Some(gave_up), err)),
+                },
+            },
+        };
+        let (addr, mailbox, cleared) = match routed {
+            Ok(routed) => routed,
             Err((parked_at, err)) => {
-                // The encode buffer never reached an envelope; reclaim it
-                // (a no-op if anyone else still holds a reference).
                 self.retire(payload);
                 return match parked_at {
                     Some(at) => Ok(SendRequest {
@@ -1010,119 +1159,23 @@ impl Rank {
             }
         };
         let size = virtual_size.unwrap_or(payload.len());
-        let env = Envelope {
-            comm: comm.context(),
-            src_rank,
+        mailbox.push(Envelope {
+            comm: addr.comm,
+            src_rank: addr.src_rank,
             tag,
             payload,
             send_stamp: cleared,
             src_endpoint: self.endpoint,
             seq: self.seq,
             virtual_size,
-        };
+        });
         self.seq += 1;
         self.count_sent(size);
-        match dst_entry {
-            // Self-send: straight into our own mailbox.
-            None => self.own.mailbox().push(env),
-            Some(entry) => entry.mailbox().push(env),
-        }
         Ok(SendRequest {
             // Sender-side CPU cost: message injection.
             at: cleared + self.node.nic_send_overhead,
             fault: None,
         })
-    }
-
-    /// Everything that can reject a send before an envelope exists: this
-    /// rank's index in `comm`, the destination's routing record (from the
-    /// private cache — the only shared lookup a steady-state send makes is
-    /// the first-contact shard read; `None` for a self-send, which never
-    /// consults the router) and the virtual time at which the fabric
-    /// accepts the injection. The error side carries the time the sender
-    /// gives up at for a fault, `None` for a usage error.
-    #[expect(
-        clippy::type_complexity,
-        reason = "a private helper whose two sides are each read once by the caller"
-    )]
-    fn route_send(
-        &mut self,
-        comm: &impl Comm,
-        dst: usize,
-    ) -> Result<(usize, Option<Arc<EndpointEntry>>, SimTime), (Option<SimTime>, PsmpiError)> {
-        let post = self.clock;
-        let dst_ep = peer_endpoint(comm, dst).map_err(|e| (None, e))?;
-        let src_rank = self.comm_rank(comm).map_err(|e| (None, e))?;
-        if dst_ep == self.endpoint {
-            return Ok((src_rank, None, post));
-        }
-        let entry = cached_entry(&mut self.entries, &self.router, dst_ep)
-            .map_err(|e| (Some(post), e))?
-            .clone();
-        match self.destination_clearance(&entry, post) {
-            (cleared, None) => Ok((src_rank, Some(entry), cleared)),
-            (gave_up, Some(err)) => Err((Some(gave_up), err)),
-        }
-    }
-
-    /// Sender-side fault checks, consulted before a remote injection, as a
-    /// pure clock transform: starting at `start`, walk the retry/backoff
-    /// schedule against the static plan and return the virtual time at
-    /// which the fabric accepts the injection — or the error plus the time
-    /// at which the sender gives up. The result is charged to the posted
-    /// request, never applied here.
-    ///
-    /// Determinism: the node check reads only the *static* fault plan (plus
-    /// the repair frozen into the destination's entry) against the sender's
-    /// own virtual clock — never the dynamic dead set, whose update timing
-    /// depends on host scheduling. The retry/backoff walk is equally a
-    /// pure function of the plan and the clock.
-    fn destination_clearance(
-        &self,
-        dst: &EndpointEntry,
-        start: SimTime,
-    ) -> (SimTime, Option<PsmpiError>) {
-        let Some(plan) = self.fault_plan.as_deref() else {
-            return (start, None);
-        };
-        let dst_node = dst.node();
-        let mut clock = start;
-        if let Some(at) = self.router.planned_dead(dst, clock) {
-            return (clock, Some(PsmpiError::NodeFailed { node: dst_node, at }));
-        }
-        if plan.link_fault_at(self.node_id, dst_node, clock).is_some() {
-            let policy = self.router.retry_policy();
-            let mut backoff = policy.base_backoff;
-            let mut tries = 0u32;
-            while plan.link_fault_at(self.node_id, dst_node, clock).is_some() {
-                if clock - start >= policy.give_up_after {
-                    return (
-                        clock,
-                        Some(PsmpiError::Timeout {
-                            waited: clock - start,
-                        }),
-                    );
-                }
-                if tries >= policy.max_retries {
-                    return (
-                        clock,
-                        Some(PsmpiError::LinkDown {
-                            src: self.node_id,
-                            dst: dst_node,
-                            at: clock,
-                        }),
-                    );
-                }
-                clock += backoff;
-                backoff = backoff * 2.0;
-                tries += 1;
-            }
-            // The destination may have died while we were backing off.
-            if let Some(at) = self.router.planned_dead(dst, clock) {
-                return (clock, Some(PsmpiError::NodeFailed { node: dst_node, at }));
-            }
-        }
-        (clock, None)
     }
 
     /// Node of the sender a receive waits on, if it named one. An unknown
@@ -1306,16 +1359,6 @@ impl Rank {
             compute_time: self.compute_time,
             comm_time: self.comm_time,
             energy_joules,
-        }
-    }
-}
-
-impl Drop for Rank {
-    /// The slot's buffer goes back to the pool (subject to its bound), so
-    /// after a job no buffer is held outside it.
-    fn drop(&mut self) {
-        if let Some(buf) = self.slot.take() {
-            self.router.buffer_pool().put(buf);
         }
     }
 }

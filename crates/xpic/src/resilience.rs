@@ -30,7 +30,8 @@ use lockrank::Mutex;
 use psmpi::datatype::CodecError;
 use psmpi::universe::RankFn;
 use psmpi::{
-    Communicator, MpiDatatype, MpiRequest, PsmpiError, Rank, RecvRequest, SendRequest, Tag,
+    Communicator, FixedWidth, MpiDatatype, MpiRequest, PsmpiError, Rank, RecvRequest, SendRequest,
+    Tag,
 };
 pub use scr::CkptMode;
 use scr::{delta, CheckpointLevel, Payload, PendingDrain, ScrError, ScrManager};
@@ -52,11 +53,6 @@ const KEYFRAME_EVERY: u32 = 4;
 /// manager round-trip) on top of the SCR restore cost, in milliseconds.
 const RECOVERY_LATENCY_MS: f64 = 50.0;
 
-fn put_f64s(buf: &mut BytesMut, v: &[f64]) {
-    buf.put_u64_le(v.len() as u64);
-    f64::encode_slice(v, buf);
-}
-
 fn get_f64s(buf: &mut Bytes) -> Vec<f64> {
     let n = buf.get_u64_le() as usize;
     f64::decode_vec(n, buf).expect("checkpoint blob framing")
@@ -76,35 +72,60 @@ fn state_size(species: &[Species], fields: &Fields) -> usize {
             .sum::<usize>()
 }
 
-fn encode_state(buf: &mut BytesMut, species: &[Species], fields: &Fields) {
-    buf.put_u64_le(species.len() as u64);
-    for s in species {
-        buf.put_f64_le(s.qom);
-        buf.put_f64_le(s.q_per_particle);
-        put_f64s(buf, &s.x);
-        put_f64s(buf, &s.y);
-        put_f64s(buf, &s.vx);
-        put_f64s(buf, &s.vy);
-        put_f64s(buf, &s.vz);
+/// Writes a blob front to back over a buffer of exactly its length, each
+/// byte once: nothing is zeroed ahead of the write, and every stale byte of
+/// a recycled buffer is overwritten.
+struct BlobWriter<'a>(&'a mut [u8]);
+
+impl<'a> BlobWriter<'a> {
+    /// The next `n` bytes of the buffer.
+    fn next(&mut self, n: usize) -> &'a mut [u8] {
+        let (head, tail) = std::mem::take(&mut self.0).split_at_mut(n);
+        self.0 = tail;
+        head
     }
-    for comp in fields.components() {
-        put_f64s(buf, comp);
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.next(bytes.len()).copy_from_slice(bytes);
+    }
+
+    /// A `u64` little-endian length, then the `f64`s' wire image.
+    fn put_f64s(&mut self, v: &[f64]) {
+        self.put(&(v.len() as u64).to_le_bytes());
+        f64::write_slice_le(v, self.next(8 * v.len()));
     }
 }
 
-/// One rank's state blob with [`delta::TAG_FULL`] in front, written into
-/// `buf`: the buffer is the blob's keyframe as it stands, and `slice(1..)`
-/// the blob. Gather, `scr` entries, delta base and restart hold views of
-/// it, and `scr` hands it back once a newer checkpoint dominates it.
+fn encode_state(out: &mut BlobWriter, species: &[Species], fields: &Fields) {
+    out.put(&(species.len() as u64).to_le_bytes());
+    for s in species {
+        out.put(&s.qom.to_le_bytes());
+        out.put(&s.q_per_particle.to_le_bytes());
+        for v in [&s.x, &s.y, &s.vx, &s.vy, &s.vz] {
+            out.put_f64s(v);
+        }
+    }
+    for comp in fields.components() {
+        out.put_f64s(comp);
+    }
+}
+
+/// One rank's state blob with [`delta::TAG_FULL`] in front, written over
+/// `buf`, which must be exactly `1 + state_size` bytes: the buffer is the
+/// blob's keyframe as it stands, and `slice(1..)` the blob. Gather, `scr`
+/// entries, delta base and restart hold views of it, and `scr` hands it
+/// back once a newer checkpoint dominates it.
 fn pack_keyframe(mut buf: BytesMut, species: &[Species], fields: &Fields) -> Bytes {
-    buf.put_u8(delta::TAG_FULL);
-    encode_state(&mut buf, species, fields);
+    let mut out = BlobWriter(&mut buf);
+    out.put(&[delta::TAG_FULL]);
+    encode_state(&mut out, species, fields);
+    assert!(out.0.is_empty(), "state_size is the blob's exact length");
     buf.freeze()
 }
 
 /// Serialize one rank's simulation state (all species + fields) to bytes.
 pub fn pack_state(species: &[Species], fields: &Fields) -> Bytes {
-    let buf = BytesMut::with_capacity(1 + state_size(species, fields));
+    let buf = BytesMut::zeroed(1 + state_size(species, fields));
     pack_keyframe(buf, species, fields).slice(1..)
 }
 
@@ -320,10 +341,10 @@ impl<'a> CkptEngine<'a> {
         // already hid (part of) it. Blocking checkpoints leave none.
         self.drain_wait(rank)?;
 
-        // Rounded up to a power of two, a recycled buffer still covers the
-        // blob when migration grows it a little.
-        let cap = (1 + state_size(species, fields)).next_power_of_two();
-        let keyframe = pack_keyframe(rank.buffer_pool().get(cap), species, fields);
+        // A buffer of the blob's exact length, whose every byte the pack
+        // writes: a recycled one keeps its stale bytes until overwritten.
+        let len = 1 + state_size(species, fields);
+        let keyframe = pack_keyframe(rank.buffer_pool().get_sized(len), species, fields);
         let full = keyframe.slice(1..);
         let id = step as u64;
         let frame = self.encode_frame(id, &keyframe);
@@ -733,4 +754,60 @@ struct Incarnation<'a> {
     /// supervisor's clock passed the death it just repaired, so spent
     /// faults are never re-discovered).
     fresh: bool,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The blob encoder `pack_keyframe` replaced: appends each field
+    /// through `BufMut`, so every `f64` run grows (zero-fills) the buffer
+    /// before it is written. The reference the offset writer must match.
+    fn appended_keyframe(species: &[Species], fields: &Fields) -> Vec<u8> {
+        let put_f64s = |buf: &mut BytesMut, v: &[f64]| {
+            buf.put_u64_le(v.len() as u64);
+            f64::encode_slice(v, buf);
+        };
+        let mut buf = BytesMut::new();
+        buf.put_u8(delta::TAG_FULL);
+        buf.put_u64_le(species.len() as u64);
+        for s in species {
+            buf.put_f64_le(s.qom);
+            buf.put_f64_le(s.q_per_particle);
+            for v in [&s.x, &s.y, &s.vx, &s.vy, &s.vz] {
+                put_f64s(&mut buf, v);
+            }
+        }
+        for comp in fields.components() {
+            put_f64s(&mut buf, comp);
+        }
+        buf.freeze().to_vec()
+    }
+
+    #[test]
+    fn the_keyframe_is_the_appending_encoders_bytes_over_a_stale_buffer() {
+        let grid = Grid::slab(8, 6, 1, 2);
+        let mut fields = Fields::zeros(&grid);
+        for (c, comp) in fields.components_mut().into_iter().enumerate() {
+            comp.iter_mut()
+                .enumerate()
+                .for_each(|(i, x)| *x = c as f64 - 0.25 * i as f64);
+        }
+        let electrons = Species::maxwellian(&grid, 3, 0.1, -1.0, 7);
+        let ions = Species::maxwellian(&grid, 2, 0.01, 1.0 / 64.0, 8);
+        let pool = psmpi::BufferPool::new();
+        for species in [vec![], vec![electrons.clone()], vec![electrons, ions]] {
+            let want = appended_keyframe(&species, &fields);
+            let len = 1 + state_size(&species, &fields);
+            assert_eq!(want.len(), len, "state_size is the old encoder's length");
+            // A recycled buffer of this length full of stale bytes.
+            let mut stale = pool.get(len);
+            stale.extend_from_slice(&vec![0xa5; len]);
+            pool.recycle(stale.freeze());
+            let keyframe = pack_keyframe(pool.get_sized(len), &species, &fields);
+            assert_eq!(&keyframe[..], &want[..], "{} species", species.len());
+            assert_eq!(&pack_state(&species, &fields)[..], &want[1..]);
+            pool.recycle(keyframe);
+        }
+    }
 }
