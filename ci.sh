@@ -48,12 +48,13 @@ echo "== tests (workspace) =="
 # ranked guard panics (DESIGN.md §3.8). Release builds carry no check.
 cargo test -q --workspace
 
-echo "== tests (psmpi, release) =="
+echo "== tests (psmpi and bytes, release) =="
 # The message path's concurrent code (the mailbox index, the per-rank pool
-# hit counts that `BufferPool::stats` sums mid-job) is reordered by the
-# optimiser differently from the debug build above, so it is tested again
-# as the benchmark builds it.
-cargo test -q --release -p psmpi
+# hit counts that `BufferPool::stats` sums mid-job, the vendored `bytes`
+# last-holder reclaim that ranks race to) is reordered by the optimiser
+# differently from the debug build above, so it is tested again as the
+# benchmark builds it.
+cargo test -q --release -p psmpi -p bytes
 
 echo "== clippy (deny warnings; clippy.toml is the determinism contract and the lock ban) =="
 # The root clippy.toml bans, by resolved path, the host clock and
@@ -123,6 +124,9 @@ echo "== host smoke (ring, scheduler and xPic rates, the xPic fidelity ceiling, 
 # Ceiling: psmpi.pool_misses 200 per repetition, a count, not a time: 96
 # root buffers of the segmented bcasts plus start-up read 125-163 in those
 # runs, and a pool that leaks the non-roots' reassembly buffers reads 388.
+# Since the last holder of a broadcast's buffer brings it home,
+# only start-up and the buffers a root running ahead of its receivers
+# needs are left: 24-32 in thirty 15 s runs (the parent read 123-159).
 # Floor: the lowest sched_trace ops_per_s of ten 5 s runs at PR 23 (417,
 # 436, 433, 435, 365, 371, 353, 427, 427, 439 k jobs/s; PR 20 read
 # 154-238 k, its parent 52-57 k) / 1.5: an engine that deals expansions

@@ -8,7 +8,7 @@
 
 use crate::comm::Communicator;
 use crate::datatype::{CodecError, MpiDatatype, ReduceOp};
-use crate::pool::MAX_POOLED_CAPACITY;
+use crate::pool::{Stage, MAX_POOLED_CAPACITY};
 use crate::rank::{PsmpiError, Rank};
 
 /// Reserved tags for internal collective traffic.
@@ -106,7 +106,11 @@ impl Rank {
     /// The value is encoded **once** at the root, which gets its own value
     /// back; intermediate tree nodes forward the received buffer by
     /// reference (see [`Rank::bcast_bytes`]) and every other rank decodes
-    /// once and recycles the buffer. Fan-out does not re-serialize.
+    /// once. Fan-out does not re-serialize. Every rank then retires its
+    /// handle on the root's encoding, and the last one brings it back to
+    /// the pool (see [`crate::pool`]): the root into its slot, where its
+    /// next encode looks first, a non-root into the shared stacks, where
+    /// the root's next encode finds it.
     pub fn bcast<T: MpiDatatype + Clone>(
         &mut self,
         comm: &Communicator,
@@ -115,14 +119,16 @@ impl Rank {
     ) -> Result<T, PsmpiError> {
         let is_root = self.comm_rank(comm)? == root;
         let own = value.filter(|_| is_root); // a non-root's is ignored
-        let payload = own.as_ref().map(|v| v.to_wire_via(|cap| self.stage(cap)));
+        let payload = own.as_ref().map(|v| v.to_wire_via(self.stage()));
         let bytes = self.bcast_bytes(comm, root, payload)?;
         if let Some(own) = own {
+            self.retire(bytes);
             return Ok(own);
         }
-        let received = T::from_bytes(bytes.clone())?;
-        self.retire(bytes);
-        Ok(received)
+        let received = T::from_bytes(bytes.clone());
+        // Its own slot would keep the root's buffer from the root.
+        self.buffer_pool().recycle(bytes);
+        Ok(received?)
     }
 
     /// Zero-copy broadcast of a raw buffer from `root` (binomial tree).
@@ -159,8 +165,12 @@ impl Rank {
     /// The root decides: receivers learn of the segmented protocol from a
     /// header message (`TAG_BCAST_HDR`), so `threshold`/`segment` need not
     /// match across ranks. Segments are refcount-forwarded slices of the
-    /// root's single allocation; only the final reassembly writes bytes,
-    /// into a pool-drawn buffer.
+    /// root's single allocation, and a receiver rejoins them
+    /// ([`bytes::Bytes::try_unsplit`]) into one view of it, so every rank
+    /// returns the root's buffer and no byte is copied. A stream whose
+    /// segments do not rejoin (they come from separate allocations) is
+    /// copied into a pool-drawn buffer from the first segment that does
+    /// not.
     pub fn bcast_bytes_with(
         &mut self,
         comm: &Communicator,
@@ -194,10 +204,12 @@ impl Rank {
                 .ok_or_else(|| PsmpiError::Spawn("bcast root must supply a value".into()))?;
             if payload.len() > threshold && n > 1 {
                 let seg = segment.max(1);
-                let header = (payload.len() as u64, seg as u64);
+                // Encoded once, like the payload: every child gets a handle.
+                let header = (payload.len() as u64, seg as u64).to_wire_via(self.stage());
                 for &c in &children {
-                    self.send_comm(comm, to_abs(c), TAG_BCAST_HDR, &header)?;
+                    self.send_bytes_comm(comm, to_abs(c), TAG_BCAST_HDR, header.clone())?;
                 }
+                self.retire(header);
                 let mut off = 0;
                 while off < payload.len() {
                     let end = (off + seg).min(payload.len());
@@ -224,31 +236,60 @@ impl Rank {
             }
             return Ok(v);
         }
-        let (header, _) =
-            self.recv_comm::<(u64, u64)>(comm, Some(parent_abs), Some(TAG_BCAST_HDR))?;
+        // The header goes on as received, like the segments, and a rank
+        // that rejects it leaves its subtree the same frame to reject.
+        let (wire, _) = self.recv_bytes_comm(comm, Some(parent_abs), Some(TAG_BCAST_HDR))?;
         for &c in &children {
-            self.send_comm(comm, to_abs(c), TAG_BCAST_HDR, &header)?;
+            self.send_bytes_comm(comm, to_abs(c), TAG_BCAST_HDR, wire.clone())?;
         }
+        let header = <(u64, u64)>::from_bytes(wire.clone());
+        self.buffer_pool().recycle(wire);
         // The header sizes an allocation and bounds a loop, so it is trusted
         // no further than the pool's ceiling and the segments bear it out.
-        let (total, seg) = (header.0 as usize, header.1 as usize);
+        let (total, seg) = header?;
+        let (total, seg) = (total as usize, seg as usize);
         let bad = |why: String| PsmpiError::Codec(CodecError(format!("segmented bcast: {why}")));
         if seg == 0 && total > 0 {
             return Err(bad(format!("{total} bytes in empty segments")));
         }
-        let mut out = self.stage(total.min(MAX_POOLED_CAPACITY));
-        while out.len() < total {
+        // The segments so far: one view while they rejoin, else a copy.
+        let mut view: Option<bytes::Bytes> = None;
+        let mut copy: Option<bytes::BytesMut> = None;
+        let mut got = 0;
+        while got < total {
             let (slice, _) = self.recv_bytes_comm(comm, Some(parent_abs), Some(TAG_BCAST_SEG))?;
-            let (len, left) = (slice.len(), total - out.len());
+            let (len, left) = (slice.len(), total - got);
             if len > seg || len > left {
                 return Err(bad(format!("{len}-byte segment, max {seg}, {left} left")));
             }
             for &c in &children {
                 self.send_bytes_comm(comm, to_abs(c), TAG_BCAST_SEG, slice.clone())?;
             }
+            got += len;
+            let slice = match (view.as_mut(), copy.is_some()) {
+                (None, false) => {
+                    view = Some(slice); // the first segment
+                    continue;
+                }
+                (Some(joined), _) => match joined.try_unsplit(slice) {
+                    Ok(()) => continue,
+                    Err(apart) => apart, // the first that does not join
+                },
+                (None, true) => slice, // copying already
+            };
+            let out = copy.get_or_insert_with(|| {
+                let mut out = self.stage().get(total.min(MAX_POOLED_CAPACITY));
+                let joined = view
+                    .take()
+                    .expect("a segment that fails to join follows one");
+                out.extend_from_slice(&joined);
+                self.retire(joined);
+                out
+            });
             out.extend_from_slice(&slice);
+            self.retire(slice);
         }
-        Ok(out.freeze())
+        Ok(copy.map_or_else(|| view.unwrap_or_default(), bytes::BytesMut::freeze))
     }
 
     /// Reduce element-wise `f64` vectors to `root` (reverse binomial tree).

@@ -9,6 +9,7 @@
 //! Reductions (`reduce`/`allreduce`) take a [`ReduceOp`] — element-wise for
 //! vectors, plain for scalars.
 
+use crate::pool::Stage;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Encoding/decoding error for wire datatypes.
@@ -23,6 +24,10 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// A kernel that writes the encodings of a slice over all of a buffer of
+/// exactly their byte length ([`MpiDatatype::SLICE_KERNEL`]).
+pub type SliceKernel<T> = fn(&[T], &mut [u8]);
+
 /// A type that can cross the simulated fabric.
 pub trait MpiDatatype: Sized {
     /// Encoded width in bytes when every value of the type encodes to the
@@ -30,6 +35,14 @@ pub trait MpiDatatype: Sized {
     /// fast path and lets `Vec::decode` reject a corrupt length prefix
     /// before allocating.
     const FIXED_WIDTH: Option<usize> = None;
+
+    /// The type's kernel that writes the encodings of a slice over exactly
+    /// their byte length, if it has one: the POD scalars'
+    /// [`FixedWidth::write_slice_le`]. A framed `Vec` of such a type goes
+    /// on the wire through [`MpiDatatype::to_wire_via`] over a buffer of
+    /// its exact length, prefix and image each written once, where the
+    /// append path ([`encode_pod_slice`]) zero-fills the image first.
+    const SLICE_KERNEL: Option<SliceKernel<Self>> = None;
 
     /// Append the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
@@ -73,17 +86,17 @@ pub trait MpiDatatype: Sized {
 
     /// Encode for the wire, drawing the staging buffer from `pool`.
     fn to_wire(&self, pool: &crate::pool::BufferPool) -> Bytes {
-        self.to_wire_via(|cap| pool.get(cap))
+        self.to_wire_via(pool)
     }
 
-    /// Encode for the wire into the buffer `stage` hands out for the size
-    /// hint (a rank stages through its slot in front of the pool). Types
-    /// that already hold their encoded form (`Raw`) override this to hand
-    /// the existing buffer over without staging or copying.
-    fn to_wire_via(&self, stage: impl FnOnce(usize) -> BytesMut) -> Bytes {
-        let mut buf = stage(self.size_hint());
-        self.encode(&mut buf);
-        buf.freeze()
+    /// Encode for the wire into a buffer drawn from `stage` (a rank
+    /// stages through its slot in front of the pool): by default an empty
+    /// one with room for the size hint, appended to. Types that already
+    /// hold their encoded form (`Raw`) override this to hand the existing
+    /// buffer over without staging or copying, and a `Vec` of a type with
+    /// a [`MpiDatatype::SLICE_KERNEL`] writes over a sized buffer.
+    fn to_wire_via(&self, stage: impl Stage) -> Bytes {
+        append_staged(self, stage)
     }
 
     /// Decode from a complete buffer.
@@ -91,6 +104,14 @@ pub trait MpiDatatype: Sized {
         let mut b = bytes;
         Self::decode(&mut b)
     }
+}
+
+/// [`MpiDatatype::to_wire_via`]'s default: append `value`'s encoding to an
+/// empty buffer from `stage` with room for its size hint.
+fn append_staged<T: MpiDatatype>(value: &T, mut stage: impl Stage) -> Bytes {
+    let mut buf = stage.get(value.size_hint());
+    value.encode(&mut buf);
+    buf.freeze()
 }
 
 /// Marker for POD scalars whose encoding is exactly the little-endian
@@ -182,17 +203,14 @@ pub fn bytes_to_pod<T: FixedWidth>(buf: &Bytes) -> Result<Vec<T>, CodecError> {
 /// `pool` instead of a fresh allocation — the steady-state typed send path
 /// of [`crate::Rank::send_slice_comm`].
 pub fn pod_to_bytes_pooled<T: FixedWidth>(pool: &crate::BufferPool, items: &[T]) -> Bytes {
-    pod_to_bytes_via(|len| pool.get_sized(len), items)
+    pod_to_bytes_via(pool, items)
 }
 
-/// [`pod_to_bytes`] written over the buffer `stage` hands out, which must
-/// be exactly the slice's byte length: the wire image is written once,
-/// straight into the buffer that is frozen for the wire.
-pub(crate) fn pod_to_bytes_via<T: FixedWidth>(
-    stage: impl FnOnce(usize) -> BytesMut,
-    items: &[T],
-) -> Bytes {
-    let mut buf = stage(items.len() * T::WIDTH);
+/// [`pod_to_bytes`] written over a buffer of exactly the slice's byte
+/// length drawn from `stage` ([`Stage::get_sized`]): the wire image is
+/// written once, straight into the buffer that is frozen for the wire.
+pub(crate) fn pod_to_bytes_via<T: FixedWidth>(mut stage: impl Stage, items: &[T]) -> Bytes {
+    let mut buf = stage.get_sized(items.len() * T::WIDTH);
     T::write_slice_le(items, &mut buf);
     buf.freeze()
 }
@@ -236,6 +254,7 @@ macro_rules! impl_scalar {
     ($t:ty, $put:ident, $get:ident) => {
         impl MpiDatatype for $t {
             const FIXED_WIDTH: Option<usize> = Some(std::mem::size_of::<$t>());
+            const SLICE_KERNEL: Option<SliceKernel<Self>> = Some(Self::write_slice_le);
 
             fn encode(&self, buf: &mut BytesMut) {
                 buf.$put(*self);
@@ -296,6 +315,7 @@ impl_scalar!(i8, put_i8, get_i8);
 // the bulk hooks collapse to single memcpys.
 impl MpiDatatype for u8 {
     const FIXED_WIDTH: Option<usize> = Some(1);
+    const SLICE_KERNEL: Option<SliceKernel<Self>> = Some(Self::write_slice_le);
 
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(*self);
@@ -386,7 +406,7 @@ impl MpiDatatype for Raw {
     fn to_bytes(&self) -> Bytes {
         self.0.clone() // refcount bump, not a copy
     }
-    fn to_wire_via(&self, _stage: impl FnOnce(usize) -> BytesMut) -> Bytes {
+    fn to_wire_via(&self, _stage: impl Stage) -> Bytes {
         self.0.clone() // already wire-shaped; never staged through the pool
     }
     fn from_bytes(bytes: Bytes) -> Result<Self, CodecError> {
@@ -421,6 +441,19 @@ impl<T: MpiDatatype> MpiDatatype for Vec<T> {
     }
     fn size_hint(&self) -> usize {
         8 + T::FIXED_WIDTH.unwrap_or(0) * self.len()
+    }
+    /// With a slice kernel, the framed image — length prefix, then the
+    /// elements' — is written over a buffer of exactly its length, old
+    /// bytes in place, so no byte is written twice.
+    fn to_wire_via(&self, mut stage: impl Stage) -> Bytes {
+        let Some(write) = T::SLICE_KERNEL else {
+            return append_staged(self, stage);
+        };
+        let mut buf = stage.get_sized(self.size_hint());
+        let (prefix, image) = buf.split_at_mut(8);
+        prefix.copy_from_slice(&(self.len() as u64).to_le_bytes());
+        write(self, image);
+        buf.freeze()
     }
 }
 
@@ -696,6 +729,41 @@ mod tests {
         let raw = Raw(Bytes::from(vec![7u8; 16]));
         let raw_wire = raw.to_wire(&pool);
         assert_eq!(raw_wire.as_ptr(), raw.0.as_ptr());
+    }
+
+    #[test]
+    fn a_framed_vec_over_a_stale_buffer_is_the_append_encoders_image() {
+        // The pool holds one buffer of marker bytes; a framed `Vec` of
+        // a type with a slice kernel is written over it (same allocation),
+        // one without (`usize`, `bool`) appended to it, and either way the
+        // wire image is `to_bytes`'s, with no marker byte left.
+        fn check<T: MpiDatatype>(v: Vec<T>, kernel: bool) {
+            let pool = crate::pool::BufferPool::new();
+            let mut stale = pool.get(v.size_hint());
+            stale.resize(stale.capacity(), 0xAA);
+            let ptr = stale.as_ptr();
+            pool.recycle(stale.freeze());
+            let wire = v.to_wire(&pool);
+            assert_eq!(wire, v.to_bytes(), "{}", std::any::type_name::<T>());
+            assert_eq!(wire.as_ptr(), ptr, "drawn from the pool");
+            assert_eq!(T::SLICE_KERNEL.is_some(), kernel);
+        }
+        check(
+            (0..300).map(|i| i as f64 * 0.5 - 7.0).collect::<Vec<f64>>(),
+            true,
+        );
+        check(
+            (0..300).map(|i| i as f32 * 0.25).collect::<Vec<f32>>(),
+            true,
+        );
+        check((0..300u64).map(|i| i << 40).collect::<Vec<_>>(), true);
+        check((0..300i32).map(|i| -i).collect::<Vec<_>>(), true);
+        check((0..300u16).collect::<Vec<_>>(), true);
+        check((0..=255u8).collect::<Vec<_>>(), true);
+        check((-100..100i8).collect::<Vec<_>>(), true);
+        check(Vec::<f64>::new(), true);
+        check((0..300usize).collect::<Vec<_>>(), false);
+        check((0..300).map(|i| i % 3 == 0).collect::<Vec<bool>>(), false);
     }
 
     #[test]

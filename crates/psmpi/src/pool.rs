@@ -6,10 +6,22 @@
 //! megabyte-class buffer per message. The pool keeps bounded stacks of
 //! retired buffers, one per power-of-two capacity class: senders draw
 //! staging buffers from it, and receivers return payload allocations after
-//! decoding via [`Bytes::try_into_mut`], which only succeeds when the
-//! receiver holds the last reference — so a buffer still shared with a
-//! zero-copy consumer (a `Raw` decode, a bcast sibling, a self-send alias)
-//! is never recycled while aliased.
+//! decoding. A payload's storage comes back only from its last holder, so
+//! a buffer still shared with a zero-copy consumer (a `Raw` decode, a bcast
+//! sibling, a self-send alias) is never recycled while aliased.
+//!
+//! *The last holder reclaims.* A retire first tries
+//! [`Bytes::try_into_mut`], which hands the storage back without touching
+//! its header when the caller is its sole owner (a ring's steady state).
+//! Otherwise the retire releases its view through
+//! [`Bytes::into_mut_if_last`]: of all the holders that retire one shared
+//! buffer — the ranks of a broadcast, each with a view of the root's one
+//! encoding — exactly one gets the storage back, whichever releases last,
+//! even when several retire at the same instant on different threads. A
+//! retire that is not the last is a share, not a failure; only static
+//! storage, which can never come back, counts as a failed reclaim. A
+//! holder that drops its view instead of retiring it can still leave the
+//! storage to the allocator.
 //!
 //! Each `Rank` holds a `Slot` in front of the pool (`Rank::stage` /
 //! `Rank::retire`): one retired buffer, so a steady exchange hands its wire
@@ -89,22 +101,57 @@ pub(crate) struct Slot {
     hits: Arc<SlotHits>,
 }
 
-impl Slot {
-    /// [`BufferPool::get`] through the slot: its buffer if `get` would
-    /// hand that out for `cap`, else the stacks'.
-    pub(crate) fn get(&mut self, cap: usize) -> BytesMut {
+/// Where an encoder draws its wire buffer: a pool's stacks, or a rank's
+/// slot in front of them (every encode psmpi does for a rank).
+pub trait Stage {
+    /// An empty buffer with at least `cap` bytes of capacity, drawn as
+    /// [`BufferPool::get`] draws.
+    fn get(&mut self, cap: usize) -> BytesMut;
+
+    /// A buffer of exactly `len` bytes, old content in place, for an
+    /// encoder that writes every one of them, drawn as
+    /// [`BufferPool::get_sized`] draws.
+    fn get_sized(&mut self, len: usize) -> BytesMut;
+}
+
+impl Stage for &BufferPool {
+    fn get(&mut self, cap: usize) -> BytesMut {
+        BufferPool::get(self, cap)
+    }
+
+    fn get_sized(&mut self, len: usize) -> BytesMut {
+        BufferPool::get_sized(self, len)
+    }
+}
+
+/// A stage lent out by reference: a rank lends its slot to each encode.
+impl<S: Stage> Stage for &mut S {
+    fn get(&mut self, cap: usize) -> BytesMut {
+        S::get(self, cap)
+    }
+
+    fn get_sized(&mut self, len: usize) -> BytesMut {
+        S::get_sized(self, len)
+    }
+}
+
+/// The slot's buffer if the pool would hand that out for the request,
+/// else the stacks'.
+impl Stage for Slot {
+    fn get(&mut self, cap: usize) -> BytesMut {
         self.pool.get_via(&mut self.buf, &self.hits.0, cap)
     }
 
-    /// [`BufferPool::get_sized`] through the slot, as [`Slot::get`].
-    pub(crate) fn get_sized(&mut self, len: usize) -> BytesMut {
+    fn get_sized(&mut self, len: usize) -> BytesMut {
         self.pool.get_sized_via(&mut self.buf, &self.hits.0, len)
     }
+}
 
+impl Slot {
     /// [`BufferPool::recycle`] through the slot: a reclaimed buffer the
     /// stacks could retain fills an empty slot without the mutex; with the
-    /// slot full it goes to [`BufferPool::put`]. An aliased payload is
-    /// never reclaimed, so it never enters a slot.
+    /// slot full it goes to [`BufferPool::put`]. Only the last holder of
+    /// a payload reclaims it, so an aliased buffer never enters a slot.
     pub(crate) fn recycle(&mut self, bytes: Bytes) {
         match self.pool.reclaim(bytes) {
             Some(buf) if self.buf.is_none() && self.pool.retainable(&buf) => self.buf = Some(buf),
@@ -143,8 +190,9 @@ pub struct PoolStats {
     pub hits: u64,
     /// `get` calls that had to allocate fresh.
     pub misses: u64,
-    /// `recycle` calls that could not reclaim the buffer (still aliased,
-    /// static, or otherwise not sole-owned).
+    /// `recycle` calls whose storage can never come back (static
+    /// storage). A retire by a holder that is not the last is not counted:
+    /// the last holder's retire reclaims the buffer.
     pub reclaim_failures: u64,
 }
 
@@ -292,16 +340,26 @@ impl BufferPool {
         }
     }
 
-    /// A frozen payload's storage if `bytes` is its sole owner; a failed
-    /// reclaim is counted.
+    /// A frozen payload's storage if `bytes` is its last holder (see the
+    /// module docs); static storage is counted as a failed reclaim.
     fn reclaim(&self, bytes: Bytes) -> Option<BytesMut> {
-        let failed = |_still_shared: Bytes| self.reclaim_failures.fetch_add(1, Ordering::Relaxed);
-        bytes.try_into_mut().map_err(failed).ok()
+        let shared = match bytes.try_into_mut() {
+            Ok(sole) => return Some(sole),
+            Err(shared) => shared,
+        };
+        match shared.into_mut_if_last() {
+            Ok(last) => last,
+            Err(_static) => {
+                self.reclaim_failures.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
     }
 
-    /// Try to reclaim a frozen payload's storage. Succeeds only when
-    /// `bytes` is the sole owner; aliased or static buffers are dropped
-    /// untouched, which keeps every zero-copy sharing guarantee intact.
+    /// Retire a frozen payload: its storage is pooled if `bytes` is its
+    /// last holder, and left to the other holders otherwise; static
+    /// storage is dropped. Every zero-copy sharing guarantee stays intact,
+    /// since no buffer comes back while another handle reads it.
     pub fn recycle(&self, bytes: Bytes) {
         if let Some(buf) = self.reclaim(bytes) {
             self.put(buf);
@@ -432,13 +490,52 @@ mod tests {
         let mut c = pool.get(8); // miss: pool drained again
         c.extend_from_slice(&[5]);
         let frozen = c.freeze();
-        let _alias = frozen.clone();
-        pool.recycle(frozen); // aliased: reclaim failure
+        let alias = frozen.clone();
+        pool.recycle(frozen); // aliased: a share, not a failure
+        assert_eq!((pool.pooled(), pool.stats().reclaim_failures), (0, 0));
+        pool.recycle(alias); // the last holder: reclaimed
+        assert_eq!(pool.pooled(), 1);
+        pool.recycle(Bytes::from_static(b"never pooled")); // reclaim failure
         let s = pool.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
         assert_eq!(s.reclaim_failures, 1);
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "holders that retire at the same instant are on different threads"
+    )]
+    fn one_of_many_holders_retiring_at_once_reclaims() {
+        // Four threads retire their views of one buffer as close together
+        // as a barrier can start them. Each sees the others' handles when
+        // it looks, so a retire that reclaimed only as sole owner would
+        // often leave the buffer to the allocator; the last holder's
+        // release brings it back in every round.
+        const HOLDERS: usize = 4;
+        let pool = BufferPool::new();
+        for round in 0..500 {
+            let mut b = pool.get(1024);
+            b.resize(1024, round as u8);
+            let whole = b.freeze();
+            let mut views: Vec<Bytes> = (1..HOLDERS).map(|_| whole.slice(..512)).collect();
+            views.push(whole);
+            let start = std::sync::Barrier::new(HOLDERS);
+            std::thread::scope(|s| {
+                for view in views {
+                    let (start, pool) = (&start, &pool);
+                    s.spawn(move || {
+                        start.wait();
+                        pool.recycle(view);
+                    });
+                }
+            });
+            assert_eq!(pool.pooled(), 1, "round {round}");
+        }
+        assert_eq!(pool.stats().misses, 1, "one buffer served every round");
+        assert_eq!(pool.stats().reclaim_failures, 0);
     }
 
     #[test]
@@ -466,7 +563,7 @@ mod tests {
         let alias = frozen.clone();
         slot.recycle(frozen);
         assert!(slot.buf.is_none(), "an aliased payload never enters a slot");
-        assert_eq!(pool.stats().reclaim_failures, 1);
+        assert_eq!(pool.stats().reclaim_failures, 0, "a share, not a failure");
         slot.recycle(alias);
         assert!(slot.buf.is_some(), "its last owner's retire fills the slot");
         slot.recycle(pool.get(64).freeze());

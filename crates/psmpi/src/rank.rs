@@ -220,8 +220,9 @@ pub struct RecvIntoRequest<'a, T: FixedWidth> {
 impl<T: FixedWidth> RecvIntoRequest<'_, T> {
     fn complete(self, rank: &mut Rank, face: Face) -> Result<Status, PsmpiError> {
         let (bytes, st) = rank.complete_recv(self.inner, face)?;
-        read_pod_into_exact(&bytes, self.out)?;
+        let read = read_pod_into_exact(&bytes, self.out);
         rank.retire(bytes);
+        read?;
         Ok(st)
     }
 }
@@ -610,25 +611,20 @@ impl Rank {
         self.router.buffer_pool()
     }
 
-    /// A staging buffer of at least `cap` bytes: the rank's slot if the
-    /// pool would hand out its buffer for `cap` (a pool hit), else the
-    /// pool's [`BufferPool::get`](crate::BufferPool::get). Every encode
-    /// psmpi does on a rank's behalf stages here.
-    pub(crate) fn stage(&mut self, cap: usize) -> BytesMut {
-        self.slot.get(cap)
-    }
-
-    /// A staging buffer of exactly `len` bytes, drawn as [`Rank::stage`]
-    /// draws, for an encoder that overwrites all of it
-    /// ([`BufferPool::get_sized`](crate::BufferPool::get_sized)).
-    pub(crate) fn stage_sized(&mut self, len: usize) -> BytesMut {
-        self.slot.get_sized(len)
+    /// The rank's slot in front of the pool, lent to an encode as the
+    /// [`Stage`](crate::pool::Stage) it draws from: an empty buffer for an
+    /// appending encoder, one of exactly the wire length for one that
+    /// writes every byte. The slot's buffer if the pool would hand that out
+    /// for the request (a pool hit), else the pool's. Every encode psmpi
+    /// does on a rank's behalf stages here.
+    pub(crate) fn stage(&mut self) -> &mut Slot {
+        &mut self.slot
     }
 
     /// Give a received payload's storage back once decoded: into the
-    /// rank's slot if this rank is its sole owner and the slot is empty,
-    /// else [`BufferPool::recycle`](crate::BufferPool::recycle). The other
-    /// half of [`Rank::stage`].
+    /// rank's slot if this rank is its last holder and the slot is empty,
+    /// else as [`BufferPool::recycle`](crate::BufferPool::recycle) does.
+    /// The other half of [`Rank::stage`].
     pub(crate) fn retire(&mut self, bytes: Bytes) {
         self.slot.recycle(bytes);
     }
@@ -715,7 +711,7 @@ impl Rank {
         tag: Tag,
         value: &T,
     ) -> Result<(), PsmpiError> {
-        let wire = value.to_wire_via(|cap| self.stage(cap));
+        let wire = value.to_wire_via(self.stage());
         let addr = self.send_addr(comm, dst);
         self.send_to(addr, tag, wire)
     }
@@ -739,7 +735,7 @@ impl Rank {
         tag: Tag,
         value: &T,
     ) -> Result<(), PsmpiError> {
-        let wire = value.to_wire_via(|cap| self.stage(cap));
+        let wire = value.to_wire_via(self.stage());
         let addr = self.world_addr(dst);
         self.send_to(addr, tag, wire)
     }
@@ -755,16 +751,16 @@ impl Rank {
     }
 
     /// Complete a blocking typed receive: decode the payload, then give its
-    /// allocation back — a no-op whenever the decode (e.g. `Raw`) or
-    /// another rank still holds a reference.
+    /// allocation back, a rejected one too — a no-op whenever the decode
+    /// (e.g. `Raw`) or another rank still holds a reference.
     fn recv_decoded<T: MpiDatatype>(
         &mut self,
         req: RecvRequest,
     ) -> Result<(T, Status), PsmpiError> {
         let (bytes, st) = self.complete_recv(req, Face::Blocking)?;
-        let value = T::from_bytes(bytes.clone())?;
+        let value = T::from_bytes(bytes.clone());
         self.retire(bytes);
-        Ok((value, st))
+        Ok((value?, st))
     }
 
     /// Which of two tags rank `src` of `comm` sent first, without receiving
@@ -848,7 +844,7 @@ impl Rank {
     // The framed `MpiDatatype` codec allocates a fresh `Vec` on every
     // decode and carries a length header; these calls instead write a POD
     // slice's wire image once, straight into a staged buffer of exactly its
-    // length (`Rank::stage_sized`, `FixedWidth::write_slice_le`), and
+    // length (a sized draw, `FixedWidth::write_slice_le`), and
     // decode into a caller-owned slice on receive (`read_pod_into_exact`),
     // which retires the buffer for the next send. Once the rank's slot and
     // the pool are warm, steady-state `&[f64]` p2p does no per-message heap
@@ -859,7 +855,7 @@ impl Rank {
     // both sides must agree on it.
 
     /// Typed send of a POD slice to `dst` in `comm`: its wire image written
-    /// once into a staged buffer (`Rank::stage_sized`), no intermediate
+    /// once into a staged buffer of exactly its length, no intermediate
     /// `Vec` and no staging copy.
     pub fn send_slice_comm<T: FixedWidth>(
         &mut self,
@@ -868,7 +864,7 @@ impl Rank {
         tag: Tag,
         data: &[T],
     ) -> Result<(), PsmpiError> {
-        let wire = pod_to_bytes_via(|len| self.stage_sized(len), data);
+        let wire = pod_to_bytes_via(self.stage(), data);
         let addr = self.send_addr(comm, dst);
         self.send_to(addr, tag, wire)
     }
@@ -880,7 +876,7 @@ impl Rank {
         tag: Tag,
         data: &[T],
     ) -> Result<(), PsmpiError> {
-        let wire = pod_to_bytes_via(|len| self.stage_sized(len), data);
+        let wire = pod_to_bytes_via(self.stage(), data);
         let addr = self.world_addr(dst);
         self.send_to(addr, tag, wire)
     }
@@ -960,7 +956,7 @@ impl Rank {
         tag: Tag,
         data: &[T],
     ) -> Result<SendRequest, PsmpiError> {
-        let wire = pod_to_bytes_via(|len| self.stage_sized(len), data);
+        let wire = pod_to_bytes_via(self.stage(), data);
         let addr = self.world_addr(dst);
         self.post_send(addr, tag, wire, None)
     }

@@ -1,7 +1,8 @@
 //! Hand-built corrupt frames delivered with `send_bytes_comm`: each typed
 //! receive (`recv_comm`, `recv_into`, a `ReduceOp::fold_wire`) rejects its
 //! frame with `CodecError`, and the rank's next well-formed receive still
-//! succeeds.
+//! succeeds. A typed receive that rejects its frame still gives the
+//! frame's buffer back to the pool.
 //!
 //! The segmented-bcast header is left out: a corrupt one leaves its
 //! receivers waiting for segments that never come, which only a watchdog
@@ -9,7 +10,8 @@
 
 use bytes::Bytes;
 use hwmodel::presets::deep_er_cluster_node;
-use psmpi::{MpiError, ReduceOp, UniverseBuilder};
+use psmpi::{BufferPool, MpiError, MpiRequest, ReduceOp, UniverseBuilder};
+use std::sync::Arc;
 
 fn frame(parts: &[&[u8]]) -> Bytes {
     Bytes::from(parts.concat())
@@ -75,4 +77,54 @@ fn a_corrupt_frame_is_a_codec_error_and_the_next_receive_succeeds() {
             ReduceOp::Sum.fold_wire(&mut acc, &block, true).unwrap();
             assert_eq!(acc, [11.0, 22.0]);
         });
+}
+
+#[test]
+fn a_rejected_frame_still_returns_its_buffer() {
+    // Rank 0 only sends raw frames, so it never draws from the pool, and
+    // rank 1 fills its slot first: every buffer a rejecting receive retires
+    // then lands in the pool's stacks, where `pooled()` counts it.
+    let pool = Arc::new(BufferPool::new());
+    UniverseBuilder::new()
+        .add_nodes(2, &deep_er_cluster_node())
+        .buffer_pool(pool.clone())
+        .run(|rank| {
+            let w = rank.world();
+            if rank.rank() == 0 {
+                let frames = [
+                    frame(&[&4u64.to_le_bytes(), &[0; 16]]),
+                    frame(&[&(u64::MAX / 4).to_le_bytes(), &[0; 8]]),
+                    Bytes::from(vec![0u8; 4]),
+                    Bytes::from(vec![0u8; 24]),
+                    Bytes::from(vec![0u8; 40]),
+                ];
+                for (tag, f) in (1..).zip(frames) {
+                    rank.send_bytes_comm(&w, 1, tag, f).unwrap();
+                }
+                return;
+            }
+            rank.send(1, 0, &0u64).unwrap();
+            rank.recv::<u64>(Some(1), Some(0)).unwrap();
+            let mut pooled = rank.buffer_pool().pooled();
+            let mut returned = |rank: &mut psmpi::Rank, rejected: bool, what: &str| {
+                assert!(rejected, "{what}: rejected");
+                pooled += 1;
+                assert_eq!(rank.buffer_pool().pooled(), pooled, "{what}: buffer back");
+            };
+            let src = Some(0);
+            let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(1));
+            returned(rank, is_codec(&r), "recv_comm, prefix past the end");
+            let r = rank.recv::<Vec<f64>>(src, Some(2));
+            returned(rank, is_codec(&r), "recv, overflowing prefix");
+            let r = rank.recv_comm::<(u64, u64)>(&w, src, Some(3));
+            returned(rank, is_codec(&r), "recv_comm, short pair");
+            let mut out = [0.0f64; 4];
+            let r = rank.recv_into(src, Some(4), &mut out);
+            returned(rank, is_codec(&r), "recv_into, three elements for four");
+            let r = rank
+                .irecv_into(src, Some(5), &mut out)
+                .and_then(|req| req.wait(rank));
+            returned(rank, is_codec(&r), "irecv_into, five elements for four");
+        });
+    assert_eq!(pool.stats().reclaim_failures, 0);
 }

@@ -423,3 +423,43 @@ fn forged_segmented_bcast_header_is_a_codec_error_not_an_allocation() {
         }
     });
 }
+
+#[test]
+fn a_segment_stream_that_does_not_rejoin_is_copied() {
+    // Segments of an honest stream are slices of the root's one allocation
+    // and rejoin into one view of it. A forged stream whose segments come
+    // from separate allocations cannot rejoin, so the receiver copies it,
+    // from the first segment that does not join on; the bytes it returns
+    // are the stream's all the same.
+    const TAG_BCAST_HDR: psmpi::Tag = -18;
+    const TAG_BCAST_SEG: psmpi::Tag = -19;
+    let apart = [Bytes::from(vec![1u8; 4]), Bytes::from(vec![2u8; 4])];
+    let joined = Bytes::from(vec![3u8, 3, 3, 3, 4, 4, 4, 4]);
+    let streams: [Vec<Bytes>; 2] = [
+        apart.to_vec(),
+        vec![joined.slice(..4), joined.slice(4..), apart[0].clone()],
+    ];
+    let want: [&[u8]; 2] = [
+        &[1, 1, 1, 1, 2, 2, 2, 2],
+        &[3, 3, 3, 3, 4, 4, 4, 4, 1, 1, 1, 1],
+    ];
+    let u = faulted_universe(2, FaultPlan::new());
+    u.launch(&[NodeId(0), NodeId(1)], move |rank| {
+        let w = rank.world();
+        for (stream, want) in streams.iter().zip(want) {
+            if rank.rank() == 0 {
+                let total = stream.iter().map(Bytes::len).sum::<usize>() as u64;
+                rank.send_comm(&w, 1, TAG_BCAST_HDR, &(total, 4u64))
+                    .unwrap();
+                for segment in stream {
+                    rank.send_bytes_comm(&w, 1, TAG_BCAST_SEG, segment.clone())
+                        .unwrap();
+                }
+            } else {
+                let got = rank.bcast_bytes(&w, 0, None).unwrap();
+                assert_eq!(&got[..], want);
+                assert!(stream.iter().all(|s| s.as_ptr() != got.as_ptr()), "a copy");
+            }
+        }
+    });
+}
