@@ -99,7 +99,7 @@ echo "== repo benchmark (benchmark/ builds and smokes against the workspace API)
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== host smoke (ring, scheduler and xPic rates, the xPic fidelity ceiling, typed/bytes ratio and allreduce time within 1.5x of the recorded runs, pool misses counted, checkpointed-step rate above its floor and its peak RSS under a ceiling) =="
+echo "== host smoke (ring, scheduler and xPic rates, the scheduler's set-up time, the xPic fidelity ceiling, typed/bytes ratio and allreduce time within 1.5x of the recorded runs, pool misses counted, checkpointed-step rate above its floor and its peak RSS under a ceiling) =="
 # The one host-speed gate, read from the benchmark binary built above: its
 # `workload metric value unit` lines, its last line for the failed count.
 # Floor: the lowest ring_latency ops_per_s of ten 5 s runs at PR 26 (1.437,
@@ -132,6 +132,12 @@ echo "== host smoke (ring, scheduler and xPic rates, the xPic fidelity ceiling, 
 # 154-238 k, its parent 52-57 k) / 1.5: an engine that deals expansions
 # node by node at every event or works out a candidate's worst case in the
 # backfill scan again reads under it on a quiet host.
+# Ceiling: the highest sched_trace setup_s of ten 5 s runs with trace jobs
+# that store no name and topologies whose nodes share one spec per
+# add_nodes call (1.144, 0.887, 1.097, 1.092, 1.083, 0.985, 0.843, 0.907,
+# 0.852, 1.113 ms) x 1.5, the counterpart of the floors' "lowest / 1.5":
+# a generator that formats a name per job again read 1.64-2.91 ms in
+# twenty 15 s runs, all but one of them over it.
 # Floor: the lowest xpic_fig7 ops_per_s of ten 5 s runs with the stencil
 # floor taken by grid::floor_index (10.77, 11.19, 11.17, 11.22, 11.62,
 # 10.74, 10.53, 10.81, 11.48, 12.25 M particle pushes/s) / 1.5. The kernels
@@ -178,6 +184,9 @@ awk '$2 == "host.peak_rss_mb" { v = $3 }
     "$HS_TMP/ckpt_traced.txt"
 awk '$2 == "ops_per_s" { v = $3 }
      END { if (v + 0 < 2.35e5) { print "host smoke: sched_trace ops_per_s " v " is under 2.35e5"; exit 1 } }' \
+    "$HS_TMP/sched.txt"
+awk '$2 == "setup_s" { v = $3 }
+     END { if (v == "" || v + 0 > 1.72e-3) { print "host smoke: sched_trace setup_s " v " is over 1.72e-3"; exit 1 } }' \
     "$HS_TMP/sched.txt"
 awk '$2 == "ops_per_s" { v = $3 }
      END { if (v + 0 < 7.0e6) { print "host smoke: xpic_fig7 ops_per_s " v " is under 7.0e6"; exit 1 } }' \

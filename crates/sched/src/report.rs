@@ -122,7 +122,7 @@ pub fn chrome_trace(r: &EngineReport, trace: &[TraceJob]) -> String {
         tracks.entry(j.id).or_default().lines.push(format!(
             "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
             j.id,
-            json_escape(&j.name)
+            json_escape(&j.name())
         ));
     }
     let mut turn = |id: u64, t: SimTime, next| tracks.entry(id).or_default().turn(id, t, next);
@@ -297,5 +297,37 @@ mod tests {
             assert!(json.contains(line), "{line} not in {json}");
         }
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
+    }
+
+    #[test]
+    fn a_generated_traces_tracks_carry_the_names_it_used_to_store() {
+        use crate::workload::{generate, JobClass, WorkloadConfig};
+        let trace = generate(&WorkloadConfig::bursty(5, 40, 8, 16));
+        let r = run(16, 32, &trace, &FaultPlan::new());
+        // The same jobs, each carrying the `class-id` string that the
+        // generator formatted per job before names were derived.
+        let named: Vec<TraceJob> = (trace.iter())
+            .map(|j| {
+                let class = match j.class {
+                    JobClass::ClusterHeavy => "cluster",
+                    JobClass::BoosterHeavy => "booster",
+                    JobClass::Combined => "combined",
+                };
+                TraceJob {
+                    label: Some(format!("{class}-{}", j.id)),
+                    ..j.clone()
+                }
+            })
+            .collect();
+        let json = chrome_trace(&r, &trace);
+        assert_eq!(json, chrome_trace(&r, &named));
+        for j in &named {
+            let track = format!(
+                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
+                j.id,
+                j.label.as_deref().unwrap()
+            );
+            assert!(json.contains(&track), "{track} not in {json}");
+        }
     }
 }

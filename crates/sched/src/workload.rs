@@ -11,6 +11,7 @@
 use hwmodel::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// What kind of application a job models (paper §IV: applications divide
 /// into Cluster-only, Booster-only and combined C+B codes).
@@ -30,8 +31,10 @@ pub enum JobClass {
 pub struct TraceJob {
     /// Unique id; also the scheduler tie-break for equal submit times.
     pub id: u64,
-    /// Human-readable name (`class-id`).
-    pub name: String,
+    /// A hand-written name ([`TraceJob::rigid`]); `None` for a generated
+    /// job, whose [`TraceJob::name`] is derived from its class and id, so
+    /// generating a trace formats no string.
+    pub label: Option<String>,
     /// Application class.
     pub class: JobClass,
     /// Cluster nodes requested (exact; CN requests are rigid).
@@ -69,7 +72,7 @@ impl TraceJob {
     ) -> Self {
         TraceJob {
             id,
-            name: name.into(),
+            label: Some(name.into()),
             class: match (cn, bn) {
                 (_, 0) => JobClass::ClusterHeavy,
                 (0, _) => JobClass::BoosterHeavy,
@@ -88,6 +91,19 @@ impl TraceJob {
     /// Whether the Booster side can shrink below its full-speed size.
     pub fn malleable(&self) -> bool {
         self.bn_min < self.bn_max
+    }
+
+    /// The job's name: its label if it has one, else `class-id`
+    /// (`cluster-17`, `booster-17`, `combined-17`).
+    pub fn name(&self) -> Cow<'_, str> {
+        match &self.label {
+            Some(label) => Cow::Borrowed(label),
+            None => Cow::Owned(match self.class {
+                JobClass::ClusterHeavy => format!("cluster-{}", self.id),
+                JobClass::BoosterHeavy => format!("booster-{}", self.id),
+                JobClass::Combined => format!("combined-{}", self.id),
+            }),
+        }
     }
 }
 
@@ -237,14 +253,9 @@ pub fn generate(cfg: &WorkloadConfig) -> Vec<TraceJob> {
             }
             _ => (0.0, 0.0),
         };
-        let name = match class {
-            JobClass::ClusterHeavy => format!("cluster-{id}"),
-            JobClass::BoosterHeavy => format!("booster-{id}"),
-            JobClass::Combined => format!("combined-{id}"),
-        };
         jobs.push(TraceJob {
             id,
-            name,
+            label: None,
             class,
             cn,
             bn_min,
@@ -299,6 +310,41 @@ mod tests {
         assert!(jobs.iter().any(|j| j.class == JobClass::BoosterHeavy));
         assert!(jobs.iter().any(|j| j.class == JobClass::Combined));
         assert!(jobs.iter().any(|j| j.malleable()));
+    }
+
+    /// The per-job name the generator used to format and store.
+    fn formatted_name(j: &TraceJob) -> String {
+        match j.class {
+            JobClass::ClusterHeavy => format!("cluster-{}", j.id),
+            JobClass::BoosterHeavy => format!("booster-{}", j.id),
+            JobClass::Combined => format!("combined-{}", j.id),
+        }
+    }
+
+    #[test]
+    fn a_generated_job_is_named_after_its_class_and_id() {
+        let jobs = generate(&WorkloadConfig::bursty(11, 500, 16, 32));
+        assert_eq!(jobs.len(), 500);
+        for j in &jobs {
+            assert_eq!(j.label, None, "job {}", j.id);
+            assert_eq!(j.name(), formatted_name(j));
+        }
+        for class in [
+            JobClass::ClusterHeavy,
+            JobClass::BoosterHeavy,
+            JobClass::Combined,
+        ] {
+            assert!(jobs.iter().any(|j| j.class == class), "{class:?} drawn");
+        }
+    }
+
+    #[test]
+    fn a_rigid_job_keeps_its_label() {
+        let h = SimTime::from_secs(3600.0);
+        let j = TraceJob::rigid(1, "seismic", 8, 0, h, SimTime::ZERO);
+        assert_eq!(j.name(), "seismic");
+        assert!(matches!(j.name(), Cow::Borrowed("seismic")));
+        assert_eq!(j.class, JobClass::ClusterHeavy);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! systems (DEEP-EST style, paper §VI).
 
 use hwmodel::{NodeId, NodeKind, NodeSpec};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Errors from topology construction and lookup.
@@ -30,7 +29,9 @@ impl std::error::Error for TopologyError {}
 /// The set of fabric endpoints and their pairwise hop counts.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    nodes: BTreeMap<NodeId, Arc<NodeSpec>>,
+    /// Node `i`'s spec at index `i`: [`Topology::add_nodes`] hands out ids
+    /// densely from 0, and the nodes of one call share one spec.
+    nodes: Vec<Arc<NodeSpec>>,
     /// Extra switch hops to cross between two *different* modules
     /// (Cluster↔Booster, compute↔storage). Zero in the prototype.
     inter_module_extra_hops: u32,
@@ -50,21 +51,21 @@ impl Topology {
     }
 
     /// Register `count` identical nodes starting at the next free id,
-    /// returning their ids.
+    /// returning their ids. The spec is copied once per call: its nodes
+    /// share one `Arc`.
     pub fn add_nodes(&mut self, count: u32, spec: &NodeSpec) -> Vec<NodeId> {
-        let start = self.nodes.keys().next_back().map_or(0, |id| id.0 + 1);
-        (start..start + count)
-            .map(|i| {
-                let id = NodeId(i);
-                self.nodes.insert(id, Arc::new(spec.clone()));
-                id
-            })
-            .collect()
+        let start = self.nodes.len() as u32;
+        let shared = Arc::new(spec.clone());
+        self.nodes
+            .extend(std::iter::repeat_n(shared, count as usize));
+        (start..start + count).map(NodeId).collect()
     }
 
     /// Look up a node's spec.
     pub fn node(&self, id: NodeId) -> Result<&Arc<NodeSpec>, TopologyError> {
-        self.nodes.get(&id).ok_or(TopologyError::UnknownNode(id))
+        self.nodes
+            .get(id.0 as usize)
+            .ok_or(TopologyError::UnknownNode(id))
     }
 
     /// Number of registered nodes.
@@ -79,10 +80,10 @@ impl Topology {
 
     /// Ids of all nodes of a given kind, ascending.
     pub fn nodes_of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
-        self.nodes
-            .iter()
+        (0..)
+            .zip(&self.nodes)
             .filter(|(_, s)| s.kind == kind)
-            .map(|(id, _)| *id)
+            .map(|(i, _)| NodeId(i))
             .collect()
     }
 
@@ -145,6 +146,45 @@ mod tests {
     }
 
     #[test]
+    fn the_nodes_of_one_call_share_one_spec() {
+        let mut t = prototype();
+        let more = t.add_nodes(4, &deep_er_cluster_node());
+        let spec = |i| t.node(NodeId(i)).unwrap();
+        assert!((1..16).all(|i| Arc::ptr_eq(spec(0), spec(i))));
+        assert!((17..24).all(|i| Arc::ptr_eq(spec(16), spec(i))));
+        assert!(!Arc::ptr_eq(spec(0), spec(16)));
+        // The same spec given to a second call is a second copy.
+        assert_eq!(more, (24..28).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(**spec(24), **spec(0));
+        assert!(!Arc::ptr_eq(spec(0), spec(24)));
+        assert!((25..28).all(|i| Arc::ptr_eq(spec(24), spec(i))));
+    }
+
+    #[test]
+    fn ids_stay_dense_across_calls_and_end_at_the_table() {
+        let mut t = Topology::new();
+        assert_eq!(t.add_nodes(0, &deep_er_cluster_node()), []);
+        assert_eq!(
+            t.add_nodes(2, &deep_er_booster_node()),
+            [NodeId(0), NodeId(1)]
+        );
+        assert_eq!(t.add_nodes(0, &deep_er_cluster_node()), []);
+        assert_eq!(t.add_nodes(1, &deep_er_cluster_node()), [NodeId(2)]);
+        assert_eq!(t.len(), 3);
+        assert!(t.node(NodeId(2)).is_ok());
+        for past in [3, u32::MAX] {
+            assert_eq!(
+                t.node(NodeId(past)),
+                Err(TopologyError::UnknownNode(NodeId(past)))
+            );
+            assert_eq!(
+                t.hops(NodeId(0), NodeId(past)),
+                Err(TopologyError::UnknownNode(NodeId(past)))
+            );
+        }
+    }
+
+    #[test]
     fn kind_filter() {
         let t = prototype();
         assert_eq!(t.nodes_of_kind(NodeKind::Cluster).len(), 16);
@@ -167,6 +207,24 @@ mod tests {
         t.add_nodes(2, &deep_er_booster_node());
         assert_eq!(t.hops(NodeId(0), NodeId(1)).unwrap(), 1);
         assert_eq!(t.hops(NodeId(0), NodeId(2)).unwrap(), 3);
+    }
+
+    #[test]
+    fn every_prototype_pair_is_as_many_hops_as_its_modules_say() {
+        let mut t = Topology::new().with_inter_module_hops(2);
+        t.add_nodes(16, &deep_er_cluster_node());
+        t.add_nodes(8, &deep_er_booster_node());
+        let booster = |i: u32| i >= 16;
+        for a in 0..24 {
+            for b in 0..24 {
+                let want = match (a == b, booster(a) == booster(b)) {
+                    (true, _) => 0,
+                    (false, true) => 1,
+                    (false, false) => 3,
+                };
+                assert_eq!(t.hops(NodeId(a), NodeId(b)), Ok(want), "{a} -> {b}");
+            }
+        }
     }
 
     #[test]
