@@ -38,6 +38,28 @@ for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
 done
 [ "$unused_deps" -eq 0 ]
 
+echo "== public Rank methods have a caller outside tests =="
+# A `pub fn` of psmpi/src/{rank,collectives,spawn}.rs (the `Rank` surface)
+# that no tracked .rs file outside a tests/ directory calls by name
+# (`.name(` or `.name::<..>(`, comment lines aside) is API that only its
+# own tests hold up. Kept without one, for the reason DESIGN.md §7 gives:
+# `gather`, the typed face of `gather_bytes`, which tests check cross-rank
+# agreement with.
+rank_keep=" gather "
+rank_uncalled=0
+rank_callers=$(mktemp)
+git ls-files -z '*.rs' | grep -zv '\(^\|/\)tests/' | xargs -0 grep -hv '^ *//' > "$rank_callers"
+for name in $(sed -n 's/^ *pub fn \([a-z0-9_]*\).*/\1/p' \
+    crates/psmpi/src/rank.rs crates/psmpi/src/collectives.rs crates/psmpi/src/spawn.rs | sort -u); do
+    case "$rank_keep" in *" $name "*) continue ;; esac
+    if ! grep -q "\.$name\(::<.*>\)\?(" "$rank_callers"; then
+        echo "crates/psmpi/src: \`pub fn $name\` has no caller outside tests"
+        rank_uncalled=1
+    fi
+done
+rm -f "$rank_callers"
+[ "$rank_uncalled" -eq 0 ]
+
 echo "== build (release) =="
 cargo build --release
 

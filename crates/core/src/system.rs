@@ -193,13 +193,15 @@ impl SystemBuilder {
     pub fn build(self) -> System {
         let mut topology = Topology::new();
         let mut modules = Vec::new();
-        let compute = [
-            (ModuleKind::Cluster, self.cluster, deep_er_cluster_node()),
-            (ModuleKind::Booster, self.booster, deep_er_booster_node()),
-            (ModuleKind::Dam, self.dam, dam_node()),
+        // A preset is built only for a module that has nodes.
+        let compute: [(_, _, fn() -> NodeSpec); 3] = [
+            (ModuleKind::Cluster, self.cluster, deep_er_cluster_node),
+            (ModuleKind::Booster, self.booster, deep_er_booster_node),
+            (ModuleKind::Dam, self.dam, dam_node),
         ];
-        for (kind, count, spec) in compute {
+        for (kind, count, preset) in compute {
             if count > 0 {
+                let spec = preset();
                 let nodes = topology.add_nodes(count, &spec);
                 modules.push(Module { kind, nodes, spec });
             }
@@ -207,7 +209,9 @@ impl SystemBuilder {
         if self.storage > 0 || self.metadata > 0 {
             let spec = deep_er_storage_server();
             let mut nodes = topology.add_nodes(self.storage, &spec);
-            nodes.extend(topology.add_nodes(self.metadata, &deep_er_metadata_server()));
+            if self.metadata > 0 {
+                nodes.extend(topology.add_nodes(self.metadata, &deep_er_metadata_server()));
+            }
             modules.push(Module {
                 kind: ModuleKind::Storage,
                 nodes,

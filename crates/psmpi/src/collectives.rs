@@ -8,6 +8,7 @@
 
 use crate::comm::Communicator;
 use crate::datatype::{CodecError, MpiDatatype, ReduceOp};
+use crate::envelope::Wire;
 use crate::pool::{Stage, MAX_POOLED_CAPACITY};
 use crate::rank::{PsmpiError, Rank};
 
@@ -389,8 +390,9 @@ impl Rank {
     }
 
     /// Receive rank `src`'s block of a reduction and fold it into `acc` off
-    /// the wire ([`ReduceOp::fold_wire`]): [`Rank::recv_into_comm`]'s match,
-    /// arrival and `recv` span, with the combine in place of the decode.
+    /// the wire ([`ReduceOp::fold_wire`]): a blocking receive's match,
+    /// arrival and `recv` span, with the combine in place of a decode. The
+    /// block goes back to the pool whether the fold takes or rejects it.
     pub(crate) fn recv_fold(
         &mut self,
         comm: &Communicator,
@@ -401,9 +403,9 @@ impl Rank {
         acc_first: bool,
     ) -> Result<(), PsmpiError> {
         let (theirs, _) = self.recv_bytes_comm(comm, Some(src), Some(tag))?;
-        op.fold_wire(acc, &theirs, acc_first)?;
+        let folded = op.fold_wire(acc, &theirs, acc_first);
         self.retire(theirs);
-        Ok(())
+        Ok(folded?)
     }
 
     /// Gather one value from every rank to `root`, in rank order. Returns
@@ -449,7 +451,8 @@ impl Rank {
         self.with_collective("gather", |rank| {
             if rank.comm_rank(comm)? != root {
                 let framed = payload.len() + 8;
-                rank.send_bytes_comm_sized(comm, root, TAG_GATHER, payload, framed)?;
+                let wire = Wire::modelled(payload, framed);
+                rank.send_bytes_comm(comm, root, TAG_GATHER, wire)?;
                 return Ok(None);
             }
             let from = |src| match src == root {

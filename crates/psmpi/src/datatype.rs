@@ -41,7 +41,7 @@ pub trait MpiDatatype: Sized {
     /// [`FixedWidth::write_slice_le`]. A framed `Vec` of such a type goes
     /// on the wire through [`MpiDatatype::to_wire_via`] over a buffer of
     /// its exact length, prefix and image each written once, where the
-    /// append path ([`encode_pod_slice`]) zero-fills the image first.
+    /// append path (`encode_pod_slice`) zero-fills the image first.
     const SLICE_KERNEL: Option<SliceKernel<Self>> = None;
 
     /// Append the encoding of `self` to `buf`.
@@ -154,7 +154,7 @@ fn assert_image_len(items: usize, width: usize, out: usize) {
 
 /// Append the encodings of `items` in bulk: grow `buf` by their byte
 /// length once, then [`FixedWidth::write_slice_le`] over the new tail.
-pub fn encode_pod_slice<T: FixedWidth>(items: &[T], buf: &mut BytesMut) {
+fn encode_pod_slice<T: FixedWidth>(items: &[T], buf: &mut BytesMut) {
     let start = buf.len();
     buf.resize(start + items.len() * T::WIDTH, 0);
     T::write_slice_le(items, &mut buf[start..]);
@@ -162,7 +162,7 @@ pub fn encode_pod_slice<T: FixedWidth>(items: &[T], buf: &mut BytesMut) {
 
 /// Decode `n` values in bulk after an up-front length check, so a corrupt
 /// count fails fast instead of after `n` short-buffer probes.
-pub fn decode_pod_vec<T: FixedWidth>(n: usize, buf: &mut Bytes) -> Result<Vec<T>, CodecError> {
+fn decode_pod_vec<T: FixedWidth>(n: usize, buf: &mut Bytes) -> Result<Vec<T>, CodecError> {
     let total = pod_run_length::<T>(n, buf)?;
     let mut v = Vec::with_capacity(n);
     v.extend(buf.chunk()[..total].chunks_exact(T::WIDTH).map(T::get_le));
@@ -172,7 +172,7 @@ pub fn decode_pod_vec<T: FixedWidth>(n: usize, buf: &mut Bytes) -> Result<Vec<T>
 
 /// Decode exactly `out.len()` values into an existing slice (no
 /// allocation — the halo-exchange path reuses ghost rows in place).
-pub fn read_pod_into<T: FixedWidth>(buf: &Bytes, out: &mut [T]) -> Result<(), CodecError> {
+fn read_pod_into<T: FixedWidth>(buf: &Bytes, out: &mut [T]) -> Result<(), CodecError> {
     let total = pod_run_length::<T>(out.len(), buf)?;
     T::decode_slice_le(&buf[..total], out);
     Ok(())
@@ -215,9 +215,10 @@ pub(crate) fn pod_to_bytes_via<T: FixedWidth>(mut stage: impl Stage, items: &[T]
     buf.freeze()
 }
 
-/// [`read_pod_into`] that additionally demands the buffer holds *exactly*
-/// `out.len()` elements — the unframed wire format carries no element
-/// count, so a length mismatch is a protocol error, not a partial read.
+/// Decode exactly `out.len()` values into an existing slice (no
+/// allocation), demanding the buffer holds *exactly* that many — the
+/// unframed wire format carries no element count, so a length mismatch is
+/// a protocol error, not a partial read.
 pub fn read_pod_into_exact<T: FixedWidth>(buf: &Bytes, out: &mut [T]) -> Result<(), CodecError> {
     let want = out.len() * T::WIDTH;
     if buf.len() != want {

@@ -61,6 +61,36 @@ impl Envelope {
     }
 }
 
+/// A raw payload as the bytes sends take it: the [`Bytes`] that travel
+/// and, for a model-scale exchange over reduced-scale data, the wire size
+/// the fabric charges instead of their length (what becomes
+/// [`Envelope::virtual_size`]). A plain `Bytes` converts into one that
+/// charges its own length.
+#[derive(Debug, Clone)]
+pub struct Wire {
+    pub(crate) bytes: Bytes,
+    pub(crate) virtual_size: Option<usize>,
+}
+
+impl Wire {
+    /// `bytes` charged on the wire as `virtual_bytes`.
+    pub fn modelled(bytes: Bytes, virtual_bytes: usize) -> Self {
+        Wire {
+            bytes,
+            virtual_size: Some(virtual_bytes),
+        }
+    }
+}
+
+impl From<Bytes> for Wire {
+    fn from(bytes: Bytes) -> Self {
+        Wire {
+            bytes,
+            virtual_size: None,
+        }
+    }
+}
+
 /// Completion information of a receive (MPI_Status).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Status {

@@ -40,15 +40,18 @@
 //!
 //! | payload | blocking, world | blocking, `comm` | request, world | request, `comm` |
 //! |---|---|---|---|---|
-//! | [`MpiDatatype`] (framed) | `send` `recv` | `send_comm` `recv_comm` | — | — |
-//! | raw [`bytes::Bytes`] (zero-copy) | — | `send_bytes_comm[_sized]` `recv_bytes_comm` | — | `isend_bytes_comm[_sized]` `irecv_bytes_comm` |
-//! | `&[T: FixedWidth]` (unframed POD, in place) | `send_slice` `recv_into` | `send_slice_comm` `recv_into_comm` | `isend_slice` `irecv_into` | — |
+//! | [`MpiDatatype`] (framed) | — | `send_comm` `recv_comm` | — | — |
+//! | raw [`bytes::Bytes`] or [`Wire`] (zero-copy) | — | `send_bytes_comm` `recv_bytes_comm` | — | `isend_bytes_comm` `irecv_bytes_comm` |
+//! | `&[T: FixedWidth]` (unframed POD, in place) | `send_slice` `recv_into` | `send_slice_comm` | `isend_slice` `irecv_into` | — |
 //!
-//! `_sized` charges a modelled wire size instead of the payload length; it
-//! exists only on the bytes path, where xpic moves reduced-scale data at
-//! model scale. [`Rank::inam_put_sized`] posts a one-sided NAM put through
-//! the same [`SendRequest`]; [`Rank::waitall`] drains a batch in posted
-//! order.
+//! A bytes send takes a `Bytes` or a [`Wire`]: [`Wire::modelled`] charges
+//! a modelled wire size instead of the payload length, where xpic moves
+//! reduced-scale data at model scale. The world columns hold only the
+//! slice calls of the ring and bulk exchanges, which borrow the world;
+//! any other caller takes `let w = rank.world();` ([`Rank::world`]) once,
+//! one `Arc` clone and none per message, and uses the `*_comm` form.
+//! [`Rank::inam_put_sized`] posts a one-sided NAM put through the same
+//! [`SendRequest`]; [`Rank::waitall`] drains a batch in posted order.
 //!
 //! ## Collectives: what happens to a received block
 //!
@@ -71,10 +74,11 @@
 //! let report = UniverseBuilder::new()
 //!     .add_nodes(2, &deep_er_cluster_node())
 //!     .run(|rank| {
+//!         let w = rank.world();
 //!         if rank.rank() == 0 {
-//!             rank.send(1, 7, &vec![1.0f64, 2.0]).unwrap();
+//!             rank.send_comm(&w, 1, 7, &vec![1.0f64, 2.0]).unwrap();
 //!         } else {
-//!             let (v, _st) = rank.recv::<Vec<f64>>(Some(0), Some(7)).unwrap();
+//!             let (v, _st) = rank.recv_comm::<Vec<f64>>(&w, Some(0), Some(7)).unwrap();
 //!             assert_eq!(v, vec![1.0, 2.0]);
 //!         }
 //!     });
@@ -96,7 +100,7 @@ pub mod universe;
 
 pub use comm::{Comm, CommId, Communicator, Intercomm};
 pub use datatype::{FixedWidth, MpiDatatype, Raw, ReduceOp};
-pub use envelope::{Envelope, Status, Tag, ANY_SOURCE, ANY_TAG, TAG_REVOKED};
+pub use envelope::{Envelope, Status, Tag, Wire, ANY_SOURCE, ANY_TAG, TAG_REVOKED};
 pub use pool::{BufferPool, PoolStats, DEFAULT_MAX_POOLED_BUFFERS};
 pub use rank::{MpiRequest, PsmpiError, Rank, RecvIntoRequest, RecvRequest, SendRequest};
 pub use router::{RecvAbort, RetryPolicy};

@@ -40,14 +40,17 @@ pub fn measure(a: &NodeSpec, b: &NodeSpec, sizes: &[usize], reps: usize) -> Vec<
         .add_nodes(1, b)
         .run(move |rank| {
             const TAG: i32 = 0;
+            let w = rank.world();
             let peer = 1 - rank.rank();
             for &size in &sizes {
                 let payload = vec![0u8; size];
                 if rank.rank() == 0 {
                     let t0 = rank.now();
                     for _ in 0..reps {
-                        rank.send(peer, TAG, &payload).unwrap();
-                        let _ = rank.recv::<Vec<u8>>(Some(peer), Some(TAG)).unwrap();
+                        rank.send_comm(&w, peer, TAG, &payload).unwrap();
+                        let _ = rank
+                            .recv_comm::<Vec<u8>>(&w, Some(peer), Some(TAG))
+                            .unwrap();
                     }
                     let rtt = (rank.now() - t0) / reps as f64;
                     let latency = rtt / 2.0;
@@ -59,8 +62,10 @@ pub fn measure(a: &NodeSpec, b: &NodeSpec, sizes: &[usize], reps: usize) -> Vec<
                     });
                 } else {
                     for _ in 0..reps {
-                        let (echo, _) = rank.recv::<Vec<u8>>(Some(peer), Some(TAG)).unwrap();
-                        rank.send(peer, TAG, &echo).unwrap();
+                        let (echo, _) = rank
+                            .recv_comm::<Vec<u8>>(&w, Some(peer), Some(TAG))
+                            .unwrap();
+                        rank.send_comm(&w, peer, TAG, &echo).unwrap();
                     }
                 }
             }

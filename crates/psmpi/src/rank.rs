@@ -3,7 +3,7 @@
 
 use crate::comm::{Comm, CommId, Communicator, Intercomm};
 use crate::datatype::{pod_to_bytes_via, read_pod_into_exact, CodecError, FixedWidth, MpiDatatype};
-use crate::envelope::{EndpointId, Envelope, Status, Tag, TAG_REVOKED};
+use crate::envelope::{EndpointId, Envelope, Status, Tag, Wire, TAG_REVOKED};
 use crate::pool::Slot;
 use crate::router::{EndpointEntry, Mailbox, RecvAbort, Router};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -129,7 +129,7 @@ pub trait MpiRequest: Sized {
     }
 }
 
-/// A posted nonblocking send (`isend_bytes_comm*` / `isend_slice`) or NAM put.
+/// A posted nonblocking send (`isend_bytes_comm` / `isend_slice`) or NAM put.
 ///
 /// The envelope was deposited with the receiver at post time (buffered
 /// semantics: the message is matchable immediately, stamped exactly as
@@ -209,8 +209,7 @@ impl MpiRequest for RecvRequest {
 /// A posted in-place typed receive ([`Rank::irecv_into`]): borrows the
 /// caller's output slice for the request's lifetime and bulk-decodes
 /// straight into it at [`MpiRequest::wait`] (the message's element count
-/// must match the slice length exactly, as with
-/// [`Rank::recv_into_comm`]).
+/// must match the slice length exactly, as with [`Rank::recv_into`]).
 #[must_use = "an irecv only matches at wait/test"]
 pub struct RecvIntoRequest<'a, T: FixedWidth> {
     inner: RecvRequest,
@@ -713,7 +712,7 @@ impl Rank {
     ) -> Result<(), PsmpiError> {
         let wire = value.to_wire_via(self.stage());
         let addr = self.send_addr(comm, dst);
-        self.send_to(addr, tag, wire)
+        self.send_to(addr, tag, wire.into())
     }
 
     /// Blocking receive from `src` (or any source) with `tag` (or any tag)
@@ -725,28 +724,6 @@ impl Rank {
         tag: Option<Tag>,
     ) -> Result<(T, Status), PsmpiError> {
         let req = post_recv(comm, src, tag)?;
-        self.recv_decoded(req)
-    }
-
-    /// [`Rank::send_comm`] on the world communicator.
-    pub fn send<T: MpiDatatype>(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-    ) -> Result<(), PsmpiError> {
-        let wire = value.to_wire_via(self.stage());
-        let addr = self.world_addr(dst);
-        self.send_to(addr, tag, wire)
-    }
-
-    /// [`Rank::recv_comm`] on the world communicator.
-    pub fn recv<T: MpiDatatype>(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<(T, Status), PsmpiError> {
-        let req = post_recv(&self.world, src, tag)?;
         self.recv_decoded(req)
     }
 
@@ -788,42 +765,29 @@ impl Rank {
     // forwarding collectives this makes large exchanges single-allocation
     // end to end. Virtual-time accounting is identical to the typed API.
 
-    /// Zero-copy send of `payload` to `dst` in `comm` with `tag`.
+    /// Zero-copy send of `payload` to `dst` in `comm` with `tag`: a
+    /// [`Bytes`], charged at its length, or a [`Wire::modelled`], charged
+    /// at its modelled size (model-scale exchanges over reduced-scale data).
     pub fn send_bytes_comm(
         &mut self,
         comm: &impl Comm,
         dst: usize,
         tag: Tag,
-        payload: Bytes,
+        payload: impl Into<Wire>,
     ) -> Result<(), PsmpiError> {
         let addr = self.send_addr(comm, dst);
-        self.send_to(addr, tag, payload)
+        self.send_to(addr, tag, payload.into())
     }
 
-    /// A blocking send of `payload` to `addr` (a usage error already, or
-    /// resolved): every `send*` that charges the payload's own length.
+    /// A blocking send of `wire` to `addr` (a usage error already, or
+    /// resolved): every blocking `send*`.
     fn send_to(
         &mut self,
         addr: Result<SendAddr, PsmpiError>,
         tag: Tag,
-        payload: Bytes,
+        wire: Wire,
     ) -> Result<(), PsmpiError> {
-        let req = self.post_send(addr, tag, payload, None)?;
-        self.complete_send(req, Face::Blocking)
-    }
-
-    /// Like [`Rank::send_bytes_comm`] but charging `virtual_bytes` on the
-    /// wire (model-scale exchanges over reduced-scale data).
-    pub fn send_bytes_comm_sized(
-        &mut self,
-        comm: &impl Comm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        let addr = self.send_addr(comm, dst);
-        let req = self.post_send(addr, tag, payload, Some(virtual_bytes))?;
+        let req = self.post_send(addr, tag, wire)?;
         self.complete_send(req, Face::Blocking)
     }
 
@@ -866,7 +830,7 @@ impl Rank {
     ) -> Result<(), PsmpiError> {
         let wire = pod_to_bytes_via(self.stage(), data);
         let addr = self.send_addr(comm, dst);
-        self.send_to(addr, tag, wire)
+        self.send_to(addr, tag, wire.into())
     }
 
     /// [`Rank::send_slice_comm`] on the world communicator.
@@ -878,25 +842,13 @@ impl Rank {
     ) -> Result<(), PsmpiError> {
         let wire = pod_to_bytes_via(self.stage(), data);
         let addr = self.world_addr(dst);
-        self.send_to(addr, tag, wire)
+        self.send_to(addr, tag, wire.into())
     }
 
-    /// Typed in-place receive on `comm`: decodes the payload directly into
-    /// `out` (whose length must match the message's element count exactly)
-    /// and recycles the wire buffer. No allocation on the steady-state
-    /// path.
-    pub fn recv_into_comm<T: FixedWidth>(
-        &mut self,
-        comm: &impl Comm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        out: &mut [T],
-    ) -> Result<Status, PsmpiError> {
-        let inner = post_recv(comm, src, tag)?;
-        RecvIntoRequest { inner, out }.complete(self, Face::Blocking)
-    }
-
-    /// [`Rank::recv_into_comm`] on the world communicator.
+    /// Typed in-place receive on the world communicator: decodes the
+    /// payload directly into `out` (whose length must match the message's
+    /// element count exactly) and recycles the wire buffer. No allocation
+    /// on the steady-state path.
     pub fn recv_into<T: FixedWidth>(
         &mut self,
         src: Option<usize>,
@@ -922,30 +874,17 @@ impl Rank {
 
     /// Nonblocking zero-copy send on `comm` (the `MPI_Issend` of the
     /// paper's Listing 4 when `comm` is the spawn inter-communicator);
-    /// complete with [`MpiRequest::wait`].
+    /// `payload` as for [`Rank::send_bytes_comm`]. Complete with
+    /// [`MpiRequest::wait`].
     pub fn isend_bytes_comm(
         &mut self,
         comm: &impl Comm,
         dst: usize,
         tag: Tag,
-        payload: Bytes,
+        payload: impl Into<Wire>,
     ) -> Result<SendRequest, PsmpiError> {
         let addr = self.send_addr(comm, dst);
-        self.post_send(addr, tag, payload, None)
-    }
-
-    /// Like [`Rank::isend_bytes_comm`] but charging `virtual_bytes` on
-    /// the wire.
-    pub fn isend_bytes_comm_sized(
-        &mut self,
-        comm: &impl Comm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_bytes: usize,
-    ) -> Result<SendRequest, PsmpiError> {
-        let addr = self.send_addr(comm, dst);
-        self.post_send(addr, tag, payload, Some(virtual_bytes))
+        self.post_send(addr, tag, payload.into())
     }
 
     /// Nonblocking typed POD-slice send on the world communicator (the
@@ -958,7 +897,7 @@ impl Rank {
     ) -> Result<SendRequest, PsmpiError> {
         let wire = pod_to_bytes_via(self.stage(), data);
         let addr = self.world_addr(dst);
-        self.post_send(addr, tag, wire, None)
+        self.post_send(addr, tag, wire.into())
     }
 
     /// Post a nonblocking zero-copy receive on `comm` (the `MPI_Irecv` of
@@ -1000,10 +939,10 @@ impl Rank {
     /// [`MpiRequest::wait`], exactly like `isend_bytes_comm`: compute done
     /// between post and wait hides the transfer in virtual time.
     ///
-    /// `virtual_size` is the modelled wire size (the `_sized` idiom;
-    /// `None` charges `data.len()`): e.g. a delta checkpoint frame
-    /// serializes only the frame bytes while the region holds the
-    /// reconstructed blob.
+    /// `virtual_size` is the modelled wire size (as [`Wire::modelled`] is
+    /// on the bytes sends; `None` charges `data.len()`): e.g. a delta
+    /// checkpoint frame serializes only the frame bytes while the region
+    /// holds the reconstructed blob.
     ///
     /// The device has no host node, so no node-death clearance applies;
     /// an unknown `nam_index` surfaces as [`PsmpiError::Nam`] with a
@@ -1120,9 +1059,12 @@ impl Rank {
         &mut self,
         addr: Result<SendAddr, PsmpiError>,
         tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
+        wire: Wire,
     ) -> Result<SendRequest, PsmpiError> {
+        let Wire {
+            bytes: payload,
+            virtual_size,
+        } = wire;
         let post = self.clock;
         let routed = match addr {
             Err(err) => Err((None, err)),

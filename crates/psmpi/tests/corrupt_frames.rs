@@ -31,15 +31,15 @@ fn a_corrupt_frame_is_a_codec_error_and_the_next_receive_succeeds() {
                 // A `Vec<f64>` whose length prefix runs past the payload.
                 let past = frame(&[&4u64.to_le_bytes(), &[0; 16]]);
                 rank.send_bytes_comm(&w, 1, 1, past).unwrap();
-                rank.send(1, 1, &vec![1.0f64, 2.0]).unwrap();
+                rank.send_comm(&w, 1, 1, &vec![1.0f64, 2.0]).unwrap();
                 // A length prefix whose byte count `n * 8` overflows.
                 let overflow = frame(&[&(u64::MAX / 4).to_le_bytes(), &[0; 8]]);
                 rank.send_bytes_comm(&w, 1, 2, overflow).unwrap();
-                rank.send(1, 2, &vec![3.0f64]).unwrap();
+                rank.send_comm(&w, 1, 2, &vec![3.0f64]).unwrap();
                 // Four bytes for a 16-byte `(u64, u64)`.
                 rank.send_bytes_comm(&w, 1, 3, Bytes::from(vec![0u8; 4]))
                     .unwrap();
-                rank.send(1, 3, &(5u64, 6u64)).unwrap();
+                rank.send_comm(&w, 1, 3, &(5u64, 6u64)).unwrap();
                 // Three `f64`s for a four-element in-place receive.
                 rank.send_bytes_comm(&w, 1, 4, Bytes::from(vec![0u8; 24]))
                     .unwrap();
@@ -56,11 +56,11 @@ fn a_corrupt_frame_is_a_codec_error_and_the_next_receive_succeeds() {
             assert_eq!(v, [1.0, 2.0]);
 
             assert!(is_codec(&rank.recv_comm::<Vec<f64>>(&w, src, Some(2))));
-            let (v, _) = rank.recv::<Vec<f64>>(src, Some(2)).unwrap();
+            let (v, _) = rank.recv_comm::<Vec<f64>>(&w, src, Some(2)).unwrap();
             assert_eq!(v, [3.0]);
 
             assert!(is_codec(&rank.recv_comm::<(u64, u64)>(&w, src, Some(3))));
-            let (pair, _) = rank.recv::<(u64, u64)>(src, Some(3)).unwrap();
+            let (pair, _) = rank.recv_comm::<(u64, u64)>(&w, src, Some(3)).unwrap();
             assert_eq!(pair, (5, 6));
 
             let mut out = [0.0f64; 4];
@@ -103,8 +103,8 @@ fn a_rejected_frame_still_returns_its_buffer() {
                 }
                 return;
             }
-            rank.send(1, 0, &0u64).unwrap();
-            rank.recv::<u64>(Some(1), Some(0)).unwrap();
+            rank.send_comm(&w, 1, 0, &0u64).unwrap();
+            rank.recv_comm::<u64>(&w, Some(1), Some(0)).unwrap();
             let mut pooled = rank.buffer_pool().pooled();
             let mut returned = |rank: &mut psmpi::Rank, rejected: bool, what: &str| {
                 assert!(rejected, "{what}: rejected");
@@ -114,8 +114,8 @@ fn a_rejected_frame_still_returns_its_buffer() {
             let src = Some(0);
             let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(1));
             returned(rank, is_codec(&r), "recv_comm, prefix past the end");
-            let r = rank.recv::<Vec<f64>>(src, Some(2));
-            returned(rank, is_codec(&r), "recv, overflowing prefix");
+            let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(2));
+            returned(rank, is_codec(&r), "recv_comm, overflowing prefix");
             let r = rank.recv_comm::<(u64, u64)>(&w, src, Some(3));
             returned(rank, is_codec(&r), "recv_comm, short pair");
             let mut out = [0.0f64; 4];

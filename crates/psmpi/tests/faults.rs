@@ -6,8 +6,9 @@
 use bytes::Bytes;
 use hwmodel::presets::deep_er_cluster_node;
 use hwmodel::{NodeId, SimTime};
-use psmpi::{MpiError, RetryPolicy, Universe};
+use psmpi::{BufferPool, MpiError, ReduceOp, RetryPolicy, Universe, UniverseBuilder};
 use simnet::{Fabric, FaultPlan, Topology};
+use std::sync::Arc;
 
 /// Universe over `n` cluster nodes with the given fault plan installed.
 fn faulted_universe(n: u32, plan: FaultPlan) -> Universe {
@@ -27,11 +28,12 @@ fn send_to_planned_dead_node_fails_and_recycles_sole_buffer() {
     let plan = FaultPlan::from_node_faults([(SimTime::ZERO, NodeId(1))]);
     let u = faulted_universe(2, plan);
     u.launch(&[NodeId(0), NodeId(1)], |rank| {
+        let w = rank.world();
         if rank.rank() != 0 {
             return; // the victim's thread exists but does nothing
         }
         let before = rank.buffer_pool().stats();
-        let err = rank.send(1, 7, &vec![1.0f64; 64]).unwrap_err();
+        let err = rank.send_comm(&w, 1, 7, &vec![1.0f64; 64]).unwrap_err();
         match err {
             MpiError::NodeFailed { node, at } => {
                 assert_eq!(node, NodeId(1));
@@ -42,7 +44,7 @@ fn send_to_planned_dead_node_fails_and_recycles_sole_buffer() {
         // The encode buffer never reached an envelope and the sender was
         // its sole owner: it must come back, not leak — the next send
         // stages it again (from the rank's slot) instead of allocating.
-        rank.send(1, 7, &vec![2.0f64; 64]).unwrap_err();
+        rank.send_comm(&w, 1, 7, &vec![2.0f64; 64]).unwrap_err();
         let after = rank.buffer_pool().stats();
         assert_eq!(
             (after.misses - before.misses, after.hits - before.hits),
@@ -89,18 +91,18 @@ fn victim_messages_before_death_arrive_in_order_then_recv_aborts() {
     u.launch(&[NodeId(0), NodeId(1)], move |rank| {
         let w = rank.world();
         if rank.rank() == 1 {
-            rank.send(0, 7, &1u64).unwrap();
-            rank.send(0, 7, &2u64).unwrap();
+            rank.send_comm(&w, 0, 7, &1u64).unwrap();
+            rank.send_comm(&w, 0, 7, &2u64).unwrap();
             let at = rank
                 .planned_fault_in(SimTime::ZERO, s(1.0))
                 .expect("plan kills this node");
             rank.fail_here(at);
             return;
         }
-        let (a, _) = rank.recv::<u64>(Some(1), Some(7)).unwrap();
-        let (b, _) = rank.recv::<u64>(Some(1), Some(7)).unwrap();
+        let (a, _) = rank.recv_comm::<u64>(&w, Some(1), Some(7)).unwrap();
+        let (b, _) = rank.recv_comm::<u64>(&w, Some(1), Some(7)).unwrap();
         assert_eq!((a, b), (1, 2), "non-overtaking across the fault");
-        let err = rank.recv::<u64>(Some(1), Some(7)).unwrap_err();
+        let err = rank.recv_comm::<u64>(&w, Some(1), Some(7)).unwrap_err();
         match err {
             MpiError::NodeFailed { node, at } => {
                 assert_eq!(node, NodeId(1));
@@ -133,14 +135,14 @@ fn revoke_marker_aborts_transitively_blocked_rank() {
                 rank.fail_here(at);
             }
             1 => {
-                let err = rank.recv::<u64>(Some(2), Some(3)).unwrap_err();
+                let err = rank.recv_comm::<u64>(&w, Some(2), Some(3)).unwrap_err();
                 let MpiError::NodeFailed { node, at } = err else {
                     panic!("expected NodeFailed");
                 };
                 rank.revoke_comm(&w, node, at);
             }
             _ => {
-                let err = rank.recv::<u64>(Some(1), Some(4)).unwrap_err();
+                let err = rank.recv_comm::<u64>(&w, Some(1), Some(4)).unwrap_err();
                 match err {
                     MpiError::NodeFailed { node, at } => {
                         assert_eq!(node, NodeId(2), "marker names the victim");
@@ -249,7 +251,7 @@ fn bcast_on_a_revoking_root_fails_with_the_victims_identity() {
                     rank.fail_here(at);
                 }
                 1 => {
-                    let err = rank.recv::<u64>(Some(2), Some(3)).unwrap_err();
+                    let err = rank.recv_comm::<u64>(&w, Some(2), Some(3)).unwrap_err();
                     let MpiError::NodeFailed { node, at } = err else {
                         panic!("expected NodeFailed");
                     };
@@ -284,14 +286,15 @@ fn transient_link_fault_is_retried_through_backoff() {
     );
     let u = faulted_universe(2, plan);
     u.launch(&[NodeId(0), NodeId(1)], |rank| {
+        let w = rank.world();
         if rank.rank() == 0 {
-            rank.send(1, 7, &7u64).unwrap();
+            rank.send_comm(&w, 1, 7, &7u64).unwrap();
             assert!(
                 rank.now() >= SimTime::from_micros(300.0),
                 "backoff must advance the virtual clock"
             );
         } else {
-            let (v, _) = rank.recv::<u64>(Some(0), Some(7)).unwrap();
+            let (v, _) = rank.recv_comm::<u64>(&w, Some(0), Some(7)).unwrap();
             assert_eq!(v, 7);
         }
     });
@@ -308,10 +311,11 @@ fn persistent_link_fault_exhausts_retries_to_link_down() {
         give_up_after: s(10.0),
     });
     u.launch(&[NodeId(0), NodeId(1)], |rank| {
+        let w = rank.world();
         if rank.rank() != 0 {
             return;
         }
-        let err = rank.send(1, 7, &7u64).unwrap_err();
+        let err = rank.send_comm(&w, 1, 7, &7u64).unwrap_err();
         match err {
             MpiError::LinkDown { src, dst, .. } => {
                 assert_eq!((src, dst), (NodeId(0), NodeId(1)));
@@ -332,10 +336,11 @@ fn link_fault_backoff_times_out_past_give_up_bound() {
         give_up_after: SimTime::from_millis(1.0),
     });
     u.launch(&[NodeId(0), NodeId(1)], |rank| {
+        let w = rank.world();
         if rank.rank() != 0 {
             return;
         }
-        let err = rank.send(1, 7, &7u64).unwrap_err();
+        let err = rank.send_comm(&w, 1, 7, &7u64).unwrap_err();
         match err {
             MpiError::Timeout { waited } => {
                 assert!(waited >= SimTime::from_millis(1.0));
@@ -355,15 +360,16 @@ fn faulted_run_is_identical_across_thread_interleavings() {
         let plan = FaultPlan::from_node_faults([(fault_at, NodeId(1))]);
         let u = faulted_universe(2, plan);
         let report = u.launch(&[NodeId(0), NodeId(1)], move |rank| {
+            let w = rank.world();
             if rank.rank() == 1 {
-                rank.send(0, 7, &11u64).unwrap();
+                rank.send_comm(&w, 0, 7, &11u64).unwrap();
                 let at = rank.planned_fault_in(SimTime::ZERO, s(1.0)).unwrap();
                 rank.fail_here(at);
                 return;
             }
-            let (v, _) = rank.recv::<u64>(Some(1), Some(7)).unwrap();
+            let (v, _) = rank.recv_comm::<u64>(&w, Some(1), Some(7)).unwrap();
             assert_eq!(v, 11);
-            let err = rank.recv::<u64>(Some(1), Some(7)).unwrap_err();
+            let err = rank.recv_comm::<u64>(&w, Some(1), Some(7)).unwrap_err();
             assert!(matches!(err, MpiError::NodeFailed { .. }));
         });
         report
@@ -422,6 +428,79 @@ fn forged_segmented_bcast_header_is_a_codec_error_not_an_allocation() {
             }
         }
     });
+}
+
+#[test]
+fn forged_reduction_blocks_are_codec_errors_and_go_back_to_the_pool() {
+    // Rank 0 plays a corrupt partner: it deposits a short and an over-long
+    // block under the reduce and allreduce reserved tags instead of taking
+    // part; rank 1's `reduce` and `allreduce` must reject each with a typed
+    // error and give the block back to the pool, and an honest `allreduce`
+    // on the same world still sums right. Rank 1 records what it saw and
+    // the asserts run after the job, so a failure cannot strand rank 0.
+    const TAG_REDUCE: psmpi::Tag = -12;
+    const TAG_ALLREDUCE: psmpi::Tag = -17;
+    // Bytes of the forged blocks against a four-`f64` (32-byte) block: too
+    // short, and too long by far. Neither fits a 32-byte draw, so rank 1's
+    // own allreduce sends never take one back out of the stacks.
+    const FORGED: [usize; 2] = [16, 512];
+    let contribution = [1.0f64, 2.0, 3.0, 4.0];
+    let pool = Arc::new(BufferPool::new());
+    // Per forged block: (collective, rejected as a codec error, buffers the
+    // pool gained); then each rank's honest sum.
+    let seen = Arc::new(lockrank::Mutex::<_, 900>::new((Vec::new(), Vec::new())));
+    let seen_in = seen.clone();
+    UniverseBuilder::new()
+        .add_nodes(2, &deep_er_cluster_node())
+        .buffer_pool(pool.clone())
+        .run(move |rank| {
+            let w = rank.world();
+            if rank.rank() == 0 {
+                // Only raw sends and dropped receives: rank 0 never touches
+                // the pool while rank 1 counts it.
+                for len in FORGED {
+                    let block = Bytes::from(vec![0u8; len]);
+                    rank.send_bytes_comm(&w, 1, TAG_REDUCE, block).unwrap();
+                    let block = Bytes::from(vec![0u8; len]);
+                    rank.send_bytes_comm(&w, 1, TAG_ALLREDUCE, block).unwrap();
+                    // Rank 1's own block of its allreduce.
+                    let _ = rank.recv_bytes_comm(&w, Some(1), Some(TAG_ALLREDUCE));
+                }
+            } else {
+                // A 4 KiB buffer in the slot, which a 32-byte draw passes
+                // over: every block rank 1 retires lands in the stacks,
+                // where `pooled()` counts it.
+                rank.send_slice(1, 0, &[0.0f64; 512]).unwrap();
+                rank.recv_into(Some(1), Some(0), &mut [0.0f64; 512])
+                    .unwrap();
+                let codec = |r: Result<_, MpiError>| matches!(r, Err(MpiError::Codec(_)));
+                for len in FORGED {
+                    let pooled = rank.buffer_pool().pooled() as i64;
+                    let reduce = codec(rank.reduce(&w, 1, &contribution, ReduceOp::Sum).map(drop));
+                    let back = rank.buffer_pool().pooled() as i64;
+                    let allreduce =
+                        codec(rank.allreduce(&w, &contribution, ReduceOp::Sum).map(drop));
+                    let again = rank.buffer_pool().pooled() as i64;
+                    let mut seen = seen_in.lock();
+                    seen.0.push((len, "reduce", reduce, back - pooled));
+                    seen.0.push((len, "allreduce", allreduce, again - back));
+                }
+            }
+            let mine = [rank.rank() as f64 + 1.0; 4];
+            let sum = rank.allreduce(&w, &mine, ReduceOp::Sum);
+            seen_in.lock().1.push(sum.ok());
+        });
+    let (rejected, sums) = seen.lock().clone();
+    let want: Vec<_> = FORGED
+        .iter()
+        .flat_map(|&len| [(len, "reduce", true, 1), (len, "allreduce", true, 1)])
+        .collect();
+    assert_eq!(
+        rejected, want,
+        "(bytes, collective, codec error, buffers back)"
+    );
+    assert_eq!(sums, [Some(vec![3.0; 4]), Some(vec![3.0; 4])]);
+    assert_eq!(pool.stats().reclaim_failures, 0);
 }
 
 #[test]

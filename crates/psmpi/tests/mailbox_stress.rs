@@ -284,18 +284,19 @@ fn push_racing_park_never_loses_a_wakeup() {
         let done = Arc::new(AtomicBool::new(false));
         let done_in = done.clone();
         u.launch(&nodes, move |rank| {
+            let w = rank.world();
             let me = rank.rank();
             if me > 1 {
                 return idle_until(&done_in);
             }
             for i in 0..ROUNDS {
                 if me == 0 {
-                    rank.send(1, TAG, &i).unwrap();
+                    rank.send_comm(&w, 1, TAG, &i).unwrap();
                 }
-                let (got, _) = rank.recv::<u64>(Some(1 - me), Some(TAG)).unwrap();
+                let (got, _) = rank.recv_comm::<u64>(&w, Some(1 - me), Some(TAG)).unwrap();
                 assert_eq!(got, i);
                 if me == 1 {
-                    rank.send(0, TAG, &i).unwrap();
+                    rank.send_comm(&w, 0, TAG, &i).unwrap();
                 }
             }
             done_in.store(true, Ordering::Release);
@@ -324,6 +325,7 @@ fn interrupt_racing_park_never_loses_a_wakeup() {
         let marks = Arc::new([AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)]);
         let (done_in, marks_in) = (done.clone(), marks.clone());
         u.launch(&nodes, move |rank| {
+            let w = rank.world();
             let [waiting, aborted, repaired] = &*marks_in;
             match rank.rank() {
                 0 => {
@@ -339,7 +341,7 @@ fn interrupt_racing_park_never_loses_a_wakeup() {
                 1 => {
                     for i in 1..=ROUNDS {
                         waiting.store(i, Ordering::Release);
-                        let err = rank.recv::<u64>(Some(0), Some(TAG)).unwrap_err();
+                        let err = rank.recv_comm::<u64>(&w, Some(0), Some(TAG)).unwrap_err();
                         assert!(matches!(err, psmpi::MpiError::NodeFailed { .. }), "{err}");
                         aborted.store(i, Ordering::Release);
                         wait_for(repaired, i);

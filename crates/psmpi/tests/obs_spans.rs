@@ -179,15 +179,18 @@ fn traffic_is_attributed_to_node_kind_pairs() {
     u.launch(
         &[NodeId(0), NodeId(1), NodeId(2), NodeId(3)],
         // CN0 → CN1 (intra-cluster), CN0 → BN2 (inter-module).
-        |rank| match rank.rank() {
-            0 => {
-                rank.send(1, 0, &vec![0u8; 92]).unwrap(); // 100 B wire
-                rank.send(2, 0, &vec![0u8; 192]).unwrap(); // 200 B wire
+        |rank| {
+            let w = rank.world();
+            match rank.rank() {
+                0 => {
+                    rank.send_comm(&w, 1, 0, &vec![0u8; 92]).unwrap(); // 100 B wire
+                    rank.send_comm(&w, 2, 0, &vec![0u8; 192]).unwrap(); // 200 B wire
+                }
+                1 | 2 => {
+                    let _ = rank.recv_comm::<Vec<u8>>(&w, Some(0), Some(0)).unwrap();
+                }
+                _ => {}
             }
-            1 | 2 => {
-                let _ = rank.recv::<Vec<u8>>(Some(0), Some(0)).unwrap();
-            }
-            _ => {}
         },
     );
     let traffic = rec.snapshot().profile().traffic;
@@ -222,8 +225,9 @@ fn self_send_adds_no_edge_and_no_traffic() {
     let rec = Recorder::new();
     u.attach_obs(rec.clone());
     u.launch(&[NodeId(0)], |rank| {
-        rank.send(0, 5, &vec![0u8; 92]).unwrap();
-        let (v, _) = rank.recv::<Vec<u8>>(Some(0), Some(5)).unwrap();
+        let w = rank.world();
+        rank.send_comm(&w, 0, 5, &vec![0u8; 92]).unwrap();
+        let (v, _) = rank.recv_comm::<Vec<u8>>(&w, Some(0), Some(5)).unwrap();
         assert_eq!(v.len(), 92);
     });
     let trace = rec.snapshot();

@@ -9,7 +9,7 @@ use hwmodel::{NodeId, SimTime};
 use lockrank::Mutex;
 use obs::{Category, Recorder};
 use psmpi::datatype::{pod_to_bytes, pod_to_bytes_pooled, read_pod_into_exact};
-use psmpi::{Comm, MpiDatatype, MpiError, MpiRequest, Rank, Universe, UniverseBuilder};
+use psmpi::{Comm, MpiDatatype, MpiError, MpiRequest, Rank, Universe, UniverseBuilder, Wire};
 use simnet::{Fabric, FaultPlan, Topology};
 use std::sync::Arc;
 
@@ -119,7 +119,7 @@ enum Fault {
 }
 
 const EQ_TAG: psmpi::Tag = 7;
-/// Modelled wire size of the `_sized` cells (the payload is 2 KiB).
+/// Modelled wire size of the `sized` cells (the payload is 2 KiB).
 const EQ_WIRE: usize = 1 << 20;
 /// Every cell sends at this clock: an intra-communicator sender idles up
 /// to it, an inter-communicator sender gets there by paying the spawn.
@@ -155,11 +155,13 @@ fn eq_send(
             .isend_bytes_comm(comm, dst, EQ_TAG, pod_to_bytes(&data))?
             .wait(rank),
         (Form::Bytes { sized: true }, false) => {
-            rank.send_bytes_comm_sized(comm, dst, EQ_TAG, pod_to_bytes(&data), EQ_WIRE)
+            let wire = Wire::modelled(pod_to_bytes(&data), EQ_WIRE);
+            rank.send_bytes_comm(comm, dst, EQ_TAG, wire)
         }
-        (Form::Bytes { sized: true }, true) => rank
-            .isend_bytes_comm_sized(comm, dst, EQ_TAG, pod_to_bytes(&data), EQ_WIRE)?
-            .wait(rank),
+        (Form::Bytes { sized: true }, true) => {
+            let wire = Wire::modelled(pod_to_bytes(&data), EQ_WIRE);
+            rank.isend_bytes_comm(comm, dst, EQ_TAG, wire)?.wait(rank)
+        }
         (Form::Slice, false) => rank.send_slice_comm(comm, dst, EQ_TAG, &data),
         (Form::Slice, true) if !inter => rank.isend_slice(dst, EQ_TAG, &data)?.wait(rank),
         (Form::Slice, true) => {
@@ -169,18 +171,19 @@ fn eq_send(
     }
 }
 
-/// The matching (always blocking) receive; returns the payload bits.
-fn eq_recv(rank: &mut Rank, comm: &impl Comm, form: Form) -> Vec<u64> {
+/// The matching (always blocking) receive; returns the payload bits. The
+/// in-place slice receive exists on the world only, so off it a slice
+/// arrives as bytes.
+fn eq_recv(rank: &mut Rank, comm: &impl Comm, form: Form, inter: bool) -> Vec<u64> {
     let mut out = vec![0.0f64; 256];
     match form {
         Form::Typed => out = rank.recv_comm(comm, Some(0), Some(EQ_TAG)).unwrap().0,
-        Form::Bytes { .. } => {
+        Form::Slice if !inter => {
+            rank.recv_into(Some(0), Some(EQ_TAG), &mut out).unwrap();
+        }
+        Form::Bytes { .. } | Form::Slice => {
             let (bytes, _) = rank.recv_bytes_comm(comm, Some(0), Some(EQ_TAG)).unwrap();
             read_pod_into_exact(&bytes, &mut out).unwrap();
-        }
-        Form::Slice => {
-            rank.recv_into_comm(comm, Some(0), Some(EQ_TAG), &mut out)
-                .unwrap();
         }
     }
     out.iter().map(|x| x.to_bits()).collect()
@@ -229,7 +232,7 @@ fn eq_run(form: Form, inter: bool, fault: Fault, post_wait: bool) -> Observed {
             let ic = rank
                 .spawn_world(&[NodeId(1)], move |child: &mut Rank| {
                     let parent = child.parent().expect("spawned world has a parent");
-                    receive(child, &|r| eq_recv(r, &parent, form));
+                    receive(child, &|r| eq_recv(r, &parent, form, inter));
                 })
                 .unwrap();
             assert_eq!(rank.now(), s(EQ_T0), "spawn latency is the send clock");
@@ -244,7 +247,7 @@ fn eq_run(form: Form, inter: bool, fault: Fault, post_wait: bool) -> Observed {
                 let res = eq_send(rank, &w, 1, form, inter, post_wait);
                 sent(res);
             } else {
-                receive(rank, &|r| eq_recv(r, &w, form));
+                receive(rank, &|r| eq_recv(r, &w, form, inter));
             }
         })
     };
@@ -287,13 +290,13 @@ fn eq_run(form: Form, inter: bool, fault: Fault, post_wait: bool) -> Observed {
 
 #[test]
 fn blocking_equals_post_plus_wait_across_the_surface() {
-    // {typed, bytes, slice} × {intra, inter} × {plain, `_sized` where the
-    // surface has it} × {clean, link-fault backoff, dead destination}: the
-    // blocking call and post + immediate wait must be indistinguishable —
-    // final clocks, comm_time, counters, received bits, error — and the
-    // blocking run must export exactly the spans it always has: one
-    // `Send`/"send" span covering backoff + injection, none when the send
-    // failed. Post + wait differs in the label alone.
+    // {typed, bytes, slice} × {intra, inter} × {plain, a `Wire::modelled`
+    // size where the surface takes one} × {clean, link-fault backoff, dead
+    // destination}: the blocking call and post + immediate wait must be
+    // indistinguishable — final clocks, comm_time, counters, received
+    // bits, error — and the blocking run must export exactly the spans it
+    // always has: one `Send`/"send" span covering backoff + injection,
+    // none when the send failed. Post + wait differs in the label alone.
     let overhead = deep_er_cluster_node().nic_send_overhead;
     let forms = [
         Form::Typed,
@@ -480,10 +483,6 @@ fn out_of_range_source_on_an_intercomm_is_invalid_rank_not_a_hang() {
         };
         invalid(rank.recv_comm::<u64>(&ic, Some(n), Some(7)).unwrap_err());
         invalid(rank.recv_bytes_comm(&ic, Some(n), Some(7)).unwrap_err());
-        invalid(
-            rank.recv_into_comm(&ic, Some(n), Some(7), &mut [0u64; 1])
-                .unwrap_err(),
-        );
         invalid(rank.irecv_bytes_comm(&ic, Some(n), Some(7)).err().unwrap());
         invalid(rank.send_comm(&ic, n, 7, &1u64).unwrap_err());
     });
@@ -604,7 +603,7 @@ fn inam_put_post_is_free_and_wait_charges_rdma_time() {
 
 #[test]
 fn inam_put_sized_charges_the_wire_size_not_the_blob() {
-    // The `_sized` idiom: a delta frame stands in for the blob it
+    // A modelled wire size: a delta frame stands in for the blob it
     // reconstructs — the region holds the full bytes, the clock pays for
     // the frame.
     let mut t = Topology::new();

@@ -15,10 +15,12 @@ fn cluster(n: u32) -> UniverseBuilder {
 #[test]
 fn send_recv_delivers_payload() {
     cluster(2).run(|rank| {
+        let w = rank.world();
         if rank.rank() == 0 {
-            rank.send(1, 42, &"hello booster".to_string()).unwrap();
+            rank.send_comm(&w, 1, 42, &"hello booster".to_string())
+                .unwrap();
         } else {
-            let (msg, st) = rank.recv::<String>(Some(0), Some(42)).unwrap();
+            let (msg, st) = rank.recv_comm::<String>(&w, Some(0), Some(42)).unwrap();
             assert_eq!(msg, "hello booster");
             assert_eq!(st.source, 0);
             assert_eq!(st.tag, 42);
@@ -30,13 +32,14 @@ fn send_recv_delivers_payload() {
 #[test]
 fn messages_do_not_overtake_same_pair() {
     cluster(2).run(|rank| {
+        let w = rank.world();
         if rank.rank() == 0 {
             for i in 0..50u64 {
-                rank.send(1, 1, &i).unwrap();
+                rank.send_comm(&w, 1, 1, &i).unwrap();
             }
         } else {
             for i in 0..50u64 {
-                let (v, _) = rank.recv::<u64>(Some(0), Some(1)).unwrap();
+                let (v, _) = rank.recv_comm::<u64>(&w, Some(0), Some(1)).unwrap();
                 assert_eq!(v, i, "non-overtaking violated");
             }
         }
@@ -46,13 +49,14 @@ fn messages_do_not_overtake_same_pair() {
 #[test]
 fn tag_matching_selects_correct_message() {
     cluster(2).run(|rank| {
+        let w = rank.world();
         if rank.rank() == 0 {
-            rank.send(1, 10, &1u32).unwrap();
-            rank.send(1, 20, &2u32).unwrap();
+            rank.send_comm(&w, 1, 10, &1u32).unwrap();
+            rank.send_comm(&w, 1, 20, &2u32).unwrap();
         } else {
             // Receive tag 20 first even though tag 10 arrived earlier.
-            let (b, _) = rank.recv::<u32>(Some(0), Some(20)).unwrap();
-            let (a, _) = rank.recv::<u32>(Some(0), Some(10)).unwrap();
+            let (b, _) = rank.recv_comm::<u32>(&w, Some(0), Some(20)).unwrap();
+            let (a, _) = rank.recv_comm::<u32>(&w, Some(0), Some(10)).unwrap();
             assert_eq!((a, b), (1, 2));
         }
     });
@@ -60,32 +64,36 @@ fn tag_matching_selects_correct_message() {
 
 #[test]
 fn wildcard_source_and_tag() {
-    cluster(3).run(|rank| match rank.rank() {
-        0 => {
-            rank.send(2, 5, &10u32).unwrap();
-        }
-        1 => {
-            rank.send(2, 6, &20u32).unwrap();
-        }
-        2 => {
-            let mut sum = 0;
-            for _ in 0..2 {
-                let (v, st) = rank.recv::<u32>(ANY_SOURCE, ANY_TAG).unwrap();
-                assert!(st.source == 0 || st.source == 1);
-                sum += v;
+    cluster(3).run(|rank| {
+        let w = rank.world();
+        match rank.rank() {
+            0 => {
+                rank.send_comm(&w, 2, 5, &10u32).unwrap();
             }
-            assert_eq!(sum, 30);
+            1 => {
+                rank.send_comm(&w, 2, 6, &20u32).unwrap();
+            }
+            2 => {
+                let mut sum = 0;
+                for _ in 0..2 {
+                    let (v, st) = rank.recv_comm::<u32>(&w, ANY_SOURCE, ANY_TAG).unwrap();
+                    assert!(st.source == 0 || st.source == 1);
+                    sum += v;
+                }
+                assert_eq!(sum, 30);
+            }
+            _ => unreachable!(),
         }
-        _ => unreachable!(),
     });
 }
 
 #[test]
 fn recv_from_invalid_rank_errors() {
     cluster(2).run(|rank| {
+        let w = rank.world();
         if rank.rank() == 0 {
-            assert!(rank.send(5, 0, &0u8).is_err());
-            assert!(rank.recv::<u8>(Some(9), None).is_err());
+            assert!(rank.send_comm(&w, 5, 0, &0u8).is_err());
+            assert!(rank.recv_comm::<u8>(&w, Some(9), None).is_err());
         }
     });
 }
@@ -93,10 +101,11 @@ fn recv_from_invalid_rank_errors() {
 #[test]
 fn virtual_clock_advances_on_communication() {
     let report = cluster(2).run(|rank| {
+        let w = rank.world();
         if rank.rank() == 0 {
-            rank.send(1, 0, &vec![0u8; 1024]).unwrap();
+            rank.send_comm(&w, 1, 0, &vec![0u8; 1024]).unwrap();
         } else {
-            let (_, st) = rank.recv::<Vec<u8>>(Some(0), Some(0)).unwrap();
+            let (_, st) = rank.recv_comm::<Vec<u8>>(&w, Some(0), Some(0)).unwrap();
             // Arrival must be at least the 1.0 µs CN-CN latency.
             assert!(st.arrival >= SimTime::from_micros(1.0));
         }
@@ -129,11 +138,11 @@ fn nonblocking_overlap_hides_transfer() {
     let clocks = Arc::new(Mutex::<_, 900>::new(Vec::new()));
     let c2 = clocks.clone();
     cluster(2).run(move |rank| {
+        let w = rank.world();
         let payload = vec![0u8; 8 << 20]; // ~0.86 ms transfer
         if rank.rank() == 0 {
-            rank.send(1, 0, &payload).unwrap();
+            rank.send_comm(&w, 1, 0, &payload).unwrap();
         } else {
-            let w = rank.world();
             let req = rank.irecv_bytes_comm(&w, Some(0), Some(0)).unwrap();
             let aux = WorkSpec::named("aux")
                 .flops(5e8)
@@ -296,7 +305,7 @@ fn request_test_polls_without_blocking() {
             }
         } else {
             rank.barrier(&w).unwrap();
-            rank.send(1, 9, &77u64).unwrap();
+            rank.send_comm(&w, 1, 9, &77u64).unwrap();
         }
     });
 }
@@ -304,10 +313,11 @@ fn request_test_polls_without_blocking() {
 #[test]
 fn report_accounts_traffic() {
     let report = cluster(2).run(|rank| {
+        let w = rank.world();
         if rank.rank() == 0 {
-            rank.send(1, 0, &vec![0u8; 100]).unwrap();
+            rank.send_comm(&w, 1, 0, &vec![0u8; 100]).unwrap();
         } else {
-            let _ = rank.recv::<Vec<u8>>(Some(0), Some(0)).unwrap();
+            let _ = rank.recv_comm::<Vec<u8>>(&w, Some(0), Some(0)).unwrap();
         }
     });
     assert_eq!(report.total_msgs_sent(), 1);
@@ -329,13 +339,14 @@ fn heterogeneous_latency_visible_in_runtime() {
             UniverseBuilder::new().add_nodes(2, &deep_er_cluster_node())
         };
         b.run(|rank| {
+            let w = rank.world();
             for _ in 0..10 {
                 if rank.rank() == 0 {
-                    rank.send(1, 0, &1u8).unwrap();
-                    let _ = rank.recv::<u8>(Some(1), Some(0)).unwrap();
+                    rank.send_comm(&w, 1, 0, &1u8).unwrap();
+                    let _ = rank.recv_comm::<u8>(&w, Some(1), Some(0)).unwrap();
                 } else {
-                    let _ = rank.recv::<u8>(Some(0), Some(0)).unwrap();
-                    rank.send(0, 0, &1u8).unwrap();
+                    let _ = rank.recv_comm::<u8>(&w, Some(0), Some(0)).unwrap();
+                    rank.send_comm(&w, 0, 0, &1u8).unwrap();
                 }
             }
         })

@@ -56,10 +56,11 @@ fn universe_reusable_across_jobs() {
         let seen = Arc::new(Mutex::<_, 900>::new(0u64));
         let s2 = seen.clone();
         let report = u.launch(&[NodeId(0), NodeId(1)], move |rank| {
+            let w = rank.world();
             if rank.rank() == 0 {
-                rank.send(1, 0, &i).unwrap();
+                rank.send_comm(&w, 1, 0, &i).unwrap();
             } else {
-                let (v, _) = rank.recv::<u64>(Some(0), Some(0)).unwrap();
+                let (v, _) = rank.recv_comm::<u64>(&w, Some(0), Some(0)).unwrap();
                 *s2.lock() = v;
             }
         });

@@ -19,10 +19,11 @@ fn send_bytes_delivers_senders_allocation() {
         let w = rank.world();
         if rank.rank() == 0 {
             let payload = Bytes::from(vec![7u8; 1 << 16]);
-            rank.send(1, 1, &(payload.as_ptr() as u64)).unwrap();
+            rank.send_comm(&w, 1, 1, &(payload.as_ptr() as u64))
+                .unwrap();
             rank.send_bytes_comm(&w, 1, 2, payload).unwrap();
         } else {
-            let (ptr, _) = rank.recv::<u64>(Some(0), Some(1)).unwrap();
+            let (ptr, _) = rank.recv_comm::<u64>(&w, Some(0), Some(1)).unwrap();
             let (got, st) = rank.recv_bytes_comm(&w, Some(0), Some(2)).unwrap();
             assert_eq!(st.bytes, 1 << 16);
             assert_eq!(got.len(), 1 << 16);
@@ -218,9 +219,10 @@ fn self_send_charges_only_send_overhead() {
 #[test]
 fn self_send_works_through_typed_api_too() {
     cluster(1).run(|rank| {
+        let w = rank.world();
         let overhead = rank.node().nic_send_overhead;
-        rank.send(0, 3, &vec![1.0f64, 2.0]).unwrap();
-        let (v, st) = rank.recv::<Vec<f64>>(Some(0), Some(3)).unwrap();
+        rank.send_comm(&w, 0, 3, &vec![1.0f64, 2.0]).unwrap();
+        let (v, st) = rank.recv_comm::<Vec<f64>>(&w, Some(0), Some(3)).unwrap();
         assert_eq!(v, vec![1.0, 2.0]);
         assert_eq!(st.source, 0);
         assert_eq!(rank.now(), overhead, "no wire time on a self message");
@@ -427,9 +429,9 @@ fn a_framed_vec_is_written_over_recycled_buffers_without_stale_bytes() {
             let via_slot = round < SIZES.len();
             let sent = message(round, n);
             if rank.rank() == 0 {
-                rank.send(1, 1, &sent).unwrap();
+                rank.send_comm(&w, 1, 1, &sent).unwrap();
                 if via_slot {
-                    let (back, _) = rank.recv::<Vec<f64>>(Some(1), Some(2)).unwrap();
+                    let (back, _) = rank.recv_comm::<Vec<f64>>(&w, Some(1), Some(2)).unwrap();
                     assert_eq!(back, sent, "round {round}: echo");
                 } else {
                     rank.recv_bytes_comm(&w, Some(1), Some(2)).unwrap();

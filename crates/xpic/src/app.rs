@@ -35,7 +35,7 @@ use cluster_booster::{JobSpec, Launcher};
 use hwmodel::SimTime;
 use lockrank::Mutex;
 use psmpi::datatype::{bytes_to_pod, pod_to_bytes_pooled};
-use psmpi::{Communicator, Intercomm, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp};
+use psmpi::{Communicator, Intercomm, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp, Wire};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -345,7 +345,7 @@ fn send_interface(
 ) -> Result<(), PsmpiError> {
     let phase = rank.obs_open(obs::Category::Phase, "interface");
     let buf = pack_interface(rank, owned);
-    rank.send_bytes_comm_sized(ic, rank.rank(), tag, buf, wire_size)?;
+    rank.send_bytes_comm(ic, rank.rank(), tag, Wire::modelled(buf, wire_size))?;
     rank.obs_close(phase);
     Ok(())
 }
@@ -516,8 +516,8 @@ fn run_booster_side(
                 st.particle_phase(r, config)?;
                 let phase = r.obs_open(obs::Category::Phase, "interface");
                 let rhoj = pack_interface(r, &st.moments.pack_owned(&st.grid));
-                let rhoj_send =
-                    r.isend_bytes_comm_sized(&ic, me, tags::RHOJ, rhoj, config.wire_moments())?;
+                let rhoj = Wire::modelled(rhoj, config.wire_moments());
+                let rhoj_send = r.isend_bytes_comm(&ic, me, tags::RHOJ, rhoj)?;
                 if step + 1 < config.steps {
                     next_eb = Some(r.irecv_bytes_comm(&ic, Some(me), Some(tags::EB))?);
                 }
@@ -591,8 +591,8 @@ fn run_cluster_side(
                 cg_total += st.field_solve_e(r, config)?;
                 let phase = r.obs_open(obs::Category::Phase, "interface");
                 let eb = pack_interface(r, &st.fields.pack_owned(&st.grid));
-                let eb_send =
-                    r.isend_bytes_comm_sized(&ic, me, tags::EB, eb, config.wire_fields())?;
+                let eb = Wire::modelled(eb, config.wire_fields());
+                let eb_send = r.isend_bytes_comm(&ic, me, tags::EB, eb)?;
                 let rhoj_req = r.irecv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))?;
                 r.obs_close(phase);
                 Ok::<_, PsmpiError>((eb_send, rhoj_req))

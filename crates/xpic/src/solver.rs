@@ -19,7 +19,7 @@ use crate::moments::{add_into_border_row, clear_ghosts, extract_ghost_row};
 use crate::particles::Species;
 use bytes::Bytes;
 use psmpi::datatype::{bytes_to_pod, pod_to_bytes_pooled, read_pod_into_exact};
-use psmpi::{Communicator, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp, SendRequest};
+use psmpi::{Communicator, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp, SendRequest, Wire};
 
 /// Reserved message tags of the xPic exchanges.
 pub mod tags {
@@ -150,8 +150,8 @@ fn swap_with_neighbours(
     let (prev, next) = neighbours(rank, comm);
     let up = pod_to_bytes_pooled(rank.buffer_pool(), up);
     let down = pod_to_bytes_pooled(rank.buffer_pool(), down);
-    rank.send_bytes_comm_sized(comm, prev, up_tag, up, wire_size)?;
-    rank.send_bytes_comm_sized(comm, next, down_tag, down, wire_size)?;
+    rank.send_bytes_comm(comm, prev, up_tag, Wire::modelled(up, wire_size))?;
+    rank.send_bytes_comm(comm, next, down_tag, Wire::modelled(down, wire_size))?;
     let (from_next, _) = rank.recv_bytes_comm(comm, Some(next), Some(up_tag))?;
     let (from_prev, _) = rank.recv_bytes_comm(comm, Some(prev), Some(down_tag))?;
     Ok((from_next, from_prev))
@@ -240,10 +240,11 @@ pub fn send_halo_add_ghosts(
     let (prev, next) = neighbours(rank, comm);
     let wire_size = config.wire_halo();
     let pool = rank.buffer_pool();
-    let top = pod_to_bytes_pooled(pool, &extract_ghost_row(grid, moments, true));
-    let bottom = pod_to_bytes_pooled(pool, &extract_ghost_row(grid, moments, false));
-    let up = rank.isend_bytes_comm_sized(comm, prev, tags::MOM_UP, top, wire_size)?;
-    let down = rank.isend_bytes_comm_sized(comm, next, tags::MOM_DOWN, bottom, wire_size)?;
+    let wire = |row: Vec<f64>| Wire::modelled(pod_to_bytes_pooled(pool, &row), wire_size);
+    let top = wire(extract_ghost_row(grid, moments, true));
+    let bottom = wire(extract_ghost_row(grid, moments, false));
+    let up = rank.isend_bytes_comm(comm, prev, tags::MOM_UP, top)?;
+    let down = rank.isend_bytes_comm(comm, next, tags::MOM_DOWN, bottom)?;
     Ok(vec![up, down])
 }
 

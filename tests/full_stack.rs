@@ -173,24 +173,24 @@ fn blocking_p2p_equals_post_plus_wait_on_two_nodes() {
     // and error, on an intra- and an inter-communicator, clean and with
     // the destination node dead.
     use psmpi::datatype::{pod_to_bytes, read_pod_into_exact};
-    use psmpi::{Comm, MpiError, MpiRequest, Rank, Universe};
+    use psmpi::{Comm, MpiError, MpiRequest, Rank, Universe, Wire};
     use simnet::{Fabric, FaultPlan, Topology};
 
     fn data() -> Vec<f64> {
         (0..64).map(|i| i as f64 * 0.25).collect()
     }
-    /// A `_sized` bytes send, then a slice send; the name of the error
-    /// variant if either fails.
+    /// A bytes send at a modelled size, then a slice send; the name of the
+    /// error variant if either fails.
     fn send(rank: &mut Rank, c: &impl Comm, dst: usize, post_wait: bool) -> Option<String> {
         let both = |rank: &mut Rank| -> Result<(), MpiError> {
             let (raw, slice) = (pod_to_bytes(&data()), data());
             if post_wait {
-                rank.isend_bytes_comm_sized(c, dst, 3, raw, 1 << 16)?
+                rank.isend_bytes_comm(c, dst, 3, Wire::modelled(raw, 1 << 16))?
                     .wait(rank)?;
                 rank.isend_bytes_comm(c, dst, 4, pod_to_bytes(&slice))?
                     .wait(rank)
             } else {
-                rank.send_bytes_comm_sized(c, dst, 3, raw, 1 << 16)?;
+                rank.send_bytes_comm(c, dst, 3, Wire::modelled(raw, 1 << 16))?;
                 rank.send_slice_comm(c, dst, 4, &slice)
             }
         };
@@ -202,7 +202,8 @@ fn blocking_p2p_equals_post_plus_wait_on_two_nodes() {
         let (bytes, _) = rank.recv_bytes_comm(c, Some(0), Some(3)).unwrap();
         read_pod_into_exact(&bytes, &mut a).unwrap();
         let mut b = vec![0.0f64; 64];
-        rank.recv_into_comm(c, Some(0), Some(4), &mut b).unwrap();
+        let (bytes, _) = rank.recv_bytes_comm(c, Some(0), Some(4)).unwrap();
+        read_pod_into_exact(&bytes, &mut b).unwrap();
         a.iter().chain(&b).map(|x| x.to_bits()).collect()
     }
 
