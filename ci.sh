@@ -121,7 +121,7 @@ echo "== repo benchmark (benchmark/ builds and smokes against the workspace API)
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== host smoke (ring, scheduler and xPic rates, the scheduler's set-up time, the xPic fidelity ceiling, typed/bytes ratio and allreduce time within 1.5x of the recorded runs, pool misses counted, checkpointed-step rate above its floor and its peak RSS under a ceiling) =="
+echo "== host smoke (ring, scheduler and xPic rates, the scheduler's set-up time, the xPic fidelity ceiling, typed/bytes ratio and allreduce time within 1.5x of the recorded runs, pool misses counted, checkpointed-step rate above its floor, and both xPic workloads' peak RSS under a ceiling) =="
 # The one host-speed gate, read from the benchmark binary built above: its
 # `workload metric value unit` lines, its last line for the failed count.
 # Floor: the lowest ring_latency ops_per_s of ten 5 s runs at PR 26 (1.437,
@@ -167,6 +167,11 @@ echo "== host smoke (ring, scheduler and xPic rates, the scheduler's set-up time
 # slowdown of the whole workload fails it, a lost floor alone may not.
 # A 2x regression of either of the first two fails; benchmark/README.md
 # says how to read the rest.
+# Ceiling: xpic_fig7 host.peak_rss_mb 115, the highest of ten traced 5 s
+# runs with the process-wide plasma memo (74.0-76.9 MiB) x 1.5. The memo
+# holds one configuration's rows, one population of 20 MiB here (the
+# parent, which has no memo, read 53.8-56.7); a memo per mode, three
+# populations, would read about 114-117.
 # Ceiling: fidelity_max_rel_err 0.02825514721985648, the value the fitted
 # kernel prices give (DESIGN.md §3.13; 0.120095 before the fit). The
 # metric is virtual time only, exact and host-independent, so the gate is
@@ -177,12 +182,14 @@ HS_TMP=$(mktemp -d)
 "$BM" --workload ring_latency --seed 20180521 --seconds 5 --trace 0 > "$HS_TMP/ring.txt"
 "$BM" --workload bulk_collectives --seed 20180521 --seconds 5 --trace 1 > "$HS_TMP/bulk.txt"
 "$BM" --workload xpic_fig7 --seed 20180521 --seconds 5 --trace 0 > "$HS_TMP/fig7.txt"
+"$BM" --workload xpic_fig7 --seed 20180521 --seconds 5 --trace 1 > "$HS_TMP/fig7_traced.txt"
 "$BM" --workload xpic_ckpt --seed 20180521 --seconds 5 --trace 0 > "$HS_TMP/ckpt.txt"
 "$BM" --workload xpic_ckpt --seed 20180521 --seconds 5 --trace 1 > "$HS_TMP/ckpt_traced.txt"
 "$BM" --workload sched_trace --seed 20180521 --seconds 5 --trace 0 > "$HS_TMP/sched.txt"
 tail -n 1 "$HS_TMP/ring.txt" | grep -q '"failed": 0,'
 tail -n 1 "$HS_TMP/bulk.txt" | grep -q '"failed": 0,'
 tail -n 1 "$HS_TMP/fig7.txt" | grep -q '"failed": 0,'
+tail -n 1 "$HS_TMP/fig7_traced.txt" | grep -q '"failed": 0,'
 tail -n 1 "$HS_TMP/ckpt.txt" | grep -q '"failed": 0,'
 tail -n 1 "$HS_TMP/ckpt_traced.txt" | grep -q '"failed": 0,'
 tail -n 1 "$HS_TMP/sched.txt" | grep -q '"failed": 0,'
@@ -213,6 +220,9 @@ awk '$2 == "setup_s" { v = $3 }
 awk '$2 == "ops_per_s" { v = $3 }
      END { if (v + 0 < 7.0e6) { print "host smoke: xpic_fig7 ops_per_s " v " is under 7.0e6"; exit 1 } }' \
     "$HS_TMP/fig7.txt"
+awk '$2 == "host.peak_rss_mb" { v = $3 }
+     END { if (v == "" || v + 0 > 115) { print "host smoke: xpic_fig7 peak_rss_mb " v " is over 115"; exit 1 } }' \
+    "$HS_TMP/fig7_traced.txt"
 awk '$2 == "fidelity_max_rel_err" { v = $3 }
      END { if (v == "" || v + 0 > 0.02825514721985648) { print "fidelity gate: xpic_fig7 fidelity_max_rel_err " v " is over 0.02825514721985648"; exit 1 } }' \
     "$HS_TMP/fig7.txt"

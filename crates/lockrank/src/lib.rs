@@ -25,7 +25,7 @@
 //!
 //! | band | crate | locks (rank) |
 //! |---|---|---|
-//! | 100 | `xpic`, `ompss` | run accumulators `Acc`, `ResilientReport`; ompss's per-device `Side` slots (100) |
+//! | 100 | `xpic`, `ompss` | run accumulators `Acc`, `ResilientReport`; ompss's per-device `Side` slots (100) < xpic's plasma memo `PLASMA` (110) |
 //! | 200 | `core` | `ResourceManager`'s `Pools` (200) |
 //! | 300 | `scr` | manager `state` (300) |
 //! | 400 | `psmpi` | mailbox `state` (410) < `endpoints` shards (420) < `dead_nodes` (430) < `repairs` (432) < `retry` (434) < `obs` (442) < `child_handles` (444) < `outcomes` (446) < pool `state` (450) < ping-pong results (470) |

@@ -12,6 +12,7 @@ use crate::router::{RankOutcome, Router};
 use hwmodel::{NodeId, NodeSpec, SimTime};
 use simnet::{Fabric, Topology};
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -145,7 +146,12 @@ pub(crate) fn cores_per_rank(router: &Arc<Router>, placements: &[NodeId]) -> Vec
         .collect()
 }
 
-/// Start one rank thread.
+/// Start one rank thread. A rank whose entry panics dies like a failed
+/// node: its node is declared down at its clock, so peers blocked on it
+/// abort with [`crate::MpiError::NodeFailed`] instead of waiting forever,
+/// and its outcome is recorded before the panic goes on to the joining
+/// thread. A receive from any source awaits no particular sender and so
+/// still cannot abort on it.
 #[expect(
     clippy::too_many_arguments,
     reason = "every argument is a distinct piece of the rank's identity, handed over once at spawn"
@@ -183,9 +189,15 @@ pub(crate) fn spawn_rank_thread(
                 cores,
                 obs_origin,
             );
-            entry(&mut rank);
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| entry(&mut rank)));
+            if ran.is_err() {
+                rank.fail_here(rank.now());
+            }
             router.record_outcome(rank.into_outcome());
             router.awake.fetch_sub(1, Ordering::AcqRel);
+            if let Err(payload) = ran {
+                panic::resume_unwind(payload);
+            }
         })
         .expect("spawn rank thread")
 }

@@ -68,6 +68,32 @@ fn all_modes_compute_identical_physics() {
 }
 
 #[test]
+fn successive_runs_of_one_configuration_are_bit_identical() {
+    // The second run of a configuration copies the initial plasma the
+    // first one drew; every energy and virtual time must stay the bits of
+    // the first run.
+    let cfg = config();
+    let l = launcher(2, 2);
+    for nodes in [1, 2] {
+        for mode in [Mode::ClusterOnly, Mode::BoosterOnly, Mode::ClusterBooster] {
+            let a = run_mode(&l, mode, nodes, &cfg);
+            let b = run_mode(&l, mode, nodes, &cfg);
+            let bits = |r: &xpic::XpicReport| {
+                [
+                    r.field_energy,
+                    r.kinetic_energy,
+                    r.total_charge,
+                    r.total.as_secs(),
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(bits(&a), bits(&b), "{mode:?} on {nodes} node(s)");
+            assert_eq!(a.cg_iters, b.cg_iters, "{mode:?} on {nodes} node(s)");
+        }
+    }
+}
+
+#[test]
 fn physics_independent_of_decomposition() {
     // 1 rank vs 2 ranks per solver: same global physics (CG dot products
     // reduce in different orders, so allow tiny drift).
