@@ -112,6 +112,21 @@ for example in quickstart fabric_explorer modular_supercomputing \
     cargo run -q --release --example "$example" > /dev/null
 done
 
+echo "== figure binaries (each runs twice to exit 0 and prints the same bytes) =="
+# No other stage runs these five: a figure binary that panics, or whose
+# output stops being a function of its arguments, fails here. Their
+# printed tables are what EXPERIMENTS.md reproduces; `matrix` is a tier-1
+# test and `sched` has its own smoke below, so both are left out. The
+# five took 2, 747, 24, 520 and 353 ms per run in release on 2 cores.
+FIG_TMP=$(mktemp -d)
+for bin in table1 fig3 fig7 fig8 ablations; do
+    for run in 1 2; do
+        cargo run -q --release -p cb-bench --bin "$bin" > "$FIG_TMP/$bin.$run.txt"
+    done
+    cmp "$FIG_TMP/$bin.1.txt" "$FIG_TMP/$bin.2.txt"
+done
+rm -rf "$FIG_TMP"
+
 echo "== repo benchmark (benchmark/ builds and smokes against the workspace API) =="
 # benchmark/ is its own [workspace] with path deps on crates/*, so the
 # workspace stages above never compile it: an API change in psmpi or xpic

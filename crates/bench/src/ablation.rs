@@ -184,35 +184,6 @@ pub fn checkpoint_sweep(node_mtbf_hours: f64, ckpt_cost_s: f64, seed: u64) -> Ve
         .collect()
 }
 
-/// Energy-to-solution of the three xPic placements.
-#[derive(Debug, Clone)]
-pub struct EnergyStudy {
-    /// [Cluster-only, Booster-only, C+B] energy in Joules.
-    pub energy: [f64; 3],
-    /// [Cluster-only, Booster-only, C+B] energy-delay product in J·s.
-    pub edp: [f64; 3],
-}
-
-/// Run the energy extension experiment: the Booster's Flops/W advantage
-/// (§I–II) shows in raw energy and, at the paper's 1.21× C+B gain, in the
-/// energy-delay product too; the C+B split wins time only.
-pub fn energy_study(launcher: &Launcher, steps: u32) -> EnergyStudy {
-    // Enough steps that the one-off spawn/connect transient of the C+B
-    // mode amortizes, as it would in a production run.
-    let config = XpicConfig::paper_bench(steps.max(30));
-    let mut energy = [0.0; 3];
-    let mut edp = [0.0; 3];
-    for (i, mode) in [Mode::ClusterOnly, Mode::BoosterOnly, Mode::ClusterBooster]
-        .into_iter()
-        .enumerate()
-    {
-        let r = run_mode(launcher, mode, 1, &config);
-        energy[i] = r.energy_joules;
-        edp[i] = r.energy_delay();
-    }
-    EnergyStudy { energy, edp }
-}
-
 /// Weak-scaling extension: Table II per-node load held constant while the
 /// node count grows (the complement of Fig. 8's strong scaling).
 #[derive(Debug, Clone)]
@@ -332,15 +303,6 @@ pub fn render_all(launcher: &Launcher) -> String {
     out.push('\n');
     out.push_str(&crate::sensitivity::render(0.10));
 
-    let e = energy_study(launcher, 4);
-    out.push_str(&format!(
-        "\nEXTENSION 3: energy-to-solution (single node/solver, paper-setup xPic)\n  {:>10} {:>12} {:>14}\n  {:>10} {:>12.2} {:>14.3}\n  {:>10} {:>12.2} {:>14.3}\n  {:>10} {:>12.2} {:>14.3}\n",
-        "mode", "energy [J]", "EDP [J*s]",
-        "Cluster", e.energy[0], e.edp[0],
-        "Booster", e.energy[1], e.edp[1],
-        "C+B", e.energy[2], e.edp[2],
-    ));
-
     out.push_str("\nEXTENSION 4: weak scaling (C+B, Table II load per node)\n");
     out.push_str(&format!("{:>8} {:>14}\n", "nodes", "runtime"));
     for p in weak_scaling(launcher, 3, &[1, 2, 4, 8]) {
@@ -399,31 +361,6 @@ mod tests {
         assert!(
             young.as_secs() <= best.as_secs() * 1.2,
             "young {young} vs best {best}"
-        );
-    }
-
-    #[test]
-    fn booster_wins_energy_and_edp_cb_wins_time() {
-        let e = energy_study(&prototype_launcher(), 40);
-        // The Booster's Flops/W advantage makes it the raw-energy winner.
-        assert!(
-            e.energy[1] < e.energy[0] && e.energy[1] < e.energy[2],
-            "Booster energy best: {:?}",
-            e.energy
-        );
-        // C+B beats the Booster on EDP only if E_cb / E_b < T_b / T_cb.
-        // At the paper's 1.21x gain the two-state power model does not
-        // meet that: C+B keeps a node of each module powered, so it wins
-        // time and loses the energy-delay product to the Booster alone.
-        assert!(
-            e.edp[1] < e.edp[0] && e.edp[1] < e.edp[2],
-            "Booster EDP best: {:?}",
-            e.edp
-        );
-        let time: Vec<f64> = (0..3).map(|i| e.edp[i] / e.energy[i]).collect();
-        assert!(
-            time[2] < time[0] && time[2] < time[1],
-            "C+B time best: {time:?}"
         );
     }
 

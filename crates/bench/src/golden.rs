@@ -7,10 +7,10 @@
 //! compared by [`assert_pinned`]. A line is a label (the words
 //! before its first word holding a `=`) and then `key=value` tokens, a value
 //! running up to the next word that holds a `=`. The caller names the keys
-//! whose values are *prices*: virtual times and energies, which a
-//! calibration of the cost model may move. Every other byte of the golden
-//! is *program* (physics bits, counts, resume steps, schedules), which only
-//! a change to what the program computes moves. Three outcomes:
+//! whose values are *prices*: virtual times, which a calibration of the
+//! cost model may move. Every other byte of the golden is *program*
+//! (physics bits, counts, resume steps, schedules), which only a change to
+//! what the program computes moves. Three outcomes:
 //!
 //! - the output equals the golden: pass;
 //! - only price values moved, or the output added lines (a line whose

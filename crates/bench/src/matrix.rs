@@ -199,13 +199,10 @@ fn run_cell(row: Row, threads: usize, staged: Option<SimTime>) -> Cell {
             let makespan = profile.makespan;
             let (m, w) = (makespan.as_secs(), wait.as_secs());
             let (f, p) = (r.field_time.as_secs(), r.particle_time.as_secs());
-            let e = r.energy_joules;
             Cell {
                 line: match mode {
                     Mode::ClusterBooster => format!("makespan_s={m:.9} wait_s={w:.9}"),
-                    _ => format!(
-                        "makespan_s={m:.9} field_s={f:.9} particle_s={p:.9} energy_j={e:.9}"
-                    ),
+                    _ => format!("makespan_s={m:.9} field_s={f:.9} particle_s={p:.9}"),
                 },
                 final_line: final_line(r.field_energy, r.kinetic_energy, r.steps),
                 history: r.energy_history.iter().map(|e| e.to_bits()).collect(),

@@ -35,7 +35,6 @@ pub mod calib;
 pub mod cost;
 pub mod memory;
 pub mod node;
-pub mod power;
 pub mod presets;
 pub mod processor;
 pub mod time;

@@ -103,7 +103,7 @@ pub use datatype::{FixedWidth, MpiDatatype, Raw, ReduceOp};
 pub use envelope::{Envelope, Status, Tag, Wire, ANY_SOURCE, ANY_TAG, TAG_REVOKED};
 pub use pool::{BufferPool, PoolStats, DEFAULT_MAX_POOLED_BUFFERS};
 pub use rank::{MpiRequest, PsmpiError, Rank, RecvIntoRequest, RecvRequest, SendRequest};
-pub use router::{RecvAbort, RetryPolicy};
+pub use router::RecvAbort;
 
 /// MPI-flavoured alias for [`PsmpiError`]: the typed error surface a dead
 /// node, downed link or exhausted retry budget shows up as.

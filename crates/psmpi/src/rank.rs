@@ -35,8 +35,6 @@ pub enum PsmpiError {
         dst: NodeId,
         at: SimTime,
     },
-    /// Retry/backoff on a transient link fault exceeded the give-up bound.
-    Timeout { waited: SimTime },
     /// An endpoint id with no registered mailbox/node (stale handle, or a
     /// message addressed into a torn-down world).
     UnknownEndpoint(u64),
@@ -64,9 +62,6 @@ impl std::fmt::Display for PsmpiError {
             }
             PsmpiError::LinkDown { src, dst, at } => {
                 write!(f, "link {}<->{} down at t={}", src.0, dst.0, at)
-            }
-            PsmpiError::Timeout { waited } => {
-                write!(f, "operation timed out after waiting {waited}")
             }
             PsmpiError::UnknownEndpoint(ep) => write!(f, "endpoint {ep} not registered"),
             PsmpiError::NoRoute { src, dst } => {
@@ -111,7 +106,7 @@ pub trait MpiRequest: Sized {
     /// Block until the operation completes. Advances the caller's clock
     /// only to the request's completion timestamp and surfaces any
     /// deferred fault error ([`PsmpiError::NodeFailed`],
-    /// [`PsmpiError::LinkDown`], [`PsmpiError::Timeout`]).
+    /// [`PsmpiError::LinkDown`]).
     fn wait(self, rank: &mut Rank) -> Result<Self::Output, PsmpiError>;
     /// Whether [`MpiRequest::wait`] would return without blocking — with
     /// the payload *or* with the error it is bound to surface (the awaited
@@ -309,6 +304,14 @@ fn decode_revoke_marker(b: &Bytes) -> Option<(NodeId, SimTime)> {
     Some((NodeId(node), SimTime::from_secs(secs)))
 }
 
+/// Retries a sender spends on a transient link fault before it reports
+/// the link dead ([`PsmpiError::LinkDown`]).
+const MAX_LINK_RETRIES: u32 = 8;
+
+/// First backoff of that retry walk, in microseconds; it doubles on each
+/// retry, so a link still down after all eight (25.5 ms) is reported dead.
+const BASE_BACKOFF_US: f64 = 100.0;
+
 /// Sender-side fault checks of a send from node `src`, consulted before a
 /// remote injection, as a pure clock transform: starting at `start`, walk
 /// the retry/backoff schedule against the static plan (`None`: no faults)
@@ -339,19 +342,10 @@ fn destination_clearance(
         return (clock, Some(PsmpiError::NodeFailed { node: dst_node, at }));
     }
     if plan.link_fault_at(src, dst_node, clock).is_some() {
-        let policy = router.retry_policy();
-        let mut backoff = policy.base_backoff;
+        let mut backoff = SimTime::from_micros(BASE_BACKOFF_US);
         let mut tries = 0u32;
         while plan.link_fault_at(src, dst_node, clock).is_some() {
-            if clock - start >= policy.give_up_after {
-                return (
-                    clock,
-                    Some(PsmpiError::Timeout {
-                        waited: clock - start,
-                    }),
-                );
-            }
-            if tries >= policy.max_retries {
+            if tries >= MAX_LINK_RETRIES {
                 return (
                     clock,
                     Some(PsmpiError::LinkDown {
@@ -409,7 +403,6 @@ pub struct Rank {
     my_rank: usize,
     parent: Option<Intercomm>,
     clock: SimTime,
-    start_clock: SimTime,
     cost: CostModel,
     seq: u64,
     /// Cores of the node available to this rank (node cores divided by the
@@ -474,7 +467,6 @@ impl Rank {
             my_rank,
             parent,
             clock: start_clock,
-            start_clock,
             cost: CostModel,
             seq: 0,
             cores,
@@ -870,7 +862,7 @@ impl Rank {
     // advancing the clock only to `max(clock, arrival)`. Both give MPI's
     // overlap payoff in virtual time while keeping every timestamp a pure
     // function of virtual state, so thread-count invariance holds; the
-    // fault paths surface at wait time as `NodeFailed`/`LinkDown`/`Timeout`.
+    // fault paths surface at wait time as `NodeFailed`/`LinkDown`.
 
     /// Nonblocking zero-copy send on `comm` (the `MPI_Issend` of the
     /// paper's Listing 4 when `comm` is the spawn inter-communicator);
@@ -1283,10 +1275,6 @@ impl Rank {
         if let Some(track) = &self.obs {
             track.set_final(self.clock);
         }
-        // Energy accrues only while the rank exists (a spawned child's node
-        // is not part of the job before the spawn).
-        let wall = self.clock - self.start_clock;
-        let energy_joules = hwmodel::power::energy_joules(&self.node, wall, self.compute_time);
         crate::router::RankOutcome {
             world: self.world.id,
             rank: self.my_rank,
@@ -1296,7 +1284,6 @@ impl Rank {
             msgs_sent: self.msgs_sent,
             compute_time: self.compute_time,
             comm_time: self.comm_time,
-            energy_joules,
         }
     }
 }

@@ -429,33 +429,6 @@ pub struct RankOutcome {
     /// Virtual time attributable to communication (clock advances in
     /// send/recv/collective calls).
     pub comm_time: SimTime,
-    /// Energy-to-solution of this rank in Joules (two-state power model:
-    /// compute at active power, everything else at idle power).
-    pub energy_joules: f64,
-}
-
-/// Retry/backoff policy applied by senders to transient link faults: the
-/// sender's virtual clock advances by a doubling backoff until the link
-/// heals, the retry budget is spent ([`PsmpiError::LinkDown`]) or the total
-/// wait exceeds the give-up bound ([`PsmpiError::Timeout`]).
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Retries before reporting the link dead.
-    pub max_retries: u32,
-    /// First backoff; doubles on each retry.
-    pub base_backoff: SimTime,
-    /// Total virtual wait after which the sender times out.
-    pub give_up_after: SimTime,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            base_backoff: SimTime::from_micros(100.0),
-            give_up_after: SimTime::from_secs(1.0),
-        }
-    }
 }
 
 /// Number of lock domains the endpoint table is split into. Power of two
@@ -530,8 +503,6 @@ pub struct Router {
     /// respawns a world and copied into each endpoint registered after
     /// (`EndpointEntry::repaired`); senders never read it.
     repairs: RwLock<BTreeMap<NodeId, SimTime>, 432>,
-    /// Sender-side retry/backoff configuration for transient link faults.
-    retry: RwLock<RetryPolicy, 434>,
     /// Optional span/counter recorder: when attached, every rank of every
     /// subsequent job registers an `obs` track and the runtime emits
     /// compute/send/recv/collective spans automatically.
@@ -573,7 +544,6 @@ impl Router {
             dead_nodes: Mutex::new(BTreeMap::new()),
             any_dead: AtomicBool::new(false),
             repairs: RwLock::new(BTreeMap::new()),
-            retry: RwLock::new(RetryPolicy::default()),
             obs: Mutex::new(None),
             next_endpoint: AtomicU64::new(0),
             next_comm: AtomicU64::new(0),
@@ -673,18 +643,6 @@ impl Router {
     }
 
     // ---- fault state ----
-
-    /// The sender-side retry/backoff policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        let retry = self.retry.read();
-        *retry
-    }
-
-    /// Replace the retry/backoff policy (call before launching ranks).
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        let mut retry = self.retry.write();
-        *retry = policy;
-    }
 
     /// Declare `node` dead as of virtual time `at` and wake every blocked
     /// receiver so abortable receives re-check. Called by the victim's own

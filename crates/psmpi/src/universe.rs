@@ -284,55 +284,4 @@ impl JobReport {
     pub fn total_msgs_sent(&self) -> u64 {
         self.outcomes.iter().map(|o| o.msgs_sent).sum()
     }
-
-    /// Energy-to-solution: Joules summed over all ranks (compute at active
-    /// node power, waits/idle at idle power — see `hwmodel::power`). The
-    /// per-rank values are summed in ascending order, not in completion
-    /// order, so the total does not depend on which rank thread the host
-    /// finished first.
-    pub fn total_energy_joules(&self) -> f64 {
-        let mut joules: Vec<f64> = self.outcomes.iter().map(|o| o.energy_joules).collect();
-        joules.sort_by(f64::total_cmp);
-        joules.into_iter().sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn outcome(rank: usize, energy_joules: f64) -> RankOutcome {
-        RankOutcome {
-            world: CommId(0),
-            rank,
-            node: NodeId(0),
-            clock: SimTime::ZERO,
-            bytes_sent: 0,
-            msgs_sent: 0,
-            compute_time: SimTime::ZERO,
-            comm_time: SimTime::ZERO,
-            energy_joules,
-        }
-    }
-
-    #[test]
-    fn energy_total_does_not_depend_on_completion_order() {
-        // 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit.
-        let orders = [
-            [0, 1, 2],
-            [0, 2, 1],
-            [1, 0, 2],
-            [1, 2, 0],
-            [2, 0, 1],
-            [2, 1, 0],
-        ];
-        let totals: Vec<u64> = orders
-            .iter()
-            .map(|order| {
-                let outcomes = order.map(|r| outcome(r, [0.1, 0.2, 0.3][r])).to_vec();
-                JobReport { outcomes }.total_energy_joules().to_bits()
-            })
-            .collect();
-        assert!(totals.iter().all(|&t| t == totals[0]), "{totals:x?}");
-    }
 }

@@ -91,10 +91,6 @@ pub struct XpicReport {
     pub total_charge: f64,
     /// Total real CG iterations across steps and ranks.
     pub cg_iters: u64,
-    /// Energy-to-solution in Joules (two-state node power model; waits at
-    /// idle power — see `hwmodel::power`), the per-rank values summed in
-    /// ascending order so the total does not depend on host scheduling.
-    pub energy_joules: f64,
     /// Global field energy after each step (the time series the paper's
     /// auxiliary computations produce for output files).
     pub energy_history: Vec<f64>,
@@ -108,12 +104,6 @@ impl XpicReport {
         } else {
             self.coupling_comm / self.total
         }
-    }
-
-    /// Energy-delay product (J·s) — the metric on which partitioning pays
-    /// even when raw energy favours the Booster alone.
-    pub fn energy_delay(&self) -> f64 {
-        self.energy_joules * self.total.as_secs()
     }
 }
 
@@ -713,7 +703,6 @@ pub fn run_mode(
         kinetic_energy: a.ke,
         total_charge: a.charge,
         cg_iters: a.cg,
-        energy_joules: report.total_energy_joules(),
         energy_history: a.history.clone(),
     }
 }

@@ -114,10 +114,9 @@ fn main() {
         .expect("workflow runs");
 
     println!(
-        "\nworkflow finished: {} worlds over 3 modules, virtual makespan {}, energy {:.1} J",
+        "\nworkflow finished: {} worlds over 3 modules, virtual makespan {}",
         report.worlds().len(),
-        report.makespan(),
-        report.total_energy_joules()
+        report.makespan()
     );
     assert_eq!(report.worlds().len(), 3, "three module-worlds cooperated");
 }

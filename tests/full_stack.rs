@@ -397,7 +397,6 @@ fn equivalence_matrix_matches_its_golden() {
         "wait_cut",
         "field_s",
         "particle_s",
-        "energy_j",
         "block_s",
     ];
     cb_bench::golden::assert_pinned("matrix.golden", &matrix.render(), &prices, TMP);
