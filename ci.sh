@@ -47,18 +47,35 @@ echo "== public Rank methods have a caller outside tests =="
 # agreement with.
 rank_keep=" gather "
 rank_uncalled=0
-rank_callers=$(mktemp)
-git ls-files -z '*.rs' | grep -zv '\(^\|/\)tests/' | xargs -0 grep -hv '^ *//' > "$rank_callers"
+callers=$(mktemp)
+git ls-files -z '*.rs' | grep -zv '\(^\|/\)tests/' | xargs -0 grep -hv '^ *//' > "$callers"
 for name in $(sed -n 's/^ *pub fn \([a-z0-9_]*\).*/\1/p' \
     crates/psmpi/src/rank.rs crates/psmpi/src/collectives.rs crates/psmpi/src/spawn.rs | sort -u); do
     case "$rank_keep" in *" $name "*) continue ;; esac
-    if ! grep -q "\.$name\(::<.*>\)\?(" "$rank_callers"; then
+    if ! grep -q "\.$name\(::<.*>\)\?(" "$callers"; then
         echo "crates/psmpi/src: \`pub fn $name\` has no caller outside tests"
         rank_uncalled=1
     fi
 done
-rm -f "$rank_callers"
 [ "$rank_uncalled" -eq 0 ]
+
+echo "== public scr functions have a caller outside tests =="
+# The same rule for scr's failure model, interval and manager: a `pub fn`
+# of crates/scr/src/{failure,interval,manager}.rs that no tracked .rs file
+# outside a tests/ directory calls by name (`.name(` or `::name(`, with or
+# without a turbofish, comment lines aside) is API that only its own tests
+# hold up. Make it private or give it a caller. Reads the caller lines the
+# stage above collected.
+scr_uncalled=0
+for name in $(sed -n 's/^ *pub fn \([a-z0-9_]*\).*/\1/p' \
+    crates/scr/src/failure.rs crates/scr/src/interval.rs crates/scr/src/manager.rs | sort -u); do
+    if ! grep -q "\(\.\|::\)$name\(::<.*>\)\?(" "$callers"; then
+        echo "crates/scr/src: \`pub fn $name\` has no caller outside tests"
+        scr_uncalled=1
+    fi
+done
+rm -f "$callers"
+[ "$scr_uncalled" -eq 0 ]
 
 echo "== build (release) =="
 cargo build --release
@@ -117,7 +134,8 @@ echo "== figure binaries (each runs twice to exit 0 and prints the same bytes) =
 # output stops being a function of its arguments, fails here. Their
 # printed tables are what EXPERIMENTS.md reproduces; `matrix` is a tier-1
 # test and `sched` has its own smoke below, so both are left out. The
-# five took 2, 747, 24, 520 and 353 ms per run in release on 2 cores.
+# five took 2, 747, 24, 520 and 295 ms per run in release on 2 cores
+# (`ablations`: the median of five runs).
 FIG_TMP=$(mktemp -d)
 for bin in table1 fig3 fig7 fig8 ablations; do
     for run in 1 2; do

@@ -7,8 +7,6 @@
 //! * [`scheduler_study`] — batch throughput under independent (Cluster-
 //!   Booster) vs node-locked (accelerated-cluster) allocation, the §II-A
 //!   architectural argument;
-//! * [`checkpoint_sweep`] — wall time vs checkpoint interval under the
-//!   prototype failure model (§III-D extension), including Young's optimum;
 //! * [`nam_checkpoint`] — checkpoint staging onto the NAM vs a buddy node
 //!   (§II-B / ref \[6\] extension).
 
@@ -16,10 +14,7 @@ use cluster_booster::resources::AllocationPolicy;
 use cluster_booster::{Launcher, SystemBuilder};
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::{NodeId, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sched::{Engine, EngineConfig, TraceJob};
-use scr::{simulate_run, FailureModel};
 use simnet::{Fabric, FaultPlan, LogGpModel, NamDevice, Topology};
 use xpic::{run_mode, Mode, XpicConfig};
 
@@ -143,47 +138,6 @@ pub fn scheduler_study() -> SchedulerStudy {
     }
 }
 
-/// One point of the checkpoint-interval sweep.
-#[derive(Debug, Clone)]
-pub struct CheckpointPoint {
-    /// Checkpoint interval.
-    pub interval: SimTime,
-    /// Resulting wall time.
-    pub wall: SimTime,
-    /// Whether this is Young's analytic optimum.
-    pub is_young: bool,
-}
-
-/// Sweep checkpoint intervals for a week of work on the 27-node prototype
-/// under an exponential failure model, and mark Young's optimum.
-pub fn checkpoint_sweep(node_mtbf_hours: f64, ckpt_cost_s: f64, seed: u64) -> Vec<CheckpointPoint> {
-    let model = FailureModel::new(SimTime::from_secs(node_mtbf_hours * 3600.0));
-    let nodes: Vec<NodeId> = (0..27).map(NodeId).collect();
-    let work = SimTime::from_secs(7.0 * 24.0 * 3600.0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let trace = model.sample_trace(&mut rng, &nodes, work * 20.0);
-    let ckpt = SimTime::from_secs(ckpt_cost_s);
-    let restart = SimTime::from_secs(ckpt_cost_s * 2.0);
-    let young = scr::young_daly_interval(ckpt, model.system_mtbf(nodes.len()));
-
-    let mut intervals: Vec<(SimTime, bool)> = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-        .iter()
-        .map(|&f| (young * f, (f - 1.0f64).abs() < 1e-12))
-        .collect();
-    intervals.sort_by_key(|a| a.0);
-    intervals
-        .into_iter()
-        .map(|(interval, is_young)| {
-            let out = simulate_run(work, interval, ckpt, SimTime::ZERO, restart, &trace);
-            CheckpointPoint {
-                interval,
-                wall: out.wall_time,
-                is_young,
-            }
-        })
-        .collect()
-}
-
 /// Weak-scaling extension: Table II per-node load held constant while the
 /// node count grows (the complement of Fig. 8's strong scaling).
 #[derive(Debug, Clone)]
@@ -280,20 +234,6 @@ pub fn render_all(launcher: &Launcher) -> String {
 
     out.push_str(&render_scheduler(&scheduler_study()));
 
-    out.push_str("\nEXTENSION 1: checkpoint interval sweep (week-long job, 27 nodes)\n");
-    out.push_str(&format!(
-        "{:>14} {:>16} {:>8}\n",
-        "interval [s]", "wall [s]", "young?"
-    ));
-    for p in checkpoint_sweep(24.0, 30.0, 42) {
-        out.push_str(&format!(
-            "{:>14.0} {:>16.0} {:>8}\n",
-            p.interval.as_secs(),
-            p.wall.as_secs(),
-            if p.is_young { "yes" } else { "" }
-        ));
-    }
-
     let nam = nam_checkpoint(64 << 20);
     out.push_str(&format!(
         "\nEXTENSION 2: NAM-staged checkpoint (64 MiB per rank)\n  NAM put: {}   buddy copy: {}   NAM read-back: {}\n  (similar wire time, but the NAM path needs no partner CPU or NVMe —\n   the buddy node keeps computing undisturbed, ref [6])\n",
@@ -350,17 +290,6 @@ mod tests {
             "\nABLATION 3: scheduler policy (same job mix)\n  \
              independent allocation : makespan 14400.000 s (CN util 88%)\n  \
              node-locked (acc. cluster): makespan 28800.000 s (CN util 44%)\n"
-        );
-    }
-
-    #[test]
-    fn young_interval_close_to_sweep_optimum() {
-        let pts = checkpoint_sweep(24.0, 30.0, 7);
-        let best = pts.iter().map(|p| p.wall).min().unwrap();
-        let young = pts.iter().find(|p| p.is_young).expect("young point").wall;
-        assert!(
-            young.as_secs() <= best.as_secs() * 1.2,
-            "young {young} vs best {best}"
         );
     }
 

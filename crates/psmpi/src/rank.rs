@@ -410,7 +410,6 @@ pub struct Rank {
     cores: u32,
     bytes_sent: u64,
     msgs_sent: u64,
-    compute_time: SimTime,
     comm_time: SimTime,
     /// Observability track, present when a recorder is attached to the
     /// universe. All runtime spans/edges are stamped with the virtual
@@ -472,7 +471,6 @@ impl Rank {
             cores,
             bytes_sent: 0,
             msgs_sent: 0,
-            compute_time: SimTime::ZERO,
             comm_time: SimTime::ZERO,
             obs,
         }
@@ -585,11 +583,6 @@ impl Rank {
         self.clock
     }
 
-    /// Virtual time spent in `compute` calls so far.
-    pub fn compute_time(&self) -> SimTime {
-        self.compute_time
-    }
-
     /// The shared router (used by sibling modules: collectives, spawn).
     pub(crate) fn router(&self) -> &Arc<Router> {
         &self.router
@@ -679,7 +672,6 @@ impl Rank {
         let pre = self.clock;
         let t = self.cost.time(&self.node, &w);
         self.clock += t;
-        self.compute_time += t;
         if let Some(track) = &self.obs {
             track.span(obs::Category::Compute, work.name.as_str(), pre, self.clock);
         }
@@ -1282,7 +1274,6 @@ impl Rank {
             clock: self.clock,
             bytes_sent: self.bytes_sent,
             msgs_sent: self.msgs_sent,
-            compute_time: self.compute_time,
             comm_time: self.comm_time,
         }
     }

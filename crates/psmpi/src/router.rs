@@ -424,8 +424,6 @@ pub struct RankOutcome {
     pub bytes_sent: u64,
     /// Total messages this rank sent.
     pub msgs_sent: u64,
-    /// Virtual time the rank spent computing (vs communicating/waiting).
-    pub compute_time: SimTime,
     /// Virtual time attributable to communication (clock advances in
     /// send/recv/collective calls).
     pub comm_time: SimTime,

@@ -115,19 +115,43 @@ fn virtual_clock_advances_on_communication() {
 
 #[test]
 fn compute_charges_model_time() {
-    let report = cluster(1).run(|rank| {
+    // The rank's compute time is recorded as its obs span: one `Compute`
+    // span per call, named after the work, from the pre-call clock to the
+    // clock the call leaves.
+    let mut topo = Topology::new();
+    topo.add_nodes(1, &deep_er_cluster_node());
+    let u = Universe::new(Fabric::new(topo));
+    let rec = obs::Recorder::new();
+    u.attach_obs(rec.clone());
+    let charged = Arc::new(Mutex::<_, 900>::new(Vec::new()));
+    let c2 = charged.clone();
+    let report = u.launch(&[NodeId(0)], move |rank| {
         let w = WorkSpec::named("kernel")
             .flops(1e9)
             .vector_fraction(1.0)
             .parallel_fraction(1.0)
             .build();
+        rank.advance(SimTime::from_micros(3.0));
+        let pre = rank.now();
         let t = rank.compute(&w);
         assert!(t > SimTime::ZERO);
-        assert_eq!(rank.now(), t);
-        assert_eq!(rank.compute_time(), t);
+        assert_eq!(rank.now(), pre + t);
+        c2.lock().push((pre, t));
     });
     assert!(report.makespan() > SimTime::ZERO);
-    assert!(report.outcomes()[0].compute_time > SimTime::ZERO);
+    let (pre, t) = charged.lock()[0];
+    let trace = rec.snapshot();
+    assert_eq!(trace.tracks.len(), 1);
+    let compute: Vec<_> = trace.tracks[0]
+        .spans
+        .iter()
+        .filter(|s| s.cat == obs::Category::Compute)
+        .collect();
+    assert_eq!(compute.len(), 1, "one Compute span per compute call");
+    assert_eq!(compute[0].name, "kernel");
+    let bits = |t: SimTime| t.as_secs().to_bits();
+    assert_eq!(bits(compute[0].start), bits(pre));
+    assert_eq!(bits(compute[0].end), bits(pre + t));
 }
 
 #[test]

@@ -23,11 +23,11 @@ fn min_interarrival() -> SimTime {
 
 /// A sampled failure event.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FailureEvent {
+struct FailureEvent {
     /// When the failure strikes.
-    pub at: SimTime,
+    at: SimTime,
     /// Which node fails.
-    pub node: NodeId,
+    node: NodeId,
 }
 
 /// Exponential per-node failure model.
@@ -60,9 +60,10 @@ impl FailureModel {
     }
 
     /// Sample all failures of `nodes` nodes within `[0, horizon)`, sorted
-    /// by time. A node can fail repeatedly (repair assumed instantaneous at
-    /// this level; the run simulator charges the restart).
-    pub fn sample_trace<R: Rng>(
+    /// by time. A node can fail repeatedly: repair is instantaneous at this
+    /// level, and the run that consults the [`FaultPlan`] charges the
+    /// restart.
+    fn sample_trace<R: Rng>(
         &self,
         rng: &mut R,
         nodes: &[NodeId],

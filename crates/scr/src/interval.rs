@@ -11,7 +11,7 @@ use crate::manager::CheckpointLevel;
 use hwmodel::SimTime;
 
 /// Young's optimal checkpoint interval: `sqrt(2 · cost · mtbf)`.
-pub fn young_daly_interval(checkpoint_cost: SimTime, system_mtbf: SimTime) -> SimTime {
+fn young_daly_interval(checkpoint_cost: SimTime, system_mtbf: SimTime) -> SimTime {
     SimTime::from_secs((2.0 * checkpoint_cost.as_secs() * system_mtbf.as_secs()).sqrt())
 }
 

@@ -22,14 +22,9 @@
 //!   choose: a promotion drops the older checkpoints it dominates and
 //!   hands their blobs back.
 //! * [`failure`] — the failure model: exponential per-node failures with a
-//!   configurable MTBF, sampled into failure traces.
+//!   configurable MTBF, sampled into a deterministic fault plan.
 //! * [`interval`] — Young/Daly-style optimal checkpoint intervals per level
 //!   and the multi-level schedule SCR derives from the level costs.
-//! * [`sim`] — the virtual-time run simulator: given compute length, a
-//!   checkpoint schedule (what each checkpoint blocks, what it drains in
-//!   the background — nothing, for a blocking one) and a failure trace,
-//!   compute the wall time with rework and restarts. Drives the
-//!   checkpoint-interval sweep and the overhead-vs-MTBF curve.
 //! * [`delta`] — dirty-range delta frames against the previous full blob,
 //!   with periodic keyframes, shrinking the bytes a drain pushes.
 
@@ -39,11 +34,9 @@ pub mod delta;
 pub mod failure;
 pub mod interval;
 pub mod manager;
-pub mod sim;
 
 pub use failure::FailureModel;
-pub use interval::{young_daly_interval, MultiLevelSchedule};
+pub use interval::MultiLevelSchedule;
 pub use manager::{
     CheckpointLevel, CkptMode, NamBuddy, Payload, PendingDrain, ScrConfig, ScrError, ScrManager,
 };
-pub use sim::{simulate_run, RunOutcome};

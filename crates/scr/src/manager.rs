@@ -412,8 +412,7 @@ impl ScrManager {
     /// [`ScrManager::fail_nodes`] losing one of the job's nodes while it
     /// was in flight — is refused with [`ScrError::DrainAborted`] and the
     /// checkpoint stays at `Local` level, so a restart falls back to the
-    /// newest *promoted* checkpoint. [`crate::simulate_run`] models the
-    /// same rule; no test compares its makespan with a live run's.
+    /// newest *promoted* checkpoint.
     pub fn finish_drain(&self, pending: PendingDrain) -> Result<Vec<Bytes>, ScrError> {
         let in_flight = self
             .state
@@ -1173,7 +1172,7 @@ mod tests {
             .unwrap();
         // A node dies while the drain is in flight: promotion must be
         // refused — falling back to the newest fully drained checkpoint
-        // (id 1), the rule simulate_run models too.
+        // (id 1).
         m.fail_nodes(&[NodeId(0)]);
         assert_eq!(
             m.finish_drain(pending),

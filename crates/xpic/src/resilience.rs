@@ -174,8 +174,7 @@ pub fn unpack_state(data: &Bytes, grid: &Grid) -> (Vec<Species>, Fields) {
 /// (`drain_wait`), after which rank 0 promotes the checkpoint to its full
 /// level ([`ScrManager::finish_drain`]). A node death while a drain is in
 /// flight aborts it ([`ScrManager::fail_nodes`]), promotion is refused, and
-/// recovery falls back to the newest *promoted* checkpoint, the rule
-/// [`scr::simulate_run`] models too (no test compares the two makespans).
+/// recovery falls back to the newest *promoted* checkpoint.
 ///
 /// No xPic run takes a delta in [`CkptMode::AsyncDelta`]: every frame
 /// falls back to a keyframe, because migration changes the blob's length

@@ -1,15 +1,13 @@
 //! Multi-level checkpoint/restart on the prototype (paper §III-C/D): local
 //! NVMe, buddy copies over the fabric, and SION containers on the global
-//! file system — exercised against injected node failures, plus the
-//! failure-model-driven interval choice.
+//! file system — on a schedule derived from the failure model, exercised
+//! against an injected node failure.
 //!
 //! Run with: `cargo run --example checkpoint_restart`
 
 use hwmodel::presets::deep_er_booster_node;
 use hwmodel::{NodeId, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use scr::{simulate_run, CheckpointLevel, FailureModel, MultiLevelSchedule, ScrConfig, ScrManager};
+use scr::{CheckpointLevel, FailureModel, MultiLevelSchedule, ScrConfig, ScrManager};
 use sionio::ParallelFs;
 use std::sync::Arc;
 
@@ -58,24 +56,5 @@ fn main() {
         blobs[3][0],
         (id as u8) * 10 + 3,
         "latest surviving state restored"
-    );
-
-    // The failure model also validates the interval choice end to end.
-    let mut rng = StdRng::seed_from_u64(2018);
-    let trace = model.sample_trace(
-        &mut rng,
-        &(0..8).map(NodeId).collect::<Vec<_>>(),
-        SimTime::from_secs(1e7),
-    );
-    let week = SimTime::from_secs(7.0 * 24.0 * 3600.0);
-    // Blocking local checkpoints (nothing drains behind them), restarts at
-    // the buddy level's cost.
-    let (block, drain, restart) = (local, SimTime::ZERO, buddy);
-    let out = simulate_run(week, schedule.base_interval, block, drain, restart, &trace);
-    println!(
-        "\nweek-long run under the failure model: wall {} ({:.3}x ideal), {} failures absorbed",
-        out.wall_time,
-        out.overhead(week),
-        out.failures_hit
     );
 }
