@@ -38,44 +38,69 @@ for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
 done
 [ "$unused_deps" -eq 0 ]
 
-echo "== public Rank methods have a caller outside tests =="
-# A `pub fn` of psmpi/src/{rank,collectives,spawn}.rs (the `Rank` surface)
-# that no tracked .rs file outside a tests/ directory calls by name
-# (`.name(` or `.name::<..>(`, comment lines aside) is API that only its
-# own tests hold up. Kept without one, for the reason DESIGN.md §7 gives:
-# `gather`, the typed face of `gather_bytes`, which tests check cross-rank
-# agreement with.
-rank_keep=" gather "
-rank_uncalled=0
+echo "== public functions have a caller outside tests =="
+# Every `pub fn` of crates/*/src must be called from some tracked .rs file
+# outside a tests/ directory (benchmark/src and examples/ count), read
+# with each file's #[cfg(test)] items and its comment lines removed and
+# its `fn` and `use` lines skipped: `name(`, `name::<..>(`, or a `::name`
+# path that passes the function by value. A function that only tests call
+# is API that its own tests hold up: delete it, make it private, or move
+# it into the test module that uses it. The keep-list below names the
+# exceptions by file and name, each with its reason; the keep-list
+# paragraph of DESIGN.md §7 gives them in full.
+# The match is by name, not by type: a call to any function of the same
+# name counts, so an uncalled function whose name something else carries
+# passes unseen and has to be found by hand. `PendingDrain::drain` was
+# one: the benchmark's unrelated `trace::drain()` matched its name.
+surface_keep=$(cat <<'KEEP'
+crates/psmpi/src/collectives.rs:gather       the typed face of gather_bytes; tests check cross-rank agreement with it
+crates/psmpi/src/universe.rs:outcomes        JobReport's per-rank records, which the full-stack pins read
+crates/sched/src/engine.rs:starts_of         which job started when, the backfill tests' oracle
+crates/core/src/resources.rs:down_counts     the down/repair bookkeeping the scheduler's faults drive
+crates/scr/src/manager.rs:recoverable        whether a checkpoint survives a failure, which tier-1 tests probe
+crates/core/src/launch.rs:resources          the launcher's resource manager, through which paper_claims checks §II-A
+crates/bench/src/golden.rs:assert_pinned     the one golden check every tier-1 pin calls
+crates/psmpi/src/pool.rs:pooled              buffers home after a run, the pool tests' leak probe
+crates/sionio/src/pfs.rs:list                the PFS namespace, which the one-shared-file tests read
+crates/xpic/src/grid.rs:idx                  the plain cell index the row and stencil kernels are checked against
+crates/xpic/src/config.rs:with_ions          the kinetic-ion species of the multi-species extension
+KEEP
+)
+strip_tests() {
+    awk '
+        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+        skip {
+            line = $0
+            gsub(/'"'"'.'"'"'/, "", line)
+            o = gsub(/\{/, "{", line)
+            c = gsub(/\}/, "}", line)
+            depth += o - c
+            if (o > 0) opened = 1
+            if ((opened && depth <= 0) || (!opened && line ~ /;[ \t]*$/)) skip = 0
+            next
+        }
+        /^[ \t]*\/\// { next }
+        { print }
+    ' "$@"
+}
 callers=$(mktemp)
-git ls-files -z '*.rs' | grep -zv '\(^\|/\)tests/' | xargs -0 grep -hv '^ *//' > "$callers"
-for name in $(sed -n 's/^ *pub fn \([a-z0-9_]*\).*/\1/p' \
-    crates/psmpi/src/rank.rs crates/psmpi/src/collectives.rs crates/psmpi/src/spawn.rs | sort -u); do
-    case "$rank_keep" in *" $name "*) continue ;; esac
-    if ! grep -q "\.$name\(::<.*>\)\?(" "$callers"; then
-        echo "crates/psmpi/src: \`pub fn $name\` has no caller outside tests"
-        rank_uncalled=1
-    fi
-done
-[ "$rank_uncalled" -eq 0 ]
-
-echo "== public scr functions have a caller outside tests =="
-# The same rule for scr's failure model, interval and manager: a `pub fn`
-# of crates/scr/src/{failure,interval,manager}.rs that no tracked .rs file
-# outside a tests/ directory calls by name (`.name(` or `::name(`, with or
-# without a turbofish, comment lines aside) is API that only its own tests
-# hold up. Make it private or give it a caller. Reads the caller lines the
-# stage above collected.
-scr_uncalled=0
-for name in $(sed -n 's/^ *pub fn \([a-z0-9_]*\).*/\1/p' \
-    crates/scr/src/failure.rs crates/scr/src/interval.rs crates/scr/src/manager.rs | sort -u); do
-    if ! grep -q "\(\.\|::\)$name\(::<.*>\)\?(" "$callers"; then
-        echo "crates/scr/src: \`pub fn $name\` has no caller outside tests"
-        scr_uncalled=1
-    fi
+git ls-files -z '*.rs' | grep -zv '\(^\|/\)tests/' | while IFS= read -r -d '' f; do
+    strip_tests "$f"
+done | grep -Ev '^[ \t]*(pub(\([a-z]+\))? )?(((const|unsafe|async) )*fn|use) ' > "$callers"
+keep=" $(echo "$surface_keep" | awk '{ printf "%s ", $1 }')"
+uncalled=0
+for f in $(git ls-files 'crates/*/src/*.rs'); do
+    for name in $(strip_tests "$f" |
+        sed -En 's/^[ \t]*pub ((const|unsafe|async) )*fn ([a-z0-9_]+).*/\3/p' | sort -u); do
+        case "$keep" in *" $f:$name "*) continue ;; esac
+        if ! grep -Eq "(^|[^A-Za-z0-9_])$name(::<.*>)?\(|::$name([^A-Za-z0-9_:]|\$)" "$callers"; then
+            echo "$f: \`pub fn $name\` has no caller outside tests"
+            uncalled=1
+        fi
+    done
 done
 rm -f "$callers"
-[ "$scr_uncalled" -eq 0 ]
+[ "$uncalled" -eq 0 ]
 
 echo "== build (release) =="
 cargo build --release

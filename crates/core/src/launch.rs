@@ -183,9 +183,18 @@ impl Launcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets::{deep_er_prototype, mini_prototype};
+    use crate::presets::deep_er_prototype;
+    use crate::SystemBuilder;
     use hwmodel::NodeKind;
     use psmpi::ReduceOp;
+
+    /// A reduced prototype: 2 CN + 2 BN.
+    fn mini_prototype() -> System {
+        SystemBuilder::new("mini")
+            .cluster_nodes(2)
+            .booster_nodes(2)
+            .build()
+    }
 
     #[test]
     fn cluster_only_job_runs_on_cluster_nodes() {

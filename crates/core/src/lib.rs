@@ -50,12 +50,4 @@ pub mod presets {
             .nam_devices(2)
             .build()
     }
-
-    /// A reduced prototype for fast tests: 2 CN + 2 BN.
-    pub fn mini_prototype() -> System {
-        SystemBuilder::new("mini")
-            .cluster_nodes(2)
-            .booster_nodes(2)
-            .build()
-    }
 }

@@ -64,14 +64,6 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// All granted nodes, cluster first.
-    pub fn all_nodes(&self) -> Vec<NodeId> {
-        let mut v = self.cluster.clone();
-        v.extend(&self.booster);
-        v.extend(&self.dam);
-        v
-    }
-
     /// Total node count.
     pub fn len(&self) -> usize {
         self.cluster.len() + self.booster.len() + self.dam.len()
@@ -229,11 +221,6 @@ impl ResourceManager {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> AllocationPolicy {
-        self.policy
-    }
-
     /// Free cluster-node count.
     pub fn free_cluster(&self) -> usize {
         self.pools.lock().free[CN].len()
@@ -244,21 +231,9 @@ impl ResourceManager {
         self.pools.lock().free[BN].len()
     }
 
-    /// Free DAM-node count.
-    pub fn free_dam(&self) -> usize {
-        self.pools.lock().free[DAM].len()
-    }
-
     /// Total managed nodes per module (Cluster, Booster).
     pub fn totals(&self) -> (usize, usize) {
         (self.total_cluster, self.total_booster)
-    }
-
-    /// Whether `(cn, bn)` could be allocated right now.
-    pub fn can_allocate(&self, cn: usize, bn: usize) -> bool {
-        let (need_cn, need_bn) = self.effective(cn, bn);
-        let p = self.pools.lock();
-        p.free[CN].len() >= need_cn && p.free[BN].len() >= need_bn
     }
 
     /// The `(cn, bn)` a request really consumes under the active policy:
@@ -380,17 +355,11 @@ impl ResourceManager {
     }
 
     /// Nodes currently quarantined per module (Cluster, Booster, DAM).
-    /// Faulted nodes still inside live allocations are not yet assigned a
-    /// module here — count those via
-    /// [`ResourceManager::pending_down_count`].
+    /// Faulted nodes still inside live allocations are not counted: their
+    /// quarantine waits for the release.
     pub fn down_counts(&self) -> (usize, usize, usize) {
         let p = self.pools.lock();
         (p.down[CN].len(), p.down[BN].len(), p.down[DAM].len())
-    }
-
-    /// Faulted nodes still held by live allocations (quarantine deferred).
-    pub fn pending_down_count(&self) -> usize {
-        self.pools.lock().pending_down.len()
     }
 }
 
@@ -454,6 +423,23 @@ mod tests {
         ResourceManager::new(&deep_er_prototype())
     }
 
+    /// Every node an allocation holds, cluster first.
+    fn all_nodes(a: &Allocation) -> Vec<NodeId> {
+        a.cluster
+            .iter()
+            .chain(&a.booster)
+            .chain(&a.dam)
+            .copied()
+            .collect()
+    }
+
+    impl ResourceManager {
+        /// Faulted nodes still held by live allocations (quarantine deferred).
+        fn pending_down_count(&self) -> usize {
+            self.pools.lock().pending_down.len()
+        }
+    }
+
     #[test]
     fn totals_match_prototype() {
         let rm = rm();
@@ -512,8 +498,8 @@ mod tests {
         let rm = rm();
         let a = rm.allocate(4, 2).unwrap();
         let b = rm.allocate(4, 2).unwrap();
-        for n in a.all_nodes() {
-            assert!(!b.all_nodes().contains(&n));
+        for n in all_nodes(&a) {
+            assert!(!all_nodes(&b).contains(&n));
         }
     }
 
@@ -540,16 +526,6 @@ mod tests {
         let rm2 = ResourceManager::new(&sys);
         rm2.allocate(0, 4).unwrap();
         assert_eq!(rm2.free_cluster(), 8);
-    }
-
-    #[test]
-    fn can_allocate_is_consistent() {
-        let rm = rm();
-        assert!(rm.can_allocate(16, 8));
-        assert!(!rm.can_allocate(17, 0));
-        rm.allocate(16, 0).unwrap();
-        assert!(!rm.can_allocate(1, 0));
-        assert!(rm.can_allocate(0, 8));
     }
 
     #[test]
@@ -610,8 +586,7 @@ mod tests {
         let downed = probe.cluster[0];
         rm.release(&probe).unwrap();
         rm.mark_down(downed);
-        assert!(rm.can_allocate(1, 0));
-        assert!(!rm.can_allocate(2, 0), "only one CN serviceable");
+        assert!(rm.allocate(2, 0).is_err(), "only one CN serviceable");
         let a = rm.allocate(1, 0).unwrap();
         assert_ne!(a.cluster[0], downed);
     }
@@ -770,7 +745,7 @@ mod tests {
         assert_eq!(ok.len(), 8, "16 CN / 2 and 8 BN / 1 fit exactly 8 jobs");
         let mut seen = std::collections::BTreeSet::new();
         for a in &ok {
-            for n in a.all_nodes() {
+            for n in all_nodes(a) {
                 assert!(seen.insert(n), "node double-allocated");
             }
         }

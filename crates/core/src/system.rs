@@ -34,7 +34,7 @@ pub enum ModuleKind {
 
 /// The default DAM node: a Haswell-class node with 512 GB of memory (the
 /// DEEP-EST DAM's defining feature is capacity, not compute).
-pub fn dam_node() -> NodeSpec {
+fn dam_node() -> NodeSpec {
     let mut spec = hwmodel::presets::deep_er_cluster_node();
     for level in spec.memory.iter_mut() {
         if level.kind == hwmodel::MemoryKind::Ddr4 {
@@ -126,8 +126,8 @@ impl System {
 /// Builder for [`System`]s. Node ids are allocated contiguously in the
 /// order: cluster, booster, DAM, storage, metadata. Every node is its
 /// module's DEEP preset ([`deep_er_cluster_node`], [`deep_er_booster_node`],
-/// [`dam_node`], the DEEP-ER storage and metadata servers) and the fabric
-/// runs the default [`LogGpModel`].
+/// a DAM node with 512 GB of memory, the DEEP-ER storage and metadata
+/// servers) and the fabric runs the default [`LogGpModel`].
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     name: String,
@@ -280,8 +280,8 @@ mod tests {
         let rm = crate::resources::ResourceManager::new(&sys);
         let a = rm.allocate_modular(1, 2, 2).unwrap();
         assert_eq!(a.dam.len(), 2);
-        assert_eq!(rm.free_dam(), 0);
+        assert!(rm.allocate_modular(0, 0, 1).is_err(), "both DAM nodes held");
         rm.release(&a).unwrap();
-        assert_eq!(rm.free_dam(), 2);
+        assert_eq!(rm.allocate_modular(0, 0, 2).unwrap().dam.len(), 2);
     }
 }

@@ -70,16 +70,6 @@ impl CostModel {
             .max(self.memory_time(node, work))
             + work.overhead
     }
-
-    /// Effective GFlop/s the kernel achieves on the node.
-    pub fn effective_gflops(&self, node: &NodeSpec, work: &WorkSpec) -> f64 {
-        let t = self.time(node, work).as_secs();
-        if t == 0.0 {
-            0.0
-        } else {
-            work.flops / t / 1e9
-        }
-    }
 }
 
 #[cfg(test)]
@@ -115,9 +105,10 @@ mod tests {
     fn overhead_is_additive() {
         let m = CostModel;
         let cn = deep_er_cluster_node();
-        let w = WorkSpec::named("oh")
-            .overhead(SimTime::from_micros(7.0))
-            .build();
+        let w = WorkSpec {
+            overhead: SimTime::from_micros(7.0),
+            ..WorkSpec::named("oh").build()
+        };
         assert_eq!(m.time(&cn, &w), SimTime::from_micros(7.0));
     }
 
@@ -156,10 +147,10 @@ mod tests {
         let m = CostModel;
         let bn = deep_er_booster_node();
         // Pure streaming: 1 GB at MCDRAM bandwidth.
-        let w = WorkSpec::named("stream")
-            .bytes(1e9)
-            .memory(MemoryKind::Mcdram)
-            .build();
+        let w = WorkSpec {
+            memory: Some(MemoryKind::Mcdram),
+            ..WorkSpec::named("stream").bytes(1e9).build()
+        };
         let t = m.time(&bn, &w).as_secs();
         let bw = bn.memory_level(MemoryKind::Mcdram).unwrap().read_bw_gbs;
         assert!((t - 1.0 / bw).abs() < 1e-12);
@@ -187,11 +178,10 @@ mod tests {
             .flops(1e10)
             .parallel_fraction(1.0)
             .build();
-        let capped = WorkSpec::named("p")
-            .flops(1e10)
-            .parallel_fraction(1.0)
-            .max_cores(1)
-            .build();
+        let capped = WorkSpec {
+            max_cores: Some(1),
+            ..base.clone()
+        };
         let t_full = m.time(&cn, &base).as_secs();
         let t_one = m.time(&cn, &capped).as_secs();
         assert!((t_one / t_full - cn.cores() as f64).abs() < 1e-6);
@@ -201,10 +191,10 @@ mod tests {
     fn missing_memory_level_falls_back_to_fast() {
         let m = CostModel;
         let cn = deep_er_cluster_node(); // has no MCDRAM
-        let w = WorkSpec::named("s")
-            .bytes(1e9)
-            .memory(MemoryKind::Mcdram)
-            .build();
+        let w = WorkSpec {
+            memory: Some(MemoryKind::Mcdram),
+            ..WorkSpec::named("s").bytes(1e9).build()
+        };
         let fallback = WorkSpec::named("s").bytes(1e9).build();
         assert_eq!(m.time(&cn, &w), m.time(&cn, &fallback));
     }
@@ -218,7 +208,7 @@ mod tests {
                 .vector_fraction(1.0)
                 .parallel_fraction(1.0)
                 .build();
-            let eff = m.effective_gflops(&node, &w);
+            let eff = w.flops / m.time(&node, &w).as_secs() / 1e9;
             assert!(eff <= node.peak_gflops(), "{eff} > {}", node.peak_gflops());
             assert!(eff > 0.3 * node.peak_gflops());
         }

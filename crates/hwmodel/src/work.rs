@@ -40,16 +40,6 @@ impl WorkSpec {
         WorkBuilder::new(name)
     }
 
-    /// Arithmetic intensity in flops per byte (∞-safe: returns `f64::MAX`
-    /// when no memory traffic is declared).
-    pub fn intensity(&self) -> f64 {
-        if self.bytes <= 0.0 {
-            f64::MAX
-        } else {
-            self.flops / self.bytes
-        }
-    }
-
     /// Scale both flops and bytes by a factor (e.g. problem-size scaling).
     pub fn scaled(&self, factor: f64) -> WorkSpec {
         assert!(factor.is_finite() && factor >= 0.0, "invalid scale factor");
@@ -136,24 +126,6 @@ impl WorkBuilder {
         self
     }
 
-    /// Cap the cores the kernel can use.
-    pub fn max_cores(mut self, n: u32) -> Self {
-        self.spec.max_cores = Some(n);
-        self
-    }
-
-    /// Bind the memory traffic to a specific level.
-    pub fn memory(mut self, kind: MemoryKind) -> Self {
-        self.spec.memory = Some(kind);
-        self
-    }
-
-    /// Add fixed serial overhead.
-    pub fn overhead(mut self, t: SimTime) -> Self {
-        self.spec.overhead = t;
-        self
-    }
-
     /// Finish, validating all invariants.
     pub fn build(self) -> WorkSpec {
         if let Err(e) = self.spec.validate() {
@@ -174,22 +146,13 @@ mod tests {
             .bytes(2e8)
             .vector_fraction(0.9)
             .parallel_fraction(0.99)
-            .max_cores(16)
-            .memory(MemoryKind::Mcdram)
-            .overhead(SimTime::from_micros(3.0))
             .build();
         assert_eq!(w.name, "push");
         assert_eq!(w.flops, 1e9);
         assert_eq!(w.bytes, 2e8);
-        assert_eq!(w.max_cores, Some(16));
-        assert_eq!(w.memory, Some(MemoryKind::Mcdram));
-        assert_eq!(w.intensity(), 5.0);
-    }
-
-    #[test]
-    fn intensity_with_no_traffic_is_max() {
-        let w = WorkSpec::named("flops-only").flops(1.0).build();
-        assert_eq!(w.intensity(), f64::MAX);
+        assert_eq!((w.vector_fraction, w.parallel_fraction), (0.9, 0.99));
+        assert_eq!((w.max_cores, w.memory), (None, None));
+        assert_eq!(w.overhead, SimTime::ZERO);
     }
 
     #[test]
@@ -218,9 +181,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "max_cores")]
-    fn rejects_zero_cores() {
-        WorkSpec::named("bad").max_cores(0).build();
+    fn validate_rejects_zero_cores() {
+        let w = WorkSpec {
+            max_cores: Some(0),
+            ..WorkSpec::named("bad").build()
+        };
+        assert!(w.validate().unwrap_err().contains("max_cores"));
     }
 
     #[test]

@@ -13,16 +13,14 @@ fn arb_work() -> impl Strategy<Value = WorkSpec> {
         0.0f64..=1.0,
         prop::option::of(1u32..256),
     )
-        .prop_map(|(flops, bytes, vf, pf, cores)| {
-            let mut b = WorkSpec::named("prop")
+        .prop_map(|(flops, bytes, vf, pf, cores)| WorkSpec {
+            max_cores: cores,
+            ..WorkSpec::named("prop")
                 .flops(flops)
                 .bytes(bytes)
                 .vector_fraction(vf)
-                .parallel_fraction(pf);
-            if let Some(c) = cores {
-                b = b.max_cores(c);
-            }
-            b.build()
+                .parallel_fraction(pf)
+                .build()
         })
 }
 

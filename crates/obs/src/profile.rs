@@ -8,7 +8,7 @@
 //! node-kind pair.
 
 use crate::recorder::{Category, Span, Trace, TrackKey, TrackView};
-use hwmodel::{NodeKind, SimTime};
+use hwmodel::SimTime;
 use std::collections::BTreeMap;
 
 /// Seconds by coarse activity class.
@@ -107,20 +107,6 @@ impl TrafficSummary {
         self.messages += 1;
         self.bytes += bytes;
         self.max_message = self.max_message.max(bytes);
-    }
-
-    /// Bytes exchanged between two kinds (both directions).
-    pub fn between(&self, a: NodeKind, b: NodeKind) -> u64 {
-        let one_way = |s: NodeKind, d: NodeKind| {
-            self.pairs
-                .get(&(s.label().to_string(), d.label().to_string()))
-                .map_or(0, |v| v.1)
-        };
-        if a == b {
-            one_way(a, a)
-        } else {
-            one_way(a, b) + one_way(b, a)
-        }
     }
 
     /// Render as a text table.

@@ -536,29 +536,10 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    /// Apply to two scalars.
-    pub fn apply_f64(self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Prod => a * b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-
-    /// Apply element-wise, accumulating into `acc`. Panics on length
-    /// mismatch (an MPI-style usage error).
-    pub fn apply_slice(self, acc: &mut [f64], other: &[f64]) {
-        assert_eq!(acc.len(), other.len(), "reduce length mismatch");
-        for (a, b) in acc.iter_mut().zip(other) {
-            *a = self.apply_f64(*a, *b);
-        }
-    }
-
     /// Fold a partner's block into `acc` straight from its wire form (the
     /// unframed little-endian layout of [`pod_to_bytes`]): what decoding
-    /// `theirs` and [`ReduceOp::apply_slice`] compute, in one pass and with
-    /// no decoded copy. The operand order is `acc ∘ theirs` when `acc_first`,
+    /// `theirs` and combining it element by element compute, in one pass
+    /// and with no decoded copy. The operand order is `acc ∘ theirs` when `acc_first`,
     /// `theirs ∘ acc` otherwise. A block of the wrong length is a protocol
     /// error and leaves `acc` untouched.
     pub fn fold_wire(
@@ -590,16 +571,6 @@ impl ReduceOp {
             ReduceOp::Max => fold(acc, theirs, acc_first, f64::max),
         }
         Ok(())
-    }
-
-    /// The identity element (for empty reductions).
-    pub fn identity(self) -> f64 {
-        match self {
-            ReduceOp::Sum => 0.0,
-            ReduceOp::Prod => 1.0,
-            ReduceOp::Min => f64::INFINITY,
-            ReduceOp::Max => f64::NEG_INFINITY,
-        }
     }
 }
 
@@ -793,26 +764,20 @@ mod tests {
 
     #[test]
     fn reduce_ops() {
-        assert_eq!(ReduceOp::Sum.apply_f64(2.0, 3.0), 5.0);
-        assert_eq!(ReduceOp::Prod.apply_f64(2.0, 3.0), 6.0);
-        assert_eq!(ReduceOp::Min.apply_f64(2.0, 3.0), 2.0);
-        assert_eq!(ReduceOp::Max.apply_f64(2.0, 3.0), 3.0);
+        let scalar = |op: ReduceOp| {
+            let mut acc = [2.0];
+            op.fold_wire(&mut acc, &pod_to_bytes(&[3.0f64]), true)
+                .unwrap();
+            acc[0]
+        };
+        assert_eq!(scalar(ReduceOp::Sum), 5.0);
+        assert_eq!(scalar(ReduceOp::Prod), 6.0);
+        assert_eq!(scalar(ReduceOp::Min), 2.0);
+        assert_eq!(scalar(ReduceOp::Max), 3.0);
         let mut acc = vec![1.0, 5.0];
-        ReduceOp::Max.apply_slice(&mut acc, &[2.0, 4.0]);
+        ReduceOp::Max
+            .fold_wire(&mut acc, &pod_to_bytes(&[2.0f64, 4.0]), true)
+            .unwrap();
         assert_eq!(acc, vec![2.0, 5.0]);
-    }
-
-    #[test]
-    fn reduce_identities() {
-        for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max] {
-            assert_eq!(op.apply_f64(op.identity(), 7.0), 7.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn reduce_length_mismatch_panics() {
-        let mut acc = vec![0.0];
-        ReduceOp::Sum.apply_slice(&mut acc, &[1.0, 2.0]);
     }
 }

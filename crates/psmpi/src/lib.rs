@@ -106,6 +106,6 @@ pub use rank::{MpiRequest, PsmpiError, Rank, RecvIntoRequest, RecvRequest, SendR
 pub use router::RecvAbort;
 
 /// MPI-flavoured alias for [`PsmpiError`]: the typed error surface a dead
-/// node, downed link or exhausted retry budget shows up as.
+/// node shows up as.
 pub use rank::PsmpiError as MpiError;
 pub use universe::{JobReport, Universe, UniverseBuilder};

@@ -29,12 +29,6 @@ pub enum PsmpiError {
     /// operation could complete. Recoverable: restart the lost ranks from
     /// a checkpoint (see `xpic::resilience`).
     NodeFailed { node: NodeId, at: SimTime },
-    /// The link to the peer stayed down through every retry.
-    LinkDown {
-        src: NodeId,
-        dst: NodeId,
-        at: SimTime,
-    },
     /// An endpoint id with no registered mailbox/node (stale handle, or a
     /// message addressed into a torn-down world).
     UnknownEndpoint(u64),
@@ -59,9 +53,6 @@ impl std::fmt::Display for PsmpiError {
             PsmpiError::Spawn(s) => write!(f, "spawn failed: {s}"),
             PsmpiError::NodeFailed { node, at } => {
                 write!(f, "node {} failed at t={}", node.0, at)
-            }
-            PsmpiError::LinkDown { src, dst, at } => {
-                write!(f, "link {}<->{} down at t={}", src.0, dst.0, at)
             }
             PsmpiError::UnknownEndpoint(ep) => write!(f, "endpoint {ep} not registered"),
             PsmpiError::NoRoute { src, dst } => {
@@ -105,8 +96,7 @@ pub trait MpiRequest: Sized {
     type Output;
     /// Block until the operation completes. Advances the caller's clock
     /// only to the request's completion timestamp and surfaces any
-    /// deferred fault error ([`PsmpiError::NodeFailed`],
-    /// [`PsmpiError::LinkDown`]).
+    /// deferred fault error ([`PsmpiError::NodeFailed`]).
     fn wait(self, rank: &mut Rank) -> Result<Self::Output, PsmpiError>;
     /// Whether [`MpiRequest::wait`] would return without blocking — with
     /// the payload *or* with the error it is bound to surface (the awaited
@@ -129,16 +119,16 @@ pub trait MpiRequest: Sized {
 /// The envelope was deposited with the receiver at post time (buffered
 /// semantics: the message is matchable immediately, stamped exactly as
 /// the blocking path would have stamped it), but the sender-side costs
-/// were not charged — NIC serialization and link-retry backoff accrue to
-/// this handle and land on the poster's clock at [`MpiRequest::wait`].
+/// were not charged — NIC serialization accrues to this handle and lands
+/// on the poster's clock at [`MpiRequest::wait`].
 /// Dropping the handle without `wait`/`test` silently loses that charge,
 /// so a statement-level discard fails the build (`unused_must_use` is
 /// denied workspace-wide).
 #[must_use = "a dropped send request never charges its NIC time; wait or test it"]
 pub struct SendRequest {
     /// Virtual time the sender-side work finishes at — or, with a `fault`,
-    /// gives up at. Computed at post time from the sender's virtual state;
-    /// what is deferred is the charge.
+    /// the post clock the fault was parked at. Computed at post time from
+    /// the sender's virtual state; what is deferred is the charge.
     at: SimTime,
     /// A fault path that fired while posting, surfaced at completion.
     fault: Option<PsmpiError>,
@@ -304,69 +294,6 @@ fn decode_revoke_marker(b: &Bytes) -> Option<(NodeId, SimTime)> {
     Some((NodeId(node), SimTime::from_secs(secs)))
 }
 
-/// Retries a sender spends on a transient link fault before it reports
-/// the link dead ([`PsmpiError::LinkDown`]).
-const MAX_LINK_RETRIES: u32 = 8;
-
-/// First backoff of that retry walk, in microseconds; it doubles on each
-/// retry, so a link still down after all eight (25.5 ms) is reported dead.
-const BASE_BACKOFF_US: f64 = 100.0;
-
-/// Sender-side fault checks of a send from node `src`, consulted before a
-/// remote injection, as a pure clock transform: starting at `start`, walk
-/// the retry/backoff schedule against the static plan (`None`: no faults)
-/// and return the virtual time at which the fabric accepts the injection —
-/// or the error plus the time at which the sender gives up. The result is
-/// charged to the posted request, never applied here. A free function so
-/// that `Rank::post_send` can hold the destination's cached entry while it
-/// runs.
-///
-/// Determinism: the node check reads only the *static* fault plan (plus
-/// the repair frozen into the destination's entry) against the sender's
-/// own virtual clock — never the dynamic dead set, whose update timing
-/// depends on host scheduling. The retry/backoff walk is equally a
-/// pure function of the plan and the clock.
-fn destination_clearance(
-    plan: Option<&simnet::FaultPlan>,
-    router: &Router,
-    src: NodeId,
-    dst: &EndpointEntry,
-    start: SimTime,
-) -> (SimTime, Option<PsmpiError>) {
-    let Some(plan) = plan else {
-        return (start, None);
-    };
-    let dst_node = dst.node();
-    let mut clock = start;
-    if let Some(at) = router.planned_dead(dst, clock) {
-        return (clock, Some(PsmpiError::NodeFailed { node: dst_node, at }));
-    }
-    if plan.link_fault_at(src, dst_node, clock).is_some() {
-        let mut backoff = SimTime::from_micros(BASE_BACKOFF_US);
-        let mut tries = 0u32;
-        while plan.link_fault_at(src, dst_node, clock).is_some() {
-            if tries >= MAX_LINK_RETRIES {
-                return (
-                    clock,
-                    Some(PsmpiError::LinkDown {
-                        src,
-                        dst: dst_node,
-                        at: clock,
-                    }),
-                );
-            }
-            clock += backoff;
-            backoff = backoff * 2.0;
-            tries += 1;
-        }
-        // The destination may have died while we were backing off.
-        if let Some(at) = router.planned_dead(dst, clock) {
-            return (clock, Some(PsmpiError::NodeFailed { node: dst_node, at }));
-        }
-    }
-    (clock, None)
-}
-
 /// The handle each rank thread owns.
 pub struct Rank {
     router: Arc<Router>,
@@ -394,8 +321,8 @@ pub struct Rank {
     comm_ranks: BTreeMap<CommId, usize>,
     /// The fault schedule, resolved once at construction (plans are
     /// installed before rank threads launch and immutable afterwards —
-    /// see [`simnet::Fabric::set_fault_plan`]). `None` makes every
-    /// sender-side fault check a single branch.
+    /// see [`simnet::Fabric::set_fault_plan`]). `None` makes the sender's
+    /// dead-destination check a single branch.
     fault_plan: Option<Arc<simnet::FaultPlan>>,
     node_id: NodeId,
     node: Arc<NodeSpec>,
@@ -848,13 +775,13 @@ impl Rank {
     // `isend_*` is `post_send` handed back to the caller: the envelope is
     // deposited at post time (buffered semantics: the message is matchable
     // immediately, stamped exactly as a blocking send issued at the same
-    // clock) but nothing is charged — NIC serialization and link-retry
-    // backoff accrue to the returned [`SendRequest`] and land on the clock
-    // at `wait`. `irecv_*` is `post_recv`; the receive happens at `wait`,
-    // advancing the clock only to `max(clock, arrival)`. Both give MPI's
+    // clock) but nothing is charged — NIC serialization accrues to the
+    // returned [`SendRequest`] and lands on the clock at `wait`. `irecv_*`
+    // is `post_recv`; the receive happens at `wait`, advancing the clock
+    // only to `max(clock, arrival)`. Both give MPI's
     // overlap payoff in virtual time while keeping every timestamp a pure
     // function of virtual state, so thread-count invariance holds; the
-    // fault paths surface at wait time as `NodeFailed`/`LinkDown`.
+    // fault path surfaces at wait time as `NodeFailed`.
 
     /// Nonblocking zero-copy send on `comm` (the `MPI_Issend` of the
     /// paper's Listing 4 when `comm` is the spawn inter-communicator);
@@ -928,7 +855,7 @@ impl Rank {
     /// checkpoint frame serializes only the frame bytes while the region
     /// holds the reconstructed blob.
     ///
-    /// The device has no host node, so no node-death clearance applies;
+    /// The device has no host node, so no node-death check applies;
     /// an unknown `nam_index` surfaces as [`PsmpiError::Nam`] with a
     /// stale-region error. The one routing failure — this rank's own node
     /// missing from the fabric topology — is reported as
@@ -1026,13 +953,19 @@ impl Rank {
     }
 
     /// Post a send to a resolved address — the one place a point-to-point
-    /// envelope is built. Runs the fault clearance from the current clock
-    /// *without* applying it, deposits the envelope stamped with the
-    /// cleared time, and hands back the deferred charge. A usage error
+    /// envelope is built. Deposits the envelope stamped with the current
+    /// clock and hands back the deferred charge. A usage error
     /// (`InvalidRank`, `NotInCommunicator`) arrives as `addr` and is
-    /// returned here; a fault is parked on the request and surfaces at
-    /// completion. Either way the payload never reached an envelope and is
-    /// retired (a no-op if anyone else still holds a reference).
+    /// returned here; a destination that is unknown, or dead by the static
+    /// fault plan as of the post clock, is parked on the request at the
+    /// post clock and surfaces at completion. Either way the payload never
+    /// reached an envelope and is retired (a no-op if anyone else still
+    /// holds a reference).
+    ///
+    /// Determinism: the dead-destination check (`Router::planned_dead`)
+    /// reads only the static plan and the repair frozen into the
+    /// destination's entry against the sender's own clock — never the
+    /// dynamic dead set, whose update timing depends on host scheduling.
     ///
     /// The destination's routing record is borrowed from the private cache
     /// (the only shared lookup a steady-state send makes is the
@@ -1051,32 +984,37 @@ impl Rank {
         } = wire;
         let post = self.clock;
         let routed = match addr {
-            Err(err) => Err((None, err)),
-            Ok(addr) if addr.dst == self.endpoint => Ok((addr, self.own.mailbox(), post)),
+            Err(err) => Err((false, err)),
+            Ok(addr) if addr.dst == self.endpoint => Ok((addr, self.own.mailbox())),
             Ok(addr) => match cached_entry(&mut self.entries, &self.router, addr.dst) {
-                Err(err) => Err((Some(post), err)),
-                Ok(entry) => match destination_clearance(
-                    self.fault_plan.as_deref(),
-                    &self.router,
-                    self.node_id,
-                    entry,
-                    post,
-                ) {
-                    (cleared, None) => Ok((addr, entry.mailbox(), cleared)),
-                    (gave_up, Some(err)) => Err((Some(gave_up), err)),
+                Err(err) => Err((true, err)),
+                Ok(entry) => match self
+                    .fault_plan
+                    .as_ref()
+                    .and_then(|_| self.router.planned_dead(entry, post))
+                {
+                    None => Ok((addr, entry.mailbox())),
+                    Some(at) => Err((
+                        true,
+                        PsmpiError::NodeFailed {
+                            node: entry.node(),
+                            at,
+                        },
+                    )),
                 },
             },
         };
-        let (addr, mailbox, cleared) = match routed {
+        let (addr, mailbox) = match routed {
             Ok(routed) => routed,
-            Err((parked_at, err)) => {
+            Err((parked, err)) => {
                 self.retire(payload);
-                return match parked_at {
-                    Some(at) => Ok(SendRequest {
-                        at,
+                return if parked {
+                    Ok(SendRequest {
+                        at: post,
                         fault: Some(err),
-                    }),
-                    None => Err(err),
+                    })
+                } else {
+                    Err(err)
                 };
             }
         };
@@ -1086,7 +1024,7 @@ impl Rank {
             src_rank: addr.src_rank,
             tag,
             payload,
-            send_stamp: cleared,
+            send_stamp: post,
             src_endpoint: self.endpoint,
             seq: self.seq,
             virtual_size,
@@ -1095,7 +1033,7 @@ impl Rank {
         self.count_sent(size);
         Ok(SendRequest {
             // Sender-side CPU cost: message injection.
-            at: cleared + self.node.nic_send_overhead,
+            at: post + self.node.nic_send_overhead,
             fault: None,
         })
     }

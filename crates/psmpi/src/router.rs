@@ -336,22 +336,12 @@ impl Mailbox {
     }
 
     /// Block until an envelope matching `(comm, src, tag)` is queued, then
-    /// remove and return it. Envelopes from the same sender are matched in
-    /// send order (MPI non-overtaking): both the index deques and the slot
-    /// queue are in arrival order, and one sender's arrivals are ordered.
-    pub fn recv_match(&self, comm: CommId, src: Option<usize>, tag: Option<Tag>) -> Envelope {
-        self.park_until(
-            comm,
-            None,
-            || None,
-            |s| s.find(comm, src, tag).map(|arrival| s.take(arrival)),
-        )
-        .expect("a wait that watches nobody cannot abort")
-    }
-
-    /// Like [`Mailbox::recv_match`], but gives up when the awaited sender
-    /// is known never to deliver: a queued match first, then that sender's
-    /// revoke marker, then `dead()` reporting its node declared down.
+    /// remove and return it — or give up when the awaited sender is known
+    /// never to deliver: a queued match first, then that sender's revoke
+    /// marker, then `dead()` reporting its node declared down. Envelopes
+    /// from the same sender are matched in send order (MPI non-overtaking):
+    /// both the index deques and the slot queue are in arrival order, and
+    /// one sender's arrivals are ordered.
     pub fn recv_match_abortable(
         &self,
         comm: CommId,
@@ -364,8 +354,8 @@ impl Mailbox {
         })
     }
 
-    /// Like [`Mailbox::recv_match`] but non-blocking: peek metadata without
-    /// dequeuing.
+    /// Like [`Mailbox::recv_match_abortable`] but non-blocking: peek
+    /// metadata without dequeuing.
     pub fn probe_match(
         &self,
         comm: CommId,
@@ -756,6 +746,19 @@ mod tests {
         let mut t = Topology::new();
         t.add_nodes(2, &deep_er_cluster_node());
         Router::new(Fabric::new(t))
+    }
+
+    impl Mailbox {
+        /// A receive that watches no sender, so it cannot abort.
+        fn recv_match(&self, comm: CommId, src: Option<usize>, tag: Option<Tag>) -> Envelope {
+            self.park_until(
+                comm,
+                None,
+                || None,
+                |s| s.find(comm, src, tag).map(|arrival| s.take(arrival)),
+            )
+            .expect("a wait that watches nobody cannot abort")
+        }
     }
 
     /// Death time of the node hosting `ep`, looked up through the endpoint

@@ -1,4 +1,4 @@
-//! Fault-injection tests: planned node deaths and link outages surface as
+//! Fault-injection tests: planned node deaths surface as
 //! typed `MpiError`s, buffers are neither leaked nor recycled-while-aliased
 //! on the error path, and the mailbox stays exact (non-overtaking included)
 //! across an aborted receive.
@@ -269,63 +269,6 @@ fn bcast_on_a_revoking_root_fails_with_the_victims_identity() {
                 },
             }
         });
-    });
-}
-
-#[test]
-fn transient_link_fault_is_retried_through_backoff() {
-    // Outage over [0, 250µs); default policy backs off 100µs then 200µs,
-    // placing the sender's clock at 300µs — past the outage, so the send
-    // succeeds and the payload arrives.
-    let mut plan = FaultPlan::new();
-    plan.add_link_fault(
-        NodeId(0),
-        NodeId(1),
-        SimTime::ZERO,
-        SimTime::from_micros(250.0),
-    );
-    let u = faulted_universe(2, plan);
-    u.launch(&[NodeId(0), NodeId(1)], |rank| {
-        let w = rank.world();
-        if rank.rank() == 0 {
-            rank.send_comm(&w, 1, 7, &7u64).unwrap();
-            assert!(
-                rank.now() >= SimTime::from_micros(300.0),
-                "backoff must advance the virtual clock"
-            );
-        } else {
-            let (v, _) = rank.recv_comm::<u64>(&w, Some(0), Some(7)).unwrap();
-            assert_eq!(v, 7);
-        }
-    });
-}
-
-#[test]
-fn persistent_link_fault_exhausts_retries_to_link_down() {
-    let mut plan = FaultPlan::new();
-    plan.add_link_fault(NodeId(0), NodeId(1), SimTime::ZERO, s(100.0));
-    let u = faulted_universe(2, plan);
-    // Eight backoffs from 100µs, doubling, added to the clock one by one
-    // as the sender's retry walk adds them: 25.5 ms, bit for bit.
-    let mut gave_up = SimTime::ZERO;
-    let mut backoff = SimTime::from_micros(100.0);
-    for _ in 0..8 {
-        gave_up += backoff;
-        backoff = backoff * 2.0;
-    }
-    u.launch(&[NodeId(0), NodeId(1)], move |rank| {
-        let w = rank.world();
-        if rank.rank() != 0 {
-            return;
-        }
-        let err = rank.send_comm(&w, 1, 7, &7u64).unwrap_err();
-        match err {
-            MpiError::LinkDown { src, dst, at } => {
-                assert_eq!((src, dst), (NodeId(0), NodeId(1)));
-                assert_eq!(at.as_secs().to_bits(), gave_up.as_secs().to_bits());
-            }
-            other => panic!("expected LinkDown, got {other}"),
-        }
     });
 }
 

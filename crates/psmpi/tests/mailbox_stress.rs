@@ -31,6 +31,12 @@ use std::thread;
 const COMM: CommId = CommId(1);
 const TAG: Tag = 5;
 
+/// A blocking receive on `mbox` that no sender's death can abort.
+fn recv(mbox: &Mailbox, src: Option<usize>, tag: Option<Tag>) -> Envelope {
+    mbox.recv_match_abortable(COMM, src, tag, || None)
+        .expect("no revoke marker is ever queued and no node dies")
+}
+
 /// Build an envelope from `sender` whose payload encodes `(sender, i)` so
 /// the receiver can check ordering independently of the `seq` field.
 fn env(sender: usize, tag: Tag, i: u64) -> Envelope {
@@ -72,7 +78,7 @@ fn thousand_senders_preserve_per_sender_order_under_wildcard_drain() {
         thread::spawn(move || {
             let mut next = vec![0u64; SENDERS];
             for _ in 0..SENDERS as u64 * PER_SENDER {
-                let e = mbox.recv_match(COMM, None, None);
+                let e = recv(&mbox, None, None);
                 let (s, i) = decode(&e.payload);
                 assert_eq!(e.src_rank, s, "payload sender matches envelope");
                 assert_eq!(
@@ -133,7 +139,7 @@ fn thousand_senders_preserve_order_through_exact_match_index() {
     // arbitrary other-class traffic interleaved between its pops.
     for i in 0..PER_SENDER {
         for s in 0..SENDERS {
-            let e = mbox.recv_match(COMM, Some(s), Some(TAG));
+            let e = recv(&mbox, Some(s), Some(TAG));
             let (ps, pi) = decode(&e.payload);
             assert_eq!((ps, pi), (s, i), "class ({s}, {TAG}) popped out of order");
         }
@@ -245,7 +251,7 @@ fn probe_blocking_either_race_with_concurrent_sender() {
         assert_eq!(prober.join().unwrap(), TAG_B, "earliest arrival wins");
         assert_eq!(mbox.len(), 2, "probe left both envelopes queued");
         // The probe's answer must still be receivable in arrival order.
-        let e = mbox.recv_match(COMM, Some(7), Some(TAG_B));
+        let e = recv(&mbox, Some(7), Some(TAG_B));
         assert_eq!(decode(&e.payload), (7, 0));
     }
 }

@@ -5,7 +5,7 @@
 //! self-send leaves neither.
 
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
-use hwmodel::{NodeId, NodeKind, SimTime};
+use hwmodel::{NodeId, SimTime};
 use obs::{Category, Recorder, TrackKey, TrafficSummary};
 use psmpi::{Rank, Universe};
 use simnet::{Fabric, Topology};
@@ -197,8 +197,6 @@ fn traffic_is_attributed_to_node_kind_pairs() {
     assert_eq!((traffic.messages, traffic.bytes), (2, 300));
     assert_eq!(traffic.pairs[&("CN".into(), "CN".into())], (1, 100));
     assert_eq!(traffic.pairs[&("CN".into(), "BN".into())], (1, 200));
-    assert_eq!(traffic.between(NodeKind::Cluster, NodeKind::Booster), 200);
-    assert_eq!(traffic.between(NodeKind::Cluster, NodeKind::Cluster), 100);
 }
 
 #[test]

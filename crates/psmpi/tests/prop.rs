@@ -32,6 +32,24 @@ fn any_bits_f64() -> impl Strategy<Value = f64> {
         .prop_map(|(raw, i)| f64::from_bits(*SPECIAL.get(i).unwrap_or(&raw)))
 }
 
+/// The reference combine of two scalars.
+fn apply(op: ReduceOp, a: f64, b: f64) -> f64 {
+    match op {
+        ReduceOp::Sum => a + b,
+        ReduceOp::Prod => a * b,
+        ReduceOp::Min => a.min(b),
+        ReduceOp::Max => a.max(b),
+    }
+}
+
+/// The reference fold: [`apply`] element-wise, accumulating into `acc`.
+fn apply_slice(op: ReduceOp, acc: &mut [f64], other: &[f64]) {
+    assert_eq!(acc.len(), other.len(), "reduce length mismatch");
+    for (a, &b) in acc.iter_mut().zip(other) {
+        *a = apply(op, *a, b);
+    }
+}
+
 /// Bit patterns of `v`, every NaN mapped to one pattern. Which payload
 /// `NaN ∘ NaN` keeps is the one thing the operand order in the source does
 /// not fix: IEEE 754 leaves it open and the compiler treats `+` and `*` as
@@ -68,10 +86,10 @@ proptest! {
                 let mut decoded = bytes_to_pod::<f64>(&wire).unwrap();
                 let reference = if acc_first {
                     let mut acc = ours.clone();
-                    op.apply_slice(&mut acc, &decoded);
+                    apply_slice(op, &mut acc, &decoded);
                     acc
                 } else {
-                    op.apply_slice(&mut decoded, &ours);
+                    apply_slice(op, &mut decoded, &ours);
                     decoded
                 };
                 prop_assert_eq!(bits(&fused), bits(&reference), "{:?}, acc_first {}", op, acc_first);
@@ -141,14 +159,14 @@ proptest! {
     #[test]
     fn reduce_ops_match_reference(v in prop::collection::vec(-1e12f64..1e12, 1..50)) {
         let mut acc_min = vec![f64::INFINITY; v.len()];
-        ReduceOp::Min.apply_slice(&mut acc_min, &v);
+        apply_slice(ReduceOp::Min, &mut acc_min, &v);
         prop_assert_eq!(&acc_min, &v);
         let mut acc_sum = v.clone();
-        ReduceOp::Sum.apply_slice(&mut acc_sum, &vec![0.0; v.len()]);
+        apply_slice(ReduceOp::Sum, &mut acc_sum, &vec![0.0; v.len()]);
         prop_assert_eq!(&acc_sum, &v);
         let mut acc_max = v.clone();
         let other: Vec<f64> = v.iter().map(|x| x - 1.0).collect();
-        ReduceOp::Max.apply_slice(&mut acc_max, &other);
+        apply_slice(ReduceOp::Max, &mut acc_max, &other);
         prop_assert_eq!(&acc_max, &v);
     }
 
@@ -164,8 +182,10 @@ proptest! {
             let j = (state >> 33) as usize % (i + 1);
             b.swap(i, j);
         }
-        let fold = |op: ReduceOp, xs: &[f64]| xs.iter().fold(op.identity(), |acc, &x| op.apply_f64(acc, x));
-        prop_assert_eq!(fold(ReduceOp::Min, &a), fold(ReduceOp::Min, &b));
-        prop_assert_eq!(fold(ReduceOp::Max, &a), fold(ReduceOp::Max, &b));
+        let fold = |op: ReduceOp, identity: f64, xs: &[f64]| {
+            xs.iter().fold(identity, |acc, &x| apply(op, acc, x))
+        };
+        prop_assert_eq!(fold(ReduceOp::Min, f64::INFINITY, &a), fold(ReduceOp::Min, f64::INFINITY, &b));
+        prop_assert_eq!(fold(ReduceOp::Max, f64::NEG_INFINITY, &a), fold(ReduceOp::Max, f64::NEG_INFINITY, &b));
     }
 }

@@ -114,7 +114,6 @@ enum Form {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Fault {
     Clean,
-    LinkBackoff,
     DeadDestination,
 }
 
@@ -204,11 +203,6 @@ fn eq_run(form: Form, inter: bool, fault: Fault, post_wait: bool) -> Observed {
     let mut plan = FaultPlan::new();
     match fault {
         Fault::Clean => {}
-        // Down until 250 µs past the send: the default policy backs off
-        // 100 µs, then 200 µs, and injects at T0 + 300 µs.
-        Fault::LinkBackoff => {
-            plan.add_link_fault(NodeId(0), NodeId(1), SimTime::ZERO, s(EQ_T0 + 250e-6))
-        }
         Fault::DeadDestination => plan.add_node_fault(NodeId(1), SimTime::ZERO),
     }
     let u = faulted_universe(2, plan);
@@ -291,12 +285,13 @@ fn eq_run(form: Form, inter: bool, fault: Fault, post_wait: bool) -> Observed {
 #[test]
 fn blocking_equals_post_plus_wait_across_the_surface() {
     // {typed, bytes, slice} × {intra, inter} × {plain, a `Wire::modelled`
-    // size where the surface takes one} × {clean, link-fault backoff, dead
-    // destination}: the blocking call and post + immediate wait must be
-    // indistinguishable — final clocks, comm_time, counters, received
-    // bits, error — and the blocking run must export exactly the spans it
-    // always has: one `Send`/"send" span covering backoff + injection,
-    // none when the send failed. Post + wait differs in the label alone.
+    // size where the surface takes one} × {clean, dead destination}: the
+    // blocking call and post + immediate wait must be indistinguishable —
+    // final clocks, comm_time, counters, received bits, error — and the
+    // blocking run must export exactly the spans it always has: one
+    // `Send`/"send" span covering the injection, none when the send
+    // failed. Post + wait differs in the label alone. A refused send
+    // leaves the sender's clock at the post clock, bit for bit.
     let overhead = deep_er_cluster_node().nic_send_overhead;
     let forms = [
         Form::Typed,
@@ -304,7 +299,7 @@ fn blocking_equals_post_plus_wait_across_the_surface() {
         Form::Bytes { sized: true },
         Form::Slice,
     ];
-    let faults = [Fault::Clean, Fault::LinkBackoff, Fault::DeadDestination];
+    let faults = [Fault::Clean, Fault::DeadDestination];
     for form in forms {
         for inter in [false, true] {
             for fault in faults {
@@ -314,7 +309,6 @@ fn blocking_equals_post_plus_wait_across_the_surface() {
 
                 let (span_end, received, error) = match fault {
                     Fault::Clean => (Some(s(EQ_T0) + overhead), true, None),
-                    Fault::LinkBackoff => (Some(s(EQ_T0 + 300e-6) + overhead), true, None),
                     Fault::DeadDestination => (None, false, Some("NodeFailed")),
                 };
                 let spans = |cat: &str, name: &str| -> Vec<_> {
@@ -344,6 +338,12 @@ fn blocking_equals_post_plus_wait_across_the_surface() {
                 let sender = blocking.outcomes[0];
                 let sent = if received { (wire, 1) } else { (0, 0) };
                 assert_eq!((sender.4, sender.5), sent, "{cell}");
+                if fault == Fault::DeadDestination {
+                    for run in [&blocking, &posted] {
+                        let clock = run.outcomes[0].2.as_secs().to_bits();
+                        assert_eq!(clock, s(EQ_T0).as_secs().to_bits(), "{cell}");
+                    }
+                }
             }
         }
     }

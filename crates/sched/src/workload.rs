@@ -88,11 +88,6 @@ impl TraceJob {
         }
     }
 
-    /// Whether the Booster side can shrink below its full-speed size.
-    pub fn malleable(&self) -> bool {
-        self.bn_min < self.bn_max
-    }
-
     /// The job's name: its label if it has one, else `class-id`
     /// (`cluster-17`, `booster-17`, `combined-17`).
     pub fn name(&self) -> Cow<'_, str> {
@@ -309,7 +304,7 @@ mod tests {
         assert!(jobs.iter().any(|j| j.class == JobClass::ClusterHeavy));
         assert!(jobs.iter().any(|j| j.class == JobClass::BoosterHeavy));
         assert!(jobs.iter().any(|j| j.class == JobClass::Combined));
-        assert!(jobs.iter().any(|j| j.malleable()));
+        assert!(jobs.iter().any(|j| j.bn_min < j.bn_max));
     }
 
     /// The per-job name the generator used to format and store.

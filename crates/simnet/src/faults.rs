@@ -1,4 +1,4 @@
-//! Deterministic fault plan: which nodes and links die, and when.
+//! Deterministic fault plan: which nodes die, and when.
 //!
 //! The plan is *static*: it is fully determined before the run starts
 //! (seeded from `scr::FailureModel` or written down explicitly), and every
@@ -23,27 +23,11 @@ pub struct NodeFault {
     pub node: NodeId,
 }
 
-/// A transient link outage between two nodes over a virtual interval
-/// `[from, until)`. Traffic stamped inside the window fails; retrying past
-/// `until` succeeds — this is what the sender's backoff loop exploits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFault {
-    /// One endpoint (unordered — the outage is symmetric).
-    pub a: NodeId,
-    /// The other endpoint.
-    pub b: NodeId,
-    /// Start of the outage (inclusive).
-    pub from: SimTime,
-    /// End of the outage (exclusive): first instant the link works again.
-    pub until: SimTime,
-}
-
 /// The full fault schedule of a run. Cheap to build, queried with linear
 /// scans — real plans carry a handful of events, not millions.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     node_faults: Vec<NodeFault>,
-    link_faults: Vec<LinkFault>,
 }
 
 impl FaultPlan {
@@ -68,25 +52,14 @@ impl FaultPlan {
             .sort_by(|x, y| x.at.cmp(&y.at).then(x.node.0.cmp(&y.node.0)));
     }
 
-    /// Schedule a transient link outage over `[from, until)`.
-    pub fn add_link_fault(&mut self, a: NodeId, b: NodeId, from: SimTime, until: SimTime) {
-        assert!(until > from, "link outage must have positive length");
-        self.link_faults.push(LinkFault { a, b, from, until });
-    }
-
     /// All scheduled node faults, sorted by `(at, node)`.
     pub fn node_faults(&self) -> &[NodeFault] {
         &self.node_faults
     }
 
-    /// All scheduled link outages, in insertion order.
-    pub fn link_faults(&self) -> &[LinkFault] {
-        &self.link_faults
-    }
-
     /// True if the plan schedules nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.node_faults.is_empty() && self.link_faults.is_empty()
+        self.node_faults.is_empty()
     }
 
     /// The *latest* death of `node` at or before `t`, if any. A node that
@@ -109,19 +82,6 @@ impl FaultPlan {
             .find(|f| f.node == node && f.at > after && f.at <= upto)
             .map(|f| f.at)
     }
-
-    /// If the `a`↔`b` link is down at `t`, returns when it heals (the
-    /// earliest `until` among covering outages is irrelevant — the sender
-    /// must outlast *all* of them, so the latest wins).
-    pub fn link_fault_at(&self, a: NodeId, b: NodeId, t: SimTime) -> Option<SimTime> {
-        self.link_faults
-            .iter()
-            .filter(|f| {
-                ((f.a == a && f.b == b) || (f.a == b && f.b == a)) && f.from <= t && t < f.until
-            })
-            .map(|f| f.until)
-            .max()
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +98,6 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.node_fault_at(NodeId(0), s(1e9)), None);
         assert_eq!(p.node_fault_in(NodeId(0), SimTime::ZERO, s(1e9)), None);
-        assert_eq!(p.link_fault_at(NodeId(0), NodeId(1), s(1.0)), None);
     }
 
     #[test]
@@ -180,31 +139,5 @@ mod tests {
                 (s(5.0), NodeId(1)),
             ]
         );
-    }
-
-    #[test]
-    fn link_fault_window_is_half_open_and_symmetric() {
-        let mut p = FaultPlan::new();
-        p.add_link_fault(NodeId(0), NodeId(1), s(1.0), s(3.0));
-        assert_eq!(p.link_fault_at(NodeId(0), NodeId(1), s(0.5)), None);
-        assert_eq!(p.link_fault_at(NodeId(0), NodeId(1), s(1.0)), Some(s(3.0)));
-        assert_eq!(p.link_fault_at(NodeId(1), NodeId(0), s(2.0)), Some(s(3.0)));
-        assert_eq!(p.link_fault_at(NodeId(0), NodeId(1), s(3.0)), None);
-        assert_eq!(p.link_fault_at(NodeId(0), NodeId(2), s(2.0)), None);
-    }
-
-    #[test]
-    fn overlapping_link_outages_heal_at_the_latest_until() {
-        let mut p = FaultPlan::new();
-        p.add_link_fault(NodeId(0), NodeId(1), s(1.0), s(4.0));
-        p.add_link_fault(NodeId(0), NodeId(1), s(2.0), s(3.0));
-        assert_eq!(p.link_fault_at(NodeId(0), NodeId(1), s(2.5)), Some(s(4.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive length")]
-    fn empty_link_outage_rejected() {
-        let mut p = FaultPlan::new();
-        p.add_link_fault(NodeId(0), NodeId(1), s(2.0), s(2.0));
     }
 }

@@ -29,7 +29,7 @@ pub mod topology;
 
 pub use contention::{max_min_shares, max_min_shares_into};
 pub use fabric::Fabric;
-pub use faults::{FaultPlan, LinkFault, NodeFault};
+pub use faults::{FaultPlan, NodeFault};
 pub use loggp::{LogGpModel, Protocol};
 pub use nam::{NamDevice, NamError, NamRegion};
 pub use topology::{Topology, TopologyError};

@@ -104,22 +104,6 @@ impl LogGpModel {
         self.loopback_latency + SimTime::from_secs(size as f64 / (node.processor.copy_bw_gbs * 1e9))
     }
 
-    /// Effective bandwidth in bytes/s observed by a ping-pong of `size`.
-    pub fn effective_bandwidth(
-        &self,
-        src: &NodeSpec,
-        dst: &NodeSpec,
-        size: usize,
-        hops: u32,
-    ) -> f64 {
-        let t = self.transfer_time(src, dst, size, hops).as_secs();
-        if t == 0.0 {
-            0.0
-        } else {
-            size as f64 / t
-        }
-    }
-
     /// Time for a one-sided RDMA put/get of `size` bytes: initiator-side
     /// overhead and wire cost only — no software on the target, which is how
     /// EXTOLL RDMA (and hence the NAM) avoids "the intervention of an active
@@ -135,6 +119,12 @@ impl LogGpModel {
 mod tests {
     use super::*;
     use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
+
+    /// Effective bandwidth in bytes/s observed by a one-hop ping-pong of
+    /// `size`.
+    fn effective_bandwidth(m: &LogGpModel, src: &NodeSpec, dst: &NodeSpec, size: usize) -> f64 {
+        size as f64 / m.transfer_time(src, dst, size, 1).as_secs()
+    }
 
     fn model() -> LogGpModel {
         LogGpModel::default()
@@ -171,7 +161,7 @@ mod tests {
         let bn = deep_er_booster_node();
         let size = 64 << 20;
         for (a, b) in [(&cn, &cn), (&bn, &bn), (&cn, &bn)] {
-            let bw = m.effective_bandwidth(a, b, size, 1);
+            let bw = effective_bandwidth(&m, a, b, size);
             assert!(
                 bw > 0.95 * m.payload_bw,
                 "{}-{} large-message bw {bw:.3e} below fabric limit",
@@ -189,9 +179,9 @@ mod tests {
         let cn = deep_er_cluster_node();
         let bn = deep_er_booster_node();
         let size = 16 * 1024;
-        let cc = m.effective_bandwidth(&cn, &cn, size, 1);
-        let cb = m.effective_bandwidth(&cn, &bn, size, 1);
-        let bb = m.effective_bandwidth(&bn, &bn, size, 1);
+        let cc = effective_bandwidth(&m, &cn, &cn, size);
+        let cb = effective_bandwidth(&m, &cn, &bn, size);
+        let bb = effective_bandwidth(&m, &bn, &bn, size);
         assert!(cc > cb && cb > bb, "cc={cc:.3e} cb={cb:.3e} bb={bb:.3e}");
     }
 

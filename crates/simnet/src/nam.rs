@@ -111,11 +111,6 @@ impl NamDevice {
         self.state.lock().used
     }
 
-    /// Bytes still free.
-    pub fn free(&self) -> u64 {
-        self.capacity - self.used()
-    }
-
     /// The FPGA pipeline latency.
     pub fn access_latency(&self) -> SimTime {
         self.access_latency
@@ -204,7 +199,7 @@ mod tests {
         let nam = NamDevice::deep_er();
         assert_eq!(nam.capacity(), 2 * (1 << 30));
         assert_eq!(nam.used(), 0);
-        assert_eq!(nam.free(), nam.capacity());
+        assert_eq!(nam.used(), 0);
     }
 
     #[test]
@@ -236,7 +231,7 @@ mod tests {
         let nam = NamDevice::new(1000, SimTime::ZERO, 1e9);
         let a = nam.alloc(800).unwrap();
         nam.dealloc(a).unwrap();
-        assert_eq!(nam.free(), 1000);
+        assert_eq!(nam.capacity() - nam.used(), 1000);
         assert!(matches!(nam.dealloc(a), Err(NamError::StaleRegion)));
         assert!(matches!(nam.get(a, 0, 1), Err(NamError::StaleRegion)));
     }

@@ -2,11 +2,10 @@
 //!
 //! The DEEP-ER prototype is a single 19" rack: 16 Cluster nodes, 8 Booster
 //! nodes and 3 storage-system nodes behind one level of EXTOLL switching.
-//! [`Topology`] therefore defaults to a star (every pair one switch hop
-//! apart) but supports per-module extra hops for modelling larger modular
-//! systems (DEEP-EST style, paper §VI).
+//! [`Topology`] is therefore a star: every pair of distinct nodes is one
+//! switch hop apart, within a module and across modules alike.
 
-use hwmodel::{NodeId, NodeKind, NodeSpec};
+use hwmodel::{NodeId, NodeSpec};
 use std::sync::Arc;
 
 /// Errors from topology construction and lookup.
@@ -26,28 +25,22 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
+/// Extra switch hops to cross between two *different* modules
+/// (Cluster↔Booster, compute↔storage): none in the one-rack prototype.
+const INTER_MODULE_EXTRA_HOPS: u32 = 0;
+
 /// The set of fabric endpoints and their pairwise hop counts.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     /// Node `i`'s spec at index `i`: [`Topology::add_nodes`] hands out ids
     /// densely from 0, and the nodes of one call share one spec.
     nodes: Vec<Arc<NodeSpec>>,
-    /// Extra switch hops to cross between two *different* modules
-    /// (Cluster↔Booster, compute↔storage). Zero in the prototype.
-    inter_module_extra_hops: u32,
 }
 
 impl Topology {
     /// Empty topology.
     pub fn new() -> Self {
         Topology::default()
-    }
-
-    /// Set the number of extra hops between different modules (for modelling
-    /// multi-switch modular systems; the DEEP-ER rack uses 0).
-    pub fn with_inter_module_hops(mut self, hops: u32) -> Self {
-        self.inter_module_extra_hops = hops;
-        self
     }
 
     /// Register `count` identical nodes starting at the next free id,
@@ -78,17 +71,8 @@ impl Topology {
         self.nodes.is_empty()
     }
 
-    /// Ids of all nodes of a given kind, ascending.
-    pub fn nodes_of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
-        (0..)
-            .zip(&self.nodes)
-            .filter(|(_, s)| s.kind == kind)
-            .map(|(i, _)| NodeId(i))
-            .collect()
-    }
-
     /// Switch hops between two endpoints. Same node: 0 (loopback). Same
-    /// module: 1. Different modules: 1 + configured extra hops.
+    /// module: 1. Different modules: 1 + `INTER_MODULE_EXTRA_HOPS` (0).
     pub fn hops(&self, a: NodeId, b: NodeId) -> Result<u32, TopologyError> {
         Ok(self.hops_between(a, self.node(a)?, b, self.node(b)?))
     }
@@ -101,7 +85,7 @@ impl Topology {
         } else if sa.kind == sb.kind {
             1
         } else {
-            1 + self.inter_module_extra_hops
+            1 + INTER_MODULE_EXTRA_HOPS
         }
     }
 }
@@ -110,6 +94,7 @@ impl Topology {
 mod tests {
     use super::*;
     use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
+    use hwmodel::NodeKind;
 
     fn prototype() -> Topology {
         let mut t = Topology::new();
@@ -134,15 +119,9 @@ mod tests {
     #[test]
     fn ids_allocated_contiguously() {
         let t = prototype();
-        let ids = |kind| t.nodes_of_kind(kind);
-        assert_eq!(
-            ids(NodeKind::Cluster),
-            (0..16).map(NodeId).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            ids(NodeKind::Booster),
-            (16..24).map(NodeId).collect::<Vec<_>>()
-        );
+        let kind = |i| t.node(NodeId(i)).unwrap().kind;
+        assert!((0..16).all(|i| kind(i) == NodeKind::Cluster));
+        assert!((16..24).all(|i| kind(i) == NodeKind::Booster));
     }
 
     #[test]
@@ -185,14 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn kind_filter() {
-        let t = prototype();
-        assert_eq!(t.nodes_of_kind(NodeKind::Cluster).len(), 16);
-        assert_eq!(t.nodes_of_kind(NodeKind::Booster).len(), 8);
-        assert_eq!(t.nodes_of_kind(NodeKind::Storage).len(), 0);
-    }
-
-    #[test]
     fn hops_star_topology() {
         let t = prototype();
         assert_eq!(t.hops(NodeId(0), NodeId(0)).unwrap(), 0);
@@ -201,26 +172,15 @@ mod tests {
     }
 
     #[test]
-    fn inter_module_extra_hops() {
-        let mut t = Topology::new().with_inter_module_hops(2);
-        t.add_nodes(2, &deep_er_cluster_node());
-        t.add_nodes(2, &deep_er_booster_node());
-        assert_eq!(t.hops(NodeId(0), NodeId(1)).unwrap(), 1);
-        assert_eq!(t.hops(NodeId(0), NodeId(2)).unwrap(), 3);
-    }
-
-    #[test]
     fn every_prototype_pair_is_as_many_hops_as_its_modules_say() {
-        let mut t = Topology::new().with_inter_module_hops(2);
-        t.add_nodes(16, &deep_er_cluster_node());
-        t.add_nodes(8, &deep_er_booster_node());
+        let t = prototype();
         let booster = |i: u32| i >= 16;
         for a in 0..24 {
             for b in 0..24 {
                 let want = match (a == b, booster(a) == booster(b)) {
                     (true, _) => 0,
                     (false, true) => 1,
-                    (false, false) => 3,
+                    (false, false) => 1 + INTER_MODULE_EXTRA_HOPS,
                 };
                 assert_eq!(t.hops(NodeId(a), NodeId(b)), Ok(want), "{a} -> {b}");
             }

@@ -164,21 +164,6 @@ impl ParallelFs {
         self.transfer_time(data.len() as u64)
     }
 
-    /// File size, plus a metadata-only cost.
-    pub fn stat(&self, path: &str) -> Result<(u64, SimTime), FsError> {
-        let st = self.state.lock();
-        let data = st
-            .files
-            .get(path)
-            .ok_or_else(|| FsError::NotFound(path.into()))?;
-        Ok((data.len() as u64, metadata_latency()))
-    }
-
-    /// Whether a path exists (metadata cost charged to caller separately).
-    pub fn exists(&self, path: &str) -> bool {
-        self.state.lock().files.contains_key(path)
-    }
-
     /// Delete a file.
     pub fn delete(&self, path: &str) -> Result<SimTime, FsError> {
         let mut st = self.state.lock();
@@ -216,7 +201,6 @@ mod tests {
     fn missing_file_errors() {
         let fs = ParallelFs::deep_er();
         assert!(matches!(fs.read("/nope"), Err(FsError::NotFound(_))));
-        assert!(matches!(fs.stat("/nope"), Err(FsError::NotFound(_))));
         assert!(matches!(fs.delete("/nope"), Err(FsError::NotFound(_))));
     }
 
@@ -266,18 +250,8 @@ mod tests {
         assert_eq!(d, b"ab");
         fs.write("/b", b"");
         assert_eq!(fs.list(), vec!["/b".to_string(), "/log".to_string()]);
-        assert!(fs.exists("/log"));
         fs.delete("/log").unwrap();
-        assert!(!fs.exists("/log"));
-    }
-
-    #[test]
-    fn stat_returns_size() {
-        let fs = ParallelFs::deep_er();
-        fs.write("/f", &[0u8; 1234]);
-        let (size, t) = fs.stat("/f").unwrap();
-        assert_eq!(size, 1234);
-        assert_eq!(t, metadata_latency());
+        assert_eq!(fs.list(), vec!["/b".to_string()]);
     }
 
     #[test]

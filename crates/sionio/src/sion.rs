@@ -134,16 +134,6 @@ impl SionContainer {
         ))
     }
 
-    /// Number of task chunks.
-    pub fn tasks(&self) -> usize {
-        self.tasks
-    }
-
-    /// Chunk capacity in bytes (stripe-aligned).
-    pub fn chunk_size(&self) -> u64 {
-        self.chunk_size
-    }
-
     /// Byte offset of a task's chunk within the shared file.
     fn chunk_offset(&self, task: usize) -> Result<u64, SionError> {
         if task >= self.tasks {
@@ -181,11 +171,6 @@ impl SionContainer {
         let (data, t2) = self.fs.read_at(&self.path, off + 8, len)?;
         Ok((data, t1 + t2))
     }
-
-    /// Path of the shared file.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
 }
 
 #[cfg(test)]
@@ -205,9 +190,9 @@ mod tests {
         let fs = fs();
         let (c, t0) = SionContainer::create(&fs, "/sion/ckpt.sion", 4, 1000).unwrap();
         assert!(t0 > SimTime::ZERO);
-        assert_eq!(c.tasks(), 4);
+        assert_eq!(c.tasks, 4);
         // Chunk rounded to the 512 KiB stripe.
-        assert_eq!(c.chunk_size(), 512 * 1024);
+        assert_eq!(c.chunk_size, 512 * 1024);
         for task in 0..4 {
             c.write_task(task, format!("task-{task}-payload").as_bytes())
                 .unwrap();
@@ -234,8 +219,8 @@ mod tests {
         let (c, _) = SionContainer::create(&fs, "/re.sion", 3, 2048).unwrap();
         c.write_task(2, b"persisted").unwrap();
         let (c2, _) = SionContainer::open(&fs, "/re.sion").unwrap();
-        assert_eq!(c2.tasks(), 3);
-        assert_eq!(c2.chunk_size(), c.chunk_size());
+        assert_eq!(c2.tasks, 3);
+        assert_eq!(c2.chunk_size, c.chunk_size);
         let (d, _) = c2.read_task(2).unwrap();
         assert_eq!(d, b"persisted");
     }
@@ -249,7 +234,7 @@ mod tests {
             Err(SionError::BadTask { task: 5, tasks: 2 })
         ));
         assert!(matches!(c.read_task(2), Err(SionError::BadTask { .. })));
-        let too_big = vec![0u8; (c.chunk_size() + 1) as usize];
+        let too_big = vec![0u8; (c.chunk_size + 1) as usize];
         assert!(matches!(
             c.write_task(0, &too_big),
             Err(SionError::ChunkOverflow { .. })

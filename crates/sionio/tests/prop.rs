@@ -1,7 +1,7 @@
 //! Property-based tests of the parallel file system and SION container.
 
 use proptest::prelude::*;
-use sionio::{ParallelFs, SionContainer};
+use sionio::{ParallelFs, SionContainer, SionError};
 
 proptest! {
     #[test]
@@ -26,8 +26,8 @@ proptest! {
     fn pfs_write_at_grows_consistently(off in 0u64..10_000, data in prop::collection::vec(any::<u8>(), 1..512)) {
         let fs = ParallelFs::deep_er();
         fs.write_at("/g", off, &data);
-        let (size, _) = fs.stat("/g").unwrap();
-        prop_assert_eq!(size, off + data.len() as u64);
+        let (all, _) = fs.read("/g").unwrap();
+        prop_assert_eq!(all.len() as u64, off + data.len() as u64);
         let (back, _) = fs.read_at("/g", off, data.len() as u64).unwrap();
         prop_assert_eq!(back, data);
     }
@@ -66,7 +66,8 @@ proptest! {
         let payload = vec![tag; (chunk as usize).min(100)];
         c.write_task(tasks - 1, &payload).unwrap();
         let (c2, _) = SionContainer::open(&fs, "/r.sion").unwrap();
-        prop_assert_eq!(c2.tasks(), tasks);
+        let past = c2.read_task(tasks);
+        prop_assert!(matches!(past, Err(SionError::BadTask { tasks: t, .. }) if t == tasks));
         let (back, _) = c2.read_task(tasks - 1).unwrap();
         prop_assert_eq!(back, payload);
     }

@@ -246,11 +246,6 @@ impl XpicConfig {
         self
     }
 
-    /// Total simulation particles per cell summed over species.
-    pub fn total_ppc(&self) -> usize {
-        self.species_specs().iter().map(|s| s.ppc).sum()
-    }
-
     /// Strong-scale the *model* workload: divide a fixed global problem of
     /// `nodes_at_reference × reference cells-per-node` over `nodes` nodes
     /// (the Fig. 8 configuration: the Table II per-node load is reached at

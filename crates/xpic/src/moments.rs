@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn deposit_conserves_charge() {
         let g = Grid::slab(8, 8, 0, 1);
-        let s = Species::maxwellian(&g, 4, 0.1, -1.0, 9);
+        let s = Species::maxwellian_charged(&g, 4, 0.1, -1.0, -1.0, 9);
         let mut m = Moments::zeros(&g);
         deposit(&g, &s, &mut m);
         fold_ghosts_periodic(&g, &mut m);
@@ -211,7 +211,7 @@ mod tests {
     fn threaded_deposit_is_thread_count_invariant() {
         // Large enough for a multi-chunk reduction grid.
         let g = Grid::slab(8, 8, 0, 1);
-        let s = Species::maxwellian(&g, 600, 0.3, -1.0, 13);
+        let s = Species::maxwellian_charged(&g, 600, 0.3, -1.0, -1.0, 13);
         assert!(crate::par::reduction_chunks(s.len()) > 1);
         let mut reference = Moments::zeros(&g);
         deposit_threads(&g, &s, &mut reference, 1);
@@ -236,7 +236,7 @@ mod tests {
         // Below the chunking threshold the threaded entry point is the
         // serial accumulation, bit for bit.
         let g = Grid::slab(8, 8, 0, 1);
-        let s = Species::maxwellian(&g, 4, 0.3, -1.0, 17);
+        let s = Species::maxwellian_charged(&g, 4, 0.3, -1.0, -1.0, 17);
         let mut serial = Moments::zeros(&g);
         deposit(&g, &s, &mut serial);
         let mut threaded = Moments::zeros(&g);
@@ -252,15 +252,15 @@ mod tests {
         let ny = 8;
         let ppc = 3;
         let whole_g = Grid::slab(nx, ny, 0, 1);
-        let whole_s = Species::maxwellian(&whole_g, ppc, 0.4, -1.0, 21);
+        let whole_s = Species::maxwellian_charged(&whole_g, ppc, 0.4, -1.0, -1.0, 21);
         let mut whole_m = Moments::zeros(&whole_g);
         deposit(&whole_g, &whole_s, &mut whole_m);
         fold_ghosts_periodic(&whole_g, &mut whole_m);
 
         let g0 = Grid::slab(nx, ny, 0, 2);
         let g1 = Grid::slab(nx, ny, 1, 2);
-        let s0 = Species::maxwellian(&g0, ppc, 0.4, -1.0, 21);
-        let s1 = Species::maxwellian(&g1, ppc, 0.4, -1.0, 21);
+        let s0 = Species::maxwellian_charged(&g0, ppc, 0.4, -1.0, -1.0, 21);
+        let s1 = Species::maxwellian_charged(&g1, ppc, 0.4, -1.0, -1.0, 21);
         let mut m0 = Moments::zeros(&g0);
         let mut m1 = Moments::zeros(&g1);
         deposit(&g0, &s0, &mut m0);

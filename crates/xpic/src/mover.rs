@@ -12,15 +12,6 @@ use crate::grid::{wrap_periodic, Fields, Grid, Stencil};
 use crate::par;
 use crate::particles::Species;
 
-/// Bilinear interpolation of one field array at (x, y) in local cell
-/// coordinates (y relative to the slab, may reach into the ghost rows).
-/// The mover itself builds the [`Stencil`] once per particle and applies
-/// it to all six components.
-#[inline]
-pub fn gather(grid: &Grid, field: &[f64], x: f64, y: f64) -> f64 {
-    Stencil::at(grid, x, y).apply(field)
-}
-
 /// One contiguous block of a species' structure-of-arrays storage, handed
 /// to a worker thread by [`boris_push_threads`].
 struct PushChunk<'a> {
@@ -140,6 +131,13 @@ mod tests {
     use super::*;
     use crate::grid::Grid;
 
+    /// Bilinear interpolation of one field array at (x, y) in local cell
+    /// coordinates: the stencil the mover builds once per particle,
+    /// applied to one component.
+    fn gather(grid: &Grid, field: &[f64], x: f64, y: f64) -> f64 {
+        Stencil::at(grid, x, y).apply(field)
+    }
+
     fn uniform_fields(grid: &Grid, f: impl Fn(&mut Fields, usize)) -> Fields {
         let mut fields = Fields::zeros(grid);
         for k in 0..grid.len() {
@@ -236,7 +234,7 @@ mod tests {
             f.bz[k] = 0.7;
         });
         // Enough particles to cross the MIN_PAR_PARTICLES threshold.
-        let base = S::maxwellian(&g, 300, 0.2, -1.0, 11);
+        let base = S::maxwellian_charged(&g, 300, 0.2, -1.0, -1.0, 11);
         assert!(base.len() >= crate::par::MIN_PAR_PARTICLES);
         let mut serial = base.clone();
         boris_push(&g, &f, &mut serial, 0.05);

@@ -51,18 +51,6 @@ impl Species {
         self.x.is_empty()
     }
 
-    /// Initialize the slab's share of a uniform plasma: `ppc` particles
-    /// per cell, Maxwellian velocities with thermal speed `vth`. Each
-    /// global row uses its own RNG stream seeded from `(seed, row)`, so
-    /// decomposition does not change the population.
-    ///
-    /// The electron default (charge −1 per cell, quasi-neutral against a
-    /// static background). For explicit multi-species runs use
-    /// [`Species::maxwellian_charged`].
-    pub fn maxwellian(grid: &Grid, ppc: usize, vth: f64, qom: f64, seed: u64) -> Species {
-        Species::maxwellian_charged(grid, ppc, vth, qom, -1.0, seed)
-    }
-
     /// The initial population of every species `config` lists on `grid`'s
     /// slab, each species seeded from `config.seed` and its index — the
     /// start state of every xPic driver. Bit for bit
@@ -97,10 +85,14 @@ impl Species {
             .collect()
     }
 
-    /// [`Species::maxwellian`] with an explicit total charge per cell
-    /// (negative for electrons, positive for ions), as in the paper's
-    /// multi-species loop (`for is in 0..nspec`, Listing 1). Draws every
-    /// row afresh: the reference [`Species::from_config`] is held to.
+    /// Initialize the slab's share of a uniform plasma: `ppc` particles
+    /// per cell, Maxwellian velocities with thermal speed `vth`, and a
+    /// total charge per cell (−1 for electrons quasi-neutral against a
+    /// static background, positive for ions), as in the paper's
+    /// multi-species loop (`for is in 0..nspec`, Listing 1). Each global
+    /// row uses its own RNG stream seeded from `(seed, row)`, so
+    /// decomposition does not change the population. Draws every row
+    /// afresh: the reference [`Species::from_config`] is held to.
     pub fn maxwellian_charged(
         grid: &Grid,
         ppc: usize,
@@ -281,7 +273,7 @@ mod tests {
     #[test]
     fn maxwellian_population_counts() {
         let g = Grid::slab(8, 8, 0, 1);
-        let s = Species::maxwellian(&g, 4, 0.1, -1.0, 1);
+        let s = Species::maxwellian_charged(&g, 4, 0.1, -1.0, -1.0, 1);
         assert_eq!(s.len(), 8 * 8 * 4);
         assert!(!s.is_empty());
         // Positions inside the domain.
@@ -292,9 +284,9 @@ mod tests {
     #[test]
     fn decomposition_invariant_population() {
         // The union of two slabs' particles equals the single-slab set.
-        let whole = Species::maxwellian(&Grid::slab(4, 8, 0, 1), 2, 0.1, -1.0, 7);
-        let top = Species::maxwellian(&Grid::slab(4, 8, 0, 2), 2, 0.1, -1.0, 7);
-        let bot = Species::maxwellian(&Grid::slab(4, 8, 1, 2), 2, 0.1, -1.0, 7);
+        let whole = Species::maxwellian_charged(&Grid::slab(4, 8, 0, 1), 2, 0.1, -1.0, -1.0, 7);
+        let top = Species::maxwellian_charged(&Grid::slab(4, 8, 0, 2), 2, 0.1, -1.0, -1.0, 7);
+        let bot = Species::maxwellian_charged(&Grid::slab(4, 8, 1, 2), 2, 0.1, -1.0, -1.0, 7);
         assert_eq!(whole.len(), top.len() + bot.len());
         let mut merged_x: Vec<f64> = top.x.iter().chain(&bot.x).copied().collect();
         let mut whole_x = whole.x.clone();
@@ -307,7 +299,7 @@ mod tests {
     fn velocities_look_maxwellian() {
         let g = Grid::slab(16, 16, 0, 1);
         let vth = 0.25;
-        let s = Species::maxwellian(&g, 16, vth, -1.0, 3);
+        let s = Species::maxwellian_charged(&g, 16, vth, -1.0, -1.0, 3);
         let n = s.len() as f64;
         let mean: f64 = s.vx.iter().sum::<f64>() / n;
         let var: f64 = s.vx.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
@@ -318,7 +310,7 @@ mod tests {
     #[test]
     fn take_swap_removes() {
         let g = Grid::slab(2, 2, 0, 1);
-        let mut s = Species::maxwellian(&g, 1, 0.0, -1.0, 1);
+        let mut s = Species::maxwellian_charged(&g, 1, 0.0, -1.0, -1.0, 1);
         let n = s.len();
         let p = s.take(0);
         assert_eq!(s.len(), n - 1);
@@ -328,11 +320,11 @@ mod tests {
     #[test]
     fn charge_and_energy() {
         let g = Grid::slab(4, 4, 0, 1);
-        let s = Species::maxwellian(&g, 2, 0.1, -1.0, 1);
+        let s = Species::maxwellian_charged(&g, 2, 0.1, -1.0, -1.0, 1);
         // q/particle = −1/ppc → total charge = −cells.
         assert!((s.total_charge() + 16.0).abs() < 1e-12);
         assert!(s.kinetic_energy() > 0.0);
-        let cold = Species::maxwellian(&g, 2, 0.0, -1.0, 1);
+        let cold = Species::maxwellian_charged(&g, 2, 0.0, -1.0, -1.0, 1);
         assert_eq!(cold.kinetic_energy(), 0.0);
     }
 

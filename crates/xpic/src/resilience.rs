@@ -521,7 +521,6 @@ impl MpiDatatype for StatusMsg {
 fn failure_identity(rank: &Rank, err: &PsmpiError) -> (NodeId, SimTime) {
     match err {
         PsmpiError::NodeFailed { node, at } => (*node, *at),
-        PsmpiError::LinkDown { dst, at, .. } => (*dst, *at),
         _ => (rank.node_id(), rank.now()),
     }
 }
@@ -792,8 +791,8 @@ mod tests {
                 .enumerate()
                 .for_each(|(i, x)| *x = c as f64 - 0.25 * i as f64);
         }
-        let electrons = Species::maxwellian(&grid, 3, 0.1, -1.0, 7);
-        let ions = Species::maxwellian(&grid, 2, 0.01, 1.0 / 64.0, 8);
+        let electrons = Species::maxwellian_charged(&grid, 3, 0.1, -1.0, -1.0, 7);
+        let ions = Species::maxwellian_charged(&grid, 2, 0.01, 1.0 / 64.0, -1.0, 8);
         let pool = psmpi::BufferPool::new();
         for species in [vec![], vec![electrons.clone()], vec![electrons, ions]] {
             let want = appended_keyframe(&species, &fields);

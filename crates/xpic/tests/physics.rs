@@ -53,8 +53,14 @@ fn momentum_drift_is_small() {
     let cfg = XpicConfig::test_small();
     let grid = Grid::slab(cfg.nx, cfg.ny, 0, 1);
     let solver = FieldSolver::new(grid, &cfg);
-    let mut species =
-        Species::maxwellian(&grid, cfg.sim_particles_per_cell, cfg.vth, -1.0, cfg.seed);
+    let mut species = Species::maxwellian_charged(
+        &grid,
+        cfg.sim_particles_per_cell,
+        cfg.vth,
+        -1.0,
+        -1.0,
+        cfg.seed,
+    );
     let mut fields = Fields::zeros(&grid);
     let mut moments = Moments::zeros(&grid);
     let mut comm = SerialComm;
@@ -95,7 +101,8 @@ fn cold_plasma_oscillates_not_explodes() {
     };
     let grid = Grid::slab(cfg.nx, cfg.ny, 0, 1);
     let solver = FieldSolver::new(grid, &cfg);
-    let mut species = Species::maxwellian(&grid, cfg.sim_particles_per_cell, 0.0, -1.0, cfg.seed);
+    let mut species =
+        Species::maxwellian_charged(&grid, cfg.sim_particles_per_cell, 0.0, -1.0, -1.0, cfg.seed);
     // Perturb positions sinusoidally in x.
     let nx = grid.nx as f64;
     for x in species.x.iter_mut() {

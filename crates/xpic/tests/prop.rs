@@ -5,11 +5,17 @@ use proptest::prelude::*;
 use xpic::config::XpicConfig;
 use xpic::diagnostics::field_energy;
 use xpic::fields::{FieldComm, FieldSolver};
-use xpic::grid::{wrap_periodic, Fields, Grid, Moments};
+use xpic::grid::{wrap_periodic, Fields, Grid, Moments, Stencil};
 use xpic::moments::{deposit, deposit_threads, fold_ghosts_periodic};
-use xpic::mover::{boris_push, boris_push_threads, gather};
+use xpic::mover::{boris_push, boris_push_threads};
 use xpic::par;
 use xpic::particles::Species;
+
+/// The mover's field gather: the particle's stencil applied to one
+/// component.
+fn gather(grid: &Grid, field: &[f64], x: f64, y: f64) -> f64 {
+    Stencil::at(grid, x, y).apply(field)
+}
 
 fn arb_grid() -> impl Strategy<Value = Grid> {
     (2usize..12, 2usize..12).prop_map(|(nx, ny)| Grid::slab(nx, ny, 0, 1))

@@ -32,7 +32,7 @@ fn scr_for(launcher: &Launcher, nodes: usize) -> ScrManager {
 fn state_pack_unpack_roundtrip() {
     let grid = Grid::slab(8, 8, 0, 1);
     let species = vec![
-        Species::maxwellian(&grid, 3, 0.1, -1.0, 5),
+        Species::maxwellian_charged(&grid, 3, 0.1, -1.0, -1.0, 5),
         Species::maxwellian_charged(&grid, 2, 0.05, 0.01, 1.0, 6),
     ];
     let mut fields = Fields::zeros(&grid);
@@ -77,7 +77,7 @@ fn pack_state_wire_format_is_unchanged() {
 
     let grid = Grid::slab(8, 8, 1, 2);
     let species = vec![
-        Species::maxwellian(&grid, 3, 0.1, -1.0, 5),
+        Species::maxwellian_charged(&grid, 3, 0.1, -1.0, -1.0, 5),
         Species::maxwellian_charged(&grid, 2, 0.05, 0.01, 1.0, 6),
     ];
     let mut fields = Fields::zeros(&grid);
@@ -97,7 +97,14 @@ fn a_checkpoint_blob_is_one_buffer_from_pack_to_restart() {
     let blobs: Vec<_> = (0..2)
         .map(|r| {
             let grid = Grid::slab(8, 8, r, 2);
-            let species = vec![Species::maxwellian(&grid, 3, 0.1, -1.0, 5 + r as u64)];
+            let species = vec![Species::maxwellian_charged(
+                &grid,
+                3,
+                0.1,
+                -1.0,
+                -1.0,
+                5 + r as u64,
+            )];
             pack_state(&species, &Fields::zeros(&grid))
         })
         .collect();

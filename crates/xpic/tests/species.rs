@@ -32,7 +32,8 @@ fn species_list_contains_both() {
     assert_eq!(specs[1].name, "ions");
     assert_eq!(specs[1].qom, 0.01);
     assert!(specs[1].vth < specs[0].vth, "ions are slower");
-    assert_eq!(cfg.total_ppc(), 2 * cfg.sim_particles_per_cell);
+    let total: usize = specs.iter().map(|s| s.ppc).sum();
+    assert_eq!(total, 2 * cfg.sim_particles_per_cell);
 }
 
 #[test]

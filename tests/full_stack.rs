@@ -4,14 +4,22 @@
 //! running xPic-style job after injected node failures.
 
 use bytes::Bytes;
-use cluster_booster::presets::{deep_er_prototype, mini_prototype};
-use cluster_booster::{JobSpec, Launcher, SystemBuilder};
+use cluster_booster::presets::deep_er_prototype;
+use cluster_booster::{JobSpec, Launcher, System, SystemBuilder};
 use hwmodel::{NodeId, SimTime};
 use lockrank::Mutex;
 use psmpi::ReduceOp;
 use scr::{CheckpointLevel, Payload, ScrConfig, ScrManager};
 use sionio::{ParallelFs, SionContainer};
 use std::sync::Arc;
+
+/// A reduced prototype: 2 CN + 2 BN.
+fn mini_prototype() -> System {
+    SystemBuilder::new("mini")
+        .cluster_nodes(2)
+        .booster_nodes(2)
+        .build()
+}
 
 #[test]
 fn job_writes_task_local_checkpoints_through_the_stack() {

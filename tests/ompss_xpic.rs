@@ -38,10 +38,9 @@ fn blocking_cb_step_as_a_task_graph_costs_what_run_mode_charges() {
 
     // `aux_phase`'s per-step output record is a `Rank::advance`; as a task
     // it is a work descriptor with no flops and that fixed overhead.
-    let output = || {
-        WorkSpec::named("output")
-            .overhead(config.output_overhead())
-            .build()
+    let output = || WorkSpec {
+        overhead: config.output_overhead(),
+        ..WorkSpec::named("output").build()
     };
     let base_ppc = config.sim_particles_per_cell.max(1) as f64;
     let shares: Vec<f64> = config
