@@ -195,9 +195,13 @@ echo "== host smoke (ring, scheduler and xPic rates, the scheduler's set-up time
 # sustained load (at PR 17 one binary read 46-159 right after this
 # script's build and test stages and 179-195 when quiet), so rerun a
 # failure on a quiet host before suspecting the code.
-# Ceiling: xpic_ckpt host.peak_rss_mb 45, the highest of ten traced 5 s
-# runs (24.6-30.3 MiB) x 1.5. A manager that keeps every checkpoint to the
-# end of the run again, as before retention, reads 57-65.
+# Ceiling: xpic_ckpt host.peak_rss_mb 45, set when checkpoint retention
+# landed as the highest of ten traced 5 s runs (24.6-30.3 MiB) x 1.5.
+# Re-taken when universes alive at once began to share one buffer pool,
+# ten traced 5 s runs a side: 31.0-40.4 MiB before, 35.0-42.1 with it.
+# A manager that keeps every checkpoint to the end of the run again, as
+# before retention, reads 57-65; a pool kept for the life of the process
+# read 47-49.
 # Ceiling: the highest psmpi.allreduce_ms of ten 5 s traced runs at PR 19
 # (1.17-1.53 ms; the parent read 1.5-1.8) x 1.5: a reduction that decodes
 # its partner's block into a scratch buffer again fails it on a quiet host.

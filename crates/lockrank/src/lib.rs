@@ -25,10 +25,10 @@
 //!
 //! | band | crate | locks (rank) |
 //! |---|---|---|
-//! | 100 | `xpic`, `ompss` | run accumulators `Acc`, `ResilientReport`; ompss's per-device `Side` slots (100) < xpic's plasma memo `PLASMA` (110) |
+//! | 100 | `xpic`, `ompss` | run accumulators `Acc`, `ResilientReport`, restored-blob slots; ompss's per-device `Side` slots (100) < xpic's plasma memo `PLASMA` (110) |
 //! | 200 | `core` | `ResourceManager`'s `Pools` (200) |
 //! | 300 | `scr` | manager `state` (300) |
-//! | 400 | `psmpi` | mailbox `state` (410) < `endpoints` shards (420) < `dead_nodes` (430) < `repairs` (432) < `obs` (442) < `child_handles` (444) < `outcomes` (446) < pool `state` (450) < ping-pong results (470) |
+//! | 400 | `psmpi` | mailbox `state` (410) < `endpoints` shards (420) < `dead_nodes` (430) < `repairs` (432) < `obs` (442) < `child_handles` (444) < `outcomes` (446) < shared-pool registry `SHARED_POOL` (448) < pool `state` (450) < ping-pong results (470) |
 //! | 500 | `sionio`, `simnet` | `FsState` (510) < `NamState` (540) < fabric `faults` (550) |
 //! | 600 | `obs` | `endpoints` (610) < `tracks` (620) < `TrackBuf` (630) |
 //! | 900 | tests | result collectors (900) |

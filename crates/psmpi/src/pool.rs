@@ -30,6 +30,13 @@
 //! writes. A slot hit is a pool hit, and the slot's buffer and count go
 //! back to the pool when the rank exits.
 //!
+//! One pool serves every universe alive at the same time (see
+//! `Router::new`): a job on one universe draws what jobs on the others
+//! retired, and the pool is freed with the last universe that holds it.
+//! A pool handed to `Universe::with_buffer_pool` serves that universe
+//! alone. The counters ([`BufferPool::stats`]) count the draws of every
+//! universe on the pool.
+//!
 //! A POD send knows its wire length up front and writes every byte of it,
 //! so it draws with `BufferPool::get_sized`: the buffer comes back at
 //! exactly that length with its old bytes in place, and a steady exchange

@@ -962,7 +962,7 @@ impl Rank {
     /// reached an envelope and is retired (a no-op if anyone else still
     /// holds a reference).
     ///
-    /// Determinism: the dead-destination check (`Router::planned_dead`)
+    /// Determinism: the dead-destination check (`EndpointEntry::planned_dead`)
     /// reads only the static plan and the repair frozen into the
     /// destination's entry against the sender's own clock — never the
     /// dynamic dead set, whose update timing depends on host scheduling.
@@ -991,7 +991,7 @@ impl Rank {
                 Ok(entry) => match self
                     .fault_plan
                     .as_ref()
-                    .and_then(|_| self.router.planned_dead(entry, post))
+                    .and_then(|plan| entry.planned_dead(plan, post))
                 {
                     None => Ok((addr, entry.mailbox())),
                     Some(at) => Err((
@@ -1140,11 +1140,13 @@ impl Rank {
     /// Whether the static fault plan kills this rank's node in the window
     /// `(after, upto]`. This is the victim's own step-granularity check:
     /// call it with the step's start/end clocks, then [`Rank::fail_here`]
-    /// and return from the rank function.
+    /// and return from the rank function. It reads the plan the rank
+    /// resolved at its start, so a plan must be installed before the ranks
+    /// that obey it launch (as every caller of
+    /// [`simnet::Fabric::set_fault_plan`] does).
     pub fn planned_fault_in(&self, after: SimTime, upto: SimTime) -> Option<SimTime> {
-        self.router
-            .fabric()
-            .fault_plan()?
+        self.fault_plan
+            .as_ref()?
             .node_fault_in(self.node_id, after, upto)
     }
 

@@ -14,11 +14,11 @@ use crate::rank::PsmpiError;
 use bytes::Bytes;
 use hwmodel::{NodeId, NodeSpec, SimTime};
 use lockrank::{Condvar, Mutex, RwLock};
-use simnet::Fabric;
+use simnet::{Fabric, FaultPlan};
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 
 /// Interior of a [`Mailbox`], guarded by one mutex.
@@ -459,6 +459,21 @@ impl EndpointEntry {
     pub fn node(&self) -> NodeId {
         self.node
     }
+
+    /// Whether `plan` says the endpoint's node is dead as of virtual time
+    /// `t` (and was not repaired before the endpoint was registered). This
+    /// is the *sender's* check, against the plan the sending rank resolved
+    /// at its start: it reads only that immutable plan and this entry,
+    /// never the dynamic dead set or the live repairs map, so the verdict
+    /// depends only on the sender's virtual clock — deterministic across
+    /// thread counts.
+    pub fn planned_dead(&self, plan: &FaultPlan, t: SimTime) -> Option<SimTime> {
+        let tf = plan.node_fault_at(self.node, t)?;
+        match self.repaired {
+            Some(r) if tf <= r => None,
+            _ => Some(tf),
+        }
+    }
 }
 
 /// Shared state of a running universe.
@@ -508,23 +523,41 @@ pub struct Router {
     /// Fixed virtual cost of a `spawn` operation (process launch, remote
     /// boot, connection setup).
     pub spawn_latency: SimTime,
-    /// Shared pool of retired encode buffers (see [`BufferPool`]).
-    ///
-    /// Behind an `Arc` so an embedding can keep one pool alive across
-    /// router lifetimes ([`Router::with_pool`]): a long-running host that
-    /// builds a universe per job would otherwise restart every job with a
-    /// cold pool and re-fault megabyte-class staging buffers in.
+    /// Pool of retired encode buffers (see [`BufferPool`]): the one the
+    /// universes alive at this router's construction share
+    /// ([`Router::new`]), or one handed in ([`Router::with_pool`]).
     pool: Arc<BufferPool>,
 }
 
+/// The pool that the routers built by [`Router::new`] share while any of
+/// them is alive. Only a `Weak`: the pool dies with the last router (or
+/// rank slot) that holds it, and the next `Router::new` makes a new one.
+static SHARED_POOL: Mutex<Weak<BufferPool>, 448> = Mutex::new(Weak::new());
+
 impl Router {
-    /// New router over a fabric, with a private buffer pool.
+    /// New router over a fabric. It draws encode buffers from the pool of
+    /// the universes alive right now, or from a new pool if none is: a
+    /// job on one universe then starts with the buffers that jobs on the
+    /// others retired (a checkpointed run's megabyte-class blobs, which a
+    /// cold pool allocates zeroed and faults in page by page). Nothing
+    /// outlives the last universe that holds the pool, so a process with
+    /// one universe at a time keeps its pool per universe, and the pool's
+    /// hit and miss counters count that universe's draws.
     pub fn new(fabric: Fabric) -> Arc<Self> {
-        Self::with_pool(fabric, Arc::new(BufferPool::new()))
+        let pool = {
+            let mut shared = SHARED_POOL.lock();
+            shared.upgrade().unwrap_or_else(|| {
+                let pool = Arc::new(BufferPool::new());
+                *shared = Arc::downgrade(&pool);
+                pool
+            })
+        };
+        Self::with_pool(fabric, pool)
     }
 
-    /// New router over a fabric, drawing encode buffers from `pool` (which
-    /// may be shared with other routers or outlive this one).
+    /// New router over a fabric, drawing encode buffers from `pool` alone:
+    /// a pool made for it is shared with no other router, one kept by the
+    /// caller can outlive it.
     pub fn with_pool(fabric: Fabric, pool: Arc<BufferPool>) -> Arc<Self> {
         Arc::new(Router {
             fabric,
@@ -689,20 +722,6 @@ impl Router {
         dead.get(&node).copied()
     }
 
-    /// Whether the static fault plan says the node of endpoint `dst` is
-    /// dead as of virtual time `t` (and was not repaired before `dst` was
-    /// registered). This is the *sender's* check: it reads only the
-    /// immutable plan and the entry, never the dynamic dead set or the live
-    /// repairs map, so the verdict depends only on the sender's virtual
-    /// clock — deterministic across thread counts.
-    pub fn planned_dead(&self, dst: &EndpointEntry, t: SimTime) -> Option<SimTime> {
-        let tf = self.fabric.fault_plan()?.node_fault_at(dst.node, t)?;
-        match dst.repaired {
-            Some(r) if tf <= r => None,
-            _ => Some(tf),
-        }
-    }
-
     /// Record a finished rank.
     pub fn record_outcome(&self, outcome: RankOutcome) {
         let mut outcomes = self.outcomes.lock();
@@ -832,29 +851,25 @@ mod tests {
     #[test]
     fn planned_dead_respects_plan_and_repairs() {
         let r = router();
-        r.fabric()
-            .set_fault_plan(simnet::FaultPlan::from_node_faults([(
-                SimTime::from_secs(5.0),
-                NodeId(1),
-            )]));
-        let entry = |ep| r.entry(ep).unwrap();
+        let plan = FaultPlan::from_node_faults([(SimTime::from_secs(5.0), NodeId(1))]);
+        let dead = |ep, t| r.entry(ep).unwrap().planned_dead(&plan, t);
         let (on0, on1) = (
             r.register_endpoint(NodeId(0)),
             r.register_endpoint(NodeId(1)),
         );
         let secs = SimTime::from_secs;
-        assert_eq!(r.planned_dead(&entry(on1), secs(4.9)), None);
-        assert_eq!(r.planned_dead(&entry(on1), secs(5.0)), Some(secs(5.0)));
-        assert_eq!(r.planned_dead(&entry(on0), secs(9.0)), None);
+        assert_eq!(dead(on1, secs(4.9)), None);
+        assert_eq!(dead(on1, secs(5.0)), Some(secs(5.0)));
+        assert_eq!(dead(on0, secs(9.0)), None);
         // After a repair at/after the fault time, the fault is spent for
         // endpoints registered since...
         r.repair(NodeId(1), secs(6.0));
         let respawned = r.register_endpoint(NodeId(1));
-        assert_eq!(r.planned_dead(&entry(respawned), secs(7.0)), None);
+        assert_eq!(dead(respawned, secs(7.0)), None);
         // ...but not for one of the world that lost the node: a rank still
         // running there sees its peer dead whether or not the repair has
         // happened yet on the host.
-        assert_eq!(r.planned_dead(&entry(on1), secs(7.0)), Some(secs(5.0)));
+        assert_eq!(dead(on1, secs(7.0)), Some(secs(5.0)));
     }
 
     #[test]

@@ -27,7 +27,10 @@ pub struct Universe {
 }
 
 impl Universe {
-    /// Create a universe over a fabric.
+    /// Create a universe over a fabric. Its typed-send staging buffers come
+    /// from the pool that every universe alive right now shares, or from a
+    /// new one that later universes share while this one lives (see
+    /// [`Router::new`]).
     pub fn new(fabric: Fabric) -> Self {
         Universe {
             router: Router::new(fabric),
@@ -35,8 +38,10 @@ impl Universe {
     }
 
     /// Create a universe over a fabric, drawing typed-send staging buffers
-    /// from `pool`. Sharing one pool across successive universes keeps the
-    /// staging allocations warm between jobs (see [`Router::with_pool`]).
+    /// from `pool` only. A pool made for the call is private to this
+    /// universe, so its counters count this universe's draws alone, whatever
+    /// else runs in the process; a pool kept by the caller stays warm
+    /// across successive universes (see [`Router::with_pool`]).
     pub fn with_buffer_pool(fabric: Fabric, pool: Arc<crate::BufferPool>) -> Self {
         Universe {
             router: Router::with_pool(fabric, pool),
@@ -224,8 +229,8 @@ impl UniverseBuilder {
         self
     }
 
-    /// Draw typed-send staging buffers from an external, long-lived pool
-    /// instead of a fresh per-universe one (see [`Universe::with_buffer_pool`]).
+    /// Draw typed-send staging buffers from `pool` instead of the pool the
+    /// universes alive at build time share (see [`Universe::with_buffer_pool`]).
     pub fn buffer_pool(mut self, pool: Arc<crate::BufferPool>) -> Self {
         self.pool = Some(pool);
         self

@@ -10,13 +10,25 @@ use psmpi::{BufferPool, MpiError, ReduceOp, Universe, UniverseBuilder};
 use simnet::{Fabric, FaultPlan, Topology};
 use std::sync::Arc;
 
-/// Universe over `n` cluster nodes with the given fault plan installed.
-fn faulted_universe(n: u32, plan: FaultPlan) -> Universe {
+/// Fabric over `n` cluster nodes with the given fault plan installed.
+fn faulted_fabric(n: u32, plan: FaultPlan) -> Fabric {
     let mut t = Topology::new();
     t.add_nodes(n, &deep_er_cluster_node());
     let fabric = Fabric::new(t);
     fabric.set_fault_plan(plan);
-    Universe::new(fabric)
+    fabric
+}
+
+/// Universe over `n` cluster nodes with the given fault plan installed.
+fn faulted_universe(n: u32, plan: FaultPlan) -> Universe {
+    Universe::new(faulted_fabric(n, plan))
+}
+
+/// [`faulted_universe`] with a pool of its own, for a test that counts
+/// its universe's draws: the shared pool may hold buffers, and count
+/// draws, of other tests' universes.
+fn faulted_universe_own_pool(n: u32, plan: FaultPlan) -> Universe {
+    Universe::with_buffer_pool(faulted_fabric(n, plan), Arc::new(BufferPool::new()))
 }
 
 fn s(x: f64) -> SimTime {
@@ -26,7 +38,7 @@ fn s(x: f64) -> SimTime {
 #[test]
 fn send_to_planned_dead_node_fails_and_recycles_sole_buffer() {
     let plan = FaultPlan::from_node_faults([(SimTime::ZERO, NodeId(1))]);
-    let u = faulted_universe(2, plan);
+    let u = faulted_universe_own_pool(2, plan);
     u.launch(&[NodeId(0), NodeId(1)], |rank| {
         let w = rank.world();
         if rank.rank() != 0 {
@@ -57,7 +69,7 @@ fn send_to_planned_dead_node_fails_and_recycles_sole_buffer() {
 #[test]
 fn failed_send_never_recycles_an_aliased_buffer() {
     let plan = FaultPlan::from_node_faults([(SimTime::ZERO, NodeId(1))]);
-    let u = faulted_universe(2, plan);
+    let u = faulted_universe_own_pool(2, plan);
     u.launch(&[NodeId(0), NodeId(1)], |rank| {
         if rank.rank() != 0 {
             return;

@@ -6,7 +6,8 @@
 
 use bytes::Bytes;
 use hwmodel::presets::deep_er_cluster_node;
-use psmpi::{MpiError, UniverseBuilder};
+use psmpi::{BufferPool, MpiError, UniverseBuilder};
+use std::sync::Arc;
 
 /// `(rank, size)` of the `InvalidRank` error `r` must be.
 fn invalid_rank<T>(r: Result<T, MpiError>) -> (usize, usize) {
@@ -46,8 +47,11 @@ fn an_out_of_range_rank_is_the_error_the_world_comm_gives() {
 
 #[test]
 fn a_failed_send_slice_retires_its_buffer_for_the_next() {
+    // A private pool: the shared one may hold a buffer another test's
+    // universe retired, and the first send here must miss.
     UniverseBuilder::new()
         .add_nodes(2, &deep_er_cluster_node())
+        .buffer_pool(Arc::new(BufferPool::new()))
         .run(|rank| {
             let data = [2.5f64; 16];
             if rank.rank() == 1 {

@@ -611,24 +611,29 @@ impl ScrManager {
     /// reach its full level ([`ScrError::DrainAborted`] from
     /// `finish_drain`; restart falls back to the newest promoted
     /// checkpoint). NAM copies survive: the device has no host node.
-    pub fn fail_nodes(&self, nodes: &[NodeId]) {
+    /// Returns the handles of the copies lost, which the manager no longer
+    /// holds, so the caller can retire them (a blob whose other copy
+    /// survives is still held by it).
+    pub fn fail_nodes(&self, nodes: &[NodeId]) -> Vec<Bytes> {
         let mut st = self.state.lock();
         let st = &mut *st;
         st.dead.extend(nodes.iter().copied());
         let ours = nodes.iter().any(|n| self.nodes.contains(n));
         // Local copies live on the rank's node; buddy copies on the buddy's.
         let gone = |r: usize| st.dead.contains(&self.nodes[r]);
+        let mut lost = Vec::new();
         for record in &mut st.db {
             record.in_flight &= !ours;
             for (r, copies) in record.ranks.iter_mut().enumerate() {
                 if gone(r) {
-                    copies.local = None;
+                    lost.extend(copies.local.take());
                 }
                 if gone(self.buddy_of(r)) {
-                    copies.buddy = None;
+                    lost.extend(copies.buddy.take());
                 }
             }
         }
+        lost
     }
 
     /// Repair failed nodes (replacement hardware / reboot).
@@ -759,7 +764,9 @@ mod tests {
             .unwrap();
         m.checkpoint(2, CheckpointLevel::Buddy, &blobs(4, 50))
             .unwrap();
-        m.fail_nodes(&[NodeId(2)]);
+        // Rank 1's buddy copy lived on node 2, and rank 2's local one: both
+        // come back to the caller.
+        assert_eq!(m.fail_nodes(&[NodeId(2)])[..], blobs(4, 50)[1..3]);
         assert!(!m.recoverable(1), "local copy of rank 2 died with its node");
         assert!(m.recoverable(2), "buddy copy survives one node");
         let (id, level, data, _) = m.restart().unwrap();

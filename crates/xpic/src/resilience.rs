@@ -53,9 +53,85 @@ const KEYFRAME_EVERY: u32 = 4;
 /// manager round-trip) on top of the SCR restore cost, in milliseconds.
 const RECOVERY_LATENCY_MS: f64 = 50.0;
 
-fn get_f64s(buf: &mut Bytes) -> Vec<f64> {
-    let n = buf.get_u64_le() as usize;
-    f64::decode_vec(n, buf).expect("checkpoint blob framing")
+/// Why a state blob could not be decoded: it is not a blob that
+/// [`pack_state`] wrote for this grid.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StateError {
+    /// `what` needs `need` more bytes, and only `have` are left (a
+    /// truncated blob, or a count that claims more than the blob holds).
+    Truncated {
+        /// The item being read.
+        what: &'static str,
+        /// Bytes it needs.
+        need: u64,
+        /// Bytes left.
+        have: usize,
+    },
+    /// A field component holds `got` values; the grid's holds `want`.
+    FieldShape {
+        /// Values in the blob's component.
+        got: usize,
+        /// Values in the grid's component.
+        want: usize,
+    },
+    /// Bytes left over after the last field component.
+    Trailing(usize),
+}
+
+impl std::fmt::Display for StateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StateError::Truncated { what, need, have } => {
+                write!(f, "state blob: {what} needs {need} bytes, {have} left")
+            }
+            StateError::FieldShape { got, want } => {
+                write!(
+                    f,
+                    "state blob: field component of {got} values, grid has {want}"
+                )
+            }
+            StateError::Trailing(n) => write!(f, "state blob: {n} bytes after the fields"),
+        }
+    }
+}
+
+impl std::error::Error for StateError {}
+
+/// Reads a state blob front to back, checking each length against the
+/// bytes left before it reads or allocates anything.
+struct StateReader(Bytes);
+
+impl StateReader {
+    /// Fail unless `need` bytes are left for `what`.
+    fn need(&self, what: &'static str, need: u64) -> Result<(), StateError> {
+        let have = self.0.remaining();
+        if need > have as u64 {
+            return Err(StateError::Truncated { what, need, have });
+        }
+        Ok(())
+    }
+
+    fn u64(&mut self, what: &'static str) -> Result<u64, StateError> {
+        self.need(what, 8)?;
+        Ok(self.0.get_u64_le())
+    }
+
+    fn f64(&mut self, what: &'static str) -> Result<f64, StateError> {
+        self.need(what, 8)?;
+        Ok(self.0.get_f64_le())
+    }
+
+    /// A `u64` length, then that many `f64`s. The codec checks the run's
+    /// length against the bytes left before it allocates.
+    fn f64s(&mut self, what: &'static str) -> Result<Vec<f64>, StateError> {
+        let n = self.u64(what)?;
+        let have = self.0.remaining();
+        f64::decode_vec(n as usize, &mut self.0).map_err(|_| StateError::Truncated {
+            what,
+            need: n.saturating_mul(8),
+            have,
+        })
+    }
 }
 
 /// Exact encoded size of one rank's state blob.
@@ -129,34 +205,48 @@ pub fn pack_state(species: &[Species], fields: &Fields) -> Bytes {
     pack_keyframe(buf, species, fields).slice(1..)
 }
 
-/// Inverse of [`pack_state`]; reads `data` in place.
+/// Inverse of [`pack_state`]; reads `data` in place. Panics where
+/// [`try_unpack_state`] returns an error.
 pub fn unpack_state(data: &Bytes, grid: &Grid) -> (Vec<Species>, Fields) {
-    let mut buf = data.clone();
-    let nspec = buf.get_u64_le() as usize;
-    let mut species = Vec::with_capacity(nspec);
+    try_unpack_state(data, grid).expect("a state blob that pack_state wrote")
+}
+
+/// Inverse of [`pack_state`] over untrusted bytes: every count is checked
+/// against the bytes left before anything is allocated for it, so no byte
+/// sequence makes it panic or ask for more memory than the blob's size.
+pub fn try_unpack_state(data: &Bytes, grid: &Grid) -> Result<(Vec<Species>, Fields), StateError> {
+    /// The fewest bytes a species takes: its two charges and five lengths.
+    const MIN_SPECIES_BYTES: u64 = 16 + 5 * 8;
+    let mut buf = StateReader(data.clone());
+    let nspec = buf.u64("species count")?;
+    buf.need("species", nspec.saturating_mul(MIN_SPECIES_BYTES))?;
+    let mut species = Vec::with_capacity(nspec as usize);
     for _ in 0..nspec {
-        let qom = buf.get_f64_le();
-        let q_per_particle = buf.get_f64_le();
-        let x = get_f64s(&mut buf);
-        let y = get_f64s(&mut buf);
-        let vx = get_f64s(&mut buf);
-        let vy = get_f64s(&mut buf);
-        let vz = get_f64s(&mut buf);
         species.push(Species {
-            qom,
-            q_per_particle,
-            x,
-            y,
-            vx,
-            vy,
-            vz,
+            qom: buf.f64("species qom")?,
+            q_per_particle: buf.f64("species charge")?,
+            x: buf.f64s("particle x")?,
+            y: buf.f64s("particle y")?,
+            vx: buf.f64s("particle vx")?,
+            vy: buf.f64s("particle vy")?,
+            vz: buf.f64s("particle vz")?,
         });
     }
     let mut fields = Fields::zeros(grid);
     for comp in fields.components_mut() {
-        *comp = get_f64s(&mut buf);
+        let read = buf.f64s("field component")?;
+        if read.len() != comp.len() {
+            return Err(StateError::FieldShape {
+                got: read.len(),
+                want: comp.len(),
+            });
+        }
+        *comp = read;
     }
-    (species, fields)
+    match buf.0.remaining() {
+        0 => Ok((species, fields)),
+        n => Err(StateError::Trailing(n)),
+    }
 }
 
 /// Per-rank state of the checkpoint engine, one per world incarnation.
@@ -613,18 +703,24 @@ fn supervise(
 ) {
     let world = rank.world();
     // The restored step and its blobs; `None` starts from the seed.
-    let mut restored: Option<(u32, Arc<Vec<Bytes>>)> = None;
+    let mut restored: Option<(u32, Vec<Bytes>)> = None;
     let mut failures: Vec<(NodeId, SimTime)> = Vec::new();
     let mut recoveries = 0u32;
     let mut resume_steps: Vec<u32> = Vec::new();
 
     loop {
-        let (cfg, scr_c, rec, restored_c) = (
-            config.clone(),
-            scr.clone(),
-            recovery.clone(),
-            restored.clone(),
-        );
+        // The new world owns the blobs, one take-once slot per rank: each
+        // rank retires its blob once it has unpacked it.
+        let restored_c = restored.take().map(|(step, blobs)| {
+            (
+                step,
+                blobs
+                    .into_iter()
+                    .map(|b| Mutex::new(Some(b)))
+                    .collect::<Vec<_>>(),
+            )
+        });
+        let (cfg, scr_c, rec) = (config.clone(), scr.clone(), recovery.clone());
         let fresh = recoveries == 0;
         let entry: Arc<RankFn> = Arc::new(move |child: &mut Rank| {
             let inc = Incarnation {
@@ -660,13 +756,14 @@ fn supervise(
                 );
                 recoveries += 1;
                 let t0 = rank.now();
-                scr.fail_nodes(&[node]);
+                let pool = rank.buffer_pool();
+                for lost in scr.fail_nodes(&[node]) {
+                    pool.recycle(lost);
+                }
                 // Nothing recoverable may have survived the death (failure
                 // before the first checkpoint, or the level could not
                 // tolerate it): then replay from the start.
-                restored = restore(rank, scr)
-                    .ok()
-                    .map(|(step, blobs)| (step, Arc::new(blobs)));
+                restored = restore(rank, scr).ok();
                 resume_steps.push(restored.as_ref().map_or(0, |(step, _)| *step));
                 scr.heal();
                 rank.repair_node(node, rank.now().max(at));
@@ -700,7 +797,12 @@ fn resilient_child(
         let me = rank.rank();
         let restored = inc.restored.map(|(step, blobs)| {
             let grid = Grid::slab(config.nx, config.ny, me, world.size());
-            (step, unpack_state(&blobs[me], &grid))
+            let blob = blobs[me].lock().take().expect("a rank takes its blob once");
+            let state = unpack_state(&blob, &grid);
+            // Retired, not dropped: whichever of this handle and `scr`'s
+            // copy goes last gives the buffer to the pool.
+            rank.buffer_pool().recycle(blob);
+            (step, state)
         });
         let mut win_start = if inc.fresh { SimTime::ZERO } else { rank.now() };
         let mut engine = CkptEngine::new(scr, recovery.level, recovery.ckpt_mode);
@@ -744,9 +846,9 @@ fn resilient_child(
 
 /// One launch of the PIC loop: the state it starts from.
 struct Incarnation<'a> {
-    /// The restored step and every rank's blob of it; `None` seeds the
-    /// initial population at step 0.
-    restored: Option<(u32, &'a [Bytes])>,
+    /// The restored step and every rank's blob of it, each taken by its
+    /// rank; `None` seeds the initial population at step 0.
+    restored: Option<(u32, &'a [Mutex<Option<Bytes>, 100>])>,
     /// Whether this is the job's first world. It watches the fault plan
     /// from t = 0; a respawned world only from its own start (the
     /// supervisor's clock passed the death it just repaired, so spent

@@ -301,6 +301,47 @@ fn async_recovery_is_bit_identical_and_blocks_less() {
 }
 
 #[test]
+fn jobs_on_launchers_alive_at_once_end_on_the_bits_of_jobs_one_after_the_other() {
+    let (_, at) = clean_run(CkptMode::Async, LAST);
+    let victim = launcher().system().booster_nodes()[1];
+    let plan = FaultPlan::from_node_faults([(at, victim)]);
+    let job = |l: &Launcher, mode| {
+        let recovery = RecoveryConfig {
+            ckpt_mode: mode,
+            ..recovery()
+        };
+        run_resilient(
+            l,
+            BOOSTERS,
+            &config(1),
+            &scr_for(l),
+            &recovery,
+            Some(plan.clone()),
+        )
+    };
+    let modes = [CkptMode::Async, CkptMode::AsyncDelta];
+    // One after the other: each launcher goes before the next comes.
+    let apart: Vec<_> = modes.iter().map(|&m| job(&launcher(), m)).collect();
+    // Alive at once: the second job draws the buffers the first retired.
+    let launchers = [launcher(), launcher()];
+    let pool = |l: &Launcher| l.universe().router().buffer_pool() as *const _;
+    assert_eq!(pool(&launchers[0]), pool(&launchers[1]), "one shared pool");
+    let together: Vec<_> = modes
+        .iter()
+        .zip(&launchers)
+        .map(|(&m, l)| job(l, m))
+        .collect();
+    for (a, t) in apart.iter().zip(&together) {
+        assert!(a.recoveries >= 1, "fault at {at} must interrupt");
+        let bits = |r: &ResilientReport| (r.field_energy.to_bits(), r.kinetic_energy.to_bits());
+        assert_eq!(bits(a), bits(t));
+        assert_eq!(a.resume_steps, t.resume_steps);
+        assert_eq!(a.makespan, t.makespan);
+        assert_eq!(a.ckpt_block, t.ckpt_block);
+    }
+}
+
+#[test]
 fn async_delta_recovery_matches_sync_bits() {
     let sync = run_mode(1, CkptMode::Sync, None);
     let asn = run_mode(1, CkptMode::Async, None);

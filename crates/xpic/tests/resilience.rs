@@ -2,13 +2,14 @@
 //! that `scr` keeps the buffer `pack_state` filled. Interrupted and
 //! recovered runs are `fault_recovery.rs`'s.
 
+use bytes::Bytes;
 use cluster_booster::{Launcher, SystemBuilder};
 use hwmodel::NodeId;
 use scr::{CheckpointLevel, ScrConfig, ScrManager};
 use sionio::ParallelFs;
 use xpic::grid::{Fields, Grid};
 use xpic::particles::Species;
-use xpic::resilience::{pack_state, unpack_state};
+use xpic::resilience::{pack_state, try_unpack_state, unpack_state, StateError};
 
 fn launcher(n: u32) -> Launcher {
     Launcher::new(
@@ -45,6 +46,96 @@ fn state_pack_unpack_roundtrip() {
     assert_eq!(sp2[0], species[0]);
     assert_eq!(sp2[1], species[1]);
     assert_eq!(f2, fields);
+}
+
+/// A packed one-species state on an 8 x 8 slab, and its grid.
+fn small_blob() -> (Bytes, Grid) {
+    let grid = Grid::slab(8, 8, 0, 1);
+    let species = vec![Species::maxwellian_charged(&grid, 2, 0.1, -1.0, -1.0, 9)];
+    (pack_state(&species, &Fields::zeros(&grid)), grid)
+}
+
+#[test]
+fn a_forged_species_count_is_an_error_before_any_allocation() {
+    let (blob, grid) = small_blob();
+    let mut forged = blob.to_vec();
+    forged[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    // 2^40 species would reserve 2^40 x 136 bytes up front.
+    let err = try_unpack_state(&Bytes::from(forged), &grid).unwrap_err();
+    assert!(
+        matches!(err, StateError::Truncated { what: "species", have, .. } if have == blob.len() - 8),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_truncated_blob_is_an_error() {
+    let (blob, grid) = small_blob();
+    let err = try_unpack_state(&blob.slice(..3), &grid).unwrap_err();
+    assert_eq!(
+        err,
+        StateError::Truncated {
+            what: "species count",
+            need: 8,
+            have: 3
+        }
+    );
+    // Cuts all along the blob fail, and none panics.
+    for cut in (0..blob.len()).step_by(97) {
+        assert!(
+            try_unpack_state(&blob.slice(..cut), &grid).is_err(),
+            "cut at {cut}"
+        );
+    }
+    assert!(try_unpack_state(&blob, &grid).is_ok());
+}
+
+#[test]
+fn a_truncated_f64_run_is_an_error() {
+    let (blob, grid) = small_blob();
+    // The first particle run's length sits after the count and two charges.
+    let n = u64::from_le_bytes(blob[24..32].try_into().unwrap());
+    let cut = 32 + 8 * n as usize - 1;
+    let err = try_unpack_state(&blob.slice(..cut), &grid).unwrap_err();
+    assert_eq!(
+        err,
+        StateError::Truncated {
+            what: "particle x",
+            need: 8 * n,
+            have: 8 * n as usize - 1
+        }
+    );
+    // A run whose length claims more doubles than the blob holds, too.
+    let mut forged = blob.to_vec();
+    forged[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+    let err = try_unpack_state(&Bytes::from(forged), &grid).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            StateError::Truncated {
+                what: "particle x",
+                need: u64::MAX,
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_blob_for_another_grid_or_with_trailing_bytes_is_an_error() {
+    let (blob, grid) = small_blob();
+    let other = Grid::slab(8, 8, 0, 2);
+    assert!(matches!(
+        try_unpack_state(&blob, &other),
+        Err(StateError::FieldShape { .. })
+    ));
+    let mut longer = blob.to_vec();
+    longer.push(0);
+    assert_eq!(
+        try_unpack_state(&Bytes::from(longer), &grid).unwrap_err(),
+        StateError::Trailing(1)
+    );
 }
 
 #[test]
