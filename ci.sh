@@ -38,37 +38,45 @@ for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
 done
 [ "$unused_deps" -eq 0 ]
 
-echo "== public functions have a caller outside tests =="
-# Every `pub fn` of crates/*/src must be called from some tracked .rs file
+echo "== public functions, fields, constants and variants have a use outside tests =="
+# Every public item of crates/*/src must be used by some tracked .rs file
 # outside a tests/ directory (benchmark/src and examples/ count), read
-# with each file's #[cfg(test)] items and its comment lines removed and
-# its `fn` and `use` lines skipped: `name(`, `name::<..>(`, or a `::name`
-# path that passes the function by value. A function that only tests call
-# is API that its own tests hold up: delete it, make it private, or move
-# it into the test module that uses it. The keep-list below names the
-# exceptions by file and name, each with its reason; the keep-list
-# paragraph of DESIGN.md §7 gives them in full.
-# The match is by name, not by type: a call to any function of the same
-# name counts, so an uncalled function whose name something else carries
-# passes unseen and has to be found by hand. `PendingDrain::drain` was
-# one: the benchmark's unrelated `trace::drain()` matched its name.
+# with each file's #[cfg(test)] and #[cfg(all(test, ..))] items and its
+# comment lines removed and its `fn` and `use` lines skipped:
+# - a `pub fn` is called: `name(`, `name::<..>(`, or a `::name` path that
+#   passes the function by value;
+# - a `pub` field is read: `.name` followed by neither an identifier
+#   character nor `(`;
+# - a `pub const` is named on a line other than its own definition;
+# - a variant of a `pub enum` is constructed: `Enum::V` or `Self::V`,
+#   except left of a `=>` on its line, inside `matches!(`, or after
+#   `if let`/`while let` (those are patterns, which build nothing).
+# An item that only tests use is API that its own tests hold up: delete
+# it, make it private, or move it into the test module that uses it. The
+# keep-list below names the exceptions by file and name, each with its
+# reason; the keep-list paragraph of DESIGN.md §7 gives them in full.
+# The match is by name, not by type: a use of any item of the same name
+# counts, so an unused item whose name something else carries passes
+# unseen and has to be found by hand. `PendingDrain::drain` was one: the
+# benchmark's unrelated `trace::drain()` matched its name; so is
+# `RankOutcome.comm_time`, which `Rank`'s private `comm_time` field
+# passes.
 surface_keep=$(cat <<'KEEP'
-crates/psmpi/src/collectives.rs:gather       the typed face of gather_bytes; tests check cross-rank agreement with it
 crates/psmpi/src/universe.rs:outcomes        JobReport's per-rank records, which the full-stack pins read
 crates/sched/src/engine.rs:starts_of         which job started when, the backfill tests' oracle
-crates/core/src/resources.rs:down_counts     the down/repair bookkeeping the scheduler's faults drive
 crates/scr/src/manager.rs:recoverable        whether a checkpoint survives a failure, which tier-1 tests probe
 crates/core/src/launch.rs:resources          the launcher's resource manager, through which paper_claims checks §II-A
 crates/bench/src/golden.rs:assert_pinned     the one golden check every tier-1 pin calls
 crates/psmpi/src/pool.rs:pooled              buffers home after a run, the pool tests' leak probe
 crates/sionio/src/pfs.rs:list                the PFS namespace, which the one-shared-file tests read
 crates/xpic/src/grid.rs:idx                  the plain cell index the row and stencil kernels are checked against
-crates/xpic/src/config.rs:with_ions          the kinetic-ion species of the multi-species extension
+crates/psmpi/src/envelope.rs:source          a receive's sender, which the posted-order and wildcard tests read
+crates/psmpi/src/envelope.rs:arrival         a receive's delivery clock, which tier-1's spawned-worlds test reads
 KEEP
 )
 strip_tests() {
     awk '
-        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+        /^[ \t]*#\[cfg\((test|all\(([^()]*[ ,])?test[ ,)].*)\)\]/ { skip = 1; depth = 0; opened = 0; next }
         skip {
             line = $0
             gsub(/'"'"'.'"'"'/, "", line)
@@ -83,24 +91,68 @@ strip_tests() {
         { print }
     ' "$@"
 }
+# `kind name [enum]` per public item of a stripped source file: fn, field,
+# const, and variant with the name of its enum.
+public_items() {
+    awk '
+        function word(s, prefix) { sub(prefix, "", s); sub(/[^A-Za-z0-9_].*/, "", s); return s }
+        in_enum {
+            if (depth == 1 && $0 ~ /^[ \t]*[A-Z][A-Za-z0-9_]*[ \t]*([,({=]|$)/)
+                print "variant", word($0, "^[ \t]*"), enum
+        }
+        !in_enum && /^[ \t]*pub enum [A-Za-z0-9_]+/ {
+            enum = word($0, "^[ \t]*pub enum "); in_enum = 1; depth = 0; opened = 0
+        }
+        in_enum {
+            line = $0
+            gsub(/"[^"]*"/, "", line)
+            o = gsub(/[{(]/, "", line)
+            c = gsub(/[})]/, "", line)
+            depth += o - c
+            if (o > 0) opened = 1
+            if (opened && depth <= 0) in_enum = 0
+            next
+        }
+        /^[ \t]*pub ((const|unsafe|async) )*fn [a-z0-9_]+/ {
+            print "fn", word($0, "^[ \t]*pub ((const|unsafe|async) )*fn "); next
+        }
+        /^[ \t]*pub const [A-Z][A-Z0-9_]*[ \t]*:/ { print "const", word($0, "^[ \t]*pub const "); next }
+        /^[ \t]+pub [a-z_][a-z0-9_]*[ \t]*:/ { print "field", word($0, "^[ \t]+pub ") }
+    ' | sort -u
+}
 callers=$(mktemp)
+constructs=$(mktemp)
 git ls-files -z '*.rs' | grep -zv '\(^\|/\)tests/' | while IFS= read -r -d '' f; do
     strip_tests "$f"
 done | grep -Ev '^[ \t]*(pub(\([a-z]+\))? )?(((const|unsafe|async) )*fn|use) ' > "$callers"
+# The caller lines with every pattern position cut away: the text left of
+# the last `=>`, an `if let`/`while let` to the line's end, a `matches!(..)`.
+sed -E 's/.*=>//; s/(if|while) let .*//; s/matches!\([^)]*\)?//g' "$callers" > "$constructs"
 keep=" $(echo "$surface_keep" | awk '{ printf "%s ", $1 }')"
-uncalled=0
+unused=0
 for f in $(git ls-files 'crates/*/src/*.rs'); do
-    for name in $(strip_tests "$f" |
-        sed -En 's/^[ \t]*pub ((const|unsafe|async) )*fn ([a-z0-9_]+).*/\3/p' | sort -u); do
+    while read -r kind name enum; do
         case "$keep" in *" $f:$name "*) continue ;; esac
-        if ! grep -Eq "(^|[^A-Za-z0-9_])$name(::<.*>)?\(|::$name([^A-Za-z0-9_:]|\$)" "$callers"; then
-            echo "$f: \`pub fn $name\` has no caller outside tests"
-            uncalled=1
-        fi
-    done
+        case "$kind" in
+        fn)
+            grep -Eq "(^|[^A-Za-z0-9_])$name(::<.*>)?\(|::$name([^A-Za-z0-9_:]|\$)" "$callers" ||
+                { echo "$f: \`pub fn $name\` has no caller outside tests"; unused=1; } ;;
+        field)
+            grep -Eq "\.$name([^A-Za-z0-9_(]|\$)" "$callers" ||
+                { echo "$f: \`pub $name\` is a field that no code outside tests reads"; unused=1; } ;;
+        const)
+            uses=$(grep -E "(^|[^A-Za-z0-9_])$name([^A-Za-z0-9_]|\$)" "$callers" |
+                grep -Evc "^[ \t]*(pub(\([a-z]+\))? )?const $name[ \t]*:" || true)
+            [ "$uses" -gt 0 ] ||
+                { echo "$f: \`pub const $name\` is named by no code outside tests"; unused=1; } ;;
+        variant)
+            grep -Eq "($enum|Self)::$name([^A-Za-z0-9_]|\$)" "$constructs" ||
+                { echo "$f: \`$enum::$name\` is constructed by no code outside tests"; unused=1; } ;;
+        esac
+    done < <(strip_tests "$f" | public_items)
 done
-rm -f "$callers"
-[ "$uncalled" -eq 0 ]
+rm -f "$callers" "$constructs"
+[ "$unused" -eq 0 ]
 
 echo "== build (release) =="
 cargo build --release
@@ -235,7 +287,7 @@ echo "== host smoke (ring, scheduler and xPic rates, the scheduler's set-up time
 # parent, which has no memo, read 53.8-56.7); a memo per mode, three
 # populations, would read about 114-117.
 # Ceiling: fidelity_max_rel_err 0.02825514721985648, the value the fitted
-# kernel prices give (DESIGN.md §3.13; 0.120095 before the fit). The
+# kernel prices give (DESIGN.md §3.11; 0.120095 before the fit). The
 # metric is virtual time only, exact and host-independent, so the gate is
 # the printed value itself: any price change that moves a scored paper row
 # further off fails it, and one that improves the fit must lower it here.

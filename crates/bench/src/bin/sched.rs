@@ -80,7 +80,6 @@ fn main() {
     let t0 = Instant::now();
     let SchedLoad {
         trace,
-        span,
         faults,
         independent: ind,
         node_locked: locked,
@@ -88,6 +87,7 @@ fn main() {
     } = sched_load::run(jobs, seed);
     let wall = t0.elapsed().as_secs_f64();
     let p99_ind = m.get("independent.wait_p99_s").expect("reported");
+    let span_s = m.get("config.submit_span_s").expect("reported");
 
     if let Some(path) = &out_path {
         let json = format!("{{\n \"metrics\": {}}}\n", m.to_json());
@@ -104,7 +104,7 @@ fn main() {
          {:.1} h (p99 wait {:.0} s, {} backfills, {} requeues) vs node-locked {:.1} h; \
          simulated in {:.2} s wall",
         trace.len(),
-        span.as_secs() / 3600.0,
+        span_s / 3600.0,
         faults.node_faults().len(),
         ind.makespan.as_secs() / 3600.0,
         p99_ind,

@@ -83,7 +83,7 @@ pub fn obs_artifacts(steps: u32, nodes: usize, threads: usize) -> ObsArtifacts {
         summary,
         "critical path: {:.9} s over {} message hops ({} worlds); top shares: {}",
         cp.length.as_secs(),
-        cp.hops.len(),
+        cp.hops,
         cp.worlds.len(),
         top.join(", "),
     );

@@ -44,8 +44,6 @@ const NODE_MTBF_S: f64 = 900_000.0;
 pub struct SchedLoad {
     /// The generated trace.
     pub trace: Vec<TraceJob>,
-    /// The last submission instant.
-    pub span: SimTime,
     /// The node faults both policies see.
     pub faults: FaultPlan,
     /// Independent per-module reservation.
@@ -161,7 +159,6 @@ pub fn run(jobs: usize, seed: u64) -> SchedLoad {
     m.set("comparison.p99_wait_ratio", p99_locked / p99_ind.max(1e-9));
     SchedLoad {
         trace,
-        span,
         faults,
         independent,
         node_locked,

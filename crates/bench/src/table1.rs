@@ -2,6 +2,7 @@
 //! from the model presets (the model *is* the configuration, so this table
 //! doubles as a check that the presets carry the paper's numbers).
 
+use hwmodel::calib::EXTOLL_LINK_BW;
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::NodeSpec;
 
@@ -33,6 +34,7 @@ fn ram_string(n: &NodeSpec) -> String {
 pub fn rows() -> Vec<Row> {
     let cn = deep_er_cluster_node();
     let bn = deep_er_booster_node();
+    let link_gbits = format!("{:.0} Gbit/s", EXTOLL_LINK_BW * 8.0 / 1e9);
     let row = |feature, c: String, b: String| Row {
         feature,
         cluster: c,
@@ -86,11 +88,7 @@ pub fn rows() -> Vec<Row> {
             "EXTOLL Tourmalet A3".into(),
             "EXTOLL Tourmalet A3".into(),
         ),
-        row(
-            "Max. link bandwidth",
-            "100 Gbit/s".into(),
-            "100 Gbit/s".into(),
-        ),
+        row("Max. link bandwidth", link_gbits.clone(), link_gbits),
         row(
             "MPI latency",
             format!("{:.1} µs", 2.0 * cn.nic_send_overhead.as_micros() + 0.3),

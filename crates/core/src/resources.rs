@@ -353,14 +353,6 @@ impl ResourceManager {
         // returns to its free pool at release), or never down at all.
         p.pending_down.remove(&node)
     }
-
-    /// Nodes currently quarantined per module (Cluster, Booster, DAM).
-    /// Faulted nodes still inside live allocations are not counted: their
-    /// quarantine waits for the release.
-    pub fn down_counts(&self) -> (usize, usize, usize) {
-        let p = self.pools.lock();
-        (p.down[CN].len(), p.down[BN].len(), p.down[DAM].len())
-    }
 }
 
 /// The pools of a [`ResourceManager`], held locked ([`ResourceManager::lock`])
@@ -437,6 +429,14 @@ mod tests {
         /// Faulted nodes still held by live allocations (quarantine deferred).
         fn pending_down_count(&self) -> usize {
             self.pools.lock().pending_down.len()
+        }
+
+        /// Nodes currently quarantined per module (Cluster, Booster, DAM).
+        /// Faulted nodes still inside live allocations are not counted:
+        /// their quarantine waits for the release.
+        fn down_counts(&self) -> (usize, usize, usize) {
+            let p = self.pools.lock();
+            (p.down[CN].len(), p.down[BN].len(), p.down[DAM].len())
         }
     }
 

@@ -4,7 +4,7 @@
 //! public spec sheets of the named components. Nothing here is fitted to the
 //! *application* results (Figs. 7–8); those emerge from the model plus the
 //! xPic kernel descriptors (`xpic::config::kernel`), where the prices fitted
-//! to Figs. 7–8 live (DESIGN.md §3.13).
+//! to Figs. 7–8 live (DESIGN.md §3.11).
 //!
 //! ## Processors
 //!

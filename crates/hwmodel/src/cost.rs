@@ -13,7 +13,7 @@
 //! the kernel's vectorizable fraction (see [`crate::processor::Processor`]),
 //! which is what differentiates Haswell (strong scalar pipe) from KNL
 //! (strong SIMD pipes, weak scalar pipe). Memory traffic uses the node-level
-//! aggregate bandwidth of the level the kernel binds to and is assumed to
+//! aggregate bandwidth of its fastest DRAM-class level and is assumed to
 //! overlap with compute (`max`), the usual roofline assumption.
 
 use crate::node::NodeSpec;
@@ -55,13 +55,7 @@ impl CostModel {
         if work.bytes <= 0.0 {
             return SimTime::ZERO;
         }
-        let level = match work.memory {
-            Some(kind) => node
-                .memory_level(kind)
-                .unwrap_or_else(|| node.fast_memory()),
-            None => node.fast_memory(),
-        };
-        SimTime::from_secs(work.bytes / (level.read_bw_gbs * 1e9))
+        SimTime::from_secs(work.bytes / (node.fast_memory().read_bw_gbs * 1e9))
     }
 
     /// Total modelled time: `max(compute, memory) + overhead`.
@@ -75,7 +69,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemoryKind;
     use crate::presets::{deep_er_booster_node, deep_er_cluster_node};
 
     #[test]
@@ -146,13 +139,10 @@ mod tests {
     fn memory_bound_work_uses_bandwidth() {
         let m = CostModel;
         let bn = deep_er_booster_node();
-        // Pure streaming: 1 GB at MCDRAM bandwidth.
-        let w = WorkSpec {
-            memory: Some(MemoryKind::Mcdram),
-            ..WorkSpec::named("stream").bytes(1e9).build()
-        };
+        // Pure streaming: 1 GB at the fast level's (MCDRAM's) bandwidth.
+        let w = WorkSpec::named("stream").bytes(1e9).build();
         let t = m.time(&bn, &w).as_secs();
-        let bw = bn.memory_level(MemoryKind::Mcdram).unwrap().read_bw_gbs;
+        let bw = bn.fast_memory().read_bw_gbs;
         assert!((t - 1.0 / bw).abs() < 1e-12);
     }
 
@@ -185,18 +175,6 @@ mod tests {
         let t_full = m.time(&cn, &base).as_secs();
         let t_one = m.time(&cn, &capped).as_secs();
         assert!((t_one / t_full - cn.cores() as f64).abs() < 1e-6);
-    }
-
-    #[test]
-    fn missing_memory_level_falls_back_to_fast() {
-        let m = CostModel;
-        let cn = deep_er_cluster_node(); // has no MCDRAM
-        let w = WorkSpec {
-            memory: Some(MemoryKind::Mcdram),
-            ..WorkSpec::named("s").bytes(1e9).build()
-        };
-        let fallback = WorkSpec::named("s").bytes(1e9).build();
-        assert_eq!(m.time(&cn, &w), m.time(&cn, &fallback));
     }
 
     #[test]

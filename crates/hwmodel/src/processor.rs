@@ -7,20 +7,13 @@
 //! prototype — Haswell on the Cluster, Knights Landing on the Booster — are
 //! provided as presets in [`crate::presets`].
 
-/// The microarchitectures present in the DEEP projects' prototypes.
+/// The microarchitectures of the DEEP-ER prototype.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Microarch {
     /// Intel Haswell (Xeon E5 v3) — Cluster side of the DEEP-ER prototype.
     Haswell,
     /// Intel Knights Landing (Xeon Phi x200) — Booster side of DEEP-ER.
     KnightsLanding,
-    /// Intel Knights Corner (Xeon Phi x100) — Booster of the first DEEP
-    /// prototype; not self-hosted (needed bridge nodes to boot).
-    KnightsCorner,
-    /// Intel Sandy Bridge (Xeon E5 v1) — Cluster of the first DEEP prototype.
-    SandyBridge,
-    /// A generic/unspecified microarchitecture for custom configurations.
-    Generic,
 }
 
 /// A processor (socket) model.

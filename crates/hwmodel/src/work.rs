@@ -8,7 +8,6 @@
 //! ~6× faster on the Cluster while the particle solver is ~1.35× faster on
 //! the Booster.
 
-use crate::memory::MemoryKind;
 use crate::time::SimTime;
 
 /// A description of one kernel invocation's resource demands.
@@ -18,7 +17,8 @@ pub struct WorkSpec {
     pub name: String,
     /// Double-precision floating point operations performed.
     pub flops: f64,
-    /// Bytes of memory traffic streamed from/to the bound memory level.
+    /// Bytes of memory traffic streamed from/to the node's fastest
+    /// DRAM-class level (MCDRAM on KNL, DDR4 on Haswell).
     pub bytes: f64,
     /// Fraction of the flops issued from SIMD-vectorizable loops, in `[0, 1]`.
     pub vector_fraction: f64,
@@ -26,9 +26,6 @@ pub struct WorkSpec {
     pub parallel_fraction: f64,
     /// Cap on the number of cores the kernel can use (`None` = whole node).
     pub max_cores: Option<u32>,
-    /// Memory level the streamed traffic binds to (`None` = the node's
-    /// fastest DRAM-class level, i.e. MCDRAM on KNL, DDR4 on Haswell).
-    pub memory: Option<MemoryKind>,
     /// Fixed serial overhead added on top (loop management, MPI stack time
     /// outside the fabric model, etc.).
     pub overhead: SimTime,
@@ -96,7 +93,6 @@ impl WorkBuilder {
                 vector_fraction: 0.0,
                 parallel_fraction: 0.0,
                 max_cores: None,
-                memory: None,
                 overhead: SimTime::ZERO,
             },
         }
@@ -151,7 +147,7 @@ mod tests {
         assert_eq!(w.flops, 1e9);
         assert_eq!(w.bytes, 2e8);
         assert_eq!((w.vector_fraction, w.parallel_fraction), (0.9, 0.99));
-        assert_eq!((w.max_cores, w.memory), (None, None));
+        assert_eq!(w.max_cores, None);
         assert_eq!(w.overhead, SimTime::ZERO);
     }
 

@@ -23,20 +23,6 @@ pub const UNTRACKED: &str = "untracked";
 /// Attribution label for message flight time (injection → delivery).
 pub const TRANSFER: &str = "transfer";
 
-/// One hop of the walk, in reverse-time order.
-#[derive(Debug, Clone)]
-pub struct PathHop {
-    /// Track the path ran on.
-    pub track: TrackKey,
-    /// Segment of virtual time attributed on that track.
-    pub from: SimTime,
-    /// Upper end of the segment.
-    pub to: SimTime,
-    /// Flight time of the message edge that led here (zero for spawn
-    /// hops and for the final hop).
-    pub transfer: SimTime,
-}
-
 /// The longest dependency chain of a job.
 #[derive(Debug, Clone, Default)]
 pub struct CriticalPath {
@@ -47,8 +33,9 @@ pub struct CriticalPath {
     /// Seconds of the path by span-category label, plus [`TRANSFER`] and
     /// [`UNTRACKED`].
     pub categories: BTreeMap<&'static str, SimTime>,
-    /// Message edges crossed (rank-to-rank jumps, including spawn hops).
-    pub hops: Vec<PathHop>,
+    /// Tracks the walk visited, one per segment: rank-to-rank message
+    /// jumps and spawn hops each start a new one.
+    pub hops: usize,
     /// Distinct worlds the path visits (>1 when it crosses an
     /// intercommunicator).
     pub worlds: Vec<u64>,
@@ -82,7 +69,7 @@ impl Trace {
             return CriticalPath::default();
         };
         let mut categories: BTreeMap<&'static str, SimTime> = BTreeMap::new();
-        let mut hops = Vec::new();
+        let mut hops = 0;
         let mut worlds = Vec::new();
         // Leaf segments are computed lazily per visited track.
         let mut segs_cache: BTreeMap<TrackKey, Vec<crate::profile::LeafSegment>> = BTreeMap::new();
@@ -96,7 +83,7 @@ impl Trace {
         let hop_limit =
             16 + self.tracks.len() + self.tracks.iter().map(|tr| tr.edges.len()).sum::<usize>();
         loop {
-            if hops.len() > hop_limit {
+            if hops > hop_limit {
                 *categories.entry(UNTRACKED).or_insert(SimTime::ZERO) += t;
                 break;
             }
@@ -136,23 +123,13 @@ impl Trace {
                 Some(e) => {
                     let flight = e.post.saturating_sub(e.send_stamp);
                     *categories.entry(TRANSFER).or_insert(SimTime::ZERO) += flight;
-                    hops.push(PathHop {
-                        track: cur.key,
-                        from: lower,
-                        to: t,
-                        transfer: flight,
-                    });
+                    hops += 1;
                     t = e.send_stamp;
                     let src = e.src.expect("blocking edge has a resolved sender");
                     cur = self.track(src).expect("sender track in trace");
                 }
                 None => {
-                    hops.push(PathHop {
-                        track: cur.key,
-                        from: lower,
-                        to: t,
-                        transfer: SimTime::ZERO,
-                    });
+                    hops += 1;
                     match cur.origin.and_then(|o| self.track(o)) {
                         // Spawn hop: the child's start clock *is* the
                         // parent's clock at the spawn call (zero-width).
@@ -227,7 +204,7 @@ mod tests {
         assert!((cp.categories[TRANSFER].as_secs() - 0.05).abs() < 1e-12);
         assert!(cp.categories.get("recv").copied().unwrap_or(SimTime::ZERO) < t(1e-12));
         assert!((cp.total().as_secs() - 0.8).abs() < 1e-9);
-        assert_eq!(cp.hops.len(), 2);
+        assert_eq!(cp.hops, 2);
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl Trace {
         let _ = writeln!(out, "## critical path");
         let _ = writeln!(out, "length_s: {}", secs(cp.length));
         let _ = writeln!(out, "end: world {} rank {}", cp.end.world, cp.end.rank);
-        let _ = writeln!(out, "hops: {}", cp.hops.len());
+        let _ = writeln!(out, "hops: {}", cp.hops);
         let _ = writeln!(
             out,
             "worlds crossed: {}",

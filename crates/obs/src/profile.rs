@@ -20,7 +20,7 @@ pub struct Bucket {
     pub comm: SimTime,
     /// Blocking time: receives and explicit waits.
     pub wait: SimTime,
-    /// Storage/checkpoint time.
+    /// Checkpoint time: blocking stages and waits on drains.
     pub io: SimTime,
     /// Time inside spans that fits no other class (e.g. a phase span's own
     /// unnested remainder).
@@ -34,9 +34,7 @@ impl Bucket {
             Category::Compute => self.compute += t,
             Category::Send | Category::Collective | Category::Offload => self.comm += t,
             Category::Recv | Category::Wait => self.wait += t,
-            Category::Io | Category::Checkpoint | Category::CkptLocal | Category::CkptDrain => {
-                self.io += t
-            }
+            Category::Checkpoint | Category::CkptLocal | Category::CkptDrain => self.io += t,
             Category::Phase | Category::Failure | Category::Recovery => self.other += t,
         }
     }
@@ -64,8 +62,6 @@ pub struct RankProfile {
     /// messages of the part of their flight the receiver did not wait
     /// for) — the overlap the paper's Listing 4 pattern is after.
     pub overlap: SimTime,
-    /// Bytes received over the fabric.
-    pub bytes_in: u64,
 }
 
 /// The folded profile of a whole trace.
@@ -223,10 +219,8 @@ fn rank_profile(track: &TrackView) -> (RankProfile, BTreeMap<String, Bucket>) {
     let total = track.duration();
     let untracked = total.saturating_sub(busy.total());
     let mut overlap = SimTime::ZERO;
-    let mut bytes_in = 0u64;
     for e in &track.edges {
         overlap += e.overlap();
-        bytes_in += e.bytes;
     }
     (
         RankProfile {
@@ -236,7 +230,6 @@ fn rank_profile(track: &TrackView) -> (RankProfile, BTreeMap<String, Bucket>) {
             busy,
             untracked,
             overlap,
-            bytes_in,
         },
         modules,
     )

@@ -20,8 +20,6 @@ pub enum Category {
     Wait,
     /// Collective operations (the whole call, p2p spans nest inside).
     Collective,
-    /// File/storage I/O.
-    Io,
     /// Checkpoint/restart activity (SCR levels).
     Checkpoint,
     /// The blocking local-NVMe stage of an asynchronous checkpoint — the
@@ -51,7 +49,6 @@ impl Category {
             Category::Recv => "recv",
             Category::Wait => "wait",
             Category::Collective => "collective",
-            Category::Io => "io",
             Category::Checkpoint => "checkpoint",
             Category::CkptLocal => "ckpt_local",
             Category::CkptDrain => "ckpt_drain",

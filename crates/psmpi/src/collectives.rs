@@ -408,40 +408,11 @@ impl Rank {
         Ok(folded?)
     }
 
-    /// Gather one value from every rank to `root`, in rank order. Returns
-    /// `Some(vec)` on root, `None` elsewhere.
-    pub fn gather<T: MpiDatatype + Clone>(
-        &mut self,
-        comm: &Communicator,
-        root: usize,
-        value: &T,
-    ) -> Result<Option<Vec<T>>, PsmpiError> {
-        self.with_collective("gather", |rank| rank.gather_impl(comm, root, value))
-    }
-
-    fn gather_impl<T: MpiDatatype + Clone>(
-        &mut self,
-        comm: &Communicator,
-        root: usize,
-        value: &T,
-    ) -> Result<Option<Vec<T>>, PsmpiError> {
-        let n = comm.size();
-        let me = self.comm_rank(comm)?;
-        if me != root {
-            self.send_comm(comm, root, TAG_GATHER, value)?;
-            return Ok(None);
-        }
-        let from = |src| match src == root {
-            true => Ok(value.clone()),
-            false => Ok(self.recv_comm::<T>(comm, Some(src), Some(TAG_GATHER))?.0),
-        };
-        (0..n).map(from).collect::<Result<_, _>>().map(Some)
-    }
-
-    /// [`Rank::gather`] of one raw payload per rank that moves the `Bytes`
-    /// handles instead of their contents: root's vector shares storage with
-    /// what each rank passed in. Charged on the wire like a gathered
-    /// `Vec<u8>`: the payload plus its 8-byte length header.
+    /// Gather one raw payload per rank to `root`, in rank order, moving the
+    /// `Bytes` handles instead of their contents: root's vector shares
+    /// storage with what each rank passed in. Returns `Some(vec)` on root,
+    /// `None` elsewhere. Charged on the wire like a gathered `Vec<u8>`: the
+    /// payload plus its 8-byte length header.
     pub fn gather_bytes(
         &mut self,
         comm: &Communicator,

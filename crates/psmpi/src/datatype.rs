@@ -522,15 +522,11 @@ macro_rules! impl_tuple {
 impl_tuple!(A.0, B.1);
 impl_tuple!(A.0, B.1, C.2);
 
-/// Reduction operators for `reduce`/`allreduce`/`scan`.
+/// Reduction operators for `reduce`/`allreduce`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Element-wise sum.
     Sum,
-    /// Element-wise product.
-    Prod,
-    /// Element-wise minimum.
-    Min,
     /// Element-wise maximum.
     Max,
 }
@@ -566,8 +562,6 @@ impl ReduceOp {
         }
         match self {
             ReduceOp::Sum => fold(acc, theirs, acc_first, |a, b| a + b),
-            ReduceOp::Prod => fold(acc, theirs, acc_first, |a, b| a * b),
-            ReduceOp::Min => fold(acc, theirs, acc_first, f64::min),
             ReduceOp::Max => fold(acc, theirs, acc_first, f64::max),
         }
         Ok(())
@@ -771,8 +765,6 @@ mod tests {
             acc[0]
         };
         assert_eq!(scalar(ReduceOp::Sum), 5.0);
-        assert_eq!(scalar(ReduceOp::Prod), 6.0);
-        assert_eq!(scalar(ReduceOp::Min), 2.0);
         assert_eq!(scalar(ReduceOp::Max), 3.0);
         let mut acc = vec![1.0, 5.0];
         ReduceOp::Max

@@ -4,13 +4,8 @@ use bytes::Bytes;
 use hwmodel::SimTime;
 
 /// Message tag. Matching follows MPI: a receive specifying a tag matches
-/// only that tag; [`ANY_TAG`] matches any.
+/// only that tag; a tag of `None` (MPI_ANY_TAG) matches any.
 pub type Tag = i32;
-
-/// Wildcard source for receives (MPI_ANY_SOURCE).
-pub const ANY_SOURCE: Option<usize> = None;
-/// Wildcard tag for receives (MPI_ANY_TAG).
-pub const ANY_TAG: Option<Tag> = None;
 
 /// Reserved tag of *revoke markers*: control envelopes deposited by a rank
 /// that aborts after observing a node failure, telling every peer still
@@ -18,7 +13,7 @@ pub const ANY_TAG: Option<Tag> = None;
 /// peeked — never consumed — by the abortable receive path, so one marker
 /// unblocks every subsequent receive from that sender. Application code
 /// must not send on this tag, and wildcard-tag receives should not be mixed
-/// with fault injection (a marker would match `ANY_TAG`).
+/// with fault injection (a marker would match a `None` tag).
 pub const TAG_REVOKED: Tag = -99;
 
 /// Identifies one endpoint (a rank thread) in the universe, across all
@@ -144,9 +139,9 @@ mod tests {
     #[test]
     fn wildcards() {
         let e = env(1, 2, 7);
-        assert!(e.matches(CommId(1), ANY_SOURCE, Some(7)));
-        assert!(e.matches(CommId(1), Some(2), ANY_TAG));
-        assert!(e.matches(CommId(1), ANY_SOURCE, ANY_TAG));
-        assert!(!e.matches(CommId(9), ANY_SOURCE, ANY_TAG));
+        assert!(e.matches(CommId(1), None, Some(7)));
+        assert!(e.matches(CommId(1), Some(2), None));
+        assert!(e.matches(CommId(1), None, None));
+        assert!(!e.matches(CommId(9), None, None));
     }
 }

@@ -59,7 +59,6 @@
 //! |---|---|
 //! | `reduce` `allreduce[_scalar]` | folded into the accumulator off the wire ([`ReduceOp::fold_wire`]), lower-rank operand first; never decoded |
 //! | `bcast` `bcast_bytes[_with]` | forwarded by refcount; decoded once per non-root, the root keeps its value |
-//! | `gather` | decoded (`recv_comm`) |
 //! | `gather_bytes` | kept as received: root's vector shares each sender's allocation |
 //!
 //! These, `barrier` and [`Rank::spawn`] are the whole collective surface:
@@ -100,7 +99,7 @@ pub mod universe;
 
 pub use comm::{Comm, CommId, Communicator, Intercomm};
 pub use datatype::{FixedWidth, MpiDatatype, Raw, ReduceOp};
-pub use envelope::{Envelope, Status, Tag, Wire, ANY_SOURCE, ANY_TAG, TAG_REVOKED};
+pub use envelope::{Envelope, Status, Tag, Wire, TAG_REVOKED};
 pub use pool::{BufferPool, PoolStats, DEFAULT_MAX_POOLED_BUFFERS};
 pub use rank::{MpiRequest, PsmpiError, Rank, RecvIntoRequest, RecvRequest, SendRequest};
 pub use router::RecvAbort;

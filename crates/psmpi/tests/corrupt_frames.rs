@@ -97,6 +97,10 @@ fn a_rejected_frame_still_returns_its_buffer() {
                     Bytes::from(vec![0u8; 4]),
                     Bytes::from(vec![0u8; 24]),
                     Bytes::from(vec![0u8; 40]),
+                    // A prefix that cannot even be read, and one claiming
+                    // 2^40 `f64`s (8 TiB) in front of two.
+                    Bytes::from(vec![7u8; 5]),
+                    frame(&[&(1u64 << 40).to_le_bytes(), &[0; 16]]),
                 ];
                 for (tag, f) in (1..).zip(frames) {
                     rank.send_bytes_comm(&w, 1, tag, f).unwrap();
@@ -125,6 +129,10 @@ fn a_rejected_frame_still_returns_its_buffer() {
                 .irecv_into(src, Some(5), &mut out)
                 .and_then(|req| req.wait(rank));
             returned(rank, is_codec(&r), "irecv_into, five elements for four");
+            let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(6));
+            returned(rank, is_codec(&r), "recv_comm, unreadable prefix");
+            let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(7));
+            returned(rank, is_codec(&r), "recv_comm, prefix claiming 8 TiB");
         });
     assert_eq!(pool.stats().reclaim_failures, 0);
 }

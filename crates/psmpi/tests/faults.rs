@@ -438,75 +438,6 @@ fn forged_reduction_blocks_are_codec_errors_and_go_back_to_the_pool() {
 }
 
 #[test]
-fn forged_gather_frames_are_codec_errors_and_go_back_to_the_pool() {
-    // Rank 0 plays a corrupt contributor: it deposits a truncated frame and
-    // one whose length prefix claims more elements than follow under the
-    // gather's reserved tag instead of calling `gather`; the root's
-    // `gather` of a `Vec<f64>` must reject each with a typed error, before
-    // allocating what the prefix claims, and give the frame back to the
-    // pool. An honest `gather` on the same world then returns both values.
-    // The asserts run after the job, so a failure cannot strand rank 0.
-    const TAG_GATHER: psmpi::Tag = -13;
-    // A prefix that cannot even be read, and one claiming 2^40 `f64`s
-    // (8 TiB) in front of two.
-    let lying: Vec<u8> = (1u64 << 40)
-        .to_le_bytes()
-        .into_iter()
-        .chain([0u8; 16])
-        .collect();
-    let forged = [vec![7u8; 5], lying];
-    let pool = Arc::new(BufferPool::new());
-    // Per forged frame: (rejected as a codec error, buffers the pool
-    // gained); then the honest gather's result at each rank.
-    let seen = Arc::new(lockrank::Mutex::<_, 900>::new((Vec::new(), Vec::new())));
-    let seen_in = seen.clone();
-    UniverseBuilder::new()
-        .add_nodes(2, &deep_er_cluster_node())
-        .buffer_pool(pool.clone())
-        .run(move |rank| {
-            let w = rank.world();
-            if rank.rank() == 0 {
-                for frame in &forged {
-                    let frame = Bytes::from(frame.clone());
-                    rank.send_bytes_comm(&w, 1, TAG_GATHER, frame).unwrap();
-                }
-            } else {
-                // A 4 KiB buffer in the slot, which the honest gather's
-                // small draw passes over: every frame rank 1 retires lands
-                // in the stacks, where `pooled()` counts it.
-                rank.send_slice(1, 0, &[0.0f64; 512]).unwrap();
-                rank.recv_into(Some(1), Some(0), &mut [0.0f64; 512])
-                    .unwrap();
-                for _ in &forged {
-                    let pooled = rank.buffer_pool().pooled() as i64;
-                    let got = rank.gather(&w, 1, &vec![1.0f64]);
-                    let codec = matches!(got, Err(MpiError::Codec(_)));
-                    let back = rank.buffer_pool().pooled() as i64 - pooled;
-                    seen_in.lock().0.push((codec, back));
-                }
-            }
-            let mine = vec![rank.rank() as f64; 3];
-            let all = rank.gather(&w, 1, &mine);
-            seen_in.lock().1.push((rank.rank(), all.ok()));
-        });
-    let (rejected, mut gathered) = seen.lock().clone();
-    assert_eq!(
-        rejected,
-        [(true, 1), (true, 1)],
-        "(codec error, buffers back)"
-    );
-    gathered.sort_by_key(|g| g.0);
-    assert_eq!(
-        gathered,
-        [
-            (0, Some(None)),
-            (1, Some(Some(vec![vec![0.0; 3], vec![1.0; 3]])))
-        ]
-    );
-    assert_eq!(pool.stats().reclaim_failures, 0);
-}
-
-#[test]
 fn a_panicking_rank_ends_its_job_instead_of_hanging_its_peers() {
     // Rank 1 panics before its send while rank 0 waits in a receive from
     // it. The panic must take rank 1's node down at its clock, so rank 0's

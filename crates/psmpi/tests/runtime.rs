@@ -1,10 +1,11 @@
 //! Integration tests for the psmpi runtime: point-to-point semantics,
 //! virtual time, collectives, and the spawn/inter-communicator offload path.
 
+use bytes::Bytes;
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::{NodeId, SimTime, WorkSpec};
 use lockrank::Mutex;
-use psmpi::{MpiDatatype, MpiRequest, ReduceOp, Universe, UniverseBuilder, ANY_SOURCE, ANY_TAG};
+use psmpi::{MpiDatatype, MpiRequest, ReduceOp, Universe, UniverseBuilder};
 use simnet::{Fabric, Topology};
 use std::sync::Arc;
 
@@ -76,7 +77,8 @@ fn wildcard_source_and_tag() {
             2 => {
                 let mut sum = 0;
                 for _ in 0..2 {
-                    let (v, st) = rank.recv_comm::<u32>(&w, ANY_SOURCE, ANY_TAG).unwrap();
+                    // Any source, any tag.
+                    let (v, st) = rank.recv_comm::<u32>(&w, None, None).unwrap();
                     assert!(st.source == 0 || st.source == 1);
                     sum += v;
                 }
@@ -236,10 +238,11 @@ fn reduce_and_allreduce() {
         }
         let all = rank.allreduce(&w, &mine, ReduceOp::Max).unwrap();
         assert_eq!(all, vec![5.0, 1.0]);
+        // The minimum, as the negated maximum of the negated values.
         let s = rank
-            .allreduce_scalar(&w, rank.rank() as f64, ReduceOp::Min)
+            .allreduce_scalar(&w, -(rank.rank() as f64), ReduceOp::Max)
             .unwrap();
-        assert_eq!(s, 0.0);
+        assert_eq!(-s, 0.0);
     });
 }
 
@@ -248,9 +251,12 @@ fn gather_collects_in_rank_order() {
     cluster(4).run(|rank| {
         let w = rank.world();
         let me = rank.rank();
-        let g = rank.gather(&w, 1, &(me as u64)).unwrap();
+        let g = rank
+            .gather_bytes(&w, 1, Bytes::from(vec![me as u8]))
+            .unwrap();
         if me == 1 {
-            assert_eq!(g.unwrap(), vec![0, 1, 2, 3]);
+            let got: Vec<Vec<u8>> = g.unwrap().iter().map(|b| b.to_vec()).collect();
+            assert_eq!(got, [[0], [1], [2], [3]]);
         } else {
             assert!(g.is_none());
         }

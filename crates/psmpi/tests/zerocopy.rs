@@ -6,11 +6,27 @@
 use bytes::Bytes;
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::SimTime;
-use psmpi::{BufferPool, UniverseBuilder};
+use psmpi::{BufferPool, Communicator, Rank, UniverseBuilder};
 use std::sync::Arc;
 
 fn cluster(n: u32) -> UniverseBuilder {
     UniverseBuilder::new().add_nodes(n, &deep_er_cluster_node())
+}
+
+/// Every rank's `addr`, gathered to `root` in rank order.
+fn gather_addr(
+    rank: &mut Rank,
+    w: &Communicator,
+    root: usize,
+    addr: *const u8,
+) -> Option<Vec<u64>> {
+    let mine = Bytes::copy_from_slice(&(addr as u64).to_le_bytes());
+    let all = rank.gather_bytes(w, root, mine).unwrap()?;
+    Some(
+        all.iter()
+            .map(|b| u64::from_le_bytes(b[..].try_into().unwrap()))
+            .collect(),
+    )
 }
 
 #[test]
@@ -53,8 +69,7 @@ fn bcast_bytes_shares_one_allocation() {
         let b = rank.bcast_bytes(&w, 2, payload).unwrap();
         assert_eq!(b.len(), 4096);
         assert!(b.iter().all(|&x| x == 9));
-        let ptrs = rank.gather(&w, 2, &(b.as_ptr() as u64)).unwrap();
-        if let Some(ptrs) = ptrs {
+        if let Some(ptrs) = gather_addr(rank, &w, 2, b.as_ptr()) {
             assert!(
                 ptrs.iter().all(|&p| p == ptrs[2]),
                 "bcast fan-out must forward one shared allocation: {ptrs:?}"
@@ -132,8 +147,7 @@ fn segmented_bcast_bytes_hands_every_rank_the_roots_allocation() {
             (rank.rank() == 0).then(|| Bytes::from((0..LEN).map(|i| i as u8).collect::<Vec<u8>>()));
         let got = rank.bcast_bytes_with(&w, 0, payload, 1024, 1000).unwrap();
         assert!(got.iter().copied().eq((0..LEN).map(|i| i as u8)));
-        let ptrs = rank.gather(&w, 0, &(got.as_ptr() as u64)).unwrap();
-        if let Some(ptrs) = ptrs {
+        if let Some(ptrs) = gather_addr(rank, &w, 0, got.as_ptr()) {
             assert!(
                 ptrs.iter().all(|&p| p == ptrs[0]),
                 "every non-root returns a view of the root's payload: {ptrs:?}"

@@ -90,9 +90,6 @@ pub struct PendingDrain {
     /// blocking caller charges this in one piece: `SimTime` is an `f64`,
     /// so `local_cost` plus the drain left need not equal it to the bit.
     pub full_cost: SimTime,
-    /// Modelled bytes per rank on the NVMe and the wire (the largest
-    /// encoded frame, or the largest blob).
-    pub wire_bytes: u64,
 }
 
 /// Errors from checkpoint operations.
@@ -449,6 +446,8 @@ impl ScrManager {
                 .map(|(rank, frame)| self.decode_frame(rank, frame))
                 .collect::<Result<_, _>>()?,
         };
+        // Modelled bytes per rank on the NVMe and the wire: the largest
+        // encoded frame, or the largest blob.
         let wire_bytes = sent.iter().map(|d| d.len() as u64).max().unwrap_or(0);
         let mut st = self.state.lock();
         // A re-taken id's handle names the new record from here on, so an
@@ -477,7 +476,6 @@ impl ScrManager {
             level,
             local_cost: self.checkpoint_cost(CheckpointLevel::Local, wire_bytes),
             full_cost: self.checkpoint_cost(level, wire_bytes),
-            wire_bytes,
         })
     }
 
@@ -1205,9 +1203,16 @@ mod tests {
         let p2 = m
             .checkpoint_async(2, CheckpointLevel::Buddy, Payload::Frames(&frames))
             .unwrap();
+        let longest = |fs: &[Bytes]| fs.iter().map(|f| f.len()).max().unwrap();
+        let delta_len = longest(&frames);
         assert!(
-            p2.wire_bytes < p1.wire_bytes / 10,
+            delta_len < longest(&keyframes) / 10,
             "delta shrinks the drain"
+        );
+        assert_eq!(
+            p2.full_cost,
+            m.checkpoint_cost(CheckpointLevel::Buddy, delta_len as u64),
+            "the drain is priced at the largest frame"
         );
         assert!(
             p2.local_cost < m.checkpoint_cost(CheckpointLevel::Local, 16384),

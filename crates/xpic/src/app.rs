@@ -66,8 +66,6 @@ impl Mode {
 pub struct XpicReport {
     /// Mode that produced this report.
     pub mode: Mode,
-    /// Nodes per solver (the x-axis of Fig. 8).
-    pub nodes_per_solver: usize,
     /// Steps simulated.
     pub steps: u32,
     /// Steady-state virtual loop time: the span from the end of the first
@@ -693,7 +691,6 @@ pub fn run_mode(
     };
     XpicReport {
         mode,
-        nodes_per_solver,
         steps: config.steps,
         total,
         field_time: a.field_time,

@@ -53,7 +53,7 @@ impl ModelScale {
 /// `hwmodel` prices a kernel from the machine (Table I, Fig. 3); the
 /// constants here say how much work each kernel is. Five prices are fitted
 /// to the paper's application results, each to the row it moves most; the
-/// rest are estimates from the kernels' structure. DESIGN.md §3.13 has the
+/// rest are estimates from the kernels' structure. DESIGN.md §3.11 has the
 /// before/after values and the evidence.
 ///
 /// * [`FLOPS_PER_CELL_PER_CG_ITER`](kernel::FLOPS_PER_CELL_PER_CG_ITER) and
@@ -228,22 +228,6 @@ impl XpicConfig {
         }];
         v.extend(self.extra_species.iter().cloned());
         v
-    }
-
-    /// Add a kinetic ion species (charge +1 per cell, reduced mass ratio
-    /// `mi_over_me`, thermal speed scaled by √(me/mi)), turning the static
-    /// neutralizing background into a second mover — the two-species setup
-    /// of production xPic runs.
-    pub fn with_ions(mut self, mi_over_me: f64) -> Self {
-        assert!(mi_over_me >= 1.0);
-        self.extra_species.push(SpeciesSpec {
-            name: "ions".into(),
-            qom: 1.0 / mi_over_me,
-            charge_per_cell: 1.0,
-            vth: self.vth / mi_over_me.sqrt(),
-            ppc: self.sim_particles_per_cell,
-        });
-        self
     }
 
     /// Strong-scale the *model* workload: divide a fixed global problem of

@@ -355,6 +355,19 @@ mod tests {
             .collect()
     }
 
+    /// `config` plus kinetic ions: charge +1 per cell, mass ratio
+    /// `mi_over_me`, thermal speed scaled by √(me/mi).
+    fn with_ions(mut config: XpicConfig, mi_over_me: f64) -> XpicConfig {
+        config.extra_species.push(crate::config::SpeciesSpec {
+            name: "ions".into(),
+            qom: 1.0 / mi_over_me,
+            charge_per_cell: 1.0,
+            vth: config.vth / mi_over_me.sqrt(),
+            ppc: config.sim_particles_per_cell,
+        });
+        config
+    }
+
     fn memo_config(seed: u64) -> XpicConfig {
         XpicConfig {
             nx: 6,
@@ -375,7 +388,7 @@ mod tests {
     }
 
     fn from_config_is_the_fresh_draw_on_every_decomposition_and_call() {
-        for config in [memo_config(1), memo_config(2).with_ions(25.0)] {
+        for config in [memo_config(1), with_ions(memo_config(2), 25.0)] {
             for nranks in [1, 2, 4, 8] {
                 for rank in 0..nranks {
                     let grid = Grid::slab(config.nx, config.ny, rank, nranks);
@@ -399,7 +412,7 @@ mod tests {
     }
 
     fn a_config_differing_in_one_key_value_gets_its_own_population() {
-        let base = memo_config(3).with_ions(16.0);
+        let base = with_ions(memo_config(3), 16.0);
         type Vary = fn(&mut XpicConfig);
         let variants: [(&str, Vary); 6] = [
             ("seed", |c| c.seed += 1),

@@ -2,6 +2,7 @@
 //! Listing 1 with nspec = 2).
 
 use cluster_booster::{Launcher, SystemBuilder};
+use xpic::config::SpeciesSpec;
 use xpic::{run_mode, Mode, XpicConfig};
 
 fn launcher() -> Launcher {
@@ -13,14 +14,26 @@ fn launcher() -> Launcher {
     )
 }
 
+/// Electrons plus kinetic ions of mass ratio 100: charge +1 per cell,
+/// thermal speed scaled by √(me/mi) = 1/10.
 fn two_species_config() -> XpicConfig {
-    XpicConfig {
+    let base = XpicConfig {
         nx: 8,
         ny: 8,
         steps: 3,
         ..XpicConfig::test_small()
+    };
+    let ions = SpeciesSpec {
+        name: "ions".into(),
+        qom: 1.0 / 100.0,
+        charge_per_cell: 1.0,
+        vth: base.vth / 10.0,
+        ppc: base.sim_particles_per_cell,
+    };
+    XpicConfig {
+        extra_species: vec![ions],
+        ..base
     }
-    .with_ions(100.0)
 }
 
 #[test]

@@ -77,8 +77,9 @@ fn xpic_like_job_survives_node_failure_via_scr() {
                 // Rank 0 gathers all states and registers the checkpoint
                 // (the SCR API is called collectively in the real library;
                 // the gather models the same data movement).
-                let gathered = rank.gather(&w, 0, &state).unwrap();
-                if let Some(blobs) = gathered {
+                let gathered = rank.gather_bytes(&w, 0, Bytes::from(state)).unwrap();
+                if let Some(gathered) = gathered {
+                    let blobs: Vec<Vec<u8>> = gathered.iter().map(|b| b.to_vec()).collect();
                     let cost = scr_in
                         .checkpoint(step, CheckpointLevel::Buddy, &blobs)
                         .unwrap();
