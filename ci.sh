@@ -58,9 +58,9 @@ echo "== public functions, fields, constants and variants have a use outside tes
 # The match is by name, not by type: a use of any item of the same name
 # counts, so an unused item whose name something else carries passes
 # unseen and has to be found by hand. `PendingDrain::drain` was one: the
-# benchmark's unrelated `trace::drain()` matched its name; so is
+# benchmark's unrelated `trace::drain()` matched its name; so was
 # `RankOutcome.comm_time`, which `Rank`'s private `comm_time` field
-# passes.
+# passed.
 surface_keep=$(cat <<'KEEP'
 crates/psmpi/src/universe.rs:outcomes        JobReport's per-rank records, which the full-stack pins read
 crates/sched/src/engine.rs:starts_of         which job started when, the backfill tests' oracle
@@ -193,16 +193,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --lib \
     -p sched -p xpic -p obs -p lockrank -p cb-bench -p cluster-booster-repro
 
 echo "== examples (each runs to exit 0) =="
-# `cargo test` builds examples but never runs them. Several assert at run
-# time: ompss_offload (ompss::run's only non-test caller) that its task
-# graph, lowered onto comm_spawn, absorbed two injected task failures by
-# input saving + retry and ended on the data its actions leave when run in
-# program order, modular_supercomputing
-# that three module worlds cooperated, checkpoint_restart that the newest
-# surviving state is restored, xpic_partitioned that Cluster-only,
-# Booster-only and C+B end on bit-identical field and kinetic energies.
-for example in quickstart fabric_explorer modular_supercomputing \
-    checkpoint_restart xpic_partitioned ompss_offload; do
+# `cargo test` builds examples but never runs them. The list is every
+# tracked examples/*.rs, so a new example runs here without an edit and a
+# deleted one leaves no stale name behind. Several assert at run time:
+# ompss_offload (ompss::run's only non-test caller) that its task graph,
+# lowered onto comm_spawn, absorbed two injected task failures by input
+# saving + retry and ended on the data its actions leave when run in
+# program order, checkpoint_restart that the newest surviving state is
+# restored, xpic_partitioned that Cluster-only, Booster-only and C+B end
+# on bit-identical field and kinetic energies.
+examples=$(git ls-files 'examples/*.rs' | sed -E 's|^examples/||; s|\.rs$||')
+[ -n "$examples" ]
+for example in $examples; do
     cargo run -q --release --example "$example" > /dev/null
 done
 
@@ -211,8 +213,9 @@ echo "== figure binaries (each runs twice to exit 0 and prints the same bytes) =
 # output stops being a function of its arguments, fails here. Their
 # printed tables are what EXPERIMENTS.md reproduces; `matrix` is a tier-1
 # test and `sched` has its own smoke below, so both are left out. The
-# five took 2, 747, 24, 520 and 295 ms per run in release on 2 cores
-# (`ablations`: the median of five runs).
+# five took 2, 747, 24, 520 and 261 ms per run in release on 2 cores
+# (`ablations`: the median of five runs, against 321 ms for the same five
+# with its weak-scaling block, which is gone).
 FIG_TMP=$(mktemp -d)
 for bin in table1 fig3 fig7 fig8 ablations; do
     for run in 1 2; do

@@ -138,32 +138,6 @@ pub fn scheduler_study() -> SchedulerStudy {
     }
 }
 
-/// Weak-scaling extension: Table II per-node load held constant while the
-/// node count grows (the complement of Fig. 8's strong scaling).
-#[derive(Debug, Clone)]
-pub struct WeakScalingPoint {
-    /// Nodes per solver.
-    pub nodes: usize,
-    /// C+B runtime (constant per-node load).
-    pub runtime: SimTime,
-}
-
-/// Run the weak-scaling sweep in C+B mode.
-pub fn weak_scaling(
-    launcher: &Launcher,
-    steps: u32,
-    node_counts: &[usize],
-) -> Vec<WeakScalingPoint> {
-    let cfg = XpicConfig::paper_bench(steps); // model stays per-node
-    node_counts
-        .iter()
-        .map(|&nodes| WeakScalingPoint {
-            nodes,
-            runtime: run_mode(launcher, Mode::ClusterBooster, nodes, &cfg).total,
-        })
-        .collect()
-}
-
 /// NAM vs buddy checkpoint staging comparison.
 #[derive(Debug, Clone)]
 pub struct NamStudy {
@@ -242,12 +216,6 @@ pub fn render_all(launcher: &Launcher) -> String {
 
     out.push('\n');
     out.push_str(&crate::sensitivity::render(0.10));
-
-    out.push_str("\nEXTENSION 4: weak scaling (C+B, Table II load per node)\n");
-    out.push_str(&format!("{:>8} {:>14}\n", "nodes", "runtime"));
-    for p in weak_scaling(launcher, 3, &[1, 2, 4, 8]) {
-        out.push_str(&format!("{:>8} {:>14}\n", p.nodes, p.runtime.to_string()));
-    }
     out
 }
 
@@ -290,20 +258,6 @@ mod tests {
             "\nABLATION 3: scheduler policy (same job mix)\n  \
              independent allocation : makespan 14400.000 s (CN util 88%)\n  \
              node-locked (acc. cluster): makespan 28800.000 s (CN util 44%)\n"
-        );
-    }
-
-    #[test]
-    fn weak_scaling_stays_nearly_flat() {
-        // Constant per-node load: the runtime grows only by the collective
-        // (log-depth allreduces per CG iteration) and migration costs —
-        // well under the ~2× a strong-scaled run would shed, and bounded
-        // at ~35% from 1 to 8 nodes.
-        let pts = weak_scaling(&prototype_launcher(), 3, &[1, 8]);
-        let growth = pts[1].runtime.as_secs() / pts[0].runtime.as_secs();
-        assert!(
-            (0.95..=1.35).contains(&growth),
-            "weak scaling should be near-flat: {growth:.3}"
         );
     }
 

@@ -22,8 +22,6 @@ pub struct JobSpec {
     pub cluster_nodes: usize,
     /// Booster nodes requested.
     pub booster_nodes: usize,
-    /// Data Analytics Module nodes requested (DEEP-EST systems).
-    pub dam_nodes: usize,
     /// Which module the initial world boots on; the other side is reached
     /// by spawning (xPic boots on the Booster, §IV-B).
     pub boot: ModuleKind,
@@ -36,7 +34,6 @@ impl JobSpec {
             name: name.into(),
             cluster_nodes: nodes,
             booster_nodes: 0,
-            dam_nodes: 0,
             boot: ModuleKind::Cluster,
         }
     }
@@ -47,7 +44,6 @@ impl JobSpec {
             name: name.into(),
             cluster_nodes: 0,
             booster_nodes: nodes,
-            dam_nodes: 0,
             boot: ModuleKind::Booster,
         }
     }
@@ -59,15 +55,8 @@ impl JobSpec {
             name: name.into(),
             cluster_nodes: cn,
             booster_nodes: bn,
-            dam_nodes: 0,
             boot: ModuleKind::Booster,
         }
-    }
-
-    /// Request DAM nodes as well (DEEP-EST workflows).
-    pub fn with_dam_nodes(mut self, n: usize) -> Self {
-        self.dam_nodes = n;
-        self
     }
 
     /// Override the booting module.
@@ -146,13 +135,10 @@ impl Launcher {
     where
         F: Fn(&mut Rank, &Allocation) + Send + Sync + 'static,
     {
-        let alloc =
-            self.rm
-                .allocate_modular(spec.cluster_nodes, spec.booster_nodes, spec.dam_nodes)?;
+        let alloc = self.rm.allocate(spec.cluster_nodes, spec.booster_nodes)?;
         let boot_nodes = match spec.boot {
             ModuleKind::Cluster => &alloc.cluster,
             ModuleKind::Booster => &alloc.booster,
-            ModuleKind::Dam => &alloc.dam,
             ModuleKind::Storage => {
                 self.rm.release(&alloc).ok();
                 return Err(LaunchError::BadSpec(

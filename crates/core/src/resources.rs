@@ -59,14 +59,12 @@ pub struct Allocation {
     pub cluster: Vec<NodeId>,
     /// Booster nodes granted.
     pub booster: Vec<NodeId>,
-    /// Data Analytics Module nodes granted (DEEP-EST systems).
-    pub dam: Vec<NodeId>,
 }
 
 impl Allocation {
     /// Total node count.
     pub fn len(&self) -> usize {
-        self.cluster.len() + self.booster.len() + self.dam.len()
+        self.cluster.len() + self.booster.len()
     }
 
     /// Whether no nodes were granted.
@@ -129,19 +127,18 @@ impl FromIterator<NodeId> for NodeSet {
 
 /// The compute modules nodes are pooled by, in the index order of
 /// [`Pools::free`] and [`Pools::down`].
-const MODULES: [ModuleKind; 3] = [ModuleKind::Cluster, ModuleKind::Booster, ModuleKind::Dam];
+const MODULES: [ModuleKind; 2] = [ModuleKind::Cluster, ModuleKind::Booster];
 const CN: usize = 0;
 const BN: usize = 1;
-const DAM: usize = 2;
 
 #[derive(Debug)]
 struct Pools {
     /// Free nodes per module.
-    free: [NodeSet; 3],
+    free: [NodeSet; 2],
     /// Nodes marked down by a fault ([`ResourceManager::mark_down`]),
     /// per module: removed from the free pools, never handed out until
     /// repaired with [`ResourceManager::mark_up`].
-    down: [NodeSet; 3],
+    down: [NodeSet; 2],
     /// Downed nodes that were allocated at fault time: they route to the
     /// down sets (not back to the free pools) when they leave their
     /// allocation.
@@ -201,12 +198,7 @@ impl ResourceManager {
 
     /// Manage with an explicit policy.
     pub fn with_policy(system: &System, policy: AllocationPolicy) -> Self {
-        let free = [
-            system.cluster_nodes(),
-            system.booster_nodes(),
-            system.dam_nodes(),
-        ]
-        .map(NodeSet::from_iter);
+        let free = [system.cluster_nodes(), system.booster_nodes()].map(NodeSet::from_iter);
         ResourceManager {
             total_cluster: free[CN].len(),
             total_booster: free[BN].len(),
@@ -258,19 +250,9 @@ impl ResourceManager {
     /// Reserve `cn` cluster and `bn` booster nodes (lowest ids first).
     /// Atomic: on failure nothing is taken.
     pub fn allocate(&self, cn: usize, bn: usize) -> Result<Allocation, AllocationError> {
-        self.allocate_modular(cn, bn, 0)
-    }
-
-    /// Reserve nodes from all three compute modules (DEEP-EST systems).
-    pub fn allocate_modular(
-        &self,
-        cn: usize,
-        bn: usize,
-        dn: usize,
-    ) -> Result<Allocation, AllocationError> {
         let (need_cn, need_bn) = self.effective(cn, bn);
         let mut p = self.pools.lock();
-        for (m, requested) in [need_cn, need_bn, dn].into_iter().enumerate() {
+        for (m, requested) in [need_cn, need_bn].into_iter().enumerate() {
             let free = p.free[m].len();
             if free < requested {
                 return Err(AllocationError::Insufficient {
@@ -287,7 +269,6 @@ impl ResourceManager {
             id,
             cluster: p.take(CN, need_cn).collect(),
             booster: p.take(BN, need_bn).collect(),
-            dam: p.take(DAM, dn).collect(),
         })
     }
 
@@ -299,12 +280,8 @@ impl ResourceManager {
         if !p.live.remove(&alloc.id) {
             return Err(AllocationError::StaleAllocation);
         }
-        for (m, nodes) in [&alloc.cluster, &alloc.booster, &alloc.dam]
-            .into_iter()
-            .enumerate()
-        {
-            p.give_back(m, nodes);
-        }
+        p.give_back(CN, &alloc.cluster);
+        p.give_back(BN, &alloc.booster);
         Ok(())
     }
 
@@ -417,12 +394,7 @@ mod tests {
 
     /// Every node an allocation holds, cluster first.
     fn all_nodes(a: &Allocation) -> Vec<NodeId> {
-        a.cluster
-            .iter()
-            .chain(&a.booster)
-            .chain(&a.dam)
-            .copied()
-            .collect()
+        a.cluster.iter().chain(&a.booster).copied().collect()
     }
 
     impl ResourceManager {
@@ -431,12 +403,12 @@ mod tests {
             self.pools.lock().pending_down.len()
         }
 
-        /// Nodes currently quarantined per module (Cluster, Booster, DAM).
+        /// Nodes currently quarantined per module (Cluster, Booster).
         /// Faulted nodes still inside live allocations are not counted:
         /// their quarantine waits for the release.
-        fn down_counts(&self) -> (usize, usize, usize) {
+        fn down_counts(&self) -> (usize, usize) {
             let p = self.pools.lock();
-            (p.down[CN].len(), p.down[BN].len(), p.down[DAM].len())
+            (p.down[CN].len(), p.down[BN].len())
         }
     }
 
@@ -537,10 +509,10 @@ mod tests {
         rm.release(&probe).unwrap();
         assert!(rm.mark_down(node), "free node quarantined at once");
         assert_eq!(rm.free_cluster(), 15);
-        assert_eq!(rm.down_counts(), (1, 0, 0));
+        assert_eq!(rm.down_counts(), (1, 0));
         assert!(rm.mark_up(node));
         assert_eq!(rm.free_cluster(), 16);
-        assert_eq!(rm.down_counts(), (0, 0, 0));
+        assert_eq!(rm.down_counts(), (0, 0));
     }
 
     #[test]
@@ -550,11 +522,11 @@ mod tests {
         let victim = a.booster[0];
         assert!(!rm.mark_down(victim), "allocated node: deferred");
         assert_eq!(rm.pending_down_count(), 1);
-        assert_eq!(rm.down_counts(), (0, 0, 0));
+        assert_eq!(rm.down_counts(), (0, 0));
         rm.release(&a).unwrap();
         // The faulted node went to the down set, the others came back.
         assert_eq!(rm.pending_down_count(), 0);
-        assert_eq!(rm.down_counts(), (0, 1, 0));
+        assert_eq!(rm.down_counts(), (0, 1));
         assert_eq!(rm.free_booster(), 7);
         assert_eq!(rm.free_cluster(), 16);
         // Repair returns it.
@@ -571,7 +543,7 @@ mod tests {
         assert!(rm.mark_up(n), "pending quarantine cancelled");
         rm.release(&a).unwrap();
         assert_eq!(rm.free_cluster(), 16);
-        assert_eq!(rm.down_counts(), (0, 0, 0));
+        assert_eq!(rm.down_counts(), (0, 0));
         assert!(!rm.mark_up(n), "idempotent: already up");
     }
 
@@ -613,7 +585,7 @@ mod tests {
         assert!(rm.mark_down(node));
         assert!(rm.mark_down(node), "already down: not in use");
         assert_eq!(rm.pending_down_count(), 0, "no stale deferred quarantine");
-        assert_eq!(rm.down_counts(), (0, 1, 0));
+        assert_eq!(rm.down_counts(), (0, 1));
         // One repair brings it all the way back.
         assert!(rm.mark_up(node));
         assert_eq!(rm.free_booster(), 8);
@@ -684,14 +656,14 @@ mod tests {
         rm.lock().shrink(&mut a, 2).unwrap();
         assert_eq!(a.booster.len(), 2);
         // The grown node went down, not free; the kept one is still held.
-        assert_eq!(rm.down_counts(), (0, 1, 0));
+        assert_eq!(rm.down_counts(), (0, 1));
         assert_eq!(rm.free_booster(), 5);
         assert_eq!(rm.pending_down_count(), 1);
         // Shrinking to what it already has is a no-op.
         rm.lock().shrink(&mut a, 5).unwrap();
         assert_eq!((a.booster.len(), rm.free_booster()), (2, 5));
         rm.release(&a).unwrap();
-        assert_eq!(rm.down_counts(), (0, 2, 0));
+        assert_eq!(rm.down_counts(), (0, 2));
         assert_eq!(rm.pending_down_count(), 0);
     }
 

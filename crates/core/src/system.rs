@@ -14,34 +14,14 @@ use hwmodel::{NodeId, NodeSpec};
 use simnet::{Fabric, LogGpModel, NamDevice, Topology};
 
 /// The role of a module within the modular system.
-///
-/// The DEEP-EST generalization (paper §VI) "combines any number of compute
-/// modules ... each tailored to the specific needs of a class of
-/// applications"; besides Cluster and Booster the DEEP-EST prototype adds
-/// a Data Analytics Module ([`ModuleKind::Dam`]) with large-memory nodes
-/// for HPDA workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModuleKind {
     /// General-purpose cluster (high single-thread performance, large RAM).
     Cluster,
     /// Many-core Booster (high aggregate Flop/s, energy efficient).
     Booster,
-    /// Data Analytics Module: very large memory per node (DEEP-EST, §VI).
-    Dam,
     /// Storage module (parallel file system servers).
     Storage,
-}
-
-/// The default DAM node: a Haswell-class node with 512 GB of memory (the
-/// DEEP-EST DAM's defining feature is capacity, not compute).
-fn dam_node() -> NodeSpec {
-    let mut spec = hwmodel::presets::deep_er_cluster_node();
-    for level in spec.memory.iter_mut() {
-        if level.kind == hwmodel::MemoryKind::Ddr4 {
-            level.capacity_bytes = 512 * (1 << 30);
-        }
-    }
-    spec
 }
 
 /// One module: a named set of identical nodes.
@@ -105,13 +85,6 @@ impl System {
             .unwrap_or_default()
     }
 
-    /// Node ids of the Data Analytics Module (empty if absent).
-    pub fn dam_nodes(&self) -> Vec<NodeId> {
-        self.module(ModuleKind::Dam)
-            .map(|m| m.nodes.clone())
-            .unwrap_or_default()
-    }
-
     /// The shared fabric.
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
@@ -124,16 +97,15 @@ impl System {
 }
 
 /// Builder for [`System`]s. Node ids are allocated contiguously in the
-/// order: cluster, booster, DAM, storage, metadata. Every node is its
-/// module's DEEP preset ([`deep_er_cluster_node`], [`deep_er_booster_node`],
-/// a DAM node with 512 GB of memory, the DEEP-ER storage and metadata
-/// servers) and the fabric runs the default [`LogGpModel`].
+/// order: cluster, booster, storage, metadata. Every node is its module's
+/// DEEP preset ([`deep_er_cluster_node`], [`deep_er_booster_node`], the
+/// DEEP-ER storage and metadata servers) and the fabric runs the default
+/// [`LogGpModel`].
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     name: String,
     cluster: u32,
     booster: u32,
-    dam: u32,
     storage: u32,
     metadata: u32,
     nams: u32,
@@ -146,7 +118,6 @@ impl SystemBuilder {
             name: name.into(),
             cluster: 0,
             booster: 0,
-            dam: 0,
             storage: 0,
             metadata: 0,
             nams: 0,
@@ -162,12 +133,6 @@ impl SystemBuilder {
     /// Number of Booster nodes.
     pub fn booster_nodes(mut self, n: u32) -> Self {
         self.booster = n;
-        self
-    }
-
-    /// Number of Data Analytics Module nodes (DEEP-EST generalization).
-    pub fn dam_nodes(mut self, n: u32) -> Self {
-        self.dam = n;
         self
     }
 
@@ -194,10 +159,9 @@ impl SystemBuilder {
         let mut topology = Topology::new();
         let mut modules = Vec::new();
         // A preset is built only for a module that has nodes.
-        let compute: [(_, _, fn() -> NodeSpec); 3] = [
+        let compute: [(_, _, fn() -> NodeSpec); 2] = [
             (ModuleKind::Cluster, self.cluster, deep_er_cluster_node),
             (ModuleKind::Booster, self.booster, deep_er_booster_node),
-            (ModuleKind::Dam, self.dam, dam_node),
         ];
         for (kind, count, preset) in compute {
             if count > 0 {
@@ -261,27 +225,5 @@ mod tests {
         assert_eq!(sys.booster_nodes().len(), 4);
         assert!(sys.module(ModuleKind::Storage).is_none());
         assert!(!sys.module(ModuleKind::Booster).unwrap().is_empty());
-    }
-
-    #[test]
-    fn deep_est_style_three_module_system() {
-        // §VI: the Modular Supercomputing generalization — any number of
-        // compute modules behind one fabric.
-        let sys = SystemBuilder::new("deep-est")
-            .cluster_nodes(2)
-            .booster_nodes(4)
-            .dam_nodes(2)
-            .build();
-        assert_eq!(sys.dam_nodes().len(), 2);
-        assert_eq!(sys.total_nodes(), 8);
-        let dam = sys.module(ModuleKind::Dam).unwrap();
-        assert_eq!(dam.spec.ram_bytes(), 512 * (1 << 30), "large-memory nodes");
-        // DAM nodes are allocatable independently like any module.
-        let rm = crate::resources::ResourceManager::new(&sys);
-        let a = rm.allocate_modular(1, 2, 2).unwrap();
-        assert_eq!(a.dam.len(), 2);
-        assert!(rm.allocate_modular(0, 0, 1).is_err(), "both DAM nodes held");
-        rm.release(&a).unwrap();
-        assert_eq!(rm.allocate_modular(0, 0, 2).unwrap().dam.len(), 2);
     }
 }

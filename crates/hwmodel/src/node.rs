@@ -82,15 +82,6 @@ impl NodeSpec {
         self.sockets as f64 * self.processor.peak_gflops()
     }
 
-    /// Total RAM capacity (all DRAM-class levels) in bytes.
-    pub fn ram_bytes(&self) -> u64 {
-        self.memory
-            .iter()
-            .filter(|m| matches!(m.kind, MemoryKind::Mcdram | MemoryKind::Ddr4))
-            .map(|m| m.capacity_bytes)
-            .sum()
-    }
-
     /// The fastest DRAM-class level (MCDRAM if present, else DDR4).
     /// Kernels bind here by default.
     pub fn fast_memory(&self) -> &MemoryLevel {
@@ -117,6 +108,15 @@ mod tests {
     use super::*;
     use crate::presets::{deep_er_booster_node, deep_er_cluster_node};
 
+    /// Total RAM capacity (all DRAM-class levels) of `spec` in bytes.
+    fn ram_bytes(spec: &NodeSpec) -> u64 {
+        spec.memory
+            .iter()
+            .filter(|m| matches!(m.kind, MemoryKind::Mcdram | MemoryKind::Ddr4))
+            .map(|m| m.capacity_bytes)
+            .sum()
+    }
+
     #[test]
     fn table1_cluster_node_shape() {
         let cn = deep_er_cluster_node();
@@ -125,7 +125,7 @@ mod tests {
         assert_eq!(cn.cores(), 24);
         assert_eq!(cn.threads(), 48);
         // 128 GB RAM per Table I.
-        assert_eq!(cn.ram_bytes(), 128 * (1 << 30));
+        assert_eq!(ram_bytes(&cn), 128 * (1 << 30));
         assert!(cn.nvme().is_some(), "each node has a 400 GB NVMe");
     }
 
@@ -137,7 +137,7 @@ mod tests {
         assert_eq!(bn.cores(), 64);
         assert_eq!(bn.threads(), 256);
         // 16 GB MCDRAM + 96 GB DDR4 per Table I.
-        assert_eq!(bn.ram_bytes(), (16 + 96) * (1 << 30));
+        assert_eq!(ram_bytes(&bn), (16 + 96) * (1 << 30));
         assert_eq!(
             bn.fast_memory().kind,
             MemoryKind::Mcdram,

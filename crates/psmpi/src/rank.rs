@@ -337,7 +337,6 @@ pub struct Rank {
     cores: u32,
     bytes_sent: u64,
     msgs_sent: u64,
-    comm_time: SimTime,
     /// Observability track, present when a recorder is attached to the
     /// universe. All runtime spans/edges are stamped with the virtual
     /// clock, never wall time.
@@ -398,7 +397,6 @@ impl Rank {
             cores,
             bytes_sent: 0,
             msgs_sent: 0,
-            comm_time: SimTime::ZERO,
             obs,
         }
     }
@@ -927,7 +925,6 @@ impl Rank {
         let pre = self.clock;
         let res = req.fault.map_or(Ok(()), Err);
         self.clock = self.clock.max(req.at);
-        self.comm_time += self.clock - pre;
         if let Some(track) = &self.obs {
             match face {
                 Face::Blocking if res.is_ok() => {
@@ -1069,9 +1066,7 @@ impl Rank {
         // The receiver learns of the death no earlier than it happened;
         // aligning the clock keeps recovery timing a function of the plan
         // alone.
-        let pre = self.clock;
         self.clock = self.clock.max(at);
-        self.comm_time += self.clock - pre;
         Err(PsmpiError::NodeFailed { node, at })
     }
 
@@ -1122,7 +1117,6 @@ impl Rank {
                 );
             }
         }
-        self.comm_time += self.clock - pre;
         if let Some(track) = &self.obs {
             track.span(cat, name, pre, self.clock);
         }
@@ -1214,7 +1208,6 @@ impl Rank {
             clock: self.clock,
             bytes_sent: self.bytes_sent,
             msgs_sent: self.msgs_sent,
-            comm_time: self.comm_time,
         }
     }
 }

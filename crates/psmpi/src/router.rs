@@ -414,9 +414,6 @@ pub struct RankOutcome {
     pub bytes_sent: u64,
     /// Total messages this rank sent.
     pub msgs_sent: u64,
-    /// Virtual time attributable to communication (clock advances in
-    /// send/recv/collective calls).
-    pub comm_time: SimTime,
 }
 
 /// Number of lock domains the endpoint table is split into. Power of two

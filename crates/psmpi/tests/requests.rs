@@ -191,8 +191,8 @@ fn eq_recv(rank: &mut Rank, comm: &impl Comm, form: Form, inter: bool) -> Vec<u6
 /// Everything one run of a cell leaves behind.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    /// (world, rank, clock, comm_time, bytes_sent, msgs_sent), all worlds.
-    outcomes: Vec<(u64, usize, SimTime, SimTime, u64, u64)>,
+    /// (world, rank, clock, bytes_sent, msgs_sent), all worlds.
+    outcomes: Vec<(u64, usize, SimTime, u64, u64)>,
     received: Vec<u64>,
     error: Option<String>,
     /// The sender's p2p spans as exported: (category, name, start, end).
@@ -248,16 +248,7 @@ fn eq_run(form: Form, inter: bool, fault: Fault, post_wait: bool) -> Observed {
     let mut outcomes: Vec<_> = report
         .outcomes()
         .iter()
-        .map(|o| {
-            (
-                o.world.0,
-                o.rank,
-                o.clock,
-                o.comm_time,
-                o.bytes_sent,
-                o.msgs_sent,
-            )
-        })
+        .map(|o| (o.world.0, o.rank, o.clock, o.bytes_sent, o.msgs_sent))
         .collect();
     outcomes.sort_by_key(|o| (o.0, o.1));
     let trace = rec.snapshot();
@@ -287,7 +278,7 @@ fn blocking_equals_post_plus_wait_across_the_surface() {
     // {typed, bytes, slice} × {intra, inter} × {plain, a `Wire::modelled`
     // size where the surface takes one} × {clean, dead destination}: the
     // blocking call and post + immediate wait must be indistinguishable —
-    // final clocks, comm_time, counters, received bits, error — and the
+    // final clocks, counters, received bits, error — and the
     // blocking run must export exactly the spans it always has: one
     // `Send`/"send" span covering the injection, none when the send
     // failed. Post + wait differs in the label alone. A refused send
@@ -337,7 +328,7 @@ fn blocking_equals_post_plus_wait_across_the_surface() {
                 };
                 let sender = blocking.outcomes[0];
                 let sent = if received { (wire, 1) } else { (0, 0) };
-                assert_eq!((sender.4, sender.5), sent, "{cell}");
+                assert_eq!((sender.3, sender.4), sent, "{cell}");
                 if fault == Fault::DeadDestination {
                     for run in [&blocking, &posted] {
                         let clock = run.outcomes[0].2.as_secs().to_bits();

@@ -352,10 +352,8 @@ fn report_accounts_traffic() {
     });
     assert_eq!(report.total_msgs_sent(), 1);
     assert_eq!(report.total_bytes_sent(), 108);
-    assert!(report
-        .outcomes()
-        .iter()
-        .any(|o| o.comm_time > SimTime::ZERO));
+    let receiver = report.outcomes().iter().find(|o| o.rank == 1);
+    assert!(receiver.expect("rank 1 reported").clock > SimTime::ZERO);
 }
 
 #[test]

@@ -137,8 +137,6 @@ pub(crate) struct SlabState {
     solver: FieldSolver,
     /// One entry per species (the `nspec` loop of Listing 1).
     pub(crate) species: Vec<Species>,
-    /// Particle-count share of each species (for work charging).
-    ppc_share: Vec<f64>,
     pub(crate) fields: Fields,
     moments: Moments,
 }
@@ -153,12 +151,6 @@ impl SlabState {
             Some((species, fields)) => (st.species, st.fields) = (species, fields),
             None => st.species = Species::from_config(config, &st.grid),
         }
-        // Work charged per species is relative to the baseline electron
-        // population, so adding a kinetic ion species doubles the particle
-        // workload (the model scale describes one species' population).
-        let base_ppc = config.sim_particles_per_cell.max(1) as f64;
-        let specs = config.species_specs();
-        st.ppc_share = specs.iter().map(|s| s.ppc as f64 / base_ppc).collect();
         st
     }
 
@@ -172,7 +164,6 @@ impl SlabState {
             grid,
             solver: FieldSolver::new(grid, config),
             species: Vec::new(),
-            ppc_share: Vec::new(),
             fields: Fields::zeros(&grid),
             moments: Moments::zeros(&grid),
         }
@@ -181,9 +172,9 @@ impl SlabState {
     /// Initial moment gathering (every species' deposit, then the
     /// halo-add) so the first calculateE sees ρ,J.
     fn initial_moments(&mut self, rank: &mut Rank, config: &XpicConfig) -> Result<(), PsmpiError> {
-        for (species, &share) in self.species.iter().zip(&self.ppc_share) {
+        for species in &self.species {
             deposit_threads(&self.grid, species, &mut self.moments, config.threads);
-            rank.compute(&config.work_moments().scaled(share));
+            rank.compute(&config.work_moments());
         }
         halo_add_moments(rank, &self.world, &self.grid, &mut self.moments, config)
     }
@@ -242,14 +233,14 @@ impl SlabState {
             None
         };
         // for (auto is=0; is<nspec; is++) { ParticlesMove(); ParticleMoments(); }
-        for (species, &share) in self.species.iter_mut().zip(&self.ppc_share) {
+        for species in &mut self.species {
             let phase = rank.obs_open(obs::Category::Phase, "mover");
             boris_push_threads(grid, &self.fields, species, config.dt, config.threads);
-            rank.compute(&config.work_push().scaled(share));
+            rank.compute(&config.work_push());
             rank.obs_close(phase);
             let phase = rank.obs_open(obs::Category::Phase, "deposit");
             deposit_threads(grid, species, &mut self.moments, config.threads);
-            rank.compute(&config.work_moments().scaled(share));
+            rank.compute(&config.work_moments());
             rank.obs_close(phase);
         }
         let phase = rank.obs_open(obs::Category::Phase, "halo");

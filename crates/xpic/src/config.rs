@@ -118,24 +118,10 @@ pub mod kernel {
     /// run: sheet and background electrons and ions, sharing Table II's
     /// 2048 particles per cell) make 40. The species count is not in the
     /// paper: it is the one that puts the C+B coupling share inside the
-    /// paper's 3–4 %.
+    /// paper's 3–4 %. It is a price only: the wire carries four species'
+    /// moments while the simulation pushes one, electrons against a
+    /// static ion background.
     pub(crate) const INTERFACE_MOMENT_DOUBLES: u64 = 40;
-}
-
-/// One particle species of the run (the `nspec` loop of Listing 1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeciesSpec {
-    /// Species name (diagnostics).
-    pub name: String,
-    /// Charge/mass ratio (electrons: −1; protons: +1/1836 in electron
-    /// units, often raised in PIC runs to shrink the mass gap).
-    pub qom: f64,
-    /// Total charge per cell carried by this species.
-    pub charge_per_cell: f64,
-    /// Thermal velocity.
-    pub vth: f64,
-    /// Simulation particles per cell.
-    pub ppc: usize,
 }
 
 /// Full configuration of one xPic run.
@@ -153,7 +139,8 @@ pub struct XpicConfig {
     pub steps: u32,
     /// Implicitness parameter θ of the field solve.
     pub theta: f64,
-    /// Thermal velocity of the initial Maxwellian.
+    /// Thermal velocity of the initial Maxwellian (the run's one species,
+    /// electrons of charge −1 per cell against a static ion background).
     pub vth: f64,
     /// RNG seed (per-slab seeds derive from it, so decompositions agree).
     pub seed: u64,
@@ -168,9 +155,6 @@ pub struct XpicConfig {
     /// so results — and therefore virtual time — are bit-identical for
     /// every thread count.
     pub threads: usize,
-    /// Extra particle species beyond the default electron population
-    /// (empty = electrons only, against a static ion background).
-    pub extra_species: Vec<SpeciesSpec>,
     /// The workload charged to virtual time.
     pub model: ModelScale,
 }
@@ -189,7 +173,6 @@ impl XpicConfig {
             seed: 20180521,
             overlap: true,
             threads: 0,
-            extra_species: Vec::new(),
             model: ModelScale::paper(),
         }
     }
@@ -214,20 +197,6 @@ impl XpicConfig {
     /// Total simulation particles.
     pub fn sim_particles(&self) -> usize {
         self.cells() * self.sim_particles_per_cell
-    }
-
-    /// The full species list: the default electrons plus any extras. This
-    /// is what the solvers' `for is in 0..nspec` loop iterates over.
-    pub fn species_specs(&self) -> Vec<SpeciesSpec> {
-        let mut v = vec![SpeciesSpec {
-            name: "electrons".into(),
-            qom: -1.0,
-            charge_per_cell: -1.0,
-            vth: self.vth,
-            ppc: self.sim_particles_per_cell,
-        }];
-        v.extend(self.extra_species.iter().cloned());
-        v
     }
 
     /// Strong-scale the *model* workload: divide a fixed global problem of
@@ -312,7 +281,7 @@ impl XpicConfig {
         (self.model.cells_per_node * 6 * 8) as usize
     }
 
-    /// Bytes of one ρ,J slab transfer: the moments of every species
+    /// Bytes of one ρ,J slab transfer: the moments of four species
     /// (`kernel::INTERFACE_MOMENT_DOUBLES` per cell).
     pub fn wire_moments(&self) -> usize {
         (self.model.cells_per_node * kernel::INTERFACE_MOMENT_DOUBLES * 8) as usize

@@ -51,45 +51,41 @@ impl Species {
         self.x.is_empty()
     }
 
-    /// The initial population of every species `config` lists on `grid`'s
-    /// slab, each species seeded from `config.seed` and its index — the
-    /// start state of every xPic driver. Bit for bit
-    /// [`Species::maxwellian_charged`] of each species; its rows come from
-    /// the process's plasma memo, which draws a row only the first time a
-    /// configuration asks for it.
+    /// The initial population `config` sets on `grid`'s slab: one
+    /// species, electrons of charge −1 per cell, seeded from `config.seed`
+    /// — the start state of every xPic driver. Bit for bit
+    /// [`Species::maxwellian_charged`]; its rows come from the process's
+    /// plasma memo, which draws a row only the first time a configuration
+    /// asks for it.
     pub fn from_config(config: &XpicConfig, grid: &Grid) -> Vec<Species> {
         let key = PlasmaKey::of(config, grid.nx);
-        let specs = config.species_specs();
-        (specs.iter().zip(&key.0).enumerate())
-            .map(|(nth, (spec, k))| {
-                let mut s = Species::empty(spec.ppc, spec.qom, spec.charge_per_cell);
-                s.reserve(grid.nx * spec.ppc * grid.ny_local);
-                for row in grid.y0..grid.y0 + grid.ny_local {
-                    let hit = PLASMA.lock().row(&key, nth, row);
-                    let drawn = hit.unwrap_or_else(|| {
-                        let mut drawn = Species::default();
-                        drawn.reserve(grid.nx * spec.ppc);
-                        drawn.draw_row(grid.nx, spec.ppc, spec.vth, k.seed, row);
-                        let drawn = Arc::new(drawn);
-                        PLASMA.lock().insert(&key, nth, row, drawn.clone());
-                        drawn
-                    });
-                    s.x.extend_from_slice(&drawn.x);
-                    s.y.extend_from_slice(&drawn.y);
-                    s.vx.extend_from_slice(&drawn.vx);
-                    s.vy.extend_from_slice(&drawn.vy);
-                    s.vz.extend_from_slice(&drawn.vz);
-                }
-                s
-            })
-            .collect()
+        let ppc = config.sim_particles_per_cell;
+        let mut s = Species::empty(ppc, -1.0, -1.0);
+        s.reserve(grid.nx * ppc * grid.ny_local);
+        for row in grid.y0..grid.y0 + grid.ny_local {
+            let hit = PLASMA.lock().row(key, row);
+            let drawn = hit.unwrap_or_else(|| {
+                let mut drawn = Species::default();
+                drawn.reserve(grid.nx * ppc);
+                drawn.draw_row(grid.nx, ppc, config.vth, key.seed, row);
+                let drawn = Arc::new(drawn);
+                PLASMA.lock().insert(key, row, drawn.clone());
+                drawn
+            });
+            s.x.extend_from_slice(&drawn.x);
+            s.y.extend_from_slice(&drawn.y);
+            s.vx.extend_from_slice(&drawn.vx);
+            s.vy.extend_from_slice(&drawn.vy);
+            s.vz.extend_from_slice(&drawn.vz);
+        }
+        vec![s]
     }
 
     /// Initialize the slab's share of a uniform plasma: `ppc` particles
     /// per cell, Maxwellian velocities with thermal speed `vth`, and a
-    /// total charge per cell (−1 for electrons quasi-neutral against a
-    /// static background, positive for ions), as in the paper's
-    /// multi-species loop (`for is in 0..nspec`, Listing 1). Each global
+    /// total charge per cell (−1 for the electrons
+    /// [`Species::from_config`] seeds, quasi-neutral against a static ion
+    /// background) and charge/mass ratio `qom`. Each global
     /// row uses its own RNG stream seeded from `(seed, row)`, so
     /// decomposition does not change the population. Draws every row
     /// afresh: the reference [`Species::from_config`] is held to.
@@ -182,38 +178,26 @@ impl Species {
     }
 }
 
-/// The key of one species' rows: its seed (from `config.seed` and its
-/// index), `nx`, `ppc` and `vth` fix the particles of a row; `qom` and
-/// `charge_per_cell` complete the species they belong to. Floats as bits.
+/// The key of a configuration's electron rows: the seed (from
+/// `config.seed`), `nx`, `ppc` and `vth` (as bits) fix the particles of a
+/// row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SpeciesKey {
+struct PlasmaKey {
     seed: u64,
     nx: usize,
     ppc: usize,
     vth: u64,
-    qom: u64,
-    charge: u64,
 }
-
-/// A configuration's [`SpeciesKey`]s, its species in order.
-#[derive(Debug, Clone, PartialEq)]
-struct PlasmaKey(Vec<SpeciesKey>);
 
 impl PlasmaKey {
     fn of(config: &XpicConfig, nx: usize) -> PlasmaKey {
-        let species = config.species_specs().into_iter().zip(1u64..);
-        PlasmaKey(
-            species
-                .map(|(s, nth)| SpeciesKey {
-                    seed: config.seed ^ (nth << 56),
-                    nx,
-                    ppc: s.ppc,
-                    vth: s.vth.to_bits(),
-                    qom: s.qom.to_bits(),
-                    charge: s.charge_per_cell.to_bits(),
-                })
-                .collect(),
-        )
+        PlasmaKey {
+            // The first species' index in the seed's top byte.
+            seed: config.seed ^ (1 << 56),
+            nx,
+            ppc: config.sim_particles_per_cell,
+            vth: config.vth.to_bits(),
+        }
     }
 }
 
@@ -222,40 +206,40 @@ impl PlasmaKey {
 /// configuration replaces them all, so the memo never holds more than one
 /// population.
 struct Plasma {
-    key: PlasmaKey,
-    /// Per species, per global row: the row's particles once drawn (a
-    /// `Species` whose `qom` and charge go unused).
-    rows: Vec<Vec<Option<Arc<Species>>>>,
+    /// The configuration the rows belong to; `None` before the first draw.
+    key: Option<PlasmaKey>,
+    /// Per global row: the row's particles once drawn (a `Species` whose
+    /// `qom` and charge go unused).
+    rows: Vec<Option<Arc<Species>>>,
 }
 
 /// Held for one lookup or one insert, under no other lock and taking none;
 /// rank 110 of the xPic band (`lockrank`'s table).
 static PLASMA: Mutex<Plasma, 110> = Mutex::new(Plasma {
-    key: PlasmaKey(Vec::new()),
+    key: None,
     rows: Vec::new(),
 });
 
 impl Plasma {
-    /// Row `row` of species `nth` of the configuration `key`, if drawn.
-    fn row(&self, key: &PlasmaKey, nth: usize, row: usize) -> Option<Arc<Species>> {
-        if self.key != *key {
+    /// Row `row` of the configuration `key`, if drawn.
+    fn row(&self, key: PlasmaKey, row: usize) -> Option<Arc<Species>> {
+        if self.key != Some(key) {
             return None;
         }
-        self.rows[nth].get(row)?.clone()
+        self.rows.get(row)?.clone()
     }
 
-    /// Hold `drawn` as row `row` of species `nth` of `key`, first letting
-    /// go of another configuration's rows.
-    fn insert(&mut self, key: &PlasmaKey, nth: usize, row: usize, drawn: Arc<Species>) {
-        if self.key != *key {
-            self.key = key.clone();
-            self.rows = vec![Vec::new(); key.0.len()];
+    /// Hold `drawn` as row `row` of `key`, first letting go of another
+    /// configuration's rows.
+    fn insert(&mut self, key: PlasmaKey, row: usize, drawn: Arc<Species>) {
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.rows = Vec::new();
         }
-        let rows = &mut self.rows[nth];
-        if rows.len() <= row {
-            rows.resize(row + 1, None);
+        if self.rows.len() <= row {
+            self.rows.resize(row + 1, None);
         }
-        rows[row] = Some(drawn);
+        self.rows[row] = Some(drawn);
     }
 }
 
@@ -336,16 +320,13 @@ mod tests {
         out
     }
 
-    /// Each species of `config` on `grid`, drawn afresh.
+    /// The electrons of `config` on `grid`, drawn afresh.
     fn reference(config: &XpicConfig, grid: &Grid) -> Vec<Vec<Vec<u64>>> {
-        (config.species_specs().iter().zip(1u64..))
-            .map(|(s, nth)| {
-                let seed = config.seed ^ (nth << 56);
-                let species =
-                    Species::maxwellian_charged(grid, s.ppc, s.vth, s.qom, s.charge_per_cell, seed);
-                bits(&species)
-            })
-            .collect()
+        let seed = config.seed ^ (1 << 56);
+        let (ppc, vth) = (config.sim_particles_per_cell, config.vth);
+        vec![bits(&Species::maxwellian_charged(
+            grid, ppc, vth, -1.0, -1.0, seed,
+        ))]
     }
 
     fn from_config_bits(config: &XpicConfig, grid: &Grid) -> Vec<Vec<Vec<u64>>> {
@@ -353,19 +334,6 @@ mod tests {
             .iter()
             .map(bits)
             .collect()
-    }
-
-    /// `config` plus kinetic ions: charge +1 per cell, mass ratio
-    /// `mi_over_me`, thermal speed scaled by √(me/mi).
-    fn with_ions(mut config: XpicConfig, mi_over_me: f64) -> XpicConfig {
-        config.extra_species.push(crate::config::SpeciesSpec {
-            name: "ions".into(),
-            qom: 1.0 / mi_over_me,
-            charge_per_cell: 1.0,
-            vth: config.vth / mi_over_me.sqrt(),
-            ppc: config.sim_particles_per_cell,
-        });
-        config
     }
 
     fn memo_config(seed: u64) -> XpicConfig {
@@ -388,21 +356,18 @@ mod tests {
     }
 
     fn from_config_is_the_fresh_draw_on_every_decomposition_and_call() {
-        for config in [memo_config(1), with_ions(memo_config(2), 25.0)] {
+        for config in [memo_config(1), memo_config(2)] {
             for nranks in [1, 2, 4, 8] {
                 for rank in 0..nranks {
                     let grid = Grid::slab(config.nx, config.ny, rank, nranks);
                     let want = reference(&config, &grid);
-                    assert_eq!(want.len(), config.species_specs().len());
                     let first = from_config_bits(&config, &grid);
                     assert!(first == want, "slab {rank}/{nranks}, first call");
                     // Every row of the slab is held, so the second call
                     // copies them all.
                     let key = PlasmaKey::of(&config, grid.nx);
-                    for nth in 0..want.len() {
-                        for row in grid.y0..grid.y0 + grid.ny_local {
-                            assert!(PLASMA.lock().row(&key, nth, row).is_some());
-                        }
+                    for row in grid.y0..grid.y0 + grid.ny_local {
+                        assert!(PLASMA.lock().row(key, row).is_some());
                     }
                     let second = from_config_bits(&config, &grid);
                     assert!(second == want, "slab {rank}/{nranks}, second call");
@@ -412,17 +377,13 @@ mod tests {
     }
 
     fn a_config_differing_in_one_key_value_gets_its_own_population() {
-        let base = with_ions(memo_config(3), 16.0);
+        let base = memo_config(3);
         type Vary = fn(&mut XpicConfig);
-        let variants: [(&str, Vary); 6] = [
+        let variants: [(&str, Vary); 4] = [
             ("seed", |c| c.seed += 1),
             ("nx", |c| c.nx += 1),
-            ("ppc", |c| c.extra_species[0].ppc += 1),
-            ("vth", |c| c.extra_species[0].vth *= 2.0),
-            ("qom", |c| c.extra_species[0].qom *= 2.0),
-            ("charge_per_cell", |c| {
-                c.extra_species[0].charge_per_cell = 2.0
-            }),
+            ("sim_particles_per_cell", |c| c.sim_particles_per_cell += 1),
+            ("vth", |c| c.vth *= 2.0),
         ];
         for (what, vary) in variants {
             let mut config = base.clone();
@@ -436,7 +397,7 @@ mod tests {
                     varied == reference(&config, &grid),
                     "{what}, {nranks} slabs"
                 );
-                assert!(varied != first, "{what} changed no particle or charge");
+                assert!(varied != first, "{what} changed no particle");
             }
         }
     }
@@ -445,11 +406,11 @@ mod tests {
         let (first, second) = (memo_config(4), memo_config(5));
         let grid = Grid::slab(first.nx, first.ny, 0, 1);
         let first_key = PlasmaKey::of(&first, grid.nx);
-        let row = |key: &PlasmaKey| PLASMA.lock().row(key, 0, 0);
+        let row = |key: PlasmaKey| PLASMA.lock().row(key, 0);
         Species::from_config(&first, &grid);
-        let held = Arc::downgrade(&row(&first_key).expect("the memo holds a row just drawn"));
+        let held = Arc::downgrade(&row(first_key).expect("the memo holds a row just drawn"));
         Species::from_config(&second, &grid);
-        assert!(row(&first_key).is_none());
+        assert!(row(first_key).is_none());
         assert!(
             held.upgrade().is_none(),
             "a row of the first config is still alive"

@@ -10,7 +10,6 @@ use obs::Recorder;
 use scr::{CheckpointLevel, CkptMode, NamBuddy, ScrConfig, ScrManager};
 use simnet::FaultPlan;
 use sionio::ParallelFs;
-use xpic::config::SpeciesSpec;
 use xpic::resilience::{run_resilient, RecoveryConfig, ResilientReport};
 use xpic::{Mode, XpicConfig};
 
@@ -526,22 +525,10 @@ fn a_checkpointed_run_is_run_mode() {
             4,
         ),
         (
-            "ions, threads 2",
-            {
-                // Kinetic ions of mass ratio 16 next to the electrons.
-                let base = XpicConfig::test_small();
-                let ions = SpeciesSpec {
-                    name: "ions".into(),
-                    qom: 1.0 / 16.0,
-                    charge_per_cell: 1.0,
-                    vth: base.vth / 4.0,
-                    ppc: base.sim_particles_per_cell,
-                };
-                XpicConfig {
-                    threads: 2,
-                    extra_species: vec![ions],
-                    ..base
-                }
+            "test_small, threads 2",
+            XpicConfig {
+                threads: 2,
+                ..XpicConfig::test_small()
             },
             2,
         ),

