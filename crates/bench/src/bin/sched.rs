@@ -78,14 +78,16 @@ fn main() {
     });
 
     let t0 = Instant::now();
+    let load = sched_load::run(jobs, seed);
+    let wall = t0.elapsed().as_secs_f64();
     let SchedLoad {
         trace,
         faults,
         independent: ind,
         node_locked: locked,
-        metrics: m,
-    } = sched_load::run(jobs, seed);
-    let wall = t0.elapsed().as_secs_f64();
+        ..
+    } = &load;
+    let m = &load.metrics;
     let p99_ind = m.get("independent.wait_p99_s").expect("reported");
     let span_s = m.get("config.submit_span_s").expect("reported");
 
@@ -95,7 +97,7 @@ fn main() {
     }
 
     if let Some(path) = &trace_path {
-        std::fs::write(path, chrome_trace(&ind, &trace)).expect("write the --trace-out file");
+        std::fs::write(path, chrome_trace(ind, trace)).expect("write the --trace-out file");
     }
 
     // Wall-clock is host-dependent: stdout only, never the artifact.

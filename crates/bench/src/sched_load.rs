@@ -11,12 +11,11 @@
 //! the faults/requeues processed under `independent.*` / `node_locked.*`
 //! prefixes plus `comparison.*` ratios. It is pure virtual-time output: the
 //! engine is one sequential loop, so a run is a function of its arguments
-//! alone, and `tests/full_stack.rs` pins [`SchedLoad::metric_lines`] at
+//! alone, and `tests/full_stack.rs` pins [`SchedLoad::metrics`] at
 //! [`JOBS`] and [`SEED`] across commits.
 
 use cluster_booster::resources::AllocationPolicy;
 use hwmodel::SimTime;
-use obs::host::fmt_f64;
 use obs::HostMetrics;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,18 +51,6 @@ pub struct SchedLoad {
     pub node_locked: EngineReport,
     /// The `--out` metrics (module docs).
     pub metrics: HostMetrics,
-}
-
-impl SchedLoad {
-    /// [`SchedLoad::metrics`] one per line, `key=value`, each value the
-    /// text the `--out` JSON prints.
-    pub fn metric_lines(&self) -> String {
-        let lines = self
-            .metrics
-            .iter()
-            .map(|(k, v)| format!("{k}={}\n", fmt_f64(v)));
-        lines.collect()
-    }
 }
 
 /// The engine under `policy`: checkpoints at local, buddy and global costs

@@ -171,7 +171,6 @@ mod tests {
     use super::*;
     use crate::presets::deep_er_prototype;
     use crate::SystemBuilder;
-    use hwmodel::NodeKind;
     use psmpi::ReduceOp;
 
     /// A reduced prototype: 2 CN + 2 BN.
@@ -188,7 +187,7 @@ mod tests {
         let report = l
             .launch(&JobSpec::cluster_only("t", 4), |rank, alloc| {
                 assert_eq!(rank.size(), 4);
-                assert_eq!(rank.node().kind, NodeKind::Cluster);
+                assert!(alloc.cluster.contains(&rank.node_id()));
                 assert_eq!(alloc.booster.len(), 0);
                 let w = rank.world();
                 let s = rank.allreduce_scalar(&w, 1.0, ReduceOp::Sum).unwrap();
@@ -203,9 +202,9 @@ mod tests {
     #[test]
     fn booster_only_job_runs_on_booster_nodes() {
         let l = Launcher::new(deep_er_prototype());
-        l.launch(&JobSpec::booster_only("t", 8), |rank, _| {
+        l.launch(&JobSpec::booster_only("t", 8), |rank, alloc| {
             assert_eq!(rank.size(), 8);
-            assert_eq!(rank.node().kind, NodeKind::Booster);
+            assert!(alloc.booster.contains(&rank.node_id()));
         })
         .unwrap();
         assert_eq!(l.resources().free_booster(), 8);
@@ -217,15 +216,16 @@ mod tests {
         let report = l
             .launch(&JobSpec::partitioned("xpic-like", 2, 2), |rank, alloc| {
                 // Boot side is the Booster (2 ranks); spawn the Cluster part.
-                assert_eq!(rank.node().kind, NodeKind::Booster);
+                assert!(alloc.booster.contains(&rank.node_id()));
                 let cluster = alloc.cluster.clone();
+                let spawned_on = cluster.clone();
                 let w = rank.world();
                 let ic = rank
                     .spawn(
                         &w,
                         &cluster,
-                        Arc::new(|child: &mut Rank| {
-                            assert_eq!(child.node().kind, NodeKind::Cluster);
+                        Arc::new(move |child: &mut Rank| {
+                            assert!(spawned_on.contains(&child.node_id()));
                             let pic = child.parent().unwrap();
                             if child.rank() == 0 {
                                 child.send_comm(&pic, 0, 1, &7u32).unwrap();

@@ -45,11 +45,6 @@ impl Module {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Aggregate peak GFlop/s of the module.
-    pub fn peak_gflops(&self) -> f64 {
-        self.spec.peak_gflops() * self.nodes.len() as f64
-    }
 }
 
 /// A complete modular system.
@@ -211,8 +206,11 @@ mod tests {
     #[test]
     fn prototype_peaks_match_table1() {
         let sys = deep_er_prototype();
-        let cl = sys.module(ModuleKind::Cluster).unwrap().peak_gflops();
-        let bo = sys.module(ModuleKind::Booster).unwrap().peak_gflops();
+        let peak = |kind| {
+            let m = sys.module(kind).unwrap();
+            m.spec.peak_gflops() * m.len() as f64
+        };
+        let (cl, bo) = (peak(ModuleKind::Cluster), peak(ModuleKind::Booster));
         // Table I: 16 TFlop/s Cluster, 20 TFlop/s Booster (±10%).
         assert!((cl - 16_000.0).abs() / 16_000.0 < 0.10, "{cl}");
         assert!((bo - 20_000.0).abs() / 20_000.0 < 0.10, "{bo}");

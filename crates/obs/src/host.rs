@@ -40,11 +40,6 @@ impl HostMetrics {
         self.values.insert(name.to_string(), value);
     }
 
-    /// Add `delta` to `name` (starting from zero).
-    pub fn add(&mut self, name: &str, delta: f64) {
-        *self.values.entry(name.to_string()).or_insert(0.0) += delta;
-    }
-
     /// Read a metric back.
     pub fn get(&self, name: &str) -> Option<f64> {
         self.values.get(name).copied()
@@ -59,14 +54,14 @@ impl HostMetrics {
     /// enough digits to round-trip and integers without a fraction.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        for (i, (k, v)) in self.values.iter().enumerate() {
+        for (i, (k, v)) in self.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
             out.push('"');
             out.push_str(&escape(k));
             out.push_str("\": ");
-            out.push_str(&fmt_f64(*v));
+            out.push_str(&fmt_f64(v));
         }
         out.push('}');
         out
@@ -126,7 +121,7 @@ mod tests {
         let mut m = HostMetrics::new();
         m.set("zeta", 2.5);
         m.set("alpha", 3.0);
-        m.add("alpha", 1.0);
+        m.set("alpha", 4.0);
         m.set("count", 1_000_000.0);
         assert_eq!(
             m.to_json(),

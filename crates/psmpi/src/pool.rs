@@ -237,11 +237,6 @@ impl BufferPool {
         }
     }
 
-    /// The configured bound on retained buffers (per capacity class).
-    pub fn capacity(&self) -> usize {
-        self.max_buffers
-    }
-
     /// An empty buffer with at least `cap` bytes of capacity: a retired
     /// one that already covers `cap` (of the request's own class with room
     /// enough, else any of the next class up) or a fresh one. With one stack
@@ -624,7 +619,7 @@ mod tests {
     #[test]
     fn pool_is_bounded() {
         let pool = BufferPool::new();
-        assert_eq!(pool.capacity(), DEFAULT_MAX_POOLED_BUFFERS);
+        assert_eq!(pool.max_buffers, DEFAULT_MAX_POOLED_BUFFERS);
         for _ in 0..200 {
             pool.put(BytesMut::with_capacity(8));
         }
@@ -634,7 +629,7 @@ mod tests {
     #[test]
     fn capacity_is_configurable() {
         let pool = BufferPool::with_capacity(128);
-        assert_eq!(pool.capacity(), 128);
+        assert_eq!(pool.max_buffers, 128);
         for _ in 0..200 {
             pool.put(BytesMut::with_capacity(8));
         }

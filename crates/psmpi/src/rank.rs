@@ -493,16 +493,6 @@ impl Rank {
         self.node_id
     }
 
-    /// Hardware model of this rank's node.
-    pub fn node(&self) -> &NodeSpec {
-        &self.node
-    }
-
-    /// Cores available to this rank.
-    pub fn cores(&self) -> u32 {
-        self.cores
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.clock

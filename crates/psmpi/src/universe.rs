@@ -48,11 +48,6 @@ impl Universe {
         }
     }
 
-    /// The underlying fabric.
-    pub fn fabric(&self) -> &Fabric {
-        self.router.fabric()
-    }
-
     /// The shared router (for crates layering on top of the runtime).
     pub fn router(&self) -> &Arc<Router> {
         &self.router
@@ -213,7 +208,6 @@ pub(crate) fn spawn_rank_thread(
 pub struct UniverseBuilder {
     topology: Topology,
     placements: Vec<NodeId>,
-    pool: Option<Arc<crate::BufferPool>>,
 }
 
 impl UniverseBuilder {
@@ -229,24 +223,12 @@ impl UniverseBuilder {
         self
     }
 
-    /// Draw typed-send staging buffers from `pool` instead of the pool the
-    /// universes alive at build time share (see [`Universe::with_buffer_pool`]).
-    pub fn buffer_pool(mut self, pool: Arc<crate::BufferPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Build the universe and run `entry` on every placed rank.
     pub fn run<F>(self, entry: F) -> JobReport
     where
         F: Fn(&mut Rank) + Send + Sync + 'static,
     {
-        let fabric = Fabric::new(self.topology);
-        let universe = match self.pool {
-            Some(pool) => Universe::with_buffer_pool(fabric, pool),
-            None => Universe::new(fabric),
-        };
-        universe.launch(&self.placements, entry)
+        Universe::new(Fabric::new(self.topology)).launch(&self.placements, entry)
     }
 }
 

@@ -8,7 +8,8 @@
 use bytes::Bytes;
 use hwmodel::presets::deep_er_cluster_node;
 use psmpi::datatype::{bytes_to_pod, pod_to_bytes};
-use psmpi::{BufferPool, Communicator, PoolStats, Rank, ReduceOp, UniverseBuilder};
+use psmpi::{BufferPool, Communicator, PoolStats, Rank, ReduceOp, Universe, UniverseBuilder};
+use simnet::{Fabric, Topology};
 use std::sync::Arc;
 
 fn cluster(n: u32) -> UniverseBuilder {
@@ -131,7 +132,9 @@ fn one_rank_allreduce_hands_back_its_input_and_stages_nothing() {
     // the contribution's bits, advance no virtual time and draw no
     // staging buffer from the pool.
     let pool = Arc::new(BufferPool::new());
-    cluster(1).buffer_pool(pool.clone()).run(|rank| {
+    let mut topology = Topology::new();
+    let nodes = topology.add_nodes(1, &deep_er_cluster_node());
+    Universe::with_buffer_pool(Fabric::new(topology), pool.clone()).launch(&nodes, |rank| {
         let w = rank.world();
         let contribution = awkward(0, 33);
         let t0 = rank.now();

@@ -10,7 +10,8 @@
 
 use bytes::Bytes;
 use hwmodel::presets::deep_er_cluster_node;
-use psmpi::{BufferPool, MpiError, MpiRequest, ReduceOp, UniverseBuilder};
+use psmpi::{BufferPool, MpiError, MpiRequest, ReduceOp, Universe, UniverseBuilder};
+use simnet::{Fabric, Topology};
 use std::sync::Arc;
 
 fn frame(parts: &[&[u8]]) -> Bytes {
@@ -85,54 +86,53 @@ fn a_rejected_frame_still_returns_its_buffer() {
     // rank 1 fills its slot first: every buffer a rejecting receive retires
     // then lands in the pool's stacks, where `pooled()` counts it.
     let pool = Arc::new(BufferPool::new());
-    UniverseBuilder::new()
-        .add_nodes(2, &deep_er_cluster_node())
-        .buffer_pool(pool.clone())
-        .run(|rank| {
-            let w = rank.world();
-            if rank.rank() == 0 {
-                let frames = [
-                    frame(&[&4u64.to_le_bytes(), &[0; 16]]),
-                    frame(&[&(u64::MAX / 4).to_le_bytes(), &[0; 8]]),
-                    Bytes::from(vec![0u8; 4]),
-                    Bytes::from(vec![0u8; 24]),
-                    Bytes::from(vec![0u8; 40]),
-                    // A prefix that cannot even be read, and one claiming
-                    // 2^40 `f64`s (8 TiB) in front of two.
-                    Bytes::from(vec![7u8; 5]),
-                    frame(&[&(1u64 << 40).to_le_bytes(), &[0; 16]]),
-                ];
-                for (tag, f) in (1..).zip(frames) {
-                    rank.send_bytes_comm(&w, 1, tag, f).unwrap();
-                }
-                return;
+    let mut topology = Topology::new();
+    let nodes = topology.add_nodes(2, &deep_er_cluster_node());
+    Universe::with_buffer_pool(Fabric::new(topology), pool.clone()).launch(&nodes, |rank| {
+        let w = rank.world();
+        if rank.rank() == 0 {
+            let frames = [
+                frame(&[&4u64.to_le_bytes(), &[0; 16]]),
+                frame(&[&(u64::MAX / 4).to_le_bytes(), &[0; 8]]),
+                Bytes::from(vec![0u8; 4]),
+                Bytes::from(vec![0u8; 24]),
+                Bytes::from(vec![0u8; 40]),
+                // A prefix that cannot even be read, and one claiming
+                // 2^40 `f64`s (8 TiB) in front of two.
+                Bytes::from(vec![7u8; 5]),
+                frame(&[&(1u64 << 40).to_le_bytes(), &[0; 16]]),
+            ];
+            for (tag, f) in (1..).zip(frames) {
+                rank.send_bytes_comm(&w, 1, tag, f).unwrap();
             }
-            rank.send_comm(&w, 1, 0, &0u64).unwrap();
-            rank.recv_comm::<u64>(&w, Some(1), Some(0)).unwrap();
-            let mut pooled = rank.buffer_pool().pooled();
-            let mut returned = |rank: &mut psmpi::Rank, rejected: bool, what: &str| {
-                assert!(rejected, "{what}: rejected");
-                pooled += 1;
-                assert_eq!(rank.buffer_pool().pooled(), pooled, "{what}: buffer back");
-            };
-            let src = Some(0);
-            let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(1));
-            returned(rank, is_codec(&r), "recv_comm, prefix past the end");
-            let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(2));
-            returned(rank, is_codec(&r), "recv_comm, overflowing prefix");
-            let r = rank.recv_comm::<(u64, u64)>(&w, src, Some(3));
-            returned(rank, is_codec(&r), "recv_comm, short pair");
-            let mut out = [0.0f64; 4];
-            let r = rank.recv_into(src, Some(4), &mut out);
-            returned(rank, is_codec(&r), "recv_into, three elements for four");
-            let r = rank
-                .irecv_into(src, Some(5), &mut out)
-                .and_then(|req| req.wait(rank));
-            returned(rank, is_codec(&r), "irecv_into, five elements for four");
-            let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(6));
-            returned(rank, is_codec(&r), "recv_comm, unreadable prefix");
-            let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(7));
-            returned(rank, is_codec(&r), "recv_comm, prefix claiming 8 TiB");
-        });
+            return;
+        }
+        rank.send_comm(&w, 1, 0, &0u64).unwrap();
+        rank.recv_comm::<u64>(&w, Some(1), Some(0)).unwrap();
+        let mut pooled = rank.buffer_pool().pooled();
+        let mut returned = |rank: &mut psmpi::Rank, rejected: bool, what: &str| {
+            assert!(rejected, "{what}: rejected");
+            pooled += 1;
+            assert_eq!(rank.buffer_pool().pooled(), pooled, "{what}: buffer back");
+        };
+        let src = Some(0);
+        let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(1));
+        returned(rank, is_codec(&r), "recv_comm, prefix past the end");
+        let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(2));
+        returned(rank, is_codec(&r), "recv_comm, overflowing prefix");
+        let r = rank.recv_comm::<(u64, u64)>(&w, src, Some(3));
+        returned(rank, is_codec(&r), "recv_comm, short pair");
+        let mut out = [0.0f64; 4];
+        let r = rank.recv_into(src, Some(4), &mut out);
+        returned(rank, is_codec(&r), "recv_into, three elements for four");
+        let r = rank
+            .irecv_into(src, Some(5), &mut out)
+            .and_then(|req| req.wait(rank));
+        returned(rank, is_codec(&r), "irecv_into, five elements for four");
+        let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(6));
+        returned(rank, is_codec(&r), "recv_comm, unreadable prefix");
+        let r = rank.recv_comm::<Vec<f64>>(&w, src, Some(7));
+        returned(rank, is_codec(&r), "recv_comm, prefix claiming 8 TiB");
+    });
     assert_eq!(pool.stats().reclaim_failures, 0);
 }

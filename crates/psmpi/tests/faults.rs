@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use hwmodel::presets::deep_er_cluster_node;
 use hwmodel::{NodeId, SimTime};
-use psmpi::{BufferPool, MpiError, ReduceOp, Universe, UniverseBuilder};
+use psmpi::{BufferPool, MpiError, ReduceOp, Universe};
 use simnet::{Fabric, FaultPlan, Topology};
 use std::sync::Arc;
 
@@ -384,46 +384,44 @@ fn forged_reduction_blocks_are_codec_errors_and_go_back_to_the_pool() {
     // pool gained); then each rank's honest sum.
     let seen = Arc::new(lockrank::Mutex::<_, 900>::new((Vec::new(), Vec::new())));
     let seen_in = seen.clone();
-    UniverseBuilder::new()
-        .add_nodes(2, &deep_er_cluster_node())
-        .buffer_pool(pool.clone())
-        .run(move |rank| {
-            let w = rank.world();
-            if rank.rank() == 0 {
-                // Only raw sends and dropped receives: rank 0 never touches
-                // the pool while rank 1 counts it.
-                for len in FORGED {
-                    let block = Bytes::from(vec![0u8; len]);
-                    rank.send_bytes_comm(&w, 1, TAG_REDUCE, block).unwrap();
-                    let block = Bytes::from(vec![0u8; len]);
-                    rank.send_bytes_comm(&w, 1, TAG_ALLREDUCE, block).unwrap();
-                    // Rank 1's own block of its allreduce.
-                    let _ = rank.recv_bytes_comm(&w, Some(1), Some(TAG_ALLREDUCE));
-                }
-            } else {
-                // A 4 KiB buffer in the slot, which a 32-byte draw passes
-                // over: every block rank 1 retires lands in the stacks,
-                // where `pooled()` counts it.
-                rank.send_slice(1, 0, &[0.0f64; 512]).unwrap();
-                rank.recv_into(Some(1), Some(0), &mut [0.0f64; 512])
-                    .unwrap();
-                let codec = |r: Result<_, MpiError>| matches!(r, Err(MpiError::Codec(_)));
-                for len in FORGED {
-                    let pooled = rank.buffer_pool().pooled() as i64;
-                    let reduce = codec(rank.reduce(&w, 1, &contribution, ReduceOp::Sum).map(drop));
-                    let back = rank.buffer_pool().pooled() as i64;
-                    let allreduce =
-                        codec(rank.allreduce(&w, &contribution, ReduceOp::Sum).map(drop));
-                    let again = rank.buffer_pool().pooled() as i64;
-                    let mut seen = seen_in.lock();
-                    seen.0.push((len, "reduce", reduce, back - pooled));
-                    seen.0.push((len, "allreduce", allreduce, again - back));
-                }
+    let mut topology = Topology::new();
+    let nodes = topology.add_nodes(2, &deep_er_cluster_node());
+    Universe::with_buffer_pool(Fabric::new(topology), pool.clone()).launch(&nodes, move |rank| {
+        let w = rank.world();
+        if rank.rank() == 0 {
+            // Only raw sends and dropped receives: rank 0 never touches
+            // the pool while rank 1 counts it.
+            for len in FORGED {
+                let block = Bytes::from(vec![0u8; len]);
+                rank.send_bytes_comm(&w, 1, TAG_REDUCE, block).unwrap();
+                let block = Bytes::from(vec![0u8; len]);
+                rank.send_bytes_comm(&w, 1, TAG_ALLREDUCE, block).unwrap();
+                // Rank 1's own block of its allreduce.
+                let _ = rank.recv_bytes_comm(&w, Some(1), Some(TAG_ALLREDUCE));
             }
-            let mine = [rank.rank() as f64 + 1.0; 4];
-            let sum = rank.allreduce(&w, &mine, ReduceOp::Sum);
-            seen_in.lock().1.push(sum.ok());
-        });
+        } else {
+            // A 4 KiB buffer in the slot, which a 32-byte draw passes
+            // over: every block rank 1 retires lands in the stacks,
+            // where `pooled()` counts it.
+            rank.send_slice(1, 0, &[0.0f64; 512]).unwrap();
+            rank.recv_into(Some(1), Some(0), &mut [0.0f64; 512])
+                .unwrap();
+            let codec = |r: Result<_, MpiError>| matches!(r, Err(MpiError::Codec(_)));
+            for len in FORGED {
+                let pooled = rank.buffer_pool().pooled() as i64;
+                let reduce = codec(rank.reduce(&w, 1, &contribution, ReduceOp::Sum).map(drop));
+                let back = rank.buffer_pool().pooled() as i64;
+                let allreduce = codec(rank.allreduce(&w, &contribution, ReduceOp::Sum).map(drop));
+                let again = rank.buffer_pool().pooled() as i64;
+                let mut seen = seen_in.lock();
+                seen.0.push((len, "reduce", reduce, back - pooled));
+                seen.0.push((len, "allreduce", allreduce, again - back));
+            }
+        }
+        let mine = [rank.rank() as f64 + 1.0; 4];
+        let sum = rank.allreduce(&w, &mine, ReduceOp::Sum);
+        seen_in.lock().1.push(sum.ok());
+    });
     let (rejected, sums) = seen.lock().clone();
     let want: Vec<_> = FORGED
         .iter()

@@ -6,7 +6,8 @@
 
 use bytes::Bytes;
 use hwmodel::presets::deep_er_cluster_node;
-use psmpi::{BufferPool, MpiError, UniverseBuilder};
+use psmpi::{BufferPool, MpiError, Universe, UniverseBuilder};
+use simnet::{Fabric, Topology};
 use std::sync::Arc;
 
 /// `(rank, size)` of the `InvalidRank` error `r` must be.
@@ -49,10 +50,11 @@ fn an_out_of_range_rank_is_the_error_the_world_comm_gives() {
 fn a_failed_send_slice_retires_its_buffer_for_the_next() {
     // A private pool: the shared one may hold a buffer another test's
     // universe retired, and the first send here must miss.
-    UniverseBuilder::new()
-        .add_nodes(2, &deep_er_cluster_node())
-        .buffer_pool(Arc::new(BufferPool::new()))
-        .run(|rank| {
+    let mut topology = Topology::new();
+    let nodes = topology.add_nodes(2, &deep_er_cluster_node());
+    Universe::with_buffer_pool(Fabric::new(topology), Arc::new(BufferPool::new())).launch(
+        &nodes,
+        |rank| {
             let data = [2.5f64; 16];
             if rank.rank() == 1 {
                 let mut inbox = [0.0f64; 16];
@@ -75,5 +77,6 @@ fn a_failed_send_slice_retires_its_buffer_for_the_next() {
                 (1, 0),
                 "the next send reuses the buffer the failed one retired"
             );
-        });
+        },
+    );
 }

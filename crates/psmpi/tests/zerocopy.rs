@@ -5,12 +5,39 @@
 
 use bytes::Bytes;
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
-use hwmodel::SimTime;
-use psmpi::{BufferPool, Communicator, Rank, UniverseBuilder};
+use hwmodel::{NodeSpec, SimTime};
+use psmpi::{
+    BufferPool, Communicator, JobReport, Rank, Universe, UniverseBuilder,
+    DEFAULT_MAX_POOLED_BUFFERS,
+};
+use simnet::{Fabric, Topology};
 use std::sync::Arc;
 
 fn cluster(n: u32) -> UniverseBuilder {
     UniverseBuilder::new().add_nodes(n, &deep_er_cluster_node())
+}
+
+/// One rank on each of `count` nodes of each `(count, spec)`, staging from
+/// `pool` alone: the pool that universes alive at once share may hold
+/// buffers, and count draws, of other tests' universes.
+fn run_on_pool<F>(nodes: &[(u32, NodeSpec)], pool: &Arc<BufferPool>, entry: F) -> JobReport
+where
+    F: Fn(&mut Rank) + Send + Sync + 'static,
+{
+    let mut topology = Topology::new();
+    let placements: Vec<_> = nodes
+        .iter()
+        .flat_map(|(count, spec)| topology.add_nodes(*count, spec))
+        .collect();
+    Universe::with_buffer_pool(Fabric::new(topology), pool.clone()).launch(&placements, entry)
+}
+
+/// [`run_on_pool`] over `n` Cluster nodes.
+fn cluster_on_pool<F>(n: u32, pool: &Arc<BufferPool>, entry: F) -> JobReport
+where
+    F: Fn(&mut Rank) + Send + Sync + 'static,
+{
+    run_on_pool(&[(n, deep_er_cluster_node())], pool, entry)
 }
 
 /// Every rank's `addr`, gathered to `root` in rank order.
@@ -104,7 +131,7 @@ fn typed_bcast_root_keeps_its_value_and_children_return_their_buffers() {
     // one, and every allocation the job made is back in the pool, the
     // root's encoding included.
     let pool = Arc::new(BufferPool::new());
-    cluster(4).buffer_pool(pool.clone()).run(|rank| {
+    cluster_on_pool(4, &pool, |rank| {
         let w = rank.world();
         if rank.rank() == 0 {
             let value = vec![0.25f64; 1 << 17];
@@ -172,28 +199,26 @@ fn back_to_back_typed_bcasts_miss_only_while_warming_up() {
     const BCASTS: usize = WARM_UP + 20;
     let pool = Arc::new(BufferPool::new());
     let host = Arc::new(std::sync::Barrier::new(RANKS));
-    cluster(RANKS as u32)
-        .buffer_pool(pool.clone())
-        .run(move |rank| {
-            let w = rank.world();
-            let mut warm = None;
-            for k in 1..=BCASTS {
-                let value = (rank.rank() == 0).then(|| vec![k as f64; 1 << 17]);
-                let got = rank.bcast(&w, 0, value).unwrap();
-                assert_eq!(got, vec![k as f64; 1 << 17]);
-                host.wait();
-                if rank.rank() == 0 {
-                    let misses = rank.buffer_pool().stats().misses;
-                    if k == WARM_UP {
-                        warm = Some(misses);
-                    }
-                    if let Some(warm) = warm {
-                        assert_eq!(misses, warm, "broadcast {k} allocated");
-                    }
+    cluster_on_pool(RANKS as u32, &pool, move |rank| {
+        let w = rank.world();
+        let mut warm = None;
+        for k in 1..=BCASTS {
+            let value = (rank.rank() == 0).then(|| vec![k as f64; 1 << 17]);
+            let got = rank.bcast(&w, 0, value).unwrap();
+            assert_eq!(got, vec![k as f64; 1 << 17]);
+            host.wait();
+            if rank.rank() == 0 {
+                let misses = rank.buffer_pool().stats().misses;
+                if k == WARM_UP {
+                    warm = Some(misses);
                 }
-                host.wait();
+                if let Some(warm) = warm {
+                    assert_eq!(misses, warm, "broadcast {k} allocated");
+                }
             }
-        });
+            host.wait();
+        }
+    });
     let stats = pool.stats();
     assert_eq!(stats.misses, 2, "the encoding and the header: {stats:?}");
     assert_eq!(stats.reclaim_failures, 0, "{stats:?}");
@@ -208,7 +233,7 @@ fn self_send_charges_only_send_overhead() {
     // allocation.
     cluster(1).run(|rank| {
         let w = rank.world();
-        let overhead = rank.node().nic_send_overhead;
+        let overhead = deep_er_cluster_node().nic_send_overhead;
         // Large enough that modelled loopback time would dwarf the NIC
         // overhead if it were (wrongly) charged.
         let payload = Bytes::from(vec![0u8; 8 << 20]);
@@ -234,7 +259,7 @@ fn self_send_charges_only_send_overhead() {
 fn self_send_works_through_typed_api_too() {
     cluster(1).run(|rank| {
         let w = rank.world();
-        let overhead = rank.node().nic_send_overhead;
+        let overhead = deep_er_cluster_node().nic_send_overhead;
         rank.send_comm(&w, 0, 3, &vec![1.0f64, 2.0]).unwrap();
         let (v, st) = rank.recv_comm::<Vec<f64>>(&w, Some(0), Some(3)).unwrap();
         assert_eq!(v, vec![1.0, 2.0]);
@@ -253,26 +278,27 @@ fn typed_ring_reuses_pooled_buffers_through_the_router() {
     const RANKS: usize = 80;
     const ROUNDS: usize = 4;
     let delivered = (RANKS * ROUNDS) as u64;
-    let ring = |pool: BufferPool| {
-        let pool = Arc::new(pool);
-        let capacity = pool.capacity() as u64;
-        let report = UniverseBuilder::new()
-            .add_nodes(RANKS as u32 / 2, &deep_er_cluster_node())
-            .add_nodes(RANKS as u32 / 2, &deep_er_booster_node())
-            .buffer_pool(pool.clone())
-            .run(|rank| {
-                let me = rank.rank();
-                let (next, prev) = ((me + 1) % RANKS, (me + RANKS - 1) % RANKS);
-                let payload = vec![me as f64; 64];
-                let mut inbox = vec![0.0f64; 64];
-                for _ in 0..ROUNDS {
-                    // A buffered send completes locally, so send-then-recv
-                    // cannot deadlock around the ring.
-                    rank.send_slice(next, 7, &payload).unwrap();
-                    rank.recv_into(Some(prev), Some(7), &mut inbox).unwrap();
-                    assert_eq!(inbox[0], prev as f64, "ring payload integrity");
-                }
-            });
+    let ring = |capacity: usize| {
+        let pool = Arc::new(BufferPool::with_capacity(capacity));
+        let capacity = capacity as u64;
+        let half = RANKS as u32 / 2;
+        let nodes = [
+            (half, deep_er_cluster_node()),
+            (half, deep_er_booster_node()),
+        ];
+        let report = run_on_pool(&nodes, &pool, |rank| {
+            let me = rank.rank();
+            let (next, prev) = ((me + 1) % RANKS, (me + RANKS - 1) % RANKS);
+            let payload = vec![me as f64; 64];
+            let mut inbox = vec![0.0f64; 64];
+            for _ in 0..ROUNDS {
+                // A buffered send completes locally, so send-then-recv
+                // cannot deadlock around the ring.
+                rank.send_slice(next, 7, &payload).unwrap();
+                rank.recv_into(Some(prev), Some(7), &mut inbox).unwrap();
+                assert_eq!(inbox[0], prev as f64, "ring payload integrity");
+            }
+        });
         let stats = pool.stats();
         // Every send stages exactly one buffer (a slot hit is a pool hit).
         assert_eq!(stats.hits + stats.misses, delivered, "{stats:?}");
@@ -285,7 +311,7 @@ fn typed_ring_reuses_pooled_buffers_through_the_router() {
         (stats, report.makespan())
     };
 
-    let (default, makespan) = ring(BufferPool::new());
+    let (default, makespan) = ring(DEFAULT_MAX_POOLED_BUFFERS);
     assert!(makespan > SimTime::ZERO);
     assert!(
         default.hits > delivered / 2,
@@ -297,10 +323,10 @@ fn typed_ring_reuses_pooled_buffers_through_the_router() {
     // on every get, its slots included; one sized to the rank count
     // allocates at most once per rank, each rank having at most one send
     // outstanding.
-    let (starved, starved_makespan) = ring(BufferPool::with_capacity(0));
+    let (starved, starved_makespan) = ring(0);
     assert_eq!(starved.hits, 0, "nothing retained, nothing reused");
     assert_eq!(starved.misses, delivered);
-    let (sized, sized_makespan) = ring(BufferPool::with_capacity(RANKS));
+    let (sized, sized_makespan) = ring(RANKS);
     assert!(
         sized.misses <= RANKS as u64,
         "a rank-count pool allocates at most peak concurrency: {sized:?}"
@@ -318,7 +344,7 @@ fn aliased_payloads_never_enter_a_rank_slot() {
     // Only raw sends until the last step, so nothing but those retires
     // touches the pool.
     let pool = Arc::new(BufferPool::new());
-    cluster(3).buffer_pool(pool.clone()).run(|rank| {
+    cluster_on_pool(3, &pool, |rank| {
         let (w, me) = (rank.world(), rank.rank());
         let mut got = [0.0f64; 64];
         // Self-send alias: this rank keeps a handle on what it sends.
@@ -382,7 +408,7 @@ fn stale_bytes_never_reach_the_wire() {
             .collect()
     };
     let pool = Arc::new(BufferPool::new());
-    cluster(2).buffer_pool(pool.clone()).run(move |rank| {
+    cluster_on_pool(2, &pool, move |rank| {
         let w = rank.world();
         for (round, &n) in SIZES.iter().chain(&SIZES).enumerate() {
             let via_slot = round < SIZES.len();
@@ -437,7 +463,7 @@ fn a_framed_vec_is_written_over_recycled_buffers_without_stale_bytes() {
             .collect()
     };
     let pool = Arc::new(BufferPool::new());
-    cluster(2).buffer_pool(pool.clone()).run(move |rank| {
+    cluster_on_pool(2, &pool, move |rank| {
         let w = rank.world();
         for (round, &n) in SIZES.iter().chain(&SIZES).enumerate() {
             let via_slot = round < SIZES.len();

@@ -701,11 +701,6 @@ impl Engine {
         Engine { system, cfg }
     }
 
-    /// The run configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
     /// Drive `trace` to completion under `faults`. Reentrant: each call
     /// builds a fresh resource manager, so the same engine can replay
     /// the same trace bit-identically.

@@ -17,9 +17,12 @@
 //! is exact: [`ScrManager::fail_nodes`] takes copies by node, the same way
 //! for every record, and [`ScrManager::heal`] brings none back, so a newer
 //! record at the same or a higher level is recoverable whenever an older
-//! one is, and `restart` scans newest first. Ids repeat when a resumed run
-//! re-reaches a step; every take is a record with copies of its own, and
-//! an id names its newest take.
+//! one is, and `restart` scans newest first. A node failure drops every
+//! record it leaves unrestorable ([`ScrManager::fail_nodes`]), so every
+//! record held can be restored and `restart` takes the newest. Ids repeat
+//! when a resumed run re-reaches a step; every take is a record with
+//! copies of its own, an id names its newest take, and a [`PendingDrain`]
+//! names its take.
 
 use crate::delta::{self, DeltaError};
 use bytes::Bytes;
@@ -82,6 +85,9 @@ pub enum Payload<'a> {
 pub struct PendingDrain {
     /// The checkpoint id.
     pub id: u64,
+    /// The take: ids repeat, so a handle promotes only the record it
+    /// staged.
+    seq: u64,
     /// The level it is draining towards.
     pub level: CheckpointLevel,
     /// Blocking time of the local NVMe stage.
@@ -236,7 +242,7 @@ struct ScrState {
 }
 
 impl ScrState {
-    /// The newest record of `id`: the one its [`PendingDrain`] names.
+    /// The newest take of `id`.
     fn newest(&mut self, id: u64) -> Option<&mut CheckpointRecord> {
         self.db.iter_mut().rev().find(|r| r.id == id)
     }
@@ -389,7 +395,7 @@ impl ScrManager {
     ) -> Result<SimTime, ScrError> {
         let blobs: Vec<Bytes> = rank_data.iter().map(|b| b.clone().into()).collect();
         let staged = self.checkpoint_async(id, level, Payload::Blobs(&blobs))?;
-        self.promote(id, level)?;
+        self.finish_drain(staged)?;
         Ok(staged.full_cost)
     }
 
@@ -398,23 +404,17 @@ impl ScrManager {
     /// `full_cost - local_cost`), and return one handle per rank blob of
     /// the older checkpoints it dominates, which the manager no longer
     /// holds (see the module docs). Promoting twice is a no-op while the
-    /// checkpoint is held. A drain that was aborted — by
-    /// [`ScrManager::fail_nodes`] losing one of the job's nodes while it
-    /// was in flight — is refused with [`ScrError::DrainAborted`] and the
-    /// checkpoint stays at `Local` level, so a restart falls back to the
-    /// newest *promoted* checkpoint.
+    /// take is held. A drain that was aborted — by [`ScrManager::fail_nodes`]
+    /// losing one of the job's nodes while it was in flight, or by a newer
+    /// take of the same id — is refused with [`ScrError::DrainAborted`],
+    /// also when an older take of the id is held; a restart falls back to
+    /// the newest *promoted* checkpoint.
     pub fn finish_drain(&self, pending: PendingDrain) -> Result<Vec<Bytes>, ScrError> {
-        let in_flight = self
-            .state
-            .lock()
-            .newest(pending.id)
-            .is_some_and(|r| r.in_flight);
-        if in_flight {
-            self.promote(pending.id, pending.level)
-        } else if self.level_of(pending.id) == Some(pending.level) {
-            Ok(Vec::new())
-        } else {
-            Err(ScrError::DrainAborted { id: pending.id })
+        let mut st = self.state.lock();
+        match st.db.iter().position(|r| r.seq == pending.seq) {
+            Some(at) if st.db[at].in_flight => self.promote(&mut st, at, pending.level),
+            Some(at) if st.db[at].level == pending.level => Ok(Vec::new()),
+            _ => Err(ScrError::DrainAborted { id: pending.id }),
         }
     }
 
@@ -473,6 +473,7 @@ impl ScrManager {
         });
         Ok(PendingDrain {
             id,
+            seq,
             level,
             local_cost: self.checkpoint_cost(CheckpointLevel::Local, wire_bytes),
             full_cost: self.checkpoint_cost(level, wire_bytes),
@@ -496,31 +497,36 @@ impl ScrManager {
         })
     }
 
-    /// Raise staged checkpoint `id` to `level`: copy each rank's local
+    /// Raise the staged record at `at` to `level`: copy each rank's local
     /// blob to the buddy node's NVMe, the NAM device or a SION container,
-    /// and update the database record in place — the local copies are not
-    /// rewritten and the checkpoint appears once in the database. Then drop
-    /// the older records it dominates and return their blobs.
-    fn promote(&self, id: u64, level: CheckpointLevel) -> Result<Vec<Bytes>, ScrError> {
-        let mut st = self.state.lock();
-        let lost = || ScrError::DrainAborted { id };
-        let at = st.db.iter().rposition(|r| r.id == id).ok_or_else(lost)?;
+    /// and update the record in place — the local copies are not rewritten
+    /// and the checkpoint appears once in the database. Then drop the older
+    /// records it dominates and return their blobs.
+    fn promote(
+        &self,
+        st: &mut ScrState,
+        at: usize,
+        level: CheckpointLevel,
+    ) -> Result<Vec<Bytes>, ScrError> {
+        // A record in flight holds every local copy: `fail_nodes` drops one
+        // that lost any, since nothing else of it is held.
+        let local = |copies: &RankCopies| copies.local.clone().expect("in-flight local copy");
         let record = &mut st.db[at];
         record.in_flight = false;
         match level {
             CheckpointLevel::Local => {}
             CheckpointLevel::Buddy => {
                 for copies in &mut record.ranks {
-                    let data = copies.local.as_ref().ok_or_else(lost)?;
+                    let data = local(copies);
                     match &self.config.nam {
                         // The device lock nests inside the state lock (300 → 540).
                         Some(nam) => {
                             let len = data.len() as u64;
                             let region = nam_region_for(nam, &mut copies.nam_region, len)?;
-                            nam.device.put(region, 0, data)?;
+                            nam.device.put(region, 0, &data)?;
                             copies.nam_done = true;
                         }
-                        None => copies.buddy = Some(data.clone()),
+                        None => copies.buddy = Some(data),
                     }
                 }
             }
@@ -535,7 +541,7 @@ impl ScrManager {
                 .expect("fresh container path");
                 for (r, copies) in record.ranks.iter().enumerate() {
                     container
-                        .write_task(r, copies.local.as_ref().ok_or_else(lost)?)
+                        .write_task(r, &local(copies))
                         .expect("chunk sized for the largest blob");
                 }
             }
@@ -589,8 +595,8 @@ impl ScrManager {
     /// The NAM region rank `rank` should RDMA-put checkpoint `id` into
     /// (allocating it on first use). Live drains call this right after the
     /// local stage so the put lands in the region the restart will read;
-    /// a checkpoint the manager no longer holds is
-    /// [`ScrError::DrainAborted`].
+    /// a take whose drain is no longer in flight (aborted by a node
+    /// failure, or dropped with it) is [`ScrError::DrainAborted`].
     pub fn nam_region(&self, id: u64, rank: usize, len: u64) -> Result<NamRegion, ScrError> {
         let nam = self
             .config
@@ -598,7 +604,8 @@ impl ScrManager {
             .as_ref()
             .expect("nam_region requires a NAM-backed buddy level");
         let mut st = self.state.lock();
-        let record = st.newest(id).ok_or(ScrError::DrainAborted { id })?;
+        let record = st.newest(id).filter(|r| r.in_flight);
+        let record = record.ok_or(ScrError::DrainAborted { id })?;
         nam_region_for(nam, &mut record.ranks[rank].nam_region, len)
     }
 
@@ -608,9 +615,11 @@ impl ScrManager {
     /// in each drain, so a lost node means the checkpoint can no longer
     /// reach its full level ([`ScrError::DrainAborted`] from
     /// `finish_drain`; restart falls back to the newest promoted
-    /// checkpoint). NAM copies survive: the device has no host node.
-    /// Returns the handles of the copies lost, which the manager no longer
-    /// holds, so the caller can retire them (a blob whose other copy
+    /// checkpoint). NAM copies survive: the device has no host node. A
+    /// non-Global record in which some rank is left with no copy can no
+    /// longer be restored, and is dropped whole. Returns the handles of the
+    /// copies lost and of the dropped records' blobs, which the manager no
+    /// longer holds, so the caller can retire them (a blob whose other copy
     /// survives is still held by it).
     pub fn fail_nodes(&self, nodes: &[NodeId]) -> Vec<Bytes> {
         let mut st = self.state.lock();
@@ -631,28 +640,18 @@ impl ScrManager {
                 }
             }
         }
+        let unrestorable = |r: &mut CheckpointRecord| {
+            let bare = |c: &RankCopies| c.local.is_none() && c.buddy.is_none() && !c.nam_done;
+            r.level != CheckpointLevel::Global && r.ranks.iter().any(bare)
+        };
+        let dropped: Vec<_> = st.db.extract_if(.., unrestorable).collect();
+        lost.extend(dropped.into_iter().flat_map(|r| self.forget(r)));
         lost
     }
 
     /// Repair failed nodes (replacement hardware / reboot).
     pub fn heal(&self) {
         self.state.lock().dead.clear();
-    }
-
-    /// Whether checkpoint `id` is fully recoverable right now.
-    pub fn recoverable(&self, id: u64) -> bool {
-        let mut st = self.state.lock();
-        let Some(rec) = st.newest(id) else {
-            return false;
-        };
-        match rec.level {
-            CheckpointLevel::Global => true,
-            CheckpointLevel::Local => rec.ranks.iter().all(|c| c.local.is_some()),
-            CheckpointLevel::Buddy => rec
-                .ranks
-                .iter()
-                .all(|c| c.local.is_some() || c.buddy.is_some() || c.nam_done),
-        }
     }
 
     /// Number of records in the checkpoint database (a held checkpoint
@@ -667,45 +666,38 @@ impl ScrManager {
         self.state.lock().db.iter().filter(|r| r.in_flight).count()
     }
 
-    /// The level checkpoint `id` currently holds at, per the database.
-    pub fn level_of(&self, id: u64) -> Option<CheckpointLevel> {
-        self.state.lock().newest(id).map(|r| r.level)
-    }
-
-    /// Restart from the newest recoverable checkpoint: returns
+    /// Restart from the newest checkpoint held, which is recoverable
+    /// ([`ScrManager::fail_nodes`] drops the others): returns
     /// `(id, level, per-rank blobs, virtual cost)`.
     pub fn restart(&self) -> Result<(u64, CheckpointLevel, Vec<Bytes>, SimTime), ScrError> {
         let st = self.state.lock();
-        for rec in st.db.iter().rev() {
-            let id = rec.id;
-            let max_bytes = rec.bytes_per_rank.iter().copied().max().unwrap_or(0);
-            let read = self.nvme.read_time(max_bytes);
-            let (blobs, cost) = match rec.level {
-                CheckpointLevel::Global => {
-                    let (c, _) = SionContainer::open(&self.pfs, &rec.sion_path())
-                        .expect("global checkpoint container");
-                    let blobs = (0..self.ranks())
-                        .map(|r| Bytes::from(c.read_task(r).expect("task chunk").0))
-                        .collect();
-                    let total = rec.bytes_per_rank.iter().sum::<u64>();
-                    let stage = self.nvme.write_time(max_bytes);
-                    (blobs, self.pfs.transfer_time(total).max(stage))
+        let rec = st.db.last().ok_or(ScrError::NothingToRestart)?;
+        let max_bytes = rec.bytes_per_rank.iter().copied().max().unwrap_or(0);
+        let read = self.nvme.read_time(max_bytes);
+        let (blobs, cost) = match rec.level {
+            CheckpointLevel::Global => {
+                let (c, _) = SionContainer::open(&self.pfs, &rec.sion_path())
+                    .expect("global checkpoint container");
+                let blobs = (0..self.ranks())
+                    .map(|r| Bytes::from(c.read_task(r).expect("task chunk").0))
+                    .collect();
+                let total = rec.bytes_per_rank.iter().sum::<u64>();
+                let stage = self.nvme.write_time(max_bytes);
+                (blobs, self.pfs.transfer_time(total).max(stage))
+            }
+            level => {
+                // Every rank of a held record keeps a copy (`fail_nodes`).
+                let fetch = |c| self.fetch(c).expect("a copy of every rank");
+                let blobs = rec.ranks.iter().map(fetch).collect();
+                match level {
+                    // Fetch back over the same slowest-pair path the copy
+                    // went out on.
+                    CheckpointLevel::Buddy => (blobs, read + self.buddy_copy_time(max_bytes)),
+                    _ => (blobs, read),
                 }
-                level => {
-                    let found: Option<Vec<Bytes>> =
-                        rec.ranks.iter().map(|c| self.fetch(c)).collect();
-                    let Some(blobs) = found else { continue };
-                    match level {
-                        // Fetch back over the same slowest-pair path the
-                        // copy went out on.
-                        CheckpointLevel::Buddy => (blobs, read + self.buddy_copy_time(max_bytes)),
-                        _ => (blobs, read),
-                    }
-                }
-            };
-            return Ok((id, rec.level, blobs, cost));
-        }
-        Err(ScrError::NothingToRestart)
+            }
+        };
+        Ok((rec.id, rec.level, blobs, cost))
     }
 }
 
@@ -713,6 +705,13 @@ impl ScrManager {
 mod tests {
     use super::*;
     use hwmodel::presets::deep_er_booster_node;
+
+    impl ScrManager {
+        /// The level the newest take of `id` holds at, per the database.
+        fn level_of(&self, id: u64) -> Option<CheckpointLevel> {
+            self.state.lock().newest(id).map(|r| r.level)
+        }
+    }
 
     fn manager(ranks: usize) -> ScrManager {
         let spec = Arc::new(deep_er_booster_node());
@@ -765,8 +764,12 @@ mod tests {
         // Rank 1's buddy copy lived on node 2, and rank 2's local one: both
         // come back to the caller.
         assert_eq!(m.fail_nodes(&[NodeId(2)])[..], blobs(4, 50)[1..3]);
-        assert!(!m.recoverable(1), "local copy of rank 2 died with its node");
-        assert!(m.recoverable(2), "buddy copy survives one node");
+        assert_eq!(m.level_of(1), None, "2's promotion dominated it");
+        assert_eq!(
+            m.level_of(2),
+            Some(CheckpointLevel::Buddy),
+            "buddy copy survives one node"
+        );
         let (id, level, data, _) = m.restart().unwrap();
         assert_eq!((id, level), (2, CheckpointLevel::Buddy));
         assert_eq!(data, blobs(4, 50));
@@ -779,8 +782,10 @@ mod tests {
         let m = manager(4);
         m.checkpoint(1, CheckpointLevel::Buddy, &blobs(4, 0))
             .unwrap();
-        m.fail_nodes(&[NodeId(1), NodeId(2)]);
-        assert!(!m.recoverable(1));
+        // Dropped with every blob it still held: rank 1 has no copy left.
+        let lost = m.fail_nodes(&[NodeId(1), NodeId(2)]);
+        assert_eq!(lost.len(), 4 + 3, "4 copies lost, then ranks 0, 2 and 3's");
+        assert_eq!((m.level_of(1), m.record_count()), (None, 0));
         assert!(matches!(m.restart(), Err(ScrError::NothingToRestart)));
     }
 
@@ -790,7 +795,7 @@ mod tests {
         m.checkpoint(1, CheckpointLevel::Global, &blobs(4, 0))
             .unwrap();
         m.fail_nodes(&[NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-        assert!(m.recoverable(1));
+        assert_eq!(m.level_of(1), Some(CheckpointLevel::Global));
         let (id, level, data, _) = m.restart().unwrap();
         assert_eq!((id, level), (1, CheckpointLevel::Global));
         assert_eq!(data, blobs(4, 0));
@@ -888,16 +893,19 @@ mod tests {
         let _lost = m
             .checkpoint_async(7, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 7)))
             .unwrap();
-        m.fail_nodes(&[NodeId(0)]);
+        // The lost take of 7 is dropped with its rank-1 blob: rank 0 has
+        // no copy of it left. 6 loses rank 0's local and rank 1's buddy copy.
+        let lost = m.fail_nodes(&[NodeId(0)]);
+        let (b6, b7) = (blobs(2, 6), blobs(2, 7));
+        assert_eq!(lost, [&b6[..], &b7[..1], &b7[1..]].concat());
+        assert_eq!(m.record_count(), 1);
         assert_eq!(m.restart().unwrap().0, 6);
         m.heal();
-        // The resumed run re-takes 7 and promotes it, dropping 6 and the
-        // lost take of 7 (its rank-1 blob was still held).
+        // The resumed run re-takes 7 and promotes it, dropping 6.
         let p7 = m
             .checkpoint_async(7, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 70)))
             .unwrap();
-        let dropped = m.finish_drain(p7).unwrap();
-        assert_eq!(dropped, [&blobs(2, 6)[..], &blobs(2, 7)[1..]].concat());
+        assert_eq!(m.finish_drain(p7).unwrap(), b6);
         // 8's drain dies with node 1: the new 7 restores, its rank-1 blob
         // from the buddy copy.
         let _aborted = m
@@ -911,9 +919,8 @@ mod tests {
         let p8 = m
             .checkpoint_async(8, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 80)))
             .unwrap();
-        assert!(m.recoverable(7));
-        let dropped = m.finish_drain(p8).unwrap();
-        assert_eq!(dropped, [&blobs(2, 70)[..], &blobs(2, 8)[..1]].concat());
+        assert_eq!(m.level_of(7), Some(CheckpointLevel::Buddy));
+        assert_eq!(m.finish_drain(p8).unwrap(), blobs(2, 70));
         assert_eq!(m.record_count(), 1);
         assert_eq!(m.restart().unwrap().2, blobs(2, 80));
     }
@@ -997,7 +1004,7 @@ mod tests {
         // Every job node dies: NVMe copies are all gone, but the NAM has
         // no host node — the buddy level still restores.
         m.fail_nodes(&(0..4).map(NodeId).collect::<Vec<_>>());
-        assert!(m.recoverable(1));
+        assert_eq!(m.level_of(1), Some(CheckpointLevel::Buddy));
         let (id, level, data, _) = m.restart().unwrap();
         assert_eq!((id, level), (1, CheckpointLevel::Buddy));
         assert_eq!(data, blobs(4, 20));
@@ -1140,10 +1147,37 @@ mod tests {
             m.finish_drain(pending),
             Err(ScrError::DrainAborted { id: 2 })
         );
-        assert!(!m.recoverable(2), "rank 0's local copy died with its node");
+        assert_eq!(
+            m.level_of(2),
+            None,
+            "rank 0's local copy died with its node"
+        );
         let (id, level, data, _) = m.restart().unwrap();
         assert_eq!((id, level), (1, CheckpointLevel::Buddy));
         assert_eq!(data, blobs(3, 1));
+    }
+
+    /// Regression: `finish_drain` looked its take up by id, so the handle
+    /// of a take that a failure dropped found an older, promoted take of
+    /// the same id and reported the drain done.
+    #[test]
+    fn a_dropped_takes_handle_is_aborted_while_an_older_take_is_held() {
+        let m = manager(2);
+        m.checkpoint(3, CheckpointLevel::Buddy, &blobs(2, 3))
+            .unwrap();
+        let retake = m
+            .checkpoint_async(3, CheckpointLevel::Buddy, Payload::Blobs(&blobs(2, 30)))
+            .unwrap();
+        // Both blobs of the re-take go back; the older take survives on
+        // rank 0's buddy copy.
+        let lost = m.fail_nodes(&[NodeId(0)]);
+        assert_eq!(lost, [&blobs(2, 3)[..], &blobs(2, 30)[..]].concat());
+        assert_eq!(m.level_of(3), Some(CheckpointLevel::Buddy));
+        assert_eq!(
+            m.finish_drain(retake),
+            Err(ScrError::DrainAborted { id: 3 })
+        );
+        assert_eq!(m.restart().unwrap().2, blobs(2, 3));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property test for the retention rule: a promotion drops the older
-//! checkpoints it dominates, and nothing can tell. Random sequences of
+//! checkpoints it dominates, a node failure those it leaves unrestorable,
+//! and nothing can tell. Random sequences of
 //! stages, blocking checkpoints, promotions, node failures (which abort the
 //! drains in flight), heals and re-taken ids run on a plain and a
 //! NAM-backed manager, and after
@@ -59,11 +60,11 @@ impl Model {
         });
     }
 
-    /// Promote the newest take of `id` if its drain is in flight; the
+    /// Promote the `take`-th record staged if its drain is in flight; the
     /// copies stop at the first rank whose local copy is lost.
-    fn finish(&mut self, id: u64, level: CheckpointLevel) {
+    fn finish(&mut self, take: usize, level: CheckpointLevel) {
         let nam = self.nam;
-        let Some(rec) = self.newest(id).filter(|r| r.in_flight) else {
+        let Some(rec) = self.records.get_mut(take).filter(|r| r.in_flight) else {
             return;
         };
         rec.in_flight = false;
@@ -144,24 +145,28 @@ proptest! {
     ) {
         let m = manager(nam == 1);
         let mut model = Model { records: Vec::new(), dead: BTreeSet::new(), nam: nam == 1 };
-        let mut handles: Vec<PendingDrain> = Vec::new();
+        // Each handle with the take it names: the model keeps every record,
+        // so a take is its index.
+        let mut handles: Vec<(PendingDrain, usize)> = Vec::new();
         for (step, &(kind, a, b)) in ops.iter().enumerate() {
             let handle = handles.get(a as usize % handles.len().max(1)).copied();
             match kind {
                 // Stage (ids 0..6 repeat: re-takes), or take it blocking.
                 0 | 1 => {
                     let (id, level, data) = (a, LEVELS[b], blobs(step));
+                    let take = model.records.len();
                     model.stage(id, data.clone());
                     if kind == 0 {
-                        handles.push(m.checkpoint_async(id, level, Payload::Blobs(&data)).unwrap());
+                        let h = m.checkpoint_async(id, level, Payload::Blobs(&data)).unwrap();
+                        handles.push((h, take));
                     } else {
                         m.checkpoint(id, level, &data).unwrap();
-                        model.finish(id, level);
+                        model.finish(take, level);
                     }
                 }
-                2 => if let Some(h) = handle {
+                2 => if let Some((h, take)) = handle {
                     let _ = m.finish_drain(h);
-                    model.finish(h.id, h.level);
+                    model.finish(take, h.level);
                 },
                 // Node `RANKS` is outside the job.
                 3 => {

@@ -118,20 +118,6 @@ impl Fabric {
         Ok(size as f64 / t.as_secs())
     }
 
-    /// Time for a one-sided RDMA operation of `size` bytes issued by
-    /// `initiator` against `target` (node or NAM — the target CPU is not
-    /// involved either way).
-    pub fn rdma_time(
-        &self,
-        initiator: NodeId,
-        target: NodeId,
-        size: usize,
-    ) -> Result<SimTime, TopologyError> {
-        let i = self.inner.topology.node(initiator)?;
-        let hops = self.inner.topology.hops(initiator, target)?;
-        Ok(self.inner.model.rdma_time(i, size, hops))
-    }
-
     /// Time for an RDMA operation against an attached NAM device (always
     /// one switch hop in the prototype rack). The FPGA streams into the HMC
     /// while the payload is still arriving, so the device bandwidth
@@ -218,7 +204,9 @@ mod tests {
     fn nam_access_includes_service_time() {
         let f = fabric();
         let with_nam = f.nam_rdma_time(NodeId(0), 0, 4096).unwrap();
-        let wire_only = f.rdma_time(NodeId(0), NodeId(1), 4096).unwrap();
+        // One switch hop to a node of the same module.
+        let cn = f.node(NodeId(0)).unwrap();
+        let wire_only = f.inner.model.rdma_time(cn, 4096, 1);
         assert!(with_nam > wire_only);
         // Unknown NAM index: wire time only (graceful).
         let no_nam = f.nam_rdma_time(NodeId(0), 7, 4096).unwrap();
@@ -246,7 +234,7 @@ mod tests {
         let f = fabric();
         let g = f.clone();
         assert!(Arc::ptr_eq(&f.inner, &g.inner));
-        assert_eq!(g.inner.topology.len(), 24);
+        assert!(g.node(NodeId(23)).is_ok() && g.node(NodeId(24)).is_err());
         assert_eq!(g.node(NodeId(16)).unwrap().kind, NodeKind::Booster);
         assert_eq!(g.nams().len(), 2);
     }

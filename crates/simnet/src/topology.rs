@@ -61,24 +61,9 @@ impl Topology {
             .ok_or(TopologyError::UnknownNode(id))
     }
 
-    /// Number of registered nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if no nodes are registered.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Switch hops between two endpoints. Same node: 0 (loopback). Same
-    /// module: 1. Different modules: 1 + `INTER_MODULE_EXTRA_HOPS` (0).
-    pub fn hops(&self, a: NodeId, b: NodeId) -> Result<u32, TopologyError> {
-        Ok(self.hops_between(a, self.node(a)?, b, self.node(b)?))
-    }
-
-    /// [`Topology::hops`] for two nodes whose specs the caller already
-    /// holds (the ones registered under `a` and `b`): no table lookup.
+    /// Switch hops between two nodes whose specs the caller already holds
+    /// (the ones registered under `a` and `b`). Same node: 0 (loopback).
+    /// Same module: 1. Different modules: 1 + `INTER_MODULE_EXTRA_HOPS` (0).
     pub fn hops_between(&self, a: NodeId, sa: &NodeSpec, b: NodeId, sb: &NodeSpec) -> u32 {
         if a == b {
             0
@@ -96,6 +81,13 @@ mod tests {
     use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
     use hwmodel::NodeKind;
 
+    impl Topology {
+        /// [`Topology::hops_between`] by node ids alone.
+        fn hops(&self, a: NodeId, b: NodeId) -> Result<u32, TopologyError> {
+            Ok(self.hops_between(a, self.node(a)?, b, self.node(b)?))
+        }
+    }
+
     fn prototype() -> Topology {
         let mut t = Topology::new();
         t.add_nodes(16, &deep_er_cluster_node());
@@ -106,8 +98,7 @@ mod tests {
     #[test]
     fn add_and_lookup() {
         let t = prototype();
-        assert_eq!(t.len(), 24);
-        assert!(!t.is_empty());
+        assert_eq!(t.nodes.len(), 24);
         assert_eq!(t.node(NodeId(0)).unwrap().kind, NodeKind::Cluster);
         assert_eq!(t.node(NodeId(16)).unwrap().kind, NodeKind::Booster);
         assert!(matches!(
@@ -149,7 +140,7 @@ mod tests {
         );
         assert_eq!(t.add_nodes(0, &deep_er_cluster_node()), []);
         assert_eq!(t.add_nodes(1, &deep_er_cluster_node()), [NodeId(2)]);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.nodes.len(), 3);
         assert!(t.node(NodeId(2)).is_ok());
         for past in [3, u32::MAX] {
             assert_eq!(

@@ -105,29 +105,6 @@ impl ParallelFs {
         t
     }
 
-    /// Append to a file (creating it if needed). Returns the virtual cost.
-    pub fn append(&self, path: impl Into<String>, data: &[u8]) -> SimTime {
-        let path = path.into();
-        let t = self.transfer_time(data.len() as u64);
-        self.state
-            .lock()
-            .files
-            .entry(path)
-            .or_default()
-            .extend_from_slice(data);
-        t
-    }
-
-    /// Read a whole file.
-    pub fn read(&self, path: &str) -> Result<(Vec<u8>, SimTime), FsError> {
-        let st = self.state.lock();
-        let data = st
-            .files
-            .get(path)
-            .ok_or_else(|| FsError::NotFound(path.into()))?;
-        Ok((data.clone(), self.transfer_time(data.len() as u64)))
-    }
-
     /// Read a byte range of a file.
     pub fn read_at(
         &self,
@@ -187,6 +164,14 @@ impl ParallelFs {
 mod tests {
     use super::*;
 
+    impl ParallelFs {
+        /// A whole file and its read cost, through the ranged read.
+        fn read(&self, path: &str) -> Result<(Vec<u8>, SimTime), FsError> {
+            let len = self.state.lock().files.get(path).map_or(0, Vec::len);
+            self.read_at(path, 0, len as u64)
+        }
+    }
+
     #[test]
     fn write_read_roundtrip() {
         let fs = ParallelFs::deep_er();
@@ -242,12 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn append_and_list() {
+    fn list_and_delete() {
         let fs = ParallelFs::deep_er();
-        fs.append("/log", b"a");
-        fs.append("/log", b"b");
-        let (d, _) = fs.read("/log").unwrap();
-        assert_eq!(d, b"ab");
+        fs.write("/log", b"ab");
         fs.write("/b", b"");
         assert_eq!(fs.list(), vec!["/b".to_string(), "/log".to_string()]);
         fs.delete("/log").unwrap();

@@ -8,8 +8,9 @@ proptest! {
     fn pfs_write_read_roundtrip(data in prop::collection::vec(any::<u8>(), 0..8192)) {
         let fs = ParallelFs::deep_er();
         fs.write("/f", &data);
-        let (back, _) = fs.read("/f").unwrap();
+        let (back, _) = fs.read_at("/f", 0, data.len() as u64).unwrap();
         prop_assert_eq!(back, data);
+        prop_assert!(fs.read_at("/f", 0, data.len() as u64 + 1).is_err());
     }
 
     #[test]
@@ -26,8 +27,9 @@ proptest! {
     fn pfs_write_at_grows_consistently(off in 0u64..10_000, data in prop::collection::vec(any::<u8>(), 1..512)) {
         let fs = ParallelFs::deep_er();
         fs.write_at("/g", off, &data);
-        let (all, _) = fs.read("/g").unwrap();
-        prop_assert_eq!(all.len() as u64, off + data.len() as u64);
+        let size = off + data.len() as u64;
+        prop_assert!(fs.read_at("/g", 0, size).is_ok());
+        prop_assert!(fs.read_at("/g", 0, size + 1).is_err());
         let (back, _) = fs.read_at("/g", off, data.len() as u64).unwrap();
         prop_assert_eq!(back, data);
     }

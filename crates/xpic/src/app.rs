@@ -270,11 +270,11 @@ impl SlabState {
     }
 
     /// This slab's field energy (the per-step diagnostic).
-    fn field_energy(&self) -> f64 {
+    pub(crate) fn field_energy(&self) -> f64 {
         field_energy(&self.grid, &self.fields)
     }
 
-    fn kinetic_energy(&self) -> f64 {
+    pub(crate) fn kinetic_energy(&self) -> f64 {
         self.species.iter().map(kinetic_energy).sum()
     }
 
@@ -330,7 +330,7 @@ fn send_interface(
 }
 
 /// What [`reduce_tail`] hands world rank 0: history, sums and maxes.
-pub(crate) type Tail<const S: usize, const M: usize> = (Vec<f64>, [f64; S], [SimTime; M]);
+type Tail<const S: usize, const M: usize> = (Vec<f64>, [f64; S], [SimTime; M]);
 
 /// The end-of-run reductions of one world, in the order every world issues
 /// them: the per-step field-energy `history` (if the world keeps one) and
@@ -354,76 +354,89 @@ fn reduce_tail<const S: usize, const M: usize>(
     Ok((rank.rank() == 0).then(|| (history, sums, maxes.map(SimTime::from_secs))))
 }
 
+/// One rank's statistics of [`combined_loop`], not yet reduced.
+#[derive(Default)]
+pub(crate) struct LoopStats {
+    field_time: SimTime,
+    particle_time: SimTime,
+    /// The clock at the end of step 0 (zero when the loop resumed past it).
+    steady_mark: SimTime,
+    /// This slab's field energy after each step.
+    history: Vec<f64>,
+    cg: u64,
+}
+
 /// The combined main loop of Listing 1 on one module (Cluster-only,
 /// Booster-only, and the checkpointed run's solver world), cut after
 /// calculateE, where the carried state is exactly `(species, fields)`:
 /// `particle_phase` clears the moments before it deposits. `boundary` gets
 /// the steps done at each cut and may `Break` the loop (then `None`); a
-/// `restored` state starts at its cut. World rank 0 gets the [`Tail`]:
-/// sums `[fe, ke, charge, cg]`, maxes `[field, particle, loop]`.
+/// `restored` state starts at its cut. Returns the rank's final slab and
+/// its [`LoopStats`]; each caller reduces what it reads.
 pub(crate) fn combined_loop(
     rank: &mut Rank,
     config: &XpicConfig,
     restored: Option<(u32, (Vec<Species>, Fields))>,
     mut boundary: impl FnMut(&mut Rank, u32, &SlabState) -> Result<ControlFlow<()>, PsmpiError>,
-) -> Result<Option<Tail<4, 3>>, PsmpiError> {
+) -> Result<Option<(SlabState, LoopStats)>, PsmpiError> {
     let (first, state) = restored.unzip();
     let mut st = SlabState::new(config, rank, state);
 
-    let mut cg_total: u64 = 0;
-    let mut field_time = SimTime::ZERO;
-    let mut particle_time = SimTime::ZERO;
-    let mut steady_mark = SimTime::ZERO;
-    let mut history: Vec<f64> = Vec::with_capacity(config.steps as usize);
+    let mut stats = LoopStats {
+        history: Vec::with_capacity(config.steps as usize),
+        ..LoopStats::default()
+    };
     if first.is_none() {
         st.initial_moments(rank, config)?;
         if config.steps > 0 {
             // fld.solver->calculateE(); fld.cpyToArr_F();
-            cg_total += timed(rank, &mut field_time, |r| st.field_solve_e(r, config))?;
+            stats.cg += timed(rank, &mut stats.field_time, |r| st.field_solve_e(r, config))?;
         }
     }
     for step in first.unwrap_or(0)..config.steps {
         // pcl: cpyFromArr_F; ParticlesMove; ParticleMoments; cpyToArr_M.
-        timed(rank, &mut particle_time, |r| {
+        timed(rank, &mut stats.particle_time, |r| {
             st.particle_phase(r, config)?;
             st.migrate_all(r, config)
         })?;
 
         // fld.solver->calculateB(); fld.cpyFromArr_M();
-        timed(rank, &mut field_time, |r| st.field_solve_b(r, config))?;
+        timed(rank, &mut stats.field_time, |r| st.field_solve_b(r, config))?;
 
         // Auxiliary computations + output (serial in the combined mode):
         // the per-step field-energy diagnostic is the real aux work.
-        history.push(st.field_energy());
+        stats.history.push(st.field_energy());
         aux_phase(rank, config, config.model.cells_per_node);
         if step == 0 {
-            steady_mark = rank.now();
+            stats.steady_mark = rank.now();
         }
 
         // The next step's fld.solver->calculateE(); fld.cpyToArr_F();
         if step + 1 < config.steps {
-            cg_total += timed(rank, &mut field_time, |r| st.field_solve_e(r, config))?;
+            stats.cg += timed(rank, &mut stats.field_time, |r| st.field_solve_e(r, config))?;
         }
         if boundary(rank, step + 1, &st)?.is_break() {
             return Ok(None);
         }
     }
-    let loop_time = steady_total(rank.now() - steady_mark, config.steps);
-
-    let (fe, ke, charge) = (st.field_energy(), st.kinetic_energy(), st.total_charge());
-    let sums = [fe, ke, charge, cg_total as f64];
-    let maxes = [field_time, particle_time, loop_time];
-    reduce_tail(rank, &st.world, Some(&history), sums, maxes)
+    Ok(Some((st, stats)))
 }
 
 /// Cluster-only or Booster-only mode: Listing 1's loop with nothing at
-/// its boundaries, recorded into `acc`.
+/// its boundaries, its history, sums `[fe, ke, charge, cg]` and maxes
+/// `[field, particle, loop]` reduced and recorded into `acc`.
 fn run_combined(
     rank: &mut Rank,
     config: &XpicConfig,
     acc: &Arc<Mutex<Acc, 100>>,
 ) -> Result<(), PsmpiError> {
-    let tail = combined_loop(rank, config, None, |_, _, _| Ok(ControlFlow::Continue(())))?;
+    let ran = combined_loop(rank, config, None, |_, _, _| Ok(ControlFlow::Continue(())))?;
+    let (st, stats) = ran.expect("nothing breaks the loop");
+    let loop_time = steady_total(rank.now() - stats.steady_mark, config.steps);
+    let (fe, ke, charge) = (st.field_energy(), st.kinetic_energy(), st.total_charge());
+    let sums = [fe, ke, charge, stats.cg as f64];
+    let maxes = [stats.field_time, stats.particle_time, loop_time];
+    let tail = reduce_tail(rank, &st.world, Some(&stats.history), sums, maxes)?;
     if let Some((history, [fe, ke, charge, cg], [field, particle, looped])) = tail {
         let mut a = acc.lock();
         (a.fe, a.ke, a.charge, a.cg, a.history) = (fe, ke, charge, cg as u64, history);

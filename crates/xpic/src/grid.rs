@@ -350,13 +350,6 @@ impl Moments {
             }
         }
     }
-
-    /// Total charge on the owned rows.
-    pub fn total_charge(&self, grid: &Grid) -> f64 {
-        (0..grid.ny_local as isize)
-            .map(|j| self.rho[grid.row(j)].iter().sum::<f64>())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -505,6 +498,15 @@ mod tests {
             }
         }
         assert_eq!(f2.ex[g.idx(0, -1)], 0.0);
+    }
+
+    impl Moments {
+        /// Total charge on the owned rows.
+        fn total_charge(&self, grid: &Grid) -> f64 {
+            (0..grid.ny_local as isize)
+                .map(|j| self.rho[grid.row(j)].iter().sum::<f64>())
+                .sum()
+        }
     }
 
     #[test]

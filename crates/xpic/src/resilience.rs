@@ -30,8 +30,8 @@ use lockrank::Mutex;
 use psmpi::datatype::CodecError;
 use psmpi::universe::RankFn;
 use psmpi::{
-    Communicator, FixedWidth, MpiDatatype, MpiRequest, PsmpiError, Rank, RecvRequest, SendRequest,
-    Tag,
+    Communicator, FixedWidth, MpiDatatype, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp,
+    SendRequest, Tag,
 };
 pub use scr::CkptMode;
 use scr::{delta, CheckpointLevel, Payload, PendingDrain, ScrError, ScrManager};
@@ -382,13 +382,14 @@ impl<'a> CkptEngine<'a> {
                     // the device region this checkpoint promotes into —
                     // no active component on the far side (paper §II-B).
                     // The full blob lands in the region; the wire charge
-                    // is the encoded frame.
-                    let region = self
-                        .scr
-                        .nam_region(id, rank.rank(), full.len() as u64)
-                        .expect("NAM region for drain");
-                    self.send =
-                        Some(rank.inam_put_sized(nam.index, region, 0, full, Some(wire.len()))?);
+                    // is the encoded frame. A take the supervisor's
+                    // `fail_nodes` already aborted has no region: this
+                    // world is lost, and its drain with it.
+                    let len = full.len() as u64;
+                    if let Ok(region) = self.scr.nam_region(id, rank.rank(), len) {
+                        let sized = Some(wire.len());
+                        self.send = Some(rank.inam_put_sized(nam.index, region, 0, full, sized)?);
+                    }
                 } else {
                     // Peer-to-peer buddy copy through the request engine:
                     // the frame rides a real fabric transfer to this
@@ -757,6 +758,8 @@ fn supervise(
                 recoveries += 1;
                 let t0 = rank.now();
                 let pool = rank.buffer_pool();
+                // The copies the death took, and the blobs of every record
+                // it left unrestorable.
                 for lost in scr.fail_nodes(&[node]) {
                     pool.recycle(lost);
                 }
@@ -780,10 +783,11 @@ fn supervise(
 /// Child-world entry: step Listing 1's loop ([`combined_loop`]) from the
 /// incarnation's state, checking the fault plan and checkpointing at its
 /// boundaries, and report to the supervisor. The last boundary realizes
-/// the outstanding drain; the final allreduces then prove every rank
-/// drained, so rank 0 may promote. On a communication failure the rank
-/// revokes both communicators, so every blocked peer (and the
-/// supervisor) unblocks with the victim's identity, then bails out.
+/// the outstanding drain; the one final reduction, of the energies the
+/// report carries, then proves every rank drained, so rank 0 may promote.
+/// On a communication failure the rank revokes both communicators, so
+/// every blocked peer (and the supervisor) unblocks with the victim's
+/// identity, then bails out.
 fn resilient_child(
     rank: &mut Rank,
     config: &XpicConfig,
@@ -806,7 +810,7 @@ fn resilient_child(
         });
         let mut win_start = if inc.fresh { SimTime::ZERO } else { rank.now() };
         let mut engine = CkptEngine::new(scr, recovery.level, recovery.ckpt_mode);
-        let tail = combined_loop(rank, config, restored, |rank, step, st| {
+        let ran = combined_loop(rank, config, restored, |rank, step, st| {
             // Planned death check *before* the checkpoint: the victim's
             // sends of this step are already deposited (survivors still
             // match them), and the step it was about to checkpoint is
@@ -824,12 +828,17 @@ fn resilient_child(
             }
             Ok(ControlFlow::Continue(()))
         })?;
-        if let Some((_, [fe, ke, ..], _)) = tail {
+        let Some((st, _)) = ran else {
+            return Ok(());
+        };
+        let energies = [st.field_energy(), st.kinetic_energy()];
+        let sums = rank.allreduce(&world, &energies, ReduceOp::Sum)?;
+        if me == 0 {
             engine.finish_promote(rank);
             let status = StatusMsg {
                 steps_done: config.steps,
-                field_energy: fe,
-                kinetic_energy: ke,
+                field_energy: sums[0],
+                kinetic_energy: sums[1],
                 ckpt_block_s: engine.block.as_secs(),
                 ckpts_taken: engine.taken,
             };

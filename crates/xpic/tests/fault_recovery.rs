@@ -566,3 +566,51 @@ fn a_checkpointed_run_is_run_mode() {
     let bits = [faulted.field_energy, faulted.kinetic_energy].map(f64::to_bits);
     assert_eq!(bits, plain.bits);
 }
+
+#[test]
+fn the_completing_world_ends_on_the_one_reduction_its_report_reads() {
+    // After its last step's aux phase a solver rank of the completing
+    // world drains its checkpoint and reduces the two energies the
+    // supervisor's report carries, in one collective, clean or recovered:
+    // no per-step history, section-time maxes or other sums.
+    let collectives_after_aux = |plan: Option<FaultPlan>| {
+        let l = launcher();
+        let rec = Recorder::new();
+        l.universe().attach_obs(rec.clone());
+        let report = run_resilient(&l, BOOSTERS, &config(1), &scr_for(&l), &recovery(), plan);
+        let trace = rec.snapshot();
+        let solvers = trace.tracks.iter().filter(|t| t.kind == "BN");
+        let last = solvers
+            .clone()
+            .map(|t| t.key.world)
+            .max()
+            .expect("a solver world");
+        let counts: Vec<usize> = solvers
+            .filter(|t| t.key.world == last)
+            .map(|t| {
+                let aux = t.spans.iter().filter(|s| s.name == "aux");
+                let end = aux.map(|s| s.end).max().expect("an aux phase");
+                let collective = |s: &&obs::Span| s.cat == obs::Category::Collective;
+                t.spans
+                    .iter()
+                    .filter(collective)
+                    .filter(|s| s.start >= end)
+                    .count()
+            })
+            .collect();
+        (report, counts, trace.after_checkpoint(LAST))
+    };
+    let (clean, counts, at) = collectives_after_aux(None);
+    assert_eq!(clean.recoveries, 0);
+    assert_eq!(counts, [1; BOOSTERS], "clean run");
+
+    let at = at.expect("the clean run takes two checkpoints");
+    let victim = launcher().system().booster_nodes()[1];
+    let (faulted, counts, _) =
+        collectives_after_aux(Some(FaultPlan::from_node_faults([(at, victim)])));
+    assert!(
+        faulted.recoveries >= 1,
+        "the fault at {at} must interrupt the run"
+    );
+    assert_eq!(counts, [1; BOOSTERS], "recovered run");
+}

@@ -51,7 +51,10 @@ proptest! {
         let mut m = Moments::zeros(&grid);
         deposit(&grid, &species, &mut m);
         fold_ghosts_periodic(&grid, &mut m);
-        let total = m.total_charge(&grid);
+        let total: f64 = (0..grid.ny_local as isize)
+            .flat_map(|j| (0..grid.nx as isize).map(move |i| (i, j)))
+            .map(|(i, j)| m.rho[grid.idx(i, j)])
+            .sum();
         prop_assert!(
             (total - species.total_charge()).abs() < 1e-9 * species.len() as f64,
             "{} vs {}", total, species.total_charge()
