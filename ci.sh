@@ -292,6 +292,9 @@ echo "== host smoke (ring, scheduler and xPic rates, the scheduler's set-up time
 # 10.74, 10.53, 10.81, 11.48, 12.25 M particle pushes/s) / 1.5. The kernels
 # that called f64::floor read 8.1-10.1 M in 15 s runs, above it too: a 1.5x
 # slowdown of the whole workload fails it, a lost floor alone may not.
+# Ten 5 s runs of the blocked mover (10.62, 11.55, 10.17, 14.28, 12.46,
+# 14.75, 14.52, 15.65, 12.78, 14.61 M) give 10.17 / 1.5 = 6.78 M, under
+# 7.0e6, so the floor stays 7.0e6; it only ever rises.
 # A 2x regression of either of the first two fails; benchmark/README.md
 # says how to read the rest.
 # Ceiling: xpic_fig7 host.peak_rss_mb 115, the highest of ten traced 5 s

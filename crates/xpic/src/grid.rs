@@ -203,11 +203,14 @@ impl Stencil {
         }
     }
 
-    /// Bilinear interpolation of one slab array at the stencil's point.
+    /// Bilinear interpolation at the stencil's point of every component of
+    /// a slab of `N`-value cell records: four record loads, then for each
+    /// component `w0·f0 + w1·f1 + w2·f2 + w3·f3`, summed left to right.
     #[inline]
-    pub fn apply(&self, field: &[f64]) -> f64 {
-        let (k, w) = (&self.k, &self.w);
-        w[0] * field[k[0]] + w[1] * field[k[1]] + w[2] * field[k[2]] + w[3] * field[k[3]]
+    pub fn apply<const N: usize>(&self, cells: &[[f64; N]]) -> [f64; N] {
+        let w = &self.w;
+        let [f0, f1, f2, f3] = self.k.map(|k| &cells[k]);
+        std::array::from_fn(|c| w[0] * f0[c] + w[1] * f1[c] + w[2] * f2[c] + w[3] * f3[c])
     }
 }
 

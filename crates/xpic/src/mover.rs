@@ -12,6 +12,19 @@ use crate::grid::{wrap_periodic, Fields, Grid, Stencil};
 use crate::par;
 use crate::particles::Species;
 
+/// Particles the mover carries through each pass together: a block's
+/// fields are gathered, then its velocities pushed, then its positions.
+const BLOCK: usize = 64;
+
+/// The six field components of every cell of a slab, one `[E, B]` record
+/// per cell, so a stencil point's gather is one record load.
+fn interleave(fields: &Fields) -> Vec<[f64; 6]> {
+    let [ex, ey, ez, bx, by, bz] = fields.components();
+    (0..ex.len())
+        .map(|k| [ex[k], ey[k], ez[k], bx[k], by[k], bz[k]])
+        .collect()
+}
+
 /// One contiguous block of a species' structure-of-arrays storage, handed
 /// to a worker thread by [`boris_push_threads`].
 struct PushChunk<'a> {
@@ -22,55 +35,57 @@ struct PushChunk<'a> {
     vz: &'a mut [f64],
 }
 
-/// The per-particle Boris kernel over one chunk. Each particle reads and
-/// writes only its own state (fields are read-only), so any chunking is
-/// bit-exact with the serial loop.
-fn push_chunk(grid: &Grid, fields: &Fields, qom_half_dt: f64, dt: f64, c: PushChunk<'_>) {
+/// The Boris kernel over one chunk, a block of [`BLOCK`] particles at a
+/// time: gather the block's fields from `cells` (see [`interleave`]), run
+/// the velocity update over the block, then move and wrap it. Each
+/// particle reads and writes only its own state (fields are read-only) and
+/// runs the operations of the per-particle loop in its order, so any
+/// chunking or blocking is bit-exact with that loop.
+fn push_chunk(grid: &Grid, cells: &[[f64; 6]], qom_half_dt: f64, dt: f64, c: PushChunk<'_>) {
     let nx = grid.nx as f64;
-    for p in 0..c.x.len() {
-        let lx = c.x[p];
-        let ly = grid.to_local_y(c.y[p]);
-        debug_assert!(
-            (-1.0..=(grid.ny_local as f64 + 1.0)).contains(&ly),
-            "particle outside slab+ghost region: ly={ly}"
-        );
-        let st = Stencil::at(grid, lx, ly);
-        let ex = st.apply(&fields.ex);
-        let ey = st.apply(&fields.ey);
-        let ez = st.apply(&fields.ez);
-        let bx = st.apply(&fields.bx);
-        let by = st.apply(&fields.by);
-        let bz = st.apply(&fields.bz);
-
-        // Half electric acceleration.
-        let mut vx = c.vx[p] + qom_half_dt * ex;
-        let mut vy = c.vy[p] + qom_half_dt * ey;
-        let mut vz = c.vz[p] + qom_half_dt * ez;
-        // Boris rotation.
-        let tx = qom_half_dt * bx;
-        let ty = qom_half_dt * by;
-        let tz = qom_half_dt * bz;
-        let t2 = tx * tx + ty * ty + tz * tz;
-        let sx = 2.0 * tx / (1.0 + t2);
-        let sy = 2.0 * ty / (1.0 + t2);
-        let sz = 2.0 * tz / (1.0 + t2);
-        let px = vx + (vy * tz - vz * ty);
-        let py = vy + (vz * tx - vx * tz);
-        let pz = vz + (vx * ty - vy * tx);
-        vx += py * sz - pz * sy;
-        vy += pz * sx - px * sz;
-        vz += px * sy - py * sx;
-        // Second half electric acceleration.
-        vx += qom_half_dt * ex;
-        vy += qom_half_dt * ey;
-        vz += qom_half_dt * ez;
-
-        c.vx[p] = vx;
-        c.vy[p] = vy;
-        c.vz[p] = vz;
+    let mut gathered = [[0.0; 6]; BLOCK];
+    let blocks = c.x.chunks_mut(BLOCK).zip(c.y.chunks_mut(BLOCK));
+    let blocks = blocks.zip(c.vx.chunks_mut(BLOCK).zip(c.vy.chunks_mut(BLOCK)));
+    for (((xs, ys), (vxs, vys)), vzs) in blocks.zip(c.vz.chunks_mut(BLOCK)) {
+        let eb = &mut gathered[..xs.len()];
+        for ((eb, &x), &y) in eb.iter_mut().zip(&*xs).zip(&*ys) {
+            let ly = grid.to_local_y(y);
+            debug_assert!(
+                (-1.0..=(grid.ny_local as f64 + 1.0)).contains(&ly),
+                "particle outside slab+ghost region: ly={ly}"
+            );
+            *eb = Stencil::at(grid, x, ly).apply(cells);
+        }
+        for (((eb, vx), vy), vz) in eb.iter().zip(&mut *vxs).zip(&mut *vys).zip(&mut *vzs) {
+            let [ex, ey, ez, bx, by, bz] = *eb;
+            // Half electric acceleration.
+            let mut ux = *vx + qom_half_dt * ex;
+            let mut uy = *vy + qom_half_dt * ey;
+            let mut uz = *vz + qom_half_dt * ez;
+            // Boris rotation.
+            let tx = qom_half_dt * bx;
+            let ty = qom_half_dt * by;
+            let tz = qom_half_dt * bz;
+            let t2 = tx * tx + ty * ty + tz * tz;
+            let sx = 2.0 * tx / (1.0 + t2);
+            let sy = 2.0 * ty / (1.0 + t2);
+            let sz = 2.0 * tz / (1.0 + t2);
+            let px = ux + (uy * tz - uz * ty);
+            let py = uy + (uz * tx - ux * tz);
+            let pz = uz + (ux * ty - uy * tx);
+            ux += py * sz - pz * sy;
+            uy += pz * sx - px * sz;
+            uz += px * sy - py * sx;
+            // Second half electric acceleration.
+            *vx = ux + qom_half_dt * ex;
+            *vy = uy + qom_half_dt * ey;
+            *vz = uz + qom_half_dt * ez;
+        }
         // Position update; x wraps periodically, y handled by migration.
-        c.x[p] = wrap_periodic(c.x[p] + vx * dt, nx);
-        c.y[p] += vy * dt;
+        for (((x, y), vx), vy) in xs.iter_mut().zip(ys).zip(&*vxs).zip(&*vys) {
+            *x = wrap_periodic(*x + vx * dt, nx);
+            *y += vy * dt;
+        }
     }
 }
 
@@ -86,11 +101,12 @@ pub fn boris_push(grid: &Grid, fields: &Fields, species: &mut Species, dt: f64) 
         vy: &mut species.vy,
         vz: &mut species.vz,
     };
-    push_chunk(grid, fields, qom_half_dt, dt, chunk);
+    push_chunk(grid, &interleave(fields), qom_half_dt, dt, chunk);
 }
 
 /// [`boris_push`] executed on up to `threads` OS threads (`0` = all
-/// cores). The kernel is element-wise, so the result is bit-identical to
+/// cores), every chunk gathering from one shared interleaved copy of
+/// `fields`. The kernel is element-wise, so the result is bit-identical to
 /// the serial path for every thread count; only wall-clock time changes
 /// (virtual time is charged separately by the caller's cost model).
 pub fn boris_push_threads(
@@ -107,6 +123,7 @@ pub fn boris_push_threads(
         return;
     }
     let qom_half_dt = 0.5 * species.qom * dt;
+    let cells = interleave(fields);
     let ranges = par::chunk_ranges(n, threads.min(par::MAX_CHUNKS));
     let xs = par::split_mut(&mut species.x, &ranges);
     let ys = par::split_mut(&mut species.y, &ranges);
@@ -122,7 +139,7 @@ pub fn boris_push_threads(
         .map(|((((x, y), vx), vy), vz)| PushChunk { x, y, vx, vy, vz })
         .collect();
     par::run_tasks(threads, tasks, |c| {
-        push_chunk(grid, fields, qom_half_dt, dt, c)
+        push_chunk(grid, &cells, qom_half_dt, dt, c)
     });
 }
 
@@ -135,7 +152,8 @@ mod tests {
     /// coordinates: the stencil the mover builds once per particle,
     /// applied to one component.
     fn gather(grid: &Grid, field: &[f64], x: f64, y: f64) -> f64 {
-        Stencil::at(grid, x, y).apply(field)
+        let cells: Vec<[f64; 1]> = field.iter().map(|&v| [v]).collect();
+        Stencil::at(grid, x, y).apply(&cells)[0]
     }
 
     fn uniform_fields(grid: &Grid, f: impl Fn(&mut Fields, usize)) -> Fields {

@@ -12,9 +12,10 @@ use xpic::par;
 use xpic::particles::Species;
 
 /// The mover's field gather: the particle's stencil applied to one
-/// component.
+/// component, as one-value cell records.
 fn gather(grid: &Grid, field: &[f64], x: f64, y: f64) -> f64 {
-    Stencil::at(grid, x, y).apply(field)
+    let cells: Vec<[f64; 1]> = field.iter().map(|&v| [v]).collect();
+    Stencil::at(grid, x, y).apply(&cells)[0]
 }
 
 fn arb_grid() -> impl Strategy<Value = Grid> {
@@ -212,15 +213,17 @@ proptest! {
 // The kernels keep the periodic wrap out of their inner loops: one `Stencil`
 // per particle, whose cell is picked by the integer `floor_index` in place of
 // `f64::floor`, whole-row slices with the x-neighbour wrap at the two edge
-// columns, `wrap_periodic` in place of `f64::rem_euclid`, and at most
-// `threads` partial deposit buffers of one (ρ, J) record per cell. All of
-// that is index arithmetic; the floating-point operations and their order
-// must be those of the plain forms below, which take `f64::floor`, resolve
-// every access through `Grid::idx` and keep one `Moments` buffer per chunk.
-// Every comparison is on bit patterns.
+// columns, `wrap_periodic` in place of `f64::rem_euclid`, a mover that
+// gathers a block of particles from one interleaved record per cell before
+// it pushes the block, and at most `threads` partial deposit buffers of one
+// (ρ, J) record per cell. All of that is index arithmetic and scheduling;
+// the floating-point operations and their order must be those of the plain
+// forms below, which take `f64::floor`, resolve every access through
+// `Grid::idx`, push one particle at a time and keep one `Moments` buffer per
+// chunk. Every comparison is on bit patterns.
 mod reference {
     use xpic::fields::FieldSolver;
-    use xpic::grid::{Fields, Grid, Moments};
+    use xpic::grid::{wrap_periodic, Fields, Grid, Moments};
     use xpic::par;
     use xpic::particles::Species;
 
@@ -239,6 +242,41 @@ mod reference {
             + w10 * field[grid.idx(i0 + 1, j0)]
             + w01 * field[grid.idx(i0, j0 + 1)]
             + w11 * field[grid.idx(i0 + 1, j0 + 1)]
+    }
+
+    /// The mover as a per-particle loop: gather the six components, run
+    /// the Boris update, move and wrap, one particle at a time.
+    pub fn push(grid: &Grid, fields: &Fields, species: &mut Species, dt: f64) {
+        let qom_half_dt = 0.5 * species.qom * dt;
+        let nx = grid.nx as f64;
+        for p in 0..species.len() {
+            let (lx, ly) = (species.x[p], grid.to_local_y(species.y[p]));
+            let [ex, ey, ez, bx, by, bz] = fields.components().map(|f| gather(grid, f, lx, ly));
+            let mut vx = species.vx[p] + qom_half_dt * ex;
+            let mut vy = species.vy[p] + qom_half_dt * ey;
+            let mut vz = species.vz[p] + qom_half_dt * ez;
+            let tx = qom_half_dt * bx;
+            let ty = qom_half_dt * by;
+            let tz = qom_half_dt * bz;
+            let t2 = tx * tx + ty * ty + tz * tz;
+            let sx = 2.0 * tx / (1.0 + t2);
+            let sy = 2.0 * ty / (1.0 + t2);
+            let sz = 2.0 * tz / (1.0 + t2);
+            let px = vx + (vy * tz - vz * ty);
+            let py = vy + (vz * tx - vx * tz);
+            let pz = vz + (vx * ty - vy * tx);
+            vx += py * sz - pz * sy;
+            vy += pz * sx - px * sz;
+            vz += px * sy - py * sx;
+            vx += qom_half_dt * ex;
+            vy += qom_half_dt * ey;
+            vz += qom_half_dt * ez;
+            species.vx[p] = vx;
+            species.vy[p] = vy;
+            species.vz[p] = vz;
+            species.x[p] = wrap_periodic(species.x[p] + vx * dt, nx);
+            species.y[p] += vy * dt;
+        }
     }
 
     pub fn deposit_range(
@@ -393,10 +431,13 @@ fn fill(seed: u64, arrays: &mut [&mut Vec<f64>]) {
 /// exactly on a cell centre (an integer seam of the stencil's floor) and one
 /// ulp either side of it, at the first centre less one ulp (`gx`/`gy` a tiny
 /// negative), and anywhere.
-fn arb_hard_species(grid: Grid, n: usize) -> impl Strategy<Value = Species> {
+fn arb_hard_species(
+    grid: Grid,
+    size: impl Into<prop::collection::SizeRange>,
+) -> impl Strategy<Value = Species> {
     let spot = (0usize..8, 0usize..7, 0.0f64..1.0, 0.0f64..1.0);
     let vel = (-0.4f64..0.4, -0.4f64..0.4, -0.4f64..0.4);
-    prop::collection::vec((spot, vel), 1..n).prop_map(move |ps| {
+    prop::collection::vec((spot, vel), size).prop_map(move |ps| {
         let nx = grid.nx as f64;
         let ny = grid.ny_local as f64;
         let y0 = grid.y0 as f64;
@@ -443,7 +484,7 @@ proptest! {
 
     #[test]
     fn gather_and_deposit_match_the_idx_reference_bit_for_bit(
-        (grid, species) in arb_slab().prop_flat_map(|g| arb_hard_species(g, 48).prop_map(move |s| (g, s))),
+        (grid, species) in arb_slab().prop_flat_map(|g| arb_hard_species(g, 1..48).prop_map(move |s| (g, s))),
         seed in any::<u64>(),
     ) {
         let mut field = vec![0.0; grid.len()];
@@ -514,6 +555,109 @@ proptest! {
     }
 }
 
+/// The first particle whose state differs from `want`'s in any bit: the
+/// array's name, the particle and the two values.
+fn first_mismatch(got: &Species, want: &Species) -> Option<(&'static str, usize, f64, f64)> {
+    fn arrays(s: &Species) -> [(&'static str, &[f64]); 5] {
+        [
+            ("x", &s.x),
+            ("y", &s.y),
+            ("vx", &s.vx),
+            ("vy", &s.vy),
+            ("vz", &s.vz),
+        ]
+    }
+    arrays(got)
+        .into_iter()
+        .zip(arrays(want))
+        .find_map(|((name, g), (_, w))| {
+            assert_eq!(g.len(), w.len(), "{name}");
+            (0..g.len())
+                .find(|&p| g[p].to_bits() != w[p].to_bits())
+                .map(|p| (name, p, g[p], w[p]))
+        })
+}
+
+/// Any slab of a 2-slab decomposition, over the widths `arb_slab` takes.
+fn arb_half_slab() -> impl Strategy<Value = Grid> {
+    (0usize..5, 2usize..9, 0usize..2)
+        .prop_map(|(w, ny, rank)| Grid::slab([1, 2, 3, 8, 17][w], ny, rank, 2))
+}
+
+/// The population's first `n` particles.
+fn first(s: &Species, n: usize) -> Species {
+    Species {
+        x: s.x[..n].to_vec(),
+        y: s.y[..n].to_vec(),
+        vx: s.vx[..n].to_vec(),
+        vy: s.vy[..n].to_vec(),
+        vz: s.vz[..n].to_vec(),
+        ..*s
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn push_matches_the_per_particle_loop_bit_for_bit(
+        (grid, all) in arb_half_slab().prop_flat_map(|g| {
+            arb_hard_species(g, par::MIN_PAR_PARTICLES + 65).prop_map(move |s| (g, s))
+        }),
+        seed in any::<u64>(),
+        dt in 0.01f64..1.5,
+    ) {
+        let mut fields = Fields::zeros(&grid);
+        fill(seed, &mut fields.components_mut());
+        // Around the mover's block of 64 particles, and the whole
+        // population, which takes the threaded path.
+        for n in [0, 1, 63, 64, 65, all.len()] {
+            let start = first(&all, n);
+            let mut want = start.clone();
+            reference::push(&grid, &fields, &mut want, dt);
+            let mut got = start.clone();
+            boris_push(&grid, &fields, &mut got, dt);
+            prop_assert_eq!(first_mismatch(&got, &want), None, "n={}", n);
+            if n == all.len() {
+                for threads in [1usize, 2, 4] {
+                    let mut got = start.clone();
+                    boris_push_threads(&grid, &fields, &mut got, dt, threads);
+                    prop_assert_eq!(
+                        first_mismatch(&got, &want),
+                        None,
+                        "n={} threads={}", n, threads
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pushed_moments_match_the_per_particle_loop_at_the_benchmark_shape() {
+    let grid = Grid::slab(128, 128, 0, 1);
+    let mut fields = Fields::zeros(&grid);
+    fill(0x0F16_0007, &mut fields.components_mut());
+    let start = Species::maxwellian_charged(&grid, 32, 0.05, -1.0, -1.0, 20180521);
+    let mut want = start.clone();
+    reference::push(&grid, &fields, &mut want, 0.1);
+    let mut got = start;
+    boris_push(&grid, &fields, &mut got, 0.1);
+    assert_eq!(first_mismatch(&got, &want), None);
+    let moments = |s: &Species| {
+        let mut m = Moments::zeros(&grid);
+        deposit(&grid, s, &mut m);
+        m
+    };
+    for (a, b) in moments(&got)
+        .components()
+        .into_iter()
+        .zip(moments(&want).components())
+    {
+        assert_eq!(bits(a), bits(b));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -521,7 +665,7 @@ proptest! {
     fn deposit_threads_matches_one_buffer_per_chunk_bit_for_bit(
         seed in any::<u64>(),
         ppc in 300usize..2200,
-        hard in arb_hard_species(Grid::slab(8, 8, 0, 1), 64),
+        hard in arb_hard_species(Grid::slab(8, 8, 0, 1), 1..64),
     ) {
         // 19k–140k particles: 2 to 16 chunks of the fixed grid, so the
         // waves of `threads` buffers end on full and on partial waves.
