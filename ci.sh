@@ -72,7 +72,6 @@ echo "== public functions, fields, constants and variants have a use outside tes
 # struct literal as a use, so it cannot judge a field read: fields stay
 # with this stage.
 surface_keep=$(cat <<'KEEP'
-crates/psmpi/src/universe.rs:outcomes        JobReport's per-rank records, which the full-stack pins read
 crates/sched/src/engine.rs:starts_of         which job started when, the backfill tests' oracle
 crates/core/src/launch.rs:resources          the launcher's resource manager, through which paper_claims checks §II-A
 crates/bench/src/golden.rs:assert_pinned     the one golden check every tier-1 pin calls

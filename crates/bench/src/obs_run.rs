@@ -62,6 +62,9 @@ pub fn obs_artifacts(steps: u32, nodes: usize, threads: usize) -> ObsArtifacts {
         cp.total(),
         cb.makespan()
     );
+    let (busy, unphased) = (cb_prof.total().total(), cb_prof.modules.get("(unphased)"));
+    let unphased = unphased.map_or(hwmodel::SimTime::ZERO, |b| b.total());
+    assert!(unphased < busy * 0.01, "{unphased} of {busy} unphased");
 
     let mut summary = String::new();
     let _ = writeln!(
@@ -203,6 +206,16 @@ mod tests {
         let json = trace.chrome_json();
         for tr in &trace.tracks {
             assert!(json.contains(&format!("\"tid\":{}", tr.key.rank)));
+        }
+    }
+
+    #[test]
+    fn every_busy_second_but_one_percent_is_in_a_phase() {
+        // `obs_artifacts` asserts under 1 %; with the spawn, the initial
+        // moments and the end-of-run reductions in phases, none is left.
+        for nodes in [1, 2] {
+            let art = obs_artifacts(2, nodes, 1);
+            assert!(!art.report.contains("(unphased)"), "{}", art.report);
         }
     }
 

@@ -527,8 +527,6 @@ impl_tuple!(A.0, B.1, C.2);
 pub enum ReduceOp {
     /// Element-wise sum.
     Sum,
-    /// Element-wise maximum.
-    Max,
 }
 
 impl ReduceOp {
@@ -560,10 +558,8 @@ impl ReduceOp {
         if got != n * 8 {
             return Err(CodecError(format!("{got}-byte reduction block, {n} f64s")));
         }
-        match self {
-            ReduceOp::Sum => fold(acc, theirs, acc_first, |a, b| a + b),
-            ReduceOp::Max => fold(acc, theirs, acc_first, f64::max),
-        }
+        let ReduceOp::Sum = self;
+        fold(acc, theirs, acc_first, |a, b| a + b);
         Ok(())
     }
 }
@@ -765,11 +761,10 @@ mod tests {
             acc[0]
         };
         assert_eq!(scalar(ReduceOp::Sum), 5.0);
-        assert_eq!(scalar(ReduceOp::Max), 3.0);
         let mut acc = vec![1.0, 5.0];
-        ReduceOp::Max
+        ReduceOp::Sum
             .fold_wire(&mut acc, &pod_to_bytes(&[2.0f64, 4.0]), true)
             .unwrap();
-        assert_eq!(acc, vec![2.0, 5.0]);
+        assert_eq!(acc, vec![3.0, 9.0]);
     }
 }

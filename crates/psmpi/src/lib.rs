@@ -101,7 +101,7 @@ pub use comm::{Comm, CommId, Communicator, Intercomm};
 pub use datatype::{FixedWidth, MpiDatatype, Raw, ReduceOp};
 pub use envelope::{Envelope, Status, Tag, Wire, TAG_REVOKED};
 pub use pool::{BufferPool, PoolStats, DEFAULT_MAX_POOLED_BUFFERS};
-pub use rank::{MpiRequest, PsmpiError, Rank, RecvIntoRequest, RecvRequest, SendRequest};
+pub use rank::{MpiRequest, OpenSpan, PsmpiError, Rank, RecvIntoRequest, RecvRequest, SendRequest};
 pub use router::RecvAbort;
 
 /// MPI-flavoured alias for [`PsmpiError`]: the typed error surface a dead

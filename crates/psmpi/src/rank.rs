@@ -294,6 +294,17 @@ fn decode_revoke_marker(b: &Bytes) -> Option<(NodeId, SimTime)> {
     Some((NodeId(node), SimTime::from_secs(secs)))
 }
 
+/// A span opened by [`Rank::obs_open`]; close it with [`Rank::obs_close`].
+/// Dropped unclosed, it adds nothing to the phase ledger, and a recorded
+/// span closes at its open time and counts as unclosed.
+#[must_use = "a dropped span closes at its open time; bind it and obs_close it"]
+pub struct OpenSpan {
+    /// The ledger key when the span is a phase.
+    phase: Option<&'static str>,
+    start: SimTime,
+    guard: Option<obs::SpanGuard>,
+}
+
 /// The handle each rank thread owns.
 pub struct Rank {
     router: Arc<Router>,
@@ -341,6 +352,8 @@ pub struct Rank {
     /// universe. All runtime spans/edges are stamped with the virtual
     /// clock, never wall time.
     obs: Option<obs::TrackHandle>,
+    /// The phase ledger, recorder or not: seconds per phase span name.
+    phases: Vec<(&'static str, SimTime)>,
 }
 
 impl Rank {
@@ -398,6 +411,7 @@ impl Rank {
             bytes_sent: 0,
             msgs_sent: 0,
             obs,
+            phases: Vec::new(),
         }
     }
 
@@ -409,13 +423,13 @@ impl Rank {
         self.obs.as_ref()
     }
 
-    /// Open an application span at the current virtual time. Returns
-    /// `None` when no recorder is attached; close with [`Rank::obs_close`].
+    /// Open a span at the current virtual time. [`Rank::obs_close`] closes
+    /// it and adds a [`obs::Category::Phase`] span's duration to this rank's
+    /// phase ledger, recorder or not; a recorder also gets the span.
     ///
-    /// The guard must be bound: dropping it closes the span at its own open
-    /// time and counts it as unclosed. `Option` is not `#[must_use]` by
-    /// itself, so this function is, and the workspace denies
-    /// `unused_must_use`. Binding the guard and a posted request compiles:
+    /// The span must be bound: [`OpenSpan`] is `#[must_use]` and the
+    /// workspace denies `unused_must_use`. Binding the span and a posted
+    /// request compiles:
     ///
     /// ```
     /// #![deny(unused_must_use)]
@@ -430,7 +444,7 @@ impl Rank {
     /// }
     /// ```
     ///
-    /// Discarding the guard does not:
+    /// Discarding the span does not:
     ///
     /// ```compile_fail
     /// #![deny(unused_must_use)]
@@ -453,16 +467,27 @@ impl Rank {
     ///     Ok(())
     /// }
     /// ```
-    #[must_use = "a dropped span guard closes the span at its open time; bind it and obs_close it"]
-    pub fn obs_open(&self, cat: obs::Category, name: &str) -> Option<obs::SpanGuard> {
-        let now = self.clock;
-        self.obs.as_ref().map(|t| t.open_span(cat, name, now))
+    pub fn obs_open(&self, cat: obs::Category, name: &'static str) -> OpenSpan {
+        let start = self.clock;
+        OpenSpan {
+            phase: (cat == obs::Category::Phase).then_some(name),
+            start,
+            guard: self.obs.as_ref().map(|t| t.open_span(cat, name, start)),
+        }
     }
 
     /// Close a span opened with [`Rank::obs_open`] at the current virtual
-    /// time.
-    pub fn obs_close(&self, guard: Option<obs::SpanGuard>) {
-        if let Some(g) = guard {
+    /// time; given `None` (a span that was never opened), do nothing.
+    pub fn obs_close(&mut self, span: impl Into<Option<OpenSpan>>) {
+        let Some(span) = span.into() else { return };
+        if let Some(name) = span.phase {
+            let t = self.clock - span.start;
+            match self.phases.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, sum)) => *sum += t,
+                None => self.phases.push((name, t)),
+            }
+        }
+        if let Some(g) = span.guard {
             g.close(self.clock);
         }
     }
@@ -1198,6 +1223,7 @@ impl Rank {
             clock: self.clock,
             bytes_sent: self.bytes_sent,
             msgs_sent: self.msgs_sent,
+            phases: self.phases,
         }
     }
 }

@@ -414,6 +414,8 @@ pub struct RankOutcome {
     pub bytes_sent: u64,
     /// Total messages this rank sent.
     pub msgs_sent: u64,
+    /// The rank's phase ledger: `(name, seconds)` per phase span name.
+    pub phases: Vec<(&'static str, SimTime)>,
 }
 
 /// Number of lock domains the endpoint table is split into. Power of two

@@ -236,13 +236,12 @@ fn reduce_and_allreduce() {
         } else {
             assert!(r.is_none());
         }
-        let all = rank.allreduce(&w, &mine, ReduceOp::Max).unwrap();
-        assert_eq!(all, vec![5.0, 1.0]);
-        // The minimum, as the negated maximum of the negated values.
+        let all = rank.allreduce(&w, &mine, ReduceOp::Sum).unwrap();
+        assert_eq!(all, vec![15.0, 6.0]);
         let s = rank
-            .allreduce_scalar(&w, -(rank.rank() as f64), ReduceOp::Max)
+            .allreduce_scalar(&w, -(rank.rank() as f64), ReduceOp::Sum)
             .unwrap();
-        assert_eq!(-s, 0.0);
+        assert_eq!(s, -15.0);
     });
 }
 

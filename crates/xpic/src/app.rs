@@ -68,15 +68,15 @@ pub struct XpicReport {
     pub mode: Mode,
     /// Steps simulated.
     pub steps: u32,
-    /// Steady-state virtual loop time: the span from the end of the first
-    /// step to the end of the last, max over all ranks of all worlds,
-    /// rescaled by `steps / (steps − 1)` to stand for every step. The
-    /// one-off start-up (C+B's spawn, the initial moments) is excluded.
-    /// The job makespan stands in only when that span is zero (one step).
+    /// Steady-state virtual loop time: the slowest rank's `steady` phase
+    /// (end of the first step to end of the last), rescaled by
+    /// `steps / (steps − 1)` to stand for every step. The one-off start-up
+    /// (C+B's spawn, the initial moments) is excluded. The job makespan
+    /// stands in only when that span is zero (one step).
     pub total: SimTime,
-    /// Field-solver section time (max over ranks).
+    /// Field-solver section time: the slowest rank's `field` phase.
     pub field_time: SimTime,
-    /// Particle-solver section time (max over ranks).
+    /// Particle-solver section time: the slowest rank's `particle` phase.
     pub particle_time: SimTime,
     /// Modelled inter-solver coupling transfer time over the whole run
     /// (C+B mode; zero otherwise).
@@ -105,28 +105,19 @@ impl XpicReport {
     }
 }
 
+/// The phases `run_mode` reads from the ranks' ledgers: Fig. 7's two
+/// solver sections and the steady window `total` measures.
+const FIELD: &str = "field";
+const PARTICLE: &str = "particle";
+const STEADY: &str = "steady";
+
 #[derive(Default)]
 struct Acc {
     history: Vec<f64>,
-    field_time: SimTime,
-    particle_time: SimTime,
-    /// Steady-state loop time (first step excluded, rescaled), max over
-    /// all ranks of all worlds — excludes the one-off spawn latency so the
-    /// three modes are compared on their per-step behaviour as in Fig. 7.
-    loop_time: SimTime,
     fe: f64,
     ke: f64,
     charge: f64,
     cg: u64,
-}
-
-/// Scale a measured span over `steps − 1` steady steps to `steps`.
-fn steady_total(span: SimTime, steps: u32) -> SimTime {
-    if steps <= 1 {
-        span
-    } else {
-        span * (steps as f64 / (steps as f64 - 1.0))
-    }
 }
 
 /// Per-rank state of one slab's simulation, and the solver world the slab
@@ -139,6 +130,10 @@ pub(crate) struct SlabState {
     pub(crate) species: Vec<Species>,
     pub(crate) fields: Fields,
     moments: Moments,
+    /// This slab's field energy after each step (the field solver's).
+    history: Vec<f64>,
+    /// Real CG iterations of this slab's calculateE calls.
+    cg: u64,
 }
 
 impl SlabState {
@@ -166,22 +161,27 @@ impl SlabState {
             species: Vec::new(),
             fields: Fields::zeros(&grid),
             moments: Moments::zeros(&grid),
+            history: Vec::with_capacity(config.steps as usize),
+            cg: 0,
         }
     }
 
     /// Initial moment gathering (every species' deposit, then the
     /// halo-add) so the first calculateE sees ρ,J.
     fn initial_moments(&mut self, rank: &mut Rank, config: &XpicConfig) -> Result<(), PsmpiError> {
+        let phase = rank.obs_open(obs::Category::Phase, "initial-moments");
         for species in &self.species {
             deposit_threads(&self.grid, species, &mut self.moments, config.threads);
             rank.compute(&config.work_moments());
         }
-        halo_add_moments(rank, &self.world, &self.grid, &mut self.moments, config)
+        halo_add_moments(rank, &self.world, &self.grid, &mut self.moments, config)?;
+        rank.obs_close(phase);
+        Ok(())
     }
 
     /// Field phase: calculateE with model-scale cost and padded
-    /// collectives, then cpyToArr_F; returns real CG iterations.
-    fn field_solve_e(&mut self, rank: &mut Rank, config: &XpicConfig) -> Result<u64, PsmpiError> {
+    /// collectives, then cpyToArr_F; counts its real CG iterations.
+    fn field_solve_e(&mut self, rank: &mut Rank, config: &XpicConfig) -> Result<(), PsmpiError> {
         let phase = rank.obs_open(obs::Category::Phase, "field-solve");
         let mut fc = MpiFieldComm::new(rank, self.world.clone(), config);
         let iters = self
@@ -199,12 +199,15 @@ impl SlabState {
         }
         rank.obs_close(phase);
         rank.compute(&config.work_cpy()); // cpyToArr_F
-        Ok(u64::from(iters))
+        self.cg += u64::from(iters);
+        Ok(())
     }
 
     /// Field phase: calculateB (the Faraday update, which reads fields
-    /// only) and cpyFromArr_M.
+    /// only) and cpyFromArr_M, a `field` section of its own in every
+    /// Listing; then the step's field energy goes on the slab's history.
     fn field_solve_b(&mut self, rank: &mut Rank, config: &XpicConfig) -> Result<(), PsmpiError> {
+        let section = rank.obs_open(obs::Category::Phase, FIELD);
         let phase = rank.obs_open(obs::Category::Phase, "field-solve");
         let mut fc = MpiFieldComm::new(rank, self.world.clone(), config);
         self.solver.calculate_b(&mut self.fields, &mut fc);
@@ -212,6 +215,8 @@ impl SlabState {
         rank.compute(&config.work_curl());
         rank.compute(&config.work_cpy());
         rank.obs_close(phase);
+        rank.obs_close(section);
+        self.history.push(self.field_energy());
         Ok(())
     }
 
@@ -283,14 +288,6 @@ impl SlabState {
     }
 }
 
-/// Run `f` on `rank` and add the virtual time it took to `acc`.
-fn timed<T>(rank: &mut Rank, acc: &mut SimTime, f: impl FnOnce(&mut Rank) -> T) -> T {
-    let t0 = rank.now();
-    let out = f(rank);
-    *acc += rank.now() - t0;
-    out
-}
-
 /// Auxiliary computations + output (overlapped in C+B mode).
 fn aux_phase(rank: &mut Rank, config: &XpicConfig, elems: u64) {
     let phase = rank.obs_open(obs::Category::Phase, "aux");
@@ -329,41 +326,27 @@ fn send_interface(
     Ok(())
 }
 
-/// What [`reduce_tail`] hands world rank 0: history, sums and maxes.
-type Tail<const S: usize, const M: usize> = (Vec<f64>, [f64; S], [SimTime; M]);
+/// What [`reduce_tail`] hands world rank 0: history and sums.
+type Tail<const S: usize> = (Vec<f64>, [f64; S]);
 
-/// The end-of-run reductions of one world, in the order every world issues
-/// them: the per-step field-energy `history` (if the world keeps one) and
-/// `sums` summed, then `maxes` maxed. Returns `(history, sums, maxes)` on
-/// world rank 0, the rank that records them; `history` is empty when none
-/// was given.
-fn reduce_tail<const S: usize, const M: usize>(
+/// The end-of-run reductions of one world, in a `reduce` phase and in the
+/// order every world issues them: the per-step field-energy `history` (if
+/// any), then `sums`, both summed. Returns `(history, sums)` on world rank
+/// 0, the rank that records them; `history` is empty when none was given.
+fn reduce_tail<const S: usize>(
     rank: &mut Rank,
     world: &Communicator,
     history: Option<&[f64]>,
     sums: [f64; S],
-    maxes: [SimTime; M],
-) -> Result<Option<Tail<S, M>>, PsmpiError> {
-    let mut reduce = |v: &[f64], op| rank.allreduce(world, v, op);
-    let history = history.map(|h| reduce(h, ReduceOp::Sum)).transpose()?;
-    let sums = reduce(&sums, ReduceOp::Sum)?;
-    let maxes = reduce(&maxes.map(SimTime::as_secs), ReduceOp::Max)?;
+) -> Result<Option<Tail<S>>, PsmpiError> {
+    let phase = rank.obs_open(obs::Category::Phase, "reduce");
+    let history = history
+        .map(|h| rank.allreduce(world, h, ReduceOp::Sum))
+        .transpose()?;
+    let sums = rank.allreduce(world, &sums, ReduceOp::Sum)?;
+    rank.obs_close(phase);
     let sums = sums.try_into().expect("one sum per operand");
-    let maxes: [f64; M] = maxes.try_into().expect("one max per operand");
-    let history = history.unwrap_or_default();
-    Ok((rank.rank() == 0).then(|| (history, sums, maxes.map(SimTime::from_secs))))
-}
-
-/// One rank's statistics of [`combined_loop`], not yet reduced.
-#[derive(Default)]
-pub(crate) struct LoopStats {
-    field_time: SimTime,
-    particle_time: SimTime,
-    /// The clock at the end of step 0 (zero when the loop resumed past it).
-    steady_mark: SimTime,
-    /// This slab's field energy after each step.
-    history: Vec<f64>,
-    cg: u64,
+    Ok((rank.rank() == 0).then(|| (history.unwrap_or_default(), sums)))
 }
 
 /// The combined main loop of Listing 1 on one module (Cluster-only,
@@ -371,77 +354,74 @@ pub(crate) struct LoopStats {
 /// calculateE, where the carried state is exactly `(species, fields)`:
 /// `particle_phase` clears the moments before it deposits. `boundary` gets
 /// the steps done at each cut and may `Break` the loop (then `None`); a
-/// `restored` state starts at its cut. Returns the rank's final slab and
-/// its [`LoopStats`]; each caller reduces what it reads.
+/// `restored` state starts at its cut. Returns the rank's final slab; each
+/// caller reduces what it reads. The solvers' work runs in `field` and
+/// `particle` phases, and the steps after the first in a `steady` one.
 pub(crate) fn combined_loop(
     rank: &mut Rank,
     config: &XpicConfig,
     restored: Option<(u32, (Vec<Species>, Fields))>,
     mut boundary: impl FnMut(&mut Rank, u32, &SlabState) -> Result<ControlFlow<()>, PsmpiError>,
-) -> Result<Option<(SlabState, LoopStats)>, PsmpiError> {
+) -> Result<Option<SlabState>, PsmpiError> {
     let (first, state) = restored.unzip();
     let mut st = SlabState::new(config, rank, state);
-
-    let mut stats = LoopStats {
-        history: Vec::with_capacity(config.steps as usize),
-        ..LoopStats::default()
-    };
     if first.is_none() {
         st.initial_moments(rank, config)?;
         if config.steps > 0 {
             // fld.solver->calculateE(); fld.cpyToArr_F();
-            stats.cg += timed(rank, &mut stats.field_time, |r| st.field_solve_e(r, config))?;
+            let phase = rank.obs_open(obs::Category::Phase, FIELD);
+            st.field_solve_e(rank, config)?;
+            rank.obs_close(phase);
         }
     }
+    let mut steady = None;
     for step in first.unwrap_or(0)..config.steps {
         // pcl: cpyFromArr_F; ParticlesMove; ParticleMoments; cpyToArr_M.
-        timed(rank, &mut stats.particle_time, |r| {
-            st.particle_phase(r, config)?;
-            st.migrate_all(r, config)
-        })?;
+        let phase = rank.obs_open(obs::Category::Phase, PARTICLE);
+        st.particle_phase(rank, config)?;
+        st.migrate_all(rank, config)?;
+        rank.obs_close(phase);
 
         // fld.solver->calculateB(); fld.cpyFromArr_M();
-        timed(rank, &mut stats.field_time, |r| st.field_solve_b(r, config))?;
+        st.field_solve_b(rank, config)?;
 
-        // Auxiliary computations + output (serial in the combined mode):
-        // the per-step field-energy diagnostic is the real aux work.
-        stats.history.push(st.field_energy());
+        // Auxiliary computations + output (serial in the combined mode).
         aux_phase(rank, config, config.model.cells_per_node);
         if step == 0 {
-            stats.steady_mark = rank.now();
+            steady = Some(rank.obs_open(obs::Category::Phase, STEADY));
         }
 
         // The next step's fld.solver->calculateE(); fld.cpyToArr_F();
         if step + 1 < config.steps {
-            stats.cg += timed(rank, &mut stats.field_time, |r| st.field_solve_e(r, config))?;
+            let phase = rank.obs_open(obs::Category::Phase, FIELD);
+            st.field_solve_e(rank, config)?;
+            rank.obs_close(phase);
         }
         if boundary(rank, step + 1, &st)?.is_break() {
+            rank.obs_close(steady);
             return Ok(None);
         }
     }
-    Ok(Some((st, stats)))
+    rank.obs_close(steady);
+    Ok(Some(st))
 }
 
 /// Cluster-only or Booster-only mode: Listing 1's loop with nothing at
-/// its boundaries, its history, sums `[fe, ke, charge, cg]` and maxes
-/// `[field, particle, loop]` reduced and recorded into `acc`.
+/// its boundaries, its history and sums `[fe, ke, charge, cg]` reduced and
+/// recorded into `acc`.
 fn run_combined(
     rank: &mut Rank,
     config: &XpicConfig,
     acc: &Arc<Mutex<Acc, 100>>,
 ) -> Result<(), PsmpiError> {
     let ran = combined_loop(rank, config, None, |_, _, _| Ok(ControlFlow::Continue(())))?;
-    let (st, stats) = ran.expect("nothing breaks the loop");
-    let loop_time = steady_total(rank.now() - stats.steady_mark, config.steps);
+    let st = ran.expect("nothing breaks the loop");
     let (fe, ke, charge) = (st.field_energy(), st.kinetic_energy(), st.total_charge());
-    let sums = [fe, ke, charge, stats.cg as f64];
-    let maxes = [stats.field_time, stats.particle_time, loop_time];
-    let tail = reduce_tail(rank, &st.world, Some(&stats.history), sums, maxes)?;
-    if let Some((history, [fe, ke, charge, cg], [field, particle, looped])) = tail {
+    let sums = [fe, ke, charge, st.cg as f64];
+    let tail = reduce_tail(rank, &st.world, Some(&st.history), sums)?;
+    if let Some((history, [fe, ke, charge, cg])) = tail {
         let mut a = acc.lock();
         (a.fe, a.ke, a.charge, a.cg, a.history) = (fe, ke, charge, cg as u64, history);
-        (a.field_time, a.particle_time) = (field, particle);
-        a.loop_time = a.loop_time.max(looped);
     }
     Ok(())
 }
@@ -459,6 +439,7 @@ fn run_booster_side(
     // Spawn the field solver onto the Cluster (Fig. 4).
     let config_c = Arc::new(config.clone());
     let acc_c = acc.clone();
+    let phase = rank.obs_open(obs::Category::Phase, "spawn");
     let ic: Intercomm = rank.spawn(
         &st.world,
         cluster_nodes,
@@ -466,14 +447,14 @@ fn run_booster_side(
             run_cluster_side(child, &config_c, &acc_c).expect("xpic field solver rank");
         }),
     )?;
+    rank.obs_close(phase);
 
     // Initial moments → Cluster.
     st.initial_moments(rank, config)?;
     let rhoj = st.moments.pack_owned(&st.grid);
     send_interface(rank, &ic, tags::RHOJ, &rhoj, config.wire_moments())?;
 
-    let mut particle_time = SimTime::ZERO;
-    let mut steady_mark = SimTime::ZERO;
+    let mut steady = None;
     // Overlap: the next step's E,B receive is posted as soon as this
     // step's moments are away, so the wait at the loop top only covers
     // whatever transfer time the aux + migration below did not hide.
@@ -498,24 +479,23 @@ fn run_booster_side(
         rank.obs_close(phase);
 
         // pcl.cpyFromArr_F; ParticlesMove; ParticleMoments; cpyToArr_M.
+        let phase = rank.obs_open(obs::Category::Phase, PARTICLE);
+        st.particle_phase(rank, config)?;
         if config.overlap {
             // BoosterToCluster(); — post ρ,J (nonblocking) and the next
             // E,B receive, then do the I/O, auxiliary computations and
             // the particle migration while the Cluster solves the fields
             // (Listing 3's structure). The deferred send charge is
             // collected after the migration.
-            let rhoj_send = timed(rank, &mut particle_time, |r| {
-                st.particle_phase(r, config)?;
-                let phase = r.obs_open(obs::Category::Phase, "interface");
-                let rhoj = pack_interface(r, &st.moments.pack_owned(&st.grid));
-                let rhoj = Wire::modelled(rhoj, config.wire_moments());
-                let rhoj_send = r.isend_bytes_comm(&ic, me, tags::RHOJ, rhoj)?;
-                if step + 1 < config.steps {
-                    next_eb = Some(r.irecv_bytes_comm(&ic, Some(me), Some(tags::EB))?);
-                }
-                r.obs_close(phase);
-                Ok::<_, PsmpiError>(rhoj_send)
-            })?;
+            let iface = rank.obs_open(obs::Category::Phase, "interface");
+            let rhoj = pack_interface(rank, &st.moments.pack_owned(&st.grid));
+            let rhoj = Wire::modelled(rhoj, config.wire_moments());
+            let rhoj_send = rank.isend_bytes_comm(&ic, me, tags::RHOJ, rhoj)?;
+            if step + 1 < config.steps {
+                next_eb = Some(rank.irecv_bytes_comm(&ic, Some(me), Some(tags::EB))?);
+            }
+            rank.obs_close(iface);
+            rank.obs_close(phase);
             aux_phase(rank, config, config.model.particles_per_node() / 100);
             st.migrate_all(rank, config)?;
             let phase = rank.obs_open(obs::Category::Phase, "interface");
@@ -523,26 +503,22 @@ fn run_booster_side(
             rank.obs_close(phase);
         } else {
             // Ablation: everything before the send → fully serialized.
-            timed(rank, &mut particle_time, |r| {
-                st.particle_phase(r, config)?;
-                aux_phase(r, config, config.model.particles_per_node() / 100);
-                st.migrate_all(r, config)?;
-                let rhoj = st.moments.pack_owned(&st.grid);
-                send_interface(r, &ic, tags::RHOJ, &rhoj, config.wire_moments())
-            })?;
+            aux_phase(rank, config, config.model.particles_per_node() / 100);
+            st.migrate_all(rank, config)?;
+            let rhoj = st.moments.pack_owned(&st.grid);
+            send_interface(rank, &ic, tags::RHOJ, &rhoj, config.wire_moments())?;
+            rank.obs_close(phase);
         }
         if step == 0 {
-            steady_mark = rank.now();
+            steady = Some(rank.obs_open(obs::Category::Phase, STEADY));
         }
     }
-    let loop_time = steady_total(rank.now() - steady_mark, config.steps);
+    rank.obs_close(steady);
 
     let sums = [st.kinetic_energy(), st.total_charge()];
-    let tail = reduce_tail(rank, &st.world, None, sums, [particle_time, loop_time])?;
-    if let Some((_, [ke, charge], [particle, looped])) = tail {
+    if let Some((_, [ke, charge])) = reduce_tail(rank, &st.world, None, sums)? {
         let mut a = acc.lock();
-        (a.ke, a.charge, a.particle_time) = (ke, charge, particle);
-        a.loop_time = a.loop_time.max(looped);
+        (a.ke, a.charge) = (ke, charge);
     }
     Ok(())
 }
@@ -566,12 +542,11 @@ fn run_cluster_side(
     st.moments.unpack_owned(&st.grid, &rhoj);
     rank.obs_close(phase);
 
-    let mut field_time = SimTime::ZERO;
-    let mut cg_total: u64 = 0;
-    let mut steady_mark = SimTime::ZERO;
-    let mut history: Vec<f64> = Vec::with_capacity(config.steps as usize);
+    let mut steady = None;
     for step in 0..config.steps {
         // fld.solver->calculateE(); fld.cpyToArr_F();
+        let phase = rank.obs_open(obs::Category::Phase, FIELD);
+        st.field_solve_e(rank, config)?;
         if config.overlap {
             // ClusterToBooster(); — post E,B (nonblocking) and the ρ,J
             // receive right away, then let the auxiliary computations AND
@@ -579,22 +554,18 @@ fn run_cluster_side(
             // consumed only by the next step's calculateE, so the wait
             // can sit after the whole back half of the step (Listing 2's
             // structure, pushed as far as the data flow allows).
-            let (eb_send, rhoj_req) = timed(rank, &mut field_time, |r| {
-                cg_total += st.field_solve_e(r, config)?;
-                let phase = r.obs_open(obs::Category::Phase, "interface");
-                let eb = pack_interface(r, &st.fields.pack_owned(&st.grid));
-                let eb = Wire::modelled(eb, config.wire_fields());
-                let eb_send = r.isend_bytes_comm(&ic, me, tags::EB, eb)?;
-                let rhoj_req = r.irecv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))?;
-                r.obs_close(phase);
-                Ok::<_, PsmpiError>((eb_send, rhoj_req))
-            })?;
+            let iface = rank.obs_open(obs::Category::Phase, "interface");
+            let eb = pack_interface(rank, &st.fields.pack_owned(&st.grid));
+            let eb = Wire::modelled(eb, config.wire_fields());
+            let eb_send = rank.isend_bytes_comm(&ic, me, tags::EB, eb)?;
+            let rhoj_req = rank.irecv_bytes_comm(&ic, Some(me), Some(tags::RHOJ))?;
+            rank.obs_close(iface);
+            rank.obs_close(phase);
             aux_phase(rank, config, config.model.cells_per_node);
 
             // calculateB(); cpyFromArr_M(); — reads fields only, so it
             // legally overlaps the in-flight ρ,J.
-            timed(rank, &mut field_time, |r| st.field_solve_b(r, config))?;
-            history.push(st.field_energy());
+            st.field_solve_b(rank, config)?;
 
             // BoosterWait(); — collect the deferred send charge and the
             // moments, just in time for the next calculateE.
@@ -607,12 +578,10 @@ fn run_cluster_side(
         } else {
             // Ablation: auxiliary work delays the send, and every
             // transfer is waited where it is issued.
-            timed(rank, &mut field_time, |r| {
-                cg_total += st.field_solve_e(r, config)?;
-                aux_phase(r, config, config.model.cells_per_node);
-                let eb = st.fields.pack_owned(&st.grid);
-                send_interface(r, &ic, tags::EB, &eb, config.wire_fields())
-            })?;
+            aux_phase(rank, config, config.model.cells_per_node);
+            let eb = st.fields.pack_owned(&st.grid);
+            send_interface(rank, &ic, tags::EB, &eb, config.wire_fields())?;
+            rank.obs_close(phase);
 
             // BoosterToCluster(); BoosterWait(); — receive ρ,J.
             let phase = rank.obs_open(obs::Category::Phase, "interface");
@@ -622,24 +591,18 @@ fn run_cluster_side(
             rank.obs_close(phase);
 
             // calculateB(); cpyFromArr_M();
-            timed(rank, &mut field_time, |r| st.field_solve_b(r, config))?;
-            history.push(st.field_energy());
+            st.field_solve_b(rank, config)?;
         }
         if step == 0 {
-            steady_mark = rank.now();
+            steady = Some(rank.obs_open(obs::Category::Phase, STEADY));
         }
     }
-    let loop_time = steady_total(rank.now() - steady_mark, config.steps);
+    rank.obs_close(steady);
 
-    let (sums, maxes) = (
-        [st.field_energy(), cg_total as f64],
-        [field_time, loop_time],
-    );
-    let tail = reduce_tail(rank, &st.world, Some(&history), sums, maxes)?;
-    if let Some((history, [fe, cg], [field, looped])) = tail {
+    let sums = [st.field_energy(), st.cg as f64];
+    if let Some((history, [fe, cg])) = reduce_tail(rank, &st.world, Some(&st.history), sums)? {
         let mut a = acc.lock();
-        (a.fe, a.cg, a.field_time, a.history) = (fe, cg as u64, field, history);
-        a.loop_time = a.loop_time.max(looped);
+        (a.fe, a.cg, a.history) = (fe, cg as u64, history);
     }
     Ok(())
 }
@@ -675,6 +638,20 @@ pub fn run_mode(
         })
         .expect("xpic launch");
 
+    // The slowest rank's phases; `steps − 1` steady steps stand for `steps`.
+    let slowest = |name| {
+        let ledgers = report.outcomes().iter().flat_map(|o| &o.phases);
+        let phase = ledgers.filter(|(n, _)| *n == name).map(|&(_, t)| t);
+        phase.max().unwrap_or(SimTime::ZERO)
+    };
+    let steady = slowest(STEADY);
+    let total = if steady.is_zero() {
+        report.makespan()
+    } else {
+        let steps = config.steps as f64;
+        steady * (steps / (steps - 1.0))
+    };
+
     // Modelled coupling transfer volume (C+B only): one E,B + one ρ,J
     // message per pair per step.
     let coupling_comm = if mode == Mode::ClusterBooster {
@@ -688,17 +665,12 @@ pub fn run_mode(
     };
 
     let a = acc.lock();
-    let total = if a.loop_time.is_zero() {
-        report.makespan()
-    } else {
-        a.loop_time
-    };
     XpicReport {
         mode,
         steps: config.steps,
         total,
-        field_time: a.field_time,
-        particle_time: a.particle_time,
+        field_time: slowest(FIELD),
+        particle_time: slowest(PARTICLE),
         coupling_comm,
         field_energy: a.fe,
         kinetic_energy: a.ke,

@@ -828,7 +828,7 @@ fn resilient_child(
             }
             Ok(ControlFlow::Continue(()))
         })?;
-        let Some((st, _)) = ran else {
+        let Some(st) = ran else {
             return Ok(());
         };
         let energies = [st.field_energy(), st.kinetic_energy()];

@@ -317,6 +317,68 @@ fn xpic_physics_bits_are_pinned_across_commits() {
 }
 
 #[test]
+fn xpic_report_is_a_query_over_its_phase_spans() {
+    // `run_mode` keeps no clock of its own: its section times are the
+    // ranks' `field` and `particle` phases and its total the `steady`
+    // one. A recorder sees the same spans, so the report must equal, to
+    // the bit, the slowest track's summed span durations (spans of one
+    // name never overlap, so start order is closing order).
+    use obs::{Category, Recorder, Trace};
+    use xpic::{run_mode, Mode, XpicConfig};
+
+    fn slowest(trace: &Trace, name: &str) -> SimTime {
+        let per_track = trace.tracks.iter().map(|t| {
+            let spans = t.spans.iter();
+            let mine = spans.filter(|s| s.cat == Category::Phase && s.name == name);
+            mine.fold(SimTime::ZERO, |sum, s| sum + (s.end - s.start))
+        });
+        per_track.max().unwrap_or(SimTime::ZERO)
+    }
+
+    let placements = [
+        (Mode::ClusterOnly, true),
+        (Mode::BoosterOnly, true),
+        (Mode::ClusterBooster, true),
+        (Mode::ClusterBooster, false),
+    ];
+    for nodes in [1, 2] {
+        for (mode, overlap) in placements {
+            let cfg = XpicConfig {
+                steps: 4,
+                threads: 1,
+                overlap,
+                ..XpicConfig::test_small()
+            };
+            let launcher = Launcher::new(deep_er_prototype());
+            let rec = Recorder::new();
+            launcher.universe().attach_obs(rec.clone());
+            let r = run_mode(&launcher, mode, nodes, &cfg);
+            let trace = rec.snapshot();
+            let run = format!("{} overlap={overlap} nodes={nodes}", mode.label());
+            let field = slowest(&trace, "field");
+            let particle = slowest(&trace, "particle");
+            assert!(field > SimTime::ZERO && particle > SimTime::ZERO, "{run}");
+            assert_eq!(
+                r.field_time.as_secs().to_bits(),
+                field.as_secs().to_bits(),
+                "{run}"
+            );
+            assert_eq!(
+                r.particle_time.as_secs().to_bits(),
+                particle.as_secs().to_bits(),
+                "{run}"
+            );
+            let steady = slowest(&trace, "steady") * (4.0 / 3.0);
+            assert_eq!(
+                r.total.as_secs().to_bits(),
+                steady.as_secs().to_bits(),
+                "{run}"
+            );
+        }
+    }
+}
+
+#[test]
 fn checkpoint_virtual_times_are_pinned_across_commits() {
     // The equivalence matrix (below) prints nine decimals; a checkpoint
     // cost that moved by one ulp (say, charged as local + drain instead of
