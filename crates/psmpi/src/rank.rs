@@ -172,11 +172,15 @@ impl MpiRequest for RecvRequest {
         rank.complete_recv(self, Face::Request)
     }
 
-    /// A queued match, or either abort condition
-    /// [`Mailbox::recv_match_abortable`] gives up on. Only this rank
-    /// consumes from its mailbox and death declarations are not withdrawn
-    /// while ranks run, so a `true` here cannot turn into a blocking wait.
+    /// This rank's own death by the plan, a queued match, or either
+    /// abort condition [`Mailbox::recv_match_abortable`] gives up on. Only
+    /// this rank consumes from its mailbox and death declarations are not
+    /// withdrawn while ranks run, so a `true` here cannot turn into a
+    /// blocking wait.
     fn ready(&self, rank: &mut Rank) -> bool {
+        if rank.alive().is_err() {
+            return true;
+        }
         let queued = |src, tag| {
             rank.own
                 .mailbox()
@@ -185,9 +189,10 @@ impl MpiRequest for RecvRequest {
         };
         queued(self.src, self.tag)
             || self.src.is_some_and(|s| queued(Some(s), Some(TAG_REVOKED)))
-            || rank
-                .awaited_node(self.src_ep)
-                .is_some_and(|n| rank.router.dead_time_of(n).is_some())
+            || self.src_ep.is_some_and(|ep| {
+                cached_entry(&mut rank.entries, &rank.router, ep)
+                    .is_ok_and(|e| rank.router.declared_death(e).is_some())
+            })
     }
 }
 
@@ -332,9 +337,12 @@ pub struct Rank {
     comm_ranks: BTreeMap<CommId, usize>,
     /// The fault schedule, resolved once at construction (plans are
     /// installed before rank threads launch and immutable afterwards —
-    /// see [`simnet::Fabric::set_fault_plan`]). `None` makes the sender's
-    /// dead-destination check a single branch.
+    /// see [`simnet::Fabric::set_fault_plan`]). `None` makes both plan
+    /// checks, the sender's on its destination and every operation's on
+    /// this rank's own node, a single branch.
     fault_plan: Option<Arc<simnet::FaultPlan>>,
+    /// Whether this rank has declared its node down (it does so once).
+    down: bool,
     node_id: NodeId,
     node: Arc<NodeSpec>,
     world: Communicator,
@@ -399,6 +407,7 @@ impl Rank {
             slot,
             comm_ranks: BTreeMap::new(),
             fault_plan,
+            down: false,
             node_id,
             node,
             world,
@@ -868,8 +877,9 @@ impl Rank {
     /// checkpoint frame serializes only the frame bytes while the region
     /// holds the reconstructed blob.
     ///
-    /// The device has no host node, so no node-death check applies;
-    /// an unknown `nam_index` surfaces as [`PsmpiError::Nam`] with a
+    /// The device has no host node, so only the initiator's own death is
+    /// checked: a dead initiator writes nothing and gets `NodeFailed`. An
+    /// unknown `nam_index` surfaces as [`PsmpiError::Nam`] with a
     /// stale-region error. The one routing failure — this rank's own node
     /// missing from the fabric topology — is reported as
     /// [`PsmpiError::NoRoute`] with `src == dst ==` that node.
@@ -881,6 +891,7 @@ impl Rank {
         data: &[u8],
         virtual_size: Option<usize>,
     ) -> Result<SendRequest, PsmpiError> {
+        self.alive()?;
         let post = self.clock;
         let fabric = self.router.fabric().clone();
         let nam = fabric
@@ -954,21 +965,19 @@ impl Rank {
         res
     }
 
-    /// Account one injected message of `size` modelled wire bytes.
+    /// Account one injected message of `size` modelled wire bytes (a
+    /// traced rank's counters are written from these totals at exit).
     fn count_sent(&mut self, size: usize) {
         self.bytes_sent += size as u64;
         self.msgs_sent += 1;
-        if let Some(track) = &self.obs {
-            track.add("bytes_sent", size as u64);
-            track.add("msgs_sent", 1);
-        }
     }
 
     /// Post a send to a resolved address — the one place a point-to-point
     /// envelope is built. Deposits the envelope stamped with the current
-    /// clock and hands back the deferred charge. A usage error
-    /// (`InvalidRank`, `NotInCommunicator`) arrives as `addr` and is
-    /// returned here; a destination that is unknown, or dead by the static
+    /// clock and hands back the deferred charge. A sender dead by the plan
+    /// ([`Rank::alive`]) and a usage error (`InvalidRank`,
+    /// `NotInCommunicator`, arriving as `addr`) are returned here; a
+    /// destination that is unknown, or dead by the static
     /// fault plan as of the post clock, is parked on the request at the
     /// post clock and surfaces at completion. Either way the payload never
     /// reached an envelope and is retired (a no-op if anyone else still
@@ -995,7 +1004,7 @@ impl Rank {
             virtual_size,
         } = wire;
         let post = self.clock;
-        let routed = match addr {
+        let routed = match self.alive().and(addr) {
             Err(err) => Err((false, err)),
             Ok(addr) if addr.dst == self.endpoint => Ok((addr, self.own.mailbox())),
             Ok(addr) => match cached_entry(&mut self.entries, &self.router, addr.dst) {
@@ -1050,28 +1059,22 @@ impl Rank {
         })
     }
 
-    /// Node of the sender a receive waits on, if it named one. An unknown
-    /// endpoint maps to "nothing to watch".
-    fn awaited_node(&mut self, src_ep: Option<EndpointId>) -> Option<NodeId> {
-        let ep = src_ep?;
-        cached_entry(&mut self.entries, &self.router, ep)
-            .ok()
-            .map(|e| e.node())
-    }
-
     /// Block in this rank's mailbox through `wait`, which gives up once
     /// the sender at `src_ep` is known never to deliver; that surfaces as
-    /// [`PsmpiError::NodeFailed`] naming the victim. The sender's node is
-    /// resolved up front so `dead` only consults the lock-free `any_dead`
-    /// screen, never the endpoint table.
+    /// [`PsmpiError::NodeFailed`] naming the victim. A rank dead by the
+    /// plan ([`Rank::alive`]) does not wait at all. The sender's entry is
+    /// borrowed from the cache up front (an unknown endpoint is nothing to
+    /// watch), so `dead` only consults the lock-free `any_dead` screen,
+    /// never the endpoint table.
     fn await_sender<T>(
         &mut self,
         src_ep: Option<EndpointId>,
         wait: impl FnOnce(&Mailbox, &dyn Fn() -> Option<(NodeId, SimTime)>) -> Result<T, RecvAbort>,
     ) -> Result<T, PsmpiError> {
-        let node = self.awaited_node(src_ep);
+        self.alive()?;
+        let src = src_ep.and_then(|ep| cached_entry(&mut self.entries, &self.router, ep).ok());
         let router = &self.router;
-        let dead = || node.and_then(|n| router.dead_time_of(n).map(|at| (n, at)));
+        let dead = || src.and_then(|e| router.declared_death(e).map(|at| (e.node(), at)));
         let (node, at) = match wait(self.own.mailbox(), &dead) {
             Ok(found) => return Ok(found),
             Err(RecvAbort::Dead(node, at)) => (node, at),
@@ -1146,25 +1149,36 @@ impl Rank {
 
     // ---- fault protocol ----
 
-    /// Whether the static fault plan kills this rank's node in the window
-    /// `(after, upto]`. This is the victim's own step-granularity check:
-    /// call it with the step's start/end clocks, then [`Rank::fail_here`]
-    /// and return from the rank function. It reads the plan the rank
-    /// resolved at its start, so a plan must be installed before the ranks
-    /// that obey it launch (as every caller of
-    /// [`simnet::Fabric::set_fault_plan`] does).
-    pub fn planned_fault_in(&self, after: SimTime, upto: SimTime) -> Option<SimTime> {
-        self.fault_plan
-            .as_ref()?
-            .node_fault_in(self.node_id, after, upto)
+    /// The victim's check, asked first by every post and every receive,
+    /// probe or test: the sender's repair-aware query
+    /// ([`EndpointEntry::planned_dead`]) of this rank's own entry against
+    /// its clock. A rank dead by the plan deposits nothing, declares its
+    /// node down at the death instant and gets [`PsmpiError::NodeFailed`]
+    /// naming it. Its earlier deposits are in its peers' mailboxes by then,
+    /// so each peer's match-vs-abort decision is a function of virtual time.
+    /// `compute` and `advance` deposit nothing and never ask.
+    fn alive(&mut self) -> Result<(), PsmpiError> {
+        let plan = self.fault_plan.as_ref();
+        let Some(at) = plan.and_then(|plan| self.own.planned_dead(plan, self.clock)) else {
+            return Ok(());
+        };
+        self.die(at);
+        Err(PsmpiError::NodeFailed {
+            node: self.node_id,
+            at,
+        })
     }
 
-    /// Die: declare this rank's node down as of virtual time `at` and wake
-    /// every blocked receiver. Call *after* the last send this rank will
-    /// ever make — the deposit-before-declare order on this thread is what
-    /// makes every peer's match-vs-abort decision deterministic. The rank
-    /// function should return immediately afterwards.
-    pub fn fail_here(&mut self, at: SimTime) {
+    /// Declare this rank's node down as of virtual time `at` and wake
+    /// every blocked receiver, once per rank. Called by [`Rank::alive`] and
+    /// by the runtime for a rank function that panicked, each after the
+    /// rank's last deposit — the deposit-before-declare order on this
+    /// thread is what makes every peer's match-vs-abort decision
+    /// deterministic.
+    pub(crate) fn die(&mut self, at: SimTime) {
+        if std::mem::replace(&mut self.down, true) {
+            return;
+        }
         self.clock = self.clock.max(at);
         if let Some(track) = &self.obs {
             track.span(obs::Category::Failure, "node-failure", at, self.clock);
@@ -1214,6 +1228,10 @@ impl Rank {
     /// rank function returns (dropping the rank gives its slot back).
     pub(crate) fn into_outcome(self) -> crate::router::RankOutcome {
         if let Some(track) = &self.obs {
+            if self.msgs_sent > 0 {
+                track.add("bytes_sent", self.bytes_sent);
+                track.add("msgs_sent", self.msgs_sent);
+            }
             track.set_final(self.clock);
         }
         crate::router::RankOutcome {

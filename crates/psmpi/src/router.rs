@@ -15,7 +15,7 @@ use bytes::Bytes;
 use hwmodel::{NodeId, NodeSpec, SimTime};
 use lockrank::{Condvar, Mutex, RwLock};
 use simnet::{Fabric, FaultPlan};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -461,11 +461,13 @@ impl EndpointEntry {
 
     /// Whether `plan` says the endpoint's node is dead as of virtual time
     /// `t` (and was not repaired before the endpoint was registered). This
-    /// is the *sender's* check, against the plan the sending rank resolved
-    /// at its start: it reads only that immutable plan and this entry,
-    /// never the dynamic dead set or the live repairs map, so the verdict
-    /// depends only on the sender's virtual clock — deterministic across
-    /// thread counts.
+    /// is the one plan query of the message path: a sender asks it of its
+    /// destination's entry, and every operation of a rank asks it of the
+    /// rank's own entry (the victim's check), each against the plan the
+    /// rank resolved at its start and its own clock. It reads only that
+    /// immutable plan and this entry, never the dynamic dead set or the
+    /// live repairs map, so the verdict depends only on the asking rank's
+    /// virtual clock — deterministic across thread counts.
     pub fn planned_dead(&self, plan: &FaultPlan, t: SimTime) -> Option<SimTime> {
         let tf = plan.node_fault_at(self.node, t)?;
         match self.repaired {
@@ -491,10 +493,11 @@ pub struct Router {
     /// removed, so cached `Arc<EndpointEntry>` handles can outlive the
     /// lookup.
     endpoints: [RwLock<BTreeMap<EndpointId, Arc<EndpointEntry>>, 420>; ENDPOINT_SHARDS],
-    /// Nodes declared down at run time, with their virtual death times.
+    /// Deaths declared at run time, as `(node, virtual death time)`.
     /// Written by the victim's own thread *after* it deposited all its
-    /// sends; read by the abortable receive path.
-    dead_nodes: Mutex<BTreeMap<NodeId, SimTime>, 430>,
+    /// sends; read by the abortable receive path, which keeps only the
+    /// deaths after the awaited endpoint's `repaired`.
+    dead_nodes: Mutex<BTreeSet<(NodeId, SimTime)>, 430>,
     /// Lock-free screen for `dead_nodes`: false means the set is empty and
     /// the per-receive dead check returns `None` without locking. Updated
     /// under the `dead_nodes` lock; the release store paired with the
@@ -561,7 +564,7 @@ impl Router {
         Arc::new(Router {
             fabric,
             endpoints: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
-            dead_nodes: Mutex::new(BTreeMap::new()),
+            dead_nodes: Mutex::new(BTreeSet::new()),
             any_dead: AtomicBool::new(false),
             repairs: RwLock::new(BTreeMap::new()),
             obs: Mutex::new(None),
@@ -669,6 +672,12 @@ impl Router {
     /// rank thread *after* it deposited all its sends — that ordering is
     /// what makes match-vs-abort deterministic.
     ///
+    /// A declaration at or before an endpoint's `repaired` is spent for
+    /// it ([`Router::declared_death`]): a rank of a lost world may declare
+    /// its death after the supervisor repaired the node for the next
+    /// world, and that world's endpoints on the node are alive. Each
+    /// declaration is kept, so a later death of the node still counts.
+    ///
     /// The `any_dead` release store happens before any mailbox interrupt: a
     /// receiver woken by the interrupt acquires its mailbox lock after the
     /// interrupter released it, so it observes the flag (and therefore the
@@ -676,7 +685,7 @@ impl Router {
     pub fn declare_down(&self, node: NodeId, at: SimTime) {
         {
             let mut dead = self.dead_nodes.lock();
-            dead.entry(node).or_insert(at);
+            dead.insert((node, at));
             self.any_dead.store(true, Ordering::Release);
         }
         // Snapshot each shard's mailboxes before interrupting: `interrupt`
@@ -696,13 +705,13 @@ impl Router {
         }
     }
 
-    /// Clear a death declaration (node repaired at `at`). Sends to
+    /// Clear the death declarations of `node` (repaired at `at`). Sends to
     /// endpoints registered afterwards treat planned faults at or before
     /// `at` as spent.
     pub fn repair(&self, node: NodeId, at: SimTime) {
         {
             let mut dead = self.dead_nodes.lock();
-            dead.remove(&node);
+            dead.retain(|&(n, _)| n != node);
             self.any_dead.store(!dead.is_empty(), Ordering::Release);
         }
         let mut reps = self.repairs.write();
@@ -710,15 +719,19 @@ impl Router {
         *r = (*r).max(at);
     }
 
-    /// Death time of `node`, if it is currently declared down. Lock-free
-    /// `None` while no node in the universe is dead — the common case on
-    /// every blocking receive.
-    pub fn dead_time_of(&self, node: NodeId) -> Option<SimTime> {
+    /// The declared death of `entry`'s endpoint: the earliest declared
+    /// death of its node after the repair frozen into the entry, so a
+    /// repeat or later declaration cannot move it. Lock-free `None` while
+    /// no node in the universe is declared dead — the common case on every
+    /// blocking receive.
+    pub fn declared_death(&self, entry: &EndpointEntry) -> Option<SimTime> {
         if !self.any_dead.load(Ordering::Acquire) {
             return None;
         }
         let dead = self.dead_nodes.lock();
-        dead.get(&node).copied()
+        dead.iter()
+            .find(|&&(n, at)| n == entry.node && entry.repaired.is_none_or(|r| at > r))
+            .map(|&(_, at)| at)
     }
 
     /// Record a finished rank.
@@ -779,11 +792,11 @@ mod tests {
         }
     }
 
-    /// Death time of the node hosting `ep`, looked up through the endpoint
-    /// table (a shard read under whatever the caller holds).
+    /// Declared death of `ep`, looked up through the endpoint table (a
+    /// shard read under whatever the caller holds).
     fn dead_node_of(r: &Router, ep: EndpointId) -> Option<(NodeId, SimTime)> {
-        let node = r.entry(ep).ok()?.node();
-        r.dead_time_of(node).map(|at| (node, at))
+        let entry = r.entry(ep).ok()?;
+        r.declared_death(&entry).map(|at| (entry.node(), at))
     }
 
     fn env(comm: u64, src_rank: usize, tag: Tag, seq: u64) -> Envelope {
@@ -837,7 +850,8 @@ mod tests {
             dead_node_of(&r, a),
             Some((NodeId(0), SimTime::from_secs(2.0)))
         );
-        // First declaration wins: a repeat cannot move the death time.
+        // The earliest declaration wins: a later one cannot move the death
+        // time.
         r.declare_down(NodeId(0), SimTime::from_secs(9.0));
         assert_eq!(
             dead_node_of(&r, a),
@@ -845,6 +859,35 @@ mod tests {
         );
         r.repair(NodeId(0), SimTime::from_secs(3.0));
         assert_eq!(dead_node_of(&r, a), None);
+    }
+
+    #[test]
+    fn a_declaration_spent_by_the_endpoints_repair_does_not_abort_it() {
+        let r = router();
+        let secs = SimTime::from_secs;
+        let lost = r.register_endpoint(NodeId(1));
+        r.repair(NodeId(1), secs(3.0));
+        let respawned = r.register_endpoint(NodeId(1));
+        // The lost world's victim declares its death after the repair: its
+        // own world sees it, the respawned endpoint on the node does not...
+        r.declare_down(NodeId(1), secs(2.0));
+        assert_eq!(dead_node_of(&r, lost), Some((NodeId(1), secs(2.0))));
+        assert_eq!(dead_node_of(&r, respawned), None);
+        r.declare_down(NodeId(1), secs(3.0));
+        assert_eq!(dead_node_of(&r, respawned), None, "at the repair is spent");
+        // ...and a death after the repair aborts it, the spent declarations
+        // notwithstanding.
+        r.declare_down(NodeId(1), secs(4.0));
+        assert_eq!(dead_node_of(&r, respawned), Some((NodeId(1), secs(4.0))));
+        assert_eq!(dead_node_of(&r, lost), Some((NodeId(1), secs(2.0))));
+        let mb = r
+            .entry(r.register_endpoint(NodeId(0)))
+            .unwrap()
+            .mailbox()
+            .clone();
+        let res =
+            mb.recv_match_abortable(CommId(1), Some(0), Some(5), || dead_node_of(&r, respawned));
+        assert!(matches!(res, Err(RecvAbort::Dead(NodeId(1), at)) if at == secs(4.0)));
     }
 
     #[test]
@@ -1246,7 +1289,7 @@ mod tests {
         r.declare_down(NodeId(2), SimTime::from_secs(1.0));
         for &ep in &eps {
             let entry = r.entry(ep).unwrap();
-            let dead = r.dead_time_of(entry.node());
+            let dead = r.declared_death(&entry);
             assert_eq!(dead.is_some(), entry.node() == NodeId(2));
         }
     }
@@ -1254,12 +1297,17 @@ mod tests {
     #[test]
     fn dead_check_is_lock_free_when_nothing_is_dead() {
         let r = router();
+        let a = r.register_endpoint(NodeId(0));
         // No declaration yet: the fast flag short-circuits.
-        assert_eq!(r.dead_time_of(NodeId(0)), None);
+        assert_eq!(dead_node_of(&r, a), None);
         r.declare_down(NodeId(0), SimTime::from_secs(1.0));
-        assert_eq!(r.dead_time_of(NodeId(0)), Some(SimTime::from_secs(1.0)));
+        assert_eq!(
+            dead_node_of(&r, a),
+            Some((NodeId(0), SimTime::from_secs(1.0)))
+        );
         r.repair(NodeId(0), SimTime::from_secs(2.0));
         // Repairing the only dead node re-arms the fast path.
-        assert_eq!(r.dead_time_of(NodeId(0)), None);
+        assert!(!r.any_dead.load(Ordering::Acquire));
+        assert_eq!(dead_node_of(&r, a), None);
     }
 }

@@ -191,7 +191,7 @@ pub(crate) fn spawn_rank_thread(
             );
             let ran = panic::catch_unwind(AssertUnwindSafe(|| entry(&mut rank)));
             if ran.is_err() {
-                rank.fail_here(rank.now());
+                rank.die(rank.now());
             }
             router.record_outcome(rank.into_outcome());
             router.awake.fetch_sub(1, Ordering::AcqRel);

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use hwmodel::presets::deep_er_cluster_node;
 use hwmodel::{NodeId, SimTime};
-use psmpi::{BufferPool, MpiError, ReduceOp, Universe};
+use psmpi::{BufferPool, MpiError, Rank, ReduceOp, Universe};
 use simnet::{Fabric, FaultPlan, Topology};
 use std::sync::Arc;
 
@@ -33,6 +33,20 @@ fn faulted_universe_own_pool(n: u32, plan: FaultPlan) -> Universe {
 
 fn s(x: f64) -> SimTime {
     SimTime::from_secs(x)
+}
+
+/// The victim's side of a planned death at `fault_at`: run past it, then
+/// post a send, which psmpi refuses with the rank's own death (declaring
+/// the node down for its peers) without depositing anything.
+fn die_by_the_plan(rank: &mut Rank, fault_at: SimTime) {
+    rank.advance(fault_at.saturating_sub(rank.now()) + s(0.125));
+    let w = rank.world();
+    match rank.send_comm(&w, 0, 99, &0u64) {
+        Err(MpiError::NodeFailed { node, at }) => {
+            assert_eq!((node, at), (rank.node_id(), fault_at));
+        }
+        other => panic!("expected the rank's own death, got {other:?}"),
+    }
 }
 
 #[test]
@@ -105,11 +119,7 @@ fn victim_messages_before_death_arrive_in_order_then_recv_aborts() {
         if rank.rank() == 1 {
             rank.send_comm(&w, 0, 7, &1u64).unwrap();
             rank.send_comm(&w, 0, 7, &2u64).unwrap();
-            let at = rank
-                .planned_fault_in(SimTime::ZERO, s(1.0))
-                .expect("plan kills this node");
-            rank.fail_here(at);
-            return;
+            return die_by_the_plan(rank, fault_at);
         }
         let (a, _) = rank.recv_comm::<u64>(&w, Some(1), Some(7)).unwrap();
         let (b, _) = rank.recv_comm::<u64>(&w, Some(1), Some(7)).unwrap();
@@ -132,6 +142,44 @@ fn victim_messages_before_death_arrive_in_order_then_recv_aborts() {
 }
 
 #[test]
+fn a_victim_past_its_death_deposits_nothing_and_is_told_it_died() {
+    // The victim sends once before its planned death and once after it.
+    // The second send, and the receive after it, fail with the victim's
+    // own death; the survivor gets the first message only, then aborts,
+    // with nothing of the victim's left in its mailbox.
+    let fault_at = s(0.5);
+    let plan = FaultPlan::from_node_faults([(fault_at, NodeId(1))]);
+    let u = faulted_universe(2, plan);
+    let router = u.router().clone();
+    let report = u.launch(&[NodeId(0), NodeId(1)], move |rank| {
+        let w = rank.world();
+        let victims_death = |r: Result<(), MpiError>| match r {
+            Err(MpiError::NodeFailed { node, at }) => assert_eq!((node, at), (NodeId(1), fault_at)),
+            other => panic!("expected the victim's own death, got {other:?}"),
+        };
+        if rank.rank() == 1 {
+            rank.advance(s(0.25));
+            rank.send_comm(&w, 0, 7, &1u64).unwrap();
+            rank.advance(s(0.5));
+            victims_death(rank.send_comm(&w, 0, 7, &2u64));
+            victims_death(rank.recv_comm::<u64>(&w, Some(0), Some(7)).map(drop));
+            return;
+        }
+        let (a, _) = rank.recv_comm::<u64>(&w, Some(1), Some(7)).unwrap();
+        assert_eq!(a, 1);
+        victims_death(rank.recv_comm::<u64>(&w, Some(1), Some(7)).map(drop));
+        assert!(rank.now() >= fault_at);
+        let entry = router.entry(w.group.endpoints[0]).unwrap();
+        assert!(
+            entry.mailbox().is_empty(),
+            "nothing of the victim's is queued"
+        );
+    });
+    let victim = report.outcomes().iter().find(|o| o.rank == 1).unwrap();
+    assert_eq!(victim.msgs_sent, 1, "the refused send is not counted");
+}
+
+#[test]
 fn revoke_marker_aborts_transitively_blocked_rank() {
     // Chain: rank 2 dies; rank 1 aborts on the dead flag and revokes; rank
     // 0 — blocked on rank 1, which is alive but aborting — unblocks off the
@@ -142,10 +190,7 @@ fn revoke_marker_aborts_transitively_blocked_rank() {
     u.launch(&[NodeId(0), NodeId(1), NodeId(2)], move |rank| {
         let w = rank.world();
         match rank.rank() {
-            2 => {
-                let at = rank.planned_fault_in(SimTime::ZERO, s(1.0)).unwrap();
-                rank.fail_here(at);
-            }
+            2 => die_by_the_plan(rank, fault_at),
             1 => {
                 let err = rank.recv_comm::<u64>(&w, Some(2), Some(3)).unwrap_err();
                 let MpiError::NodeFailed { node, at } = err else {
@@ -197,8 +242,7 @@ fn bcast_and_probe_on_a_dead_root_fail_instead_of_hanging() {
         u.launch(&[NodeId(0), NodeId(1), NodeId(2)], move |rank| {
             let w = rank.world();
             if rank.rank() == 0 {
-                let at = rank.planned_fault_in(SimTime::ZERO, s(1.0)).unwrap();
-                return rank.fail_here(at);
+                return die_by_the_plan(rank, fault_at);
             }
             for attempt in 0..2 {
                 let err = match attempt {
@@ -258,10 +302,7 @@ fn bcast_on_a_revoking_root_fails_with_the_victims_identity() {
         u.launch(&[NodeId(0), NodeId(1), NodeId(2)], move |rank| {
             let w = rank.world();
             match rank.rank() {
-                2 => {
-                    let at = rank.planned_fault_in(SimTime::ZERO, s(1.0)).unwrap();
-                    rank.fail_here(at);
-                }
+                2 => die_by_the_plan(rank, fault_at),
                 1 => {
                     let err = rank.recv_comm::<u64>(&w, Some(2), Some(3)).unwrap_err();
                     let MpiError::NodeFailed { node, at } = err else {
@@ -297,9 +338,7 @@ fn faulted_run_is_identical_across_thread_interleavings() {
             let w = rank.world();
             if rank.rank() == 1 {
                 rank.send_comm(&w, 0, 7, &11u64).unwrap();
-                let at = rank.planned_fault_in(SimTime::ZERO, s(1.0)).unwrap();
-                rank.fail_here(at);
-                return;
+                return die_by_the_plan(rank, fault_at);
             }
             let (v, _) = rank.recv_comm::<u64>(&w, Some(1), Some(7)).unwrap();
             assert_eq!(v, 11);
@@ -337,7 +376,9 @@ fn forged_segmented_bcast_header_is_a_codec_error_not_an_allocation() {
         (6, 4, &[4, 4]),           // segments overshoot the total
         (u64::MAX, u64::MAX, &[]), // accepted so far: nothing reserved past the pool's ceiling
     ];
-    let u = faulted_universe(2, FaultPlan::new());
+    // The parent's node dies after its last forgery.
+    let fault_at = s(1.0);
+    let u = faulted_universe(2, FaultPlan::from_node_faults([(fault_at, NodeId(0))]));
     u.launch(&[NodeId(0), NodeId(1)], move |rank| {
         let w = rank.world();
         for (round, &(total, seg, segments)) in forgeries.iter().enumerate() {
@@ -351,7 +392,7 @@ fn forged_segmented_bcast_header_is_a_codec_error_not_an_allocation() {
                 if last {
                     // An honest segment stream would have to go on for
                     // exabytes; the parent dying mid-stream ends it.
-                    rank.fail_here(rank.now());
+                    die_by_the_plan(rank, fault_at);
                 }
             } else {
                 let err = rank.bcast_bytes(&w, 0, None).unwrap_err();

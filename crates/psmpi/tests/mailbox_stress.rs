@@ -330,6 +330,7 @@ fn interrupt_racing_park_never_loses_a_wakeup() {
         let done = Arc::new(AtomicBool::new(false));
         let marks = Arc::new([AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)]);
         let (done_in, marks_in) = (done.clone(), marks.clone());
+        let router = u.router().clone();
         u.launch(&nodes, move |rank| {
             let w = rank.world();
             let [waiting, aborted, repaired] = &*marks_in;
@@ -337,9 +338,9 @@ fn interrupt_racing_park_never_loses_a_wakeup() {
                 0 => {
                     for i in 1..=ROUNDS {
                         wait_for(waiting, i);
-                        rank.fail_here(rank.now());
+                        router.declare_down(rank.node_id(), rank.now());
                         wait_for(aborted, i);
-                        rank.repair_node(rank.node_id(), rank.now());
+                        router.repair(rank.node_id(), rank.now());
                         repaired.store(i, Ordering::Release);
                     }
                     done_in.store(true, Ordering::Release);

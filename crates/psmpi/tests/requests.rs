@@ -25,6 +25,20 @@ fn s(x: f64) -> SimTime {
     SimTime::from_secs(x)
 }
 
+/// The victim's side of a planned death at `fault_at`: run past it, then
+/// post a send, which psmpi refuses at the post with the rank's own death
+/// (declaring the node down for its peers).
+fn die_by_the_plan(rank: &mut Rank, fault_at: SimTime) {
+    rank.advance(fault_at.saturating_sub(rank.now()) + s(0.125));
+    match rank.isend_slice(0, 99, &[0.0f64]) {
+        Err(MpiError::NodeFailed { node, at }) => {
+            assert_eq!((node, at), (rank.node_id(), fault_at));
+        }
+        Err(other) => panic!("expected the rank's own death, got {other}"),
+        Ok(_) => panic!("a dead rank's send was posted"),
+    }
+}
+
 #[test]
 fn isend_post_is_free_and_wait_charges_nic_serialization() {
     let overhead = deep_er_cluster_node().nic_send_overhead;
@@ -370,11 +384,7 @@ fn irecv_wait_aborts_when_the_awaited_sender_dies() {
     let u = faulted_universe(2, plan);
     u.launch(&[NodeId(0), NodeId(1)], move |rank| {
         if rank.rank() == 1 {
-            let at = rank
-                .planned_fault_in(SimTime::ZERO, s(1.0))
-                .expect("plan kills this node");
-            rank.fail_here(at);
-            return;
+            return die_by_the_plan(rank, fault_at);
         }
         let w = rank.world();
         let req = rank.irecv_bytes_comm(&w, Some(1), Some(7)).unwrap();
@@ -416,11 +426,7 @@ fn test_polling_surfaces_the_death_of_the_awaited_sender() {
     let u = faulted_universe(2, plan);
     u.launch(&[NodeId(0), NodeId(1)], move |rank| {
         if rank.rank() == 1 {
-            let at = rank
-                .planned_fault_in(SimTime::ZERO, s(1.0))
-                .expect("plan kills this node");
-            rank.fail_here(at);
-            return;
+            return die_by_the_plan(rank, fault_at);
         }
         let w = rank.world();
         let req = rank.irecv_bytes_comm(&w, Some(1), Some(7)).unwrap();
@@ -431,6 +437,31 @@ fn test_polling_surfaces_the_death_of_the_awaited_sender() {
             other => panic!("expected NodeFailed, got {:?}", other.map(|d| d.1)),
         }
         assert_eq!(rank.now(), fault_at, "completion aligns the clock");
+    });
+}
+
+#[test]
+fn a_dead_ranks_posted_receive_completes_with_its_own_death() {
+    // The victim posts a receive nobody will match, then runs past its
+    // planned death: `test` must report the request ready and complete it
+    // with the victim's own death, without moving the clock.
+    let fault_at = s(0.5);
+    let plan = FaultPlan::from_node_faults([(fault_at, NodeId(1))]);
+    let u = faulted_universe(2, plan);
+    u.launch(&[NodeId(0), NodeId(1)], move |rank| {
+        if rank.rank() == 0 {
+            return;
+        }
+        let w = rank.world();
+        let req = rank.irecv_bytes_comm(&w, Some(0), Some(7)).unwrap();
+        rank.advance(s(1.0));
+        assert!(req.ready(rank), "a dead rank's wait would not block");
+        match req.test(rank) {
+            Err(MpiError::NodeFailed { node, at }) => assert_eq!((node, at), (NodeId(1), fault_at)),
+            Err(other) => panic!("expected the rank's own death, got {other}"),
+            Ok(_) => panic!("a dead rank's receive was not refused"),
+        }
+        assert_eq!(rank.now(), s(1.0));
     });
 }
 

@@ -63,24 +63,15 @@ impl FaultPlan {
     }
 
     /// The *latest* death of `node` at or before `t`, if any. A node that
-    /// has died is dead for everything stamped later, so this is the query
-    /// a sender uses: "is my destination gone as of my clock?"
+    /// has died is dead for everything stamped later, so this is the one
+    /// query of the message path: a sender's "is my destination gone as of
+    /// my clock?", and every rank's "am I?".
     pub fn node_fault_at(&self, node: NodeId, t: SimTime) -> Option<SimTime> {
         self.node_faults
             .iter()
             .filter(|f| f.node == node && f.at <= t)
             .map(|f| f.at)
             .next_back()
-    }
-
-    /// The *first* death of `node` in the window `(after, upto]`, if any.
-    /// This is the victim's own query at step granularity: "did I die
-    /// between the end of the last step and now?"
-    pub fn node_fault_in(&self, node: NodeId, after: SimTime, upto: SimTime) -> Option<SimTime> {
-        self.node_faults
-            .iter()
-            .find(|f| f.node == node && f.at > after && f.at <= upto)
-            .map(|f| f.at)
     }
 }
 
@@ -97,7 +88,6 @@ mod tests {
         let p = FaultPlan::new();
         assert!(p.is_empty());
         assert_eq!(p.node_fault_at(NodeId(0), s(1e9)), None);
-        assert_eq!(p.node_fault_in(NodeId(0), SimTime::ZERO, s(1e9)), None);
     }
 
     #[test]
@@ -108,19 +98,6 @@ mod tests {
         assert_eq!(p.node_fault_at(NodeId(3), s(4.9)), Some(s(2.0)));
         assert_eq!(p.node_fault_at(NodeId(3), s(5.0)), Some(s(5.0)));
         assert_eq!(p.node_fault_at(NodeId(4), s(9.0)), None);
-    }
-
-    #[test]
-    fn node_fault_in_is_half_open_after_exclusive() {
-        let p = FaultPlan::from_node_faults([(s(2.0), NodeId(1))]);
-        assert_eq!(p.node_fault_in(NodeId(1), SimTime::ZERO, s(1.9)), None);
-        assert_eq!(
-            p.node_fault_in(NodeId(1), SimTime::ZERO, s(2.0)),
-            Some(s(2.0))
-        );
-        // Window opens strictly after the fault: already reported, not again.
-        assert_eq!(p.node_fault_in(NodeId(1), s(2.0), s(9.0)), None);
-        assert_eq!(p.node_fault_in(NodeId(1), s(1.0), s(9.0)), Some(s(2.0)));
     }
 
     #[test]

@@ -36,7 +36,6 @@ use hwmodel::SimTime;
 use lockrank::Mutex;
 use psmpi::datatype::{bytes_to_pod, pod_to_bytes_pooled};
 use psmpi::{Communicator, Intercomm, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp, Wire};
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Execution mode (paper §IV-C, Figs. 7–8).
@@ -353,16 +352,16 @@ fn reduce_tail<const S: usize>(
 /// Booster-only, and the checkpointed run's solver world), cut after
 /// calculateE, where the carried state is exactly `(species, fields)`:
 /// `particle_phase` clears the moments before it deposits. `boundary` gets
-/// the steps done at each cut and may `Break` the loop (then `None`); a
-/// `restored` state starts at its cut. Returns the rank's final slab; each
-/// caller reduces what it reads. The solvers' work runs in `field` and
-/// `particle` phases, and the steps after the first in a `steady` one.
+/// the steps done at each cut; a `restored` state starts at its cut.
+/// Returns the rank's final slab; each caller reduces what it reads. The
+/// solvers' work runs in `field` and `particle` phases, and the steps
+/// after the first in a `steady` one.
 pub(crate) fn combined_loop(
     rank: &mut Rank,
     config: &XpicConfig,
     restored: Option<(u32, (Vec<Species>, Fields))>,
-    mut boundary: impl FnMut(&mut Rank, u32, &SlabState) -> Result<ControlFlow<()>, PsmpiError>,
-) -> Result<Option<SlabState>, PsmpiError> {
+    mut boundary: impl FnMut(&mut Rank, u32, &SlabState) -> Result<(), PsmpiError>,
+) -> Result<SlabState, PsmpiError> {
     let (first, state) = restored.unzip();
     let mut st = SlabState::new(config, rank, state);
     if first.is_none() {
@@ -397,13 +396,10 @@ pub(crate) fn combined_loop(
             st.field_solve_e(rank, config)?;
             rank.obs_close(phase);
         }
-        if boundary(rank, step + 1, &st)?.is_break() {
-            rank.obs_close(steady);
-            return Ok(None);
-        }
+        boundary(rank, step + 1, &st)?;
     }
     rank.obs_close(steady);
-    Ok(Some(st))
+    Ok(st)
 }
 
 /// Cluster-only or Booster-only mode: Listing 1's loop with nothing at
@@ -414,8 +410,7 @@ fn run_combined(
     config: &XpicConfig,
     acc: &Arc<Mutex<Acc, 100>>,
 ) -> Result<(), PsmpiError> {
-    let ran = combined_loop(rank, config, None, |_, _, _| Ok(ControlFlow::Continue(())))?;
-    let st = ran.expect("nothing breaks the loop");
+    let st = combined_loop(rank, config, None, |_, _, _| Ok(()))?;
     let (fe, ke, charge) = (st.field_energy(), st.kinetic_energy(), st.total_charge());
     let sums = [fe, ke, charge, st.cg as f64];
     let tail = reduce_tail(rank, &st.world, Some(&st.history), sums)?;

@@ -11,10 +11,11 @@
 //! supervisor rank on the Cluster spawns the solver world onto the Booster
 //! through `MPI_Comm_spawn`; the solver world steps Listing 1's loop of
 //! [`crate::app`], the one `run_mode`'s Booster-only mode steps, and
-//! checks the fault plan and checkpoints at each step boundary. A
-//! [`FaultPlan`] kills nodes at virtual times, the typed `MpiError` surface
-//! aborts the step cleanly, and the supervisor restarts the lost world
-//! from the newest checkpoint. With no plan it is a plain checkpointed
+//! checkpoints at each step boundary. A [`FaultPlan`] kills nodes at
+//! virtual times, psmpi enforces it (a dead rank's next post or receive,
+//! and every send to it, fails), the typed `MpiError` surface aborts the
+//! step cleanly, and the supervisor restarts the lost world from the
+//! newest checkpoint. With no plan it is a plain checkpointed
 //! run, which ends on `run_mode`'s bits. Because the fault schedule is
 //! static and the physics is a pure function of the checkpointed state, a
 //! recovered run finishes **bit-identical** to an uninterrupted one.
@@ -36,7 +37,6 @@ use psmpi::{
 pub use scr::CkptMode;
 use scr::{delta, CheckpointLevel, Payload, PendingDrain, ScrError, ScrManager};
 use simnet::FaultPlan;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Tag of the completion report a child world sends its supervisor.
@@ -722,15 +722,11 @@ fn supervise(
             )
         });
         let (cfg, scr_c, rec) = (config.clone(), scr.clone(), recovery.clone());
-        let fresh = recoveries == 0;
         let entry: Arc<RankFn> = Arc::new(move |child: &mut Rank| {
-            let inc = Incarnation {
-                restored: restored_c
-                    .as_ref()
-                    .map(|(step, blobs)| (*step, blobs.as_slice())),
-                fresh,
-            };
-            resilient_child(child, &cfg, &scr_c, &rec, &inc);
+            let restored = restored_c
+                .as_ref()
+                .map(|(step, blobs)| (*step, blobs.as_slice()));
+            resilient_child(child, &cfg, &scr_c, &rec, restored);
         });
         let ic = rank
             .spawn(&world, booster, entry)
@@ -781,25 +777,28 @@ fn supervise(
 }
 
 /// Child-world entry: step Listing 1's loop ([`combined_loop`]) from the
-/// incarnation's state, checking the fault plan and checkpointing at its
+/// `restored` step and every rank's blob of it (each taken by its rank;
+/// `None` seeds the initial population at step 0), checkpointing at its
 /// boundaries, and report to the supervisor. The last boundary realizes
 /// the outstanding drain; the one final reduction, of the energies the
 /// report carries, then proves every rank drained, so rank 0 may promote.
-/// On a communication failure the rank revokes both communicators, so
-/// every blocked peer (and the supervisor) unblocks with the victim's
-/// identity, then bails out.
+/// On a communication failure — the rank's own node's death among them,
+/// which psmpi reports at its first post or receive past the planned
+/// instant — the rank revokes both communicators, so every blocked peer
+/// (and the supervisor) unblocks with the victim's identity, then bails
+/// out.
 fn resilient_child(
     rank: &mut Rank,
     config: &XpicConfig,
     scr: &ScrManager,
     recovery: &RecoveryConfig,
-    inc: &Incarnation<'_>,
+    restored: Option<(u32, &[Mutex<Option<Bytes>, 100>])>,
 ) {
     let world = rank.world();
     let parent = rank.parent().expect("resilient child has a supervisor");
     let run = |rank: &mut Rank| -> Result<(), PsmpiError> {
         let me = rank.rank();
-        let restored = inc.restored.map(|(step, blobs)| {
+        let restored = restored.map(|(step, blobs)| {
             let grid = Grid::slab(config.nx, config.ny, me, world.size());
             let blob = blobs[me].lock().take().expect("a rank takes its blob once");
             let state = unpack_state(&blob, &grid);
@@ -808,29 +807,16 @@ fn resilient_child(
             rank.buffer_pool().recycle(blob);
             (step, state)
         });
-        let mut win_start = if inc.fresh { SimTime::ZERO } else { rank.now() };
         let mut engine = CkptEngine::new(scr, recovery.level, recovery.ckpt_mode);
-        let ran = combined_loop(rank, config, restored, |rank, step, st| {
-            // Planned death check *before* the checkpoint: the victim's
-            // sends of this step are already deposited (survivors still
-            // match them), and the step it was about to checkpoint is
-            // genuinely lost.
-            let now = rank.now();
-            if let Some(at) = rank.planned_fault_in(win_start, now) {
-                rank.fail_here(at);
-                return Ok(ControlFlow::Break(()));
-            }
-            win_start = now;
+        let st = combined_loop(rank, config, restored, |rank, step, st| {
             if step == config.steps {
-                engine.drain_wait(rank)?;
+                engine.drain_wait(rank)
             } else if step.is_multiple_of(recovery.checkpoint_every) {
-                engine.checkpoint_step(rank, &st.world, step, &st.species, &st.fields)?;
+                engine.checkpoint_step(rank, &st.world, step, &st.species, &st.fields)
+            } else {
+                Ok(())
             }
-            Ok(ControlFlow::Continue(()))
         })?;
-        let Some(st) = ran else {
-            return Ok(());
-        };
         let energies = [st.field_energy(), st.kinetic_energy()];
         let sums = rank.allreduce(&world, &energies, ReduceOp::Sum)?;
         if me == 0 {
@@ -851,18 +837,6 @@ fn resilient_child(
         rank.revoke_comm(&world, node, at);
         rank.revoke_comm(&parent, node, at);
     }
-}
-
-/// One launch of the PIC loop: the state it starts from.
-struct Incarnation<'a> {
-    /// The restored step and every rank's blob of it, each taken by its
-    /// rank; `None` seeds the initial population at step 0.
-    restored: Option<(u32, &'a [Mutex<Option<Bytes>, 100>])>,
-    /// Whether this is the job's first world. It watches the fault plan
-    /// from t = 0; a respawned world only from its own start (the
-    /// supervisor's clock passed the death it just repaired, so spent
-    /// faults are never re-discovered).
-    fresh: bool,
 }
 
 #[cfg(test)]
